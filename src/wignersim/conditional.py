@@ -18,18 +18,15 @@ from dataclasses import dataclass
 
 from scipy.special import eval_laguerre
 
-from .errors import ImprobableBranch
 from .gaussian import vacuum_state
 from .symplectic import embed, make_beam_splitter, make_two_mode_squeezer
 from .wigner import (
-    Term,
     WignerExpr,
-    _integrate_out,
+    _complement,
+    _herald_branch,
     apply_symplectic,
     fock_wigner,
     from_gaussian,
-    project_click,
-    project_fock,
     project_fock_unnormalized,
     tensor_exprs,
 )
@@ -47,124 +44,97 @@ class HeraldedState:
     label: str
 
 
-def _check_spec(mode: int, m: int, T: float) -> None:
-    if not 1 <= m <= M_CUTOFF:
+def _herald(
+    expr: WignerExpr,
+    mode: int,
+    coupling: tuple,
+    ancilla: int,
+    n: int,
+    click: bool = False,
+    only: str | None = None,
+) -> tuple[HeraldedState | None, HeraldedState | None]:
+    """The one herald operation: mix a Fock ancilla into `mode`, project the ancilla output once.
+
+    `coupling` is ("BS", T) or ("SPDC", r, theta); the ancilla |ancilla> is
+    coupling input 1 and the signal input 2.  Projecting on Fock n gives one
+    branch, its complement (projector 1 - 2 pi F_n) the other: the projection
+    succeeds for a Fock herald, while a click herald (n = 0) succeeds on the
+    complement.  The projected branch is checked first.  Returns (success,
+    failure); with `only` set to one of them, the other is neither built nor
+    checked and comes back as None.
+    """
+    kind, x, *theta = coupling
+    m = ancilla or n
+    if not click and not 1 <= m <= M_CUTOFF:
         raise ValueError(f"photon count m must lie in 1..{M_CUTOFF}, got {m}")
-    if not 0.0 <= T <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {T}")
-
-
-def _with_ancilla(expr: WignerExpr, mode: int, T: float, ancilla: WignerExpr) -> tuple[WignerExpr, int]:
-    """Tensor an ancilla as the last mode and mix it with `mode` on BS(T); ancilla is input 1."""
+    f = make_beam_splitter(x) if kind == "BS" else make_two_mode_squeezer(x, *theta)
     if not 1 <= mode <= expr.modes:
         raise ValueError(f"mode {mode} out of range 1..{expr.modes}")
-    joint = tensor_exprs(expr, ancilla)
+    via = f"{kind}({'T' if kind == 'BS' else 'r'}={x:g})"
+    verb = "add" if ancilla or kind == "SPDC" else "subtract"
+    labels = {
+        "success": f"subtract via {via}, click herald" if click else f"{verb} {m} via {via}, Fock {n} herald",
+        "failure": f"no click on {via} herald" if click else f"failed to {verb} {m} via {via}",
+    }
+    joint = tensor_exprs(expr, fock_wigner(ancilla) if ancilla else from_gaussian(vacuum_state(1)))
     anc = expr.modes + 1
-    mixed = apply_symplectic(joint, embed(make_beam_splitter(T), [anc, mode], anc))
-    return mixed, anc
-
-
-def _complement_branch(mixed: WignerExpr, anc: int, n: int, label: str) -> HeraldedState:
-    """Complement of a Fock-n herald on the ancilla: projector 1 - 2 pi F_n."""
-    success = project_fock_unnormalized(mixed, anc, n)
-    p_fail = 1.0 - success.norm / mixed.norm
-    if p_fail < 1e-14:
-        raise ImprobableBranch(p_fail)
-    idx = [2 * (anc - 1), 2 * anc - 1]
-    full = _integrate_out(mixed, idx)
-    terms = list(full.terms) + [Term(-t.weight, t.poly, t.mean, t.quad) for t in success.terms]
-    state = WignerExpr(mixed.modes - 1, terms).normalize()
-    return HeraldedState(state, p_fail, "failure", label)
+    mixed = apply_symplectic(joint, embed(f, [anc, mode], anc))
+    projected = project_fock_unnormalized(mixed, anc, n)
+    p = projected.norm / mixed.norm
+    roles = ("failure", "success") if click else ("success", "failure")
+    out = {}
+    if only in (None, roles[0]):
+        out[roles[0]] = _herald_branch(projected, p)
+    if only in (None, roles[1]):
+        out[roles[1]] = _herald_branch(_complement(mixed, anc, projected), 1.0 - p)
+    return tuple(HeraldedState(*out[b], b, labels[b]) if b in out else None for b in ("success", "failure"))
 
 
 def add_photons_bs(expr: WignerExpr, mode: int, m: int, T: float) -> HeraldedState:
     """Add m photons: Fock-m ancilla on BS(T), heralded by zero photons on the ancilla output."""
-    _check_spec(mode, m, T)
-    mixed, anc = _with_ancilla(expr, mode, T, fock_wigner(m))
-    state, prob = project_fock(mixed, anc, 0)
-    return HeraldedState(state, prob, "success", f"add {m} via BS(T={T:g}), Fock 0 herald")
+    return _herald(expr, mode, ("BS", T), m, 0, only="success")[0]
 
 
 def add_photons_bs_branches(expr: WignerExpr, mode: int, m: int, T: float) -> tuple[HeraldedState, HeraldedState]:
     """Matched success/failure pair for the beam-splitter addition herald."""
-    _check_spec(mode, m, T)
-    mixed, anc = _with_ancilla(expr, mode, T, fock_wigner(m))
-    state, prob = project_fock(mixed, anc, 0)
-    success = HeraldedState(state, prob, "success", f"add {m} via BS(T={T:g}), Fock 0 herald")
-    failure = _complement_branch(mixed, anc, 0, f"failed to add {m} via BS(T={T:g})")
-    return success, failure
+    return _herald(expr, mode, ("BS", T), m, 0)
 
 
 def add_photon_spdc(expr: WignerExpr, mode: int, r: float, theta: float = 0.0, m: int = 1) -> HeraldedState:
     """Add m photons by two-mode squeezing with a vacuum ancilla, heralded on m ancilla photons."""
-    if r < 0.0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-    if not 1 <= m <= M_CUTOFF:
-        raise ValueError(f"photon count m must lie in 1..{M_CUTOFF}, got {m}")
-    if not 1 <= mode <= expr.modes:
-        raise ValueError(f"mode {mode} out of range 1..{expr.modes}")
-    joint = tensor_exprs(expr, from_gaussian(vacuum_state(1)))
-    anc = expr.modes + 1
-    mixed = apply_symplectic(joint, embed(make_two_mode_squeezer(r, theta), [anc, mode], anc))
-    state, prob = project_fock(mixed, anc, m)
-    return HeraldedState(state, prob, "success", f"add {m} via SPDC(r={r:g}), Fock {m} herald")
-
-
-def subtract_photons(expr: WignerExpr, mode: int, m: int, T: float) -> HeraldedState:
-    """Subtract m photons: vacuum ancilla on BS(T), heralded by m photons on the ancilla output."""
-    _check_spec(mode, m, T)
-    mixed, anc = _with_ancilla(expr, mode, T, from_gaussian(vacuum_state(1)))
-    state, prob = project_fock(mixed, anc, m)
-    return HeraldedState(state, prob, "success", f"subtract {m} via BS(T={T:g}), Fock {m} herald")
+    return _herald(expr, mode, ("SPDC", r, theta), 0, m, only="success")[0]
 
 
 def add_photon_spdc_branches(
     expr: WignerExpr, mode: int, r: float, theta: float = 0.0, m: int = 1
 ) -> tuple[HeraldedState, HeraldedState]:
     """Matched success/failure pair for the SPDC addition herald."""
-    if r < 0.0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-    if not 1 <= mode <= expr.modes:
-        raise ValueError(f"mode {mode} out of range 1..{expr.modes}")
-    joint = tensor_exprs(expr, from_gaussian(vacuum_state(1)))
-    anc = expr.modes + 1
-    mixed = apply_symplectic(joint, embed(make_two_mode_squeezer(r, theta), [anc, mode], anc))
-    state, prob = project_fock(mixed, anc, m)
-    success = HeraldedState(state, prob, "success", f"add {m} via SPDC(r={r:g}), Fock {m} herald")
-    failure = _complement_branch(mixed, anc, m, f"failed to add {m} via SPDC(r={r:g})")
-    return success, failure
+    return _herald(expr, mode, ("SPDC", r, theta), 0, m)
+
+
+def subtract_photons(expr: WignerExpr, mode: int, m: int, T: float) -> HeraldedState:
+    """Subtract m photons: vacuum ancilla on BS(T), heralded by m photons on the ancilla output."""
+    return _herald(expr, mode, ("BS", T), 0, m, only="success")[0]
 
 
 def failure_branch(expr: WignerExpr, mode: int, m: int, T: float) -> HeraldedState:
     """Complement of subtract_photons: the herald saw anything other than exactly m photons."""
-    _check_spec(mode, m, T)
-    mixed, anc = _with_ancilla(expr, mode, T, from_gaussian(vacuum_state(1)))
-    return _complement_branch(mixed, anc, m, f"failed to subtract exactly {m} via BS(T={T:g})")
+    return _herald(expr, mode, ("BS", T), 0, m, only="failure")[1]
 
 
 def subtract_branches(expr: WignerExpr, mode: int, m: int, T: float) -> tuple[HeraldedState, HeraldedState]:
     """Matched success/failure pair for an m-photon subtraction herald."""
-    return subtract_photons(expr, mode, m, T), failure_branch(expr, mode, m, T)
+    return _herald(expr, mode, ("BS", T), 0, m)
 
 
 def subtract_click(expr: WignerExpr, mode: int, T: float) -> HeraldedState:
     """Subtraction heralded by a click (any photon number) on the ancilla output."""
-    _check_spec(mode, 1, T)
-    mixed, anc = _with_ancilla(expr, mode, T, from_gaussian(vacuum_state(1)))
-    state, prob = project_click(mixed, anc)
-    return HeraldedState(state, prob, "success", f"subtract via BS(T={T:g}), click herald")
+    return _herald(expr, mode, ("BS", T), 0, 0, click=True, only="success")[0]
 
 
 def subtract_click_branches(expr: WignerExpr, mode: int, T: float) -> tuple[HeraldedState, HeraldedState]:
     """Click-heralded subtraction together with its no-click complement."""
-    _check_spec(mode, 1, T)
-    mixed, anc = _with_ancilla(expr, mode, T, from_gaussian(vacuum_state(1)))
-    no_click, p0 = project_fock(mixed, anc, 0)
-    click, pc = project_click(mixed, anc)
-    return (
-        HeraldedState(click, pc, "success", f"subtract via BS(T={T:g}), click herald"),
-        HeraldedState(no_click, p0, "failure", f"no click on BS(T={T:g}) herald"),
-    )
+    return _herald(expr, mode, ("BS", T), 0, 0, click=True)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateBranch, NumericalConditioning, PurityViolation, SignalStationary
 from .gaussian import GaussianState
 from .symplectic import omega
-from .wigner import Term, WignerExpr, _poly_add, _poly_mul, _poly_prune, _poly_scale, purity
+from .wigner import Term, WignerExpr, _poly_add, _poly_mul, _poly_prune, _poly_scale, overlap, purity
 
 DEFAULT_STEP = 1e-5
 SLOPE_FLOOR = 1e-12
@@ -225,28 +225,7 @@ def _expr_phi_derivative(family: Callable[[float], WignerExpr], phi: float, h: f
     terms = [
         _term_phi_derivative(tm, t0, tp, h) for tm, t0, tp in zip(e_minus.terms, e0.terms, e_plus.terms)
     ]
-    out = WignerExpr.__new__(WignerExpr)
-    out.modes = e0.modes
-    out.terms = terms
-    out.norm = 1.0  # derivative of a normalized family integrates to zero; norm is meaningless here
-    return out
-
-
-def _overlap(a: WignerExpr, b: WignerExpr) -> float:
-    """Integral of the product of two expressions."""
-    total = 0.0
-    for t1 in a.terms:
-        a1 = np.linalg.inv(t1.quad)
-        for t2 in b.terms:
-            a2 = np.linalg.inv(t2.quad)
-            a3 = a1 + a2
-            quad3 = np.linalg.inv(a3)
-            quad3 = (quad3 + quad3.T) / 2.0
-            m3 = np.linalg.solve(a3, a1 @ t1.mean + a2 @ t2.mean)
-            gamma = float(t1.mean @ a1 @ t1.mean + t2.mean @ a2 @ t2.mean - m3 @ a3 @ m3)
-            prod = Term(t1.weight * t2.weight * math.exp(-gamma), _poly_mul(t1.poly, t2.poly), m3, quad3)
-            total += prod.integral()
-    return total
+    return WignerExpr(e0.modes, terms)
 
 
 def qfi_pure_wigner(
@@ -258,7 +237,7 @@ def qfi_pure_wigner(
     if abs(mu - 1.0) > purity_tol:
         raise PurityViolation(f"purity {mu:.8f} differs from 1 beyond {purity_tol:g}")
     dw = _expr_phi_derivative(lambda p: family(p).normalize(), phi, h)
-    return 2.0 * (2.0 * math.pi) ** w0.modes * _overlap(dw, dw)
+    return 2.0 * (2.0 * math.pi) ** w0.modes * overlap(dw, dw)
 
 
 def _family_mean_cov(family: Callable[[float], GaussianState], phi: float, h: float):

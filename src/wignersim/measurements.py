@@ -87,25 +87,22 @@ def _check_mode(state: StateLike, mode: int) -> None:
         raise ValueError(f"mode {mode} out of range 1..{n}")
 
 
-def _sym_intensity_integrals(expr: WignerExpr, mode: int) -> tuple[float, float]:
-    """Int rho W and Int rho^2 W for rho = x_mode^2 + p_mode^2."""
+def _intensity_integrals(state: StateLike, expr: WignerExpr, mode: int) -> tuple[float, float]:
+    """(<n>, Int rho^2 W) for rho = x_mode^2 + p_mode^2; <n> by the covariance shortcut on a GaussianState."""
     i = 2 * (mode - 1)
-    s1 = moment(expr, {i: 2}) + moment(expr, {i + 1: 2})
+    if isinstance(state, GaussianState):
+        mean = mean_photon(state, mode)
+    else:
+        mean = 0.5 * (moment(expr, {i: 2}) + moment(expr, {i + 1: 2})) - 0.5
     s2 = moment(expr, {i: 4}) + 2.0 * moment(expr, {i: 2, i + 1: 2}) + moment(expr, {i + 1: 4})
-    return s1, s2
+    return mean, s2
 
 
 def intensity(state: StateLike, mode: int = 1) -> MeasurementMoments:
     """Photon-number (intensity) moments on one mode."""
     _check_mode(state, mode)
-    expr = _as_expr(state)
-    s1, s2 = _sym_intensity_integrals(expr, mode)
-    if isinstance(state, GaussianState):
-        mean = mean_photon(state, mode)  # covariance shortcut
-    else:
-        mean = 0.5 * s1 - 0.5
-    second = 0.25 * s2 - mean - 0.5
-    return MeasurementMoments(mean, second)
+    mean, s2 = _intensity_integrals(state, _as_expr(state), mode)
+    return MeasurementMoments(mean, 0.25 * s2 - mean - 0.5)
 
 
 def homodyne(state: StateLike, mode: int = 1, angle: float = 0.0) -> MeasurementMoments:
@@ -143,11 +140,9 @@ def intensity_difference(state: StateLike, mode_a: int, mode_b: int) -> Measurem
     _check_mode(state, mode_a)
     _check_mode(state, mode_b)
     expr = _as_expr(state)
-    na = intensity(state, mode_a).mean
-    nb = intensity(state, mode_b).mean
+    na, sa2 = _intensity_integrals(state, expr, mode_a)
+    nb, sb2 = _intensity_integrals(state, expr, mode_b)
     ia, ib = 2 * (mode_a - 1), 2 * (mode_b - 1)
-    sa2 = _sym_intensity_integrals(expr, mode_a)[1]
-    sb2 = _sym_intensity_integrals(expr, mode_b)[1]
     cross = (
         moment(expr, {ia: 2, ib: 2})
         + moment(expr, {ia: 2, ib + 1: 2})

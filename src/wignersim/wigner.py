@@ -189,7 +189,14 @@ class WignerExpr:
     def __init__(self, modes: int, terms: list[Term]):
         self.modes = modes
         self.terms = terms
-        self.norm = sum(t.integral() for t in terms) if terms else 0.0
+        self._norm: float | None = None
+
+    @property
+    def norm(self) -> float:
+        """Integral over all variables, computed on first read and kept."""
+        if self._norm is None:
+            self._norm = sum(t.integral() for t in self.terms) if self.terms else 0.0
+        return self._norm
 
     @property
     def nvars(self) -> int:
@@ -354,28 +361,35 @@ def marginal_mode(expr: WignerExpr, mode: int) -> WignerExpr:
     return _integrate_out(expr, drop)
 
 
+def _gaussian_product(a1: np.ndarray, m1: np.ndarray, a2: np.ndarray, m2: np.ndarray):
+    """Gaussian-product rule in precision form.
+
+    exp(-(X-m1)^T a1 (X-m1)) exp(-(X-m2)^T a2 (X-m2)) = exp(-gamma) exp(-(X-m3)^T a3 (X-m3))
+    with a3 = a1 + a2 and a3 m3 = a1 m1 + a2 m2.  a2 may be singular (a factor
+    on some variables only) or complex.  Returns (a3^{-1} symmetrized, m3, gamma).
+    """
+    a3 = a1 + a2
+    quad3 = np.linalg.inv(a3)
+    m3 = np.linalg.solve(a3, a1 @ m1 + a2 @ m2)
+    gamma = m1 @ a1 @ m1 + m2 @ a2 @ m2 - m3 @ a3 @ m3
+    return (quad3 + quad3.T) / 2.0, m3, gamma
+
+
 def _multiply_projector(expr: WignerExpr, mode: int, proj_poly_2d: Poly, scale: float) -> WignerExpr:
     """Multiply by scale * poly(x_m, p_m) * exp(-x_m^2 - p_m^2) without integrating."""
     idx = expr._var_indices(mode)
     nv = expr.nvars
+    a2 = np.zeros((nv, nv))
+    a2[idx, idx] = 1.0
+    lifted = {}
+    for (ex, ep), c in proj_poly_2d.items():
+        e = [0] * nv
+        e[idx[0]], e[idx[1]] = ex, ep
+        lifted[tuple(e)] = c
     terms = []
     for t in expr.terms:
-        a1 = np.linalg.inv(t.quad)
-        a2 = np.zeros((nv, nv))
-        a2[idx[0], idx[0]] = 1.0
-        a2[idx[1], idx[1]] = 1.0
-        a3 = a1 + a2
-        quad3 = np.linalg.inv(a3)
-        quad3 = (quad3 + quad3.T) / 2.0
-        m3 = np.linalg.solve(a3, a1 @ t.mean)  # projector Gaussian is centered at 0
-        gamma = float(t.mean @ a1 @ t.mean - m3 @ a3 @ m3)
-        lifted = {}
-        for (ex, ep), c in proj_poly_2d.items():
-            e = [0] * nv
-            e[idx[0]], e[idx[1]] = ex, ep
-            lifted[tuple(e)] = c
-        poly = _poly_mul(t.poly, lifted)
-        terms.append(Term(t.weight * scale * math.exp(-gamma), poly, m3, quad3))
+        quad3, m3, gamma = _gaussian_product(np.linalg.inv(t.quad), t.mean, a2, np.zeros(nv))
+        terms.append(Term(t.weight * scale * math.exp(-gamma), _poly_mul(t.poly, lifted), m3, quad3))
     return WignerExpr(expr.modes, terms)
 
 
@@ -388,15 +402,31 @@ def project_fock_unnormalized(expr: WignerExpr, mode: int, n: int) -> WignerExpr
     return _integrate_out(projected, expr._var_indices(mode))
 
 
+def _complement(expr: WignerExpr, mode: int, projected: WignerExpr) -> WignerExpr:
+    """Unnormalized complement of a Fock projection on one mode: projector 1 - 2 pi F_n.
+
+    `projected` is project_fock_unnormalized(expr, mode, n); the result is the
+    mode traced out minus that projection.
+    """
+    full = _integrate_out(expr, expr._var_indices(mode))
+    negated = [Term(-t.weight, t.poly, t.mean, t.quad) for t in projected.terms]
+    return WignerExpr(expr.modes - 1, full.terms + negated)
+
+
+def _herald_branch(reduced: WignerExpr, prob: float) -> tuple[WignerExpr, float]:
+    """Renormalize one herald outcome and clamp its probability; raise ImprobableBranch below the floor."""
+    if prob < IMPROBABLE_FLOOR:
+        raise ImprobableBranch(prob)
+    prob = min(max(prob, 0.0), 1.0)
+    if reduced.modes == 0:
+        return WignerExpr(0, []), prob
+    return reduced.normalize(), prob
+
+
 def project_fock(expr: WignerExpr, mode: int, n: int) -> tuple[WignerExpr, float]:
     """Herald n photons on one mode: returns (renormalized remainder, herald probability)."""
     reduced = project_fock_unnormalized(expr, mode, n)
-    prob = reduced.norm / expr.norm
-    if prob < IMPROBABLE_FLOOR:
-        raise ImprobableBranch(prob)
-    if expr.modes == 1:
-        return WignerExpr(0, []), min(max(prob, 0.0), 1.0)
-    return reduced.normalize(), min(max(prob, 0.0), 1.0)
+    return _herald_branch(reduced, reduced.norm / expr.norm)
 
 
 def project_no_click(expr: WignerExpr, mode: int) -> tuple[WignerExpr, float]:
@@ -407,15 +437,7 @@ def project_no_click(expr: WignerExpr, mode: int) -> tuple[WignerExpr, float]:
 def project_click(expr: WignerExpr, mode: int) -> tuple[WignerExpr, float]:
     """Herald a click (any photon number > 0) on one mode: projector 1 - F_0."""
     no_click = project_fock_unnormalized(expr, mode, 0)
-    p0 = no_click.norm / expr.norm
-    prob = 1.0 - p0
-    if prob < IMPROBABLE_FLOOR:
-        raise ImprobableBranch(prob)
-    if expr.modes == 1:
-        return WignerExpr(0, []), min(max(prob, 0.0), 1.0)
-    full = _integrate_out(expr, expr._var_indices(mode))
-    terms = list(full.terms) + [Term(-t.weight, t.poly, t.mean, t.quad) for t in no_click.terms]
-    return WignerExpr(expr.modes - 1, terms).normalize(), min(max(prob, 0.0), 1.0)
+    return _herald_branch(_complement(expr, mode, no_click), 1.0 - no_click.norm / expr.norm)
 
 
 def _single_mode_g(expr1: WignerExpr, s: complex) -> complex:
@@ -423,13 +445,10 @@ def _single_mode_g(expr1: WignerExpr, s: complex) -> complex:
     total = 0.0 + 0.0j
     for t in expr1.terms:
         a = np.linalg.inv(t.quad)
-        evals, evecs = np.linalg.eigh(a)
+        evals = np.linalg.eigh(a)[0]
         det_sqrt = np.sqrt(evals[0] + s) * np.sqrt(evals[1] + s)  # factors stay in the right half plane
-        a_s = a + s * np.eye(2)
-        m_s = np.linalg.solve(a_s, a @ t.mean).astype(complex)
-        gamma = complex(t.mean @ a @ t.mean - m_s @ a_s @ m_s)
-        cov_s = np.linalg.inv(a_s) / 2.0
-        epoly = _gaussian_expectation(t.poly, m_s, cov_s)
+        quad_s, m_s, gamma = _gaussian_product(a, t.mean, s * np.eye(2), np.zeros(2))
+        epoly = _gaussian_expectation(t.poly, m_s, quad_s / 2.0)
         total += t.weight * np.exp(-gamma) * math.pi / det_sqrt * epoly
     return total
 
@@ -505,22 +524,22 @@ def attenuate(expr: WignerExpr, mode: int, eta: float, nbar_env: float = 0.0) ->
     return _integrate_out(mixed, [2 * (anc - 1), 2 * anc - 1])
 
 
-def purity(expr: WignerExpr) -> float:
-    """(2 pi)^N * integral of W^2, via the analytic product rule."""
-    nv = expr.nvars
+def overlap(a: WignerExpr, b: WignerExpr) -> float:
+    """Integral of the product of two expressions over all variables."""
+    precisions = [np.linalg.inv(t.quad) for t in b.terms]
     total = 0.0
-    for t1 in expr.terms:
+    for t1 in a.terms:
         a1 = np.linalg.inv(t1.quad)
-        for t2 in expr.terms:
-            a2 = np.linalg.inv(t2.quad)
-            a3 = a1 + a2
-            quad3 = np.linalg.inv(a3)
-            quad3 = (quad3 + quad3.T) / 2.0
-            m3 = np.linalg.solve(a3, a1 @ t1.mean + a2 @ t2.mean)
-            gamma = float(t1.mean @ a1 @ t1.mean + t2.mean @ a2 @ t2.mean - m3 @ a3 @ m3)
+        for t2, a2 in zip(b.terms, precisions):
+            quad3, m3, gamma = _gaussian_product(a1, t1.mean, a2, t2.mean)
             prod = Term(t1.weight * t2.weight * math.exp(-gamma), _poly_mul(t1.poly, t2.poly), m3, quad3)
             total += prod.integral()
-    return (2.0 * math.pi) ** expr.modes * total / expr.norm**2
+    return total
+
+
+def purity(expr: WignerExpr) -> float:
+    """(2 pi)^N * integral of W^2 over the squared norm."""
+    return (2.0 * math.pi) ** expr.modes * overlap(expr, expr) / expr.norm**2
 
 
 def grid_samples(expr: WignerExpr, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:

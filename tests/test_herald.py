@@ -1,0 +1,140 @@
+"""The single herald primitive: one ancilla mixing and one Fock projection per herald.
+
+Both branches of a herald come from the same projection of the ancilla
+output, so together they reassemble the signal state with the ancilla traced
+out: p_s W_s + p_f W_f = Tr_anc[U (W (x) W_anc) U^dagger].
+"""
+
+import math
+
+import pytest
+
+from wignersim import conditional as cond
+from wignersim import gaussian as ga
+from wignersim import symplectic as sym
+from wignersim import wigner as wg
+from wignersim.errors import ImprobableBranch
+from wignersim.wigner import Term, WignerExpr, overlap
+
+
+def signal() -> WignerExpr:
+    """Two-mode signal: coherent on mode 1, thermal on mode 2."""
+    return wg.tensor_exprs(
+        wg.from_gaussian(ga.coherent_state(1.0, 0.3)), wg.from_gaussian(ga.thermal_state(0.5))
+    )
+
+
+def vacuum() -> WignerExpr:
+    return wg.from_gaussian(ga.vacuum_state(1))
+
+
+# name -> (the *_branches call, its coupling, its ancilla); the herald acts on mode 1
+MECHANISMS = {
+    "bs_add": (lambda e: cond.add_photons_bs_branches(e, 1, 2, 0.85), sym.make_beam_splitter(0.85),
+               lambda: wg.fock_wigner(2)),
+    "spdc_add": (lambda e: cond.add_photon_spdc_branches(e, 1, 0.3, 0.2, m=1),
+                 sym.make_two_mode_squeezer(0.3, 0.2), vacuum),
+    "fock_subtract": (lambda e: cond.subtract_branches(e, 1, 2, 0.8), sym.make_beam_splitter(0.8), vacuum),
+    "click_subtract": (lambda e: cond.subtract_click_branches(e, 1, 0.8), sym.make_beam_splitter(0.8), vacuum),
+}
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Count apply_symplectic and project_fock_unnormalized calls, wherever they are bound."""
+    seen = {"apply_symplectic": 0, "project_fock_unnormalized": 0}
+    for name in seen:
+        orig = getattr(wg, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            seen[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for module in (wg, cond):
+            monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
+def test_one_mixing_and_one_projection(name, counts):
+    branches, _, _ = MECHANISMS[name]
+    success, failure = branches(signal())
+    assert counts == {"apply_symplectic": 1, "project_fock_unnormalized": 1}
+    assert (success.branch, failure.branch) == ("success", "failure")
+
+
+def _scaled(expr: WignerExpr, s: float) -> list[Term]:
+    return [Term(t.weight * s, t.poly, t.mean, t.quad) for t in expr.terms]
+
+
+def _collect(expr: WignerExpr) -> WignerExpr:
+    """Merge the terms that share a Gaussian, so a difference of equal sums cancels term by term."""
+    groups: dict = {}
+    for t in expr.terms:
+        mean, quad, poly = groups.setdefault((t.mean.tobytes(), t.quad.tobytes()), (t.mean, t.quad, {}))
+        for e, c in t.poly.items():
+            poly[e] = poly.get(e, 0.0) + t.weight * c
+    return WignerExpr(expr.modes, [Term(1.0, poly, mean, quad) for mean, quad, poly in groups.values()])
+
+
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
+def test_branches_reassemble_the_traced_state(name):
+    branches, coupling, ancilla = MECHANISMS[name]
+    expr = signal()
+    success, failure = branches(expr)
+    mixed = wg.apply_symplectic(wg.tensor_exprs(expr, ancilla()), sym.embed(coupling, [3, 1], 3))
+    traced = wg.marginalize(mixed, 3).normalize()
+    assert abs(success.probability + failure.probability - 1.0) < 1e-12
+    parts = _scaled(success.state, success.probability) + _scaled(failure.state, failure.probability)
+    diff = _collect(WignerExpr(2, parts + _scaled(traced, -1.0)))
+    rel_l2 = math.sqrt(abs(overlap(diff, diff)) / overlap(traced, traced))
+    assert rel_l2 <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "single, pair, index",
+    [
+        (lambda e: cond.add_photons_bs(e, 1, 2, 0.85), MECHANISMS["bs_add"][0], 0),
+        (lambda e: cond.add_photon_spdc(e, 1, 0.3, 0.2, m=1), MECHANISMS["spdc_add"][0], 0),
+        (lambda e: cond.subtract_photons(e, 1, 2, 0.8), MECHANISMS["fock_subtract"][0], 0),
+        (lambda e: cond.failure_branch(e, 1, 2, 0.8), MECHANISMS["fock_subtract"][0], 1),
+        (lambda e: cond.subtract_click(e, 1, 0.8), MECHANISMS["click_subtract"][0], 0),
+    ],
+)
+def test_single_branch_entries_match_the_pair(single, pair, index):
+    one, both = single(signal()), pair(signal())[index]
+    assert (one.probability, one.branch, one.label) == (both.probability, both.branch, both.label)
+    assert [t.weight for t in one.state.terms] == [t.weight for t in both.state.terms]
+
+
+def test_single_branch_ignores_an_improbable_complement():
+    # a one-photon Fock state fully reflected onto the herald: exactly one photon is certain
+    one = wg.fock_wigner(1)
+    s = cond.subtract_photons(one, 1, 1, 0.0)
+    assert s.probability == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ImprobableBranch):
+        cond.failure_branch(one, 1, 1, 0.0)
+    with pytest.raises(ImprobableBranch):
+        cond.subtract_branches(one, 1, 1, 0.0)
+    # and a vacuum signal never clicks, while its no-click branch is certain
+    with pytest.raises(ImprobableBranch):
+        cond.subtract_click(vacuum(), 1, 0.5)
+    with pytest.raises(ImprobableBranch):
+        cond.subtract_click_branches(vacuum(), 1, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cond.add_photons_bs_branches(signal(), 3, 1, 0.9),
+        lambda: cond.add_photons_bs_branches(signal(), 1, 0, 0.9),
+        lambda: cond.add_photons_bs(signal(), 1, 1, 1.5),
+        lambda: cond.add_photon_spdc_branches(signal(), 1, -0.1),
+        lambda: cond.add_photon_spdc_branches(signal(), 1, 0.3, m=cond.M_CUTOFF + 1),
+        lambda: cond.subtract_branches(signal(), 0, 1, 0.9),
+        lambda: cond.subtract_click_branches(signal(), 1, -0.1),
+    ],
+)
+def test_every_entry_validates_its_arguments(call):
+    with pytest.raises(ValueError):
+        call()

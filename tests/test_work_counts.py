@@ -1,0 +1,60 @@
+"""Deterministic work counters of the shared primitives."""
+
+import pytest
+
+from wignersim import gaussian as ga
+from wignersim import measurements as meas
+from wignersim import symplectic as sym
+from wignersim import wigner as wg
+
+
+def two_mode_gaussian() -> ga.GaussianState:
+    state = ga.tensor([ga.coherent_state(1.0, 0.2), ga.squeezed_vacuum(0.4, 0.0)])
+    return ga.propagate(state, sym.make_mzi(0.7))
+
+
+@pytest.fixture
+def moment_calls(monkeypatch):
+    calls = []
+    orig = meas.moment
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(meas, "moment", counted)
+    return calls
+
+
+@pytest.mark.parametrize("as_expr, expected", [(True, 14), (False, 10)])
+def test_intensity_difference_moment_calls(as_expr, expected, moment_calls):
+    state = two_mode_gaussian()
+    state = wg.from_gaussian(state) if as_expr else state
+    meas.intensity_difference(state, 1, 2)
+    assert len(moment_calls) == expected
+
+
+@pytest.mark.parametrize("as_expr, expected", [(True, 5), (False, 3)])
+def test_intensity_moment_calls(as_expr, expected, moment_calls):
+    state = two_mode_gaussian()
+    state = wg.from_gaussian(state) if as_expr else state
+    meas.intensity(state, 1)
+    assert len(moment_calls) == expected
+
+
+def test_norm_is_computed_once_on_first_read(monkeypatch):
+    calls = []
+    orig = wg.Term.integral
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(wg.Term, "integral", counted)
+    expr = wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.thermal_state(0.5)))
+    expr = wg.apply_symplectic(expr, sym.make_beam_splitter(0.3))
+    assert calls == []
+    assert abs(expr.norm - 1.0) < 1e-12
+    assert len(calls) == len(expr.terms)
+    expr.norm
+    assert len(calls) == len(expr.terms)
