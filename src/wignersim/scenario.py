@@ -5,8 +5,10 @@ declares the two input states, ordered per-mode modifications at the input or
 output stage, the interferometer phase, the noise model, the detector list,
 and which metrics to compute.  Pipelines that stay Gaussian run on the
 mean/covariance fast path; any Fock input or heralded addition/subtraction
-switches to the full Wigner representation.  Identical config plus seed gives
-byte-identical CSV/JSON output.
+switches to the full Wigner representation.  Both run through one pipeline
+body, whose phase-independent prefix (inputs and input-stage modifications) is
+built once and cached.  Identical config plus seed gives byte-identical
+CSV/JSON output.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -32,6 +35,8 @@ SWEEP_PARAMETERS = ("phi", "alpha2", "r", "T", "L", "D", "nbar", "nbar_env", "m"
 METRICS = ("phase_variance", "cfi", "qfi", "snr", "distributions")
 DRIFT_SIGMA_DEFAULTS = {"parity": 0.001, "default": 0.15}
 THREADS_ENV = "WIGNERSIM_THREADS"
+# Distinct phi-independent prefixes kept; a run or sweep reuses one or two.
+PREFIX_CACHE_SIZE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +414,9 @@ def _set_path(node, segments: list[str], value, lineno: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineResult:
-    """Success-branch state with herald bookkeeping."""
+    """Success-branch state with herald bookkeeping; frozen, since cached prefixes are shared."""
 
     state: Any  # GaussianState or WignerExpr
     success_prob: float = 1.0
@@ -427,111 +432,86 @@ def _gaussian_possible(config: ScenarioConfig) -> bool:
     return not any(m.heralded for m in config.modifications)
 
 
-def _apply_gaussian_mod(state: ga.GaussianState, mod: ModificationSpec) -> ga.GaussianState:
-    if mod.op == "squeeze":
-        f = sym.embed(sym.make_squeezer(mod.r, mod.theta), [mod.mode], state.modes)
-    else:
-        f = sym.embed(sym.make_displacement(mod.alpha, mod.theta), [mod.mode], state.modes)
-    return ga.propagate(state, f)
+def _transform(state, f: sym.SymplecticTransform):
+    if isinstance(state, ga.GaussianState):
+        return ga.propagate(state, f)
+    return wig.apply_symplectic(state, f)
 
 
-def _apply_expr_mod(expr: wig.WignerExpr, mod: ModificationSpec) -> tuple:
-    """Returns (success_expr, prob, failure_expr, failure_prob) for heralded ops,
-    or (expr, 1.0, None, 0.0) for unitary ones."""
-    if mod.op == "squeeze":
-        f = sym.embed(sym.make_squeezer(mod.r, mod.theta), [mod.mode], expr.modes)
-        return wig.apply_symplectic(expr, f), 1.0, None, 0.0
-    if mod.op == "displace":
-        f = sym.embed(sym.make_displacement(mod.alpha, mod.theta), [mod.mode], expr.modes)
-        return wig.apply_symplectic(expr, f), 1.0, None, 0.0
+def _each(res: PipelineResult, step: Callable) -> PipelineResult:
+    """Apply one state map to the success branch and, when it is tracked, the failure branch."""
+    state = step(res.state)
+    fail = None if res.failure_state is None else step(res.failure_state)
+    return replace(res, state=state, failure_state=fail)
+
+
+def _herald(expr: wig.WignerExpr, mod: ModificationSpec) -> tuple:
+    if mod.op == "add" and mod.mechanism == "bs":
+        return cond.add_photons_bs_branches(expr, mod.mode, mod.m, mod.T)
     if mod.op == "add":
-        if mod.mechanism == "bs":
-            s, f = cond.add_photons_bs_branches(expr, mod.mode, mod.m, mod.T)
-        else:
-            s, f = cond.add_photon_spdc_branches(expr, mod.mode, mod.r, mod.theta, m=mod.m)
-    elif mod.m == "click":
-        s, f = cond.subtract_click_branches(expr, mod.mode, mod.T)
+        return cond.add_photon_spdc_branches(expr, mod.mode, mod.r, mod.theta, m=mod.m)
+    if mod.m == "click":
+        return cond.subtract_click_branches(expr, mod.mode, mod.T)
+    return cond.subtract_branches(expr, mod.mode, mod.m, mod.T)
+
+
+def _modify(res: PipelineResult, mods, stage: str) -> PipelineResult:
+    """Apply one stage's modifications in order; the first herald starts the failure branch."""
+    for m in mods:
+        if not m.heralded:
+            make = sym.make_squeezer(m.r, m.theta) if m.op == "squeeze" else sym.make_displacement(m.alpha, m.theta)
+            f = sym.embed(make, [m.mode], res.state.modes)
+            res = _each(res, lambda s: _transform(s, f))
+            continue
+        ok, fail = _herald(res.state, m)
+        prob = res.success_prob * ok.probability
+        if res.herald_stage is None:
+            res = replace(res, state=ok.state, success_prob=prob, failure_state=fail.state,
+                          failure_prob=fail.probability, herald_stage=stage)
+        else:  # failure tracking only supports a single herald
+            res = replace(res, state=ok.state, success_prob=prob, failure_state=None, failure_prob=0.0)
+    return res
+
+
+@lru_cache(maxsize=PREFIX_CACHE_SIZE)
+def _prefix(inputs: tuple, input_mods: tuple, gaussian_path: bool) -> PipelineResult:
+    """Inputs and input-stage modifications, heralds included: the part of a pipeline upstream of phi."""
+    if gaussian_path:
+        state = ga.tensor([s.gaussian() for s in inputs])
     else:
-        s, f = cond.subtract_branches(expr, mod.mode, mod.m, mod.T)
-    return s.state, s.probability, f.state, f.probability
+        state = wig.tensor_exprs(inputs[0].expr(), inputs[1].expr())
+    return _modify(PipelineResult(state, gaussian_path=gaussian_path), input_mods, "input")
 
 
 def build_pipeline(config: ScenarioConfig, phi: float | None = None) -> PipelineResult:
-    """Assemble inputs -> input mods -> MZI -> noise -> output mods for one phase value."""
+    """Assemble inputs -> input mods -> MZI -> noise -> output mods for one phase value.
+
+    Everything before the MZI is phi-independent and comes from the `_prefix` cache.
+    """
     phi = config.phi if phi is None else phi
-    mods_in = [m for m in config.modifications if m.stage == "input"]
-    mods_out = [m for m in config.modifications if m.stage == "output"]
-
-    if _gaussian_possible(config):
-        state = ga.tensor([s.gaussian() for s in config.inputs])
-        for m in mods_in:
-            state = _apply_gaussian_mod(state, m)
-        state = ga.propagate(state, sym.make_mzi(phi))
-        state = _apply_noise_gaussian(state, config.noise)
-        for m in mods_out:
-            state = _apply_gaussian_mod(state, m)
-        return PipelineResult(state=state, gaussian_path=True)
-
-    expr = wig.tensor_exprs(config.inputs[0].expr(), config.inputs[1].expr())
-    prob, fail, fail_prob, herald_stage = 1.0, None, 0.0, None
-
-    def apply_mods(e, f, mods, stage):
-        nonlocal prob, fail_prob, herald_stage
-        for m in mods:
-            if m.heralded:
-                if herald_stage is not None:
-                    e, p, _, _ = _apply_expr_mod(e, m)
-                    prob *= p
-                    f = None  # failure tracking only supports a single herald
-                    fail_prob = 0.0
-                else:
-                    e, p, f, fp = _apply_expr_mod(e, m)
-                    prob *= p
-                    fail_prob = fp
-                    herald_stage = stage
-            else:
-                e, _, _, _ = _apply_expr_mod(e, m)
-                if f is not None:
-                    f, _, _, _ = _apply_expr_mod(f, m)
-        return e, f
-
-    expr, fail = apply_mods(expr, fail, mods_in, "input")
+    mods_in = tuple(m for m in config.modifications if m.stage == "input")
+    res = _prefix(config.inputs, mods_in, _gaussian_possible(config))
     mzi = sym.make_mzi(phi)
-    expr = wig.apply_symplectic(expr, mzi)
-    if fail is not None:
-        fail = wig.apply_symplectic(fail, mzi)
-    expr = _apply_noise_expr(expr, config.noise)
-    if fail is not None:
-        fail = _apply_noise_expr(fail, config.noise)
-    expr, fail = apply_mods(expr, fail, mods_out, "output")
-    return PipelineResult(
-        state=expr,
-        success_prob=prob,
-        failure_state=fail,
-        failure_prob=fail_prob,
-        herald_stage=herald_stage,
-        gaussian_path=False,
-    )
+    res = _each(res, lambda s: _transform(s, mzi))
+    res = _each(res, lambda s: _apply_noise(s, config.noise))
+    return _modify(res, [m for m in config.modifications if m.stage == "output"], "output")
 
 
-def _apply_noise_gaussian(state: ga.GaussianState, noise: NoiseSpec) -> ga.GaussianState:
+def _apply_noise(state, noise: NoiseSpec):
+    gaussian = isinstance(state, ga.GaussianState)
     if noise.loss is not None and noise.loss.total > 0.0:
-        state = ga.apply_loss(state, noise.loss)
+        if gaussian:
+            state = ga.apply_loss(state, noise.loss)
+        else:
+            for m in range(1, state.modes + 1):
+                state = wig.attenuate(state, m, 1.0 - noise.loss.total, 0.0)
     if noise.has_thermal:
         for m in noise.thermal_modes:
-            state = ga.inject_thermal(state, m, noise.thermal_nbar, noise.thermal_eta)
+            if gaussian:
+                state = ga.inject_thermal(state, m, noise.thermal_nbar, noise.thermal_eta)
+            else:
+                state = wig.attenuate(state, m, noise.thermal_eta, noise.thermal_nbar)
     return state
-
-
-def _apply_noise_expr(expr: wig.WignerExpr, noise: NoiseSpec) -> wig.WignerExpr:
-    if noise.loss is not None and noise.loss.total > 0.0:
-        eta = 1.0 - noise.loss.total
-        for m in range(1, expr.modes + 1):
-            expr = wig.attenuate(expr, m, eta, 0.0)
-    if noise.has_thermal:
-        for m in noise.thermal_modes:
-            expr = wig.attenuate(expr, m, noise.thermal_eta, noise.thermal_nbar)
-    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -579,34 +559,26 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
 
 
 def _click_cfi(config: ScenarioConfig, phi: float) -> float:
-    """Total click-detection CFI over both output modes, honoring heralded branches."""
-    herald = next((m for m in config.modifications if m.heralded), None)
+    """Total click-detection CFI over both output modes and both herald arms.
 
-    if herald is None:
-        def branch(mode):
-            return est.two_outcome(lambda p: meas.click_probability(build_pipeline(config, p).state, mode))
+    Without a herald the success probability is 1 and there is no failure arm,
+    so this reduces to the plain sum of the two detectors' CFIs.
+    """
 
-        return sum(est.cfi(branch(m), phi) for m in (1, 2))
+    def arm(branch: str) -> list:
+        def click(mode: int):
+            return lambda p: meas.click_probability(getattr(build_pipeline(config, p), branch), mode)
 
-    def result_at(p: float) -> PipelineResult:
-        return build_pipeline(config, p)
+        return [est.two_outcome(click(m)) for m in (1, 2)]
 
-    def succ_prob(p: float) -> float:
-        return result_at(p).success_prob
-
-    def mk(which: str, mode: int):
-        def f(p: float) -> float:
-            r = result_at(p)
-            state = r.state if which == "success" else r.failure_state
-            return meas.click_probability(state, mode)
-
-        return f
-
-    res = result_at(phi)
-    succ_sets = [est.two_outcome(mk("success", m)) for m in (1, 2)]
-    fail_sets = [est.two_outcome(mk("failure", m)) for m in (1, 2)] if res.failure_state is not None else None
-    include_herald = res.herald_stage == "output"
-    return est.probabilistic_cfi(succ_prob, succ_sets, fail_sets, phi, include_herald=include_herald)
+    res = build_pipeline(config, phi)
+    return est.probabilistic_cfi(
+        lambda p: build_pipeline(config, p).success_prob,
+        arm("state"),
+        arm("failure_state") if res.failure_state is not None else None,
+        phi,
+        include_herald=res.herald_stage == "output",
+    )
 
 
 def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
