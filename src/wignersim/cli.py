@@ -1,8 +1,9 @@
 """Command-line front end: run, sweep, drift, counts, validate.
 
-Exit codes: 0 success, 2 config validation failure, 3 numerical-conditioning
-failure.  Default worker count comes from the WIGNERSIM_THREADS environment
-variable; a thread count that is not an integer >= 1 is a config error.
+Exit codes: 0 success, 2 config validation failure (a non-finite number
+included), 3 numerical-conditioning failure.  Default worker count comes from
+the WIGNERSIM_THREADS environment variable; a thread count that is not an
+integer >= 1 is a config error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError("--grid", f"non-numeric grid bound in {rng!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError("--grid", f"non-finite grid bound in {rng!r}")
     if step <= 0.0:
         raise ConfigError("--grid", "step must be positive")
     n = math.floor((stop - start) / step + 1e-9) + 1
@@ -104,9 +107,12 @@ def main(argv: list[str] | None = None) -> int:
             for item in args.sigma:
                 kind, _, value = item.partition("=")
                 try:
-                    sigma[kind.strip()] = float(value)
-                except ValueError as exc:
-                    raise ConfigError("--sigma", f"bad sigma spec {item!r}") from exc
+                    sig = float(value)
+                except ValueError:
+                    sig = math.nan
+                if not 0.0 <= sig < math.inf:
+                    raise ConfigError("--sigma", f"bad sigma spec {item!r}: need KIND=VALUE, VALUE finite and >= 0")
+                sigma[kind.strip()] = sig
             report = phase_drift_study(config, args.trials, args.seed, sigma=sigma,
                                        distribution=args.distribution)
         else:

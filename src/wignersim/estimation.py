@@ -27,6 +27,8 @@ from .wigner import Term, WignerExpr, _poly_add, _poly_mul, _poly_prune, _poly_s
 
 DEFAULT_STEP = 1e-5
 SLOPE_FLOOR = 1e-12
+# Gaussian states at least this pure take the pure-state QFI formula.
+PURE_GAUSSIAN_PURITY = 1.0 - 1e-9
 
 PhiFunction = Callable[[float], float]
 
@@ -261,11 +263,17 @@ def qfi_pure_gaussian(family: Callable[[float], GaussianState], phi: float, h: f
     return mean_term + 0.25 * float(np.trace(a @ a))
 
 
+def gaussian_purity(state: GaussianState) -> float:
+    """Purity prod_k 1 / (2 nu_k) over the symplectic eigenvalues nu_k of sigma / 2."""
+    sympl_eigs = np.sort(np.abs(np.linalg.eigvals(1j * omega(state.modes) @ (state.cov / 2.0))))[::2]
+    return float(np.prod(1.0 / (2.0 * sympl_eigs)))
+
+
 def qfi_mixed_gaussian(
     family: Callable[[float], GaussianState],
     phi: float,
     h: float = DEFAULT_STEP,
-    purity_fallback: float = 1.0 - 1e-9,
+    purity_fallback: float = PURE_GAUSSIAN_PURITY,
 ) -> float:
     """QFI of a general (possibly mixed) Gaussian family.
 
@@ -277,11 +285,9 @@ def qfi_mixed_gaussian(
     use the pure formula directly.
     """
     s0, dmean, dcov = _family_mean_cov(family, phi, h)
-    n = s0.modes
-    sympl_eigs = np.sort(np.abs(np.linalg.eigvals(1j * omega(n) @ (s0.cov / 2.0))))[::2]
-    mu = float(np.prod(1.0 / (2.0 * sympl_eigs)))
-    if mu >= purity_fallback:
+    if gaussian_purity(s0) >= purity_fallback:
         return qfi_pure_gaussian(family, phi, h)
+    n = s0.modes
     sinv = np.linalg.inv(s0.cov)
     mean_term = 2.0 * float(dmean @ sinv @ dmean)
     big = s0.cov / 2.0

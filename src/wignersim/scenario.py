@@ -23,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DegenerateBranch, ImprobableBranch, SignalStationary
+from .errors import ConfigError, DegenerateBranch, ImprobableBranch, PurityViolation, SignalStationary
 from . import conditional as cond
 from . import estimation as est
 from . import gaussian as ga
@@ -59,7 +59,12 @@ def _need(d: dict, key: str, path: str):
 def _number(v, path: str, lo=None, hi=None) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(path, f"expected a number, got {v!r}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(path, f"expected a finite number, got {v!r}")
     if lo is not None and v < lo:
         raise ConfigError(path, f"value {v} below minimum {lo}")
     if hi is not None and v > hi:
@@ -206,12 +211,6 @@ class NoiseSpec:
                                                  f"{path}.thermal.eta", 0.0, 1.0),
                              thermal_modes=modes)
         return NoiseSpec(loss=loss)
-
-    @property
-    def lossless(self) -> bool:
-        return (self.loss is None or self.loss.total == 0.0) and (
-            not self.has_thermal or self.thermal_eta == 1.0
-        )
 
 
 @dataclass(frozen=True)
@@ -582,16 +581,22 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
 
 
 def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
-    """QFI of the phi-family, choosing the route the state class allows."""
-    if _gaussian_possible(config):
-        fam = lambda p: build_pipeline(config, p).state
-        if config.noise.lossless:
-            return est.qfi_pure_gaussian(fam, phi), "pure_gaussian"
-        return est.qfi_mixed_gaussian(fam, phi), "mixed_gaussian"
-    if config.noise.lossless and not any(m.heralded for m in config.modifications):
-        fam = lambda p: build_pipeline(config, p).state
+    """QFI of the phi-family, by the route the state's purity allows.
+
+    A herald after the phase post-selects on a phi-dependent outcome; the QFI of
+    that conditional state does not bound the herald-weighted CFI, so none is given.
+    """
+    if any(m.heralded and m.stage == "output" for m in config.modifications):
+        return None, "unavailable (herald after the phase)"
+    fam = lambda p: build_pipeline(config, p).state
+    state = fam(phi)
+    if isinstance(state, ga.GaussianState):
+        pure = est.gaussian_purity(state) >= est.PURE_GAUSSIAN_PURITY
+        return est.qfi_mixed_gaussian(fam, phi), "pure_gaussian" if pure else "mixed_gaussian"
+    try:
         return est.qfi_pure_wigner(fam, phi), "pure_wigner"
-    return None, "unavailable (mixed non-Gaussian)"
+    except PurityViolation:
+        return None, "unavailable (mixed non-Gaussian)"
 
 
 def _input_mean_photon(config: ScenarioConfig) -> float:

@@ -65,3 +65,39 @@ def test_flag_overrides_environment(tmp_path, monkeypatch):
 def test_validate_ignores_thread_count(monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "abc")
     assert cli.main(["validate", "--config", str(ROOT / "configs" / "pacs_counts.json")]) == 0
+
+
+def _config_with(tmp_path, text: str) -> str:
+    """A copy of configs/pacs_counts.json with `"alpha": 1.0` replaced by `text`."""
+    raw = (ROOT / "configs" / "pacs_counts.json").read_text()
+    assert '"alpha": 1.0' in raw
+    path = tmp_path / "cfg.json"
+    path.write_text(raw.replace('"alpha": 1.0', f'"alpha": {text}'))
+    return str(path)
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "1" + "0" * 400])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_finite_config_number_exits_2(text, command, tmp_path, capsys):
+    argv = [command, "--config", _config_with(tmp_path, text)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "inputs.0.alpha: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["L=0:nan:0.1", "L=0:0.1:inf", "L=-inf:0:0.1"])
+def test_non_finite_grid_bound_exits_2(grid, tmp_path, capsys):
+    argv = ["sweep", "--config", str(ROOT / "configs" / "ligo_lossy.json"), "--grid", grid,
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "non-finite grid bound" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sigma", ["default=nan", "parity=inf", "default=-0.1"])
+def test_bad_drift_sigma_exits_2(sigma, tmp_path, capsys):
+    argv = ["drift", "--config", str(ROOT / "configs" / "ligo_lossy.json"), "--trials", "2",
+            "--sigma", sigma, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "--sigma" in capsys.readouterr().err

@@ -1,10 +1,13 @@
-"""One pipeline body for both state types: the cached phi-independent prefix
-and the single click-CFI formula."""
+"""One pipeline body for both state types: the cached phi-independent prefix,
+the single click-CFI formula, and the QFI route chosen from the state."""
 
 import dataclasses
+import json
 
 import pytest
 
+from fock_oracle import Mixture, Oracle, qfi_sld
+from wignersim import cli
 from wignersim import conditional as cond
 from wignersim import estimation as est
 from wignersim import measurements as meas
@@ -27,6 +30,20 @@ def config(inputs, modifications=(), metrics=("qfi",), detection=(), phi=0.7) ->
 COHERENT = {"kind": "coherent", "alpha": 1.0, "theta": 0.0}
 VACUUM = {"kind": "vacuum"}
 INPUT_ADDITION = {"op": "add", "stage": "input", "mode": 1, "m": 1, "mechanism": "bs", "T": 0.9}
+
+
+def oracle_qfi(specs, steps_before_mzi, herald, phi: float, dims) -> float:
+    """SLD QFI of the MZI family on the truncated Fock lattice, after an optional vacuum herald."""
+
+    def rho(p):
+        orc = Oracle(dims)
+        mix = Mixture.from_product(orc, specs).apply(steps_before_mzi(orc))
+        if herald is not None:
+            mix, _ = mix.herald_fock(herald, 0)
+        return mix.apply(Oracle(mix.oracle.dims).mzi(p)).dm()
+
+    h = 1e-4
+    return qfi_sld(rho(phi), (rho(phi + h) - rho(phi - h)) / (2 * h))
 
 
 class TestPrefix:
@@ -79,3 +96,51 @@ class TestClickCfi:
             return est.two_outcome(lambda p: meas.click_probability(sc.build_pipeline(cfg, p).state, mode))
 
         assert report.cfi == sum(est.cfi(branch(m), cfg.phi) for m in (1, 2))
+
+
+class TestQfiRoute:
+    def test_thermal_input_takes_the_mixed_route(self):
+        # thermal nbar = 1 + coherent |alpha| = 1, lossless: mixed, so the pure formula would halve the QFI
+        cfg = config([{"kind": "thermal", "nbar": 1.0}, COHERENT])
+        report, warnings, _ = sc.evaluate_point(cfg)
+        assert not warnings
+        assert report.extras["qfi_route"] == "mixed_gaussian"
+        want = oracle_qfi([("thermal", 1.0), ("coherent", 1.0)], lambda orc: [], None, cfg.phi, [24, 24])
+        assert abs(report.qfi - want) < 1e-5 * want
+
+    def test_pure_gaussian_route_label(self):
+        report, _, _ = sc.evaluate_point(config([COHERENT, VACUUM]))
+        assert report.extras["qfi_route"] == "pure_gaussian"
+        assert abs(report.qfi - 1.0) < 1e-8
+
+    def test_lossless_input_herald_is_pure(self):
+        # ROADMAP heralded reference (a): its success branch is pure, so the Wigner route applies
+        cfg = config([COHERENT, VACUUM], [INPUT_ADDITION], phi=1.0)
+        report, warnings, _ = sc.evaluate_point(cfg)
+        assert not warnings
+        assert report.extras["qfi_route"] == "pure_wigner"
+        want = oracle_qfi([("coherent", 1.0), ("vacuum",), ("fock", 1)], lambda orc: orc.bs(3, 1, 0.9), 3,
+                          cfg.phi, [14, 14, 14])
+        assert abs(report.qfi - want) < 1e-6 * want
+        assert abs(report.qcrb * report.qfi - 1.0) < 1e-15
+
+    def test_mixed_non_gaussian_is_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "inputs": [{"kind": "fock"}, {"kind": "thermal", "nbar": 0.5}],
+            "interferometer": {"phi": 0.7},
+            "metrics": ["qfi"],
+        }))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "qfi: unavailable (mixed non-Gaussian)" in capsys.readouterr().err
+        row = json.loads((tmp_path / "out" / "report.json").read_text())["rows"][0]
+        assert "qfi" not in row and "qfi_route" not in row
+
+    def test_herald_after_the_phase_gives_no_qfi(self):
+        # the conditional state's QFI sits below this config's herald-weighted CFI at phi = 2.8
+        subtract_out = {"op": "subtract", "stage": "output", "mode": 1, "m": 1, "T": 0.9}
+        cfg = config([COHERENT, VACUUM], [subtract_out], metrics=["cfi", "qfi"], phi=2.8)
+        report, warnings, _ = sc.evaluate_point(cfg)
+        assert report.cfi > 0.95
+        assert report.qfi is None and "qfi_route" not in report.extras
+        assert warnings == ["qfi: unavailable (herald after the phase)"]
