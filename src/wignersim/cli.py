@@ -1,22 +1,20 @@
 """Command-line front end: run, sweep, drift, counts, validate.
 
 Exit codes: 0 success, 2 config validation failure (a non-finite number
-included), 3 numerical-conditioning failure.  Default worker count comes from
-the WIGNERSIM_THREADS environment variable; a thread count that is not an
-integer >= 1 is a config error.
+included), 3 numerical-conditioning failure.  Grid points are evaluated in
+order; each draws its random substream from (seed, index).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
 
 from .errors import ConfigError, NumericalConditioning
-from .scenario import THREADS_ENV, emit, load_config, phase_drift_study, run, simulate_counts, sweep
+from .scenario import emit, load_config, phase_drift_study, run, simulate_counts, sweep
 
 
 def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
@@ -41,24 +39,11 @@ def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
     return param.strip(), start + step * np.arange(n)
 
 
-def _thread_count(flag: str | None) -> int:
-    """Worker count from --threads, else from the environment, else 1."""
-    source, raw = ("--threads", flag) if flag is not None else (THREADS_ENV, os.environ.get(THREADS_ENV, "1"))
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(source, f"expected an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(source, f"thread count must be >= 1, got {n}")
-    return n
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="path to a JSON or key-tree scenario file")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", default="out", help="output directory (default ./out)")
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    p.add_argument("--threads", help=f"worker threads, an integer >= 1 (default ${THREADS_ENV} or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,12 +81,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             print(f"{args.config}: OK")
             return 0
-        threads = _thread_count(args.threads)
         if args.command == "run":
-            report = run(config, seed=args.seed, threads=threads)
+            report = run(config, seed=args.seed)
         elif args.command == "sweep":
             param, grid = _parse_grid(args.grid)
-            report = sweep(config, param, grid, seed=args.seed, threads=threads)
+            report = sweep(config, param, grid, seed=args.seed)
         elif args.command == "drift":
             sigma = {}
             for item in args.sigma:

@@ -29,6 +29,8 @@ DEFAULT_STEP = 1e-5
 SLOPE_FLOOR = 1e-12
 # Gaussian states at least this pure take the pure-state QFI formula.
 PURE_GAUSSIAN_PURITY = 1.0 - 1e-9
+# A Wigner family whose purity differs from 1 by more than this has no pure-state QFI.
+PURE_WIGNER_TOL = 1e-6
 
 PhiFunction = Callable[[float], float]
 
@@ -79,25 +81,27 @@ def phase_variance_error_prop(
 ) -> float:
     """Error propagation: Var(O) / |d<O>/dphi|^2.
 
-    At a symmetry point where both the slope and the variance vanish (parity at
-    its optimum) the ratio has a removable singularity; it is evaluated as the
-    limit Var''/(2 mean''^2) via Richardson second differences.  A vanishing
-    slope with non-vanishing variance is a genuinely bad operating point and
-    raises SignalStationary.
+    A variance that is zero within rounding marks a symmetry point (parity at
+    its optimum), where the ratio has a removable singularity whatever the
+    resolved slope; it is evaluated as the limit Var''/(2 mean''^2) via
+    Richardson second differences, never as a clamped zero over the slope.  A
+    vanishing slope with non-vanishing variance is a genuinely bad operating
+    point and raises SignalStationary.
     """
     f_plus, f_minus = mean_fn(phi + h), mean_fn(phi - h)
     slope = (f_plus - f_minus) / (2.0 * h)
     var = var_fn(phi)
-    # central differences cannot resolve slopes below the rounding noise of the samples
-    noise_floor = max(SLOPE_FLOOR, 32.0 * 2.3e-16 * max(abs(f_plus), abs(f_minus)) / (2.0 * h))
-    if abs(slope) > noise_floor:
-        return var / slope**2
-    if abs(var) <= 1e-8 * max(1.0, abs(mean_fn(phi))):
+    scale = max(abs(f_plus), abs(f_minus))
+    if abs(var) <= 1e-8 * max(1.0, scale):
         m2 = _second_derivative_richardson(mean_fn, phi)
         v2 = _second_derivative_richardson(var_fn, phi)
         if abs(m2) <= SLOPE_FLOOR:
             raise SignalStationary(f"signal flat to second order at phi={phi:.6g}")
         return v2 / (2.0 * m2**2)
+    # central differences cannot resolve slopes below the rounding noise of the samples
+    noise_floor = max(SLOPE_FLOOR, 32.0 * 2.3e-16 * scale / (2.0 * h))
+    if abs(slope) > noise_floor:
+        return var / slope**2
     raise SignalStationary(f"signal slope below {noise_floor:.0e} at phi={phi:.6g}")
 
 
@@ -106,14 +110,12 @@ class BranchSet:
     """Complete set of probabilistic outcomes P_i(phi) for one detector."""
 
     probabilities: Sequence[PhiFunction]
-    complete: bool = True
 
     def values(self, phi: float) -> list[float]:
         vals = [float(p(phi)) for p in self.probabilities]
-        if self.complete:
-            s = sum(vals)
-            if abs(s - 1.0) > 1e-9:
-                raise ValueError(f"branch probabilities sum to {s:.12f}, not 1, at phi={phi:.6g}")
+        s = sum(vals)
+        if abs(s - 1.0) > 1e-9:
+            raise ValueError(f"branch probabilities sum to {s:.12f}, not 1, at phi={phi:.6g}")
         return vals
 
 
@@ -230,14 +232,12 @@ def _expr_phi_derivative(family: Callable[[float], WignerExpr], phi: float, h: f
     return WignerExpr(e0.modes, terms)
 
 
-def qfi_pure_wigner(
-    family: Callable[[float], WignerExpr], phi: float, h: float = DEFAULT_STEP, purity_tol: float = 1e-6
-) -> float:
+def qfi_pure_wigner(family: Callable[[float], WignerExpr], phi: float, h: float = DEFAULT_STEP) -> float:
     """QFI of a pure-state family: 2 (2 pi)^M Int (dW/dphi)^2."""
     w0 = family(phi)
     mu = purity(w0)
-    if abs(mu - 1.0) > purity_tol:
-        raise PurityViolation(f"purity {mu:.8f} differs from 1 beyond {purity_tol:g}")
+    if abs(mu - 1.0) > PURE_WIGNER_TOL:
+        raise PurityViolation(f"purity {mu:.8f} differs from 1 beyond {PURE_WIGNER_TOL:g}")
     dw = _expr_phi_derivative(lambda p: family(p).normalize(), phi, h)
     return 2.0 * (2.0 * math.pi) ** w0.modes * overlap(dw, dw)
 
@@ -269,23 +269,18 @@ def gaussian_purity(state: GaussianState) -> float:
     return float(np.prod(1.0 / (2.0 * sympl_eigs)))
 
 
-def qfi_mixed_gaussian(
-    family: Callable[[float], GaussianState],
-    phi: float,
-    h: float = DEFAULT_STEP,
-    purity_fallback: float = PURE_GAUSSIAN_PURITY,
-) -> float:
+def qfi_mixed_gaussian(family: Callable[[float], GaussianState], phi: float, h: float = DEFAULT_STEP) -> float:
     """QFI of a general (possibly mixed) Gaussian family.
 
     Solves the symmetric-logarithmic-derivative equation in vectorized form:
     F = 2 dR^T sigma^{-1} dR + (1/2) vec(dS)^T (S (x) S - (1/4) Omega (x) Omega)^{-1} vec(dS)
     with S = sigma/2.  The kernel is singular exactly on the pure manifold, so
     the solve is Tikhonov-regularized and checked for stability under
-    epsilon -> epsilon/10; states that are pure to within `purity_fallback`
-    use the pure formula directly.
+    epsilon -> epsilon/10; states at least PURE_GAUSSIAN_PURITY pure use the
+    pure formula directly.
     """
     s0, dmean, dcov = _family_mean_cov(family, phi, h)
-    if gaussian_purity(s0) >= purity_fallback:
+    if gaussian_purity(s0) >= PURE_GAUSSIAN_PURITY:
         return qfi_pure_gaussian(family, phi, h)
     n = s0.modes
     sinv = np.linalg.inv(s0.cov)

@@ -34,7 +34,6 @@ from . import wigner as wig
 SWEEP_PARAMETERS = ("phi", "alpha2", "r", "T", "L", "D", "nbar", "nbar_env", "m")
 METRICS = ("phase_variance", "cfi", "qfi", "snr", "distributions")
 DRIFT_SIGMA_DEFAULTS = {"parity": 0.001, "default": 0.15}
-THREADS_ENV = "WIGNERSIM_THREADS"
 # Distinct phi-independent prefixes kept; a run or sweep reuses one or two.
 PREFIX_CACHE_SIZE = 8
 
@@ -518,11 +517,17 @@ def _apply_noise(state, noise: NoiseSpec):
 # ---------------------------------------------------------------------------
 
 
-def _moments_fn(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callable[[float], meas.MeasurementMoments]:
-    def fn(phi: float) -> meas.MeasurementMoments:
-        return meas.measure(build_pipeline(config, phi).state, scheme)
+def _signal_fns(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[est.PhiFunction, est.PhiFunction]:
+    """mean(phi) and variance(phi) of one detector; each phi is built and measured once."""
+    seen: dict[float, meas.MeasurementMoments] = {}
 
-    return fn
+    def mom(phi: float) -> meas.MeasurementMoments:
+        if phi not in seen:
+            seen[phi] = meas.measure(build_pipeline(config, phi).state, scheme)
+        return seen[phi]
+
+    return (lambda p: mom(p).mean), (lambda p: mom(p).variance)
+
 
 _OPTIMUM_SEEDS = {
     "parity": math.pi,
@@ -535,11 +540,11 @@ _OPTIMUM_SEEDS = {
 
 def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float]:
     """Seeded golden-section search of the phase-variance minimum over (0, 2 pi)."""
-    mom = _moments_fn(config, scheme)
+    signal = _signal_fns(config, scheme)
 
     def variance_at(phi: float) -> float:
         try:
-            return est.phase_variance_error_prop(lambda p: mom(p).mean, lambda p: mom(p).variance, phi)
+            return est.phase_variance_error_prop(*signal, phi)
         except (SignalStationary, ImprobableBranch, ValueError):
             return float("inf")
 
@@ -643,11 +648,9 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None, n_max: int 
 
     if "phase_variance" in config.metrics:
         for scheme in config.detection:
-            mom = _moments_fn(config, scheme)
+            signal = _signal_fns(config, scheme)
             try:
-                report.phase_variance[scheme.label] = est.phase_variance_error_prop(
-                    lambda p: mom(p).mean, lambda p: mom(p).variance, phi
-                )
+                report.phase_variance[scheme.label] = est.phase_variance_error_prop(*signal, phi)
             except (SignalStationary, DegenerateBranch, ImprobableBranch) as exc:
                 warnings.append(f"phase_variance[{scheme.label}] at phi={phi:.6g}: {exc}")
             opt_phi, opt_var = _optimal_phi(config, scheme)
@@ -780,10 +783,10 @@ def emit(report: RunReport, out_dir: str, formats: str = "both") -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def run(config: ScenarioConfig, seed: int | None = None, threads: int = 1) -> RunReport:
+def run(config: ScenarioConfig, seed: int | None = None) -> RunReport:
     """Evaluate the configured metrics at the configured phase (or phase grid)."""
     if config.phi_grid is not None:
-        return sweep(config, "phi", list(config.phi_grid), seed=seed, threads=threads)
+        return sweep(config, "phi", list(config.phi_grid), seed=seed)
     report, warnings, dists = evaluate_point(config)
     row = report.as_dict()
     row["index"] = 0
@@ -792,37 +795,23 @@ def run(config: ScenarioConfig, seed: int | None = None, threads: int = 1) -> Ru
     return RunReport(config=config.raw, rows=[row], seed=seed, warnings=warnings, distributions=dists)
 
 
-def sweep(config: ScenarioConfig, parameter: str, grid, seed: int | None = None, threads: int = 1) -> RunReport:
-    """Evaluate the metrics across a parameter grid."""
+def sweep(config: ScenarioConfig, parameter: str, grid, seed: int | None = None) -> RunReport:
+    """Evaluate the metrics at each grid point, in grid order."""
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError("sweep", f"unknown sweep parameter {parameter!r} (menu: {SWEEP_PARAMETERS})")
     grid = [float(g) for g in grid]
     if not grid:
         raise ConfigError("sweep", "empty sweep grid")
-
-    def one(idx_value):
-        idx, value = idx_value
-        cfg = config.with_values(**{parameter: value})
-        report, warnings, dists = evaluate_point(cfg)
+    rows, warnings, dists = [], [], []
+    for idx, value in enumerate(grid):
+        report, w, d = evaluate_point(config.with_values(**{parameter: value}))
         row = report.as_dict()
         row["index"] = idx
         row[parameter] = value
-        for d in dists:
-            d["grid_index"] = idx
-        return row, warnings, dists
-
-    items = list(enumerate(grid))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, items))
-    else:
-        results = [one(it) for it in items]
-    rows, warnings, dists = [], [], []
-    for row, w, d in results:
         rows.append(row)
         warnings.extend(w)
+        for item in d:
+            item["grid_index"] = idx
         dists.extend(d)
     return RunReport(config=config.raw, rows=rows, parameter=parameter, grid=grid, seed=seed, warnings=warnings,
                      distributions=dists)
@@ -851,11 +840,7 @@ def phase_drift_study(
     warnings: list[str] = []
     rows = []
     for si, scheme in enumerate(config.detection):
-        mom = _moments_fn(config, scheme)
-
-        def variance_at(p: float) -> float:
-            return est.phase_variance_error_prop(lambda q: mom(q).mean, lambda q: mom(q).variance, p)
-
+        signal = _signal_fns(config, scheme)
         opt_phi, opt_var = _optimal_phi(config, scheme)
         sig = sigma.get(scheme.kind, sigma["default"])
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(si,)))
@@ -866,7 +851,7 @@ def phase_drift_study(
             else:
                 phi_k = opt_phi * rng.uniform(0.8, 1.2)
             try:
-                total += variance_at(phi_k)
+                total += est.phase_variance_error_prop(*signal, phi_k)
             except (SignalStationary, DegenerateBranch):
                 total += opt_var  # a flat draw carries no usable slope; score it at the optimum
                 warnings.append(f"drift[{scheme.label}] trial {k}: stationary draw at phi={phi_k:.6g}")
@@ -884,13 +869,7 @@ def phase_drift_study(
     return RunReport(config=config.raw, rows=rows, seed=seed, warnings=warnings, traces=traces)
 
 
-def simulate_counts(
-    config: ScenarioConfig,
-    trials: int,
-    seed: int,
-    t_grid=None,
-    n_max: int = wig.DEFAULT_NMAX,
-) -> RunReport:
+def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None) -> RunReport:
     """Post-selected photon-counting experiment at fixed total trial budget.
 
     For each transmissivity grid point the herald keeps M ~ Binomial(trials,
@@ -931,7 +910,7 @@ def simulate_counts(
             row["flag"] = "no kept measurements"
             warnings.append(f"T={T:g}: herald kept zero of {trials} trials")
         else:
-            dist = wig.photon_number_distribution(res.state, mod.mode, n_max)
+            dist = wig.photon_number_distribution(res.state, mod.mode)
             samples = dist.sample(rng, kept)
             mean = float(np.mean(samples))
             row["sample_mean"] = mean

@@ -53,6 +53,12 @@ class TestErrorPropagation:
         )
         assert abs(v - 1.0 / (100.0 * math.e**2)) < 1e-9 * v
 
+    def test_clamped_zero_variance_takes_the_limit(self):
+        # Var/slope^2 = 1 everywhere; near the symmetry point the variance clamps to 0
+        # while the slope (~1e-8) is still resolved, and 0/slope^2 would report 0
+        v = est.phase_variance_error_prop(math.cos, lambda p: max(0.0, math.sin(p) ** 2 - 1e-15), 1e-8)
+        assert abs(v - 1.0) < 1e-6
+
     def test_stationary_with_real_variance_raises(self):
         with pytest.raises(SignalStationary):
             est.phase_variance_error_prop(lambda p: 1.0, lambda p: 0.5, 0.3)

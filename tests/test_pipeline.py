@@ -1,5 +1,6 @@
 """One pipeline body for both state types: the cached phi-independent prefix,
-the single click-CFI formula, and the QFI route chosen from the state."""
+the single click-CFI formula, the QFI route chosen from the state, and the
+reported phase variances against the QCRB."""
 
 import dataclasses
 import json
@@ -144,3 +145,17 @@ class TestQfiRoute:
         assert report.cfi > 0.95
         assert report.qfi is None and "qfi_route" not in report.extras
         assert warnings == ["qfi: unavailable (herald after the phase)"]
+
+
+class TestPhaseVarianceBound:
+    def test_heralded_reference_a_respects_the_qcrb(self):
+        # ROADMAP heralded reference (a): at its parity optimum phi = pi the variance clamps to 0
+        cfg = config([COHERENT, VACUUM], [INPUT_ADDITION], metrics=["phase_variance", "qfi"],
+                     detection=[{"scheme": "parity", "mode": 1}, {"scheme": "intensity", "mode": 1}], phi=1.0)
+        report, warnings, _ = sc.evaluate_point(cfg)
+        assert not warnings
+        floor = (1.0 - 1e-6) * report.qcrb
+        assert report.extras["min_phase_variance.parity[1]"] >= floor
+        assert report.extras["min_phase_variance.intensity[1]"] >= floor
+        assert set(report.phase_variance) == {"parity[1]", "intensity[1]"}
+        assert all(v >= floor for v in report.phase_variance.values())

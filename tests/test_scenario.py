@@ -241,12 +241,6 @@ class TestRunAndSweep:
         with pytest.raises(ConfigError, match="empty"):
             sc.sweep(cfg, "phi", [])
 
-    def test_sweep_threads_deterministic(self):
-        cfg = sc.ScenarioConfig.from_dict(base_config(metrics=["qfi"]))
-        a = sc.sweep(cfg, "phi", [0.4, 0.9, 1.4, 1.9], threads=1)
-        b = sc.sweep(cfg, "phi", [0.4, 0.9, 1.4, 1.9], threads=4)
-        assert a.rows == b.rows
-
     def test_herald_probability_sweep_shapes(self):
         # SPACS herald probability peaks at interior T; SPSTS peaks at
         # T = 1 - 1/nbar (interior for nbar > 1, boundary for nbar = 1)

@@ -1,9 +1,12 @@
-"""Deterministic work counters of the shared primitives."""
+"""Deterministic work counters of the shared primitives and of one scenario point."""
+
+from pathlib import Path
 
 import pytest
 
 from wignersim import gaussian as ga
 from wignersim import measurements as meas
+from wignersim import scenario as sc
 from wignersim import symplectic as sym
 from wignersim import wigner as wg
 
@@ -58,3 +61,18 @@ def test_norm_is_computed_once_on_first_read(monkeypatch):
     assert len(calls) == len(expr.terms)
     expr.norm
     assert len(calls) == len(expr.terms)
+
+
+def test_pipeline_builds_per_ligo_lossy_point(monkeypatch):
+    # pinned so that a change in build count shows up as a diff of this number
+    calls = []
+    orig = sc.build_pipeline
+
+    def counted(config, phi=None):
+        calls.append(phi)
+        return orig(config, phi)
+
+    monkeypatch.setattr(sc, "build_pipeline", counted)
+    config = sc.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "ligo_lossy.json"))
+    sc.evaluate_point(config)
+    assert len(calls) == 1548
