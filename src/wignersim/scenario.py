@@ -6,9 +6,10 @@ output stage, the interferometer phase, the noise model, the detector list,
 and which metrics to compute.  Pipelines that stay Gaussian run on the
 mean/covariance fast path; any Fock input or heralded addition/subtraction
 switches to the full Wigner representation.  Both run through one pipeline
-body, whose phase-independent prefix (inputs and input-stage modifications) is
-built once and cached.  Identical config plus seed gives byte-identical
-CSV/JSON output.
+body, whose phase-independent prefix (inputs and input-stage modifications,
+plus the uniform loss on the Wigner path, where it commutes with the passive
+MZI) is built once and cached.  Identical config plus seed gives
+byte-identical CSV/JSON output.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from . import wigner as wig
 SWEEP_PARAMETERS = ("phi", "alpha2", "r", "T", "L", "D", "nbar", "nbar_env", "m")
 METRICS = ("phase_variance", "cfi", "qfi", "snr", "distributions")
 DRIFT_SIGMA_DEFAULTS = {"parity": 0.001, "default": 0.15}
-# Distinct phi-independent prefixes kept; a run or sweep reuses one or two.
+# Distinct phi-independent prefixes kept; a Wigner-path point with loss uses a
+# lossy prefix and the lossless one it starts from (also the photon-number probe).
 PREFIX_CACHE_SIZE = 8
 
 
@@ -68,6 +70,12 @@ def _number(v, path: str, lo=None, hi=None) -> float:
         raise ConfigError(path, f"value {v} below minimum {lo}")
     if hi is not None and v > hi:
         raise ConfigError(path, f"value {v} above maximum {hi}")
+    return v
+
+
+def _mode(v, path: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool) or v not in (1, 2):
+        raise ConfigError(path, f"mode must be the integer 1 or 2, got {v!r}")
     return v
 
 
@@ -138,9 +146,7 @@ class ModificationSpec:
         stage = d.get("stage", "input")
         if stage not in ("input", "output"):
             raise ConfigError(f"{path}.stage", f"stage must be 'input' or 'output', got {stage!r}")
-        mode = _need(d, "mode", path)
-        if mode not in (1, 2):
-            raise ConfigError(f"{path}.mode", f"mode must be 1 or 2, got {mode!r}")
+        mode = _mode(_need(d, "mode", path), f"{path}.mode")
         if op == "squeeze":
             _reject_unknown(d, {"op", "stage", "mode", "r", "theta", "gain"}, path)
             if "gain" in d:
@@ -200,9 +206,10 @@ class NoiseSpec:
         if "thermal" in d:
             td = d["thermal"]
             _reject_unknown(td, {"nbar_env", "eta", "modes"}, f"{path}.thermal")
-            modes = tuple(td.get("modes", [1, 2]))
-            if not modes or any(m not in (1, 2) for m in modes):
+            modes = td.get("modes", [1, 2])
+            if not isinstance(modes, list) or not modes:
                 raise ConfigError(f"{path}.thermal.modes", "modes must be a non-empty subset of [1, 2]")
+            modes = tuple(_mode(m, f"{path}.thermal.modes.{i}") for i, m in enumerate(modes))
             return NoiseSpec(loss=loss, has_thermal=True,
                              thermal_nbar=_number(_need(td, "nbar_env", f"{path}.thermal"),
                                                   f"{path}.thermal.nbar_env", lo=0.0),
@@ -270,15 +277,11 @@ class ScenarioConfig:
             p = f"detection.{i}"
             _reject_unknown(x, {"scheme", "mode", "mode_b", "angle"}, p)
             kind = _need(x, "scheme", p)
+            mode = _mode(x.get("mode", 1), f"{p}.mode")
+            mode_b = None if x.get("mode_b") is None else _mode(x["mode_b"], f"{p}.mode_b")
+            angle = _number(x.get("angle", 0.0), f"{p}.angle")
             try:
-                det.append(
-                    meas.DetectionScheme(
-                        kind,
-                        mode=int(x.get("mode", 1)),
-                        mode_b=x.get("mode_b"),
-                        angle=_number(x.get("angle", 0.0), f"{p}.angle"),
-                    )
-                )
+                det.append(meas.DetectionScheme(kind, mode=mode, mode_b=mode_b, angle=angle))
             except ValueError as exc:
                 raise ConfigError(p, str(exc)) from exc
         metrics = tuple(d.get("metrics", ["phase_variance"]))
@@ -472,8 +475,13 @@ def _modify(res: PipelineResult, mods, stage: str) -> PipelineResult:
 
 
 @lru_cache(maxsize=PREFIX_CACHE_SIZE)
-def _prefix(inputs: tuple, input_mods: tuple, gaussian_path: bool) -> PipelineResult:
-    """Inputs and input-stage modifications, heralds included: the part of a pipeline upstream of phi."""
+def _prefix(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss: ga.LossSpec | None) -> PipelineResult:
+    """Inputs and input-stage modifications, heralds included: the part of a pipeline upstream of phi.
+
+    A lossy prefix is the cached lossless one followed by the uniform loss.
+    """
+    if loss is not None:
+        return _each(_prefix(inputs, input_mods, gaussian_path, None), lambda s: _apply_loss(s, loss))
     if gaussian_path:
         state = ga.tensor([s.gaussian() for s in inputs])
     else:
@@ -484,31 +492,40 @@ def _prefix(inputs: tuple, input_mods: tuple, gaussian_path: bool) -> PipelineRe
 def build_pipeline(config: ScenarioConfig, phi: float | None = None) -> PipelineResult:
     """Assemble inputs -> input mods -> MZI -> noise -> output mods for one phase value.
 
-    Everything before the MZI is phi-independent and comes from the `_prefix` cache.
+    Everything before the MZI is phi-independent and comes from the `_prefix`
+    cache.  Uniform loss on both modes commutes with the passive MZI, so on the
+    Wigner path, where each loss is an ancilla mix and integration, it moves
+    into the cached prefix; on the Gaussian path it is one affine map per phi
+    and stays after the MZI.
     """
     phi = config.phi if phi is None else phi
+    gaussian_path = _gaussian_possible(config)
+    loss = config.noise.loss if config.noise.loss is not None and config.noise.loss.total > 0.0 else None
     mods_in = tuple(m for m in config.modifications if m.stage == "input")
-    res = _prefix(config.inputs, mods_in, _gaussian_possible(config))
+    res = _prefix(config.inputs, mods_in, gaussian_path, None if gaussian_path else loss)
     mzi = sym.make_mzi(phi)
     res = _each(res, lambda s: _transform(s, mzi))
-    res = _each(res, lambda s: _apply_noise(s, config.noise))
+    if gaussian_path and loss is not None:
+        res = _each(res, lambda s: _apply_loss(s, loss))
+    if config.noise.has_thermal:
+        res = _each(res, lambda s: _apply_thermal(s, config.noise))
     return _modify(res, [m for m in config.modifications if m.stage == "output"], "output")
 
 
-def _apply_noise(state, noise: NoiseSpec):
-    gaussian = isinstance(state, ga.GaussianState)
-    if noise.loss is not None and noise.loss.total > 0.0:
-        if gaussian:
-            state = ga.apply_loss(state, noise.loss)
+def _apply_loss(state, loss: ga.LossSpec):
+    if isinstance(state, ga.GaussianState):
+        return ga.apply_loss(state, loss)
+    for m in range(1, state.modes + 1):
+        state = wig.attenuate(state, m, 1.0 - loss.total, 0.0)
+    return state
+
+
+def _apply_thermal(state, noise: NoiseSpec):
+    for m in noise.thermal_modes:
+        if isinstance(state, ga.GaussianState):
+            state = ga.inject_thermal(state, m, noise.thermal_nbar, noise.thermal_eta)
         else:
-            for m in range(1, state.modes + 1):
-                state = wig.attenuate(state, m, 1.0 - noise.loss.total, 0.0)
-    if noise.has_thermal:
-        for m in noise.thermal_modes:
-            if gaussian:
-                state = ga.inject_thermal(state, m, noise.thermal_nbar, noise.thermal_eta)
-            else:
-                state = wig.attenuate(state, m, noise.thermal_eta, noise.thermal_nbar)
+            state = wig.attenuate(state, m, noise.thermal_eta, noise.thermal_nbar)
     return state
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the benchmark's scenario points (perfbench/workloads.py), shared with the tests
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from wignersim import gaussian as ga
 from wignersim import symplectic as sym

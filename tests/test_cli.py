@@ -7,11 +7,13 @@ An intended output change regenerates them with the same commands, e.g.
     wignersim counts --config configs/pacs_counts.json --seed 42 --out tests/golden/counts_pacs_counts
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from wignersim import cli
+from wignersim import scenario as sc
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -78,3 +80,30 @@ def test_bad_drift_sigma_exits_2(sigma, tmp_path, capsys):
             "--sigma", sigma, "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert "--sigma" in capsys.readouterr().err
+
+
+THERMAL = {"nbar_env": 0.1, "eta": 0.9}
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("detection.0.mode", 3, "detection.0.mode"),
+    ("detection.3.mode_b", "2", "detection.3.mode_b"),
+    ("detection.0.mode", 1.7, "detection.0.mode"),
+    ("detection.0.mode", True, "detection.0.mode"),
+    ("detection.0.mode", 1.0, "detection.0.mode"),
+    ("modifications.0.mode", True, "modifications.0.mode"),
+    ("modifications.0.mode", 2.0, "modifications.0.mode"),
+    ("noise.thermal", dict(THERMAL, modes=[1, True]), "noise.thermal.modes.1"),
+    ("noise.thermal", dict(THERMAL, modes=[2.0]), "noise.thermal.modes.0"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_mode_that_is_not_the_integer_1_or_2_exits_2(key, value, path, command, tmp_path, capsys):
+    cfg = json.loads((ROOT / "configs" / "ligo_lossy.json").read_text())
+    sc._set_path(cfg, key.split("."), value, 0)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    argv = [command, "--config", str(tmp_path / "cfg.json")]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert f"{path}: mode must be the integer 1 or 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,18 +1,22 @@
-"""One pipeline body for both state types: the cached phi-independent prefix,
-the single click-CFI formula, the QFI route chosen from the state, and the
-reported phase variances against the QCRB."""
+"""One pipeline body for both state types: the cached phi-independent prefix
+(uniform loss included on the Wigner path), the single click-CFI formula, the
+QFI route chosen from the state, and the reported phase variances against the
+QCRB."""
 
 import dataclasses
 import json
+import math
 
 import pytest
 
+import workloads
 from fock_oracle import Mixture, Oracle, qfi_sld
 from wignersim import cli
 from wignersim import conditional as cond
 from wignersim import estimation as est
 from wignersim import measurements as meas
 from wignersim import scenario as sc
+from wignersim import symplectic as sym
 from wignersim import wigner as wg
 
 
@@ -84,6 +88,52 @@ class TestPrefix:
         assert a.herald_stage == b.herald_stage == "input"
         assert a.success_prob == b.success_prob
         assert abs(meas.intensity(a.state, 1).mean - meas.intensity(b.state, 1).mean) > 1e-3
+
+
+def noise_after_mzi(cfg: sc.ScenarioConfig, phi: float) -> sc.PipelineResult:
+    """Reference Wigner pipeline with every noise channel applied per phi: MZI, loss per mode, thermal."""
+    res = sc._prefix(cfg.inputs, tuple(m for m in cfg.modifications if m.stage == "input"), False, None)
+    mzi = sym.make_mzi(phi)
+
+    def noise(state):
+        state = wg.apply_symplectic(state, mzi)
+        for m in (1, 2):
+            state = wg.attenuate(state, m, 1.0 - cfg.noise.loss.total, 0.0)
+        for m in cfg.noise.thermal_modes if cfg.noise.has_thermal else ():
+            state = wg.attenuate(state, m, cfg.noise.thermal_eta, cfg.noise.thermal_nbar)
+        return state
+
+    return sc._modify(sc._each(res, noise), [m for m in cfg.modifications if m.stage == "output"], "output")
+
+
+def observables(res: sc.PipelineResult) -> list:
+    s = res.state
+    n1 = meas.intensity(s, 1)
+    return [res.success_prob, s.norm, n1.mean, n1.second_moment, meas.intensity_difference(s, 1, 2).second_moment,
+            meas.parity(s, 1).mean, meas.click_probability(s, 2), meas.intensity(res.failure_state, 2).mean]
+
+
+LOSSY_FOCK = {
+    "inputs": [{"kind": "fock"}, {"kind": "coherent", "alpha": 0.8}],
+    "modifications": [{"op": "subtract", "stage": "output", "mode": 1, "m": 1, "T": 0.9}],
+    "interferometer": {"phi": 0.7},
+    "noise": {"loss": {"L": 0.15, "D": 0.95}, "thermal": {"nbar_env": 0.2, "eta": 0.9, "modes": [2]}},
+}
+
+
+class TestUniformLossInPrefix:
+    @pytest.mark.parametrize("raw", [workloads.point_b(1.0), LOSSY_FOCK], ids=["point_b", "fock_thermal_output"])
+    @pytest.mark.parametrize("phi", [0.3, 1.0, 2.9, 4.4])
+    def test_matches_noise_after_the_mzi(self, raw, phi):
+        cfg = sc.ScenarioConfig.from_dict(raw)
+        got, want = observables(sc.build_pipeline(cfg, phi)), observables(noise_after_mzi(cfg, phi))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_input_mean_photon_stays_lossless(self):
+        # photon-added coherent state (|alpha|^2 = 1, m = 1, T = 0.9) plus squeezed vacuum r = 0.5, before the loss
+        want = cond.spacs_mean_n(1.0, 1, 0.9) + math.sinh(0.5) ** 2
+        got = sc._input_mean_photon(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestClickCfi:

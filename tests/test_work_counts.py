@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+import workloads
+from wignersim import conditional as cond
 from wignersim import gaussian as ga
 from wignersim import measurements as meas
 from wignersim import scenario as sc
@@ -63,6 +65,18 @@ def test_norm_is_computed_once_on_first_read(monkeypatch):
     assert len(calls) == len(expr.terms)
 
 
+def counter(monkeypatch, module, name: str) -> list:
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_pipeline_builds_per_ligo_lossy_point(monkeypatch):
     # pinned so that a change in build count shows up as a diff of this number
     calls = []
@@ -76,3 +90,13 @@ def test_pipeline_builds_per_ligo_lossy_point(monkeypatch):
     config = sc.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "ligo_lossy.json"))
     sc.evaluate_point(config)
     assert len(calls) == 1548
+
+
+def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
+    # ROADMAP heralded reference (b): the loss on both modes sits in the cached prefix, not at every phi
+    counts = {name: counter(monkeypatch, module, name)
+              for module, name in ((wg, "attenuate"), (sc, "build_pipeline"), (cond, "_herald"))}
+    sc._prefix.cache_clear()
+    sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
+    assert {name: len(calls) for name, calls in counts.items()} == {"attenuate": 4, "build_pipeline": 924,
+                                                                     "_herald": 1}
