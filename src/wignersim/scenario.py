@@ -166,7 +166,7 @@ class ModificationSpec:
             if mech not in ("bs", "spdc"):
                 raise ConfigError(f"{path}.mechanism", f"mechanism must be 'bs' or 'spdc', got {mech!r}")
             m = d.get("m", 1)
-            if not isinstance(m, int) or not 1 <= m <= cond.M_CUTOFF:
+            if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= cond.M_CUTOFF:
                 raise ConfigError(f"{path}.m", f"m must be an integer in 1..{cond.M_CUTOFF}")
             if mech == "bs":
                 return ModificationSpec("add", stage, mode, m=m, mechanism="bs",
@@ -176,7 +176,7 @@ class ModificationSpec:
                                     theta=_number(d.get("theta", 0.0), f"{path}.theta"))
         _reject_unknown(d, {"op", "stage", "mode", "m", "T"}, path)
         m = d.get("m", 1)
-        if m != "click" and (not isinstance(m, int) or not 1 <= m <= cond.M_CUTOFF):
+        if m != "click" and (not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= cond.M_CUTOFF):
             raise ConfigError(f"{path}.m", f"m must be 'click' or an integer in 1..{cond.M_CUTOFF}")
         return ModificationSpec("subtract", stage, mode, m=m,
                                 T=_number(_need(d, "T", path), f"{path}.T", lo=0.0, hi=1.0))
@@ -324,6 +324,8 @@ def _apply_sweep_value(d: dict, parameter: str, value: float) -> None:
                 return
         raise ConfigError("modifications", "sweep parameter r needs a squeeze modification")
     if parameter in ("T", "m"):
+        if parameter == "m" and not float(value).is_integer():
+            raise ConfigError("sweep", f"sweep parameter m takes integer values, got {value!r}")
         for x in d.get("modifications", []):
             heralded = x.get("op") in ("add", "subtract")
             # SPDC additions have no beam-splitter transmissivity to sweep
@@ -819,9 +821,11 @@ def sweep(config: ScenarioConfig, parameter: str, grid, seed: int | None = None)
     grid = [float(g) for g in grid]
     if not grid:
         raise ConfigError("sweep", "empty sweep grid")
+    # every grid point is validated before any is evaluated
+    points = [config.with_values(**{parameter: value}) for value in grid]
     rows, warnings, dists = [], [], []
-    for idx, value in enumerate(grid):
-        report, w, d = evaluate_point(config.with_values(**{parameter: value}))
+    for idx, (value, point) in enumerate(zip(grid, points)):
+        report, w, d = evaluate_point(point)
         row = report.as_dict()
         row["index"] = idx
         row[parameter] = value

@@ -88,7 +88,12 @@ def _poly_substitute(poly: Poly, rows: list[Poly], nvars_out: int) -> Poly:
 
 
 def _gaussian_expectation(poly: Poly, mean: np.ndarray, cov: np.ndarray):
-    """E[poly(X)] for X ~ N(mean, cov), exact via the Gaussian moment recursion."""
+    """E[poly(X)] for X ~ N(mean, cov), exact via the Gaussian moment recursion.
+
+    mean has shape (n,) and cov (n, n), or both carry the same trailing batch
+    axes, mean (n, B) and cov (n, n, B), to evaluate B Gaussians in one
+    recursion; the result then has shape (B,).
+    """
     memo: dict[tuple, complex] = {}
 
     def mom(e: tuple):
@@ -366,13 +371,15 @@ def _gaussian_product(a1: np.ndarray, m1: np.ndarray, a2: np.ndarray, m2: np.nda
 
     exp(-(X-m1)^T a1 (X-m1)) exp(-(X-m2)^T a2 (X-m2)) = exp(-gamma) exp(-(X-m3)^T a3 (X-m3))
     with a3 = a1 + a2 and a3 m3 = a1 m1 + a2 m2.  a2 may be singular (a factor
-    on some variables only) or complex.  Returns (a3^{-1} symmetrized, m3, gamma).
+    on some variables only) or complex, and may carry a leading batch axis,
+    shape (B, n, n), which the results then share.  Returns
+    (a3^{-1} symmetrized, m3, gamma).
     """
     a3 = a1 + a2
     quad3 = np.linalg.inv(a3)
-    m3 = np.linalg.solve(a3, a1 @ m1 + a2 @ m2)
-    gamma = m1 @ a1 @ m1 + m2 @ a2 @ m2 - m3 @ a3 @ m3
-    return (quad3 + quad3.T) / 2.0, m3, gamma
+    m3 = np.linalg.solve(a3, (a1 @ m1 + a2 @ m2)[..., None])[..., 0]
+    gamma = m1 @ a1 @ m1 + m2 @ a2 @ m2 - (m3[..., None, :] @ a3 @ m3[..., :, None])[..., 0, 0]
+    return (quad3 + np.swapaxes(quad3, -1, -2)) / 2.0, m3, gamma
 
 
 def _multiply_projector(expr: WignerExpr, mode: int, proj_poly_2d: Poly, scale: float) -> WignerExpr:
@@ -440,15 +447,16 @@ def project_click(expr: WignerExpr, mode: int) -> tuple[WignerExpr, float]:
     return _herald_branch(_complement(expr, mode, no_click), 1.0 - no_click.norm / expr.norm)
 
 
-def _single_mode_g(expr1: WignerExpr, s: complex) -> complex:
-    """Integral of exp(-s (x^2+p^2)) against a normalized single-mode expression."""
-    total = 0.0 + 0.0j
+def _single_mode_g(expr1: WignerExpr, s: np.ndarray) -> np.ndarray:
+    """Integral of exp(-s (x^2+p^2)) against a normalized single-mode expression, for each s of a 1-D array."""
+    total = np.zeros(s.shape, dtype=complex)
+    a2 = s[:, None, None] * np.eye(2)
     for t in expr1.terms:
         a = np.linalg.inv(t.quad)
         evals = np.linalg.eigh(a)[0]
         det_sqrt = np.sqrt(evals[0] + s) * np.sqrt(evals[1] + s)  # factors stay in the right half plane
-        quad_s, m_s, gamma = _gaussian_product(a, t.mean, s * np.eye(2), np.zeros(2))
-        epoly = _gaussian_expectation(t.poly, m_s, quad_s / 2.0)
+        quad_s, m_s, gamma = _gaussian_product(a, t.mean, a2, np.zeros(2))
+        epoly = _gaussian_expectation(t.poly, m_s.T, quad_s.transpose(1, 2, 0) / 2.0)
         total += t.weight * np.exp(-gamma) * math.pi / det_sqrt * epoly
     return total
 
@@ -459,7 +467,7 @@ def generating_function(expr: WignerExpr, mode: int, l: float) -> float:
         raise ValueError("generating function diverges for l <= -1")
     reduced = marginal_mode(expr.normalize(), mode)
     s = (1.0 - l) / (1.0 + l)
-    val = 2.0 / (1.0 + l) * _single_mode_g(reduced, s)
+    val = 2.0 / (1.0 + l) * _single_mode_g(reduced, np.array([s]))[0]
     return float(np.real(val))
 
 
@@ -493,10 +501,7 @@ def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = DEFAULT
         m *= 2
     ks = np.arange(m)
     tks = np.exp(1j * math.pi * (2 * ks + 1) / m)
-    gs = np.empty(m, dtype=complex)
-    for i, tk in enumerate(tks):
-        s = (1.0 - tk) / (1.0 + tk)
-        gs[i] = 2.0 / (1.0 + tk) * _single_mode_g(reduced, s)
+    gs = 2.0 / (1.0 + tks) * _single_mode_g(reduced, (1.0 - tks) / (1.0 + tks))
     ns = np.arange(n_max + 1)
     probs = np.real(gs @ np.exp(-1j * math.pi * np.outer(2 * ks + 1, ns) / m)) / m
     if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:

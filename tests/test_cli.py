@@ -1,10 +1,15 @@
 """CLI byte-identity against committed golden outputs, and exit code 2 on bad input.
 
 The golden files under tests/golden/ are the outputs of the shipped configs.
-An intended output change regenerates them with the same commands, e.g.
+An intended output change regenerates them, from the repository root with
+`src` on PYTHONPATH, with the commands
 
     wignersim run --config configs/ligo_lossy.json --out tests/golden/run_ligo_lossy
+    wignersim run --config configs/pacs_counts.json --out tests/golden/run_pacs_counts
+    wignersim run --config configs/subtracted_thermal.json --out tests/golden/run_subtracted_thermal
     wignersim counts --config configs/pacs_counts.json --seed 42 --out tests/golden/counts_pacs_counts
+
+(`python -m wignersim.cli` in place of `wignersim` where the package is not installed).
 """
 
 import json
@@ -106,4 +111,28 @@ def test_mode_that_is_not_the_integer_1_or_2_exits_2(key, value, path, command, 
         argv += ["--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert f"{path}: mode must be the integer 1 or 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, op", [("pacs_counts.json", "add"), ("subtracted_thermal.json", "subtract")])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_boolean_herald_photon_number_exits_2(config, op, command, tmp_path, capsys):
+    cfg = json.loads((ROOT / "configs" / config).read_text())
+    assert cfg["modifications"][0]["op"] == op
+    cfg["modifications"][0]["m"] = True
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    argv = [command, "--config", str(tmp_path / "cfg.json")]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "modifications.0.m: m must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_integer_m_grid_exits_2(tmp_path, capsys):
+    # int(1.5) used to label an m=1 evaluation as m=1.5
+    argv = ["sweep", "--config", str(ROOT / "configs" / "pacs_counts.json"), "--grid", "m=1:2:0.5",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "sweep parameter m takes integer values, got 1.5" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -1,10 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fock_oracle import Mixture, Oracle
 from wignersim import gaussian as ga
+from wignersim import scenario as sc
 from wignersim import symplectic as sym
 from wignersim import wigner as wg
 from wignersim.errors import ImprobableBranch
@@ -303,3 +306,85 @@ class TestOracleEquivalence:
         assert abs(p - prob) < 1e-9
         dist = wg.photon_number_distribution(state, 1, 40)
         assert np.max(np.abs(dist.probs - ref[:41])) < 1e-6
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def pacs_m3_state() -> wg.WignerExpr:
+    """Output of configs/pacs_counts.json with m=3: coherent |alpha|=1 through the MZI, 3 photons added."""
+    return sc.build_pipeline(sc.load_config(str(CONFIGS / "pacs_counts.json")).with_values(m=3)).state
+
+
+def click_subtracted_state() -> wg.WignerExpr:
+    """Output of configs/subtracted_thermal.json with a click herald: two terms on the measured mode."""
+    raw = json.loads((CONFIGS / "subtracted_thermal.json").read_text())
+    raw["modifications"][0]["m"] = "click"
+    return sc.build_pipeline(sc.ScenarioConfig.from_dict(raw)).state
+
+
+def scalar_single_mode_g(expr1: wg.WignerExpr, s: complex) -> complex:
+    """The per-point contour kernel that the batched _single_mode_g replaced, kept as its reference."""
+    total = 0.0 + 0.0j
+    for t in expr1.terms:
+        a = np.linalg.inv(t.quad)
+        evals = np.linalg.eigh(a)[0]
+        det_sqrt = np.sqrt(evals[0] + s) * np.sqrt(evals[1] + s)
+        quad_s, m_s, gamma = wg._gaussian_product(a, t.mean, s * np.eye(2), np.zeros(2))
+        epoly = wg._gaussian_expectation(t.poly, m_s, quad_s / 2.0)
+        total += t.weight * np.exp(-gamma) * math.pi / det_sqrt * epoly
+    return total
+
+
+CONTOUR_STATES = {
+    **{f"fock{n}": lambda n=n: wg.fock_wigner(n) for n in range(4)},
+    "thermal4": lambda: thermal_expr(4.0),
+    "displaced_squeezed": lambda: wg.from_gaussian(
+        ga.propagate(ga.squeezed_vacuum(0.6, 0.5), sym.make_displacement(0.8, 1.1))),
+    "pacs_m3": pacs_m3_state,
+    "click_subtracted": click_subtracted_state,
+}
+
+
+class TestBatchedContourKernel:
+    # the batched kernel reorders no sums; numpy's array and scalar complex
+    # arithmetic may still differ in the last bit, so the tolerance is set at 1e-13
+    REL_TOL = 1e-13
+
+    @staticmethod
+    def contour_s() -> np.ndarray:
+        m = 512
+        tks = np.exp(1j * math.pi * (2 * np.arange(m) + 1) / m)
+        return (1.0 - tks) / (1.0 + tks)
+
+    @pytest.mark.parametrize("name", sorted(CONTOUR_STATES))
+    def test_matches_per_point_reference(self, name):
+        reduced = wg.marginal_mode(CONTOUR_STATES[name]().normalize(), 1)
+        ss = self.contour_s()
+        got = wg._single_mode_g(reduced, ss)
+        ref = np.array([scalar_single_mode_g(reduced, s) for s in ss])
+        assert got.shape == ss.shape
+        assert np.all(np.abs(got - ref) <= self.REL_TOL * np.abs(ref))
+
+    def test_generating_function_on_the_batched_kernel(self):
+        reduced = wg.marginal_mode(pacs_m3_state().normalize(), 1)
+        for l in (0.0, 0.4, 1.0):
+            s = (1.0 - l) / (1.0 + l)
+            ref = float(np.real(2.0 / (1.0 + l) * scalar_single_mode_g(reduced, s)))
+            assert abs(wg.generating_function(reduced, 1, l) - ref) <= self.REL_TOL * abs(ref)
+
+    def test_pacs_m3_distribution_against_fock_oracle(self):
+        # mode 1 after the MZI is a coherent state; BS addition with a Fock(3)
+        # ancilla depends on its amplitude only through |alpha|^2
+        raw = json.loads((CONFIGS / "pacs_counts.json").read_text())
+        (coherent, vacuum), (add,) = raw["inputs"], raw["modifications"]
+        assert (coherent["kind"], vacuum["kind"], add["op"], add["mode"]) == ("coherent", "vacuum", "add", 1)
+        orc = Oracle([20, 20])
+        mzi_out = Mixture.from_product(orc, [("coherent", coherent["alpha"]), ("vacuum",)])
+        alpha = math.sqrt(mzi_out.apply(orc.mzi(raw["interferometer"]["phi"])).number_mean(1))
+        orc = Oracle([30, 20])
+        mix = Mixture.from_product(orc, [("coherent", alpha), ("fock", 3)]).apply(orc.bs(2, 1, add["T"]))
+        red, _ = mix.herald_fock(2, 0)
+        ref = red.number_distribution(1)
+        dist = wg.photon_number_distribution(pacs_m3_state(), 1, 25)
+        assert np.max(np.abs(dist.probs - ref[:26])) < 1e-10

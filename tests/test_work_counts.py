@@ -1,5 +1,6 @@
 """Deterministic work counters of the shared primitives and of one scenario point."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -100,3 +101,16 @@ def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
     sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
     assert {name: len(calls) for name, calls in counts.items()} == {"attenuate": 4, "build_pipeline": 924,
                                                                      "_herald": 1}
+
+
+@pytest.mark.parametrize("config, m, terms", [("pacs_counts.json", 3, 1), ("subtracted_thermal.json", "click", 2)])
+def test_photon_number_distribution_runs_one_wick_recursion_per_term(config, m, terms, monkeypatch):
+    # all contour points of a term share one recursion
+    raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / config).read_text())
+    raw["modifications"][0]["m"] = m
+    state = sc.build_pipeline(sc.ScenarioConfig.from_dict(raw)).state
+    state.norm  # read first, so that its recursions are not counted below
+    assert len(wg.marginal_mode(state.normalize(), 1).terms) == terms
+    calls = counter(monkeypatch, wg, "_gaussian_expectation")
+    wg.photon_number_distribution(state, 1)
+    assert len(calls) == terms
