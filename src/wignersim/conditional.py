@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import eval_laguerre
-
 from .gaussian import vacuum_state
 from .symplectic import embed, make_beam_splitter, make_two_mode_squeezer
 from .wigner import (
@@ -142,6 +140,18 @@ def subtract_click_branches(expr: WignerExpr, mode: int, T: float) -> tuple[Hera
 # ---------------------------------------------------------------------------
 
 
+def _laguerre(n: int, x: float) -> float:
+    """Laguerre polynomial L_n(x), by the recurrence of scipy.special.eval_laguerre (same bits)."""
+    if n == 0:
+        return 1.0
+    d = -x
+    p = d + 1.0
+    for k in range(1, n):
+        d = -x / (k + 1.0) * p + (k / (k + 1.0)) * d
+        p = p + d
+    return p
+
+
 def spacs_mean_n(alpha2: float, m: int, T: float) -> float:
     """Mean photon number of the m-photon-added coherent state (BS model)."""
     if alpha2 < 0.0 or not 0.0 <= T <= 1.0 or m < 0:
@@ -149,7 +159,7 @@ def spacs_mean_n(alpha2: float, m: int, T: float) -> float:
     y = -T * alpha2
     if m == 0:
         return T * alpha2
-    return T * alpha2 + 2.0 * m - m * eval_laguerre(m - 1, y) / eval_laguerre(m, y)
+    return T * alpha2 + 2.0 * m - m * _laguerre(m - 1, y) / _laguerre(m, y)
 
 
 def spacs_second_moment(alpha2: float, m: int, T: float) -> float:
@@ -158,18 +168,18 @@ def spacs_second_moment(alpha2: float, m: int, T: float) -> float:
         raise ValueError("require alpha2 >= 0, 0 <= T <= 1, m >= 0")
     y = -T * alpha2
     num = (
-        (m + 2) * (m + 1) * eval_laguerre(m + 2, y)
-        - 3.0 * (m + 1) * eval_laguerre(m + 1, y)
-        + eval_laguerre(m, y)
+        (m + 2) * (m + 1) * _laguerre(m + 2, y)
+        - 3.0 * (m + 1) * _laguerre(m + 1, y)
+        + _laguerre(m, y)
     )
-    return num / eval_laguerre(m, y)
+    return num / _laguerre(m, y)
 
 
 def spacs_prob(alpha2: float, m: int, T: float) -> float:
     """Success probability of adding m photons to a coherent state."""
     if alpha2 < 0.0 or not 0.0 <= T <= 1.0 or m < 1:
         raise ValueError("require alpha2 >= 0, 0 <= T <= 1, m >= 1")
-    return (1.0 - T) ** m * math.exp(alpha2 * (T - 1.0)) * eval_laguerre(m, -T * alpha2)
+    return (1.0 - T) ** m * math.exp(alpha2 * (T - 1.0)) * _laguerre(m, -T * alpha2)
 
 
 def spacs_snr(alpha2: float, m: int, T: float) -> float:

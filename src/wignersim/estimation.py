@@ -5,11 +5,13 @@ information, quantum Fisher information by three routes (Wigner integral,
 pure-Gaussian, mixed-Gaussian), the closed-form coherent+squeezed-vacuum
 bounds, SNR, and the weighted total parity information for heralded branches.
 
-Derivatives in phi are central differences with step 1e-5 on smooth O(1)
-quantities (means, covariances, probabilities, term data).  The Wigner-integral
-QFI differentiates each term's parameters and then integrates exactly, rather
-than differencing whole Wigner values, which would cancel catastrophically
-inside the squared integral.
+Error propagation takes an exact slope d<O>/dphi where the caller has one (a
+Gaussian family carries its tangent in closed form); every other derivative in
+phi is a central difference with step 1e-5 on smooth O(1) quantities (means,
+covariances, probabilities, term data).  The Wigner-integral QFI differentiates
+each term's parameters and then integrates exactly, rather than differencing
+whole Wigner values, which would cancel catastrophically inside the squared
+integral.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .wigner import Term, WignerExpr, _poly_add, _poly_mul, _poly_prune, _poly_s
 
 DEFAULT_STEP = 1e-5
 SLOPE_FLOOR = 1e-12
+# A slope below this many units of rounding of the signal's scale is noise.
+SLOPE_NOISE = 32.0 * 2.3e-16
 # Gaussian states at least this pure take the pure-state QFI formula.
 PURE_GAUSSIAN_PURITY = 1.0 - 1e-9
 # A Wigner family whose purity differs from 1 by more than this has no pure-state QFI.
@@ -67,7 +71,7 @@ def _second_derivative_richardson(fn: PhiFunction, phi: float, g: float = 2e-3) 
 
     for _ in range(8):
         a, b = d2(g), d2(g / 2.0)
-        if abs(a - b) <= 5e-3 * max(abs(a), abs(b), 1e-300) or g <= 1e-6:
+        if abs(a - b) <= 1e-3 * max(abs(a), abs(b), 1e-300) or g <= 1e-6:
             break
         g /= 4.0
     c = d2(g / 4.0)
@@ -77,9 +81,16 @@ def _second_derivative_richardson(fn: PhiFunction, phi: float, g: float = 2e-3) 
 
 
 def phase_variance_error_prop(
-    mean_fn: PhiFunction, var_fn: PhiFunction, phi: float, h: float = DEFAULT_STEP
+    mean_fn: PhiFunction,
+    var_fn: PhiFunction,
+    phi: float,
+    h: float = DEFAULT_STEP,
+    slope_fn: PhiFunction | None = None,
 ) -> float:
     """Error propagation: Var(O) / |d<O>/dphi|^2.
+
+    The slope is slope_fn(phi), the exact d<O>/dphi, where the family has one,
+    and otherwise the central difference of mean_fn with step h.
 
     A variance that is zero within rounding marks a symmetry point (parity at
     its optimum), where the ratio has a removable singularity whatever the
@@ -88,18 +99,23 @@ def phase_variance_error_prop(
     vanishing slope with non-vanishing variance is a genuinely bad operating
     point and raises SignalStationary.
     """
-    f_plus, f_minus = mean_fn(phi + h), mean_fn(phi - h)
-    slope = (f_plus - f_minus) / (2.0 * h)
+    if slope_fn is None:
+        f_plus, f_minus = mean_fn(phi + h), mean_fn(phi - h)
+        slope = (f_plus - f_minus) / (2.0 * h)
+        scale = max(abs(f_plus), abs(f_minus))
+        # central differences cannot resolve slopes below the rounding noise of the samples
+        noise = SLOPE_NOISE * scale / (2.0 * h)
+    else:
+        slope, scale = slope_fn(phi), abs(mean_fn(phi))
+        noise = SLOPE_NOISE * scale
     var = var_fn(phi)
-    scale = max(abs(f_plus), abs(f_minus))
     if abs(var) <= 1e-8 * max(1.0, scale):
         m2 = _second_derivative_richardson(mean_fn, phi)
         v2 = _second_derivative_richardson(var_fn, phi)
         if abs(m2) <= SLOPE_FLOOR:
             raise SignalStationary(f"signal flat to second order at phi={phi:.6g}")
         return v2 / (2.0 * m2**2)
-    # central differences cannot resolve slopes below the rounding noise of the samples
-    noise_floor = max(SLOPE_FLOOR, 32.0 * 2.3e-16 * scale / (2.0 * h))
+    noise_floor = max(SLOPE_FLOOR, noise)
     if abs(slope) > noise_floor:
         return var / slope**2
     raise SignalStationary(f"signal slope below {noise_floor:.0e} at phi={phi:.6g}")

@@ -51,6 +51,8 @@ class GaussianState:
             raise ValueError("mean contains non-finite entries")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match mean length")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("covariance contains non-finite entries")
         check_covariance(cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)

@@ -13,9 +13,12 @@ and the intensity-difference second moment reduces to
 where rho_k = x_k^2 + p_k^2 (the per-mode ordering constants cancel in the
 difference except for the residual -1/2; pinned against the Fock oracle).
 
-Every function accepts either a GaussianState or a WignerExpr.  Gaussian means
-use the covariance shortcut directly; second moments go through the exact Wick
-machinery, which on Gaussian inputs agrees with the shortcut to rounding.
+Every function accepts either a GaussianState or a WignerExpr.  On a
+GaussianState every moment is a closed form in the mean R and covariance sigma:
+fourth-order moments by Isserlis' theorem, parity and the no-click probability
+as Gaussian overlaps.  A WignerExpr goes through the exact Wick machinery.
+`mean_slope` gives d<O>/dphi of a Gaussian family in closed form from the
+tangent (dR/dphi, dsigma/dphi) that the pipeline carries next to the state.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Union
 import numpy as np
 
 from .gaussian import GaussianState, mean_photon
-from .wigner import WignerExpr, from_gaussian, marginal_mode, moment, project_fock_unnormalized
+from .wigner import WignerExpr, marginal_mode, moment, project_fock_unnormalized
 
 StateLike = Union[GaussianState, WignerExpr]
 
@@ -77,31 +80,54 @@ class DetectionScheme:
         return f"{self.kind}[{self.mode}]"
 
 
-def _as_expr(state: StateLike) -> WignerExpr:
-    return from_gaussian(state) if isinstance(state, GaussianState) else state
-
-
 def _check_mode(state: StateLike, mode: int) -> None:
     n = state.modes
     if not 1 <= mode <= n:
         raise ValueError(f"mode {mode} out of range 1..{n}")
 
 
-def _intensity_integrals(state: StateLike, expr: WignerExpr, mode: int) -> tuple[float, float]:
-    """(<n>, Int rho^2 W) for rho = x_mode^2 + p_mode^2; <n> by the covariance shortcut on a GaussianState."""
+def _block(state: GaussianState, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of one mode of a GaussianState."""
+    i = 2 * (mode - 1)
+    return state.mean[i : i + 2], state.cov[i : i + 2, i : i + 2]
+
+
+def _square_moments(state: GaussianState, idx: list[int]) -> np.ndarray:
+    """E[X_i^2 X_j^2] over the quadratures idx, by Isserlis with covariance C = sigma / 2:
+
+    C_ii C_jj + 2 C_ij^2 + mu_i^2 C_jj + mu_j^2 C_ii + 4 mu_i mu_j C_ij + mu_i^2 mu_j^2.
+    """
+    mu = state.mean[idx]
+    c = state.cov[np.ix_(idx, idx)] / 2.0
+    square = np.diag(c) + mu * mu  # E[X_i^2]
+    return np.outer(square, square) + 2.0 * c * (c + 2.0 * np.outer(mu, mu))
+
+
+def _kernel(mu: np.ndarray, k: np.ndarray) -> tuple[float, np.ndarray]:
+    """exp(-mu^T k^-1 mu) / sqrt(det k), and k^-1.
+
+    With k the mode covariance sigma this is the parity; with k = sigma + I it
+    is half the no-click probability (the vacuum overlap).
+    """
+    det = k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0]
+    kinv = np.array([[k[1, 1], -k[0, 1]], [-k[1, 0], k[0, 0]]]) / det
+    return math.exp(-float(mu @ kinv @ mu)) / math.sqrt(det), kinv
+
+
+def _intensity_integrals(state: StateLike, mode: int) -> tuple[float, float]:
+    """(<n>, Int rho^2 W) for rho = x_mode^2 + p_mode^2."""
     i = 2 * (mode - 1)
     if isinstance(state, GaussianState):
-        mean = mean_photon(state, mode)
-    else:
-        mean = 0.5 * (moment(expr, {i: 2}) + moment(expr, {i + 1: 2})) - 0.5
-    s2 = moment(expr, {i: 4}) + 2.0 * moment(expr, {i: 2, i + 1: 2}) + moment(expr, {i + 1: 4})
+        return mean_photon(state, mode), float(_square_moments(state, [i, i + 1]).sum())
+    mean = 0.5 * (moment(state, {i: 2}) + moment(state, {i + 1: 2})) - 0.5
+    s2 = moment(state, {i: 4}) + 2.0 * moment(state, {i: 2, i + 1: 2}) + moment(state, {i + 1: 4})
     return mean, s2
 
 
 def intensity(state: StateLike, mode: int = 1) -> MeasurementMoments:
     """Photon-number (intensity) moments on one mode."""
     _check_mode(state, mode)
-    mean, s2 = _intensity_integrals(state, _as_expr(state), mode)
+    mean, s2 = _intensity_integrals(state, mode)
     return MeasurementMoments(mean, 0.25 * s2 - mean - 0.5)
 
 
@@ -128,8 +154,10 @@ def homodyne(state: StateLike, mode: int = 1, angle: float = 0.0) -> Measurement
 def parity(state: StateLike, mode: int = 1) -> MeasurementMoments:
     """Photon-number parity: mean = pi * W(0,0) of the mode's marginal, second moment 1."""
     _check_mode(state, mode)
-    expr = marginal_mode(_as_expr(state), mode)
-    mean = math.pi * expr.evaluate((0.0, 0.0))
+    if isinstance(state, GaussianState):
+        mean = _kernel(*_block(state, mode))[0]
+    else:
+        mean = math.pi * marginal_mode(state, mode).evaluate((0.0, 0.0))
     return MeasurementMoments(mean, 1.0)
 
 
@@ -139,15 +167,19 @@ def intensity_difference(state: StateLike, mode_a: int, mode_b: int) -> Measurem
         raise ValueError("intensity difference requires two distinct modes")
     _check_mode(state, mode_a)
     _check_mode(state, mode_b)
-    expr = _as_expr(state)
-    na, sa2 = _intensity_integrals(state, expr, mode_a)
-    nb, sb2 = _intensity_integrals(state, expr, mode_b)
     ia, ib = 2 * (mode_a - 1), 2 * (mode_b - 1)
+    if isinstance(state, GaussianState):
+        # (rho_a - rho_b)^2 summed over the quadrature pairs, signs w_i w_j
+        w = np.array([1.0, 1.0, -1.0, -1.0])
+        s2 = float(w @ _square_moments(state, [ia, ia + 1, ib, ib + 1]) @ w)
+        return MeasurementMoments(mean_photon(state, mode_a) - mean_photon(state, mode_b), 0.25 * s2 - 0.5)
+    na, sa2 = _intensity_integrals(state, mode_a)
+    nb, sb2 = _intensity_integrals(state, mode_b)
     cross = (
-        moment(expr, {ia: 2, ib: 2})
-        + moment(expr, {ia: 2, ib + 1: 2})
-        + moment(expr, {ia + 1: 2, ib: 2})
-        + moment(expr, {ia + 1: 2, ib + 1: 2})
+        moment(state, {ia: 2, ib: 2})
+        + moment(state, {ia: 2, ib + 1: 2})
+        + moment(state, {ia + 1: 2, ib: 2})
+        + moment(state, {ia + 1: 2, ib + 1: 2})
     )
     second = 0.25 * (sa2 - 2.0 * cross + sb2) - 0.5
     return MeasurementMoments(na - nb, second)
@@ -156,9 +188,11 @@ def intensity_difference(state: StateLike, mode_a: int, mode_b: int) -> Measurem
 def click_probability(state: StateLike, mode: int = 1) -> float:
     """Probability the mode's detector sees one or more photons."""
     _check_mode(state, mode)
-    expr = _as_expr(state).normalize()
-    reduced = marginal_mode(expr, mode)
-    p0 = project_fock_unnormalized(reduced, 1, 0).norm
+    if isinstance(state, GaussianState):
+        mu, sigma = _block(state, mode)
+        p0 = 2.0 * _kernel(mu, sigma + np.eye(2))[0]
+    else:
+        p0 = project_fock_unnormalized(marginal_mode(state.normalize(), mode), 1, 0).norm
     return min(max(1.0 - p0, 0.0), 1.0)
 
 
@@ -174,3 +208,28 @@ def measure(state: StateLike, scheme: DetectionScheme) -> MeasurementMoments:
         return intensity_difference(state, scheme.mode, scheme.mode_b)
     p = click_probability(state, scheme.mode)
     return MeasurementMoments(p, p)
+
+
+def mean_slope(state: GaussianState, tangent: tuple[np.ndarray, np.ndarray], scheme: DetectionScheme) -> float:
+    """d<O>/dphi of a Gaussian family at one phi, from its tangent (dR/dphi, dsigma/dphi)."""
+    dmean, dcov = tangent
+
+    def photon_slope(mode: int) -> float:
+        i = 2 * (mode - 1)
+        return 0.25 * (dcov[i, i] + dcov[i + 1, i + 1]) + float(state.mean[i : i + 2] @ dmean[i : i + 2])
+
+    if scheme.kind == "intensity":
+        return photon_slope(scheme.mode)
+    if scheme.kind == "intensity_difference":
+        return photon_slope(scheme.mode) - photon_slope(scheme.mode_b)
+    i = 2 * (scheme.mode - 1)
+    dmu, dk = dmean[i : i + 2], dcov[i : i + 2, i : i + 2]
+    if scheme.kind == "homodyne":
+        return math.cos(scheme.angle) * dmu[0] + math.sin(scheme.angle) * dmu[1]
+    mu, sigma = _block(state, scheme.mode)
+    k = sigma if scheme.kind == "parity" else sigma + np.eye(2)
+    value, kinv = _kernel(mu, k)
+    a = kinv @ mu
+    # d/dphi of exp(-mu^T k^-1 mu) / sqrt(det k), with dk = dsigma of the mode
+    slope = value * (float(a @ dk @ a) - 2.0 * float(a @ dmu) - 0.5 * float(np.trace(kinv @ dk)))
+    return slope if scheme.kind == "parity" else -2.0 * slope

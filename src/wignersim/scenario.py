@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
+import numpy.random  # loaded lazily otherwise, on the first draw of a `counts` run
 
 from . import __version__
 from .errors import ConfigError, DegenerateBranch, ImprobableBranch, PurityViolation, SignalStationary
@@ -38,6 +39,10 @@ DRIFT_SIGMA_DEFAULTS = {"parity": 0.001, "default": 0.15}
 # Distinct phi-independent prefixes kept; a Wigner-path point with loss uses a
 # lossy prefix and the lossless one it starts from (also the photon-number probe).
 PREFIX_CACHE_SIZE = 8
+# Largest squeeze parameter r of a squeeze or an SPDC addition.  The rounding
+# defect of a squeezer matrix grows like eps cosh^2 r and passes the symplectic
+# tolerance at some angle near r = 6.8 (at r = 6 its worst is 1.9e-11).
+MAX_SQUEEZE_R = 6.0
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +155,10 @@ class ModificationSpec:
         if op == "squeeze":
             _reject_unknown(d, {"op", "stage", "mode", "r", "theta", "gain"}, path)
             if "gain" in d:
-                g = _number(d["gain"], f"{path}.gain", lo=1.0)
+                g = _number(d["gain"], f"{path}.gain", lo=1.0, hi=math.cosh(MAX_SQUEEZE_R) ** 2)
                 return ModificationSpec("squeeze", stage, mode, r=math.acosh(math.sqrt(g)), theta=0.0)
             return ModificationSpec("squeeze", stage, mode,
-                                    r=_number(_need(d, "r", path), f"{path}.r", lo=0.0),
+                                    r=_number(_need(d, "r", path), f"{path}.r", lo=0.0, hi=MAX_SQUEEZE_R),
                                     theta=_number(d.get("theta", 0.0), f"{path}.theta"))
         if op == "displace":
             _reject_unknown(d, {"op", "stage", "mode", "alpha", "theta"}, path)
@@ -172,7 +177,7 @@ class ModificationSpec:
                 return ModificationSpec("add", stage, mode, m=m, mechanism="bs",
                                         T=_number(_need(d, "T", path), f"{path}.T", lo=0.0, hi=1.0))
             return ModificationSpec("add", stage, mode, m=m, mechanism="spdc",
-                                    r=_number(_need(d, "r", path), f"{path}.r", lo=0.0),
+                                    r=_number(_need(d, "r", path), f"{path}.r", lo=0.0, hi=MAX_SQUEEZE_R),
                                     theta=_number(d.get("theta", 0.0), f"{path}.theta"))
         _reject_unknown(d, {"op", "stage", "mode", "m", "T"}, path)
         m = d.get("m", 1)
@@ -427,6 +432,7 @@ class PipelineResult:
     failure_prob: float = 0.0
     herald_stage: str | None = None  # None, "input", or "output"
     gaussian_path: bool = True
+    tangent: tuple | None = None  # (dR/dphi, dsigma/dphi) of a Gaussian state downstream of the MZI
 
 
 def _gaussian_possible(config: ScenarioConfig) -> bool:
@@ -441,11 +447,19 @@ def _transform(state, f: sym.SymplecticTransform):
     return wig.apply_symplectic(state, f)
 
 
-def _each(res: PipelineResult, step: Callable) -> PipelineResult:
-    """Apply one state map to the success branch and, when it is tracked, the failure branch."""
+def _each(res: PipelineResult, step: Callable, linear: np.ndarray | None = None) -> PipelineResult:
+    """Apply one state map to the success branch and, when it is tracked, the failure branch.
+
+    A carried tangent goes through `linear`, the matrix of the map's linear part:
+    dR -> A dR and dsigma -> A dsigma A^T, since the map's noise and shift do not
+    depend on phi.
+    """
     state = step(res.state)
     fail = None if res.failure_state is None else step(res.failure_state)
-    return replace(res, state=state, failure_state=fail)
+    tangent = res.tangent
+    if tangent is not None:
+        tangent = (linear @ tangent[0], linear @ tangent[1] @ linear.T)
+    return replace(res, state=state, failure_state=fail, tangent=tangent)
 
 
 def _herald(expr: wig.WignerExpr, mod: ModificationSpec) -> tuple:
@@ -464,7 +478,7 @@ def _modify(res: PipelineResult, mods, stage: str) -> PipelineResult:
         if not m.heralded:
             make = sym.make_squeezer(m.r, m.theta) if m.op == "squeeze" else sym.make_displacement(m.alpha, m.theta)
             f = sym.embed(make, [m.mode], res.state.modes)
-            res = _each(res, lambda s: _transform(s, f))
+            res = _each(res, lambda s: _transform(s, f), f.matrix)
             continue
         ok, fail = _herald(res.state, m)
         prob = res.success_prob * ok.probability
@@ -498,19 +512,30 @@ def build_pipeline(config: ScenarioConfig, phi: float | None = None) -> Pipeline
     cache.  Uniform loss on both modes commutes with the passive MZI, so on the
     Wigner path, where each loss is an ancilla mix and integration, it moves
     into the cached prefix; on the Gaussian path it is one affine map per phi
-    and stays after the MZI.
+    and stays after the MZI.  On the Gaussian path the result also carries the
+    tangent (dR/dphi, dsigma/dphi): at the MZI dR = M'R0 and
+    dsigma = M'sigma0 M^T + M sigma0 M'^T, then through the linear part of every
+    later map.
     """
     phi = config.phi if phi is None else phi
     gaussian_path = _gaussian_possible(config)
     loss = config.noise.loss if config.noise.loss is not None and config.noise.loss.total > 0.0 else None
     mods_in = tuple(m for m in config.modifications if m.stage == "input")
-    res = _prefix(config.inputs, mods_in, gaussian_path, None if gaussian_path else loss)
+    prefix = _prefix(config.inputs, mods_in, gaussian_path, None if gaussian_path else loss)
     mzi = sym.make_mzi(phi)
-    res = _each(res, lambda s: _transform(s, mzi))
+    res = _each(prefix, lambda s: _transform(s, mzi))
+    if gaussian_path:
+        dm = sym.mzi_phase_derivative(phi)
+        half = dm @ prefix.state.cov @ mzi.matrix.T
+        res = replace(res, tangent=(dm @ prefix.state.mean, half + half.T))
+    dim = 2 * res.state.modes
     if gaussian_path and loss is not None:
-        res = _each(res, lambda s: _apply_loss(s, loss))
+        res = _each(res, lambda s: _apply_loss(s, loss), math.sqrt(1.0 - loss.total) * np.eye(dim))
     if config.noise.has_thermal:
-        res = _each(res, lambda s: _apply_thermal(s, config.noise))
+        gain = np.ones(dim)
+        for m in config.noise.thermal_modes:
+            gain[2 * m - 2 : 2 * m] *= math.sqrt(config.noise.thermal_eta)
+        res = _each(res, lambda s: _apply_thermal(s, config.noise), np.diag(gain))
     return _modify(res, [m for m in config.modifications if m.stage == "output"], "output")
 
 
@@ -536,16 +561,23 @@ def _apply_thermal(state, noise: NoiseSpec):
 # ---------------------------------------------------------------------------
 
 
-def _signal_fns(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[est.PhiFunction, est.PhiFunction]:
-    """mean(phi) and variance(phi) of one detector; each phi is built and measured once."""
-    seen: dict[float, meas.MeasurementMoments] = {}
+def _signal_fns(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple:
+    """mean(phi), variance(phi) and slope(phi) of one detector; each phi is built and measured once.
 
-    def mom(phi: float) -> meas.MeasurementMoments:
+    The slope is the exact d<O>/dphi from the carried tangent on the Gaussian
+    path, and None on the Wigner path, where the slope is a central difference.
+    """
+    seen: dict[float, tuple[meas.MeasurementMoments, float | None]] = {}
+
+    def at(phi: float) -> tuple[meas.MeasurementMoments, float | None]:
         if phi not in seen:
-            seen[phi] = meas.measure(build_pipeline(config, phi).state, scheme)
+            res = build_pipeline(config, phi)
+            slope = None if res.tangent is None else meas.mean_slope(res.state, res.tangent, scheme)
+            seen[phi] = meas.measure(res.state, scheme), slope
         return seen[phi]
 
-    return (lambda p: mom(p).mean), (lambda p: mom(p).variance)
+    slope_fn = (lambda p: at(p)[1]) if _gaussian_possible(config) else None
+    return (lambda p: at(p)[0].mean), (lambda p: at(p)[0].variance), slope_fn
 
 
 _OPTIMUM_SEEDS = {
@@ -559,11 +591,11 @@ _OPTIMUM_SEEDS = {
 
 def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float]:
     """Seeded golden-section search of the phase-variance minimum over (0, 2 pi)."""
-    signal = _signal_fns(config, scheme)
+    mean, var, slope = _signal_fns(config, scheme)
 
     def variance_at(phi: float) -> float:
         try:
-            return est.phase_variance_error_prop(*signal, phi)
+            return est.phase_variance_error_prop(mean, var, phi, slope_fn=slope)
         except (SignalStationary, ImprobableBranch, ValueError):
             return float("inf")
 
@@ -667,9 +699,9 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None, n_max: int 
 
     if "phase_variance" in config.metrics:
         for scheme in config.detection:
-            signal = _signal_fns(config, scheme)
+            mean, var, slope = _signal_fns(config, scheme)
             try:
-                report.phase_variance[scheme.label] = est.phase_variance_error_prop(*signal, phi)
+                report.phase_variance[scheme.label] = est.phase_variance_error_prop(mean, var, phi, slope_fn=slope)
             except (SignalStationary, DegenerateBranch, ImprobableBranch) as exc:
                 warnings.append(f"phase_variance[{scheme.label}] at phi={phi:.6g}: {exc}")
             opt_phi, opt_var = _optimal_phi(config, scheme)
@@ -861,7 +893,7 @@ def phase_drift_study(
     warnings: list[str] = []
     rows = []
     for si, scheme in enumerate(config.detection):
-        signal = _signal_fns(config, scheme)
+        mean, var, slope = _signal_fns(config, scheme)
         opt_phi, opt_var = _optimal_phi(config, scheme)
         sig = sigma.get(scheme.kind, sigma["default"])
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(si,)))
@@ -872,7 +904,7 @@ def phase_drift_study(
             else:
                 phi_k = opt_phi * rng.uniform(0.8, 1.2)
             try:
-                total += est.phase_variance_error_prop(*signal, phi_k)
+                total += est.phase_variance_error_prop(mean, var, phi_k, slope_fn=slope)
             except (SignalStationary, DegenerateBranch):
                 total += opt_var  # a flat draw carries no usable slope; score it at the optimum
                 warnings.append(f"drift[{scheme.label}] trial {k}: stationary draw at phi={phi_k:.6g}")

@@ -40,6 +40,8 @@ class SymplecticTransform:
         s = np.zeros(m.shape[0]) if s is None else np.asarray(s, dtype=float)
         if s.shape != (m.shape[0],):
             raise ValueError(f"shift length {s.shape} does not match matrix dimension {m.shape[0]}")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(s))):
+            raise ValueError("matrix and shift must be finite")
         om = omega(m.shape[0] // 2)
         defect = np.max(np.abs(m @ om @ m.T - om))
         if defect > SYMPLECTIC_TOL:
@@ -58,12 +60,9 @@ def identity_transform(modes: int) -> SymplecticTransform:
     return SymplecticTransform(np.eye(2 * modes))
 
 
-def make_beam_splitter(T: float) -> SymplecticTransform:
-    """Two-mode beam splitter of transmissivity T in [0, 1]."""
-    if not 0.0 <= T <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {T}")
+def _beam_splitter_matrix(T: float) -> np.ndarray:
     t, rfl = math.sqrt(T), math.sqrt(1.0 - T)
-    m = np.array(
+    return np.array(
         [
             [t, 0.0, rfl, 0.0],
             [0.0, t, 0.0, rfl],
@@ -71,7 +70,13 @@ def make_beam_splitter(T: float) -> SymplecticTransform:
             [0.0, rfl, 0.0, -t],
         ]
     )
-    return SymplecticTransform(m)
+
+
+def make_beam_splitter(T: float) -> SymplecticTransform:
+    """Two-mode beam splitter of transmissivity T in [0, 1]."""
+    if not 0.0 <= T <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {T}")
+    return SymplecticTransform(_beam_splitter_matrix(T))
 
 
 def make_phase_shifter(phi: float) -> SymplecticTransform:
@@ -195,3 +200,18 @@ def make_mzi(phi: float) -> SymplecticTransform:
     """Balanced Mach-Zehnder: 50/50 splitter, symmetric phase phi, 50/50 splitter."""
     bs = make_beam_splitter(0.5)
     return chain(bs, make_symmetric_phase_shifter(phi), bs)
+
+
+def mzi_phase_derivative(phi: float) -> np.ndarray:
+    """d/dphi of the make_mzi(phi) matrix: BS @ P'(phi) @ BS, a plain matrix and not a transform."""
+    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
+    dp = 0.5 * np.array(
+        [
+            [-s, -c, 0.0, 0.0],
+            [c, -s, 0.0, 0.0],
+            [0.0, 0.0, -s, c],
+            [0.0, 0.0, -c, -s],
+        ]
+    )
+    bs = _beam_splitter_matrix(0.5)
+    return bs @ dp @ bs

@@ -13,6 +13,7 @@ An intended output change regenerates them, from the repository root with
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -135,4 +136,52 @@ def test_non_integer_m_grid_exits_2(tmp_path, capsys):
             "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert "sweep parameter m takes integer values, got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+SPDC_ADDITION = {"op": "add", "stage": "input", "mode": 1, "m": 1, "mechanism": "spdc", "r": 0.1}
+
+
+def _ligo_lossy_with(tmp_path, modification: dict) -> str:
+    cfg = json.loads((ROOT / "configs" / "ligo_lossy.json").read_text())
+    cfg["modifications"] = [modification]
+    cfg["metrics"] = ["phase_variance", "snr"]
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    return str(tmp_path / "cfg.json")
+
+
+SQUEEZE = {"op": "squeeze", "stage": "input", "mode": 2}
+
+
+@pytest.mark.parametrize("modification, path", [
+    (dict(SQUEEZE, r=8), "modifications.0.r"),
+    (dict(SQUEEZE, r=800), "modifications.0.r"),
+    (dict(SQUEEZE, r=sc.MAX_SQUEEZE_R * (1 + 1e-12)), "modifications.0.r"),
+    (dict(SQUEEZE, gain=1.0001 * math.cosh(sc.MAX_SQUEEZE_R) ** 2), "modifications.0.gain"),
+    (dict(SPDC_ADDITION, r=sc.MAX_SQUEEZE_R + 0.5), "modifications.0.r"),
+], ids=["r8", "r800", "r_just_above", "gain", "spdc"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_squeeze_above_the_cap_exits_2(modification, path, command, tmp_path, capsys):
+    # r = 8 used to pass validate and then fail to build (matrix not symplectic); r = 800 overflowed
+    argv = [command, "--config", _ligo_lossy_with(tmp_path, modification)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert f"{path}: value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("modification", [dict(SQUEEZE, r=sc.MAX_SQUEEZE_R, theta=1.234),
+                                          dict(SQUEEZE, gain=math.cosh(sc.MAX_SQUEEZE_R) ** 2)],
+                         ids=["r", "gain"])
+def test_squeeze_at_the_cap_runs(modification, tmp_path):
+    assert cli.main(["run", "--config", _ligo_lossy_with(tmp_path, modification), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_r_grid_above_the_cap_exits_2(tmp_path, capsys):
+    argv = ["sweep", "--config", str(ROOT / "configs" / "ligo_lossy.json"), "--grid", "r=5.5:6.5:0.5",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "modifications.0.r: value 6.5 above maximum" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,3 +286,22 @@ class TestReferenceStats:
                 mom = meas.intensity(s.state)
                 got = mom.mean / math.sqrt(mom.variance)
                 assert abs(got - math.sqrt(t * (m + 1)) * cond.thermal_snr(4.0)) < 1e-8
+
+
+class TestLaguerre:
+    def test_same_bits_as_scipy(self):
+        # the closed forms feed golden outputs, so the local recurrence must match scipy exactly
+        from scipy.special import eval_laguerre
+
+        rng = np.random.default_rng(7)
+        for _ in range(4000):
+            n, x = int(rng.integers(0, 11)), float(rng.uniform(-600.0, 50.0))
+            assert cond._laguerre(n, x) == eval_laguerre(n, x)
+        for n in range(4):
+            assert cond._laguerre(n, 0.0) == eval_laguerre(n, 0.0) == 1.0
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = "import sys, wignersim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

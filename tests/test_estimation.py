@@ -46,6 +46,15 @@ class TestErrorPropagation:
         )
         assert abs(v - 1.0 / (100.0 * math.e**2 + math.sinh(1.0) ** 2)) < 1e-8 * v
 
+    @pytest.mark.parametrize("alpha2", [100.0, 500.0])
+    def test_bright_parity_limit_resolves_the_narrow_fringe(self, mzi_coh_sqz, alpha2):
+        # a stability tolerance of 5e-3 on the second difference left 5e-10 of truncation at alpha2 = 500
+        fam = mzi_coh_sqz(alpha2, 1.0)
+        v = est.phase_variance_error_prop(
+            lambda p: meas.parity(fam(p), 1).mean, lambda p: meas.parity(fam(p), 1).variance, math.pi
+        )
+        assert v == pytest.approx(est.parity_min_variance(alpha2, 1.0), rel=1e-10)
+
     def test_homodyne_at_optimum(self, mzi_coh_sqz):
         fam = mzi_coh_sqz(100.0, 1.0)
         v = est.phase_variance_error_prop(

@@ -43,6 +43,11 @@ class TestStateConstruction:
         with pytest.raises(ValueError):
             ga.squeezed_vacuum(-0.5)
 
+    @pytest.mark.parametrize("cov", [[[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]]])
+    def test_non_finite_covariance_rejected(self, cov):
+        with pytest.raises(ValueError, match="non-finite"):
+            ga.GaussianState(np.zeros(2), np.array(cov))
+
 
 class TestTensor:
     def test_vacuum_pair(self):

@@ -206,3 +206,76 @@ class TestMeasureDispatch:
     def test_heralded_state_intensity_matches_reference(self):
         h = cond.subtract_photons(wg.from_gaussian(ga.thermal_state(1.0)), 1, 1, 0.9)
         assert abs(meas.intensity(h.state).mean - cond.spsts_mean_n(1.0, 1, 0.9)) < 1e-10
+
+
+def random_two_mode_state(rng) -> ga.GaussianState:
+    """Coherent + thermal through a random symplectic and displacement, then uniform loss and thermal noise."""
+    state = ga.tensor([ga.coherent_state(rng.uniform(0, 1.5), rng.uniform(0, 2 * math.pi)),
+                       ga.thermal_state(rng.uniform(0, 0.5))])
+    f = sym.chain(
+        sym.direct_sum([sym.make_squeezer(rng.uniform(0, 0.6), rng.uniform(0, 2 * math.pi)),
+                        sym.make_phase_shifter(rng.uniform(0, 2 * math.pi))]),
+        sym.make_two_mode_squeezer(rng.uniform(0, 0.4), rng.uniform(0, 2 * math.pi)),
+        sym.make_beam_splitter(rng.uniform(0, 1)),
+        sym.embed(sym.make_displacement(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)), [2], 2),
+    )
+    state = ga.apply_loss(ga.propagate(state, f), ga.LossSpec(L=rng.uniform(0, 0.3)))
+    return ga.inject_thermal(state, int(rng.integers(1, 3)), rng.uniform(0, 0.5), rng.uniform(0.7, 1.0))
+
+
+SCHEMES = [
+    meas.DetectionScheme("intensity", 1),
+    meas.DetectionScheme("intensity", 2),
+    meas.DetectionScheme("homodyne", 2, angle=0.8),
+    meas.DetectionScheme("parity", 1),
+    meas.DetectionScheme("parity", 2),
+    meas.DetectionScheme("intensity_difference", 1, mode_b=2),
+    meas.DetectionScheme("intensity_difference", 2, mode_b=1),
+    meas.DetectionScheme("click", 1),
+    meas.DetectionScheme("click", 2),
+]
+
+
+class TestGaussianClosedForms:
+    def test_match_the_wick_path(self):
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            state = random_two_mode_state(rng)
+            expr = wg.from_gaussian(state)
+            for scheme in SCHEMES:
+                got, want = meas.measure(state, scheme), meas.measure(expr, scheme)
+                assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-15), scheme.label
+                assert got.second_moment == pytest.approx(want.second_moment, rel=1e-12, abs=1e-15), scheme.label
+
+    def test_no_gaussian_state_goes_through_the_wick_recursion(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(wg, "_gaussian_expectation", lambda *a, **k: calls.append(1))
+        monkeypatch.setattr(meas, "moment", lambda *a, **k: calls.append(1))
+        state = random_two_mode_state(np.random.default_rng(32))
+        for scheme in SCHEMES:
+            meas.measure(state, scheme)
+        assert calls == []
+
+
+def richardson_slope(f, phi: float, h: float) -> float:
+    """Central differences at h, h/2, h/4 with two Richardson levels (error O(h^6))."""
+    d = [(f(phi + s) - f(phi - s)) / (2 * s) for s in (h, h / 2, h / 4)]
+    r = [(4 * d[i + 1] - d[i]) / 3 for i in range(2)]
+    return (16 * r[1] - r[0]) / 15
+
+
+class TestMeanSlope:
+    @pytest.mark.parametrize("phi", [0.5, 1.7, 2.9, 4.4])
+    def test_matches_central_differences_through_the_mzi(self, phi):
+        rng = np.random.default_rng(33)
+        for _ in range(5):
+            before = random_two_mode_state(rng)
+            dm = sym.mzi_phase_derivative(phi)
+            half = dm @ before.cov @ sym.make_mzi(phi).matrix.T
+            tangent = (dm @ before.mean, half + half.T)
+            state = ga.propagate(before, sym.make_mzi(phi))
+            for scheme in SCHEMES:
+                want = richardson_slope(lambda p: meas.measure(ga.propagate(before, sym.make_mzi(p)), scheme).mean,
+                                        phi, 1e-2)
+                got = meas.mean_slope(state, tangent, scheme)
+                assert got == pytest.approx(want, rel=1e-8, abs=1e-11), scheme.label

@@ -6,7 +6,9 @@ QCRB."""
 import dataclasses
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import workloads
@@ -209,3 +211,90 @@ class TestPhaseVarianceBound:
         assert report.extras["min_phase_variance.intensity[1]"] >= floor
         assert set(report.phase_variance) == {"parity[1]", "intensity[1]"}
         assert all(v >= floor for v in report.phase_variance.values())
+
+
+ROOT = Path(__file__).resolve().parent.parent
+LIGO_LOSSY = json.loads((ROOT / "configs" / "ligo_lossy.json").read_text())
+FIVE_DETECTORS = [
+    {"scheme": "parity", "mode": 1},
+    {"scheme": "homodyne", "mode": 2, "angle": 0.4},
+    {"scheme": "intensity", "mode": 1},
+    {"scheme": "intensity_difference", "mode": 1, "mode_b": 2},
+    {"scheme": "click", "mode": 2},
+]
+# thermal noise on both modes, and an output-stage squeeze and displacement after it
+NOISY_GAUSSIAN = {
+    "inputs": [{"kind": "coherent", "alpha": 1.5, "theta": 0.3}, {"kind": "thermal", "nbar": 0.2}],
+    "modifications": [
+        {"op": "squeeze", "stage": "input", "mode": 2, "r": 0.6},
+        {"op": "squeeze", "stage": "output", "mode": 1, "r": 0.3, "theta": 0.7},
+        {"op": "displace", "stage": "output", "mode": 2, "alpha": 0.5, "theta": 1.1},
+    ],
+    "interferometer": {"phi": 1.2},
+    "noise": {"loss": {"L": 0.1, "D": 0.9}, "thermal": {"nbar_env": 0.3, "eta": 0.8, "modes": [1, 2]}},
+    "detection": FIVE_DETECTORS,
+    "metrics": ["phase_variance"],
+}
+
+
+def richardson(f, phi: float, h: float):
+    """Central differences at h, h/2, h/4 with two Richardson levels (error O(h^6))."""
+    d = [(f(phi + s) - f(phi - s)) / (2 * s) for s in (h, h / 2, h / 4)]
+    r = [(4 * d[i + 1] - d[i]) / 3 for i in range(2)]
+    return (16 * r[1] - r[0]) / 15
+
+
+class TestExactSlopes:
+    @pytest.mark.parametrize("raw", [LIGO_LOSSY, NOISY_GAUSSIAN], ids=["ligo_lossy", "noisy_gaussian"])
+    @pytest.mark.parametrize("phi", [0.4, 1.2, 2.6, 3.14])
+    def test_tangent_matches_central_differences(self, raw, phi):
+        cfg = sc.ScenarioConfig.from_dict(raw)
+        res = sc.build_pipeline(cfg, phi)
+        dmean = richardson(lambda p: sc.build_pipeline(cfg, p).state.mean, phi, 1e-2)
+        dcov = richardson(lambda p: sc.build_pipeline(cfg, p).state.cov, phi, 1e-2)
+        np.testing.assert_allclose(res.tangent[0], dmean, rtol=0, atol=1e-10 * max(1.0, np.abs(dmean).max()))
+        np.testing.assert_allclose(res.tangent[1], dcov, rtol=0, atol=1e-10 * max(1.0, np.abs(dcov).max()))
+
+    def test_wigner_path_carries_no_tangent(self):
+        assert sc.build_pipeline(config([COHERENT, VACUUM], [INPUT_ADDITION])).tangent is None
+
+    # the bright ligo_lossy fringes are narrow, so its differences take a shorter step
+    @pytest.mark.parametrize("raw, phis, h", [
+        (dict(LIGO_LOSSY, detection=FIVE_DETECTORS), (3.1, 3.14, 3.16), 1e-3),
+        (NOISY_GAUSSIAN, (0.4, 1.2, 2.9), 1e-2),
+    ], ids=["ligo_lossy", "noisy_gaussian"])
+    def test_exact_slope_matches_central_differences(self, raw, phis, h):
+        cfg = sc.ScenarioConfig.from_dict(raw)
+        for scheme in cfg.detection:
+            mean, _, slope = sc._signal_fns(cfg, scheme)
+            for phi in phis:
+                assert slope(phi) == pytest.approx(richardson(mean, phi, h), rel=1e-8, abs=1e-10), (scheme.label, phi)
+
+    def test_parity_differences_converge_to_the_exact_slope(self):
+        # the h = 1e-5 difference used before is off by 6.5e-8 relative; the error falls as h^2
+        cfg = sc.ScenarioConfig.from_dict(LIGO_LOSSY)
+        mean, _, slope = sc._signal_fns(cfg, meas.DetectionScheme("parity", 1))
+        exact = slope(3.14)
+        errs = [abs((mean(3.14 + h) - mean(3.14 - h)) / (2 * h) / exact - 1.0) for h in (1e-3, 1e-4, 1e-5)]
+        assert 6e-8 < errs[2] < 7e-8
+        assert all(95 < a / b < 105 for a, b in zip(errs, errs[1:]))
+
+    def test_error_propagation_uses_the_exact_slope(self):
+        cfg = sc.ScenarioConfig.from_dict(NOISY_GAUSSIAN)
+        for scheme in cfg.detection:
+            mean, var, slope = sc._signal_fns(cfg, scheme)
+            got = est.phase_variance_error_prop(mean, var, 1.2, slope_fn=slope)
+            assert got == var(1.2) / slope(1.2) ** 2
+            assert got == pytest.approx(var(1.2) / richardson(mean, 1.2, 1e-2) ** 2, rel=1e-8)
+
+    def test_lossless_minimum_variances_match_the_closed_forms(self):
+        # with central differences these sat 5e-12 to 3e-11 from the closed forms
+        raw = json.loads(json.dumps(LIGO_LOSSY))
+        raw["noise"]["loss"]["L"] = 0.0
+        report, _, _ = sc.evaluate_point(sc.ScenarioConfig.from_dict(raw))
+        alpha2, r = raw["inputs"][0]["alpha"] ** 2, raw["modifications"][0]["r"]
+        for label, closed_form in [("homodyne[1,0]", est.homodyne_min_variance),
+                                   ("diff[1,2]", est.intensity_difference_min_variance),
+                                   ("intensity[1]", est.intensity_min_variance)]:
+            want = closed_form(alpha2, r)
+            assert report.extras[f"min_phase_variance.{label}"] == pytest.approx(want, rel=1e-12, abs=0.0), label

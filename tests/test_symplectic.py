@@ -149,6 +149,13 @@ class TestDirectSumCompose:
         np.testing.assert_allclose(m[:2, 2:], block, atol=1e-14)
         np.testing.assert_allclose(m[2:, :2], block, atol=1e-14)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.4, 2.6, 3.14, 5.9])
+    def test_mzi_phase_derivative_matches_central_difference(self, phi):
+        h = 1e-4
+        diffs = [(sym.make_mzi(phi + s).matrix - sym.make_mzi(phi - s).matrix) / (2 * s) for s in (h, h / 2)]
+        richardson = (4 * diffs[1] - diffs[0]) / 3
+        np.testing.assert_allclose(sym.mzi_phase_derivative(phi), richardson, rtol=0, atol=1e-10)
+
     @given(phi=st.floats(-6.3, 6.3), t=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_symplectic_preserved_under_composition(self, phi, t):
@@ -175,6 +182,19 @@ def _random_transform(rng) -> sym.SymplecticTransform:
     return sym.direct_sum(
         [sym.make_displacement(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2 * math.pi)), sym.identity_transform(1)]
     )
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("matrix, shift", [
+        ([[math.nan, 0.0], [0.0, 1.0]], None),
+        ([[math.inf, 0.0], [0.0, 1.0]], None),
+        (np.eye(2), [0.0, math.nan]),
+        (np.eye(2), [math.inf, 0.0]),
+    ])
+    def test_rejected(self, matrix, shift):
+        # nan > tol is False, so only an explicit check stops a NaN matrix
+        with pytest.raises(ValueError, match="finite"):
+            sym.SymplecticTransform(np.array(matrix), shift)
 
 
 class TestInvariantProperties:
