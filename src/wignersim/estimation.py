@@ -5,13 +5,17 @@ information, quantum Fisher information by three routes (Wigner integral,
 pure-Gaussian, mixed-Gaussian), the closed-form coherent+squeezed-vacuum
 bounds, SNR, and the weighted total parity information for heralded branches.
 
-Error propagation takes an exact slope d<O>/dphi where the caller has one (a
-Gaussian family carries its tangent in closed form); every other derivative in
-phi is a central difference with step 1e-5 on smooth O(1) quantities (means,
-covariances, probabilities, term data).  The Wigner-integral QFI differentiates
-each term's parameters and then integrates exactly, rather than differencing
-whole Wigner values, which would cancel catastrophically inside the squared
-integral.
+Error propagation takes an exact slope d<O>/dphi where the caller has one: a
+Gaussian family carries its tangent (dR, dsigma) in closed form, and on the
+pulled-back Wigner route a polynomial detector's slope comes from dA/dphi of
+the channel after the MZI.  The parity and click slopes there, the CFI, and the
+QFI routes below take central differences with step 1e-5 on smooth O(1)
+quantities (means, covariances, probabilities, term data).  The Wigner-integral
+QFI differentiates each term's parameters and then integrates exactly, rather
+than differencing whole Wigner values, which would cancel catastrophically
+inside the squared integral; for a pure input to the balanced MZI the scenario
+runner takes the QFI without any difference, as Var(n1 - n2) after the first
+splitter, and keeps `qfi_pure_wigner` as the library route and its check.
 """
 
 from __future__ import annotations
@@ -248,12 +252,17 @@ def _expr_phi_derivative(family: Callable[[float], WignerExpr], phi: float, h: f
     return WignerExpr(e0.modes, terms)
 
 
+def require_pure_wigner(expr: WignerExpr) -> None:
+    """Raise PurityViolation unless the expression's purity is 1 within PURE_WIGNER_TOL."""
+    mu = purity(expr)
+    if abs(mu - 1.0) > PURE_WIGNER_TOL:
+        raise PurityViolation(f"purity {mu:.8f} differs from 1 beyond {PURE_WIGNER_TOL:g}")
+
+
 def qfi_pure_wigner(family: Callable[[float], WignerExpr], phi: float, h: float = DEFAULT_STEP) -> float:
     """QFI of a pure-state family: 2 (2 pi)^M Int (dW/dphi)^2."""
     w0 = family(phi)
-    mu = purity(w0)
-    if abs(mu - 1.0) > PURE_WIGNER_TOL:
-        raise PurityViolation(f"purity {mu:.8f} differs from 1 beyond {PURE_WIGNER_TOL:g}")
+    require_pure_wigner(w0)
     dw = _expr_phi_derivative(lambda p: family(p).normalize(), phi, h)
     return 2.0 * (2.0 * math.pi) ** w0.modes * overlap(dw, dw)
 

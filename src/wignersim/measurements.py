@@ -13,12 +13,17 @@ and the intensity-difference second moment reduces to
 where rho_k = x_k^2 + p_k^2 (the per-mode ordering constants cancel in the
 difference except for the residual -1/2; pinned against the Fock oracle).
 
-Every function accepts either a GaussianState or a WignerExpr.  On a
+Every function accepts a GaussianState, a WignerExpr or an AffineImage.  On a
 GaussianState every moment is a closed form in the mean R and covariance sigma:
 fourth-order moments by Isserlis' theorem, parity and the no-click probability
-as Gaussian overlaps.  A WignerExpr goes through the exact Wick machinery.
-`mean_slope` gives d<O>/dphi of a Gaussian family in closed form from the
-tangent (dR/dphi, dsigma/dphi) that the pipeline carries next to the state.
+as Gaussian overlaps.  A WignerExpr goes through the exact Wick machinery, all
+moments of one detector from one recursion per term (`wigner.moments`).  On an
+AffineImage, a Wigner expression seen through the Gaussian channel after the
+MZI, the polynomial detectors (intensity, homodyne, intensity difference) read
+its contracted moment tensor, and parity and click are Gaussian kernels on one
+mode.  `mean_slope` gives d<O>/dphi in closed form: of a Gaussian family from
+the tangent (dR/dphi, dsigma/dphi) that the pipeline carries next to the state,
+and of a polynomial detector on an AffineImage from dA/dphi of its channel.
 """
 
 from __future__ import annotations
@@ -30,9 +35,11 @@ from typing import Union
 import numpy as np
 
 from .gaussian import GaussianState, mean_photon
-from .wigner import WignerExpr, marginal_mode, moment, project_fock_unnormalized
+from .wigner import AffineImage, WignerExpr, marginal_mode, moments, project_fock_unnormalized
 
-StateLike = Union[GaussianState, WignerExpr]
+StateLike = Union[GaussianState, WignerExpr, AffineImage]
+# Detectors whose operator is a polynomial in the quadratures; parity and click are Gaussian kernels.
+POLYNOMIAL_KINDS = ("intensity", "homodyne", "intensity_difference")
 
 VARIANCE_CLAMP = -1e-10
 
@@ -114,20 +121,30 @@ def _kernel(mu: np.ndarray, k: np.ndarray) -> tuple[float, np.ndarray]:
     return math.exp(-float(mu @ kinv @ mu)) / math.sqrt(det), kinv
 
 
-def _intensity_integrals(state: StateLike, mode: int) -> tuple[float, float]:
-    """(<n>, Int rho^2 W) for rho = x_mode^2 + p_mode^2."""
+def _moments(state: WignerExpr | AffineImage, monomials: list) -> list:
+    return state.moments(monomials) if isinstance(state, AffineImage) else moments(state, monomials)
+
+
+def _intensity_monomials(mode: int) -> list:
+    """x^2, p^2, x^4, x^2 p^2, p^4 of one mode, as `_intensity_integrals` takes their moments."""
     i = 2 * (mode - 1)
-    if isinstance(state, GaussianState):
-        return mean_photon(state, mode), float(_square_moments(state, [i, i + 1]).sum())
-    mean = 0.5 * (moment(state, {i: 2}) + moment(state, {i + 1: 2})) - 0.5
-    s2 = moment(state, {i: 4}) + 2.0 * moment(state, {i: 2, i + 1: 2}) + moment(state, {i + 1: 4})
-    return mean, s2
+    return [{i: 2}, {i + 1: 2}, {i: 4}, {i: 2, i + 1: 2}, {i + 1: 4}]
+
+
+def _intensity_integrals(m: list) -> tuple[float, float]:
+    """(<n>, Int rho^2 W) for rho = x_mode^2 + p_mode^2, from the moments of `_intensity_monomials`."""
+    xx, pp, x4, x2p2, p4 = m
+    return 0.5 * (xx + pp) - 0.5, x4 + 2.0 * x2p2 + p4
 
 
 def intensity(state: StateLike, mode: int = 1) -> MeasurementMoments:
     """Photon-number (intensity) moments on one mode."""
     _check_mode(state, mode)
-    mean, s2 = _intensity_integrals(state, mode)
+    if isinstance(state, GaussianState):
+        i = 2 * (mode - 1)
+        mean, s2 = mean_photon(state, mode), float(_square_moments(state, [i, i + 1]).sum())
+    else:
+        mean, s2 = _intensity_integrals(_moments(state, _intensity_monomials(mode)))
     return MeasurementMoments(mean, 0.25 * s2 - mean - 0.5)
 
 
@@ -141,14 +158,8 @@ def homodyne(state: StateLike, mode: int = 1, angle: float = 0.0) -> Measurement
         u = np.array([c, s])
         var = float(u @ state.cov[i : i + 2, i : i + 2] @ u) / 2.0
         return MeasurementMoments(mean, var + mean**2)
-    expr = state
-    mean = c * moment(expr, {i: 1}) + s * moment(expr, {i + 1: 1})
-    second = (
-        c * c * moment(expr, {i: 2})
-        + 2.0 * c * s * moment(expr, {i: 1, i + 1: 1})
-        + s * s * moment(expr, {i + 1: 2})
-    )
-    return MeasurementMoments(mean, second)
+    x, p, xx, xp, pp = _moments(state, [{i: 1}, {i + 1: 1}, {i: 2}, {i: 1, i + 1: 1}, {i + 1: 2}])
+    return MeasurementMoments(c * x + s * p, c * c * xx + 2.0 * c * s * xp + s * s * pp)
 
 
 def parity(state: StateLike, mode: int = 1) -> MeasurementMoments:
@@ -156,6 +167,8 @@ def parity(state: StateLike, mode: int = 1) -> MeasurementMoments:
     _check_mode(state, mode)
     if isinstance(state, GaussianState):
         mean = _kernel(*_block(state, mode))[0]
+    elif isinstance(state, AffineImage):
+        mean = math.pi * state.density_at_origin(mode, np.zeros((2, 2)))
     else:
         mean = math.pi * marginal_mode(state, mode).evaluate((0.0, 0.0))
     return MeasurementMoments(mean, 1.0)
@@ -173,14 +186,11 @@ def intensity_difference(state: StateLike, mode_a: int, mode_b: int) -> Measurem
         w = np.array([1.0, 1.0, -1.0, -1.0])
         s2 = float(w @ _square_moments(state, [ia, ia + 1, ib, ib + 1]) @ w)
         return MeasurementMoments(mean_photon(state, mode_a) - mean_photon(state, mode_b), 0.25 * s2 - 0.5)
-    na, sa2 = _intensity_integrals(state, mode_a)
-    nb, sb2 = _intensity_integrals(state, mode_b)
-    cross = (
-        moment(state, {ia: 2, ib: 2})
-        + moment(state, {ia: 2, ib + 1: 2})
-        + moment(state, {ia + 1: 2, ib: 2})
-        + moment(state, {ia + 1: 2, ib + 1: 2})
-    )
+    cross_monomials = [{ia: 2, ib: 2}, {ia: 2, ib + 1: 2}, {ia + 1: 2, ib: 2}, {ia + 1: 2, ib + 1: 2}]
+    m = _moments(state, _intensity_monomials(mode_a) + _intensity_monomials(mode_b) + cross_monomials)
+    na, sa2 = _intensity_integrals(m[:5])
+    nb, sb2 = _intensity_integrals(m[5:10])
+    cross = m[10] + m[11] + m[12] + m[13]
     second = 0.25 * (sa2 - 2.0 * cross + sb2) - 0.5
     return MeasurementMoments(na - nb, second)
 
@@ -191,6 +201,9 @@ def click_probability(state: StateLike, mode: int = 1) -> float:
     if isinstance(state, GaussianState):
         mu, sigma = _block(state, mode)
         p0 = 2.0 * _kernel(mu, sigma + np.eye(2))[0]
+    elif isinstance(state, AffineImage):
+        # the vacuum projector 2 pi W_0 = 2 exp(-x^2 - p^2) is 2 pi times the N(0, I/2) density
+        p0 = 2.0 * math.pi * state.density_at_origin(mode, 0.5 * np.eye(2))
     else:
         p0 = project_fock_unnormalized(marginal_mode(state.normalize(), mode), 1, 0).norm
     return min(max(1.0 - p0, 0.0), 1.0)
@@ -210,8 +223,14 @@ def measure(state: StateLike, scheme: DetectionScheme) -> MeasurementMoments:
     return MeasurementMoments(p, p)
 
 
-def mean_slope(state: GaussianState, tangent: tuple[np.ndarray, np.ndarray], scheme: DetectionScheme) -> float:
-    """d<O>/dphi of a Gaussian family at one phi, from its tangent (dR/dphi, dsigma/dphi)."""
+def mean_slope(state: GaussianState | AffineImage, tangent, scheme: DetectionScheme) -> float:
+    """d<O>/dphi at one phi, exact.
+
+    Of a Gaussian family from its tangent (dR/dphi, dsigma/dphi), and of a
+    polynomial detector on an AffineImage from its tangent dA/dphi.
+    """
+    if isinstance(state, AffineImage):
+        return _image_slope(state, tangent, scheme)
     dmean, dcov = tangent
 
     def photon_slope(mode: int) -> float:
@@ -233,3 +252,16 @@ def mean_slope(state: GaussianState, tangent: tuple[np.ndarray, np.ndarray], sch
     # d/dphi of exp(-mu^T k^-1 mu) / sqrt(det k), with dk = dsigma of the mode
     slope = value * (float(a @ dk @ a) - 2.0 * float(a @ dmu) - 0.5 * float(np.trace(kinv @ dk)))
     return slope if scheme.kind == "parity" else -2.0 * slope
+
+
+def _image_slope(state: AffineImage, da: np.ndarray, scheme: DetectionScheme) -> float:
+    if scheme.kind not in POLYNOMIAL_KINDS:
+        raise ValueError(f"no exact slope of a {scheme.kind} detector on an AffineImage")
+    if scheme.kind == "homodyne":
+        i = 2 * (scheme.mode - 1)
+        dx, dp = state.moment_slopes(da, [{i: 1}, {i + 1: 1}])
+        return math.cos(scheme.angle) * dx + math.sin(scheme.angle) * dp
+    modes = [scheme.mode] if scheme.kind == "intensity" else [scheme.mode, scheme.mode_b]
+    d = state.moment_slopes(da, [{2 * m - 2 + q: 2} for m in modes for q in (0, 1)])
+    photon = [0.5 * (d[k] + d[k + 1]) for k in range(0, len(d), 2)]  # d<n_m>/dphi
+    return photon[0] if scheme.kind == "intensity" else photon[0] - photon[1]

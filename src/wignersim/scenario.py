@@ -8,8 +8,23 @@ mean/covariance fast path; any Fock input or heralded addition/subtraction
 switches to the full Wigner representation.  Both run through one pipeline
 body, whose phase-independent prefix (inputs and input-stage modifications,
 plus the uniform loss on the Wigner path, where it commutes with the passive
-MZI) is built once and cached.  Identical config plus seed gives
-byte-identical CSV/JSON output.
+MZI) is built once and cached.
+
+The detectors see the state by one of three routes (`_observer`):
+
+- Gaussian: `build_pipeline` per phi, with the exact tangent (dR, dsigma).
+- Wigner forward: a herald after the phase makes the state depend on phi
+  through the herald, so `build_pipeline` substitutes the MZI into every term
+  per phi.
+- Wigner pulled back: with no herald after the phase, everything after the
+  MZI (the MZI, thermal injection, output squeezes and displacements) is one
+  Gaussian channel X = A(phi) Y + b + xi on the cached prefix Y, so
+  <O>_phi = Int W(Y) W_O(A Y + b + xi) dY: the state stays the prefix and only
+  the observable moves.  Each phi is a `wigner.AffineImage`, read from the
+  prefix's moment tensor (cached with it), and dA/dphi gives exact slopes of
+  the polynomial detectors.
+
+Identical config plus seed gives byte-identical CSV/JSON output.
 """
 
 from __future__ import annotations
@@ -39,7 +54,8 @@ DRIFT_SIGMA_DEFAULTS = {"parity": 0.001, "default": 0.15}
 # Distinct phi-independent prefixes kept; a Wigner-path point with loss uses a
 # lossy prefix and the lossless one it starts from (also the photon-number probe).
 PREFIX_CACHE_SIZE = 8
-# Largest squeeze parameter r of a squeeze or an SPDC addition.  The rounding
+# Largest squeeze parameter r of a squeeze or an SPDC addition, and of the
+# summed r of the squeezes on one mode and stage.  The rounding
 # defect of a squeezer matrix grows like eps cosh^2 r and passes the symplectic
 # tolerance at some angle near r = 6.8 (at r = 6 its worst is 1.9e-11).
 MAX_SQUEEZE_R = 6.0
@@ -244,8 +260,19 @@ class ScenarioConfig:
         inputs = tuple(InputSpec.from_dict(x, f"inputs.{i}") for i, x in enumerate(raw_inputs))
 
         mods = []
+        squeezing: dict[tuple, float] = {}
         for i, x in enumerate(d.get("modifications", [])):
             spec = ModificationSpec.from_dict(x, f"modifications.{i}")
+            if spec.op == "squeeze":
+                # squeezes on one mode compose to at most their summed r, which the cap bounds too
+                key = (spec.mode, spec.stage)
+                squeezing[key] = squeezing.get(key, 0.0) + spec.r
+                if squeezing[key] > MAX_SQUEEZE_R:
+                    raise ConfigError(
+                        f"modifications.{i}",
+                        f"squeezes on mode {spec.mode} at the {spec.stage} stage sum to r = {squeezing[key]:g}, "
+                        f"above the maximum {MAX_SQUEEZE_R:g}",
+                    )
             if (
                 spec.op == "displace"
                 and spec.stage == "input"
@@ -432,13 +459,27 @@ class PipelineResult:
     failure_prob: float = 0.0
     herald_stage: str | None = None  # None, "input", or "output"
     gaussian_path: bool = True
-    tangent: tuple | None = None  # (dR/dphi, dsigma/dphi) of a Gaussian state downstream of the MZI
+    # (dR/dphi, dsigma/dphi) of a Gaussian state downstream of the MZI, or dA/dphi of an AffineImage
+    tangent: Any = None
 
 
 def _gaussian_possible(config: ScenarioConfig) -> bool:
     if any(s.kind == "fock" for s in config.inputs):
         return False
     return not any(m.heralded for m in config.modifications)
+
+
+def _pulls_back(config: ScenarioConfig) -> bool:
+    """The Wigner path with no herald after the phase: the detectors read the cached prefix."""
+    return not _gaussian_possible(config) and not any(m.heralded and m.stage == "output" for m in config.modifications)
+
+
+def _input_mods(config: ScenarioConfig) -> tuple:
+    return tuple(m for m in config.modifications if m.stage == "input")
+
+
+def _uniform_loss(config: ScenarioConfig) -> ga.LossSpec | None:
+    return config.noise.loss if config.noise.loss is not None and config.noise.loss.total > 0.0 else None
 
 
 def _transform(state, f: sym.SymplecticTransform):
@@ -476,8 +517,7 @@ def _modify(res: PipelineResult, mods, stage: str) -> PipelineResult:
     """Apply one stage's modifications in order; the first herald starts the failure branch."""
     for m in mods:
         if not m.heralded:
-            make = sym.make_squeezer(m.r, m.theta) if m.op == "squeeze" else sym.make_displacement(m.alpha, m.theta)
-            f = sym.embed(make, [m.mode], res.state.modes)
+            f = _gaussian_step(m, res.state.modes)
             res = _each(res, lambda s: _transform(s, f), f.matrix)
             continue
         ok, fail = _herald(res.state, m)
@@ -488,6 +528,12 @@ def _modify(res: PipelineResult, mods, stage: str) -> PipelineResult:
         else:  # failure tracking only supports a single herald
             res = replace(res, state=ok.state, success_prob=prob, failure_state=None, failure_prob=0.0)
     return res
+
+
+def _gaussian_step(m: ModificationSpec, modes: int) -> sym.SymplecticTransform:
+    """The transform of a squeeze or displacement modification."""
+    make = sym.make_squeezer(m.r, m.theta) if m.op == "squeeze" else sym.make_displacement(m.alpha, m.theta)
+    return sym.embed(make, [m.mode], modes)
 
 
 @lru_cache(maxsize=PREFIX_CACHE_SIZE)
@@ -519,9 +565,8 @@ def build_pipeline(config: ScenarioConfig, phi: float | None = None) -> Pipeline
     """
     phi = config.phi if phi is None else phi
     gaussian_path = _gaussian_possible(config)
-    loss = config.noise.loss if config.noise.loss is not None and config.noise.loss.total > 0.0 else None
-    mods_in = tuple(m for m in config.modifications if m.stage == "input")
-    prefix = _prefix(config.inputs, mods_in, gaussian_path, None if gaussian_path else loss)
+    loss = _uniform_loss(config)
+    prefix = _prefix(config.inputs, _input_mods(config), gaussian_path, None if gaussian_path else loss)
     mzi = sym.make_mzi(phi)
     res = _each(prefix, lambda s: _transform(s, mzi))
     if gaussian_path:
@@ -537,6 +582,62 @@ def build_pipeline(config: ScenarioConfig, phi: float | None = None) -> Pipeline
             gain[2 * m - 2 : 2 * m] *= math.sqrt(config.noise.thermal_eta)
         res = _each(res, lambda s: _apply_thermal(s, config.noise), np.diag(gain))
     return _modify(res, [m for m in config.modifications if m.stage == "output"], "output")
+
+
+@lru_cache(maxsize=PREFIX_CACHE_SIZE)
+def _prefix_moments(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None) -> tuple:
+    """(normalized state, moment tensor) of each arm of the Wigner-path prefix, None for an untracked arm."""
+    res = _prefix(inputs, input_mods, False, loss)
+    arms = []
+    for state in (res.state, res.failure_state):
+        expr = None if state is None else state.normalize()
+        arms.append(None if expr is None else (expr, wig.moment_tensor(expr)))
+    return tuple(arms)
+
+
+def _after_mzi(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, b, C): the maps after the MZI as one channel X = K Z + b + xi, xi ~ N(0, C), on its output Z.
+
+    Thermal injection on a mode scales it by sqrt(eta) and adds noise of
+    variable covariance (1 - eta)(2 nbar + 1)/2 there; an output squeeze or
+    displacement F, s then maps (K, b, C) to (F K, F b + s, F C F^T).
+    """
+    k, b, c = np.eye(4), np.zeros(4), np.zeros((4, 4))
+    noise = config.noise
+    for m in noise.thermal_modes if noise.has_thermal else ():
+        i = slice(2 * m - 2, 2 * m)
+        g = np.ones(4)
+        g[i] = math.sqrt(noise.thermal_eta)
+        k, b, c = g[:, None] * k, g * b, g[:, None] * c * g
+        c[i, i] += (1.0 - noise.thermal_eta) * (2.0 * noise.thermal_nbar + 1.0) / 2.0 * np.eye(2)
+    for m in config.modifications:
+        if m.stage == "output":
+            f = _gaussian_step(m, 2)
+            k, b, c = f.matrix @ k, f.matrix @ b + f.shift, f.matrix @ c @ f.matrix.T
+    return k, b, c
+
+
+def _observer(config: ScenarioConfig) -> Callable[[float], PipelineResult]:
+    """phi -> the pipeline result the detectors see, by the config's route.
+
+    On the pulled-back route the states are `AffineImage`s of the cached
+    prefix arms under X = K M(phi) Y + b + xi, and the tangent is
+    dA/dphi = K M'(phi); the MZI is a plain matrix, not a validated transform.
+    Every other config builds the pipeline at each phi.
+    """
+    if not _pulls_back(config):
+        return lambda phi: build_pipeline(config, phi)
+    loss = _uniform_loss(config)
+    prefix = _prefix(config.inputs, _input_mods(config), False, loss)
+    arms = _prefix_moments(config.inputs, _input_mods(config), loss)
+    k, b, c = _after_mzi(config)
+
+    def observe(phi: float) -> PipelineResult:
+        a = k @ sym.mzi_matrix(phi)
+        ok, fail = (None if arm is None else wig.AffineImage(*arm, a, b, c) for arm in arms)
+        return replace(prefix, state=ok, failure_state=fail, tangent=k @ sym.mzi_phase_derivative(phi))
+
+    return observe
 
 
 def _apply_loss(state, loss: ga.LossSpec):
@@ -562,21 +663,24 @@ def _apply_thermal(state, noise: NoiseSpec):
 
 
 def _signal_fns(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple:
-    """mean(phi), variance(phi) and slope(phi) of one detector; each phi is built and measured once.
+    """mean(phi), variance(phi) and slope(phi) of one detector; each phi is observed and measured once.
 
     The slope is the exact d<O>/dphi from the carried tangent on the Gaussian
-    path, and None on the Wigner path, where the slope is a central difference.
+    path and for a polynomial detector on the pulled-back route; otherwise it
+    is None, and the slope is a central difference of the mean.
     """
+    observe = _observer(config)
+    exact = _gaussian_possible(config) or (_pulls_back(config) and scheme.kind in meas.POLYNOMIAL_KINDS)
     seen: dict[float, tuple[meas.MeasurementMoments, float | None]] = {}
 
     def at(phi: float) -> tuple[meas.MeasurementMoments, float | None]:
         if phi not in seen:
-            res = build_pipeline(config, phi)
-            slope = None if res.tangent is None else meas.mean_slope(res.state, res.tangent, scheme)
+            res = observe(phi)
+            slope = meas.mean_slope(res.state, res.tangent, scheme) if exact else None
             seen[phi] = meas.measure(res.state, scheme), slope
         return seen[phi]
 
-    slope_fn = (lambda p: at(p)[1]) if _gaussian_possible(config) else None
+    slope_fn = (lambda p: at(p)[1]) if exact else None
     return (lambda p: at(p)[0].mean), (lambda p: at(p)[0].variance), slope_fn
 
 
@@ -619,16 +723,17 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
     Without a herald the success probability is 1 and there is no failure arm,
     so this reduces to the plain sum of the two detectors' CFIs.
     """
+    observe = _observer(config)
 
     def arm(branch: str) -> list:
         def click(mode: int):
-            return lambda p: meas.click_probability(getattr(build_pipeline(config, p), branch), mode)
+            return lambda p: meas.click_probability(getattr(observe(p), branch), mode)
 
         return [est.two_outcome(click(m)) for m in (1, 2)]
 
-    res = build_pipeline(config, phi)
+    res = observe(phi)
     return est.probabilistic_cfi(
-        lambda p: build_pipeline(config, p).success_prob,
+        lambda p: observe(p).success_prob,
         arm("state"),
         arm("failure_state") if res.failure_state is not None else None,
         phi,
@@ -641,9 +746,23 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
 
     A herald after the phase post-selects on a phi-dependent outcome; the QFI of
     that conditional state does not bound the herald-weighted CFI, so none is given.
+    On the pulled-back route with no thermal noise after the MZI, a pure prefix
+    is a pure input to the MZI, whose phase is generated by J_z = (n1 - n2)/2
+    after its first 50/50 splitter: F = 4 Var(J_z) = Var(n1 - n2) there, the
+    same at every phi and read from the prefix's moment tensor.  The output
+    squeezes and displacements are phi-independent unitaries and keep it.
     """
     if any(m.heralded and m.stage == "output" for m in config.modifications):
         return None, "unavailable (herald after the phase)"
+    if _pulls_back(config) and not config.noise.has_thermal:
+        loss = _uniform_loss(config)
+        try:
+            est.require_pure_wigner(_prefix(config.inputs, _input_mods(config), False, loss).state)
+        except PurityViolation:
+            return None, "unavailable (mixed non-Gaussian)"
+        expr, tensor = _prefix_moments(config.inputs, _input_mods(config), loss)[0]
+        split = wig.AffineImage(expr, tensor, sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
+        return meas.intensity_difference(split, 1, 2).variance, "pure_wigner"
     fam = lambda p: build_pipeline(config, p).state
     state = fam(phi)
     if isinstance(state, ga.GaussianState):
@@ -657,16 +776,8 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
 
 def _input_mean_photon(config: ScenarioConfig) -> float:
     """Total mean photon number entering the interferometer (post input-stage mods)."""
-    probe = ScenarioConfig(
-        config.inputs,
-        tuple(m for m in config.modifications if m.stage == "input"),
-        0.0,
-        NoiseSpec(),
-        (),
-        ("snr",),
-        raw=config.raw,
-    )
-    res = build_pipeline(probe, 0.0)
+    probe = ScenarioConfig(config.inputs, _input_mods(config), 0.0, NoiseSpec(), (), ("snr",), raw=config.raw)
+    res = _observer(probe)(0.0)
     if res.gaussian_path:
         return ga.total_mean_photon(res.state)
     return sum(meas.intensity(res.state, k).mean for k in range(1, res.state.modes + 1))
@@ -684,7 +795,7 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None, n_max: int 
     warnings: list[str] = []
     distributions: list[dict] = []
     try:
-        res = build_pipeline(config, phi)
+        res = _observer(config)(phi)
     except ImprobableBranch as exc:
         report.extras["flag"] = "improbable herald branch"
         warnings.append(f"phi={phi:.6g}: {exc}")
@@ -736,12 +847,11 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None, n_max: int 
                 warnings.append(f"snr mode {mode}: {exc}")
 
     if "distributions" in config.metrics:
+        # the distribution needs the state itself, not its pulled-back moments
+        state = build_pipeline(config, phi).state if isinstance(res.state, wig.AffineImage) else res.state
+        expr = state if isinstance(state, wig.WignerExpr) else wig.from_gaussian(state)
         for mode in (1, 2):
-            dist = wig.photon_number_distribution(
-                res.state if isinstance(res.state, wig.WignerExpr) else wig.from_gaussian(res.state),
-                mode,
-                n_max,
-            )
+            dist = wig.photon_number_distribution(expr, mode, n_max)
             for n, p in enumerate(dist.probs):
                 distributions.append({"mode": mode, "n": n, "p": float(p)})
             report.extras[f"distribution_tail.mode{mode}"] = dist.tail

@@ -91,8 +91,12 @@ def make_symmetric_phase_shifter(phi: float) -> SymplecticTransform:
     """Two-mode balanced phase: +phi/2 rotation on mode 1, -phi/2 on mode 2."""
     if not math.isfinite(phi):
         raise ValueError("phase must be finite")
+    return SymplecticTransform(_symmetric_phase_matrix(phi))
+
+
+def _symmetric_phase_matrix(phi: float) -> np.ndarray:
     c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    m = np.array(
+    return np.array(
         [
             [c, -s, 0.0, 0.0],
             [s, c, 0.0, 0.0],
@@ -100,7 +104,6 @@ def make_symmetric_phase_shifter(phi: float) -> SymplecticTransform:
             [0.0, 0.0, -s, c],
         ]
     )
-    return SymplecticTransform(m)
 
 
 def make_squeezer(r: float, theta: float = 0.0) -> SymplecticTransform:
@@ -196,10 +199,17 @@ def chain(*transforms: SymplecticTransform) -> SymplecticTransform:
     return total
 
 
+def mzi_matrix(phi: float) -> np.ndarray:
+    """The make_mzi(phi) matrix as a plain array, without the transform's validation."""
+    bs = _beam_splitter_matrix(0.5)
+    return bs @ (_symmetric_phase_matrix(phi) @ bs)
+
+
 def make_mzi(phi: float) -> SymplecticTransform:
     """Balanced Mach-Zehnder: 50/50 splitter, symmetric phase phi, 50/50 splitter."""
-    bs = make_beam_splitter(0.5)
-    return chain(bs, make_symmetric_phase_shifter(phi), bs)
+    if not math.isfinite(phi):
+        raise ValueError("phase must be finite")
+    return SymplecticTransform(mzi_matrix(phi))
 
 
 def mzi_phase_derivative(phi: float) -> np.ndarray:

@@ -7,6 +7,11 @@ linear variable substitution, multiplication by Fock projectors, and partial
 integration.  All moments and overlaps evaluate analytically through the
 Gaussian moment recursion, so there is no numerical quadrature anywhere.
 
+An `AffineImage` is an expression seen through a Gaussian channel
+X = A Y + b + xi without substituting the channel into its terms: the
+detector moments of X come from the expression's fixed moment tensor, and a
+Gaussian kernel on one mode from conditioning each term on that mode.
+
 Term convention: weight * poly(X) * exp(-(X - mean)^T quad^{-1} (X - mean)),
 matching the Gaussian Wigner exponent used throughout, so quad equals the
 covariance matrix sigma for Gaussian states and the per-variable covariance of
@@ -15,8 +20,10 @@ the Gaussian factor is quad / 2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -87,12 +94,14 @@ def _poly_substitute(poly: Poly, rows: list[Poly], nvars_out: int) -> Poly:
     return _poly_prune(out)
 
 
-def _gaussian_expectation(poly: Poly, mean: np.ndarray, cov: np.ndarray):
+def _gaussian_expectation(poly: Poly, mean: np.ndarray, cov: np.ndarray, shifts: list | None = None):
     """E[poly(X)] for X ~ N(mean, cov), exact via the Gaussian moment recursion.
 
     mean has shape (n,) and cov (n, n), or both carry the same trailing batch
     axes, mean (n, B) and cov (n, n, B), to evaluate B Gaussians in one
-    recursion; the result then has shape (B,).
+    recursion; the result then has shape (B,).  With `shifts`, a list of
+    exponent tuples e, it returns the list of E[poly(X) X^e], all from one
+    recursion.
     """
     memo: dict[tuple, complex] = {}
 
@@ -114,7 +123,9 @@ def _gaussian_expectation(poly: Poly, mean: np.ndarray, cov: np.ndarray):
         memo[e] = val
         return val
 
-    return sum(c * mom(e) for e, c in poly.items())
+    if shifts is None:
+        return sum(c * mom(e) for e, c in poly.items())
+    return [sum(c * mom(tuple(a + b for a, b in zip(ea, e))) for ea, c in poly.items()) for e in shifts]
 
 
 def _conditional_expectation_poly(
@@ -299,23 +310,171 @@ def apply_symplectic(expr: WignerExpr, f: SymplecticTransform) -> WignerExpr:
     return WignerExpr(expr.modes, terms)
 
 
+def _exponents(exponents: Mapping[int, int] | Iterable[int], nvars: int) -> tuple:
+    """A full exponent tuple over nvars variables, from a tuple or a {0-based variable index: power} mapping."""
+    if isinstance(exponents, Mapping):
+        e = [0] * nvars
+        for k, v in exponents.items():
+            e[k] = v
+        e = tuple(e)
+    else:
+        e = tuple(exponents)
+    if len(e) != nvars:
+        raise ValueError(f"exponent tuple has length {len(e)}, expected {nvars}")
+    return e
+
+
 def moment(expr: WignerExpr, exponents: Mapping[int, int] | Iterable[int]) -> float:
     """Integral of X^exponents against the expression, exact via Wick pairings.
 
     `exponents` is either a full tuple over the 2N variables or a mapping
     {variable index: power} with 0-based variable indices.
     """
-    if isinstance(exponents, Mapping):
-        e = [0] * expr.nvars
-        for k, v in exponents.items():
-            e[k] = v
-        e = tuple(e)
-    else:
-        e = tuple(exponents)
-    if len(e) != expr.nvars:
-        raise ValueError(f"exponent tuple has length {len(e)}, expected {expr.nvars}")
-    mono = {e: 1.0}
+    mono = {_exponents(exponents, expr.nvars): 1.0}
     return sum(t.integral(mono) for t in expr.terms)
+
+
+def moments(expr: WignerExpr, monomials: list) -> list:
+    """`moment` of each monomial, from one Wick recursion per term.
+
+    Terms and polynomial items are summed in the order `moment` sums them, so
+    the results are bit-identical to calling `moment` once per monomial.
+    """
+    shifts = [_exponents(e, expr.nvars) for e in monomials]
+    totals = [0] * len(shifts)
+    for t in expr.terms:
+        z = math.pi ** (t.nvars // 2) * math.sqrt(np.linalg.det(t.quad))
+        values = _gaussian_expectation(t.poly, t.mean, t.quad / 2.0, shifts)
+        totals = [acc + t.weight * z * float(np.real(v)) for acc, v in zip(totals, values)]
+    return totals
+
+
+@lru_cache(maxsize=None)
+def _tensor_slots(nvars: int) -> tuple[list, np.ndarray]:
+    """The monomials of degree <= 4 over nvars variables, and the one each entry of a moment tensor holds.
+
+    Entry (i, j, k, l) of the tensor over Y' = (1, Y) holds E[Y'_i Y'_j Y'_k Y'_l],
+    the monomial with one power of Y_{v-1} for each index v > 0.
+    """
+    index: dict[tuple, int] = {}
+    slots = np.empty((nvars + 1,) * 4, dtype=int)
+    for idx in itertools.product(range(nvars + 1), repeat=4):
+        e = [0] * nvars
+        for v in idx:
+            if v:
+                e[v - 1] += 1
+        slots[idx] = index.setdefault(tuple(e), len(index))
+    return list(index), slots
+
+
+def moment_tensor(expr: WignerExpr) -> np.ndarray:
+    """Every moment of degree <= 4 of the expression, as the symmetric tensor E[Y'^(x)4] over Y' = (1, Y)."""
+    monomials, slots = _tensor_slots(expr.nvars)
+    return np.asarray(moments(expr, monomials))[slots]
+
+
+def _slot(e: tuple) -> tuple:
+    """The moment-tensor entry that holds the monomial e (degree at most 4)."""
+    idx = [v + 1 for v, k in enumerate(e) for _ in range(k)]
+    if len(idx) > 4:
+        raise ValueError(f"monomial {e} has degree above 4")
+    return tuple(idx + [0] * (4 - len(idx)))
+
+
+def _add_noise(t: np.ndarray, noise: np.ndarray, constant: bool) -> np.ndarray:
+    """Moment tensor of U + xi from that of U, for xi ~ N(0, noise) independent of U (Isserlis).
+
+    Each pairing of xi within two of the four slots takes noise there and
+    E[U'U'] in the other two; `constant` adds the pairings of all four slots,
+    which the phi-derivative of the tensor lacks.  `noise` is padded to the
+    tensor's axes, with a zero row and column for the constant coordinate.
+    """
+    t2 = t[:, :, 0, 0]
+    out = t.copy()
+    for a, b in (("ij", "kl"), ("ik", "jl"), ("il", "jk")):
+        out += np.einsum(f"{a},{b}->ijkl", t2, noise) + np.einsum(f"{b},{a}->ijkl", t2, noise)
+        if constant:
+            out += np.einsum(f"{a},{b}->ijkl", noise, noise)
+    return out
+
+
+class AffineImage:
+    """The state of X = A Y + b + xi: Y distributed as a normalized expression, xi ~ N(0, noise) independent.
+
+    The channel is never substituted into the expression's terms.  Moments of
+    X up to degree 4 contract the expression's `moment_tensor` with
+    [[1, 0], [b, A]] along each axis and add the noise pairings.  A Gaussian
+    kernel on one mode of X conditions each term's Gaussian on that mode
+    (`density_at_origin`), leaving one Wick expectation of the term's own
+    polynomial.  `noise` is a covariance of the variables (sigma / 2 in the
+    state convention).
+    """
+
+    def __init__(self, expr: WignerExpr, tensor: np.ndarray, a: np.ndarray, shift: np.ndarray, noise: np.ndarray):
+        self.expr, self.tensor = expr, tensor
+        self.a, self.shift, self.noise = a, shift, noise
+        self.modes = expr.modes
+        n = expr.nvars
+        self._lift = np.eye(n + 1)
+        self._lift[1:, 0], self._lift[1:, 1:] = shift, a
+        self._noise = None
+        if np.any(noise):
+            self._noise = np.zeros((n + 1, n + 1))
+            self._noise[1:, 1:] = noise
+        self._three = None  # the tensor with the lift applied along three of its four axes
+        self._values = None
+
+    def _three_axes(self) -> np.ndarray:
+        if self._three is None:
+            t = self.tensor
+            for _ in range(3):  # each tensordot maps the last axis and moves it to the front
+                t = np.tensordot(self._lift, t, axes=(1, 3))
+            self._three = t
+        return self._three
+
+    def moments(self, monomials: list) -> list[float]:
+        """E[X^e] for each monomial e of degree <= 4 (a tuple or a {variable index: power} mapping)."""
+        if self._values is None:
+            t = np.tensordot(self._lift, self._three_axes(), axes=(1, 3))
+            self._values = t if self._noise is None else _add_noise(t, self._noise, True)
+        return [float(self._values[_slot(_exponents(e, self.expr.nvars))]) for e in monomials]
+
+    def moment_slopes(self, da: np.ndarray, monomials: list) -> list[float]:
+        """d/dphi of E[X^e] for each monomial, exact, where A depends on phi with derivative da."""
+        n = self.expr.nvars
+        dlift = np.zeros((n + 1, n + 1))
+        dlift[1:, 1:] = da
+        # da on the first axis; the tensor is symmetric, so da on another axis is a transpose of this
+        x = np.tensordot(dlift, self._three_axes(), axes=(1, 3))
+        d = x + x.transpose(1, 0, 2, 3) + x.transpose(2, 1, 0, 3) + x.transpose(3, 1, 2, 0)
+        if self._noise is not None:
+            d = _add_noise(d, self._noise, False)
+        return [float(d[_slot(_exponents(e, n))]) for e in monomials]
+
+    def density_at_origin(self, mode: int, blur: np.ndarray) -> float:
+        """Density at the origin of X_mode + eta, for eta ~ N(0, blur) independent (a 2x2 covariance, may be 0).
+
+        Per term, with B the mode's rows of A and c those of b: V = B Y + c + xi_mode + eta
+        is Gaussian under the term's Gaussian, with mean mu = B m + c and
+        covariance S = B Sigma B^T + noise_mode + blur; the term contributes
+        N(0; mu, S) times the Wick expectation of its polynomial under Y given V = 0.
+        """
+        i = slice(2 * mode - 2, 2 * mode)
+        b, c = self.a[i], self.shift[i]
+        g = self.noise[i, i] + blur
+        total = 0.0
+        for t in self.expr.terms:
+            sigma = t.quad / 2.0
+            sb = sigma @ b.T
+            s = b @ sb + g
+            mu = b @ t.mean + c
+            gain = np.linalg.solve(s, sb.T).T  # Sigma B^T S^-1
+            cov = sigma - gain @ sb.T
+            density = math.exp(-0.5 * float(mu @ np.linalg.solve(s, mu))) / (2.0 * math.pi * math.sqrt(np.linalg.det(s)))
+            z = math.pi ** (t.nvars // 2) * math.sqrt(np.linalg.det(t.quad))
+            e = _gaussian_expectation(t.poly, t.mean - gain @ mu, (cov + cov.T) / 2.0)
+            total += t.weight * z * density * float(np.real(e))
+        return total
 
 
 def _integrate_out(expr: WignerExpr, var_indices: list[int]) -> WignerExpr:

@@ -142,9 +142,9 @@ def test_non_integer_m_grid_exits_2(tmp_path, capsys):
 SPDC_ADDITION = {"op": "add", "stage": "input", "mode": 1, "m": 1, "mechanism": "spdc", "r": 0.1}
 
 
-def _ligo_lossy_with(tmp_path, modification: dict) -> str:
+def _ligo_lossy_with(tmp_path, *modifications: dict) -> str:
     cfg = json.loads((ROOT / "configs" / "ligo_lossy.json").read_text())
-    cfg["modifications"] = [modification]
+    cfg["modifications"] = list(modifications)
     cfg["metrics"] = ["phase_variance", "snr"]
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     return str(tmp_path / "cfg.json")
@@ -176,6 +176,26 @@ def test_squeeze_above_the_cap_exits_2(modification, path, command, tmp_path, ca
                          ids=["r", "gain"])
 def test_squeeze_at_the_cap_runs(modification, tmp_path):
     assert cli.main(["run", "--config", _ligo_lossy_with(tmp_path, modification), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("second", [dict(SQUEEZE, r=6.0), dict(SQUEEZE, gain=math.cosh(6.0) ** 2)], ids=["r", "gain"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_summed_squeeze_above_the_cap_exits_2(second, command, tmp_path, capsys):
+    # two r = 6 squeezes on one mode passed validate and then crashed run (state not bona fide, exit 1)
+    argv = [command, "--config", _ligo_lossy_with(tmp_path, dict(SQUEEZE, r=6.0), second)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "modifications.1: squeezes on mode 2 at the input stage sum to r = 12" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_summed_squeeze_at_the_cap_runs(tmp_path):
+    # 3 + 3 on mode 2 reaches the cap; squeezes on another mode or stage count apart
+    mods = [dict(SQUEEZE, r=3.0), dict(SQUEEZE, r=3.0), dict(SQUEEZE, mode=1, r=1.0),
+            dict(SQUEEZE, stage="output", r=1.0)]
+    assert cli.main(["run", "--config", _ligo_lossy_with(tmp_path, *mods), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "report.json").exists()
 
 

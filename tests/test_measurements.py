@@ -250,7 +250,7 @@ class TestGaussianClosedForms:
     def test_no_gaussian_state_goes_through_the_wick_recursion(self, monkeypatch):
         calls = []
         monkeypatch.setattr(wg, "_gaussian_expectation", lambda *a, **k: calls.append(1))
-        monkeypatch.setattr(meas, "moment", lambda *a, **k: calls.append(1))
+        monkeypatch.setattr(meas, "moments", lambda *a, **k: calls.append(1))
         state = random_two_mode_state(np.random.default_rng(32))
         for scheme in SCHEMES:
             meas.measure(state, scheme)

@@ -298,3 +298,114 @@ class TestExactSlopes:
                                    ("intensity[1]", est.intensity_min_variance)]:
             want = closed_form(alpha2, r)
             assert report.extras[f"min_phase_variance.{label}"] == pytest.approx(want, rel=1e-12, abs=0.0), label
+
+
+# thermal noise after the MZI on mode 2, an input-stage click subtraction (both arms tracked), and an
+# output squeeze and displacement: every piece of the pulled-back channel
+THERMAL_CLICK = {
+    "inputs": [{"kind": "coherent", "alpha": 0.9, "theta": 0.2}, {"kind": "thermal", "nbar": 0.3}],
+    "modifications": [
+        {"op": "subtract", "stage": "input", "mode": 2, "m": "click", "T": 0.8},
+        {"op": "squeeze", "stage": "output", "mode": 1, "r": 0.3, "theta": 0.7},
+        {"op": "displace", "stage": "output", "mode": 2, "alpha": 0.5, "theta": 1.1},
+    ],
+    "interferometer": {"phi": 1.2},
+    "noise": {"loss": {"L": 0.1, "D": 0.9}, "thermal": {"nbar_env": 0.3, "eta": 0.8, "modes": [2]}},
+}
+ROUTE_CONFIGS = {
+    "point_a": workloads.point_a(1.0),
+    "point_b": workloads.point_b(1.0),
+    "point_b_m2": workloads.point_b(1.0, m=2),
+    "thermal_click": THERMAL_CLICK,
+}
+EVERY_DETECTOR = [
+    meas.DetectionScheme("intensity", 1),
+    meas.DetectionScheme("intensity", 2),
+    meas.DetectionScheme("homodyne", 2, angle=0.4),
+    meas.DetectionScheme("intensity_difference", 1, mode_b=2),
+    meas.DetectionScheme("parity", 1),
+    meas.DetectionScheme("parity", 2),
+    meas.DetectionScheme("click", 1),
+    meas.DetectionScheme("click", 2),
+]
+
+
+class TestPulledBackRoute:
+    @pytest.mark.parametrize("name", sorted(ROUTE_CONFIGS))
+    def test_matches_build_then_measure(self, name):
+        cfg = sc.ScenarioConfig.from_dict(ROUTE_CONFIGS[name])
+        assert sc._pulls_back(cfg)
+        observe = sc._observer(cfg)
+        for phi in (0.3, 1.7, 2.9, 4.4):
+            want, got = sc.build_pipeline(cfg, phi), observe(phi)
+            assert isinstance(got.state, wg.AffineImage)
+            assert (got.success_prob, got.failure_prob) == (want.success_prob, want.failure_prob)
+            for arm in ("state", "failure_state"):
+                w, g = getattr(want, arm), getattr(got, arm)
+                assert (w is None) == (g is None)
+                if w is None:
+                    continue
+                for mode in (1, 2):
+                    assert meas.click_probability(g, mode) == pytest.approx(meas.click_probability(w, mode),
+                                                                           rel=1e-10, abs=0.0)
+                for scheme in EVERY_DETECTOR:
+                    a, b = meas.measure(w, scheme), meas.measure(g, scheme)
+                    assert b.mean == pytest.approx(a.mean, rel=1e-10, abs=0.0), (phi, arm, scheme.label)
+                    assert b.second_moment == pytest.approx(a.second_moment, rel=1e-10, abs=0.0), (phi, arm,
+                                                                                                  scheme.label)
+
+    @pytest.mark.parametrize("name", ["point_a", "thermal_click"])
+    def test_polynomial_detectors_take_exact_slopes(self, name):
+        cfg = sc.ScenarioConfig.from_dict(ROUTE_CONFIGS[name])
+        for scheme in EVERY_DETECTOR:
+            mean, _, slope = sc._signal_fns(cfg, scheme)
+            if scheme.kind not in meas.POLYNOMIAL_KINDS:
+                assert slope is None, scheme.label  # parity and click difference the mean
+                continue
+            for phi in (0.4, 1.2, 2.9):
+                assert slope(phi) == pytest.approx(richardson(mean, phi, 1e-2), rel=1e-9, abs=1e-12), scheme.label
+
+    def test_output_herald_keeps_the_forward_path(self):
+        cfg = sc.ScenarioConfig.from_dict(LOSSY_FOCK)
+        assert not sc._pulls_back(cfg)
+        assert isinstance(sc._observer(cfg)(0.7).state, wg.WignerExpr)
+
+    def test_m2_point_b_matches_the_forward_path(self):
+        # ROADMAP heralded reference (b) at m = 2, the `stress` workload: it took about 14 s on the forward path
+        cfg = sc.ScenarioConfig.from_dict(workloads.point_b(1.0, m=2))
+        report, warnings, _ = sc.evaluate_point(cfg)
+        assert not warnings
+        assert report.extras["herald_probability"] == pytest.approx(cond.spacs_prob(1.0, 2, 0.9), rel=1e-10)
+        assert 1.0 / report.snl == pytest.approx(cond.spacs_mean_n(1.0, 2, 0.9) + math.sinh(0.5) ** 2, rel=1e-10)
+        forward = lambda p: sc.build_pipeline(cfg, p).state
+        for phi in (cfg.phi, report.optimal_phi["diff[1,2]"]):
+            for scheme in cfg.detection:
+                mean = lambda p: meas.measure(forward(p), scheme).mean
+                var = lambda p: meas.measure(forward(p), scheme).variance
+                want = est.phase_variance_error_prop(mean, var, phi)
+                got_mean, got_var, got_slope = sc._signal_fns(cfg, scheme)
+                assert got_mean(phi) == pytest.approx(mean(phi), rel=1e-10), scheme.label
+                assert got_var(phi) == pytest.approx(var(phi), rel=1e-10), scheme.label
+                got = est.phase_variance_error_prop(got_mean, got_var, phi, slope_fn=got_slope)
+                # the forward path differences the mean with h = 1e-5
+                assert got == pytest.approx(want, rel=1e-6), (phi, scheme.label)
+
+    @pytest.mark.parametrize("phi", [0.4, 1.0, 2.8])
+    def test_generator_qfi_matches_the_wigner_integral_and_the_oracle(self, phi):
+        # ROADMAP heralded reference (a) with an output squeeze and displacement, which keep the QFI
+        raw = workloads.point_a(phi)
+        raw["modifications"] += [{"op": "squeeze", "stage": "output", "mode": 1, "r": 0.2},
+                                 {"op": "displace", "stage": "output", "mode": 2, "alpha": 0.3}]
+        cfg = sc.ScenarioConfig.from_dict(raw)
+        got, route = sc._qfi(cfg, phi)
+        assert route == "pure_wigner"
+        integral = est.qfi_pure_wigner(lambda p: sc.build_pipeline(cfg, p).state, phi)
+        assert got == pytest.approx(integral, rel=1e-9, abs=0.0)
+        want = oracle_qfi([("coherent", 1.0), ("vacuum",), ("fock", 1)], lambda orc: orc.bs(3, 1, 0.9), 3, phi,
+                          [14, 14, 14])
+        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+        assert integral == pytest.approx(want, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("raw", [workloads.point_b(1.0), THERMAL_CLICK], ids=["lossy_prefix", "thermal_noise"])
+    def test_mixed_state_has_no_pure_qfi(self, raw):
+        assert sc._qfi(sc.ScenarioConfig.from_dict(raw), 1.0) == (None, "unavailable (mixed non-Gaussian)")

@@ -7,6 +7,7 @@ import pytest
 
 from fock_oracle import Mixture, Oracle
 from wignersim import gaussian as ga
+from wignersim import measurements as meas
 from wignersim import scenario as sc
 from wignersim import symplectic as sym
 from wignersim import wigner as wg
@@ -92,6 +93,62 @@ class TestMoments:
         f1 = wg.fock_wigner(1)
         total = wg.moment(f1, (2, 0)) + wg.moment(f1, (0, 2))
         assert abs(total - 3.0) < 1e-12  # <n> = total/2 - 1/2 = 1
+
+    def test_moments_are_bit_identical_to_moment(self):
+        # a two-term expression with polynomial terms: Fock(1) x thermal, mixed and then click-heralded
+        expr = wg.tensor_exprs(wg.fock_wigner(1), thermal_expr(0.4))
+        expr = wg.apply_symplectic(wg.tensor_exprs(expr, thermal_expr(0.2)),
+                                   sym.embed(sym.make_beam_splitter(0.7), [1, 3], 3))
+        expr, _ = wg.project_click(expr, 3)
+        assert len(expr.terms) == 2
+        monomials = [(2, 0, 0, 0), {1: 1, 2: 3}, (0, 0, 0, 0), {0: 2, 3: 2}, (1, 1, 1, 1)]
+        assert wg.moments(expr, monomials) == [wg.moment(expr, e) for e in monomials]
+
+    def test_moment_tensor_holds_every_moment_up_to_degree_4(self):
+        expr = wg.apply_symplectic(wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.coherent_state(0.7, 0.3))),
+                                   sym.make_mzi(0.9))
+        t = wg.moment_tensor(expr)
+        assert t.shape == (5, 5, 5, 5)
+        np.testing.assert_array_equal(t, t.transpose(2, 0, 3, 1))
+        assert t[0, 0, 0, 0] == pytest.approx(1.0, rel=1e-14)
+        assert t[1, 3, 3, 0] == wg.moment(expr, (1, 0, 2, 0))
+        assert t[4, 2, 2, 4] == wg.moment(expr, (0, 2, 0, 2))
+
+
+class TestAffineImage:
+    def test_gaussian_image_matches_the_propagated_state(self):
+        # the image of a Gaussian under X = A Y + b + xi is Gaussian with mean A R + b and covariance
+        # A sigma A^T + 2 noise; the detector closed forms of that state are the reference
+        rng = np.random.default_rng(77)
+        for _ in range(5):
+            y = ga.tensor([ga.coherent_state(rng.uniform(0, 1.2), rng.uniform(0, 6)), ga.squeezed_vacuum(0.4, 0.3)])
+            f = sym.chain(sym.make_mzi(rng.uniform(0, 6)), sym.embed(sym.make_squeezer(0.3, rng.uniform(0, 6)), [1], 2))
+            root = rng.normal(size=(4, 4)) * 0.3
+            noise = root @ root.T
+            shift = rng.normal(size=4) * 0.5
+            expr = wg.from_gaussian(y)
+            image = wg.AffineImage(expr, wg.moment_tensor(expr), f.matrix, shift, noise)
+            x = ga.GaussianState(f.matrix @ y.mean + shift, f.matrix @ y.cov @ f.matrix.T + 2.0 * noise)
+            for kind, args in [("intensity", (1,)), ("intensity", (2,)), ("homodyne", (2, None, 0.8)),
+                               ("intensity_difference", (1, 2)), ("parity", (1,)), ("click", (2,))]:
+                scheme = meas.DetectionScheme(kind, *args)
+                got, want = meas.measure(image, scheme), meas.measure(x, scheme)
+                assert got.mean == pytest.approx(want.mean, rel=1e-11, abs=1e-14), scheme.label
+                assert got.second_moment == pytest.approx(want.second_moment, rel=1e-11, abs=1e-14), scheme.label
+
+    def test_moment_slopes_match_central_differences(self):
+        expr = wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.coherent_state(0.8, 0.2)))
+        tensor = wg.moment_tensor(expr)
+        k = sym.embed(sym.make_squeezer(0.4, 0.5), [2], 2).matrix
+        noise, shift = np.diag([0.1, 0.1, 0.3, 0.3]), np.array([0.2, -0.1, 0.4, 0.0])
+        image = lambda p: wg.AffineImage(expr, tensor, k @ sym.mzi_matrix(p), shift, noise)
+        monomials = [(1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 1, 0), (2, 0, 2, 0), (0, 4, 0, 0), (1, 1, 1, 1)]
+        got = image(1.1).moment_slopes(k @ sym.mzi_phase_derivative(1.1), monomials)
+        h = 1e-3
+        d = [(np.array(image(1.1 + s).moments(monomials)) - np.array(image(1.1 - s).moments(monomials))) / (2 * s)
+             for s in (h, h / 2, h / 4)]
+        r = [(4 * d[i + 1] - d[i]) / 3 for i in range(2)]
+        np.testing.assert_allclose(got, (16 * r[1] - r[0]) / 15, rtol=1e-9, atol=1e-12)
 
 
 class TestMarginalize:

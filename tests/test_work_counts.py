@@ -21,18 +21,19 @@ def two_mode_gaussian() -> ga.GaussianState:
 
 @pytest.fixture
 def moment_calls(monkeypatch):
+    # one `moments` call per detector: all its monomials share one Wick recursion per term
     calls = []
-    orig = meas.moment
+    orig = meas.moments
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(meas, "moment", counted)
+    monkeypatch.setattr(meas, "moments", counted)
     return calls
 
 
-@pytest.mark.parametrize("as_expr, expected", [(True, 14), (False, 0)])
+@pytest.mark.parametrize("as_expr, expected", [(True, 1), (False, 0)])
 def test_intensity_difference_moment_calls(as_expr, expected, moment_calls):
     state = two_mode_gaussian()
     state = wg.from_gaussian(state) if as_expr else state
@@ -40,7 +41,7 @@ def test_intensity_difference_moment_calls(as_expr, expected, moment_calls):
     assert len(moment_calls) == expected
 
 
-@pytest.mark.parametrize("as_expr, expected", [(True, 5), (False, 0)])
+@pytest.mark.parametrize("as_expr, expected", [(True, 1), (False, 0)])
 def test_intensity_moment_calls(as_expr, expected, moment_calls):
     state = two_mode_gaussian()
     state = wg.from_gaussian(state) if as_expr else state
@@ -101,13 +102,17 @@ def test_ligo_lossy_point_runs_no_wick_recursion(monkeypatch):
 
 
 def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
-    # ROADMAP heralded reference (b): the loss on both modes sits in the cached prefix, not at every phi
-    counts = {name: counter(monkeypatch, module, name)
-              for module, name in ((wg, "attenuate"), (sc, "build_pipeline"), (cond, "_herald"))}
+    # ROADMAP heralded reference (b) on the pulled-back route: the loss on both modes sits in the cached
+    # prefix, and no phi builds a pipeline or substitutes the MZI into a term
+    counts = {name: counter(monkeypatch, module, name) for module, name in (
+        (wg, "attenuate"), (sc, "build_pipeline"), (cond, "_herald"), (wg, "apply_symplectic"), (wg, "moment_tensor"))}
     sc._prefix.cache_clear()
+    sc._prefix_moments.cache_clear()
     sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
-    assert {name: len(calls) for name, calls in counts.items()} == {"attenuate": 4, "build_pipeline": 924,
-                                                                     "_herald": 1}
+    # apply_symplectic: the input squeeze on both arms and the 4 attenuations, all in the prefix
+    # moment_tensor: both arms of the lossy prefix and of the lossless one (the photon-number probe)
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "attenuate": 4, "build_pipeline": 0, "_herald": 1, "apply_symplectic": 6, "moment_tensor": 4}
 
 
 @pytest.mark.parametrize("config, m, terms", [("pacs_counts.json", 3, 1), ("subtracted_thermal.json", "click", 2)])
