@@ -248,26 +248,3 @@ def mzi_sub_snr(nbar: float, m: int, T: float, phi: float) -> float:
     """SNR of the m-subtracted MZI output: sqrt(T(m+1)) times the plain MZI-output thermal SNR."""
     return math.sqrt(T * (m + 1)) * thermal_snr(_mzi_arm_mean(nbar, phi))
 
-
-_REFERENCE = {
-    "spacs_mean_n": spacs_mean_n,
-    "spacs_second_moment": spacs_second_moment,
-    "spacs_prob": spacs_prob,
-    "spacs_snr": spacs_snr,
-    "spsts_mean_n": spsts_mean_n,
-    "spsts_prob": spsts_prob,
-    "spsts_snr": spsts_snr,
-    "thermal_snr": thermal_snr,
-    "mzi_sub_prob_m": mzi_sub_prob_m,
-    "mzi_sub_prob_click": mzi_sub_prob_click,
-    "mzi_sub_mean_n": mzi_sub_mean_n,
-    "mzi_sub_mean_click": mzi_sub_mean_click,
-    "mzi_sub_snr": mzi_sub_snr,
-}
-
-
-def reference_stats(kind: str, **params) -> float:
-    """Evaluate one of the closed-form reference statistics by name."""
-    if kind not in _REFERENCE:
-        raise ValueError(f"unknown reference statistic {kind!r}; options: {sorted(_REFERENCE)}")
-    return float(_REFERENCE[kind](**params))

@@ -5,10 +5,10 @@ information, quantum Fisher information by three routes (Wigner integral,
 pure-Gaussian, mixed-Gaussian), the closed-form coherent+squeezed-vacuum
 bounds, SNR, and the weighted total parity information for heralded branches.
 
-Error propagation takes an exact slope d<O>/dphi where the caller has one: a
-Gaussian family carries its tangent (dR, dsigma) in closed form, and on the
-pulled-back Wigner route a polynomial detector's slope comes from dA/dphi of
-the channel after the MZI.  The parity and click slopes there, the CFI, and the
+Error propagation takes an exact slope d<O>/dphi where the caller has one: on
+the scenario's prefix channel X = A(phi) Y + b + xi, a Gaussian family's
+tangent (dR, dsigma) and a Wigner-state polynomial detector's slope both come
+from dA/dphi.  The parity and click slopes there, the CFI, and the
 QFI routes below take central differences with step 1e-5 on smooth O(1)
 quantities (means, covariances, probabilities, term data).  The Wigner-integral
 QFI differentiates each term's parameters and then integrates exactly, rather
@@ -342,40 +342,6 @@ def lossless_qcrb(alpha2: float, r: float) -> float:
     return 1.0 / (alpha2 * math.exp(2.0 * r) + math.sinh(r) ** 2)
 
 
-def lossy_qcrb_approx(alpha2: float, r: float, L: float) -> float:
-    """Closed-form lossy bound in the (A, B, C) = (1-L, sinh r, cosh r) form.
-
-    Numerically this expression behaves as an inverse variance: it reproduces
-    the lossless QFI as L -> 0 but drifts from the SLD-based mixed-Gaussian
-    QFI by ~0.1% at L = 0.2 (one of its sinh^3 2r terms carries an ambiguous
-    grouping).  qfi_mixed_gaussian is the authoritative lossy bound; this form
-    is kept for comparison only.
-    """
-    if not 0.0 <= L < 1.0:
-        raise ValueError("loss must lie in [0, 1)")
-    A, B, C = 1.0 - L, math.sinh(r), math.cosh(r)
-    a2 = alpha2
-    ch2, ch4, sh2 = math.cosh(2 * r), math.cosh(4 * r), math.sinh(2 * r)
-    num = (
-        A
-        * (A * B - C)
-        * (A * B + C)
-        * math.exp(r)
-        * (
-            8.0 * A**3 * B**5 * C
-            + 4.0 * a2 * C**2
-            + A
-            * (
-                4.0 * A * B**4 * (A - A * ch2 - 1.0)
-                + B**2 * (2.0 - A - 4.0 * A * a2 + 2.0 * ch2 + A * ch4)
-                - A * sh2**3
-            )
-        )
-    )
-    den = (B - 2.0 * A * B + C) * (1.0 + A**2 - ch2 * (A**2 - 1.0)) ** 2
-    return -(num / den)
-
-
 def parity_min_variance(alpha2: float, r: float) -> float:
     return 1.0 / (alpha2 * math.exp(2.0 * r) + math.sinh(r) ** 2)
 
@@ -413,13 +379,12 @@ def optimal_phase(kind: str, alpha2: float | None = None, r: float | None = None
     raise ValueError(f"unknown scheme kind {kind!r}")
 
 
-def qcrb_closed_forms(kind: str, alpha_mag: float, r: float, L: float = 0.0) -> float:
-    """Dispatch the closed-form bounds: kinds lossless, lossy, parity, homodyne,
+def qcrb_closed_forms(kind: str, alpha_mag: float, r: float) -> float:
+    """Dispatch the lossless closed-form bounds: kinds lossless, parity, homodyne,
     intensity_difference, intensity (minimum phase variances for the latter four)."""
     a2 = alpha_mag**2
     table = {
         "lossless": lambda: lossless_qcrb(a2, r),
-        "lossy": lambda: lossy_qcrb_approx(a2, r, L),
         "parity": lambda: parity_min_variance(a2, r),
         "homodyne": lambda: homodyne_min_variance(a2, r),
         "intensity_difference": lambda: intensity_difference_min_variance(a2, r),

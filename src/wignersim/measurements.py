@@ -21,9 +21,10 @@ moments of one detector from one recursion per term (`wigner.moments`).  On an
 AffineImage, a Wigner expression seen through the Gaussian channel after the
 MZI, the polynomial detectors (intensity, homodyne, intensity difference) read
 its contracted moment tensor, and parity and click are Gaussian kernels on one
-mode.  `mean_slope` gives d<O>/dphi in closed form: of a Gaussian family from
-the tangent (dR/dphi, dsigma/dphi) that the pipeline carries next to the state,
-and of a polynomial detector on an AffineImage from dA/dphi of its channel.
+mode.  `mean_slope` gives d<O>/dphi in closed form from the tangent that the
+scenario's prefix-channel observer returns next to the state: of a Gaussian
+family from (dR/dphi, dsigma/dphi), and of a polynomial detector on an
+AffineImage from dA/dphi of its channel.
 """
 
 from __future__ import annotations

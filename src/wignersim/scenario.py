@@ -10,19 +10,20 @@ body, whose phase-independent prefix (inputs and input-stage modifications,
 plus the uniform loss on the Wigner path, where it commutes with the passive
 MZI) is built once and cached.
 
-The detectors see the state by one of three routes (`_observer`):
+The detectors see the state by one of two routes (`_observer`):
 
-- Gaussian: `build_pipeline` per phi, with the exact tangent (dR, dsigma).
+- Prefix channel: with no herald after the phase, everything after the MZI
+  (the MZI, the uniform loss on the Gaussian path, thermal injection, output
+  squeezes and displacements) is one Gaussian channel X = A(phi) Y + b + xi on
+  the cached prefix Y, with A = K M(phi).  A Gaussian prefix (R0, sigma0) maps
+  to (A R0 + b, A sigma0 A^T + 2C), with C the covariance of xi.  A Wigner
+  prefix stays as it is and only the observable moves,
+  <O>_phi = Int W(Y) W_O(A Y + b + xi) dY: each phi is a `wigner.AffineImage`,
+  read from the prefix's moment tensor (cached with it).  Both take their
+  exact slopes from A' = K M'(phi).
 - Wigner forward: a herald after the phase makes the state depend on phi
   through the herald, so `build_pipeline` substitutes the MZI into every term
   per phi.
-- Wigner pulled back: with no herald after the phase, everything after the
-  MZI (the MZI, thermal injection, output squeezes and displacements) is one
-  Gaussian channel X = A(phi) Y + b + xi on the cached prefix Y, so
-  <O>_phi = Int W(Y) W_O(A Y + b + xi) dY: the state stays the prefix and only
-  the observable moves.  Each phi is a `wigner.AffineImage`, read from the
-  prefix's moment tensor (cached with it), and dA/dphi gives exact slopes of
-  the polynomial detectors.
 
 Identical config plus seed gives byte-identical CSV/JSON output.
 """
@@ -51,6 +52,8 @@ from . import wigner as wig
 SWEEP_PARAMETERS = ("phi", "alpha2", "r", "T", "L", "D", "nbar", "nbar_env", "m")
 METRICS = ("phase_variance", "cfi", "qfi", "snr", "distributions")
 DRIFT_SIGMA_DEFAULTS = {"parity": 0.001, "default": 0.15}
+# Searched phase-variance minima within this relative distance of the lowest are equal.
+OPTIMUM_TIE = 1e-9
 # Distinct phi-independent prefixes kept; a Wigner-path point with loss uses a
 # lossy prefix and the lossless one it starts from (also the photon-number probe).
 PREFIX_CACHE_SIZE = 8
@@ -459,7 +462,7 @@ class PipelineResult:
     failure_prob: float = 0.0
     herald_stage: str | None = None  # None, "input", or "output"
     gaussian_path: bool = True
-    # (dR/dphi, dsigma/dphi) of a Gaussian state downstream of the MZI, or dA/dphi of an AffineImage
+    # set by `_observer` only: (dR/dphi, dsigma/dphi) of a GaussianState, or dA/dphi of an AffineImage
     tangent: Any = None
 
 
@@ -470,8 +473,8 @@ def _gaussian_possible(config: ScenarioConfig) -> bool:
 
 
 def _pulls_back(config: ScenarioConfig) -> bool:
-    """The Wigner path with no herald after the phase: the detectors read the cached prefix."""
-    return not _gaussian_possible(config) and not any(m.heralded and m.stage == "output" for m in config.modifications)
+    """No herald after the phase: the detectors read the cached prefix through the channel after the MZI."""
+    return not any(m.heralded and m.stage == "output" for m in config.modifications)
 
 
 def _input_mods(config: ScenarioConfig) -> tuple:
@@ -488,19 +491,10 @@ def _transform(state, f: sym.SymplecticTransform):
     return wig.apply_symplectic(state, f)
 
 
-def _each(res: PipelineResult, step: Callable, linear: np.ndarray | None = None) -> PipelineResult:
-    """Apply one state map to the success branch and, when it is tracked, the failure branch.
-
-    A carried tangent goes through `linear`, the matrix of the map's linear part:
-    dR -> A dR and dsigma -> A dsigma A^T, since the map's noise and shift do not
-    depend on phi.
-    """
-    state = step(res.state)
+def _each(res: PipelineResult, step: Callable) -> PipelineResult:
+    """Apply one state map to the success branch and, when it is tracked, the failure branch."""
     fail = None if res.failure_state is None else step(res.failure_state)
-    tangent = res.tangent
-    if tangent is not None:
-        tangent = (linear @ tangent[0], linear @ tangent[1] @ linear.T)
-    return replace(res, state=state, failure_state=fail, tangent=tangent)
+    return replace(res, state=step(res.state), failure_state=fail)
 
 
 def _herald(expr: wig.WignerExpr, mod: ModificationSpec) -> tuple:
@@ -518,7 +512,7 @@ def _modify(res: PipelineResult, mods, stage: str) -> PipelineResult:
     for m in mods:
         if not m.heralded:
             f = _gaussian_step(m, res.state.modes)
-            res = _each(res, lambda s: _transform(s, f), f.matrix)
+            res = _each(res, lambda s: _transform(s, f))
             continue
         ok, fail = _herald(res.state, m)
         prob = res.success_prob * ok.probability
@@ -558,29 +552,19 @@ def build_pipeline(config: ScenarioConfig, phi: float | None = None) -> Pipeline
     cache.  Uniform loss on both modes commutes with the passive MZI, so on the
     Wigner path, where each loss is an ancilla mix and integration, it moves
     into the cached prefix; on the Gaussian path it is one affine map per phi
-    and stays after the MZI.  On the Gaussian path the result also carries the
-    tangent (dR/dphi, dsigma/dphi): at the MZI dR = M'R0 and
-    dsigma = M'sigma0 M^T + M sigma0 M'^T, then through the linear part of every
-    later map.
+    and stays after the MZI.  This is the forward reference of `_observer`, and
+    the route of a herald after the phase.
     """
     phi = config.phi if phi is None else phi
     gaussian_path = _gaussian_possible(config)
     loss = _uniform_loss(config)
-    prefix = _prefix(config.inputs, _input_mods(config), gaussian_path, None if gaussian_path else loss)
+    res = _prefix(config.inputs, _input_mods(config), gaussian_path, None if gaussian_path else loss)
     mzi = sym.make_mzi(phi)
-    res = _each(prefix, lambda s: _transform(s, mzi))
-    if gaussian_path:
-        dm = sym.mzi_phase_derivative(phi)
-        half = dm @ prefix.state.cov @ mzi.matrix.T
-        res = replace(res, tangent=(dm @ prefix.state.mean, half + half.T))
-    dim = 2 * res.state.modes
+    res = _each(res, lambda s: _transform(s, mzi))
     if gaussian_path and loss is not None:
-        res = _each(res, lambda s: _apply_loss(s, loss), math.sqrt(1.0 - loss.total) * np.eye(dim))
+        res = _each(res, lambda s: _apply_loss(s, loss))
     if config.noise.has_thermal:
-        gain = np.ones(dim)
-        for m in config.noise.thermal_modes:
-            gain[2 * m - 2 : 2 * m] *= math.sqrt(config.noise.thermal_eta)
-        res = _each(res, lambda s: _apply_thermal(s, config.noise), np.diag(gain))
+        res = _each(res, lambda s: _apply_thermal(s, config.noise))
     return _modify(res, [m for m in config.modifications if m.stage == "output"], "output")
 
 
@@ -595,14 +579,17 @@ def _prefix_moments(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None) 
     return tuple(arms)
 
 
-def _after_mzi(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _after_mzi(config: ScenarioConfig, loss: ga.LossSpec | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K, b, C): the maps after the MZI as one channel X = K Z + b + xi, xi ~ N(0, C), on its output Z.
 
+    A uniform `loss` L comes first: K = sqrt(1 - L) I and C = (L / 2) I.
     Thermal injection on a mode scales it by sqrt(eta) and adds noise of
     variable covariance (1 - eta)(2 nbar + 1)/2 there; an output squeeze or
     displacement F, s then maps (K, b, C) to (F K, F b + s, F C F^T).
     """
     k, b, c = np.eye(4), np.zeros(4), np.zeros((4, 4))
+    if loss is not None:
+        k, c = math.sqrt(1.0 - loss.total) * k, loss.total / 2.0 * np.eye(4)
     noise = config.noise
     for m in noise.thermal_modes if noise.has_thermal else ():
         i = slice(2 * m - 2, 2 * m)
@@ -618,24 +605,36 @@ def _after_mzi(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _observer(config: ScenarioConfig) -> Callable[[float], PipelineResult]:
-    """phi -> the pipeline result the detectors see, by the config's route.
+    """phi -> the pipeline result the detectors see, with its tangent, by the config's route.
 
-    On the pulled-back route the states are `AffineImage`s of the cached
-    prefix arms under X = K M(phi) Y + b + xi, and the tangent is
-    dA/dphi = K M'(phi); the MZI is a plain matrix, not a validated transform.
-    Every other config builds the pipeline at each phi.
+    With no herald after the phase, each phi is the cached prefix seen through
+    X = A Y + b + xi with A = K M(phi), and the tangent comes from
+    A' = K M'(phi); the MZI is a plain matrix, not a validated transform.  A
+    Gaussian prefix (R0, sigma0) becomes the GaussianState
+    (A R0 + b, A sigma0 A^T + 2C) with tangent dR = A' R0 and
+    dsigma = A' sigma0 A^T + A sigma0 A'^T; the Wigner prefix arms become
+    `AffineImage`s with tangent A'.  A herald after the phase builds the
+    pipeline at each phi.
     """
     if not _pulls_back(config):
         return lambda phi: build_pipeline(config, phi)
+    gaussian_path = _gaussian_possible(config)
     loss = _uniform_loss(config)
-    prefix = _prefix(config.inputs, _input_mods(config), False, loss)
-    arms = _prefix_moments(config.inputs, _input_mods(config), loss)
-    k, b, c = _after_mzi(config)
+    # as in build_pipeline, the uniform loss follows the MZI on the Gaussian path and sits in the prefix otherwise
+    prefix_loss, channel_loss = (None, loss) if gaussian_path else (loss, None)
+    k, b, c = _after_mzi(config, channel_loss)
+    prefix = _prefix(config.inputs, _input_mods(config), gaussian_path, prefix_loss)
+    arms = None if gaussian_path else _prefix_moments(config.inputs, _input_mods(config), prefix_loss)
 
     def observe(phi: float) -> PipelineResult:
-        a = k @ sym.mzi_matrix(phi)
+        a, da = k @ sym.mzi_matrix(phi), k @ sym.mzi_phase_derivative(phi)
+        if arms is None:
+            r0, s0 = prefix.state.mean, prefix.state.cov
+            cov, half = a @ s0 @ a.T + 2.0 * c, da @ s0 @ a.T
+            state = ga.GaussianState(a @ r0 + b, (cov + cov.T) / 2.0)
+            return replace(prefix, state=state, tangent=(da @ r0, half + half.T))
         ok, fail = (None if arm is None else wig.AffineImage(*arm, a, b, c) for arm in arms)
-        return replace(prefix, state=ok, failure_state=fail, tangent=k @ sym.mzi_phase_derivative(phi))
+        return replace(prefix, state=ok, failure_state=fail, tangent=da)
 
     return observe
 
@@ -665,12 +664,13 @@ def _apply_thermal(state, noise: NoiseSpec):
 def _signal_fns(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple:
     """mean(phi), variance(phi) and slope(phi) of one detector; each phi is observed and measured once.
 
-    The slope is the exact d<O>/dphi from the carried tangent on the Gaussian
-    path and for a polynomial detector on the pulled-back route; otherwise it
-    is None, and the slope is a central difference of the mean.
+    On the prefix channel the slope is the exact d<O>/dphi from the observer's
+    tangent, for every detector on a Gaussian state and for a polynomial
+    detector on an AffineImage; otherwise it is None, and the slope is a
+    central difference of the mean.
     """
     observe = _observer(config)
-    exact = _gaussian_possible(config) or (_pulls_back(config) and scheme.kind in meas.POLYNOMIAL_KINDS)
+    exact = _pulls_back(config) and (_gaussian_possible(config) or scheme.kind in meas.POLYNOMIAL_KINDS)
     seen: dict[float, tuple[meas.MeasurementMoments, float | None]] = {}
 
     def at(phi: float) -> tuple[meas.MeasurementMoments, float | None]:
@@ -694,7 +694,13 @@ _OPTIMUM_SEEDS = {
 
 
 def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float]:
-    """Seeded golden-section search of the phase-variance minimum over (0, 2 pi)."""
+    """Seeded golden-section search of the phase-variance minimum over (0, 2 pi).
+
+    Minima within a relative OPTIMUM_TIE of the lowest are equal, and the one at
+    the smallest phi is reported, so that rounding cannot move the optimum
+    between mirror minima.  Raises SignalStationary when no searched phase gives
+    a finite variance.
+    """
     mean, var, slope = _signal_fns(config, scheme)
 
     def variance_at(phi: float) -> float:
@@ -709,12 +715,11 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
         seeds.append(seed)
     coarse = np.linspace(0.05, 2.0 * math.pi - 0.05, 25)
     seeds.extend(coarse[np.argsort([variance_at(p) for p in coarse])[:2]])
-    best = (float("inf"), config.phi)
-    for s in seeds:
-        x, v = est.find_optimal_phase(variance_at, s, window=0.35)
-        if v < best[0]:
-            best = (v, x)
-    return best[1], best[0]
+    minima = [est.find_optimal_phase(variance_at, s, window=0.35) for s in seeds]
+    low = min(v for _, v in minima)
+    if not math.isfinite(low):
+        raise SignalStationary("no searched phase gives a finite phase variance")
+    return min((x, v) for x, v in minima if v - low <= OPTIMUM_TIE * low)
 
 
 def _click_cfi(config: ScenarioConfig, phi: float) -> float:
@@ -746,32 +751,31 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
 
     A herald after the phase post-selects on a phi-dependent outcome; the QFI of
     that conditional state does not bound the herald-weighted CFI, so none is given.
-    On the pulled-back route with no thermal noise after the MZI, a pure prefix
-    is a pure input to the MZI, whose phase is generated by J_z = (n1 - n2)/2
-    after its first 50/50 splitter: F = 4 Var(J_z) = Var(n1 - n2) there, the
-    same at every phi and read from the prefix's moment tensor.  The output
-    squeezes and displacements are phi-independent unitaries and keep it.
+    A Gaussian family comes from the observer.  On the Wigner path with no
+    thermal noise after the MZI, a pure prefix is a pure input to the MZI, whose
+    phase is generated by J_z = (n1 - n2)/2 after its first 50/50 splitter:
+    F = 4 Var(J_z) = Var(n1 - n2) there, the same at every phi and read from
+    the prefix's moment tensor.  The output squeezes and displacements are
+    phi-independent unitaries and keep it.  With thermal noise after the MZI
+    the Wigner integral runs on built states.
     """
-    if any(m.heralded and m.stage == "output" for m in config.modifications):
+    if not _pulls_back(config):
         return None, "unavailable (herald after the phase)"
-    if _pulls_back(config) and not config.noise.has_thermal:
-        loss = _uniform_loss(config)
-        try:
-            est.require_pure_wigner(_prefix(config.inputs, _input_mods(config), False, loss).state)
-        except PurityViolation:
-            return None, "unavailable (mixed non-Gaussian)"
-        expr, tensor = _prefix_moments(config.inputs, _input_mods(config), loss)[0]
-        split = wig.AffineImage(expr, tensor, sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
-        return meas.intensity_difference(split, 1, 2).variance, "pure_wigner"
-    fam = lambda p: build_pipeline(config, p).state
-    state = fam(phi)
-    if isinstance(state, ga.GaussianState):
-        pure = est.gaussian_purity(state) >= est.PURE_GAUSSIAN_PURITY
+    if _gaussian_possible(config):
+        observe = _observer(config)
+        fam = lambda p: observe(p).state
+        pure = est.gaussian_purity(fam(phi)) >= est.PURE_GAUSSIAN_PURITY
         return est.qfi_mixed_gaussian(fam, phi), "pure_gaussian" if pure else "mixed_gaussian"
+    loss = _uniform_loss(config)
     try:
-        return est.qfi_pure_wigner(fam, phi), "pure_wigner"
+        if config.noise.has_thermal:
+            return est.qfi_pure_wigner(lambda p: build_pipeline(config, p).state, phi), "pure_wigner"
+        est.require_pure_wigner(_prefix(config.inputs, _input_mods(config), False, loss).state)
     except PurityViolation:
         return None, "unavailable (mixed non-Gaussian)"
+    expr, tensor = _prefix_moments(config.inputs, _input_mods(config), loss)[0]
+    split = wig.AffineImage(expr, tensor, sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
+    return meas.intensity_difference(split, 1, 2).variance, "pure_wigner"
 
 
 def _input_mean_photon(config: ScenarioConfig) -> float:
@@ -815,7 +819,11 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None, n_max: int 
                 report.phase_variance[scheme.label] = est.phase_variance_error_prop(mean, var, phi, slope_fn=slope)
             except (SignalStationary, DegenerateBranch, ImprobableBranch) as exc:
                 warnings.append(f"phase_variance[{scheme.label}] at phi={phi:.6g}: {exc}")
-            opt_phi, opt_var = _optimal_phi(config, scheme)
+            try:
+                opt_phi, opt_var = _optimal_phi(config, scheme)
+            except SignalStationary as exc:
+                warnings.append(f"optimal_phi[{scheme.label}]: {exc}")
+                continue
             report.optimal_phi[scheme.label] = opt_phi
             report.extras[f"min_phase_variance.{scheme.label}"] = opt_var
 
@@ -1004,7 +1012,11 @@ def phase_drift_study(
     rows = []
     for si, scheme in enumerate(config.detection):
         mean, var, slope = _signal_fns(config, scheme)
-        opt_phi, opt_var = _optimal_phi(config, scheme)
+        try:
+            opt_phi, opt_var = _optimal_phi(config, scheme)
+        except SignalStationary as exc:
+            warnings.append(f"drift[{scheme.label}]: {exc}")
+            continue
         sig = sigma.get(scheme.kind, sigma["default"])
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(si,)))
         total = 0.0

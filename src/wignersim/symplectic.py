@@ -116,13 +116,6 @@ def make_squeezer(r: float, theta: float = 0.0) -> SymplecticTransform:
     return SymplecticTransform(m)
 
 
-def make_squeezer_from_gain(G: float) -> SymplecticTransform:
-    """Squeezer parameterized by gain G = cosh^2 r >= 1 (theta fixed to 0)."""
-    if G < 1.0:
-        raise ValueError(f"gain must be >= 1, got {G}")
-    return make_squeezer(math.acosh(math.sqrt(G)), 0.0)
-
-
 def make_two_mode_squeezer(r: float, theta: float = 0.0) -> SymplecticTransform:
     """Two-mode squeezer coupling modes 1 and 2."""
     if r < 0.0:

@@ -595,17 +595,6 @@ def project_fock(expr: WignerExpr, mode: int, n: int) -> tuple[WignerExpr, float
     return _herald_branch(reduced, reduced.norm / expr.norm)
 
 
-def project_no_click(expr: WignerExpr, mode: int) -> tuple[WignerExpr, float]:
-    """Herald vacuum (no click) on one mode."""
-    return project_fock(expr, mode, 0)
-
-
-def project_click(expr: WignerExpr, mode: int) -> tuple[WignerExpr, float]:
-    """Herald a click (any photon number > 0) on one mode: projector 1 - F_0."""
-    no_click = project_fock_unnormalized(expr, mode, 0)
-    return _herald_branch(_complement(expr, mode, no_click), 1.0 - no_click.norm / expr.norm)
-
-
 def _single_mode_g(expr1: WignerExpr, s: np.ndarray) -> np.ndarray:
     """Integral of exp(-s (x^2+p^2)) against a normalized single-mode expression, for each s of a 1-D array."""
     total = np.zeros(s.shape, dtype=complex)
@@ -618,16 +607,6 @@ def _single_mode_g(expr1: WignerExpr, s: np.ndarray) -> np.ndarray:
         epoly = _gaussian_expectation(t.poly, m_s.T, quad_s.transpose(1, 2, 0) / 2.0)
         total += t.weight * np.exp(-gamma) * math.pi / det_sqrt * epoly
     return total
-
-
-def generating_function(expr: WignerExpr, mode: int, l: float) -> float:
-    """Photon-number generating function G(l) = sum_n P(n) l^n on one mode, for -1 < l <= 1."""
-    if l <= -1.0:
-        raise ValueError("generating function diverges for l <= -1")
-    reduced = marginal_mode(expr.normalize(), mode)
-    s = (1.0 - l) / (1.0 + l)
-    val = 2.0 / (1.0 + l) * _single_mode_g(reduced, np.array([s]))[0]
-    return float(np.real(val))
 
 
 @dataclass(frozen=True)
@@ -705,23 +684,3 @@ def purity(expr: WignerExpr) -> float:
     """(2 pi)^N * integral of W^2 over the squared norm."""
     return (2.0 * math.pi) ** expr.modes * overlap(expr, expr) / expr.norm**2
 
-
-def grid_samples(expr: WignerExpr, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Sample a single-mode expression on a rectangular grid; rows ordered (x, p, W)."""
-    if expr.modes != 1:
-        raise ValueError("grid export requires a single-mode expression")
-    rows = np.empty((xs.size * ps.size, 3))
-    i = 0
-    for x in xs:
-        for p in ps:
-            rows[i] = (x, p, expr.evaluate((x, p)))
-            i += 1
-    return rows
-
-
-def save_grid_csv(expr: WignerExpr, xs: np.ndarray, ps: np.ndarray, path: str) -> None:
-    rows = grid_samples(expr, xs, ps)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,p,W\n")
-        for x, p, w in rows:
-            fh.write(f"{x:.17g},{p:.17g},{w:.17g}\n")

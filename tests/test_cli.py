@@ -205,3 +205,25 @@ def test_r_grid_above_the_cap_exits_2(tmp_path, capsys):
     assert cli.main(argv) == 2
     assert "modifications.0.r: value 6.5 above maximum" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", [["run"], ["drift", "--trials", "3"]], ids=["run", "drift"])
+def test_detector_with_no_finite_variance_reports_no_optimum(command, tmp_path, capsys):
+    # the mode-1 mean field stays orthogonal to the homodyne angle at every phi
+    raw = {
+        "inputs": [{"kind": "fock"}, {"kind": "coherent", "alpha": 0.6, "theta": 0.3}],
+        "interferometer": {"phi": 1.0},
+        "detection": [{"scheme": "homodyne", "mode": 1, "angle": 0.3}],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(command + ["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "[homodyne[1,0.3]]: no searched phase gives a finite phase variance" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=_reject_constant)
+    assert report["warnings"]
+    for row in report["rows"]:
+        assert not any(key.startswith(("optimal_", "min_phase_variance.", "phase_variance.")) for key in row)

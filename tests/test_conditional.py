@@ -267,12 +267,6 @@ class TestReferenceStats:
     def test_spacs_reduced_value(self):
         assert abs(cond.spacs_mean_n(1.0, 1, 1.0) - 2.5) < 1e-12
 
-    def test_dispatcher(self):
-        v = cond.reference_stats("spsts_prob", nbar=1.0, m=1, T=0.9)
-        assert abs(v - 0.1 / 1.21) < 1e-12
-        with pytest.raises(ValueError):
-            cond.reference_stats("nope")
-
     def test_second_moment_matches_model(self):
         for t in (0.6, 0.9):
             for m in (1, 2):

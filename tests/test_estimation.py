@@ -259,18 +259,6 @@ class TestClosedForms:
         ):
             assert fn(a2, r) < 3.0 * bound
 
-    def test_lossy_approx_vs_mixed_route(self, mzi_coh_sqz):
-        # the closed form reproduces the QFI at L -> 0 but drifts at finite
-        # loss; the mixed-Gaussian solver is the authority
-        a2, r = 100.0, 1.0
-        lossless = est.qfi_pure_gaussian(mzi_coh_sqz(a2, r), 0.8)
-        approx0 = est.lossy_qcrb_approx(a2, r, 1e-9)
-        assert abs(approx0 - lossless) / lossless < 1e-6
-        mixed = est.qfi_mixed_gaussian(mzi_coh_sqz(a2, r, 0.2), 0.8)
-        approx = est.lossy_qcrb_approx(a2, r, 0.2)
-        assert abs(approx - mixed) / mixed > 1e-4  # documented disagreement at finite loss
-        assert abs(approx - mixed) / mixed < 5e-3
-
     def test_dispatcher(self):
         assert est.qcrb_closed_forms("lossless", 10.0, 1.0) == est.lossless_qcrb(100.0, 1.0)
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from fock_oracle import Mixture, Oracle, qfi_sld
 from wignersim import cli
 from wignersim import conditional as cond
 from wignersim import estimation as est
+from wignersim import gaussian as ga
 from wignersim import measurements as meas
 from wignersim import scenario as sc
 from wignersim import symplectic as sym
@@ -244,19 +245,33 @@ def richardson(f, phi: float, h: float):
     return (16 * r[1] - r[0]) / 15
 
 
+class TestGaussianPrefixChannel:
+    @pytest.mark.parametrize("raw", [LIGO_LOSSY, NOISY_GAUSSIAN], ids=["ligo_lossy", "noisy_gaussian"])
+    def test_matches_build_pipeline(self, raw):
+        cfg = sc.ScenarioConfig.from_dict(raw)
+        assert sc._pulls_back(cfg)
+        observe = sc._observer(cfg)
+        for phi in (0.3, 1.7, 2.9, 4.4):
+            want, got = sc.build_pipeline(cfg, phi).state, observe(phi).state
+            assert isinstance(got, ga.GaussianState)
+            for a, b in ((got.mean, want.mean), (got.cov, want.cov)):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
+
+
 class TestExactSlopes:
     @pytest.mark.parametrize("raw", [LIGO_LOSSY, NOISY_GAUSSIAN], ids=["ligo_lossy", "noisy_gaussian"])
     @pytest.mark.parametrize("phi", [0.4, 1.2, 2.6, 3.14])
     def test_tangent_matches_central_differences(self, raw, phi):
         cfg = sc.ScenarioConfig.from_dict(raw)
-        res = sc.build_pipeline(cfg, phi)
+        res = sc._observer(cfg)(phi)
         dmean = richardson(lambda p: sc.build_pipeline(cfg, p).state.mean, phi, 1e-2)
         dcov = richardson(lambda p: sc.build_pipeline(cfg, p).state.cov, phi, 1e-2)
         np.testing.assert_allclose(res.tangent[0], dmean, rtol=0, atol=1e-10 * max(1.0, np.abs(dmean).max()))
         np.testing.assert_allclose(res.tangent[1], dcov, rtol=0, atol=1e-10 * max(1.0, np.abs(dcov).max()))
 
-    def test_wigner_path_carries_no_tangent(self):
-        assert sc.build_pipeline(config([COHERENT, VACUUM], [INPUT_ADDITION])).tangent is None
+    def test_build_pipeline_carries_no_tangent(self):
+        for raw in (LIGO_LOSSY, workloads.point_b(1.0)):
+            assert sc.build_pipeline(sc.ScenarioConfig.from_dict(raw)).tangent is None
 
     # the bright ligo_lossy fringes are narrow, so its differences take a shorter step
     @pytest.mark.parametrize("raw, phis, h", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wignersim import scenario as sc
 from wignersim import symplectic as sym
 
 RNG = np.random.default_rng(20240811)
@@ -67,16 +68,14 @@ class TestSqueezers:
         )
 
     def test_gain_form_matches_r_form(self):
+        # a config squeeze given by its gain G = cosh^2 r
         g = math.cosh(0.8) ** 2
-        np.testing.assert_allclose(
-            sym.make_squeezer_from_gain(g).matrix, sym.make_squeezer(0.8, 0.0).matrix, atol=1e-12
-        )
+        spec = sc.ModificationSpec.from_dict({"op": "squeeze", "mode": 1, "gain": g}, "m")
+        np.testing.assert_allclose(sc._gaussian_step(spec, 1).matrix, sym.make_squeezer(0.8, 0.0).matrix, atol=1e-12)
 
     def test_domains(self):
         with pytest.raises(ValueError):
             sym.make_squeezer(-0.1)
-        with pytest.raises(ValueError):
-            sym.make_squeezer_from_gain(0.99)
 
     def test_two_mode_differs_from_direct_sum(self):
         r = 0.5

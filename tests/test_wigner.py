@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fock_oracle import Mixture, Oracle
+from wignersim import conditional as cond
 from wignersim import gaussian as ga
 from wignersim import measurements as meas
 from wignersim import scenario as sc
@@ -95,11 +96,9 @@ class TestMoments:
         assert abs(total - 3.0) < 1e-12  # <n> = total/2 - 1/2 = 1
 
     def test_moments_are_bit_identical_to_moment(self):
-        # a two-term expression with polynomial terms: Fock(1) x thermal, mixed and then click-heralded
+        # a two-term expression with polynomial terms: Fock(1) x thermal, click-subtracted on mode 1
         expr = wg.tensor_exprs(wg.fock_wigner(1), thermal_expr(0.4))
-        expr = wg.apply_symplectic(wg.tensor_exprs(expr, thermal_expr(0.2)),
-                                   sym.embed(sym.make_beam_splitter(0.7), [1, 3], 3))
-        expr, _ = wg.project_click(expr, 3)
+        expr = cond.subtract_click_branches(expr, 1, 0.7)[0].state
         assert len(expr.terms) == 2
         monomials = [(2, 0, 0, 0), {1: 1, 2: 3}, (0, 0, 0, 0), {0: 2, 3: 2}, (1, 1, 1, 1)]
         assert wg.moments(expr, monomials) == [wg.moment(expr, e) for e in monomials]
@@ -199,19 +198,18 @@ class TestProjections:
     def test_click_complement(self):
         ex = wg.tensor_exprs(thermal_expr(1.2), wg.from_gaussian(ga.vacuum_state(1)))
         ex = wg.apply_symplectic(ex, sym.make_beam_splitter(0.6))
-        _, pc = wg.project_click(ex, 1)
-        _, p0 = wg.project_no_click(ex, 1)
-        assert abs(pc + p0 - 1.0) < 1e-10
+        click, no_click = cond.subtract_click_branches(ex, 1, 0.7)
+        assert abs(click.probability + no_click.probability - 1.0) < 1e-10
 
     def test_click_probabilities(self):
-        _, p = wg.project_click(wg.tensor_exprs(thermal_expr(4.0), thermal_expr(0.5)), 1)
+        p = meas.click_probability(wg.tensor_exprs(thermal_expr(4.0), thermal_expr(0.5)), 1)
         assert abs(p - 0.8) < 1e-11
-        _, p = wg.project_click(wg.tensor_exprs(wg.from_gaussian(ga.coherent_state(1.0, 0.0)), thermal_expr(0.5)), 1)
+        p = meas.click_probability(wg.tensor_exprs(wg.from_gaussian(ga.coherent_state(1.0, 0.0)), thermal_expr(0.5)), 1)
         assert abs(p - (1.0 - math.exp(-1.0))) < 1e-11
 
     def test_vacuum_click_improbable(self):
         with pytest.raises(ImprobableBranch):
-            wg.project_click(wg.from_gaussian(ga.vacuum_state(1)), 1)
+            cond.subtract_click_branches(wg.from_gaussian(ga.vacuum_state(1)), 1, 0.5)
 
     def test_middle_mode_bookkeeping(self):
         # projecting out mode 2 of (A, B, C) must leave (A, C) in order
@@ -226,20 +224,22 @@ class TestProjections:
             assert abs(reduced.evaluate(pt) - ref.evaluate(pt)) < 1e-10
 
 
+def generating_function(expr: wg.WignerExpr, l: float) -> float:
+    """G(l) = sum_n P(n) l^n of mode 1, from the batched contour kernel that photon_number_distribution inverts."""
+    s = np.array([(1.0 - l) / (1.0 + l)])
+    return float(np.real(2.0 / (1.0 + l) * wg._single_mode_g(wg.marginal_mode(expr.normalize(), 1), s)[0]))
+
+
 class TestGeneratingFunction:
     def test_vacuum_flat(self):
         v = wg.from_gaussian(ga.vacuum_state(1))
         for l in (0.0, 0.3, 0.7, 1.0):
-            assert abs(wg.generating_function(v, 1, l) - 1.0) < 1e-12
+            assert abs(generating_function(v, l) - 1.0) < 1e-12
 
     def test_fock1_linear(self):
         f1 = wg.fock_wigner(1)
         for l in (0.0, 0.4, 1.0):
-            assert abs(wg.generating_function(f1, 1, l) - l) < 1e-10
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            wg.generating_function(wg.fock_wigner(0), 1, -1.0)
+            assert abs(generating_function(f1, l) - l) < 1e-10
 
     def test_matches_distribution_sum(self):
         expr = wg.apply_symplectic(
@@ -250,7 +250,7 @@ class TestGeneratingFunction:
         assert dist.tail < 1e-9
         for l in (0.0, 0.3, 0.7):
             ref = sum(p * l**n for n, p in enumerate(dist.probs))
-            assert abs(wg.generating_function(reduced, 1, l) - ref) < 1e-7
+            assert abs(generating_function(reduced, l) - ref) < 1e-7
 
 
 class TestDistribution:
@@ -330,24 +330,6 @@ class TestAttenuate:
         assert np.max(np.abs(dist.probs - ref[:21])) < 1e-8
 
 
-class TestGridExport:
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "wigner.csv"
-        xs = np.linspace(-1.0, 1.0, 5)
-        ps = np.linspace(-1.0, 1.0, 5)
-        expr = wg.fock_wigner(1)
-        wg.save_grid_csv(expr, xs, ps, str(path))
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "x,p,W"
-        assert len(rows) == 26
-        x, p, w = (float(v) for v in rows[13].split(","))
-        assert abs(expr.evaluate((x, p)) - w) < 1e-15
-
-    def test_grid_requires_single_mode(self):
-        with pytest.raises(ValueError):
-            wg.grid_samples(wg.from_gaussian(ga.vacuum_state(2)), np.zeros(2), np.zeros(2))
-
-
 class TestOracleEquivalence:
     def test_distribution_against_fock_simulator(self):
         # heralded (non-Gaussian) state: one photon subtracted from thermal light
@@ -424,11 +406,14 @@ class TestBatchedContourKernel:
         assert np.all(np.abs(got - ref) <= self.REL_TOL * np.abs(ref))
 
     def test_generating_function_on_the_batched_kernel(self):
+        # photon_number_distribution inverts G on the contour; here G comes from the per-point reference
         reduced = wg.marginal_mode(pacs_m3_state().normalize(), 1)
-        for l in (0.0, 0.4, 1.0):
-            s = (1.0 - l) / (1.0 + l)
-            ref = float(np.real(2.0 / (1.0 + l) * scalar_single_mode_g(reduced, s)))
-            assert abs(wg.generating_function(reduced, 1, l) - ref) <= self.REL_TOL * abs(ref)
+        m, ns = 512, np.arange(wg.DEFAULT_NMAX + 1)
+        tks = np.exp(1j * math.pi * (2 * np.arange(m) + 1) / m)
+        gs = np.array([2.0 / (1.0 + t) * scalar_single_mode_g(reduced, s) for t, s in zip(tks, self.contour_s())])
+        ref = np.real(gs @ np.exp(-1j * math.pi * np.outer(2 * np.arange(m) + 1, ns) / m)) / m
+        got = wg.photon_number_distribution(reduced, 1).probs
+        np.testing.assert_allclose(got, np.clip(ref, 0.0, 1.0), rtol=0, atol=self.REL_TOL)
 
     def test_pacs_m3_distribution_against_fock_oracle(self):
         # mode 1 after the MZI is a coherent state; BS addition with a Fock(3)

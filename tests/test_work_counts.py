@@ -91,7 +91,16 @@ def test_pipeline_builds_per_ligo_lossy_point(monkeypatch):
     monkeypatch.setattr(sc, "build_pipeline", counted)
     config = sc.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "ligo_lossy.json"))
     sc.evaluate_point(config)
-    assert len(calls) == 520
+    assert len(calls) == 0
+
+
+def test_ligo_lossy_point_makes_no_per_phi_transform(monkeypatch):
+    # each phi is the cached prefix through a plain-matrix channel; the input squeezer and its
+    # embedding, both in the prefix, are the point's only transforms
+    calls = counter(monkeypatch, sym.SymplecticTransform, "__post_init__")
+    sc._prefix.cache_clear()
+    sc.evaluate_point(sc.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "ligo_lossy.json")))
+    assert len(calls) == 2
 
 
 def test_ligo_lossy_point_runs_no_wick_recursion(monkeypatch):
