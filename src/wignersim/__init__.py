@@ -6,7 +6,6 @@ from .errors import (
     ConfigError,
     DegenerateBranch,
     ImprobableBranch,
-    NumericalConditioning,
     PurityViolation,
     SignalStationary,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "ConfigError",
     "DegenerateBranch",
     "ImprobableBranch",
-    "NumericalConditioning",
     "PurityViolation",
     "SignalStationary",
 ]

@@ -1,8 +1,9 @@
 """Command-line front end: run, sweep, drift, counts, validate.
 
 Exit codes: 0 success, 2 config validation failure (a non-finite number
-included), 3 numerical-conditioning failure.  Grid points are evaluated in
-order; each draws its random substream from (seed, index).
+included).  A metric that a point cannot give is left out of its row, with a
+warning.  Grid points are evaluated in order; each draws its random substream
+from (seed, index).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, NumericalConditioning
+from .errors import ConfigError
 from .scenario import emit, load_config, phase_drift_study, run, simulate_counts, sweep
 
 
@@ -112,9 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalConditioning as exc:
-        print(f"numerical conditioning failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -21,10 +21,6 @@ class PurityViolation(RuntimeError):
     """A pure-state-only formula was applied to a mixed state."""
 
 
-class NumericalConditioning(RuntimeError):
-    """A regularized linear solve failed to stabilize."""
-
-
 class ConfigError(ValueError):
     """Scenario configuration failed validation; carries the offending field path."""
 

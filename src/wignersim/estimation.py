@@ -1,21 +1,23 @@
 """Phase-variance and information metrics.
 
 Benchmarks (SNL/HL), error propagation, classical and probabilistic Fisher
-information, quantum Fisher information by three routes (Wigner integral,
-pure-Gaussian, mixed-Gaussian), the closed-form coherent+squeezed-vacuum
-bounds, SNR, and the weighted total parity information for heralded branches.
+information, quantum Fisher information by two routes (Wigner integral, and one
+Gaussian formula for pure and mixed states), the closed-form
+coherent+squeezed-vacuum bounds, SNR, and the weighted total parity
+information for heralded branches.
 
-Error propagation takes an exact slope d<O>/dphi where the caller has one: on
-the scenario's prefix channel X = A(phi) Y + b + xi, a Gaussian family's
-tangent (dR, dsigma) and a Wigner-state polynomial detector's slope both come
-from dA/dphi.  The parity and click slopes there, the CFI, and the
-QFI routes below take central differences with step 1e-5 on smooth O(1)
-quantities (means, covariances, probabilities, term data).  The Wigner-integral
-QFI differentiates each term's parameters and then integrates exactly, rather
-than differencing whole Wigner values, which would cancel catastrophically
-inside the squared integral; for a pure input to the balanced MZI the scenario
-runner takes the QFI without any difference, as Var(n1 - n2) after the first
-splitter, and keeps `qfi_pure_wigner` as the library route and its check.
+Error propagation and the Gaussian QFI take exact phi-derivatives where the
+caller has them: on the scenario's prefix channel X = A(phi) Y + b + xi, a
+Gaussian family's tangent (dR, dsigma) and a Wigner-state polynomial
+detector's slope both come from dA/dphi.  The parity and click slopes there,
+the CFI, and the Wigner-integral QFI take central differences with step 1e-5
+on smooth O(1) quantities (means, probabilities, term data).  The
+Wigner-integral QFI differentiates each term's parameters and then integrates
+exactly, rather than differencing whole Wigner values, which would cancel
+catastrophically inside the squared integral; for a pure input to the balanced
+MZI the scenario runner takes the QFI without any difference, as Var(n1 - n2)
+after the first splitter, and keeps `qfi_pure_wigner` as the library route and
+its check.
 """
 
 from __future__ import annotations
@@ -26,17 +28,16 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateBranch, NumericalConditioning, PurityViolation, SignalStationary
-from .gaussian import GaussianState
-from .symplectic import omega
+from .errors import DegenerateBranch, PurityViolation, SignalStationary
+from .gaussian import GaussianState, williamson
 from .wigner import Term, WignerExpr, _poly_add, _poly_mul, _poly_prune, _poly_scale, overlap, purity
 
 DEFAULT_STEP = 1e-5
 SLOPE_FLOOR = 1e-12
 # A slope below this many units of rounding of the signal's scale is noise.
 SLOPE_NOISE = 32.0 * 2.3e-16
-# Gaussian states at least this pure take the pure-state QFI formula.
-PURE_GAUSSIAN_PURITY = 1.0 - 1e-9
+# A pair of Gaussian modes with nu_j nu_k - 1 at most this is pure; so is a state all of whose pairs are.
+PURE_GAUSSIAN_TOL = 1e-9
 # A Wigner family whose purity differs from 1 by more than this has no pure-state QFI.
 PURE_WIGNER_TOL = 1e-6
 
@@ -267,67 +268,30 @@ def qfi_pure_wigner(family: Callable[[float], WignerExpr], phi: float, h: float 
     return 2.0 * (2.0 * math.pi) ** w0.modes * overlap(dw, dw)
 
 
-def _family_mean_cov(family: Callable[[float], GaussianState], phi: float, h: float):
-    s0 = family(phi)
-    sp, sm = family(phi + h), family(phi - h)
-    dmean = (sp.mean - sm.mean) / (2.0 * h)
-    dcov = (sp.cov - sm.cov) / (2.0 * h)
-    return s0, dmean, dcov
+def qfi_mixed_gaussian(state: GaussianState, dmean: np.ndarray, dcov: np.ndarray) -> float:
+    """QFI of a Gaussian family, pure or mixed, at a state with exact tangent (dR, dsigma).
 
-
-def qfi_pure_gaussian(family: Callable[[float], GaussianState], phi: float, h: float = DEFAULT_STEP) -> float:
-    """QFI of a pure Gaussian family: 2 dR^T sigma^{-1} dR + (1/4) Tr[(dsigma sigma^{-1})^2].
-
-    The prefactors fix the formula to this covariance convention (vacuum = I);
-    they are pinned by the Wigner-integral route and the closed-form bound.
+    In the Williamson basis sigma = S diag(nu_1, nu_1, ...) S^T the SLD equation
+    is diagonal (Monras, arXiv:1303.3682; Safranek, Lee & Fuentes, NJP 17,
+    073016 (2015)).  With P = S^{-1} dsigma S^{-T} and, on each 2x2 block P_jk,
+    p_B = tr(P_jk B^T) / 2 for B in {I, J, Z, X},
+    F = 2 dR^T sigma^{-1} dR
+        + sum_jk [(p_I^2 + p_J^2) / (nu_j nu_k - 1) + (p_Z^2 + p_X^2) / (nu_j nu_k + 1)].
+    A pair of pure modes (nu_j nu_k - 1 <= PURE_GAUSSIAN_TOL) drops its first
+    term: no nu can fall below 1, so on a phase family its numerator vanishes.
+    The prefactors fit this covariance convention (vacuum = I).
     """
-    s0, dmean, dcov = _family_mean_cov(family, phi, h)
-    sinv = np.linalg.inv(s0.cov)
-    mean_term = 2.0 * float(dmean @ sinv @ dmean)
-    a = dcov @ sinv
-    return mean_term + 0.25 * float(np.trace(a @ a))
-
-
-def gaussian_purity(state: GaussianState) -> float:
-    """Purity prod_k 1 / (2 nu_k) over the symplectic eigenvalues nu_k of sigma / 2."""
-    sympl_eigs = np.sort(np.abs(np.linalg.eigvals(1j * omega(state.modes) @ (state.cov / 2.0))))[::2]
-    return float(np.prod(1.0 / (2.0 * sympl_eigs)))
-
-
-def qfi_mixed_gaussian(family: Callable[[float], GaussianState], phi: float, h: float = DEFAULT_STEP) -> float:
-    """QFI of a general (possibly mixed) Gaussian family.
-
-    Solves the symmetric-logarithmic-derivative equation in vectorized form:
-    F = 2 dR^T sigma^{-1} dR + (1/2) vec(dS)^T (S (x) S - (1/4) Omega (x) Omega)^{-1} vec(dS)
-    with S = sigma/2.  The kernel is singular exactly on the pure manifold, so
-    the solve is Tikhonov-regularized and checked for stability under
-    epsilon -> epsilon/10; states at least PURE_GAUSSIAN_PURITY pure use the
-    pure formula directly.
-    """
-    s0, dmean, dcov = _family_mean_cov(family, phi, h)
-    if gaussian_purity(s0) >= PURE_GAUSSIAN_PURITY:
-        return qfi_pure_gaussian(family, phi, h)
-    n = s0.modes
-    sinv = np.linalg.inv(s0.cov)
-    mean_term = 2.0 * float(dmean @ sinv @ dmean)
-    big = s0.cov / 2.0
-    dbig = dcov / 2.0
-    om = omega(n)
-    kernel = np.kron(big, big) - 0.25 * np.kron(om, om)
-    vec = dbig.reshape(-1)
-    scale = np.linalg.norm(kernel, 2)
-    eps = 1e-10 * scale
-
-    def solve(e: float) -> float:
-        y = np.linalg.solve(kernel + e * np.eye(kernel.shape[0]), vec)
-        return 0.5 * float(vec @ y)
-
-    f1, f2 = solve(eps), solve(eps / 10.0)
-    if abs(f1 - f2) > 1e-6 * max(abs(f2), 1.0):
-        raise NumericalConditioning(
-            f"mixed-Gaussian QFI unstable under regularization: {f1:.10e} vs {f2:.10e}"
-        )
-    return mean_term + f2
+    nu, s_inv = williamson(state.cov)
+    n = state.modes
+    u = s_inv @ dmean
+    p = (s_inv @ dcov @ s_inv.T).reshape(n, 2, n, 2)
+    a, b, c, d = p[:, 0, :, 0], p[:, 0, :, 1], p[:, 1, :, 0], p[:, 1, :, 1]
+    nn = np.outer(nu, nu)
+    mixed = nn - 1.0 > PURE_GAUSSIAN_TOL
+    mean_term = 2.0 * float(np.sum(u * u / np.repeat(nu, 2)))
+    squeeze_term = float(np.sum(((a - d) ** 2 + (b + c) ** 2) / (4.0 * (nn + 1.0))))
+    rotation_term = float(np.sum(((a + d)[mixed] ** 2 + (b - c)[mixed] ** 2) / (4.0 * (nn[mixed] - 1.0))))
+    return mean_term + squeeze_term + rotation_term
 
 
 # ---------------------------------------------------------------------------

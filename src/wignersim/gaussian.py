@@ -64,6 +64,25 @@ class GaussianState:
         return self.mean.size // 2
 
 
+def williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nu, S^{-1}): the symplectic eigenvalues, ascending, and S^{-1} with sigma = S diag(nu_1, nu_1, ...) S^T.
+
+    With sigma = L L^T (Cholesky), i L^T Omega L is Hermitian with eigenvalues
+    +-nu_k.  An eigenvector a + i b of +nu_k gives the orthonormal columns
+    sqrt(2) (b, a) of an O with O^T L^T Omega L O = diag(nu_k) Omega, so
+    S^{-1} = diag(nu)^{1/2} O^T L^{-1} is symplectic.  The Cholesky factor keeps
+    nu of a squeezed state to ~1e-11 at r = 6, where sigma^{-1/2} from an
+    eigendecomposition of sigma loses it to ~1e-7.
+    """
+    n = cov.shape[0] // 2
+    l = np.linalg.cholesky(cov)
+    nu, v = np.linalg.eigh(1j * (l.T @ omega(n) @ l))
+    nu, v = nu[n:], v[:, n:]
+    o = np.empty((2 * n, 2 * n))
+    o[:, 0::2], o[:, 1::2] = v.imag, v.real
+    return nu, (np.sqrt(2.0 * np.repeat(nu, 2))[:, None] * o.T) @ np.linalg.inv(l)
+
+
 def vacuum_state(modes: int = 1) -> GaussianState:
     if modes < 1:
         raise ValueError("need at least one mode")

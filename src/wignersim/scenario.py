@@ -55,7 +55,7 @@ DRIFT_SIGMA_DEFAULTS = {"parity": 0.001, "default": 0.15}
 # Searched phase-variance minima within this relative distance of the lowest are equal.
 OPTIMUM_TIE = 1e-9
 # Distinct phi-independent prefixes kept; a Wigner-path point with loss uses a
-# lossy prefix and the lossless one it starts from (also the photon-number probe).
+# lossy prefix and the lossless one it starts from (also read for the input photon number).
 PREFIX_CACHE_SIZE = 8
 # Largest squeeze parameter r of a squeeze or an SPDC addition, and of the
 # summed r of the squeezes on one mode and stage.  The rounding
@@ -751,7 +751,9 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
 
     A herald after the phase post-selects on a phi-dependent outcome; the QFI of
     that conditional state does not bound the herald-weighted CFI, so none is given.
-    A Gaussian family comes from the observer.  On the Wigner path with no
+    A Gaussian family takes one observation: `est.qfi_mixed_gaussian` on the
+    state and its exact tangent, labelled pure or mixed from the symplectic
+    eigenvalues that formula uses.  On the Wigner path with no
     thermal noise after the MZI, a pure prefix is a pure input to the MZI, whose
     phase is generated by J_z = (n1 - n2)/2 after its first 50/50 splitter:
     F = 4 Var(J_z) = Var(n1 - n2) there, the same at every phi and read from
@@ -762,10 +764,10 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
     if not _pulls_back(config):
         return None, "unavailable (herald after the phase)"
     if _gaussian_possible(config):
-        observe = _observer(config)
-        fam = lambda p: observe(p).state
-        pure = est.gaussian_purity(fam(phi)) >= est.PURE_GAUSSIAN_PURITY
-        return est.qfi_mixed_gaussian(fam, phi), "pure_gaussian" if pure else "mixed_gaussian"
+        res = _observer(config)(phi)
+        nu = ga.williamson(res.state.cov)[0]
+        route = "pure_gaussian" if nu[-1] ** 2 - 1.0 <= est.PURE_GAUSSIAN_TOL else "mixed_gaussian"
+        return est.qfi_mixed_gaussian(res.state, *res.tangent), route
     loss = _uniform_loss(config)
     try:
         if config.noise.has_thermal:
@@ -779,12 +781,17 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
 
 
 def _input_mean_photon(config: ScenarioConfig) -> float:
-    """Total mean photon number entering the interferometer (post input-stage mods)."""
-    probe = ScenarioConfig(config.inputs, _input_mods(config), 0.0, NoiseSpec(), (), ("snr",), raw=config.raw)
-    res = _observer(probe)(0.0)
-    if res.gaussian_path:
-        return ga.total_mean_photon(res.state)
-    return sum(meas.intensity(res.state, k).mean for k in range(1, res.state.modes + 1))
+    """Total mean photon number entering the interferometer (after the input-stage modifications).
+
+    The passive MZI keeps the total, so it is read from the cached lossless
+    prefix: the state itself on the Gaussian path, the second moments of its
+    moment tensor (<n_k> = (<x_k^2> + <p_k^2> - 1) / 2) on the Wigner path.
+    """
+    if _gaussian_possible(config):
+        return ga.total_mean_photon(_prefix(config.inputs, _input_mods(config), True, None).state)
+    tensor = _prefix_moments(config.inputs, _input_mods(config), None)[0][1]
+    xx = np.diagonal(tensor[1:, 1:, 0, 0])  # <x_1^2>, <p_1^2>, <x_2^2>, <p_2^2>
+    return float(sum(0.5 * (xx[i] + xx[i + 1]) - 0.5 for i in (0, 2)))
 
 
 def evaluate_point(config: ScenarioConfig, phi: float | None = None, n_max: int = wig.DEFAULT_NMAX):
@@ -838,9 +845,12 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None, n_max: int 
         if qfi is None:
             warnings.append(f"qfi: {route}")
         else:
-            report.qfi = qfi
-            report.qcrb = 1.0 / qfi if qfi > 0.0 else float("inf")
             report.extras["qfi_route"] = route
+            if qfi > est.SLOPE_FLOOR**2:
+                report.qfi, report.qcrb = qfi, 1.0 / qfi
+            else:
+                report.qfi = 0.0
+                warnings.append(f"qfi at phi={phi:.6g}: {qfi:.3e}, no phase information and no QCRB")
 
     if "snr" in config.metrics:
         added = {m.mode: 0 for m in config.modifications}

@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 # the benchmark's scenario points (perfbench/workloads.py), shared with the tests
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+from wignersim import estimation as est
 from wignersim import gaussian as ga
 from wignersim import symplectic as sym
 
@@ -29,3 +30,14 @@ def mzi_coh_sqz():
         return family
 
     return make
+
+
+@pytest.fixture(scope="session")
+def gaussian_qfi():
+    """QFI of a Gaussian phi-family by `qfi_mixed_gaussian`, its tangent taken by central differences of step h."""
+
+    def qfi(family, phi: float, h: float = 1e-5) -> float:
+        plus, minus = family(phi + h), family(phi - h)
+        return est.qfi_mixed_gaussian(family(phi), (plus.mean - minus.mean) / (2 * h), (plus.cov - minus.cov) / (2 * h))
+
+    return qfi

@@ -63,13 +63,13 @@ CLOSED_FORMS = {
 }
 
 
-def test_criterion_1_closed_form_qcrb():
+def test_criterion_1_closed_form_qcrb(gaussian_qfi):
     worst = 0.0
     for a2 in (1.0, 100.0, 500.0):
         for r in (0.5, 1.0):
             target = a2 * math.exp(2 * r) + math.sinh(r) ** 2
             fam = mzi_family(a2, r)
-            fg = est.qfi_pure_gaussian(fam, 0.9)
+            fg = gaussian_qfi(fam, 0.9)
             fw = est.qfi_pure_wigner(lambda p: wg.from_gaussian(fam(p)), 0.9)
             worst = max(worst, abs(fg - target) / target, abs(fw - target) / target)
     report("criterion 1 (QCRB closed form, both QFI routes)", worst < 1e-8, f"worst rel dev {worst:.2e}")
@@ -127,7 +127,7 @@ def test_criterion_3_high_power_convergence():
     )
 
 
-def test_criterion_4_loss_consistency():
+def test_criterion_4_loss_consistency(gaussian_qfi):
     state = ga.tensor([ga.coherent_state(1.3, 0.0), ga.squeezed_vacuum(0.9, 0.0)])
     worst = 0.0
     for L in (0.0, 0.2, 0.5):
@@ -138,8 +138,8 @@ def test_criterion_4_loss_consistency():
             float(np.max(np.abs(uniform.cov - explicit.cov))),
             float(np.max(np.abs(uniform.mean - explicit.mean))),
         )
-    lossless = est.qfi_pure_gaussian(mzi_family(100.0, 1.0), 1.3)
-    tiny_loss = est.qfi_mixed_gaussian(mzi_family(100.0, 1.0, 1e-6), 1.3)
+    lossless = gaussian_qfi(mzi_family(100.0, 1.0), 1.3)
+    tiny_loss = gaussian_qfi(mzi_family(100.0, 1.0, 1e-6), 1.3)
     gap = abs(tiny_loss - lossless) / lossless
     ok = worst < 1e-12 and gap < 1e-3
     report("criterion 4 (loss-channel consistency)", ok, f"entrywise {worst:.2e}, QFI gap {gap:.2e}")

@@ -211,6 +211,35 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
+def _run_report(tmp_path, raw: dict) -> dict:
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 0
+    return json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("r", [4.5, 5.0, 5.5, 6.0])
+def test_strongly_squeezed_lossy_qfi_runs(r, tmp_path):
+    # strongly squeezed and lossy: in the Williamson basis the SLD equation needs no regularization
+    raw = json.loads((ROOT / "configs" / "ligo_lossy.json").read_text())
+    raw["modifications"][0]["r"] = r
+    raw["metrics"] = ["qfi"]
+    row = _run_report(tmp_path, raw)["rows"][0]
+    assert row["qfi_route"] == "mixed_gaussian"
+    assert math.isfinite(row["qfi"]) and row["qfi"] > 0.0
+    assert row["qcrb"] == 1.0 / row["qfi"]
+
+
+def test_vacuum_inputs_report_no_phase_information(tmp_path, capsys):
+    # no photons and no phase information: no snl/hl, and a zero qfi with no qcrb (no Infinity in the JSON)
+    raw = {"inputs": [{"kind": "vacuum"}, {"kind": "vacuum"}], "interferometer": {"phi": 1.0}, "metrics": ["qfi"]}
+    report = _run_report(tmp_path, raw)
+    row = report["rows"][0]
+    assert row["qfi"] == 0.0 and row["qfi_route"] == "pure_gaussian"
+    assert not {"qcrb", "snl", "hl"} & set(row)
+    assert len(report["warnings"]) == 1 and "no phase information and no QCRB" in report["warnings"][0]
+    assert report["warnings"][0] in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["run"], ["drift", "--trials", "3"]], ids=["run", "drift"])
 def test_detector_with_no_finite_variance_reports_no_optimum(command, tmp_path, capsys):
     # the mode-1 mean field stays orthogonal to the homodyne angle at every phi

@@ -148,30 +148,39 @@ class TestProbabilisticCfi:
 
 
 class TestQfi:
-    def test_closed_form_grid(self, mzi_coh_sqz):
+    def test_closed_form_grid(self, mzi_coh_sqz, gaussian_qfi):
         for a2 in (1.0, 100.0):
             for r in (0.5, 1.0):
                 fam = mzi_coh_sqz(a2, r)
                 target = a2 * math.exp(2 * r) + math.sinh(r) ** 2
-                assert abs(est.qfi_pure_gaussian(fam, 0.7) - target) < 1e-8 * target
+                assert abs(gaussian_qfi(fam, 0.7) - target) < 1e-8 * target
 
-    def test_dual_route_agreement(self, mzi_coh_sqz):
+    def test_exact_mzi_tangent(self):
+        # dR = M' R0, dsigma = M' sigma0 M^T + M sigma0 M'^T: the closed form without any step
+        r0 = ga.tensor([ga.coherent_state(10.0, 0.0), ga.squeezed_vacuum(1.0, 0.0)])
+        for phi in (0.3, math.pi, 4.4):
+            m, dm = sym.mzi_matrix(phi), sym.mzi_phase_derivative(phi)
+            half = dm @ r0.cov @ m.T
+            got = est.qfi_mixed_gaussian(ga.propagate(r0, sym.make_mzi(phi)), dm @ r0.mean, half + half.T)
+            assert got == pytest.approx(1.0 / est.lossless_qcrb(100.0, 1.0), rel=1e-13)
+
+    def test_dual_route_agreement(self, mzi_coh_sqz, gaussian_qfi):
         fam = mzi_coh_sqz(2.0, 0.8)
-        fg = est.qfi_pure_gaussian(fam, 1.0)
+        fg = gaussian_qfi(fam, 1.0)
         fw = est.qfi_pure_wigner(lambda p: wg.from_gaussian(fam(p)), 1.0)
         assert abs(fg - fw) < 1e-8 * fg
 
-    def test_classical_input_snl(self, mzi_coh_sqz):
+    def test_classical_input_snl(self, mzi_coh_sqz, gaussian_qfi):
         fam = mzi_coh_sqz(9.0, 0.0)
-        assert abs(est.qfi_pure_gaussian(fam, 0.5) - 9.0) < 1e-7
+        assert abs(gaussian_qfi(fam, 0.5) - 9.0) < 1e-7
 
-    def test_vacuum_family_zero(self):
+    def test_vacuum_family_zero(self, gaussian_qfi):
         fam = lambda p: ga.propagate(ga.vacuum_state(2), sym.make_mzi(p))
-        assert abs(est.qfi_pure_gaussian(fam, 0.9)) < 1e-10
+        assert abs(gaussian_qfi(fam, 0.9)) < 1e-10
 
-    def test_thermal_family_zero(self):
+    def test_thermal_family_zero(self, gaussian_qfi):
         fam = lambda p: ga.propagate(ga.tensor([ga.thermal_state(1.0), ga.thermal_state(1.0)]), sym.make_mzi(p))
-        assert abs(est.qfi_mixed_gaussian(fam, 0.9)) < 1e-10
+        assert abs(gaussian_qfi(fam, 0.9)) < 1e-10
 
     def test_wigner_route_on_nongaussian_family(self):
         # coherent + single photon through the MZI: pure but non-Gaussian
@@ -202,12 +211,12 @@ class TestQfi:
         with pytest.raises(PurityViolation):
             est.qfi_pure_wigner(fam, 0.7)
 
-    def test_mixed_pinned_by_fock_sld_oracle(self, mzi_coh_sqz):
-        # independent check of the mixed-Gaussian solver against a brute-force
+    def test_mixed_pinned_by_fock_sld_oracle(self, mzi_coh_sqz, gaussian_qfi):
+        # independent check of the Gaussian formula on a mixed state against a brute-force
         # symmetric-logarithmic-derivative QFI on the truncated Fock lattice
         a2, r, L, phi = 1.0, 0.3, 0.2, 0.9
         fam = mzi_coh_sqz(a2, r, L)
-        got = est.qfi_mixed_gaussian(fam, phi)
+        got = gaussian_qfi(fam, phi)
 
         orc = Oracle([18, 18])
 
@@ -220,23 +229,17 @@ class TestQfi:
         want = qfi_sld(rho(phi), (rho(phi + h) - rho(phi - h)) / (2 * h))
         assert abs(got - want) < 2e-5 * want
 
-    def test_mixed_reduces_to_pure(self, mzi_coh_sqz):
+    def test_mixed_reduces_to_pure(self, mzi_coh_sqz, gaussian_qfi):
         fam0 = mzi_coh_sqz(4.0, 0.6)
         fam = mzi_coh_sqz(4.0, 0.6, 1e-7)
-        pure = est.qfi_pure_gaussian(fam0, 1.2)
-        mixed = est.qfi_mixed_gaussian(fam, 1.2)
+        pure = gaussian_qfi(fam0, 1.2)
+        mixed = gaussian_qfi(fam, 1.2)
         assert abs(mixed - pure) < 1e-3 * pure
 
-    def test_loss_monotone(self, mzi_coh_sqz):
-        q0 = est.qfi_pure_gaussian(mzi_coh_sqz(100.0, 1.0), 0.8)
-        q1 = est.qfi_mixed_gaussian(mzi_coh_sqz(100.0, 1.0, 0.2), 0.8)
+    def test_loss_monotone(self, mzi_coh_sqz, gaussian_qfi):
+        q0 = gaussian_qfi(mzi_coh_sqz(100.0, 1.0), 0.8)
+        q1 = gaussian_qfi(mzi_coh_sqz(100.0, 1.0, 0.2), 0.8)
         assert q1 < q0
-
-    def test_step_robustness(self, mzi_coh_sqz):
-        fam = mzi_coh_sqz(100.0, 1.0, 0.2)
-        a = est.qfi_mixed_gaussian(fam, 0.8, h=1e-5)
-        b = est.qfi_mixed_gaussian(fam, 0.8, h=5e-6)
-        assert abs(a - b) < 1e-5 * abs(b)
 
 
 class TestClosedForms:
@@ -376,9 +379,9 @@ class TestGoldenSection:
 
 
 class TestCramerRaoOrdering:
-    def test_schemes_dominate_qcrb(self, mzi_coh_sqz):
+    def test_schemes_dominate_qcrb(self, mzi_coh_sqz, gaussian_qfi):
         fam = mzi_coh_sqz(4.0, 0.6)
-        qfi = est.qfi_pure_gaussian(fam, 1.0)
+        qfi = gaussian_qfi(fam, 1.0)
         schemes = [
             meas.DetectionScheme("homodyne", 1, angle=0.0),
             meas.DetectionScheme("intensity", 1),
@@ -397,9 +400,9 @@ class TestCramerRaoOrdering:
             assert v >= 1.0 / qfi - 1e-9
             count += 1
 
-    def test_cfi_bounded_by_qfi(self, mzi_coh_sqz):
+    def test_cfi_bounded_by_qfi(self, mzi_coh_sqz, gaussian_qfi):
         fam = mzi_coh_sqz(1.0, 0.4)
-        qfi = est.qfi_pure_gaussian(fam, 1.1)
+        qfi = gaussian_qfi(fam, 1.1)
         click1 = est.two_outcome(lambda p: meas.click_probability(fam(p), 1))
         click2 = est.two_outcome(lambda p: meas.click_probability(fam(p), 2))
         total = est.cfi(click1, 1.1) + est.cfi(click2, 1.1)

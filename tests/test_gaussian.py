@@ -195,6 +195,23 @@ class TestInjectThermal:
         assert abs(got - want) < 1e-8
 
 
+class TestWilliamson:
+    @pytest.mark.parametrize("nu", [(1.0, 1.0), (1.0, 3.5), (2.0, 2.0), (1.2, 40.0)])
+    def test_recovers_the_normal_form(self, nu):
+        for _ in range(5):
+            s = sym.chain(
+                sym.embed(sym.make_squeezer(RNG.uniform(0, 2), RNG.uniform(0, 6)), [1], 2),
+                sym.embed(sym.make_squeezer(RNG.uniform(0, 2), RNG.uniform(0, 6)), [2], 2),
+                sym.make_beam_splitter(RNG.uniform(0, 1)),
+                sym.make_two_mode_squeezer(RNG.uniform(0, 1), RNG.uniform(0, 6)),
+            ).matrix
+            cov = s @ np.diag(np.repeat(nu, 2)) @ s.T
+            got, s_inv = ga.williamson(cov)
+            np.testing.assert_allclose(got, sorted(nu), rtol=1e-10)
+            np.testing.assert_allclose(s_inv @ cov @ s_inv.T, np.diag(np.repeat(got, 2)), atol=1e-9 * max(nu))
+            np.testing.assert_allclose(s_inv @ sym.omega(2) @ s_inv.T, sym.omega(2), atol=1e-10)
+
+
 class TestMeanPhoton:
     def test_vacuum_zero(self):
         assert ga.mean_photon(ga.vacuum_state(1), 1) == 0.0

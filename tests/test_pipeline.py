@@ -138,6 +138,11 @@ class TestUniformLossInPrefix:
         got = sc._input_mean_photon(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
         assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("name, want", [("pacs_counts", 1.0), ("subtracted_thermal", 4.0)])
+    def test_input_mean_photon_is_read_before_the_mzi(self, name, want):
+        # the prefix ahead of the MZI gives the input totals exactly, with no rounding from the MZI matrix
+        assert sc._input_mean_photon(sc.load_config(str(ROOT / "configs" / f"{name}.json"))) == want
+
 
 class TestClickCfi:
     def test_unheralded_cfi_is_the_plain_detector_sum(self):
@@ -256,6 +261,61 @@ class TestGaussianPrefixChannel:
             assert isinstance(got, ga.GaussianState)
             for a, b in ((got.mean, want.mean), (got.cov, want.cov)):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
+
+
+def ligo_lossy(r: float, L: float = 0.2, output_mods=()) -> sc.ScenarioConfig:
+    raw = json.loads(json.dumps(LIGO_LOSSY))
+    raw["modifications"][0]["r"] = r
+    raw["modifications"] += list(output_mods)
+    raw["noise"]["loss"]["L"] = L
+    raw["metrics"] = ["qfi"]
+    return sc.ScenarioConfig.from_dict(raw)
+
+
+class TestGaussianQfi:
+    @pytest.mark.parametrize("r", [1.0, 5.0])
+    def test_output_unitaries_keep_the_qfi(self, r):
+        # an output squeeze and displacement are phi-independent unitaries after the phase
+        dressed = [{"op": "squeeze", "stage": "output", "mode": 1, "r": 2.0, "theta": 0.7},
+                   {"op": "displace", "stage": "output", "mode": 2, "alpha": 3.0, "theta": 0.4}]
+        plain, route = sc._qfi(ligo_lossy(r), 2.6)
+        got, dressed_route = sc._qfi(ligo_lossy(r, output_mods=dressed), 2.6)
+        assert route == dressed_route == "mixed_gaussian"
+        assert got == pytest.approx(plain, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0])
+    def test_lossless_qfi_matches_the_closed_form(self, r):
+        cfg = ligo_lossy(r, L=0.0)
+        want = 1.0 / est.lossless_qcrb(cfg.inputs[0].alpha ** 2, r)
+        for phi in (0.3, 1.7, 2.6, 4.4):
+            got, route = sc._qfi(cfg, phi)
+            assert route == "pure_gaussian"
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0), phi
+
+    def test_loss_on_one_mode_matches_the_fock_oracle(self):
+        # loss on mode 1 alone, after the MZI, moves the symplectic eigenvalues with phi
+        cfg = sc.ScenarioConfig.from_dict({
+            "inputs": [COHERENT, VACUUM],
+            "modifications": [{"op": "squeeze", "stage": "input", "mode": 2, "r": 0.3}],
+            "interferometer": {"phi": 0.9},
+            "noise": {"thermal": {"nbar_env": 0.0, "eta": 0.8, "modes": [1]}},
+            "metrics": ["qfi"],
+        })
+        observe = sc._observer(cfg)
+        nu = [ga.williamson(observe(p).state.cov)[0] for p in (0.5, 0.9)]
+        assert abs(nu[1][-1] - nu[0][-1]) > 1e-3
+        got, route = sc._qfi(cfg, 0.9)
+        assert route == "mixed_gaussian"
+
+        orc = Oracle([18, 18])
+
+        def rho(p):
+            mix = Mixture.from_product(orc, [("coherent", 1.0), ("squeezed", 0.3)]).apply(orc.mzi(p))
+            return mix.loss(1, 0.8, kmax=10).dm()
+
+        h = 1e-4
+        want = qfi_sld(rho(0.9), (rho(0.9 + h) - rho(0.9 - h)) / (2 * h))
+        assert got == pytest.approx(want, rel=1e-7, abs=0.0)
 
 
 class TestExactSlopes:

@@ -1,0 +1,22 @@
+"""The library example in README.md runs as written and prints the closed-form QCRB."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+from wignersim import estimation as est
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_prints_the_lossless_qcrb():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], str(README), "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert float(printed[-1]) == pytest.approx(est.lossless_qcrb(100.0, 1.0), rel=1e-13, abs=0.0)

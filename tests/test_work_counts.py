@@ -94,6 +94,26 @@ def test_pipeline_builds_per_ligo_lossy_point(monkeypatch):
     assert len(calls) == 0
 
 
+def test_gaussian_qfi_observes_one_state(monkeypatch):
+    # the observed state carries its exact tangent, so no neighbouring phase is observed
+    seen = []
+    orig = sc._observer
+
+    def observer(config):
+        observe = orig(config)
+
+        def counted(phi):
+            seen.append(phi)
+            return observe(phi)
+
+        return counted
+
+    monkeypatch.setattr(sc, "_observer", observer)
+    config = sc.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "ligo_lossy.json"))
+    sc._qfi(config, config.phi)
+    assert seen == [config.phi]
+
+
 def test_ligo_lossy_point_makes_no_per_phi_transform(monkeypatch):
     # each phi is the cached prefix through a plain-matrix channel; the input squeezer and its
     # embedding, both in the prefix, are the point's only transforms
