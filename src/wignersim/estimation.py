@@ -3,8 +3,12 @@
 Benchmarks (SNL/HL), error propagation, classical and probabilistic Fisher
 information, quantum Fisher information by two routes (Wigner integral, and one
 Gaussian formula for pure and mixed states), the closed-form
-coherent+squeezed-vacuum bounds, SNR, and the weighted total parity
-information for heralded branches.
+coherent+squeezed-vacuum bounds, SNR, the weighted total parity
+information for heralded branches, and the phase-variance optimum by two
+routes: exact for a signal whose first two moments are trigonometric
+polynomials in phi (`trig_stationary_points`, from equispaced samples and the
+companion matrix of its stationary-point condition), and golden section for
+any other (`golden_minimize`).
 
 Error propagation and the Gaussian QFI take exact phi-derivatives where the
 caller has them: on the scenario's prefix channel X = A(phi) Y + b + xi, a
@@ -62,8 +66,8 @@ def _derivative(fn: PhiFunction, phi: float, h: float) -> float:
     return (fn(phi + h) - fn(phi - h)) / (2.0 * h)
 
 
-def _second_derivative_richardson(fn: PhiFunction, phi: float, g: float = 2e-3) -> float:
-    """Second derivative with two Richardson levels (kills g^2 and g^4 truncation).
+def _second_derivative_richardson(fn: PhiFunction, phi: float, g: float = 2e-3) -> tuple[float, float]:
+    """Second derivative with two Richardson levels (kills g^2 and g^4 truncation), and its smallest step.
 
     The step shrinks until the plain second difference is stable, so sharply
     curved signals (bright-state parity fringes) stay inside their quadratic
@@ -82,7 +86,7 @@ def _second_derivative_richardson(fn: PhiFunction, phi: float, g: float = 2e-3) 
     c = d2(g / 4.0)
     r1 = (4.0 * b - a) / 3.0
     r2 = (4.0 * c - b) / 3.0
-    return (16.0 * r2 - r1) / 15.0
+    return (16.0 * r2 - r1) / 15.0, g / 4.0
 
 
 def phase_variance_error_prop(
@@ -102,7 +106,9 @@ def phase_variance_error_prop(
     resolved slope; it is evaluated as the limit Var''/(2 mean''^2) via
     Richardson second differences, never as a clamped zero over the slope.  A
     vanishing slope with non-vanishing variance is a genuinely bad operating
-    point and raises SignalStationary.
+    point and raises SignalStationary, and so does a zero-variance point whose
+    mean'' is at the rounding level of its differences (a flat signal) or
+    whose variance does not curve up: no phase variance is 0 or negative.
     """
     if slope_fn is None:
         f_plus, f_minus = mean_fn(phi + h), mean_fn(phi - h)
@@ -115,10 +121,12 @@ def phase_variance_error_prop(
         noise = SLOPE_NOISE * scale
     var = var_fn(phi)
     if abs(var) <= 1e-8 * max(1.0, scale):
-        m2 = _second_derivative_richardson(mean_fn, phi)
-        v2 = _second_derivative_richardson(var_fn, phi)
-        if abs(m2) <= SLOPE_FLOOR:
+        m2, g = _second_derivative_richardson(mean_fn, phi)
+        if abs(m2) <= max(SLOPE_FLOOR, SLOPE_NOISE * scale / g**2):
             raise SignalStationary(f"signal flat to second order at phi={phi:.6g}")
+        v2 = _second_derivative_richardson(var_fn, phi)[0]
+        if v2 <= 0.0:
+            raise SignalStationary(f"variance {var:.3e} not curved up at phi={phi:.6g}")
         return v2 / (2.0 * m2**2)
     noise_floor = max(SLOPE_FLOOR, noise)
     if abs(slope) > noise_floor:
@@ -396,6 +404,83 @@ def total_parity_information(
     if not any_slope:
         raise SignalStationary(f"no branch carries parity slope at phi={phi:.6g}")
     return total
+
+
+def _trig(c: np.ndarray, theta: float) -> float:
+    """sum_k c_k e^{i k theta} over k = -D..D, of a real trigonometric polynomial."""
+    k = np.arange(len(c)) - (len(c) - 1) // 2
+    return float(np.real(np.sum(c * np.exp(1j * k * theta))))
+
+
+def _circle_roots(p: np.ndarray) -> list[float]:
+    """Angles in [0, 2 pi) of the roots on the unit circle of a polynomial, highest power first.
+
+    Roots from the companion matrix (`np.roots`) lose accuracy next to the
+    roots near 0 and infinity that rounding-level leading or trailing
+    coefficients put there, so each root near the circle takes two Newton steps.
+    """
+    dp = np.polyder(p)
+    thetas = []
+    for z in np.roots(p):
+        if abs(abs(z) - 1.0) > 0.5:
+            continue
+        for _ in range(2):
+            dz = np.polyval(dp, z)
+            if dz == 0.0:
+                break
+            z = z - np.polyval(p, z) / dz
+        if abs(abs(z) - 1.0) <= 1e-3:
+            thetas.append(float(np.angle(z)) % (2.0 * math.pi))
+    return thetas
+
+
+def trig_stationary_points(samples: Sequence, rate: int) -> list[tuple[float, float]]:
+    """(phi, Var / (d<O>/dphi)^2) at the stationary points in [0, 2 pi), and at phi = 0, of a trigonometric signal.
+
+    `samples` are a detector's moments (`mean`, `variance`, `second_moment`)
+    at theta_j = 2 pi j / n, n = 4d + 1, with phi = rate * theta, where <O> is
+    a trigonometric polynomial of degree <= d in theta and <O^2> one of
+    degree <= 2d; the samples then fix both exactly.  With P_v(z) =
+    z^{2d} Var and P_m(z) = z^d d<O>/dtheta on z = e^{i theta}, the phase
+    variance is V = rate^2 P_v / P_m^2.  A dark fringe, a real zero of the
+    slope where the variance vanishes too, is cancelled from both, (z - z0)
+    from P_m and (z - z0)^2 from P_v, so that V keeps its limit
+    Var''/(2 <O>''^2) there and is smooth nearby.  The stationary points are
+    then the roots of P_v' P_m - 2 P_v P_m' on the unit circle
+    (`_circle_roots`); points with no resolvable slope are left out.  Raises
+    SignalStationary when every slope coefficient is at rounding level.
+    """
+    n = len(samples)
+    d = (n - 1) // 4
+    mean = np.array([s.mean for s in samples])
+    kv = np.arange(-2 * d, 2 * d + 1)
+    dft = np.exp(-2j * math.pi * np.outer(kv, np.arange(n)) / n) / n  # row k: the coefficient of e^{i k theta}
+    var_c = dft @ np.array([s.variance for s in samples])
+    mean_c = (dft @ mean)[d : 3 * d + 1]  # k = -d..d; the higher ones are rounding
+    k = kv[d : 3 * d + 1]
+    slope_c, curve_c, var_curve_c = 1j * k * mean_c, -(k**2) * mean_c, -(kv**2) * var_c
+    # the rounding level of a slope in theta, and of a variance from <O^2> - <O>^2
+    slope_noise = rate * max(SLOPE_FLOOR, SLOPE_NOISE * float(np.max(np.abs(mean))))
+    var_noise = SLOPE_NOISE * max(1.0, max(abs(s.second_moment) for s in samples))
+    if np.max(np.abs(slope_c)) <= slope_noise:
+        raise SignalStationary("no searched phase gives a finite phase variance: the signal is flat in phi")
+    # P_v and P_m with the highest power of z first, as np.roots and np.poly* take them
+    p_v, p_m = var_c[::-1], slope_c[::-1]
+    points = []  # (theta, V in theta)
+    for theta in _circle_roots(p_m):
+        if abs(_trig(slope_c, theta)) > slope_noise or abs(_trig(var_c, theta)) > var_noise:
+            continue
+        z0 = np.array([1.0, -np.exp(1j * theta)])
+        p_m, p_v = np.polydiv(p_m, z0)[0], np.polydiv(p_v, np.polymul(z0, z0))[0]
+        curve = _trig(curve_c, theta)
+        if abs(curve) > slope_noise:  # else flat to second order, with no limit
+            points.append((theta, _trig(var_curve_c, theta) / (2.0 * curve**2)))
+    stationary = np.polysub(np.polymul(np.polyder(p_v), p_m), 2.0 * np.polymul(p_v, np.polyder(p_m)))
+    for theta in [0.0] + _circle_roots(stationary):
+        if abs(_trig(slope_c, theta)) > slope_noise:
+            z = np.exp(1j * theta)
+            points.append((theta, float(np.real(np.polyval(p_v, z) / np.polyval(p_m, z) ** 2))))
+    return [(rate * theta, rate**2 * v) for theta, v in points if rate * theta < 2.0 * math.pi and v > 0.0]
 
 
 def golden_minimize(fn: PhiFunction, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float]:

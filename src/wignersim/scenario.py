@@ -684,23 +684,46 @@ def _signal_fns(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple:
     return (lambda p: at(p)[0].mean), (lambda p: at(p)[0].variance), slope_fn
 
 
-_OPTIMUM_SEEDS = {
-    "parity": math.pi,
-    "homodyne": math.pi,
-    "intensity_difference": math.pi / 2.0,
-    "intensity": None,  # depends on source strength; found by scan
-    "click": None,
-}
+# Seeds of the golden-section search, next to its coarse scan: the published parity optimum.
+_OPTIMUM_SEEDS = {"parity": math.pi}
 
 
 def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float]:
-    """Seeded golden-section search of the phase-variance minimum over (0, 2 pi).
+    """The phase-variance minimum over phi in [0, 2 pi), as (phi, variance).
+
+    A polynomial detector on the prefix channel is a trigonometric polynomial
+    in phi: A(phi) = K M(phi) holds only cos(phi/2) and sin(phi/2), so <O> of
+    a degree-q detector has harmonics up to q in phi/2 and <O^2> up to 2q.  An
+    even detector (intensity, intensity difference) with no output
+    displacement has even harmonics only, and is read in phi itself.  Its
+    samples at 4d + 1 equispaced phases (five, or nine for an even detector
+    behind an output displacement) fix both moments, and
+    `est.trig_stationary_points` gives the variance at every stationary point
+    exactly.  Parity, click and a herald after the phase take a seeded
+    golden-section search from a 25-point scan instead.
 
     Minima within a relative OPTIMUM_TIE of the lowest are equal, and the one at
     the smallest phi is reported, so that rounding cannot move the optimum
-    between mirror minima.  Raises SignalStationary when no searched phase gives
-    a finite variance.
+    between mirror minima.  Raises SignalStationary when no phase gives a
+    finite variance.
     """
+    if _pulls_back(config) and scheme.kind in meas.POLYNOMIAL_KINDS:
+        even = scheme.kind != "homodyne"
+        rate = 1 if even and not np.any(_after_mzi(config, None)[1]) else 2
+        n = 9 if even and rate == 2 else 5
+        observe = _observer(config)
+        samples = [meas.measure(observe(2.0 * math.pi * rate * j / n).state, scheme) for j in range(n)]
+        minima = est.trig_stationary_points(samples, rate)
+    else:
+        minima = _golden_minima(config, scheme)
+    low = min((v for _, v in minima), default=math.inf)
+    if not math.isfinite(low):
+        raise SignalStationary("no searched phase gives a finite phase variance")
+    return min((x, v) for x, v in minima if v - low <= OPTIMUM_TIE * abs(low))
+
+
+def _golden_minima(config: ScenarioConfig, scheme: meas.DetectionScheme) -> list[tuple[float, float]]:
+    """Golden-section minima from the seed of the scheme and the two best of 25 scanned phases."""
     mean, var, slope = _signal_fns(config, scheme)
 
     def variance_at(phi: float) -> float:
@@ -709,17 +732,10 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
         except (SignalStationary, ImprobableBranch, ValueError):
             return float("inf")
 
-    seeds = []
-    seed = _OPTIMUM_SEEDS.get(scheme.kind)
-    if seed is not None:
-        seeds.append(seed)
+    seeds = [_OPTIMUM_SEEDS[scheme.kind]] if scheme.kind in _OPTIMUM_SEEDS else []
     coarse = np.linspace(0.05, 2.0 * math.pi - 0.05, 25)
     seeds.extend(coarse[np.argsort([variance_at(p) for p in coarse])[:2]])
-    minima = [est.find_optimal_phase(variance_at, s, window=0.35) for s in seeds]
-    low = min(v for _, v in minima)
-    if not math.isfinite(low):
-        raise SignalStationary("no searched phase gives a finite phase variance")
-    return min((x, v) for x, v in minima if v - low <= OPTIMUM_TIE * low)
+    return [est.find_optimal_phase(variance_at, s, window=0.35) for s in seeds]
 
 
 def _click_cfi(config: ScenarioConfig, phi: float) -> float:
@@ -821,16 +837,17 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None, n_max: int 
 
     if "phase_variance" in config.metrics:
         for scheme in config.detection:
+            try:
+                opt_phi, opt_var = _optimal_phi(config, scheme)
+            except SignalStationary as exc:
+                # no phase gives a finite variance, the configured one included: one warning for both
+                warnings.append(f"optimal_phi[{scheme.label}]: {exc}")
+                continue
             mean, var, slope = _signal_fns(config, scheme)
             try:
                 report.phase_variance[scheme.label] = est.phase_variance_error_prop(mean, var, phi, slope_fn=slope)
             except (SignalStationary, DegenerateBranch, ImprobableBranch) as exc:
                 warnings.append(f"phase_variance[{scheme.label}] at phi={phi:.6g}: {exc}")
-            try:
-                opt_phi, opt_var = _optimal_phi(config, scheme)
-            except SignalStationary as exc:
-                warnings.append(f"optimal_phi[{scheme.label}]: {exc}")
-                continue
             report.optimal_phi[scheme.label] = opt_phi
             report.extras[f"min_phase_variance.{scheme.label}"] = opt_var
 

@@ -240,6 +240,17 @@ def test_vacuum_inputs_report_no_phase_information(tmp_path, capsys):
     assert report["warnings"][0] in capsys.readouterr().err
 
 
+def test_vacuum_inputs_give_one_warning_per_detector(tmp_path):
+    # a flat signal has no optimum and no phase variance: parity by its rounding-level curvature,
+    # intensity by its rounding-level Fourier slope coefficients
+    raw = {"inputs": [{"kind": "vacuum"}, {"kind": "vacuum"}], "interferometer": {"phi": 1.0},
+           "detection": [{"scheme": "parity", "mode": 1}, {"scheme": "intensity", "mode": 1}],
+           "metrics": ["phase_variance"]}
+    report = _run_report(tmp_path, raw)
+    assert [w.split(":")[0] for w in report["warnings"]] == ["optimal_phi[parity[1]]", "optimal_phi[intensity[1]]"]
+    assert not any(key.startswith(("optimal_", "min_phase_variance.", "phase_variance.")) for key in report["rows"][0])
+
+
 @pytest.mark.parametrize("command", [["run"], ["drift", "--trials", "3"]], ids=["run", "drift"])
 def test_detector_with_no_finite_variance_reports_no_optimum(command, tmp_path, capsys):
     # the mode-1 mean field stays orthogonal to the homodyne angle at every phi

@@ -68,6 +68,20 @@ class TestErrorPropagation:
         v = est.phase_variance_error_prop(math.cos, lambda p: max(0.0, math.sin(p) ** 2 - 1e-15), 1e-8)
         assert abs(v - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("phi", [1.0, math.pi])
+    def test_flat_zero_variance_signal_raises(self, phi):
+        # two vacuum inputs: parity 1 at every phi, whose second differences are rounding noise (they gave
+        # 193,273 at phi = 1 and -23.57 at phi = pi)
+        vacuum = ga.tensor([ga.vacuum_state(1), ga.vacuum_state(1)])
+        parity = lambda p: meas.parity(ga.propagate(vacuum, sym.make_mzi(p)), 1)
+        with pytest.raises(SignalStationary, match="second order"):
+            est.phase_variance_error_prop(lambda p: parity(p).mean, lambda p: parity(p).variance, phi)
+
+    def test_zero_variance_without_curvature_raises(self):
+        # a variance that stays 0 around the point has no positive limit; 0 would pass for an exact phase
+        with pytest.raises(SignalStationary, match="not curved up"):
+            est.phase_variance_error_prop(math.cos, lambda p: 0.0, 0.5)
+
     def test_stationary_with_real_variance_raises(self):
         with pytest.raises(SignalStationary):
             est.phase_variance_error_prop(lambda p: 1.0, lambda p: 0.5, 0.3)

@@ -7,11 +7,14 @@ import pytest
 
 import workloads
 from wignersim import conditional as cond
+from wignersim import estimation as est
 from wignersim import gaussian as ga
 from wignersim import measurements as meas
 from wignersim import scenario as sc
 from wignersim import symplectic as sym
 from wignersim import wigner as wg
+
+LIGO_LOSSY = str(Path(__file__).resolve().parent.parent / "configs" / "ligo_lossy.json")
 
 
 def two_mode_gaussian() -> ga.GaussianState:
@@ -89,13 +92,14 @@ def test_pipeline_builds_per_ligo_lossy_point(monkeypatch):
         return orig(config, phi)
 
     monkeypatch.setattr(sc, "build_pipeline", counted)
-    config = sc.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "ligo_lossy.json"))
+    config = sc.load_config(LIGO_LOSSY)
     sc.evaluate_point(config)
     assert len(calls) == 0
 
 
-def test_gaussian_qfi_observes_one_state(monkeypatch):
-    # the observed state carries its exact tangent, so no neighbouring phase is observed
+@pytest.fixture
+def observed(monkeypatch) -> list:
+    """The phases at which the scenario observes a state through `_observer`."""
     seen = []
     orig = sc._observer
 
@@ -109,9 +113,34 @@ def test_gaussian_qfi_observes_one_state(monkeypatch):
         return counted
 
     monkeypatch.setattr(sc, "_observer", observer)
-    config = sc.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "ligo_lossy.json"))
+    return seen
+
+
+def test_gaussian_qfi_observes_one_state(observed):
+    # the observed state carries its exact tangent, so no neighbouring phase is observed
+    config = sc.load_config(LIGO_LOSSY)
     sc._qfi(config, config.phi)
-    assert seen == [config.phi]
+    assert observed == [config.phi]
+
+
+@pytest.mark.parametrize("config, label", [
+    (LIGO_LOSSY, "intensity[1]"), (LIGO_LOSSY, "homodyne[1,0]"), (LIGO_LOSSY, "diff[1,2]"),
+    (workloads.point_a(1.0), "intensity[1]"), (workloads.point_b(1.0), "diff[1,2]"),
+])
+def test_polynomial_optimum_reads_five_phases(config, label, observed, monkeypatch):
+    # <O> and <O^2> are trigonometric polynomials in phi, fixed by five equispaced samples
+    golden = counter(monkeypatch, est, "golden_minimize")
+    config = sc.load_config(config) if isinstance(config, str) else sc.ScenarioConfig.from_dict(config)
+    sc._optimal_phi(config, next(s for s in config.detection if s.label == label))
+    assert (len(golden), len(observed)) == (0, 5)
+
+
+def test_parity_optimum_keeps_the_golden_section_search(monkeypatch):
+    # one search from the parity seed and one from each of the two best of the 25 scanned phases
+    golden = counter(monkeypatch, est, "golden_minimize")
+    config = sc.load_config(LIGO_LOSSY)
+    sc._optimal_phi(config, meas.DetectionScheme("parity", 1))
+    assert len(golden) == 3
 
 
 def test_ligo_lossy_point_makes_no_per_phi_transform(monkeypatch):
@@ -119,14 +148,14 @@ def test_ligo_lossy_point_makes_no_per_phi_transform(monkeypatch):
     # embedding, both in the prefix, are the point's only transforms
     calls = counter(monkeypatch, sym.SymplecticTransform, "__post_init__")
     sc._prefix.cache_clear()
-    sc.evaluate_point(sc.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "ligo_lossy.json")))
+    sc.evaluate_point(sc.load_config(LIGO_LOSSY))
     assert len(calls) == 2
 
 
 def test_ligo_lossy_point_runs_no_wick_recursion(monkeypatch):
     # every detector moment and slope of a Gaussian point is a closed form in (R, sigma)
     calls = counter(monkeypatch, wg, "_gaussian_expectation")
-    sc.evaluate_point(sc.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "ligo_lossy.json")))
+    sc.evaluate_point(sc.load_config(LIGO_LOSSY))
     assert calls == []
 
 
