@@ -4,24 +4,27 @@ Benchmarks (SNL/HL), error propagation, classical and probabilistic Fisher
 information, quantum Fisher information by two routes (Wigner integral, and one
 Gaussian formula for pure and mixed states), the closed-form
 coherent+squeezed-vacuum bounds, SNR, the weighted total parity
-information for heralded branches, and the phase-variance optimum by two
+information for heralded branches, and the phase-variance optimum by three
 routes: exact for a signal whose first two moments are trigonometric
 polynomials in phi (`trig_stationary_points`, from equispaced samples and the
-companion matrix of its stationary-point condition), and golden section for
-any other (`golden_minimize`).
+companion matrix of its stationary-point condition), from a batched grid of
+the value, slope and curvature of a +-1 or Bernoulli signal refined to its
+stationary points (`kernel_minima`), and golden section for any other
+(`golden_minimize`).
 
-Error propagation and the Gaussian QFI take exact phi-derivatives where the
-caller has them: on the scenario's prefix channel X = A(phi) Y + b + xi, a
-Gaussian family's tangent (dR, dsigma) and a Wigner-state polynomial
-detector's slope both come from dA/dphi.  The parity and click slopes there,
-the CFI, and the Wigner-integral QFI take central differences with step 1e-5
-on smooth O(1) quantities (means, probabilities, term data).  The
-Wigner-integral QFI differentiates each term's parameters and then integrates
-exactly, rather than differencing whole Wigner values, which would cancel
-catastrophically inside the squared integral; for a pure input to the balanced
-MZI the scenario runner takes the QFI without any difference, as Var(n1 - n2)
-after the first splitter, and keeps `qfi_pure_wigner` as the library route and
-its check.
+Error propagation, the CFI and the Gaussian QFI take exact phi-derivatives
+where the caller has them: on the scenario's prefix channel
+X = A(phi) Y + b + xi, a Gaussian family's tangent (dR, dsigma), the slopes of
+every detector on it (parity and click included) and a Wigner-state
+polynomial detector's slope all come from dA/dphi.  The parity and click
+slopes of a Wigner state, the CFI of a Wigner state, and the Wigner-integral
+QFI take central differences with step 1e-5 on smooth O(1) quantities (means,
+probabilities, term data).  The Wigner-integral QFI differentiates each term's
+parameters and then integrates exactly, rather than differencing whole Wigner
+values, which would cancel catastrophically inside the squared integral; for a
+pure input to the balanced MZI the scenario runner takes the QFI without any
+difference, as Var(n1 - n2) after the first splitter, and keeps
+`qfi_pure_wigner` as the library route and its check.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ SLOPE_NOISE = 32.0 * 2.3e-16
 PURE_GAUSSIAN_TOL = 1e-9
 # A Wigner family whose purity differs from 1 by more than this has no pure-state QFI.
 PURE_WIGNER_TOL = 1e-6
+# Cells of a phase grid read per batched call, which bounds its arrays for a bright, fine-grained grid.
+KERNEL_CHUNK = 4096
 
 PhiFunction = Callable[[float], float]
 
@@ -136,9 +141,10 @@ def phase_variance_error_prop(
 
 @dataclass(frozen=True)
 class BranchSet:
-    """Complete set of probabilistic outcomes P_i(phi) for one detector."""
+    """Complete set of probabilistic outcomes P_i(phi) for one detector, and their exact slopes where known."""
 
     probabilities: Sequence[PhiFunction]
+    slopes: Sequence[PhiFunction] | None = None
 
     def values(self, phi: float) -> list[float]:
         vals = [float(p(phi)) for p in self.probabilities]
@@ -148,19 +154,20 @@ class BranchSet:
         return vals
 
 
-def two_outcome(p: PhiFunction) -> BranchSet:
-    """The {P, 1-P} branch pair of a binary detector."""
-    return BranchSet((p, lambda phi: 1.0 - p(phi)))
+def two_outcome(p: PhiFunction, slope: PhiFunction | None = None) -> BranchSet:
+    """The {P, 1-P} branch pair of a binary detector, with the exact dP/dphi if given."""
+    slopes = None if slope is None else (slope, lambda phi: -slope(phi))
+    return BranchSet((p, lambda phi: 1.0 - p(phi)), slopes)
 
 
 def cfi(branches: BranchSet, phi: float, h: float = DEFAULT_STEP) -> float:
-    """Classical Fisher information sum_i P_i'^2 / P_i."""
+    """Classical Fisher information sum_i P_i'^2 / P_i, from the exact slopes or central differences of step h."""
     vals = branches.values(phi)
     total = 0.0
-    for p_fn, p in zip(branches.probabilities, vals):
+    for i, (p_fn, p) in enumerate(zip(branches.probabilities, vals)):
         if p <= SLOPE_FLOOR or p >= 1.0 + 1e-12:
             raise DegenerateBranch(f"branch probability {p:.3e} at phi={phi:.6g}")
-        dp = _derivative(p_fn, phi, h)
+        dp = _derivative(p_fn, phi, h) if branches.slopes is None else branches.slopes[i](phi)
         total += dp * dp / p
     return total
 
@@ -435,7 +442,7 @@ def _circle_roots(p: np.ndarray) -> list[float]:
 
 
 def trig_stationary_points(samples: Sequence, rate: int) -> list[tuple[float, float]]:
-    """(phi, Var / (d<O>/dphi)^2) at the stationary points in [0, 2 pi), and at phi = 0, of a trigonometric signal.
+    """(phi, Var / (d<O>/dphi)^2) at the stationary points in [0, 2 pi rate), and at phi = 0, of a trigonometric signal.
 
     `samples` are a detector's moments (`mean`, `variance`, `second_moment`)
     at theta_j = 2 pi j / n, n = 4d + 1, with phi = rate * theta, where <O> is
@@ -480,7 +487,111 @@ def trig_stationary_points(samples: Sequence, rate: int) -> list[tuple[float, fl
         if abs(_trig(slope_c, theta)) > slope_noise:
             z = np.exp(1j * theta)
             points.append((theta, float(np.real(np.polyval(p_v, z) / np.polyval(p_m, z) ** 2))))
-    return [(rate * theta, rate**2 * v) for theta, v in points if rate * theta < 2.0 * math.pi and v > 0.0]
+    return [(_wrap(rate * theta, 2.0 * math.pi * rate), rate**2 * v) for theta, v in points if v > 0.0]
+
+
+def _wrap(phi: float, period: float) -> float:
+    """phi modulo the period, in [0, period): a root a rounding step below 0 or the period is at 0."""
+    phi = phi % period
+    return 0.0 if period - phi <= 4.0 * np.finfo(float).eps * period else float(phi)
+
+
+def _signal_variance(m, m1, m2, bernoulli: bool) -> tuple:
+    """Var and its first two phi-derivatives from the jet of <O>; <O^2> is 1 (a +-1 outcome) or <O> (Bernoulli)."""
+    s, s1, s2 = (m, m1, m2) if bernoulli else (1.0, 0.0, 0.0)
+    return s - m * m, s1 - 2.0 * m * m1, s2 - 2.0 * (m1 * m1 + m * m2)
+
+
+def jet_phase_variance(m, m1, m2, bernoulli: bool, dark) -> np.ndarray:
+    """Var / <O>'^2 from the jet (<O>, <O>', <O>'') of a +-1 or Bernoulli signal, over arrays.
+
+    Where `dark` is set the point is a dark fringe, a zero of <O>' with Var at
+    rounding level, and V is the limit Var'' / (2 <O>''^2) there; for parity
+    this is -<O> / <O>''.  Points with no resolvable slope or curvature, or a
+    variance that does not curve up at a dark fringe, give inf.
+    """
+    var, _, var2 = _signal_variance(m, m1, m2, bernoulli)
+    noise = np.maximum(SLOPE_FLOOR, SLOPE_NOISE * np.abs(m))
+    dark = dark & (np.abs(m2) > noise) & (var2 > 0.0)
+    slope = ~dark & (np.abs(m1) > noise)
+    v = np.full(np.shape(m), math.inf)
+    np.divide(var, m1 * m1, out=v, where=slope)
+    np.divide(var2, 2.0 * m2 * m2, out=v, where=dark)
+    return v
+
+
+def _illinois(f: Callable, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Roots of f, one between each a and b where fa and fb differ in sign, by Illinois regula falsi over arrays.
+
+    Each step replaces the end on the root's side by the secant point, and
+    halves the value of the other end when that end is kept twice, so that it
+    moves too; steps stop once none moves a root by more than a few ulps.
+    """
+    for _ in range(64):
+        c = (a + b) / 2.0
+        np.divide(a * fb - b * fa, fb - fa, out=c, where=fb != fa)
+        done = np.abs(c - b) <= 4.0 * np.finfo(float).eps * np.maximum(np.abs(b), 1.0)
+        if np.all(done):
+            return c
+        fc = f(c)
+        flip = np.sign(fc) == -np.sign(fb)
+        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+        b, fb = c, fc
+    return b
+
+
+def kernel_minima(jet: Callable, period: float, cells: int, bernoulli: bool) -> list[tuple[float, float, bool]]:
+    """(phi, V, dark) at the stationary points of V = Var / <O>'^2 over one period of a +-1 or Bernoulli signal.
+
+    `jet(phis)` returns <O>, <O>', <O>'' and the rounding level of Var at an
+    array of phases.  It is read at the centres of `cells` equal cells over
+    [0, period], KERNEL_CHUNK cells per call; with `cells` a multiple of 4 no
+    centre falls on a multiple of pi, where symmetric signals have <O>' = 0.
+    With theta' = <O>' / sqrt(Var), V = 1 / theta'^2, so the stationary points
+    of V other than its poles are the zeros of N = Var' <O>' - 2 Var <O>'', as
+    theta'' = -N / (2 Var^{3/2}).  Every cell where a resolvable <O>' changes
+    sign is refined to the zero of <O>' (`_illinois`).  Where Var is at
+    rounding level there, that zero is a dark fringe, and V is its exact limit
+    (`jet_phase_variance`); otherwise it is a pole of V, where N keeps its sign
+    and which splits its cell in two, since the mirror minima next to a nearly
+    dark fringe may share one.  Every (half) cell with a resolvable slope
+    where N changes sign is then refined to the zero of N, except within one
+    cell of a dark fringe, where N vanishes to third order and Var / <O>'^2 is
+    rounding over rounding.  `dark` marks the dark fringes.
+    """
+    step = period / cells
+
+    def n_of(m, m1, m2) -> np.ndarray:
+        var, var1, _ = _signal_variance(m, m1, m2, bernoulli)
+        return var1 * m1 - 2.0 * var * m2
+
+    sign_changes, brackets = [], []  # (lo, hi, f(lo), f(hi)) of <O>', and of N
+    for start in range(0, cells, KERNEL_CHUNK):
+        phi = step * (np.arange(start, min(start + KERNEL_CHUNK, cells) + 1) + 0.5)
+        m, m1, m2, _ = jet(phi)
+        nn = n_of(m, m1, m2)
+        m1 = np.where(np.abs(m1) > np.maximum(SLOPE_FLOOR, SLOPE_NOISE * np.abs(m)), m1, 0.0)
+        i = np.flatnonzero(m1[:-1] * m1[1:] < 0.0)
+        sign_changes.append((phi[i], phi[i + 1], m1[i], m1[i + 1], nn[i], nn[i + 1]))
+        j = np.flatnonzero((nn[:-1] * nn[1:] < 0.0) & (m1[:-1] * m1[1:] > 0.0))
+        brackets.append((phi[j], phi[j + 1], nn[j], nn[j + 1]))
+    lo, hi, f_lo, f_hi, n_lo, n_hi = (np.concatenate(c) for c in zip(*sign_changes))
+    zeros = _illinois(lambda p: jet(p)[1], lo, hi, f_lo, f_hi)
+    m, m1, m2, var_noise = jet(zeros)
+    var = _signal_variance(m, m1, m2, bernoulli)[0]
+    dark = np.abs(var) <= var_noise
+    fringes = zeros[dark]
+    points = [(x, v, True) for x, v in zip(fringes, jet_phase_variance(m[dark], m1[dark], m2[dark], bernoulli, True))]
+    pole, n_pole = zeros[~dark], n_of(m, m1, m2)[~dark]
+    brackets += [(lo[~dark], pole, n_lo[~dark], n_pole), (pole, hi[~dark], n_pole, n_hi[~dark])]
+    lo, hi, f_lo, f_hi = (np.concatenate(c) for c in zip(*brackets))
+    # the distance of each cell from each dark fringe, over the period
+    apart = np.abs(((lo + hi)[:, None] / 2.0 - fringes + period / 2.0) % period - period / 2.0)
+    keep = (f_lo * f_hi < 0.0) & ~np.any(apart < 1.5 * step, axis=1)
+    roots = _illinois(lambda p: n_of(*jet(p)[:3]), lo[keep], hi[keep], f_lo[keep], f_hi[keep])
+    m, m1, m2, _ = jet(roots)
+    points += [(r, v, False) for r, v in zip(roots, jet_phase_variance(m, m1, m2, bernoulli, False))]
+    return [(_wrap(r, period), float(v), d) for r, v, d in points if math.isfinite(v)]
 
 
 def golden_minimize(fn: PhiFunction, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float]:

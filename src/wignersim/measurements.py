@@ -24,7 +24,9 @@ its contracted moment tensor, and parity and click are Gaussian kernels on one
 mode.  `mean_slope` gives d<O>/dphi in closed form from the tangent that the
 scenario's prefix-channel observer returns next to the state: of a Gaussian
 family from (dR/dphi, dsigma/dphi), and of a polynomial detector on an
-AffineImage from dA/dphi of its channel.
+AffineImage from dA/dphi of its channel.  The parity and no-click kernel of a
+Gaussian mode, with its first two phi-derivatives, is `kernel_jet`, batched
+over a stack of mode blocks; the Gaussian parity and click slopes read it.
 """
 
 from __future__ import annotations
@@ -111,15 +113,45 @@ def _square_moments(state: GaussianState, idx: list[int]) -> np.ndarray:
     return np.outer(square, square) + 2.0 * c * (c + 2.0 * np.outer(mu, mu))
 
 
-def _kernel(mu: np.ndarray, k: np.ndarray) -> tuple[float, np.ndarray]:
-    """exp(-mu^T k^-1 mu) / sqrt(det k), and k^-1.
+def _kernel(mu: np.ndarray, k: np.ndarray) -> float:
+    """exp(-mu^T k^-1 mu) / sqrt(det k).
 
     With k the mode covariance sigma this is the parity; with k = sigma + I it
     is half the no-click probability (the vacuum overlap).
     """
     det = k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0]
     kinv = np.array([[k[1, 1], -k[0, 1]], [-k[1, 0], k[0, 0]]]) / det
-    return math.exp(-float(mu @ kinv @ mu)) / math.sqrt(det), kinv
+    return math.exp(-float(mu @ kinv @ mu)) / math.sqrt(det)
+
+
+def kernel_jet(mu, k, dmu, dk, d2mu, d2k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_kernel` and its first two phi-derivatives over a stack of mode blocks, as (value, slope, curvature).
+
+    mu and its derivatives have shape (..., 2), k and its derivatives
+    (..., 2, 2).  With value = exp(g), a = k^-1 mu and P = k^-1 k':
+    g' = a^T k' a - 2 mu'^T a - tr P / 2, and with a' = k^-1 (mu' - k' a),
+    g'' = 2 a'^T k' a + a^T k'' a - 2 mu''^T a - 2 mu'^T a' + (tr P^2 - tr k^-1 k'') / 2;
+    the slope is value g' and the curvature value (g'' + g'^2).
+    """
+    det = k[..., 0, 0] * k[..., 1, 1] - k[..., 0, 1] * k[..., 1, 0]
+    kinv = np.stack([k[..., 1, 1], -k[..., 0, 1], -k[..., 1, 0], k[..., 0, 0]], -1).reshape(k.shape)
+    kinv = kinv / det[..., None, None]
+
+    def dot(u, v):
+        return np.einsum("...i,...i->...", u, v)
+
+    def apply(m, v):
+        return np.einsum("...ij,...j->...i", m, v)
+
+    a = apply(kinv, mu)
+    value = np.exp(-dot(mu, a)) / np.sqrt(det)
+    dka = apply(dk, a)
+    da = apply(kinv, dmu - dka)
+    p = kinv @ dk
+    g1 = dot(a, dka) - 2.0 * dot(dmu, a) - 0.5 * np.trace(p, axis1=-2, axis2=-1)
+    g2 = (2.0 * dot(da, dka) + dot(a, apply(d2k, a)) - 2.0 * dot(d2mu, a) - 2.0 * dot(dmu, da)
+          + 0.5 * (np.einsum("...ij,...ji->...", p, p) - np.einsum("...ij,...ji->...", kinv, d2k)))
+    return value, value * g1, value * (g2 + g1 * g1)
 
 
 def _moments(state: WignerExpr | AffineImage, monomials: list) -> list:
@@ -167,7 +199,7 @@ def parity(state: StateLike, mode: int = 1) -> MeasurementMoments:
     """Photon-number parity: mean = pi * W(0,0) of the mode's marginal, second moment 1."""
     _check_mode(state, mode)
     if isinstance(state, GaussianState):
-        mean = _kernel(*_block(state, mode))[0]
+        mean = _kernel(*_block(state, mode))
     elif isinstance(state, AffineImage):
         mean = math.pi * state.density_at_origin(mode, np.zeros((2, 2)))
     else:
@@ -201,7 +233,7 @@ def click_probability(state: StateLike, mode: int = 1) -> float:
     _check_mode(state, mode)
     if isinstance(state, GaussianState):
         mu, sigma = _block(state, mode)
-        p0 = 2.0 * _kernel(mu, sigma + np.eye(2))[0]
+        p0 = 2.0 * _kernel(mu, sigma + np.eye(2))
     elif isinstance(state, AffineImage):
         # the vacuum projector 2 pi W_0 = 2 exp(-x^2 - p^2) is 2 pi times the N(0, I/2) density
         p0 = 2.0 * math.pi * state.density_at_origin(mode, 0.5 * np.eye(2))
@@ -248,10 +280,7 @@ def mean_slope(state: GaussianState | AffineImage, tangent, scheme: DetectionSch
         return math.cos(scheme.angle) * dmu[0] + math.sin(scheme.angle) * dmu[1]
     mu, sigma = _block(state, scheme.mode)
     k = sigma if scheme.kind == "parity" else sigma + np.eye(2)
-    value, kinv = _kernel(mu, k)
-    a = kinv @ mu
-    # d/dphi of exp(-mu^T k^-1 mu) / sqrt(det k), with dk = dsigma of the mode
-    slope = value * (float(a @ dk @ a) - 2.0 * float(a @ dmu) - 0.5 * float(np.trace(kinv @ dk)))
+    slope = float(kernel_jet(mu, k, dmu, dk, np.zeros(2), np.zeros((2, 2)))[1])
     return slope if scheme.kind == "parity" else -2.0 * slope
 
 

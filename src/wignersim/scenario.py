@@ -689,37 +689,127 @@ _OPTIMUM_SEEDS = {"parity": math.pi}
 
 
 def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float]:
-    """The phase-variance minimum over phi in [0, 2 pi), as (phi, variance).
+    """The phase-variance minimum over one period of V in phi, as (phi, variance).
+
+    On the prefix channel A(phi) = K M(phi) holds only cos(phi/2) and
+    sin(phi/2), and M(phi + 2 pi) = -M(phi).  V has period 2 pi for homodyne
+    and for an even detector (every other one) with no output displacement;
+    an output displacement b breaks that symmetry for an even detector, and V
+    is searched over [0, 4 pi) instead.
 
     A polynomial detector on the prefix channel is a trigonometric polynomial
-    in phi: A(phi) = K M(phi) holds only cos(phi/2) and sin(phi/2), so <O> of
-    a degree-q detector has harmonics up to q in phi/2 and <O^2> up to 2q.  An
-    even detector (intensity, intensity difference) with no output
-    displacement has even harmonics only, and is read in phi itself.  Its
-    samples at 4d + 1 equispaced phases (five, or nine for an even detector
-    behind an output displacement) fix both moments, and
-    `est.trig_stationary_points` gives the variance at every stationary point
-    exactly.  Parity, click and a herald after the phase take a seeded
-    golden-section search from a 25-point scan instead.
+    in phi: <O> of a degree-q detector has harmonics up to q in phi/2 and
+    <O^2> up to 2q.  An even detector with no output displacement has even
+    harmonics only, and is read in phi itself.  Its samples at 4d + 1
+    equispaced phases (five, or nine for an even detector behind an output
+    displacement) fix both moments, and `est.trig_stationary_points` gives the
+    variance at every stationary point exactly.  Parity and click on a
+    Gaussian state take `_kernel_optimum`.  A herald after the phase, and
+    parity and click on a Wigner state, take a seeded golden-section search
+    from a 25-point scan over [0, 2 pi).
 
     Minima within a relative OPTIMUM_TIE of the lowest are equal, and the one at
     the smallest phi is reported, so that rounding cannot move the optimum
     between mirror minima.  Raises SignalStationary when no phase gives a
     finite variance.
     """
+    shifted = bool(np.any(_after_mzi(config, None)[1]))
     if _pulls_back(config) and scheme.kind in meas.POLYNOMIAL_KINDS:
         even = scheme.kind != "homodyne"
-        rate = 1 if even and not np.any(_after_mzi(config, None)[1]) else 2
-        n = 9 if even and rate == 2 else 5
+        rate = 2 if shifted or not even else 1
+        n = 9 if even and shifted else 5
         observe = _observer(config)
         samples = [meas.measure(observe(2.0 * math.pi * rate * j / n).state, scheme) for j in range(n)]
-        minima = est.trig_stationary_points(samples, rate)
-    else:
-        minima = _golden_minima(config, scheme)
+        return _least(est.trig_stationary_points(samples, rate))
+    if _gaussian_possible(config):
+        return _kernel_optimum(config, scheme, 4.0 * math.pi if shifted else 2.0 * math.pi)
+    return _least(_golden_minima(config, scheme))
+
+
+def _least(minima: list) -> tuple[float, float]:
+    """The lowest of (phi, variance) pairs, the smallest phi of those within OPTIMUM_TIE of it."""
     low = min((v for _, v in minima), default=math.inf)
     if not math.isfinite(low):
         raise SignalStationary("no searched phase gives a finite phase variance")
     return min((x, v) for x, v in minima if v - low <= OPTIMUM_TIE * abs(low))
+
+
+def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[Callable, float]:
+    """The batched jet of parity or click on the Gaussian prefix channel, and a bound F on its information.
+
+    The jet maps an array of phases to <O>, <O>', <O>'' and the rounding level
+    of Var there, with O the no-click indicator for click: V is the same for
+    both outcomes of a Bernoulli signal, and the no-click probability keeps
+    its precision at the bright port, where the click probability rounds to 1.
+
+    On the detected mode's rows, A(phi) = a_c cos(phi/2) + a_s sin(phi/2) with
+    a_c = K M(0) = K and a_s = 2 K M'(0).  So the mode block's mean is
+    mu = b + m_c cos(phi/2) + m_s sin(phi/2) and its covariance
+    sigma = S0 + S1 cos phi + S2 sin phi, and A'' = -A/4 gives
+    mu'' = -(mu - b)/4 and sigma'' = S0 - sigma.  The kernel is the parity,
+    or half the no-click probability with S0 + I in place of S0
+    (`meas.kernel_jet`).
+
+    F is the QFI of the lossless MZI family of the prefix, the same at every
+    phi: the channel after the MZI can only lower it, so it bounds the Fisher
+    information Var^-1 <O>'^2 of either detector at every phi.
+    """
+    k, b, c = _after_mzi(config, _uniform_loss(config))
+    state = _prefix(config.inputs, _input_mods(config), True, None).state
+    r0, s0 = state.mean, state.cov
+    g = sym.mzi_phase_derivative(0.0)
+    half = g @ s0
+    bound = est.qfi_mixed_gaussian(state, g @ r0, half + half.T)
+    rows = slice(2 * scheme.mode - 2, 2 * scheme.mode)
+    a_c, a_s, b = k[rows], 2.0 * (k @ g)[rows], b[rows]
+    m_c, m_s = a_c @ r0, a_s @ r0
+    s_cc, s_cs, s_ss = a_c @ s0 @ a_c.T, a_c @ s0 @ a_s.T, a_s @ s0 @ a_s.T
+    s_0 = (s_cc + s_ss) / 2.0 + 2.0 * c[rows, rows] + (np.eye(2) if scheme.kind == "click" else 0.0)
+    s_1, s_2 = (s_cc - s_ss) / 2.0, (s_cs + s_cs.T) / 2.0
+    terms = float(np.sum(np.abs(s_0) + np.abs(s_1) + np.abs(s_2)))
+
+    def jet(phi: np.ndarray) -> tuple:
+        ch, sh = np.cos(phi / 2.0)[:, None], np.sin(phi / 2.0)[:, None]
+        cf, sf = np.cos(phi)[:, None, None], np.sin(phi)[:, None, None]
+        mu = b + m_c * ch + m_s * sh
+        sigma = s_0 + s_1 * cf + s_2 * sf
+        value, slope, curve = meas.kernel_jet(mu, sigma, (m_s * ch - m_c * sh) / 2.0, s_2 * cf - s_1 * sf,
+                                              (b - mu) / 4.0, s_0 - sigma)
+        # sigma carries the rounding of its terms, which log det sigma amplifies by |sigma^-1|
+        det = sigma[:, 0, 0] * sigma[:, 1, 1] - sigma[:, 0, 1] * sigma[:, 1, 0]
+        noise = est.SLOPE_NOISE * terms * np.abs(sigma).sum(axis=(1, 2)) / np.abs(det)
+        scale = 1.0 if scheme.kind == "parity" else 2.0
+        return scale * value, scale * slope, scale * curve, noise
+
+    return jet, bound
+
+
+def _kernel_optimum(config: ScenarioConfig, scheme: meas.DetectionScheme, period: float) -> tuple[float, float]:
+    """The phase-variance minimum of parity or click on a Gaussian state, from one batched grid of the kernel jet.
+
+    A cell of width 1 / sqrt(F), with F the bound of `_kernel_jet`, is the
+    width of the narrowest fringe: the fringe angle theta = arccos <O> (parity),
+    or arccos(1 - 2P) (click), turns by at most one radian across it, since
+    theta'^2 = <O>'^2 / Var <= F.  `est.kernel_minima` refines the stationary
+    points on that grid.  The least of them (by the OPTIMUM_TIE rule) is
+    observed once through `_observer`, so that the reported variance comes
+    from a validated state: Var / <O>'^2 with its measured mean and exact
+    slope, or at a dark fringe the limit with the jet's curvature.
+    """
+    jet, bound = _kernel_jet(config, scheme)
+    cells = 4 * max(math.ceil(period * math.sqrt(bound) / 4.0), 1)
+    minima = est.kernel_minima(jet, period, cells, scheme.kind == "click")
+    phi, _ = _least([(x, v) for x, v, _ in minima])
+    dark = next(d for x, _, d in minima if x == phi)
+    res = _observer(config)(phi)
+    m, m1 = meas.measure(res.state, scheme).mean, meas.mean_slope(res.state, res.tangent, scheme)
+    if scheme.kind == "click":
+        m, m1 = 1.0 - m, -m1
+    m2 = jet(np.array([phi]))[2]
+    v = float(est.jet_phase_variance(np.array([m]), np.array([m1]), m2, scheme.kind == "click", dark)[0])
+    if not math.isfinite(v):
+        raise SignalStationary(f"signal slope below rounding at the optimum phi={phi:.6g}")
+    return phi, v
 
 
 def _golden_minima(config: ScenarioConfig, scheme: meas.DetectionScheme) -> list[tuple[float, float]]:
@@ -742,7 +832,9 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
     """Total click-detection CFI over both output modes and both herald arms.
 
     Without a herald the success probability is 1 and there is no failure arm,
-    so this reduces to the plain sum of the two detectors' CFIs.
+    so this reduces to the plain sum of the two detectors' CFIs.  A Gaussian
+    state takes the exact click slopes of its tangent (`meas.mean_slope`);
+    the Wigner arms take central differences.
     """
     observe = _observer(config)
 
@@ -750,7 +842,14 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
         def click(mode: int):
             return lambda p: meas.click_probability(getattr(observe(p), branch), mode)
 
-        return [est.two_outcome(click(m)) for m in (1, 2)]
+        def slope(mode: int):
+            def exact(p: float) -> float:
+                res = observe(p)
+                return meas.mean_slope(res.state, res.tangent, meas.DetectionScheme("click", mode))
+
+            return exact if _gaussian_possible(config) else None
+
+        return [est.two_outcome(click(m), slope(m)) for m in (1, 2)]
 
     res = observe(phi)
     return est.probabilistic_cfi(

@@ -1,10 +1,11 @@
-"""The exact phase optimum of a polynomial detector on the prefix channel.
+"""The exact phase optimum on the prefix channel.
 
 `scenario._optimal_phi` reads intensity, homodyne and intensity difference as
 trigonometric polynomials in phi from equispaced samples
-(`estimation.trig_stationary_points`).  These tests hold it against closed
-forms and against a dense phi grid through the error propagation of the
-fixed-phase route, polished by golden section.
+(`estimation.trig_stationary_points`), and parity and click on a Gaussian state
+from one batched grid of the kernel jet (`estimation.kernel_minima`).  These
+tests hold both against closed forms and against a dense phi grid through the
+error propagation of the fixed-phase route, polished by golden section.
 """
 
 import json
@@ -45,7 +46,8 @@ class TestTrigStationaryPoints:
         # homodyne-like: <O> = a cos(phi/2) with constant variance s, so V = 4 s / (a^2 sin^2(phi/2)), least at pi
         a, s = 3.0, 0.7
         points = est.trig_stationary_points(samples(lambda t: a * math.cos(t), lambda t: s, 5), rate=2)
-        assert all(0.0 <= phi < 2.0 * math.pi for phi, _ in points)
+        # one period in theta = phi/2: phi spans [0, 4 pi), with the mirror minimum at 3 pi
+        assert all(0.0 <= phi < 4.0 * math.pi for phi, _ in points)
         phi, v = min(points, key=lambda p: p[1])
         assert phi == pytest.approx(math.pi, rel=0.0, abs=1e-12)
         assert v == pytest.approx(4.0 * s / a**2, rel=1e-13, abs=0.0)
@@ -62,7 +64,7 @@ def ligo_lossy(L: float) -> dict:
 
 
 # a displaced squeezed input read by homodyne on both modes; with an output displacement the even
-# detectors lose their phi-periodicity and take nine samples over phi/2
+# detectors lose their 2 pi period in phi, take nine samples over phi/2 and are searched over [0, 4 pi)
 DISPLACED_SQUEEZED = {
     "inputs": [{"kind": "coherent", "alpha": 1.5, "theta": 0.2}, {"kind": "vacuum"}],
     "modifications": [{"op": "squeeze", "stage": "input", "mode": 2, "r": 0.6, "theta": 0.4},
@@ -78,7 +80,8 @@ OUTPUT_DISPLACED = dict(
     modifications=DISPLACED_SQUEEZED["modifications"]
     + [{"op": "displace", "stage": "output", "mode": 1, "alpha": 0.8, "theta": 0.5}],
     detection=DISPLACED_SQUEEZED["detection"]
-    + [{"scheme": "intensity", "mode": 1}, {"scheme": "intensity_difference", "mode": 1, "mode_b": 2}],
+    + [{"scheme": "intensity", "mode": 1}, {"scheme": "intensity_difference", "mode": 1, "mode_b": 2},
+       {"scheme": "parity", "mode": 1}],
 )
 CONFIGS = {
     "ligo_lossless": ligo_lossy(0.0),
@@ -90,11 +93,18 @@ CONFIGS = {
 }
 
 
-def reference_minimum(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, floor: float) -> float:
-    """Least error-propagated variance on a 360-point phi grid, its three best cells polished by golden section.
+def period(config: sc.ScenarioConfig) -> float:
+    """The period of V in phi searched by `_optimal_phi`: 4 pi behind an output displacement, else 2 pi."""
+    return 4.0 * math.pi if np.any(sc._after_mzi(config, None)[1]) else 2.0 * math.pi
+
+
+def reference_minimum(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, floor: float,
+                      points: int = 360) -> float:
+    """Least error-propagated variance on a phi grid of `points` per 2 pi over the period, its three best cells
+    polished by golden section.
 
     Values below `floor` (the QCRB, or 0) are rounding noise by the Cramer-Rao bound and read as the floor:
-    near point (a)'s dark fringe the fixed-phase route dips 3e-9 below its QCRB.
+    near a dark fringe the fixed-phase route takes a Richardson limit, which dips 3e-9 below point (a)'s QCRB.
     """
     mean, var, slope = sc._signal_fns(config, scheme)
 
@@ -104,7 +114,8 @@ def reference_minimum(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, f
         except (SignalStationary, ValueError):
             return math.inf
 
-    grid = 2.0 * math.pi * np.arange(360) / 360
+    cells = round(points * period(config) / (2.0 * math.pi))
+    grid = period(config) * np.arange(cells) / cells
     values = np.array([variance_at(p) for p in grid])
     step = grid[1]
     polished = [est.golden_minimize(variance_at, grid[i] - step, grid[i] + step, 1e-10)[1]
@@ -122,10 +133,10 @@ def test_fourier_minimum_is_no_worse_than_the_dense_grid_and_respects_the_qcrb(n
         got = report.extras[f"min_phase_variance.{scheme.label}"]
         want = reference_minimum(config, scheme, report.qcrb or 0.0)
         assert got <= want * (1.0 + 1e-10), scheme.label
-        assert 0.0 <= report.optimal_phi[scheme.label] < 2.0 * math.pi
+        assert 0.0 <= report.optimal_phi[scheme.label] < period(config)
     for scheme in config.detection if report.qcrb is not None else ():
-        # parity keeps the golden-section search over Richardson limits, which sits 2.5e-8 below point (a)'s QCRB
-        tol = 1e-12 if scheme.kind in meas.POLYNOMIAL_KINDS else 1e-6
+        # Wigner-path parity keeps the golden-section search over Richardson limits, 2.5e-8 below point (a)'s QCRB
+        tol = 1e-6 if scheme.kind == "parity" and not sc._gaussian_possible(config) else 1e-12
         assert report.extras[f"min_phase_variance.{scheme.label}"] >= report.qcrb * (1.0 - tol), scheme.label
 
 
@@ -139,3 +150,110 @@ def test_mirror_minima_report_the_smaller_phase():
     # the intensity difference of ligo_lossy is least at pi/2 and 3 pi/2 alike
     report, _, _ = sc.evaluate_point(sc.ScenarioConfig.from_dict(ligo_lossy(0.2)))
     assert report.optimal_phi["diff[1,2]"] == pytest.approx(math.pi / 2.0, rel=0.0, abs=1e-12)
+
+
+def with_detectors(raw: dict, *detectors) -> dict:
+    return dict(raw, detection=[dict(zip(("scheme", "mode"), d)) for d in detectors])
+
+
+KERNEL_DETECTORS = (("parity", 1), ("parity", 2), ("click", 1), ("click", 2))
+BRIGHT = ligo_lossy(0.05)
+BRIGHT["inputs"][0]["alpha"] = math.sqrt(50000.0)
+BRIGHT["modifications"][0]["r"] = 2.0
+# (raw config, reference grid points per 2 pi): the bright fringe is about 0.009 rad wide, the ligo_lossy one 0.05
+KERNEL_CONFIGS = {
+    "ligo_lossless": (with_detectors(ligo_lossy(0.0), *KERNEL_DETECTORS), 20_000),
+    "ligo_lossy": (with_detectors(ligo_lossy(0.2), *KERNEL_DETECTORS), 20_000),
+    "displaced_squeezed": (with_detectors(DISPLACED_SQUEEZED, *KERNEL_DETECTORS), 20_000),
+    "output_displaced": (with_detectors(OUTPUT_DISPLACED, *KERNEL_DETECTORS), 20_000),
+    "thermal_after_mzi": (with_detectors(dict(DISPLACED_SQUEEZED, noise={
+        "thermal": {"nbar_env": 0.4, "eta": 0.7, "modes": [2]}}), *KERNEL_DETECTORS), 20_000),
+    "bright": (with_detectors(BRIGHT, *KERNEL_DETECTORS), 100_000),
+}
+
+
+def kernel_reference(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, floor: float, points: int) -> float:
+    """Least variance of parity or click on a phi grid of `points` per 2 pi over the period, read from the jet,
+    its three best cells polished by golden section through the fixed-phase error propagation.
+
+    Values below `floor` (the QCRB) are rounding noise next to a dark fringe and read as the floor.
+    """
+    jet, _ = sc._kernel_jet(config, scheme)
+    cells = round(points * period(config) / (2.0 * math.pi))
+    grid = period(config) * np.arange(cells) / cells
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m, m1, _, _ = jet(grid)
+        var = m - m * m if scheme.kind == "click" else 1.0 - m * m
+        values = np.maximum(floor, np.nan_to_num(var / (m1 * m1), nan=math.inf))
+    mean, var_fn, slope = sc._signal_fns(config, scheme)
+
+    def variance_at(phi: float) -> float:
+        try:
+            return max(floor, est.phase_variance_error_prop(mean, var_fn, phi, slope_fn=slope))
+        except (SignalStationary, ValueError):
+            return math.inf
+
+    step = grid[1]
+    polished = [est.golden_minimize(variance_at, grid[i] - step, grid[i] + step, 1e-10)[1]
+                for i in np.argsort(values)[:3]]
+    return min(values.min(), *polished)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
+def test_kernel_minimum_is_no_worse_than_the_dense_grid_and_respects_the_qcrb(name):
+    raw, points = KERNEL_CONFIGS[name]
+    config = sc.ScenarioConfig.from_dict(dict(raw, metrics=["phase_variance", "qfi"]))
+    report, _, _ = sc.evaluate_point(config)
+    # the family's QFI is the same at every phi here, so the QCRB bounds every phi's variance
+    assert report.extras["qfi_route"] in ("pure_gaussian", "mixed_gaussian") and report.qcrb > 0.0
+    for scheme in config.detection:
+        got = report.extras[f"min_phase_variance.{scheme.label}"]
+        assert got <= kernel_reference(config, scheme, report.qcrb, points) * (1.0 + 1e-10), scheme.label
+        assert got >= report.qcrb * (1.0 - 1e-12), scheme.label
+        assert 0.0 <= report.optimal_phi[scheme.label] < period(config)
+
+
+def test_bright_fringe_needs_the_grid_that_resolves_it():
+    # cells of 1 / sqrt(F) rad: a 64-cell grid lands no point on the 0.009 rad fringe and sees no signal
+    config = sc.ScenarioConfig.from_dict(KERNEL_CONFIGS["bright"][0])
+    jet, bound = sc._kernel_jet(config, config.detection[0])
+    assert est.kernel_minima(jet, 2.0 * math.pi, 64, bernoulli=False) == []
+    assert math.ceil(2.0 * math.pi * math.sqrt(bound)) > 10_000
+    assert sc._optimal_phi(config, config.detection[0])[1] < 1.2e-5
+
+
+@pytest.mark.parametrize("L", [0.0, 0.1, 0.2, 0.3])
+def test_parity_reports_the_mirror_minimum_below_pi(L):
+    # the parity minima of ligo_lossy tie in mirror pairs about pi; the one at the smaller phi is reported
+    report, _, _ = sc.evaluate_point(sc.ScenarioConfig.from_dict(ligo_lossy(L)))
+    assert math.pi - 0.05 < report.optimal_phi["parity[1]"] <= math.pi + 1e-12
+
+
+def test_lossless_parity_optimum_is_the_closed_form_dark_fringe_limit():
+    # -Pi / Pi'' at the dark fringe phi = pi; a Richardson limit there sat 9e-12 off
+    raw = ligo_lossy(0.0)
+    report, _, _ = sc.evaluate_point(sc.ScenarioConfig.from_dict(raw))
+    want = est.parity_min_variance(raw["inputs"][0]["alpha"] ** 2, raw["modifications"][0]["r"])
+    assert report.extras["min_phase_variance.parity[1]"] == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert report.optimal_phi["parity[1]"] == pytest.approx(math.pi, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("label, want", [("intensity[1]", 0.5348), ("diff[1,2]", 0.3283), ("parity[1]", 0.6225)])
+def test_output_displacement_searches_the_4_pi_period(label, want):
+    # a fixed shift b after the MZI flips sign against the signal under phi -> phi + 2 pi; a search over
+    # [0, 2 pi) reported 0.9764, 0.4365 and 0.8751, against these minima over [0, 4 pi)
+    report, _, _ = sc.evaluate_point(sc.ScenarioConfig.from_dict(OUTPUT_DISPLACED))
+    assert report.extras[f"min_phase_variance.{label}"] == pytest.approx(want, abs=1e-4)
+    assert report.optimal_phi[label] > 2.0 * math.pi
+
+
+@pytest.mark.parametrize("label", ["intensity[1]", "parity[1]", "click[1]"])
+def test_dark_fringe_at_zero_phase_is_reported_at_zero(label):
+    # coherent light of N = 4 photons in mode 2 leaves mode 1 dark at phi = 0, where V = 1 / N; its slope roots
+    # come out a rounding step below 2 pi, where a search over phi < 2 pi lost the intensity optimum
+    raw = {"inputs": [{"kind": "vacuum"}, {"kind": "coherent", "alpha": 2.0, "theta": 0.7}], "interferometer": {"phi": 1.0},
+           "detection": [{"scheme": kind, "mode": 1} for kind in ("intensity", "parity", "click")]}
+    report, warnings, _ = sc.evaluate_point(sc.ScenarioConfig.from_dict(raw))
+    assert not warnings
+    assert report.optimal_phi[label] == 0.0
+    assert report.extras[f"min_phase_variance.{label}"] == pytest.approx(0.25, rel=1e-14, abs=0.0)

@@ -154,7 +154,28 @@ class TestClickCfi:
         def branch(mode):
             return est.two_outcome(lambda p: meas.click_probability(sc.build_pipeline(cfg, p).state, mode))
 
-        assert report.cfi == sum(est.cfi(branch(m), cfg.phi) for m in (1, 2))
+        def exact(mode):
+            # P'^2 / P + P'^2 / (1 - P) with the exact slope of the state's tangent
+            res = sc._observer(cfg)(cfg.phi)
+            p = meas.click_probability(res.state, mode)
+            dp = meas.mean_slope(res.state, res.tangent, meas.DetectionScheme("click", mode))
+            return dp * dp / p + dp * dp / (1.0 - p)
+
+        assert report.cfi == sum(exact(m) for m in (1, 2))
+        # the exact slopes replace central differences of step 1e-5, which agree to their truncation error
+        assert report.cfi == pytest.approx(sum(est.cfi(branch(m), cfg.phi) for m in (1, 2)), rel=1e-7)
+
+    def test_lossy_thermal_cfi_matches_central_differences(self):
+        # the Gaussian CFI takes the exact click slopes; a test-side central difference agrees to its truncation error
+        cfg = sc.ScenarioConfig.from_dict(dict(NOISY_GAUSSIAN, metrics=["cfi"]))
+        report, warnings, _ = sc.evaluate_point(cfg)
+        assert not warnings
+        want = 0.0
+        for mode in (1, 2):
+            p = lambda phi: meas.click_probability(sc.build_pipeline(cfg, phi).state, mode)
+            dp = richardson(p, cfg.phi, 1e-2)
+            want += dp * dp / (p(cfg.phi) * (1.0 - p(cfg.phi)))
+        assert report.cfi == pytest.approx(want, rel=1e-7)
 
 
 class TestQfiRoute:
@@ -403,6 +424,54 @@ EVERY_DETECTOR = [
     meas.DetectionScheme("click", 1),
     meas.DetectionScheme("click", 2),
 ]
+
+
+KERNEL_SCHEMES = [meas.DetectionScheme(kind, mode) for kind in ("parity", "click") for mode in (1, 2)]
+# (config, phases, Richardson step): the bright ligo_lossy fringes are narrow and take a short step
+KERNEL_JET_CASES = {
+    "ligo_lossy": (LIGO_LOSSY, (3.1, 3.125, 3.14, 3.16), 1e-3),
+    "thermal_after_mzi": (dict(NOISY_GAUSSIAN, modifications=NOISY_GAUSSIAN["modifications"][:1]), (0.4, 1.2, 2.9), 1e-2),
+    "output_squeeze": (dict(NOISY_GAUSSIAN, noise={}, modifications=NOISY_GAUSSIAN["modifications"][:2]),
+                       (0.4, 1.2, 2.9, 5.0), 1e-2),
+    "output_displaced": (NOISY_GAUSSIAN, (0.4, 1.2, 2.9, 5.0, 8.0), 1e-2),
+}
+
+
+class TestKernelJet:
+    """`sc._kernel_jet`, the batched parity and no-click kernel with its first two phi-derivatives."""
+
+    @staticmethod
+    def observed(cfg, scheme, phi):
+        # parity, or the no-click probability, and its exact slope on the validated observed state
+        res = sc._observer(cfg)(phi)
+        sign = 1.0 if scheme.kind == "parity" else -1.0
+        mean = meas.measure(res.state, scheme).mean
+        return (mean if scheme.kind == "parity" else 1.0 - mean), sign * meas.mean_slope(res.state, res.tangent, scheme)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_JET_CASES))
+    def test_value_matches_the_measured_kernel(self, name):
+        raw, phis, _ = KERNEL_JET_CASES[name]
+        cfg = sc.ScenarioConfig.from_dict(raw)
+        for scheme in KERNEL_SCHEMES:
+            values = sc._kernel_jet(cfg, scheme)[0](np.array(phis))[0]
+            for phi, got in zip(phis, values):
+                state = sc._observer(cfg)(phi).state
+                if scheme.kind == "parity":
+                    assert got == pytest.approx(meas.parity(state, scheme.mode).mean, rel=1e-13, abs=1e-300)
+                else:
+                    assert 1.0 - got == pytest.approx(meas.click_probability(state, scheme.mode), rel=0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_JET_CASES))
+    def test_slope_and_curvature_match_central_differences(self, name):
+        raw, phis, h = KERNEL_JET_CASES[name]
+        cfg = sc.ScenarioConfig.from_dict(raw)
+        for scheme in KERNEL_SCHEMES:
+            _, slopes, curves, _ = sc._kernel_jet(cfg, scheme)[0](np.array(phis))
+            for phi, slope, curve in zip(phis, slopes, curves):
+                want_slope = richardson(lambda p: self.observed(cfg, scheme, p)[0], phi, h)
+                want_curve = richardson(lambda p: self.observed(cfg, scheme, p)[1], phi, h)
+                assert slope == pytest.approx(want_slope, rel=1e-7, abs=1e-10), (scheme.label, phi)
+                assert curve == pytest.approx(want_curve, rel=1e-7, abs=1e-10), (scheme.label, phi)
 
 
 class TestPulledBackRoute:

@@ -136,11 +136,20 @@ def test_polynomial_optimum_reads_five_phases(config, label, observed, monkeypat
 
 
 def test_parity_optimum_keeps_the_golden_section_search(monkeypatch):
-    # one search from the parity seed and one from each of the two best of the 25 scanned phases
+    # on a Wigner state: one search from the parity seed and one from each of the two best of 25 scanned phases
     golden = counter(monkeypatch, est, "golden_minimize")
-    config = sc.load_config(LIGO_LOSSY)
+    config = sc.ScenarioConfig.from_dict(workloads.point_a(1.0))
     sc._optimal_phi(config, meas.DetectionScheme("parity", 1))
     assert len(golden) == 3
+
+
+@pytest.mark.parametrize("kind", ["parity", "click"])
+def test_gaussian_kernel_optimum_observes_only_its_minimum(kind, observed, monkeypatch):
+    # one batched grid of the kernel jet and its refinements find the minimum; only that phase is observed
+    golden = counter(monkeypatch, est, "golden_minimize")
+    config = sc.load_config(LIGO_LOSSY)
+    phi, _ = sc._optimal_phi(config, meas.DetectionScheme(kind, 1))
+    assert (len(golden), observed) == (0, [phi])
 
 
 def test_ligo_lossy_point_makes_no_per_phi_transform(monkeypatch):
