@@ -4,27 +4,24 @@ Benchmarks (SNL/HL), error propagation, classical and probabilistic Fisher
 information, quantum Fisher information by two routes (Wigner integral, and one
 Gaussian formula for pure and mixed states), the closed-form
 coherent+squeezed-vacuum bounds, SNR, the weighted total parity
-information for heralded branches, and the phase-variance optimum by three
-routes: exact for a signal whose first two moments are trigonometric
-polynomials in phi (`trig_stationary_points`, from equispaced samples and the
-companion matrix of its stationary-point condition), from a batched grid of
-the value, slope and curvature of a +-1 or Bernoulli signal refined to its
-stationary points (`kernel_minima`), and golden section for any other
+information for heralded branches, and the phase signal of a detector: exact
+for a signal whose first two moments are trigonometric polynomials in phi
+(`trig_signal`, from equispaced samples, with its stationary points from the
+companion matrix of their condition), from the value, slope and curvature of a
++-1 or Bernoulli signal (`jet_phase_variance`, with `kernel_minima` refining a
+batched grid to its stationary points), and golden section for any other
 (`golden_minimize`).
 
-Error propagation, the CFI and the Gaussian QFI take exact phi-derivatives
-where the caller has them: on the scenario's prefix channel
-X = A(phi) Y + b + xi, a Gaussian family's tangent (dR, dsigma), the slopes of
-every detector on it (parity and click included) and a Wigner-state
-polynomial detector's slope all come from dA/dphi.  The parity and click
-slopes of a Wigner state, the CFI of a Wigner state, and the Wigner-integral
-QFI take central differences with step 1e-5 on smooth O(1) quantities (means,
-probabilities, term data).  The Wigner-integral QFI differentiates each term's
-parameters and then integrates exactly, rather than differencing whole Wigner
-values, which would cancel catastrophically inside the squared integral; for a
-pure input to the balanced MZI the scenario runner takes the QFI without any
-difference, as Var(n1 - n2) after the first splitter, and keeps
-`qfi_pure_wigner` as the library route and its check.
+The Gaussian QFI takes the family's exact tangent (dR, dsigma), and `cfi` an
+exact slope of each outcome where the caller has one.  Error propagation, the
+CFI of a Wigner state and the Wigner-integral QFI take central differences
+with step 1e-5 on smooth O(1) quantities (means, probabilities, term data).
+The Wigner-integral QFI differentiates each term's parameters and then
+integrates exactly, rather than differencing whole Wigner values, which would
+cancel catastrophically inside the squared integral; for a pure input to the
+balanced MZI the scenario runner takes the QFI without any difference, as
+Var(n1 - n2) after the first splitter, and keeps `qfi_pure_wigner` as the
+library route and its check.
 """
 
 from __future__ import annotations
@@ -67,8 +64,8 @@ def hl(n_total: float) -> float:
     return 1.0 / n_total**2
 
 
-def _derivative(fn: PhiFunction, phi: float, h: float) -> float:
-    return (fn(phi + h) - fn(phi - h)) / (2.0 * h)
+def _derivative(fn: PhiFunction, phi: float) -> float:
+    return (fn(phi + DEFAULT_STEP) - fn(phi - DEFAULT_STEP)) / (2.0 * DEFAULT_STEP)
 
 
 def _second_derivative_richardson(fn: PhiFunction, phi: float, g: float = 2e-3) -> tuple[float, float]:
@@ -94,17 +91,8 @@ def _second_derivative_richardson(fn: PhiFunction, phi: float, g: float = 2e-3) 
     return (16.0 * r2 - r1) / 15.0, g / 4.0
 
 
-def phase_variance_error_prop(
-    mean_fn: PhiFunction,
-    var_fn: PhiFunction,
-    phi: float,
-    h: float = DEFAULT_STEP,
-    slope_fn: PhiFunction | None = None,
-) -> float:
-    """Error propagation: Var(O) / |d<O>/dphi|^2.
-
-    The slope is slope_fn(phi), the exact d<O>/dphi, where the family has one,
-    and otherwise the central difference of mean_fn with step h.
+def phase_variance_error_prop(mean_fn: PhiFunction, var_fn: PhiFunction, phi: float) -> float:
+    """Error propagation: Var(O) / |d<O>/dphi|^2, with the slope a central difference of mean_fn.
 
     A variance that is zero within rounding marks a symmetry point (parity at
     its optimum), where the ratio has a removable singularity whatever the
@@ -115,15 +103,12 @@ def phase_variance_error_prop(
     mean'' is at the rounding level of its differences (a flat signal) or
     whose variance does not curve up: no phase variance is 0 or negative.
     """
-    if slope_fn is None:
-        f_plus, f_minus = mean_fn(phi + h), mean_fn(phi - h)
-        slope = (f_plus - f_minus) / (2.0 * h)
-        scale = max(abs(f_plus), abs(f_minus))
-        # central differences cannot resolve slopes below the rounding noise of the samples
-        noise = SLOPE_NOISE * scale / (2.0 * h)
-    else:
-        slope, scale = slope_fn(phi), abs(mean_fn(phi))
-        noise = SLOPE_NOISE * scale
+    h = DEFAULT_STEP
+    f_plus, f_minus = mean_fn(phi + h), mean_fn(phi - h)
+    slope = (f_plus - f_minus) / (2.0 * h)
+    scale = max(abs(f_plus), abs(f_minus))
+    # central differences cannot resolve slopes below the rounding noise of the samples
+    noise = SLOPE_NOISE * scale / (2.0 * h)
     var = var_fn(phi)
     if abs(var) <= 1e-8 * max(1.0, scale):
         m2, g = _second_derivative_richardson(mean_fn, phi)
@@ -160,14 +145,14 @@ def two_outcome(p: PhiFunction, slope: PhiFunction | None = None) -> BranchSet:
     return BranchSet((p, lambda phi: 1.0 - p(phi)), slopes)
 
 
-def cfi(branches: BranchSet, phi: float, h: float = DEFAULT_STEP) -> float:
-    """Classical Fisher information sum_i P_i'^2 / P_i, from the exact slopes or central differences of step h."""
+def cfi(branches: BranchSet, phi: float) -> float:
+    """Classical Fisher information sum_i P_i'^2 / P_i, from the exact slopes or central differences."""
     vals = branches.values(phi)
     total = 0.0
     for i, (p_fn, p) in enumerate(zip(branches.probabilities, vals)):
         if p <= SLOPE_FLOOR or p >= 1.0 + 1e-12:
             raise DegenerateBranch(f"branch probability {p:.3e} at phi={phi:.6g}")
-        dp = _derivative(p_fn, phi, h) if branches.slopes is None else branches.slopes[i](phi)
+        dp = _derivative(p_fn, phi) if branches.slopes is None else branches.slopes[i](phi)
         total += dp * dp / p
     return total
 
@@ -177,26 +162,24 @@ def probabilistic_cfi(
     success_branches: Union[BranchSet, Sequence[BranchSet]],
     failure_branches: Union[BranchSet, Sequence[BranchSet], None],
     phi: float,
-    include_herald: bool = True,
-    h: float = DEFAULT_STEP,
 ) -> float:
     """Herald-weighted CFI: P+ * CFI_success + (1-P+) * CFI_failure, plus the herald term.
 
     Each arm may carry several independent detectors (a sequence of BranchSets
     whose CFIs add).  The herald term P+'^2 / (P+ (1-P+)) enters only when the
-    herald probability actually depends on phi; input-side heralds are
-    phi-independent and contribute nothing.
+    herald probability actually depends on phi: an input-stage herald, or none,
+    has the same success probability at every phi, so its difference is 0.
     """
 
     def arm_cfi(branches) -> float:
         if branches is None:
             return 0.0
         sets = [branches] if isinstance(branches, BranchSet) else list(branches)
-        return sum(cfi(bs, phi, h) for bs in sets)
+        return sum(cfi(bs, phi) for bs in sets)
 
     if callable(success_prob):
         p_plus = float(success_prob(phi))
-        dp = _derivative(success_prob, phi, h)
+        dp = _derivative(success_prob, phi)
     else:
         p_plus = float(success_prob)
         dp = 0.0
@@ -205,7 +188,7 @@ def probabilistic_cfi(
     total = p_plus * arm_cfi(success_branches) if p_plus > 0.0 else 0.0
     if p_plus < 1.0:
         total += (1.0 - p_plus) * arm_cfi(failure_branches)
-    if include_herald and abs(dp) > 0.0:
+    if abs(dp) > 0.0:
         if p_plus <= SLOPE_FLOOR or p_plus >= 1.0 - SLOPE_FLOOR:
             raise DegenerateBranch(f"herald probability {p_plus:.3e} saturated at phi={phi:.6g}")
         total += dp * dp / (p_plus * (1.0 - p_plus))
@@ -275,11 +258,11 @@ def require_pure_wigner(expr: WignerExpr) -> None:
         raise PurityViolation(f"purity {mu:.8f} differs from 1 beyond {PURE_WIGNER_TOL:g}")
 
 
-def qfi_pure_wigner(family: Callable[[float], WignerExpr], phi: float, h: float = DEFAULT_STEP) -> float:
+def qfi_pure_wigner(family: Callable[[float], WignerExpr], phi: float) -> float:
     """QFI of a pure-state family: 2 (2 pi)^M Int (dW/dphi)^2."""
     w0 = family(phi)
     require_pure_wigner(w0)
-    dw = _expr_phi_derivative(lambda p: family(p).normalize(), phi, h)
+    dw = _expr_phi_derivative(lambda p: family(p).normalize(), phi, DEFAULT_STEP)
     return 2.0 * (2.0 * math.pi) ** w0.modes * overlap(dw, dw)
 
 
@@ -385,7 +368,7 @@ def snr(moments, subtract_injected: int = 0) -> float:
 
 
 def total_parity_information(
-    branch_families: Sequence[tuple[PhiFunction, PhiFunction]], phi: float, h: float = DEFAULT_STEP
+    branch_families: Sequence[tuple[PhiFunction, PhiFunction]], phi: float
 ) -> float:
     """Weighted parity information over heralded branches.
 
@@ -400,7 +383,7 @@ def total_parity_information(
         if p <= 0.0:
             continue
         pi0 = parity_fn(phi)
-        dpi = _derivative(parity_fn, phi, h)
+        dpi = _derivative(parity_fn, phi)
         if abs(dpi) <= SLOPE_FLOOR:
             continue
         any_slope = True
@@ -441,8 +424,8 @@ def _circle_roots(p: np.ndarray) -> list[float]:
     return thetas
 
 
-def trig_stationary_points(samples: Sequence, rate: int) -> list[tuple[float, float]]:
-    """(phi, Var / (d<O>/dphi)^2) at the stationary points in [0, 2 pi rate), and at phi = 0, of a trigonometric signal.
+def trig_signal(samples: Sequence, rate: int) -> tuple[Callable, float, list[tuple[float, float]]]:
+    """The phase variance V = Var / (d<O>/dphi)^2 of a trigonometric signal, the rounding level of its slope, and V at its stationary points.
 
     `samples` are a detector's moments (`mean`, `variance`, `second_moment`)
     at theta_j = 2 pi j / n, n = 4d + 1, with phi = rate * theta, where <O> is
@@ -452,10 +435,15 @@ def trig_stationary_points(samples: Sequence, rate: int) -> list[tuple[float, fl
     variance is V = rate^2 P_v / P_m^2.  A dark fringe, a real zero of the
     slope where the variance vanishes too, is cancelled from both, (z - z0)
     from P_m and (z - z0)^2 from P_v, so that V keeps its limit
-    Var''/(2 <O>''^2) there and is smooth nearby.  The stationary points are
-    then the roots of P_v' P_m - 2 P_v P_m' on the unit circle
-    (`_circle_roots`); points with no resolvable slope are left out.  Raises
-    SignalStationary when every slope coefficient is at rounding level.
+    Var''/(2 <O>''^2) there and is smooth nearby.
+
+    Returns V over an array of phases, inf where it is not positive or where
+    the reduced P_m (the slope, and at a dark fringe the curvature) is not
+    above the rounding level of the slope; that level in phi; and (phi, V) in
+    [0, 2 pi rate) at phi = 0, at the dark fringes and at the roots of
+    P_v' P_m - 2 P_v P_m' on the unit circle (`_circle_roots`), where V is
+    finite.  Raises SignalStationary when every slope coefficient is at
+    rounding level.
     """
     n = len(samples)
     d = (n - 1) // 4
@@ -464,8 +452,7 @@ def trig_stationary_points(samples: Sequence, rate: int) -> list[tuple[float, fl
     dft = np.exp(-2j * math.pi * np.outer(kv, np.arange(n)) / n) / n  # row k: the coefficient of e^{i k theta}
     var_c = dft @ np.array([s.variance for s in samples])
     mean_c = (dft @ mean)[d : 3 * d + 1]  # k = -d..d; the higher ones are rounding
-    k = kv[d : 3 * d + 1]
-    slope_c, curve_c, var_curve_c = 1j * k * mean_c, -(k**2) * mean_c, -(kv**2) * var_c
+    slope_c = 1j * kv[d : 3 * d + 1] * mean_c
     # the rounding level of a slope in theta, and of a variance from <O^2> - <O>^2
     slope_noise = rate * max(SLOPE_FLOOR, SLOPE_NOISE * float(np.max(np.abs(mean))))
     var_noise = SLOPE_NOISE * max(1.0, max(abs(s.second_moment) for s in samples))
@@ -473,21 +460,26 @@ def trig_stationary_points(samples: Sequence, rate: int) -> list[tuple[float, fl
         raise SignalStationary("no searched phase gives a finite phase variance: the signal is flat in phi")
     # P_v and P_m with the highest power of z first, as np.roots and np.poly* take them
     p_v, p_m = var_c[::-1], slope_c[::-1]
-    points = []  # (theta, V in theta)
+    thetas = [0.0]
     for theta in _circle_roots(p_m):
         if abs(_trig(slope_c, theta)) > slope_noise or abs(_trig(var_c, theta)) > var_noise:
             continue
         z0 = np.array([1.0, -np.exp(1j * theta)])
         p_m, p_v = np.polydiv(p_m, z0)[0], np.polydiv(p_v, np.polymul(z0, z0))[0]
-        curve = _trig(curve_c, theta)
-        if abs(curve) > slope_noise:  # else flat to second order, with no limit
-            points.append((theta, _trig(var_curve_c, theta) / (2.0 * curve**2)))
+        thetas.append(theta)
     stationary = np.polysub(np.polymul(np.polyder(p_v), p_m), 2.0 * np.polymul(p_v, np.polyder(p_m)))
-    for theta in [0.0] + _circle_roots(stationary):
-        if abs(_trig(slope_c, theta)) > slope_noise:
-            z = np.exp(1j * theta)
-            points.append((theta, float(np.real(np.polyval(p_v, z) / np.polyval(p_m, z) ** 2))))
-    return [(_wrap(rate * theta, 2.0 * math.pi * rate), rate**2 * v) for theta, v in points if v > 0.0]
+    thetas += _circle_roots(stationary)
+
+    def variance(phi: np.ndarray) -> np.ndarray:
+        z = np.exp(1j * np.asarray(phi) / rate)
+        slope = np.polyval(p_m, z)
+        resolved = np.abs(slope) > slope_noise
+        v = rate**2 * np.real(np.polyval(p_v, z) / np.where(resolved, slope, 1.0) ** 2)
+        return np.where(resolved & (v > 0.0), v, math.inf)
+
+    values = variance(rate * np.array(thetas))
+    points = [(_wrap(rate * t, 2.0 * math.pi * rate), float(v)) for t, v in zip(thetas, values) if math.isfinite(v)]
+    return variance, slope_noise / rate, points
 
 
 def _wrap(phi: float, period: float) -> float:
@@ -502,17 +494,17 @@ def _signal_variance(m, m1, m2, bernoulli: bool) -> tuple:
     return s - m * m, s1 - 2.0 * m * m1, s2 - 2.0 * (m1 * m1 + m * m2)
 
 
-def jet_phase_variance(m, m1, m2, bernoulli: bool, dark) -> np.ndarray:
+def jet_phase_variance(m, m1, m2, var_noise, bernoulli: bool) -> np.ndarray:
     """Var / <O>'^2 from the jet (<O>, <O>', <O>'') of a +-1 or Bernoulli signal, over arrays.
 
-    Where `dark` is set the point is a dark fringe, a zero of <O>' with Var at
-    rounding level, and V is the limit Var'' / (2 <O>''^2) there; for parity
-    this is -<O> / <O>''.  Points with no resolvable slope or curvature, or a
-    variance that does not curve up at a dark fringe, give inf.
+    Where Var is at most `var_noise`, its rounding level, the point is a dark
+    fringe, a zero of <O>', and V is the limit Var'' / (2 <O>''^2) there; for
+    parity this is -<O> / <O>''.  Points with no resolvable slope or
+    curvature, or a variance that does not curve up at a dark fringe, give inf.
     """
     var, _, var2 = _signal_variance(m, m1, m2, bernoulli)
     noise = np.maximum(SLOPE_FLOOR, SLOPE_NOISE * np.abs(m))
-    dark = dark & (np.abs(m2) > noise) & (var2 > 0.0)
+    dark = (np.abs(var) <= var_noise) & (np.abs(m2) > noise) & (var2 > 0.0)
     slope = ~dark & (np.abs(m1) > noise)
     v = np.full(np.shape(m), math.inf)
     np.divide(var, m1 * m1, out=v, where=slope)
@@ -540,8 +532,8 @@ def _illinois(f: Callable, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.
     return b
 
 
-def kernel_minima(jet: Callable, period: float, cells: int, bernoulli: bool) -> list[tuple[float, float, bool]]:
-    """(phi, V, dark) at the stationary points of V = Var / <O>'^2 over one period of a +-1 or Bernoulli signal.
+def kernel_minima(jet: Callable, period: float, cells: int, bernoulli: bool) -> list[tuple[float, float]]:
+    """(phi, V) at the stationary points of V = Var / <O>'^2 over one period of a +-1 or Bernoulli signal.
 
     `jet(phis)` returns <O>, <O>', <O>'' and the rounding level of Var at an
     array of phases.  It is read at the centres of `cells` equal cells over
@@ -557,7 +549,7 @@ def kernel_minima(jet: Callable, period: float, cells: int, bernoulli: bool) -> 
     dark fringe may share one.  Every (half) cell with a resolvable slope
     where N changes sign is then refined to the zero of N, except within one
     cell of a dark fringe, where N vanishes to third order and Var / <O>'^2 is
-    rounding over rounding.  `dark` marks the dark fringes.
+    rounding over rounding.
     """
     step = period / cells
 
@@ -578,10 +570,9 @@ def kernel_minima(jet: Callable, period: float, cells: int, bernoulli: bool) -> 
     lo, hi, f_lo, f_hi, n_lo, n_hi = (np.concatenate(c) for c in zip(*sign_changes))
     zeros = _illinois(lambda p: jet(p)[1], lo, hi, f_lo, f_hi)
     m, m1, m2, var_noise = jet(zeros)
-    var = _signal_variance(m, m1, m2, bernoulli)[0]
-    dark = np.abs(var) <= var_noise
+    dark = np.abs(_signal_variance(m, m1, m2, bernoulli)[0]) <= var_noise
     fringes = zeros[dark]
-    points = [(x, v, True) for x, v in zip(fringes, jet_phase_variance(m[dark], m1[dark], m2[dark], bernoulli, True))]
+    points = list(zip(fringes, jet_phase_variance(m, m1, m2, var_noise, bernoulli)[dark]))
     pole, n_pole = zeros[~dark], n_of(m, m1, m2)[~dark]
     brackets += [(lo[~dark], pole, n_lo[~dark], n_pole), (pole, hi[~dark], n_pole, n_hi[~dark])]
     lo, hi, f_lo, f_hi = (np.concatenate(c) for c in zip(*brackets))
@@ -589,9 +580,8 @@ def kernel_minima(jet: Callable, period: float, cells: int, bernoulli: bool) -> 
     apart = np.abs(((lo + hi)[:, None] / 2.0 - fringes + period / 2.0) % period - period / 2.0)
     keep = (f_lo * f_hi < 0.0) & ~np.any(apart < 1.5 * step, axis=1)
     roots = _illinois(lambda p: n_of(*jet(p)[:3]), lo[keep], hi[keep], f_lo[keep], f_hi[keep])
-    m, m1, m2, _ = jet(roots)
-    points += [(r, v, False) for r, v in zip(roots, jet_phase_variance(m, m1, m2, bernoulli, False))]
-    return [(_wrap(r, period), float(v), d) for r, v, d in points if math.isfinite(v)]
+    points += zip(roots, jet_phase_variance(*jet(roots), bernoulli))
+    return [(_wrap(r, period), float(v)) for r, v in points if math.isfinite(v)]
 
 
 def golden_minimize(fn: PhiFunction, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float]:
@@ -613,12 +603,6 @@ def golden_minimize(fn: PhiFunction, lo: float, hi: float, tol: float = 1e-8) ->
     x = (a + b) / 2.0
     return x, fn(x)
 
-
-def find_optimal_phase(
-    variance_fn: PhiFunction, seed: float, window: float = 0.6, tol: float = 1e-8
-) -> tuple[float, float]:
-    """Minimize a phase-variance curve near a seeded optimum."""
-    return golden_minimize(variance_fn, seed - window, seed + window, tol)
 
 
 @dataclass

@@ -21,12 +21,9 @@ moments of one detector from one recursion per term (`wigner.moments`).  On an
 AffineImage, a Wigner expression seen through the Gaussian channel after the
 MZI, the polynomial detectors (intensity, homodyne, intensity difference) read
 its contracted moment tensor, and parity and click are Gaussian kernels on one
-mode.  `mean_slope` gives d<O>/dphi in closed form from the tangent that the
-scenario's prefix-channel observer returns next to the state: of a Gaussian
-family from (dR/dphi, dsigma/dphi), and of a polynomial detector on an
-AffineImage from dA/dphi of its channel.  The parity and no-click kernel of a
-Gaussian mode, with its first two phi-derivatives, is `kernel_jet`, batched
-over a stack of mode blocks; the Gaussian parity and click slopes read it.
+mode.  The parity and no-click kernel of a Gaussian mode, with its first two
+phi-derivatives, is `kernel_jet`, batched over a stack of mode blocks; the
+scenario's phase signals of Gaussian parity and click read it.
 """
 
 from __future__ import annotations
@@ -255,43 +252,3 @@ def measure(state: StateLike, scheme: DetectionScheme) -> MeasurementMoments:
     p = click_probability(state, scheme.mode)
     return MeasurementMoments(p, p)
 
-
-def mean_slope(state: GaussianState | AffineImage, tangent, scheme: DetectionScheme) -> float:
-    """d<O>/dphi at one phi, exact.
-
-    Of a Gaussian family from its tangent (dR/dphi, dsigma/dphi), and of a
-    polynomial detector on an AffineImage from its tangent dA/dphi.
-    """
-    if isinstance(state, AffineImage):
-        return _image_slope(state, tangent, scheme)
-    dmean, dcov = tangent
-
-    def photon_slope(mode: int) -> float:
-        i = 2 * (mode - 1)
-        return 0.25 * (dcov[i, i] + dcov[i + 1, i + 1]) + float(state.mean[i : i + 2] @ dmean[i : i + 2])
-
-    if scheme.kind == "intensity":
-        return photon_slope(scheme.mode)
-    if scheme.kind == "intensity_difference":
-        return photon_slope(scheme.mode) - photon_slope(scheme.mode_b)
-    i = 2 * (scheme.mode - 1)
-    dmu, dk = dmean[i : i + 2], dcov[i : i + 2, i : i + 2]
-    if scheme.kind == "homodyne":
-        return math.cos(scheme.angle) * dmu[0] + math.sin(scheme.angle) * dmu[1]
-    mu, sigma = _block(state, scheme.mode)
-    k = sigma if scheme.kind == "parity" else sigma + np.eye(2)
-    slope = float(kernel_jet(mu, k, dmu, dk, np.zeros(2), np.zeros((2, 2)))[1])
-    return slope if scheme.kind == "parity" else -2.0 * slope
-
-
-def _image_slope(state: AffineImage, da: np.ndarray, scheme: DetectionScheme) -> float:
-    if scheme.kind not in POLYNOMIAL_KINDS:
-        raise ValueError(f"no exact slope of a {scheme.kind} detector on an AffineImage")
-    if scheme.kind == "homodyne":
-        i = 2 * (scheme.mode - 1)
-        dx, dp = state.moment_slopes(da, [{i: 1}, {i + 1: 1}])
-        return math.cos(scheme.angle) * dx + math.sin(scheme.angle) * dp
-    modes = [scheme.mode] if scheme.kind == "intensity" else [scheme.mode, scheme.mode_b]
-    d = state.moment_slopes(da, [{2 * m - 2 + q: 2} for m in modes for q in (0, 1)])
-    photon = [0.5 * (d[k] + d[k + 1]) for k in range(0, len(d), 2)]  # d<n_m>/dphi
-    return photon[0] if scheme.kind == "intensity" else photon[0] - photon[1]

@@ -19,8 +19,9 @@ The detectors see the state by one of two routes (`_observer`):
   to (A R0 + b, A sigma0 A^T + 2C), with C the covariance of xi.  A Wigner
   prefix stays as it is and only the observable moves,
   <O>_phi = Int W(Y) W_O(A Y + b + xi) dY: each phi is a `wigner.AffineImage`,
-  read from the prefix's moment tensor (cached with it).  Both take their
-  exact slopes from A' = K M'(phi).
+  read from the prefix's moment tensor (cached with it).  A detector's phase
+  variance there comes from one exact phase signal (`_optimal_phi`), which
+  gives its optimum and its value at any phi.
 - Wigner forward: a herald after the phase makes the state depend on phi
   through the herald, so `build_pipeline` substitutes the MZI into every term
   per phi.
@@ -35,7 +36,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import numpy.random  # loaded lazily otherwise, on the first draw of a `counts` run
@@ -462,8 +463,6 @@ class PipelineResult:
     failure_prob: float = 0.0
     herald_stage: str | None = None  # None, "input", or "output"
     gaussian_path: bool = True
-    # set by `_observer` only: (dR/dphi, dsigma/dphi) of a GaussianState, or dA/dphi of an AffineImage
-    tangent: Any = None
 
 
 def _gaussian_possible(config: ScenarioConfig) -> bool:
@@ -605,16 +604,13 @@ def _after_mzi(config: ScenarioConfig, loss: ga.LossSpec | None) -> tuple[np.nda
 
 
 def _observer(config: ScenarioConfig) -> Callable[[float], PipelineResult]:
-    """phi -> the pipeline result the detectors see, with its tangent, by the config's route.
+    """phi -> the pipeline result the detectors see, by the config's route.
 
     With no herald after the phase, each phi is the cached prefix seen through
-    X = A Y + b + xi with A = K M(phi), and the tangent comes from
-    A' = K M'(phi); the MZI is a plain matrix, not a validated transform.  A
-    Gaussian prefix (R0, sigma0) becomes the GaussianState
-    (A R0 + b, A sigma0 A^T + 2C) with tangent dR = A' R0 and
-    dsigma = A' sigma0 A^T + A sigma0 A'^T; the Wigner prefix arms become
-    `AffineImage`s with tangent A'.  A herald after the phase builds the
-    pipeline at each phi.
+    X = A Y + b + xi with A = K M(phi); the MZI is a plain matrix, not a
+    validated transform.  A Gaussian prefix (R0, sigma0) becomes the
+    GaussianState (A R0 + b, A sigma0 A^T + 2C); the Wigner prefix arms become
+    `AffineImage`s.  A herald after the phase builds the pipeline at each phi.
     """
     if not _pulls_back(config):
         return lambda phi: build_pipeline(config, phi)
@@ -627,16 +623,27 @@ def _observer(config: ScenarioConfig) -> Callable[[float], PipelineResult]:
     arms = None if gaussian_path else _prefix_moments(config.inputs, _input_mods(config), prefix_loss)
 
     def observe(phi: float) -> PipelineResult:
-        a, da = k @ sym.mzi_matrix(phi), k @ sym.mzi_phase_derivative(phi)
+        a = k @ sym.mzi_matrix(phi)
         if arms is None:
             r0, s0 = prefix.state.mean, prefix.state.cov
-            cov, half = a @ s0 @ a.T + 2.0 * c, da @ s0 @ a.T
-            state = ga.GaussianState(a @ r0 + b, (cov + cov.T) / 2.0)
-            return replace(prefix, state=state, tangent=(da @ r0, half + half.T))
+            cov = a @ s0 @ a.T + 2.0 * c
+            return replace(prefix, state=ga.GaussianState(a @ r0 + b, (cov + cov.T) / 2.0))
         ok, fail = (None if arm is None else wig.AffineImage(*arm, a, b, c) for arm in arms)
-        return replace(prefix, state=ok, failure_state=fail, tangent=da)
+        return replace(prefix, state=ok, failure_state=fail)
 
     return observe
+
+
+def _tangent(config: ScenarioConfig, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(dR/dphi, dsigma/dphi) of a Gaussian config on the prefix channel, from A' = K M'(phi).
+
+    dR = A' R0 and dsigma = A' sigma0 A^T + A sigma0 A'^T, with A = K M(phi).
+    """
+    k = _after_mzi(config, _uniform_loss(config))[0]
+    prefix = _prefix(config.inputs, _input_mods(config), True, None).state
+    a, da = k @ sym.mzi_matrix(phi), k @ sym.mzi_phase_derivative(phi)
+    half = da @ prefix.cov @ a.T
+    return da @ prefix.mean, half + half.T
 
 
 def _apply_loss(state, loss: ga.LossSpec):
@@ -661,35 +668,36 @@ def _apply_thermal(state, noise: NoiseSpec):
 # ---------------------------------------------------------------------------
 
 
-def _signal_fns(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple:
-    """mean(phi), variance(phi) and slope(phi) of one detector; each phi is observed and measured once.
-
-    On the prefix channel the slope is the exact d<O>/dphi from the observer's
-    tangent, for every detector on a Gaussian state and for a polynomial
-    detector on an AffineImage; otherwise it is None, and the slope is a
-    central difference of the mean.
-    """
+def _signal_fns(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[Callable, Callable]:
+    """mean(phi) and variance(phi) of one detector; each phi is observed and measured once."""
     observe = _observer(config)
-    exact = _pulls_back(config) and (_gaussian_possible(config) or scheme.kind in meas.POLYNOMIAL_KINDS)
-    seen: dict[float, tuple[meas.MeasurementMoments, float | None]] = {}
+    seen: dict[float, meas.MeasurementMoments] = {}
 
-    def at(phi: float) -> tuple[meas.MeasurementMoments, float | None]:
+    def at(phi: float) -> meas.MeasurementMoments:
         if phi not in seen:
-            res = observe(phi)
-            slope = meas.mean_slope(res.state, res.tangent, scheme) if exact else None
-            seen[phi] = meas.measure(res.state, scheme), slope
+            seen[phi] = meas.measure(observe(phi).state, scheme)
         return seen[phi]
 
-    slope_fn = (lambda p: at(p)[1]) if exact else None
-    return (lambda p: at(p)[0].mean), (lambda p: at(p)[0].variance), slope_fn
+    return (lambda p: at(p).mean), (lambda p: at(p).variance)
+
+
+class _Signal(NamedTuple):
+    """The exact phase signal of a detector: V = Var / <O>'^2 over an array of phases.
+
+    `variance` is inf where the slope (at a dark fringe, the curvature) is
+    not above `floor`, its rounding level in phi.
+    """
+
+    variance: Callable[[np.ndarray], np.ndarray]
+    floor: float
 
 
 # Seeds of the golden-section search, next to its coarse scan: the published parity optimum.
 _OPTIMUM_SEEDS = {"parity": math.pi}
 
 
-def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float]:
-    """The phase-variance minimum over one period of V in phi, as (phi, variance).
+def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float, _Signal | None]:
+    """The phase-variance minimum over one period of V in phi, as (phi, variance), and the exact signal it is read from.
 
     On the prefix channel A(phi) = K M(phi) holds only cos(phi/2) and
     sin(phi/2), and M(phi + 2 pi) = -M(phi).  V has period 2 pi for homodyne
@@ -702,11 +710,15 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
     <O^2> up to 2q.  An even detector with no output displacement has even
     harmonics only, and is read in phi itself.  Its samples at 4d + 1
     equispaced phases (five, or nine for an even detector behind an output
-    displacement) fix both moments, and `est.trig_stationary_points` gives the
-    variance at every stationary point exactly.  Parity and click on a
-    Gaussian state take `_kernel_optimum`.  A herald after the phase, and
-    parity and click on a Wigner state, take a seeded golden-section search
-    from a 25-point scan over [0, 2 pi).
+    displacement) fix both moments, and `est.trig_signal` gives V at every
+    phi and at every stationary point exactly.  Parity and click on a
+    Gaussian state read the batched kernel jet (`_kernel_jet`), through
+    `est.jet_phase_variance` at any phi and `_kernel_optimum` for the
+    minimum.  The fixed-phase variance, the drift trials and the optimum of
+    such a detector all read this one signal.  A herald after the phase, and
+    parity and click on a Wigner state, have no exact signal (None): they take
+    a seeded golden-section search from a 25-point scan over [0, 2 pi), and
+    error propagation with central differences at any other phi.
 
     Minima within a relative OPTIMUM_TIE of the lowest are equal, and the one at
     the smallest phi is reported, so that rounding cannot move the optimum
@@ -720,10 +732,25 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
         n = 9 if even and shifted else 5
         observe = _observer(config)
         samples = [meas.measure(observe(2.0 * math.pi * rate * j / n).state, scheme) for j in range(n)]
-        return _least(est.trig_stationary_points(samples, rate))
+        variance, floor, points = est.trig_signal(samples, rate)
+        return (*_least(points), _Signal(variance, floor))
     if _gaussian_possible(config):
-        return _kernel_optimum(config, scheme, 4.0 * math.pi if shifted else 2.0 * math.pi)
-    return _least(_golden_minima(config, scheme))
+        jet = _kernel_jet(config, scheme)
+        click = scheme.kind == "click"
+        # |<O>| <= 1, so the slope floor of jet_phase_variance is SLOPE_FLOOR
+        signal = _Signal(lambda phi: est.jet_phase_variance(*jet(phi), click), est.SLOPE_FLOOR)
+        return (*_kernel_optimum(config, scheme, jet, 4.0 * math.pi if shifted else 2.0 * math.pi), signal)
+    return (*_least(_golden_minima(config, scheme)), None)
+
+
+def _phase_variance(config: ScenarioConfig, scheme: meas.DetectionScheme, signal: _Signal | None, phi: float) -> float:
+    """V at one phase: from the detector's exact signal, or by error propagation where it has none."""
+    if signal is None:
+        return est.phase_variance_error_prop(*_signal_fns(config, scheme), phi)
+    v = float(signal.variance(np.array([phi]))[0])
+    if not math.isfinite(v):
+        raise SignalStationary(f"signal slope below {signal.floor:.0e} at phi={phi:.6g}")
+    return v
 
 
 def _least(minima: list) -> tuple[float, float]:
@@ -734,8 +761,8 @@ def _least(minima: list) -> tuple[float, float]:
     return min((x, v) for x, v in minima if v - low <= OPTIMUM_TIE * abs(low))
 
 
-def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[Callable, float]:
-    """The batched jet of parity or click on the Gaussian prefix channel, and a bound F on its information.
+def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callable:
+    """The batched jet of parity or click on the Gaussian prefix channel.
 
     The jet maps an array of phases to <O>, <O>', <O>'' and the rounding level
     of Var there, with O the no-click indicator for click: V is the same for
@@ -749,19 +776,12 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[C
     mu'' = -(mu - b)/4 and sigma'' = S0 - sigma.  The kernel is the parity,
     or half the no-click probability with S0 + I in place of S0
     (`meas.kernel_jet`).
-
-    F is the QFI of the lossless MZI family of the prefix, the same at every
-    phi: the channel after the MZI can only lower it, so it bounds the Fisher
-    information Var^-1 <O>'^2 of either detector at every phi.
     """
     k, b, c = _after_mzi(config, _uniform_loss(config))
     state = _prefix(config.inputs, _input_mods(config), True, None).state
     r0, s0 = state.mean, state.cov
-    g = sym.mzi_phase_derivative(0.0)
-    half = g @ s0
-    bound = est.qfi_mixed_gaussian(state, g @ r0, half + half.T)
     rows = slice(2 * scheme.mode - 2, 2 * scheme.mode)
-    a_c, a_s, b = k[rows], 2.0 * (k @ g)[rows], b[rows]
+    a_c, a_s, b = k[rows], 2.0 * (k @ sym.mzi_phase_derivative(0.0))[rows], b[rows]
     m_c, m_s = a_c @ r0, a_s @ r0
     s_cc, s_cs, s_ss = a_c @ s0 @ a_c.T, a_c @ s0 @ a_s.T, a_s @ s0 @ a_s.T
     s_0 = (s_cc + s_ss) / 2.0 + 2.0 * c[rows, rows] + (np.eye(2) if scheme.kind == "click" else 0.0)
@@ -775,38 +795,54 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[C
         sigma = s_0 + s_1 * cf + s_2 * sf
         value, slope, curve = meas.kernel_jet(mu, sigma, (m_s * ch - m_c * sh) / 2.0, s_2 * cf - s_1 * sf,
                                               (b - mu) / 4.0, s_0 - sigma)
-        # sigma carries the rounding of its terms, which log det sigma amplifies by |sigma^-1|
+        # sigma carries the rounding of its terms, which log det sigma amplifies by |sigma^-1|, relative to
+        # <O>: a no-click probability that is small but resolved is no dark fringe
         det = sigma[:, 0, 0] * sigma[:, 1, 1] - sigma[:, 0, 1] * sigma[:, 1, 0]
         noise = est.SLOPE_NOISE * terms * np.abs(sigma).sum(axis=(1, 2)) / np.abs(det)
         scale = 1.0 if scheme.kind == "parity" else 2.0
-        return scale * value, scale * slope, scale * curve, noise
+        return scale * value, scale * slope, scale * curve, noise * np.abs(scale * value)
 
-    return jet, bound
+    return jet
 
 
-def _kernel_optimum(config: ScenarioConfig, scheme: meas.DetectionScheme, period: float) -> tuple[float, float]:
-    """The phase-variance minimum of parity or click on a Gaussian state, from one batched grid of the kernel jet.
+def _mzi_qfi(config: ScenarioConfig) -> float:
+    """The QFI of the lossless MZI family of a Gaussian prefix, the same at every phi.
 
-    A cell of width 1 / sqrt(F), with F the bound of `_kernel_jet`, is the
-    width of the narrowest fringe: the fringe angle theta = arccos <O> (parity),
-    or arccos(1 - 2P) (click), turns by at most one radian across it, since
-    theta'^2 = <O>'^2 / Var <= F.  `est.kernel_minima` refines the stationary
+    The channel after the MZI can only lower it, so it bounds the information
+    of every detector of the config at every phi.
+    """
+    state = _prefix(config.inputs, _input_mods(config), True, None).state
+    g = sym.mzi_phase_derivative(0.0)
+    half = g @ state.cov
+    return est.qfi_mixed_gaussian(state, g @ state.mean, half + half.T)
+
+
+def _kernel_optimum(config: ScenarioConfig, scheme: meas.DetectionScheme, jet: Callable,
+                    period: float) -> tuple[float, float]:
+    """The phase-variance minimum of parity or click on a Gaussian state, from one batched grid of its jet.
+
+    The grid has cells of width 1 / sqrt(F), with F = `_mzi_qfi`: it bounds
+    the Fisher information Var^-1 <O>'^2 of either detector at every phi, so a
+    cell is the width of the narrowest fringe.  The fringe angle
+    theta = arccos <O> (parity), or arccos(1 - 2P) (click), turns by at most
+    one radian across it, since theta'^2 = <O>'^2 / Var <= F.  `est.kernel_minima` refines the stationary
     points on that grid.  The least of them (by the OPTIMUM_TIE rule) is
     observed once through `_observer`, so that the reported variance comes
-    from a validated state: Var / <O>'^2 with its measured mean and exact
-    slope, or at a dark fringe the limit with the jet's curvature.
+    from a validated state: its measured mean and the kernel's exact slope on
+    its detected block (`_tangent`), with the jet's curvature at a dark fringe.
     """
-    jet, bound = _kernel_jet(config, scheme)
-    cells = 4 * max(math.ceil(period * math.sqrt(bound) / 4.0), 1)
-    minima = est.kernel_minima(jet, period, cells, scheme.kind == "click")
-    phi, _ = _least([(x, v) for x, v, _ in minima])
-    dark = next(d for x, _, d in minima if x == phi)
+    cells = 4 * max(math.ceil(period * math.sqrt(_mzi_qfi(config)) / 4.0), 1)
+    phi, _ = _least(est.kernel_minima(jet, period, cells, scheme.kind == "click"))
     res = _observer(config)(phi)
-    m, m1 = meas.measure(res.state, scheme).mean, meas.mean_slope(res.state, res.tangent, scheme)
-    if scheme.kind == "click":
-        m, m1 = 1.0 - m, -m1
-    m2 = jet(np.array([phi]))[2]
-    v = float(est.jet_phase_variance(np.array([m]), np.array([m1]), m2, scheme.kind == "click", dark)[0])
+    dmean, dcov = _tangent(config, phi)
+    i = slice(2 * scheme.mode - 2, 2 * scheme.mode)
+    k = res.state.cov[i, i] + (np.eye(2) if scheme.kind == "click" else 0.0)
+    m1 = float(meas.kernel_jet(res.state.mean[i], k, dmean[i], dcov[i, i], np.zeros(2), np.zeros((2, 2)))[1])
+    m = meas.measure(res.state, scheme).mean
+    if scheme.kind == "click":  # the no-click probability, twice the kernel
+        m, m1 = 1.0 - m, 2.0 * m1
+    m2, noise = jet(np.array([phi]))[2:]
+    v = float(est.jet_phase_variance(np.array([m]), np.array([m1]), m2, noise, scheme.kind == "click")[0])
     if not math.isfinite(v):
         raise SignalStationary(f"signal slope below rounding at the optimum phi={phi:.6g}")
     return phi, v
@@ -814,18 +850,18 @@ def _kernel_optimum(config: ScenarioConfig, scheme: meas.DetectionScheme, period
 
 def _golden_minima(config: ScenarioConfig, scheme: meas.DetectionScheme) -> list[tuple[float, float]]:
     """Golden-section minima from the seed of the scheme and the two best of 25 scanned phases."""
-    mean, var, slope = _signal_fns(config, scheme)
+    mean, var = _signal_fns(config, scheme)
 
     def variance_at(phi: float) -> float:
         try:
-            return est.phase_variance_error_prop(mean, var, phi, slope_fn=slope)
+            return est.phase_variance_error_prop(mean, var, phi)
         except (SignalStationary, ImprobableBranch, ValueError):
             return float("inf")
 
     seeds = [_OPTIMUM_SEEDS[scheme.kind]] if scheme.kind in _OPTIMUM_SEEDS else []
     coarse = np.linspace(0.05, 2.0 * math.pi - 0.05, 25)
     seeds.extend(coarse[np.argsort([variance_at(p) for p in coarse])[:2]])
-    return [est.find_optimal_phase(variance_at, s, window=0.35) for s in seeds]
+    return [est.golden_minimize(variance_at, s - 0.35, s + 0.35) for s in seeds]
 
 
 def _click_cfi(config: ScenarioConfig, phi: float) -> float:
@@ -833,8 +869,9 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
 
     Without a herald the success probability is 1 and there is no failure arm,
     so this reduces to the plain sum of the two detectors' CFIs.  A Gaussian
-    state takes the exact click slopes of its tangent (`meas.mean_slope`);
-    the Wigner arms take central differences.
+    state takes the exact click slopes of its phase signal, the no-click jet
+    of `_kernel_jet` with the sign turned; the Wigner arms take central
+    differences.
     """
     observe = _observer(config)
 
@@ -843,11 +880,10 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
             return lambda p: meas.click_probability(getattr(observe(p), branch), mode)
 
         def slope(mode: int):
-            def exact(p: float) -> float:
-                res = observe(p)
-                return meas.mean_slope(res.state, res.tangent, meas.DetectionScheme("click", mode))
-
-            return exact if _gaussian_possible(config) else None
+            if not _gaussian_possible(config):
+                return None
+            jet = _kernel_jet(config, meas.DetectionScheme("click", mode))
+            return lambda p: -float(jet(np.array([p]))[1][0])
 
         return [est.two_outcome(click(m), slope(m)) for m in (1, 2)]
 
@@ -857,7 +893,6 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
         arm("state"),
         arm("failure_state") if res.failure_state is not None else None,
         phi,
-        include_herald=res.herald_stage == "output",
     )
 
 
@@ -867,14 +902,15 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
     A herald after the phase post-selects on a phi-dependent outcome; the QFI of
     that conditional state does not bound the herald-weighted CFI, so none is given.
     A Gaussian family takes one observation: `est.qfi_mixed_gaussian` on the
-    state and its exact tangent, labelled pure or mixed from the symplectic
-    eigenvalues that formula uses.  On the Wigner path with no
-    thermal noise after the MZI, a pure prefix is a pure input to the MZI, whose
-    phase is generated by J_z = (n1 - n2)/2 after its first 50/50 splitter:
-    F = 4 Var(J_z) = Var(n1 - n2) there, the same at every phi and read from
-    the prefix's moment tensor.  The output squeezes and displacements are
-    phi-independent unitaries and keep it.  With thermal noise after the MZI
-    the Wigner integral runs on built states.
+    state and its exact tangent (`_tangent`), labelled pure or mixed from the
+    symplectic eigenvalues that formula uses.  On the Wigner path with no
+    noise after the MZI (C = 0, which thermal injection at eta = 1 keeps), a
+    pure prefix is a pure input to the MZI, whose phase is generated by
+    J_z = (n1 - n2)/2 after its first 50/50 splitter: F = 4 Var(J_z) =
+    Var(n1 - n2) there, the same at every phi and read from the prefix's
+    moment tensor.  The output squeezes and displacements are phi-independent
+    unitaries and keep it.  Noise after the MZI leaves a mixed non-Gaussian
+    family, for which no QFI is given.
     """
     if not _pulls_back(config):
         return None, "unavailable (herald after the phase)"
@@ -882,14 +918,15 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
         res = _observer(config)(phi)
         nu = ga.williamson(res.state.cov)[0]
         route = "pure_gaussian" if nu[-1] ** 2 - 1.0 <= est.PURE_GAUSSIAN_TOL else "mixed_gaussian"
-        return est.qfi_mixed_gaussian(res.state, *res.tangent), route
+        return est.qfi_mixed_gaussian(res.state, *_tangent(config, phi)), route
     loss = _uniform_loss(config)
+    mixed = None, "unavailable (mixed non-Gaussian)"
+    if np.any(_after_mzi(config, None)[2]):
+        return mixed
     try:
-        if config.noise.has_thermal:
-            return est.qfi_pure_wigner(lambda p: build_pipeline(config, p).state, phi), "pure_wigner"
         est.require_pure_wigner(_prefix(config.inputs, _input_mods(config), False, loss).state)
     except PurityViolation:
-        return None, "unavailable (mixed non-Gaussian)"
+        return mixed
     expr, tensor = _prefix_moments(config.inputs, _input_mods(config), loss)[0]
     split = wig.AffineImage(expr, tensor, sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
     return meas.intensity_difference(split, 1, 2).variance, "pure_wigner"
@@ -937,14 +974,13 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None, n_max: int 
     if "phase_variance" in config.metrics:
         for scheme in config.detection:
             try:
-                opt_phi, opt_var = _optimal_phi(config, scheme)
+                opt_phi, opt_var, signal = _optimal_phi(config, scheme)
             except SignalStationary as exc:
                 # no phase gives a finite variance, the configured one included: one warning for both
                 warnings.append(f"optimal_phi[{scheme.label}]: {exc}")
                 continue
-            mean, var, slope = _signal_fns(config, scheme)
             try:
-                report.phase_variance[scheme.label] = est.phase_variance_error_prop(mean, var, phi, slope_fn=slope)
+                report.phase_variance[scheme.label] = _phase_variance(config, scheme, signal, phi)
             except (SignalStationary, DegenerateBranch, ImprobableBranch) as exc:
                 warnings.append(f"phase_variance[{scheme.label}] at phi={phi:.6g}: {exc}")
             report.optimal_phi[scheme.label] = opt_phi
@@ -1125,8 +1161,8 @@ def phase_drift_study(
 
     Each trial draws the control phase near the scheme's optimum (Gaussian with
     the per-scheme sigma, or uniformly within 20% of the optimum) and evaluates
-    the phase variance there; the trace reports the running mean versus trial
-    count.
+    the phase variance there, all trials of a detector with an exact signal in
+    one call; the trace reports the running mean versus trial count.
     """
     if trials < 1:
         raise ConfigError("drift.trials", "need at least one trial")
@@ -1137,25 +1173,33 @@ def phase_drift_study(
     warnings: list[str] = []
     rows = []
     for si, scheme in enumerate(config.detection):
-        mean, var, slope = _signal_fns(config, scheme)
         try:
-            opt_phi, opt_var = _optimal_phi(config, scheme)
+            opt_phi, opt_var, signal = _optimal_phi(config, scheme)
         except SignalStationary as exc:
             warnings.append(f"drift[{scheme.label}]: {exc}")
             continue
         sig = sigma.get(scheme.kind, sigma["default"])
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(si,)))
+        if distribution == "gaussian":
+            phis = rng.normal(opt_phi, sig, trials)
+        else:
+            phis = opt_phi * rng.uniform(0.8, 1.2, trials)
+        if signal is not None:
+            values = signal.variance(phis)
+        else:
+            mean, var = _signal_fns(config, scheme)
+            values = []
+            for phi_k in phis:
+                try:
+                    values.append(est.phase_variance_error_prop(mean, var, phi_k))
+                except (SignalStationary, DegenerateBranch):
+                    values.append(math.inf)
         total = 0.0
-        for k in range(1, trials + 1):
-            if distribution == "gaussian":
-                phi_k = rng.normal(opt_phi, sig)
-            else:
-                phi_k = opt_phi * rng.uniform(0.8, 1.2)
-            try:
-                total += est.phase_variance_error_prop(mean, var, phi_k, slope_fn=slope)
-            except (SignalStationary, DegenerateBranch):
-                total += opt_var  # a flat draw carries no usable slope; score it at the optimum
+        for k, (phi_k, v) in enumerate(zip(phis.tolist(), map(float, values)), 1):
+            if not math.isfinite(v):
+                v = opt_var  # a flat draw carries no usable slope; score it at the optimum
                 warnings.append(f"drift[{scheme.label}] trial {k}: stationary draw at phi={phi_k:.6g}")
+            total += v
             traces.append({"scheme": scheme.label, "trial": k, "running_mean": total / k})
         rows.append(
             {

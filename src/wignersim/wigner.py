@@ -381,20 +381,19 @@ def _slot(e: tuple) -> tuple:
     return tuple(idx + [0] * (4 - len(idx)))
 
 
-def _add_noise(t: np.ndarray, noise: np.ndarray, constant: bool) -> np.ndarray:
+def _add_noise(t: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Moment tensor of U + xi from that of U, for xi ~ N(0, noise) independent of U (Isserlis).
 
     Each pairing of xi within two of the four slots takes noise there and
-    E[U'U'] in the other two; `constant` adds the pairings of all four slots,
-    which the phi-derivative of the tensor lacks.  `noise` is padded to the
-    tensor's axes, with a zero row and column for the constant coordinate.
+    E[U'U'] in the other two, and the pairings of all four slots add noise in
+    both pairs.  `noise` is padded to the tensor's axes, with a zero row and
+    column for the constant coordinate.
     """
     t2 = t[:, :, 0, 0]
     out = t.copy()
     for a, b in (("ij", "kl"), ("ik", "jl"), ("il", "jk")):
         out += np.einsum(f"{a},{b}->ijkl", t2, noise) + np.einsum(f"{b},{a}->ijkl", t2, noise)
-        if constant:
-            out += np.einsum(f"{a},{b}->ijkl", noise, noise)
+        out += np.einsum(f"{a},{b}->ijkl", noise, noise)
     return out
 
 
@@ -421,35 +420,16 @@ class AffineImage:
         if np.any(noise):
             self._noise = np.zeros((n + 1, n + 1))
             self._noise[1:, 1:] = noise
-        self._three = None  # the tensor with the lift applied along three of its four axes
         self._values = None
-
-    def _three_axes(self) -> np.ndarray:
-        if self._three is None:
-            t = self.tensor
-            for _ in range(3):  # each tensordot maps the last axis and moves it to the front
-                t = np.tensordot(self._lift, t, axes=(1, 3))
-            self._three = t
-        return self._three
 
     def moments(self, monomials: list) -> list[float]:
         """E[X^e] for each monomial e of degree <= 4 (a tuple or a {variable index: power} mapping)."""
         if self._values is None:
-            t = np.tensordot(self._lift, self._three_axes(), axes=(1, 3))
-            self._values = t if self._noise is None else _add_noise(t, self._noise, True)
+            t = self.tensor
+            for _ in range(4):  # each tensordot maps the last axis and moves it to the front
+                t = np.tensordot(self._lift, t, axes=(1, 3))
+            self._values = t if self._noise is None else _add_noise(t, self._noise)
         return [float(self._values[_slot(_exponents(e, self.expr.nvars))]) for e in monomials]
-
-    def moment_slopes(self, da: np.ndarray, monomials: list) -> list[float]:
-        """d/dphi of E[X^e] for each monomial, exact, where A depends on phi with derivative da."""
-        n = self.expr.nvars
-        dlift = np.zeros((n + 1, n + 1))
-        dlift[1:, 1:] = da
-        # da on the first axis; the tensor is symmetric, so da on another axis is a transpose of this
-        x = np.tensordot(dlift, self._three_axes(), axes=(1, 3))
-        d = x + x.transpose(1, 0, 2, 3) + x.transpose(2, 1, 0, 3) + x.transpose(3, 1, 2, 0)
-        if self._noise is not None:
-            d = _add_noise(d, self._noise, False)
-        return [float(d[_slot(_exponents(e, n))]) for e in monomials]
 
     def density_at_origin(self, mode: int, blur: np.ndarray) -> float:
         """Density at the origin of X_mode + eta, for eta ~ N(0, blur) independent (a 2x2 covariance, may be 0).

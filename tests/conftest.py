@@ -2,6 +2,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -30,6 +31,21 @@ def mzi_coh_sqz():
         return family
 
     return make
+
+
+@pytest.fixture(scope="session")
+def trig_slope():
+    """|d<O>/dphi| of a polynomial detector that the phase signal of `est.trig_signal` implies, sqrt(Var / V).
+
+    `moments(phi)` gives the detector's moments on a phi-family whose <O> is a
+    trigonometric polynomial of degree d in phi / rate, sampled at n = 4d + 1 phases.
+    """
+
+    def slope(moments, phi: float, rate: int, n: int) -> float:
+        variance = est.trig_signal([moments(2.0 * math.pi * rate * j / n) for j in range(n)], rate)[0]
+        return math.sqrt(moments(phi).variance / variance(np.array([phi]))[0])
+
+    return slope
 
 
 @pytest.fixture(scope="session")

@@ -97,7 +97,7 @@ def test_criterion_2_detector_ranking_and_optima():
     var_fn = lambda p: scheme_variance(a2, r, SCHEMES["intensity"], p)
     coarse = np.linspace(0.3, math.pi - 0.1, 40)
     seed = coarse[int(np.argmin([var_fn(p) for p in coarse]))]
-    found, _ = est.find_optimal_phase(var_fn, seed, window=0.25, tol=1e-9)
+    found, _ = est.golden_minimize(var_fn, seed - 0.25, seed + 0.25, tol=1e-9)
     phi_dev = abs(found - optima["intensity"])
     ok = worst < 1e-8 and ranked and phi_dev < 1e-6
     report(
@@ -202,7 +202,7 @@ def _total_click_cfi(nbar: float, T: float, phi: float) -> float:
 
     succ = [est.two_outcome(click(0, 1)), est.two_outcome(click(0, 2))]
     fail = [est.two_outcome(click(1, 1)), est.two_outcome(click(1, 2))]
-    return est.probabilistic_cfi(herald, succ, fail, phi, include_herald=True)
+    return est.probabilistic_cfi(herald, succ, fail, phi)
 
 
 def test_criterion_7_post_selection_no_free_lunch():

@@ -264,18 +264,33 @@ def richardson_slope(f, phi: float, h: float) -> float:
     return (16 * r[1] - r[0]) / 15
 
 
+def kernel_slope(before: ga.GaussianState, scheme: meas.DetectionScheme, phi: float) -> float:
+    """d<O>/dphi of parity or click through the MZI, from `meas.kernel_jet` on the detected block and its exact tangent."""
+    dm = sym.mzi_phase_derivative(phi)
+    half = dm @ before.cov @ sym.make_mzi(phi).matrix.T
+    dmean, dcov = dm @ before.mean, half + half.T
+    state = ga.propagate(before, sym.make_mzi(phi))
+    i = slice(2 * scheme.mode - 2, 2 * scheme.mode)
+    k = state.cov[i, i] + (np.eye(2) if scheme.kind == "click" else 0.0)
+    slope = float(meas.kernel_jet(state.mean[i], k, dmean[i], dcov[i, i], np.zeros(2), np.zeros((2, 2)))[1])
+    return slope if scheme.kind == "parity" else -2.0 * slope  # the click probability is 1 - 2 kernel
+
+
 class TestMeanSlope:
+    """The exact slopes behind the phase signals: the kernel jet of parity and click, and the trigonometric
+    signal of the polynomial detectors, whose slope magnitude is sqrt(Var / V)."""
+
     @pytest.mark.parametrize("phi", [0.5, 1.7, 2.9, 4.4])
-    def test_matches_central_differences_through_the_mzi(self, phi):
+    def test_matches_central_differences_through_the_mzi(self, phi, trig_slope):
         rng = np.random.default_rng(33)
         for _ in range(5):
             before = random_two_mode_state(rng)
-            dm = sym.mzi_phase_derivative(phi)
-            half = dm @ before.cov @ sym.make_mzi(phi).matrix.T
-            tangent = (dm @ before.mean, half + half.T)
-            state = ga.propagate(before, sym.make_mzi(phi))
             for scheme in SCHEMES:
-                want = richardson_slope(lambda p: meas.measure(ga.propagate(before, sym.make_mzi(p)), scheme).mean,
-                                        phi, 1e-2)
-                got = meas.mean_slope(state, tangent, scheme)
+                moments = lambda p: meas.measure(ga.propagate(before, sym.make_mzi(p)), scheme)
+                want = richardson_slope(lambda p: moments(p).mean, phi, 1e-2)
+                if scheme.kind in meas.POLYNOMIAL_KINDS:
+                    # homodyne is a trigonometric polynomial of degree 1 in phi / 2, the even detectors in phi
+                    got, want = trig_slope(moments, phi, 2 if scheme.kind == "homodyne" else 1, 5), abs(want)
+                else:
+                    got = kernel_slope(before, scheme, phi)
                 assert got == pytest.approx(want, rel=1e-8, abs=1e-11), scheme.label

@@ -2,10 +2,11 @@
 
 `scenario._optimal_phi` reads intensity, homodyne and intensity difference as
 trigonometric polynomials in phi from equispaced samples
-(`estimation.trig_stationary_points`), and parity and click on a Gaussian state
-from one batched grid of the kernel jet (`estimation.kernel_minima`).  These
-tests hold both against closed forms and against a dense phi grid through the
-error propagation of the fixed-phase route, polished by golden section.
+(`estimation.trig_signal`), and parity and click on a Gaussian state from one
+batched grid of the kernel jet (`estimation.kernel_minima`).  These tests hold
+both against closed forms and against a dense phi grid of the same phase
+signal, polished by golden section; `tests/test_pipeline.py` holds that signal
+against central differences at fixed phases.
 """
 
 import json
@@ -36,7 +37,7 @@ class TestTrigStationaryPoints:
         # V = 2 / (N (1 + cos phi)) is least at the dark fringe phi = 0, where Var and the slope vanish
         n_photons = 7.0
         mean = lambda t: n_photons * (1.0 - math.cos(t)) / 2.0
-        points = est.trig_stationary_points(samples(mean, mean, 5), rate=1)
+        points = est.trig_signal(samples(mean, mean, 5), rate=1)[2]
         phi, v = min(points, key=lambda p: p[1])
         assert phi == pytest.approx(0.0, rel=0.0, abs=1e-15)
         assert v == pytest.approx(1.0 / n_photons, rel=1e-14, abs=0.0)
@@ -45,7 +46,7 @@ class TestTrigStationaryPoints:
     def test_half_angle_signal_maps_back_to_phi(self):
         # homodyne-like: <O> = a cos(phi/2) with constant variance s, so V = 4 s / (a^2 sin^2(phi/2)), least at pi
         a, s = 3.0, 0.7
-        points = est.trig_stationary_points(samples(lambda t: a * math.cos(t), lambda t: s, 5), rate=2)
+        points = est.trig_signal(samples(lambda t: a * math.cos(t), lambda t: s, 5), rate=2)[2]
         # one period in theta = phi/2: phi spans [0, 4 pi), with the mirror minimum at 3 pi
         assert all(0.0 <= phi < 4.0 * math.pi for phi, _ in points)
         phi, v = min(points, key=lambda p: p[1])
@@ -54,7 +55,7 @@ class TestTrigStationaryPoints:
 
     def test_flat_signal_raises(self):
         with pytest.raises(SignalStationary, match="flat"):
-            est.trig_stationary_points(samples(lambda t: 1e-17 * math.cos(t), lambda t: 0.0, 5), rate=1)
+            est.trig_signal(samples(lambda t: 1e-17 * math.cos(t), lambda t: 0.0, 5), rate=1)
 
 
 def ligo_lossy(L: float) -> dict:
@@ -98,21 +99,18 @@ def period(config: sc.ScenarioConfig) -> float:
     return 4.0 * math.pi if np.any(sc._after_mzi(config, None)[1]) else 2.0 * math.pi
 
 
+def variance_fn(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, floor: float):
+    """phi -> V of the detector's phase signal, the one its fixed-phase values read; values below `floor`
+    (the QCRB, or 0) are rounding noise by the Cramer-Rao bound and read as the floor."""
+    signal = sc._optimal_phi(config, scheme)[2]
+    return lambda phi: max(floor, float(signal.variance(np.array([phi]))[0]))
+
+
 def reference_minimum(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, floor: float,
                       points: int = 360) -> float:
-    """Least error-propagated variance on a phi grid of `points` per 2 pi over the period, its three best cells
-    polished by golden section.
-
-    Values below `floor` (the QCRB, or 0) are rounding noise by the Cramer-Rao bound and read as the floor:
-    near a dark fringe the fixed-phase route takes a Richardson limit, which dips 3e-9 below point (a)'s QCRB.
-    """
-    mean, var, slope = sc._signal_fns(config, scheme)
-
-    def variance_at(phi: float) -> float:
-        try:
-            return max(floor, est.phase_variance_error_prop(mean, var, phi, slope_fn=slope))
-        except (SignalStationary, ValueError):
-            return math.inf
+    """Least V of the phase signal on a phi grid of `points` per 2 pi over the period, its three best cells
+    polished by golden section."""
+    variance_at = variance_fn(config, scheme, floor)
 
     cells = round(points * period(config) / (2.0 * math.pi))
     grid = period(config) * np.arange(cells) / cells
@@ -174,25 +172,18 @@ KERNEL_CONFIGS = {
 
 def kernel_reference(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, floor: float, points: int) -> float:
     """Least variance of parity or click on a phi grid of `points` per 2 pi over the period, read from the jet,
-    its three best cells polished by golden section through the fixed-phase error propagation.
+    its three best cells polished by golden section through the phase signal.
 
     Values below `floor` (the QCRB) are rounding noise next to a dark fringe and read as the floor.
     """
-    jet, _ = sc._kernel_jet(config, scheme)
+    jet = sc._kernel_jet(config, scheme)
     cells = round(points * period(config) / (2.0 * math.pi))
     grid = period(config) * np.arange(cells) / cells
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m, m1, _, _ = jet(grid)
         var = m - m * m if scheme.kind == "click" else 1.0 - m * m
         values = np.maximum(floor, np.nan_to_num(var / (m1 * m1), nan=math.inf))
-    mean, var_fn, slope = sc._signal_fns(config, scheme)
-
-    def variance_at(phi: float) -> float:
-        try:
-            return max(floor, est.phase_variance_error_prop(mean, var_fn, phi, slope_fn=slope))
-        except (SignalStationary, ValueError):
-            return math.inf
-
+    variance_at = variance_fn(config, scheme, floor)
     step = grid[1]
     polished = [est.golden_minimize(variance_at, grid[i] - step, grid[i] + step, 1e-10)[1]
                 for i in np.argsort(values)[:3]]
@@ -216,9 +207,9 @@ def test_kernel_minimum_is_no_worse_than_the_dense_grid_and_respects_the_qcrb(na
 def test_bright_fringe_needs_the_grid_that_resolves_it():
     # cells of 1 / sqrt(F) rad: a 64-cell grid lands no point on the 0.009 rad fringe and sees no signal
     config = sc.ScenarioConfig.from_dict(KERNEL_CONFIGS["bright"][0])
-    jet, bound = sc._kernel_jet(config, config.detection[0])
+    jet = sc._kernel_jet(config, config.detection[0])
     assert est.kernel_minima(jet, 2.0 * math.pi, 64, bernoulli=False) == []
-    assert math.ceil(2.0 * math.pi * math.sqrt(bound)) > 10_000
+    assert math.ceil(2.0 * math.pi * math.sqrt(sc._mzi_qfi(config))) > 10_000
     assert sc._optimal_phi(config, config.detection[0])[1] < 1.2e-5
 
 
@@ -257,3 +248,47 @@ def test_dark_fringe_at_zero_phase_is_reported_at_zero(label):
     assert not warnings
     assert report.optimal_phi[label] == 0.0
     assert report.extras[f"min_phase_variance.{label}"] == pytest.approx(0.25, rel=1e-14, abs=0.0)
+
+
+def observed_variance(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, phi: float, h: float) -> tuple:
+    """(Var, d<O>/dphi) at phi, observed and measured at phi and phi +- s, the slope with two Richardson levels."""
+    observe = sc._observer(config)
+    moments = lambda p: meas.measure(observe(p).state, scheme)
+    d = [(moments(phi + s).mean - moments(phi - s).mean) / (2 * s) for s in (h, h / 2, h / 4)]
+    r = [(4 * d[i + 1] - d[i]) / 3 for i in range(2)]
+    return moments(phi).variance, (16 * r[1] - r[0]) / 15
+
+
+# (config, Richardson step): the bright ligo_lossy fringes are narrow and take a short step
+FIXED_PHASE_CONFIGS = {
+    "ligo_lossy": (ligo_lossy(0.2), 1e-3),
+    "point_a": (workloads.point_a(1.0), 1e-2),
+    "point_b": (workloads.point_b(1.0), 1e-2),
+    "point_b_m2": (workloads.point_b(1.0, m=2), 1e-2),
+    "output_displaced": (OUTPUT_DISPLACED, 1e-2),
+}
+
+
+@pytest.mark.parametrize("phi", [0.4, 1.2, 2.6, 3.1])
+@pytest.mark.parametrize("name", sorted(FIXED_PHASE_CONFIGS))
+def test_fixed_phase_variance_matches_observed_differences(name, phi):
+    # the fixed-phase value reads the same exact signal as the optimum; observing and measuring the state
+    # around phi gives it independently
+    raw, h = FIXED_PHASE_CONFIGS[name]
+    config = sc.ScenarioConfig.from_dict(dict(raw, metrics=["phase_variance"]))
+    report, warnings, _ = sc.evaluate_point(config, phi)
+    for scheme in config.detection:
+        var, slope = observed_variance(config, scheme, phi, h)
+        if scheme.label not in report.phase_variance:
+            # the bright parity fringe of ligo_lossy is narrow: away from pi its slope is far below rounding
+            assert abs(slope) <= est.SLOPE_FLOOR, scheme.label
+            assert f"phase_variance[{scheme.label}] at phi={phi:.6g}: signal slope below 1e-12 at phi={phi:.6g}" in warnings
+            continue
+        assert report.phase_variance[scheme.label] == pytest.approx(var / slope**2, rel=1e-8, abs=0.0), scheme.label
+
+
+def test_point_a_dark_fringe_variance_is_the_qcrb():
+    # at phi = pi the intensity signal and its variance vanish together; the signal takes the exact limit
+    # there, where a Richardson limit of differences read 8.9e-10 above the QCRB
+    report, _, _ = sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_a(math.pi)))
+    assert report.phase_variance["intensity[1]"] == pytest.approx(report.qcrb, rel=1e-12, abs=0.0)

@@ -155,10 +155,9 @@ class TestClickCfi:
             return est.two_outcome(lambda p: meas.click_probability(sc.build_pipeline(cfg, p).state, mode))
 
         def exact(mode):
-            # P'^2 / P + P'^2 / (1 - P) with the exact slope of the state's tangent
-            res = sc._observer(cfg)(cfg.phi)
-            p = meas.click_probability(res.state, mode)
-            dp = meas.mean_slope(res.state, res.tangent, meas.DetectionScheme("click", mode))
+            # P'^2 / P + P'^2 / (1 - P) with the exact slope of the click signal, the no-click jet turned over
+            p = meas.click_probability(sc._observer(cfg)(cfg.phi).state, mode)
+            dp = -sc._kernel_jet(cfg, meas.DetectionScheme("click", mode))(np.array([cfg.phi]))[1][0]
             return dp * dp / p + dp * dp / (1.0 - p)
 
         assert report.cfi == sum(exact(m) for m in (1, 2))
@@ -203,6 +202,20 @@ class TestQfiRoute:
                           cfg.phi, [14, 14, 14])
         assert abs(report.qfi - want) < 1e-6 * want
         assert abs(report.qcrb * report.qfi - 1.0) < 1e-15
+
+    def test_noise_after_the_mzi_is_read_from_the_channel(self, monkeypatch):
+        # thermal injection at eta = 1 is no noise (C = 0): the pure route, bit-equal to no thermal noise;
+        # at eta = 0.9 the family is mixed non-Gaussian, and no state is built to find that out
+        builds = []
+        orig = sc.build_pipeline
+        monkeypatch.setattr(sc, "build_pipeline", lambda *args: builds.append(1) or orig(*args))
+        raw = {"inputs": [{"kind": "fock"}, COHERENT], "interferometer": {"phi": 0.7}, "metrics": ["qfi"]}
+        thermal = lambda eta: dict(raw, noise={"thermal": {"nbar_env": 0.3, "eta": eta}})
+        plain = sc._qfi(sc.ScenarioConfig.from_dict(raw), 0.7)
+        assert plain[1] == "pure_wigner" and plain[0] == pytest.approx(4.0, rel=1e-14)
+        assert sc._qfi(sc.ScenarioConfig.from_dict(thermal(1.0)), 0.7) == plain
+        assert sc._qfi(sc.ScenarioConfig.from_dict(thermal(0.9)), 0.7) == (None, "unavailable (mixed non-Gaussian)")
+        assert builds == []
 
     def test_mixed_non_gaussian_is_a_warning(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -343,16 +356,13 @@ class TestExactSlopes:
     @pytest.mark.parametrize("raw", [LIGO_LOSSY, NOISY_GAUSSIAN], ids=["ligo_lossy", "noisy_gaussian"])
     @pytest.mark.parametrize("phi", [0.4, 1.2, 2.6, 3.14])
     def test_tangent_matches_central_differences(self, raw, phi):
+        # the (dR, dsigma) that the Gaussian QFI and the kernel optimum read, from A' = K M'(phi)
         cfg = sc.ScenarioConfig.from_dict(raw)
-        res = sc._observer(cfg)(phi)
+        tangent = sc._tangent(cfg, phi)
         dmean = richardson(lambda p: sc.build_pipeline(cfg, p).state.mean, phi, 1e-2)
         dcov = richardson(lambda p: sc.build_pipeline(cfg, p).state.cov, phi, 1e-2)
-        np.testing.assert_allclose(res.tangent[0], dmean, rtol=0, atol=1e-10 * max(1.0, np.abs(dmean).max()))
-        np.testing.assert_allclose(res.tangent[1], dcov, rtol=0, atol=1e-10 * max(1.0, np.abs(dcov).max()))
-
-    def test_build_pipeline_carries_no_tangent(self):
-        for raw in (LIGO_LOSSY, workloads.point_b(1.0)):
-            assert sc.build_pipeline(sc.ScenarioConfig.from_dict(raw)).tangent is None
+        np.testing.assert_allclose(tangent[0], dmean, rtol=0, atol=1e-10 * max(1.0, np.abs(dmean).max()))
+        np.testing.assert_allclose(tangent[1], dcov, rtol=0, atol=1e-10 * max(1.0, np.abs(dcov).max()))
 
     # the bright ligo_lossy fringes are narrow, so its differences take a shorter step
     @pytest.mark.parametrize("raw, phis, h", [
@@ -360,27 +370,32 @@ class TestExactSlopes:
         (NOISY_GAUSSIAN, (0.4, 1.2, 2.9), 1e-2),
     ], ids=["ligo_lossy", "noisy_gaussian"])
     def test_exact_slope_matches_central_differences(self, raw, phis, h):
+        # the slope each detector's phase signal implies, sqrt(Var / V)
         cfg = sc.ScenarioConfig.from_dict(raw)
         for scheme in cfg.detection:
-            mean, _, slope = sc._signal_fns(cfg, scheme)
+            mean, var = sc._signal_fns(cfg, scheme)
+            signal = sc._optimal_phi(cfg, scheme)[2]
             for phi in phis:
-                assert slope(phi) == pytest.approx(richardson(mean, phi, h), rel=1e-8, abs=1e-10), (scheme.label, phi)
+                got = math.sqrt(var(phi) / signal.variance(np.array([phi]))[0])
+                want = abs(richardson(mean, phi, h))
+                assert got == pytest.approx(want, rel=1e-8, abs=1e-10), (scheme.label, phi)
 
     def test_parity_differences_converge_to_the_exact_slope(self):
         # the h = 1e-5 difference used before is off by 6.5e-8 relative; the error falls as h^2
         cfg = sc.ScenarioConfig.from_dict(LIGO_LOSSY)
-        mean, _, slope = sc._signal_fns(cfg, meas.DetectionScheme("parity", 1))
-        exact = slope(3.14)
+        mean = sc._signal_fns(cfg, meas.DetectionScheme("parity", 1))[0]
+        exact = sc._kernel_jet(cfg, meas.DetectionScheme("parity", 1))(np.array([3.14]))[1][0]
         errs = [abs((mean(3.14 + h) - mean(3.14 - h)) / (2 * h) / exact - 1.0) for h in (1e-3, 1e-4, 1e-5)]
         assert 6e-8 < errs[2] < 7e-8
         assert all(95 < a / b < 105 for a, b in zip(errs, errs[1:]))
 
     def test_error_propagation_uses_the_exact_slope(self):
         cfg = sc.ScenarioConfig.from_dict(NOISY_GAUSSIAN)
+        report, warnings, _ = sc.evaluate_point(cfg)
+        assert not warnings
         for scheme in cfg.detection:
-            mean, var, slope = sc._signal_fns(cfg, scheme)
-            got = est.phase_variance_error_prop(mean, var, 1.2, slope_fn=slope)
-            assert got == var(1.2) / slope(1.2) ** 2
+            mean, var = sc._signal_fns(cfg, scheme)
+            got = report.phase_variance[scheme.label]
             assert got == pytest.approx(var(1.2) / richardson(mean, 1.2, 1e-2) ** 2, rel=1e-8)
 
     def test_lossless_minimum_variances_match_the_closed_forms(self):
@@ -442,18 +457,16 @@ class TestKernelJet:
 
     @staticmethod
     def observed(cfg, scheme, phi):
-        # parity, or the no-click probability, and its exact slope on the validated observed state
-        res = sc._observer(cfg)(phi)
-        sign = 1.0 if scheme.kind == "parity" else -1.0
-        mean = meas.measure(res.state, scheme).mean
-        return (mean if scheme.kind == "parity" else 1.0 - mean), sign * meas.mean_slope(res.state, res.tangent, scheme)
+        # parity, or the no-click probability, on the validated observed state, and the exact slope of its signal
+        mean = meas.measure(sc._observer(cfg)(phi).state, scheme).mean
+        return (mean if scheme.kind == "parity" else 1.0 - mean), sc._kernel_jet(cfg, scheme)(np.array([phi]))[1][0]
 
     @pytest.mark.parametrize("name", sorted(KERNEL_JET_CASES))
     def test_value_matches_the_measured_kernel(self, name):
         raw, phis, _ = KERNEL_JET_CASES[name]
         cfg = sc.ScenarioConfig.from_dict(raw)
         for scheme in KERNEL_SCHEMES:
-            values = sc._kernel_jet(cfg, scheme)[0](np.array(phis))[0]
+            values = sc._kernel_jet(cfg, scheme)(np.array(phis))[0]
             for phi, got in zip(phis, values):
                 state = sc._observer(cfg)(phi).state
                 if scheme.kind == "parity":
@@ -466,7 +479,7 @@ class TestKernelJet:
         raw, phis, h = KERNEL_JET_CASES[name]
         cfg = sc.ScenarioConfig.from_dict(raw)
         for scheme in KERNEL_SCHEMES:
-            _, slopes, curves, _ = sc._kernel_jet(cfg, scheme)[0](np.array(phis))
+            _, slopes, curves, _ = sc._kernel_jet(cfg, scheme)(np.array(phis))
             for phi, slope, curve in zip(phis, slopes, curves):
                 want_slope = richardson(lambda p: self.observed(cfg, scheme, p)[0], phi, h)
                 want_curve = richardson(lambda p: self.observed(cfg, scheme, p)[1], phi, h)
@@ -502,12 +515,14 @@ class TestPulledBackRoute:
     def test_polynomial_detectors_take_exact_slopes(self, name):
         cfg = sc.ScenarioConfig.from_dict(ROUTE_CONFIGS[name])
         for scheme in EVERY_DETECTOR:
-            mean, _, slope = sc._signal_fns(cfg, scheme)
+            signal = sc._optimal_phi(cfg, scheme)[2]
             if scheme.kind not in meas.POLYNOMIAL_KINDS:
-                assert slope is None, scheme.label  # parity and click difference the mean
+                assert signal is None, scheme.label  # parity and click difference the mean
                 continue
+            mean, var = sc._signal_fns(cfg, scheme)
             for phi in (0.4, 1.2, 2.9):
-                assert slope(phi) == pytest.approx(richardson(mean, phi, 1e-2), rel=1e-9, abs=1e-12), scheme.label
+                got = math.sqrt(var(phi) / signal.variance(np.array([phi]))[0])
+                assert got == pytest.approx(abs(richardson(mean, phi, 1e-2)), rel=1e-9, abs=1e-12), scheme.label
 
     def test_output_herald_keeps_the_forward_path(self):
         cfg = sc.ScenarioConfig.from_dict(LOSSY_FOCK)
@@ -522,15 +537,16 @@ class TestPulledBackRoute:
         assert report.extras["herald_probability"] == pytest.approx(cond.spacs_prob(1.0, 2, 0.9), rel=1e-10)
         assert 1.0 / report.snl == pytest.approx(cond.spacs_mean_n(1.0, 2, 0.9) + math.sinh(0.5) ** 2, rel=1e-10)
         forward = lambda p: sc.build_pipeline(cfg, p).state
+        signals = {scheme: sc._optimal_phi(cfg, scheme)[2] for scheme in cfg.detection}
         for phi in (cfg.phi, report.optimal_phi["diff[1,2]"]):
             for scheme in cfg.detection:
                 mean = lambda p: meas.measure(forward(p), scheme).mean
                 var = lambda p: meas.measure(forward(p), scheme).variance
                 want = est.phase_variance_error_prop(mean, var, phi)
-                got_mean, got_var, got_slope = sc._signal_fns(cfg, scheme)
+                got_mean, got_var = sc._signal_fns(cfg, scheme)
                 assert got_mean(phi) == pytest.approx(mean(phi), rel=1e-10), scheme.label
                 assert got_var(phi) == pytest.approx(var(phi), rel=1e-10), scheme.label
-                got = est.phase_variance_error_prop(got_mean, got_var, phi, slope_fn=got_slope)
+                got = sc._phase_variance(cfg, scheme, signals[scheme], phi)
                 # the forward path differences the mean with h = 1e-5
                 assert got == pytest.approx(want, rel=1e-6), (phi, scheme.label)
 

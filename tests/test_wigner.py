@@ -135,19 +135,24 @@ class TestAffineImage:
                 assert got.mean == pytest.approx(want.mean, rel=1e-11, abs=1e-14), scheme.label
                 assert got.second_moment == pytest.approx(want.second_moment, rel=1e-11, abs=1e-14), scheme.label
 
-    def test_moment_slopes_match_central_differences(self):
+    def test_moment_slopes_match_central_differences(self, trig_slope):
+        # the phase signal of each polynomial detector reads the image's moments at equispaced phases; the slope
+        # it implies, sqrt(Var / V), matches a central difference of the moments through the noisy, shifted channel
         expr = wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.coherent_state(0.8, 0.2)))
         tensor = wg.moment_tensor(expr)
         k = sym.embed(sym.make_squeezer(0.4, 0.5), [2], 2).matrix
         noise, shift = np.diag([0.1, 0.1, 0.3, 0.3]), np.array([0.2, -0.1, 0.4, 0.0])
         image = lambda p: wg.AffineImage(expr, tensor, k @ sym.mzi_matrix(p), shift, noise)
-        monomials = [(1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 1, 0), (2, 0, 2, 0), (0, 4, 0, 0), (1, 1, 1, 1)]
-        got = image(1.1).moment_slopes(k @ sym.mzi_phase_derivative(1.1), monomials)
         h = 1e-3
-        d = [(np.array(image(1.1 + s).moments(monomials)) - np.array(image(1.1 - s).moments(monomials))) / (2 * s)
-             for s in (h, h / 2, h / 4)]
-        r = [(4 * d[i + 1] - d[i]) / 3 for i in range(2)]
-        np.testing.assert_allclose(got, (16 * r[1] - r[0]) / 15, rtol=1e-9, atol=1e-12)
+        for scheme in [meas.DetectionScheme("intensity", 1), meas.DetectionScheme("intensity", 2),
+                       meas.DetectionScheme("homodyne", 2, angle=0.8),
+                       meas.DetectionScheme("intensity_difference", 1, mode_b=2)]:
+            moments = lambda p: meas.measure(image(p), scheme)
+            d = [(moments(1.1 + s).mean - moments(1.1 - s).mean) / (2 * s) for s in (h, h / 2, h / 4)]
+            r = [(4 * d[i + 1] - d[i]) / 3 for i in range(2)]
+            # the shift breaks the 2 pi period of the even detectors: nine samples over phi / 2
+            got = trig_slope(moments, 1.1, 2, 5 if scheme.kind == "homodyne" else 9)
+            assert got == pytest.approx(abs((16 * r[1] - r[0]) / 15), rel=1e-9, abs=1e-12), scheme.label
 
 
 class TestMarginalize:

@@ -117,7 +117,7 @@ def observed(monkeypatch) -> list:
 
 
 def test_gaussian_qfi_observes_one_state(observed):
-    # the observed state carries its exact tangent, so no neighbouring phase is observed
+    # the exact tangent comes from A' = K M'(phi), so no neighbouring phase is observed
     config = sc.load_config(LIGO_LOSSY)
     sc._qfi(config, config.phi)
     assert observed == [config.phi]
@@ -135,6 +135,24 @@ def test_polynomial_optimum_reads_five_phases(config, label, observed, monkeypat
     assert (len(golden), len(observed)) == (0, 5)
 
 
+@pytest.mark.parametrize("study", ["point", "drift"])
+def test_ligo_lossy_fixed_phases_read_the_optimum_signal(study, observed):
+    # the fixed-phase values of a point, and 50 drift trials, read each detector's signal: they observe no
+    # phase beyond the optimum's samples (and the point's own state at its phase)
+    config = sc.load_config(LIGO_LOSSY)
+    for scheme in config.detection:
+        sc._optimal_phi(config, scheme)
+    optimum = list(observed)
+    observed.clear()
+    if study == "point":
+        sc.evaluate_point(sc.ScenarioConfig.from_dict(dict(config.raw, metrics=["phase_variance"])))
+        assert observed == [config.phi] + optimum
+    else:
+        sc.phase_drift_study(config, trials=50, seed=1)
+        assert observed == optimum
+    assert len(optimum) == 16  # five samples for each polynomial detector, one for the parity minimum
+
+
 def test_parity_optimum_keeps_the_golden_section_search(monkeypatch):
     # on a Wigner state: one search from the parity seed and one from each of the two best of 25 scanned phases
     golden = counter(monkeypatch, est, "golden_minimize")
@@ -148,7 +166,7 @@ def test_gaussian_kernel_optimum_observes_only_its_minimum(kind, observed, monke
     # one batched grid of the kernel jet and its refinements find the minimum; only that phase is observed
     golden = counter(monkeypatch, est, "golden_minimize")
     config = sc.load_config(LIGO_LOSSY)
-    phi, _ = sc._optimal_phi(config, meas.DetectionScheme(kind, 1))
+    phi, _, _ = sc._optimal_phi(config, meas.DetectionScheme(kind, 1))
     assert (len(golden), observed) == (0, [phi])
 
 
