@@ -44,6 +44,8 @@ SLOPE_NOISE = 32.0 * 2.3e-16
 PURE_GAUSSIAN_TOL = 1e-9
 # A Wigner family whose purity differs from 1 by more than this has no pure-state QFI.
 PURE_WIGNER_TOL = 1e-6
+# A photon-number variance at most this fraction of <n^2> is rounding: the state (a Fock state) has none.
+SNR_VARIANCE_FLOOR = 1e-12
 # Cells of a phase grid read per batched call, which bounds its arrays for a bright, fine-grained grid.
 KERNEL_CHUNK = 4096
 
@@ -126,10 +128,9 @@ def phase_variance_error_prop(mean_fn: PhiFunction, var_fn: PhiFunction, phi: fl
 
 @dataclass(frozen=True)
 class BranchSet:
-    """Complete set of probabilistic outcomes P_i(phi) for one detector, and their exact slopes where known."""
+    """Complete set of probabilistic outcomes P_i(phi) for one detector."""
 
     probabilities: Sequence[PhiFunction]
-    slopes: Sequence[PhiFunction] | None = None
 
     def values(self, phi: float) -> list[float]:
         vals = [float(p(phi)) for p in self.probabilities]
@@ -139,22 +140,34 @@ class BranchSet:
         return vals
 
 
-def two_outcome(p: PhiFunction, slope: PhiFunction | None = None) -> BranchSet:
-    """The {P, 1-P} branch pair of a binary detector, with the exact dP/dphi if given."""
-    slopes = None if slope is None else (slope, lambda phi: -slope(phi))
-    return BranchSet((p, lambda phi: 1.0 - p(phi)), slopes)
+def two_outcome(p: PhiFunction) -> BranchSet:
+    """The {P, 1-P} branch pair of a binary detector."""
+    return BranchSet((p, lambda phi: 1.0 - p(phi)))
 
 
 def cfi(branches: BranchSet, phi: float) -> float:
-    """Classical Fisher information sum_i P_i'^2 / P_i, from the exact slopes or central differences."""
+    """Classical Fisher information sum_i P_i'^2 / P_i, with central differences of each P_i."""
     vals = branches.values(phi)
     total = 0.0
-    for i, (p_fn, p) in enumerate(zip(branches.probabilities, vals)):
+    for p_fn, p in zip(branches.probabilities, vals):
         if p <= SLOPE_FLOOR or p >= 1.0 + 1e-12:
             raise DegenerateBranch(f"branch probability {p:.3e} at phi={phi:.6g}")
-        dp = _derivative(p_fn, phi) if branches.slopes is None else branches.slopes[i](phi)
+        dp = _derivative(p_fn, phi)
         total += dp * dp / p
     return total
+
+
+def binary_cfi(p: float, dp: float, phi: float) -> float:
+    """CFI p'^2 / p + p'^2 / (1 - p) of a two-outcome detector, from one outcome's P = p and its exact slope dp.
+
+    The first term is taken as p (p'/p)^2: for a p resolved to relative
+    precision (the no-click probability at a bright port) it stays finite, and
+    tends to 0, as p underflows.  The other outcome, 1 - p, must lie above
+    SLOPE_FLOOR.
+    """
+    if 1.0 - p <= SLOPE_FLOOR:
+        raise DegenerateBranch(f"branch probability {1.0 - p:.3e} at phi={phi:.6g}")
+    return (p * (dp / p) ** 2 if p > 0.0 else 0.0) + dp * dp / (1.0 - p)
 
 
 def probabilistic_cfi(
@@ -358,11 +371,15 @@ def qcrb_closed_forms(kind: str, alpha_mag: float, r: float) -> float:
 
 
 def snr(moments, subtract_injected: int = 0) -> float:
-    """Signal-to-noise ratio (mean - m) / std, with m the number of injected photons."""
+    """Signal-to-noise ratio (mean - m) / std, with m the number of injected photons.
+
+    A variance within SNR_VARIANCE_FLOOR of the second moment is zero, so the
+    SNR of a Fock state is undefined rather than a ratio of rounding errors.
+    """
     if subtract_injected < 0:
         raise ValueError("injected-photon count must be >= 0")
     var = moments.variance
-    if var <= 0.0:
+    if var <= SNR_VARIANCE_FLOOR * abs(moments.second_moment):
         raise ValueError("SNR undefined for zero variance")
     return (moments.mean - subtract_injected) / math.sqrt(var)
 

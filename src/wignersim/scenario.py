@@ -26,6 +26,10 @@ The detectors see the state by one of two routes (`_observer`):
   through the herald, so `build_pipeline` substitutes the MZI into every term
   per phi.
 
+`simulate_counts` reads the herald's mode alone: the pipeline up to its
+output stage with the other arm traced out, then that mode's output stage
+(`_counted`).
+
 Identical config plus seed gives byte-identical CSV/JSON output.
 """
 
@@ -35,7 +39,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -554,6 +558,12 @@ def build_pipeline(config: ScenarioConfig, phi: float | None = None) -> Pipeline
     and stays after the MZI.  This is the forward reference of `_observer`, and
     the route of a herald after the phase.
     """
+    res = _before_output(config, phi)
+    return _modify(res, [m for m in config.modifications if m.stage == "output"], "output")
+
+
+def _before_output(config: ScenarioConfig, phi: float | None = None) -> PipelineResult:
+    """The pipeline up to its output stage: the cached prefix, then the MZI and the noise."""
     phi = config.phi if phi is None else phi
     gaussian_path = _gaussian_possible(config)
     loss = _uniform_loss(config)
@@ -564,7 +574,28 @@ def build_pipeline(config: ScenarioConfig, phi: float | None = None) -> Pipeline
         res = _each(res, lambda s: _apply_loss(s, loss))
     if config.noise.has_thermal:
         res = _each(res, lambda s: _apply_thermal(s, config.noise))
-    return _modify(res, [m for m in config.modifications if m.stage == "output"], "output")
+    return res
+
+
+def _counted(config: ScenarioConfig, mode: int, arms: dict) -> PipelineResult:
+    """The one-mode state of `mode` that `counts` reads: the pipeline with the other arm traced out.
+
+    Every stage after the MZI (thermal injection, output squeezes and
+    displacements, an output herald) acts on one mode, so tracing the other
+    arm out after the noise commutes with all of them: `mode`'s output-stage
+    modifications then run on the traced arm as mode 1, and the other mode's
+    are dropped, so a herald mixes its ancilla into a one-mode state.  The
+    traced arm ahead of the output stage depends on T only through
+    an input-stage herald; `arms` keeps it, keyed by the input-stage
+    modifications, across the grid points of one config.  Only the success
+    branch of an input-stage herald is traced.
+    """
+    key = _input_mods(config)
+    if key not in arms:
+        res = _before_output(config)
+        arms[key] = replace(res, state=wig.marginal_mode(res.state, mode), failure_state=None, failure_prob=0.0)
+    mods = [replace(m, mode=1) for m in config.modifications if m.stage == "output" and m.mode == mode]
+    return _modify(arms[key], mods, "output")
 
 
 @lru_cache(maxsize=PREFIX_CACHE_SIZE)
@@ -869,23 +900,22 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
 
     Without a herald the success probability is 1 and there is no failure arm,
     so this reduces to the plain sum of the two detectors' CFIs.  A Gaussian
-    state takes the exact click slopes of its phase signal, the no-click jet
-    of `_kernel_jet` with the sign turned; the Wigner arms take central
-    differences.
+    state reads each detector's two outcomes from its no-click jet
+    (`_kernel_jet`): the no-click probability and its exact slope keep their
+    precision at a bright port, where the click probability rounds to 1
+    (`est.binary_cfi`).  The Wigner arms take central differences, each phase
+    observed once.
     """
-    observe = _observer(config)
+    if _gaussian_possible(config):
+        jets = (_kernel_jet(config, meas.DetectionScheme("click", m))(np.array([phi])) for m in (1, 2))
+        return sum(est.binary_cfi(float(p0[0]), float(dp0[0]), phi) for p0, dp0, *_ in jets)
+    observe = cache(_observer(config))
 
     def arm(branch: str) -> list:
         def click(mode: int):
             return lambda p: meas.click_probability(getattr(observe(p), branch), mode)
 
-        def slope(mode: int):
-            if not _gaussian_possible(config):
-                return None
-            jet = _kernel_jet(config, meas.DetectionScheme("click", mode))
-            return lambda p: -float(jet(np.array([p]))[1][0])
-
-        return [est.two_outcome(click(m), slope(m)) for m in (1, 2)]
+        return [est.two_outcome(click(m)) for m in (1, 2)]
 
     res = observe(phi)
     return est.probabilistic_cfi(
@@ -1223,6 +1253,13 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
     reported against the analytic values.  All schemes spend the same `trials`
     (equal experiment time); the substream for each grid point derives from
     (seed, index) so execution order cannot matter.
+
+    The detectors read the herald's mode alone: the other arm is traced out
+    after the noise, ahead of the output stage, and the heralded state is one
+    mode (`_counted`).  A herald below the renormalization floor (T = 1 for a
+    beam-splitter addition) gives a row flagged "improbable herald branch"
+    with nothing kept, and a heralded state of zero photon-number variance (a
+    Fock state) a row without `theory_snr`; each adds a warning.
     """
     if trials < 1:
         raise ConfigError("counts.trials", "need at least one trial")
@@ -1237,25 +1274,27 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
     rows = []
     warnings: list[str] = []
     added = int(mod.m) if (mod.op == "add" and isinstance(mod.m, int)) else 0
+    arms: dict = {}
     for idx, T in enumerate(float(t) for t in t_grid):
-        cfg = config.with_values(T=T)
-        res = build_pipeline(cfg)
+        try:
+            res = _counted(config.with_values(T=T), mod.mode, arms)
+        except ImprobableBranch as exc:
+            rows.append({"index": idx, "T": T, "kept": 0, "flag": "improbable herald branch"})
+            warnings.append(f"T={T:g}: {exc}")
+            continue
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
         kept = int(rng.binomial(trials, min(max(res.success_prob, 0.0), 1.0)))
-        theory = meas.intensity(res.state, mod.mode)
-        row = {
-            "index": idx,
-            "T": T,
-            "herald_probability": res.success_prob,
-            "kept": kept,
-            "theory_mean": theory.mean,
-            "theory_snr": est.snr(theory, subtract_injected=added),
-        }
+        theory = meas.intensity(res.state, 1)
+        row = {"index": idx, "T": T, "herald_probability": res.success_prob, "kept": kept, "theory_mean": theory.mean}
+        try:
+            row["theory_snr"] = est.snr(theory, subtract_injected=added)
+        except ValueError as exc:
+            warnings.append(f"T={T:g}: theory_snr: {exc}")
         if kept == 0:
             row["flag"] = "no kept measurements"
             warnings.append(f"T={T:g}: herald kept zero of {trials} trials")
         else:
-            dist = wig.photon_number_distribution(res.state, mod.mode)
+            dist = wig.photon_number_distribution(res.state, 1)
             samples = dist.sample(rng, kept)
             mean = float(np.mean(samples))
             row["sample_mean"] = mean

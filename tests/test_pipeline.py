@@ -155,14 +155,51 @@ class TestClickCfi:
             return est.two_outcome(lambda p: meas.click_probability(sc.build_pipeline(cfg, p).state, mode))
 
         def exact(mode):
-            # P'^2 / P + P'^2 / (1 - P) with the exact slope of the click signal, the no-click jet turned over
-            p = meas.click_probability(sc._observer(cfg)(cfg.phi).state, mode)
-            dp = -sc._kernel_jet(cfg, meas.DetectionScheme("click", mode))(np.array([cfg.phi]))[1][0]
-            return dp * dp / p + dp * dp / (1.0 - p)
+            # P0'^2 / P0 + P0'^2 / (1 - P0) from the no-click jet, its first term as P0 (P0'/P0)^2
+            jet = sc._kernel_jet(cfg, meas.DetectionScheme("click", mode))
+            p0, dp0 = (float(v[0]) for v in jet(np.array([cfg.phi]))[:2])
+            return p0 * (dp0 / p0) ** 2 + dp0 * dp0 / (1.0 - p0)
 
         assert report.cfi == sum(exact(m) for m in (1, 2))
         # the exact slopes replace central differences of step 1e-5, which agree to their truncation error
         assert report.cfi == pytest.approx(sum(est.cfi(branch(m), cfg.phi) for m in (1, 2)), rel=1e-7)
+
+    def test_bright_port_cfi_is_reported_at_every_phase(self):
+        # ligo_lossy at L = 0: a bright port has a no-click probability far below rounding of 1 - P(click), from
+        # 8e-7 down to underflow, and the jet still resolves each detector's two outcomes
+        raw = json.loads((ROOT / "configs" / "ligo_lossy.json").read_text())
+        raw["noise"]["loss"]["L"] = 0.0
+        raw["detection"] = [{"scheme": "click", "mode": 1}, {"scheme": "click", "mode": 2}]
+        raw["metrics"] = ["cfi", "qfi"]
+
+        def log_p0(cfg, mode, phi):
+            # the vacuum overlap of the mode block, 2 exp(-mu^T K^-1 mu) / sqrt(det K) with K = sigma + I, as a log
+            state = sc.build_pipeline(cfg, phi).state
+            i = slice(2 * mode - 2, 2 * mode)
+            mu, k = state.mean[i], state.cov[i, i] + np.eye(2)
+            return math.log(2.0) - float(mu @ np.linalg.solve(k, mu)) - 0.5 * math.log(np.linalg.det(k))
+
+        checked = 0
+        for phi in [0.3312, 2.6, 5.952] + [2.0 * math.pi * j / 40 for j in range(40)]:
+            raw["interferometer"]["phi"] = phi
+            cfg = sc.ScenarioConfig.from_dict(raw)
+            report, warnings, _ = sc.evaluate_point(cfg)
+            assert not warnings
+            assert 0.0 <= report.cfi <= report.qfi
+            want = 0.0
+            for mode in (1, 2):
+                p0 = math.exp(log_p0(cfg, mode, phi))
+                if min(p0, 1.0 - p0) > 1e-6:
+                    dp0 = richardson(lambda p: math.exp(log_p0(cfg, mode, p)), phi, 1e-3)
+                    cfi = dp0 * dp0 / (p0 * (1.0 - p0))
+                    checked += 1
+                else:  # P0'^2 / P0 = P0 (log P0)'^2, resolved as P0 underflows
+                    dlog = richardson(lambda p: log_p0(cfg, mode, p), phi, 1e-3)
+                    cfi = p0 * dlog * dlog + (p0 * dlog) ** 2 / (1.0 - p0)
+                want += cfi
+            # abs: at phi = 0 and pi the slope vanishes, and both sides are rounding noise around 0
+            assert report.cfi == pytest.approx(want, rel=1e-7, abs=1e-15)
+        assert checked > 0
 
     def test_lossy_thermal_cfi_matches_central_differences(self):
         # the Gaussian CFI takes the exact click slopes; a test-side central difference agrees to its truncation error

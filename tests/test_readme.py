@@ -1,10 +1,11 @@
-"""The library example in README.md runs as written and prints the closed-form QCRB, and the
-documented exit codes are the ones the CLI returns."""
+"""The library example in README.md runs as written and prints the closed-form QCRB, every command
+of its CLI block exits 0, and the documented exit codes are the ones the CLI returns."""
 
 import contextlib
 import inspect
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,22 @@ def test_readme_documents_only_exit_codes_the_cli_returns():
     documented = {int(code) for code in re.findall(r"\b(\d+) [a-z]", listed)}
     returned = {int(code) for code in re.findall(r"\breturn (\d+)\b", inspect.getsource(cli.main))}
     assert documented == returned == {0, 2}
+
+
+def readme_commands() -> list[list[str]]:
+    """The `wignersim` commands of README's CLI block, continuation lines joined, as argument lists."""
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), flags=re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_cli_block_commands_run(tmp_path, monkeypatch):
+    # each documented command runs as written (from the repository root), its outputs under tmp_path
+    monkeypatch.chdir(README.parent)
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["run", "sweep", "drift", "counts", "validate"]
+    for i, argv in enumerate(commands):
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / str(i))
+        elif argv[0] != "validate":
+            argv += ["--out", str(tmp_path / str(i))]
+        assert cli.main(argv) == 0, argv

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,12 @@ import pytest
 from wignersim import cli
 from wignersim import estimation as est
 from wignersim import gaussian as ga
+from wignersim import measurements as meas
 from wignersim import scenario as sc
+from wignersim import wigner as wg
 from wignersim.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def base_config(**overrides) -> dict:
@@ -453,6 +458,87 @@ class TestCounts:
         for row in report.rows:
             assert row["kept"] > 0
             assert "sample_mean" in row
+
+    def test_improbable_herald_is_a_flagged_row(self, tmp_path, capsys):
+        # at T = 1 a beam-splitter addition never succeeds: that grid point is flagged, the others run
+        argv = ["counts", "--config", str(ROOT / "configs" / "pacs_counts.json"), "--grid", "T=0.9:1.0:0.05",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [row["T"] for row in report["rows"]] == pytest.approx([0.9, 0.95, 1.0])
+        assert [row["kept"] > 0 for row in report["rows"]] == [True, True, False]
+        last = report["rows"][-1]
+        assert last == {"index": 2, "T": last["T"], "kept": 0, "flag": "improbable herald branch"}
+        assert len(report["warnings"]) == 1 and report["warnings"][0].startswith("T=1: herald probability")
+        assert "warning: T=1" in capsys.readouterr().err
+
+    def test_zero_variance_state_has_no_theory_snr(self, tmp_path):
+        # at phi = 0 mode 2 carries the vacuum, and adding one photon to it heralds the Fock state |1>
+        raw = json.loads((ROOT / "configs" / "pacs_counts.json").read_text())
+        raw["modifications"][0]["mode"] = 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        argv = ["counts", "--config", str(path), "--grid", "T=0.3:0.6:0.3", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        for row in report["rows"]:
+            assert "theory_snr" not in row and "sample_snr" not in row
+            assert row["theory_mean"] == pytest.approx(1.0, rel=1e-12)
+            assert row["sample_mean"] == 1.0
+        assert report["warnings"] == [f"T={t:g}: theory_snr: SNR undefined for zero variance" for t in (0.3, 0.6)]
+
+
+COUNTED = {
+    "pacs_m1": {},
+    "pacs_m3": {"modifications": [{"op": "add", "stage": "output", "mode": 1, "m": 3, "mechanism": "bs", "T": 0.6}]},
+    "herald_on_mode_2": {
+        "modifications": [{"op": "add", "stage": "output", "mode": 2, "m": 1, "mechanism": "bs", "T": 0.6}],
+        "interferometer": {"phi": 0.7},
+    },
+    "click_subtracted_thermal": {
+        "inputs": [{"kind": "thermal", "nbar": 2.0}, {"kind": "vacuum"}],
+        "modifications": [{"op": "subtract", "stage": "output", "mode": 1, "m": "click", "T": 0.8}],
+    },
+    "input_addition": {
+        "modifications": [{"op": "add", "stage": "input", "mode": 1, "m": 2, "mechanism": "bs", "T": 0.6}],
+        "interferometer": {"phi": 0.7},
+    },
+    "output_squeeze_and_other_displacement": {
+        "modifications": [
+            {"op": "displace", "stage": "output", "mode": 2, "alpha": 0.4, "theta": 0.3},
+            {"op": "squeeze", "stage": "output", "mode": 1, "r": 0.3, "theta": 0.5},
+            {"op": "add", "stage": "output", "mode": 1, "m": 2, "mechanism": "bs", "T": 0.6},
+        ],
+        "interferometer": {"phi": 0.9},
+    },
+    "thermal_noise_on_other_mode": {
+        "inputs": [{"kind": "coherent", "alpha": 1.0}, {"kind": "thermal", "nbar": 0.3}],
+        "modifications": [{"op": "subtract", "stage": "output", "mode": 1, "m": 1, "T": 0.7}],
+        "interferometer": {"phi": 1.3},
+        "noise": {"thermal": {"nbar_env": 0.4, "eta": 0.8, "modes": [2]}},
+    },
+    "uniform_loss": {
+        "modifications": [{"op": "add", "stage": "output", "mode": 1, "m": 2, "mechanism": "bs", "T": 0.6}],
+        "interferometer": {"phi": 0.5},
+        "noise": {"loss": {"L": 0.2, "D": 0.9}},
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTED))
+def test_counted_mode_matches_the_two_mode_pipeline(case):
+    # tracing the other arm out ahead of the output stage commutes with every stage after the MZI
+    raw = dict(json.loads((ROOT / "configs" / "pacs_counts.json").read_text()), **COUNTED[case])
+    cfg = sc.ScenarioConfig.from_dict(raw)
+    mode = next(m for m in cfg.modifications if m.heralded).mode
+    want, got = sc.build_pipeline(cfg), sc._counted(cfg, mode, {})
+    assert got.state.modes == 1
+    assert got.success_prob == pytest.approx(want.success_prob, rel=1e-12, abs=0.0)
+    n_want, n_got = meas.intensity(want.state, mode), meas.intensity(got.state, 1)
+    assert [n_got.mean, n_got.second_moment] == pytest.approx([n_want.mean, n_want.second_moment], rel=1e-12, abs=0.0)
+    p_want = wg.photon_number_distribution(want.state, mode).probs
+    p_got = wg.photon_number_distribution(got.state, 1).probs
+    assert np.max(np.abs(p_got - p_want)) <= 1e-14
 
 
 class TestCli:

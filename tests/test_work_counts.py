@@ -211,3 +211,15 @@ def test_photon_number_distribution_runs_one_wick_recursion_per_term(config, m, 
     calls = counter(monkeypatch, wg, "_gaussian_expectation")
     wg.photon_number_distribution(state, 1)
     assert len(calls) == terms
+
+
+def test_counted_m3_state_is_one_mode(monkeypatch):
+    # `counts` heralds the counted mode alone, the other arm traced out: the m = 3 photon-added coherent
+    # state is one mode of 16 monomials, where the two-mode pipeline gives 110 over four variables
+    raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / "pacs_counts.json").read_text())
+    raw["modifications"][0]["m"] = 3
+    builds = counter(monkeypatch, sc, "build_pipeline")
+    state = sc._counted(sc.ScenarioConfig.from_dict(raw), 1, {}).state
+    assert state.modes == 1
+    assert max(len(t.poly) for t in state.terms) <= 28
+    assert builds == []
