@@ -44,7 +44,7 @@ SLOPE_NOISE = 32.0 * 2.3e-16
 PURE_GAUSSIAN_TOL = 1e-9
 # A Wigner family whose purity differs from 1 by more than this has no pure-state QFI.
 PURE_WIGNER_TOL = 1e-6
-# A photon-number variance at most this fraction of <n^2> is rounding: the state (a Fock state) has none.
+# A photon-number variance at most this fraction of max(1, <n^2>) is rounding: the state (a Fock state) has none.
 SNR_VARIANCE_FLOOR = 1e-12
 # Cells of a phase grid read per batched call, which bounds its arrays for a bright, fine-grained grid.
 KERNEL_CHUNK = 4096
@@ -373,13 +373,13 @@ def qcrb_closed_forms(kind: str, alpha_mag: float, r: float) -> float:
 def snr(moments, subtract_injected: int = 0) -> float:
     """Signal-to-noise ratio (mean - m) / std, with m the number of injected photons.
 
-    A variance within SNR_VARIANCE_FLOOR of the second moment is zero, so the
-    SNR of a Fock state is undefined rather than a ratio of rounding errors.
+    A variance at most SNR_VARIANCE_FLOOR max(1, <n^2>) is zero, as the ordering constants round absolutely:
+    the SNR of a Fock state, or of a dark port, is undefined rather than a ratio of rounding errors.
     """
     if subtract_injected < 0:
         raise ValueError("injected-photon count must be >= 0")
     var = moments.variance
-    if var <= SNR_VARIANCE_FLOOR * abs(moments.second_moment):
+    if var <= SNR_VARIANCE_FLOOR * max(1.0, abs(moments.second_moment)):
         raise ValueError("SNR undefined for zero variance")
     return (moments.mean - subtract_injected) / math.sqrt(var)
 
@@ -500,9 +500,9 @@ def trig_signal(samples: Sequence, rate: int) -> tuple[Callable, float, list[tup
 
 
 def _wrap(phi: float, period: float) -> float:
-    """phi modulo the period, in [0, period): a root a rounding step below 0 or the period is at 0."""
+    """phi modulo the period, in [0, period): a root a rounding step off 0 or the period is at 0."""
     phi = phi % period
-    return 0.0 if period - phi <= 4.0 * np.finfo(float).eps * period else float(phi)
+    return 0.0 if min(phi, period - phi) <= 4.0 * np.finfo(float).eps * period else float(phi)
 
 
 def _signal_variance(m, m1, m2, bernoulli: bool) -> tuple:

@@ -39,7 +39,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -59,6 +59,8 @@ METRICS = ("phase_variance", "cfi", "qfi", "snr", "distributions")
 DRIFT_SIGMA_DEFAULTS = {"parity": 0.001, "default": 0.15}
 # Searched phase-variance minima within this relative distance of the lowest are equal.
 OPTIMUM_TIE = 1e-9
+# Phases whose observation the observer keeps, the most recent: a point reads phi and phi +- h more than once.
+OBSERVED_PHASES = 16
 # Distinct phi-independent prefixes kept; a Wigner-path point with loss uses a
 # lossy prefix and the lossless one it starts from (also read for the input photon number).
 PREFIX_CACHE_SIZE = 8
@@ -609,6 +611,15 @@ def _prefix_moments(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None) 
     return tuple(arms)
 
 
+@lru_cache(maxsize=PREFIX_CACHE_SIZE)
+def _prefix_jets(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None) -> tuple:
+    """(W, W', W'') of each arm of the Wigner-path prefix, None for an untracked arm: M'(phi) = M(phi) M'(0)
+    makes each phi-derivative of an arm seen through the channel a fixed expression (`wig.phase_tangent`)."""
+    tangent = partial(wig.phase_tangent, h=sym.mzi_phase_derivative(0.0))
+    slopes = [None if arm is None else (arm[0], tangent(arm[0])) for arm in _prefix_moments(inputs, input_mods, loss)]
+    return tuple(None if w is None else (*w, tangent(w[1])) for w in slopes)
+
+
 def _after_mzi(config: ScenarioConfig, loss: ga.LossSpec | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K, b, C): the maps after the MZI as one channel X = K Z + b + xi, xi ~ N(0, C), on its output Z.
 
@@ -634,6 +645,7 @@ def _after_mzi(config: ScenarioConfig, loss: ga.LossSpec | None) -> tuple[np.nda
     return k, b, c
 
 
+@lru_cache(maxsize=1)
 def _observer(config: ScenarioConfig) -> Callable[[float], PipelineResult]:
     """phi -> the pipeline result the detectors see, by the config's route.
 
@@ -642,9 +654,10 @@ def _observer(config: ScenarioConfig) -> Callable[[float], PipelineResult]:
     validated transform.  A Gaussian prefix (R0, sigma0) becomes the
     GaussianState (A R0 + b, A sigma0 A^T + 2C); the Wigner prefix arms become
     `AffineImage`s.  A herald after the phase builds the pipeline at each phi.
+    The last config's observer is kept, with its most recent phases.
     """
     if not _pulls_back(config):
-        return lambda phi: build_pipeline(config, phi)
+        return lru_cache(maxsize=OBSERVED_PHASES)(lambda phi: build_pipeline(config, phi))
     gaussian_path = _gaussian_possible(config)
     loss = _uniform_loss(config)
     # as in build_pipeline, the uniform loss follows the MZI on the Gaussian path and sits in the prefix otherwise
@@ -653,12 +666,12 @@ def _observer(config: ScenarioConfig) -> Callable[[float], PipelineResult]:
     prefix = _prefix(config.inputs, _input_mods(config), gaussian_path, prefix_loss)
     arms = None if gaussian_path else _prefix_moments(config.inputs, _input_mods(config), prefix_loss)
 
+    @lru_cache(maxsize=OBSERVED_PHASES)
     def observe(phi: float) -> PipelineResult:
         a = k @ sym.mzi_matrix(phi)
         if arms is None:
-            r0, s0 = prefix.state.mean, prefix.state.cov
-            cov = a @ s0 @ a.T + 2.0 * c
-            return replace(prefix, state=ga.GaussianState(a @ r0 + b, (cov + cov.T) / 2.0))
+            cov = a @ prefix.state.cov @ a.T + 2.0 * c
+            return replace(prefix, state=ga.GaussianState(a @ prefix.state.mean + b, (cov + cov.T) / 2.0))
         ok, fail = (None if arm is None else wig.AffineImage(*arm, a, b, c) for arm in arms)
         return replace(prefix, state=ok, failure_state=fail)
 
@@ -699,21 +712,8 @@ def _apply_thermal(state, noise: NoiseSpec):
 # ---------------------------------------------------------------------------
 
 
-def _signal_fns(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[Callable, Callable]:
-    """mean(phi) and variance(phi) of one detector; each phi is observed and measured once."""
-    observe = _observer(config)
-    seen: dict[float, meas.MeasurementMoments] = {}
-
-    def at(phi: float) -> meas.MeasurementMoments:
-        if phi not in seen:
-            seen[phi] = meas.measure(observe(phi).state, scheme)
-        return seen[phi]
-
-    return (lambda p: at(p).mean), (lambda p: at(p).variance)
-
-
 class _Signal(NamedTuple):
-    """The exact phase signal of a detector: V = Var / <O>'^2 over an array of phases.
+    """The phase signal of a detector: V = Var / <O>'^2 over an array of phases.
 
     `variance` is inf where the slope (at a dark fringe, the curvature) is
     not above `floor`, its rounding level in phi.
@@ -722,13 +722,16 @@ class _Signal(NamedTuple):
     variance: Callable[[np.ndarray], np.ndarray]
     floor: float
 
+    def at(self, phi: float) -> float:
+        """V at one phase; raises SignalStationary where it is not finite."""
+        v = float(self.variance(np.array([phi]))[0])
+        if not math.isfinite(v):
+            raise SignalStationary(f"signal slope below {self.floor:.0e} at phi={phi:.6g}")
+        return v
 
-# Seeds of the golden-section search, next to its coarse scan: the published parity optimum.
-_OPTIMUM_SEEDS = {"parity": math.pi}
 
-
-def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float, _Signal | None]:
-    """The phase-variance minimum over one period of V in phi, as (phi, variance), and the exact signal it is read from.
+def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float, _Signal]:
+    """The phase-variance minimum over one period of V in phi, as (phi, variance), and the signal it is read from.
 
     On the prefix channel A(phi) = K M(phi) holds only cos(phi/2) and
     sin(phi/2), and M(phi + 2 pi) = -M(phi).  V has period 2 pi for homodyne
@@ -742,22 +745,23 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
     harmonics only, and is read in phi itself.  Its samples at 4d + 1
     equispaced phases (five, or nine for an even detector behind an output
     displacement) fix both moments, and `est.trig_signal` gives V at every
-    phi and at every stationary point exactly.  Parity and click on a
-    Gaussian state read the batched kernel jet (`_kernel_jet`), through
+    phi and at every stationary point exactly.  Parity and click on either
+    state type read the batched kernel jet (`_kernel_jet`), through
     `est.jet_phase_variance` at any phi and `_kernel_optimum` for the
     minimum.  The fixed-phase variance, the drift trials and the optimum of
-    such a detector all read this one signal.  A herald after the phase, and
-    parity and click on a Wigner state, have no exact signal (None): they take
-    a seeded golden-section search from a 25-point scan over [0, 2 pi), and
-    error propagation with central differences at any other phi.
+    such a detector all read this one signal.  A herald after the phase
+    takes error propagation with central differences and golden section
+    (`_propagated`).
 
     Minima within a relative OPTIMUM_TIE of the lowest are equal, and the one at
     the smallest phi is reported, so that rounding cannot move the optimum
     between mirror minima.  Raises SignalStationary when no phase gives a
     finite variance.
     """
+    if not _pulls_back(config):
+        return _propagated(config, scheme)
     shifted = bool(np.any(_after_mzi(config, None)[1]))
-    if _pulls_back(config) and scheme.kind in meas.POLYNOMIAL_KINDS:
+    if scheme.kind in meas.POLYNOMIAL_KINDS:
         even = scheme.kind != "homodyne"
         rate = 2 if shifted or not even else 1
         n = 9 if even and shifted else 5
@@ -765,23 +769,26 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
         samples = [meas.measure(observe(2.0 * math.pi * rate * j / n).state, scheme) for j in range(n)]
         variance, floor, points = est.trig_signal(samples, rate)
         return (*_least(points), _Signal(variance, floor))
-    if _gaussian_possible(config):
-        jet = _kernel_jet(config, scheme)
-        click = scheme.kind == "click"
-        # |<O>| <= 1, so the slope floor of jet_phase_variance is SLOPE_FLOOR
-        signal = _Signal(lambda phi: est.jet_phase_variance(*jet(phi), click), est.SLOPE_FLOOR)
-        return (*_kernel_optimum(config, scheme, jet, 4.0 * math.pi if shifted else 2.0 * math.pi), signal)
-    return (*_least(_golden_minima(config, scheme)), None)
+    jet = _kernel_jet(config, scheme)
+    # |<O>| <= 1, so the slope floor of jet_phase_variance is SLOPE_FLOOR
+    signal = _Signal(lambda phi: est.jet_phase_variance(*jet(phi), scheme.kind == "click"), est.SLOPE_FLOOR)
+    return (*_kernel_optimum(config, scheme, jet, 4.0 * math.pi if shifted else 2.0 * math.pi), signal)
 
 
-def _phase_variance(config: ScenarioConfig, scheme: meas.DetectionScheme, signal: _Signal | None, phi: float) -> float:
-    """V at one phase: from the detector's exact signal, or by error propagation where it has none."""
-    if signal is None:
-        return est.phase_variance_error_prop(*_signal_fns(config, scheme), phi)
-    v = float(signal.variance(np.array([phi]))[0])
-    if not math.isfinite(v):
-        raise SignalStationary(f"signal slope below {signal.floor:.0e} at phi={phi:.6g}")
-    return v
+def _propagated(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float, _Signal]:
+    """`_optimal_phi` after a herald after the phase: error propagation over the memoized observation (inf where
+    it fails), and golden section from the two best of 25 phases over [0, 2 pi)."""
+    at = cache(lambda phi: meas.measure(_observer(config)(phi).state, scheme))
+
+    def variance(phi: float) -> float:
+        try:
+            return est.phase_variance_error_prop(lambda p: at(p).mean, lambda p: at(p).variance, phi)
+        except (SignalStationary, DegenerateBranch, ImprobableBranch, ValueError):
+            return math.inf
+
+    seeds = sorted(np.linspace(0.05, 2.0 * math.pi - 0.05, 25), key=variance)[:2]
+    minima = [est.golden_minimize(variance, s - 0.35, s + 0.35) for s in seeds]
+    return (*_least(minima), _Signal(np.vectorize(variance, otypes=[float]), est.SLOPE_FLOOR))
 
 
 def _least(minima: list) -> tuple[float, float]:
@@ -792,8 +799,8 @@ def _least(minima: list) -> tuple[float, float]:
     return min((x, v) for x, v in minima if v - low <= OPTIMUM_TIE * abs(low))
 
 
-def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callable:
-    """The batched jet of parity or click on the Gaussian prefix channel.
+def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int = 0, order: int = 2) -> Callable:
+    """The batched jet of parity or click on the prefix channel.
 
     The jet maps an array of phases to <O>, <O>', <O>'' and the rounding level
     of Var there, with O the no-click indicator for click: V is the same for
@@ -801,18 +808,33 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callabl
     its precision at the bright port, where the click probability rounds to 1.
 
     On the detected mode's rows, A(phi) = a_c cos(phi/2) + a_s sin(phi/2) with
-    a_c = K M(0) = K and a_s = 2 K M'(0).  So the mode block's mean is
-    mu = b + m_c cos(phi/2) + m_s sin(phi/2) and its covariance
-    sigma = S0 + S1 cos phi + S2 sin phi, and A'' = -A/4 gives
+    a_c = K M(0) = K and a_s = 2 K M'(0).  On a Gaussian state the mode
+    block's mean is mu = b + m_c cos(phi/2) + m_s sin(phi/2) and its
+    covariance sigma = S0 + S1 cos phi + S2 sin phi, and A'' = -A/4 gives
     mu'' = -(mu - b)/4 and sigma'' = S0 - sigma.  The kernel is the parity,
     or half the no-click probability with S0 + I in place of S0
-    (`meas.kernel_jet`).
+    (`meas.kernel_jet`).  On a Wigner state the parity is pi W(0) of the
+    mode, the no-click probability 2 pi times its density at 0 blurred by
+    I/2, and their derivatives those of the arm's phase tangents (`_prefix_jets`,
+    `wig.kernel_densities`); `arm` 1 is the failure arm, `order` 1 omits the curvature.
     """
-    k, b, c = _after_mzi(config, _uniform_loss(config))
-    state = _prefix(config.inputs, _input_mods(config), True, None).state
-    r0, s0 = state.mean, state.cov
+    gaussian_path, loss = _gaussian_possible(config), _uniform_loss(config)
+    k, b, c = _after_mzi(config, loss if gaussian_path else None)
     rows = slice(2 * scheme.mode - 2, 2 * scheme.mode)
     a_c, a_s, b = k[rows], 2.0 * (k @ sym.mzi_phase_derivative(0.0))[rows], b[rows]
+    scale = 1.0 if scheme.kind == "parity" else 2.0
+    if not gaussian_path:
+        exprs = _prefix_jets(config.inputs, _input_mods(config), loss)[arm][: order + 1]
+        blur = c[rows, rows] + (0.0 if scheme.kind == "parity" else 0.5 * np.eye(2))
+
+        def wigner_jet(phi: np.ndarray) -> tuple:
+            a = a_c * np.cos(phi / 2.0)[:, None, None] + a_s * np.sin(phi / 2.0)[:, None, None]
+            densities, size = wig.kernel_densities(exprs, a, b, blur)
+            return (*(math.pi * scale * densities), est.SLOPE_NOISE * math.pi * scale * size)
+
+        return wigner_jet
+    state = _prefix(config.inputs, _input_mods(config), True, None).state
+    r0, s0 = state.mean, state.cov
     m_c, m_s = a_c @ r0, a_s @ r0
     s_cc, s_cs, s_ss = a_c @ s0 @ a_c.T, a_c @ s0 @ a_s.T, a_s @ s0 @ a_s.T
     s_0 = (s_cc + s_ss) / 2.0 + 2.0 * c[rows, rows] + (np.eye(2) if scheme.kind == "click" else 0.0)
@@ -830,18 +852,22 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callabl
         # <O>: a no-click probability that is small but resolved is no dark fringe
         det = sigma[:, 0, 0] * sigma[:, 1, 1] - sigma[:, 0, 1] * sigma[:, 1, 0]
         noise = est.SLOPE_NOISE * terms * np.abs(sigma).sum(axis=(1, 2)) / np.abs(det)
-        scale = 1.0 if scheme.kind == "parity" else 2.0
         return scale * value, scale * slope, scale * curve, noise * np.abs(scale * value)
 
     return jet
 
 
 def _mzi_qfi(config: ScenarioConfig) -> float:
-    """The QFI of the lossless MZI family of a Gaussian prefix, the same at every phi.
+    """A bound on the QFI of the MZI family of the prefix, the same at every phi.
 
     The channel after the MZI can only lower it, so it bounds the information
-    of every detector of the config at every phi.
+    of every detector of the config at every phi.  A Gaussian prefix takes the QFI of its lossless MZI
+    family; a Wigner prefix's success arm Var(n1 - n2) after the first 50/50 splitter, 4 Var(J_z) >= QFI.
     """
+    if not _gaussian_possible(config):
+        expr, tensor = _prefix_moments(config.inputs, _input_mods(config), _uniform_loss(config))[0]
+        split = wig.AffineImage(expr, tensor, sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
+        return meas.intensity_difference(split, 1, 2).variance
     state = _prefix(config.inputs, _input_mods(config), True, None).state
     g = sym.mzi_phase_derivative(0.0)
     half = g @ state.cov
@@ -850,80 +876,46 @@ def _mzi_qfi(config: ScenarioConfig) -> float:
 
 def _kernel_optimum(config: ScenarioConfig, scheme: meas.DetectionScheme, jet: Callable,
                     period: float) -> tuple[float, float]:
-    """The phase-variance minimum of parity or click on a Gaussian state, from one batched grid of its jet.
+    """The phase-variance minimum of parity or click on the prefix channel, from one batched grid of its jet.
 
     The grid has cells of width 1 / sqrt(F), with F = `_mzi_qfi`: it bounds
     the Fisher information Var^-1 <O>'^2 of either detector at every phi, so a
     cell is the width of the narrowest fringe.  The fringe angle
     theta = arccos <O> (parity), or arccos(1 - 2P) (click), turns by at most
     one radian across it, since theta'^2 = <O>'^2 / Var <= F.  `est.kernel_minima` refines the stationary
-    points on that grid.  The least of them (by the OPTIMUM_TIE rule) is
-    observed once through `_observer`, so that the reported variance comes
-    from a validated state: its measured mean and the kernel's exact slope on
-    its detected block (`_tangent`), with the jet's curvature at a dark fringe.
+    points on that grid and reads V there from the jet; the least of them
+    (by the OPTIMUM_TIE rule) is reported.
     """
     cells = 4 * max(math.ceil(period * math.sqrt(_mzi_qfi(config)) / 4.0), 1)
-    phi, _ = _least(est.kernel_minima(jet, period, cells, scheme.kind == "click"))
-    res = _observer(config)(phi)
-    dmean, dcov = _tangent(config, phi)
-    i = slice(2 * scheme.mode - 2, 2 * scheme.mode)
-    k = res.state.cov[i, i] + (np.eye(2) if scheme.kind == "click" else 0.0)
-    m1 = float(meas.kernel_jet(res.state.mean[i], k, dmean[i], dcov[i, i], np.zeros(2), np.zeros((2, 2)))[1])
-    m = meas.measure(res.state, scheme).mean
-    if scheme.kind == "click":  # the no-click probability, twice the kernel
-        m, m1 = 1.0 - m, 2.0 * m1
-    m2, noise = jet(np.array([phi]))[2:]
-    v = float(est.jet_phase_variance(np.array([m]), np.array([m1]), m2, noise, scheme.kind == "click")[0])
-    if not math.isfinite(v):
-        raise SignalStationary(f"signal slope below rounding at the optimum phi={phi:.6g}")
-    return phi, v
-
-
-def _golden_minima(config: ScenarioConfig, scheme: meas.DetectionScheme) -> list[tuple[float, float]]:
-    """Golden-section minima from the seed of the scheme and the two best of 25 scanned phases."""
-    mean, var = _signal_fns(config, scheme)
-
-    def variance_at(phi: float) -> float:
-        try:
-            return est.phase_variance_error_prop(mean, var, phi)
-        except (SignalStationary, ImprobableBranch, ValueError):
-            return float("inf")
-
-    seeds = [_OPTIMUM_SEEDS[scheme.kind]] if scheme.kind in _OPTIMUM_SEEDS else []
-    coarse = np.linspace(0.05, 2.0 * math.pi - 0.05, 25)
-    seeds.extend(coarse[np.argsort([variance_at(p) for p in coarse])[:2]])
-    return [est.golden_minimize(variance_at, s - 0.35, s + 0.35) for s in seeds]
+    return _least(est.kernel_minima(jet, period, cells, scheme.kind == "click"))
 
 
 def _click_cfi(config: ScenarioConfig, phi: float) -> float:
     """Total click-detection CFI over both output modes and both herald arms.
 
-    Without a herald the success probability is 1 and there is no failure arm,
-    so this reduces to the plain sum of the two detectors' CFIs.  A Gaussian
-    state reads each detector's two outcomes from its no-click jet
-    (`_kernel_jet`): the no-click probability and its exact slope keep their
-    precision at a bright port, where the click probability rounds to 1
-    (`est.binary_cfi`).  The Wigner arms take central differences, each phase
-    observed once.
+    Each arm adds, weighted by its probability, both detectors' CFIs (`est.binary_cfi`, where an outcome of
+    probability 0 adds 0).  On the prefix channel each reads the no-click probability and its exact slope, resolved
+    at a bright port, from its jet (`_kernel_jet`).  A herald after the phase takes central differences of the
+    observation and adds the herald term P+'^2 / (P+ (1 - P+)).
     """
-    if _gaussian_possible(config):
-        jets = (_kernel_jet(config, meas.DetectionScheme("click", m))(np.array([phi])) for m in (1, 2))
-        return sum(est.binary_cfi(float(p0[0]), float(dp0[0]), phi) for p0, dp0, *_ in jets)
-    observe = cache(_observer(config))
-
-    def arm(branch: str) -> list:
-        def click(mode: int):
-            return lambda p: meas.click_probability(getattr(observe(p), branch), mode)
-
-        return [est.two_outcome(click(m)) for m in (1, 2)]
-
-    res = observe(phi)
-    return est.probabilistic_cfi(
-        lambda p: observe(p).success_prob,
-        arm("state"),
-        arm("failure_state") if res.failure_state is not None else None,
-        phi,
-    )
+    observe = _observer(config)
+    res, h, forward = observe(phi), est.DEFAULT_STEP, not _pulls_back(config)
+    near = (observe(phi + h), observe(phi - h)) if forward else ()
+    total = 0.0
+    for arm, (branch, p) in enumerate((("state", res.success_prob), ("failure_state", 1.0 - res.success_prob))):
+        part = 0.0
+        for mode in (1, 2) if getattr(res, branch) is not None else ():
+            if forward:  # the less probable outcome, so that one impossible at phi and phi +- h adds 0
+                p0, up, down = (meas.click_probability(getattr(r, branch), mode) for r in (res, *near))
+                p0, up, down = (p0, up, down) if p0 <= 0.5 else (1.0 - p0, 1.0 - up, 1.0 - down)
+                dp0 = (up - down) / (2.0 * h)
+            else:
+                jet = _kernel_jet(config, meas.DetectionScheme("click", mode), arm, order=1)
+                p0, dp0 = (float(v[0]) for v in jet(np.array([phi]))[:2])
+            part += est.binary_cfi(p0, dp0, phi)
+        total += p * part
+    dp = (near[0].success_prob - near[1].success_prob) / (2.0 * h) if forward else 0.0
+    return total + (est.binary_cfi(res.success_prob, dp, phi) if dp else 0.0)
 
 
 def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
@@ -937,10 +929,10 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
     noise after the MZI (C = 0, which thermal injection at eta = 1 keeps), a
     pure prefix is a pure input to the MZI, whose phase is generated by
     J_z = (n1 - n2)/2 after its first 50/50 splitter: F = 4 Var(J_z) =
-    Var(n1 - n2) there, the same at every phi and read from the prefix's
-    moment tensor.  The output squeezes and displacements are phi-independent
-    unitaries and keep it.  Noise after the MZI leaves a mixed non-Gaussian
-    family, for which no QFI is given.
+    Var(n1 - n2) there (`_mzi_qfi`), the same at every phi.  The output
+    squeezes and displacements are phi-independent unitaries and keep it.
+    Noise after the MZI leaves a mixed non-Gaussian family, for which no QFI
+    is given.
     """
     if not _pulls_back(config):
         return None, "unavailable (herald after the phase)"
@@ -949,17 +941,14 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
         nu = ga.williamson(res.state.cov)[0]
         route = "pure_gaussian" if nu[-1] ** 2 - 1.0 <= est.PURE_GAUSSIAN_TOL else "mixed_gaussian"
         return est.qfi_mixed_gaussian(res.state, *_tangent(config, phi)), route
-    loss = _uniform_loss(config)
     mixed = None, "unavailable (mixed non-Gaussian)"
     if np.any(_after_mzi(config, None)[2]):
         return mixed
     try:
-        est.require_pure_wigner(_prefix(config.inputs, _input_mods(config), False, loss).state)
+        est.require_pure_wigner(_prefix(config.inputs, _input_mods(config), False, _uniform_loss(config)).state)
     except PurityViolation:
         return mixed
-    expr, tensor = _prefix_moments(config.inputs, _input_mods(config), loss)[0]
-    split = wig.AffineImage(expr, tensor, sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
-    return meas.intensity_difference(split, 1, 2).variance, "pure_wigner"
+    return _mzi_qfi(config), "pure_wigner"
 
 
 def _input_mean_photon(config: ScenarioConfig) -> float:
@@ -1010,7 +999,7 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None, n_max: int 
                 warnings.append(f"optimal_phi[{scheme.label}]: {exc}")
                 continue
             try:
-                report.phase_variance[scheme.label] = _phase_variance(config, scheme, signal, phi)
+                report.phase_variance[scheme.label] = signal.at(phi)
             except (SignalStationary, DegenerateBranch, ImprobableBranch) as exc:
                 warnings.append(f"phase_variance[{scheme.label}] at phi={phi:.6g}: {exc}")
             report.optimal_phi[scheme.label] = opt_phi
@@ -1214,18 +1203,8 @@ def phase_drift_study(
             phis = rng.normal(opt_phi, sig, trials)
         else:
             phis = opt_phi * rng.uniform(0.8, 1.2, trials)
-        if signal is not None:
-            values = signal.variance(phis)
-        else:
-            mean, var = _signal_fns(config, scheme)
-            values = []
-            for phi_k in phis:
-                try:
-                    values.append(est.phase_variance_error_prop(mean, var, phi_k))
-                except (SignalStationary, DegenerateBranch):
-                    values.append(math.inf)
         total = 0.0
-        for k, (phi_k, v) in enumerate(zip(phis.tolist(), map(float, values)), 1):
+        for k, (phi_k, v) in enumerate(zip(phis.tolist(), map(float, signal.variance(phis))), 1):
             if not math.isfinite(v):
                 v = opt_var  # a flat draw carries no usable slope; score it at the optimum
                 warnings.append(f"drift[{scheme.label}] trial {k}: stationary draw at phi={phi_k:.6g}")

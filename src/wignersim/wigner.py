@@ -432,29 +432,50 @@ class AffineImage:
         return [float(self._values[_slot(_exponents(e, self.expr.nvars))]) for e in monomials]
 
     def density_at_origin(self, mode: int, blur: np.ndarray) -> float:
-        """Density at the origin of X_mode + eta, for eta ~ N(0, blur) independent (a 2x2 covariance, may be 0).
-
-        Per term, with B the mode's rows of A and c those of b: V = B Y + c + xi_mode + eta
-        is Gaussian under the term's Gaussian, with mean mu = B m + c and
-        covariance S = B Sigma B^T + noise_mode + blur; the term contributes
-        N(0; mu, S) times the Wick expectation of its polynomial under Y given V = 0.
-        """
+        """Density at the origin of X_mode + eta, for eta ~ N(0, blur) independent (a 2x2 covariance, may be 0)."""
         i = slice(2 * mode - 2, 2 * mode)
-        b, c = self.a[i], self.shift[i]
-        g = self.noise[i, i] + blur
-        total = 0.0
-        for t in self.expr.terms:
-            sigma = t.quad / 2.0
-            sb = sigma @ b.T
-            s = b @ sb + g
-            mu = b @ t.mean + c
-            gain = np.linalg.solve(s, sb.T).T  # Sigma B^T S^-1
-            cov = sigma - gain @ sb.T
-            density = math.exp(-0.5 * float(mu @ np.linalg.solve(s, mu))) / (2.0 * math.pi * math.sqrt(np.linalg.det(s)))
-            z = math.pi ** (t.nvars // 2) * math.sqrt(np.linalg.det(t.quad))
-            e = _gaussian_expectation(t.poly, t.mean - gain @ mu, (cov + cov.T) / 2.0)
-            total += t.weight * z * density * float(np.real(e))
-        return total
+        return float(kernel_densities((self.expr,), self.a[None, i], self.shift[i], self.noise[i, i] + blur)[0][0, 0])
+
+
+def kernel_densities(exprs: tuple, rows: np.ndarray, shift: np.ndarray, blur: np.ndarray) -> tuple:
+    """Density at 0 of V = B Y + c + eta, eta ~ N(0, blur), under each expression, for a stack of B (k, 2, n).
+
+    The expressions share every term's Gaussian (W and its phase tangents).  Under it V has mean mu = B m + c and
+    covariance S = B Sigma B^T + blur; the term adds N(0; mu, S) times the Wick expectation of its polynomial given
+    V = 0.  Returns the densities (len(exprs), k) and the summed term magnitudes of the first, its rounding scale.
+    """
+    total = scale = 0.0
+    for terms in zip(*(e.terms for e in exprs)):
+        t = terms[0]
+        sb = t.quad / 2.0 @ np.swapaxes(rows, 1, 2)  # Sigma B^T
+        s_inv, mu = np.linalg.inv(rows @ sb + blur), rows @ t.mean + shift
+        gain = sb @ s_inv
+        cov = (t.quad / 2.0 - gain @ np.swapaxes(sb, 1, 2)).transpose(1, 2, 0)
+        z = np.sqrt(np.linalg.det(math.pi * t.quad) * np.linalg.det(s_inv)) / (2.0 * math.pi)
+        keys = set().union(*(u.poly for u in terms))  # the polynomials as coefficient columns: one recursion for all
+        poly = {e: np.array([[u.weight * u.poly.get(e, 0.0)] for u in terms]) for e in keys}
+        expectation = _gaussian_expectation(poly, (t.mean - (gain @ mu[..., None])[..., 0]).T, cov)
+        part = z * np.exp(-0.5 * np.einsum("ki,kij,kj->k", mu, s_inv, mu)) * expectation
+        total, scale = total + part, scale + np.abs(part[0])
+    return total, scale
+
+
+def phase_tangent(expr: WignerExpr, h: np.ndarray) -> WignerExpr:
+    """W' = -(hY).grad W: Int W f(A(phi) Y + ...) has phi-derivative Int W' f(A(phi) Y + ...) when A' = A h, tr h = 0.
+
+    (The flow Y -> e^{eps h} Y has Jacobian 1.)  Each term keeps its Gaussian; its polynomial P becomes
+    sum_i (hY)_i (2 P (Q^-1 (Y - m))_i - dP/dY_i)."""
+    n, terms = expr.nvars, []
+    unit = [tuple(r) for r in np.eye(n, dtype=int).tolist()]
+    for t in expr.terms:
+        g, poly = np.linalg.inv(t.quad), {}
+        for i in range(n):
+            pull = _poly_prune({**{unit[j]: 2.0 * g[i, j] for j in range(n)}, (0,) * n: -2.0 * (g @ t.mean)[i]})
+            grad = {tuple(a - b for a, b in zip(e, unit[i])): -c * e[i] for e, c in t.poly.items() if e[i]}
+            hy = {unit[j]: h[i, j] for j in range(n) if h[i, j]}
+            poly = _poly_add(poly, _poly_mul(hy, _poly_add(_poly_mul(t.poly, pull), grad)))
+        terms.append(Term(t.weight, _poly_prune(poly), t.mean, t.quad))
+    return WignerExpr(expr.modes, terms)
 
 
 def _integrate_out(expr: WignerExpr, var_indices: list[int]) -> WignerExpr:

@@ -298,6 +298,10 @@ class TestSnr:
         with pytest.raises(ValueError):
             est.snr(meas.MeasurementMoments(1.0, 1.0))
 
+    def test_faint_coherent_state_keeps_its_snr(self):
+        # <n> = Var = 1e-6 is far above the rounding of the ordering constants, which is absolute
+        assert est.snr(meas.intensity(ga.coherent_state(1e-3, 0.0))) == pytest.approx(1e-3, rel=1e-9)
+
 
 def _parity_info_families(nbar, gain, T):
     """Success/failure (probability, parity-mean) families for input-stage subtraction."""

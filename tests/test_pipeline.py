@@ -201,6 +201,29 @@ class TestClickCfi:
             assert report.cfi == pytest.approx(want, rel=1e-7, abs=1e-15)
         assert checked > 0
 
+    def test_photon_added_after_the_phase_reports_cfi_at_every_phase(self):
+        # the success arm's photon-added mode 1 always clicks: its no-click outcome is impossible and adds 0, where
+        # the CFI of each phase was dropped with the warning "branch probability 0.000e+00"
+        raw = json.loads((ROOT / "configs" / "pacs_counts.json").read_text())
+        cfg = sc.ScenarioConfig.from_dict(dict(raw, metrics=["cfi"]))
+        h = est.DEFAULT_STEP
+        for phi in np.linspace(0.3, 6.0, 12):
+            report, warnings, _ = sc.evaluate_point(cfg, float(phi))
+            assert not warnings
+            res = [sc.build_pipeline(cfg, p) for p in (phi, phi + h, phi - h)]
+            want = 0.0
+            for arm, weight in (("state", res[0].success_prob), ("failure_state", 1.0 - res[0].success_prob)):
+                for mode in (1, 2):
+                    clicks = [meas.click_probability(getattr(r, arm), mode) for r in res]
+                    for q in (clicks, [1.0 - c for c in clicks]):
+                        if any(q):  # an outcome impossible at phi and phi +- h adds 0
+                            want += weight * ((q[1] - q[2]) / (2 * h)) ** 2 / q[0]
+            dp = (res[1].success_prob - res[2].success_prob) / (2 * h)
+            want += dp * dp / (res[0].success_prob * (1.0 - res[0].success_prob))
+            assert report.cfi == pytest.approx(want, rel=1e-9, abs=0.0), phi
+            # the herald and the detectors measure the coherent input after the MZI, whose QFI is 1
+            assert 0.0 < report.cfi < 1.0, phi
+
     def test_lossy_thermal_cfi_matches_central_differences(self):
         # the Gaussian CFI takes the exact click slopes; a test-side central difference agrees to its truncation error
         cfg = sc.ScenarioConfig.from_dict(dict(NOISY_GAUSSIAN, metrics=["cfi"]))
@@ -321,6 +344,12 @@ def richardson(f, phi: float, h: float):
     return (16 * r[1] - r[0]) / 15
 
 
+def signal_fns(cfg: sc.ScenarioConfig, scheme: meas.DetectionScheme) -> tuple:
+    """mean(phi) and variance(phi) of one detector, measured on the observed state."""
+    at = lambda p: meas.measure(sc._observer(cfg)(p).state, scheme)  # noqa: E731
+    return (lambda p: at(p).mean), (lambda p: at(p).variance)
+
+
 class TestGaussianPrefixChannel:
     @pytest.mark.parametrize("raw", [LIGO_LOSSY, NOISY_GAUSSIAN], ids=["ligo_lossy", "noisy_gaussian"])
     def test_matches_build_pipeline(self, raw):
@@ -410,7 +439,7 @@ class TestExactSlopes:
         # the slope each detector's phase signal implies, sqrt(Var / V)
         cfg = sc.ScenarioConfig.from_dict(raw)
         for scheme in cfg.detection:
-            mean, var = sc._signal_fns(cfg, scheme)
+            mean, var = signal_fns(cfg, scheme)
             signal = sc._optimal_phi(cfg, scheme)[2]
             for phi in phis:
                 got = math.sqrt(var(phi) / signal.variance(np.array([phi]))[0])
@@ -420,7 +449,7 @@ class TestExactSlopes:
     def test_parity_differences_converge_to_the_exact_slope(self):
         # the h = 1e-5 difference used before is off by 6.5e-8 relative; the error falls as h^2
         cfg = sc.ScenarioConfig.from_dict(LIGO_LOSSY)
-        mean = sc._signal_fns(cfg, meas.DetectionScheme("parity", 1))[0]
+        mean = signal_fns(cfg, meas.DetectionScheme("parity", 1))[0]
         exact = sc._kernel_jet(cfg, meas.DetectionScheme("parity", 1))(np.array([3.14]))[1][0]
         errs = [abs((mean(3.14 + h) - mean(3.14 - h)) / (2 * h) / exact - 1.0) for h in (1e-3, 1e-4, 1e-5)]
         assert 6e-8 < errs[2] < 7e-8
@@ -431,7 +460,7 @@ class TestExactSlopes:
         report, warnings, _ = sc.evaluate_point(cfg)
         assert not warnings
         for scheme in cfg.detection:
-            mean, var = sc._signal_fns(cfg, scheme)
+            mean, var = signal_fns(cfg, scheme)
             got = report.phase_variance[scheme.label]
             assert got == pytest.approx(var(1.2) / richardson(mean, 1.2, 1e-2) ** 2, rel=1e-8)
 
@@ -524,6 +553,47 @@ class TestKernelJet:
                 assert curve == pytest.approx(want_curve, rel=1e-7, abs=1e-10), (scheme.label, phi)
 
 
+class TestWignerKernelJet:
+    """`sc._kernel_jet` on a Wigner prefix: densities of the prefix arm and of its phase tangents."""
+
+    @pytest.mark.parametrize("name", sorted(ROUTE_CONFIGS))
+    def test_slope_and_curvature_match_central_differences(self, name):
+        cfg = sc.ScenarioConfig.from_dict(ROUTE_CONFIGS[name])
+        observe = sc._observer(cfg)
+        phis = (0.4, 1.2, 2.9, 5.0)
+        arms = ("state", "failure_state") if observe(1.0).failure_state is not None else ("state",)
+        for arm, branch in enumerate(arms):
+            for scheme in KERNEL_SCHEMES:
+                jet = sc._kernel_jet(cfg, scheme, arm)
+
+                def value(p):  # parity, or the no-click probability, measured on the observed arm
+                    mean = meas.measure(getattr(observe(p), branch), scheme).mean
+                    return mean if scheme.kind == "parity" else 1.0 - mean
+
+                values, slopes, curves, _ = jet(np.array(phis))
+                for phi, got, slope, curve in zip(phis, values, slopes, curves):
+                    assert got == pytest.approx(value(phi), rel=1e-12, abs=1e-15), (branch, scheme.label, phi)
+                    want_slope = richardson(value, phi, 1e-2)
+                    want_curve = richardson(lambda p: jet(np.array([p]))[1][0], phi, 1e-2)
+                    assert slope == pytest.approx(want_slope, rel=1e-7, abs=1e-10), (branch, scheme.label, phi)
+                    assert curve == pytest.approx(want_curve, rel=1e-7, abs=1e-10), (branch, scheme.label, phi)
+
+    @pytest.mark.parametrize("name", ["point_a", "point_b", "point_b_m2"])
+    def test_click_cfi_matches_central_differences(self, name):
+        # the exact slopes of the jets, against the herald-weighted CFI of central differences of the click
+        # probabilities (step 1e-5), which the CFI of a Wigner prefix took before
+        cfg = sc.ScenarioConfig.from_dict(ROUTE_CONFIGS[name])
+        observe = sc._observer(cfg)
+
+        def arm(branch):
+            return [est.two_outcome(lambda p, m=m: meas.click_probability(getattr(observe(p), branch), m))
+                    for m in (1, 2)]
+
+        res = observe(cfg.phi)
+        want = est.probabilistic_cfi(res.success_prob, arm("state"), arm("failure_state"), cfg.phi)
+        assert sc._click_cfi(cfg, cfg.phi) == pytest.approx(want, rel=0.0, abs=1e-8)
+
+
 class TestPulledBackRoute:
     @pytest.mark.parametrize("name", sorted(ROUTE_CONFIGS))
     def test_matches_build_then_measure(self, name):
@@ -551,12 +621,9 @@ class TestPulledBackRoute:
     @pytest.mark.parametrize("name", ["point_a", "thermal_click"])
     def test_polynomial_detectors_take_exact_slopes(self, name):
         cfg = sc.ScenarioConfig.from_dict(ROUTE_CONFIGS[name])
-        for scheme in EVERY_DETECTOR:
+        for scheme in (s for s in EVERY_DETECTOR if s.kind in meas.POLYNOMIAL_KINDS):
             signal = sc._optimal_phi(cfg, scheme)[2]
-            if scheme.kind not in meas.POLYNOMIAL_KINDS:
-                assert signal is None, scheme.label  # parity and click difference the mean
-                continue
-            mean, var = sc._signal_fns(cfg, scheme)
+            mean, var = signal_fns(cfg, scheme)
             for phi in (0.4, 1.2, 2.9):
                 got = math.sqrt(var(phi) / signal.variance(np.array([phi]))[0])
                 assert got == pytest.approx(abs(richardson(mean, phi, 1e-2)), rel=1e-9, abs=1e-12), scheme.label
@@ -580,10 +647,10 @@ class TestPulledBackRoute:
                 mean = lambda p: meas.measure(forward(p), scheme).mean
                 var = lambda p: meas.measure(forward(p), scheme).variance
                 want = est.phase_variance_error_prop(mean, var, phi)
-                got_mean, got_var = sc._signal_fns(cfg, scheme)
+                got_mean, got_var = signal_fns(cfg, scheme)
                 assert got_mean(phi) == pytest.approx(mean(phi), rel=1e-10), scheme.label
                 assert got_var(phi) == pytest.approx(var(phi), rel=1e-10), scheme.label
-                got = sc._phase_variance(cfg, scheme, signals[scheme], phi)
+                got = signals[scheme].at(phi)
                 # the forward path differences the mean with h = 1e-5
                 assert got == pytest.approx(want, rel=1e-6), (phi, scheme.label)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import workloads
 from wignersim import cli
 from wignersim import estimation as est
 from wignersim import gaussian as ga
@@ -132,6 +133,7 @@ class TestPipeline:
         )
         fast, _, _ = sc.evaluate_point(cfg)
         monkeypatch.setattr(sc, "_gaussian_possible", lambda c: False)
+        monkeypatch.setattr(sc, "_observer", sc._observer.__wrapped__)  # not the kept Gaussian-path observer
         slow, _, _ = sc.evaluate_point(cfg)
         for key in fast.phase_variance:
             assert abs(fast.phase_variance[key] - slow.phase_variance[key]) < 1e-8 * max(
@@ -205,6 +207,14 @@ class TestPipeline:
         assert res.herald_stage == "output"
         assert 0.0 < res.success_prob < 1.0
         assert abs(res.success_prob + res.failure_prob - 1.0) < 1e-9
+
+
+def test_dark_port_has_no_snr():
+    # the heralded reference (a) leaves mode 1 dark at phi = pi: <n> = <n^2> = Var = 2.2e-16 of rounding there,
+    # which gave an SNR of -67108864
+    report, warnings, _ = sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_a(math.pi)))
+    assert "mode1" not in report.snr and "mode2" in report.snr
+    assert warnings.count("snr mode 1: SNR undefined for zero variance") == 1
 
 
 class TestRunAndSweep:

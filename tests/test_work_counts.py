@@ -138,7 +138,7 @@ def test_polynomial_optimum_reads_five_phases(config, label, observed, monkeypat
 @pytest.mark.parametrize("study", ["point", "drift"])
 def test_ligo_lossy_fixed_phases_read_the_optimum_signal(study, observed):
     # the fixed-phase values of a point, and 50 drift trials, read each detector's signal: they observe no
-    # phase beyond the optimum's samples (and the point's own state at its phase)
+    # phase beyond the optimum's samples (and the point's own state at its phase); the parity minimum reads its jet
     config = sc.load_config(LIGO_LOSSY)
     for scheme in config.detection:
         sc._optimal_phi(config, scheme)
@@ -150,24 +150,33 @@ def test_ligo_lossy_fixed_phases_read_the_optimum_signal(study, observed):
     else:
         sc.phase_drift_study(config, trials=50, seed=1)
         assert observed == optimum
-    assert len(optimum) == 16  # five samples for each polynomial detector, one for the parity minimum
+    assert len(optimum) == 15  # five samples for each polynomial detector
 
 
-def test_parity_optimum_keeps_the_golden_section_search(monkeypatch):
-    # on a Wigner state: one search from the parity seed and one from each of the two best of 25 scanned phases
+@pytest.mark.parametrize("raw", [workloads.point_a(1.0), workloads.point_b(1.0)], ids=["point_a", "point_b"])
+@pytest.mark.parametrize("kind", ["parity", "click"])
+def test_wigner_kernel_optimum_makes_no_golden_section_search(raw, kind, observed, monkeypatch):
+    # on a Wigner state the kernel jet reads the prefix's phase tangents: no search, no observation
     golden = counter(monkeypatch, est, "golden_minimize")
-    config = sc.ScenarioConfig.from_dict(workloads.point_a(1.0))
-    sc._optimal_phi(config, meas.DetectionScheme("parity", 1))
-    assert len(golden) == 3
+    sc._optimal_phi(sc.ScenarioConfig.from_dict(raw), meas.DetectionScheme(kind, 1))
+    assert (len(golden), observed) == (0, [])
 
 
 @pytest.mark.parametrize("kind", ["parity", "click"])
-def test_gaussian_kernel_optimum_observes_only_its_minimum(kind, observed, monkeypatch):
-    # one batched grid of the kernel jet and its refinements find the minimum; only that phase is observed
+def test_gaussian_kernel_optimum_observes_nothing(kind, observed, monkeypatch):
+    # one batched grid of the kernel jet and its refinements find the minimum, and the jet gives its variance
     golden = counter(monkeypatch, est, "golden_minimize")
     config = sc.load_config(LIGO_LOSSY)
-    phi, _, _ = sc._optimal_phi(config, meas.DetectionScheme(kind, 1))
-    assert (len(golden), observed) == (0, [phi])
+    sc._optimal_phi(config, meas.DetectionScheme(kind, 1))
+    assert (len(golden), observed) == (0, [])
+
+
+def test_herald_after_the_phase_builds_each_phase_once(monkeypatch):
+    # the point, its cfi and its distributions share one memoized observation: phi and phi +- h are built once each
+    builds = counter(monkeypatch, sc, "build_pipeline")
+    sc._observer.cache_clear()
+    sc.run(sc.load_config(str(Path(LIGO_LOSSY).parent / "subtracted_thermal.json")))
+    assert len(builds) == 3
 
 
 def test_ligo_lossy_point_makes_no_per_phi_transform(monkeypatch):
@@ -193,6 +202,7 @@ def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
         (wg, "attenuate"), (sc, "build_pipeline"), (cond, "_herald"), (wg, "apply_symplectic"), (wg, "moment_tensor"))}
     sc._prefix.cache_clear()
     sc._prefix_moments.cache_clear()
+    sc._observer.cache_clear()
     sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
     # apply_symplectic: the input squeeze on both arms and the 4 attenuations, all in the prefix
     # moment_tensor: both arms of the lossy prefix and of the lossless one (the photon-number probe)
