@@ -27,8 +27,8 @@ The detectors see the state by one of two routes (`_observer`):
   per phi.
 
 `simulate_counts` reads the herald's mode alone: the pipeline up to its
-output stage with the other arm traced out, then that mode's output stage
-(`_counted`).
+output stage with the other arm traced out, then that mode's output stage,
+whose herald builds its success branch alone (`_counted`).
 
 Identical config plus seed gives byte-identical CSV/JSON output.
 """
@@ -502,30 +502,34 @@ def _each(res: PipelineResult, step: Callable) -> PipelineResult:
     return replace(res, state=step(res.state), failure_state=fail)
 
 
-def _herald(expr: wig.WignerExpr, mod: ModificationSpec) -> tuple:
+def _herald(expr: wig.WignerExpr, mod: ModificationSpec, success_only: bool = False) -> tuple:
+    """(success, failure) of one herald; with `success_only` the failure is None, neither built nor checked."""
     if mod.op == "add" and mod.mechanism == "bs":
-        return cond.add_photons_bs_branches(expr, mod.mode, mod.m, mod.T)
-    if mod.op == "add":
-        return cond.add_photon_spdc_branches(expr, mod.mode, mod.r, mod.theta, m=mod.m)
-    if mod.m == "click":
-        return cond.subtract_click_branches(expr, mod.mode, mod.T)
-    return cond.subtract_branches(expr, mod.mode, mod.m, mod.T)
+        one, both, args = cond.add_photons_bs, cond.add_photons_bs_branches, (mod.m, mod.T)
+    elif mod.op == "add":
+        one, both, args = cond.add_photon_spdc, cond.add_photon_spdc_branches, (mod.r, mod.theta, mod.m)
+    elif mod.m == "click":
+        one, both, args = cond.subtract_click, cond.subtract_click_branches, (mod.T,)
+    else:
+        one, both, args = cond.subtract_photons, cond.subtract_branches, (mod.m, mod.T)
+    return (one(expr, mod.mode, *args), None) if success_only else both(expr, mod.mode, *args)
 
 
-def _modify(res: PipelineResult, mods, stage: str) -> PipelineResult:
-    """Apply one stage's modifications in order; the first herald starts the failure branch."""
+def _modify(res: PipelineResult, mods, stage: str, success_only: bool = False) -> PipelineResult:
+    """Apply one stage's modifications in order; the first herald starts the failure branch unless `success_only`."""
     for m in mods:
         if not m.heralded:
             f = _gaussian_step(m, res.state.modes)
             res = _each(res, lambda s: _transform(s, f))
             continue
-        ok, fail = _herald(res.state, m)
+        ok, fail = _herald(res.state, m, success_only)
         prob = res.success_prob * ok.probability
-        if res.herald_stage is None:
+        if res.herald_stage is None and fail is not None:
             res = replace(res, state=ok.state, success_prob=prob, failure_state=fail.state,
                           failure_prob=fail.probability, herald_stage=stage)
         else:  # failure tracking only supports a single herald
-            res = replace(res, state=ok.state, success_prob=prob, failure_state=None, failure_prob=0.0)
+            res = replace(res, state=ok.state, success_prob=prob, failure_state=None, failure_prob=0.0,
+                          herald_stage=res.herald_stage or stage)
     return res
 
 
@@ -589,15 +593,18 @@ def _counted(config: ScenarioConfig, mode: int, arms: dict) -> PipelineResult:
     are dropped, so a herald mixes its ancilla into a one-mode state.  The
     traced arm ahead of the output stage depends on T only through
     an input-stage herald; `arms` keeps it, keyed by the input-stage
-    modifications, across the grid points of one config.  Only the success
-    branch of an input-stage herald is traced.
+    modifications, across the grid points of one config.  `counts` reads the
+    success branch alone: that of an input-stage herald is the one traced, and
+    the output-stage herald builds and checks only its success branch, so a
+    click herald that fires almost surely is not refused for its improbable
+    no-click branch.
     """
     key = _input_mods(config)
     if key not in arms:
         res = _before_output(config)
         arms[key] = replace(res, state=wig.marginal_mode(res.state, mode), failure_state=None, failure_prob=0.0)
     mods = [replace(m, mode=1) for m in config.modifications if m.stage == "output" and m.mode == mode]
-    return _modify(arms[key], mods, "output")
+    return _modify(arms[key], mods, "output", success_only=True)
 
 
 @lru_cache(maxsize=PREFIX_CACHE_SIZE)
@@ -1235,10 +1242,12 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
 
     The detectors read the herald's mode alone: the other arm is traced out
     after the noise, ahead of the output stage, and the heralded state is one
-    mode (`_counted`).  A herald below the renormalization floor (T = 1 for a
-    beam-splitter addition) gives a row flagged "improbable herald branch"
-    with nothing kept, and a heralded state of zero photon-number variance (a
-    Fock state) a row without `theory_snr`; each adds a warning.
+    mode (`_counted`).  The herald builds only the success branch that the
+    rows read, never its failure branch.  A success probability below the
+    renormalization floor (T = 1 for a beam-splitter addition) gives a row
+    flagged "improbable herald branch" with nothing kept, and a heralded state
+    of zero photon-number variance (a Fock state) a row without `theory_snr`;
+    each adds a warning.
     """
     if trials < 1:
         raise ConfigError("counts.trials", "need at least one trial")

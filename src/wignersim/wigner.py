@@ -624,6 +624,15 @@ class PhotonNumberDistribution:
         return rng.choice(self.n_max + 1, size=size, p=p)
 
 
+@lru_cache(maxsize=4)
+def _inverse_dft(m: int, n_max: int) -> np.ndarray:
+    """exp(-i pi (2k + 1) n / m), k < m, n <= n_max: the read-only inversion of `photon_number_distribution`."""
+    ks, ns = np.arange(m), np.arange(n_max + 1)
+    matrix = np.exp(-1j * math.pi * np.outer(2 * ks + 1, ns) / m)
+    matrix.flags.writeable = False
+    return matrix
+
+
 def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = DEFAULT_NMAX) -> PhotonNumberDistribution:
     """P(n) for n = 0..n_max via exact contour extraction from the generating function.
 
@@ -638,11 +647,9 @@ def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = DEFAULT
     m = 512
     while m < 8 * (n_max + 1):
         m *= 2
-    ks = np.arange(m)
-    tks = np.exp(1j * math.pi * (2 * ks + 1) / m)
+    tks = np.exp(1j * math.pi * (2 * np.arange(m) + 1) / m)
     gs = 2.0 / (1.0 + tks) * _single_mode_g(reduced, (1.0 - tks) / (1.0 + tks))
-    ns = np.arange(n_max + 1)
-    probs = np.real(gs @ np.exp(-1j * math.pi * np.outer(2 * ks + 1, ns) / m)) / m
+    probs = np.real(gs @ _inverse_dft(m, n_max)) / m
     if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
         raise ValueError(f"distribution outside [0,1]: range [{probs.min():.3e}, {probs.max():.3e}]")
     probs = np.clip(probs, 0.0, 1.0)

@@ -469,6 +469,38 @@ class TestCounts:
             assert row["kept"] > 0
             assert "sample_mean" in row
 
+    def test_almost_sure_click_herald_is_kept(self, tmp_path):
+        # the no-click branch of alpha = 6 at small T has probability ~1e-15; counts never reads it, so the
+        # click rows are kept rather than flagged improbable
+        raw = {
+            "inputs": [{"kind": "coherent", "alpha": 6.0}, {"kind": "vacuum"}],
+            "modifications": [{"op": "subtract", "stage": "output", "mode": 1, "m": "click", "T": 0.9}],
+            "interferometer": {"phi": 0.0},
+            "detection": [],
+            "metrics": ["snr"],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        argv = ["counts", "--config", str(path), "--trials", "100", "--seed", "1", "--grid", "T=0.05:0.15:0.05",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["warnings"] == []
+        for row in report["rows"]:
+            assert "flag" not in row
+            assert row["herald_probability"] == pytest.approx(1.0, abs=1e-12)
+            assert row["kept"] == 100
+
+    def test_click_subtraction_rows_match_the_forward_pipeline(self):
+        raw = dict(json.loads((ROOT / "configs" / "pacs_counts.json").read_text()), **COUNTED["click_subtracted_thermal"])
+        cfg = sc.ScenarioConfig.from_dict(raw)
+        grid = [0.3, 0.6, 0.9]
+        report = sc.simulate_counts(cfg, trials=200, seed=5, t_grid=grid)
+        for T, row in zip(grid, report.rows):
+            want = sc.build_pipeline(cfg.with_values(T=T))
+            got = [row["herald_probability"], row["theory_mean"]]
+            assert got == pytest.approx([want.success_prob, meas.intensity(want.state, 1).mean], rel=1e-12, abs=0.0)
+
     def test_improbable_herald_is_a_flagged_row(self, tmp_path, capsys):
         # at T = 1 a beam-splitter addition never succeeds: that grid point is flagged, the others run
         argv = ["counts", "--config", str(ROOT / "configs" / "pacs_counts.json"), "--grid", "T=0.9:1.0:0.05",

@@ -420,6 +420,20 @@ class TestBatchedContourKernel:
         got = wg.photon_number_distribution(reduced, 1).probs
         np.testing.assert_allclose(got, np.clip(ref, 0.0, 1.0), rtol=0, atol=self.REL_TOL)
 
+    @pytest.mark.parametrize("n_max, m", [(40, 512), (70, 1024)])
+    def test_cached_inverse_dft_keeps_the_bits(self, n_max, m):
+        # the cached, read-only matrix is the inline inversion's own expression, so every probability keeps its bits
+        reduced = wg.marginal_mode(pacs_m3_state().normalize(), 1)
+        ks, ns = np.arange(m), np.arange(n_max + 1)
+        tks = np.exp(1j * math.pi * (2 * ks + 1) / m)
+        gs = 2.0 / (1.0 + tks) * wg._single_mode_g(reduced, (1.0 - tks) / (1.0 + tks))
+        inline = np.clip(np.real(gs @ np.exp(-1j * math.pi * np.outer(2 * ks + 1, ns) / m)) / m, 0.0, 1.0)
+        assert np.array_equal(wg.photon_number_distribution(reduced, 1, n_max).probs, inline)
+        matrix = wg._inverse_dft(m, n_max)
+        assert matrix.shape == (m, n_max + 1) and matrix is wg._inverse_dft(m, n_max)
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
     def test_pacs_m3_distribution_against_fock_oracle(self):
         # mode 1 after the MZI is a coherent state; BS addition with a Fock(3)
         # ancilla depends on its amplitude only through |alpha|^2

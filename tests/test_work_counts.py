@@ -15,6 +15,7 @@ from wignersim import symplectic as sym
 from wignersim import wigner as wg
 
 LIGO_LOSSY = str(Path(__file__).resolve().parent.parent / "configs" / "ligo_lossy.json")
+PACS_COUNTS = str(Path(__file__).resolve().parent.parent / "configs" / "pacs_counts.json")
 
 
 def two_mode_gaussian() -> ga.GaussianState:
@@ -233,3 +234,16 @@ def test_counted_m3_state_is_one_mode(monkeypatch):
     assert state.modes == 1
     assert max(len(t.poly) for t in state.terms) <= 28
     assert builds == []
+
+
+def test_counts_builds_no_failure_branch_and_one_inverse_dft(monkeypatch):
+    # `counts` reads the success branch alone, asked for through the single-branch entry point, and every
+    # grid point inverts its generating function by one cached matrix
+    complement = counter(monkeypatch, cond, "_complement")
+    entries = {name: counter(monkeypatch, cond, name) for name in ("add_photons_bs", "add_photons_bs_branches")}
+    wg._inverse_dft.cache_clear()
+    report = sc.simulate_counts(sc.load_config(PACS_COUNTS), trials=3600, seed=42)
+    assert len(report.rows) == 19
+    assert complement == []
+    assert {name: len(calls) for name, calls in entries.items()} == {"add_photons_bs": 19, "add_photons_bs_branches": 0}
+    assert wg._inverse_dft.cache_info().misses == 1
