@@ -18,16 +18,7 @@ from dataclasses import dataclass
 
 from .gaussian import vacuum_state
 from .symplectic import embed, make_beam_splitter, make_two_mode_squeezer
-from .wigner import (
-    WignerExpr,
-    _complement,
-    _herald_branch,
-    apply_symplectic,
-    fock_wigner,
-    from_gaussian,
-    project_fock_unnormalized,
-    tensor_exprs,
-)
+from .wigner import Term, WignerExpr, _herald_branch, _integrate_out, fock_wigner, from_gaussian, tensor_exprs
 
 M_CUTOFF = 8
 
@@ -54,7 +45,9 @@ def _herald(
     """The one herald operation: mix a Fock ancilla into `mode`, project the ancilla output once.
 
     `coupling` is ("BS", T) or ("SPDC", r, theta); the ancilla |ancilla> is
-    coupling input 1 and the signal input 2.  Projecting on Fock n gives one
+    coupling input 1 and the signal input 2.  The mix is never substituted
+    into the joint state: each branch conditions the joint's Gaussians on the
+    signal (`_integrate_out` with the mix).  Projecting on Fock n gives one
     branch, its complement (projector 1 - 2 pi F_n) the other: the projection
     succeeds for a Fock herald, while a click herald (n = 0) succeeds on the
     complement.  The projected branch is checked first.  Returns (success,
@@ -75,16 +68,17 @@ def _herald(
         "failure": f"no click on {via} herald" if click else f"failed to {verb} {m} via {via}",
     }
     joint = tensor_exprs(expr, fock_wigner(ancilla) if ancilla else from_gaussian(vacuum_state(1)))
-    anc = expr.modes + 1
-    mixed = apply_symplectic(joint, embed(f, [anc, mode], anc))
-    projected = project_fock_unnormalized(mixed, anc, n)
-    p = projected.norm / mixed.norm
+    anc, mix = joint._var_indices(joint.modes), embed(f, [joint.modes, mode], joint.modes)
+    projected = _integrate_out(joint, anc, f=mix, fock=n)
+    p = projected.norm / joint.norm  # the mix keeps the integral
     roles = ("failure", "success") if click else ("success", "failure")
     out = {}
     if only in (None, roles[0]):
         out[roles[0]] = _herald_branch(projected, p)
     if only in (None, roles[1]):
-        out[roles[1]] = _herald_branch(_complement(mixed, anc, projected), 1.0 - p)
+        negated = [Term(-t.weight, t.poly, t.mean, t.quad) for t in projected.terms]
+        complement = WignerExpr(expr.modes, _integrate_out(joint, anc, f=mix).terms + negated)
+        out[roles[1]] = _herald_branch(complement, 1.0 - p)
     return tuple(HeraldedState(*out[b], b, labels[b]) if b in out else None for b in ("success", "failure"))
 
 

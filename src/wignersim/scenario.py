@@ -503,7 +503,12 @@ def _each(res: PipelineResult, step: Callable) -> PipelineResult:
 
 
 def _herald(expr: wig.WignerExpr, mod: ModificationSpec, success_only: bool = False) -> tuple:
-    """(success, failure) of one herald; with `success_only` the failure is None, neither built nor checked."""
+    """(success, failure) of one herald; with `success_only` the failure is None, neither built nor checked.
+
+    A failure branch below the renormalization floor is left untracked (None)
+    when the success branch is above it, so a herald that succeeds almost
+    surely is kept.
+    """
     if mod.op == "add" and mod.mechanism == "bs":
         one, both, args = cond.add_photons_bs, cond.add_photons_bs_branches, (mod.m, mod.T)
     elif mod.op == "add":
@@ -512,7 +517,12 @@ def _herald(expr: wig.WignerExpr, mod: ModificationSpec, success_only: bool = Fa
         one, both, args = cond.subtract_click, cond.subtract_click_branches, (mod.T,)
     else:
         one, both, args = cond.subtract_photons, cond.subtract_branches, (mod.m, mod.T)
-    return (one(expr, mod.mode, *args), None) if success_only else both(expr, mod.mode, *args)
+    if not success_only:
+        try:
+            return both(expr, mod.mode, *args)
+        except ImprobableBranch:
+            pass
+    return one(expr, mod.mode, *args), None
 
 
 def _modify(res: PipelineResult, mods, stage: str, success_only: bool = False) -> PipelineResult:
@@ -903,7 +913,8 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
     Each arm adds, weighted by its probability, both detectors' CFIs (`est.binary_cfi`, where an outcome of
     probability 0 adds 0).  On the prefix channel each reads the no-click probability and its exact slope, resolved
     at a bright port, from its jet (`_kernel_jet`).  A herald after the phase takes central differences of the
-    observation and adds the herald term P+'^2 / (P+ (1 - P+)).
+    observation and adds the herald term P+'^2 / (P+ (1 - P+)); an arm untracked at any of those phases (below the
+    renormalization floor) adds nothing.
     """
     observe = _observer(config)
     res, h, forward = observe(phi), est.DEFAULT_STEP, not _pulls_back(config)
@@ -911,7 +922,7 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
     total = 0.0
     for arm, (branch, p) in enumerate((("state", res.success_prob), ("failure_state", 1.0 - res.success_prob))):
         part = 0.0
-        for mode in (1, 2) if getattr(res, branch) is not None else ():
+        for mode in (1, 2) if all(getattr(r, branch) is not None for r in (res, *near)) else ():
             if forward:  # the less probable outcome, so that one impossible at phi and phi +- h adds 0
                 p0, up, down = (meas.click_probability(getattr(r, branch), mode) for r in (res, *near))
                 p0, up, down = (p0, up, down) if p0 <= 0.5 else (1.0 - p0, 1.0 - up, 1.0 - down)

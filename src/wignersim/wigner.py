@@ -7,6 +7,14 @@ linear variable substitution, multiplication by Fock projectors, and partial
 integration.  All moments and overlaps evaluate analytically through the
 Gaussian moment recursion, so there is no numerical quadrature anywhere.
 
+Partial integration is one routine, `_integrate_out`: a marginal, a Fock
+projection, both branches of a herald and `attenuate` each integrate some
+variables out of the image of an expression under a symplectic map, against a
+Fock projector or not.  It conditions each term's Gaussian on the kept
+variables and substitutes no polynomial, so a herald never expands its beam
+splitter; `apply_symplectic` substitutes whole-state maps only (the MZI,
+squeezers, displacements).
+
 An `AffineImage` is an expression seen through a Gaussian channel
 X = A Y + b + xi without substituting the channel into its terms: the
 detector moments of X come from the expression's fixed moment tensor, and a
@@ -128,15 +136,23 @@ def _gaussian_expectation(poly: Poly, mean: np.ndarray, cov: np.ndarray, shifts:
     return [sum(c * mom(tuple(a + b for a, b in zip(ea, e))) for ea, c in poly.items()) for e in shifts]
 
 
-def _conditional_expectation_poly(
-    poly: Poly, keep: list[int], out: list[int], cond_mean_rows: list[Poly], cond_cov: np.ndarray
-) -> Poly:
-    """E over the integrated variables of poly, conditional on the kept ones.
+def _affine_expectation(poly: Poly, lin: np.ndarray, const: np.ndarray, cov: np.ndarray) -> Poly:
+    """E[poly(u)] for u = lin y + const + xi, xi ~ N(0, cov), as a poly in y.
 
-    cond_mean_rows[i] is the conditional mean of integrated variable i as an
-    affine poly in the kept variables; returns a poly in the kept variables.
+    A variable with no noise and a one-monomial mean multiplies as a power of
+    that monomial; the others go through the Gaussian moment recursion, whose
+    means are affine polys in y.
     """
-    nk = len(keep)
+    nk = lin.shape[1]
+    units = [tuple(int(j == k) for k in range(nk)) for j in range(nk)]
+    rows = []
+    for i in range(len(const)):
+        row = {(0,) * nk: const[i], **{units[j]: lin[i, j] for j in range(nk) if lin[i, j] != 0.0}}
+        rows.append(_poly_prune(row) or _const_poly(nk, 0.0))
+    fixed = {i for i, row in enumerate(rows) if len(row) == 1 and not np.any(cov[i])}
+    powers = [(i, *next(iter(rows[i].items()))) for i in sorted(fixed)]
+    rand = [i for i in range(len(rows)) if i not in fixed]
+    cov = cov[np.ix_(rand, rand)]
     memo: dict[tuple, Poly] = {}
 
     def mom(e: tuple) -> Poly:
@@ -148,21 +164,24 @@ def _conditional_expectation_poly(
         e1 = list(e)
         e1[i] -= 1
         e1t = tuple(e1)
-        val = _poly_mul(cond_mean_rows[i], mom(e1t))
+        val = _poly_mul(rows[rand[i]], mom(e1t))
         for j, ej in enumerate(e1t):
-            if ej and cond_cov[i, j] != 0.0:
+            if ej and cov[i, j] != 0.0:
                 e2 = list(e1t)
                 e2[j] -= 1
-                val = _poly_add(val, _poly_scale(mom(tuple(e2)), cond_cov[i, j] * ej))
+                val = _poly_add(val, _poly_scale(mom(tuple(e2)), cov[i, j] * ej))
         memo[e] = val
         return val
 
     result: Poly = {}
     for expo, coeff in poly.items():
-        e_keep = tuple(expo[v] for v in keep)
-        e_out = tuple(expo[v] for v in out)
-        piece = _poly_mul({e_keep: coeff}, mom(e_out))
-        result = _poly_add(result, piece)
+        e_keep = (0,) * nk
+        for i, e_row, c_row in powers:
+            if expo[i]:
+                e_keep = tuple(a + expo[i] * b for a, b in zip(e_keep, e_row))
+                coeff *= c_row ** expo[i]
+        for e, c in _poly_mul({e_keep: coeff}, mom(tuple(expo[i] for i in rand))).items():
+            result[e] = result.get(e, 0.0) + c
     return _poly_prune(result)
 
 
@@ -219,10 +238,12 @@ class WignerExpr:
         return 2 * self.modes
 
     def normalize(self) -> "WignerExpr":
+        """The expression divided by its norm, whose `norm` then reads 1.0 without a recursion."""
         if self.norm <= 0.0:
             raise ValueError(f"cannot normalize expression with integral {self.norm:.3e}")
-        scaled = [Term(t.weight / self.norm, t.poly, t.mean, t.quad) for t in self.terms]
-        return WignerExpr(self.modes, scaled)
+        out = WignerExpr(self.modes, [Term(t.weight / self.norm, t.poly, t.mean, t.quad) for t in self.terms])
+        out._norm = 1.0
+        return out
 
     def evaluate(self, x: Iterable[float]) -> float:
         xv = np.asarray(list(x), dtype=float)
@@ -478,34 +499,56 @@ def phase_tangent(expr: WignerExpr, h: np.ndarray) -> WignerExpr:
     return WignerExpr(expr.modes, terms)
 
 
-def _integrate_out(expr: WignerExpr, var_indices: list[int]) -> WignerExpr:
-    """Analytically integrate out the given variables (0-based)."""
+def _integrate_out(
+    expr: WignerExpr, var_indices: list[int], f: SymplecticTransform | None = None, fock: int | None = None
+) -> WignerExpr:
+    """Integrate the given variables (0-based) out of the image of `expr` under the symplectic map f.
+
+    f = None is the identity.  With `fock` = n the integrand carries 2 pi F_n
+    on those variables, which must then be one mode's two.  No polynomial is
+    substituted: each term's Gaussian maps to (F Q F^T, F m + s) and takes the
+    projector's by the Gaussian-product rule; given the kept variables y, the
+    integrated ones are X_v = m_v + b (y - m_k) + xi with a fixed noise xi.  So
+    the term's own variables z = F^-1 (X - s) and the projector's X_v are
+    affine in y plus a multiple of xi, and the new polynomial is one moment
+    recursion with poly-valued means over P(z) L(X_v) (`_affine_expectation`).
+    """
     out = sorted(var_indices)
-    keep = [i for i in range(expr.nvars) if i not in out]
+    n = expr.nvars
+    keep = [i for i in range(n) if i not in out]
+    if f is not None and f.modes != expr.modes:
+        raise ValueError(f"dimension mismatch: transform has {f.modes} modes, expression has {expr.modes}")
+    # the polynomial's variables u = read X + shift: z, then the projector's X_v
+    read = np.eye(n) if f is None else np.linalg.inv(f.matrix)
+    shift = np.zeros(n) if f is None else -read @ f.shift
+    if fock is not None:
+        if not 0 <= fock <= FOCK_CUTOFF:
+            raise ValueError(f"Fock projector order must lie in 0..{FOCK_CUTOFF}")
+        if len(out) != 2 or out[0] % 2 or out[1] != out[0] + 1:
+            raise ValueError(f"a Fock projector acts on one mode's two variables, got {out}")
+        lag = _poly_scale(_laguerre_poly_2d(fock), (-1.0) ** fock)
+        a2 = np.zeros((n, n))
+        a2[out, out] = 1.0
+        read, shift = np.vstack([read, np.eye(n)[out]]), np.concatenate([shift, np.zeros(2)])
+    noise = read[:, out]
     new_terms = []
     for t in expr.terms:
-        a = np.linalg.inv(t.quad)
+        weight, poly, mean, quad = t.weight, t.poly, t.mean, t.quad
+        if f is not None:
+            mean, quad = f.matrix @ mean + f.shift, f.matrix @ quad @ f.matrix.T
+            quad = (quad + quad.T) / 2.0
+        if fock is not None:  # 2 pi F_n = 2 (-1)^n L_n(2 (x^2 + p^2)) exp(-x^2 - p^2)
+            quad, mean, gamma = _gaussian_product(np.linalg.inv(quad), mean, a2, np.zeros(n))
+            weight *= 2.0 * math.exp(-gamma)
+            poly = {ea + eb: ca * cb for ea, ca in poly.items() for eb, cb in lag.items()}
+        a = np.linalg.inv(quad)
         a_vv = a[np.ix_(out, out)]
-        a_vu = a[np.ix_(out, keep)]
-        det_avv = np.linalg.det(a_vv)
-        z = math.pi ** (len(out) / 2.0) / math.sqrt(det_avv)
-        new_quad = t.quad[np.ix_(keep, keep)]
-        new_mean = t.mean[keep]
-        # conditional mean of integrated vars: m_v - A_vv^{-1} A_vu (u - m_u), affine in u
-        b = -np.linalg.solve(a_vv, a_vu)
-        nk = len(keep)
-        cond_rows = []
-        for i in range(len(out)):
-            row = {(0,) * nk: t.mean[out[i]] - float(b[i] @ new_mean)}
-            for j in range(nk):
-                if b[i, j] != 0.0:
-                    row[tuple(int(j == k) for k in range(nk))] = b[i, j]
-            cond_rows.append(_poly_prune(row) or _const_poly(nk, 0.0))
-        cond_cov = np.linalg.inv(a_vv) / 2.0
-        poly = _conditional_expectation_poly(t.poly, keep, out, cond_rows, cond_cov)
-        if not poly:
-            continue
-        new_terms.append(Term(t.weight * z, poly, new_mean, new_quad))
+        b = -np.linalg.solve(a_vv, a[np.ix_(out, keep)])
+        lin, const = read[:, keep] + noise @ b, shift + noise @ (mean[out] - b @ mean[keep])
+        poly = _affine_expectation(poly, lin, const, noise @ (np.linalg.inv(a_vv) / 2.0) @ noise.T)
+        if poly:
+            z = math.pi ** (len(out) / 2.0) / math.sqrt(np.linalg.det(a_vv))
+            new_terms.append(Term(weight * z, poly, mean[keep], quad[np.ix_(keep, keep)]))
     return WignerExpr(expr.modes - len(out) // 2, new_terms)
 
 
@@ -531,53 +574,18 @@ def _gaussian_product(a1: np.ndarray, m1: np.ndarray, a2: np.ndarray, m2: np.nda
 
     exp(-(X-m1)^T a1 (X-m1)) exp(-(X-m2)^T a2 (X-m2)) = exp(-gamma) exp(-(X-m3)^T a3 (X-m3))
     with a3 = a1 + a2 and a3 m3 = a1 m1 + a2 m2.  a2 may be singular (a factor
-    on some variables only) or complex, and may carry a leading batch axis,
-    shape (B, n, n), which the results then share.  Returns
-    (a3^{-1} symmetrized, m3, gamma).
+    on some variables only).  Returns (a3^{-1} symmetrized, m3, gamma).
     """
     a3 = a1 + a2
     quad3 = np.linalg.inv(a3)
-    m3 = np.linalg.solve(a3, (a1 @ m1 + a2 @ m2)[..., None])[..., 0]
-    gamma = m1 @ a1 @ m1 + m2 @ a2 @ m2 - (m3[..., None, :] @ a3 @ m3[..., :, None])[..., 0, 0]
-    return (quad3 + np.swapaxes(quad3, -1, -2)) / 2.0, m3, gamma
-
-
-def _multiply_projector(expr: WignerExpr, mode: int, proj_poly_2d: Poly, scale: float) -> WignerExpr:
-    """Multiply by scale * poly(x_m, p_m) * exp(-x_m^2 - p_m^2) without integrating."""
-    idx = expr._var_indices(mode)
-    nv = expr.nvars
-    a2 = np.zeros((nv, nv))
-    a2[idx, idx] = 1.0
-    lifted = {}
-    for (ex, ep), c in proj_poly_2d.items():
-        e = [0] * nv
-        e[idx[0]], e[idx[1]] = ex, ep
-        lifted[tuple(e)] = c
-    terms = []
-    for t in expr.terms:
-        quad3, m3, gamma = _gaussian_product(np.linalg.inv(t.quad), t.mean, a2, np.zeros(nv))
-        terms.append(Term(t.weight * scale * math.exp(-gamma), _poly_mul(t.poly, lifted), m3, quad3))
-    return WignerExpr(expr.modes, terms)
+    m3 = np.linalg.solve(a3, a1 @ m1 + a2 @ m2)
+    gamma = m1 @ a1 @ m1 + m2 @ a2 @ m2 - m3 @ a3 @ m3
+    return (quad3 + quad3.T) / 2.0, m3, gamma
 
 
 def project_fock_unnormalized(expr: WignerExpr, mode: int, n: int) -> WignerExpr:
     """Apply 2*pi*F_n on one mode and integrate that mode out (no renormalization)."""
-    if n < 0 or n > FOCK_CUTOFF:
-        raise ValueError(f"Fock projector order must lie in 0..{FOCK_CUTOFF}")
-    poly = _poly_scale(_laguerre_poly_2d(n), (-1.0) ** n)
-    projected = _multiply_projector(expr, mode, poly, 2.0)  # 2*pi * (1/pi) = 2
-    return _integrate_out(projected, expr._var_indices(mode))
-
-
-def _complement(expr: WignerExpr, mode: int, projected: WignerExpr) -> WignerExpr:
-    """Unnormalized complement of a Fock projection on one mode: projector 1 - 2 pi F_n.
-
-    `projected` is project_fock_unnormalized(expr, mode, n); the result is the
-    mode traced out minus that projection.
-    """
-    full = _integrate_out(expr, expr._var_indices(mode))
-    negated = [Term(-t.weight, t.poly, t.mean, t.quad) for t in projected.terms]
-    return WignerExpr(expr.modes - 1, full.terms + negated)
+    return _integrate_out(expr, expr._var_indices(mode), fock=n)
 
 
 def _herald_branch(reduced: WignerExpr, prob: float) -> tuple[WignerExpr, float]:
@@ -599,13 +607,16 @@ def project_fock(expr: WignerExpr, mode: int, n: int) -> tuple[WignerExpr, float
 def _single_mode_g(expr1: WignerExpr, s: np.ndarray) -> np.ndarray:
     """Integral of exp(-s (x^2+p^2)) against a normalized single-mode expression, for each s of a 1-D array."""
     total = np.zeros(s.shape, dtype=complex)
-    a2 = s[:, None, None] * np.eye(2)
     for t in expr1.terms:
-        a = np.linalg.inv(t.quad)
-        evals = np.linalg.eigh(a)[0]
-        det_sqrt = np.sqrt(evals[0] + s) * np.sqrt(evals[1] + s)  # factors stay in the right half plane
-        quad_s, m_s, gamma = _gaussian_product(a, t.mean, a2, np.zeros(2))
-        epoly = _gaussian_expectation(t.poly, m_s.T, quad_s.transpose(1, 2, 0) / 2.0)
+        # a + s I = V diag(lam + s) V^T: the Gaussian-product rule in the eigenbasis of a, for every s at once
+        lam, v = np.linalg.eigh(np.linalg.inv(t.quad))
+        det_sqrt = np.sqrt(lam[0] + s) * np.sqrt(lam[1] + s)  # factors stay in the right half plane
+        inv = 1.0 / (lam[:, None] + s)  # (2, B)
+        vm = v.T @ t.mean
+        quad_s = np.einsum("ik,jk,kb->ijb", v, v, inv)
+        m_s = v @ ((vm * lam)[:, None] * inv)
+        gamma = (vm**2 * lam) @ (s * inv)
+        epoly = _gaussian_expectation(t.poly, m_s, quad_s / 2.0)
         total += t.weight * np.exp(-gamma) * math.pi / det_sqrt * epoly
     return total
 
@@ -653,7 +664,7 @@ def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = DEFAULT
     if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
         raise ValueError(f"distribution outside [0,1]: range [{probs.min():.3e}, {probs.max():.3e}]")
     probs = np.clip(probs, 0.0, 1.0)
-    return PhotonNumberDistribution(probs, n_max, 1.0 - float(probs.sum()))
+    return PhotonNumberDistribution(probs, n_max, min(max(1.0 - float(probs.sum()), 0.0), 1.0))
 
 
 def attenuate(expr: WignerExpr, mode: int, eta: float, nbar_env: float = 0.0) -> WignerExpr:
@@ -670,9 +681,8 @@ def attenuate(expr: WignerExpr, mode: int, eta: float, nbar_env: float = 0.0) ->
     if nbar_env < 0.0:
         raise ValueError(f"environment photon number must be >= 0, got {nbar_env}")
     joint = tensor_exprs(expr, from_gaussian(thermal_state(nbar_env)))
-    anc = expr.modes + 1
-    mixed = apply_symplectic(joint, embed(make_beam_splitter(eta), [mode, anc], anc))
-    return _integrate_out(mixed, [2 * (anc - 1), 2 * anc - 1])
+    anc = joint.modes
+    return _integrate_out(joint, joint._var_indices(anc), f=embed(make_beam_splitter(eta), [mode, anc], anc))
 
 
 def overlap(a: WignerExpr, b: WignerExpr) -> float:

@@ -2,11 +2,14 @@
 
 Both branches of a herald come from the same projection of the ancilla
 output, so together they reassemble the signal state with the ancilla traced
-out: p_s W_s + p_f W_f = Tr_anc[U (W (x) W_anc) U^dagger].
+out: p_s W_s + p_f W_f = Tr_anc[U (W (x) W_anc) U^dagger].  The mixing is
+never substituted into the joint state: each branch conditions the joint's
+Gaussians through the mix, and agrees with the substituted route.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from wignersim import conditional as cond
@@ -41,8 +44,8 @@ MECHANISMS = {
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count apply_symplectic and project_fock_unnormalized calls, wherever they are bound."""
-    seen = {"apply_symplectic": 0, "project_fock_unnormalized": 0}
+    """Count apply_symplectic, _poly_substitute and _integrate_out calls, wherever they are bound."""
+    seen = {"apply_symplectic": 0, "_poly_substitute": 0, "_integrate_out": 0}
     for name in seen:
         orig = getattr(wg, name)
 
@@ -51,16 +54,55 @@ def counts(monkeypatch):
             return _orig(*args, **kwargs)
 
         for module in (wg, cond):
-            monkeypatch.setattr(module, name, counted)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     return seen
 
 
 @pytest.mark.parametrize("name", sorted(MECHANISMS))
 def test_one_mixing_and_one_projection(name, counts):
+    # the projection and the trace each condition the joint state through the mix; nothing is substituted
     branches, _, _ = MECHANISMS[name]
     success, failure = branches(signal())
-    assert counts == {"apply_symplectic": 1, "project_fock_unnormalized": 1}
+    assert counts == {"apply_symplectic": 0, "_poly_substitute": 0, "_integrate_out": 2}
     assert (success.branch, failure.branch) == ("success", "failure")
+
+
+def two_term_signal() -> WignerExpr:
+    """Non-Gaussian two-mode signal of two terms: Fock(1) x coherent, and displaced squeezed x thermal."""
+    fock = wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.coherent_state(0.7, 0.3)))
+    squeezed = ga.propagate(ga.squeezed_vacuum(0.4, 0.5), sym.make_displacement(0.8, 1.1))
+    gauss = wg.tensor_exprs(wg.from_gaussian(squeezed), wg.from_gaussian(ga.thermal_state(0.5)))
+    return WignerExpr(2, _scaled(fock, 0.6) + _scaled(gauss, 0.4))
+
+
+# name -> (coupling, ancilla, projector order); the herald acts on mode 1 through ancilla mode 3
+ROUTES = {
+    "bs_add_m1": (sym.make_beam_splitter(0.85), lambda: wg.fock_wigner(1), 0),
+    "bs_add_m3": (sym.make_beam_splitter(0.85), lambda: wg.fock_wigner(3), 0),
+    "fock_subtract_m1": (sym.make_beam_splitter(0.8), vacuum, 1),
+    "fock_subtract_m2": (sym.make_beam_splitter(0.8), vacuum, 2),
+    "click_subtract": (sym.make_beam_splitter(0.8), vacuum, 0),
+    "spdc_add": (sym.make_two_mode_squeezer(0.3, 0.2), vacuum, 1),
+}
+
+
+@pytest.mark.parametrize("project", [True, False], ids=["projection", "trace"])
+@pytest.mark.parametrize("name", sorted(ROUTES))
+def test_conditioning_matches_the_substituted_route(name, project):
+    # integrating the ancilla out through the mix equals substituting the mix first and integrating after
+    coupling, ancilla, n = ROUTES[name]
+    joint = wg.tensor_exprs(two_term_signal(), ancilla())
+    mix, anc, fock = sym.embed(coupling, [3, 1], 3), [4, 5], n if project else None
+    fused = wg._integrate_out(joint, anc, f=mix, fock=fock)
+    substituted = wg._integrate_out(wg.apply_symplectic(joint, mix), anc, fock=fock)
+    assert fused.modes == substituted.modes == 2
+    assert abs(fused.norm - substituted.norm) <= 1e-13 * abs(substituted.norm)
+    points = np.random.default_rng(7).normal(scale=0.7, size=(20, 4))
+    got = np.array([fused.evaluate(x) for x in points])
+    want = np.array([substituted.evaluate(x) for x in points])
+    # a projected state changes sign, so each point is compared on the scale of the largest value
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _scaled(expr: WignerExpr, s: float) -> list[Term]:
@@ -138,3 +180,19 @@ def test_single_branch_ignores_an_improbable_complement():
 def test_every_entry_validates_its_arguments(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "var_indices, f, fock",
+    [
+        ([0, 1], None, -1),
+        ([0, 1], None, wg.FOCK_CUTOFF + 1),
+        ([1, 2], None, 0),  # p of mode 1 and x of mode 2
+        ([0, 1, 2, 3], None, 0),
+        ([0, 1], sym.make_beam_splitter(0.5), None),  # a two-mode map on a three-mode state
+    ],
+)
+def test_integrate_out_validates_its_arguments(var_indices, f, fock):
+    joint = wg.tensor_exprs(signal(), vacuum())
+    with pytest.raises(ValueError):
+        wg._integrate_out(joint, var_indices, f=f, fock=fock)

@@ -194,6 +194,41 @@ class TestPipeline:
         assert report.rows[0]["flag"] == "improbable herald branch"
         assert report.warnings
 
+    def test_almost_sure_click_herald_keeps_its_row(self):
+        # the no-click branch of alpha = 6 at T = 0.05 has probability ~1e-15: the click succeeds almost surely,
+        # so `run` keeps the row with the failure branch untracked, as `counts` does
+        raw = {
+            "inputs": [{"kind": "coherent", "alpha": 6.0}, {"kind": "vacuum"}],
+            "modifications": [{"op": "subtract", "stage": "output", "mode": 1, "m": "click", "T": 0.05}],
+            "interferometer": {"phi": 0.0},
+            "detection": [{"scheme": "intensity", "mode": 1}],
+            "metrics": ["snr"],
+        }
+        cfg = sc.ScenarioConfig.from_dict(raw)
+        row = sc.run(cfg).rows[0]
+        assert "flag" not in row
+        counted = sc.simulate_counts(cfg, trials=100, seed=1, t_grid=[0.05]).rows[0]
+        assert abs(row["herald_probability"] - counted["herald_probability"]) <= 1e-15
+
+    def test_click_cfi_where_the_failure_branch_drops_below_the_floor(self):
+        # near phi = 0.483964172 the no-click probability crosses the floor, so of phi and phi +- h some track
+        # the failure branch and some do not; the click CFI then reads the success arm alone
+        raw = {
+            "inputs": [{"kind": "coherent", "alpha": 6.0}, {"kind": "vacuum"}],
+            "modifications": [{"op": "subtract", "stage": "output", "mode": 1, "m": "click", "T": 0.05}],
+            "interferometer": {"phi": 0.0},
+            "detection": [{"scheme": "click", "mode": 1}, {"scheme": "click", "mode": 2}],
+            "metrics": ["cfi"],
+        }
+        cfg = sc.ScenarioConfig.from_dict(raw)
+        crossing, h = 0.483964172, est.DEFAULT_STEP
+        assert sc.build_pipeline(cfg, crossing - h).failure_state is None
+        assert sc.build_pipeline(cfg, crossing + h).failure_state is not None
+        for phi in (crossing - h / 2, crossing + h / 2):
+            report, warnings, _ = sc.evaluate_point(cfg, phi)
+            assert warnings == []
+            assert report.cfi == pytest.approx(10.2017, abs=1e-3)
+
     def test_heralded_pipeline(self):
         cfg = sc.ScenarioConfig.from_dict(
             base_config(
@@ -352,6 +387,13 @@ class TestDistributionsMetric:
         p1 = [d["p"] for d in dists if d["mode"] == 1]
         p2 = [d["p"] for d in dists if d["mode"] == 2]
         np.testing.assert_allclose(p1, p2, atol=1e-10)
+
+    def test_tail_mass_is_a_probability(self):
+        # the tail is 1 minus the summed probabilities, which rounding can push just below 0
+        row = sc.run(sc.load_config(str(ROOT / "configs" / "subtracted_thermal.json"))).rows[0]
+        tails = [v for k, v in row.items() if k.startswith("distribution_tail.")]
+        assert len(tails) == 2
+        assert all(0.0 <= v <= 1.0 for v in tails)
 
 
 class TestEmitDeterminism:

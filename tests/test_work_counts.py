@@ -72,11 +72,12 @@ def test_norm_is_computed_once_on_first_read(monkeypatch):
 
 
 def counter(monkeypatch, module, name: str) -> list:
+    """The keyword arguments of each call, in order."""
     calls = []
     orig = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs)
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -205,10 +206,11 @@ def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
     sc._prefix_moments.cache_clear()
     sc._observer.cache_clear()
     sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
-    # apply_symplectic: the input squeeze on both arms and the 4 attenuations, all in the prefix
+    # apply_symplectic: the input squeeze on both arms, in the prefix; the 4 attenuations condition
+    # each term through their beam splitter and substitute nothing
     # moment_tensor: both arms of the lossy prefix and of the lossless one (the photon-number probe)
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "attenuate": 4, "build_pipeline": 0, "_herald": 1, "apply_symplectic": 6, "moment_tensor": 4}
+        "attenuate": 4, "build_pipeline": 0, "_herald": 1, "apply_symplectic": 2, "moment_tensor": 4}
 
 
 @pytest.mark.parametrize("config, m, terms", [("pacs_counts.json", 3, 1), ("subtracted_thermal.json", "click", 2)])
@@ -239,11 +241,30 @@ def test_counted_m3_state_is_one_mode(monkeypatch):
 def test_counts_builds_no_failure_branch_and_one_inverse_dft(monkeypatch):
     # `counts` reads the success branch alone, asked for through the single-branch entry point, and every
     # grid point inverts its generating function by one cached matrix
-    complement = counter(monkeypatch, cond, "_complement")
+    integrations = counter(monkeypatch, cond, "_integrate_out")
     entries = {name: counter(monkeypatch, cond, name) for name in ("add_photons_bs", "add_photons_bs_branches")}
     wg._inverse_dft.cache_clear()
     report = sc.simulate_counts(sc.load_config(PACS_COUNTS), trials=3600, seed=42)
     assert len(report.rows) == 19
-    assert complement == []
+    assert [kwargs.get("fock") for kwargs in integrations] == [0] * 19  # no trace: only a failure branch needs one
     assert {name: len(calls) for name, calls in entries.items()} == {"add_photons_bs": 19, "add_photons_bs_branches": 0}
     assert wg._inverse_dft.cache_info().misses == 1
+
+
+def test_counted_m3_herald_substitutes_nothing(monkeypatch):
+    # every herald of an m = 3 `counts` run conditions the joint state through its beam splitter: the MZI is
+    # the one substitution, and no polynomial product grows past the counted state's 16 monomials
+    calls = {name: counter(monkeypatch, wg, name) for name in ("apply_symplectic", "_poly_substitute")}
+    sizes = []
+    orig = wg._poly_mul
+
+    def sized(a, b):
+        out = orig(a, b)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(wg, "_poly_mul", sized)
+    report = sc.simulate_counts(sc.load_config(PACS_COUNTS).with_values(m=3), trials=3600, seed=42)
+    assert len(report.rows) == 19
+    assert {name: len(c) for name, c in calls.items()} == {"apply_symplectic": 1, "_poly_substitute": 0}
+    assert 0 < max(sizes) <= 16
