@@ -9,8 +9,9 @@ for a signal whose first two moments are trigonometric polynomials in phi
 (`trig_signal`, from equispaced samples, with its stationary points from the
 companion matrix of their condition), from the value, slope and curvature of a
 +-1 or Bernoulli signal (`jet_phase_variance`, with `kernel_minima` refining a
-batched grid to its stationary points), and golden section for any other
-(`golden_minimize`).
+batched grid to its stationary points by a bracketed refinement, `_refine`,
+that reads a window of phases in every bracket per batched call), and golden
+section for any other (`golden_minimize`).
 
 The Gaussian QFI takes the family's exact tangent (dR, dsigma), and `cfi` an
 exact slope of each outcome where the caller has one.  Error propagation, the
@@ -48,6 +49,17 @@ PURE_WIGNER_TOL = 1e-6
 SNR_VARIANCE_FLOOR = 1e-12
 # Cells of a phase grid read per batched call, which bounds its arrays for a bright, fine-grained grid.
 KERNEL_CHUNK = 4096
+# Phases `_refine` reads inside each bracket per round, and the most rounds it takes.
+REFINE_WINDOW = 32
+REFINE_ROUNDS = 64
+_EVEN = np.arange(1, REFINE_WINDOW + 1) / (REFINE_WINDOW + 1)
+# A window's offsets from its guess, in ulps, for phases in increasing order: the k-th on either side is
+# k + (w / ulp)^growth_k, 1 to 6 ulps and then growing geometrically towards the bracket width w.
+_K = np.concatenate([np.arange(REFINE_WINDOW // 2)[::-1], np.arange(REFINE_WINDOW // 2)])
+_SIGN = np.repeat([-1.0, 1.0], REFINE_WINDOW // 2)
+_GROWTH = np.maximum(_K - 5, 0) / (REFINE_WINDOW // 2 - 5)
+_FOUR = np.arange(4)
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 PhiFunction = Callable[[float], float]
 
@@ -157,17 +169,30 @@ def cfi(branches: BranchSet, phi: float) -> float:
     return total
 
 
-def binary_cfi(p: float, dp: float, phi: float) -> float:
+def binary_cfi(p: float, dp: float, phi: float, d2p: float | None = None) -> float:
     """CFI p'^2 / p + p'^2 / (1 - p) of a two-outcome detector, from one outcome's P = p and its exact slope dp.
 
     The first term is taken as p (p'/p)^2: for a p resolved to relative
     precision (the no-click probability at a bright port) it stays finite, and
-    tends to 0, as p underflows.  The other outcome, 1 - p, must lie above
-    SLOPE_FLOOR.
+    tends to 0, as p underflows.  Given the curvature d2p of p, an outcome
+    whose probability is at most SLOPE_FLOOR, with a slope that a quadratic
+    zero that deep could have (P'^2 <= 4 P'' SLOPE_FLOOR), is a dark outcome:
+    it adds the limit 2 P'' of P'^2 / P, which rounding leaves unresolved.
+    Otherwise the other outcome, 1 - p, must lie above SLOPE_FLOOR.
     """
+
+    def dark(q: float, dq: float, d2q: float | None) -> bool:
+        return d2q is not None and q <= SLOPE_FLOOR and d2q > 0.0 and dq * dq <= 4.0 * d2q * SLOPE_FLOOR
+
+    if dark(p, dp, d2p):
+        total = 2.0 * d2p
+    else:
+        total = p * (dp / p) ** 2 if p > 0.0 else 0.0
+    if dark(1.0 - p, -dp, None if d2p is None else -d2p):
+        return total - 2.0 * d2p
     if 1.0 - p <= SLOPE_FLOOR:
         raise DegenerateBranch(f"branch probability {1.0 - p:.3e} at phi={phi:.6g}")
-    return (p * (dp / p) ** 2 if p > 0.0 else 0.0) + dp * dp / (1.0 - p)
+    return total + dp * dp / (1.0 - p)
 
 
 def probabilistic_cfi(
@@ -529,76 +554,120 @@ def jet_phase_variance(m, m1, m2, var_noise, bernoulli: bool) -> np.ndarray:
     return v
 
 
-def _illinois(f: Callable, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Roots of f, one between each a and b where fa and fb differ in sign, by Illinois regula falsi over arrays.
+def _refine(jet: Callable, f: Callable, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of f, one in each bracket [x1, x2] of four sorted phases x0 <= x1 < x2 <= x3, as read phases.
 
-    Each step replaces the end on the root's side by the secant point, and
-    halves the value of the other end when that end is kept twice, so that it
-    moves too; steps stop once none moves a root by more than a few ulps.
+    `jet(phis)` returns a (q, n) stack; x is (k, 4), g (q, k, 4) the jet at x, and f(g, rows) maps the jets
+    (q, m, ...) of the rows `rows` of x to (m, ...), with a sign change from x1 to x2.  Each round makes one jet
+    call, at REFINE_WINDOW phases inside every live bracket, and keeps the sub-interval where f changes sign,
+    with its two neighbours: an enclosure method after Alefeld, Potra & Shi, ACM TOMS 21, 327 (1995).  The
+    phases sit around the inverse cubic interpolant phi(f) = 0 through the four points, at distances growing
+    from one ulp to the bracket width, so that a guess off by e leaves a bracket a few e wide.  A bracket with
+    no guess strictly inside it (four points with a repeated f have none), or that the last round did not
+    halve, is spread evenly instead.  A bracket stops at 4 ulp (of its upper end at the start of the round),
+    or at a phase where f is 0.  Returns the end of each final bracket where |f| is least, and the jet (q, k)
+    read there.
     """
-    for _ in range(64):
-        c = (a + b) / 2.0
-        np.divide(a * fb - b * fa, fb - fa, out=c, where=fb != fa)
-        done = np.abs(c - b) <= 4.0 * np.finfo(float).eps * np.maximum(np.abs(b), 1.0)
-        if np.all(done):
-            return c
-        fc = f(c)
-        flip = np.sign(fc) == -np.sign(fb)
-        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
-        b, fb = c, fc
-    return b
+    slot, roots, jets = np.arange(len(x)), np.empty(len(x)), np.empty(g.shape[:2])
+    if not len(x):
+        return roots, jets
+    y, halved = f(g, slot), np.ones(len(x), dtype=bool)
+    for n in range(REFINE_ROUNDS):
+        if not len(slot):
+            break
+        a, b = x[:, 1:2], x[:, 2:3]
+        width, u = b - a, np.spacing(np.maximum(b, 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lagrange = np.where(_OFF_DIAGONAL, y[:, None, :] / (y[:, None, :] - y[:, :, None]), 1.0).prod(2)
+            r = (x * lagrange).sum(1)[:, None]
+            window = r + u * _SIGN * ((width / u) ** _GROWTH + _K)
+        guess = (r > a) & (r < b) & halved[:, None]
+        window = np.where(guess, np.minimum(np.maximum(window, a), b), a + width * _EVEN)
+        read = np.asarray(jet(window.ravel())).reshape(len(g), len(slot), REFINE_WINDOW)
+        xs = np.concatenate([x[:, :2], window, x[:, 2:]], 1)
+        ys = np.concatenate([y[:, :2], f(read, slot), y[:, 2:]], 1)
+        gs = np.concatenate([g[:, :, :2], read, g[:, :, 2:]], 2)
+        # the first phase after x1 where f leaves the sign of f(x1), never 0, closes the new bracket
+        at = (ys[:, 2:-1] * np.sign(ys[:, 1:2]) <= 0.0).argmax(1)[:, None] + _FOUR
+        rows = np.arange(len(slot))[:, None]
+        x, y, g = xs[rows, at], ys[rows, at], gs[:, rows, at]
+        halved = x[:, 2] - x[:, 1] <= width[:, 0] / 2.0
+        done = (x[:, 2] - x[:, 1] <= 4.0 * u[:, 0]) | (y[:, 2] == 0.0)
+        if n == REFINE_ROUNDS - 1:
+            done[:] = True
+        if done.any():
+            upper = np.abs(y[done, 2]) < np.abs(y[done, 1])
+            roots[slot[done]] = np.where(upper, x[done, 2], x[done, 1])
+            jets[:, slot[done]] = np.where(upper, g[:, done, 2], g[:, done, 1])
+            x, y, g, halved, slot = x[~done], y[~done], g[:, ~done], halved[~done], slot[~done]
+    return roots, jets
 
 
 def kernel_minima(jet: Callable, period: float, cells: int, bernoulli: bool) -> list[tuple[float, float]]:
     """(phi, V) at the stationary points of V = Var / <O>'^2 over one period of a +-1 or Bernoulli signal.
 
     `jet(phis)` returns <O>, <O>', <O>'' and the rounding level of Var at an
-    array of phases.  It is read at the centres of `cells` equal cells over
-    [0, period], KERNEL_CHUNK cells per call; with `cells` a multiple of 4 no
-    centre falls on a multiple of pi, where symmetric signals have <O>' = 0.
-    With theta' = <O>' / sqrt(Var), V = 1 / theta'^2, so the stationary points
-    of V other than its poles are the zeros of N = Var' <O>' - 2 Var <O>'', as
-    theta'' = -N / (2 Var^{3/2}).  Every cell where a resolvable <O>' changes
-    sign is refined to the zero of <O>' (`_illinois`).  Where Var is at
-    rounding level there, that zero is a dark fringe, and V is its exact limit
-    (`jet_phase_variance`); otherwise it is a pole of V, where N keeps its sign
-    and which splits its cell in two, since the mirror minima next to a nearly
-    dark fringe may share one.  Every (half) cell with a resolvable slope
-    where N changes sign is then refined to the zero of N, except within one
-    cell of a dark fringe, where N vanishes to third order and Var / <O>'^2 is
-    rounding over rounding.
+    array of phases, as a (4, n) stack.  It is read at the centres of `cells`
+    equal cells over [0, period], KERNEL_CHUNK cells per call; with `cells` a
+    multiple of 4 no centre falls on a multiple of pi, where symmetric signals
+    have <O>' = 0.  With theta' = <O>' / sqrt(Var), V = 1 / theta'^2, so the
+    stationary points of V other than its poles are the zeros of
+    N = Var' <O>' - 2 Var <O>'', as theta'' = -N / (2 Var^{3/2}).  Every cell
+    where a resolvable <O>' changes sign is refined to the zero of <O>'
+    (`_refine`).  Where Var is at rounding level there, that zero is a dark
+    fringe, and V is its exact limit (`jet_phase_variance`); otherwise it is a
+    pole of V, where N keeps its sign and which splits its cell in two, since
+    the mirror minima next to a nearly dark fringe may share one.  Every
+    (half) cell with a resolvable slope where N changes sign is refined to the
+    zero of N, except within one cell of a dark fringe, where N vanishes to
+    third order and Var / <O>'^2 is rounding over rounding.  The whole cells
+    of N are refined with the zeros of <O>', in the same jet calls, and the
+    halves after them.  Each root is a phase the jet was read at, and V there
+    comes from that jet; the grid's jets at the cell ends and the poles' jets
+    are carried into the refinement, not read again.
     """
     step = period / cells
 
-    def n_of(m, m1, m2) -> np.ndarray:
-        var, var1, _ = _signal_variance(m, m1, m2, bernoulli)
-        return var1 * m1 - 2.0 * var * m2
+    def n_of(g: np.ndarray) -> np.ndarray:
+        var, var1, _ = _signal_variance(g[0], g[1], g[2], bernoulli)
+        return var1 * g[1] - 2.0 * var * g[2]
 
-    sign_changes, brackets = [], []  # (lo, hi, f(lo), f(hi)) of <O>', and of N
+    zeros, cells_n = [], []  # (phases, jets) (k, 4) around each cell where <O>', and N, change sign
     for start in range(0, cells, KERNEL_CHUNK):
         phi = step * (np.arange(start, min(start + KERNEL_CHUNK, cells) + 1) + 0.5)
-        m, m1, m2, _ = jet(phi)
-        nn = n_of(m, m1, m2)
-        m1 = np.where(np.abs(m1) > np.maximum(SLOPE_FLOOR, SLOPE_NOISE * np.abs(m)), m1, 0.0)
-        i = np.flatnonzero(m1[:-1] * m1[1:] < 0.0)
-        sign_changes.append((phi[i], phi[i + 1], m1[i], m1[i + 1], nn[i], nn[i + 1]))
-        j = np.flatnonzero((nn[:-1] * nn[1:] < 0.0) & (m1[:-1] * m1[1:] > 0.0))
-        brackets.append((phi[j], phi[j + 1], nn[j], nn[j + 1]))
-    lo, hi, f_lo, f_hi, n_lo, n_hi = (np.concatenate(c) for c in zip(*sign_changes))
-    zeros = _illinois(lambda p: jet(p)[1], lo, hi, f_lo, f_hi)
-    m, m1, m2, var_noise = jet(zeros)
-    dark = np.abs(_signal_variance(m, m1, m2, bernoulli)[0]) <= var_noise
-    fringes = zeros[dark]
-    points = list(zip(fringes, jet_phase_variance(m, m1, m2, var_noise, bernoulli)[dark]))
-    pole, n_pole = zeros[~dark], n_of(m, m1, m2)[~dark]
-    brackets += [(lo[~dark], pole, n_lo[~dark], n_pole), (pole, hi[~dark], n_pole, n_hi[~dark])]
-    lo, hi, f_lo, f_hi = (np.concatenate(c) for c in zip(*brackets))
-    # the distance of each cell from each dark fringe, over the period
-    apart = np.abs(((lo + hi)[:, None] / 2.0 - fringes + period / 2.0) % period - period / 2.0)
-    keep = (f_lo * f_hi < 0.0) & ~np.any(apart < 1.5 * step, axis=1)
-    roots = _illinois(lambda p: n_of(*jet(p)[:3]), lo[keep], hi[keep], f_lo[keep], f_hi[keep])
-    points += zip(roots, jet_phase_variance(*jet(roots), bernoulli))
-    return [(_wrap(r, period), float(v)) for r, v in points if math.isfinite(v)]
+        g = np.asarray(jet(phi))
+        nn = n_of(g)
+        m1 = np.where(np.abs(g[1]) > np.maximum(SLOPE_FLOOR, SLOPE_NOISE * np.abs(g[0])), g[1], 0.0)
+        turns = m1[:-1] * m1[1:]
+        for rows, cells_at in ((zeros, turns < 0.0), (cells_n, (nn[:-1] * nn[1:] < 0.0) & (turns > 0.0))):
+            # each cell and its neighbours, the cell's own ends standing in for those past the chunk's
+            i = np.minimum(np.maximum(np.flatnonzero(cells_at)[:, None] - 1 + _FOUR, 0), len(phi) - 1)
+            rows.append((phi[i], g[:, i]))
+    (x, g), (x_n, g_n) = ((np.concatenate(c, axis=-2) for c in zip(*found)) for found in (zeros, cells_n))
+
+    def apart(x: np.ndarray, phis: np.ndarray) -> np.ndarray:
+        """The distance of each cell's centre from each phase, over the period."""
+        return np.abs(((x[:, 1] + x[:, 2])[:, None] / 2.0 - phis + period / 2.0) % period - period / 2.0)
+
+    k = len(x)
+    roots, g_root = _refine(jet, lambda g, rows: np.where((rows >= k)[:, None], n_of(g), g[1]),
+                            np.concatenate([x, x_n]), np.concatenate([g, g_n], 1))
+    dark = np.abs(_signal_variance(g_root[0, :k], g_root[1, :k], g_root[2, :k], bernoulli)[0]) <= g_root[3, :k]
+    fringes = roots[:k][dark]
+    # a pole splits its cell: (x0, x1, pole, x2) and (x1, pole, x2, x3)
+    x, g, pole, g_pole = x[~dark], g[:, ~dark], roots[:k][~dark, None], g_root[:, :k][:, ~dark, None]
+    x = np.concatenate([np.concatenate([x[:, :2], pole, x[:, 2:3]], 1), np.concatenate([x[:, 1:2], pole, x[:, 2:]], 1)])
+    g = np.concatenate([np.concatenate([g[:, :, :2], g_pole, g[:, :, 2:3]], 2),
+                        np.concatenate([g[:, :, 1:2], g_pole, g[:, :, 2:]], 2)], 1)
+    nn = n_of(g)
+    # within a cell of a dark fringe N vanishes to third order, and Var / <O>'^2 is rounding over rounding
+    keep = (nn[:, 1] * nn[:, 2] < 0.0) & ~np.any(apart(x, fringes) < 1.5 * step, axis=1)
+    halves, g_halves = _refine(jet, lambda g, rows: n_of(g), x[keep], g[:, keep])
+    far = ~np.any(apart(x_n, fringes) < 1.5 * step, axis=1)
+    phis = np.concatenate([fringes, roots[k:][far], halves])
+    variance = jet_phase_variance(*np.concatenate([g_root[:, :k][:, dark], g_root[:, k:][:, far], g_halves], 1),
+                                  bernoulli)
+    return [(_wrap(r, period), float(v)) for r, v in zip(phis, variance) if math.isfinite(v)]
 
 
 def golden_minimize(fn: PhiFunction, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float]:

@@ -637,6 +637,12 @@ def _prefix_jets(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None) -> 
     return tuple(None if w is None else (*w, tangent(w[1])) for w in slopes)
 
 
+@lru_cache(maxsize=2 * PREFIX_CACHE_SIZE)
+def _kernel_columns(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None, arm: int, order: int) -> list:
+    """(W, ..., W^(order)) of one prefix arm as the coefficient columns `wig.kernel_densities` reads."""
+    return wig.kernel_columns(_prefix_jets(inputs, input_mods, loss)[arm][: order + 1])
+
+
 def _after_mzi(config: ScenarioConfig, loss: ga.LossSpec | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K, b, C): the maps after the MZI as one channel X = K Z + b + xi, xi ~ N(0, C), on its output Z.
 
@@ -832,8 +838,9 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
     or half the no-click probability with S0 + I in place of S0
     (`meas.kernel_jet`).  On a Wigner state the parity is pi W(0) of the
     mode, the no-click probability 2 pi times its density at 0 blurred by
-    I/2, and their derivatives those of the arm's phase tangents (`_prefix_jets`,
-    `wig.kernel_densities`); `arm` 1 is the failure arm, `order` 1 omits the curvature.
+    I/2, and their derivatives those of the arm's phase tangents (`_prefix_jets`, read as the coefficient
+    columns of `_kernel_columns` by `wig.kernel_densities`); `arm` 1 is the failure arm, `order` 1 omits the
+    curvature.
     """
     gaussian_path, loss = _gaussian_possible(config), _uniform_loss(config)
     k, b, c = _after_mzi(config, loss if gaussian_path else None)
@@ -841,12 +848,12 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
     a_c, a_s, b = k[rows], 2.0 * (k @ sym.mzi_phase_derivative(0.0))[rows], b[rows]
     scale = 1.0 if scheme.kind == "parity" else 2.0
     if not gaussian_path:
-        exprs = _prefix_jets(config.inputs, _input_mods(config), loss)[arm][: order + 1]
+        columns = _kernel_columns(config.inputs, _input_mods(config), loss, arm, order)
         blur = c[rows, rows] + (0.0 if scheme.kind == "parity" else 0.5 * np.eye(2))
 
         def wigner_jet(phi: np.ndarray) -> tuple:
             a = a_c * np.cos(phi / 2.0)[:, None, None] + a_s * np.sin(phi / 2.0)[:, None, None]
-            densities, size = wig.kernel_densities(exprs, a, b, blur)
+            densities, size = wig.kernel_densities(columns, a, b, blur)
             return (*(math.pi * scale * densities), est.SLOPE_NOISE * math.pi * scale * size)
 
         return wigner_jet
@@ -881,11 +888,19 @@ def _mzi_qfi(config: ScenarioConfig) -> float:
     of every detector of the config at every phi.  A Gaussian prefix takes the QFI of its lossless MZI
     family; a Wigner prefix's success arm Var(n1 - n2) after the first 50/50 splitter, 4 Var(J_z) >= QFI.
     """
-    if not _gaussian_possible(config):
-        expr, tensor = _prefix_moments(config.inputs, _input_mods(config), _uniform_loss(config))[0]
+    gaussian_path = _gaussian_possible(config)
+    return _prefix_qfi(config.inputs, _input_mods(config), gaussian_path,
+                       None if gaussian_path else _uniform_loss(config))
+
+
+@lru_cache(maxsize=PREFIX_CACHE_SIZE)
+def _prefix_qfi(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss: ga.LossSpec | None) -> float:
+    """`_mzi_qfi` of one prefix, kept with it: the points of a sweep after the MZI share it."""
+    if not gaussian_path:
+        expr, tensor = _prefix_moments(inputs, input_mods, loss)[0]
         split = wig.AffineImage(expr, tensor, sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
         return meas.intensity_difference(split, 1, 2).variance
-    state = _prefix(config.inputs, _input_mods(config), True, None).state
+    state = _prefix(inputs, input_mods, True, None).state
     g = sym.mzi_phase_derivative(0.0)
     half = g @ state.cov
     return est.qfi_mixed_gaussian(state, g @ state.mean, half + half.T)
@@ -900,8 +915,8 @@ def _kernel_optimum(config: ScenarioConfig, scheme: meas.DetectionScheme, jet: C
     cell is the width of the narrowest fringe.  The fringe angle
     theta = arccos <O> (parity), or arccos(1 - 2P) (click), turns by at most
     one radian across it, since theta'^2 = <O>'^2 / Var <= F.  `est.kernel_minima` refines the stationary
-    points on that grid and reads V there from the jet; the least of them
-    (by the OPTIMUM_TIE rule) is reported.
+    points on that grid, a window of phases per bracket in each batched jet call, and reads V from the jet at
+    the phase it reports; the least of them (by the OPTIMUM_TIE rule) is reported.
     """
     cells = 4 * max(math.ceil(period * math.sqrt(_mzi_qfi(config)) / 4.0), 1)
     return _least(est.kernel_minima(jet, period, cells, scheme.kind == "click"))
@@ -912,13 +927,15 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
 
     Each arm adds, weighted by its probability, both detectors' CFIs (`est.binary_cfi`, where an outcome of
     probability 0 adds 0).  On the prefix channel each reads the no-click probability and its exact slope, resolved
-    at a bright port, from its jet (`_kernel_jet`).  A herald after the phase takes central differences of the
-    observation and adds the herald term P+'^2 / (P+ (1 - P+)); an arm untracked at any of those phases (below the
-    renormalization floor) adds nothing.
+    at a bright port, from its jet (`_kernel_jet`), and the curvature that gives a dark outcome's limit 2 P'' where
+    an outcome's probability is within rounding of 0: a click probability, formed as 1 - P0, or a Wigner no-click
+    probability, a sum of terms.  A herald after the phase takes central differences of the observation and adds
+    the herald term P+'^2 / (P+ (1 - P+)); an arm untracked at any of those phases (below the renormalization
+    floor) adds nothing.
     """
     observe = _observer(config)
     res, h, forward = observe(phi), est.DEFAULT_STEP, not _pulls_back(config)
-    near = (observe(phi + h), observe(phi - h)) if forward else ()
+    near, gaussian_path = (observe(phi + h), observe(phi - h)) if forward else (), _gaussian_possible(config)
     total = 0.0
     for arm, (branch, p) in enumerate((("state", res.success_prob), ("failure_state", 1.0 - res.success_prob))):
         part = 0.0
@@ -926,11 +943,15 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
             if forward:  # the less probable outcome, so that one impossible at phi and phi +- h adds 0
                 p0, up, down = (meas.click_probability(getattr(r, branch), mode) for r in (res, *near))
                 p0, up, down = (p0, up, down) if p0 <= 0.5 else (1.0 - p0, 1.0 - up, 1.0 - down)
-                dp0 = (up - down) / (2.0 * h)
+                dp0, d2p0 = (up - down) / (2.0 * h), None
             else:
-                jet = _kernel_jet(config, meas.DetectionScheme("click", mode), arm, order=1)
-                p0, dp0 = (float(v[0]) for v in jet(np.array([phi]))[:2])
-            part += est.binary_cfi(p0, dp0, phi)
+                scheme = meas.DetectionScheme("click", mode)
+                p0, dp0 = (float(v[0]) for v in _kernel_jet(config, scheme, arm, order=1)(np.array([phi]))[:2])
+                # an outcome whose probability rounds to the level of its absolute error may be a dark one, whose
+                # limit needs the curvature; a Gaussian no-click probability keeps its relative precision
+                dark = 1.0 - p0 <= est.SLOPE_FLOOR or (p0 <= est.SLOPE_FLOOR and not gaussian_path)
+                d2p0 = float(_kernel_jet(config, scheme, arm)(np.array([phi]))[2][0]) if dark else None
+            part += est.binary_cfi(p0, dp0, phi, d2p0)
         total += p * part
     dp = (near[0].success_prob - near[1].success_prob) / (2.0 * h) if forward else 0.0
     return total + (est.binary_cfi(res.success_prob, dp, phi) if dp else 0.0)
@@ -973,13 +994,16 @@ def _input_mean_photon(config: ScenarioConfig) -> float:
     """Total mean photon number entering the interferometer (after the input-stage modifications).
 
     The passive MZI keeps the total, so it is read from the cached lossless
-    prefix: the state itself on the Gaussian path, the second moments of its
-    moment tensor (<n_k> = (<x_k^2> + <p_k^2> - 1) / 2) on the Wigner path.
+    prefix: the state itself on the Gaussian path, its four second moments
+    (<n_k> = (<x_k^2> + <p_k^2> - 1) / 2) on the Wigner path, from one Wick
+    recursion rather than a degree-4 moment tensor that a lossy config's
+    observer, which reads the lossy prefix, would not share.
     """
-    if _gaussian_possible(config):
-        return ga.total_mean_photon(_prefix(config.inputs, _input_mods(config), True, None).state)
-    tensor = _prefix_moments(config.inputs, _input_mods(config), None)[0][1]
-    xx = np.diagonal(tensor[1:, 1:, 0, 0])  # <x_1^2>, <p_1^2>, <x_2^2>, <p_2^2>
+    gaussian_path = _gaussian_possible(config)
+    state = _prefix(config.inputs, _input_mods(config), gaussian_path, None).state
+    if gaussian_path:
+        return ga.total_mean_photon(state)
+    xx = wig.moments(state.normalize(), [{i: 2} for i in range(4)])  # <x_1^2>, <p_1^2>, <x_2^2>, <p_2^2>
     return float(sum(0.5 * (xx[i] + xx[i + 1]) - 0.5 for i in (0, 2)))
 
 

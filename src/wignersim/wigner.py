@@ -455,27 +455,47 @@ class AffineImage:
     def density_at_origin(self, mode: int, blur: np.ndarray) -> float:
         """Density at the origin of X_mode + eta, for eta ~ N(0, blur) independent (a 2x2 covariance, may be 0)."""
         i = slice(2 * mode - 2, 2 * mode)
-        return float(kernel_densities((self.expr,), self.a[None, i], self.shift[i], self.noise[i, i] + blur)[0][0, 0])
+        columns = kernel_columns((self.expr,))
+        return float(kernel_densities(columns, self.a[None, i], self.shift[i], self.noise[i, i] + blur)[0][0, 0])
 
 
-def kernel_densities(exprs: tuple, rows: np.ndarray, shift: np.ndarray, blur: np.ndarray) -> tuple:
-    """Density at 0 of V = B Y + c + eta, eta ~ N(0, blur), under each expression, for a stack of B (k, 2, n).
+@dataclass(frozen=True)
+class KernelColumn:
+    """One term of a stack of expressions that share its Gaussian: the variable covariance quad / 2, the mean,
+    det(pi quad), and the polynomials as coefficient columns {monomial: (len(exprs), 1) array}."""
 
-    The expressions share every term's Gaussian (W and its phase tangents).  Under it V has mean mu = B m + c and
-    covariance S = B Sigma B^T + blur; the term adds N(0; mu, S) times the Wick expectation of its polynomial given
-    V = 0.  Returns the densities (len(exprs), k) and the summed term magnitudes of the first, its rounding scale.
+    cov: np.ndarray
+    mean: np.ndarray
+    det: float
+    poly: dict
+
+
+def kernel_columns(exprs: tuple) -> list[KernelColumn]:
+    """The `KernelColumn` of each term of expressions that share every term's Gaussian (W and its phase tangents)."""
+    columns = []
+    for terms in zip(*(e.terms for e in exprs)):
+        t, keys = terms[0], set().union(*(u.poly for u in terms))
+        poly = {e: np.array([[u.weight * u.poly.get(e, 0.0)] for u in terms]) for e in keys}
+        columns.append(KernelColumn(t.quad / 2.0, t.mean, float(np.linalg.det(math.pi * t.quad)), poly))
+    return columns
+
+
+def kernel_densities(columns: list[KernelColumn], rows: np.ndarray, shift: np.ndarray, blur: np.ndarray) -> tuple:
+    """Density at 0 of V = B Y + c + eta, eta ~ N(0, blur), under each expression of the columns, for a stack of B
+    (k, 2, n).
+
+    Under a term's Gaussian V has mean mu = B m + c and covariance S = B Sigma B^T + blur; the term adds
+    N(0; mu, S) times the Wick expectation of its polynomial given V = 0, one recursion for all the expressions.
+    Returns the densities (len(exprs), k) and the summed term magnitudes of the first, its rounding scale.
     """
     total = scale = 0.0
-    for terms in zip(*(e.terms for e in exprs)):
-        t = terms[0]
-        sb = t.quad / 2.0 @ np.swapaxes(rows, 1, 2)  # Sigma B^T
-        s_inv, mu = np.linalg.inv(rows @ sb + blur), rows @ t.mean + shift
+    for c in columns:
+        sb = c.cov @ np.swapaxes(rows, 1, 2)  # Sigma B^T
+        s_inv, mu = np.linalg.inv(rows @ sb + blur), rows @ c.mean + shift
         gain = sb @ s_inv
-        cov = (t.quad / 2.0 - gain @ np.swapaxes(sb, 1, 2)).transpose(1, 2, 0)
-        z = np.sqrt(np.linalg.det(math.pi * t.quad) * np.linalg.det(s_inv)) / (2.0 * math.pi)
-        keys = set().union(*(u.poly for u in terms))  # the polynomials as coefficient columns: one recursion for all
-        poly = {e: np.array([[u.weight * u.poly.get(e, 0.0)] for u in terms]) for e in keys}
-        expectation = _gaussian_expectation(poly, (t.mean - (gain @ mu[..., None])[..., 0]).T, cov)
+        cov = (c.cov - gain @ np.swapaxes(sb, 1, 2)).transpose(1, 2, 0)
+        z = np.sqrt(c.det * np.linalg.det(s_inv)) / (2.0 * math.pi)
+        expectation = _gaussian_expectation(c.poly, (c.mean - (gain @ mu[..., None])[..., 0]).T, cov)
         part = z * np.exp(-0.5 * np.einsum("ki,kij,kj->k", mu, s_inv, mu)) * expectation
         total, scale = total + part, scale + np.abs(part[0])
     return total, scale

@@ -418,3 +418,19 @@ class TestCramerRaoOrdering:
         click2 = est.two_outcome(lambda p: meas.click_probability(fam(p), 2))
         total = est.cfi(click1, 1.1) + est.cfi(click2, 1.1)
         assert total <= qfi * (1.0 + 1e-7)
+
+
+class TestBinaryCfiDarkOutcome:
+    # P = x^2 / 2 near a quadratic zero x = 0 of P'' = 1: P'^2 / P = 2 P'' however small x is
+    def test_dark_outcome_adds_its_limit(self):
+        assert est.binary_cfi(1.0 - 1e-16, 0.0, math.pi, -1.0) == 2.0
+        assert est.binary_cfi(1e-16, 0.0, math.pi, 1.0) == 2.0
+
+    def test_without_curvature_a_dark_click_raises(self):
+        with pytest.raises(DegenerateBranch):
+            est.binary_cfi(1.0 - 1e-16, 0.0, math.pi)
+
+    def test_slope_too_steep_for_a_quadratic_zero_raises(self):
+        # a probability at rounding level with slope 1e-3 is no quadratic zero of curvature 1
+        with pytest.raises(DegenerateBranch):
+            est.binary_cfi(1.0 - 1e-16, 1e-3, math.pi, -1.0)

@@ -335,3 +335,82 @@ def test_point_a_dark_fringe_variance_is_the_qcrb():
     # there, where a Richardson limit of differences read 8.9e-10 above the QCRB
     report, _, _ = sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_a(math.pi)))
     assert report.phase_variance["intensity[1]"] == pytest.approx(report.qcrb, rel=1e-12, abs=0.0)
+
+
+# Synthetic parity signals with roots in closed form, theta = phi - PHI0.  POLES: <O> = A cos theta, so
+# Var = 1 - A^2 cos^2 theta never vanishes, <O>' = 0 at theta = 0, pi are poles of V, and
+# V = 1 + (1 - A^2) / (A^2 sin^2 theta) is least, 1 / A^2, at the mirror pair theta = pi / 2, 3 pi / 2.
+# FRINGES: <O> = cos psi with psi = theta + B sin theta, so Var = sin^2 psi and V = 1 / (1 + B cos theta)^2; its
+# stationary points are the dark fringes theta = 0, pi, where V takes its limits 1 / (1 +- B)^2.
+PHI0, A, B = 0.3, 0.8, 0.5
+
+
+def poles_jet(phi: np.ndarray) -> tuple:
+    t = phi - PHI0
+    return A * np.cos(t), -A * np.sin(t), -A * np.cos(t), np.full(np.shape(phi), 1e-16)
+
+
+def fringes_jet(phi: np.ndarray) -> tuple:
+    t = phi - PHI0
+    psi, dpsi = t + B * np.sin(t), 1.0 + B * np.cos(t)
+    return np.cos(psi), -np.sin(psi) * dpsi, -np.cos(psi) * dpsi**2 + np.sin(psi) * B * np.sin(t), \
+        np.full(np.shape(phi), 1e-16)
+
+
+def counted(jet, calls: list):
+    def read(phi):
+        calls.append(len(phi))
+        return jet(phi)
+
+    return read
+
+
+@pytest.mark.parametrize("jet, want", [
+    (poles_jet, [(PHI0 + math.pi / 2.0, 1.0 / A**2), (PHI0 + 1.5 * math.pi, 1.0 / A**2)]),
+    (fringes_jet, [(PHI0, 1.0 / (1.0 + B) ** 2), (PHI0 + math.pi, 1.0 / (1.0 - B) ** 2)]),
+], ids=["poles", "fringes"])
+def test_refined_roots_are_read_phases_within_4_ulp(jet, want):
+    points = sorted(est.kernel_minima(jet, 2.0 * math.pi, 12, bernoulli=False))
+    assert len(points) == len(want)
+    for (phi, v), (phi_want, v_want) in zip(points, want):
+        assert abs(phi - phi_want) <= 4.0 * np.spacing(phi_want)
+        # V is the one read from the jet at the reported phase, bit for bit
+        assert v == float(est.jet_phase_variance(*jet(np.array([phi])), False)[0])
+        assert v == pytest.approx(v_want, rel=1e-14, abs=0.0)
+
+
+def test_mirror_minima_tie():
+    (_, v1), (_, v2) = est.kernel_minima(poles_jet, 2.0 * math.pi, 12, bernoulli=False)
+    assert abs(v1 - v2) <= sc.OPTIMUM_TIE * abs(v1)
+
+
+@pytest.mark.parametrize("jet, brackets", [(poles_jet, 4), (fringes_jet, 2)], ids=["poles", "fringes"])
+def test_each_root_family_takes_at_most_4_jet_calls(jet, brackets, monkeypatch):
+    # one `_refine` takes the slope zeros and N's zeros together, a second the halves of the cells that poles split
+    families = []
+    refine = est._refine
+
+    def per_family(read, f, x, g):
+        families.append([])
+        return refine(counted(read, families[-1]), f, x, g)
+
+    monkeypatch.setattr(est, "_refine", per_family)
+    est.kernel_minima(jet, 2.0 * math.pi, 12, bernoulli=False)
+    assert families[0] and all(len(calls) <= 4 for calls in families)
+    # the first call reads all the brackets at once: two slope zeros, and for POLES two cells of N
+    assert families[0][0] == est.REFINE_WINDOW * brackets
+
+
+def test_bracket_whose_guess_falls_outside_it_still_converges():
+    # <O>' = -sin phi changes sign at pi inside [3.0, 3.3]; the inverse cubic through it and two far neighbours,
+    # where <O>' is not monotone, guesses a phase outside the bracket, so the first window spreads over it evenly
+    x = np.array([[0.2, 3.0, 3.3, 6.1]])
+    g = np.asarray(poles_jet(x[0] + PHI0))[:, None, :]
+    y = g[1, 0]
+    guess = sum(x[0, i] * math.prod(y[m] / (y[m] - y[i]) for m in range(4) if m != i) for i in range(4))
+    assert not 3.0 < guess < 3.3
+    calls = []
+    roots, jets = est._refine(counted(lambda phi: poles_jet(phi + PHI0), calls), lambda g, rows: g[1], x, g)
+    assert abs(roots[0] - math.pi) <= 4.0 * np.spacing(math.pi)
+    assert np.array_equal(jets[:, 0], np.asarray(poles_jet(roots + PHI0))[:, 0])
+    assert len(calls) <= 4

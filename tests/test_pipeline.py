@@ -593,6 +593,20 @@ class TestWignerKernelJet:
         want = est.probabilistic_cfi(res.success_prob, arm("state"), arm("failure_state"), cfg.phi)
         assert sc._click_cfi(cfg, cfg.phi) == pytest.approx(want, rel=0.0, abs=1e-8)
 
+    def test_click_cfi_takes_the_dark_outcome_limit(self):
+        # point (a) at phi = pi: mode 1 never clicks and mode 2 always does, each to rounding; those outcomes add
+        # their limit 2 P'' and the row keeps its cfi.  The reference extrapolates the CFI at pi +- h, h = 4e-3,
+        # 2e-3, 1e-3 (where the dark probabilities are resolved), over two Richardson levels; it agrees with the
+        # limit to 2.4e-9, and the mean at h = 1e-4, 1.0367877540, is 1.9e-7 low from the rounding of P ~ 1e-8
+        raw = dict(ROUTE_CONFIGS["point_a"], metrics=["cfi"],
+                   detection=[{"scheme": "click", "mode": 1}, {"scheme": "click", "mode": 2}])
+        report, warnings, _ = sc.evaluate_point(sc.ScenarioConfig.from_dict(raw), math.pi)
+        assert not warnings
+        cfg = sc.ScenarioConfig.from_dict(raw)
+        mean = [(sc._click_cfi(cfg, math.pi + h) + sc._click_cfi(cfg, math.pi - h)) / 2.0 for h in (4e-3, 2e-3, 1e-3)]
+        r1, r2 = (4.0 * mean[1] - mean[0]) / 3.0, (4.0 * mean[2] - mean[1]) / 3.0
+        assert report.cfi == pytest.approx((16.0 * r2 - r1) / 15.0, rel=0.0, abs=1e-8)
+
 
 class TestPulledBackRoute:
     @pytest.mark.parametrize("name", sorted(ROUTE_CONFIGS))

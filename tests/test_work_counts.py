@@ -208,9 +208,43 @@ def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
     sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
     # apply_symplectic: the input squeeze on both arms, in the prefix; the 4 attenuations condition
     # each term through their beam splitter and substitute nothing
-    # moment_tensor: both arms of the lossy prefix and of the lossless one (the photon-number probe)
+    # moment_tensor: both arms of the lossy prefix; the photon-number probe reads four second moments instead
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "attenuate": 4, "build_pipeline": 0, "_herald": 1, "apply_symplectic": 2, "moment_tensor": 4}
+        "attenuate": 4, "build_pipeline": 0, "_herald": 1, "apply_symplectic": 2, "moment_tensor": 2}
+
+
+def test_lossy_heralded_point_builds_no_lossless_moment_tensor(monkeypatch):
+    # the input photon number of a lossy Wigner point takes four second moments of the lossless prefix, not the
+    # degree-4 moment tensor that only a lossless observer reads
+    losses = []
+    orig = sc._prefix_moments
+
+    def counted(inputs, input_mods, loss):
+        losses.append(loss)
+        return orig(inputs, input_mods, loss)
+
+    monkeypatch.setattr(sc, "_prefix_moments", counted)
+    sc._observer.cache_clear()  # a new observer reads the lossy prefix's moments
+    sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
+    assert losses and None not in losses
+
+
+@pytest.mark.parametrize("raw, calls", [(workloads.point_a(1.0), 9), (workloads.point_b(1.0), 9)],
+                         ids=["point_a", "point_b"])
+def test_heralded_point_kernel_density_calls(raw, calls, monkeypatch):
+    # one grid, one call per refinement round for the slope zeros and N's zeros together (three), V at phi, and
+    # the four order-1 click jets of `cfi`; the roots' own jets are those read in the rounds
+    densities = counter(monkeypatch, wg, "kernel_densities")
+    sc.evaluate_point(sc.ScenarioConfig.from_dict(raw))
+    assert len(densities) == calls
+
+
+def test_ligo_lossy_parity_optimum_gaussian_jet_calls(monkeypatch):
+    # one grid of 385 phases and three refinement rounds of every bracket at once
+    jets = counter(monkeypatch, meas, "kernel_jet")
+    config = sc.load_config(LIGO_LOSSY)
+    sc._optimal_phi(config, config.detection[0])
+    assert len(jets) == 4
 
 
 @pytest.mark.parametrize("config, m, terms", [("pacs_counts.json", 3, 1), ("subtracted_thermal.json", "click", 2)])
