@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .gaussian import vacuum_state
-from .symplectic import embed, make_beam_splitter, make_two_mode_squeezer
+from .symplectic import SymplecticTransform, embed, make_beam_splitter, make_two_mode_squeezer
 from .wigner import Term, WignerExpr, _herald_branch, _integrate_out, fock_wigner, from_gaussian, tensor_exprs
 
 M_CUTOFF = 8
@@ -31,6 +31,12 @@ class HeraldedState:
     probability: float
     branch: str  # "success" or "failure"
     label: str
+
+
+def coupling_transform(coupling: tuple) -> SymplecticTransform:
+    """The two-mode transform of a herald's coupling, ("BS", T) or ("SPDC", r, theta): ancilla first, signal second."""
+    kind, x, *theta = coupling
+    return make_beam_splitter(x) if kind == "BS" else make_two_mode_squeezer(x, *theta)
 
 
 def _herald(
@@ -54,11 +60,11 @@ def _herald(
     failure); with `only` set to one of them, the other is neither built nor
     checked and comes back as None.
     """
-    kind, x, *theta = coupling
+    kind, x, *_ = coupling
     m = ancilla or n
     if not click and not 1 <= m <= M_CUTOFF:
         raise ValueError(f"photon count m must lie in 1..{M_CUTOFF}, got {m}")
-    f = make_beam_splitter(x) if kind == "BS" else make_two_mode_squeezer(x, *theta)
+    f = coupling_transform(coupling)
     if not 1 <= mode <= expr.modes:
         raise ValueError(f"mode {mode} out of range 1..{expr.modes}")
     via = f"{kind}({'T' if kind == 'BS' else 'r'}={x:g})"

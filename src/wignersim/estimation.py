@@ -1,43 +1,31 @@
 """Phase-variance and information metrics.
 
-Benchmarks (SNL/HL), error propagation, classical and probabilistic Fisher
-information, quantum Fisher information by two routes (Wigner integral, and one
-Gaussian formula for pure and mixed states), the closed-form
-coherent+squeezed-vacuum bounds, SNR, the weighted total parity
-information for heralded branches, and the phase signal of a detector: exact
-for a signal whose first two moments are trigonometric polynomials in phi
+Benchmarks (SNL/HL), the CFI of a two-outcome detector from one outcome's
+probability and its exact slope (`binary_cfi`), the Gaussian QFI (one formula
+for pure and mixed states, fed the family's exact tangent (dR, dsigma)), the
+purity test of the Wigner route, the closed-form coherent+squeezed-vacuum
+bounds, SNR, and the phase signal of a detector.  That signal is exact for a
+signal whose first two moments are trigonometric polynomials in phi
 (`trig_signal`, from equispaced samples, with its stationary points from the
-companion matrix of their condition), from the value, slope and curvature of a
-+-1 or Bernoulli signal (`jet_phase_variance`, with `kernel_minima` refining a
-batched grid to its stationary points by a bracketed refinement, `_refine`,
-that reads a window of phases in every bracket per batched call), and golden
-section for any other (`golden_minimize`).
-
-The Gaussian QFI takes the family's exact tangent (dR, dsigma), and `cfi` an
-exact slope of each outcome where the caller has one.  Error propagation, the
-CFI of a Wigner state and the Wigner-integral QFI take central differences
-with step 1e-5 on smooth O(1) quantities (means, probabilities, term data).
-The Wigner-integral QFI differentiates each term's parameters and then
-integrates exactly, rather than differencing whole Wigner values, which would
-cancel catastrophically inside the squared integral; for a pure input to the
-balanced MZI the scenario runner takes the QFI without any difference, as
-Var(n1 - n2) after the first splitter, and keeps `qfi_pure_wigner` as the
-library route and its check.
+companion matrix of their condition), and otherwise read from the jets of <O>
+and Var (`jet_phase_variance`, with `kernel_minima` refining a batched grid to
+its stationary points by a bracketed refinement, `_refine`, that reads a
+window of phases in every bracket per batched call).  No metric takes a
+finite difference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateBranch, PurityViolation, SignalStationary
 from .gaussian import GaussianState, williamson
-from .wigner import Term, WignerExpr, _poly_add, _poly_mul, _poly_prune, _poly_scale, overlap, purity
+from .wigner import WignerExpr, purity
 
-DEFAULT_STEP = 1e-5
 SLOPE_FLOOR = 1e-12
 # A slope below this many units of rounding of the signal's scale is noise.
 SLOPE_NOISE = 32.0 * 2.3e-16
@@ -61,8 +49,6 @@ _GROWTH = np.maximum(_K - 5, 0) / (REFINE_WINDOW // 2 - 5)
 _FOUR = np.arange(4)
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
-PhiFunction = Callable[[float], float]
-
 
 def snl(n_total: float) -> float:
     """Shot-noise limit 1/<n>."""
@@ -76,97 +62,6 @@ def hl(n_total: float) -> float:
     if n_total <= 0.0:
         raise ValueError("HL requires positive total mean photon number")
     return 1.0 / n_total**2
-
-
-def _derivative(fn: PhiFunction, phi: float) -> float:
-    return (fn(phi + DEFAULT_STEP) - fn(phi - DEFAULT_STEP)) / (2.0 * DEFAULT_STEP)
-
-
-def _second_derivative_richardson(fn: PhiFunction, phi: float, g: float = 2e-3) -> tuple[float, float]:
-    """Second derivative with two Richardson levels (kills g^2 and g^4 truncation), and its smallest step.
-
-    The step shrinks until the plain second difference is stable, so sharply
-    curved signals (bright-state parity fringes) stay inside their quadratic
-    region.
-    """
-    f0 = fn(phi)
-
-    def d2(step: float) -> float:
-        return (fn(phi + step) - 2.0 * f0 + fn(phi - step)) / step**2
-
-    for _ in range(8):
-        a, b = d2(g), d2(g / 2.0)
-        if abs(a - b) <= 1e-3 * max(abs(a), abs(b), 1e-300) or g <= 1e-6:
-            break
-        g /= 4.0
-    c = d2(g / 4.0)
-    r1 = (4.0 * b - a) / 3.0
-    r2 = (4.0 * c - b) / 3.0
-    return (16.0 * r2 - r1) / 15.0, g / 4.0
-
-
-def phase_variance_error_prop(mean_fn: PhiFunction, var_fn: PhiFunction, phi: float) -> float:
-    """Error propagation: Var(O) / |d<O>/dphi|^2, with the slope a central difference of mean_fn.
-
-    A variance that is zero within rounding marks a symmetry point (parity at
-    its optimum), where the ratio has a removable singularity whatever the
-    resolved slope; it is evaluated as the limit Var''/(2 mean''^2) via
-    Richardson second differences, never as a clamped zero over the slope.  A
-    vanishing slope with non-vanishing variance is a genuinely bad operating
-    point and raises SignalStationary, and so does a zero-variance point whose
-    mean'' is at the rounding level of its differences (a flat signal) or
-    whose variance does not curve up: no phase variance is 0 or negative.
-    """
-    h = DEFAULT_STEP
-    f_plus, f_minus = mean_fn(phi + h), mean_fn(phi - h)
-    slope = (f_plus - f_minus) / (2.0 * h)
-    scale = max(abs(f_plus), abs(f_minus))
-    # central differences cannot resolve slopes below the rounding noise of the samples
-    noise = SLOPE_NOISE * scale / (2.0 * h)
-    var = var_fn(phi)
-    if abs(var) <= 1e-8 * max(1.0, scale):
-        m2, g = _second_derivative_richardson(mean_fn, phi)
-        if abs(m2) <= max(SLOPE_FLOOR, SLOPE_NOISE * scale / g**2):
-            raise SignalStationary(f"signal flat to second order at phi={phi:.6g}")
-        v2 = _second_derivative_richardson(var_fn, phi)[0]
-        if v2 <= 0.0:
-            raise SignalStationary(f"variance {var:.3e} not curved up at phi={phi:.6g}")
-        return v2 / (2.0 * m2**2)
-    noise_floor = max(SLOPE_FLOOR, noise)
-    if abs(slope) > noise_floor:
-        return var / slope**2
-    raise SignalStationary(f"signal slope below {noise_floor:.0e} at phi={phi:.6g}")
-
-
-@dataclass(frozen=True)
-class BranchSet:
-    """Complete set of probabilistic outcomes P_i(phi) for one detector."""
-
-    probabilities: Sequence[PhiFunction]
-
-    def values(self, phi: float) -> list[float]:
-        vals = [float(p(phi)) for p in self.probabilities]
-        s = sum(vals)
-        if abs(s - 1.0) > 1e-9:
-            raise ValueError(f"branch probabilities sum to {s:.12f}, not 1, at phi={phi:.6g}")
-        return vals
-
-
-def two_outcome(p: PhiFunction) -> BranchSet:
-    """The {P, 1-P} branch pair of a binary detector."""
-    return BranchSet((p, lambda phi: 1.0 - p(phi)))
-
-
-def cfi(branches: BranchSet, phi: float) -> float:
-    """Classical Fisher information sum_i P_i'^2 / P_i, with central differences of each P_i."""
-    vals = branches.values(phi)
-    total = 0.0
-    for p_fn, p in zip(branches.probabilities, vals):
-        if p <= SLOPE_FLOOR or p >= 1.0 + 1e-12:
-            raise DegenerateBranch(f"branch probability {p:.3e} at phi={phi:.6g}")
-        dp = _derivative(p_fn, phi)
-        total += dp * dp / p
-    return total
 
 
 def binary_cfi(p: float, dp: float, phi: float, d2p: float | None = None) -> float:
@@ -195,98 +90,9 @@ def binary_cfi(p: float, dp: float, phi: float, d2p: float | None = None) -> flo
     return total + dp * dp / (1.0 - p)
 
 
-def probabilistic_cfi(
-    success_prob: Union[float, PhiFunction],
-    success_branches: Union[BranchSet, Sequence[BranchSet]],
-    failure_branches: Union[BranchSet, Sequence[BranchSet], None],
-    phi: float,
-) -> float:
-    """Herald-weighted CFI: P+ * CFI_success + (1-P+) * CFI_failure, plus the herald term.
-
-    Each arm may carry several independent detectors (a sequence of BranchSets
-    whose CFIs add).  The herald term P+'^2 / (P+ (1-P+)) enters only when the
-    herald probability actually depends on phi: an input-stage herald, or none,
-    has the same success probability at every phi, so its difference is 0.
-    """
-
-    def arm_cfi(branches) -> float:
-        if branches is None:
-            return 0.0
-        sets = [branches] if isinstance(branches, BranchSet) else list(branches)
-        return sum(cfi(bs, phi) for bs in sets)
-
-    if callable(success_prob):
-        p_plus = float(success_prob(phi))
-        dp = _derivative(success_prob, phi)
-    else:
-        p_plus = float(success_prob)
-        dp = 0.0
-    if not 0.0 <= p_plus <= 1.0:
-        raise ValueError(f"herald probability {p_plus:.3e} outside [0, 1]")
-    total = p_plus * arm_cfi(success_branches) if p_plus > 0.0 else 0.0
-    if p_plus < 1.0:
-        total += (1.0 - p_plus) * arm_cfi(failure_branches)
-    if abs(dp) > 0.0:
-        if p_plus <= SLOPE_FLOOR or p_plus >= 1.0 - SLOPE_FLOOR:
-            raise DegenerateBranch(f"herald probability {p_plus:.3e} saturated at phi={phi:.6g}")
-        total += dp * dp / (p_plus * (1.0 - p_plus))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Quantum Fisher information.
 # ---------------------------------------------------------------------------
-
-
-def _term_phi_derivative(t_minus: Term, t0: Term, t_plus: Term, h: float) -> Term:
-    """Exact-in-X derivative of one poly x Gaussian term, with term data differenced in phi.
-
-    d/dphi [w P exp(-(X-m)^T A (X-m))] folds into a single polynomial against
-    the phi-centered Gaussian:  dw P + w dP + w P [ (X-m)^T A dQ A (X-m)
-    + 2 (X-m)^T A dm ],  A = Q^{-1}.
-    """
-    nv = t0.nvars
-    dw = (t_plus.weight - t_minus.weight) / (2.0 * h)
-    dq = (t_plus.quad - t_minus.quad) / (2.0 * h)
-    dm = (t_plus.mean - t_minus.mean) / (2.0 * h)
-    dpoly = _poly_add(t_plus.poly, _poly_scale(t_minus.poly, -1.0))
-    dpoly = _poly_scale(dpoly, 1.0 / (2.0 * h))
-    a = np.linalg.inv(t0.quad)
-    b = a @ dq @ a  # coefficient of the (X-m)(X-m) correction
-    c = 2.0 * a @ dm  # coefficient of the linear (X-m) correction
-    m = t0.mean
-
-    def unit(i):
-        return tuple(int(i == k) for k in range(nv))
-
-    corr: dict = {(0,) * nv: float(m @ b @ m) - float(c @ m)}
-    for i in range(nv):
-        li = float(-2.0 * (b @ m)[i] + c[i])
-        if li:
-            corr[unit(i)] = corr.get(unit(i), 0.0) + li
-        for j in range(nv):
-            if b[i, j]:
-                e = [0] * nv
-                e[i] += 1
-                e[j] += 1
-                e = tuple(e)
-                corr[e] = corr.get(e, 0.0) + b[i, j]
-    poly = _poly_scale(t0.poly, dw)
-    poly = _poly_add(poly, _poly_scale(dpoly, t0.weight))
-    corr = _poly_prune(corr)
-    if corr:
-        poly = _poly_add(poly, _poly_scale(_poly_mul(t0.poly, corr), t0.weight))
-    return Term(1.0, poly, t0.mean, t0.quad)
-
-
-def _expr_phi_derivative(family: Callable[[float], WignerExpr], phi: float, h: float) -> WignerExpr:
-    e_minus, e0, e_plus = family(phi - h), family(phi), family(phi + h)
-    if not (len(e_minus.terms) == len(e0.terms) == len(e_plus.terms)):
-        raise ValueError("family must produce structurally identical expressions across phi")
-    terms = [
-        _term_phi_derivative(tm, t0, tp, h) for tm, t0, tp in zip(e_minus.terms, e0.terms, e_plus.terms)
-    ]
-    return WignerExpr(e0.modes, terms)
 
 
 def require_pure_wigner(expr: WignerExpr) -> None:
@@ -294,14 +100,6 @@ def require_pure_wigner(expr: WignerExpr) -> None:
     mu = purity(expr)
     if abs(mu - 1.0) > PURE_WIGNER_TOL:
         raise PurityViolation(f"purity {mu:.8f} differs from 1 beyond {PURE_WIGNER_TOL:g}")
-
-
-def qfi_pure_wigner(family: Callable[[float], WignerExpr], phi: float) -> float:
-    """QFI of a pure-state family: 2 (2 pi)^M Int (dW/dphi)^2."""
-    w0 = family(phi)
-    require_pure_wigner(w0)
-    dw = _expr_phi_derivative(lambda p: family(p).normalize(), phi, DEFAULT_STEP)
-    return 2.0 * (2.0 * math.pi) ** w0.modes * overlap(dw, dw)
 
 
 def qfi_mixed_gaussian(state: GaussianState, dmean: np.ndarray, dcov: np.ndarray) -> float:
@@ -409,35 +207,6 @@ def snr(moments, subtract_injected: int = 0) -> float:
     return (moments.mean - subtract_injected) / math.sqrt(var)
 
 
-def total_parity_information(
-    branch_families: Sequence[tuple[PhiFunction, PhiFunction]], phi: float
-) -> float:
-    """Weighted parity information over heralded branches.
-
-    Each entry is (probability(phi), parity_mean(phi)); contributes
-    P * (dPi/dphi)^2 / (1 - Pi^2).  Raises SignalStationary when every branch
-    is flat at phi.
-    """
-    total = 0.0
-    any_slope = False
-    for prob_fn, parity_fn in branch_families:
-        p = float(prob_fn(phi)) if callable(prob_fn) else float(prob_fn)
-        if p <= 0.0:
-            continue
-        pi0 = parity_fn(phi)
-        dpi = _derivative(parity_fn, phi)
-        if abs(dpi) <= SLOPE_FLOOR:
-            continue
-        any_slope = True
-        denom = 1.0 - pi0**2
-        if denom <= SLOPE_FLOOR:
-            raise SignalStationary(f"parity saturated (|Pi| = 1) in a branch at phi={phi:.6g}")
-        total += p * dpi * dpi / denom
-    if not any_slope:
-        raise SignalStationary(f"no branch carries parity slope at phi={phi:.6g}")
-    return total
-
-
 def _trig(c: np.ndarray, theta: float) -> float:
     """sum_k c_k e^{i k theta} over k = -D..D, of a real trigonometric polynomial."""
     k = np.arange(len(c)) - (len(c) - 1) // 2
@@ -530,24 +299,18 @@ def _wrap(phi: float, period: float) -> float:
     return 0.0 if min(phi, period - phi) <= 4.0 * np.finfo(float).eps * period else float(phi)
 
 
-def _signal_variance(m, m1, m2, bernoulli: bool) -> tuple:
-    """Var and its first two phi-derivatives from the jet of <O>; <O^2> is 1 (a +-1 outcome) or <O> (Bernoulli)."""
-    s, s1, s2 = (m, m1, m2) if bernoulli else (1.0, 0.0, 0.0)
-    return s - m * m, s1 - 2.0 * m * m1, s2 - 2.0 * (m1 * m1 + m * m2)
-
-
-def jet_phase_variance(m, m1, m2, var_noise, bernoulli: bool) -> np.ndarray:
-    """Var / <O>'^2 from the jet (<O>, <O>', <O>'') of a +-1 or Bernoulli signal, over arrays.
+def jet_phase_variance(m, m1, m2, var, var1, var2, var_noise) -> np.ndarray:
+    """Var / <O>'^2 from the jets (<O>, <O>', <O>'') and (Var, Var', Var'') of a signal, over arrays.
 
     Where Var is at most `var_noise`, its rounding level, the point is a dark
     fringe, a zero of <O>', and V is the limit Var'' / (2 <O>''^2) there; for
     parity this is -<O> / <O>''.  Points with no resolvable slope or
-    curvature, or a variance that does not curve up at a dark fringe, give inf.
+    curvature, a variance that does not curve up at a dark fringe, or a
+    negative variance elsewhere, give inf.
     """
-    var, _, var2 = _signal_variance(m, m1, m2, bernoulli)
     noise = np.maximum(SLOPE_FLOOR, SLOPE_NOISE * np.abs(m))
     dark = (np.abs(var) <= var_noise) & (np.abs(m2) > noise) & (var2 > 0.0)
-    slope = ~dark & (np.abs(m1) > noise)
+    slope = ~dark & (np.abs(m1) > noise) & (var > 0.0)
     v = np.full(np.shape(m), math.inf)
     np.divide(var, m1 * m1, out=v, where=slope)
     np.divide(var2, 2.0 * m2 * m2, out=v, where=dark)
@@ -565,12 +328,14 @@ def _refine(jet: Callable, f: Callable, x: np.ndarray, g: np.ndarray) -> tuple[n
     from one ulp to the bracket width, so that a guess off by e leaves a bracket a few e wide.  A bracket with
     no guess strictly inside it (four points with a repeated f have none), or that the last round did not
     halve, is spread evenly instead.  A bracket stops at 4 ulp (of its upper end at the start of the round),
-    or at a phase where f is 0.  Returns the end of each final bracket where |f| is least, and the jet (q, k)
-    read there.
+    or at a phase where f is 0.  A phase where the jet is NaN (unresolved) counts as leaving the sign of
+    f(x1), so that a bracket reaching into an unresolved stretch closes on its edge, a wall.  Returns the end
+    of each final bracket where |f| is least (the resolved one, at a wall), the jet (q, k) read there, and
+    whether the bracket closed on a wall.
     """
-    slot, roots, jets = np.arange(len(x)), np.empty(len(x)), np.empty(g.shape[:2])
+    slot, roots, jets, walls = np.arange(len(x)), np.empty(len(x)), np.empty(g.shape[:2]), np.zeros(len(x), bool)
     if not len(x):
-        return roots, jets
+        return roots, jets, walls
     y, halved = f(g, slot), np.ones(len(x), dtype=bool)
     for n in range(REFINE_ROUNDS):
         if not len(slot):
@@ -588,7 +353,7 @@ def _refine(jet: Callable, f: Callable, x: np.ndarray, g: np.ndarray) -> tuple[n
         ys = np.concatenate([y[:, :2], f(read, slot), y[:, 2:]], 1)
         gs = np.concatenate([g[:, :, :2], read, g[:, :, 2:]], 2)
         # the first phase after x1 where f leaves the sign of f(x1), never 0, closes the new bracket
-        at = (ys[:, 2:-1] * np.sign(ys[:, 1:2]) <= 0.0).argmax(1)[:, None] + _FOUR
+        at = ((ys[:, 2:-1] * np.sign(ys[:, 1:2]) <= 0.0) | np.isnan(ys[:, 2:-1])).argmax(1)[:, None] + _FOUR
         rows = np.arange(len(slot))[:, None]
         x, y, g = xs[rows, at], ys[rows, at], gs[:, rows, at]
         halved = x[:, 2] - x[:, 1] <= width[:, 0] / 2.0
@@ -599,16 +364,18 @@ def _refine(jet: Callable, f: Callable, x: np.ndarray, g: np.ndarray) -> tuple[n
             upper = np.abs(y[done, 2]) < np.abs(y[done, 1])
             roots[slot[done]] = np.where(upper, x[done, 2], x[done, 1])
             jets[:, slot[done]] = np.where(upper, g[:, done, 2], g[:, done, 1])
+            walls[slot[done]] = np.isnan(y[done, 2])
             x, y, g, halved, slot = x[~done], y[~done], g[:, ~done], halved[~done], slot[~done]
-    return roots, jets
+    return roots, jets, walls
 
 
-def kernel_minima(jet: Callable, period: float, cells: int, bernoulli: bool) -> list[tuple[float, float]]:
-    """(phi, V) at the stationary points of V = Var / <O>'^2 over one period of a +-1 or Bernoulli signal.
+def kernel_minima(jet: Callable, period: float, cells: int) -> list[tuple[float, float]]:
+    """(phi, V) at the stationary points of V = Var / <O>'^2 over one period of a signal.
 
-    `jet(phis)` returns <O>, <O>', <O>'' and the rounding level of Var at an
-    array of phases, as a (4, n) stack.  It is read at the centres of `cells`
-    equal cells over [0, period], KERNEL_CHUNK cells per call; with `cells` a
+    `jet(phis)` returns <O>, <O>', <O>'', Var, Var', Var'' and the rounding
+    level of Var at an array of phases, as a (7, n) stack, NaN where the
+    signal is unresolved.  It is read at the centres of `cells` equal cells
+    over [0, period], KERNEL_CHUNK cells per call; with `cells` a
     multiple of 4 no centre falls on a multiple of pi, where symmetric signals
     have <O>' = 0.  With theta' = <O>' / sqrt(Var), V = 1 / theta'^2, so the
     stationary points of V other than its poles are the zeros of
@@ -622,15 +389,16 @@ def kernel_minima(jet: Callable, period: float, cells: int, bernoulli: bool) -> 
     zero of N, except within one cell of a dark fringe, where N vanishes to
     third order and Var / <O>'^2 is rounding over rounding.  The whole cells
     of N are refined with the zeros of <O>', in the same jet calls, and the
-    halves after them.  Each root is a phase the jet was read at, and V there
-    comes from that jet; the grid's jets at the cell ends and the poles' jets
-    are carried into the refinement, not read again.
+    halves after them.  A zero of <O>' that an unresolved stretch hides is
+    read at that stretch's edge and kept as a fringe: V there is the least it
+    reaches from that side.  Each root is a phase the jet was read at, and V
+    there comes from that jet; the grid's jets at the cell ends and the poles'
+    jets are carried into the refinement, not read again.
     """
     step = period / cells
 
     def n_of(g: np.ndarray) -> np.ndarray:
-        var, var1, _ = _signal_variance(g[0], g[1], g[2], bernoulli)
-        return var1 * g[1] - 2.0 * var * g[2]
+        return g[4] * g[1] - 2.0 * g[3] * g[2]
 
     zeros, cells_n = [], []  # (phases, jets) (k, 4) around each cell where <O>', and N, change sign
     for start in range(0, cells, KERNEL_CHUNK):
@@ -650,9 +418,10 @@ def kernel_minima(jet: Callable, period: float, cells: int, bernoulli: bool) -> 
         return np.abs(((x[:, 1] + x[:, 2])[:, None] / 2.0 - phis + period / 2.0) % period - period / 2.0)
 
     k = len(x)
-    roots, g_root = _refine(jet, lambda g, rows: np.where((rows >= k)[:, None], n_of(g), g[1]),
-                            np.concatenate([x, x_n]), np.concatenate([g, g_n], 1))
-    dark = np.abs(_signal_variance(g_root[0, :k], g_root[1, :k], g_root[2, :k], bernoulli)[0]) <= g_root[3, :k]
+    roots, g_root, walls = _refine(jet, lambda g, rows: np.where((rows >= k)[:, None], n_of(g), g[1]),
+                                   np.concatenate([x, x_n]), np.concatenate([g, g_n], 1))
+    # a zero of <O>' behind a wall (a herald zero, say) is read at the wall's edge, like a dark fringe
+    dark = (np.abs(g_root[3, :k]) <= g_root[6, :k]) | walls[:k]
     fringes = roots[:k][dark]
     # a pole splits its cell: (x0, x1, pole, x2) and (x1, pole, x2, x3)
     x, g, pole, g_pole = x[~dark], g[:, ~dark], roots[:k][~dark, None], g_root[:, :k][:, ~dark, None]
@@ -662,33 +431,11 @@ def kernel_minima(jet: Callable, period: float, cells: int, bernoulli: bool) -> 
     nn = n_of(g)
     # within a cell of a dark fringe N vanishes to third order, and Var / <O>'^2 is rounding over rounding
     keep = (nn[:, 1] * nn[:, 2] < 0.0) & ~np.any(apart(x, fringes) < 1.5 * step, axis=1)
-    halves, g_halves = _refine(jet, lambda g, rows: n_of(g), x[keep], g[:, keep])
+    halves, g_halves, _ = _refine(jet, lambda g, rows: n_of(g), x[keep], g[:, keep])
     far = ~np.any(apart(x_n, fringes) < 1.5 * step, axis=1)
     phis = np.concatenate([fringes, roots[k:][far], halves])
-    variance = jet_phase_variance(*np.concatenate([g_root[:, :k][:, dark], g_root[:, k:][:, far], g_halves], 1),
-                                  bernoulli)
+    variance = jet_phase_variance(*np.concatenate([g_root[:, :k][:, dark], g_root[:, k:][:, far], g_halves], 1))
     return [(_wrap(r, period), float(v)) for r, v in zip(phis, variance) if math.isfinite(v)]
-
-
-def golden_minimize(fn: PhiFunction, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float]:
-    """Golden-section minimization on [lo, hi]; returns (argmin, min)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = (a + b) / 2.0
-    return x, fn(x)
-
 
 
 @dataclass

@@ -151,8 +151,9 @@ def kernel_jet(mu, k, dmu, dk, d2mu, d2k) -> tuple[np.ndarray, np.ndarray, np.nd
     return value, value * g1, value * (g2 + g1 * g1)
 
 
-def _moments(state: WignerExpr | AffineImage, monomials: list) -> list:
-    return state.moments(monomials) if isinstance(state, AffineImage) else moments(state, monomials)
+def _moments(state, monomials: list) -> list:
+    """The moments of monomials under a WignerExpr, or under any state with a `moments` method (an AffineImage)."""
+    return moments(state, monomials) if isinstance(state, WignerExpr) else state.moments(monomials)
 
 
 def _intensity_monomials(mode: int) -> list:

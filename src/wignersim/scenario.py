@@ -10,21 +10,18 @@ body, whose phase-independent prefix (inputs and input-stage modifications,
 plus the uniform loss on the Wigner path, where it commutes with the passive
 MZI) is built once and cached.
 
-The detectors see the state by one of two routes (`_observer`):
-
-- Prefix channel: with no herald after the phase, everything after the MZI
-  (the MZI, the uniform loss on the Gaussian path, thermal injection, output
-  squeezes and displacements) is one Gaussian channel X = A(phi) Y + b + xi on
-  the cached prefix Y, with A = K M(phi).  A Gaussian prefix (R0, sigma0) maps
-  to (A R0 + b, A sigma0 A^T + 2C), with C the covariance of xi.  A Wigner
-  prefix stays as it is and only the observable moves,
-  <O>_phi = Int W(Y) W_O(A Y + b + xi) dY: each phi is a `wigner.AffineImage`,
-  read from the prefix's moment tensor (cached with it).  A detector's phase
-  variance there comes from one exact phase signal (`_optimal_phi`), which
-  gives its optimum and its value at any phi.
-- Wigner forward: a herald after the phase makes the state depend on phi
-  through the herald, so `build_pipeline` substitutes the MZI into every term
-  per phi.
+The detectors see the state by one route (`_observer`), the prefix
+channel: everything after the MZI (the MZI, the uniform loss on the Gaussian
+path, thermal injection, output squeezes and displacements) is one Gaussian
+channel X = A(phi) Y + b + xi on the cached prefix Y, with A = K M(phi).  A
+Gaussian prefix (R0, sigma0) maps to (A R0 + b, A sigma0 A^T + 2C), with C
+the covariance of xi.  A Wigner prefix stays as it is and only the
+observable moves, <O>_phi = Int W(Y) W_O(A Y + b + xi) dY: each phi is a
+`wigner.AffineImage`.  A herald after the phase adds its ancilla to the
+prefix as one more mode, its coupling to the channel, and its projector to
+every read as one more kernel factor (`_arms`), so the state is never built
+at a phase.  A detector's phase variance comes from one exact phase signal
+(`_optimal_phi`), which gives its optimum and its value at any phi.
 
 `simulate_counts` reads the herald's mode alone: the pipeline up to its
 output stage with the other arm traced out, then that mode's output stage,
@@ -39,7 +36,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
+from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -61,6 +59,11 @@ DRIFT_SIGMA_DEFAULTS = {"parity": 0.001, "default": 0.15}
 OPTIMUM_TIE = 1e-9
 # Phases whose observation the observer keeps, the most recent: a point reads phi and phi +- h more than once.
 OBSERVED_PHASES = 16
+# A herald read p is resolved for the quotient jets of a phase signal where p >= this times |p''|, 1e-4 rad
+# from a quadratic zero (subtracted_thermal's V keeps about 1e-7 there), and where the terms of its read
+# (1 and -2 pi F_0 of a click herald, say) cancel to no less than 1 / HERALD_CANCELLATION of their magnitude.
+HERALD_RESOLUTION = 5e-9
+HERALD_CANCELLATION = 1e4
 # Distinct phi-independent prefixes kept; a Wigner-path point with loss uses a
 # lossy prefix and the lossless one it starts from (also read for the input photon number).
 PREFIX_CACHE_SIZE = 8
@@ -477,9 +480,38 @@ def _gaussian_possible(config: ScenarioConfig) -> bool:
     return not any(m.heralded for m in config.modifications)
 
 
-def _pulls_back(config: ScenarioConfig) -> bool:
-    """No herald after the phase: the detectors read the cached prefix through the channel after the MZI."""
-    return not any(m.heralded and m.stage == "output" for m in config.modifications)
+def _output_heralds(config: ScenarioConfig) -> tuple:
+    """The heralds after the phase, in order: each one's ancilla is one more mode of the channel (`_after_mzi`)."""
+    return tuple(m for m in config.modifications if m.heralded and m.stage == "output")
+
+
+def _ancillas(config: ScenarioConfig) -> tuple:
+    """The Fock state of each output herald's ancilla (0 for vacuum), as the prefix caches key them."""
+    return tuple(_herald_args(m)[1] for m in _output_heralds(config))
+
+
+def _projector(v: int, n: int, complement: bool) -> tuple:
+    """2 pi F_n on the ancilla variables (v, v + 1), or 1 - 2 pi F_n, as signed products for `wig.herald_read`."""
+    return ((1.0, ()), (-1.0, ((v, n),))) if complement else ((1.0, ((v, n),)),)
+
+
+def _arms(config: ScenarioConfig) -> tuple:
+    """(prefix arm, herald) of the success arm and, where tracked, the failure arm that the detectors see.
+
+    With no herald after the phase these are the prefix arms, with no herald (None).  Output herald j reads its
+    ancilla (variables 4 + 2j, 5 + 2j) through its projector, and the success arm the product of them.  As on
+    the forward build, a single herald alone tracks a failure arm: its projector's complement.
+    """
+    heralds = _output_heralds(config)
+    if not heralds:
+        return (0, None), (1, None)
+    success = wig.UNHERALDED
+    for j, mod in enumerate(heralds):
+        n, click = _herald_args(mod)[2:]
+        success = tuple((s1 * s2, p1 + p2) for s1, p1 in success for s2, p2 in _projector(4 + 2 * j, n, click))
+    if len(heralds) > 1 or any(m.heralded for m in _input_mods(config)):
+        return ((0, success),)
+    return (0, success), (0, _projector(4, n, not click))
 
 
 def _input_mods(config: ScenarioConfig) -> tuple:
@@ -502,6 +534,19 @@ def _each(res: PipelineResult, step: Callable) -> PipelineResult:
     return replace(res, state=step(res.state), failure_state=fail)
 
 
+def _herald_args(mod: ModificationSpec) -> tuple:
+    """(coupling, ancilla, n, click) of a herald, as `cond._herald` takes them: the one table of the four heralds.
+
+    A beam-splitter addition mixes in Fock m and heralds vacuum, an SPDC addition squeezes with vacuum and heralds
+    m, a subtraction mixes in vacuum and heralds m photons, or a click (the complement of vacuum).
+    """
+    if mod.op == "add":
+        bs = mod.mechanism == "bs"
+        return (("BS", mod.T), mod.m, 0, False) if bs else (("SPDC", mod.r, mod.theta), 0, mod.m, False)
+    click = mod.m == "click"
+    return ("BS", mod.T), 0, 0 if click else mod.m, click
+
+
 def _herald(expr: wig.WignerExpr, mod: ModificationSpec, success_only: bool = False) -> tuple:
     """(success, failure) of one herald; with `success_only` the failure is None, neither built nor checked.
 
@@ -509,20 +554,13 @@ def _herald(expr: wig.WignerExpr, mod: ModificationSpec, success_only: bool = Fa
     when the success branch is above it, so a herald that succeeds almost
     surely is kept.
     """
-    if mod.op == "add" and mod.mechanism == "bs":
-        one, both, args = cond.add_photons_bs, cond.add_photons_bs_branches, (mod.m, mod.T)
-    elif mod.op == "add":
-        one, both, args = cond.add_photon_spdc, cond.add_photon_spdc_branches, (mod.r, mod.theta, mod.m)
-    elif mod.m == "click":
-        one, both, args = cond.subtract_click, cond.subtract_click_branches, (mod.T,)
-    else:
-        one, both, args = cond.subtract_photons, cond.subtract_branches, (mod.m, mod.T)
+    args = (expr, mod.mode, *_herald_args(mod))
     if not success_only:
         try:
-            return both(expr, mod.mode, *args)
+            return cond._herald(*args)
         except ImprobableBranch:
             pass
-    return one(expr, mod.mode, *args), None
+    return cond._herald(*args, only="success")[0], None
 
 
 def _modify(res: PipelineResult, mods, stage: str, success_only: bool = False) -> PipelineResult:
@@ -572,7 +610,7 @@ def build_pipeline(config: ScenarioConfig, phi: float | None = None) -> Pipeline
     Wigner path, where each loss is an ancilla mix and integration, it moves
     into the cached prefix; on the Gaussian path it is one affine map per phi
     and stays after the MZI.  This is the forward reference of `_observer`, and
-    the route of a herald after the phase.
+    the state that `distributions` reads.
     """
     res = _before_output(config, phi)
     return _modify(res, [m for m in config.modifications if m.stage == "output"], "output")
@@ -618,85 +656,109 @@ def _counted(config: ScenarioConfig, mode: int, arms: dict) -> PipelineResult:
 
 
 @lru_cache(maxsize=PREFIX_CACHE_SIZE)
-def _prefix_moments(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None) -> tuple:
-    """(normalized state, moment tensor) of each arm of the Wigner-path prefix, None for an untracked arm."""
+def _prefix_moments(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None, ancillas: tuple) -> tuple:
+    """(normalized state, moment tensor) of each arm of the Wigner-path prefix, None for an untracked arm; an arm
+    followed by the output heralds' `ancillas` (Fock numbers) is read through their projectors, with no tensor."""
     res = _prefix(inputs, input_mods, False, loss)
     arms = []
     for state in (res.state, res.failure_state):
         expr = None if state is None else state.normalize()
-        arms.append(None if expr is None else (expr, wig.moment_tensor(expr)))
+        for m in ancillas if expr is not None else ():
+            expr = wig.tensor_exprs(expr, wig.fock_wigner(m))
+        arms.append(None if expr is None else (expr, None if ancillas else wig.moment_tensor(expr)))
     return tuple(arms)
 
 
 @lru_cache(maxsize=PREFIX_CACHE_SIZE)
-def _prefix_jets(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None) -> tuple:
+def _prefix_jets(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None, ancillas: tuple) -> tuple:
     """(W, W', W'') of each arm of the Wigner-path prefix, None for an untracked arm: M'(phi) = M(phi) M'(0)
     makes each phi-derivative of an arm seen through the channel a fixed expression (`wig.phase_tangent`)."""
-    tangent = partial(wig.phase_tangent, h=sym.mzi_phase_derivative(0.0))
-    slopes = [None if arm is None else (arm[0], tangent(arm[0])) for arm in _prefix_moments(inputs, input_mods, loss)]
+    arms = _prefix_moments(inputs, input_mods, loss, ancillas)
+    h = np.zeros((4 + 2 * len(ancillas),) * 2)  # M'(0), and 0 on the ancillas: A'(phi) = A(phi) h
+    h[:4, :4] = sym.mzi_phase_derivative(0.0)
+    tangent = partial(wig.phase_tangent, h=h)
+    slopes = [None if arm is None else (arm[0], tangent(arm[0])) for arm in arms]
     return tuple(None if w is None else (*w, tangent(w[1])) for w in slopes)
 
 
 @lru_cache(maxsize=2 * PREFIX_CACHE_SIZE)
-def _kernel_columns(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None, arm: int, order: int) -> list:
+def _kernel_columns(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None, ancillas: tuple, arm: int,
+                    order: int) -> list:
     """(W, ..., W^(order)) of one prefix arm as the coefficient columns `wig.kernel_densities` reads."""
-    return wig.kernel_columns(_prefix_jets(inputs, input_mods, loss)[arm][: order + 1])
+    return wig.kernel_columns(_prefix_jets(inputs, input_mods, loss, ancillas)[arm][: order + 1])
 
 
 def _after_mzi(config: ScenarioConfig, loss: ga.LossSpec | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K, b, C): the maps after the MZI as one channel X = K Z + b + xi, xi ~ N(0, C), on its output Z.
 
+    Z holds the two interferometer modes and one ancilla mode per output
+    herald (`_output_heralds`), on which the MZI acts as the identity.
     A uniform `loss` L comes first: K = sqrt(1 - L) I and C = (L / 2) I.
     Thermal injection on a mode scales it by sqrt(eta) and adds noise of
     variable covariance (1 - eta)(2 nbar + 1)/2 there; an output squeeze or
-    displacement F, s then maps (K, b, C) to (F K, F b + s, F C F^T).
+    displacement F, s then maps (K, b, C) to (F K, F b + s, F C F^T), and so
+    does a herald's coupling of its ancilla (input 1) with its mode (input 2).
     """
-    k, b, c = np.eye(4), np.zeros(4), np.zeros((4, 4))
+    n = 4 + 2 * len(_output_heralds(config))
+    k, b, c = np.eye(n), np.zeros(n), np.zeros((n, n))
     if loss is not None:
-        k, c = math.sqrt(1.0 - loss.total) * k, loss.total / 2.0 * np.eye(4)
+        k[:4, :4] *= math.sqrt(1.0 - loss.total)
+        c[:4, :4] = loss.total / 2.0 * np.eye(4)
     noise = config.noise
     for m in noise.thermal_modes if noise.has_thermal else ():
         i = slice(2 * m - 2, 2 * m)
-        g = np.ones(4)
+        g = np.ones(n)
         g[i] = math.sqrt(noise.thermal_eta)
         k, b, c = g[:, None] * k, g * b, g[:, None] * c * g
         c[i, i] += (1.0 - noise.thermal_eta) * (2.0 * noise.thermal_nbar + 1.0) / 2.0 * np.eye(2)
+    ancilla = 2
     for m in config.modifications:
         if m.stage == "output":
-            f = _gaussian_step(m, 2)
+            if m.heralded:
+                ancilla += 1
+                f = sym.embed(cond.coupling_transform(_herald_args(m)[0]), [ancilla, m.mode], n // 2)
+            else:
+                f = _gaussian_step(m, n // 2)
             k, b, c = f.matrix @ k, f.matrix @ b + f.shift, f.matrix @ c @ f.matrix.T
     return k, b, c
 
 
 @lru_cache(maxsize=1)
 def _observer(config: ScenarioConfig) -> Callable[[float], PipelineResult]:
-    """phi -> the pipeline result the detectors see, by the config's route.
+    """phi -> the pipeline result the detectors see: the cached prefix through X = A Y + b + xi, A = K M(phi).
 
-    With no herald after the phase, each phi is the cached prefix seen through
-    X = A Y + b + xi with A = K M(phi); the MZI is a plain matrix, not a
-    validated transform.  A Gaussian prefix (R0, sigma0) becomes the
-    GaussianState (A R0 + b, A sigma0 A^T + 2C); the Wigner prefix arms become
-    `AffineImage`s.  A herald after the phase builds the pipeline at each phi.
-    The last config's observer is kept, with its most recent phases.
+    The MZI is a plain matrix, not a validated transform.  A Gaussian prefix (R0, sigma0) becomes the
+    GaussianState (A R0 + b, A sigma0 A^T + 2C); each Wigner arm (`_arms`) an `AffineImage`, weighted by the
+    probability of its herald after the phase.  Below the renormalization floor a success arm raises
+    ImprobableBranch and a failure arm is untracked, as on the forward build.  The last config's observer is
+    kept, with its most recent phases.
     """
-    if not _pulls_back(config):
-        return lru_cache(maxsize=OBSERVED_PHASES)(lambda phi: build_pipeline(config, phi))
     gaussian_path = _gaussian_possible(config)
     loss = _uniform_loss(config)
     # as in build_pipeline, the uniform loss follows the MZI on the Gaussian path and sits in the prefix otherwise
     prefix_loss, channel_loss = (None, loss) if gaussian_path else (loss, None)
     k, b, c = _after_mzi(config, channel_loss)
     prefix = _prefix(config.inputs, _input_mods(config), gaussian_path, prefix_loss)
-    arms = None if gaussian_path else _prefix_moments(config.inputs, _input_mods(config), prefix_loss)
+    moments = None if gaussian_path else _prefix_moments(config.inputs, _input_mods(config), prefix_loss,
+                                                         _ancillas(config))
+    weights, arms = (prefix.success_prob, prefix.failure_prob), _arms(config)
 
     @lru_cache(maxsize=OBSERVED_PHASES)
     def observe(phi: float) -> PipelineResult:
-        a = k @ sym.mzi_matrix(phi)
-        if arms is None:
+        a = k.copy()  # K (M(phi) + I), the identity on the ancillas
+        a[:, :4] = k[:, :4] @ sym.mzi_matrix(phi)
+        if moments is None:
             cov = a @ prefix.state.cov @ a.T + 2.0 * c
             return replace(prefix, state=ga.GaussianState(a @ prefix.state.mean + b, (cov + cov.T) / 2.0))
-        ok, fail = (None if arm is None else wig.AffineImage(*arm, a, b, c) for arm in arms)
-        return replace(prefix, state=ok, failure_state=fail)
+        ok, *fail = (None if moments[i] is None else wig.AffineImage(*moments[i], a, b, c, herald)
+                     for i, herald in arms)
+        if ok.probability < wig.IMPROBABLE_FLOOR:
+            raise ImprobableBranch(ok.probability)
+        fail = next((arm for arm in fail if arm is not None and arm.probability >= wig.IMPROBABLE_FLOOR), None)
+        # a failure arm follows the success arm's prefix arm (the complement of an output herald) or the other one
+        p_fail = 0.0 if fail is None else weights[arms[1][0]] * min(fail.probability, 1.0)
+        return replace(prefix, state=ok, success_prob=weights[0] * min(ok.probability, 1.0), failure_state=fail,
+                       failure_prob=p_fail)
 
     return observe
 
@@ -762,29 +824,26 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
     an output displacement b breaks that symmetry for an even detector, and V
     is searched over [0, 4 pi) instead.
 
-    A polynomial detector on the prefix channel is a trigonometric polynomial
-    in phi: <O> of a degree-q detector has harmonics up to q in phi/2 and
-    <O^2> up to 2q.  An even detector with no output displacement has even
-    harmonics only, and is read in phi itself.  Its samples at 4d + 1
-    equispaced phases (five, or nine for an even detector behind an output
-    displacement) fix both moments, and `est.trig_signal` gives V at every
-    phi and at every stationary point exactly.  Parity and click on either
-    state type read the batched kernel jet (`_kernel_jet`), through
-    `est.jet_phase_variance` at any phi and `_kernel_optimum` for the
-    minimum.  The fixed-phase variance, the drift trials and the optimum of
-    such a detector all read this one signal.  A herald after the phase
-    takes error propagation with central differences and golden section
-    (`_propagated`).
+    A polynomial detector with no herald after the phase is a trigonometric
+    polynomial in phi: <O> of a degree-q detector has harmonics up to q in
+    phi/2 and <O^2> up to 2q.  An even detector with no output displacement
+    has even harmonics only, and is read in phi itself.  Its samples at
+    4d + 1 equispaced phases (five, or nine for an even detector behind an
+    output displacement) fix both moments, and `est.trig_signal` gives V at
+    every phi and at every stationary point exactly.  Parity and click, and
+    every detector after an output herald, where <O> = p<O> / p is no
+    trigonometric polynomial, read the batched jet of <O> and Var
+    (`_signal_jet`), through `est.jet_phase_variance` at any phi and
+    `_kernel_optimum` for the minimum.  The fixed-phase variance, the drift
+    trials and the optimum of a detector all read this one signal.
 
     Minima within a relative OPTIMUM_TIE of the lowest are equal, and the one at
     the smallest phi is reported, so that rounding cannot move the optimum
     between mirror minima.  Raises SignalStationary when no phase gives a
     finite variance.
     """
-    if not _pulls_back(config):
-        return _propagated(config, scheme)
     shifted = bool(np.any(_after_mzi(config, None)[1]))
-    if scheme.kind in meas.POLYNOMIAL_KINDS:
+    if scheme.kind in meas.POLYNOMIAL_KINDS and not _output_heralds(config):
         even = scheme.kind != "homodyne"
         rate = 2 if shifted or not even else 1
         n = 9 if even and shifted else 5
@@ -792,26 +851,10 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
         samples = [meas.measure(observe(2.0 * math.pi * rate * j / n).state, scheme) for j in range(n)]
         variance, floor, points = est.trig_signal(samples, rate)
         return (*_least(points), _Signal(variance, floor))
-    jet = _kernel_jet(config, scheme)
+    jet = _signal_jet(config, scheme)
     # |<O>| <= 1, so the slope floor of jet_phase_variance is SLOPE_FLOOR
-    signal = _Signal(lambda phi: est.jet_phase_variance(*jet(phi), scheme.kind == "click"), est.SLOPE_FLOOR)
-    return (*_kernel_optimum(config, scheme, jet, 4.0 * math.pi if shifted else 2.0 * math.pi), signal)
-
-
-def _propagated(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float, _Signal]:
-    """`_optimal_phi` after a herald after the phase: error propagation over the memoized observation (inf where
-    it fails), and golden section from the two best of 25 phases over [0, 2 pi)."""
-    at = cache(lambda phi: meas.measure(_observer(config)(phi).state, scheme))
-
-    def variance(phi: float) -> float:
-        try:
-            return est.phase_variance_error_prop(lambda p: at(p).mean, lambda p: at(p).variance, phi)
-        except (SignalStationary, DegenerateBranch, ImprobableBranch, ValueError):
-            return math.inf
-
-    seeds = sorted(np.linspace(0.05, 2.0 * math.pi - 0.05, 25), key=variance)[:2]
-    minima = [est.golden_minimize(variance, s - 0.35, s + 0.35) for s in seeds]
-    return (*_least(minima), _Signal(np.vectorize(variance, otypes=[float]), est.SLOPE_FLOOR))
+    signal = _Signal(lambda phi: est.jet_phase_variance(*jet(phi)), est.SLOPE_FLOOR)
+    return (*_kernel_optimum(config, jet, 4.0 * math.pi if shifted else 2.0 * math.pi), signal)
 
 
 def _least(minima: list) -> tuple[float, float]:
@@ -822,13 +865,58 @@ def _least(minima: list) -> tuple[float, float]:
     return min((x, v) for x, v in minima if v - low <= OPTIMUM_TIE * abs(low))
 
 
-def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int = 0, order: int = 2) -> Callable:
-    """The batched jet of parity or click on the prefix channel.
+def _variance(m, m1, m2, s, s1, s2) -> tuple:
+    """Var = <O^2> - <O>^2 and its first two phi-derivatives, from the jets of <O> and <O^2>."""
+    return s - m * m, s1 - 2.0 * m * m1, s2 - 2.0 * (m1 * m1 + m * m2)
 
-    The jet maps an array of phases to <O>, <O>', <O>'' and the rounding level
-    of Var there, with O the no-click indicator for click: V is the same for
-    both outcomes of a Bernoulli signal, and the no-click probability keeps
-    its precision at the bright port, where the click probability rounds to 1.
+
+def _ratio(u, p, size) -> tuple:
+    """The jet of u / p to first or second order from those (value, derivatives) of u and p, by the quotient rule.
+
+    With curvatures, it is NaN (unresolved) where p < HERALD_RESOLUTION |p''| + size / HERALD_CANCELLATION,
+    with `size` the magnitude of p's read: there the quotient's derivatives lose their digits to p's rounding.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 at a herald zero
+        m = u[0] / p[0]
+        m1 = (u[1] - m * p[1]) / p[0]
+        if len(u) == 2:
+            return m, m1
+        floor = HERALD_RESOLUTION * np.abs(p[2]) + size / HERALD_CANCELLATION
+        resolved = p[0] >= np.maximum(wig.IMPROBABLE_FLOOR, floor)
+        return tuple(np.where(resolved, r, math.nan) for r in (m, m1, (u[2] - 2.0 * m1 * p[1] - m * p[2]) / p[0]))
+
+
+def _wigner_read(config: ScenarioConfig, index: int, order: int, herald: tuple, rows: list | None = None) -> Callable:
+    """(phis, kernel, blur, monomials) -> `wig.herald_read` of a prefix arm and its phase tangents up to `order`.
+
+    A(phi) = K (M(phi) + I), M(phi) = cos(phi/2) + 2 sin(phi/2) M'(0) on the interferometer's variables and I on
+    the ancillas'; the tangents (`_prefix_jets`) give every read's phi-derivatives exactly.  With `rows`, the
+    channel is cut to those variables first (an unheralded kernel read needs its mode's alone).
+    """
+    k, b, c = _after_mzi(config, None)
+    a_c, a_s, a_0 = k.copy(), np.zeros_like(k), k.copy()
+    a_c[:, 4:], a_s[:, :4], a_0[:, :4] = 0.0, 2.0 * (k[:, :4] @ sym.mzi_phase_derivative(0.0)), 0.0
+    if rows is not None:
+        a_c, a_s, a_0, b, c = a_c[rows], a_s[rows], a_0[rows], b[rows], c[rows][:, rows]
+    columns = _kernel_columns(config.inputs, _input_mods(config), _uniform_loss(config), _ancillas(config), index,
+                              order)
+    ancillas = bool(np.any(a_0))
+
+    def read(phi: np.ndarray, kernel: list | None = (), blur: np.ndarray | None = None, monomials: list | None = None):
+        a = a_c * np.cos(phi / 2.0)[:, None, None] + a_s * np.sin(phi / 2.0)[:, None, None]
+        return wig.herald_read(columns, a + a_0 if ancillas else a, b, c, herald, kernel, blur, monomials)
+
+    return read
+
+
+def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int = 0, order: int = 2) -> Callable:
+    """The batched jet of parity or click on one arm (`_arms`) of the prefix channel.
+
+    The jet maps an array of phases to <O> and its phi-derivatives up to
+    `order` and the rounding level of Var there, with O the no-click
+    indicator for click: V is the same for both outcomes of a Bernoulli
+    signal, and the no-click probability keeps its precision at the bright
+    port, where the click probability rounds to 1.
 
     On the detected mode's rows, A(phi) = a_c cos(phi/2) + a_s sin(phi/2) with
     a_c = K M(0) = K and a_s = 2 K M'(0).  On a Gaussian state the mode
@@ -838,25 +926,33 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
     or half the no-click probability with S0 + I in place of S0
     (`meas.kernel_jet`).  On a Wigner state the parity is pi W(0) of the
     mode, the no-click probability 2 pi times its density at 0 blurred by
-    I/2, and their derivatives those of the arm's phase tangents (`_prefix_jets`, read as the coefficient
-    columns of `_kernel_columns` by `wig.kernel_densities`); `arm` 1 is the failure arm, `order` 1 omits the
-    curvature.
+    I/2, and their derivatives those of the arm's phase tangents
+    (`_wigner_read`); after an output herald, <O> = p<O> / p with p the read of
+    the herald's projectors (`_ratio`).
     """
     gaussian_path, loss = _gaussian_possible(config), _uniform_loss(config)
-    k, b, c = _after_mzi(config, loss if gaussian_path else None)
-    rows = slice(2 * scheme.mode - 2, 2 * scheme.mode)
-    a_c, a_s, b = k[rows], 2.0 * (k @ sym.mzi_phase_derivative(0.0))[rows], b[rows]
     scale = 1.0 if scheme.kind == "parity" else 2.0
     if not gaussian_path:
-        columns = _kernel_columns(config.inputs, _input_mods(config), loss, arm, order)
-        blur = c[rows, rows] + (0.0 if scheme.kind == "parity" else 0.5 * np.eye(2))
+        index, herald = _arms(config)[arm]
+        mode = [2 * scheme.mode - 2, 2 * scheme.mode - 1]
+        blur = np.zeros((2, 2)) if scheme.kind == "parity" else 0.5 * np.eye(2)
+        # an unheralded read needs the detected mode's rows alone
+        read = _wigner_read(config, index, order, herald or wig.UNHERALDED, None if herald else mode)
+        mode = mode if herald else None
 
         def wigner_jet(phi: np.ndarray) -> tuple:
-            a = a_c * np.cos(phi / 2.0)[:, None, None] + a_s * np.sin(phi / 2.0)[:, None, None]
-            densities, size = wig.kernel_densities(columns, a, b, blur)
-            return (*(math.pi * scale * densities), est.SLOPE_NOISE * math.pi * scale * size)
+            densities, size = read(phi, mode, blur)
+            if herald is None:
+                return (*(math.pi * scale * densities), est.SLOPE_NOISE * math.pi * scale * size)
+            p, p_size = read(phi)
+            with np.errstate(divide="ignore"):
+                noise = est.SLOPE_NOISE * (math.pi * scale * size + p_size) / p[0]
+            return *_ratio(math.pi * scale * densities, p, p_size), noise
 
         return wigner_jet
+    k, b, c = _after_mzi(config, loss)
+    rows = slice(2 * scheme.mode - 2, 2 * scheme.mode)
+    a_c, a_s, b = k[rows], 2.0 * (k @ sym.mzi_phase_derivative(0.0))[rows], b[rows]
     state = _prefix(config.inputs, _input_mods(config), True, None).state
     r0, s0 = state.mean, state.cov
     m_c, m_s = a_c @ r0, a_s @ r0
@@ -881,6 +977,43 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
     return jet
 
 
+def _signal_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callable:
+    """phis -> (<O>, <O>', <O>'', Var, Var', Var'', the rounding level of Var) on the success arm, a (7, n) stack.
+
+    Parity and click read `_kernel_jet`, with <O^2> = 1 for parity and <O> for the no-click indicator.  A
+    polynomial detector after an output herald reads its monomials through the herald over the herald's read
+    (`_ratio`); its moment formulas (`meas.measure`) are affine in them, so they map the value row to <O> and
+    <O^2>, and a derivative row to its derivative once their constants are taken off.
+    """
+    if scheme.kind not in meas.POLYNOMIAL_KINDS:
+        jet = _kernel_jet(config, scheme)
+
+        def kernel_signal(phi: np.ndarray) -> tuple:
+            m, m1, m2, noise = jet(phi)
+            square = (m, m1, m2) if scheme.kind == "click" else (1.0, 0.0, 0.0)  # <O^2> of no-click, or parity
+            return m, m1, m2, *_variance(m, m1, m2, *square), noise
+
+        return kernel_signal
+    read = _wigner_read(config, 0, 2, _arms(config)[0][1])
+    constants = meas.measure(SimpleNamespace(modes=2, moments=lambda monomials: [0.0] * len(monomials)), scheme)
+
+    def polynomial_signal(phi: np.ndarray) -> tuple:
+        size = []
+
+        def moments(monomials: list) -> list:
+            reads, magnitudes = read(phi, monomials=[{}] + monomials)  # (monomial, W^(k), phase): p first
+            size.append(magnitudes[0] / np.abs(reads[0, 0]))
+            return [np.array(_ratio(r, reads[0], magnitudes[0])) for r in reads[1:]]
+
+        o = meas.measure(SimpleNamespace(modes=2, moments=moments), scheme)  # a state of given moments
+        offset = np.array([0.0, 1.0, 1.0])[:, None]
+        mean, second = o.mean - offset * constants.mean, o.second_moment - offset * constants.second_moment
+        noise = est.SLOPE_NOISE * np.maximum(1.0, np.abs(second[0])) * size[0]
+        return (*mean, *_variance(*mean, *second), noise)
+
+    return polynomial_signal
+
+
 def _mzi_qfi(config: ScenarioConfig) -> float:
     """A bound on the QFI of the MZI family of the prefix, the same at every phi.
 
@@ -897,7 +1030,7 @@ def _mzi_qfi(config: ScenarioConfig) -> float:
 def _prefix_qfi(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss: ga.LossSpec | None) -> float:
     """`_mzi_qfi` of one prefix, kept with it: the points of a sweep after the MZI share it."""
     if not gaussian_path:
-        expr, tensor = _prefix_moments(inputs, input_mods, loss)[0]
+        expr, tensor = _prefix_moments(inputs, input_mods, loss, ())[0]
         split = wig.AffineImage(expr, tensor, sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
         return meas.intensity_difference(split, 1, 2).variance
     state = _prefix(inputs, input_mods, True, None).state
@@ -906,12 +1039,11 @@ def _prefix_qfi(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss: ga.
     return est.qfi_mixed_gaussian(state, g @ state.mean, half + half.T)
 
 
-def _kernel_optimum(config: ScenarioConfig, scheme: meas.DetectionScheme, jet: Callable,
-                    period: float) -> tuple[float, float]:
-    """The phase-variance minimum of parity or click on the prefix channel, from one batched grid of its jet.
+def _kernel_optimum(config: ScenarioConfig, jet: Callable, period: float) -> tuple[float, float]:
+    """The phase-variance minimum of a jet signal (`_signal_jet`), from one batched grid of its jet.
 
     The grid has cells of width 1 / sqrt(F), with F = `_mzi_qfi`: it bounds
-    the Fisher information Var^-1 <O>'^2 of either detector at every phi, so a
+    the Fisher information Var^-1 <O>'^2 of every detector at every phi, so a
     cell is the width of the narrowest fringe.  The fringe angle
     theta = arccos <O> (parity), or arccos(1 - 2P) (click), turns by at most
     one radian across it, since theta'^2 = <O>'^2 / Var <= F.  `est.kernel_minima` refines the stationary
@@ -919,42 +1051,39 @@ def _kernel_optimum(config: ScenarioConfig, scheme: meas.DetectionScheme, jet: C
     the phase it reports; the least of them (by the OPTIMUM_TIE rule) is reported.
     """
     cells = 4 * max(math.ceil(period * math.sqrt(_mzi_qfi(config)) / 4.0), 1)
-    return _least(est.kernel_minima(jet, period, cells, scheme.kind == "click"))
+    return _least(est.kernel_minima(jet, period, cells))
 
 
 def _click_cfi(config: ScenarioConfig, phi: float) -> float:
     """Total click-detection CFI over both output modes and both herald arms.
 
-    Each arm adds, weighted by its probability, both detectors' CFIs (`est.binary_cfi`, where an outcome of
-    probability 0 adds 0).  On the prefix channel each reads the no-click probability and its exact slope, resolved
-    at a bright port, from its jet (`_kernel_jet`), and the curvature that gives a dark outcome's limit 2 P'' where
-    an outcome's probability is within rounding of 0: a click probability, formed as 1 - P0, or a Wigner no-click
-    probability, a sum of terms.  A herald after the phase takes central differences of the observation and adds
-    the herald term P+'^2 / (P+ (1 - P+)); an arm untracked at any of those phases (below the renormalization
-    floor) adds nothing.
+    Each arm (`_arms`) adds, weighted by its probability, both detectors' CFIs (`est.binary_cfi`, where an
+    outcome of probability 0 adds 0).  Each reads the arm's no-click probability and its exact slope, resolved
+    at a bright port, from its jet (`_kernel_jet`), and the curvature that gives a dark outcome's limit 2 P''
+    where an outcome's probability is within rounding of 0: a click probability, formed as 1 - P0, or a Wigner
+    no-click probability, a sum of terms.  A herald after the phase adds the herald term P+'^2 / (P+ (1 - P+)),
+    from the exact jet of its less probable outcome; an arm untracked at phi (below the renormalization floor)
+    adds nothing.
     """
-    observe = _observer(config)
-    res, h, forward = observe(phi), est.DEFAULT_STEP, not _pulls_back(config)
-    near, gaussian_path = (observe(phi + h), observe(phi - h)) if forward else (), _gaussian_possible(config)
+    res, gaussian_path = _observer(config)(phi), _gaussian_possible(config)
     total = 0.0
     for arm, (branch, p) in enumerate((("state", res.success_prob), ("failure_state", 1.0 - res.success_prob))):
         part = 0.0
-        for mode in (1, 2) if all(getattr(r, branch) is not None for r in (res, *near)) else ():
-            if forward:  # the less probable outcome, so that one impossible at phi and phi +- h adds 0
-                p0, up, down = (meas.click_probability(getattr(r, branch), mode) for r in (res, *near))
-                p0, up, down = (p0, up, down) if p0 <= 0.5 else (1.0 - p0, 1.0 - up, 1.0 - down)
-                dp0, d2p0 = (up - down) / (2.0 * h), None
-            else:
-                scheme = meas.DetectionScheme("click", mode)
-                p0, dp0 = (float(v[0]) for v in _kernel_jet(config, scheme, arm, order=1)(np.array([phi]))[:2])
-                # an outcome whose probability rounds to the level of its absolute error may be a dark one, whose
-                # limit needs the curvature; a Gaussian no-click probability keeps its relative precision
-                dark = 1.0 - p0 <= est.SLOPE_FLOOR or (p0 <= est.SLOPE_FLOOR and not gaussian_path)
-                d2p0 = float(_kernel_jet(config, scheme, arm)(np.array([phi]))[2][0]) if dark else None
+        for mode in (1, 2) if getattr(res, branch) is not None else ():
+            scheme = meas.DetectionScheme("click", mode)
+            p0, dp0 = (float(v[0]) for v in _kernel_jet(config, scheme, arm, order=1)(np.array([phi]))[:2])
+            # an outcome whose probability rounds to the level of its absolute error may be a dark one, whose
+            # limit needs the curvature; a Gaussian no-click probability keeps its relative precision
+            dark = 1.0 - p0 <= est.SLOPE_FLOOR or (p0 <= est.SLOPE_FLOOR and not gaussian_path)
+            d2p0 = float(_kernel_jet(config, scheme, arm)(np.array([phi]))[2][0]) if dark else None
             part += est.binary_cfi(p0, dp0, phi, d2p0)
         total += p * part
-    dp = (near[0].success_prob - near[1].success_prob) / (2.0 * h) if forward else 0.0
-    return total + (est.binary_cfi(res.success_prob, dp, phi) if dp else 0.0)
+    if _arms(config)[0][1] is None:
+        return total
+    # the herald's less probable outcome keeps its relative precision: cfi allows a single herald, so both are read
+    p, dp = min((_wigner_read(config, 0, 1, herald)(np.array([phi]))[0][:, 0] for _, herald in _arms(config)),
+                key=lambda jet: jet[0])
+    return total + (est.binary_cfi(float(p), float(dp), phi) if dp else 0.0)
 
 
 def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
@@ -973,7 +1102,7 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
     Noise after the MZI leaves a mixed non-Gaussian family, for which no QFI
     is given.
     """
-    if not _pulls_back(config):
+    if _output_heralds(config):
         return None, "unavailable (herald after the phase)"
     if _gaussian_possible(config):
         res = _observer(config)(phi)

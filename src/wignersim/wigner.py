@@ -18,7 +18,10 @@ squeezers, displacements).
 An `AffineImage` is an expression seen through a Gaussian channel
 X = A Y + b + xi without substituting the channel into its terms: the
 detector moments of X come from the expression's fixed moment tensor, and a
-Gaussian kernel on one mode from conditioning each term on that mode.
+Gaussian kernel on one mode from conditioning each term on that mode
+(`kernel_densities`).  Seen through a herald's Fock projectors on ancilla
+modes of X, each projector is one more Gaussian kernel with a Laguerre
+factor (`herald_read`).
 
 Term convention: weight * poly(X) * exp(-(X - mean)^T quad^{-1} (X - mean)),
 matching the Gaussian Wigner exponent used throughout, so quad equals the
@@ -418,6 +421,10 @@ def _add_noise(t: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return out
 
 
+# The herald of an unheralded read: one product, of no projectors, with sign 1.
+UNHERALDED = ((1.0, ()),)
+
+
 class AffineImage:
     """The state of X = A Y + b + xi: Y distributed as a normalized expression, xi ~ N(0, noise) independent.
 
@@ -428,12 +435,21 @@ class AffineImage:
     (`density_at_origin`), leaving one Wick expectation of the term's own
     polynomial.  `noise` is a covariance of the variables (sigma / 2 in the
     state convention).
+
+    A `herald` (signed products of projectors on ancilla modes of X, as
+    `herald_read` takes them) conditions X on the ancillas' outcome: every
+    moment and density is then a `herald_read` of the projectors times the
+    detector's monomial or kernel, over `probability`, the read of the
+    projectors alone, and `modes` counts the modes other than the ancillas.
+    Such an image needs no moment tensor.
     """
 
-    def __init__(self, expr: WignerExpr, tensor: np.ndarray, a: np.ndarray, shift: np.ndarray, noise: np.ndarray):
+    def __init__(self, expr: WignerExpr, tensor: np.ndarray | None, a: np.ndarray, shift: np.ndarray,
+                 noise: np.ndarray, herald: tuple | None = None):
         self.expr, self.tensor = expr, tensor
         self.a, self.shift, self.noise = a, shift, noise
-        self.modes = expr.modes
+        self.herald = herald
+        self.modes = expr.modes - len({v for _, projectors in herald or () for v, _ in projectors})
         n = expr.nvars
         self._lift = np.eye(n + 1)
         self._lift[1:, 0], self._lift[1:, 1:] = shift, a
@@ -441,10 +457,25 @@ class AffineImage:
         if np.any(noise):
             self._noise = np.zeros((n + 1, n + 1))
             self._noise[1:, 1:] = noise
-        self._values = None
+        self._values = self._columns = self._probability = None
+
+    def _read(self, kernel: list = (), blur: np.ndarray | None = None, monomials: list | None = None) -> np.ndarray:
+        if self._columns is None:
+            self._columns = kernel_columns((self.expr,))
+        return herald_read(self._columns, self.a[None], self.shift, self.noise, self.herald or UNHERALDED, kernel,
+                           blur, monomials)[0]
+
+    @property
+    def probability(self) -> float:
+        """The probability of the herald's outcome, 1 with no herald."""
+        if self._probability is None:
+            self._probability = float(self._read()[0, 0]) if self.herald else 1.0
+        return self._probability
 
     def moments(self, monomials: list) -> list[float]:
         """E[X^e] for each monomial e of degree <= 4 (a tuple or a {variable index: power} mapping)."""
+        if self.herald:
+            return [float(v[0, 0]) / self.probability for v in self._read(monomials=monomials)]
         if self._values is None:
             t = self.tensor
             for _ in range(4):  # each tensordot maps the last axis and moves it to the front
@@ -454,9 +485,7 @@ class AffineImage:
 
     def density_at_origin(self, mode: int, blur: np.ndarray) -> float:
         """Density at the origin of X_mode + eta, for eta ~ N(0, blur) independent (a 2x2 covariance, may be 0)."""
-        i = slice(2 * mode - 2, 2 * mode)
-        columns = kernel_columns((self.expr,))
-        return float(kernel_densities(columns, self.a[None, i], self.shift[i], self.noise[i, i] + blur)[0][0, 0])
+        return float(self._read([2 * mode - 2, 2 * mode - 1], blur)[0, 0]) / self.probability
 
 
 @dataclass(frozen=True)
@@ -480,25 +509,96 @@ def kernel_columns(exprs: tuple) -> list[KernelColumn]:
     return columns
 
 
-def kernel_densities(columns: list[KernelColumn], rows: np.ndarray, shift: np.ndarray, blur: np.ndarray) -> tuple:
-    """Density at 0 of V = B Y + c + eta, eta ~ N(0, blur), under each expression of the columns, for a stack of B
-    (k, 2, n).
+def kernel_densities(columns: list[KernelColumn], rows: np.ndarray, shift: np.ndarray, noise: np.ndarray,
+                     blur: np.ndarray, kernel: list | None = None, factor: Poly | None = None,
+                     monomials: list | None = None) -> tuple:
+    """Int W(Y) E[N(0; V_g, blur) Q(V) V^e] dY under each expression of the columns, for V = B Y + c + eta with
+    eta ~ N(0, noise), over a stack of B (k, d, n).
 
-    Under a term's Gaussian V has mean mu = B m + c and covariance S = B Sigma B^T + blur; the term adds
-    N(0; mu, S) times the Wick expectation of its polynomial given V = 0, one recursion for all the expressions.
-    Returns the densities (len(exprs), k) and the summed term magnitudes of the first, its rounding scale.
+    V_g are the variables `kernel` of V (all of them if None), Q the polynomial `factor` (1 if None) and e each
+    of `monomials` (as `moment` takes them, on variables outside V_g).  Under a term's Gaussian Y ~ N(m, Sigma),
+    U = V_g + zeta with zeta ~ N(0, blur) has mean mu = B_g m + c_g and covariance S = Sigma_gg + blur, Sigma_gg
+    = B_g Sigma B_g^T + noise_gg, and the term adds N(0; mu, S) times the Wick expectation of its polynomial
+    times Q(V) V^e given U = 0: one recursion over (Y, V) for all the expressions and monomials.  Q comes
+    smoothed by N(0, blur / 2) on V_g (`_projector_factor`), so V_g's conditional block enters less blur / 2,
+    as 1/2 blur S^-1 (Sigma_gg - blur): a projector read near its zero then keeps its digits.  With neither a
+    factor nor monomials only Y is conditioned, on V_g.  Returns the densities, (len(exprs), k) or
+    (len(monomials), len(exprs), k), and the summed term magnitudes of the first expression, its rounding scale.
     """
+    joint = factor is not None or monomials is not None
+    if not joint and kernel is not None:
+        rows, shift, noise = rows[:, kernel], shift[kernel], noise[kernel][:, kernel]
+    d = rows.shape[1]
+    if joint:
+        g = np.arange(d) if kernel is None else np.asarray(kernel, dtype=int)
+        factor = factor or {(0,) * d: 1.0}
+        shifts = None if monomials is None else [(0,) * columns[0].mean.size + _exponents(e, d) for e in monomials]
+    else:
+        kernel_cov = noise + blur
     total = scale = 0.0
+    norm = (2.0 * math.pi) ** ((len(g) if joint else d) / 2.0)
     for c in columns:
+        n, k = c.mean.size, rows.shape[0]
         sb = c.cov @ np.swapaxes(rows, 1, 2)  # Sigma B^T
-        s_inv, mu = np.linalg.inv(rows @ sb + blur), rows @ c.mean + shift
-        gain = sb @ s_inv
-        cov = (c.cov - gain @ np.swapaxes(sb, 1, 2)).transpose(1, 2, 0)
-        z = np.sqrt(c.det * np.linalg.det(s_inv)) / (2.0 * math.pi)
-        expectation = _gaussian_expectation(c.poly, (c.mean - (gain @ mu[..., None])[..., 0]).T, cov)
+        mu = rows @ c.mean + shift
+        if joint:  # Z = (Y, V), and its covariance with U
+            cov = np.concatenate([np.concatenate([np.broadcast_to(c.cov, (k, n, n)), sb], 2),
+                                  np.concatenate([np.swapaxes(sb, 1, 2), rows @ sb + noise], 2)], 1)
+            mean, cross, mu = np.concatenate([np.broadcast_to(c.mean, (k, n)), mu], 1), cov[:, :, n + g], mu[:, g]
+            s_inv = np.linalg.inv(cross[:, n + g] + blur)
+            poly = {ey + eq: cy * cq for ey, cy in c.poly.items() for eq, cq in factor.items()}
+        else:
+            cov, mean, cross, poly, shifts = c.cov, c.mean, sb, c.poly, None
+            s_inv = np.linalg.inv(rows @ sb + kernel_cov)
+        gain = cross @ s_inv
+        cond = cov - gain @ np.swapaxes(cross, 1, 2)
+        if joint:
+            excess = 0.5 * blur @ s_inv @ (cross[:, n + g] - blur)
+            cond[:, (n + g)[:, None], n + g] = (excess + np.swapaxes(excess, 1, 2)) / 2.0
+        cond = cond.transpose(1, 2, 0)
+        expectation = np.asarray(_gaussian_expectation(poly, (mean - (gain @ mu[..., None])[..., 0]).T, cond, shifts))
+        z = np.sqrt(c.det * np.linalg.det(s_inv)) / norm
         part = z * np.exp(-0.5 * np.einsum("ki,kij,kj->k", mu, s_inv, mu)) * expectation
-        total, scale = total + part, scale + np.abs(part[0])
+        total, scale = total + part, scale + np.abs(part[..., 0, :])
     return total, scale
+
+
+@lru_cache(maxsize=None)
+def _projector_factor(nvars: int, projectors: tuple) -> Poly:
+    """prod 2 pi (-1)^n L_n(2 (x^2 + p^2)) over the projectors (v, n) on the variables (x, p) = (v, v + 1), each
+    smoothed by N(0, I/4) as `kernel_densities` takes a factor: with the kernel N(0, I/2) on each pair, the
+    product of the projectors 2 pi F_n.  Smoothed, a projector with n > 0 has no constant term."""
+    out = _const_poly(nvars)
+    for v, n in projectors:
+        lag = _affine_expectation(_poly_scale(_laguerre_poly_2d(n), 2.0 * math.pi * (-1.0) ** n), np.eye(2),
+                                  np.zeros(2), 0.25 * np.eye(2))
+        out = _poly_mul(out, {tuple(e[i - v] if v <= i <= v + 1 else 0 for i in range(nvars)): c
+                              for e, c in lag.items()})
+    return out
+
+
+def herald_read(columns: list[KernelColumn], rows: np.ndarray, shift: np.ndarray, noise: np.ndarray, herald: tuple,
+                kernel: list | None = (), blur: np.ndarray | None = None, monomials: list | None = None) -> tuple:
+    """`kernel_densities` of a detector's kernel on `kernel` (covariance `blur`; None: all of V, with no
+    projector) and its `monomials`, times a herald.
+
+    The herald is a sum of signed products (sign, ((v, n), ...)) of Fock projectors 2 pi F_n, each on the
+    variables v, v + 1 of V (an ancilla mode): a Fock-n herald is one product, a click herald 1 - 2 pi F_0 two,
+    and a failure arm the unheralded read minus the success read.  Each projector is one more Gaussian kernel,
+    N(0, I/2), and its Laguerre polynomial one more factor.  Returns the summed densities and term magnitudes.
+    """
+    total = size = 0.0
+    blur = np.zeros((0, 0)) if blur is None else blur
+    for sign, projectors in herald:
+        g, cov, factor = None if kernel is None else list(kernel), blur, None
+        if projectors:
+            g += [v + i for v, _ in projectors for i in (0, 1)]
+            cov = 0.5 * np.eye(len(g))
+            cov[: len(blur), : len(blur)] = blur
+            factor = _projector_factor(rows.shape[1], projectors)
+        densities, scale = kernel_densities(columns, rows, shift, noise, cov, g, factor, monomials)
+        total, size = total + sign * densities, size + scale
+    return total, size
 
 
 def phase_tangent(expr: WignerExpr, h: np.ndarray) -> WignerExpr:

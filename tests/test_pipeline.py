@@ -13,6 +13,7 @@ import pytest
 
 import workloads
 from fock_oracle import Mixture, Oracle, qfi_sld
+import reference as ref
 from wignersim import cli
 from wignersim import conditional as cond
 from wignersim import estimation as est
@@ -152,7 +153,7 @@ class TestClickCfi:
         assert not warnings
 
         def branch(mode):
-            return est.two_outcome(lambda p: meas.click_probability(sc.build_pipeline(cfg, p).state, mode))
+            return ref.two_outcome(lambda p: meas.click_probability(sc.build_pipeline(cfg, p).state, mode))
 
         def exact(mode):
             # P0'^2 / P0 + P0'^2 / (1 - P0) from the no-click jet, its first term as P0 (P0'/P0)^2
@@ -162,7 +163,7 @@ class TestClickCfi:
 
         assert report.cfi == sum(exact(m) for m in (1, 2))
         # the exact slopes replace central differences of step 1e-5, which agree to their truncation error
-        assert report.cfi == pytest.approx(sum(est.cfi(branch(m), cfg.phi) for m in (1, 2)), rel=1e-7)
+        assert report.cfi == pytest.approx(sum(ref.cfi(branch(m), cfg.phi) for m in (1, 2)), rel=1e-7)
 
     def test_bright_port_cfi_is_reported_at_every_phase(self):
         # ligo_lossy at L = 0: a bright port has a no-click probability far below rounding of 1 - P(click), from
@@ -206,7 +207,7 @@ class TestClickCfi:
         # the CFI of each phase was dropped with the warning "branch probability 0.000e+00"
         raw = json.loads((ROOT / "configs" / "pacs_counts.json").read_text())
         cfg = sc.ScenarioConfig.from_dict(dict(raw, metrics=["cfi"]))
-        h = est.DEFAULT_STEP
+        h = ref.DEFAULT_STEP
         for phi in np.linspace(0.3, 6.0, 12):
             report, warnings, _ = sc.evaluate_point(cfg, float(phi))
             assert not warnings
@@ -354,7 +355,6 @@ class TestGaussianPrefixChannel:
     @pytest.mark.parametrize("raw", [LIGO_LOSSY, NOISY_GAUSSIAN], ids=["ligo_lossy", "noisy_gaussian"])
     def test_matches_build_pipeline(self, raw):
         cfg = sc.ScenarioConfig.from_dict(raw)
-        assert sc._pulls_back(cfg)
         observe = sc._observer(cfg)
         for phi in (0.3, 1.7, 2.9, 4.4):
             want, got = sc.build_pipeline(cfg, phi).state, observe(phi).state
@@ -507,6 +507,31 @@ EVERY_DETECTOR = [
 ]
 
 
+# a herald after the phase, on each route to it: shipped configs, a click herald, an SPDC addition, an input-stage
+# herald ahead of it, and output squeezes and displacements after it under thermal noise
+OUTPUT_HERALDS = {
+    "subtracted_thermal": json.loads((ROOT / "configs" / "subtracted_thermal.json").read_text()),
+    "pacs_counts": json.loads((ROOT / "configs" / "pacs_counts.json").read_text()),
+    "click_subtraction": {
+        "inputs": [{"kind": "coherent", "alpha": 1.2, "theta": 0.3}, {"kind": "thermal", "nbar": 0.5}],
+        "modifications": [{"op": "subtract", "stage": "output", "mode": 2, "m": "click", "T": 0.8}],
+        "interferometer": {"phi": 0.4},
+    },
+    "spdc_addition": {
+        "inputs": [{"kind": "coherent", "alpha": 1.0}, {"kind": "vacuum"}],
+        "modifications": [{"op": "add", "stage": "output", "mode": 1, "mechanism": "spdc", "r": 0.3, "theta": 0.4}],
+        "interferometer": {"phi": 0.4},
+    },
+    "input_and_output": {
+        "inputs": [{"kind": "coherent", "alpha": 1.0}, {"kind": "vacuum"}],
+        "modifications": [INPUT_ADDITION, {"op": "subtract", "stage": "output", "mode": 2, "m": 1, "T": 0.85}],
+        "interferometer": {"phi": 0.4},
+    },
+    "squeezed_displaced_thermal": dict(LOSSY_FOCK, modifications=LOSSY_FOCK["modifications"] + [
+        {"op": "squeeze", "stage": "output", "mode": 1, "r": 0.2, "theta": 0.5},
+        {"op": "displace", "stage": "output", "mode": 1, "alpha": 0.3, "theta": 1.0}]),
+}
+
 KERNEL_SCHEMES = [meas.DetectionScheme(kind, mode) for kind in ("parity", "click") for mode in (1, 2)]
 # (config, phases, Richardson step): the bright ligo_lossy fringes are narrow and take a short step
 KERNEL_JET_CASES = {
@@ -586,11 +611,11 @@ class TestWignerKernelJet:
         observe = sc._observer(cfg)
 
         def arm(branch):
-            return [est.two_outcome(lambda p, m=m: meas.click_probability(getattr(observe(p), branch), m))
+            return [ref.two_outcome(lambda p, m=m: meas.click_probability(getattr(observe(p), branch), m))
                     for m in (1, 2)]
 
         res = observe(cfg.phi)
-        want = est.probabilistic_cfi(res.success_prob, arm("state"), arm("failure_state"), cfg.phi)
+        want = ref.probabilistic_cfi(res.success_prob, arm("state"), arm("failure_state"), cfg.phi)
         assert sc._click_cfi(cfg, cfg.phi) == pytest.approx(want, rel=0.0, abs=1e-8)
 
     def test_click_cfi_takes_the_dark_outcome_limit(self):
@@ -612,7 +637,6 @@ class TestPulledBackRoute:
     @pytest.mark.parametrize("name", sorted(ROUTE_CONFIGS))
     def test_matches_build_then_measure(self, name):
         cfg = sc.ScenarioConfig.from_dict(ROUTE_CONFIGS[name])
-        assert sc._pulls_back(cfg)
         observe = sc._observer(cfg)
         for phi in (0.3, 1.7, 2.9, 4.4):
             want, got = sc.build_pipeline(cfg, phi), observe(phi)
@@ -642,10 +666,34 @@ class TestPulledBackRoute:
                 got = math.sqrt(var(phi) / signal.variance(np.array([phi]))[0])
                 assert got == pytest.approx(abs(richardson(mean, phi, 1e-2)), rel=1e-9, abs=1e-12), scheme.label
 
-    def test_output_herald_keeps_the_forward_path(self):
-        cfg = sc.ScenarioConfig.from_dict(LOSSY_FOCK)
-        assert not sc._pulls_back(cfg)
-        assert isinstance(sc._observer(cfg)(0.7).state, wg.WignerExpr)
+    @pytest.mark.parametrize("name", sorted(OUTPUT_HERALDS))
+    def test_output_herald_matches_the_forward_build(self, name):
+        # the herald's ancilla rides in the cached prefix, and its projector is one more kernel factor: the herald
+        # probability and every detector's moments of each arm agree with the state built at phi
+        cfg = sc.ScenarioConfig.from_dict(OUTPUT_HERALDS[name])
+        observe = sc._observer(cfg)
+        every = EVERY_DETECTOR + [meas.DetectionScheme("homodyne", 1, angle=1.1),
+                                  meas.DetectionScheme("intensity_difference", 2, mode_b=1)]
+        for phi in (0.4, 1.7, 4.1):
+            want, got = sc.build_pipeline(cfg, phi), observe(phi)
+            assert isinstance(got.state, wg.AffineImage)
+            assert got.success_prob == pytest.approx(want.success_prob, rel=1e-10, abs=0.0)
+            assert got.failure_prob == pytest.approx(want.failure_prob, rel=1e-10, abs=0.0)
+            for arm in ("state", "failure_state"):
+                w, g = getattr(want, arm), getattr(got, arm)
+                assert (w is None) == (g is None)
+                for scheme in every if w is not None else ():
+                    a, b = meas.measure(w, scheme), meas.measure(g, scheme)
+                    assert b.mean == pytest.approx(a.mean, rel=1e-10, abs=1e-14), (phi, arm, scheme.label)
+                    assert b.variance == pytest.approx(a.variance, rel=1e-10, abs=1e-14), (phi, arm, scheme.label)
+
+    @pytest.mark.parametrize("name", sorted(n for n in OUTPUT_HERALDS if n != "input_and_output"))
+    def test_output_herald_cfi_matches_differences_of_the_forward_build(self, name):
+        # the exact jets of the click probabilities and of the herald, against five-point differences of the
+        # state built at phi +- h, phi +- 2 h
+        cfg = sc.ScenarioConfig.from_dict(dict(OUTPUT_HERALDS[name], metrics=["cfi"]))
+        for phi in (0.4, 1.7, 4.1):
+            assert sc._click_cfi(cfg, phi) == pytest.approx(ref.forward_click_cfi(cfg, phi), rel=1e-8, abs=0.0)
 
     def test_m2_point_b_matches_the_forward_path(self):
         # ROADMAP heralded reference (b) at m = 2, the `stress` workload: it took about 14 s on the forward path
@@ -660,7 +708,7 @@ class TestPulledBackRoute:
             for scheme in cfg.detection:
                 mean = lambda p: meas.measure(forward(p), scheme).mean
                 var = lambda p: meas.measure(forward(p), scheme).variance
-                want = est.phase_variance_error_prop(mean, var, phi)
+                want = ref.phase_variance_error_prop(mean, var, phi)
                 got_mean, got_var = signal_fns(cfg, scheme)
                 assert got_mean(phi) == pytest.approx(mean(phi), rel=1e-10), scheme.label
                 assert got_var(phi) == pytest.approx(var(phi), rel=1e-10), scheme.label
@@ -677,7 +725,7 @@ class TestPulledBackRoute:
         cfg = sc.ScenarioConfig.from_dict(raw)
         got, route = sc._qfi(cfg, phi)
         assert route == "pure_wigner"
-        integral = est.qfi_pure_wigner(lambda p: sc.build_pipeline(cfg, p).state, phi)
+        integral = ref.qfi_pure_wigner(lambda p: sc.build_pipeline(cfg, p).state, phi)
         assert got == pytest.approx(integral, rel=1e-9, abs=0.0)
         want = oracle_qfi([("coherent", 1.0), ("vacuum",), ("fock", 1)], lambda orc: orc.bs(3, 1, 0.9), 3, phi,
                           [14, 14, 14])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import workloads
+import reference as ref
 from wignersim import cli
 from wignersim import estimation as est
 from wignersim import gaussian as ga
@@ -221,7 +222,7 @@ class TestPipeline:
             "metrics": ["cfi"],
         }
         cfg = sc.ScenarioConfig.from_dict(raw)
-        crossing, h = 0.483964172, est.DEFAULT_STEP
+        crossing, h = 0.483964172, ref.DEFAULT_STEP
         assert sc.build_pipeline(cfg, crossing - h).failure_state is None
         assert sc.build_pipeline(cfg, crossing + h).failure_state is not None
         for phi in (crossing - h / 2, crossing + h / 2):

@@ -7,7 +7,6 @@ import pytest
 
 import workloads
 from wignersim import conditional as cond
-from wignersim import estimation as est
 from wignersim import gaussian as ga
 from wignersim import measurements as meas
 from wignersim import scenario as sc
@@ -129,12 +128,11 @@ def test_gaussian_qfi_observes_one_state(observed):
     (LIGO_LOSSY, "intensity[1]"), (LIGO_LOSSY, "homodyne[1,0]"), (LIGO_LOSSY, "diff[1,2]"),
     (workloads.point_a(1.0), "intensity[1]"), (workloads.point_b(1.0), "diff[1,2]"),
 ])
-def test_polynomial_optimum_reads_five_phases(config, label, observed, monkeypatch):
+def test_polynomial_optimum_reads_five_phases(config, label, observed):
     # <O> and <O^2> are trigonometric polynomials in phi, fixed by five equispaced samples
-    golden = counter(monkeypatch, est, "golden_minimize")
     config = sc.load_config(config) if isinstance(config, str) else sc.ScenarioConfig.from_dict(config)
     sc._optimal_phi(config, next(s for s in config.detection if s.label == label))
-    assert (len(golden), len(observed)) == (0, 5)
+    assert len(observed) == 5
 
 
 @pytest.mark.parametrize("study", ["point", "drift"])
@@ -157,28 +155,47 @@ def test_ligo_lossy_fixed_phases_read_the_optimum_signal(study, observed):
 
 @pytest.mark.parametrize("raw", [workloads.point_a(1.0), workloads.point_b(1.0)], ids=["point_a", "point_b"])
 @pytest.mark.parametrize("kind", ["parity", "click"])
-def test_wigner_kernel_optimum_makes_no_golden_section_search(raw, kind, observed, monkeypatch):
-    # on a Wigner state the kernel jet reads the prefix's phase tangents: no search, no observation
-    golden = counter(monkeypatch, est, "golden_minimize")
+def test_wigner_kernel_optimum_makes_no_golden_section_search(raw, kind, observed):
+    # on a Wigner state the kernel jet reads the prefix's phase tangents: no observation
     sc._optimal_phi(sc.ScenarioConfig.from_dict(raw), meas.DetectionScheme(kind, 1))
-    assert (len(golden), observed) == (0, [])
+    assert observed == []
 
 
 @pytest.mark.parametrize("kind", ["parity", "click"])
-def test_gaussian_kernel_optimum_observes_nothing(kind, observed, monkeypatch):
+def test_gaussian_kernel_optimum_observes_nothing(kind, observed):
     # one batched grid of the kernel jet and its refinements find the minimum, and the jet gives its variance
-    golden = counter(monkeypatch, est, "golden_minimize")
     config = sc.load_config(LIGO_LOSSY)
     sc._optimal_phi(config, meas.DetectionScheme(kind, 1))
-    assert (len(golden), observed) == (0, [])
+    assert observed == []
 
 
 def test_herald_after_the_phase_builds_each_phase_once(monkeypatch):
-    # the point, its cfi and its distributions share one memoized observation: phi and phi +- h are built once each
+    # the herald's ancilla rides in the cached prefix: the point and its cfi read the channel, and only the
+    # distributions build the state at phi
     builds = counter(monkeypatch, sc, "build_pipeline")
     sc._observer.cache_clear()
     sc.run(sc.load_config(str(Path(LIGO_LOSSY).parent / "subtracted_thermal.json")))
-    assert len(builds) == 3
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("metrics, builds", [(["phase_variance", "cfi", "snr"], 0),
+                                             (["phase_variance", "cfi", "snr", "distributions"], 1)])
+def test_output_herald_run_builds_only_its_distributions(metrics, builds, monkeypatch):
+    # every metric reads the prefix, the herald's ancilla included, through the channel; the distributions need
+    # the state at phi
+    calls = counter(monkeypatch, sc, "build_pipeline")
+    raw = json.loads((Path(LIGO_LOSSY).parent / "subtracted_thermal.json").read_text())
+    sc.run(sc.ScenarioConfig.from_dict(dict(raw, metrics=metrics)))
+    assert len(calls) == builds
+
+
+def test_output_herald_drift_builds_nothing(monkeypatch):
+    # 200 trials of each detector read its signal's jet, one call for all of them
+    calls = counter(monkeypatch, sc, "build_pipeline")
+    report = sc.phase_drift_study(sc.load_config(str(Path(LIGO_LOSSY).parent / "subtracted_thermal.json")),
+                                  trials=200, seed=1)
+    assert len(report.rows) == 2
+    assert calls == []
 
 
 def test_ligo_lossy_point_makes_no_per_phi_transform(monkeypatch):
@@ -219,9 +236,9 @@ def test_lossy_heralded_point_builds_no_lossless_moment_tensor(monkeypatch):
     losses = []
     orig = sc._prefix_moments
 
-    def counted(inputs, input_mods, loss):
+    def counted(inputs, input_mods, loss, ancillas):
         losses.append(loss)
-        return orig(inputs, input_mods, loss)
+        return orig(inputs, input_mods, loss, ancillas)
 
     monkeypatch.setattr(sc, "_prefix_moments", counted)
     sc._observer.cache_clear()  # a new observer reads the lossy prefix's moments
@@ -273,15 +290,15 @@ def test_counted_m3_state_is_one_mode(monkeypatch):
 
 
 def test_counts_builds_no_failure_branch_and_one_inverse_dft(monkeypatch):
-    # `counts` reads the success branch alone, asked for through the single-branch entry point, and every
-    # grid point inverts its generating function by one cached matrix
+    # `counts` asks each herald for its success branch alone, and every grid point inverts its generating
+    # function by one cached matrix
     integrations = counter(monkeypatch, cond, "_integrate_out")
-    entries = {name: counter(monkeypatch, cond, name) for name in ("add_photons_bs", "add_photons_bs_branches")}
+    heralds = counter(monkeypatch, cond, "_herald")
     wg._inverse_dft.cache_clear()
     report = sc.simulate_counts(sc.load_config(PACS_COUNTS), trials=3600, seed=42)
     assert len(report.rows) == 19
     assert [kwargs.get("fock") for kwargs in integrations] == [0] * 19  # no trace: only a failure branch needs one
-    assert {name: len(calls) for name, calls in entries.items()} == {"add_photons_bs": 19, "add_photons_bs_branches": 0}
+    assert [kwargs.get("only") for kwargs in heralds] == ["success"] * 19
     assert wg._inverse_dft.cache_info().misses == 1
 
 
