@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +48,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parses share it, as argparse copies an appended default before its first item."""
     ap = argparse.ArgumentParser(prog="wignersim", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -23,9 +23,8 @@ every read as one more kernel factor (`_arms`), so the state is never built
 at a phase.  A detector's phase variance comes from one exact phase signal
 (`_optimal_phi`), which gives its optimum and its value at any phi.
 
-`simulate_counts` reads the herald's mode alone: the pipeline up to its
-output stage with the other arm traced out, then that mode's output stage,
-whose herald builds its success branch alone (`_counted`).
+`simulate_counts` heralds its whole T grid at once, on the herald's mode
+alone, the other arm traced out: one grid expression (`_grid_herald`).
 
 Identical config plus seed gives byte-identical CSV/JSON output.
 """
@@ -67,6 +66,9 @@ HERALD_CANCELLATION = 1e4
 # Distinct phi-independent prefixes kept; a Wigner-path point with loss uses a
 # lossy prefix and the lossless one it starts from (also read for the input photon number).
 PREFIX_CACHE_SIZE = 8
+# `counts` doubles n_max from wig.DEFAULT_NMAX while a tail is above COUNTS_TAIL, and flags it at COUNTS_NMAX.
+COUNTS_TAIL = 1e-12
+COUNTS_NMAX = 640
 # Largest squeeze parameter r of a squeeze or an SPDC addition, and of the
 # summed r of the squeezes on one mode and stage.  The rounding
 # defect of a squeezer matrix grows like eps cosh^2 r and passes the symplectic
@@ -547,30 +549,23 @@ def _herald_args(mod: ModificationSpec) -> tuple:
     return ("BS", mod.T), 0, 0 if click else mod.m, click
 
 
-def _herald(expr: wig.WignerExpr, mod: ModificationSpec, success_only: bool = False) -> tuple:
-    """(success, failure) of one herald; with `success_only` the failure is None, neither built nor checked.
+def _modify(res: PipelineResult, mods, stage: str) -> PipelineResult:
+    """Apply one stage's modifications in order; the first herald starts the failure branch.
 
-    A failure branch below the renormalization floor is left untracked (None)
-    when the success branch is above it, so a herald that succeeds almost
-    surely is kept.
+    A failure branch below the renormalization floor is left untracked when
+    the success branch is above it, so a herald that succeeds almost surely is
+    kept.
     """
-    args = (expr, mod.mode, *_herald_args(mod))
-    if not success_only:
-        try:
-            return cond._herald(*args)
-        except ImprobableBranch:
-            pass
-    return cond._herald(*args, only="success")[0], None
-
-
-def _modify(res: PipelineResult, mods, stage: str, success_only: bool = False) -> PipelineResult:
-    """Apply one stage's modifications in order; the first herald starts the failure branch unless `success_only`."""
     for m in mods:
         if not m.heralded:
             f = _gaussian_step(m, res.state.modes)
             res = _each(res, lambda s: _transform(s, f))
             continue
-        ok, fail = _herald(res.state, m, success_only)
+        args = (res.state, m.mode, *_herald_args(m))
+        try:
+            ok, fail = cond._herald(*args)
+        except ImprobableBranch:
+            ok, fail = cond._herald(*args, only="success")[0], None
         prob = res.success_prob * ok.probability
         if res.herald_stage is None and fail is not None:
             res = replace(res, state=ok.state, success_prob=prob, failure_state=fail.state,
@@ -631,28 +626,24 @@ def _before_output(config: ScenarioConfig, phi: float | None = None) -> Pipeline
     return res
 
 
-def _counted(config: ScenarioConfig, mode: int, arms: dict) -> PipelineResult:
-    """The one-mode state of `mode` that `counts` reads: the pipeline with the other arm traced out.
+def _grid_herald(config: ScenarioConfig, mod: ModificationSpec, grid: tuple) -> tuple:
+    """(herald probability, state) of `counts` at every T of the grid, from one herald of the stack of couplings.
 
-    Every stage after the MZI (thermal injection, output squeezes and
-    displacements, an output herald) acts on one mode, so tracing the other
-    arm out after the noise commutes with all of them: `mode`'s output-stage
-    modifications then run on the traced arm as mode 1, and the other mode's
-    are dropped, so a herald mixes its ancilla into a one-mode state.  The
-    traced arm ahead of the output stage depends on T only through
-    an input-stage herald; `arms` keeps it, keyed by the input-stage
-    modifications, across the grid points of one config.  `counts` reads the
-    success branch alone: that of an input-stage herald is the one traced, and
-    the output-stage herald builds and checks only its success branch, so a
-    click herald that fires almost surely is not refused for its improbable
-    no-click branch.
-    """
-    key = _input_mods(config)
-    if key not in arms:
-        res = _before_output(config)
-        arms[key] = replace(res, state=wig.marginal_mode(res.state, mode), failure_state=None, failure_prob=0.0)
-    mods = [replace(m, mode=1) for m in config.modifications if m.stage == "output" and m.mode == mode]
-    return _modify(arms[key], mods, "output", success_only=True)
+    The herald `mod` takes the grid as its T, so each expression from it on is a grid expression (`wigner`) over
+    the points of probability at or above the renormalization floor.  Every stage after the MZI acts on one mode,
+    so the other arm is traced out after the noise and `mod.mode`'s output stage runs on it as mode 1, an output
+    herald with its success branch alone."""
+    gridded = replace(mod, T=grid)
+    config = replace(config, modifications=tuple(gridded if m is mod else m for m in config.modifications))
+    res = _before_output(config)
+    state, prob = wig.marginal_mode(res.state, mod.mode), res.success_prob
+    for m in (m for m in config.modifications if m.stage == "output" and m.mode == mod.mode):
+        if m.heralded:
+            ok = cond._herald(state, 1, *_herald_args(m), only="success")[0]
+            state, prob = ok.state, ok.probability
+        else:
+            state = wig.apply_symplectic(state, _gaussian_step(replace(m, mode=1), 1))
+    return prob, state
 
 
 @lru_cache(maxsize=PREFIX_CACHE_SIZE)
@@ -1404,14 +1395,13 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
     (equal experiment time); the substream for each grid point derives from
     (seed, index) so execution order cannot matter.
 
-    The detectors read the herald's mode alone: the other arm is traced out
-    after the noise, ahead of the output stage, and the heralded state is one
-    mode (`_counted`).  The herald builds only the success branch that the
-    rows read, never its failure branch.  A success probability below the
-    renormalization floor (T = 1 for a beam-splitter addition) gives a row
-    flagged "improbable herald branch" with nothing kept, and a heralded state
-    of zero photon-number variance (a Fock state) a row without `theory_snr`;
-    each adds a warning.
+    The grid is validated once and heralded at once, as one grid expression
+    (`_grid_herald`) whose intensity moments and distributions are one read
+    each.  A success probability below the renormalization floor (T = 1 for a
+    beam-splitter addition) gives a row flagged "improbable herald branch"
+    with nothing kept, a state of zero photon-number variance (a Fock state) a
+    row without `theory_snr`, and a photon-number tail above COUNTS_TAIL at
+    COUNTS_NMAX a flagged row; each adds a warning.
     """
     if trials < 1:
         raise ConfigError("counts.trials", "need at least one trial")
@@ -1421,37 +1411,44 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
     mod = herald[0]
     if mod.op == "add" and mod.mechanism == "spdc":
         raise ConfigError("modifications", "simulate_counts sweeps the BS transmissivity; use the bs mechanism")
-    if t_grid is None:
-        t_grid = np.arange(0.05, 1.0, 0.05)
-    rows = []
-    warnings: list[str] = []
+    path = f"modifications.{config.modifications.index(mod)}.T"
+    grid = tuple(_number(float(t), path, lo=0.0, hi=1.0)
+                 for t in (np.arange(0.05, 1.0, 0.05) if t_grid is None else t_grid))
+    if not grid:
+        raise ConfigError("counts.grid", "empty grid")
+    rows, warnings = [], []
     added = int(mod.m) if (mod.op == "add" and isinstance(mod.m, int)) else 0
-    arms: dict = {}
-    for idx, T in enumerate(float(t) for t in t_grid):
-        try:
-            res = _counted(config.with_values(T=T), mod.mode, arms)
-        except ImprobableBranch as exc:
+    prob, state = _grid_herald(config, mod, grid)
+    at = np.cumsum(prob >= wig.IMPROBABLE_FLOOR) - 1  # each point's index on the state's grid
+    theory, dists, wide, n_max = meas.intensity(state, 1), {}, np.arange(at[-1] + 1), wig.DEFAULT_NMAX
+    while wide.size:  # n_max doubles where a tail is above COUNTS_TAIL
+        dist = wig.photon_number_distribution(state.take(wide), 1, n_max)
+        dists.update((i, wig.PhotonNumberDistribution(p, n_max, t)) for i, p, t in zip(wide, dist.probs, dist.tail))
+        wide, n_max = wide[(dist.tail > COUNTS_TAIL) & (n_max < COUNTS_NMAX)], 2 * n_max
+    for idx, (T, p, j) in enumerate(zip(grid, prob, at)):
+        if p < wig.IMPROBABLE_FLOOR:
             rows.append({"index": idx, "T": T, "kept": 0, "flag": "improbable herald branch"})
-            warnings.append(f"T={T:g}: {exc}")
+            warnings.append(f"T={T:g}: {ImprobableBranch(p)}")
             continue
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-        kept = int(rng.binomial(trials, min(max(res.success_prob, 0.0), 1.0)))
-        theory = meas.intensity(res.state, 1)
-        row = {"index": idx, "T": T, "herald_probability": res.success_prob, "kept": kept, "theory_mean": theory.mean}
+        kept = int(rng.binomial(trials, p))
+        moments = meas.MeasurementMoments(theory.mean[j], theory.second_moment[j])
+        row = {"index": idx, "T": T, "herald_probability": p, "kept": kept, "theory_mean": moments.mean}
         try:
-            row["theory_snr"] = est.snr(theory, subtract_injected=added)
+            row["theory_snr"] = est.snr(moments, subtract_injected=added)
         except ValueError as exc:
             warnings.append(f"T={T:g}: theory_snr: {exc}")
         if kept == 0:
             row["flag"] = "no kept measurements"
             warnings.append(f"T={T:g}: herald kept zero of {trials} trials")
         else:
-            dist = wig.photon_number_distribution(res.state, 1)
-            samples = dist.sample(rng, kept)
+            samples = dists[j].sample(rng, kept)
             mean = float(np.mean(samples))
             row["sample_mean"] = mean
             if kept > 1 and float(np.std(samples)) > 0.0:
                 row["sample_snr"] = (mean - added) / float(np.std(samples, ddof=1))
+            if dists[j].tail > COUNTS_TAIL:
+                row["flag"] = "truncated photon-number distribution"
+                warnings.append(f"T={T:g}: photon-number tail {dists[j].tail:.3e} at n_max = {dists[j].n_max}")
         rows.append(row)
-    return RunReport(config=config.raw, rows=rows, parameter="T", grid=[float(t) for t in t_grid], seed=seed,
-                     warnings=warnings)
+    return RunReport(config=config.raw, rows=rows, parameter="T", grid=list(grid), seed=seed, warnings=warnings)

@@ -60,16 +60,11 @@ def identity_transform(modes: int) -> SymplecticTransform:
     return SymplecticTransform(np.eye(2 * modes))
 
 
-def _beam_splitter_matrix(T: float) -> np.ndarray:
-    t, rfl = math.sqrt(T), math.sqrt(1.0 - T)
-    return np.array(
-        [
-            [t, 0.0, rfl, 0.0],
-            [0.0, t, 0.0, rfl],
-            [rfl, 0.0, -t, 0.0],
-            [0.0, rfl, 0.0, -t],
-        ]
-    )
+def _beam_splitter_matrix(T) -> np.ndarray:
+    """The beam-splitter matrix, or for a vector of T a stack (len(T), 4, 4) of them."""
+    t, rfl = np.sqrt(T), np.sqrt(1.0 - np.asarray(T))
+    z = np.zeros_like(t)
+    return np.moveaxis(np.array([[t, z, rfl, z], [z, t, z, rfl], [rfl, z, -t, z], [z, rfl, z, -t]]), (0, 1), (-2, -1))
 
 
 def make_beam_splitter(T: float) -> SymplecticTransform:

@@ -27,6 +27,10 @@ Term convention: weight * poly(X) * exp(-(X - mean)^T quad^{-1} (X - mean)),
 matching the Gaussian Wigner exponent used throughout, so quad equals the
 covariance matrix sigma for Gaussian states and the per-variable covariance of
 the Gaussian factor is quad / 2.
+
+A grid expression (a stack of maps in `_integrate_out` makes one) holds a state
+per grid point: its terms' means and quads carry a leading grid axis, weights and
+coefficients may, and the routines broadcast; scalars keep their arithmetic bits.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .symplectic import SymplecticTransform
 FOCK_CUTOFF = 64
 IMPROBABLE_FLOOR = 1e-14
 DEFAULT_NMAX = 40
+CONTOUR_SLAB = 2048
 
 Poly = dict  # exponent tuple over the 2N variables -> real coefficient
 
@@ -70,8 +75,22 @@ def _poly_add(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _poly_prune(a: Poly, tol: float = 0.0) -> Poly:
-    return {e: c for e, c in a.items() if c != 0.0 and abs(c) > tol}
+def _nonzero(c) -> bool:  # at some grid point, for an array
+    return bool(np.any(np.abs(c) > 0.0)) if isinstance(c, np.ndarray) else abs(c) > 0.0
+
+
+def _poly_prune(a: Poly) -> Poly:
+    return {e: c for e, c in a.items() if _nonzero(c)}
+
+
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for a matrix a and a vector x, either of them stacked along leading grid axes."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _quadratic(x: np.ndarray, a: np.ndarray):
+    """x^T a x, over any leading grid axes."""
+    return (x[..., None, :] @ a @ x[..., :, None])[..., 0, 0]
 
 
 def _const_poly(nvars: int, value=1.0) -> Poly:
@@ -134,9 +153,10 @@ def _gaussian_expectation(poly: Poly, mean: np.ndarray, cov: np.ndarray, shifts:
         memo[e] = val
         return val
 
-    if shifts is None:
-        return sum(c * mom(e) for e, c in poly.items())
-    return [sum(c * mom(tuple(a + b for a, b in zip(ea, e))) for ea, c in poly.items()) for e in shifts]
+    out = sum(c * mom(e) for e, c in poly.items()) if shifts is None else [
+        sum(c * mom(tuple(a + b for a, b in zip(ea, e))) for ea, c in poly.items()) for e in shifts]
+    memo.clear()  # the recursive `mom` is a reference cycle, which would hold the memo until a collection
+    return out
 
 
 def _affine_expectation(poly: Poly, lin: np.ndarray, const: np.ndarray, cov: np.ndarray) -> Poly:
@@ -146,11 +166,13 @@ def _affine_expectation(poly: Poly, lin: np.ndarray, const: np.ndarray, cov: np.
     that monomial; the others go through the Gaussian moment recursion, whose
     means are affine polys in y.
     """
-    nk = lin.shape[1]
+    nk = lin.shape[-1]
+    # variables first, any grid axis last
+    lin, cov, const = np.moveaxis(lin, (-2, -1), (0, 1)), np.moveaxis(cov, (-2, -1), (0, 1)), np.moveaxis(const, -1, 0)
     units = [tuple(int(j == k) for k in range(nk)) for j in range(nk)]
     rows = []
     for i in range(len(const)):
-        row = {(0,) * nk: const[i], **{units[j]: lin[i, j] for j in range(nk) if lin[i, j] != 0.0}}
+        row = {(0,) * nk: const[i], **{units[j]: lin[i, j] for j in range(nk) if _nonzero(lin[i, j])}}
         rows.append(_poly_prune(row) or _const_poly(nk, 0.0))
     fixed = {i for i, row in enumerate(rows) if len(row) == 1 and not np.any(cov[i])}
     powers = [(i, *next(iter(rows[i].items()))) for i in sorted(fixed)]
@@ -169,7 +191,7 @@ def _affine_expectation(poly: Poly, lin: np.ndarray, const: np.ndarray, cov: np.
         e1t = tuple(e1)
         val = _poly_mul(rows[rand[i]], mom(e1t))
         for j, ej in enumerate(e1t):
-            if ej and cov[i, j] != 0.0:
+            if ej and _nonzero(cov[i, j]):
                 e2 = list(e1t)
                 e2[j] -= 1
                 val = _poly_add(val, _poly_scale(mom(tuple(e2)), cov[i, j] * ej))
@@ -205,13 +227,20 @@ class Term:
 
     @property
     def nvars(self) -> int:
-        return self.mean.size
+        return self.mean.shape[-1]
 
-    def integral(self, extra_monomial: Poly | None = None) -> float:
-        """Analytic integral of this term over all variables, optionally times a poly."""
+    def integral(self, extra_monomial: Poly | None = None, shifts: list | None = None):
+        """Analytic integral of this term over all variables, optionally times a poly; with `shifts`, the list of
+        its integrals times X^e for each exponent tuple e, from one recursion.  Of a grid term, one per point."""
         poly = self.poly if extra_monomial is None else _poly_mul(self.poly, extra_monomial)
-        z = math.pi ** (self.nvars // 2) * math.sqrt(np.linalg.det(self.quad))
-        return self.weight * z * float(np.real(_gaussian_expectation(poly, self.mean, self.quad / 2.0)))
+        mean, cov = self.mean, self.quad / 2.0
+        if mean.ndim > 1:  # the grid axis moves last, where `_gaussian_expectation` takes batches
+            mean, cov = np.moveaxis(mean, 0, -1), np.moveaxis(cov, 0, -1)
+        wz = self.weight * (math.pi ** (self.nvars // 2) * np.sqrt(np.linalg.det(self.quad)))
+        values = _gaussian_expectation(poly, mean, cov, shifts)
+        real = [wz * (float(np.real(v)) if np.ndim(v) == 0 else np.real(v))
+                for v in ([values] if shifts is None else values)]
+        return real[0] if shifts is None else real
 
     def evaluate(self, x: np.ndarray):
         d = x - self.mean
@@ -242,10 +271,19 @@ class WignerExpr:
 
     def normalize(self) -> "WignerExpr":
         """The expression divided by its norm, whose `norm` then reads 1.0 without a recursion."""
-        if self.norm <= 0.0:
-            raise ValueError(f"cannot normalize expression with integral {self.norm:.3e}")
+        if np.any(self.norm <= 0.0):
+            raise ValueError(f"cannot normalize expression with integral {np.min(self.norm):.3e}")
         out = WignerExpr(self.modes, [Term(t.weight / self.norm, t.poly, t.mean, t.quad) for t in self.terms])
-        out._norm = 1.0
+        out._norm = self.norm / self.norm  # 1.0 at each grid point
+        return out
+
+    def take(self, points) -> "WignerExpr":
+        """A grid expression at some of its points (a mask or indices); a part without a grid axis stays."""
+        def at(a, core: int):
+            return a[points] if np.ndim(a) > core else a
+        out = WignerExpr(self.modes, [Term(at(t.weight, 0), {e: at(c, 0) for e, c in t.poly.items()},
+                                           at(t.mean, 1), at(t.quad, 2)) for t in self.terms])
+        out._norm = None if self._norm is None else at(self._norm, 0)
         return out
 
     def evaluate(self, x: Iterable[float]) -> float:
@@ -300,10 +338,11 @@ def tensor_exprs(a: WignerExpr, b: WignerExpr) -> WignerExpr:
             for ea, ca in ta.poly.items():
                 for eb, cb in tb.poly.items():
                     poly[ea + eb] = ca * cb
-            mean = np.concatenate([ta.mean, tb.mean])
-            quad = np.zeros((n, n))
-            quad[: a.nvars, : a.nvars] = ta.quad
-            quad[a.nvars :, a.nvars :] = tb.quad
+            grid = np.broadcast_shapes(ta.mean.shape[:-1], tb.mean.shape[:-1])
+            mean = np.concatenate([np.broadcast_to(t.mean, grid + t.mean.shape[-1:]) for t in (ta, tb)], -1)
+            quad = np.zeros(grid + (n, n))
+            quad[..., : a.nvars, : a.nvars] = ta.quad
+            quad[..., a.nvars :, a.nvars :] = tb.quad
             terms.append(Term(ta.weight * tb.weight, poly, mean, quad))
     return WignerExpr(a.modes + b.modes, terms)
 
@@ -330,7 +369,7 @@ def apply_symplectic(expr: WignerExpr, f: SymplecticTransform) -> WignerExpr:
         const_poly = len(t.poly) == 1 and next(iter(t.poly)) == (0,) * nv
         poly = t.poly if trivial_sub or const_poly else _poly_substitute(t.poly, rows, nv)
         quad = f.matrix @ t.quad @ f.matrix.T
-        terms.append(Term(t.weight, poly, f.matrix @ t.mean + f.shift, (quad + quad.T) / 2.0))
+        terms.append(Term(t.weight, poly, _mv(f.matrix, t.mean) + f.shift, (quad + np.swapaxes(quad, -1, -2)) / 2.0))
     return WignerExpr(expr.modes, terms)
 
 
@@ -367,9 +406,7 @@ def moments(expr: WignerExpr, monomials: list) -> list:
     shifts = [_exponents(e, expr.nvars) for e in monomials]
     totals = [0] * len(shifts)
     for t in expr.terms:
-        z = math.pi ** (t.nvars // 2) * math.sqrt(np.linalg.det(t.quad))
-        values = _gaussian_expectation(t.poly, t.mean, t.quad / 2.0, shifts)
-        totals = [acc + t.weight * z * float(np.real(v)) for acc, v in zip(totals, values)]
+        totals = [acc + v for acc, v in zip(totals, t.integral(shifts=shifts))]
     return totals
 
 
@@ -620,11 +657,14 @@ def phase_tangent(expr: WignerExpr, h: np.ndarray) -> WignerExpr:
 
 
 def _integrate_out(
-    expr: WignerExpr, var_indices: list[int], f: SymplecticTransform | None = None, fock: int | None = None
+    expr: WignerExpr, var_indices: list[int], f: SymplecticTransform | np.ndarray | None = None,
+    fock: int | None = None
 ) -> WignerExpr:
     """Integrate the given variables (0-based) out of the image of `expr` under the symplectic map f.
 
-    f = None is the identity.  With `fock` = n the integrand carries 2 pi F_n
+    f = None is the identity, and a stack of plain matrices (G, n, n) one
+    linear map per grid point, which gives a grid expression.  With `fock` = n
+    the integrand carries 2 pi F_n
     on those variables, which must then be one mode's two.  No polynomial is
     substituted: each term's Gaussian maps to (F Q F^T, F m + s) and takes the
     projector's by the Gaussian-product rule; given the kept variables y, the
@@ -636,11 +676,12 @@ def _integrate_out(
     out = sorted(var_indices)
     n = expr.nvars
     keep = [i for i in range(n) if i not in out]
-    if f is not None and f.modes != expr.modes:
+    if isinstance(f, SymplecticTransform) and f.modes != expr.modes:
         raise ValueError(f"dimension mismatch: transform has {f.modes} modes, expression has {expr.modes}")
+    matrix, fshift = (f.matrix, f.shift) if isinstance(f, SymplecticTransform) else (f, np.zeros(n))
     # the polynomial's variables u = read X + shift: z, then the projector's X_v
-    read = np.eye(n) if f is None else np.linalg.inv(f.matrix)
-    shift = np.zeros(n) if f is None else -read @ f.shift
+    read = np.eye(n) if f is None else np.linalg.inv(matrix)
+    shift = np.zeros(n) if f is None else _mv(-read, fshift)
     if fock is not None:
         if not 0 <= fock <= FOCK_CUTOFF:
             raise ValueError(f"Fock projector order must lie in 0..{FOCK_CUTOFF}")
@@ -649,26 +690,28 @@ def _integrate_out(
         lag = _poly_scale(_laguerre_poly_2d(fock), (-1.0) ** fock)
         a2 = np.zeros((n, n))
         a2[out, out] = 1.0
-        read, shift = np.vstack([read, np.eye(n)[out]]), np.concatenate([shift, np.zeros(2)])
-    noise = read[:, out]
+        read = np.concatenate([read, np.broadcast_to(np.eye(n)[out], read.shape[:-2] + (2, n))], -2)
+        shift = np.concatenate([shift, np.zeros(shift.shape[:-1] + (2,))], -1)
+    noise = read[..., out]
     new_terms = []
     for t in expr.terms:
         weight, poly, mean, quad = t.weight, t.poly, t.mean, t.quad
         if f is not None:
-            mean, quad = f.matrix @ mean + f.shift, f.matrix @ quad @ f.matrix.T
-            quad = (quad + quad.T) / 2.0
+            mean, quad = _mv(matrix, mean) + fshift, matrix @ quad @ np.swapaxes(matrix, -1, -2)
+            quad = (quad + np.swapaxes(quad, -1, -2)) / 2.0
         if fock is not None:  # 2 pi F_n = 2 (-1)^n L_n(2 (x^2 + p^2)) exp(-x^2 - p^2)
             quad, mean, gamma = _gaussian_product(np.linalg.inv(quad), mean, a2, np.zeros(n))
-            weight *= 2.0 * math.exp(-gamma)
+            # `math.exp` on a scalar, whose last bit numpy's can differ in
+            weight = weight * (2.0 * (math.exp(-gamma) if np.ndim(gamma) == 0 else np.exp(-gamma)))
             poly = {ea + eb: ca * cb for ea, ca in poly.items() for eb, cb in lag.items()}
         a = np.linalg.inv(quad)
-        a_vv = a[np.ix_(out, out)]
-        b = -np.linalg.solve(a_vv, a[np.ix_(out, keep)])
-        lin, const = read[:, keep] + noise @ b, shift + noise @ (mean[out] - b @ mean[keep])
-        poly = _affine_expectation(poly, lin, const, noise @ (np.linalg.inv(a_vv) / 2.0) @ noise.T)
+        a_vv, a_vk = a[..., out, :][..., out], a[..., out, :][..., keep]
+        b = -np.linalg.solve(a_vv, a_vk)
+        lin, const = read[..., keep] + noise @ b, shift + _mv(noise, mean[..., out] - _mv(b, mean[..., keep]))
+        poly = _affine_expectation(poly, lin, const, noise @ (np.linalg.inv(a_vv) / 2.0) @ np.swapaxes(noise, -1, -2))
         if poly:
-            z = math.pi ** (len(out) / 2.0) / math.sqrt(np.linalg.det(a_vv))
-            new_terms.append(Term(weight * z, poly, mean[keep], quad[np.ix_(keep, keep)]))
+            z = math.pi ** (len(out) / 2.0) / np.sqrt(np.linalg.det(a_vv))
+            new_terms.append(Term(weight * z, poly, mean[..., keep], quad[..., keep, :][..., keep]))
     return WignerExpr(expr.modes - len(out) // 2, new_terms)
 
 
@@ -698,9 +741,9 @@ def _gaussian_product(a1: np.ndarray, m1: np.ndarray, a2: np.ndarray, m2: np.nda
     """
     a3 = a1 + a2
     quad3 = np.linalg.inv(a3)
-    m3 = np.linalg.solve(a3, a1 @ m1 + a2 @ m2)
-    gamma = m1 @ a1 @ m1 + m2 @ a2 @ m2 - m3 @ a3 @ m3
-    return (quad3 + quad3.T) / 2.0, m3, gamma
+    m3 = np.linalg.solve(a3, (_mv(a1, m1) + _mv(a2, m2))[..., None])[..., 0]
+    gamma = _quadratic(m1, a1) + _quadratic(m2, a2) - _quadratic(m3, a3)
+    return (quad3 + np.swapaxes(quad3, -1, -2)) / 2.0, m3, gamma
 
 
 def project_fock_unnormalized(expr: WignerExpr, mode: int, n: int) -> WignerExpr:
@@ -709,13 +752,17 @@ def project_fock_unnormalized(expr: WignerExpr, mode: int, n: int) -> WignerExpr
 
 
 def _herald_branch(reduced: WignerExpr, prob: float) -> tuple[WignerExpr, float]:
-    """Renormalize one herald outcome and clamp its probability; raise ImprobableBranch below the floor."""
-    if prob < IMPROBABLE_FLOOR:
+    """Renormalize one herald outcome and clamp its probability; raise ImprobableBranch below the floor.
+
+    On a grid the points below the floor leave the state instead: its grid is the points of prob >= the floor."""
+    if np.ndim(prob):
+        reduced = reduced.take(prob >= IMPROBABLE_FLOOR)
+    elif prob < IMPROBABLE_FLOOR:
         raise ImprobableBranch(prob)
-    prob = min(max(prob, 0.0), 1.0)
+    prob = np.clip(prob, 0.0, 1.0)
     if reduced.modes == 0:
         return WignerExpr(0, []), prob
-    return reduced.normalize(), prob
+    return reduced.normalize() if reduced.terms else reduced, prob
 
 
 def project_fock(expr: WignerExpr, mode: int, n: int) -> tuple[WignerExpr, float]:
@@ -725,25 +772,27 @@ def project_fock(expr: WignerExpr, mode: int, n: int) -> tuple[WignerExpr, float
 
 
 def _single_mode_g(expr1: WignerExpr, s: np.ndarray) -> np.ndarray:
-    """Integral of exp(-s (x^2+p^2)) against a normalized single-mode expression, for each s of a 1-D array."""
-    total = np.zeros(s.shape, dtype=complex)
+    """Integral of exp(-s (x^2+p^2)) against a normalized single-mode expression, for each s (a row per grid point)."""
+    total = 0.0
     for t in expr1.terms:
         # a + s I = V diag(lam + s) V^T: the Gaussian-product rule in the eigenbasis of a, for every s at once
         lam, v = np.linalg.eigh(np.linalg.inv(t.quad))
-        det_sqrt = np.sqrt(lam[0] + s) * np.sqrt(lam[1] + s)  # factors stay in the right half plane
-        inv = 1.0 / (lam[:, None] + s)  # (2, B)
-        vm = v.T @ t.mean
-        quad_s = np.einsum("ik,jk,kb->ijb", v, v, inv)
-        m_s = v @ ((vm * lam)[:, None] * inv)
-        gamma = (vm**2 * lam) @ (s * inv)
+        det_sqrt = np.sqrt(lam[..., 0, None] + s) * np.sqrt(lam[..., 1, None] + s)  # in the right half plane
+        inv = 1.0 / (lam[..., :, None] + s)  # (..., 2, B)
+        vm = _mv(np.swapaxes(v, -1, -2), t.mean)
+        quad_s = np.einsum("...ik,...jk,...kb->...ijb", v, v, inv)
+        m_s = v @ ((vm * lam)[..., :, None] * inv)
+        gamma = ((vm**2 * lam)[..., None, :] @ (s * inv))[..., 0, :]
+        if t.mean.ndim > 1:  # B then leads the grid axis, along which the weight and coefficients lie
+            m_s, quad_s, gamma, det_sqrt = np.moveaxis(m_s, 0, -1), np.moveaxis(quad_s, 0, -1), gamma.T, det_sqrt.T
         epoly = _gaussian_expectation(t.poly, m_s, quad_s / 2.0)
-        total += t.weight * np.exp(-gamma) * math.pi / det_sqrt * epoly
-    return total
+        total = total + t.weight * np.exp(-gamma) * math.pi / det_sqrt * epoly
+    return np.transpose(total)
 
 
 @dataclass(frozen=True)
 class PhotonNumberDistribution:
-    """P(n) for n = 0..n_max plus the truncated tail mass."""
+    """P(n) for n = 0..n_max plus the truncated tail mass; of a grid expression, a row of each per grid point."""
 
     probs: np.ndarray
     n_max: int
@@ -779,12 +828,14 @@ def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = DEFAULT
     while m < 8 * (n_max + 1):
         m *= 2
     tks = np.exp(1j * math.pi * (2 * np.arange(m) + 1) / m)
-    gs = 2.0 / (1.0 + tks) * _single_mode_g(reduced, (1.0 - tks) / (1.0 + tks))
+    # a grid's contour runs in slabs of about CONTOUR_SLAB points, which bound the Wick recursion's memo
+    slabs = np.array_split((1.0 - tks) / (1.0 + tks), -(-np.size(expr.norm) * m // CONTOUR_SLAB))
+    gs = 2.0 / (1.0 + tks) * np.concatenate([_single_mode_g(reduced, s) for s in slabs], -1)
     probs = np.real(gs @ _inverse_dft(m, n_max)) / m
     if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
         raise ValueError(f"distribution outside [0,1]: range [{probs.min():.3e}, {probs.max():.3e}]")
     probs = np.clip(probs, 0.0, 1.0)
-    return PhotonNumberDistribution(probs, n_max, min(max(1.0 - float(probs.sum()), 0.0), 1.0))
+    return PhotonNumberDistribution(probs, n_max, np.clip(1.0 - probs.sum(-1), 0.0, 1.0))
 
 
 def attenuate(expr: WignerExpr, mode: int, eta: float, nbar_env: float = 0.0) -> WignerExpr:

@@ -1,23 +1,26 @@
-"""Test-side references: central differences, golden section and independent-detector CFIs.
+"""Test-side references: central differences, golden section, independent-detector CFIs, per-T counts.
 
 The engine takes no finite difference; the tests check its exact phase
 signals, jets and Fisher informations against these, the way `fock_oracle.py`
-checks its phase-space integrals against a truncated Fock lattice.  Nothing
-here is imported by `wignersim`.
+checks its phase-space integrals against a truncated Fock lattice.  `counts`
+heralds its whole T grid at once; `counts_rows` runs it one T at a time.
+Nothing here is imported by `wignersim`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from wignersim import conditional as cond
 from wignersim import estimation as est
 from wignersim import measurements as meas
 from wignersim import scenario as sc
-from wignersim.errors import DegenerateBranch, SignalStationary
+from wignersim import wigner as wg
+from wignersim.errors import DegenerateBranch, ImprobableBranch, SignalStationary
 from wignersim.estimation import SLOPE_FLOOR, SLOPE_NOISE
 from wignersim.wigner import Term, WignerExpr, _poly_add, _poly_mul, _poly_prune, _poly_scale, overlap
 
@@ -283,3 +286,48 @@ def forward_click_cfi(config, phi: float, h: float = 1e-3) -> float:
             clicks = [meas.click_probability(getattr(r, arm), mode) for r in built]
             total += weight * (term(clicks) + term([1.0 - c for c in clicks]))
     return total + (term(p) + term([1.0 - q for q in p]) if p[0] != p[4] else 0.0)
+
+
+def counted(config, mode: int) -> tuple:
+    """(herald probability, one-mode state of `mode`) of one T: the pipeline up to its output stage with the
+    other arm traced out, then `mode`'s output-stage modifications on it as mode 1, the herald's success branch
+    alone.  Raises ImprobableBranch below the renormalization floor."""
+    res = sc._before_output(config)
+    state, prob = wg.marginal_mode(res.state, mode), res.success_prob
+    for m in (replace(m, mode=1) for m in config.modifications if m.stage == "output" and m.mode == mode):
+        if m.heralded:
+            ok = cond._herald(state, 1, *sc._herald_args(m), only="success")[0]
+            state, prob = ok.state, res.success_prob * ok.probability
+        else:
+            state = wg.apply_symplectic(state, sc._gaussian_step(m, 1))
+    return prob, state
+
+
+def counts_rows(config, trials: int, seed: int, t_grid) -> list:
+    """The rows of `sc.simulate_counts`, one `config.with_values(T=T)` and one herald per grid point."""
+    mod = next(m for m in config.modifications if m.heralded)
+    added = int(mod.m) if (mod.op == "add" and isinstance(mod.m, int)) else 0
+    rows = []
+    for idx, T in enumerate(float(t) for t in t_grid):
+        try:
+            prob, state = counted(config.with_values(T=T), mod.mode)
+        except ImprobableBranch:
+            rows.append({"index": idx, "T": T, "kept": 0, "flag": "improbable herald branch"})
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+        kept = int(rng.binomial(trials, min(max(prob, 0.0), 1.0)))
+        theory = meas.intensity(state, 1)
+        row = {"index": idx, "T": T, "herald_probability": prob, "kept": kept, "theory_mean": theory.mean}
+        try:
+            row["theory_snr"] = est.snr(theory, subtract_injected=added)
+        except ValueError:
+            pass
+        if kept == 0:
+            row["flag"] = "no kept measurements"
+        else:
+            samples = wg.photon_number_distribution(state, 1).sample(rng, kept)
+            row["sample_mean"] = float(np.mean(samples))
+            if kept > 1 and float(np.std(samples)) > 0.0:
+                row["sample_snr"] = (row["sample_mean"] - added) / float(np.std(samples, ddof=1))
+        rows.append(row)
+    return rows

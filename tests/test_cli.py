@@ -52,6 +52,13 @@ def test_thread_count_variable_is_ignored(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_parser_is_built_once_and_keeps_parses_apart():
+    assert cli.build_parser() is cli.build_parser()
+    first = cli.build_parser().parse_args(["drift", "--config", "c.json", "--sigma", "parity=0.1"])
+    second = cli.build_parser().parse_args(["drift", "--config", "c.json"])
+    assert first.sigma == ["parity=0.1"] and second.sigma == []
+
+
 def _config_with(tmp_path, text: str) -> str:
     """A copy of configs/pacs_counts.json with `"alpha": 1.0` replaced by `text`."""
     raw = (ROOT / "configs" / "pacs_counts.json").read_text()

@@ -196,3 +196,26 @@ def test_integrate_out_validates_its_arguments(var_indices, f, fock):
     joint = wg.tensor_exprs(signal(), vacuum())
     with pytest.raises(ValueError):
         wg._integrate_out(joint, var_indices, f=f, fock=fock)
+
+
+@pytest.mark.parametrize("ancilla, n, click", [(2, 0, False), (0, 1, False), (0, 0, True)])
+def test_a_vector_of_T_heralds_each_point_as_one_T_does(ancilla, n, click):
+    # both branches over a stack of beam splitters: each grid point reads as the herald at that T alone
+    grid = (0.2, 0.55, 0.9)
+    stacked = cond._herald(signal(), 1, ("BS", grid), ancilla, n, click)
+    want = [cond._herald(signal(), 1, ("BS", t), ancilla, n, click) for t in grid]
+    monomials = [{0: 2}, {1: 2}, {0: 1, 2: 1}, {0: 4}]
+    for b, branch in enumerate(stacked):
+        assert branch.state.modes == 2 and all(t.mean.shape == (3, 4) for t in branch.state.terms)
+        got = wg.moments(branch.state, monomials)
+        dist = wg.photon_number_distribution(branch.state, 1)
+        for i, point in enumerate(w[b] for w in want):
+            assert branch.probability[i] == pytest.approx(point.probability, rel=1e-12)
+            assert [g[i] for g in got] == pytest.approx(wg.moments(point.state, monomials), rel=1e-12, abs=1e-14)
+            assert np.max(np.abs(dist.probs[i] - wg.photon_number_distribution(point.state, 1).probs)) <= 1e-14
+            assert wg.moments(branch.state.take([i]), monomials) == pytest.approx([g[i] for g in got], rel=1e-15)
+
+
+def test_a_vector_of_T_is_checked_once():
+    with pytest.raises(ValueError, match="transmissivity"):
+        cond._herald(signal(), 1, ("BS", (0.5, 1.2)), 1, 0)

@@ -544,6 +544,23 @@ class TestCounts:
             got = [row["herald_probability"], row["theory_mean"]]
             assert got == pytest.approx([want.success_prob, meas.intensity(want.state, 1).mean], rel=1e-12, abs=0.0)
 
+    def test_grid_is_validated_before_any_point(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["counts", "--config", str(ROOT / "configs" / "pacs_counts.json"), "--grid", "T=0.5:1.5:0.5",
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "modifications.0.T: value 1.5 above maximum 1.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["output", "input"])
+    def test_a_grid_of_improbable_points_only_flags_each(self, stage):
+        # no point keeps a state, so nothing is read off the grid expression
+        raw = json.loads((ROOT / "configs" / "pacs_counts.json").read_text())
+        raw["modifications"][0]["stage"] = stage
+        report = sc.simulate_counts(sc.ScenarioConfig.from_dict(raw), trials=10, seed=1, t_grid=[1.0, 1.0])
+        assert [row["flag"] for row in report.rows] == ["improbable herald branch"] * 2
+        assert len(report.warnings) == 2
+
     def test_improbable_herald_is_a_flagged_row(self, tmp_path, capsys):
         # at T = 1 a beam-splitter addition never succeeds: that grid point is flagged, the others run
         argv = ["counts", "--config", str(ROOT / "configs" / "pacs_counts.json"), "--grid", "T=0.9:1.0:0.05",
@@ -602,6 +619,14 @@ COUNTED = {
         "interferometer": {"phi": 1.3},
         "noise": {"thermal": {"nbar_env": 0.4, "eta": 0.8, "modes": [2]}},
     },
+    "output_maps_after_the_herald": {
+        "modifications": [
+            {"op": "add", "stage": "output", "mode": 1, "m": 2, "mechanism": "bs", "T": 0.6},
+            {"op": "squeeze", "stage": "output", "mode": 1, "r": 0.2, "theta": 0.4},
+            {"op": "displace", "stage": "output", "mode": 1, "alpha": 0.3, "theta": 0.1},
+        ],
+        "interferometer": {"phi": 0.6},
+    },
     "uniform_loss": {
         "modifications": [{"op": "add", "stage": "output", "mode": 1, "m": 2, "mechanism": "bs", "T": 0.6}],
         "interferometer": {"phi": 0.5},
@@ -612,18 +637,71 @@ COUNTED = {
 
 @pytest.mark.parametrize("case", sorted(COUNTED))
 def test_counted_mode_matches_the_two_mode_pipeline(case):
-    # tracing the other arm out ahead of the output stage commutes with every stage after the MZI
+    # one herald of a stack of beam splitters gives the counted mode at every T of the grid; tracing the other
+    # arm out ahead of the output stage commutes with every stage after the MZI
     raw = dict(json.loads((ROOT / "configs" / "pacs_counts.json").read_text()), **COUNTED[case])
     cfg = sc.ScenarioConfig.from_dict(raw)
-    mode = next(m for m in cfg.modifications if m.heralded).mode
-    want, got = sc.build_pipeline(cfg), sc._counted(cfg, mode, {})
-    assert got.state.modes == 1
-    assert got.success_prob == pytest.approx(want.success_prob, rel=1e-12, abs=0.0)
-    n_want, n_got = meas.intensity(want.state, mode), meas.intensity(got.state, 1)
-    assert [n_got.mean, n_got.second_moment] == pytest.approx([n_want.mean, n_want.second_moment], rel=1e-12, abs=0.0)
-    p_want = wg.photon_number_distribution(want.state, mode).probs
-    p_got = wg.photon_number_distribution(got.state, 1).probs
-    assert np.max(np.abs(p_got - p_want)) <= 1e-14
+    mod = next(m for m in cfg.modifications if m.heralded)
+    grid = (0.3, 0.6, 0.9)
+    prob, state = sc._grid_herald(cfg, mod, grid)
+    n_got, p_got = meas.intensity(state, 1), wg.photon_number_distribution(state, 1).probs
+    assert state.modes == 1 and p_got.shape == (3, wg.DEFAULT_NMAX + 1)
+    for i, T in enumerate(grid):
+        want = sc.build_pipeline(cfg.with_values(T=T))
+        assert prob[i] == pytest.approx(want.success_prob, rel=1e-12, abs=0.0)
+        n_want = meas.intensity(want.state, mod.mode)
+        assert [n_got.mean[i], n_got.second_moment[i]] == pytest.approx([n_want.mean, n_want.second_moment],
+                                                                         rel=1e-12, abs=0.0)
+        assert np.max(np.abs(p_got[i] - wg.photon_number_distribution(want.state, mod.mode).probs)) <= 1e-14
+
+
+@pytest.mark.parametrize("case", ["pacs_m3", "click_subtracted_thermal", "input_addition", "uniform_loss"])
+def test_counts_rows_match_the_per_point_route(case):
+    # the grid's draws are those of one herald per T: kept counts and samples to the bit
+    raw = dict(json.loads((ROOT / "configs" / "pacs_counts.json").read_text()), **COUNTED[case])
+    cfg = sc.ScenarioConfig.from_dict(raw)
+    grid = [0.2, 0.5, 0.8, 1.0]
+    got, want = sc.simulate_counts(cfg, trials=500, seed=3, t_grid=grid).rows, ref.counts_rows(cfg, 500, 3, grid)
+    assert [sorted(row) for row in got] == [sorted(row) for row in want]
+    for g, w in zip(got, want):
+        exact = {k: w[k] for k in ("index", "T", "kept", "flag", "sample_mean", "sample_snr") if k in w}
+        assert {k: g[k] for k in exact} == exact
+        close = [k for k in ("herald_probability", "theory_mean", "theory_snr") if k in w]
+        assert [g[k] for k in close] == pytest.approx([w[k] for k in close], rel=1e-12, abs=0.0)
+
+
+def test_bright_counts_are_not_truncated():
+    # alpha = 7 plus one photon has <n> = 46: at n_max = 40 its tail held 0.8 of the mass, which sampling dropped
+    raw = {
+        "inputs": [{"kind": "coherent", "alpha": 7.0}, {"kind": "vacuum"}],
+        "modifications": [{"op": "add", "stage": "output", "mode": 1, "m": 1, "mechanism": "bs", "T": 0.9}],
+        "interferometer": {"phi": 0.0},
+        "detection": [],
+        "metrics": ["snr"],
+    }
+    report = sc.simulate_counts(sc.ScenarioConfig.from_dict(raw), trials=3000, seed=1, t_grid=[0.9])
+    row = report.rows[0]
+    assert "flag" not in row and report.warnings == []
+    sd = (row["theory_mean"] - 1.0) / row["theory_snr"]
+    assert abs(row["sample_mean"] - row["theory_mean"]) < 4.0 * sd / math.sqrt(row["kept"])
+    assert row["theory_mean"] == pytest.approx(46.0778, abs=1e-4)
+
+
+def test_counts_flag_a_tail_beyond_the_largest_n_max():
+    # <n> of about 810 lies beyond COUNTS_NMAX photons: the row keeps its draws and is flagged
+    raw = {
+        "inputs": [{"kind": "coherent", "alpha": 30.0}, {"kind": "vacuum"}],
+        "modifications": [{"op": "subtract", "stage": "output", "mode": 1, "m": "click", "T": 0.9}],
+        "interferometer": {"phi": 0.0},
+        "detection": [],
+        "metrics": ["snr"],
+    }
+    report = sc.simulate_counts(sc.ScenarioConfig.from_dict(raw), trials=200, seed=1, t_grid=[0.9])
+    row = report.rows[0]
+    assert row["flag"] == "truncated photon-number distribution" and "sample_mean" in row
+    assert len(report.warnings) == 1
+    assert report.warnings[0].startswith("T=0.9: photon-number tail")
+    assert report.warnings[0].endswith(f"at n_max = {sc.COUNTS_NMAX}")
 
 
 class TestCli:

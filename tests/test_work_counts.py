@@ -279,26 +279,30 @@ def test_photon_number_distribution_runs_one_wick_recursion_per_term(config, m, 
 
 def test_counted_m3_state_is_one_mode(monkeypatch):
     # `counts` heralds the counted mode alone, the other arm traced out: the m = 3 photon-added coherent
-    # state is one mode of 16 monomials, where the two-mode pipeline gives 110 over four variables
+    # state is one mode of 16 monomials at each grid point, where the two-mode pipeline gives 110 over four variables
     raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / "pacs_counts.json").read_text())
     raw["modifications"][0]["m"] = 3
     builds = counter(monkeypatch, sc, "build_pipeline")
-    state = sc._counted(sc.ScenarioConfig.from_dict(raw), 1, {}).state
-    assert state.modes == 1
+    config = sc.ScenarioConfig.from_dict(raw)
+    prob, state = sc._grid_herald(config, config.modifications[0], (0.3, 0.6, 0.9))
+    assert state.modes == 1 and prob.shape == (3,)
+    assert all(t.mean.shape == (3, 2) for t in state.terms)
     assert max(len(t.poly) for t in state.terms) <= 28
     assert builds == []
 
 
 def test_counts_builds_no_failure_branch_and_one_inverse_dft(monkeypatch):
-    # `counts` asks each herald for its success branch alone, and every grid point inverts its generating
-    # function by one cached matrix
+    # `counts` heralds its whole grid once, for the success branch alone, and reads every point's
+    # distribution from one contour by one cached matrix
     integrations = counter(monkeypatch, cond, "_integrate_out")
     heralds = counter(monkeypatch, cond, "_herald")
+    contours = counter(monkeypatch, wg, "photon_number_distribution")
     wg._inverse_dft.cache_clear()
     report = sc.simulate_counts(sc.load_config(PACS_COUNTS), trials=3600, seed=42)
     assert len(report.rows) == 19
-    assert [kwargs.get("fock") for kwargs in integrations] == [0] * 19  # no trace: only a failure branch needs one
-    assert [kwargs.get("only") for kwargs in heralds] == ["success"] * 19
+    assert [kwargs.get("fock") for kwargs in integrations] == [0]  # no trace: only a failure branch needs one
+    assert [kwargs.get("only") for kwargs in heralds] == ["success"]
+    assert len(contours) == 1
     assert wg._inverse_dft.cache_info().misses == 1
 
 
