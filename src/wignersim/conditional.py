@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 
 from .gaussian import vacuum_state
-from .symplectic import SymplecticTransform, _beam_splitter_matrix, embed, make_beam_splitter, make_two_mode_squeezer
+from .symplectic import SymplecticTransform, embed, make_beam_splitter, make_two_mode_squeezer
 from .wigner import Term, WignerExpr, _herald_branch, _integrate_out, fock_wigner, from_gaussian, tensor_exprs
 
 M_CUTOFF = 8
@@ -53,11 +52,9 @@ def _herald(
     """The one herald operation: mix a Fock ancilla into `mode`, project the ancilla output once.
 
     `coupling` is ("BS", T) or ("SPDC", r, theta); the ancilla |ancilla> is
-    coupling input 1 and the signal input 2; a vector of T, checked once,
-    mixes by a stack of plain beam-splitter matrices into grid expressions
-    (`wigner`).  The mix is never substituted into the joint state: each
-    branch conditions the joint's Gaussians on the signal (`_integrate_out`
-    with the mix).  Projecting on Fock n gives one
+    coupling input 1 and the signal input 2.  The mix is never substituted
+    into the joint state: each branch conditions the joint's Gaussians on the
+    signal (`_integrate_out` through the mix).  Projecting on Fock n gives one
     branch, its complement (projector 1 - 2 pi F_n) the other: the projection
     succeeds for a Fock herald, while a click herald (n = 0) succeeds on the
     complement.  The projected branch is checked first.  Returns (success,
@@ -68,12 +65,9 @@ def _herald(
     m = ancilla or n
     if not click and not 1 <= m <= M_CUTOFF:
         raise ValueError(f"photon count m must lie in 1..{M_CUTOFF}, got {m}")
-    grid = np.ndim(x) > 0
-    if grid and not np.all((np.asarray(x) >= 0.0) & (np.asarray(x) <= 1.0)):
-        raise ValueError(f"transmissivity must lie in [0, 1], got {x}")
     if not 1 <= mode <= expr.modes:
         raise ValueError(f"mode {mode} out of range 1..{expr.modes}")
-    via = f"{kind}({'T' if kind == 'BS' else 'r'}={f'{len(x)}-point grid' if grid else format(x, 'g')})"
+    via = f"{kind}({'T' if kind == 'BS' else 'r'}={x:g})"
     verb = "add" if ancilla or kind == "SPDC" else "subtract"
     labels = {
         "success": f"subtract via {via}, click herald" if click else f"{verb} {m} via {via}, Fock {n} herald",
@@ -81,21 +75,16 @@ def _herald(
     }
     joint = tensor_exprs(expr, fock_wigner(ancilla) if ancilla else from_gaussian(vacuum_state(1)))
     anc = joint._var_indices(joint.modes)
-    if grid:  # embedded as `embed` does: the ancilla is input 1, the signal input 2
-        rows = anc + joint._var_indices(mode)
-        mix = np.broadcast_to(np.eye(joint.nvars), (len(x),) + (joint.nvars,) * 2).copy()
-        mix[(slice(None), *np.ix_(rows, rows))] = _beam_splitter_matrix(x)
-    else:
-        mix = embed(coupling_transform(coupling), [joint.modes, mode], joint.modes)
-    projected = _integrate_out(joint, anc, f=mix, fock=n)
-    p = projected.norm / joint.norm * np.ones(np.shape(x))  # the mix keeps the integral; a grid's has its axis
+    mix = embed(coupling_transform(coupling), [joint.modes, mode], joint.modes)
+    projected = _integrate_out(joint, anc, mix, ((anc[0], n),))
+    p = projected.norm / joint.norm
     roles = ("failure", "success") if click else ("success", "failure")
     out = {}
     if only in (None, roles[0]):
         out[roles[0]] = _herald_branch(projected, p)
     if only in (None, roles[1]):
         negated = [Term(-t.weight, t.poly, t.mean, t.quad) for t in projected.terms]
-        complement = WignerExpr(expr.modes, _integrate_out(joint, anc, f=mix).terms + negated)
+        complement = WignerExpr(expr.modes, _integrate_out(joint, anc, mix).terms + negated)
         out[roles[1]] = _herald_branch(complement, 1.0 - p)
     return tuple(HeraldedState(*out[b], b, labels[b]) if b in out else None for b in ("success", "failure"))
 

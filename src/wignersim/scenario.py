@@ -23,8 +23,11 @@ every read as one more kernel factor (`_arms`), so the state is never built
 at a phase.  A detector's phase variance comes from one exact phase signal
 (`_optimal_phi`), which gives its optimum and its value at any phi.
 
-`simulate_counts` heralds its whole T grid at once, on the herald's mode
-alone, the other arm traced out: one grid expression (`_grid_herald`).
+The photon-number reads take the detected mode off the same channel: the
+`distributions` metric integrates every other variable out of the prefix seen
+at phi, against the herald's projectors (`wigner.AffineImage.mode_state`), and
+`simulate_counts` does so once over a stack of channels, one per T of its grid
+(`_counted`).  No state is built at a phase.
 
 Identical config plus seed gives byte-identical CSV/JSON output.
 """
@@ -66,7 +69,8 @@ HERALD_CANCELLATION = 1e4
 # Distinct phi-independent prefixes kept; a Wigner-path point with loss uses a
 # lossy prefix and the lossless one it starts from (also read for the input photon number).
 PREFIX_CACHE_SIZE = 8
-# `counts` doubles n_max from wig.DEFAULT_NMAX while a tail is above COUNTS_TAIL, and flags it at COUNTS_NMAX.
+# `counts` doubles n_max from wig.DEFAULT_NMAX while a tail is above COUNTS_TAIL, and flags it at COUNTS_NMAX;
+# a `distributions` mode whose tail at wig.DEFAULT_NMAX is above it adds a warning.
 COUNTS_TAIL = 1e-12
 COUNTS_NMAX = 640
 # Largest squeeze parameter r of a squeeze or an SPDC addition, and of the
@@ -472,7 +476,6 @@ class PipelineResult:
     success_prob: float = 1.0
     failure_state: Any = None
     failure_prob: float = 0.0
-    herald_stage: str | None = None  # None, "input", or "output"
     gaussian_path: bool = True
 
 
@@ -501,8 +504,8 @@ def _arms(config: ScenarioConfig) -> tuple:
     """(prefix arm, herald) of the success arm and, where tracked, the failure arm that the detectors see.
 
     With no herald after the phase these are the prefix arms, with no herald (None).  Output herald j reads its
-    ancilla (variables 4 + 2j, 5 + 2j) through its projector, and the success arm the product of them.  As on
-    the forward build, a single herald alone tracks a failure arm: its projector's complement.
+    ancilla (variables 4 + 2j, 5 + 2j) through its projector, and the success arm the product of them.  As at
+    the input stage (`_modify`), a single herald alone tracks a failure arm: its projector's complement.
     """
     heralds = _output_heralds(config)
     if not heralds:
@@ -549,13 +552,14 @@ def _herald_args(mod: ModificationSpec) -> tuple:
     return ("BS", mod.T), 0, 0 if click else mod.m, click
 
 
-def _modify(res: PipelineResult, mods, stage: str) -> PipelineResult:
-    """Apply one stage's modifications in order; the first herald starts the failure branch.
+def _modify(res: PipelineResult, mods) -> PipelineResult:
+    """Apply the input-stage modifications in order; the first herald starts the failure branch.
 
     A failure branch below the renormalization floor is left untracked when
     the success branch is above it, so a herald that succeeds almost surely is
     kept.
     """
+    heralded = False
     for m in mods:
         if not m.heralded:
             f = _gaussian_step(m, res.state.modes)
@@ -567,12 +571,12 @@ def _modify(res: PipelineResult, mods, stage: str) -> PipelineResult:
         except ImprobableBranch:
             ok, fail = cond._herald(*args, only="success")[0], None
         prob = res.success_prob * ok.probability
-        if res.herald_stage is None and fail is not None:
+        if heralded or fail is None:  # failure tracking only supports a single herald
+            res = replace(res, state=ok.state, success_prob=prob, failure_state=None, failure_prob=0.0)
+        else:
             res = replace(res, state=ok.state, success_prob=prob, failure_state=fail.state,
-                          failure_prob=fail.probability, herald_stage=stage)
-        else:  # failure tracking only supports a single herald
-            res = replace(res, state=ok.state, success_prob=prob, failure_state=None, failure_prob=0.0,
-                          herald_stage=res.herald_stage or stage)
+                          failure_prob=fail.probability)
+        heralded = True
     return res
 
 
@@ -594,56 +598,7 @@ def _prefix(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss: ga.Loss
         state = ga.tensor([s.gaussian() for s in inputs])
     else:
         state = wig.tensor_exprs(inputs[0].expr(), inputs[1].expr())
-    return _modify(PipelineResult(state, gaussian_path=gaussian_path), input_mods, "input")
-
-
-def build_pipeline(config: ScenarioConfig, phi: float | None = None) -> PipelineResult:
-    """Assemble inputs -> input mods -> MZI -> noise -> output mods for one phase value.
-
-    Everything before the MZI is phi-independent and comes from the `_prefix`
-    cache.  Uniform loss on both modes commutes with the passive MZI, so on the
-    Wigner path, where each loss is an ancilla mix and integration, it moves
-    into the cached prefix; on the Gaussian path it is one affine map per phi
-    and stays after the MZI.  This is the forward reference of `_observer`, and
-    the state that `distributions` reads.
-    """
-    res = _before_output(config, phi)
-    return _modify(res, [m for m in config.modifications if m.stage == "output"], "output")
-
-
-def _before_output(config: ScenarioConfig, phi: float | None = None) -> PipelineResult:
-    """The pipeline up to its output stage: the cached prefix, then the MZI and the noise."""
-    phi = config.phi if phi is None else phi
-    gaussian_path = _gaussian_possible(config)
-    loss = _uniform_loss(config)
-    res = _prefix(config.inputs, _input_mods(config), gaussian_path, None if gaussian_path else loss)
-    mzi = sym.make_mzi(phi)
-    res = _each(res, lambda s: _transform(s, mzi))
-    if gaussian_path and loss is not None:
-        res = _each(res, lambda s: _apply_loss(s, loss))
-    if config.noise.has_thermal:
-        res = _each(res, lambda s: _apply_thermal(s, config.noise))
-    return res
-
-
-def _grid_herald(config: ScenarioConfig, mod: ModificationSpec, grid: tuple) -> tuple:
-    """(herald probability, state) of `counts` at every T of the grid, from one herald of the stack of couplings.
-
-    The herald `mod` takes the grid as its T, so each expression from it on is a grid expression (`wigner`) over
-    the points of probability at or above the renormalization floor.  Every stage after the MZI acts on one mode,
-    so the other arm is traced out after the noise and `mod.mode`'s output stage runs on it as mode 1, an output
-    herald with its success branch alone."""
-    gridded = replace(mod, T=grid)
-    config = replace(config, modifications=tuple(gridded if m is mod else m for m in config.modifications))
-    res = _before_output(config)
-    state, prob = wig.marginal_mode(res.state, mod.mode), res.success_prob
-    for m in (m for m in config.modifications if m.stage == "output" and m.mode == mod.mode):
-        if m.heralded:
-            ok = cond._herald(state, 1, *_herald_args(m), only="success")[0]
-            state, prob = ok.state, ok.probability
-        else:
-            state = wig.apply_symplectic(state, _gaussian_step(replace(m, mode=1), 1))
-    return prob, state
+    return _modify(PipelineResult(state, gaussian_path=gaussian_path), input_mods)
 
 
 @lru_cache(maxsize=PREFIX_CACHE_SIZE)
@@ -679,18 +634,17 @@ def _kernel_columns(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None, 
     return wig.kernel_columns(_prefix_jets(inputs, input_mods, loss, ancillas)[arm][: order + 1])
 
 
-def _after_mzi(config: ScenarioConfig, loss: ga.LossSpec | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _after_mzi(config: ScenarioConfig, loss: ga.LossSpec | None, n: int | None = None) -> tuple:
     """(K, b, C): the maps after the MZI as one channel X = K Z + b + xi, xi ~ N(0, C), on its output Z.
 
     Z holds the two interferometer modes and one ancilla mode per output
-    herald (`_output_heralds`), on which the MZI acts as the identity.
+    herald (`_output_heralds`), or n variables, on which the MZI acts as the identity.
     A uniform `loss` L comes first: K = sqrt(1 - L) I and C = (L / 2) I.
     Thermal injection on a mode scales it by sqrt(eta) and adds noise of
-    variable covariance (1 - eta)(2 nbar + 1)/2 there; an output squeeze or
-    displacement F, s then maps (K, b, C) to (F K, F b + s, F C F^T), and so
-    does a herald's coupling of its ancilla (input 1) with its mode (input 2).
+    variable covariance (1 - eta)(2 nbar + 1)/2 there; the output stage
+    follows (`_then`).
     """
-    n = 4 + 2 * len(_output_heralds(config))
+    n = n or 4 + 2 * len(_output_heralds(config))
     k, b, c = np.eye(n), np.zeros(n), np.zeros((n, n))
     if loss is not None:
         k[:4, :4] *= math.sqrt(1.0 - loss.total)
@@ -702,15 +656,26 @@ def _after_mzi(config: ScenarioConfig, loss: ga.LossSpec | None) -> tuple[np.nda
         g[i] = math.sqrt(noise.thermal_eta)
         k, b, c = g[:, None] * k, g * b, g[:, None] * c * g
         c[i, i] += (1.0 - noise.thermal_eta) * (2.0 * noise.thermal_nbar + 1.0) / 2.0 * np.eye(2)
+    return _then([m for m in config.modifications if m.stage == "output"], n, k, b, c)
+
+
+def _then(mods, n: int, k: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+    """The channel (K, b, C) on n variables followed by each of `mods`: F, s of a squeeze or displacement maps it
+    to (F K, F b + s, F C F^T), and so does a herald's coupling of its ancilla (mode 3, 4, ... in order; input 1)
+    with its mode (input 2), a stack of beam splitters for a tuple of T, whose grid axis leads from then on."""
     ancilla = 2
-    for m in config.modifications:
-        if m.stage == "output":
-            if m.heralded:
-                ancilla += 1
-                f = sym.embed(cond.coupling_transform(_herald_args(m)[0]), [ancilla, m.mode], n // 2)
-            else:
-                f = _gaussian_step(m, n // 2)
-            k, b, c = f.matrix @ k, f.matrix @ b + f.shift, f.matrix @ c @ f.matrix.T
+    for m in mods:
+        if m.heralded:
+            ancilla += 1
+            coupling = _herald_args(m)[0]
+            part = sym._beam_splitter_matrix(m.T) if coupling[0] == "BS" else cond.coupling_transform(coupling).matrix
+            rows = [2 * ancilla - 2, 2 * ancilla - 1, 2 * m.mode - 2, 2 * m.mode - 1]
+            f, s = np.broadcast_to(np.eye(n), part.shape[:-2] + (n, n)).copy(), 0.0
+            f[(..., *np.ix_(rows, rows))] = part
+        else:
+            step = _gaussian_step(m, n // 2)
+            f, s = step.matrix, step.shift
+        k, b, c = f @ k, wig._mv(f, b) + s, f @ c @ np.swapaxes(f, -1, -2)
     return k, b, c
 
 
@@ -721,12 +686,13 @@ def _observer(config: ScenarioConfig) -> Callable[[float], PipelineResult]:
     The MZI is a plain matrix, not a validated transform.  A Gaussian prefix (R0, sigma0) becomes the
     GaussianState (A R0 + b, A sigma0 A^T + 2C); each Wigner arm (`_arms`) an `AffineImage`, weighted by the
     probability of its herald after the phase.  Below the renormalization floor a success arm raises
-    ImprobableBranch and a failure arm is untracked, as on the forward build.  The last config's observer is
+    ImprobableBranch and a failure arm is untracked, as at the input stage.  The last config's observer is
     kept, with its most recent phases.
     """
     gaussian_path = _gaussian_possible(config)
     loss = _uniform_loss(config)
-    # as in build_pipeline, the uniform loss follows the MZI on the Gaussian path and sits in the prefix otherwise
+    # the uniform loss follows the MZI on the Gaussian path and sits in the prefix, where it commutes with the
+    # passive MZI, on the Wigner path
     prefix_loss, channel_loss = (None, loss) if gaussian_path else (loss, None)
     k, b, c = _after_mzi(config, channel_loss)
     prefix = _prefix(config.inputs, _input_mods(config), gaussian_path, prefix_loss)
@@ -766,20 +732,10 @@ def _tangent(config: ScenarioConfig, phi: float) -> tuple[np.ndarray, np.ndarray
     return da @ prefix.mean, half + half.T
 
 
-def _apply_loss(state, loss: ga.LossSpec):
-    if isinstance(state, ga.GaussianState):
-        return ga.apply_loss(state, loss)
+def _apply_loss(state: wig.WignerExpr, loss: ga.LossSpec) -> wig.WignerExpr:
+    """The uniform loss of a Wigner prefix, one attenuation per mode (the Gaussian path's is in its channel)."""
     for m in range(1, state.modes + 1):
         state = wig.attenuate(state, m, 1.0 - loss.total, 0.0)
-    return state
-
-
-def _apply_thermal(state, noise: NoiseSpec):
-    for m in noise.thermal_modes:
-        if isinstance(state, ga.GaussianState):
-            state = ga.inject_thermal(state, m, noise.thermal_nbar, noise.thermal_eta)
-        else:
-            state = wig.attenuate(state, m, noise.thermal_eta, noise.thermal_nbar)
     return state
 
 
@@ -1127,12 +1083,13 @@ def _input_mean_photon(config: ScenarioConfig) -> float:
     return float(sum(0.5 * (xx[i] + xx[i + 1]) - 0.5 for i in (0, 2)))
 
 
-def evaluate_point(config: ScenarioConfig, phi: float | None = None, n_max: int = wig.DEFAULT_NMAX):
+def evaluate_point(config: ScenarioConfig, phi: float | None = None):
     """Compute the requested metrics at one parameter point.
 
     A herald whose success probability sits below the renormalization floor
     (transmissivity pinned at 1, say) yields a flagged row rather than a
-    failure.
+    failure.  A photon-number distribution runs to wig.DEFAULT_NMAX; a mode
+    whose tail is above COUNTS_TAIL there adds a warning.
     """
     phi = config.phi if phi is None else phi
     report = est.EstimationReport(phi=phi)
@@ -1198,14 +1155,16 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None, n_max: int 
                 warnings.append(f"snr mode {mode}: {exc}")
 
     if "distributions" in config.metrics:
-        # the distribution needs the state itself, not its pulled-back moments
-        state = build_pipeline(config, phi).state if isinstance(res.state, wig.AffineImage) else res.state
-        expr = state if isinstance(state, wig.WignerExpr) else wig.from_gaussian(state)
         for mode in (1, 2):
-            dist = wig.photon_number_distribution(expr, mode, n_max)
+            # a Wigner prefix's mode is read off its channel, a Gaussian state's is its marginal
+            expr = (res.state.mode_state(mode) if isinstance(res.state, wig.AffineImage)
+                    else wig.marginal_mode(wig.from_gaussian(res.state), mode))
+            dist = wig.photon_number_distribution(expr, 1)
             for n, p in enumerate(dist.probs):
                 distributions.append({"mode": mode, "n": n, "p": float(p)})
             report.extras[f"distribution_tail.mode{mode}"] = dist.tail
+            if dist.tail > COUNTS_TAIL:
+                warnings.append(f"distributions mode {mode}: photon-number tail {dist.tail:.3e} at n_max = {dist.n_max}")
 
     return report, warnings, distributions
 
@@ -1385,6 +1344,29 @@ def phase_drift_study(
     return RunReport(config=config.raw, rows=rows, seed=seed, warnings=warnings, traces=traces)
 
 
+def _counted(config: ScenarioConfig, mod: ModificationSpec, grid: tuple) -> tuple:
+    """(state, herald probability) of the counted mode at every T of the grid, from one read of a stack of channels.
+
+    With `mod` taking the grid as its T, the prefix ahead of it carries its ancilla as mode 3, and the rest of
+    the pipeline (an input-stage herald's coupling and the input stage after it, then the uniform loss, the MZI
+    and the maps after it) is one channel per T.  The counted mode is read off the stack through the herald's
+    success projector (`mode_state`) and kept, normalized, at the points of probability at or above the
+    renormalization floor (`wig._herald_branch`).
+    """
+    gridded = replace(mod, T=grid)
+    config = replace(config, modifications=tuple(gridded if m is mod else m for m in config.modifications))
+    inputs = _input_mods(config)
+    ahead = inputs[: inputs.index(gridded)] if mod.stage == "input" else inputs
+    expr = _prefix_moments(config.inputs, ahead, None, (_herald_args(mod)[1],))[0][0]
+    j, s, _ = _then(inputs[len(ahead):], 6, np.eye(6), np.zeros(6), np.zeros((6, 6)))
+    k, b, c = _after_mzi(config, _uniform_loss(config), 6)
+    a = k.copy()
+    a[..., :4] = k[..., :4] @ sym.mzi_matrix(config.phi)
+    n, click = _herald_args(mod)[2:]
+    state = wig.AffineImage(expr, None, a @ j, wig._mv(a, s) + b, c, _projector(4, n, click)).mode_state(mod.mode)
+    return wig._herald_branch(state, state.norm * np.ones(len(grid)))
+
+
 def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None) -> RunReport:
     """Post-selected photon-counting experiment at fixed total trial budget.
 
@@ -1395,8 +1377,8 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
     (equal experiment time); the substream for each grid point derives from
     (seed, index) so execution order cannot matter.
 
-    The grid is validated once and heralded at once, as one grid expression
-    (`_grid_herald`) whose intensity moments and distributions are one read
+    The grid is validated once and read at once, as one grid expression
+    (`_counted`) whose intensity moments and distributions are one read
     each.  A success probability below the renormalization floor (T = 1 for a
     beam-splitter addition) gives a row flagged "improbable herald branch"
     with nothing kept, a state of zero photon-number variance (a Fock state) a
@@ -1418,7 +1400,7 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
         raise ConfigError("counts.grid", "empty grid")
     rows, warnings = [], []
     added = int(mod.m) if (mod.op == "add" and isinstance(mod.m, int)) else 0
-    prob, state = _grid_herald(config, mod, grid)
+    state, prob = _counted(config, mod, grid)
     at = np.cumsum(prob >= wig.IMPROBABLE_FLOOR) - 1  # each point's index on the state's grid
     theory, dists, wide, n_max = meas.intensity(state, 1), {}, np.arange(at[-1] + 1), wig.DEFAULT_NMAX
     while wide.size:  # n_max doubles where a tail is above COUNTS_TAIL

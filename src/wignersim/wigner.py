@@ -8,12 +8,13 @@ integration.  All moments and overlaps evaluate analytically through the
 Gaussian moment recursion, so there is no numerical quadrature anywhere.
 
 Partial integration is one routine, `_integrate_out`: a marginal, a Fock
-projection, both branches of a herald and `attenuate` each integrate some
-variables out of the image of an expression under a symplectic map, against a
-Fock projector or not.  It conditions each term's Gaussian on the kept
-variables and substitutes no polynomial, so a herald never expands its beam
-splitter; `apply_symplectic` substitutes whole-state maps only (the MZI,
-squeezers, displacements).
+projection, both branches of a herald, `attenuate` and a detected mode's
+photon-number state each integrate some variables out of the image of an
+expression under a Gaussian channel X = A Y + b + xi, against a product of
+Fock projectors or not.  It conditions each term's joint (Y, X) Gaussian on
+the kept variables and substitutes no polynomial, so a herald never expands
+its beam splitter and a loss needs no ancilla; `apply_symplectic` substitutes
+whole-state maps only (the input stage's squeezers and displacements).
 
 An `AffineImage` is an expression seen through a Gaussian channel
 X = A Y + b + xi without substituting the channel into its terms: the
@@ -21,14 +22,15 @@ detector moments of X come from the expression's fixed moment tensor, and a
 Gaussian kernel on one mode from conditioning each term on that mode
 (`kernel_densities`).  Seen through a herald's Fock projectors on ancilla
 modes of X, each projector is one more Gaussian kernel with a Laguerre
-factor (`herald_read`).
+factor (`herald_read`).  A detected mode's one-mode state integrates every
+other variable of X out (`AffineImage.mode_state`).
 
 Term convention: weight * poly(X) * exp(-(X - mean)^T quad^{-1} (X - mean)),
 matching the Gaussian Wigner exponent used throughout, so quad equals the
 covariance matrix sigma for Gaussian states and the per-variable covariance of
 the Gaussian factor is quad / 2.
 
-A grid expression (a stack of maps in `_integrate_out` makes one) holds a state
+A grid expression (a stack of channels in `_integrate_out` makes one) holds a state
 per grid point: its terms' means and quads carry a leading grid axis, weights and
 coefficients may, and the routines broadcast; scalars keep their arithmetic bits.
 """
@@ -478,7 +480,8 @@ class AffineImage:
     moment and density is then a `herald_read` of the projectors times the
     detector's monomial or kernel, over `probability`, the read of the
     projectors alone, and `modes` counts the modes other than the ancillas.
-    Such an image needs no moment tensor.
+    Such an image needs no moment tensor, and neither does `mode_state`, which
+    also reads a stack of channels.
     """
 
     def __init__(self, expr: WignerExpr, tensor: np.ndarray | None, a: np.ndarray, shift: np.ndarray,
@@ -487,13 +490,6 @@ class AffineImage:
         self.a, self.shift, self.noise = a, shift, noise
         self.herald = herald
         self.modes = expr.modes - len({v for _, projectors in herald or () for v, _ in projectors})
-        n = expr.nvars
-        self._lift = np.eye(n + 1)
-        self._lift[1:, 0], self._lift[1:, 1:] = shift, a
-        self._noise = None
-        if np.any(noise):
-            self._noise = np.zeros((n + 1, n + 1))
-            self._noise[1:, 1:] = noise
         self._values = self._columns = self._probability = None
 
     def _read(self, kernel: list = (), blur: np.ndarray | None = None, monomials: list | None = None) -> np.ndarray:
@@ -514,15 +510,32 @@ class AffineImage:
         if self.herald:
             return [float(v[0, 0]) / self.probability for v in self._read(monomials=monomials)]
         if self._values is None:
+            lift, pad = np.eye(self.expr.nvars + 1), np.zeros((self.expr.nvars + 1,) * 2)
+            lift[1:, 0], lift[1:, 1:], pad[1:, 1:] = self.shift, self.a, self.noise
             t = self.tensor
             for _ in range(4):  # each tensordot maps the last axis and moves it to the front
-                t = np.tensordot(self._lift, t, axes=(1, 3))
-            self._values = t if self._noise is None else _add_noise(t, self._noise)
+                t = np.tensordot(lift, t, axes=(1, 3))
+            self._values = _add_noise(t, pad) if np.any(self.noise) else t
         return [float(self._values[_slot(_exponents(e, self.expr.nvars))]) for e in monomials]
 
     def density_at_origin(self, mode: int, blur: np.ndarray) -> float:
         """Density at the origin of X_mode + eta, for eta ~ N(0, blur) independent (a 2x2 covariance, may be 0)."""
         return float(self._read([2 * mode - 2, 2 * mode - 1], blur)[0, 0]) / self.probability
+
+    def mode_state(self, mode: int) -> WignerExpr:
+        """The one-mode state of X_mode times the probability of the herald's outcome, which is its norm.
+
+        Each signed product of the herald's projectors integrates every other variable of X out of the
+        expression's image (`_integrate_out`), and the terms add with its sign.  A stack of channels, one per
+        grid point, gives a grid expression.
+        """
+        kept = [2 * mode - 2, 2 * mode - 1]
+        others = [i for i in range(self.expr.nvars) if i not in kept]
+        terms = []
+        for sign, projectors in self.herald or UNHERALDED:
+            part = _integrate_out(self.expr, others, (self.a, self.shift, self.noise), projectors)
+            terms += [Term(sign * t.weight, t.poly, t.mean, t.quad) for t in part.terms]
+        return WignerExpr(1, terms)
 
 
 @dataclass(frozen=True)
@@ -656,59 +669,72 @@ def phase_tangent(expr: WignerExpr, h: np.ndarray) -> WignerExpr:
     return WignerExpr(expr.modes, terms)
 
 
-def _integrate_out(
-    expr: WignerExpr, var_indices: list[int], f: SymplecticTransform | np.ndarray | None = None,
-    fock: int | None = None
-) -> WignerExpr:
-    """Integrate the given variables (0-based) out of the image of `expr` under the symplectic map f.
+def _integrate_out(expr: WignerExpr, var_indices: list[int], f=None, projectors: tuple = ()) -> WignerExpr:
+    """Integrate the variables `var_indices` (0-based) of X = A Y + b + xi out of the image of `expr` (Y).
 
-    f = None is the identity, and a stack of plain matrices (G, n, n) one
-    linear map per grid point, which gives a grid expression.  With `fock` = n
-    the integrand carries 2 pi F_n
-    on those variables, which must then be one mode's two.  No polynomial is
-    substituted: each term's Gaussian maps to (F Q F^T, F m + s) and takes the
-    projector's by the Gaussian-product rule; given the kept variables y, the
-    integrated ones are X_v = m_v + b (y - m_k) + xi with a fixed noise xi.  So
-    the term's own variables z = F^-1 (X - s) and the projector's X_v are
-    affine in y plus a multiple of xi, and the new polynomial is one moment
-    recursion with poly-valued means over P(z) L(X_v) (`_affine_expectation`).
+    The channel f is None (the identity), a `SymplecticTransform` (no noise) or a triple (A, b, C), C the
+    covariance of xi (sigma / 2 in the state convention), any of them stacked along a leading grid axis, which
+    gives a grid expression.  The integrand carries the product of the `projectors` (v, n), each 2 pi F_n on
+    the variables v, v + 1 of X, which are integrated out.  No polynomial is substituted: each term's joint
+    (Y, X) Gaussian is conditioned once.  X ~ N(A m + b, S), S = A Sigma A^T + C, takes each projector as one
+    more Gaussian factor (the Gaussian-product rule); given the kept variables x, X_v = m_v + B (x - m_k) +
+    nu, and given X, Y = G X + g + eta with G = A^-1 (I - C S^-1), which keeps a noiseless variable's map
+    exact (a singular A, a transmissivity of 0, takes G = Sigma A^T S^-1).  So Y and the projectors' X_p are
+    affine in x plus a fixed noise, and the new polynomial is one moment recursion with poly-valued means
+    over P(Y) L(X_p) (`_affine_expectation`).
     """
     out = sorted(var_indices)
     n = expr.nvars
     keep = [i for i in range(n) if i not in out]
-    if isinstance(f, SymplecticTransform) and f.modes != expr.modes:
-        raise ValueError(f"dimension mismatch: transform has {f.modes} modes, expression has {expr.modes}")
-    matrix, fshift = (f.matrix, f.shift) if isinstance(f, SymplecticTransform) else (f, np.zeros(n))
-    # the polynomial's variables u = read X + shift: z, then the projector's X_v
-    read = np.eye(n) if f is None else np.linalg.inv(matrix)
-    shift = np.zeros(n) if f is None else _mv(-read, fshift)
-    if fock is not None:
-        if not 0 <= fock <= FOCK_CUTOFF:
+    if isinstance(f, SymplecticTransform):
+        f = (f.matrix, f.shift, 0.0)
+    a, shift, noise = (np.eye(n), np.zeros(n), 0.0) if f is None else f
+    if a.shape[-2:] != (n, n):
+        raise ValueError(f"dimension mismatch: the channel maps {a.shape[-1]} variables, the expression has {n}")
+    noise = np.broadcast_to(noise, (n, n)) if np.ndim(noise) == 0 else noise
+    proj = [v + i for v, _ in projectors for i in (0, 1)]
+    lag = {(): 1.0}  # prod (-1)^n L_n(2 (x^2 + p^2)) over the projectors' variables, in order
+    for v, m in projectors:
+        if not 0 <= m <= FOCK_CUTOFF:
             raise ValueError(f"Fock projector order must lie in 0..{FOCK_CUTOFF}")
-        if len(out) != 2 or out[0] % 2 or out[1] != out[0] + 1:
-            raise ValueError(f"a Fock projector acts on one mode's two variables, got {out}")
-        lag = _poly_scale(_laguerre_poly_2d(fock), (-1.0) ** fock)
-        a2 = np.zeros((n, n))
-        a2[out, out] = 1.0
-        read = np.concatenate([read, np.broadcast_to(np.eye(n)[out], read.shape[:-2] + (2, n))], -2)
-        shift = np.concatenate([shift, np.zeros(shift.shape[:-1] + (2,))], -1)
-    noise = read[..., out]
+        if v % 2 or v not in out or v + 1 not in out:
+            raise ValueError(f"a Fock projector acts on the two variables of one mode integrated out, got {v}")
+        lag = {ea + eb: ca * (-1.0) ** m * cb for ea, ca in lag.items() for eb, cb in _laguerre_poly_2d(m).items()}
+    a2 = np.zeros((n, n))
+    a2[proj, proj] = 1.0
+    singular = not np.all(np.linalg.det(a))
+    inverse = None if singular else np.linalg.inv(a)
     new_terms = []
     for t in expr.terms:
-        weight, poly, mean, quad = t.weight, t.poly, t.mean, t.quad
-        if f is not None:
-            mean, quad = _mv(matrix, mean) + fshift, matrix @ quad @ np.swapaxes(matrix, -1, -2)
-            quad = (quad + np.swapaxes(quad, -1, -2)) / 2.0
-        if fock is not None:  # 2 pi F_n = 2 (-1)^n L_n(2 (x^2 + p^2)) exp(-x^2 - p^2)
+        sigma = t.quad / 2.0
+        mean, s = _mv(a, t.mean) + shift, a @ sigma @ np.swapaxes(a, -1, -2) + noise
+        s = (s + np.swapaxes(s, -1, -2)) / 2.0  # the covariance of X
+        if singular:  # Y = G X + g + eta given X
+            gain = np.swapaxes(np.linalg.solve(s, a @ sigma), -1, -2)
+            offset, spread = t.mean - _mv(gain, mean), sigma - gain @ a @ sigma
+        else:
+            share = np.swapaxes(np.linalg.solve(s, noise), -1, -2)  # C S^-1
+            gain, offset = inverse - inverse @ share, _mv(inverse, _mv(share, mean) - shift)
+            spread = inverse @ (noise - share @ noise) @ np.swapaxes(inverse, -1, -2)
+        weight, poly, quad = t.weight, t.poly, 2.0 * s
+        if np.any(noise):  # the density's Jacobian, 1 for a noiseless map, which is symplectic
+            weight = weight * np.sqrt(np.linalg.det(t.quad) / np.linalg.det(quad))
+        if projectors:  # 2 pi F_n = 2 (-1)^n L_n(2 (x^2 + p^2)) exp(-x^2 - p^2)
             quad, mean, gamma = _gaussian_product(np.linalg.inv(quad), mean, a2, np.zeros(n))
             # `math.exp` on a scalar, whose last bit numpy's can differ in
-            weight = weight * (2.0 * (math.exp(-gamma) if np.ndim(gamma) == 0 else np.exp(-gamma)))
+            weight = weight * (2.0 ** len(projectors) * (math.exp(-gamma) if np.ndim(gamma) == 0 else np.exp(-gamma)))
             poly = {ea + eb: ca * cb for ea, ca in poly.items() for eb, cb in lag.items()}
-        a = np.linalg.inv(quad)
-        a_vv, a_vk = a[..., out, :][..., out], a[..., out, :][..., keep]
+        precision = np.linalg.inv(quad)
+        a_vv, a_vk = precision[..., out, :][..., out], precision[..., out, :][..., keep]
         b = -np.linalg.solve(a_vv, a_vk)
-        lin, const = read[..., keep] + noise @ b, shift + _mv(noise, mean[..., out] - _mv(b, mean[..., keep]))
-        poly = _affine_expectation(poly, lin, const, noise @ (np.linalg.inv(a_vv) / 2.0) @ np.swapaxes(noise, -1, -2))
+        # the polynomial's variables u = (Y, X_p) = read X + (g, 0) + (eta, 0)
+        read = np.concatenate([gain, np.broadcast_to(np.eye(n)[proj], gain.shape[:-2] + (len(proj), n))], -2)
+        nv, lin = read[..., out], read[..., keep] + read[..., out] @ b
+        const = np.pad(offset, [(0, 0)] * (offset.ndim - 1) + [(0, len(proj))])
+        const = const + _mv(nv, mean[..., out] - _mv(b, mean[..., keep]))
+        cov = nv @ (np.linalg.inv(a_vv) / 2.0) @ np.swapaxes(nv, -1, -2)
+        cov = cov + np.pad(spread, [(0, 0)] * (spread.ndim - 2) + [(0, len(proj))] * 2)
+        poly = _affine_expectation(poly, lin, const, cov)
         if poly:
             z = math.pi ** (len(out) / 2.0) / np.sqrt(np.linalg.det(a_vv))
             new_terms.append(Term(weight * z, poly, mean[..., keep], quad[..., keep, :][..., keep]))
@@ -748,7 +774,7 @@ def _gaussian_product(a1: np.ndarray, m1: np.ndarray, a2: np.ndarray, m2: np.nda
 
 def project_fock_unnormalized(expr: WignerExpr, mode: int, n: int) -> WignerExpr:
     """Apply 2*pi*F_n on one mode and integrate that mode out (no renormalization)."""
-    return _integrate_out(expr, expr._var_indices(mode), fock=n)
+    return _integrate_out(expr, expr._var_indices(mode), projectors=((2 * mode - 2, n),))
 
 
 def _herald_branch(reduced: WignerExpr, prob: float) -> tuple[WignerExpr, float]:
@@ -839,21 +865,21 @@ def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = DEFAULT
 
 
 def attenuate(expr: WignerExpr, mode: int, eta: float, nbar_env: float = 0.0) -> WignerExpr:
-    """Loss/thermal channel on one mode: mix with a thermal ancilla on BS(eta), drop the ancilla.
+    """Loss/thermal channel on one mode: X = sqrt(eta) Y + xi there, xi ~ N(0, (1 - eta)(2 nbar_env + 1) I / 2).
 
     Non-Gaussian counterpart of the Gaussian-engine channels, for pipelines
-    where heralding has already broken Gaussianity.
+    where heralding has already broken Gaussianity: one `_integrate_out` of
+    no variables through the channel.
     """
-    from .gaussian import thermal_state
-    from .symplectic import embed, make_beam_splitter
-
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
     if nbar_env < 0.0:
         raise ValueError(f"environment photon number must be >= 0, got {nbar_env}")
-    joint = tensor_exprs(expr, from_gaussian(thermal_state(nbar_env)))
-    anc = joint.modes
-    return _integrate_out(joint, joint._var_indices(anc), f=embed(make_beam_splitter(eta), [mode, anc], anc))
+    rows, n = expr._var_indices(mode), expr.nvars
+    a, noise = np.eye(n), np.zeros((n, n))
+    a[rows, rows] = math.sqrt(eta)
+    noise[rows, rows] = (1.0 - eta) * (2.0 * nbar_env + 1.0) / 2.0
+    return _integrate_out(expr, [], (a, np.zeros(n), noise))
 
 
 def overlap(a: WignerExpr, b: WignerExpr) -> float:

@@ -1,30 +1,83 @@
-"""Test-side references: central differences, golden section, independent-detector CFIs, per-T counts.
+"""Test-side references: the forward build, central differences, golden section, independent-detector CFIs,
+per-T counts.
 
-The engine takes no finite difference; the tests check its exact phase
-signals, jets and Fisher informations against these, the way `fock_oracle.py`
-checks its phase-space integrals against a truncated Fock lattice.  `counts`
-heralds its whole T grid at once; `counts_rows` runs it one T at a time.
-Nothing here is imported by `wignersim`.
+The engine builds no state at a phase and takes no finite difference; the
+tests check its channel reads, exact phase signals, jets and Fisher
+informations against these, the way `fock_oracle.py` checks its phase-space
+integrals against a truncated Fock lattice.  `build_pipeline` builds the state
+at one phase, stage by stage.  `counts` reads its whole T grid at once;
+`counts_rows` builds and heralds it one T at a time.  Nothing here is imported
+by `wignersim`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from wignersim import conditional as cond
 from wignersim import estimation as est
+from wignersim import gaussian as ga
 from wignersim import measurements as meas
 from wignersim import scenario as sc
+from wignersim import symplectic as sym
 from wignersim import wigner as wg
 from wignersim.errors import DegenerateBranch, ImprobableBranch, SignalStationary
 from wignersim.estimation import SLOPE_FLOOR, SLOPE_NOISE
 from wignersim.wigner import Term, WignerExpr, _poly_add, _poly_mul, _poly_prune, _poly_scale, overlap
 
 DEFAULT_STEP = 1e-5
+
+
+@dataclass(frozen=True)
+class Built(sc.PipelineResult):
+    """A forward-built pipeline result, with the stage of its first herald: None, "input" or "output"."""
+
+    herald_stage: str | None = None
+
+
+def build_pipeline(config, phi: float | None = None) -> Built:
+    """The forward build at one phase: the cached prefix, the MZI, the noise, then the output stage.
+
+    Uniform loss on both modes commutes with the passive MZI, so on the Wigner
+    path, where each loss is an attenuation, it sits in the cached prefix; on
+    the Gaussian path it follows the MZI.  This is the referee of the engine's
+    prefix channel (`sc._observer`) and of every read taken off it.
+    """
+    return output_stage(before_output(config, phi), config)
+
+
+def before_output(config, phi: float | None = None) -> sc.PipelineResult:
+    """The forward build up to its output stage: the cached prefix, then the MZI and the noise."""
+    phi = config.phi if phi is None else phi
+    gaussian_path, loss, noise = sc._gaussian_possible(config), sc._uniform_loss(config), config.noise
+    res = sc._prefix(config.inputs, sc._input_mods(config), gaussian_path, None if gaussian_path else loss)
+    mzi = sym.make_mzi(phi)
+    res = sc._each(res, lambda s: sc._transform(s, mzi))
+    if gaussian_path and loss is not None:
+        res = sc._each(res, lambda s: ga.apply_loss(s, loss))
+    for m in noise.thermal_modes if noise.has_thermal else ():
+        res = sc._each(res, lambda s: ga.inject_thermal(s, m, noise.thermal_nbar, noise.thermal_eta)
+                       if gaussian_path else wg.attenuate(s, m, noise.thermal_eta, noise.thermal_nbar))
+    return res
+
+
+def output_stage(res: sc.PipelineResult, config) -> Built:
+    """The output-stage modifications of `config` in order on `res`, the state after the noise.
+
+    The first herald of the pipeline starts the failure branch: an output
+    herald behind an input-stage one leaves the failure branch untracked.
+    """
+    mods = [m for m in config.modifications if m.stage == "output"]
+    heralds = [m.stage for m in (*sc._input_mods(config), *mods) if m.heralded]
+    out = sc._modify(res, mods)
+    if heralds[:1] == ["input"] and len(heralds) > 1:
+        out = replace(out, failure_state=None, failure_prob=0.0)
+    return Built(**{f.name: getattr(out, f.name) for f in fields(sc.PipelineResult)},
+                 herald_stage=heralds[0] if heralds else None)
 
 PhiFunction = Callable[[float], float]
 
@@ -269,7 +322,7 @@ def golden_minimize(fn: PhiFunction, lo: float, hi: float, tol: float = 1e-8) ->
 def forward_click_cfi(config, phi: float, h: float = 1e-3) -> float:
     """The click CFI of both modes and both herald arms, and the herald term, from five-point differences of the
     state built at each phase (`build_pipeline`); an outcome of probability at most SLOPE_FLOOR adds nothing."""
-    built = [sc.build_pipeline(config, phi + k * h) for k in (-2, -1, 0, 1, 2)]
+    built = [build_pipeline(config, phi + k * h) for k in (-2, -1, 0, 1, 2)]
 
     def slope(values: list) -> float:
         return (values[0] - 8.0 * values[1] + 8.0 * values[3] - values[4]) / (12.0 * h)
@@ -292,7 +345,7 @@ def counted(config, mode: int) -> tuple:
     """(herald probability, one-mode state of `mode`) of one T: the pipeline up to its output stage with the
     other arm traced out, then `mode`'s output-stage modifications on it as mode 1, the herald's success branch
     alone.  Raises ImprobableBranch below the renormalization floor."""
-    res = sc._before_output(config)
+    res = before_output(config)
     state, prob = wg.marginal_mode(res.state, mode), res.success_prob
     for m in (replace(m, mode=1) for m in config.modifications if m.stage == "output" and m.mode == mode):
         if m.heralded:

@@ -93,9 +93,9 @@ def test_conditioning_matches_the_substituted_route(name, project):
     # integrating the ancilla out through the mix equals substituting the mix first and integrating after
     coupling, ancilla, n = ROUTES[name]
     joint = wg.tensor_exprs(two_term_signal(), ancilla())
-    mix, anc, fock = sym.embed(coupling, [3, 1], 3), [4, 5], n if project else None
-    fused = wg._integrate_out(joint, anc, f=mix, fock=fock)
-    substituted = wg._integrate_out(wg.apply_symplectic(joint, mix), anc, fock=fock)
+    mix, anc, projectors = sym.embed(coupling, [3, 1], 3), [4, 5], ((4, n),) if project else ()
+    fused = wg._integrate_out(joint, anc, mix, projectors)
+    substituted = wg._integrate_out(wg.apply_symplectic(joint, mix), anc, projectors=projectors)
     assert fused.modes == substituted.modes == 2
     assert abs(fused.norm - substituted.norm) <= 1e-13 * abs(substituted.norm)
     points = np.random.default_rng(7).normal(scale=0.7, size=(20, 4))
@@ -188,34 +188,37 @@ def test_every_entry_validates_its_arguments(call):
         ([0, 1], None, -1),
         ([0, 1], None, wg.FOCK_CUTOFF + 1),
         ([1, 2], None, 0),  # p of mode 1 and x of mode 2
-        ([0, 1, 2, 3], None, 0),
+        ([0], None, 0),  # a projector on a variable that is kept
         ([0, 1], sym.make_beam_splitter(0.5), None),  # a two-mode map on a three-mode state
     ],
 )
 def test_integrate_out_validates_its_arguments(var_indices, f, fock):
+    # the projector, if any, acts on the variables from the first one integrated out
     joint = wg.tensor_exprs(signal(), vacuum())
     with pytest.raises(ValueError):
-        wg._integrate_out(joint, var_indices, f=f, fock=fock)
+        wg._integrate_out(joint, var_indices, f, () if fock is None else ((var_indices[0], fock),))
 
 
 @pytest.mark.parametrize("ancilla, n, click", [(2, 0, False), (0, 1, False), (0, 0, True)])
 def test_a_vector_of_T_heralds_each_point_as_one_T_does(ancilla, n, click):
-    # both branches over a stack of beam splitters: each grid point reads as the herald at that T alone
+    # both branches through a stack of beam splitters, as `counts` reads its grid: the projection and the
+    # trace each integrate the ancilla out once, and each grid point reads as the herald at that T alone
     grid = (0.2, 0.55, 0.9)
-    stacked = cond._herald(signal(), 1, ("BS", grid), ancilla, n, click)
+    joint = wg.tensor_exprs(signal(), wg.fock_wigner(ancilla))
+    mix = np.broadcast_to(np.eye(6), (3, 6, 6)).copy()
+    mix[(..., *np.ix_([4, 5, 0, 1], [4, 5, 0, 1]))] = sym._beam_splitter_matrix(grid)  # the ancilla is input 1
+    channel = (mix, np.zeros(6), np.zeros((6, 6)))
+    projected = wg._integrate_out(joint, [4, 5], channel, ((4, n),))
+    complement = WignerExpr(2, wg._integrate_out(joint, [4, 5], channel).terms + _scaled(projected, -1.0))
+    stacked = [wg._herald_branch(e, e.norm) for e in ((complement, projected) if click else (projected, complement))]
     want = [cond._herald(signal(), 1, ("BS", t), ancilla, n, click) for t in grid]
     monomials = [{0: 2}, {1: 2}, {0: 1, 2: 1}, {0: 4}]
-    for b, branch in enumerate(stacked):
-        assert branch.state.modes == 2 and all(t.mean.shape == (3, 4) for t in branch.state.terms)
-        got = wg.moments(branch.state, monomials)
-        dist = wg.photon_number_distribution(branch.state, 1)
+    for b, (state, probability) in enumerate(stacked):
+        assert state.modes == 2 and all(t.mean.shape == (3, 4) for t in state.terms)
+        got = wg.moments(state, monomials)
+        dist = wg.photon_number_distribution(state, 1)
         for i, point in enumerate(w[b] for w in want):
-            assert branch.probability[i] == pytest.approx(point.probability, rel=1e-12)
+            assert probability[i] == pytest.approx(point.probability, rel=1e-12)
             assert [g[i] for g in got] == pytest.approx(wg.moments(point.state, monomials), rel=1e-12, abs=1e-14)
             assert np.max(np.abs(dist.probs[i] - wg.photon_number_distribution(point.state, 1).probs)) <= 1e-14
-            assert wg.moments(branch.state.take([i]), monomials) == pytest.approx([g[i] for g in got], rel=1e-15)
-
-
-def test_a_vector_of_T_is_checked_once():
-    with pytest.raises(ValueError, match="transmissivity"):
-        cond._herald(signal(), 1, ("BS", (0.5, 1.2)), 1, 0)
+            assert wg.moments(state.take([i]), monomials) == pytest.approx([g[i] for g in got], rel=1e-15)

@@ -74,27 +74,27 @@ class TestPrefix:
 
     def test_cache_keys_on_the_state_type(self, monkeypatch):
         cfg = config([COHERENT, {"kind": "thermal", "nbar": 0.5}])
-        assert sc.build_pipeline(cfg).gaussian_path
+        assert ref.build_pipeline(cfg).gaussian_path
         monkeypatch.setattr(sc, "_gaussian_possible", lambda c: False)
-        res = sc.build_pipeline(cfg)
+        res = ref.build_pipeline(cfg)
         assert not res.gaussian_path
         assert isinstance(res.state, wg.WignerExpr)
 
     def test_shared_prefix_is_frozen(self):
-        res = sc.build_pipeline(config([COHERENT, VACUUM], [INPUT_ADDITION]))
+        res = ref.build_pipeline(config([COHERENT, VACUUM], [INPUT_ADDITION]))
         with pytest.raises(dataclasses.FrozenInstanceError):
             res.state = None
 
     def test_output_stage_modifications_follow_the_phase(self):
         squeeze_out = {"op": "squeeze", "stage": "output", "mode": 2, "r": 0.4}
         cfg = config([COHERENT, VACUUM], [INPUT_ADDITION, squeeze_out])
-        a, b = sc.build_pipeline(cfg, 0.3), sc.build_pipeline(cfg, 1.3)
+        a, b = ref.build_pipeline(cfg, 0.3), ref.build_pipeline(cfg, 1.3)
         assert a.herald_stage == b.herald_stage == "input"
         assert a.success_prob == b.success_prob
         assert abs(meas.intensity(a.state, 1).mean - meas.intensity(b.state, 1).mean) > 1e-3
 
 
-def noise_after_mzi(cfg: sc.ScenarioConfig, phi: float) -> sc.PipelineResult:
+def noise_after_mzi(cfg: sc.ScenarioConfig, phi: float) -> ref.Built:
     """Reference Wigner pipeline with every noise channel applied per phi: MZI, loss per mode, thermal."""
     res = sc._prefix(cfg.inputs, tuple(m for m in cfg.modifications if m.stage == "input"), False, None)
     mzi = sym.make_mzi(phi)
@@ -107,7 +107,7 @@ def noise_after_mzi(cfg: sc.ScenarioConfig, phi: float) -> sc.PipelineResult:
             state = wg.attenuate(state, m, cfg.noise.thermal_eta, cfg.noise.thermal_nbar)
         return state
 
-    return sc._modify(sc._each(res, noise), [m for m in cfg.modifications if m.stage == "output"], "output")
+    return ref.output_stage(sc._each(res, noise), cfg)
 
 
 def observables(res: sc.PipelineResult) -> list:
@@ -130,7 +130,7 @@ class TestUniformLossInPrefix:
     @pytest.mark.parametrize("phi", [0.3, 1.0, 2.9, 4.4])
     def test_matches_noise_after_the_mzi(self, raw, phi):
         cfg = sc.ScenarioConfig.from_dict(raw)
-        got, want = observables(sc.build_pipeline(cfg, phi)), observables(noise_after_mzi(cfg, phi))
+        got, want = observables(ref.build_pipeline(cfg, phi)), observables(noise_after_mzi(cfg, phi))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_input_mean_photon_stays_lossless(self):
@@ -153,7 +153,7 @@ class TestClickCfi:
         assert not warnings
 
         def branch(mode):
-            return ref.two_outcome(lambda p: meas.click_probability(sc.build_pipeline(cfg, p).state, mode))
+            return ref.two_outcome(lambda p: meas.click_probability(ref.build_pipeline(cfg, p).state, mode))
 
         def exact(mode):
             # P0'^2 / P0 + P0'^2 / (1 - P0) from the no-click jet, its first term as P0 (P0'/P0)^2
@@ -175,7 +175,7 @@ class TestClickCfi:
 
         def log_p0(cfg, mode, phi):
             # the vacuum overlap of the mode block, 2 exp(-mu^T K^-1 mu) / sqrt(det K) with K = sigma + I, as a log
-            state = sc.build_pipeline(cfg, phi).state
+            state = ref.build_pipeline(cfg, phi).state
             i = slice(2 * mode - 2, 2 * mode)
             mu, k = state.mean[i], state.cov[i, i] + np.eye(2)
             return math.log(2.0) - float(mu @ np.linalg.solve(k, mu)) - 0.5 * math.log(np.linalg.det(k))
@@ -211,7 +211,7 @@ class TestClickCfi:
         for phi in np.linspace(0.3, 6.0, 12):
             report, warnings, _ = sc.evaluate_point(cfg, float(phi))
             assert not warnings
-            res = [sc.build_pipeline(cfg, p) for p in (phi, phi + h, phi - h)]
+            res = [ref.build_pipeline(cfg, p) for p in (phi, phi + h, phi - h)]
             want = 0.0
             for arm, weight in (("state", res[0].success_prob), ("failure_state", 1.0 - res[0].success_prob)):
                 for mode in (1, 2):
@@ -232,7 +232,7 @@ class TestClickCfi:
         assert not warnings
         want = 0.0
         for mode in (1, 2):
-            p = lambda phi: meas.click_probability(sc.build_pipeline(cfg, phi).state, mode)
+            p = lambda phi: meas.click_probability(ref.build_pipeline(cfg, phi).state, mode)
             dp = richardson(p, cfg.phi, 1e-2)
             want += dp * dp / (p(cfg.phi) * (1.0 - p(cfg.phi)))
         assert report.cfi == pytest.approx(want, rel=1e-7)
@@ -268,8 +268,8 @@ class TestQfiRoute:
         # thermal injection at eta = 1 is no noise (C = 0): the pure route, bit-equal to no thermal noise;
         # at eta = 0.9 the family is mixed non-Gaussian, and no state is built to find that out
         builds = []
-        orig = sc.build_pipeline
-        monkeypatch.setattr(sc, "build_pipeline", lambda *args: builds.append(1) or orig(*args))
+        orig = wg.apply_symplectic
+        monkeypatch.setattr(wg, "apply_symplectic", lambda *args: builds.append(1) or orig(*args))
         raw = {"inputs": [{"kind": "fock"}, COHERENT], "interferometer": {"phi": 0.7}, "metrics": ["qfi"]}
         thermal = lambda eta: dict(raw, noise={"thermal": {"nbar_env": 0.3, "eta": eta}})
         plain = sc._qfi(sc.ScenarioConfig.from_dict(raw), 0.7)
@@ -357,7 +357,7 @@ class TestGaussianPrefixChannel:
         cfg = sc.ScenarioConfig.from_dict(raw)
         observe = sc._observer(cfg)
         for phi in (0.3, 1.7, 2.9, 4.4):
-            want, got = sc.build_pipeline(cfg, phi).state, observe(phi).state
+            want, got = ref.build_pipeline(cfg, phi).state, observe(phi).state
             assert isinstance(got, ga.GaussianState)
             for a, b in ((got.mean, want.mean), (got.cov, want.cov)):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
@@ -425,8 +425,8 @@ class TestExactSlopes:
         # the (dR, dsigma) that the Gaussian QFI and the kernel optimum read, from A' = K M'(phi)
         cfg = sc.ScenarioConfig.from_dict(raw)
         tangent = sc._tangent(cfg, phi)
-        dmean = richardson(lambda p: sc.build_pipeline(cfg, p).state.mean, phi, 1e-2)
-        dcov = richardson(lambda p: sc.build_pipeline(cfg, p).state.cov, phi, 1e-2)
+        dmean = richardson(lambda p: ref.build_pipeline(cfg, p).state.mean, phi, 1e-2)
+        dcov = richardson(lambda p: ref.build_pipeline(cfg, p).state.cov, phi, 1e-2)
         np.testing.assert_allclose(tangent[0], dmean, rtol=0, atol=1e-10 * max(1.0, np.abs(dmean).max()))
         np.testing.assert_allclose(tangent[1], dcov, rtol=0, atol=1e-10 * max(1.0, np.abs(dcov).max()))
 
@@ -639,7 +639,7 @@ class TestPulledBackRoute:
         cfg = sc.ScenarioConfig.from_dict(ROUTE_CONFIGS[name])
         observe = sc._observer(cfg)
         for phi in (0.3, 1.7, 2.9, 4.4):
-            want, got = sc.build_pipeline(cfg, phi), observe(phi)
+            want, got = ref.build_pipeline(cfg, phi), observe(phi)
             assert isinstance(got.state, wg.AffineImage)
             assert (got.success_prob, got.failure_prob) == (want.success_prob, want.failure_prob)
             for arm in ("state", "failure_state"):
@@ -675,7 +675,7 @@ class TestPulledBackRoute:
         every = EVERY_DETECTOR + [meas.DetectionScheme("homodyne", 1, angle=1.1),
                                   meas.DetectionScheme("intensity_difference", 2, mode_b=1)]
         for phi in (0.4, 1.7, 4.1):
-            want, got = sc.build_pipeline(cfg, phi), observe(phi)
+            want, got = ref.build_pipeline(cfg, phi), observe(phi)
             assert isinstance(got.state, wg.AffineImage)
             assert got.success_prob == pytest.approx(want.success_prob, rel=1e-10, abs=0.0)
             assert got.failure_prob == pytest.approx(want.failure_prob, rel=1e-10, abs=0.0)
@@ -702,7 +702,7 @@ class TestPulledBackRoute:
         assert not warnings
         assert report.extras["herald_probability"] == pytest.approx(cond.spacs_prob(1.0, 2, 0.9), rel=1e-10)
         assert 1.0 / report.snl == pytest.approx(cond.spacs_mean_n(1.0, 2, 0.9) + math.sinh(0.5) ** 2, rel=1e-10)
-        forward = lambda p: sc.build_pipeline(cfg, p).state
+        forward = lambda p: ref.build_pipeline(cfg, p).state
         signals = {scheme: sc._optimal_phi(cfg, scheme)[2] for scheme in cfg.detection}
         for phi in (cfg.phi, report.optimal_phi["diff[1,2]"]):
             for scheme in cfg.detection:
@@ -725,7 +725,7 @@ class TestPulledBackRoute:
         cfg = sc.ScenarioConfig.from_dict(raw)
         got, route = sc._qfi(cfg, phi)
         assert route == "pure_wigner"
-        integral = ref.qfi_pure_wigner(lambda p: sc.build_pipeline(cfg, p).state, phi)
+        integral = ref.qfi_pure_wigner(lambda p: ref.build_pipeline(cfg, p).state, phi)
         assert got == pytest.approx(integral, rel=1e-9, abs=0.0)
         want = oracle_qfi([("coherent", 1.0), ("vacuum",), ("fock", 1)], lambda orc: orc.bs(3, 1, 0.9), 3, phi,
                           [14, 14, 14])
@@ -735,3 +735,34 @@ class TestPulledBackRoute:
     @pytest.mark.parametrize("raw", [workloads.point_b(1.0), THERMAL_CLICK], ids=["lossy_prefix", "thermal_noise"])
     def test_mixed_state_has_no_pure_qfi(self, raw):
         assert sc._qfi(sc.ScenarioConfig.from_dict(raw), 1.0) == (None, "unavailable (mixed non-Gaussian)")
+
+
+# the six heralds after the phase above, thermal injection after the MZI on a herald's mode ahead of it, and two
+# heralds after the phase on mode 1 (ROADMAP defect F's config)
+DISTRIBUTED = dict(
+    OUTPUT_HERALDS,
+    thermal_ahead_of_the_herald=dict(OUTPUT_HERALDS["subtracted_thermal"],
+                                     noise={"thermal": {"nbar_env": 0.3, "eta": 0.8, "modes": [1]}}),
+    two_heralds_on_mode_1={
+        "inputs": [{"kind": "coherent", "alpha": 1.1}, {"kind": "vacuum"}],
+        "modifications": [{"op": "subtract", "stage": "output", "mode": 1, "m": "click", "T": 0.8},
+                          {"op": "add", "stage": "output", "mode": 1, "m": 2, "mechanism": "bs", "T": 0.7}],
+        "interferometer": {"phi": 0.7},
+    },
+)
+
+
+class TestDistributionsOffTheChannel:
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTED))
+    def test_matches_the_forward_build(self, name):
+        # each mode's state is read off the prefix's channel through the herald's projectors: its norm is the
+        # herald probability and its photon-number distribution that of the state built at phi
+        cfg = sc.ScenarioConfig.from_dict(dict(DISTRIBUTED[name], metrics=["distributions"]))
+        for phi in (0.3, 1.7, 4.4):
+            want, got = ref.build_pipeline(cfg, phi), sc._observer(cfg)(phi)
+            weight = got.success_prob / got.state.probability  # an input-stage herald's, in the prefix
+            for mode in (1, 2):
+                state = got.state.mode_state(mode)
+                assert weight * state.norm == pytest.approx(want.success_prob, rel=1e-12, abs=0.0), (phi, mode)
+                p_want = wg.photon_number_distribution(want.state, mode).probs
+                assert np.max(np.abs(wg.photon_number_distribution(state, 1).probs - p_want)) <= 1e-12, (phi, mode)

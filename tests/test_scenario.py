@@ -121,7 +121,7 @@ class TestKeyTree:
 
 class TestPipeline:
     def test_gaussian_fast_path_detected(self):
-        res = sc.build_pipeline(sc.ScenarioConfig.from_dict(base_config()))
+        res = ref.build_pipeline(sc.ScenarioConfig.from_dict(base_config()))
         assert res.gaussian_path
         assert isinstance(res.state, ga.GaussianState)
 
@@ -145,7 +145,7 @@ class TestPipeline:
 
     def test_lossless_conservation(self):
         cfg = sc.ScenarioConfig.from_dict(base_config())
-        res = sc.build_pipeline(cfg)
+        res = ref.build_pipeline(cfg)
         n_in = 1.0 + math.sinh(0.8) ** 2
         assert abs(ga.total_mean_photon(res.state) - n_in) < 1e-9
 
@@ -159,7 +159,7 @@ class TestPipeline:
                 metrics=["cfi"],
             )
         )
-        res = sc.build_pipeline(cfg)
+        res = ref.build_pipeline(cfg)
         assert res.herald_stage == "input"
         assert res.failure_state is not None
         assert abs(res.success_prob + res.failure_prob - 1.0) < 1e-9
@@ -223,8 +223,8 @@ class TestPipeline:
         }
         cfg = sc.ScenarioConfig.from_dict(raw)
         crossing, h = 0.483964172, ref.DEFAULT_STEP
-        assert sc.build_pipeline(cfg, crossing - h).failure_state is None
-        assert sc.build_pipeline(cfg, crossing + h).failure_state is not None
+        assert ref.build_pipeline(cfg, crossing - h).failure_state is None
+        assert ref.build_pipeline(cfg, crossing + h).failure_state is not None
         for phi in (crossing - h / 2, crossing + h / 2):
             report, warnings, _ = sc.evaluate_point(cfg, phi)
             assert warnings == []
@@ -238,7 +238,7 @@ class TestPipeline:
                 metrics=["snr"],
             )
         )
-        res = sc.build_pipeline(cfg)
+        res = ref.build_pipeline(cfg)
         assert not res.gaussian_path
         assert res.herald_stage == "output"
         assert 0.0 < res.success_prob < 1.0
@@ -384,7 +384,7 @@ class TestDistributionsMetric:
                 metrics=["distributions"],
             )
         )
-        report, _, dists = sc.evaluate_point(cfg, n_max=20)
+        report, _, dists = sc.evaluate_point(cfg)
         p1 = [d["p"] for d in dists if d["mode"] == 1]
         p2 = [d["p"] for d in dists if d["mode"] == 2]
         np.testing.assert_allclose(p1, p2, atol=1e-10)
@@ -540,7 +540,7 @@ class TestCounts:
         grid = [0.3, 0.6, 0.9]
         report = sc.simulate_counts(cfg, trials=200, seed=5, t_grid=grid)
         for T, row in zip(grid, report.rows):
-            want = sc.build_pipeline(cfg.with_values(T=T))
+            want = ref.build_pipeline(cfg.with_values(T=T))
             got = [row["herald_probability"], row["theory_mean"]]
             assert got == pytest.approx([want.success_prob, meas.intensity(want.state, 1).mean], rel=1e-12, abs=0.0)
 
@@ -643,11 +643,11 @@ def test_counted_mode_matches_the_two_mode_pipeline(case):
     cfg = sc.ScenarioConfig.from_dict(raw)
     mod = next(m for m in cfg.modifications if m.heralded)
     grid = (0.3, 0.6, 0.9)
-    prob, state = sc._grid_herald(cfg, mod, grid)
+    state, prob = sc._counted(cfg, mod, grid)
     n_got, p_got = meas.intensity(state, 1), wg.photon_number_distribution(state, 1).probs
     assert state.modes == 1 and p_got.shape == (3, wg.DEFAULT_NMAX + 1)
     for i, T in enumerate(grid):
-        want = sc.build_pipeline(cfg.with_values(T=T))
+        want = ref.build_pipeline(cfg.with_values(T=T))
         assert prob[i] == pytest.approx(want.success_prob, rel=1e-12, abs=0.0)
         n_want = meas.intensity(want.state, mod.mode)
         assert [n_got.mean[i], n_got.second_moment[i]] == pytest.approx([n_want.mean, n_want.second_moment],
@@ -702,6 +702,24 @@ def test_counts_flag_a_tail_beyond_the_largest_n_max():
     assert len(report.warnings) == 1
     assert report.warnings[0].startswith("T=0.9: photon-number tail")
     assert report.warnings[0].endswith(f"at n_max = {sc.COUNTS_NMAX}")
+
+
+def test_distributions_warn_of_a_tail_beyond_n_max():
+    # ROADMAP defect G: alpha = 7 plus one photon added after the phase holds 0.8 of mode 1 beyond n = 40; the
+    # distribution keeps its n_max and the row its bytes, with no flag, and a warning names the mode, tail and n_max
+    raw = {
+        "inputs": [{"kind": "coherent", "alpha": 7.0}, {"kind": "vacuum"}],
+        "modifications": [{"op": "add", "stage": "output", "mode": 1, "m": 1, "mechanism": "bs", "T": 0.9}],
+        "interferometer": {"phi": 0.0},
+        "detection": [],
+        "metrics": ["distributions"],
+    }
+    report = sc.run(sc.ScenarioConfig.from_dict(raw))
+    row = report.rows[0]
+    assert "flag" not in row
+    assert row["distribution_tail.mode1"] == pytest.approx(0.797, abs=1e-3) and row["distribution_tail.mode2"] == 0.0
+    tail = row["distribution_tail.mode1"]
+    assert report.warnings == [f"distributions mode 1: photon-number tail {tail:.3e} at n_max = {wg.DEFAULT_NMAX}"]
 
 
 class TestCli:

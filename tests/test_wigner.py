@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from fock_oracle import Mixture, Oracle
 from wignersim import conditional as cond
 from wignersim import gaussian as ga
@@ -307,6 +308,28 @@ class TestPurity:
             assert after < before
 
 
+@pytest.mark.parametrize("eta", [0.7, 0.0])
+def test_noisy_channel_matches_the_fock_oracle(eta):
+    # Fock(1) x coherent mixed on BS(0.6), then loss eta with thermal noise nbar = 0.3 on mode 1: a noisy channel
+    # that mixes the modes (singular at eta = 0); each mode's state integrates the other out of the image at once
+    nbar = 0.3
+    expr = wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.coherent_state(0.8)))
+    a = np.diag([math.sqrt(eta)] * 2 + [1.0] * 2) @ sym.embed(sym.make_beam_splitter(0.6), [1, 2], 2).matrix
+    noise = np.diag([(1.0 - eta) * (2.0 * nbar + 1.0) / 2.0] * 2 + [0.0] * 2)
+    orc = Oracle([24, 16, 24])
+    mix = Mixture.from_product(orc, [("fock", 1), ("coherent", 0.8), ("thermal", nbar)])
+    mix = mix.apply(orc.bs(1, 2, 0.6) + orc.bs(1, 3, eta))
+    for mode, others in ((1, [2, 3]), (2, [0, 1])):
+        state = wg._integrate_out(expr, others, (a, np.zeros(4), noise))
+        assert state.modes == 1 and state.norm == pytest.approx(1.0, rel=1e-13)
+        dist = wg.photon_number_distribution(state, 1, 12)
+        assert np.max(np.abs(dist.probs - mix.number_distribution(mode)[:13])) < 1e-10
+        n = meas.intensity(state, 1)
+        assert [n.mean, n.second_moment] == pytest.approx(list(mix.number_moments(mode)), rel=1e-9)
+        x = wg.moments(state, [{0: 1}, {0: 2}])
+        assert x == pytest.approx(list(mix.quadrature_moments(mode)), rel=1e-9, abs=1e-12)
+
+
 class TestAttenuate:
     def test_matches_gaussian_channel(self):
         state = ga.tensor([ga.coherent_state(1.1, 0.2), ga.squeezed_vacuum(0.6, 0.0)])
@@ -357,14 +380,14 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def pacs_m3_state() -> wg.WignerExpr:
     """Output of configs/pacs_counts.json with m=3: coherent |alpha|=1 through the MZI, 3 photons added."""
-    return sc.build_pipeline(sc.load_config(str(CONFIGS / "pacs_counts.json")).with_values(m=3)).state
+    return reference.build_pipeline(sc.load_config(str(CONFIGS / "pacs_counts.json")).with_values(m=3)).state
 
 
 def click_subtracted_state() -> wg.WignerExpr:
     """Output of configs/subtracted_thermal.json with a click herald: two terms on the measured mode."""
     raw = json.loads((CONFIGS / "subtracted_thermal.json").read_text())
     raw["modifications"][0]["m"] = "click"
-    return sc.build_pipeline(sc.ScenarioConfig.from_dict(raw)).state
+    return reference.build_pipeline(sc.ScenarioConfig.from_dict(raw)).state
 
 
 def scalar_single_mode_g(expr1: wg.WignerExpr, s: complex) -> complex:

@@ -84,18 +84,12 @@ def counter(monkeypatch, module, name: str) -> list:
 
 
 def test_pipeline_builds_per_ligo_lossy_point(monkeypatch):
-    # pinned so that a change in build count shows up as a diff of this number
-    calls = []
-    orig = sc.build_pipeline
-
-    def counted(config, phi=None):
-        calls.append(phi)
-        return orig(config, phi)
-
-    monkeypatch.setattr(sc, "build_pipeline", counted)
-    config = sc.load_config(LIGO_LOSSY)
-    sc.evaluate_point(config)
-    assert len(calls) == 0
+    # pinned so that a change in build count shows up as a diff of this number: the cached prefix propagates its
+    # input squeeze once, and every phase reads the prefix through the channel
+    calls = counter(monkeypatch, ga, "propagate")
+    sc._prefix.cache_clear()
+    sc.evaluate_point(sc.load_config(LIGO_LOSSY))
+    assert len(calls) == 1
 
 
 @pytest.fixture
@@ -170,32 +164,32 @@ def test_gaussian_kernel_optimum_observes_nothing(kind, observed):
 
 
 def test_herald_after_the_phase_builds_each_phase_once(monkeypatch):
-    # the herald's ancilla rides in the cached prefix: the point and its cfi read the channel, and only the
-    # distributions build the state at phi
-    builds = counter(monkeypatch, sc, "build_pipeline")
+    # the herald's ancilla rides in the cached prefix: the point and its cfi read the channel, and the
+    # distributions read each mode off it, one partial integration per distributed mode; nothing is heralded
+    heralds, integrations = counter(monkeypatch, cond, "_herald"), counter(monkeypatch, wg, "_integrate_out")
     sc._observer.cache_clear()
     sc.run(sc.load_config(str(Path(LIGO_LOSSY).parent / "subtracted_thermal.json")))
-    assert len(builds) == 1
+    assert (len(heralds), len(integrations)) == (0, 2)
 
 
-@pytest.mark.parametrize("metrics, builds", [(["phase_variance", "cfi", "snr"], 0),
-                                             (["phase_variance", "cfi", "snr", "distributions"], 1)])
-def test_output_herald_run_builds_only_its_distributions(metrics, builds, monkeypatch):
-    # every metric reads the prefix, the herald's ancilla included, through the channel; the distributions need
-    # the state at phi
-    calls = counter(monkeypatch, sc, "build_pipeline")
+@pytest.mark.parametrize("metrics, distributed", [(["phase_variance", "cfi", "snr"], 0),
+                                                  (["phase_variance", "cfi", "snr", "distributions"], 1)])
+def test_output_herald_run_builds_only_its_distributions(metrics, distributed, monkeypatch):
+    # every metric reads the prefix, the herald's ancilla included, through the channel; the distributions take
+    # each mode off it, one partial integration per mode of the herald's one projector product
+    heralds, integrations = counter(monkeypatch, cond, "_herald"), counter(monkeypatch, wg, "_integrate_out")
     raw = json.loads((Path(LIGO_LOSSY).parent / "subtracted_thermal.json").read_text())
     sc.run(sc.ScenarioConfig.from_dict(dict(raw, metrics=metrics)))
-    assert len(calls) == builds
+    assert (len(heralds), len(integrations)) == (0, 2 * distributed)
 
 
 def test_output_herald_drift_builds_nothing(monkeypatch):
     # 200 trials of each detector read its signal's jet, one call for all of them
-    calls = counter(monkeypatch, sc, "build_pipeline")
+    calls = [counter(monkeypatch, module, name) for module, name in ((cond, "_herald"), (wg, "_integrate_out"))]
     report = sc.phase_drift_study(sc.load_config(str(Path(LIGO_LOSSY).parent / "subtracted_thermal.json")),
                                   trials=200, seed=1)
     assert len(report.rows) == 2
-    assert calls == []
+    assert calls == [[], []]
 
 
 def test_ligo_lossy_point_makes_no_per_phi_transform(monkeypatch):
@@ -216,18 +210,18 @@ def test_ligo_lossy_point_runs_no_wick_recursion(monkeypatch):
 
 def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
     # ROADMAP heralded reference (b) on the pulled-back route: the loss on both modes sits in the cached
-    # prefix, and no phi builds a pipeline or substitutes the MZI into a term
+    # prefix, and no phi substitutes the MZI into a term
     counts = {name: counter(monkeypatch, module, name) for module, name in (
-        (wg, "attenuate"), (sc, "build_pipeline"), (cond, "_herald"), (wg, "apply_symplectic"), (wg, "moment_tensor"))}
+        (wg, "attenuate"), (cond, "_herald"), (wg, "apply_symplectic"), (wg, "moment_tensor"))}
     sc._prefix.cache_clear()
     sc._prefix_moments.cache_clear()
     sc._observer.cache_clear()
     sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
     # apply_symplectic: the input squeeze on both arms, in the prefix; the 4 attenuations condition
-    # each term through their beam splitter and substitute nothing
+    # each term through their loss channel and substitute nothing
     # moment_tensor: both arms of the lossy prefix; the photon-number probe reads four second moments instead
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "attenuate": 4, "build_pipeline": 0, "_herald": 1, "apply_symplectic": 2, "moment_tensor": 2}
+        "attenuate": 4, "_herald": 1, "apply_symplectic": 2, "moment_tensor": 2}
 
 
 def test_lossy_heralded_point_builds_no_lossless_moment_tensor(monkeypatch):
@@ -266,10 +260,11 @@ def test_ligo_lossy_parity_optimum_gaussian_jet_calls(monkeypatch):
 
 @pytest.mark.parametrize("config, m, terms", [("pacs_counts.json", 3, 1), ("subtracted_thermal.json", "click", 2)])
 def test_photon_number_distribution_runs_one_wick_recursion_per_term(config, m, terms, monkeypatch):
-    # all contour points of a term share one recursion
+    # all contour points of a term share one recursion; the state is the detected mode read off the channel
     raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / config).read_text())
     raw["modifications"][0]["m"] = m
-    state = sc.build_pipeline(sc.ScenarioConfig.from_dict(raw)).state
+    config = sc.ScenarioConfig.from_dict(raw)
+    state = sc._observer(config)(config.phi).state.mode_state(1)
     state.norm  # read first, so that its recursions are not counted below
     assert len(wg.marginal_mode(state.normalize(), 1).terms) == terms
     calls = counter(monkeypatch, wg, "_gaussian_expectation")
@@ -278,37 +273,44 @@ def test_photon_number_distribution_runs_one_wick_recursion_per_term(config, m, 
 
 
 def test_counted_m3_state_is_one_mode(monkeypatch):
-    # `counts` heralds the counted mode alone, the other arm traced out: the m = 3 photon-added coherent
-    # state is one mode of 16 monomials at each grid point, where the two-mode pipeline gives 110 over four variables
+    # `counts` reads the counted mode alone off a stack of channels, the other arm integrated out: the m = 3
+    # photon-added coherent state is one mode of at most 28 monomials at each grid point, where the two-mode
+    # pipeline gives 110 over four variables
     raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / "pacs_counts.json").read_text())
     raw["modifications"][0]["m"] = 3
-    builds = counter(monkeypatch, sc, "build_pipeline")
+    heralds = counter(monkeypatch, cond, "_herald")
     config = sc.ScenarioConfig.from_dict(raw)
-    prob, state = sc._grid_herald(config, config.modifications[0], (0.3, 0.6, 0.9))
+    state, prob = sc._counted(config, config.modifications[0], (0.3, 0.6, 0.9))
     assert state.modes == 1 and prob.shape == (3,)
     assert all(t.mean.shape == (3, 2) for t in state.terms)
     assert max(len(t.poly) for t in state.terms) <= 28
-    assert builds == []
+    assert heralds == []
 
 
 def test_counts_builds_no_failure_branch_and_one_inverse_dft(monkeypatch):
-    # `counts` heralds its whole grid once, for the success branch alone, and reads every point's
+    # `counts` reads its whole grid once, through the herald's success projector alone: one partial integration
+    # per signed product of projectors (a click herald, 1 - 2 pi F_0, takes two), no herald, and every point's
     # distribution from one contour by one cached matrix
-    integrations = counter(monkeypatch, cond, "_integrate_out")
+    integrations = counter(monkeypatch, wg, "_integrate_out")
     heralds = counter(monkeypatch, cond, "_herald")
     contours = counter(monkeypatch, wg, "photon_number_distribution")
-    wg._inverse_dft.cache_clear()
-    report = sc.simulate_counts(sc.load_config(PACS_COUNTS), trials=3600, seed=42)
-    assert len(report.rows) == 19
-    assert [kwargs.get("fock") for kwargs in integrations] == [0]  # no trace: only a failure branch needs one
-    assert [kwargs.get("only") for kwargs in heralds] == ["success"]
-    assert len(contours) == 1
-    assert wg._inverse_dft.cache_info().misses == 1
+    config = sc.load_config(PACS_COUNTS)
+    click = sc.ScenarioConfig.from_dict(dict(config.raw, modifications=[
+        {"op": "subtract", "stage": "output", "mode": 1, "m": "click", "T": 0.8}]))
+    for cfg, products in ((config, 1), (click, 2)):
+        integrations.clear()
+        contours.clear()
+        wg._inverse_dft.cache_clear()
+        report = sc.simulate_counts(cfg, trials=3600, seed=42)
+        assert len(report.rows) == 19
+        assert (len(integrations), len(heralds), len(contours)) == (products, 0, 1)
+        assert wg._inverse_dft.cache_info().misses == 1
 
 
 def test_counted_m3_herald_substitutes_nothing(monkeypatch):
-    # every herald of an m = 3 `counts` run conditions the joint state through its beam splitter: the MZI is
-    # the one substitution, and no polynomial product grows past the counted state's 16 monomials
+    # an m = 3 `counts` run conditions the prefix through its stack of channels, the MZI and the beam
+    # splitters included: nothing is substituted, and no polynomial product grows past the counted state's
+    # 16 monomials
     calls = {name: counter(monkeypatch, wg, name) for name in ("apply_symplectic", "_poly_substitute")}
     sizes = []
     orig = wg._poly_mul
@@ -321,5 +323,5 @@ def test_counted_m3_herald_substitutes_nothing(monkeypatch):
     monkeypatch.setattr(wg, "_poly_mul", sized)
     report = sc.simulate_counts(sc.load_config(PACS_COUNTS).with_values(m=3), trials=3600, seed=42)
     assert len(report.rows) == 19
-    assert {name: len(c) for name, c in calls.items()} == {"apply_symplectic": 1, "_poly_substitute": 0}
+    assert {name: len(c) for name, c in calls.items()} == {"apply_symplectic": 0, "_poly_substitute": 0}
     assert 0 < max(sizes) <= 16
