@@ -1,139 +1,49 @@
-"""Heralded photon addition and subtraction.
+"""Heralded photon addition and subtraction, and closed-form reference statistics of the heralded models.
 
-Addition and subtraction are intrinsically nondeterministic: every operation
-here returns a HeraldedState carrying its success probability, and the pure
-creation/annihilation-operator treatment exists only as the T -> 1 (or r -> 0)
-limit of these models, where that probability vanishes.
+Addition and subtraction are intrinsically nondeterministic: `herald` returns
+the heralded state with its probability, and the pure creation/annihilation-
+operator treatment exists only as the T -> 1 (or r -> 0) limit of these
+models, where that probability vanishes.
 
 Mode bookkeeping: the ancilla enters as beam-splitter (or two-mode squeezer)
 input 1 and the signal as input 2, matching the element conventions in `symplectic`; the
 herald detector sits on the ancilla output, so the signal keeps sqrt(T) of its
-amplitude (up to sign).
+amplitude (up to sign).  A herald is one read of the signal and its ancilla
+through the coupling against the detector's projector (`wigner.AffineImage.state`),
+the read every stage of a scenario makes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+import numpy as np
 
-from .gaussian import vacuum_state
-from .symplectic import SymplecticTransform, embed, make_beam_splitter, make_two_mode_squeezer
-from .wigner import Term, WignerExpr, _herald_branch, _integrate_out, fock_wigner, from_gaussian, tensor_exprs
+from .symplectic import make_beam_splitter, make_two_mode_squeezer
+from .wigner import AffineImage, WignerExpr, _herald_branch, fock_wigner, projector, tensor_exprs
 
 M_CUTOFF = 8
 
 
-@dataclass(frozen=True)
-class HeraldedState:
-    """A post-measurement state, its herald probability, and which branch it is."""
+def herald(expr: WignerExpr, mode: int, coupling: tuple, ancilla: int, n: int, click: bool = False) -> tuple:
+    """(normalized state, probability) of one herald on `mode`: ancilla |ancilla> mixed in, Fock n detected.
 
-    state: WignerExpr
-    probability: float
-    branch: str  # "success" or "failure"
-    label: str
-
-
-def coupling_transform(coupling: tuple) -> SymplecticTransform:
-    """The two-mode transform of a herald's coupling, ("BS", T) or ("SPDC", r, theta): ancilla first, signal second."""
-    kind, x, *theta = coupling
-    return make_beam_splitter(x) if kind == "BS" else make_two_mode_squeezer(x, *theta)
-
-
-def _herald(
-    expr: WignerExpr,
-    mode: int,
-    coupling: tuple,
-    ancilla: int,
-    n: int,
-    click: bool = False,
-    only: str | None = None,
-) -> tuple[HeraldedState | None, HeraldedState | None]:
-    """The one herald operation: mix a Fock ancilla into `mode`, project the ancilla output once.
-
-    `coupling` is ("BS", T) or ("SPDC", r, theta); the ancilla |ancilla> is
-    coupling input 1 and the signal input 2.  The mix is never substituted
-    into the joint state: each branch conditions the joint's Gaussians on the
-    signal (`_integrate_out` through the mix).  Projecting on Fock n gives one
-    branch, its complement (projector 1 - 2 pi F_n) the other: the projection
-    succeeds for a Fock herald, while a click herald (n = 0) succeeds on the
-    complement.  The projected branch is checked first.  Returns (success,
-    failure); with `only` set to one of them, the other is neither built nor
-    checked and comes back as None.
+    `coupling` is ("BS", T) or ("SPDC", r, theta), the ancilla its input 1.  A BS addition mixes in Fock m and
+    detects vacuum, an SPDC addition or a subtraction mixes in vacuum and detects m photons; with `click` the
+    complement 1 - 2 pi F_n is read instead, a click herald for n = 0 and the failure arm of any other herald.
+    Raises ImprobableBranch below the renormalization floor.
     """
-    kind, x, *_ = coupling
-    m = ancilla or n
-    if not click and not 1 <= m <= M_CUTOFF:
-        raise ValueError(f"photon count m must lie in 1..{M_CUTOFF}, got {m}")
+    if not (0 <= ancilla <= M_CUTOFF and 0 <= n <= M_CUTOFF):
+        raise ValueError(f"photon counts must lie in 0..{M_CUTOFF}, got ancilla {ancilla} and n {n}")
     if not 1 <= mode <= expr.modes:
         raise ValueError(f"mode {mode} out of range 1..{expr.modes}")
-    via = f"{kind}({'T' if kind == 'BS' else 'r'}={x:g})"
-    verb = "add" if ancilla or kind == "SPDC" else "subtract"
-    labels = {
-        "success": f"subtract via {via}, click herald" if click else f"{verb} {m} via {via}, Fock {n} herald",
-        "failure": f"no click on {via} herald" if click else f"failed to {verb} {m} via {via}",
-    }
-    joint = tensor_exprs(expr, fock_wigner(ancilla) if ancilla else from_gaussian(vacuum_state(1)))
-    anc = joint._var_indices(joint.modes)
-    mix = embed(coupling_transform(coupling), [joint.modes, mode], joint.modes)
-    projected = _integrate_out(joint, anc, mix, ((anc[0], n),))
-    p = projected.norm / joint.norm
-    roles = ("failure", "success") if click else ("success", "failure")
-    out = {}
-    if only in (None, roles[0]):
-        out[roles[0]] = _herald_branch(projected, p)
-    if only in (None, roles[1]):
-        negated = [Term(-t.weight, t.poly, t.mean, t.quad) for t in projected.terms]
-        complement = WignerExpr(expr.modes, _integrate_out(joint, anc, mix).terms + negated)
-        out[roles[1]] = _herald_branch(complement, 1.0 - p)
-    return tuple(HeraldedState(*out[b], b, labels[b]) if b in out else None for b in ("success", "failure"))
-
-
-def add_photons_bs(expr: WignerExpr, mode: int, m: int, T: float) -> HeraldedState:
-    """Add m photons: Fock-m ancilla on BS(T), heralded by zero photons on the ancilla output."""
-    return _herald(expr, mode, ("BS", T), m, 0, only="success")[0]
-
-
-def add_photons_bs_branches(expr: WignerExpr, mode: int, m: int, T: float) -> tuple[HeraldedState, HeraldedState]:
-    """Matched success/failure pair for the beam-splitter addition herald."""
-    return _herald(expr, mode, ("BS", T), m, 0)
-
-
-def add_photon_spdc(expr: WignerExpr, mode: int, r: float, theta: float = 0.0, m: int = 1) -> HeraldedState:
-    """Add m photons by two-mode squeezing with a vacuum ancilla, heralded on m ancilla photons."""
-    return _herald(expr, mode, ("SPDC", r, theta), 0, m, only="success")[0]
-
-
-def add_photon_spdc_branches(
-    expr: WignerExpr, mode: int, r: float, theta: float = 0.0, m: int = 1
-) -> tuple[HeraldedState, HeraldedState]:
-    """Matched success/failure pair for the SPDC addition herald."""
-    return _herald(expr, mode, ("SPDC", r, theta), 0, m)
-
-
-def subtract_photons(expr: WignerExpr, mode: int, m: int, T: float) -> HeraldedState:
-    """Subtract m photons: vacuum ancilla on BS(T), heralded by m photons on the ancilla output."""
-    return _herald(expr, mode, ("BS", T), 0, m, only="success")[0]
-
-
-def failure_branch(expr: WignerExpr, mode: int, m: int, T: float) -> HeraldedState:
-    """Complement of subtract_photons: the herald saw anything other than exactly m photons."""
-    return _herald(expr, mode, ("BS", T), 0, m, only="failure")[1]
-
-
-def subtract_branches(expr: WignerExpr, mode: int, m: int, T: float) -> tuple[HeraldedState, HeraldedState]:
-    """Matched success/failure pair for an m-photon subtraction herald."""
-    return _herald(expr, mode, ("BS", T), 0, m)
-
-
-def subtract_click(expr: WignerExpr, mode: int, T: float) -> HeraldedState:
-    """Subtraction heralded by a click (any photon number) on the ancilla output."""
-    return _herald(expr, mode, ("BS", T), 0, 0, click=True, only="success")[0]
-
-
-def subtract_click_branches(expr: WignerExpr, mode: int, T: float) -> tuple[HeraldedState, HeraldedState]:
-    """Click-heralded subtraction together with its no-click complement."""
-    return _herald(expr, mode, ("BS", T), 0, 0, click=True)
+    kind, x, *theta = coupling
+    joint = tensor_exprs(expr, fock_wigner(ancilla))
+    a, rows = np.eye(joint.nvars), [joint.nvars - 2, joint.nvars - 1, 2 * mode - 2, 2 * mode - 1]
+    a[np.ix_(rows, rows)] = (make_beam_splitter(x) if kind == "BS" else make_two_mode_squeezer(x, *theta)).matrix
+    image = AffineImage(joint, None, a, np.zeros(len(a)), np.zeros_like(a), projector(rows[0], n, click))
+    state = image.state(range(1, expr.modes + 1))
+    return _herald_branch(state, state.norm / joint.norm)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ mean/covariance fast path; any Fock input or heralded addition/subtraction
 switches to the full Wigner representation.  Both run through one pipeline
 body, whose phase-independent prefix (inputs and input-stage modifications,
 plus the uniform loss on the Wigner path, where it commutes with the passive
-MZI) is built once and cached.
+MZI) is built once and cached.  A Wigner prefix is one channel read: the
+inputs and one Fock ancilla per input-stage herald, seen through the input
+stage's couplings, squeezes and displacements and the loss, against the
+heralds' projectors (`_prefix`).
 
 The detectors see the state by one route (`_observer`), the prefix
 channel: everything after the MZI (the MZI, the uniform loss on the Gaussian
@@ -25,9 +28,10 @@ at a phase.  A detector's phase variance comes from one exact phase signal
 
 The photon-number reads take the detected mode off the same channel: the
 `distributions` metric integrates every other variable out of the prefix seen
-at phi, against the herald's projectors (`wigner.AffineImage.mode_state`), and
+at phi, against the herald's projectors (`wigner.AffineImage.state`), and
 `simulate_counts` does so once over a stack of channels, one per T of its grid
-(`_counted`).  No state is built at a phase.
+(`_counted`).  No state is built at a phase, and every herald, at either
+stage, is one read of an image against its projectors.
 
 Identical config plus seed gives byte-identical CSV/JSON output.
 """
@@ -490,33 +494,36 @@ def _output_heralds(config: ScenarioConfig) -> tuple:
     return tuple(m for m in config.modifications if m.heralded and m.stage == "output")
 
 
-def _ancillas(config: ScenarioConfig) -> tuple:
-    """The Fock state of each output herald's ancilla (0 for vacuum), as the prefix caches key them."""
-    return tuple(_herald_args(m)[1] for m in _output_heralds(config))
+def _ancillas(mods) -> tuple:
+    """The Fock state of each herald's ancilla among `mods` (0 for vacuum), in order, as the prefix caches key
+    them."""
+    return tuple(_herald_args(m)[1] for m in mods if m.heralded)
 
 
-def _projector(v: int, n: int, complement: bool) -> tuple:
-    """2 pi F_n on the ancilla variables (v, v + 1), or 1 - 2 pi F_n, as signed products for `wig.herald_read`."""
-    return ((1.0, ()), (-1.0, ((v, n),))) if complement else ((1.0, ((v, n),)),)
+def _success(mods) -> tuple:
+    """The success read of the heralds among `mods`: herald j reads its ancilla (variables 4 + 2j, 5 + 2j)
+    through its projector, and the success arm the product of them, as signed products for `wig.herald_read`."""
+    success = wig.UNHERALDED
+    for j, mod in enumerate(m for m in mods if m.heralded):
+        n, click = _herald_args(mod)[2:]
+        success = tuple((s1 * s2, p1 + p2) for s1, p1 in success for s2, p2 in wig.projector(4 + 2 * j, n, click))
+    return success
 
 
 def _arms(config: ScenarioConfig) -> tuple:
     """(prefix arm, herald) of the success arm and, where tracked, the failure arm that the detectors see.
 
-    With no herald after the phase these are the prefix arms, with no herald (None).  Output herald j reads its
-    ancilla (variables 4 + 2j, 5 + 2j) through its projector, and the success arm the product of them.  As at
-    the input stage (`_modify`), a single herald alone tracks a failure arm: its projector's complement.
+    With no herald after the phase these are the prefix arms, with no herald (None).  Otherwise the success
+    arm reads the output heralds' product (`_success`); as at the input stage (`_prefix`), a single herald alone
+    tracks a failure arm: its projector's complement.
     """
     heralds = _output_heralds(config)
     if not heralds:
         return (0, None), (1, None)
-    success = wig.UNHERALDED
-    for j, mod in enumerate(heralds):
-        n, click = _herald_args(mod)[2:]
-        success = tuple((s1 * s2, p1 + p2) for s1, p1 in success for s2, p2 in _projector(4 + 2 * j, n, click))
     if len(heralds) > 1 or any(m.heralded for m in _input_mods(config)):
-        return ((0, success),)
-    return (0, success), (0, _projector(4, n, not click))
+        return ((0, _success(heralds)),)
+    n, click = _herald_args(heralds[0])[2:]
+    return (0, _success(heralds)), (0, wig.projector(4, n, not click))
 
 
 def _input_mods(config: ScenarioConfig) -> tuple:
@@ -527,20 +534,8 @@ def _uniform_loss(config: ScenarioConfig) -> ga.LossSpec | None:
     return config.noise.loss if config.noise.loss is not None and config.noise.loss.total > 0.0 else None
 
 
-def _transform(state, f: sym.SymplecticTransform):
-    if isinstance(state, ga.GaussianState):
-        return ga.propagate(state, f)
-    return wig.apply_symplectic(state, f)
-
-
-def _each(res: PipelineResult, step: Callable) -> PipelineResult:
-    """Apply one state map to the success branch and, when it is tracked, the failure branch."""
-    fail = None if res.failure_state is None else step(res.failure_state)
-    return replace(res, state=step(res.state), failure_state=fail)
-
-
 def _herald_args(mod: ModificationSpec) -> tuple:
-    """(coupling, ancilla, n, click) of a herald, as `cond._herald` takes them: the one table of the four heralds.
+    """(coupling, ancilla, n, click) of a herald, as `cond.herald` takes them: the one table of the four heralds.
 
     A beam-splitter addition mixes in Fock m and heralds vacuum, an SPDC addition squeezes with vacuum and heralds
     m, a subtraction mixes in vacuum and heralds m photons, or a click (the complement of vacuum).
@@ -550,34 +545,6 @@ def _herald_args(mod: ModificationSpec) -> tuple:
         return (("BS", mod.T), mod.m, 0, False) if bs else (("SPDC", mod.r, mod.theta), 0, mod.m, False)
     click = mod.m == "click"
     return ("BS", mod.T), 0, 0 if click else mod.m, click
-
-
-def _modify(res: PipelineResult, mods) -> PipelineResult:
-    """Apply the input-stage modifications in order; the first herald starts the failure branch.
-
-    A failure branch below the renormalization floor is left untracked when
-    the success branch is above it, so a herald that succeeds almost surely is
-    kept.
-    """
-    heralded = False
-    for m in mods:
-        if not m.heralded:
-            f = _gaussian_step(m, res.state.modes)
-            res = _each(res, lambda s: _transform(s, f))
-            continue
-        args = (res.state, m.mode, *_herald_args(m))
-        try:
-            ok, fail = cond._herald(*args)
-        except ImprobableBranch:
-            ok, fail = cond._herald(*args, only="success")[0], None
-        prob = res.success_prob * ok.probability
-        if heralded or fail is None:  # failure tracking only supports a single herald
-            res = replace(res, state=ok.state, success_prob=prob, failure_state=None, failure_prob=0.0)
-        else:
-            res = replace(res, state=ok.state, success_prob=prob, failure_state=fail.state,
-                          failure_prob=fail.probability)
-        heralded = True
-    return res
 
 
 def _gaussian_step(m: ModificationSpec, modes: int) -> sym.SymplecticTransform:
@@ -590,15 +557,54 @@ def _gaussian_step(m: ModificationSpec, modes: int) -> sym.SymplecticTransform:
 def _prefix(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss: ga.LossSpec | None) -> PipelineResult:
     """Inputs and input-stage modifications, heralds included: the part of a pipeline upstream of phi.
 
-    A lossy prefix is the cached lossless one followed by the uniform loss.
+    A Gaussian prefix propagates the inputs through each modification.  A Wigner prefix is one read of the
+    inputs and one Fock ancilla per herald (`_ancillas`) through one channel, the modifications in order
+    (`_then`) and then the uniform `loss`, against the heralds' projectors (`wig.AffineImage.state`); with
+    neither modifications nor loss it is the inputs' product state.  The success arm reads the product of the
+    projectors (`_success`), and raises ImprobableBranch when its probability is below the renormalization
+    floor; a single herald also tracks its failure arm, the unprojected read minus the projected one, which is
+    left untracked below the floor, so a herald that succeeds almost surely is kept.
     """
-    if loss is not None:
-        return _each(_prefix(inputs, input_mods, gaussian_path, None), lambda s: _apply_loss(s, loss))
     if gaussian_path:
         state = ga.tensor([s.gaussian() for s in inputs])
-    else:
-        state = wig.tensor_exprs(inputs[0].expr(), inputs[1].expr())
-    return _modify(PipelineResult(state, gaussian_path=gaussian_path), input_mods)
+        for m in input_mods:
+            state = ga.propagate(state, _gaussian_step(m, 2))
+        return PipelineResult(state)
+    joint = _with_ancillas(wig.tensor_exprs(inputs[0].expr(), inputs[1].expr()), _ancillas(input_mods))
+    if not input_mods and loss is None:
+        return PipelineResult(joint, gaussian_path=False)
+    n = joint.nvars
+    channel = _then(input_mods, n, np.eye(n), np.zeros(n), np.zeros((n, n)))
+    if loss is not None:
+        channel = _attenuated(channel, slice(0, 4), math.sqrt(1.0 - loss.total), loss.total / 2.0)
+
+    def read(herald: tuple | None) -> wig.WignerExpr:
+        return wig.AffineImage(joint, None, *channel, herald).state((1, 2))
+
+    heralds = [m for m in input_mods if m.heralded]
+    if not heralds:
+        return PipelineResult(read(None), gaussian_path=False)
+    if len(heralds) > 1:
+        state = read(_success(heralds))
+        return PipelineResult(*wig._herald_branch(state, state.norm / joint.norm), gaussian_path=False)
+    n, click = _herald_args(heralds[0])[2:]
+    projected = read(wig.projector(4, n))
+    p = projected.norm / joint.norm
+    negated = [wig.Term(-t.weight, t.poly, t.mean, t.quad) for t in projected.terms]
+    arms = [(projected, p), (wig.WignerExpr(2, read(None).terms + negated), 1.0 - p)][:: -1 if click else 1]
+    ok = wig._herald_branch(*arms[0])
+    try:
+        fail = wig._herald_branch(*arms[1])
+    except ImprobableBranch:
+        fail = None, 0.0
+    return PipelineResult(*ok, *fail, gaussian_path=False)
+
+
+def _with_ancillas(expr: wig.WignerExpr, ancillas: tuple) -> wig.WignerExpr:
+    """`expr` and one more mode per entry of `ancillas`, in its Fock state."""
+    for m in ancillas:
+        expr = wig.tensor_exprs(expr, wig.fock_wigner(m))
+    return expr
 
 
 @lru_cache(maxsize=PREFIX_CACHE_SIZE)
@@ -608,9 +614,7 @@ def _prefix_moments(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None, 
     res = _prefix(inputs, input_mods, False, loss)
     arms = []
     for state in (res.state, res.failure_state):
-        expr = None if state is None else state.normalize()
-        for m in ancillas if expr is not None else ():
-            expr = wig.tensor_exprs(expr, wig.fock_wigner(m))
+        expr = None if state is None else _with_ancillas(state.normalize(), ancillas)
         arms.append(None if expr is None else (expr, None if ancillas else wig.moment_tensor(expr)))
     return tuple(arms)
 
@@ -645,18 +649,24 @@ def _after_mzi(config: ScenarioConfig, loss: ga.LossSpec | None, n: int | None =
     follows (`_then`).
     """
     n = n or 4 + 2 * len(_output_heralds(config))
-    k, b, c = np.eye(n), np.zeros(n), np.zeros((n, n))
+    channel = np.eye(n), np.zeros(n), np.zeros((n, n))
     if loss is not None:
-        k[:4, :4] *= math.sqrt(1.0 - loss.total)
-        c[:4, :4] = loss.total / 2.0 * np.eye(4)
+        channel = _attenuated(channel, slice(0, 4), math.sqrt(1.0 - loss.total), loss.total / 2.0)
     noise = config.noise
     for m in noise.thermal_modes if noise.has_thermal else ():
-        i = slice(2 * m - 2, 2 * m)
-        g = np.ones(n)
-        g[i] = math.sqrt(noise.thermal_eta)
-        k, b, c = g[:, None] * k, g * b, g[:, None] * c * g
-        c[i, i] += (1.0 - noise.thermal_eta) * (2.0 * noise.thermal_nbar + 1.0) / 2.0 * np.eye(2)
-    return _then([m for m in config.modifications if m.stage == "output"], n, k, b, c)
+        channel = _attenuated(channel, slice(2 * m - 2, 2 * m), math.sqrt(noise.thermal_eta),
+                              (1.0 - noise.thermal_eta) * (2.0 * noise.thermal_nbar + 1.0) / 2.0)
+    return _then([m for m in config.modifications if m.stage == "output"], n, *channel)
+
+
+def _attenuated(channel: tuple, rows: slice, gain: float, noise: float) -> tuple:
+    """The channel (K, b, C) followed by X -> gain X + xi on the variables `rows`, xi of variance `noise` each."""
+    k, b, c = channel
+    g = np.ones(len(b))
+    g[rows] = gain
+    c = g[:, None] * c * g
+    c[rows, rows] += noise * np.eye(len(g[rows]))
+    return g[:, None] * k, g * b, c
 
 
 def _then(mods, n: int, k: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
@@ -667,8 +677,8 @@ def _then(mods, n: int, k: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
     for m in mods:
         if m.heralded:
             ancilla += 1
-            coupling = _herald_args(m)[0]
-            part = sym._beam_splitter_matrix(m.T) if coupling[0] == "BS" else cond.coupling_transform(coupling).matrix
+            kind, x, *theta = _herald_args(m)[0]
+            part = sym._beam_splitter_matrix(x) if kind == "BS" else sym.make_two_mode_squeezer(x, *theta).matrix
             rows = [2 * ancilla - 2, 2 * ancilla - 1, 2 * m.mode - 2, 2 * m.mode - 1]
             f, s = np.broadcast_to(np.eye(n), part.shape[:-2] + (n, n)).copy(), 0.0
             f[(..., *np.ix_(rows, rows))] = part
@@ -697,7 +707,7 @@ def _observer(config: ScenarioConfig) -> Callable[[float], PipelineResult]:
     k, b, c = _after_mzi(config, channel_loss)
     prefix = _prefix(config.inputs, _input_mods(config), gaussian_path, prefix_loss)
     moments = None if gaussian_path else _prefix_moments(config.inputs, _input_mods(config), prefix_loss,
-                                                         _ancillas(config))
+                                                         _ancillas(_output_heralds(config)))
     weights, arms = (prefix.success_prob, prefix.failure_prob), _arms(config)
 
     @lru_cache(maxsize=OBSERVED_PHASES)
@@ -730,13 +740,6 @@ def _tangent(config: ScenarioConfig, phi: float) -> tuple[np.ndarray, np.ndarray
     a, da = k @ sym.mzi_matrix(phi), k @ sym.mzi_phase_derivative(phi)
     half = da @ prefix.cov @ a.T
     return da @ prefix.mean, half + half.T
-
-
-def _apply_loss(state: wig.WignerExpr, loss: ga.LossSpec) -> wig.WignerExpr:
-    """The uniform loss of a Wigner prefix, one attenuation per mode (the Gaussian path's is in its channel)."""
-    for m in range(1, state.modes + 1):
-        state = wig.attenuate(state, m, 1.0 - loss.total, 0.0)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +848,8 @@ def _wigner_read(config: ScenarioConfig, index: int, order: int, herald: tuple, 
     a_c[:, 4:], a_s[:, :4], a_0[:, :4] = 0.0, 2.0 * (k[:, :4] @ sym.mzi_phase_derivative(0.0)), 0.0
     if rows is not None:
         a_c, a_s, a_0, b, c = a_c[rows], a_s[rows], a_0[rows], b[rows], c[rows][:, rows]
-    columns = _kernel_columns(config.inputs, _input_mods(config), _uniform_loss(config), _ancillas(config), index,
-                              order)
+    columns = _kernel_columns(config.inputs, _input_mods(config), _uniform_loss(config),
+                              _ancillas(_output_heralds(config)), index, order)
     ancillas = bool(np.any(a_0))
 
     def read(phi: np.ndarray, kernel: list | None = (), blur: np.ndarray | None = None, monomials: list | None = None):
@@ -1157,7 +1160,7 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
     if "distributions" in config.metrics:
         for mode in (1, 2):
             # a Wigner prefix's mode is read off its channel, a Gaussian state's is its marginal
-            expr = (res.state.mode_state(mode) if isinstance(res.state, wig.AffineImage)
+            expr = (res.state.state((mode,)) if isinstance(res.state, wig.AffineImage)
                     else wig.marginal_mode(wig.from_gaussian(res.state), mode))
             dist = wig.photon_number_distribution(expr, 1)
             for n, p in enumerate(dist.probs):
@@ -1347,23 +1350,22 @@ def phase_drift_study(
 def _counted(config: ScenarioConfig, mod: ModificationSpec, grid: tuple) -> tuple:
     """(state, herald probability) of the counted mode at every T of the grid, from one read of a stack of channels.
 
-    With `mod` taking the grid as its T, the prefix ahead of it carries its ancilla as mode 3, and the rest of
-    the pipeline (an input-stage herald's coupling and the input stage after it, then the uniform loss, the MZI
-    and the maps after it) is one channel per T.  The counted mode is read off the stack through the herald's
-    success projector (`mode_state`) and kept, normalized, at the points of probability at or above the
-    renormalization floor (`wig._herald_branch`).
+    With `mod` taking the grid as its T, the inputs carry its ancilla as mode 3, and the whole pipeline (the
+    input stage, couplings included, then the uniform loss, the MZI and the maps after it) is one channel per T.
+    The counted mode is read off the stack through the herald's success projector (`wig.AffineImage.state`)
+    and kept, normalized, at the points of probability at or above the renormalization floor
+    (`wig._herald_branch`).
     """
     gridded = replace(mod, T=grid)
     config = replace(config, modifications=tuple(gridded if m is mod else m for m in config.modifications))
     inputs = _input_mods(config)
-    ahead = inputs[: inputs.index(gridded)] if mod.stage == "input" else inputs
-    expr = _prefix_moments(config.inputs, ahead, None, (_herald_args(mod)[1],))[0][0]
-    j, s, _ = _then(inputs[len(ahead):], 6, np.eye(6), np.zeros(6), np.zeros((6, 6)))
+    expr = _prefix_moments(config.inputs, (), None, (_herald_args(mod)[1],))[0][0]
+    j, s, _ = _then(inputs, 6, np.eye(6), np.zeros(6), np.zeros((6, 6)))
     k, b, c = _after_mzi(config, _uniform_loss(config), 6)
     a = k.copy()
     a[..., :4] = k[..., :4] @ sym.mzi_matrix(config.phi)
-    n, click = _herald_args(mod)[2:]
-    state = wig.AffineImage(expr, None, a @ j, wig._mv(a, s) + b, c, _projector(4, n, click)).mode_state(mod.mode)
+    herald = wig.projector(4, *_herald_args(mod)[2:])
+    state = wig.AffineImage(expr, None, a @ j, wig._mv(a, s) + b, c, herald).state((mod.mode,))
     return wig._herald_branch(state, state.norm * np.ones(len(grid)))
 
 

@@ -3,27 +3,27 @@
 Every state in scope lives in this class: Gaussian states are a single constant
 term, Fock states are Laguerre polynomials times a Gaussian, and heralded
 addition/subtraction outputs stay inside the class because it is closed under
-linear variable substitution, multiplication by Fock projectors, and partial
+Gaussian channels, multiplication by Fock projectors, and partial
 integration.  All moments and overlaps evaluate analytically through the
 Gaussian moment recursion, so there is no numerical quadrature anywhere.
 
 Partial integration is one routine, `_integrate_out`: a marginal, a Fock
-projection, both branches of a herald, `attenuate` and a detected mode's
-photon-number state each integrate some variables out of the image of an
-expression under a Gaussian channel X = A Y + b + xi, against a product of
-Fock projectors or not.  It conditions each term's joint (Y, X) Gaussian on
-the kept variables and substitutes no polynomial, so a herald never expands
-its beam splitter and a loss needs no ancilla; `apply_symplectic` substitutes
-whole-state maps only (the input stage's squeezers and displacements).
+projection, every arm of a herald, a loss and a detected mode's photon-number
+state each integrate some variables out of the image of an expression under
+a Gaussian channel X = A Y + b + xi, against a product of Fock projectors or
+not.  It conditions each term's joint (Y, X) Gaussian on the kept variables
+and substitutes no polynomial, so a herald never expands its beam splitter, a
+loss needs no ancilla, and no state map is substituted into a term.
 
 An `AffineImage` is an expression seen through a Gaussian channel
 X = A Y + b + xi without substituting the channel into its terms: the
 detector moments of X come from the expression's fixed moment tensor, and a
 Gaussian kernel on one mode from conditioning each term on that mode
 (`kernel_densities`).  Seen through a herald's Fock projectors on ancilla
-modes of X, each projector is one more Gaussian kernel with a Laguerre
-factor (`herald_read`).  A detected mode's one-mode state integrates every
-other variable of X out (`AffineImage.mode_state`).
+modes of X (`projector`), each projector is one more Gaussian kernel with a
+Laguerre factor (`herald_read`).  The state of some modes of X integrates
+every other variable out (`AffineImage.state`): the one herald read of every
+stage, the input stage's prefix, a herald, and a detected mode's state.
 
 Term convention: weight * poly(X) * exp(-(X - mean)^T quad^{-1} (X - mean)),
 matching the Gaussian Wigner exponent used throughout, so quad equals the
@@ -97,33 +97,6 @@ def _quadratic(x: np.ndarray, a: np.ndarray):
 
 def _const_poly(nvars: int, value=1.0) -> Poly:
     return {(0,) * nvars: value}
-
-
-def _poly_power(base: Poly, k: int, nvars: int) -> Poly:
-    out = _const_poly(nvars)
-    for _ in range(k):
-        out = _poly_mul(out, base)
-    return out
-
-
-def _poly_substitute(poly: Poly, rows: list[Poly], nvars_out: int) -> Poly:
-    """Substitute variable i -> rows[i] (an affine poly in the output variables)."""
-    powers: dict[tuple[int, int], Poly] = {}
-
-    def row_power(i: int, k: int) -> Poly:
-        key = (i, k)
-        if key not in powers:
-            powers[key] = _poly_power(rows[i], k, nvars_out)
-        return powers[key]
-
-    out: Poly = {}
-    for expo, coeff in poly.items():
-        piece = _const_poly(nvars_out, coeff)
-        for i, e in enumerate(expo):
-            if e:
-                piece = _poly_mul(piece, row_power(i, e))
-        out = _poly_add(out, piece)
-    return _poly_prune(out)
 
 
 def _gaussian_expectation(poly: Poly, mean: np.ndarray, cov: np.ndarray, shifts: list | None = None):
@@ -349,32 +322,6 @@ def tensor_exprs(a: WignerExpr, b: WignerExpr) -> WignerExpr:
     return WignerExpr(a.modes + b.modes, terms)
 
 
-def apply_symplectic(expr: WignerExpr, f: SymplecticTransform) -> WignerExpr:
-    """Propagate: mean -> f mean + shift, quad -> f quad f^T, poly recomposed via X -> f^{-1}(X - s)."""
-    if f.modes != expr.modes:
-        raise ValueError(f"dimension mismatch: transform has {f.modes} modes, expression has {expr.modes}")
-    finv = np.linalg.inv(f.matrix)
-    c = -finv @ f.shift
-    nv = expr.nvars
-    trivial_sub = np.array_equal(finv, np.eye(nv)) and not np.any(c)
-    rows = [
-        _poly_prune(
-            dict(
-                [(tuple(int(j == k) for k in range(nv)), finv[i, j]) for j in range(nv)]
-                + [((0,) * nv, c[i])]
-            )
-        )
-        for i in range(nv)
-    ]
-    terms = []
-    for t in expr.terms:
-        const_poly = len(t.poly) == 1 and next(iter(t.poly)) == (0,) * nv
-        poly = t.poly if trivial_sub or const_poly else _poly_substitute(t.poly, rows, nv)
-        quad = f.matrix @ t.quad @ f.matrix.T
-        terms.append(Term(t.weight, poly, _mv(f.matrix, t.mean) + f.shift, (quad + np.swapaxes(quad, -1, -2)) / 2.0))
-    return WignerExpr(expr.modes, terms)
-
-
 def _exponents(exponents: Mapping[int, int] | Iterable[int], nvars: int) -> tuple:
     """A full exponent tuple over nvars variables, from a tuple or a {0-based variable index: power} mapping."""
     if isinstance(exponents, Mapping):
@@ -464,6 +411,11 @@ def _add_noise(t: np.ndarray, noise: np.ndarray) -> np.ndarray:
 UNHERALDED = ((1.0, ()),)
 
 
+def projector(v: int, n: int, complement: bool = False) -> tuple:
+    """2 pi F_n on the ancilla variables (v, v + 1), or 1 - 2 pi F_n, as signed products for `herald_read`."""
+    return ((1.0, ()), (-1.0, ((v, n),))) if complement else ((1.0, ((v, n),)),)
+
+
 class AffineImage:
     """The state of X = A Y + b + xi: Y distributed as a normalized expression, xi ~ N(0, noise) independent.
 
@@ -480,7 +432,7 @@ class AffineImage:
     moment and density is then a `herald_read` of the projectors times the
     detector's monomial or kernel, over `probability`, the read of the
     projectors alone, and `modes` counts the modes other than the ancillas.
-    Such an image needs no moment tensor, and neither does `mode_state`, which
+    Such an image needs no moment tensor, and neither does `state`, which
     also reads a stack of channels.
     """
 
@@ -522,20 +474,20 @@ class AffineImage:
         """Density at the origin of X_mode + eta, for eta ~ N(0, blur) independent (a 2x2 covariance, may be 0)."""
         return float(self._read([2 * mode - 2, 2 * mode - 1], blur)[0, 0]) / self.probability
 
-    def mode_state(self, mode: int) -> WignerExpr:
-        """The one-mode state of X_mode times the probability of the herald's outcome, which is its norm.
+    def state(self, modes) -> WignerExpr:
+        """The state of the `modes` of X, whose norm is the herald's probability times the expression's norm.
 
-        Each signed product of the herald's projectors integrates every other variable of X out of the
-        expression's image (`_integrate_out`), and the terms add with its sign.  A stack of channels, one per
-        grid point, gives a grid expression.
+        Each signed product of the herald's projectors integrates every other variable of X, the ancillas'
+        included, out of the expression's image (`_integrate_out`), and the terms add with its sign.  A stack of
+        channels, one per grid point, gives a grid expression.
         """
-        kept = [2 * mode - 2, 2 * mode - 1]
+        kept = [2 * m - 2 + i for m in modes for i in (0, 1)]
         others = [i for i in range(self.expr.nvars) if i not in kept]
         terms = []
         for sign, projectors in self.herald or UNHERALDED:
             part = _integrate_out(self.expr, others, (self.a, self.shift, self.noise), projectors)
             terms += [Term(sign * t.weight, t.poly, t.mean, t.quad) for t in part.terms]
-        return WignerExpr(1, terms)
+        return WignerExpr(len(kept) // 2, terms)
 
 
 @dataclass(frozen=True)
@@ -862,24 +814,6 @@ def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = DEFAULT
         raise ValueError(f"distribution outside [0,1]: range [{probs.min():.3e}, {probs.max():.3e}]")
     probs = np.clip(probs, 0.0, 1.0)
     return PhotonNumberDistribution(probs, n_max, np.clip(1.0 - probs.sum(-1), 0.0, 1.0))
-
-
-def attenuate(expr: WignerExpr, mode: int, eta: float, nbar_env: float = 0.0) -> WignerExpr:
-    """Loss/thermal channel on one mode: X = sqrt(eta) Y + xi there, xi ~ N(0, (1 - eta)(2 nbar_env + 1) I / 2).
-
-    Non-Gaussian counterpart of the Gaussian-engine channels, for pipelines
-    where heralding has already broken Gaussianity: one `_integrate_out` of
-    no variables through the channel.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-    if nbar_env < 0.0:
-        raise ValueError(f"environment photon number must be >= 0, got {nbar_env}")
-    rows, n = expr._var_indices(mode), expr.nvars
-    a, noise = np.eye(n), np.zeros((n, n))
-    a[rows, rows] = math.sqrt(eta)
-    noise[rows, rows] = (1.0 - eta) * (2.0 * nbar_env + 1.0) / 2.0
-    return _integrate_out(expr, [], (a, np.zeros(n), noise))
 
 
 def overlap(a: WignerExpr, b: WignerExpr) -> float:

@@ -1,24 +1,26 @@
-"""Test-side references: the forward build, central differences, golden section, independent-detector CFIs,
-per-T counts.
+"""Test-side references: the stage-by-stage prefix and forward build, central differences, golden section,
+independent-detector CFIs, per-T counts.
 
-The engine builds no state at a phase and takes no finite difference; the
-tests check its channel reads, exact phase signals, jets and Fisher
-informations against these, the way `fock_oracle.py` checks its phase-space
-integrals against a truncated Fock lattice.  `build_pipeline` builds the state
-at one phase, stage by stage.  `counts` reads its whole T grid at once;
-`counts_rows` builds and heralds it one T at a time.  Nothing here is imported
-by `wignersim`.
+The engine builds no state at a phase, substitutes no map into a term and
+takes no finite difference; the tests check its channel reads, exact phase
+signals, jets and Fisher informations against these, the way `fock_oracle.py`
+checks its phase-space integrals against a truncated Fock lattice.  `prefix`
+applies the input stage one modification at a time, each map substituted into
+the terms (`apply_symplectic`) and each herald conditioned alone (`herald`),
+and `build_pipeline` builds the state at one phase, stage by stage.  `counts`
+reads its whole T grid at once; `counts_rows` builds and heralds it one T at a
+time.  Nothing here is imported by `wignersim`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from wignersim import conditional as cond
 from wignersim import estimation as est
 from wignersim import gaussian as ga
 from wignersim import measurements as meas
@@ -27,9 +29,98 @@ from wignersim import symplectic as sym
 from wignersim import wigner as wg
 from wignersim.errors import DegenerateBranch, ImprobableBranch, SignalStationary
 from wignersim.estimation import SLOPE_FLOOR, SLOPE_NOISE
-from wignersim.wigner import Term, WignerExpr, _poly_add, _poly_mul, _poly_prune, _poly_scale, overlap
+from wignersim.wigner import Term, WignerExpr, _const_poly, _poly_add, _poly_mul, _poly_prune, _poly_scale, overlap
 
 DEFAULT_STEP = 1e-5
+
+
+def apply_symplectic(expr: WignerExpr, f: sym.SymplecticTransform) -> WignerExpr:
+    """Substitute a map into every term: mean -> F mean + s, quad -> F quad F^T, poly(X) -> poly(F^-1 (X - s))."""
+    finv, nv = np.linalg.inv(f.matrix), expr.nvars
+    c = -finv @ f.shift
+    rows = [_poly_prune({**{tuple(int(j == k) for k in range(nv)): finv[i, j] for j in range(nv)}, (0,) * nv: c[i]})
+            for i in range(nv)]
+    terms = []
+    for t in expr.terms:
+        poly = {}
+        for expo, coeff in t.poly.items():
+            piece = _const_poly(nv, coeff)
+            for i, e in enumerate(expo):
+                power = _const_poly(nv)
+                for _ in range(e):
+                    power = _poly_mul(power, rows[i])
+                piece = _poly_mul(piece, power) if e else piece
+            poly = _poly_add(poly, piece)
+        quad = f.matrix @ t.quad @ f.matrix.T
+        terms.append(Term(t.weight, _poly_prune(poly), f.matrix @ t.mean + f.shift, (quad + quad.T) / 2.0))
+    return WignerExpr(expr.modes, terms)
+
+
+def attenuate(expr: WignerExpr, mode: int, eta: float, nbar_env: float = 0.0) -> WignerExpr:
+    """Loss on one mode: a beam splitter of transmissivity eta (the mode its input 1, which keeps sqrt(eta) of
+    its amplitude) against a thermal ancilla, which is traced out."""
+    joint = wg.tensor_exprs(expr, wg.from_gaussian(ga.thermal_state(nbar_env)))
+    mix = sym.embed(sym.make_beam_splitter(eta), [mode, joint.modes], joint.modes)
+    return wg.marginalize(apply_symplectic(joint, mix), joint.modes)
+
+
+def herald(expr: WignerExpr, mode: int, coupling: tuple, ancilla: int, n: int, click: bool = False) -> tuple:
+    """(success, failure) of one herald alone, as `cond.herald` takes it, each (state, probability): the joint
+    state with its ancilla conditioned through the mix on Fock n, its complement the ancilla traced out through the
+    mix minus that projection.  A success arm below the renormalization floor raises ImprobableBranch, and a
+    failure arm there is None."""
+    kind, x, *theta = coupling
+    joint = wg.tensor_exprs(expr, wg.fock_wigner(ancilla))
+    mix = sym.make_beam_splitter(x) if kind == "BS" else sym.make_two_mode_squeezer(x, *theta)
+    mix, anc = sym.embed(mix, [joint.modes, mode], joint.modes), [joint.nvars - 2, joint.nvars - 1]
+    projected = wg._integrate_out(joint, anc, mix, ((anc[0], n),))
+    p = projected.norm / joint.norm
+    complement = WignerExpr(expr.modes, wg._integrate_out(joint, anc, mix).terms + _scaled(projected, -1.0))
+    arms = [(projected, p), (complement, 1.0 - p)][:: -1 if click else 1]
+    try:
+        fail = wg._herald_branch(*arms[1])
+    except ImprobableBranch:
+        fail = None
+    return wg._herald_branch(*arms[0]), fail
+
+
+def _scaled(expr: WignerExpr, s: float) -> list:
+    return [Term(t.weight * s, t.poly, t.mean, t.quad) for t in expr.terms]
+
+
+def each(res: sc.PipelineResult, step: Callable) -> sc.PipelineResult:
+    """Apply one state map to the success branch and, when it is tracked, the failure branch."""
+    fail = None if res.failure_state is None else step(res.failure_state)
+    return replace(res, state=step(res.state), failure_state=fail)
+
+
+def modify(res: sc.PipelineResult, mods) -> sc.PipelineResult:
+    """The modifications in order, one at a time: a map substituted, a herald conditioned (`herald`).  The first
+    herald starts the failure branch, untracked below the floor; a later one leaves it untracked."""
+    heralded = False
+    for m in mods:
+        if not m.heralded:
+            f = sc._gaussian_step(m, res.state.modes)
+            res = each(res, lambda s: ga.propagate(s, f) if res.gaussian_path else apply_symplectic(s, f))
+            continue
+        (state, p), fail = herald(res.state, m.mode, *sc._herald_args(m))
+        fail = (None, 0.0) if heralded or fail is None else fail
+        res = replace(res, state=state, success_prob=res.success_prob * p, failure_state=fail[0],
+                      failure_prob=fail[1])
+        heralded = True
+    return res
+
+
+@lru_cache(maxsize=8)
+def prefix(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss) -> sc.PipelineResult:
+    """The referee of `sc._prefix`: the inputs, each input-stage modification in turn (`modify`), then the
+    uniform loss on each mode (`attenuate`)."""
+    exprs = [s.gaussian() if gaussian_path else s.expr() for s in inputs]
+    state = ga.tensor(exprs) if gaussian_path else wg.tensor_exprs(*exprs)
+    res = modify(sc.PipelineResult(state, gaussian_path=gaussian_path), input_mods)
+    for mode in (1, 2) if loss is not None else ():
+        res = each(res, lambda s: attenuate(s, mode, 1.0 - loss.total))
+    return res
 
 
 @dataclass(frozen=True)
@@ -40,28 +131,28 @@ class Built(sc.PipelineResult):
 
 
 def build_pipeline(config, phi: float | None = None) -> Built:
-    """The forward build at one phase: the cached prefix, the MZI, the noise, then the output stage.
+    """The forward build at one phase: the prefix, the MZI, the noise, then the output stage.
 
     Uniform loss on both modes commutes with the passive MZI, so on the Wigner
-    path, where each loss is an attenuation, it sits in the cached prefix; on
-    the Gaussian path it follows the MZI.  This is the referee of the engine's
+    path, where each loss is an attenuation, it sits in the prefix; on the
+    Gaussian path it follows the MZI.  This is the referee of the engine's
     prefix channel (`sc._observer`) and of every read taken off it.
     """
     return output_stage(before_output(config, phi), config)
 
 
 def before_output(config, phi: float | None = None) -> sc.PipelineResult:
-    """The forward build up to its output stage: the cached prefix, then the MZI and the noise."""
+    """The forward build up to its output stage: the prefix (`prefix`), then the MZI and the noise."""
     phi = config.phi if phi is None else phi
     gaussian_path, loss, noise = sc._gaussian_possible(config), sc._uniform_loss(config), config.noise
-    res = sc._prefix(config.inputs, sc._input_mods(config), gaussian_path, None if gaussian_path else loss)
+    res = prefix(config.inputs, sc._input_mods(config), gaussian_path, None if gaussian_path else loss)
     mzi = sym.make_mzi(phi)
-    res = sc._each(res, lambda s: sc._transform(s, mzi))
+    res = each(res, lambda s: ga.propagate(s, mzi) if gaussian_path else apply_symplectic(s, mzi))
     if gaussian_path and loss is not None:
-        res = sc._each(res, lambda s: ga.apply_loss(s, loss))
+        res = each(res, lambda s: ga.apply_loss(s, loss))
     for m in noise.thermal_modes if noise.has_thermal else ():
-        res = sc._each(res, lambda s: ga.inject_thermal(s, m, noise.thermal_nbar, noise.thermal_eta)
-                       if gaussian_path else wg.attenuate(s, m, noise.thermal_eta, noise.thermal_nbar))
+        res = each(res, lambda s: ga.inject_thermal(s, m, noise.thermal_nbar, noise.thermal_eta)
+                   if gaussian_path else attenuate(s, m, noise.thermal_eta, noise.thermal_nbar))
     return res
 
 
@@ -73,11 +164,12 @@ def output_stage(res: sc.PipelineResult, config) -> Built:
     """
     mods = [m for m in config.modifications if m.stage == "output"]
     heralds = [m.stage for m in (*sc._input_mods(config), *mods) if m.heralded]
-    out = sc._modify(res, mods)
+    out = modify(res, mods)
     if heralds[:1] == ["input"] and len(heralds) > 1:
         out = replace(out, failure_state=None, failure_prob=0.0)
     return Built(**{f.name: getattr(out, f.name) for f in fields(sc.PipelineResult)},
                  herald_stage=heralds[0] if heralds else None)
+
 
 PhiFunction = Callable[[float], float]
 
@@ -349,10 +441,10 @@ def counted(config, mode: int) -> tuple:
     state, prob = wg.marginal_mode(res.state, mode), res.success_prob
     for m in (replace(m, mode=1) for m in config.modifications if m.stage == "output" and m.mode == mode):
         if m.heralded:
-            ok = cond._herald(state, 1, *sc._herald_args(m), only="success")[0]
-            state, prob = ok.state, res.success_prob * ok.probability
+            (state, p), _ = herald(state, 1, *sc._herald_args(m))
+            prob = res.success_prob * p
         else:
-            state = wg.apply_symplectic(state, sc._gaussian_step(m, 1))
+            state = apply_symplectic(state, sc._gaussian_step(m, 1))
     return prob, state
 
 

@@ -194,7 +194,7 @@ class TestQfi:
         # coherent + single photon through the MZI: pure but non-Gaussian
         def family(phi):
             joint = wg.tensor_exprs(wg.from_gaussian(ga.coherent_state(1.0, 0.0)), wg.fock_wigner(1))
-            return wg.apply_symplectic(joint, sym.make_mzi(phi))
+            return ref.apply_symplectic(joint, sym.make_mzi(phi))
 
         got = ref.qfi_pure_wigner(family, 0.7)
         orc = Oracle([22, 22])
@@ -210,7 +210,7 @@ class TestQfi:
         # lone photon: definite photon number, QFI = 1 (Heisenberg-limited)
         def family(phi):
             joint = wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.vacuum_state(1)))
-            return wg.apply_symplectic(joint, sym.make_mzi(phi))
+            return ref.apply_symplectic(joint, sym.make_mzi(phi))
 
         assert abs(ref.qfi_pure_wigner(family, 0.9) - 1.0) < 1e-8
 
@@ -291,8 +291,8 @@ class TestSnr:
         assert abs(est.snr(meas.intensity(ga.coherent_state(2.0, 0.0))) - 2.0) < 1e-9
 
     def test_subtracted_thermal_factorization(self):
-        s = cond.subtract_photons(wg.from_gaussian(ga.thermal_state(4.0)), 1, 1, 0.9)
-        got = est.snr(meas.intensity(s.state))
+        s = cond.herald(wg.from_gaussian(ga.thermal_state(4.0)), 1, ("BS", 0.9), 0, 1)
+        got = est.snr(meas.intensity(s[0]))
         assert abs(got / cond.thermal_snr(4.0) - math.sqrt(1.8)) < 1e-8
 
     def test_zero_variance_rejected(self):
@@ -312,11 +312,11 @@ def _parity_info_families(nbar, gain, T):
         joint = wg.tensor_exprs(
             wg.from_gaussian(ga.thermal_state(nbar)), wg.from_gaussian(ga.squeezed_vacuum(r, 0.0))
         )
-        s, f = cond.subtract_branches(joint, 1, 1, T)
+        s, f = (cond.herald(joint, 1, ("BS", T), 0, 1, click=c) for c in (False, True))
         mzi = sym.make_mzi(phi)
         return (
-            (s.probability, wg.apply_symplectic(s.state, mzi)),
-            (f.probability, wg.apply_symplectic(f.state, mzi)),
+            (s[1], ref.apply_symplectic(s[0], mzi)),
+            (f[1], ref.apply_symplectic(f[0], mzi)),
         )
 
     def make(which, what):

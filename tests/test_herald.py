@@ -1,10 +1,12 @@
-"""The single herald primitive: one ancilla mixing and one Fock projection per herald.
+"""The single herald primitive: one read of the signal and its ancilla through the mix, against the detector's
+projector.
 
-Both branches of a herald come from the same projection of the ancilla
-output, so together they reassemble the signal state with the ancilla traced
-out: p_s W_s + p_f W_f = Tr_anc[U (W (x) W_anc) U^dagger].  The mixing is
-never substituted into the joint state: each branch conditions the joint's
-Gaussians through the mix, and agrees with the substituted route.
+Both arms of a herald read the same ancilla output, the failure arm through
+the complement of the success arm's projector, so together they reassemble
+the signal state with the ancilla traced out: p_s W_s + p_f W_f =
+Tr_anc[U (W (x) W_anc) U^dagger].  The mixing is never substituted into the
+joint state: each arm conditions the joint's Gaussians through the mix, and
+agrees with the substituted route and with the one-herald referee.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+import reference as ref
 from wignersim import conditional as cond
 from wignersim import gaussian as ga
 from wignersim import symplectic as sym
@@ -31,21 +34,24 @@ def vacuum() -> WignerExpr:
     return wg.from_gaussian(ga.vacuum_state(1))
 
 
-# name -> (the *_branches call, its coupling, its ancilla); the herald acts on mode 1
+def branches(coupling: tuple, ancilla: int, n: int, click: bool = False):
+    """expr -> (success, failure) of a herald on mode 1, each (state, probability) from `cond.herald`."""
+    return lambda e: tuple(cond.herald(e, 1, coupling, ancilla, n, c) for c in (click, not click))
+
+
+# name -> ((success, failure) from `cond.herald`, its coupling, its ancilla); the herald acts on mode 1
 MECHANISMS = {
-    "bs_add": (lambda e: cond.add_photons_bs_branches(e, 1, 2, 0.85), sym.make_beam_splitter(0.85),
-               lambda: wg.fock_wigner(2)),
-    "spdc_add": (lambda e: cond.add_photon_spdc_branches(e, 1, 0.3, 0.2, m=1),
-                 sym.make_two_mode_squeezer(0.3, 0.2), vacuum),
-    "fock_subtract": (lambda e: cond.subtract_branches(e, 1, 2, 0.8), sym.make_beam_splitter(0.8), vacuum),
-    "click_subtract": (lambda e: cond.subtract_click_branches(e, 1, 0.8), sym.make_beam_splitter(0.8), vacuum),
+    "bs_add": (branches(("BS", 0.85), 2, 0), sym.make_beam_splitter(0.85), lambda: wg.fock_wigner(2)),
+    "spdc_add": (branches(("SPDC", 0.3, 0.2), 0, 1), sym.make_two_mode_squeezer(0.3, 0.2), vacuum),
+    "fock_subtract": (branches(("BS", 0.8), 0, 2), sym.make_beam_splitter(0.8), vacuum),
+    "click_subtract": (branches(("BS", 0.8), 0, 0, True), sym.make_beam_splitter(0.8), vacuum),
 }
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count apply_symplectic, _poly_substitute and _integrate_out calls, wherever they are bound."""
-    seen = {"apply_symplectic": 0, "_poly_substitute": 0, "_integrate_out": 0}
+    """Count the partial integrations, wherever `_integrate_out` is bound, and the moment recursions."""
+    seen = {"_integrate_out": 0, "_affine_expectation": 0}
     for name in seen:
         orig = getattr(wg, name)
 
@@ -53,19 +59,18 @@ def counts(monkeypatch):
             seen[_name] += 1
             return _orig(*args, **kwargs)
 
-        for module in (wg, cond):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(wg, name, counted)
     return seen
 
 
 @pytest.mark.parametrize("name", sorted(MECHANISMS))
 def test_one_mixing_and_one_projection(name, counts):
-    # the projection and the trace each condition the joint state through the mix; nothing is substituted
-    branches, _, _ = MECHANISMS[name]
-    success, failure = branches(signal())
-    assert counts == {"apply_symplectic": 0, "_poly_substitute": 0, "_integrate_out": 2}
-    assert (success.branch, failure.branch) == ("success", "failure")
+    # each signed product of an arm's projectors conditions the joint state through the mix once, one moment
+    # recursion per term: 2 pi F_n for one arm, 1 and -2 pi F_n for the other; nothing is substituted
+    success, failure = MECHANISMS[name][0](signal())
+    terms = 1 if name != "bs_add" else len(wg.fock_wigner(2).terms)
+    assert counts == {"_integrate_out": 3, "_affine_expectation": 3 * terms}
+    assert abs(success[1] + failure[1] - 1.0) < 1e-12
 
 
 def two_term_signal() -> WignerExpr:
@@ -95,7 +100,7 @@ def test_conditioning_matches_the_substituted_route(name, project):
     joint = wg.tensor_exprs(two_term_signal(), ancilla())
     mix, anc, projectors = sym.embed(coupling, [3, 1], 3), [4, 5], ((4, n),) if project else ()
     fused = wg._integrate_out(joint, anc, mix, projectors)
-    substituted = wg._integrate_out(wg.apply_symplectic(joint, mix), anc, projectors=projectors)
+    substituted = wg._integrate_out(ref.apply_symplectic(joint, mix), anc, projectors=projectors)
     assert fused.modes == substituted.modes == 2
     assert abs(fused.norm - substituted.norm) <= 1e-13 * abs(substituted.norm)
     points = np.random.default_rng(7).normal(scale=0.7, size=(20, 4))
@@ -123,11 +128,11 @@ def _collect(expr: WignerExpr) -> WignerExpr:
 def test_branches_reassemble_the_traced_state(name):
     branches, coupling, ancilla = MECHANISMS[name]
     expr = signal()
-    success, failure = branches(expr)
-    mixed = wg.apply_symplectic(wg.tensor_exprs(expr, ancilla()), sym.embed(coupling, [3, 1], 3))
+    (success, p_s), (failure, p_f) = branches(expr)
+    mixed = ref.apply_symplectic(wg.tensor_exprs(expr, ancilla()), sym.embed(coupling, [3, 1], 3))
     traced = wg.marginalize(mixed, 3).normalize()
-    assert abs(success.probability + failure.probability - 1.0) < 1e-12
-    parts = _scaled(success.state, success.probability) + _scaled(failure.state, failure.probability)
+    assert abs(p_s + p_f - 1.0) < 1e-12
+    parts = _scaled(success, p_s) + _scaled(failure, p_f)
     diff = _collect(WignerExpr(2, parts + _scaled(traced, -1.0)))
     rel_l2 = math.sqrt(abs(overlap(diff, diff)) / overlap(traced, traced))
     assert rel_l2 <= 1e-12
@@ -136,45 +141,47 @@ def test_branches_reassemble_the_traced_state(name):
 @pytest.mark.parametrize(
     "single, pair, index",
     [
-        (lambda e: cond.add_photons_bs(e, 1, 2, 0.85), MECHANISMS["bs_add"][0], 0),
-        (lambda e: cond.add_photon_spdc(e, 1, 0.3, 0.2, m=1), MECHANISMS["spdc_add"][0], 0),
-        (lambda e: cond.subtract_photons(e, 1, 2, 0.8), MECHANISMS["fock_subtract"][0], 0),
-        (lambda e: cond.failure_branch(e, 1, 2, 0.8), MECHANISMS["fock_subtract"][0], 1),
-        (lambda e: cond.subtract_click(e, 1, 0.8), MECHANISMS["click_subtract"][0], 0),
+        (lambda e: cond.herald(e, 1, ("BS", 0.85), 2, 0), lambda e: ref.herald(e, 1, ("BS", 0.85), 2, 0), 0),
+        (lambda e: cond.herald(e, 1, ("SPDC", 0.3, 0.2), 0, 1), lambda e: ref.herald(e, 1, ("SPDC", 0.3, 0.2), 0, 1),
+         0),
+        (lambda e: cond.herald(e, 1, ("BS", 0.8), 0, 2), lambda e: ref.herald(e, 1, ("BS", 0.8), 0, 2), 0),
+        (lambda e: cond.herald(e, 1, ("BS", 0.8), 0, 2, True), lambda e: ref.herald(e, 1, ("BS", 0.8), 0, 2), 1),
+        (lambda e: cond.herald(e, 1, ("BS", 0.8), 0, 0, True), lambda e: ref.herald(e, 1, ("BS", 0.8), 0, 0, True),
+         0),
     ],
 )
 def test_single_branch_entries_match_the_pair(single, pair, index):
-    one, both = single(signal()), pair(signal())[index]
-    assert (one.probability, one.branch, one.label) == (both.probability, both.branch, both.label)
-    assert [t.weight for t in one.state.terms] == [t.weight for t in both.state.terms]
+    # each arm of `cond.herald`, the complement of a Fock herald included, is that arm of the one-herald referee
+    (state, p), (want, p_want) = single(signal()), pair(signal())[index]
+    assert p == pytest.approx(p_want, rel=1e-13)
+    monomials = [{0: 2}, {1: 2}, {0: 1, 2: 1}, {0: 4}, {1: 2, 3: 2}]
+    assert wg.moments(state, monomials) == pytest.approx(wg.moments(want, monomials), rel=1e-12, abs=1e-14)
 
 
 def test_single_branch_ignores_an_improbable_complement():
     # a one-photon Fock state fully reflected onto the herald: exactly one photon is certain
     one = wg.fock_wigner(1)
-    s = cond.subtract_photons(one, 1, 1, 0.0)
-    assert s.probability == pytest.approx(1.0, abs=1e-12)
+    s = cond.herald(one, 1, ("BS", 0.0), 0, 1)
+    assert s[1] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ImprobableBranch):
-        cond.failure_branch(one, 1, 1, 0.0)
-    with pytest.raises(ImprobableBranch):
-        cond.subtract_branches(one, 1, 1, 0.0)
+        cond.herald(one, 1, ("BS", 0.0), 0, 1, click=True)
+    assert ref.herald(one, 1, ("BS", 0.0), 0, 1)[1] is None
     # and a vacuum signal never clicks, while its no-click branch is certain
     with pytest.raises(ImprobableBranch):
-        cond.subtract_click(vacuum(), 1, 0.5)
-    with pytest.raises(ImprobableBranch):
-        cond.subtract_click_branches(vacuum(), 1, 0.5)
+        cond.herald(vacuum(), 1, ("BS", 0.5), 0, 0, click=True)
+    assert cond.herald(vacuum(), 1, ("BS", 0.5), 0, 0)[1] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: cond.add_photons_bs_branches(signal(), 3, 1, 0.9),
-        lambda: cond.add_photons_bs_branches(signal(), 1, 0, 0.9),
-        lambda: cond.add_photons_bs(signal(), 1, 1, 1.5),
-        lambda: cond.add_photon_spdc_branches(signal(), 1, -0.1),
-        lambda: cond.add_photon_spdc_branches(signal(), 1, 0.3, m=cond.M_CUTOFF + 1),
-        lambda: cond.subtract_branches(signal(), 0, 1, 0.9),
-        lambda: cond.subtract_click_branches(signal(), 1, -0.1),
+        lambda: cond.herald(signal(), 3, ("BS", 0.9), 1, 0),
+        lambda: cond.herald(signal(), 1, ("BS", 0.9), cond.M_CUTOFF + 1, 0),
+        lambda: cond.herald(signal(), 1, ("BS", 1.5), 1, 0),
+        lambda: cond.herald(signal(), 1, ("SPDC", -0.1, 0.0), 0, 1),
+        lambda: cond.herald(signal(), 1, ("SPDC", 0.3, 0.0), 0, cond.M_CUTOFF + 1),
+        lambda: cond.herald(signal(), 0, ("BS", 0.9), 0, 1),
+        lambda: cond.herald(signal(), 1, ("BS", -0.1), 0, 0, click=True),
     ],
 )
 def test_every_entry_validates_its_arguments(call):
@@ -211,14 +218,14 @@ def test_a_vector_of_T_heralds_each_point_as_one_T_does(ancilla, n, click):
     projected = wg._integrate_out(joint, [4, 5], channel, ((4, n),))
     complement = WignerExpr(2, wg._integrate_out(joint, [4, 5], channel).terms + _scaled(projected, -1.0))
     stacked = [wg._herald_branch(e, e.norm) for e in ((complement, projected) if click else (projected, complement))]
-    want = [cond._herald(signal(), 1, ("BS", t), ancilla, n, click) for t in grid]
+    want = [ref.herald(signal(), 1, ("BS", t), ancilla, n, click) for t in grid]
     monomials = [{0: 2}, {1: 2}, {0: 1, 2: 1}, {0: 4}]
     for b, (state, probability) in enumerate(stacked):
         assert state.modes == 2 and all(t.mean.shape == (3, 4) for t in state.terms)
         got = wg.moments(state, monomials)
         dist = wg.photon_number_distribution(state, 1)
-        for i, point in enumerate(w[b] for w in want):
-            assert probability[i] == pytest.approx(point.probability, rel=1e-12)
-            assert [g[i] for g in got] == pytest.approx(wg.moments(point.state, monomials), rel=1e-12, abs=1e-14)
-            assert np.max(np.abs(dist.probs[i] - wg.photon_number_distribution(point.state, 1).probs)) <= 1e-14
+        for i, (point, p) in enumerate(w[b] for w in want):
+            assert probability[i] == pytest.approx(p, rel=1e-12)
+            assert [g[i] for g in got] == pytest.approx(wg.moments(point, monomials), rel=1e-12, abs=1e-14)
+            assert np.max(np.abs(dist.probs[i] - wg.photon_number_distribution(point, 1).probs)) <= 1e-14
             assert wg.moments(state.take([i]), monomials) == pytest.approx([g[i] for g in got], rel=1e-15)

@@ -57,20 +57,22 @@ def oracle_qfi(specs, steps_before_mzi, herald, phi: float, dims) -> float:
 
 class TestPrefix:
     def test_input_herald_runs_once_per_point(self, monkeypatch):
+        # the input herald is one read of the cached prefix: its projected arm and the unprojected read whose
+        # difference is the failure arm, one partial integration each
         calls = []
-        orig = cond._herald
+        orig = wg._integrate_out
 
         def counted(*args, **kwargs):
             calls.append(1)
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(cond, "_herald", counted)
+        monkeypatch.setattr(wg, "_integrate_out", counted)
         sc._prefix.cache_clear()
         cfg = config([COHERENT, VACUUM], [INPUT_ADDITION], metrics=["phase_variance", "snr"],
                      detection=[{"scheme": "intensity", "mode": 1}], phi=1.0)
         report, _, _ = sc.evaluate_point(cfg)
         assert "intensity[1]" in report.phase_variance
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     def test_cache_keys_on_the_state_type(self, monkeypatch):
         cfg = config([COHERENT, {"kind": "thermal", "nbar": 0.5}])
@@ -94,20 +96,106 @@ class TestPrefix:
         assert abs(meas.intensity(a.state, 1).mean - meas.intensity(b.state, 1).mean) > 1e-3
 
 
+THERMAL = {"kind": "thermal", "nbar": 0.6}
+
+
+def input_addition(m: int, mode: int = 1, T: float = 0.9) -> dict:
+    return {"op": "add", "stage": "input", "mode": mode, "m": m, "mechanism": "bs", "T": T}
+
+
+def input_squeeze(mode: int) -> dict:
+    return {"op": "squeeze", "stage": "input", "mode": mode, "r": 0.4, "theta": 0.5}
+
+
+# name -> (inputs, input-stage modifications, uniform loss)
+PREFIX_CASES = {
+    "bs_add_m1": ([COHERENT, VACUUM], [input_addition(1)], None),
+    "bs_add_m3": ([COHERENT, VACUUM], [input_addition(3)], None),
+    "spdc_add": ([COHERENT, VACUUM], [{"op": "add", "stage": "input", "mode": 1, "m": 1, "mechanism": "spdc",
+                                       "r": 0.3, "theta": 0.2}], None),
+    "fock2_subtract": ([THERMAL, COHERENT], [{"op": "subtract", "stage": "input", "mode": 1, "m": 2, "T": 0.8}], None),
+    "click_subtract": ([THERMAL, COHERENT], [{"op": "subtract", "stage": "input", "mode": 1, "m": "click", "T": 0.8}],
+                       None),
+    "squeeze_before_the_herald": ([COHERENT, VACUUM], [input_squeeze(1), input_addition(1)], None),
+    "squeeze_after_the_herald": ([COHERENT, VACUUM], [input_addition(1), input_squeeze(1)], None),
+    "displacement": ([COHERENT, THERMAL], [input_addition(1, mode=2),
+                                          {"op": "displace", "stage": "input", "mode": 2, "alpha": 0.6, "theta": 0.4}],
+                     None),
+    "uniform_loss": ([COHERENT, VACUUM], [input_addition(2), input_squeeze(2)], {"L": 0.1, "D": 0.9}),
+    "two_heralds": ([COHERENT, THERMAL], [input_addition(1), {"op": "subtract", "stage": "input", "mode": 2, "m": 1,
+                                                              "T": 0.7}], None),
+    "fock_input": ([{"kind": "fock"}, COHERENT], [{"op": "subtract", "stage": "input", "mode": 1, "m": "click",
+                                                   "T": 0.6}, input_squeeze(2)], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_CASES))
+def test_each_prefix_arm_matches_the_stage_by_stage_referee(name):
+    # the prefix is one read of the inputs and the heralds' ancillas through one channel; the referee applies one
+    # modification at a time, substituting each map and conditioning each herald alone, then each mode's loss
+    inputs, mods, loss = PREFIX_CASES[name]
+    raw = {"inputs": inputs, "modifications": mods, "interferometer": {"phi": 0.0}}
+    cfg = sc.ScenarioConfig.from_dict(dict(raw, noise={"loss": loss}) if loss else raw)
+    key = (cfg.inputs, sc._input_mods(cfg), False, sc._uniform_loss(cfg))
+    got, want = sc._prefix(*key), ref.prefix(*key)
+    assert [got.success_prob, got.failure_prob] == pytest.approx([want.success_prob, want.failure_prob], rel=1e-12,
+                                                                 abs=0.0)
+    assert (want.failure_state is None) == (name == "two_heralds")
+    points = np.random.default_rng(3).normal(scale=0.8, size=(12, 4))
+    for arm in ("state", "failure_state"):
+        g, w = getattr(got, arm), getattr(want, arm)
+        assert (g is None) == (w is None)
+        if w is None:
+            continue
+        assert g.norm == pytest.approx(w.norm, rel=1e-12)
+        # every moment of degree <= 4; one that vanishes by symmetry is rounding on the scale of the largest
+        t_got, t_want = wg.moment_tensor(g), wg.moment_tensor(w)
+        assert np.all(np.abs(t_got - t_want) <= 1e-12 * np.abs(t_want) + 1e-15 * np.max(np.abs(t_want))), arm
+        values = np.array([[g.evaluate(x), w.evaluate(x)] for x in points])
+        assert np.max(np.abs(values[:, 0] - values[:, 1])) <= 1e-12 * np.max(np.abs(values[:, 1])), arm
+
+
+def test_two_input_heralds_floor_their_joint_probability():
+    # each addition at T = 1 - 1e-8 alone succeeds with p ~ 1e-8, above the renormalization floor, and keeps its
+    # row; the two together, read at once, succeed with ~1e-16 and give the flagged row
+    one, two = input_addition(1, T=1.0 - 1e-8), input_addition(1, mode=2, T=1.0 - 1e-8)
+    for mods in ([one], [two]):
+        assert "flag" not in sc.evaluate_point(config([COHERENT, VACUUM], mods, metrics=["snr"]))[0].extras
+    cfg = config([COHERENT, VACUUM], [one, two], metrics=["snr"])
+    report, warnings, _ = sc.evaluate_point(cfg)
+    assert report.extras["flag"] == "improbable herald branch"
+    assert len(warnings) == 1 and "below renormalization floor" in warnings[0]
+    # the referee, which floors each herald's conditional probability, keeps the branch
+    assert ref.prefix(cfg.inputs, sc._input_mods(cfg), False, None).success_prob < wg.IMPROBABLE_FLOOR
+
+
+def test_an_input_click_that_fires_almost_surely_keeps_its_row():
+    # coherent |alpha|^2 = 100 on a click subtraction at T = 0.5: no click has probability e^-50, below the floor,
+    # so the failure arm is untracked and the row keeps every value
+    click = {"op": "subtract", "stage": "input", "mode": 1, "m": "click", "T": 0.5}
+    cfg = config([{"kind": "coherent", "alpha": 10.0}, VACUUM], [click], metrics=["snr", "cfi"],
+                 detection=[{"scheme": "intensity", "mode": 1}])
+    res = sc._prefix(cfg.inputs, sc._input_mods(cfg), False, None)
+    assert (res.failure_state, res.failure_prob) == (None, 0.0)
+    report, warnings, _ = sc.evaluate_point(cfg)
+    assert not warnings and "flag" not in report.extras
+    assert report.snr["mode1"] > 0.0 and report.cfi > 0.0
+
+
 def noise_after_mzi(cfg: sc.ScenarioConfig, phi: float) -> ref.Built:
     """Reference Wigner pipeline with every noise channel applied per phi: MZI, loss per mode, thermal."""
-    res = sc._prefix(cfg.inputs, tuple(m for m in cfg.modifications if m.stage == "input"), False, None)
+    res = ref.prefix(cfg.inputs, tuple(m for m in cfg.modifications if m.stage == "input"), False, None)
     mzi = sym.make_mzi(phi)
 
     def noise(state):
-        state = wg.apply_symplectic(state, mzi)
+        state = ref.apply_symplectic(state, mzi)
         for m in (1, 2):
-            state = wg.attenuate(state, m, 1.0 - cfg.noise.loss.total, 0.0)
+            state = ref.attenuate(state, m, 1.0 - cfg.noise.loss.total, 0.0)
         for m in cfg.noise.thermal_modes if cfg.noise.has_thermal else ():
-            state = wg.attenuate(state, m, cfg.noise.thermal_eta, cfg.noise.thermal_nbar)
+            state = ref.attenuate(state, m, cfg.noise.thermal_eta, cfg.noise.thermal_nbar)
         return state
 
-    return ref.output_stage(sc._each(res, noise), cfg)
+    return ref.output_stage(ref.each(res, noise), cfg)
 
 
 def observables(res: sc.PipelineResult) -> list:
@@ -268,8 +356,8 @@ class TestQfiRoute:
         # thermal injection at eta = 1 is no noise (C = 0): the pure route, bit-equal to no thermal noise;
         # at eta = 0.9 the family is mixed non-Gaussian, and no state is built to find that out
         builds = []
-        orig = wg.apply_symplectic
-        monkeypatch.setattr(wg, "apply_symplectic", lambda *args: builds.append(1) or orig(*args))
+        orig = wg._integrate_out
+        monkeypatch.setattr(wg, "_integrate_out", lambda *args: builds.append(1) or orig(*args))
         raw = {"inputs": [{"kind": "fock"}, COHERENT], "interferometer": {"phi": 0.7}, "metrics": ["qfi"]}
         thermal = lambda eta: dict(raw, noise={"thermal": {"nbar_env": 0.3, "eta": eta}})
         plain = sc._qfi(sc.ScenarioConfig.from_dict(raw), 0.7)
@@ -641,7 +729,9 @@ class TestPulledBackRoute:
         for phi in (0.3, 1.7, 2.9, 4.4):
             want, got = ref.build_pipeline(cfg, phi), observe(phi)
             assert isinstance(got.state, wg.AffineImage)
-            assert (got.success_prob, got.failure_prob) == (want.success_prob, want.failure_prob)
+            # the referee heralds and attenuates stage by stage, by substitution: its probabilities agree to rounding
+            assert [got.success_prob, got.failure_prob] == pytest.approx([want.success_prob, want.failure_prob],
+                                                                         rel=1e-12, abs=0.0)
             for arm in ("state", "failure_state"):
                 w, g = getattr(want, arm), getattr(got, arm)
                 assert (w is None) == (g is None)
@@ -762,7 +852,7 @@ class TestDistributionsOffTheChannel:
             want, got = ref.build_pipeline(cfg, phi), sc._observer(cfg)(phi)
             weight = got.success_prob / got.state.probability  # an input-stage herald's, in the prefix
             for mode in (1, 2):
-                state = got.state.mode_state(mode)
+                state = got.state.state((mode,))
                 assert weight * state.norm == pytest.approx(want.success_prob, rel=1e-12, abs=0.0), (phi, mode)
                 p_want = wg.photon_number_distribution(want.state, mode).probs
                 assert np.max(np.abs(wg.photon_number_distribution(state, 1).probs - p_want)) <= 1e-12, (phi, mode)

@@ -8,6 +8,7 @@ import pytest
 import workloads
 import reference as ref
 from wignersim import cli
+from wignersim import conditional as cond
 from wignersim import estimation as est
 from wignersim import gaussian as ga
 from wignersim import measurements as meas
@@ -473,6 +474,16 @@ class TestCounts:
             p = row["herald_probability"]
             sd = math.sqrt(2000 * p * (1 - p))
             assert abs(row["kept"] - 2000 * p) < 4 * sd
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_theory_snr_is_the_photon_added_closed_form(self, m):
+        # pacs_counts at phi = 0, where mode 1 carries the whole coherent input of |alpha|^2 = 1
+        cfg = sc.load_config(str(ROOT / "configs" / "pacs_counts.json")).with_values(m=m)
+        assert cfg.phi == 0.0 and cfg.inputs[0].alpha == 1.0
+        grid = [0.3, 0.6, 0.9]
+        rows = sc.simulate_counts(cfg, trials=100, seed=1, t_grid=grid).rows
+        assert [row["theory_snr"] for row in rows] == pytest.approx([cond.spacs_snr(1.0, m, T) for T in grid],
+                                                                     rel=1e-10, abs=0.0)
 
     def test_zero_kept_flagged_not_fatal(self):
         report = sc.simulate_counts(self._cfg(), trials=5, seed=1, t_grid=[0.999999])

@@ -60,9 +60,11 @@ class TestFockWigner:
 
 
 class TestApplySymplectic:
+    """The referee's substitution of a map into the terms (`reference.apply_symplectic`)."""
+
     def test_identity(self):
         f1 = wg.fock_wigner(1)
-        out = wg.apply_symplectic(f1, sym.identity_transform(1))
+        out = reference.apply_symplectic(f1, sym.identity_transform(1))
         for pt in RNG.normal(0, 1, size=(6, 2)):
             assert abs(out.evaluate(pt) - f1.evaluate(pt)) < 1e-13
 
@@ -70,7 +72,7 @@ class TestApplySymplectic:
         alpha, r, phi = 1.2, 0.7, 1.3
         state = ga.tensor([ga.coherent_state(alpha, 0.0), ga.squeezed_vacuum(r, 0.0)])
         via_gauss = wg.from_gaussian(ga.propagate(state, sym.make_mzi(phi)))
-        via_wigner = wg.apply_symplectic(wg.from_gaussian(state), sym.make_mzi(phi))
+        via_wigner = reference.apply_symplectic(wg.from_gaussian(state), sym.make_mzi(phi))
         t1, t2 = via_gauss.terms[0], via_wigner.terms[0]
         np.testing.assert_allclose(t1.mean, t2.mean, atol=1e-12)
         np.testing.assert_allclose(t1.quad, t2.quad, atol=1e-12)
@@ -78,7 +80,7 @@ class TestApplySymplectic:
 
     def test_fock_rotation_invariance(self):
         f1 = wg.fock_wigner(1)
-        rotated = wg.apply_symplectic(f1, sym.make_phase_shifter(0.9))
+        rotated = reference.apply_symplectic(f1, sym.make_phase_shifter(0.9))
         for pt in RNG.normal(0, 1, size=(10, 2)):
             assert abs(rotated.evaluate(pt) - f1.evaluate(pt)) < 1e-12
 
@@ -99,14 +101,14 @@ class TestMoments:
     def test_moments_are_bit_identical_to_moment(self):
         # a two-term expression with polynomial terms: Fock(1) x thermal, click-subtracted on mode 1
         expr = wg.tensor_exprs(wg.fock_wigner(1), thermal_expr(0.4))
-        expr = cond.subtract_click_branches(expr, 1, 0.7)[0].state
+        expr = cond.herald(expr, 1, ("BS", 0.7), 0, 0, click=True)[0]
         assert len(expr.terms) == 2
         monomials = [(2, 0, 0, 0), {1: 1, 2: 3}, (0, 0, 0, 0), {0: 2, 3: 2}, (1, 1, 1, 1)]
         assert wg.moments(expr, monomials) == [wg.moment(expr, e) for e in monomials]
 
     def test_moment_tensor_holds_every_moment_up_to_degree_4(self):
-        expr = wg.apply_symplectic(wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.coherent_state(0.7, 0.3))),
-                                   sym.make_mzi(0.9))
+        expr = wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.coherent_state(0.7, 0.3)))
+        expr = reference.apply_symplectic(expr, sym.make_mzi(0.9))
         t = wg.moment_tensor(expr)
         assert t.shape == (5, 5, 5, 5)
         np.testing.assert_array_equal(t, t.transpose(2, 0, 3, 1))
@@ -168,7 +170,7 @@ class TestMarginalize:
 
     def test_tmsv_marginal_is_thermal(self):
         r = 0.85
-        tms = wg.apply_symplectic(wg.from_gaussian(ga.vacuum_state(2)), sym.make_two_mode_squeezer(r, 0.0))
+        tms = reference.apply_symplectic(wg.from_gaussian(ga.vacuum_state(2)), sym.make_two_mode_squeezer(r, 0.0))
         marg = wg.marginalize(tms, 2)
         ref = thermal_expr(math.sinh(r) ** 2)
         for pt in RNG.normal(0, 1, size=(8, 2)):
@@ -177,7 +179,7 @@ class TestMarginalize:
     def test_norm_preserved(self):
         for _ in range(10):
             r = RNG.uniform(0, 1)
-            expr = wg.apply_symplectic(
+            expr = reference.apply_symplectic(
                 wg.tensor_exprs(wg.fock_wigner(1), thermal_expr(RNG.uniform(0, 2))),
                 sym.make_beam_splitter(RNG.uniform(0.2, 0.8)),
             )
@@ -203,9 +205,9 @@ class TestProjections:
 
     def test_click_complement(self):
         ex = wg.tensor_exprs(thermal_expr(1.2), wg.from_gaussian(ga.vacuum_state(1)))
-        ex = wg.apply_symplectic(ex, sym.make_beam_splitter(0.6))
-        click, no_click = cond.subtract_click_branches(ex, 1, 0.7)
-        assert abs(click.probability + no_click.probability - 1.0) < 1e-10
+        ex = reference.apply_symplectic(ex, sym.make_beam_splitter(0.6))
+        click, no_click = (cond.herald(ex, 1, ("BS", 0.7), 0, 0, click=c) for c in (True, False))
+        assert abs(click[1] + no_click[1] - 1.0) < 1e-10
 
     def test_click_probabilities(self):
         p = meas.click_probability(wg.tensor_exprs(thermal_expr(4.0), thermal_expr(0.5)), 1)
@@ -215,7 +217,7 @@ class TestProjections:
 
     def test_vacuum_click_improbable(self):
         with pytest.raises(ImprobableBranch):
-            cond.subtract_click_branches(wg.from_gaussian(ga.vacuum_state(1)), 1, 0.5)
+            cond.herald(wg.from_gaussian(ga.vacuum_state(1)), 1, ("BS", 0.5), 0, 0, click=True)
 
     def test_middle_mode_bookkeeping(self):
         # projecting out mode 2 of (A, B, C) must leave (A, C) in order
@@ -248,7 +250,7 @@ class TestGeneratingFunction:
             assert abs(generating_function(f1, l) - l) < 1e-10
 
     def test_matches_distribution_sum(self):
-        expr = wg.apply_symplectic(
+        expr = reference.apply_symplectic(
             wg.tensor_exprs(thermal_expr(1.0), wg.fock_wigner(1)), sym.make_beam_splitter(0.7)
         )
         reduced = wg.marginal_mode(expr, 1)
@@ -268,7 +270,7 @@ class TestDistribution:
         assert dist.tail < 1e-3
 
     def test_distribution_matches_projection(self):
-        expr = wg.apply_symplectic(
+        expr = reference.apply_symplectic(
             wg.tensor_exprs(thermal_expr(0.8), wg.fock_wigner(1)), sym.make_beam_splitter(0.8)
         )
         reduced = wg.marginal_mode(expr, 2).normalize()
@@ -331,18 +333,20 @@ def test_noisy_channel_matches_the_fock_oracle(eta):
 
 
 class TestAttenuate:
+    """The referee's loss, a beam splitter against a thermal ancilla (`reference.attenuate`)."""
+
     def test_matches_gaussian_channel(self):
         state = ga.tensor([ga.coherent_state(1.1, 0.2), ga.squeezed_vacuum(0.6, 0.0)])
         eta, nenv = 0.75, 0.4
         via_gauss = wg.from_gaussian(ga.inject_thermal(state, 1, nenv, eta))
-        via_expr = wg.attenuate(wg.from_gaussian(state), 1, eta, nenv)
+        via_expr = reference.attenuate(wg.from_gaussian(state), 1, eta, nenv)
         for pt in RNG.normal(0, 1, size=(10, 4)):
             assert abs(via_gauss.evaluate(pt) - via_expr.evaluate(pt)) < 1e-12
 
     def test_on_nongaussian_state_against_oracle(self):
         # lossy single-photon state: P(1) = eta, P(0) = 1 - eta
         eta = 0.65
-        lossy = wg.attenuate(wg.fock_wigner(1), 1, eta)
+        lossy = reference.attenuate(wg.fock_wigner(1), 1, eta)
         dist = wg.photon_number_distribution(lossy, 1, 5)
         assert abs(dist.probs[0] - (1.0 - eta)) < 1e-10
         assert abs(dist.probs[1] - eta) < 1e-10
@@ -350,7 +354,7 @@ class TestAttenuate:
     def test_thermal_environment_on_fock_state(self):
         # single photon in a warm lossy channel, against the Fock oracle
         eta, nenv = 0.7, 0.5
-        noisy = wg.attenuate(wg.fock_wigner(1), 1, eta, nenv)
+        noisy = reference.attenuate(wg.fock_wigner(1), 1, eta, nenv)
         orc = Oracle([25, 25])
         mix = Mixture.from_product(orc, [("fock", 1), ("thermal", nenv)]).apply(orc.bs(1, 2, eta))
         ref = mix.number_distribution(1)
@@ -368,7 +372,7 @@ class TestOracleEquivalence:
         ref = red.number_distribution(1)
 
         expr = wg.tensor_exprs(thermal_expr(1.6), wg.from_gaussian(ga.vacuum_state(1)))
-        expr = wg.apply_symplectic(expr, sym.embed(sym.make_beam_splitter(0.85), [2, 1], 2))
+        expr = reference.apply_symplectic(expr, sym.embed(sym.make_beam_splitter(0.85), [2, 1], 2))
         state, p = wg.project_fock(expr, 2, 1)
         assert abs(p - prob) < 1e-9
         dist = wg.photon_number_distribution(state, 1, 40)

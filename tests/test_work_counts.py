@@ -62,7 +62,7 @@ def test_norm_is_computed_once_on_first_read(monkeypatch):
 
     monkeypatch.setattr(wg.Term, "integral", counted)
     expr = wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.thermal_state(0.5)))
-    expr = wg.apply_symplectic(expr, sym.make_beam_splitter(0.3))
+    expr = wg._integrate_out(expr, [], sym.make_beam_splitter(0.3))
     assert calls == []
     assert abs(expr.norm - 1.0) < 1e-12
     assert len(calls) == len(expr.terms)
@@ -166,7 +166,7 @@ def test_gaussian_kernel_optimum_observes_nothing(kind, observed):
 def test_herald_after_the_phase_builds_each_phase_once(monkeypatch):
     # the herald's ancilla rides in the cached prefix: the point and its cfi read the channel, and the
     # distributions read each mode off it, one partial integration per distributed mode; nothing is heralded
-    heralds, integrations = counter(monkeypatch, cond, "_herald"), counter(monkeypatch, wg, "_integrate_out")
+    heralds, integrations = counter(monkeypatch, cond, "herald"), counter(monkeypatch, wg, "_integrate_out")
     sc._observer.cache_clear()
     sc.run(sc.load_config(str(Path(LIGO_LOSSY).parent / "subtracted_thermal.json")))
     assert (len(heralds), len(integrations)) == (0, 2)
@@ -177,7 +177,7 @@ def test_herald_after_the_phase_builds_each_phase_once(monkeypatch):
 def test_output_herald_run_builds_only_its_distributions(metrics, distributed, monkeypatch):
     # every metric reads the prefix, the herald's ancilla included, through the channel; the distributions take
     # each mode off it, one partial integration per mode of the herald's one projector product
-    heralds, integrations = counter(monkeypatch, cond, "_herald"), counter(monkeypatch, wg, "_integrate_out")
+    heralds, integrations = counter(monkeypatch, cond, "herald"), counter(monkeypatch, wg, "_integrate_out")
     raw = json.loads((Path(LIGO_LOSSY).parent / "subtracted_thermal.json").read_text())
     sc.run(sc.ScenarioConfig.from_dict(dict(raw, metrics=metrics)))
     assert (len(heralds), len(integrations)) == (0, 2 * distributed)
@@ -185,7 +185,7 @@ def test_output_herald_run_builds_only_its_distributions(metrics, distributed, m
 
 def test_output_herald_drift_builds_nothing(monkeypatch):
     # 200 trials of each detector read its signal's jet, one call for all of them
-    calls = [counter(monkeypatch, module, name) for module, name in ((cond, "_herald"), (wg, "_integrate_out"))]
+    calls = [counter(monkeypatch, module, name) for module, name in ((cond, "herald"), (wg, "_integrate_out"))]
     report = sc.phase_drift_study(sc.load_config(str(Path(LIGO_LOSSY).parent / "subtracted_thermal.json")),
                                   trials=200, seed=1)
     assert len(report.rows) == 2
@@ -212,16 +212,16 @@ def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
     # ROADMAP heralded reference (b) on the pulled-back route: the loss on both modes sits in the cached
     # prefix, and no phi substitutes the MZI into a term
     counts = {name: counter(monkeypatch, module, name) for module, name in (
-        (wg, "attenuate"), (cond, "_herald"), (wg, "apply_symplectic"), (wg, "moment_tensor"))}
+        (cond, "herald"), (wg, "_integrate_out"), (wg, "moment_tensor"))}
     sc._prefix.cache_clear()
     sc._prefix_moments.cache_clear()
     sc._observer.cache_clear()
     sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
-    # apply_symplectic: the input squeeze on both arms, in the prefix; the 4 attenuations condition
-    # each term through their loss channel and substitute nothing
+    # _integrate_out: the herald's projected arm and the unprojected read of the lossy prefix, whose channel
+    # holds the input squeeze and the loss, and of the lossless one the photon-number probe reads
     # moment_tensor: both arms of the lossy prefix; the photon-number probe reads four second moments instead
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "attenuate": 4, "_herald": 1, "apply_symplectic": 2, "moment_tensor": 2}
+        "herald": 0, "_integrate_out": 4, "moment_tensor": 2}
 
 
 def test_lossy_heralded_point_builds_no_lossless_moment_tensor(monkeypatch):
@@ -264,7 +264,7 @@ def test_photon_number_distribution_runs_one_wick_recursion_per_term(config, m, 
     raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / config).read_text())
     raw["modifications"][0]["m"] = m
     config = sc.ScenarioConfig.from_dict(raw)
-    state = sc._observer(config)(config.phi).state.mode_state(1)
+    state = sc._observer(config)(config.phi).state.state((1,))
     state.norm  # read first, so that its recursions are not counted below
     assert len(wg.marginal_mode(state.normalize(), 1).terms) == terms
     calls = counter(monkeypatch, wg, "_gaussian_expectation")
@@ -278,7 +278,7 @@ def test_counted_m3_state_is_one_mode(monkeypatch):
     # pipeline gives 110 over four variables
     raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / "pacs_counts.json").read_text())
     raw["modifications"][0]["m"] = 3
-    heralds = counter(monkeypatch, cond, "_herald")
+    heralds = counter(monkeypatch, cond, "herald")
     config = sc.ScenarioConfig.from_dict(raw)
     state, prob = sc._counted(config, config.modifications[0], (0.3, 0.6, 0.9))
     assert state.modes == 1 and prob.shape == (3,)
@@ -292,7 +292,7 @@ def test_counts_builds_no_failure_branch_and_one_inverse_dft(monkeypatch):
     # per signed product of projectors (a click herald, 1 - 2 pi F_0, takes two), no herald, and every point's
     # distribution from one contour by one cached matrix
     integrations = counter(monkeypatch, wg, "_integrate_out")
-    heralds = counter(monkeypatch, cond, "_herald")
+    heralds = counter(monkeypatch, cond, "herald")
     contours = counter(monkeypatch, wg, "photon_number_distribution")
     config = sc.load_config(PACS_COUNTS)
     click = sc.ScenarioConfig.from_dict(dict(config.raw, modifications=[
@@ -309,9 +309,9 @@ def test_counts_builds_no_failure_branch_and_one_inverse_dft(monkeypatch):
 
 def test_counted_m3_herald_substitutes_nothing(monkeypatch):
     # an m = 3 `counts` run conditions the prefix through its stack of channels, the MZI and the beam
-    # splitters included: nothing is substituted, and no polynomial product grows past the counted state's
+    # splitters included, in one partial integration: no polynomial product grows past the counted state's
     # 16 monomials
-    calls = {name: counter(monkeypatch, wg, name) for name in ("apply_symplectic", "_poly_substitute")}
+    calls = counter(monkeypatch, wg, "_integrate_out")
     sizes = []
     orig = wg._poly_mul
 
@@ -323,5 +323,5 @@ def test_counted_m3_herald_substitutes_nothing(monkeypatch):
     monkeypatch.setattr(wg, "_poly_mul", sized)
     report = sc.simulate_counts(sc.load_config(PACS_COUNTS).with_values(m=3), trials=3600, seed=42)
     assert len(report.rows) == 19
-    assert {name: len(c) for name, c in calls.items()} == {"apply_symplectic": 0, "_poly_substitute": 0}
+    assert len(calls) == 1
     assert 0 < max(sizes) <= 16
