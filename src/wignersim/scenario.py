@@ -1372,10 +1372,12 @@ def _counted(config: ScenarioConfig, mod: ModificationSpec, grid: tuple) -> tupl
 def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None) -> RunReport:
     """Post-selected photon-counting experiment at fixed total trial budget.
 
-    For each transmissivity grid point the herald keeps M ~ Binomial(trials,
-    P_success) measurements; M photon-number samples are drawn from the
-    heralded state's distribution and reduced to a sample mean and sample SNR,
-    reported against the analytic values.  All schemes spend the same `trials`
+    For each transmissivity grid point the herald keeps the M of `trials`
+    uniform draws below P_success: M ~ Binomial(trials, P_success), monotone
+    in P_success, and the same for P_success and the next float above it.  M
+    photon-number samples are drawn from the heralded state's distribution and
+    reduced to a sample mean and sample SNR, reported against the analytic
+    values.  All schemes spend the same `trials`
     (equal experiment time); the substream for each grid point derives from
     (seed, index) so execution order cannot matter.
 
@@ -1415,7 +1417,7 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
             warnings.append(f"T={T:g}: {ImprobableBranch(p)}")
             continue
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-        kept = int(rng.binomial(trials, p))
+        kept = int(np.count_nonzero(rng.random(trials) < p))  # Binomial(trials, p), and monotone in p
         moments = meas.MeasurementMoments(theory.mean[j], theory.second_moment[j])
         row = {"index": idx, "T": T, "herald_probability": p, "kept": kept, "theory_mean": moments.mean}
         try:

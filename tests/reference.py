@@ -460,7 +460,7 @@ def counts_rows(config, trials: int, seed: int, t_grid) -> list:
             rows.append({"index": idx, "T": T, "kept": 0, "flag": "improbable herald branch"})
             continue
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-        kept = int(rng.binomial(trials, min(max(prob, 0.0), 1.0)))
+        kept = int(np.count_nonzero(rng.random(trials) < prob))
         theory = meas.intensity(state, 1)
         row = {"index": idx, "T": T, "herald_probability": prob, "kept": kept, "theory_mean": theory.mean}
         try:

@@ -681,6 +681,24 @@ def test_counts_rows_match_the_per_point_route(case):
         assert [g[k] for k in close] == pytest.approx([w[k] for k in close], rel=1e-12, abs=0.0)
 
 
+def test_counts_draw_does_not_depend_on_the_last_bit_of_p(monkeypatch):
+    # the click subtraction of thermal nbar = 2 at T = 0.5 heralds with p = 1/2 in theory, where numpy's binomial
+    # switches between its two algorithms (p <= 0.5 and p > 0.5): the kept count is the number of uniforms below p,
+    # so p = 0.5 and the next float above it keep the same draws and the same samples
+    raw = dict(json.loads((ROOT / "configs" / "pacs_counts.json").read_text()), **COUNTED["click_subtracted_thermal"])
+    cfg = sc.ScenarioConfig.from_dict(raw)
+    counted = sc._counted
+    assert counted(cfg, cfg.modifications[0], (0.5,))[1][0] == pytest.approx(0.5, abs=1e-15)
+
+    def row_at(p: float) -> dict:  # the heralded state, kept with probability p
+        monkeypatch.setattr(sc, "_counted", lambda *args: (counted(*args)[0], np.array([p])))
+        return sc.simulate_counts(cfg, trials=500, seed=3, t_grid=[0.5]).rows[0]
+
+    low, high = row_at(0.5), row_at(np.nextafter(0.5, 1.0))
+    assert (low.pop("herald_probability"), high.pop("herald_probability")) == (0.5, np.nextafter(0.5, 1.0))
+    assert low == high and "sample_snr" in low
+
+
 def test_bright_counts_are_not_truncated():
     # alpha = 7 plus one photon has <n> = 46: at n_max = 40 its tail held 0.8 of the mass, which sampling dropped
     raw = {
