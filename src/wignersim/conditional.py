@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .symplectic import make_beam_splitter, make_two_mode_squeezer
+from .symplectic import embed, make_beam_splitter, make_two_mode_squeezer
 from .wigner import AffineImage, WignerExpr, _herald_branch, fock_wigner, projector, tensor_exprs
 
 M_CUTOFF = 8
@@ -39,9 +39,9 @@ def herald(expr: WignerExpr, mode: int, coupling: tuple, ancilla: int, n: int, c
         raise ValueError(f"mode {mode} out of range 1..{expr.modes}")
     kind, x, *theta = coupling
     joint = tensor_exprs(expr, fock_wigner(ancilla))
-    a, rows = np.eye(joint.nvars), [joint.nvars - 2, joint.nvars - 1, 2 * mode - 2, 2 * mode - 1]
-    a[np.ix_(rows, rows)] = (make_beam_splitter(x) if kind == "BS" else make_two_mode_squeezer(x, *theta)).matrix
-    image = AffineImage(joint, None, a, np.zeros(len(a)), np.zeros_like(a), projector(rows[0], n, click))
+    mix = embed(make_beam_splitter(x) if kind == "BS" else make_two_mode_squeezer(x, *theta), [joint.modes, mode],
+                joint.modes).matrix
+    image = AffineImage(joint, None, mix, np.zeros(len(mix)), np.zeros_like(mix), projector(joint.nvars - 2, n, click))
     state = image.state(range(1, expr.modes + 1))
     return _herald_branch(state, state.norm / joint.norm)
 

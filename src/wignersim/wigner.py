@@ -21,9 +21,9 @@ detector moments of X come from the expression's fixed moment tensor, and a
 Gaussian kernel on one mode from conditioning each term on that mode
 (`kernel_densities`).  Seen through a herald's Fock projectors on ancilla
 modes of X (`projector`), each projector is one more Gaussian kernel with a
-Laguerre factor (`herald_read`).  The state of some modes of X integrates
-every other variable out (`AffineImage.state`): the one herald read of every
-stage, the input stage's prefix, a herald, and a detected mode's state.
+Laguerre factor (`herald_read`).  `AffineImage.state` gives the state of some
+modes of X, every other variable integrated out: that one read serves the
+input stage's prefix, a herald (`conditional.herald`) and a detected mode.
 
 Term convention: weight * poly(X) * exp(-(X - mean)^T quad^{-1} (X - mean)),
 matching the Gaussian Wigner exponent used throughout, so quad equals the

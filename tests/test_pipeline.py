@@ -729,7 +729,7 @@ class TestPulledBackRoute:
         for phi in (0.3, 1.7, 2.9, 4.4):
             want, got = ref.build_pipeline(cfg, phi), observe(phi)
             assert isinstance(got.state, wg.AffineImage)
-            # the referee heralds and attenuates stage by stage, by substitution: its probabilities agree to rounding
+            # the referee heralds and attenuates one stage at a time: its probabilities agree to rounding
             assert [got.success_prob, got.failure_prob] == pytest.approx([want.success_prob, want.failure_prob],
                                                                          rel=1e-12, abs=0.0)
             for arm in ("state", "failure_state"):
