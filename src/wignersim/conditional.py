@@ -41,7 +41,7 @@ def herald(expr: WignerExpr, mode: int, coupling: tuple, ancilla: int, n: int, c
     joint = tensor_exprs(expr, fock_wigner(ancilla))
     mix = embed(make_beam_splitter(x) if kind == "BS" else make_two_mode_squeezer(x, *theta), [joint.modes, mode],
                 joint.modes).matrix
-    image = AffineImage(joint, None, mix, np.zeros(len(mix)), np.zeros_like(mix), projector(joint.nvars - 2, n, click))
+    image = AffineImage(joint, mix, np.zeros(len(mix)), np.zeros_like(mix), projector(joint.nvars - 2, n, click))
     state = image.state(range(1, expr.modes + 1))
     return _herald_branch(state, state.norm / joint.norm)
 

@@ -579,7 +579,7 @@ def _prefix(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss: ga.Loss
         channel = _attenuated(channel, slice(0, 4), math.sqrt(1.0 - loss.total), loss.total / 2.0)
 
     def read(herald: tuple | None) -> wig.WignerExpr:
-        return wig.AffineImage(joint, None, *channel, herald).state((1, 2))
+        return wig.AffineImage(joint, *channel, herald).state((1, 2))
 
     heralds = [m for m in input_mods if m.heralded]
     if not heralds:
@@ -609,14 +609,11 @@ def _with_ancillas(expr: wig.WignerExpr, ancillas: tuple) -> wig.WignerExpr:
 
 @lru_cache(maxsize=PREFIX_CACHE_SIZE)
 def _prefix_moments(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None, ancillas: tuple) -> tuple:
-    """(normalized state, moment tensor) of each arm of the Wigner-path prefix, None for an untracked arm; an arm
-    followed by the output heralds' `ancillas` (Fock numbers) is read through their projectors, with no tensor."""
+    """The normalized state of each arm of the Wigner-path prefix, None for an untracked arm, followed by the
+    output heralds' `ancillas` (Fock numbers); an arm keeps the moment tensor its first moment read builds."""
     res = _prefix(inputs, input_mods, False, loss)
-    arms = []
-    for state in (res.state, res.failure_state):
-        expr = None if state is None else _with_ancillas(state.normalize(), ancillas)
-        arms.append(None if expr is None else (expr, None if ancillas else wig.moment_tensor(expr)))
-    return tuple(arms)
+    return tuple(None if arm is None else _with_ancillas(arm.normalize(), ancillas)
+                 for arm in (res.state, res.failure_state))
 
 
 @lru_cache(maxsize=PREFIX_CACHE_SIZE)
@@ -627,7 +624,7 @@ def _prefix_jets(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None, anc
     h = np.zeros((4 + 2 * len(ancillas),) * 2)  # M'(0), and 0 on the ancillas: A'(phi) = A(phi) h
     h[:4, :4] = sym.mzi_phase_derivative(0.0)
     tangent = partial(wig.phase_tangent, h=h)
-    slopes = [None if arm is None else (arm[0], tangent(arm[0])) for arm in arms]
+    slopes = [None if arm is None else (arm, tangent(arm)) for arm in arms]
     return tuple(None if w is None else (*w, tangent(w[1])) for w in slopes)
 
 
@@ -717,7 +714,7 @@ def _observer(config: ScenarioConfig) -> Callable[[float], PipelineResult]:
         if moments is None:
             cov = a @ prefix.state.cov @ a.T + 2.0 * c
             return replace(prefix, state=ga.GaussianState(a @ prefix.state.mean + b, (cov + cov.T) / 2.0))
-        ok, *fail = (None if moments[i] is None else wig.AffineImage(*moments[i], a, b, c, herald)
+        ok, *fail = (None if moments[i] is None else wig.AffineImage(moments[i], a, b, c, herald)
                      for i, herald in arms)
         if ok.probability < wig.IMPROBABLE_FLOOR:
             raise ImprobableBranch(ok.probability)
@@ -980,8 +977,8 @@ def _mzi_qfi(config: ScenarioConfig) -> float:
 def _prefix_qfi(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss: ga.LossSpec | None) -> float:
     """`_mzi_qfi` of one prefix, kept with it: the points of a sweep after the MZI share it."""
     if not gaussian_path:
-        expr, tensor = _prefix_moments(inputs, input_mods, loss, ())[0]
-        split = wig.AffineImage(expr, tensor, sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
+        expr = _prefix_moments(inputs, input_mods, loss, ())[0]
+        split = wig.AffineImage(expr, sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
         return meas.intensity_difference(split, 1, 2).variance
     state = _prefix(inputs, input_mods, True, None).state
     g = sym.mzi_phase_derivative(0.0)
@@ -1072,18 +1069,19 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
 def _input_mean_photon(config: ScenarioConfig) -> float:
     """Total mean photon number entering the interferometer (after the input-stage modifications).
 
-    The passive MZI keeps the total, so it is read from the cached lossless
-    prefix: the state itself on the Gaussian path, its four second moments
-    (<n_k> = (<x_k^2> + <p_k^2> - 1) / 2) on the Wigner path, from one Wick
-    recursion rather than a degree-4 moment tensor that a lossy config's
-    observer, which reads the lossy prefix, would not share.
+    The passive MZI keeps the total, so it is read from the cached prefix the observer reads: the state itself
+    on the Gaussian path, its four second moments (<n_k> = (<x_k^2> + <p_k^2> - 1) / 2) on the Wigner path, from
+    one Wick pass.  A Wigner prefix holds the uniform loss L, which scales the total by 1 - L exactly; at L = 1
+    the lossless prefix is read instead.
     """
     gaussian_path = _gaussian_possible(config)
-    state = _prefix(config.inputs, _input_mods(config), gaussian_path, None).state
+    loss = None if gaussian_path else _uniform_loss(config)
+    loss = loss if loss is not None and loss.total < 1.0 else None
+    state = _prefix(config.inputs, _input_mods(config), gaussian_path, loss).state
     if gaussian_path:
         return ga.total_mean_photon(state)
     xx = wig.moments(state.normalize(), [{i: 2} for i in range(4)])  # <x_1^2>, <p_1^2>, <x_2^2>, <p_2^2>
-    return float(sum(0.5 * (xx[i] + xx[i + 1]) - 0.5 for i in (0, 2)))
+    return float(sum(0.5 * (xx[i] + xx[i + 1]) - 0.5 for i in (0, 2))) / (1.0 if loss is None else 1.0 - loss.total)
 
 
 def evaluate_point(config: ScenarioConfig, phi: float | None = None):
@@ -1359,13 +1357,13 @@ def _counted(config: ScenarioConfig, mod: ModificationSpec, grid: tuple) -> tupl
     gridded = replace(mod, T=grid)
     config = replace(config, modifications=tuple(gridded if m is mod else m for m in config.modifications))
     inputs = _input_mods(config)
-    expr = _prefix_moments(config.inputs, (), None, (_herald_args(mod)[1],))[0][0]
+    expr = _prefix_moments(config.inputs, (), None, (_herald_args(mod)[1],))[0]
     j, s, _ = _then(inputs, 6, np.eye(6), np.zeros(6), np.zeros((6, 6)))
     k, b, c = _after_mzi(config, _uniform_loss(config), 6)
     a = k.copy()
     a[..., :4] = k[..., :4] @ sym.mzi_matrix(config.phi)
     herald = wig.projector(4, *_herald_args(mod)[2:])
-    state = wig.AffineImage(expr, None, a @ j, wig._mv(a, s) + b, c, herald).state((mod.mode,))
+    state = wig.AffineImage(expr, a @ j, wig._mv(a, s) + b, c, herald).state((mod.mode,))
     return wig._herald_branch(state, state.norm * np.ones(len(grid)))
 
 

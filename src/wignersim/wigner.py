@@ -5,7 +5,8 @@ term, Fock states are Laguerre polynomials times a Gaussian, and heralded
 addition/subtraction outputs stay inside the class because it is closed under
 Gaussian channels, multiplication by Fock projectors, and partial
 integration.  All moments and overlaps evaluate analytically through the
-Gaussian moment recursion, so there is no numerical quadrature anywhere.
+Gaussian moment recursion, walked once per monomial set into a cached
+schedule (`_wick_plan`), so there is no numerical quadrature anywhere.
 
 Partial integration is one routine, `_integrate_out`: a marginal, a Fock
 projection, every arm of a herald, a loss and a detected mode's photon-number
@@ -53,6 +54,7 @@ FOCK_CUTOFF = 64
 IMPROBABLE_FLOOR = 1e-14
 DEFAULT_NMAX = 40
 CONTOUR_SLAB = 2048
+WICK_PLANS = 128  # Wick schedules kept, one per monomial set (and shifts) of an expectation
 
 Poly = dict  # exponent tuple over the 2N variables -> real coefficient
 
@@ -99,39 +101,53 @@ def _const_poly(nvars: int, value=1.0) -> Poly:
     return {(0,) * nvars: value}
 
 
+def _wick_row(e: tuple, index: dict, rows: list, slots: dict) -> int:
+    """The row of E[X^e] in a schedule (`_wick_plan`), appended after the rows it reads; row 0 is E[1]."""
+    if e not in index and any(e):
+        i = next(k for k, v in enumerate(e) if v)
+        e1 = [v - (k == i) for k, v in enumerate(e)]
+        pairs = tuple((slots.setdefault((i, j, ej), len(slots)),
+                       _wick_row(tuple(e1[:j] + [ej - 1] + e1[j + 1:]), index, rows, slots))
+                      for j, ej in enumerate(e1) if ej)
+        rows.append((i, _wick_row(tuple(e1), index, rows, slots), pairs))
+        index[e] = len(rows)
+    return index.get(e, 0)
+
+
+@lru_cache(maxsize=WICK_PLANS)
+def _wick_plan(keys: tuple, shifts: tuple | None) -> tuple:
+    """The recursion E[X^e] = m_i E[X^(e - 1_i)] + sum_j C_ij (e - 1_i)_j E[X^(e - 1_i - 1_j)], i the first
+    variable of e, over the monomials `keys` (times X^e for each e of `shifts`), walked once: the rows after row 0
+    (E[1]), each (i, row of e - 1_i, ((slot of C_ij (e - 1_i)_j, row of e - 1_i - 1_j) in increasing j)) after
+    the rows it reads; the slots (i, j, k); and the row of each key, or of each key for each shift."""
+    index, rows, slots = {}, [], {}
+    out = tuple(_wick_row(e, index, rows, slots) for e in keys) if shifts is None else tuple(
+        tuple(_wick_row(tuple(a + b for a, b in zip(ea, e)), index, rows, slots) for ea in keys) for e in shifts)
+    return tuple(rows), tuple(slots), out
+
+
 def _gaussian_expectation(poly: Poly, mean: np.ndarray, cov: np.ndarray, shifts: list | None = None):
     """E[poly(X)] for X ~ N(mean, cov), exact via the Gaussian moment recursion.
 
     mean has shape (n,) and cov (n, n), or both carry the same trailing batch
     axes, mean (n, B) and cov (n, n, B), to evaluate B Gaussians in one
-    recursion; the result then has shape (B,).  With `shifts`, a list of
-    exponent tuples e, it returns the list of E[poly(X) X^e], all from one
-    recursion.
+    pass; the result then has shape (B,).  With `shifts`, a list of exponent
+    tuples e, it returns the list of E[poly(X) X^e], all from one pass.  A
+    call walks the cached schedule of its monomial set (`_wick_plan`) on
+    Python floats, or row views of a batch, with the recursion's arithmetic.
     """
-    memo: dict[tuple, complex] = {}
-
-    def mom(e: tuple):
-        if e in memo:
-            return memo[e]
-        i = next((k for k, v in enumerate(e) if v), -1)
-        if i < 0:
-            return 1.0
-        e1 = list(e)
-        e1[i] -= 1
-        e1t = tuple(e1)
-        val = mean[i] * mom(e1t)
-        for j, ej in enumerate(e1t):
-            if ej:
-                e2 = list(e1t)
-                e2[j] -= 1
-                val += cov[i, j] * ej * mom(tuple(e2))
-        memo[e] = val
-        return val
-
-    out = sum(c * mom(e) for e, c in poly.items()) if shifts is None else [
-        sum(c * mom(tuple(a + b for a, b in zip(ea, e))) for ea, c in poly.items()) for e in shifts]
-    memo.clear()  # the recursive `mom` is a reference cycle, which would hold the memo until a collection
-    return out
+    rows, slots, out = _wick_plan(tuple(poly), None if shifts is None else tuple(shifts))
+    mean, cov = (mean.tolist(), cov.tolist()) if mean.ndim == 1 else (list(mean), cov)
+    factors = [cov[i][j] * k for i, j, k in slots]
+    values = [1.0]
+    for i, r1, pairs in rows:
+        v = mean[i] * values[r1]
+        for f, r2 in pairs:
+            v += factors[f] * values[r2]
+        values.append(v)
+    if shifts is None:
+        return sum(c * values[r] for c, r in zip(poly.values(), out))
+    return [sum(c * values[r] for c, r in zip(poly.values(), part)) for part in out]
 
 
 def _affine_expectation(poly: Poly, lin: np.ndarray, const: np.ndarray, cov: np.ndarray) -> Poly:
@@ -231,7 +247,7 @@ class WignerExpr:
     def __init__(self, modes: int, terms: list[Term]):
         self.modes = modes
         self.terms = terms
-        self._norm: float | None = None
+        self._norm = self._tensor = None  # computed on first read
 
     @property
     def norm(self) -> float:
@@ -239,6 +255,13 @@ class WignerExpr:
         if self._norm is None:
             self._norm = sum(t.integral() for t in self.terms) if self.terms else 0.0
         return self._norm
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """`moment_tensor`, computed on first read and kept."""
+        if self._tensor is None:
+            self._tensor = moment_tensor(self)
+        return self._tensor
 
     @property
     def nvars(self) -> int:
@@ -347,7 +370,7 @@ def moment(expr: WignerExpr, exponents: Mapping[int, int] | Iterable[int]) -> fl
 
 
 def moments(expr: WignerExpr, monomials: list) -> list:
-    """`moment` of each monomial, from one Wick recursion per term.
+    """`moment` of each monomial, from one Wick pass per term.
 
     Terms and polynomial items are summed in the order `moment` sums them, so
     the results are bit-identical to calling `moment` once per monomial.
@@ -420,8 +443,8 @@ class AffineImage:
     """The state of X = A Y + b + xi: Y distributed as a normalized expression, xi ~ N(0, noise) independent.
 
     The channel is never substituted into the expression's terms.  Moments of
-    X up to degree 4 contract the expression's `moment_tensor` with
-    [[1, 0], [b, A]] along each axis and add the noise pairings.  A Gaussian
+    X up to degree 4 contract the expression's `tensor` (built on first read)
+    with [[1, 0], [b, A]] along each axis and add the noise pairings.  A Gaussian
     kernel on one mode of X conditions each term's Gaussian on that mode
     (`density_at_origin`), leaving one Wick expectation of the term's own
     polynomial.  `noise` is a covariance of the variables (sigma / 2 in the
@@ -436,9 +459,9 @@ class AffineImage:
     also reads a stack of channels.
     """
 
-    def __init__(self, expr: WignerExpr, tensor: np.ndarray | None, a: np.ndarray, shift: np.ndarray,
-                 noise: np.ndarray, herald: tuple | None = None):
-        self.expr, self.tensor = expr, tensor
+    def __init__(self, expr: WignerExpr, a: np.ndarray, shift: np.ndarray, noise: np.ndarray,
+                 herald: tuple | None = None):
+        self.expr = expr
         self.a, self.shift, self.noise = a, shift, noise
         self.herald = herald
         self.modes = expr.modes - len({v for _, projectors in herald or () for v, _ in projectors})
@@ -464,7 +487,7 @@ class AffineImage:
         if self._values is None:
             lift, pad = np.eye(self.expr.nvars + 1), np.zeros((self.expr.nvars + 1,) * 2)
             lift[1:, 0], lift[1:, 1:], pad[1:, 1:] = self.shift, self.a, self.noise
-            t = self.tensor
+            t = self.expr.tensor
             for _ in range(4):  # each tensordot maps the last axis and moves it to the front
                 t = np.tensordot(lift, t, axes=(1, 3))
             self._values = _add_noise(t, pad) if np.any(self.noise) else t
@@ -806,7 +829,7 @@ def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = DEFAULT
     while m < 8 * (n_max + 1):
         m *= 2
     tks = np.exp(1j * math.pi * (2 * np.arange(m) + 1) / m)
-    # a grid's contour runs in slabs of about CONTOUR_SLAB points, which bound the Wick recursion's memo
+    # a grid's contour runs in slabs of about CONTOUR_SLAB points, which bound each Wick schedule row's array
     slabs = np.array_split((1.0 - tks) / (1.0 + tks), -(-np.size(expr.norm) * m // CONTOUR_SLAB))
     gs = 2.0 / (1.0 + tks) * np.concatenate([_single_mode_g(reduced, s) for s in slabs], -1)
     probs = np.real(gs @ _inverse_dft(m, n_max)) / m

@@ -1,5 +1,5 @@
-"""Test-side references: the stage-by-stage prefix and forward build, central differences, golden section,
-independent-detector CFIs, per-T counts.
+"""Test-side references: the recursive Gaussian moment recursion, the stage-by-stage prefix and forward build,
+central differences, golden section, independent-detector CFIs, per-T counts.
 
 The engine builds no state at a phase, substitutes no map into a term and
 takes no finite difference; the tests check its channel reads, exact phase
@@ -9,7 +9,9 @@ applies the input stage one modification at a time, each map substituted into
 the terms (`apply_symplectic`) and each herald conditioned alone (`herald`),
 and `build_pipeline` builds the state at one phase, stage by stage.  `counts`
 reads its whole T grid at once; `counts_rows` builds and heralds it one T at a
-time.  Nothing here is imported by `wignersim`.
+time.  `gaussian_expectation` walks the Wick recursion's tree on every call,
+memoized per call, as the engine's cached schedule (`wg._wick_plan`) replaced.
+Nothing here is imported by `wignersim`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,33 @@ from wignersim.estimation import SLOPE_FLOOR, SLOPE_NOISE
 from wignersim.wigner import Term, WignerExpr, _const_poly, _poly_add, _poly_mul, _poly_prune, _poly_scale, overlap
 
 DEFAULT_STEP = 1e-5
+
+
+def gaussian_expectation(poly: dict, mean: np.ndarray, cov: np.ndarray, shifts: list | None = None):
+    """E[poly(X)] for X ~ N(mean, cov) (or a batch along trailing axes), by the memoized moment recursion; with
+    `shifts`, the list of E[poly(X) X^e] for each exponent tuple e."""
+    memo: dict[tuple, complex] = {}
+
+    def mom(e: tuple):
+        if e in memo:
+            return memo[e]
+        i = next((k for k, v in enumerate(e) if v), -1)
+        if i < 0:
+            return 1.0
+        e1 = list(e)
+        e1[i] -= 1
+        e1t = tuple(e1)
+        val = mean[i] * mom(e1t)
+        for j, ej in enumerate(e1t):
+            if ej:
+                e2 = list(e1t)
+                e2[j] -= 1
+                val += cov[i, j] * ej * mom(tuple(e2))
+        memo[e] = val
+        return val
+
+    return sum(c * mom(e) for e, c in poly.items()) if shifts is None else [
+        sum(c * mom(tuple(a + b for a, b in zip(ea, e))) for ea, c in poly.items()) for e in shifts]
 
 
 def apply_symplectic(expr: WignerExpr, f: sym.SymplecticTransform) -> WignerExpr:

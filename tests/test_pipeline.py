@@ -227,6 +227,13 @@ class TestUniformLossInPrefix:
         got = sc._input_mean_photon(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
         assert got == pytest.approx(want, rel=1e-10)
 
+    def test_input_mean_photon_at_total_loss_reads_the_lossless_prefix(self):
+        # the lossy prefix holds (1 - L) <n>, which L = 1 leaves no way to divide back out
+        raw = workloads.point_b(1.0)
+        lossless = sc._input_mean_photon(sc.ScenarioConfig.from_dict({k: v for k, v in raw.items() if k != "noise"}))
+        got = sc._input_mean_photon(sc.ScenarioConfig.from_dict(dict(raw, noise={"loss": {"L": 1.0, "D": 0.9}})))
+        assert got == lossless
+
     @pytest.mark.parametrize("name, want", [("pacs_counts", 1.0), ("subtracted_thermal", 4.0)])
     def test_input_mean_photon_is_read_before_the_mzi(self, name, want):
         # the prefix ahead of the MZI gives the input totals exactly, with no rounding from the MZI matrix

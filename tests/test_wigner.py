@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference
+import workloads
 from fock_oracle import Mixture, Oracle
 from wignersim import conditional as cond
 from wignersim import gaussian as ga
@@ -129,7 +130,7 @@ class TestAffineImage:
             noise = root @ root.T
             shift = rng.normal(size=4) * 0.5
             expr = wg.from_gaussian(y)
-            image = wg.AffineImage(expr, wg.moment_tensor(expr), f.matrix, shift, noise)
+            image = wg.AffineImage(expr, f.matrix, shift, noise)
             x = ga.GaussianState(f.matrix @ y.mean + shift, f.matrix @ y.cov @ f.matrix.T + 2.0 * noise)
             for kind, args in [("intensity", (1,)), ("intensity", (2,)), ("homodyne", (2, None, 0.8)),
                                ("intensity_difference", (1, 2)), ("parity", (1,)), ("click", (2,))]:
@@ -142,10 +143,9 @@ class TestAffineImage:
         # the phase signal of each polynomial detector reads the image's moments at equispaced phases; the slope
         # it implies, sqrt(Var / V), matches a central difference of the moments through the noisy, shifted channel
         expr = wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.coherent_state(0.8, 0.2)))
-        tensor = wg.moment_tensor(expr)
         k = sym.embed(sym.make_squeezer(0.4, 0.5), [2], 2).matrix
         noise, shift = np.diag([0.1, 0.1, 0.3, 0.3]), np.array([0.2, -0.1, 0.4, 0.0])
-        image = lambda p: wg.AffineImage(expr, tensor, k @ sym.mzi_matrix(p), shift, noise)
+        image = lambda p: wg.AffineImage(expr, k @ sym.mzi_matrix(p), shift, noise)
         h = 1e-3
         for scheme in [meas.DetectionScheme("intensity", 1), meas.DetectionScheme("intensity", 2),
                        meas.DetectionScheme("homodyne", 2, angle=0.8),
@@ -405,6 +405,82 @@ def scalar_single_mode_g(expr1: wg.WignerExpr, s: complex) -> complex:
         epoly = wg._gaussian_expectation(t.poly, m_s, quad_s / 2.0)
         total += t.weight * np.exp(-gamma) * math.pi / det_sqrt * epoly
     return total
+
+
+def same_bits(got, want) -> bool:
+    if isinstance(want, list):  # one expectation per shift
+        return isinstance(got, list) and len(got) == len(want) and all(map(same_bits, got, want))
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+class TestWickSchedule:
+    """The cached Wick schedule (`wg._wick_plan`) against the recursion it replaced, bit for bit."""
+
+    POLY = {(2, 0, 1, 0): 0.3, (0, 0, 0, 0): -1.2, (1, 1, 1, 1): 0.7, (0, 3, 0, 0): 2.1, (0, 0, 0, 4): -0.4}
+    SHIFTS = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 1)]
+
+    @staticmethod
+    def gaussian(batch: tuple) -> tuple:
+        """A mean (4, *batch) and a covariance (4, 4, *batch), positive definite at each point."""
+        rng = np.random.default_rng(11)
+        root = rng.normal(size=(4, 4) + batch)
+        return rng.normal(size=(4,) + batch), np.einsum("ik...,jk...->ij...", root, root)
+
+    @staticmethod
+    def assert_matches(poly, mean, cov, shifts=None):
+        got = wg._gaussian_expectation(poly, mean, cov, shifts)
+        assert same_bits(got, reference.gaussian_expectation(poly, mean, cov, shifts))
+
+    @pytest.mark.parametrize("shifts", [None, SHIFTS], ids=["plain", "shifts"])
+    @pytest.mark.parametrize("batch", [(), (7,), (3, 5)], ids=["single", "batch", "grid_batch"])
+    def test_matches_the_recursion(self, batch, shifts):
+        self.assert_matches(self.POLY, *self.gaussian(batch), shifts)
+
+    @pytest.mark.parametrize("shifts", [None, SHIFTS], ids=["plain", "shifts"])
+    @pytest.mark.parametrize("poly", [{}, {(0, 0, 0, 0): 1.5}], ids=["empty", "constant"])
+    def test_empty_and_constant_polys(self, poly, shifts):
+        for batch in ((), (7,)):
+            self.assert_matches(poly, *self.gaussian(batch), shifts)
+
+    def test_key_order_keeps_each_sum_order(self):
+        # the same monomials in another order take a schedule of their own, and each sums in its poly's order
+        flipped = dict(reversed(self.POLY.items()))
+        assert wg._wick_plan(tuple(flipped), None) != wg._wick_plan(tuple(self.POLY), None)
+        for poly in (self.POLY, flipped):
+            for batch in ((), (7,)):
+                self.assert_matches(poly, *self.gaussian(batch))
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["contour", "grid_contour"])
+    def test_contour_widths(self, grid, monkeypatch):
+        # the complex means and covariances `_single_mode_g` passes for the contour points, of a grid expression
+        # (a counts grid of three T) with a grid axis too
+        if grid:
+            config = sc.load_config(str(CONFIGS / "pacs_counts.json"))
+            state = sc._counted(config, config.modifications[0], (0.3, 0.6, 0.9))[0]
+        else:
+            state = wg.marginal_mode(pacs_m3_state().normalize(), 1)
+        calls, orig = [], wg._gaussian_expectation
+        monkeypatch.setattr(wg, "_gaussian_expectation", lambda *args: calls.append(args) or orig(*args))
+        wg._single_mode_g(state, TestBatchedContourKernel.contour_s())
+        monkeypatch.undo()
+        assert calls and all(np.iscomplexobj(args[1]) and args[1].ndim == 2 + grid for args in calls)
+        for args in calls:
+            self.assert_matches(*args)
+            self.assert_matches(*args, [(0, 0), (1, 0), (0, 2)])
+
+    def test_heralded_point_reads(self, monkeypatch):
+        # every expectation of heralded reference (a): the norms and moment tensors of its prefix, and its kernel
+        # reads, (n, k) batches with shifts
+        for cached in (sc._prefix, sc._prefix_moments, sc._prefix_jets, sc._kernel_columns, sc._observer):
+            cached.cache_clear()
+        calls, orig = [], wg._gaussian_expectation
+        monkeypatch.setattr(wg, "_gaussian_expectation", lambda *args: calls.append(args) or orig(*args))
+        sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_a(1.0)))
+        monkeypatch.undo()
+        assert any(len(args) == 4 and args[3] is not None for args in calls)
+        for args in calls:
+            self.assert_matches(*args)
 
 
 CONTOUR_STATES = {

@@ -208,6 +208,19 @@ def test_ligo_lossy_point_runs_no_wick_recursion(monkeypatch):
     assert calls == []
 
 
+def test_second_heralded_point_builds_no_wick_schedule(monkeypatch):
+    # one Wick schedule per monomial set: a second evaluation of point (a), its prefix and observer read anew,
+    # runs every expectation on the schedules the first one built
+    config = sc.ScenarioConfig.from_dict(workloads.point_a(1.0))
+    sc.evaluate_point(config)
+    misses = wg._wick_plan.cache_info().misses
+    for cached in (sc._prefix, sc._prefix_moments, sc._prefix_jets, sc._kernel_columns, sc._observer):
+        cached.cache_clear()
+    calls = counter(monkeypatch, wg, "_gaussian_expectation")
+    sc.evaluate_point(config)
+    assert calls and wg._wick_plan.cache_info().misses == misses
+
+
 def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
     # ROADMAP heralded reference (b) on the pulled-back route: the loss on both modes sits in the cached
     # prefix, and no phi substitutes the MZI into a term
@@ -218,15 +231,15 @@ def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
     sc._observer.cache_clear()
     sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
     # _integrate_out: the herald's projected arm and the unprojected read of the lossy prefix, whose channel
-    # holds the input squeeze and the loss, and of the lossless one the photon-number probe reads
-    # moment_tensor: both arms of the lossy prefix; the photon-number probe reads four second moments instead
+    # holds the input squeeze and the loss; the photon-number probe reads that prefix too, over 1 - L
+    # moment_tensor: the success arm's, which `diff[1,2]` reads; no detector reads the failure arm's moments
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "herald": 0, "_integrate_out": 4, "moment_tensor": 2}
+        "herald": 0, "_integrate_out": 2, "moment_tensor": 1}
 
 
 def test_lossy_heralded_point_builds_no_lossless_moment_tensor(monkeypatch):
-    # the input photon number of a lossy Wigner point takes four second moments of the lossless prefix, not the
-    # degree-4 moment tensor that only a lossless observer reads
+    # the input photon number of a lossy Wigner point takes four second moments of the lossy prefix the observer
+    # reads, over 1 - L: no lossless prefix is read, nor its degree-4 moment tensor
     losses = []
     orig = sc._prefix_moments
 
