@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -104,12 +104,16 @@ def _const_poly(nvars: int, value=1.0) -> Poly:
 def _wick_row(e: tuple, index: dict, rows: list, slots: dict) -> int:
     """The row of E[X^e] in a schedule (`_wick_plan`), appended after the rows it reads; row 0 is E[1]."""
     if e not in index and any(e):
-        i = next(k for k, v in enumerate(e) if v)
-        e1 = [v - (k == i) for k, v in enumerate(e)]
-        pairs = tuple((slots.setdefault((i, j, ej), len(slots)),
-                       _wick_row(tuple(e1[:j] + [ej - 1] + e1[j + 1:]), index, rows, slots))
-                      for j, ej in enumerate(e1) if ej)
-        rows.append((i, _wick_row(tuple(e1), index, rows, slots), pairs))
+        i = e.index(next(filter(None, e)))
+        e1 = list(e)
+        e1[i] -= 1
+        pairs = []
+        for j, ej in enumerate(e1):
+            if ej:  # e - 1_i - 1_j, for a moment
+                e1[j] -= 1
+                pairs.append((slots.setdefault((i, j, ej), len(slots)), _wick_row(tuple(e1), index, rows, slots)))
+                e1[j] += 1
+        rows.append((i, _wick_row(tuple(e1), index, rows, slots), tuple(pairs)))
         index[e] = len(rows)
     return index.get(e, 0)
 
@@ -247,7 +251,7 @@ class WignerExpr:
     def __init__(self, modes: int, terms: list[Term]):
         self.modes = modes
         self.terms = terms
-        self._norm = self._tensor = None  # computed on first read
+        self._norm: float | None = None
 
     @property
     def norm(self) -> float:
@@ -256,12 +260,10 @@ class WignerExpr:
             self._norm = sum(t.integral() for t in self.terms) if self.terms else 0.0
         return self._norm
 
-    @property
+    @cached_property
     def tensor(self) -> np.ndarray:
         """`moment_tensor`, computed on first read and kept."""
-        if self._tensor is None:
-            self._tensor = moment_tensor(self)
-        return self._tensor
+        return moment_tensor(self)
 
     @property
     def nvars(self) -> int:
