@@ -1,4 +1,4 @@
-"""Test-side references: the recursive Gaussian moment recursion, the stage-by-stage prefix and forward build,
+"""Test-side references: the memoized Gaussian moment recursion, the stage-by-stage prefix and forward build,
 central differences, golden section, independent-detector CFIs, per-T counts.
 
 The engine builds no state at a phase, substitutes no map into a term and
@@ -10,7 +10,7 @@ the terms (`apply_symplectic`) and each herald conditioned alone (`herald`),
 and `build_pipeline` builds the state at one phase, stage by stage.  `counts`
 reads its whole T grid at once; `counts_rows` builds and heralds it one T at a
 time.  `gaussian_expectation` walks the Wick recursion's tree on every call,
-memoized per call, as the engine's cached schedule (`wg._wick_plan`) replaced.
+memoized per call: the referee of the engine's cached schedule (`wg._wick_plan`).
 Nothing here is imported by `wignersim`.
 """
 
