@@ -5,33 +5,23 @@ declares the two input states, ordered per-mode modifications at the input or
 output stage, the interferometer phase, the noise model, the detector list,
 and which metrics to compute.  Pipelines that stay Gaussian run on the
 mean/covariance fast path; any Fock input or heralded addition/subtraction
-switches to the full Wigner representation.  Both run through one pipeline
-body, whose phase-independent prefix (inputs and input-stage modifications,
-plus the uniform loss on the Wigner path, where it commutes with the passive
-MZI) is built once and cached.  A Wigner prefix is one channel read: the
-inputs and one Fock ancilla per input-stage herald, seen through the input
-stage's couplings, squeezes and displacements and the loss, against the
-heralds' projectors (`_prefix`).
+switches to the full Wigner representation.
 
-The detectors see the state by one route (`_observer`), the prefix
-channel: everything after the MZI (the MZI, the uniform loss on the Gaussian
-path, thermal injection, output squeezes and displacements) is one Gaussian
-channel X = A(phi) Y + b + xi on the cached prefix Y, with A = K M(phi).  A
-Gaussian prefix (R0, sigma0) maps to (A R0 + b, A sigma0 A^T + 2C), with C
-the covariance of xi.  A Wigner prefix stays as it is and only the
-observable moves, <O>_phi = Int W(Y) W_O(A Y + b + xi) dY: each phi is a
-`wigner.AffineImage`.  A herald after the phase adds its ancilla to the
-prefix as one more mode, its coupling to the channel, and its projector to
-every read as one more kernel factor (`_arms`), so the state is never built
-at a phase.  A detector's phase variance comes from one exact phase signal
-(`_optimal_phi`), which gives its optimum and its value at any phi.
-
-The photon-number reads take the detected mode off the same channel: the
-`distributions` metric integrates every other variable out of the prefix seen
-at phi, against the herald's projectors (`wigner.AffineImage.state`), and
+Each config's route (`_Route`) is decided once: its path, its prefix record
+and the channel after the MZI.  The prefix record (`_Prefix`) is the
+phase-independent part upstream of phi, the inputs and the input stage, heralds
+included, with the uniform loss on the Wigner path; each of its pieces is built
+on first read and shared by every config with the same prefix.  Everything
+after it is one Gaussian channel X = A(phi) Y + b + xi on the prefix Y, with
+A = K M(phi): a Gaussian prefix maps through it, and a Wigner prefix stays as
+it is while only the observable moves, so each phi is a `wigner.AffineImage`
+and no state is built at a phase.  A herald at either stage adds its ancilla
+to the prefix as one more mode, its coupling to a channel and its projector to
+every read.  A detector's phase variance comes from one exact phase signal
+(`_optimal_phi`), which gives its optimum and its value at any phi.  The
+photon-number reads take the detected mode off the same channel, and
 `simulate_counts` does so once over a stack of channels, one per T of its grid
-(`_counted`).  No state is built at a phase, and every herald, at either
-stage, is one read of an image against its projectors.
+(`_counted`).
 
 Identical config plus seed gives byte-identical CSV/JSON output.
 """
@@ -42,7 +32,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
@@ -63,15 +53,14 @@ METRICS = ("phase_variance", "cfi", "qfi", "snr", "distributions")
 DRIFT_SIGMA_DEFAULTS = {"parity": 0.001, "default": 0.15}
 # Searched phase-variance minima within this relative distance of the lowest are equal.
 OPTIMUM_TIE = 1e-9
-# Phases whose observation the observer keeps, the most recent: a point reads phi and phi +- h more than once.
+# Observations kept, with their routes: a point reads its phase for several metrics, and 5 or 9 per polynomial detector.
 OBSERVED_PHASES = 16
 # A herald read p is resolved for the quotient jets of a phase signal where p >= this times |p''|, 1e-4 rad
 # from a quadratic zero (subtracted_thermal's V keeps about 1e-7 there), and where the terms of its read
 # (1 and -2 pi F_0 of a click herald, say) cancel to no less than 1 / HERALD_CANCELLATION of their magnitude.
 HERALD_RESOLUTION = 5e-9
 HERALD_CANCELLATION = 1e4
-# Distinct phi-independent prefixes kept; a Wigner-path point with loss uses a
-# lossy prefix and the lossless one it starts from (also read for the input photon number).
+# Prefix records kept: every point of a sweep over a parameter after the MZI reads one.
 PREFIX_CACHE_SIZE = 8
 # `counts` doubles n_max from wig.DEFAULT_NMAX while a tail is above COUNTS_TAIL, and flags it at COUNTS_NMAX;
 # a `distributions` mode whose tail at wig.DEFAULT_NMAX is above it adds a warning.
@@ -489,14 +478,8 @@ def _gaussian_possible(config: ScenarioConfig) -> bool:
     return not any(m.heralded for m in config.modifications)
 
 
-def _output_heralds(config: ScenarioConfig) -> tuple:
-    """The heralds after the phase, in order: each one's ancilla is one more mode of the channel (`_after_mzi`)."""
-    return tuple(m for m in config.modifications if m.heralded and m.stage == "output")
-
-
 def _ancillas(mods) -> tuple:
-    """The Fock state of each herald's ancilla among `mods` (0 for vacuum), in order, as the prefix caches key
-    them."""
+    """The Fock state of each herald's ancilla among `mods` (0 for vacuum), in order, as the prefix record keys them."""
     return tuple(_herald_args(m)[1] for m in mods if m.heralded)
 
 
@@ -508,22 +491,6 @@ def _success(mods) -> tuple:
         n, click = _herald_args(mod)[2:]
         success = tuple((s1 * s2, p1 + p2) for s1, p1 in success for s2, p2 in wig.projector(4 + 2 * j, n, click))
     return success
-
-
-def _arms(config: ScenarioConfig) -> tuple:
-    """(prefix arm, herald) of the success arm and, where tracked, the failure arm that the detectors see.
-
-    With no herald after the phase these are the prefix arms, with no herald (None).  Otherwise the success
-    arm reads the output heralds' product (`_success`); as at the input stage (`_prefix`), a single herald alone
-    tracks a failure arm: its projector's complement.
-    """
-    heralds = _output_heralds(config)
-    if not heralds:
-        return (0, None), (1, None)
-    if len(heralds) > 1 or any(m.heralded for m in _input_mods(config)):
-        return ((0, _success(heralds)),)
-    n, click = _herald_args(heralds[0])[2:]
-    return (0, _success(heralds)), (0, wig.projector(4, n, not click))
 
 
 def _input_mods(config: ScenarioConfig) -> tuple:
@@ -553,9 +520,10 @@ def _gaussian_step(m: ModificationSpec, modes: int) -> sym.SymplecticTransform:
     return sym.embed(make, [m.mode], modes)
 
 
-@lru_cache(maxsize=PREFIX_CACHE_SIZE)
-def _prefix(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss: ga.LossSpec | None) -> PipelineResult:
-    """Inputs and input-stage modifications, heralds included: the part of a pipeline upstream of phi.
+class _Prefix:
+    """The phase-independent record of a pipeline: the inputs and input-stage modifications, heralds included, and
+    on the Wigner path the uniform `loss`.  Each part is built on its first read and kept with the record, which
+    the points of a sweep after the MZI share.
 
     A Gaussian prefix propagates the inputs through each modification.  A Wigner prefix is one read of the
     inputs and one Fock ancilla per herald (`_ancillas`) through one channel, the modifications in order
@@ -565,39 +533,105 @@ def _prefix(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss: ga.Loss
     floor; a single herald also tracks its failure arm, the unprojected read minus the projected one, which is
     left untracked below the floor, so a herald that succeeds almost surely is kept.
     """
-    if gaussian_path:
-        state = ga.tensor([s.gaussian() for s in inputs])
-        for m in input_mods:
-            state = ga.propagate(state, _gaussian_step(m, 2))
-        return PipelineResult(state)
-    joint = _with_ancillas(wig.tensor_exprs(inputs[0].expr(), inputs[1].expr()), _ancillas(input_mods))
-    if not input_mods and loss is None:
-        return PipelineResult(joint, gaussian_path=False)
-    n = joint.nvars
-    channel = _then(input_mods, n, np.eye(n), np.zeros(n), np.zeros((n, n)))
-    if loss is not None:
-        channel = _attenuated(channel, slice(0, 4), math.sqrt(1.0 - loss.total), loss.total / 2.0)
 
-    def read(herald: tuple | None) -> wig.WignerExpr:
-        return wig.AffineImage(joint, *channel, herald).state((1, 2))
+    def __init__(self, inputs: tuple, input_mods: tuple, gaussian_path: bool, loss: ga.LossSpec | None):
+        self.inputs, self.input_mods, self.gaussian_path, self.loss = inputs, input_mods, gaussian_path, loss
+        self._jets, self._columns = {}, {}  # (ancillas, arm, order) -> W^(order), (W, ..., W^(order)) as columns
 
-    heralds = [m for m in input_mods if m.heralded]
-    if not heralds:
-        return PipelineResult(read(None), gaussian_path=False)
-    if len(heralds) > 1:
-        state = read(_success(heralds))
-        return PipelineResult(*wig._herald_branch(state, state.norm / joint.norm), gaussian_path=False)
-    n, click = _herald_args(heralds[0])[2:]
-    projected = read(wig.projector(4, n))
-    p = projected.norm / joint.norm
-    negated = [wig.Term(-t.weight, t.poly, t.mean, t.quad) for t in projected.terms]
-    arms = [(projected, p), (wig.WignerExpr(2, read(None).terms + negated), 1.0 - p)][:: -1 if click else 1]
-    ok = wig._herald_branch(*arms[0])
-    try:
-        fail = wig._herald_branch(*arms[1])
-    except ImprobableBranch:
-        fail = None, 0.0
-    return PipelineResult(*ok, *fail, gaussian_path=False)
+    @cached_property
+    def result(self) -> PipelineResult:
+        """The arms and their weights."""
+        inputs, input_mods, loss = self.inputs, self.input_mods, self.loss
+        if self.gaussian_path:
+            state = ga.tensor([s.gaussian() for s in inputs])
+            for m in input_mods:
+                state = ga.propagate(state, _gaussian_step(m, 2))
+            return PipelineResult(state)
+        joint = _with_ancillas(wig.tensor_exprs(inputs[0].expr(), inputs[1].expr()), _ancillas(input_mods))
+        if not input_mods and loss is None:
+            return PipelineResult(joint, gaussian_path=False)
+        n = joint.nvars
+        channel = _then(input_mods, n, np.eye(n), np.zeros(n), np.zeros((n, n)))
+        if loss is not None:
+            channel = _attenuated(channel, slice(0, 4), math.sqrt(1.0 - loss.total), loss.total / 2.0)
+
+        def read(herald: tuple | None) -> wig.WignerExpr:
+            return wig.AffineImage(joint, *channel, herald).state((1, 2))
+
+        heralds = [m for m in input_mods if m.heralded]
+        if not heralds:
+            return PipelineResult(read(None), gaussian_path=False)
+        if len(heralds) > 1:
+            state = read(_success(heralds))
+            return PipelineResult(*wig._herald_branch(state, state.norm / joint.norm), gaussian_path=False)
+        n, click = _herald_args(heralds[0])[2:]
+        projected = read(wig.projector(4, n))
+        p = projected.norm / joint.norm
+        negated = [wig.Term(-t.weight, t.poly, t.mean, t.quad) for t in projected.terms]
+        arms = [(projected, p), (wig.WignerExpr(2, read(None).terms + negated), 1.0 - p)][:: -1 if click else 1]
+        ok = wig._herald_branch(*arms[0])
+        try:
+            fail = wig._herald_branch(*arms[1])
+        except ImprobableBranch:
+            fail = None, 0.0
+        return PipelineResult(*ok, *fail, gaussian_path=False)
+
+    def jet(self, ancillas: tuple, arm: int, order: int = 0) -> wig.WignerExpr | None:
+        """W^(order) of one arm of a Wigner prefix (0 the success arm, 1 the failure arm, None where untracked),
+        normalized and followed by the output heralds' `ancillas` (Fock numbers).  M'(phi) = M(phi) M'(0) makes
+        each phi-derivative of an arm seen through the channel a fixed expression (`wig.phase_tangent`)."""
+        key = ancillas, arm, order
+        if key not in self._jets:
+            if order:
+                h = np.zeros((4 + 2 * len(ancillas),) * 2)  # M'(0), and 0 on the ancillas: A'(phi) = A(phi) h
+                h[:4, :4] = sym.mzi_phase_derivative(0.0)
+                self._jets[key] = wig.phase_tangent(self.jet(ancillas, arm, order - 1), h)
+            else:
+                w = (self.result.state, self.result.failure_state)[arm]
+                self._jets[key] = None if w is None else _with_ancillas(w.normalize(), ancillas)
+        return self._jets[key]
+
+    def columns(self, ancillas: tuple, arm: int, order: int) -> list:
+        """(W, ..., W^(order)) of one arm as the coefficient columns `wig.kernel_densities` reads."""
+        key = ancillas, arm, order
+        if key not in self._columns:
+            self._columns[key] = wig.kernel_columns(tuple(self.jet(ancillas, arm, k) for k in range(order + 1)))
+        return self._columns[key]
+
+    @cached_property
+    def qfi(self) -> float:
+        """A bound on the QFI of the MZI family of the prefix, the same at every phi.
+
+        The channel after the MZI can only lower it, so it bounds the information of every detector of a config
+        at every phi.  A Gaussian prefix takes the QFI of its lossless MZI family; a Wigner prefix's success arm
+        Var(n1 - n2) after the first 50/50 splitter, 4 Var(J_z) >= QFI.
+        """
+        if not self.gaussian_path:
+            split = wig.AffineImage(self.jet((), 0), sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
+            return meas.intensity_difference(split, 1, 2).variance
+        state = self.result.state
+        g = sym.mzi_phase_derivative(0.0)
+        half = g @ state.cov
+        return est.qfi_mixed_gaussian(state, g @ state.mean, half + half.T)
+
+    @cached_property
+    def mean_photon(self) -> float:
+        """Total mean photon number entering the interferometer, which the passive MZI keeps.
+
+        It is the state itself on the Gaussian path, and on the Wigner path its four second moments
+        (<n_k> = (<x_k^2> + <p_k^2> - 1) / 2) from one Wick pass.  A Wigner prefix holds the uniform loss L, which
+        scales the total by 1 - L exactly; at L = 1 the lossless prefix is read instead.
+        """
+        loss = self.loss
+        if self.gaussian_path:
+            return ga.total_mean_photon(self.result.state)
+        if loss is not None and loss.total >= 1.0:
+            return _prefix(self.inputs, self.input_mods, False, None).mean_photon
+        xx = wig.moments(self.jet((), 0), [{i: 2} for i in range(4)])  # <x_1^2>, <p_1^2>, <x_2^2>, <p_2^2>
+        return float(sum(0.5 * (xx[i] + xx[i + 1]) - 0.5 for i in (0, 2))) / (1.0 if loss is None else 1.0 - loss.total)
+
+
+_prefix = lru_cache(maxsize=PREFIX_CACHE_SIZE)(_Prefix)
 
 
 def _with_ancillas(expr: wig.WignerExpr, ancillas: tuple) -> wig.WignerExpr:
@@ -607,45 +641,14 @@ def _with_ancillas(expr: wig.WignerExpr, ancillas: tuple) -> wig.WignerExpr:
     return expr
 
 
-@lru_cache(maxsize=PREFIX_CACHE_SIZE)
-def _prefix_moments(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None, ancillas: tuple) -> tuple:
-    """The normalized state of each arm of the Wigner-path prefix, None for an untracked arm, followed by the
-    output heralds' `ancillas` (Fock numbers); an arm keeps the moment tensor its first moment read builds."""
-    res = _prefix(inputs, input_mods, False, loss)
-    return tuple(None if arm is None else _with_ancillas(arm.normalize(), ancillas)
-                 for arm in (res.state, res.failure_state))
-
-
-@lru_cache(maxsize=PREFIX_CACHE_SIZE)
-def _prefix_jets(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None, ancillas: tuple) -> tuple:
-    """(W, W', W'') of each arm of the Wigner-path prefix, None for an untracked arm: M'(phi) = M(phi) M'(0)
-    makes each phi-derivative of an arm seen through the channel a fixed expression (`wig.phase_tangent`)."""
-    arms = _prefix_moments(inputs, input_mods, loss, ancillas)
-    h = np.zeros((4 + 2 * len(ancillas),) * 2)  # M'(0), and 0 on the ancillas: A'(phi) = A(phi) h
-    h[:4, :4] = sym.mzi_phase_derivative(0.0)
-    tangent = partial(wig.phase_tangent, h=h)
-    slopes = [None if arm is None else (arm, tangent(arm)) for arm in arms]
-    return tuple(None if w is None else (*w, tangent(w[1])) for w in slopes)
-
-
-@lru_cache(maxsize=2 * PREFIX_CACHE_SIZE)
-def _kernel_columns(inputs: tuple, input_mods: tuple, loss: ga.LossSpec | None, ancillas: tuple, arm: int,
-                    order: int) -> list:
-    """(W, ..., W^(order)) of one prefix arm as the coefficient columns `wig.kernel_densities` reads."""
-    return wig.kernel_columns(_prefix_jets(inputs, input_mods, loss, ancillas)[arm][: order + 1])
-
-
-def _after_mzi(config: ScenarioConfig, loss: ga.LossSpec | None, n: int | None = None) -> tuple:
+def _after_mzi(config: ScenarioConfig, loss: ga.LossSpec | None, n: int) -> tuple:
     """(K, b, C): the maps after the MZI as one channel X = K Z + b + xi, xi ~ N(0, C), on its output Z.
 
-    Z holds the two interferometer modes and one ancilla mode per output
-    herald (`_output_heralds`), or n variables, on which the MZI acts as the identity.
-    A uniform `loss` L comes first: K = sqrt(1 - L) I and C = (L / 2) I.
-    Thermal injection on a mode scales it by sqrt(eta) and adds noise of
-    variable covariance (1 - eta)(2 nbar + 1)/2 there; the output stage
-    follows (`_then`).
+    Z holds n variables: the two interferometer modes and one ancilla mode per herald after the phase, on which
+    the MZI acts as the identity.  A uniform `loss` L comes first: K = sqrt(1 - L) I and C = (L / 2) I.  Thermal
+    injection on a mode scales it by sqrt(eta) and adds noise of variable covariance (1 - eta)(2 nbar + 1)/2
+    there; the output stage follows (`_then`).
     """
-    n = n or 4 + 2 * len(_output_heralds(config))
     channel = np.eye(n), np.zeros(n), np.zeros((n, n))
     if loss is not None:
         channel = _attenuated(channel, slice(0, 4), math.sqrt(1.0 - loss.total), loss.total / 2.0)
@@ -686,54 +689,63 @@ def _then(mods, n: int, k: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
     return k, b, c
 
 
-@lru_cache(maxsize=1)
-def _observer(config: ScenarioConfig) -> Callable[[float], PipelineResult]:
-    """phi -> the pipeline result the detectors see: the cached prefix through X = A Y + b + xi, A = K M(phi).
+class _Route:
+    """How the detectors of one config see its state, decided once: its path, its prefix record (`_prefix`), the
+    channel after the MZI (`_after_mzi`), (K, b, C), and the arms they read.
 
-    The MZI is a plain matrix, not a validated transform.  A Gaussian prefix (R0, sigma0) becomes the
-    GaussianState (A R0 + b, A sigma0 A^T + 2C); each Wigner arm (`_arms`) an `AffineImage`, weighted by the
-    probability of its herald after the phase.  Below the renormalization floor a success arm raises
-    ImprobableBranch and a failure arm is untracked, as at the input stage.  The last config's observer is
-    kept, with its most recent phases.
+    The uniform loss follows the MZI on the Gaussian path and sits in the prefix on the Wigner path, where it
+    commutes with the passive MZI.  A herald after the phase adds its ancilla to the prefix (`ancillas`) and its
+    coupling to the channel.  An arm is (prefix arm, herald): the prefix arms, unheralded (None), or the output
+    heralds' product (`_success`) and, for a single herald alone, as at the input stage, its complement.
     """
-    gaussian_path = _gaussian_possible(config)
-    loss = _uniform_loss(config)
-    # the uniform loss follows the MZI on the Gaussian path and sits in the prefix, where it commutes with the
-    # passive MZI, on the Wigner path
-    prefix_loss, channel_loss = (None, loss) if gaussian_path else (loss, None)
-    k, b, c = _after_mzi(config, channel_loss)
-    prefix = _prefix(config.inputs, _input_mods(config), gaussian_path, prefix_loss)
-    moments = None if gaussian_path else _prefix_moments(config.inputs, _input_mods(config), prefix_loss,
-                                                         _ancillas(_output_heralds(config)))
-    weights, arms = (prefix.success_prob, prefix.failure_prob), _arms(config)
+
+    def __init__(self, config: ScenarioConfig):
+        self.gaussian_path = _gaussian_possible(config)
+        loss = _uniform_loss(config)
+        prefix_loss, channel_loss = (None, loss) if self.gaussian_path else (loss, None)
+        self.prefix = _prefix(config.inputs, _input_mods(config), self.gaussian_path, prefix_loss)
+        heralds = tuple(m for m in config.modifications if m.heralded and m.stage == "output")
+        self.ancillas = _ancillas(heralds)
+        self.channel = _after_mzi(config, channel_loss, 4 + 2 * len(heralds))
+        self.arms = ((0, _success(heralds)),) if heralds else ((0, None), (1, None))
+        if len(heralds) == 1 and not any(m.heralded for m in self.prefix.input_mods):
+            n, click = _herald_args(heralds[0])[2:]
+            self.arms += ((0, wig.projector(4, n, not click)),)
 
     @lru_cache(maxsize=OBSERVED_PHASES)
-    def observe(phi: float) -> PipelineResult:
+    def observe(self, phi: float) -> PipelineResult:
+        """The pipeline result the detectors see at phi: the prefix through X = A Y + b + xi, A = K M(phi), a plain
+        matrix.  A Gaussian prefix (R0, sigma0) becomes the GaussianState (A R0 + b, A sigma0 A^T + 2C); each Wigner
+        arm an `AffineImage`, weighted by the probability of its herald after the phase.  Below the renormalization
+        floor a success arm raises ImprobableBranch and a failure arm is untracked, as at the input stage.
+        """
+        k, b, c = self.channel
         a = k.copy()  # K (M(phi) + I), the identity on the ancillas
         a[:, :4] = k[:, :4] @ sym.mzi_matrix(phi)
-        if moments is None:
-            cov = a @ prefix.state.cov @ a.T + 2.0 * c
-            return replace(prefix, state=ga.GaussianState(a @ prefix.state.mean + b, (cov + cov.T) / 2.0))
-        ok, *fail = (None if moments[i] is None else wig.AffineImage(moments[i], a, b, c, herald)
-                     for i, herald in arms)
+        res = self.prefix.result
+        if self.gaussian_path:
+            cov = a @ res.state.cov @ a.T + 2.0 * c
+            return replace(res, state=ga.GaussianState(a @ res.state.mean + b, (cov + cov.T) / 2.0))
+        weights = res.success_prob, res.failure_prob
+        arms = [(self.prefix.jet(self.ancillas, i), herald) for i, herald in self.arms]
+        ok, *fail = (None if w is None else wig.AffineImage(w, a, b, c, herald) for w, herald in arms)
         if ok.probability < wig.IMPROBABLE_FLOOR:
             raise ImprobableBranch(ok.probability)
         fail = next((arm for arm in fail if arm is not None and arm.probability >= wig.IMPROBABLE_FLOOR), None)
         # a failure arm follows the success arm's prefix arm (the complement of an output herald) or the other one
-        p_fail = 0.0 if fail is None else weights[arms[1][0]] * min(fail.probability, 1.0)
-        return replace(prefix, state=ok, success_prob=weights[0] * min(ok.probability, 1.0), failure_state=fail,
+        p_fail = 0.0 if fail is None else weights[self.arms[1][0]] * min(fail.probability, 1.0)
+        return replace(res, state=ok, success_prob=weights[0] * min(ok.probability, 1.0), failure_state=fail,
                        failure_prob=p_fail)
 
-    return observe
+
+_route = lru_cache(maxsize=1)(_Route)  # the last config's route, with its most recent observations
 
 
 def _tangent(config: ScenarioConfig, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """(dR/dphi, dsigma/dphi) of a Gaussian config on the prefix channel, from A' = K M'(phi).
-
-    dR = A' R0 and dsigma = A' sigma0 A^T + A sigma0 A'^T, with A = K M(phi).
-    """
-    k = _after_mzi(config, _uniform_loss(config))[0]
-    prefix = _prefix(config.inputs, _input_mods(config), True, None).state
+    """(dR/dphi, dsigma/dphi) of a Gaussian config on the prefix channel: dR = A' R0 and
+    dsigma = A' sigma0 A^T + A sigma0 A'^T, with A = K M(phi) and A' = K M'(phi)."""
+    route = _route(config)
+    k, prefix = route.channel[0], route.prefix.result.state
     a, da = k @ sym.mzi_matrix(phi), k @ sym.mzi_phase_derivative(phi)
     half = da @ prefix.cov @ a.T
     return da @ prefix.mean, half + half.T
@@ -789,13 +801,13 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
     between mirror minima.  Raises SignalStationary when no phase gives a
     finite variance.
     """
-    shifted = bool(np.any(_after_mzi(config, None)[1]))
-    if scheme.kind in meas.POLYNOMIAL_KINDS and not _output_heralds(config):
+    route = _route(config)
+    shifted = bool(np.any(route.channel[1]))
+    if scheme.kind in meas.POLYNOMIAL_KINDS and not route.ancillas:
         even = scheme.kind != "homodyne"
         rate = 2 if shifted or not even else 1
         n = 9 if even and shifted else 5
-        observe = _observer(config)
-        samples = [meas.measure(observe(2.0 * math.pi * rate * j / n).state, scheme) for j in range(n)]
+        samples = [meas.measure(route.observe(2.0 * math.pi * rate * j / n).state, scheme) for j in range(n)]
         variance, floor, points = est.trig_signal(samples, rate)
         return (*_least(points), _Signal(variance, floor))
     jet = _signal_jet(config, scheme)
@@ -837,16 +849,16 @@ def _wigner_read(config: ScenarioConfig, index: int, order: int, herald: tuple, 
     """(phis, kernel, blur, monomials) -> `wig.herald_read` of a prefix arm and its phase tangents up to `order`.
 
     A(phi) = K (M(phi) + I), M(phi) = cos(phi/2) + 2 sin(phi/2) M'(0) on the interferometer's variables and I on
-    the ancillas'; the tangents (`_prefix_jets`) give every read's phi-derivatives exactly.  With `rows`, the
+    the ancillas'; the tangents (`_Prefix.jet`) give every read's phi-derivatives exactly.  With `rows`, the
     channel is cut to those variables first (an unheralded kernel read needs its mode's alone).
     """
-    k, b, c = _after_mzi(config, None)
+    route = _route(config)
+    k, b, c = route.channel
     a_c, a_s, a_0 = k.copy(), np.zeros_like(k), k.copy()
     a_c[:, 4:], a_s[:, :4], a_0[:, :4] = 0.0, 2.0 * (k[:, :4] @ sym.mzi_phase_derivative(0.0)), 0.0
     if rows is not None:
         a_c, a_s, a_0, b, c = a_c[rows], a_s[rows], a_0[rows], b[rows], c[rows][:, rows]
-    columns = _kernel_columns(config.inputs, _input_mods(config), _uniform_loss(config),
-                              _ancillas(_output_heralds(config)), index, order)
+    columns = route.prefix.columns(route.ancillas, index, order)
     ancillas = bool(np.any(a_0))
 
     def read(phi: np.ndarray, kernel: list | None = (), blur: np.ndarray | None = None, monomials: list | None = None):
@@ -857,7 +869,7 @@ def _wigner_read(config: ScenarioConfig, index: int, order: int, herald: tuple, 
 
 
 def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int = 0, order: int = 2) -> Callable:
-    """The batched jet of parity or click on one arm (`_arms`) of the prefix channel.
+    """The batched jet of parity or click on one arm (`_Route.arms`) of the prefix channel.
 
     The jet maps an array of phases to <O> and its phi-derivatives up to
     `order` and the rounding level of Var there, with O the no-click
@@ -877,10 +889,10 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
     (`_wigner_read`); after an output herald, <O> = p<O> / p with p the read of
     the herald's projectors (`_ratio`).
     """
-    gaussian_path, loss = _gaussian_possible(config), _uniform_loss(config)
+    route = _route(config)
     scale = 1.0 if scheme.kind == "parity" else 2.0
-    if not gaussian_path:
-        index, herald = _arms(config)[arm]
+    if not route.gaussian_path:
+        index, herald = route.arms[arm]
         mode = [2 * scheme.mode - 2, 2 * scheme.mode - 1]
         blur = np.zeros((2, 2)) if scheme.kind == "parity" else 0.5 * np.eye(2)
         # an unheralded read needs the detected mode's rows alone
@@ -897,10 +909,10 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
             return *_ratio(math.pi * scale * densities, p, p_size), noise
 
         return wigner_jet
-    k, b, c = _after_mzi(config, loss)
+    k, b, c = route.channel
     rows = slice(2 * scheme.mode - 2, 2 * scheme.mode)
     a_c, a_s, b = k[rows], 2.0 * (k @ sym.mzi_phase_derivative(0.0))[rows], b[rows]
-    state = _prefix(config.inputs, _input_mods(config), True, None).state
+    state = route.prefix.result.state
     r0, s0 = state.mean, state.cov
     m_c, m_s = a_c @ r0, a_s @ r0
     s_cc, s_cs, s_ss = a_c @ s0 @ a_c.T, a_c @ s0 @ a_s.T, a_s @ s0 @ a_s.T
@@ -941,7 +953,7 @@ def _signal_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callabl
             return m, m1, m2, *_variance(m, m1, m2, *square), noise
 
         return kernel_signal
-    read = _wigner_read(config, 0, 2, _arms(config)[0][1])
+    read = _wigner_read(config, 0, 2, _route(config).arms[0][1])
     constants = meas.measure(SimpleNamespace(modes=2, moments=lambda monomials: [0.0] * len(monomials)), scheme)
 
     def polynomial_signal(phi: np.ndarray) -> tuple:
@@ -961,35 +973,10 @@ def _signal_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callabl
     return polynomial_signal
 
 
-def _mzi_qfi(config: ScenarioConfig) -> float:
-    """A bound on the QFI of the MZI family of the prefix, the same at every phi.
-
-    The channel after the MZI can only lower it, so it bounds the information
-    of every detector of the config at every phi.  A Gaussian prefix takes the QFI of its lossless MZI
-    family; a Wigner prefix's success arm Var(n1 - n2) after the first 50/50 splitter, 4 Var(J_z) >= QFI.
-    """
-    gaussian_path = _gaussian_possible(config)
-    return _prefix_qfi(config.inputs, _input_mods(config), gaussian_path,
-                       None if gaussian_path else _uniform_loss(config))
-
-
-@lru_cache(maxsize=PREFIX_CACHE_SIZE)
-def _prefix_qfi(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss: ga.LossSpec | None) -> float:
-    """`_mzi_qfi` of one prefix, kept with it: the points of a sweep after the MZI share it."""
-    if not gaussian_path:
-        expr = _prefix_moments(inputs, input_mods, loss, ())[0]
-        split = wig.AffineImage(expr, sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
-        return meas.intensity_difference(split, 1, 2).variance
-    state = _prefix(inputs, input_mods, True, None).state
-    g = sym.mzi_phase_derivative(0.0)
-    half = g @ state.cov
-    return est.qfi_mixed_gaussian(state, g @ state.mean, half + half.T)
-
-
 def _kernel_optimum(config: ScenarioConfig, jet: Callable, period: float) -> tuple[float, float]:
     """The phase-variance minimum of a jet signal (`_signal_jet`), from one batched grid of its jet.
 
-    The grid has cells of width 1 / sqrt(F), with F = `_mzi_qfi`: it bounds
+    The grid has cells of width 1 / sqrt(F), with F = `_Prefix.qfi`: it bounds
     the Fisher information Var^-1 <O>'^2 of every detector at every phi, so a
     cell is the width of the narrowest fringe.  The fringe angle
     theta = arccos <O> (parity), or arccos(1 - 2P) (click), turns by at most
@@ -997,14 +984,14 @@ def _kernel_optimum(config: ScenarioConfig, jet: Callable, period: float) -> tup
     points on that grid, a window of phases per bracket in each batched jet call, and reads V from the jet at
     the phase it reports; the least of them (by the OPTIMUM_TIE rule) is reported.
     """
-    cells = 4 * max(math.ceil(period * math.sqrt(_mzi_qfi(config)) / 4.0), 1)
+    cells = 4 * max(math.ceil(period * math.sqrt(_route(config).prefix.qfi) / 4.0), 1)
     return _least(est.kernel_minima(jet, period, cells))
 
 
 def _click_cfi(config: ScenarioConfig, phi: float) -> float:
     """Total click-detection CFI over both output modes and both herald arms.
 
-    Each arm (`_arms`) adds, weighted by its probability, both detectors' CFIs (`est.binary_cfi`, where an
+    Each arm (`_Route.arms`) adds, weighted by its probability, both detectors' CFIs (`est.binary_cfi`, where an
     outcome of probability 0 adds 0).  Each reads the arm's no-click probability and its exact slope, resolved
     at a bright port, from its jet (`_kernel_jet`), and the curvature that gives a dark outcome's limit 2 P''
     where an outcome's probability is within rounding of 0: a click probability, formed as 1 - P0, or a Wigner
@@ -1012,7 +999,8 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
     from the exact jet of its less probable outcome; an arm untracked at phi (below the renormalization floor)
     adds nothing.
     """
-    res, gaussian_path = _observer(config)(phi), _gaussian_possible(config)
+    route = _route(config)
+    res = route.observe(phi)
     total = 0.0
     for arm, (branch, p) in enumerate((("state", res.success_prob), ("failure_state", 1.0 - res.success_prob))):
         part = 0.0
@@ -1021,14 +1009,14 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
             p0, dp0 = (float(v[0]) for v in _kernel_jet(config, scheme, arm, order=1)(np.array([phi]))[:2])
             # an outcome whose probability rounds to the level of its absolute error may be a dark one, whose
             # limit needs the curvature; a Gaussian no-click probability keeps its relative precision
-            dark = 1.0 - p0 <= est.SLOPE_FLOOR or (p0 <= est.SLOPE_FLOOR and not gaussian_path)
+            dark = 1.0 - p0 <= est.SLOPE_FLOOR or (p0 <= est.SLOPE_FLOOR and not route.gaussian_path)
             d2p0 = float(_kernel_jet(config, scheme, arm)(np.array([phi]))[2][0]) if dark else None
             part += est.binary_cfi(p0, dp0, phi, d2p0)
         total += p * part
-    if _arms(config)[0][1] is None:
+    if route.arms[0][1] is None:
         return total
     # the herald's less probable outcome keeps its relative precision: cfi allows a single herald, so both are read
-    p, dp = min((_wigner_read(config, 0, 1, herald)(np.array([phi]))[0][:, 0] for _, herald in _arms(config)),
+    p, dp = min((_wigner_read(config, 0, 1, herald)(np.array([phi]))[0][:, 0] for _, herald in route.arms),
                 key=lambda jet: jet[0])
     return total + (est.binary_cfi(float(p), float(dp), phi) if dp else 0.0)
 
@@ -1044,44 +1032,27 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
     noise after the MZI (C = 0, which thermal injection at eta = 1 keeps), a
     pure prefix is a pure input to the MZI, whose phase is generated by
     J_z = (n1 - n2)/2 after its first 50/50 splitter: F = 4 Var(J_z) =
-    Var(n1 - n2) there (`_mzi_qfi`), the same at every phi.  The output
+    Var(n1 - n2) there (`_Prefix.qfi`), the same at every phi.  The output
     squeezes and displacements are phi-independent unitaries and keep it.
     Noise after the MZI leaves a mixed non-Gaussian family, for which no QFI
     is given.
     """
-    if _output_heralds(config):
+    route = _route(config)
+    if route.ancillas:
         return None, "unavailable (herald after the phase)"
-    if _gaussian_possible(config):
-        res = _observer(config)(phi)
+    if route.gaussian_path:
+        res = route.observe(phi)
         nu = ga.williamson(res.state.cov)[0]
         route = "pure_gaussian" if nu[-1] ** 2 - 1.0 <= est.PURE_GAUSSIAN_TOL else "mixed_gaussian"
         return est.qfi_mixed_gaussian(res.state, *_tangent(config, phi)), route
     mixed = None, "unavailable (mixed non-Gaussian)"
-    if np.any(_after_mzi(config, None)[2]):
+    if np.any(route.channel[2]):
         return mixed
     try:
-        est.require_pure_wigner(_prefix(config.inputs, _input_mods(config), False, _uniform_loss(config)).state)
+        est.require_pure_wigner(route.prefix.result.state)
     except PurityViolation:
         return mixed
-    return _mzi_qfi(config), "pure_wigner"
-
-
-def _input_mean_photon(config: ScenarioConfig) -> float:
-    """Total mean photon number entering the interferometer (after the input-stage modifications).
-
-    The passive MZI keeps the total, so it is read from the cached prefix the observer reads: the state itself
-    on the Gaussian path, its four second moments (<n_k> = (<x_k^2> + <p_k^2> - 1) / 2) on the Wigner path, from
-    one Wick pass.  A Wigner prefix holds the uniform loss L, which scales the total by 1 - L exactly; at L = 1
-    the lossless prefix is read instead.
-    """
-    gaussian_path = _gaussian_possible(config)
-    loss = None if gaussian_path else _uniform_loss(config)
-    loss = loss if loss is not None and loss.total < 1.0 else None
-    state = _prefix(config.inputs, _input_mods(config), gaussian_path, loss).state
-    if gaussian_path:
-        return ga.total_mean_photon(state)
-    xx = wig.moments(state.normalize(), [{i: 2} for i in range(4)])  # <x_1^2>, <p_1^2>, <x_2^2>, <p_2^2>
-    return float(sum(0.5 * (xx[i] + xx[i + 1]) - 0.5 for i in (0, 2))) / (1.0 if loss is None else 1.0 - loss.total)
+    return route.prefix.qfi, "pure_wigner"
 
 
 def evaluate_point(config: ScenarioConfig, phi: float | None = None):
@@ -1097,7 +1068,7 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
     warnings: list[str] = []
     distributions: list[dict] = []
     try:
-        res = _observer(config)(phi)
+        res = _route(config).observe(phi)
     except ImprobableBranch as exc:
         report.extras["flag"] = "improbable herald branch"
         warnings.append(f"phi={phi:.6g}: {exc}")
@@ -1105,7 +1076,7 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
     if res.success_prob < 1.0:
         report.extras["herald_probability"] = res.success_prob
 
-    ntot = _input_mean_photon(config)
+    ntot = _route(config).prefix.mean_photon
     if ntot > 0.0:
         report.snl = est.snl(ntot)
         report.hl = est.hl(ntot)
@@ -1356,9 +1327,8 @@ def _counted(config: ScenarioConfig, mod: ModificationSpec, grid: tuple) -> tupl
     """
     gridded = replace(mod, T=grid)
     config = replace(config, modifications=tuple(gridded if m is mod else m for m in config.modifications))
-    inputs = _input_mods(config)
-    expr = _prefix_moments(config.inputs, (), None, (_herald_args(mod)[1],))[0]
-    j, s, _ = _then(inputs, 6, np.eye(6), np.zeros(6), np.zeros((6, 6)))
+    expr = _prefix(config.inputs, (), False, None).jet((_herald_args(mod)[1],), 0)
+    j, s, _ = _then(_input_mods(config), 6, np.eye(6), np.zeros(6), np.zeros((6, 6)))
     k, b, c = _after_mzi(config, _uniform_loss(config), 6)
     a = k.copy()
     a[..., :4] = k[..., :4] @ sym.mzi_matrix(config.phi)

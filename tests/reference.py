@@ -142,7 +142,7 @@ def modify(res: sc.PipelineResult, mods) -> sc.PipelineResult:
 
 @lru_cache(maxsize=8)
 def prefix(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss) -> sc.PipelineResult:
-    """The referee of `sc._prefix`: the inputs, each input-stage modification in turn (`modify`), then the
+    """The referee of `sc._Prefix.result`: the inputs, each input-stage modification in turn (`modify`), then the
     uniform loss on each mode (`attenuate`)."""
     exprs = [s.gaussian() if gaussian_path else s.expr() for s in inputs]
     state = ga.tensor(exprs) if gaussian_path else wg.tensor_exprs(*exprs)
@@ -165,7 +165,7 @@ def build_pipeline(config, phi: float | None = None) -> Built:
     Uniform loss on both modes commutes with the passive MZI, so on the Wigner
     path, where each loss is an attenuation, it sits in the prefix; on the
     Gaussian path it follows the MZI.  This is the referee of the engine's
-    prefix channel (`sc._observer`) and of every read taken off it.
+    prefix channel (`sc._Route.observe`) and of every read taken off it.
     """
     return output_stage(before_output(config, phi), config)
 

@@ -98,7 +98,7 @@ CONFIGS = {
 
 def period(config: sc.ScenarioConfig) -> float:
     """The period of V in phi searched by `_optimal_phi`: 4 pi behind an output displacement, else 2 pi."""
-    return 4.0 * math.pi if np.any(sc._after_mzi(config, None)[1]) else 2.0 * math.pi
+    return 4.0 * math.pi if np.any(sc._route(config).channel[1]) else 2.0 * math.pi
 
 
 def variance_fn(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, floor: float):
@@ -243,7 +243,7 @@ def test_bright_fringe_needs_the_grid_that_resolves_it():
     config = sc.ScenarioConfig.from_dict(KERNEL_CONFIGS["bright"][0])
     jet = sc._signal_jet(config, config.detection[0])
     assert est.kernel_minima(jet, 2.0 * math.pi, 64) == []
-    assert math.ceil(2.0 * math.pi * math.sqrt(sc._mzi_qfi(config))) > 10_000
+    assert math.ceil(2.0 * math.pi * math.sqrt(sc._route(config).prefix.qfi)) > 10_000
     assert sc._optimal_phi(config, config.detection[0])[1] < 1.2e-5
 
 
@@ -297,7 +297,7 @@ def test_wigner_dark_fringe_at_zero_phase_is_reported_at_zero():
 
 def observed_variance(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, phi: float, h: float) -> tuple:
     """(Var, d<O>/dphi) at phi, observed and measured at phi and phi +- s, the slope with two Richardson levels."""
-    observe = sc._observer(config)
+    observe = sc._route(config).observe
     moments = lambda p: meas.measure(observe(p).state, scheme)
     d = [(moments(phi + s).mean - moments(phi - s).mean) / (2 * s) for s in (h, h / 2, h / 4)]
     r = [(4 * d[i + 1] - d[i]) / 3 for i in range(2)]
@@ -450,7 +450,7 @@ def test_output_herald_optimum_approaches_the_herald_zero():
     phi = report.optimal_phi["click[1]"]
     assert report.extras["min_phase_variance.click[1]"] == pytest.approx(5.0 / 36.0, rel=1e-7, abs=0.0)
     assert abs(phi - math.pi) < 1e-3
-    assert sc._observer(config)(phi).success_prob >= wg.IMPROBABLE_FLOOR
+    assert sc._route(config).observe(phi).success_prob >= wg.IMPROBABLE_FLOOR
     signal = sc._optimal_phi(config, meas.DetectionScheme("click", 1))[2]
     v = signal.variance(math.pi - np.array([0.3, 0.1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4]))
     assert np.all(np.diff(v) < 0.0) and v[-1] > 5.0 / 36.0

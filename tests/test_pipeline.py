@@ -68,6 +68,7 @@ class TestPrefix:
 
         monkeypatch.setattr(wg, "_integrate_out", counted)
         sc._prefix.cache_clear()
+        sc._route.cache_clear()
         cfg = config([COHERENT, VACUUM], [INPUT_ADDITION], metrics=["phase_variance", "snr"],
                      detection=[{"scheme": "intensity", "mode": 1}], phi=1.0)
         report, _, _ = sc.evaluate_point(cfg)
@@ -137,7 +138,7 @@ def test_each_prefix_arm_matches_the_stage_by_stage_referee(name):
     raw = {"inputs": inputs, "modifications": mods, "interferometer": {"phi": 0.0}}
     cfg = sc.ScenarioConfig.from_dict(dict(raw, noise={"loss": loss}) if loss else raw)
     key = (cfg.inputs, sc._input_mods(cfg), False, sc._uniform_loss(cfg))
-    got, want = sc._prefix(*key), ref.prefix(*key)
+    got, want = sc._prefix(*key).result, ref.prefix(*key)
     assert [got.success_prob, got.failure_prob] == pytest.approx([want.success_prob, want.failure_prob], rel=1e-12,
                                                                  abs=0.0)
     assert (want.failure_state is None) == (name == "two_heralds")
@@ -175,7 +176,7 @@ def test_an_input_click_that_fires_almost_surely_keeps_its_row():
     click = {"op": "subtract", "stage": "input", "mode": 1, "m": "click", "T": 0.5}
     cfg = config([{"kind": "coherent", "alpha": 10.0}, VACUUM], [click], metrics=["snr", "cfi"],
                  detection=[{"scheme": "intensity", "mode": 1}])
-    res = sc._prefix(cfg.inputs, sc._input_mods(cfg), False, None)
+    res = sc._prefix(cfg.inputs, sc._input_mods(cfg), False, None).result
     assert (res.failure_state, res.failure_prob) == (None, 0.0)
     report, warnings, _ = sc.evaluate_point(cfg)
     assert not warnings and "flag" not in report.extras
@@ -213,6 +214,11 @@ LOSSY_FOCK = {
 }
 
 
+def mean_photon(raw: dict) -> float:
+    """The input photon number of a config, as its route's prefix record gives it."""
+    return sc._route(sc.ScenarioConfig.from_dict(raw)).prefix.mean_photon
+
+
 class TestUniformLossInPrefix:
     @pytest.mark.parametrize("raw", [workloads.point_b(1.0), LOSSY_FOCK], ids=["point_b", "fock_thermal_output"])
     @pytest.mark.parametrize("phi", [0.3, 1.0, 2.9, 4.4])
@@ -224,20 +230,20 @@ class TestUniformLossInPrefix:
     def test_input_mean_photon_stays_lossless(self):
         # photon-added coherent state (|alpha|^2 = 1, m = 1, T = 0.9) plus squeezed vacuum r = 0.5, before the loss
         want = cond.spacs_mean_n(1.0, 1, 0.9) + math.sinh(0.5) ** 2
-        got = sc._input_mean_photon(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
+        got = mean_photon(workloads.point_b(1.0))
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_input_mean_photon_at_total_loss_reads_the_lossless_prefix(self):
         # the lossy prefix holds (1 - L) <n>, which L = 1 leaves no way to divide back out
         raw = workloads.point_b(1.0)
-        lossless = sc._input_mean_photon(sc.ScenarioConfig.from_dict({k: v for k, v in raw.items() if k != "noise"}))
-        got = sc._input_mean_photon(sc.ScenarioConfig.from_dict(dict(raw, noise={"loss": {"L": 1.0, "D": 0.9}})))
+        lossless = mean_photon({k: v for k, v in raw.items() if k != "noise"})
+        got = mean_photon(dict(raw, noise={"loss": {"L": 1.0, "D": 0.9}}))
         assert got == lossless
 
     @pytest.mark.parametrize("name, want", [("pacs_counts", 1.0), ("subtracted_thermal", 4.0)])
     def test_input_mean_photon_is_read_before_the_mzi(self, name, want):
         # the prefix ahead of the MZI gives the input totals exactly, with no rounding from the MZI matrix
-        assert sc._input_mean_photon(sc.load_config(str(ROOT / "configs" / f"{name}.json"))) == want
+        assert mean_photon(json.loads((ROOT / "configs" / f"{name}.json").read_text())) == want
 
 
 class TestClickCfi:
@@ -442,7 +448,7 @@ def richardson(f, phi: float, h: float):
 
 def signal_fns(cfg: sc.ScenarioConfig, scheme: meas.DetectionScheme) -> tuple:
     """mean(phi) and variance(phi) of one detector, measured on the observed state."""
-    at = lambda p: meas.measure(sc._observer(cfg)(p).state, scheme)  # noqa: E731
+    at = lambda p: meas.measure(sc._route(cfg).observe(p).state, scheme)  # noqa: E731
     return (lambda p: at(p).mean), (lambda p: at(p).variance)
 
 
@@ -450,7 +456,7 @@ class TestGaussianPrefixChannel:
     @pytest.mark.parametrize("raw", [LIGO_LOSSY, NOISY_GAUSSIAN], ids=["ligo_lossy", "noisy_gaussian"])
     def test_matches_build_pipeline(self, raw):
         cfg = sc.ScenarioConfig.from_dict(raw)
-        observe = sc._observer(cfg)
+        observe = sc._route(cfg).observe
         for phi in (0.3, 1.7, 2.9, 4.4):
             want, got = ref.build_pipeline(cfg, phi).state, observe(phi).state
             assert isinstance(got, ga.GaussianState)
@@ -496,7 +502,7 @@ class TestGaussianQfi:
             "noise": {"thermal": {"nbar_env": 0.0, "eta": 0.8, "modes": [1]}},
             "metrics": ["qfi"],
         })
-        observe = sc._observer(cfg)
+        observe = sc._route(cfg).observe
         nu = [ga.williamson(observe(p).state.cov)[0] for p in (0.5, 0.9)]
         assert abs(nu[1][-1] - nu[0][-1]) > 1e-3
         got, route = sc._qfi(cfg, 0.9)
@@ -644,7 +650,7 @@ class TestKernelJet:
     @staticmethod
     def observed(cfg, scheme, phi):
         # parity, or the no-click probability, on the validated observed state, and the exact slope of its signal
-        mean = meas.measure(sc._observer(cfg)(phi).state, scheme).mean
+        mean = meas.measure(sc._route(cfg).observe(phi).state, scheme).mean
         return (mean if scheme.kind == "parity" else 1.0 - mean), sc._kernel_jet(cfg, scheme)(np.array([phi]))[1][0]
 
     @pytest.mark.parametrize("name", sorted(KERNEL_JET_CASES))
@@ -654,7 +660,7 @@ class TestKernelJet:
         for scheme in KERNEL_SCHEMES:
             values = sc._kernel_jet(cfg, scheme)(np.array(phis))[0]
             for phi, got in zip(phis, values):
-                state = sc._observer(cfg)(phi).state
+                state = sc._route(cfg).observe(phi).state
                 if scheme.kind == "parity":
                     assert got == pytest.approx(meas.parity(state, scheme.mode).mean, rel=1e-13, abs=1e-300)
                 else:
@@ -679,7 +685,7 @@ class TestWignerKernelJet:
     @pytest.mark.parametrize("name", sorted(ROUTE_CONFIGS))
     def test_slope_and_curvature_match_central_differences(self, name):
         cfg = sc.ScenarioConfig.from_dict(ROUTE_CONFIGS[name])
-        observe = sc._observer(cfg)
+        observe = sc._route(cfg).observe
         phis = (0.4, 1.2, 2.9, 5.0)
         arms = ("state", "failure_state") if observe(1.0).failure_state is not None else ("state",)
         for arm, branch in enumerate(arms):
@@ -703,7 +709,7 @@ class TestWignerKernelJet:
         # the exact slopes of the jets, against the herald-weighted CFI of central differences of the click
         # probabilities (step 1e-5), which the CFI of a Wigner prefix took before
         cfg = sc.ScenarioConfig.from_dict(ROUTE_CONFIGS[name])
-        observe = sc._observer(cfg)
+        observe = sc._route(cfg).observe
 
         def arm(branch):
             return [ref.two_outcome(lambda p, m=m: meas.click_probability(getattr(observe(p), branch), m))
@@ -732,7 +738,7 @@ class TestPulledBackRoute:
     @pytest.mark.parametrize("name", sorted(ROUTE_CONFIGS))
     def test_matches_build_then_measure(self, name):
         cfg = sc.ScenarioConfig.from_dict(ROUTE_CONFIGS[name])
-        observe = sc._observer(cfg)
+        observe = sc._route(cfg).observe
         for phi in (0.3, 1.7, 2.9, 4.4):
             want, got = ref.build_pipeline(cfg, phi), observe(phi)
             assert isinstance(got.state, wg.AffineImage)
@@ -768,7 +774,7 @@ class TestPulledBackRoute:
         # the herald's ancilla rides in the cached prefix, and its projector is one more kernel factor: the herald
         # probability and every detector's moments of each arm agree with the state built at phi
         cfg = sc.ScenarioConfig.from_dict(OUTPUT_HERALDS[name])
-        observe = sc._observer(cfg)
+        observe = sc._route(cfg).observe
         every = EVERY_DETECTOR + [meas.DetectionScheme("homodyne", 1, angle=1.1),
                                   meas.DetectionScheme("intensity_difference", 2, mode_b=1)]
         for phi in (0.4, 1.7, 4.1):
@@ -856,7 +862,7 @@ class TestDistributionsOffTheChannel:
         # herald probability and its photon-number distribution that of the state built at phi
         cfg = sc.ScenarioConfig.from_dict(dict(DISTRIBUTED[name], metrics=["distributions"]))
         for phi in (0.3, 1.7, 4.4):
-            want, got = ref.build_pipeline(cfg, phi), sc._observer(cfg)(phi)
+            want, got = ref.build_pipeline(cfg, phi), sc._route(cfg).observe(phi)
             weight = got.success_prob / got.state.probability  # an input-stage herald's, in the prefix
             for mode in (1, 2):
                 state = got.state.state((mode,))

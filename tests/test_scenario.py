@@ -135,7 +135,7 @@ class TestPipeline:
         )
         fast, _, _ = sc.evaluate_point(cfg)
         monkeypatch.setattr(sc, "_gaussian_possible", lambda c: False)
-        monkeypatch.setattr(sc, "_observer", sc._observer.__wrapped__)  # not the kept Gaussian-path observer
+        monkeypatch.setattr(sc, "_route", sc._route.__wrapped__)  # not the kept Gaussian-path route
         slow, _, _ = sc.evaluate_point(cfg)
         for key in fast.phase_variance:
             assert abs(fast.phase_variance[key] - slow.phase_variance[key]) < 1e-8 * max(

@@ -472,8 +472,8 @@ class TestWickSchedule:
     def test_heralded_point_reads(self, monkeypatch):
         # every expectation of heralded reference (a): the norms and moment tensors of its prefix, and its kernel
         # reads, (n, k) batches with shifts
-        for cached in (sc._prefix, sc._prefix_moments, sc._prefix_jets, sc._kernel_columns, sc._observer):
-            cached.cache_clear()
+        sc._prefix.cache_clear()
+        sc._route.cache_clear()
         calls, orig = [], wg._gaussian_expectation
         monkeypatch.setattr(wg, "_gaussian_expectation", lambda *args: calls.append(args) or orig(*args))
         sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_a(1.0)))

@@ -13,8 +13,10 @@ from wignersim import scenario as sc
 from wignersim import symplectic as sym
 from wignersim import wigner as wg
 
-LIGO_LOSSY = str(Path(__file__).resolve().parent.parent / "configs" / "ligo_lossy.json")
-PACS_COUNTS = str(Path(__file__).resolve().parent.parent / "configs" / "pacs_counts.json")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = ("ligo_lossy.json", "pacs_counts.json", "subtracted_thermal.json")
+LIGO_LOSSY = str(CONFIGS / "ligo_lossy.json")
+PACS_COUNTS = str(CONFIGS / "pacs_counts.json")
 
 
 def two_mode_gaussian() -> ga.GaussianState:
@@ -83,31 +85,32 @@ def counter(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def forget_routes() -> None:
+    """Drop the kept prefix records and route, so that the next point builds its own."""
+    sc._prefix.cache_clear()
+    sc._route.cache_clear()
+
+
 def test_pipeline_builds_per_ligo_lossy_point(monkeypatch):
     # pinned so that a change in build count shows up as a diff of this number: the cached prefix propagates its
     # input squeeze once, and every phase reads the prefix through the channel
     calls = counter(monkeypatch, ga, "propagate")
-    sc._prefix.cache_clear()
+    forget_routes()
     sc.evaluate_point(sc.load_config(LIGO_LOSSY))
     assert len(calls) == 1
 
 
 @pytest.fixture
 def observed(monkeypatch) -> list:
-    """The phases at which the scenario observes a state through `_observer`."""
+    """The phases at which the scenario observes a state through its route (`_Route.observe`)."""
     seen = []
-    orig = sc._observer
+    orig = sc._Route.observe
 
-    def observer(config):
-        observe = orig(config)
+    def counted(route, phi):
+        seen.append(phi)
+        return orig(route, phi)
 
-        def counted(phi):
-            seen.append(phi)
-            return observe(phi)
-
-        return counted
-
-    monkeypatch.setattr(sc, "_observer", observer)
+    monkeypatch.setattr(sc._Route, "observe", counted)
     return seen
 
 
@@ -167,7 +170,7 @@ def test_herald_after_the_phase_builds_each_phase_once(monkeypatch):
     # the herald's ancilla rides in the cached prefix: the point and its cfi read the channel, and the
     # distributions read each mode off it, one partial integration per distributed mode; nothing is heralded
     heralds, integrations = counter(monkeypatch, cond, "herald"), counter(monkeypatch, wg, "_integrate_out")
-    sc._observer.cache_clear()
+    sc._route.cache_clear()
     sc.run(sc.load_config(str(Path(LIGO_LOSSY).parent / "subtracted_thermal.json")))
     assert (len(heralds), len(integrations)) == (0, 2)
 
@@ -196,7 +199,7 @@ def test_ligo_lossy_point_makes_no_per_phi_transform(monkeypatch):
     # each phi is the cached prefix through a plain-matrix channel; the input squeezer and its
     # embedding, both in the prefix, are the point's only transforms
     calls = counter(monkeypatch, sym.SymplecticTransform, "__post_init__")
-    sc._prefix.cache_clear()
+    forget_routes()
     sc.evaluate_point(sc.load_config(LIGO_LOSSY))
     assert len(calls) == 2
 
@@ -214,8 +217,7 @@ def test_second_heralded_point_builds_no_wick_schedule(monkeypatch):
     config = sc.ScenarioConfig.from_dict(workloads.point_a(1.0))
     sc.evaluate_point(config)
     misses = wg._wick_plan.cache_info().misses
-    for cached in (sc._prefix, sc._prefix_moments, sc._prefix_jets, sc._kernel_columns, sc._observer):
-        cached.cache_clear()
+    forget_routes()
     calls = counter(monkeypatch, wg, "_gaussian_expectation")
     sc.evaluate_point(config)
     assert calls and wg._wick_plan.cache_info().misses == misses
@@ -226,9 +228,7 @@ def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
     # prefix, and no phi substitutes the MZI into a term
     counts = {name: counter(monkeypatch, module, name) for module, name in (
         (cond, "herald"), (wg, "_integrate_out"), (wg, "moment_tensor"))}
-    sc._prefix.cache_clear()
-    sc._prefix_moments.cache_clear()
-    sc._observer.cache_clear()
+    forget_routes()
     sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
     # _integrate_out: the herald's projected arm and the unprojected read of the lossy prefix, whose channel
     # holds the input squeeze and the loss; the photon-number probe reads that prefix too, over 1 - L
@@ -241,14 +241,14 @@ def test_lossy_heralded_point_builds_no_lossless_moment_tensor(monkeypatch):
     # the input photon number of a lossy Wigner point takes four second moments of the lossy prefix the observer
     # reads, over 1 - L: no lossless prefix is read, nor its degree-4 moment tensor
     losses = []
-    orig = sc._prefix_moments
+    orig = sc._prefix
 
-    def counted(inputs, input_mods, loss, ancillas):
+    def counted(inputs, input_mods, gaussian_path, loss):
         losses.append(loss)
-        return orig(inputs, input_mods, loss, ancillas)
+        return orig(inputs, input_mods, gaussian_path, loss)
 
-    monkeypatch.setattr(sc, "_prefix_moments", counted)
-    sc._observer.cache_clear()  # a new observer reads the lossy prefix's moments
+    monkeypatch.setattr(sc, "_prefix", counted)
+    sc._route.cache_clear()  # a new route reads the lossy prefix record
     sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
     assert losses and None not in losses
 
@@ -277,7 +277,7 @@ def test_photon_number_distribution_runs_one_wick_recursion_per_term(config, m, 
     raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / config).read_text())
     raw["modifications"][0]["m"] = m
     config = sc.ScenarioConfig.from_dict(raw)
-    state = sc._observer(config)(config.phi).state.state((1,))
+    state = sc._route(config).observe(config.phi).state.state((1,))
     state.norm  # read first, so that its recursions are not counted below
     assert len(wg.marginal_mode(state.normalize(), 1).terms) == terms
     calls = counter(monkeypatch, wg, "_gaussian_expectation")
@@ -338,3 +338,52 @@ def test_counted_m3_herald_substitutes_nothing(monkeypatch):
     assert len(report.rows) == 19
     assert len(calls) == 1
     assert 0 < max(sizes) <= 16
+
+
+@pytest.mark.parametrize("raw", [workloads.point_a(1.0), workloads.point_b(1.0)], ids=["point_a", "point_b"])
+def test_heralded_point_builds_only_the_phase_tangents_it_reads(raw, monkeypatch):
+    # the success arm's W' and W'' (the parity and click jets) and the failure arm's W' (the order-1 click jets of
+    # `cfi`); no reader asks for the failure arm's W''
+    tangents = counter(monkeypatch, wg, "phase_tangent")
+    forget_routes()
+    sc.evaluate_point(sc.ScenarioConfig.from_dict(raw))
+    assert len(tangents) == 3
+
+
+def test_phi_sweep_shares_its_prefix(monkeypatch):
+    # the prefix record is keyed by what comes before the MZI: three phases of point (a) read one prefix, its two
+    # partial integrations and its three phase tangents, as one point does
+    config = sc.ScenarioConfig.from_dict(workloads.point_a(1.0))
+    calls = [counter(monkeypatch, wg, name) for name in ("_integrate_out", "phase_tangent")]
+    for study in (lambda: sc.evaluate_point(config), lambda: sc.sweep(config, "phi", [0.5, 1.0, 1.5])):
+        forget_routes()
+        for c in calls:
+            c.clear()
+        study()
+        assert [len(c) for c in calls] == [2, 3]
+
+
+def test_loss_sweep_of_a_gaussian_config_propagates_once(monkeypatch):
+    # the Gaussian path keeps its loss in the channel after the MZI, so every L reads one prefix
+    calls = counter(monkeypatch, ga, "propagate")
+    forget_routes()
+    report = sc.sweep(sc.load_config(LIGO_LOSSY), "L", [0.0, 0.1, 0.3])
+    assert len(report.rows) == 3 and len(calls) == 1
+
+
+@pytest.mark.parametrize("raw", [*(json.loads((CONFIGS / name).read_text()) for name in SHIPPED),
+                                 workloads.point_a(1.0), workloads.point_b(1.0)],
+                         ids=[*(name.removesuffix(".json") for name in SHIPPED), "point_a", "point_b"])
+def test_run_builds_one_channel_after_the_mzi(raw, monkeypatch):
+    # every reader of a config takes the channel from its route
+    channels = counter(monkeypatch, sc, "_after_mzi")
+    sc._route.cache_clear()
+    sc.run(sc.ScenarioConfig.from_dict(raw))
+    assert len(channels) == 1
+
+
+def test_counts_builds_one_channel_after_the_mzi(monkeypatch):
+    # the whole T grid is one stack of channels
+    channels = counter(monkeypatch, sc, "_after_mzi")
+    sc.simulate_counts(sc.load_config(PACS_COUNTS), trials=100, seed=1)
+    assert len(channels) == 1
