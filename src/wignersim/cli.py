@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
+from .measurements import DetectionScheme
 from .scenario import emit, load_config, phase_drift_study, run, simulate_counts, sweep
 
 
@@ -98,8 +99,9 @@ def main(argv: list[str] | None = None) -> int:
                     sig = float(value)
                 except ValueError:
                     sig = math.nan
-                if not 0.0 <= sig < math.inf:
-                    raise ConfigError("--sigma", f"bad sigma spec {item!r}: need KIND=VALUE, VALUE finite and >= 0")
+                if kind.strip() not in DetectionScheme.KINDS + ("default",) or not 0.0 <= sig < math.inf:
+                    raise ConfigError("--sigma", f"bad sigma spec {item!r}: need KIND=VALUE, KIND a detection "
+                                      "kind or default, VALUE finite and >= 0")
                 sigma[kind.strip()] = sig
             report = phase_drift_study(config, args.trials, args.seed, sigma=sigma,
                                        distribution=args.distribution)

@@ -141,7 +141,7 @@ def lossless_qcrb(alpha2: float, r: float) -> float:
 
 
 def parity_min_variance(alpha2: float, r: float) -> float:
-    return 1.0 / (alpha2 * math.exp(2.0 * r) + math.sinh(r) ** 2)
+    return lossless_qcrb(alpha2, r)  # parity reaches the QCRB
 
 
 def homodyne_min_variance(alpha2: float, r: float) -> float:

@@ -20,10 +20,11 @@ as Gaussian overlaps.  A WignerExpr goes through the exact Wick machinery, all
 moments of one detector from one recursion per term (`wigner.moments`).  On an
 AffineImage, a Wigner expression seen through the Gaussian channel after the
 MZI, the polynomial detectors (intensity, homodyne, intensity difference) read
-its contracted moment tensor, and parity and click are Gaussian kernels on one
-mode.  The parity and no-click kernel of a Gaussian mode, with its first two
-phi-derivatives, is `kernel_jet`, batched over a stack of mode blocks; the
-scenario's phase signals of Gaussian parity and click read it.
+their monomials in one conditioned Wick pass per term (`wigner.herald_read`),
+and parity and click are Gaussian kernels on one mode.  The parity and no-click
+kernel of a Gaussian mode, with its first two phi-derivatives, is `kernel_jet`,
+batched over a stack of mode blocks; the scenario's phase signals of Gaussian
+parity and click read it.
 """
 
 from __future__ import annotations

@@ -53,7 +53,8 @@ METRICS = ("phase_variance", "cfi", "qfi", "snr", "distributions")
 DRIFT_SIGMA_DEFAULTS = {"parity": 0.001, "default": 0.15}
 # Searched phase-variance minima within this relative distance of the lowest are equal.
 OPTIMUM_TIE = 1e-9
-# Observations kept, with their routes: a point reads its phase for several metrics, and 5 or 9 per polynomial detector.
+# Observations kept, with their routes: a point reads its phase for several metrics, and a Gaussian state 5 or 9
+# per polynomial detector.
 OBSERVED_PHASES = 16
 # A herald read p is resolved for the quotient jets of a phase signal where p >= this times |p''|, 1e-4 rad
 # from a quadratic zero (subtracted_thermal's V keeps about 1e-7 there), and where the terms of its read
@@ -568,7 +569,9 @@ class _Prefix:
         projected = read(wig.projector(4, n))
         p = projected.norm / joint.norm
         negated = [wig.Term(-t.weight, t.poly, t.mean, t.quad) for t in projected.terms]
-        arms = [(projected, p), (wig.WignerExpr(2, read(None).terms + negated), 1.0 - p)][:: -1 if click else 1]
+        complement = wig.WignerExpr(2, read(None).terms + negated)
+        complement._norm = joint.norm - projected.norm  # the channel keeps the unprojected read's norm, joint's
+        arms = [(projected, p), (complement, 1.0 - p)][:: -1 if click else 1]
         ok = wig._herald_branch(*arms[0])
         try:
             fail = wig._herald_branch(*arms[1])
@@ -599,16 +602,24 @@ class _Prefix:
         return self._columns[key]
 
     @cached_property
+    def moments(self) -> list:
+        """Nine moments of a Wigner prefix's success arm from one Wick pass per term: <x_1^2>, <p_1^2>, <x_2^2>,
+        <p_2^2>, then <x_1 x_2>, <p_1 p_2> and <x_1^2 x_2^2>, <x_1 p_1 x_2 p_2>, <p_1^2 p_2^2>."""
+        return wig.moments(self.jet((), 0), [{i: 2} for i in range(4)] + [
+            {0: 1, 2: 1}, {1: 1, 3: 1}, {0: 2, 2: 2}, (1, 1, 1, 1), {1: 2, 3: 2}])
+
+    @cached_property
     def qfi(self) -> float:
         """A bound on the QFI of the MZI family of the prefix, the same at every phi.
 
         The channel after the MZI can only lower it, so it bounds the information of every detector of a config
         at every phi.  A Gaussian prefix takes the QFI of its lossless MZI family; a Wigner prefix's success arm
-        Var(n1 - n2) after the first 50/50 splitter, 4 Var(J_z) >= QFI.
+        Var(n1 - n2) after the first 50/50 splitter, 4 Var(J_z) >= QFI.  There n1 - n2 = x1 x2 + p1 p2 in the input
+        modes, whose square has the symbol (x1 x2 + p1 p2)^2 - 1/2: one read of the arm's `moments`.
         """
         if not self.gaussian_path:
-            split = wig.AffineImage(self.jet((), 0), sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
-            return meas.intensity_difference(split, 1, 2).variance
+            m = self.moments
+            return meas.MeasurementMoments(m[4] + m[5], m[6] + 2.0 * m[7] + m[8] - 0.5).variance
         state = self.result.state
         g = sym.mzi_phase_derivative(0.0)
         half = g @ state.cov
@@ -619,15 +630,15 @@ class _Prefix:
         """Total mean photon number entering the interferometer, which the passive MZI keeps.
 
         It is the state itself on the Gaussian path, and on the Wigner path its four second moments
-        (<n_k> = (<x_k^2> + <p_k^2> - 1) / 2) from one Wick pass.  A Wigner prefix holds the uniform loss L, which
-        scales the total by 1 - L exactly; at L = 1 the lossless prefix is read instead.
+        (<n_k> = (<x_k^2> + <p_k^2> - 1) / 2), read with the QFI's (`moments`).  A Wigner prefix holds the uniform
+        loss L, which scales the total by 1 - L exactly; at L = 1 the lossless prefix is read instead.
         """
         loss = self.loss
         if self.gaussian_path:
             return ga.total_mean_photon(self.result.state)
         if loss is not None and loss.total >= 1.0:
             return _prefix(self.inputs, self.input_mods, False, None).mean_photon
-        xx = wig.moments(self.jet((), 0), [{i: 2} for i in range(4)])  # <x_1^2>, <p_1^2>, <x_2^2>, <p_2^2>
+        xx = self.moments  # <x_1^2>, <p_1^2>, <x_2^2>, <p_2^2> first
         return float(sum(0.5 * (xx[i] + xx[i + 1]) - 0.5 for i in (0, 2))) / (1.0 if loss is None else 1.0 - loss.total)
 
 
@@ -788,8 +799,10 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
     phi/2 and <O^2> up to 2q.  An even detector with no output displacement
     has even harmonics only, and is read in phi itself.  Its samples at
     4d + 1 equispaced phases (five, or nine for an even detector behind an
-    output displacement) fix both moments, and `est.trig_signal` gives V at
-    every phi and at every stationary point exactly.  Parity and click, and
+    output displacement; a Gaussian state observed at each, a Wigner prefix's
+    monomials read at all of them at once) fix both moments, and
+    `est.trig_signal` gives V at every phi and at every stationary point
+    exactly.  Parity and click, and
     every detector after an output herald, where <O> = p<O> / p is no
     trigonometric polynomial, read the batched jet of <O> and Var
     (`_signal_jet`), through `est.jet_phase_variance` at any phi and
@@ -807,7 +820,14 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
         even = scheme.kind != "homodyne"
         rate = 2 if shifted or not even else 1
         n = 9 if even and shifted else 5
-        samples = [meas.measure(route.observe(2.0 * math.pi * rate * j / n).state, scheme) for j in range(n)]
+        phis = [2.0 * math.pi * rate * j / n for j in range(n)]
+        if route.gaussian_path:
+            samples = [meas.measure(route.observe(phi).state, scheme) for phi in phis]
+        else:  # the success arm's monomials at every phase in one read
+            read = _wigner_read(config, 0, 0, wig.UNHERALDED)
+            o = meas.measure(SimpleNamespace(modes=2, moments=lambda e: read(np.array(phis), monomials=e)[0][:, 0]),
+                             scheme)
+            samples = [meas.MeasurementMoments(float(m), float(s)) for m, s in zip(o.mean, o.second_moment)]
         variance, floor, points = est.trig_signal(samples, rate)
         return (*_least(points), _Signal(variance, floor))
     jet = _signal_jet(config, scheme)

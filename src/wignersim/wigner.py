@@ -17,12 +17,13 @@ and substitutes no polynomial, so a herald never expands its beam splitter, a
 loss needs no ancilla, and no state map is substituted into a term.
 
 An `AffineImage` is an expression seen through a Gaussian channel
-X = A Y + b + xi without substituting the channel into its terms: the
-detector moments of X come from the expression's fixed moment tensor, and a
-Gaussian kernel on one mode from conditioning each term on that mode
+X = A Y + b + xi without substituting the channel into its terms: a moment of
+X, or a Gaussian kernel on one mode, conditions each term's joint (Y, X)
+Gaussian and takes one Wick expectation of the term's own polynomial
 (`kernel_densities`).  Seen through a herald's Fock projectors on ancilla
 modes of X (`projector`), each projector is one more Gaussian kernel with a
-Laguerre factor (`herald_read`).  `AffineImage.state` gives the state of some
+Laguerre factor (`herald_read`); an unheralded read is the one product of no
+projectors (`UNHERALDED`).  `AffineImage.state` gives the state of some
 modes of X, every other variable integrated out: that one read serves the
 input stage's prefix, a herald (`conditional.herald`) and a detected mode.
 
@@ -38,10 +39,9 @@ coefficients may, and the routines broadcast; scalars keep their arithmetic bits
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -260,11 +260,6 @@ class WignerExpr:
             self._norm = sum(t.integral() for t in self.terms) if self.terms else 0.0
         return self._norm
 
-    @cached_property
-    def tensor(self) -> np.ndarray:
-        """`moment_tensor`, computed on first read and kept."""
-        return moment_tensor(self)
-
     @property
     def nvars(self) -> int:
         return 2 * self.modes
@@ -384,54 +379,6 @@ def moments(expr: WignerExpr, monomials: list) -> list:
     return totals
 
 
-@lru_cache(maxsize=None)
-def _tensor_slots(nvars: int) -> tuple[list, np.ndarray]:
-    """The monomials of degree <= 4 over nvars variables, and the one each entry of a moment tensor holds.
-
-    Entry (i, j, k, l) of the tensor over Y' = (1, Y) holds E[Y'_i Y'_j Y'_k Y'_l],
-    the monomial with one power of Y_{v-1} for each index v > 0.
-    """
-    index: dict[tuple, int] = {}
-    slots = np.empty((nvars + 1,) * 4, dtype=int)
-    for idx in itertools.product(range(nvars + 1), repeat=4):
-        e = [0] * nvars
-        for v in idx:
-            if v:
-                e[v - 1] += 1
-        slots[idx] = index.setdefault(tuple(e), len(index))
-    return list(index), slots
-
-
-def moment_tensor(expr: WignerExpr) -> np.ndarray:
-    """Every moment of degree <= 4 of the expression, as the symmetric tensor E[Y'^(x)4] over Y' = (1, Y)."""
-    monomials, slots = _tensor_slots(expr.nvars)
-    return np.asarray(moments(expr, monomials))[slots]
-
-
-def _slot(e: tuple) -> tuple:
-    """The moment-tensor entry that holds the monomial e (degree at most 4)."""
-    idx = [v + 1 for v, k in enumerate(e) for _ in range(k)]
-    if len(idx) > 4:
-        raise ValueError(f"monomial {e} has degree above 4")
-    return tuple(idx + [0] * (4 - len(idx)))
-
-
-def _add_noise(t: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Moment tensor of U + xi from that of U, for xi ~ N(0, noise) independent of U (Isserlis).
-
-    Each pairing of xi within two of the four slots takes noise there and
-    E[U'U'] in the other two, and the pairings of all four slots add noise in
-    both pairs.  `noise` is padded to the tensor's axes, with a zero row and
-    column for the constant coordinate.
-    """
-    t2 = t[:, :, 0, 0]
-    out = t.copy()
-    for a, b in (("ij", "kl"), ("ik", "jl"), ("il", "jk")):
-        out += np.einsum(f"{a},{b}->ijkl", t2, noise) + np.einsum(f"{b},{a}->ijkl", t2, noise)
-        out += np.einsum(f"{a},{b}->ijkl", noise, noise)
-    return out
-
-
 # The herald of an unheralded read: one product, of no projectors, with sign 1.
 UNHERALDED = ((1.0, ()),)
 
@@ -444,21 +391,19 @@ def projector(v: int, n: int, complement: bool = False) -> tuple:
 class AffineImage:
     """The state of X = A Y + b + xi: Y distributed as a normalized expression, xi ~ N(0, noise) independent.
 
-    The channel is never substituted into the expression's terms.  Moments of
-    X up to degree 4 contract the expression's `tensor` (built on first read)
-    with [[1, 0], [b, A]] along each axis and add the noise pairings.  A Gaussian
-    kernel on one mode of X conditions each term's Gaussian on that mode
-    (`density_at_origin`), leaving one Wick expectation of the term's own
-    polynomial.  `noise` is a covariance of the variables (sigma / 2 in the
-    state convention).
+    The channel is never substituted into the expression's terms.  A moment of
+    X, or a Gaussian kernel on one mode of X (`density_at_origin`), conditions
+    each term's Gaussian and leaves one Wick expectation of the term's own
+    polynomial (`herald_read`).  `noise` is a covariance of the variables
+    (sigma / 2 in the state convention).
 
     A `herald` (signed products of projectors on ancilla modes of X, as
     `herald_read` takes them) conditions X on the ancillas' outcome: every
     moment and density is then a `herald_read` of the projectors times the
     detector's monomial or kernel, over `probability`, the read of the
     projectors alone, and `modes` counts the modes other than the ancillas.
-    Such an image needs no moment tensor, and neither does `state`, which
-    also reads a stack of channels.
+    With no herald the read is `UNHERALDED` and the probability 1.  `state`
+    reads the same products, and also a stack of channels.
     """
 
     def __init__(self, expr: WignerExpr, a: np.ndarray, shift: np.ndarray, noise: np.ndarray,
@@ -467,7 +412,7 @@ class AffineImage:
         self.a, self.shift, self.noise = a, shift, noise
         self.herald = herald
         self.modes = expr.modes - len({v for _, projectors in herald or () for v, _ in projectors})
-        self._values = self._columns = self._probability = None
+        self._columns = self._probability = None
 
     def _read(self, kernel: list = (), blur: np.ndarray | None = None, monomials: list | None = None) -> np.ndarray:
         if self._columns is None:
@@ -483,17 +428,8 @@ class AffineImage:
         return self._probability
 
     def moments(self, monomials: list) -> list[float]:
-        """E[X^e] for each monomial e of degree <= 4 (a tuple or a {variable index: power} mapping)."""
-        if self.herald:
-            return [float(v[0, 0]) / self.probability for v in self._read(monomials=monomials)]
-        if self._values is None:
-            lift, pad = np.eye(self.expr.nvars + 1), np.zeros((self.expr.nvars + 1,) * 2)
-            lift[1:, 0], lift[1:, 1:], pad[1:, 1:] = self.shift, self.a, self.noise
-            t = self.expr.tensor
-            for _ in range(4):  # each tensordot maps the last axis and moves it to the front
-                t = np.tensordot(lift, t, axes=(1, 3))
-            self._values = _add_noise(t, pad) if np.any(self.noise) else t
-        return [float(self._values[_slot(_exponents(e, self.expr.nvars))]) for e in monomials]
+        """E[X^e] for each monomial e (a tuple or a {variable index: power} mapping), from one read."""
+        return [float(v[0, 0]) / self.probability for v in self._read(monomials=monomials)]
 
     def density_at_origin(self, mode: int, blur: np.ndarray) -> float:
         """Density at the origin of X_mode + eta, for eta ~ N(0, blur) independent (a 2x2 covariance, may be 0)."""

@@ -11,11 +11,13 @@ and `build_pipeline` builds the state at one phase, stage by stage.  `counts`
 reads its whole T grid at once; `counts_rows` builds and heralds it one T at a
 time.  `gaussian_expectation` walks the Wick recursion's tree on every call,
 memoized per call: the referee of the engine's cached schedule (`wg._wick_plan`).
+`moment_tensor` reads every moment of degree <= 4 of an expression at once.
 Nothing here is imported by `wignersim`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -61,6 +63,16 @@ def gaussian_expectation(poly: dict, mean: np.ndarray, cov: np.ndarray, shifts: 
 
     return sum(c * mom(e) for e, c in poly.items()) if shifts is None else [
         sum(c * mom(tuple(a + b for a, b in zip(ea, e))) for ea, c in poly.items()) for e in shifts]
+
+
+def moment_tensor(expr: WignerExpr) -> np.ndarray:
+    """Every moment of degree <= 4 of the expression, as the symmetric tensor E[Y'^(x)4] over Y' = (1, Y), from one
+    `wg.moments` read: entry (i, j, k, l) holds the monomial with one power of Y_{v-1} for each index v > 0."""
+    n = expr.nvars
+    entries = [tuple(idx.count(v + 1) for v in range(n)) for idx in itertools.product(range(n + 1), repeat=4)]
+    monomials = list(dict.fromkeys(entries))
+    values = dict(zip(monomials, wg.moments(expr, monomials)))
+    return np.array([values[e] for e in entries]).reshape((n + 1,) * 4)
 
 
 def apply_symplectic(expr: WignerExpr, f: sym.SymplecticTransform) -> WignerExpr:

@@ -95,6 +95,16 @@ def test_bad_drift_sigma_exits_2(sigma, tmp_path, capsys):
     assert "--sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", ["paritty=0.1", "=0.1"])
+def test_unknown_drift_sigma_kind_exits_2(sigma, tmp_path, capsys):
+    # a KIND that names no detector, nor `default`, would set no sigma at all
+    argv = ["drift", "--config", str(ROOT / "configs" / "ligo_lossy.json"), "--trials", "2",
+            "--sigma", sigma, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "--sigma" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 THERMAL = {"nbar_env": 0.1, "eta": 0.9}
 
 

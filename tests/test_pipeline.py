@@ -150,7 +150,7 @@ def test_each_prefix_arm_matches_the_stage_by_stage_referee(name):
             continue
         assert g.norm == pytest.approx(w.norm, rel=1e-12)
         # every moment of degree <= 4; one that vanishes by symmetry is rounding on the scale of the largest
-        t_got, t_want = wg.moment_tensor(g), wg.moment_tensor(w)
+        t_got, t_want = ref.moment_tensor(g), ref.moment_tensor(w)
         assert np.all(np.abs(t_got - t_want) <= 1e-12 * np.abs(t_want) + 1e-15 * np.max(np.abs(t_want))), arm
         values = np.array([[g.evaluate(x), w.evaluate(x)] for x in points])
         assert np.max(np.abs(values[:, 0] - values[:, 1])) <= 1e-12 * np.max(np.abs(values[:, 1])), arm
@@ -378,6 +378,16 @@ class TestQfiRoute:
         assert sc._qfi(sc.ScenarioConfig.from_dict(thermal(1.0)), 0.7) == plain
         assert sc._qfi(sc.ScenarioConfig.from_dict(thermal(0.9)), 0.7) == (None, "unavailable (mixed non-Gaussian)")
         assert builds == []
+
+    @pytest.mark.parametrize("inputs, mods", [([COHERENT, VACUUM], [INPUT_ADDITION]),
+                                              ([COHERENT, VACUUM], [dict(INPUT_ADDITION, m=2)]),
+                                              ([{"kind": "fock"}, COHERENT], [])],
+                             ids=["point_a", "point_a_m2", "fock_input"])
+    def test_prefix_qfi_is_the_intensity_difference_after_a_50_50_splitter(self, inputs, mods):
+        # Var(x1 x2 + p1 p2) of the prefix's own moments is Var(n1 - n2) of its image through the first splitter
+        prefix = sc._route(config(inputs, mods)).prefix
+        split = wg.AffineImage(prefix.jet((), 0), sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
+        assert prefix.qfi == pytest.approx(meas.intensity_difference(split, 1, 2).variance, rel=1e-12, abs=0.0)
 
     def test_mixed_non_gaussian_is_a_warning(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -125,11 +125,16 @@ def test_gaussian_qfi_observes_one_state(observed):
     (LIGO_LOSSY, "intensity[1]"), (LIGO_LOSSY, "homodyne[1,0]"), (LIGO_LOSSY, "diff[1,2]"),
     (workloads.point_a(1.0), "intensity[1]"), (workloads.point_b(1.0), "diff[1,2]"),
 ])
-def test_polynomial_optimum_reads_five_phases(config, label, observed):
-    # <O> and <O^2> are trigonometric polynomials in phi, fixed by five equispaced samples
+def test_polynomial_optimum_reads_five_phases(config, label, observed, monkeypatch):
+    # <O> and <O^2> are trigonometric polynomials in phi, fixed by five equispaced samples: a Gaussian state is
+    # observed at each, and a Wigner prefix's monomials are read at all five in one batched read
+    reads = []
+    orig = wg.herald_read
+    monkeypatch.setattr(wg, "herald_read", lambda columns, rows, *args: reads.append(len(rows)) or orig(
+        columns, rows, *args))
     config = sc.load_config(config) if isinstance(config, str) else sc.ScenarioConfig.from_dict(config)
     sc._optimal_phi(config, next(s for s in config.detection if s.label == label))
-    assert len(observed) == 5
+    assert (len(observed), reads) == ((5, []) if sc._route(config).gaussian_path else (0, [5]))
 
 
 @pytest.mark.parametrize("study", ["point", "drift"])
@@ -227,19 +232,17 @@ def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
     # ROADMAP heralded reference (b) on the pulled-back route: the loss on both modes sits in the cached
     # prefix, and no phi substitutes the MZI into a term
     counts = {name: counter(monkeypatch, module, name) for module, name in (
-        (cond, "herald"), (wg, "_integrate_out"), (wg, "moment_tensor"))}
+        (cond, "herald"), (wg, "_integrate_out"))}
     forget_routes()
     sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
     # _integrate_out: the herald's projected arm and the unprojected read of the lossy prefix, whose channel
     # holds the input squeeze and the loss; the photon-number probe reads that prefix too, over 1 - L
-    # moment_tensor: the success arm's, which `diff[1,2]` reads; no detector reads the failure arm's moments
-    assert {name: len(calls) for name, calls in counts.items()} == {
-        "herald": 0, "_integrate_out": 2, "moment_tensor": 1}
+    assert {name: len(calls) for name, calls in counts.items()} == {"herald": 0, "_integrate_out": 2}
 
 
 def test_lossy_heralded_point_builds_no_lossless_moment_tensor(monkeypatch):
     # the input photon number of a lossy Wigner point takes four second moments of the lossy prefix the observer
-    # reads, over 1 - L: no lossless prefix is read, nor its degree-4 moment tensor
+    # reads, over 1 - L: no lossless prefix is read, nor its moments
     losses = []
     orig = sc._prefix
 
@@ -253,14 +256,28 @@ def test_lossy_heralded_point_builds_no_lossless_moment_tensor(monkeypatch):
     assert losses and None not in losses
 
 
-@pytest.mark.parametrize("raw, calls", [(workloads.point_a(1.0), 9), (workloads.point_b(1.0), 9)],
+@pytest.mark.parametrize("raw, calls", [(workloads.point_a(1.0), 12), (workloads.point_b(1.0), 12)],
                          ids=["point_a", "point_b"])
 def test_heralded_point_kernel_density_calls(raw, calls, monkeypatch):
-    # one grid, one call per refinement round for the slope zeros and N's zeros together (three), V at phi, and
-    # the four order-1 click jets of `cfi`; the roots' own jets are those read in the rounds
+    # the parity optimum: one grid, one call per refinement round for the slope zeros and N's zeros together
+    # (three) and V at phi; the four order-1 click jets of `cfi`; the polynomial detector's five samples in one
+    # read; and `snr`'s intensity moments of each mode at phi; the roots' own jets are those read in the rounds
     densities = counter(monkeypatch, wg, "kernel_densities")
     sc.evaluate_point(sc.ScenarioConfig.from_dict(raw))
     assert len(densities) == calls
+
+
+def test_heralded_reference_points_take_at_most_35_wick_expectations(monkeypatch):
+    # traced `heralded_phase` gates the same count, one per term of each read: per point, the herald's two norms
+    # (the failure arm's is their difference), one read of the prefix's moments for <n> and the QFI bound, the
+    # parity optimum's four jet calls and V at phi, six for `cfi`'s click jets (the one-term success arm and the
+    # two-term failure arm on both modes), one batched read of the polynomial detector's samples and `snr`'s
+    # two intensity reads; and point (a)'s purity check
+    calls = counter(monkeypatch, wg, "_gaussian_expectation")
+    for raw in (workloads.point_a(1.0), workloads.point_b(1.0)):
+        forget_routes()
+        sc.evaluate_point(sc.ScenarioConfig.from_dict(raw))
+    assert len(calls) <= 35
 
 
 def test_ligo_lossy_parity_optimum_gaussian_jet_calls(monkeypatch):
