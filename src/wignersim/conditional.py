@@ -1,54 +1,19 @@
-"""Heralded photon addition and subtraction, and closed-form reference statistics of the heralded models.
+"""Closed-form reference statistics of heralded photon addition and subtraction.
 
-Addition and subtraction are intrinsically nondeterministic: `herald` returns
-the heralded state with its probability, and the pure creation/annihilation-
-operator treatment exists only as the T -> 1 (or r -> 0) limit of these
-models, where that probability vanishes.
-
-Mode bookkeeping: the ancilla enters as beam-splitter (or two-mode squeezer)
-input 1 and the signal as input 2, matching the element conventions in `symplectic`; the
-herald detector sits on the ancilla output, so the signal keeps sqrt(T) of its
-amplitude (up to sign).  A herald is one read of the signal and its ancilla
-through the coupling against the detector's projector (`wigner.AffineImage.state`),
-the read every stage of a scenario makes.
+A herald is nondeterministic: the scenario reads it as one more ancilla mode
+through the coupling (`scenario._herald_args`), against the detector's Fock
+projector (`wigner.projector`), and weighs each outcome by its probability.
+The pure creation/annihilation-operator treatment exists only as the T -> 1
+(or r -> 0) limit of these models, where that probability vanishes.  The
+formulas below are those models' exact statistics for coherent and thermal
+inputs, which the tests and the benchmark check the engine against.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .symplectic import embed, make_beam_splitter, make_two_mode_squeezer
-from .wigner import AffineImage, WignerExpr, _herald_branch, fock_wigner, projector, tensor_exprs
-
-M_CUTOFF = 8
-
-
-def herald(expr: WignerExpr, mode: int, coupling: tuple, ancilla: int, n: int, click: bool = False) -> tuple:
-    """(normalized state, probability) of one herald on `mode`: ancilla |ancilla> mixed in, Fock n detected.
-
-    `coupling` is ("BS", T) or ("SPDC", r, theta), the ancilla its input 1.  A BS addition mixes in Fock m and
-    detects vacuum, an SPDC addition or a subtraction mixes in vacuum and detects m photons; with `click` the
-    complement 1 - 2 pi F_n is read instead, a click herald for n = 0 and the failure arm of any other herald.
-    Raises ImprobableBranch below the renormalization floor.
-    """
-    if not (0 <= ancilla <= M_CUTOFF and 0 <= n <= M_CUTOFF):
-        raise ValueError(f"photon counts must lie in 0..{M_CUTOFF}, got ancilla {ancilla} and n {n}")
-    if not 1 <= mode <= expr.modes:
-        raise ValueError(f"mode {mode} out of range 1..{expr.modes}")
-    kind, x, *theta = coupling
-    joint = tensor_exprs(expr, fock_wigner(ancilla))
-    mix = embed(make_beam_splitter(x) if kind == "BS" else make_two_mode_squeezer(x, *theta), [joint.modes, mode],
-                joint.modes).matrix
-    image = AffineImage(joint, mix, np.zeros(len(mix)), np.zeros_like(mix), projector(joint.nvars - 2, n, click))
-    state = image.state(range(1, expr.modes + 1))
-    return _herald_branch(state, state.norm / joint.norm)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form reference statistics for the heralded models.
-# ---------------------------------------------------------------------------
+M_CUTOFF = 8  # the largest photon number a herald adds or subtracts
 
 
 def _laguerre(n: int, x: float) -> float:

@@ -1,4 +1,4 @@
-"""Gaussian states: mean vector plus covariance matrix, and the channels that preserve them.
+"""Gaussian states: mean vector plus covariance matrix, their constructors, and propagation through a transform.
 
 Covariance convention: sigma_ij = <R_i R_j + R_j R_i> - 2 <R_i><R_j>, so the vacuum
 covariance is the identity and Var(x) = sigma_xx / 2.  The thermal state of true mean
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import SymplecticTransform, embed, make_beam_splitter, make_squeezer, omega
+from .symplectic import SymplecticTransform, omega
 
 SYMMETRY_TOL = 1e-12
 BONA_FIDE_TOL = 1e-9
@@ -103,10 +103,6 @@ def thermal_state(nbar: float) -> GaussianState:
     return GaussianState(np.zeros(2), (2.0 * nbar + 1.0) * np.eye(2))
 
 
-def squeezed_vacuum(r: float, theta: float = 0.0) -> GaussianState:
-    return propagate(vacuum_state(1), make_squeezer(r, theta))
-
-
 def tensor(states: list[GaussianState]) -> GaussianState:
     """Product state: concatenated means, block-diagonal covariance."""
     if not states:
@@ -147,34 +143,6 @@ class LossSpec:
     def total(self) -> float:
         """Combined loss fraction 1 - D(1 - L)."""
         return 1.0 - self.D * (1.0 - self.L)
-
-
-def apply_loss(state: GaussianState, spec: LossSpec) -> GaussianState:
-    """Uniform loss on all modes: cov -> (1-L) cov + L I, mean -> sqrt(1-L) mean."""
-    lt = spec.total
-    cov = (1.0 - lt) * state.cov + lt * np.eye(2 * state.modes)
-    return GaussianState(math.sqrt(1.0 - lt) * state.mean, cov)
-
-
-def apply_loss_explicit(state: GaussianState, mode: int, eta: float) -> GaussianState:
-    """Loss on one mode via a fictitious beam splitter of transmissivity eta and a traced vacuum ancilla."""
-    return inject_thermal(state, mode, 0.0, eta)
-
-
-def inject_thermal(state: GaussianState, mode: int, nbar_env: float, eta: float) -> GaussianState:
-    """Mix one mode with a thermal ancilla of mean photon nbar_env on BS(eta), then drop the ancilla."""
-    if not 1 <= mode <= state.modes:
-        raise ValueError(f"mode {mode} out of range 1..{state.modes}")
-    if nbar_env < 0.0:
-        raise ValueError(f"environment photon number must be >= 0, got {nbar_env}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-    n = state.modes
-    joint = tensor([state, thermal_state(nbar_env)])
-    bs = embed(make_beam_splitter(eta), [mode, n + 1], n + 1)
-    mixed = propagate(joint, bs)
-    keep = np.arange(2 * n)
-    return GaussianState(mixed.mean[keep], mixed.cov[np.ix_(keep, keep)])
 
 
 def mean_photon(state: GaussianState, mode: int) -> float:

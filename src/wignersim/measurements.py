@@ -13,30 +13,32 @@ and the intensity-difference second moment reduces to
 where rho_k = x_k^2 + p_k^2 (the per-mode ordering constants cancel in the
 difference except for the residual -1/2; pinned against the Fock oracle).
 
-Every function accepts a GaussianState, a WignerExpr or an AffineImage.  On a
-GaussianState every moment is a closed form in the mean R and covariance sigma:
-fourth-order moments by Isserlis' theorem, parity and the no-click probability
-as Gaussian overlaps.  A WignerExpr goes through the exact Wick machinery, all
-moments of one detector from one recursion per term (`wigner.moments`).  On an
+The polynomial detectors (intensity, homodyne, intensity difference) have one
+moment interface, `polynomial_moments`: a scheme and a callable that maps
+monomials to their moments give <O> and <O^2>.  The moments may be floats, or
+arrays over phases or grid points, which the formulas broadcast over.  Every
+detector function accepts a GaussianState, a WignerExpr or an AffineImage.  On
+a GaussianState every moment is a closed form in the mean R and covariance
+sigma, fourth-order moments by Isserlis' theorem.  A WignerExpr reads its
+monomials through the exact Wick machinery (`wigner.moments`), and an
 AffineImage, a Wigner expression seen through the Gaussian channel after the
-MZI, the polynomial detectors (intensity, homodyne, intensity difference) read
-their monomials in one conditioned Wick pass per term (`wigner.herald_read`),
-and parity and click are Gaussian kernels on one mode.  The parity and no-click
-kernel of a Gaussian mode, with its first two phi-derivatives, is `kernel_jet`,
-batched over a stack of mode blocks; the scenario's phase signals of Gaussian
-parity and click read it.
+MZI, in one conditioned Wick pass per term (`wigner.herald_read`).  Parity and
+click are Gaussian kernels on one mode, not polynomials: the scenario reads
+them as phase signals, and the kernel of a Gaussian mode with its first two
+phi-derivatives is `kernel_jet`, batched over a stack of mode blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
+from typing import Callable, Union
 
 import numpy as np
 
 from .gaussian import GaussianState, mean_photon
-from .wigner import AffineImage, WignerExpr, marginal_mode, moments, project_fock_unnormalized
+from .wigner import AffineImage, WignerExpr, moments
 
 StateLike = Union[GaussianState, WignerExpr, AffineImage]
 # Detectors whose operator is a polynomial in the quadratures; parity and click are Gaussian kernels.
@@ -94,12 +96,6 @@ def _check_mode(state: StateLike, mode: int) -> None:
         raise ValueError(f"mode {mode} out of range 1..{n}")
 
 
-def _block(state: GaussianState, mode: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of one mode of a GaussianState."""
-    i = 2 * (mode - 1)
-    return state.mean[i : i + 2], state.cov[i : i + 2, i : i + 2]
-
-
 def _square_moments(state: GaussianState, idx: list[int]) -> np.ndarray:
     """E[X_i^2 X_j^2] over the quadratures idx, by Isserlis with covariance C = sigma / 2:
 
@@ -111,23 +107,15 @@ def _square_moments(state: GaussianState, idx: list[int]) -> np.ndarray:
     return np.outer(square, square) + 2.0 * c * (c + 2.0 * np.outer(mu, mu))
 
 
-def _kernel(mu: np.ndarray, k: np.ndarray) -> float:
-    """exp(-mu^T k^-1 mu) / sqrt(det k).
-
-    With k the mode covariance sigma this is the parity; with k = sigma + I it
-    is half the no-click probability (the vacuum overlap).
-    """
-    det = k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0]
-    kinv = np.array([[k[1, 1], -k[0, 1]], [-k[1, 0], k[0, 0]]]) / det
-    return math.exp(-float(mu @ kinv @ mu)) / math.sqrt(det)
-
-
 def kernel_jet(mu, k, dmu, dk, d2mu, d2k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_kernel` and its first two phi-derivatives over a stack of mode blocks, as (value, slope, curvature).
+    """exp(-mu^T k^-1 mu) / sqrt(det k) and its first two phi-derivatives over a stack of mode blocks, as (value,
+    slope, curvature).
 
-    mu and its derivatives have shape (..., 2), k and its derivatives
-    (..., 2, 2).  With value = exp(g), a = k^-1 mu and P = k^-1 k':
-    g' = a^T k' a - 2 mu'^T a - tr P / 2, and with a' = k^-1 (mu' - k' a),
+    With k the mode covariance sigma the value is the parity; with k = sigma + I
+    it is half the no-click probability (the vacuum overlap).  mu and its
+    derivatives have shape (..., 2), k and its derivatives (..., 2, 2).  With
+    value = exp(g), a = k^-1 mu and P = k^-1 k': g' = a^T k' a - 2 mu'^T a - tr P / 2,
+    and with a' = k^-1 (mu' - k' a),
     g'' = 2 a'^T k' a + a^T k'' a - 2 mu''^T a - 2 mu'^T a' + (tr P^2 - tr k^-1 k'') / 2;
     the slope is value g' and the curvature value (g'' + g'^2).
     """
@@ -152,9 +140,9 @@ def kernel_jet(mu, k, dmu, dk, d2mu, d2k) -> tuple[np.ndarray, np.ndarray, np.nd
     return value, value * g1, value * (g2 + g1 * g1)
 
 
-def _moments(state, monomials: list) -> list:
-    """The moments of monomials under a WignerExpr, or under any state with a `moments` method (an AffineImage)."""
-    return moments(state, monomials) if isinstance(state, WignerExpr) else state.moments(monomials)
+def _reader(state) -> Callable:
+    """The moments callable of a WignerExpr, or of any state with a `moments` method (an AffineImage)."""
+    return partial(moments, state) if isinstance(state, WignerExpr) else state.moments
 
 
 def _intensity_monomials(mode: int) -> list:
@@ -169,41 +157,49 @@ def _intensity_integrals(m: list) -> tuple[float, float]:
     return 0.5 * (xx + pp) - 0.5, x4 + 2.0 * x2p2 + p4
 
 
+def polynomial_moments(scheme: DetectionScheme, moments: Callable) -> MeasurementMoments:
+    """<O> and <O^2> of a polynomial detector from `moments`, which maps a list of monomials ({variable index:
+    power}) to their moments, in one call; a parity or click scheme raises ValueError."""
+    i = 2 * (scheme.mode - 1)
+    if scheme.kind == "intensity":
+        mean, s2 = _intensity_integrals(moments(_intensity_monomials(scheme.mode)))
+        return MeasurementMoments(mean, 0.25 * s2 - mean - 0.5)
+    if scheme.kind == "homodyne":
+        c, s = math.cos(scheme.angle), math.sin(scheme.angle)
+        x, p, xx, xp, pp = moments([{i: 1}, {i + 1: 1}, {i: 2}, {i: 1, i + 1: 1}, {i + 1: 2}])
+        return MeasurementMoments(c * x + s * p, c * c * xx + 2.0 * c * s * xp + s * s * pp)
+    if scheme.kind == "intensity_difference":
+        j = 2 * (scheme.mode_b - 1)
+        cross_monomials = [{i: 2, j: 2}, {i: 2, j + 1: 2}, {i + 1: 2, j: 2}, {i + 1: 2, j + 1: 2}]
+        m = moments(_intensity_monomials(scheme.mode) + _intensity_monomials(scheme.mode_b) + cross_monomials)
+        na, sa2 = _intensity_integrals(m[:5])
+        nb, sb2 = _intensity_integrals(m[5:10])
+        cross = m[10] + m[11] + m[12] + m[13]
+        return MeasurementMoments(na - nb, 0.25 * (sa2 - 2.0 * cross + sb2) - 0.5)
+    raise ValueError(f"{scheme.kind} is not a polynomial detector")
+
+
 def intensity(state: StateLike, mode: int = 1) -> MeasurementMoments:
     """Photon-number (intensity) moments on one mode."""
     _check_mode(state, mode)
-    if isinstance(state, GaussianState):
-        i = 2 * (mode - 1)
-        mean, s2 = mean_photon(state, mode), float(_square_moments(state, [i, i + 1]).sum())
-    else:
-        mean, s2 = _intensity_integrals(_moments(state, _intensity_monomials(mode)))
+    if not isinstance(state, GaussianState):
+        return polynomial_moments(DetectionScheme("intensity", mode), _reader(state))
+    i = 2 * (mode - 1)
+    mean, s2 = mean_photon(state, mode), float(_square_moments(state, [i, i + 1]).sum())
     return MeasurementMoments(mean, 0.25 * s2 - mean - 0.5)
 
 
 def homodyne(state: StateLike, mode: int = 1, angle: float = 0.0) -> MeasurementMoments:
     """Quadrature x cos(angle) + p sin(angle); already symmetrically ordered."""
     _check_mode(state, mode)
+    if not isinstance(state, GaussianState):
+        return polynomial_moments(DetectionScheme("homodyne", mode, angle=angle), _reader(state))
     i = 2 * (mode - 1)
     c, s = math.cos(angle), math.sin(angle)
-    if isinstance(state, GaussianState):
-        mean = c * state.mean[i] + s * state.mean[i + 1]
-        u = np.array([c, s])
-        var = float(u @ state.cov[i : i + 2, i : i + 2] @ u) / 2.0
-        return MeasurementMoments(mean, var + mean**2)
-    x, p, xx, xp, pp = _moments(state, [{i: 1}, {i + 1: 1}, {i: 2}, {i: 1, i + 1: 1}, {i + 1: 2}])
-    return MeasurementMoments(c * x + s * p, c * c * xx + 2.0 * c * s * xp + s * s * pp)
-
-
-def parity(state: StateLike, mode: int = 1) -> MeasurementMoments:
-    """Photon-number parity: mean = pi * W(0,0) of the mode's marginal, second moment 1."""
-    _check_mode(state, mode)
-    if isinstance(state, GaussianState):
-        mean = _kernel(*_block(state, mode))
-    elif isinstance(state, AffineImage):
-        mean = math.pi * state.density_at_origin(mode, np.zeros((2, 2)))
-    else:
-        mean = math.pi * marginal_mode(state, mode).evaluate((0.0, 0.0))
-    return MeasurementMoments(mean, 1.0)
+    mean = c * state.mean[i] + s * state.mean[i + 1]
+    u = np.array([c, s])
+    var = float(u @ state.cov[i : i + 2, i : i + 2] @ u) / 2.0
+    return MeasurementMoments(mean, var + mean**2)
 
 
 def intensity_difference(state: StateLike, mode_a: int, mode_b: int) -> MeasurementMoments:
@@ -212,45 +208,21 @@ def intensity_difference(state: StateLike, mode_a: int, mode_b: int) -> Measurem
         raise ValueError("intensity difference requires two distinct modes")
     _check_mode(state, mode_a)
     _check_mode(state, mode_b)
+    if not isinstance(state, GaussianState):
+        return polynomial_moments(DetectionScheme("intensity_difference", mode_a, mode_b), _reader(state))
     ia, ib = 2 * (mode_a - 1), 2 * (mode_b - 1)
-    if isinstance(state, GaussianState):
-        # (rho_a - rho_b)^2 summed over the quadrature pairs, signs w_i w_j
-        w = np.array([1.0, 1.0, -1.0, -1.0])
-        s2 = float(w @ _square_moments(state, [ia, ia + 1, ib, ib + 1]) @ w)
-        return MeasurementMoments(mean_photon(state, mode_a) - mean_photon(state, mode_b), 0.25 * s2 - 0.5)
-    cross_monomials = [{ia: 2, ib: 2}, {ia: 2, ib + 1: 2}, {ia + 1: 2, ib: 2}, {ia + 1: 2, ib + 1: 2}]
-    m = _moments(state, _intensity_monomials(mode_a) + _intensity_monomials(mode_b) + cross_monomials)
-    na, sa2 = _intensity_integrals(m[:5])
-    nb, sb2 = _intensity_integrals(m[5:10])
-    cross = m[10] + m[11] + m[12] + m[13]
-    second = 0.25 * (sa2 - 2.0 * cross + sb2) - 0.5
-    return MeasurementMoments(na - nb, second)
-
-
-def click_probability(state: StateLike, mode: int = 1) -> float:
-    """Probability the mode's detector sees one or more photons."""
-    _check_mode(state, mode)
-    if isinstance(state, GaussianState):
-        mu, sigma = _block(state, mode)
-        p0 = 2.0 * _kernel(mu, sigma + np.eye(2))
-    elif isinstance(state, AffineImage):
-        # the vacuum projector 2 pi W_0 = 2 exp(-x^2 - p^2) is 2 pi times the N(0, I/2) density
-        p0 = 2.0 * math.pi * state.density_at_origin(mode, 0.5 * np.eye(2))
-    else:
-        p0 = project_fock_unnormalized(marginal_mode(state.normalize(), mode), 1, 0).norm
-    return min(max(1.0 - p0, 0.0), 1.0)
+    # (rho_a - rho_b)^2 summed over the quadrature pairs, signs w_i w_j
+    w = np.array([1.0, 1.0, -1.0, -1.0])
+    s2 = float(w @ _square_moments(state, [ia, ia + 1, ib, ib + 1]) @ w)
+    return MeasurementMoments(mean_photon(state, mode_a) - mean_photon(state, mode_b), 0.25 * s2 - 0.5)
 
 
 def measure(state: StateLike, scheme: DetectionScheme) -> MeasurementMoments:
-    """Dispatch a DetectionScheme; click returns Bernoulli moments of the click indicator."""
+    """Dispatch a polynomial DetectionScheme; a parity or click scheme raises ValueError."""
     if scheme.kind == "intensity":
         return intensity(state, scheme.mode)
     if scheme.kind == "homodyne":
         return homodyne(state, scheme.mode, scheme.angle)
-    if scheme.kind == "parity":
-        return parity(state, scheme.mode)
     if scheme.kind == "intensity_difference":
         return intensity_difference(state, scheme.mode, scheme.mode_b)
-    p = click_probability(state, scheme.mode)
-    return MeasurementMoments(p, p)
-
+    raise ValueError(f"{scheme.kind} is not a polynomial detector")

@@ -33,7 +33,6 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -433,7 +432,7 @@ def _parse_key_tree(text: str) -> dict:
 def _set_path(node, segments: list[str], value, lineno: int) -> None:
     for i, seg in enumerate(segments):
         last = i == len(segments) - 1
-        is_index = seg.lstrip("-").isdigit()
+        is_index = seg.isdecimal()
         if is_index:
             idx = int(seg)
             if not isinstance(node, list):
@@ -444,7 +443,7 @@ def _set_path(node, segments: list[str], value, lineno: int) -> None:
                 node[idx] = value
             else:
                 if node[idx] is None:
-                    node[idx] = [] if segments[i + 1].lstrip("-").isdigit() else {}
+                    node[idx] = [] if segments[i + 1].isdecimal() else {}
                 node = node[idx]
         else:
             if not isinstance(node, dict):
@@ -453,7 +452,7 @@ def _set_path(node, segments: list[str], value, lineno: int) -> None:
                 node[seg] = value
             else:
                 if seg not in node or node[seg] is None:
-                    node[seg] = [] if segments[i + 1].lstrip("-").isdigit() else {}
+                    node[seg] = [] if segments[i + 1].isdecimal() else {}
                 node = node[seg]
 
 
@@ -503,7 +502,8 @@ def _uniform_loss(config: ScenarioConfig) -> ga.LossSpec | None:
 
 
 def _herald_args(mod: ModificationSpec) -> tuple:
-    """(coupling, ancilla, n, click) of a herald, as `cond.herald` takes them: the one table of the four heralds.
+    """(coupling, ancilla, n, click) of a herald, as the prefix, the channel and the reads take them: the one table
+    of the four heralds.
 
     A beam-splitter addition mixes in Fock m and heralds vacuum, an SPDC addition squeezes with vacuum and heralds
     m, a subtraction mixes in vacuum and heralds m photons, or a click (the complement of vacuum).
@@ -689,7 +689,7 @@ def _then(mods, n: int, k: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
         if m.heralded:
             ancilla += 1
             kind, x, *theta = _herald_args(m)[0]
-            part = sym._beam_splitter_matrix(x) if kind == "BS" else sym.make_two_mode_squeezer(x, *theta).matrix
+            part = sym.beam_splitter_matrix(x) if kind == "BS" else sym.make_two_mode_squeezer(x, *theta).matrix
             rows = [2 * ancilla - 2, 2 * ancilla - 1, 2 * m.mode - 2, 2 * m.mode - 1]
             f, s = np.broadcast_to(np.eye(n), part.shape[:-2] + (n, n)).copy(), 0.0
             f[(..., *np.ix_(rows, rows))] = part
@@ -825,8 +825,7 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
             samples = [meas.measure(route.observe(phi).state, scheme) for phi in phis]
         else:  # the success arm's monomials at every phase in one read
             read = _wigner_read(config, 0, 0, wig.UNHERALDED)
-            o = meas.measure(SimpleNamespace(modes=2, moments=lambda e: read(np.array(phis), monomials=e)[0][:, 0]),
-                             scheme)
+            o = meas.polynomial_moments(scheme, lambda e: read(np.array(phis), monomials=e)[0][:, 0])
             samples = [meas.MeasurementMoments(float(m), float(s)) for m, s in zip(o.mean, o.second_moment)]
         variance, floor, points = est.trig_signal(samples, rate)
         return (*_least(points), _Signal(variance, floor))
@@ -961,8 +960,8 @@ def _signal_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callabl
 
     Parity and click read `_kernel_jet`, with <O^2> = 1 for parity and <O> for the no-click indicator.  A
     polynomial detector after an output herald reads its monomials through the herald over the herald's read
-    (`_ratio`); its moment formulas (`meas.measure`) are affine in them, so they map the value row to <O> and
-    <O^2>, and a derivative row to its derivative once their constants are taken off.
+    (`_ratio`); its moment formulas (`meas.polynomial_moments`) are affine in them, so they map the value row to
+    <O> and <O^2>, and a derivative row to its derivative once their constants are taken off.
     """
     if scheme.kind not in meas.POLYNOMIAL_KINDS:
         jet = _kernel_jet(config, scheme)
@@ -974,7 +973,7 @@ def _signal_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callabl
 
         return kernel_signal
     read = _wigner_read(config, 0, 2, _route(config).arms[0][1])
-    constants = meas.measure(SimpleNamespace(modes=2, moments=lambda monomials: [0.0] * len(monomials)), scheme)
+    constants = meas.polynomial_moments(scheme, lambda monomials: [0.0] * len(monomials))
 
     def polynomial_signal(phi: np.ndarray) -> tuple:
         size = []
@@ -984,7 +983,7 @@ def _signal_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callabl
             size.append(magnitudes[0] / np.abs(reads[0, 0]))
             return [np.array(_ratio(r, reads[0], magnitudes[0])) for r in reads[1:]]
 
-        o = meas.measure(SimpleNamespace(modes=2, moments=moments), scheme)  # a state of given moments
+        o = meas.polynomial_moments(scheme, moments)
         offset = np.array([0.0, 1.0, 1.0])[:, None]
         mean, second = o.mean - offset * constants.mean, o.second_moment - offset * constants.second_moment
         noise = est.SLOPE_NOISE * np.maximum(1.0, np.abs(second[0])) * size[0]

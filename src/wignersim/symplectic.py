@@ -3,7 +3,12 @@
 Phase-space vectors are ordered (x1, p1, ..., xN, pN) with hbar = 1, so mode k
 occupies rows 2k-2 and 2k-1 (0-based).  Every element is a 2Nx2N real matrix f
 satisfying f @ Omega @ f.T = Omega; displacement additionally carries an affine
-shift, which is the only way a linear-optics element can move the mean.
+shift, which is the only way a linear-optics element can move the mean.  A
+validated `SymplecticTransform` holds the squeezers and the displacement of a
+configuration, placed on their modes by `embed`.  The beam splitter, the
+balanced MZI and its phase derivative are plain matrices: every channel reads
+them at many transmissivities or phases, where a validation each would cost
+more than the product.
 """
 
 from __future__ import annotations
@@ -56,40 +61,16 @@ class SymplecticTransform:
         return self.matrix.shape[0] // 2
 
 
-def identity_transform(modes: int) -> SymplecticTransform:
-    return SymplecticTransform(np.eye(2 * modes))
-
-
-def _beam_splitter_matrix(T) -> np.ndarray:
-    """The beam-splitter matrix, or for a vector of T a stack (len(T), 4, 4) of them."""
+def beam_splitter_matrix(T) -> np.ndarray:
+    """The two-mode beam splitter of transmissivity T in [0, 1] (input 1 keeps sqrt(T) of its amplitude), or for a
+    vector of T a stack (len(T), 4, 4) of them."""
     t, rfl = np.sqrt(T), np.sqrt(1.0 - np.asarray(T))
     z = np.zeros_like(t)
     return np.moveaxis(np.array([[t, z, rfl, z], [z, t, z, rfl], [rfl, z, -t, z], [z, rfl, z, -t]]), (0, 1), (-2, -1))
 
 
-def make_beam_splitter(T: float) -> SymplecticTransform:
-    """Two-mode beam splitter of transmissivity T in [0, 1]."""
-    if not 0.0 <= T <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {T}")
-    return SymplecticTransform(_beam_splitter_matrix(T))
-
-
-def make_phase_shifter(phi: float) -> SymplecticTransform:
-    """Single-mode phase rotation by phi radians."""
-    if not math.isfinite(phi):
-        raise ValueError("phase must be finite")
-    c, s = math.cos(phi), math.sin(phi)
-    return SymplecticTransform(np.array([[c, -s], [s, c]]))
-
-
-def make_symmetric_phase_shifter(phi: float) -> SymplecticTransform:
-    """Two-mode balanced phase: +phi/2 rotation on mode 1, -phi/2 on mode 2."""
-    if not math.isfinite(phi):
-        raise ValueError("phase must be finite")
-    return SymplecticTransform(_symmetric_phase_matrix(phi))
-
-
 def _symmetric_phase_matrix(phi: float) -> np.ndarray:
+    """Two-mode balanced phase: +phi/2 rotation on mode 1, -phi/2 on mode 2."""
     c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
     return np.array(
         [
@@ -137,22 +118,6 @@ def make_displacement(alpha_mag: float, theta: float = 0.0) -> SymplecticTransfo
     return SymplecticTransform(np.eye(2), shift)
 
 
-def direct_sum(parts: list[SymplecticTransform]) -> SymplecticTransform:
-    """Block-diagonal combination; the first listed part acts on mode 1."""
-    if not parts:
-        raise ValueError("direct_sum requires at least one transform")
-    dim = sum(2 * p.modes for p in parts)
-    m = np.zeros((dim, dim))
-    s = np.zeros(dim)
-    at = 0
-    for p in parts:
-        d = 2 * p.modes
-        m[at : at + d, at : at + d] = p.matrix
-        s[at : at + d] = p.shift
-        at += d
-    return SymplecticTransform(m, s)
-
-
 def embed(part: SymplecticTransform, modes_acted: list[int], total_modes: int) -> SymplecticTransform:
     """Embed a transform acting on the given 1-based modes into an N-mode identity."""
     if len(modes_acted) != part.modes:
@@ -170,38 +135,14 @@ def embed(part: SymplecticTransform, modes_acted: list[int], total_modes: int) -
     return SymplecticTransform(m, s)
 
 
-def compose(outer: SymplecticTransform, inner: SymplecticTransform) -> SymplecticTransform:
-    """Transform applying `inner` first, then `outer` (matrix product plus shift propagation)."""
-    if outer.modes != inner.modes:
-        raise ValueError(f"dimension mismatch: {outer.modes} vs {inner.modes} modes")
-    return SymplecticTransform(outer.matrix @ inner.matrix, outer.matrix @ inner.shift + outer.shift)
-
-
-def chain(*transforms: SymplecticTransform) -> SymplecticTransform:
-    """Compose transforms listed in application order (first listed acts first)."""
-    if not transforms:
-        raise ValueError("chain requires at least one transform")
-    total = transforms[0]
-    for t in transforms[1:]:
-        total = compose(t, total)
-    return total
-
-
 def mzi_matrix(phi: float) -> np.ndarray:
-    """The make_mzi(phi) matrix as a plain array, without the transform's validation."""
-    bs = _beam_splitter_matrix(0.5)
+    """The balanced Mach-Zehnder: 50/50 splitter, symmetric phase phi, 50/50 splitter."""
+    bs = beam_splitter_matrix(0.5)
     return bs @ (_symmetric_phase_matrix(phi) @ bs)
 
 
-def make_mzi(phi: float) -> SymplecticTransform:
-    """Balanced Mach-Zehnder: 50/50 splitter, symmetric phase phi, 50/50 splitter."""
-    if not math.isfinite(phi):
-        raise ValueError("phase must be finite")
-    return SymplecticTransform(mzi_matrix(phi))
-
-
 def mzi_phase_derivative(phi: float) -> np.ndarray:
-    """d/dphi of the make_mzi(phi) matrix: BS @ P'(phi) @ BS, a plain matrix and not a transform."""
+    """d/dphi of the `mzi_matrix(phi)`: BS @ P'(phi) @ BS."""
     c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
     dp = 0.5 * np.array(
         [
@@ -211,5 +152,5 @@ def mzi_phase_derivative(phi: float) -> np.ndarray:
             [0.0, 0.0, -c, -s],
         ]
     )
-    bs = _beam_splitter_matrix(0.5)
+    bs = beam_splitter_matrix(0.5)
     return bs @ dp @ bs

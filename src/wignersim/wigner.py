@@ -25,7 +25,7 @@ modes of X (`projector`), each projector is one more Gaussian kernel with a
 Laguerre factor (`herald_read`); an unheralded read is the one product of no
 projectors (`UNHERALDED`).  `AffineImage.state` gives the state of some
 modes of X, every other variable integrated out: that one read serves the
-input stage's prefix, a herald (`conditional.herald`) and a detected mode.
+input stage's prefix, its heralds included, and a detected mode.
 
 Term convention: weight * poly(X) * exp(-(X - mean)^T quad^{-1} (X - mean)),
 matching the Gaussian Wigner exponent used throughout, so quad equals the
@@ -224,25 +224,17 @@ class Term:
     def nvars(self) -> int:
         return self.mean.shape[-1]
 
-    def integral(self, extra_monomial: Poly | None = None, shifts: list | None = None):
-        """Analytic integral of this term over all variables, optionally times a poly; with `shifts`, the list of
-        its integrals times X^e for each exponent tuple e, from one recursion.  Of a grid term, one per point."""
-        poly = self.poly if extra_monomial is None else _poly_mul(self.poly, extra_monomial)
+    def integral(self, shifts: list | None = None):
+        """Analytic integral of this term over all variables; with `shifts`, the list of its integrals times X^e for
+        each exponent tuple e, from one recursion.  Of a grid term, one per point."""
         mean, cov = self.mean, self.quad / 2.0
         if mean.ndim > 1:  # the grid axis moves last, where `_gaussian_expectation` takes batches
             mean, cov = np.moveaxis(mean, 0, -1), np.moveaxis(cov, 0, -1)
         wz = self.weight * (math.pi ** (self.nvars // 2) * np.sqrt(np.linalg.det(self.quad)))
-        values = _gaussian_expectation(poly, mean, cov, shifts)
+        values = _gaussian_expectation(self.poly, mean, cov, shifts)
         real = [wz * (float(np.real(v)) if np.ndim(v) == 0 else np.real(v))
                 for v in ([values] if shifts is None else values)]
         return real[0] if shifts is None else real
-
-    def evaluate(self, x: np.ndarray):
-        d = x - self.mean
-        a = np.linalg.inv(self.quad)
-        expo = -float(d @ a @ d)
-        pv = sum(c * np.prod([xx**e for xx, e in zip(x, ee) if e]) for ee, c in self.poly.items())
-        return self.weight * pv * math.exp(expo)
 
 
 class WignerExpr:
@@ -280,17 +272,6 @@ class WignerExpr:
                                            at(t.mean, 1), at(t.quad, 2)) for t in self.terms])
         out._norm = None if self._norm is None else at(self._norm, 0)
         return out
-
-    def evaluate(self, x: Iterable[float]) -> float:
-        xv = np.asarray(list(x), dtype=float)
-        if xv.size != self.nvars:
-            raise ValueError(f"point has {xv.size} coordinates, expected {self.nvars}")
-        return float(sum(t.evaluate(xv) for t in self.terms))
-
-    def _var_indices(self, mode: int) -> list[int]:
-        if not 1 <= mode <= self.modes:
-            raise ValueError(f"mode {mode} out of range 1..{self.modes}")
-        return [2 * (mode - 1), 2 * mode - 1]
 
 
 def from_gaussian(state: GaussianState) -> WignerExpr:
@@ -356,21 +337,12 @@ def _exponents(exponents: Mapping[int, int] | Iterable[int], nvars: int) -> tupl
     return e
 
 
-def moment(expr: WignerExpr, exponents: Mapping[int, int] | Iterable[int]) -> float:
-    """Integral of X^exponents against the expression, exact via Wick pairings.
-
-    `exponents` is either a full tuple over the 2N variables or a mapping
-    {variable index: power} with 0-based variable indices.
-    """
-    mono = {_exponents(exponents, expr.nvars): 1.0}
-    return sum(t.integral(mono) for t in expr.terms)
-
-
 def moments(expr: WignerExpr, monomials: list) -> list:
-    """`moment` of each monomial, from one Wick pass per term.
+    """The integral of X^e against the expression for each monomial e, exact via Wick pairings, from one Wick pass
+    per term.
 
-    Terms and polynomial items are summed in the order `moment` sums them, so
-    the results are bit-identical to calling `moment` once per monomial.
+    A monomial is either a full exponent tuple over the 2N variables or a mapping {variable index: power} with
+    0-based variable indices.
     """
     shifts = [_exponents(e, expr.nvars) for e in monomials]
     totals = [0] * len(shifts)
@@ -392,18 +364,17 @@ class AffineImage:
     """The state of X = A Y + b + xi: Y distributed as a normalized expression, xi ~ N(0, noise) independent.
 
     The channel is never substituted into the expression's terms.  A moment of
-    X, or a Gaussian kernel on one mode of X (`density_at_origin`), conditions
-    each term's Gaussian and leaves one Wick expectation of the term's own
-    polynomial (`herald_read`).  `noise` is a covariance of the variables
-    (sigma / 2 in the state convention).
+    X conditions each term's Gaussian and leaves one Wick expectation of the
+    term's own polynomial (`herald_read`).  `noise` is a covariance of the
+    variables (sigma / 2 in the state convention).
 
     A `herald` (signed products of projectors on ancilla modes of X, as
     `herald_read` takes them) conditions X on the ancillas' outcome: every
-    moment and density is then a `herald_read` of the projectors times the
-    detector's monomial or kernel, over `probability`, the read of the
-    projectors alone, and `modes` counts the modes other than the ancillas.
-    With no herald the read is `UNHERALDED` and the probability 1.  `state`
-    reads the same products, and also a stack of channels.
+    moment is then a `herald_read` of the projectors times the monomial, over
+    `probability`, the read of the projectors alone, and `modes` counts the
+    modes other than the ancillas.  With no herald the read is `UNHERALDED`
+    and the probability 1.  `state` reads the same products, and also a stack
+    of channels.
     """
 
     def __init__(self, expr: WignerExpr, a: np.ndarray, shift: np.ndarray, noise: np.ndarray,
@@ -414,11 +385,11 @@ class AffineImage:
         self.modes = expr.modes - len({v for _, projectors in herald or () for v, _ in projectors})
         self._columns = self._probability = None
 
-    def _read(self, kernel: list = (), blur: np.ndarray | None = None, monomials: list | None = None) -> np.ndarray:
+    def _read(self, monomials: list | None = None) -> np.ndarray:
         if self._columns is None:
             self._columns = kernel_columns((self.expr,))
-        return herald_read(self._columns, self.a[None], self.shift, self.noise, self.herald or UNHERALDED, kernel,
-                           blur, monomials)[0]
+        return herald_read(self._columns, self.a[None], self.shift, self.noise, self.herald or UNHERALDED,
+                           monomials=monomials)[0]
 
     @property
     def probability(self) -> float:
@@ -430,10 +401,6 @@ class AffineImage:
     def moments(self, monomials: list) -> list[float]:
         """E[X^e] for each monomial e (a tuple or a {variable index: power} mapping), from one read."""
         return [float(v[0, 0]) / self.probability for v in self._read(monomials=monomials)]
-
-    def density_at_origin(self, mode: int, blur: np.ndarray) -> float:
-        """Density at the origin of X_mode + eta, for eta ~ N(0, blur) independent (a 2x2 covariance, may be 0)."""
-        return float(self._read([2 * mode - 2, 2 * mode - 1], blur)[0, 0]) / self.probability
 
     def state(self, modes) -> WignerExpr:
         """The state of the `modes` of X, whose norm is the herald's probability times the expression's norm.
@@ -479,7 +446,7 @@ def kernel_densities(columns: list[KernelColumn], rows: np.ndarray, shift: np.nd
     eta ~ N(0, noise), over a stack of B (k, d, n).
 
     V_g are the variables `kernel` of V (all of them if None), Q the polynomial `factor` (1 if None) and e each
-    of `monomials` (as `moment` takes them, on variables outside V_g).  Under a term's Gaussian Y ~ N(m, Sigma),
+    of `monomials` (as `moments` takes them, on variables outside V_g).  Under a term's Gaussian Y ~ N(m, Sigma),
     U = V_g + zeta with zeta ~ N(0, blur) has mean mu = B_g m + c_g and covariance S = Sigma_gg + blur, Sigma_gg
     = B_g Sigma B_g^T + noise_gg, and the term adds N(0; mu, S) times the Wick expectation of its polynomial
     times Q(V) V^e given U = 0: one recursion over (Y, V) for all the expressions and monomials.  Q comes
@@ -654,20 +621,13 @@ def _integrate_out(expr: WignerExpr, var_indices: list[int], f=None, projectors:
     return WignerExpr(expr.modes - len(out) // 2, new_terms)
 
 
-def marginalize(expr: WignerExpr, mode: int) -> WignerExpr:
-    """Integrate out one mode's two variables; the norm is preserved."""
-    if expr.modes < 2:
-        raise ValueError("marginalize requires at least two modes")
-    return _integrate_out(expr, expr._var_indices(mode))
-
-
 def marginal_mode(expr: WignerExpr, mode: int) -> WignerExpr:
     """Reduce to a single mode by integrating out all others."""
     if not 1 <= mode <= expr.modes:
         raise ValueError(f"mode {mode} out of range 1..{expr.modes}")
     if expr.modes == 1:
         return expr
-    drop = [i for i in range(expr.nvars) if i not in expr._var_indices(mode)]
+    drop = [i for i in range(expr.nvars) if i // 2 != mode - 1]
     return _integrate_out(expr, drop)
 
 
@@ -685,11 +645,6 @@ def _gaussian_product(a1: np.ndarray, m1: np.ndarray, a2: np.ndarray, m2: np.nda
     return (quad3 + np.swapaxes(quad3, -1, -2)) / 2.0, m3, gamma
 
 
-def project_fock_unnormalized(expr: WignerExpr, mode: int, n: int) -> WignerExpr:
-    """Apply 2*pi*F_n on one mode and integrate that mode out (no renormalization)."""
-    return _integrate_out(expr, expr._var_indices(mode), projectors=((2 * mode - 2, n),))
-
-
 def _herald_branch(reduced: WignerExpr, prob: float) -> tuple[WignerExpr, float]:
     """Renormalize one herald outcome and clamp its probability; raise ImprobableBranch below the floor.
 
@@ -702,12 +657,6 @@ def _herald_branch(reduced: WignerExpr, prob: float) -> tuple[WignerExpr, float]
     if reduced.modes == 0:
         return WignerExpr(0, []), prob
     return reduced.normalize() if reduced.terms else reduced, prob
-
-
-def project_fock(expr: WignerExpr, mode: int, n: int) -> tuple[WignerExpr, float]:
-    """Herald n photons on one mode: returns (renormalized remainder, herald probability)."""
-    reduced = project_fock_unnormalized(expr, mode, n)
-    return _herald_branch(reduced, reduced.norm / expr.norm)
 
 
 def _single_mode_g(expr1: WignerExpr, s: np.ndarray) -> np.ndarray:
@@ -756,9 +705,9 @@ def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = DEFAULT
     """P(n) for n = 0..n_max via exact contour extraction from the generating function.
 
     Evaluates G on a root-of-unity grid (shifted off l = -1, where G has a
-    removable singularity) and Fourier-inverts; this is the same Fock-projector
-    integral as project_fock but stays numerically exact at large n, where the
-    expanded Laguerre route loses precision to cancellation.
+    removable singularity) and Fourier-inverts; this is the same integral as a
+    Fock projector's read (`_integrate_out`) but stays numerically exact at
+    large n, where the expanded Laguerre route loses precision to cancellation.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

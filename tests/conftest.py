@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 # the benchmark's scenario points (perfbench/workloads.py), shared with the tests
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import reference
 from wignersim import estimation as est
 from wignersim import gaussian as ga
 from wignersim import symplectic as sym
@@ -22,10 +23,11 @@ def mzi_coh_sqz():
         alpha = math.sqrt(alpha2)
 
         def family(phi: float) -> ga.GaussianState:
-            state = ga.tensor([ga.coherent_state(alpha, 0.0), ga.squeezed_vacuum(r, 0.0)])
-            out = ga.propagate(state, sym.make_mzi(phi))
+            squeezed = ga.propagate(ga.vacuum_state(), sym.make_squeezer(r, 0.0))
+            state = ga.tensor([ga.coherent_state(alpha, 0.0), squeezed])
+            out = ga.propagate(state, sym.SymplecticTransform(sym.mzi_matrix(phi)))
             if L > 0.0:
-                out = ga.apply_loss(out, ga.LossSpec(L=L, D=1.0))
+                out = reference.lossy(out, L)
             return out
 
         return family

@@ -12,6 +12,11 @@ reads its whole T grid at once; `counts_rows` builds and heralds it one T at a
 time.  `gaussian_expectation` walks the Wick recursion's tree on every call,
 memoized per call: the referee of the engine's cached schedule (`wg._wick_plan`).
 `moment_tensor` reads every moment of degree <= 4 of an expression at once.
+`evaluate` gives an expression's value at a point, `parity` and
+`click_probability` (and through them `measure`) a detector's statistics from
+the Gaussian overlap formulas or a mode's marginal, and `inject_thermal` mixes a
+Gaussian mode with a thermal ancilla on a beam splitter: the referees of the
+engine's kernel reads and its attenuation channel (`attenuated`, `lossy`).
 Nothing here is imported by `wignersim`.
 """
 
@@ -75,6 +80,103 @@ def moment_tensor(expr: WignerExpr) -> np.ndarray:
     return np.array([values[e] for e in entries]).reshape((n + 1,) * 4)
 
 
+def evaluate(expr: WignerExpr, x) -> float:
+    """The expression's value at the phase-space point x: the sum of w P(x) exp(-(x - m)^T quad^-1 (x - m))."""
+    x = np.asarray(x, dtype=float)
+    if x.size != expr.nvars:
+        raise ValueError(f"point has {x.size} coordinates, expected {expr.nvars}")
+    total = 0.0
+    for t in expr.terms:
+        d = x - t.mean
+        poly = sum(c * np.prod([xx**e for xx, e in zip(x, ee) if e]) for ee, c in t.poly.items())
+        total += t.weight * poly * math.exp(-float(d @ np.linalg.inv(t.quad) @ d))
+    return float(total)
+
+
+def _overlap(mu: np.ndarray, k: np.ndarray) -> float:
+    """exp(-mu^T k^-1 mu) / sqrt(det k): with k a mode's covariance sigma the parity, with k = sigma + I half the
+    no-click probability (the vacuum overlap)."""
+    det = k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0]
+    kinv = np.array([[k[1, 1], -k[0, 1]], [-k[1, 0], k[0, 0]]]) / det
+    return math.exp(-float(mu @ kinv @ mu)) / math.sqrt(det)
+
+
+def _block(state: ga.GaussianState, mode: int) -> tuple:
+    i = 2 * (mode - 1)
+    return state.mean[i : i + 2], state.cov[i : i + 2, i : i + 2]
+
+
+def _image_density(image: wg.AffineImage, mode: int, blur: np.ndarray) -> float:
+    """Density at the origin of X_mode + eta, eta ~ N(0, blur) independent, under an AffineImage: one kernel of its
+    `wg.herald_read`, over the herald's probability."""
+    read = wg.herald_read(wg.kernel_columns((image.expr,)), image.a[None], image.shift, image.noise,
+                          image.herald or wg.UNHERALDED, [2 * mode - 2, 2 * mode - 1], blur)[0]
+    return float(read[0, 0]) / image.probability
+
+
+def parity(state, mode: int = 1) -> meas.MeasurementMoments:
+    """Photon-number parity of one mode, pi W(0, 0) of its marginal: a Gaussian overlap on a GaussianState."""
+    if isinstance(state, ga.GaussianState):
+        mean = _overlap(*_block(state, mode))
+    elif isinstance(state, wg.AffineImage):
+        mean = math.pi * _image_density(state, mode, np.zeros((2, 2)))
+    else:
+        mean = math.pi * evaluate(wg.marginal_mode(state, mode), (0.0, 0.0))
+    return meas.MeasurementMoments(mean, 1.0)
+
+
+def click_probability(state, mode: int = 1) -> float:
+    """Probability that the mode's detector sees one or more photons: 1 minus the vacuum overlap of a
+    GaussianState, or minus the vacuum projector 2 pi W_0 (2 pi times the N(0, I/2) density) on the mode."""
+    if isinstance(state, ga.GaussianState):
+        mu, sigma = _block(state, mode)
+        p0 = 2.0 * _overlap(mu, sigma + np.eye(2))
+    elif isinstance(state, wg.AffineImage):
+        p0 = 2.0 * math.pi * _image_density(state, mode, 0.5 * np.eye(2))
+    else:
+        p0 = wg._integrate_out(wg.marginal_mode(state.normalize(), mode), [0, 1], projectors=((0, 0),)).norm
+    return min(max(1.0 - p0, 0.0), 1.0)
+
+
+def measure(state, scheme: meas.DetectionScheme) -> meas.MeasurementMoments:
+    """`meas.measure` of a polynomial detector; parity's moments, and the Bernoulli moments of the click indicator,
+    from `parity` and `click_probability`."""
+    if scheme.kind == "parity":
+        return parity(state, scheme.mode)
+    if scheme.kind == "click":
+        p = click_probability(state, scheme.mode)
+        return meas.MeasurementMoments(p, p)
+    return meas.measure(state, scheme)
+
+
+def attenuated(state: ga.GaussianState, rows: slice, gain: float, noise: float) -> ga.GaussianState:
+    """A Gaussian state through X -> gain X + xi on the variables `rows`, xi of variance `noise` each: the channel
+    the route builds (`sc._attenuated`), applied as to a Gaussian prefix, mean -> K mean + b, cov -> K cov K^T + 2C."""
+    n = 2 * state.modes
+    k, b, c = sc._attenuated((np.eye(n), np.zeros(n), np.zeros((n, n))), rows, gain, noise)
+    cov = k @ state.cov @ k.T + 2.0 * c
+    return ga.GaussianState(k @ state.mean + b, (cov + cov.T) / 2.0)
+
+
+def lossy(state: ga.GaussianState, L: float) -> ga.GaussianState:
+    """Uniform loss L on every mode, as the Gaussian route's channel after the MZI applies it (`attenuated`)."""
+    return attenuated(state, slice(0, 2 * state.modes), math.sqrt(1.0 - L), L / 2.0)
+
+
+def inject_thermal(state: ga.GaussianState, mode: int, nbar_env: float, eta: float) -> ga.GaussianState:
+    """Mix one mode with a thermal ancilla of mean photon number nbar_env on a beam splitter of transmissivity eta,
+    then drop the ancilla: the referee of the engine's attenuation channel (`sc._attenuated`)."""
+    n = state.modes
+    joint = ga.tensor([state, ga.thermal_state(nbar_env)])
+    mixed = ga.propagate(joint, sym.embed(_splitter(eta), [mode, n + 1], n + 1))
+    keep = np.arange(2 * n)
+    return ga.GaussianState(mixed.mean[keep], mixed.cov[np.ix_(keep, keep)])
+
+
+def _splitter(T: float) -> sym.SymplecticTransform:
+    return sym.SymplecticTransform(sym.beam_splitter_matrix(T))
+
+
 def apply_symplectic(expr: WignerExpr, f: sym.SymplecticTransform) -> WignerExpr:
     """Substitute a map into every term: mean -> F mean + s, quad -> F quad F^T, poly(X) -> poly(F^-1 (X - s))."""
     finv, nv = np.linalg.inv(f.matrix), expr.nvars
@@ -101,18 +203,20 @@ def attenuate(expr: WignerExpr, mode: int, eta: float, nbar_env: float = 0.0) ->
     """Loss on one mode: a beam splitter of transmissivity eta (the mode its input 1, which keeps sqrt(eta) of
     its amplitude) against a thermal ancilla, which is traced out."""
     joint = wg.tensor_exprs(expr, wg.from_gaussian(ga.thermal_state(nbar_env)))
-    mix = sym.embed(sym.make_beam_splitter(eta), [mode, joint.modes], joint.modes)
-    return wg.marginalize(apply_symplectic(joint, mix), joint.modes)
+    mix = sym.embed(_splitter(eta), [mode, joint.modes], joint.modes)
+    return wg._integrate_out(apply_symplectic(joint, mix), [joint.nvars - 2, joint.nvars - 1])
 
 
 def herald(expr: WignerExpr, mode: int, coupling: tuple, ancilla: int, n: int, click: bool = False) -> tuple:
-    """(success, failure) of one herald alone, as `cond.herald` takes it, each (state, probability): the joint
+    """(success, failure) of one herald alone, each (state, probability), on `mode` of `expr`: the ancilla in Fock
+    `ancilla` mixed in through `coupling`, ("BS", T) or ("SPDC", r, theta), as its input 1, and Fock n detected, or
+    with `click` its complement (a click herald for n = 0, or the failure arm).  The success arm is the joint
     state with its ancilla conditioned through the mix on Fock n, its complement the ancilla traced out through the
     mix minus that projection.  A success arm below the renormalization floor raises ImprobableBranch, and a
     failure arm there is None."""
     kind, x, *theta = coupling
     joint = wg.tensor_exprs(expr, wg.fock_wigner(ancilla))
-    mix = sym.make_beam_splitter(x) if kind == "BS" else sym.make_two_mode_squeezer(x, *theta)
+    mix = _splitter(x) if kind == "BS" else sym.make_two_mode_squeezer(x, *theta)
     mix, anc = sym.embed(mix, [joint.modes, mode], joint.modes), [joint.nvars - 2, joint.nvars - 1]
     projected = wg._integrate_out(joint, anc, mix, ((anc[0], n),))
     p = projected.norm / joint.norm
@@ -187,12 +291,13 @@ def before_output(config, phi: float | None = None) -> sc.PipelineResult:
     phi = config.phi if phi is None else phi
     gaussian_path, loss, noise = sc._gaussian_possible(config), sc._uniform_loss(config), config.noise
     res = prefix(config.inputs, sc._input_mods(config), gaussian_path, None if gaussian_path else loss)
-    mzi = sym.make_mzi(phi)
+    mzi = sym.SymplecticTransform(sym.mzi_matrix(phi))
     res = each(res, lambda s: ga.propagate(s, mzi) if gaussian_path else apply_symplectic(s, mzi))
     if gaussian_path and loss is not None:
-        res = each(res, lambda s: ga.apply_loss(s, loss))
+        for m in (1, 2):
+            res = each(res, lambda s: inject_thermal(s, m, 0.0, 1.0 - loss.total))
     for m in noise.thermal_modes if noise.has_thermal else ():
-        res = each(res, lambda s: ga.inject_thermal(s, m, noise.thermal_nbar, noise.thermal_eta)
+        res = each(res, lambda s: inject_thermal(s, m, noise.thermal_nbar, noise.thermal_eta)
                    if gaussian_path else attenuate(s, m, noise.thermal_eta, noise.thermal_nbar))
     return res
 
@@ -469,7 +574,7 @@ def forward_click_cfi(config, phi: float, h: float = 1e-3) -> float:
         if getattr(built[2], arm) is None:
             continue
         for mode in (1, 2):
-            clicks = [meas.click_probability(getattr(r, arm), mode) for r in built]
+            clicks = [click_probability(getattr(r, arm), mode) for r in built]
             total += weight * (term(clicks) + term([1.0 - c for c in clicks]))
     return total + (term(p) + term([1.0 - q for q in p]) if p[0] != p[4] else 0.0)
 

@@ -43,7 +43,7 @@ class TestErrorPropagation:
     def test_parity_at_optimum(self, mzi_coh_sqz):
         fam = mzi_coh_sqz(100.0, 1.0)
         v = ref.phase_variance_error_prop(
-            lambda p: meas.parity(fam(p), 1).mean, lambda p: meas.parity(fam(p), 1).variance, math.pi
+            lambda p: ref.parity(fam(p), 1).mean, lambda p: ref.parity(fam(p), 1).variance, math.pi
         )
         assert abs(v - 1.0 / (100.0 * math.e**2 + math.sinh(1.0) ** 2)) < 1e-8 * v
 
@@ -52,7 +52,7 @@ class TestErrorPropagation:
         # a stability tolerance of 5e-3 on the second difference left 5e-10 of truncation at alpha2 = 500
         fam = mzi_coh_sqz(alpha2, 1.0)
         v = ref.phase_variance_error_prop(
-            lambda p: meas.parity(fam(p), 1).mean, lambda p: meas.parity(fam(p), 1).variance, math.pi
+            lambda p: ref.parity(fam(p), 1).mean, lambda p: ref.parity(fam(p), 1).variance, math.pi
         )
         assert v == pytest.approx(est.parity_min_variance(alpha2, 1.0), rel=1e-10)
 
@@ -74,7 +74,7 @@ class TestErrorPropagation:
         # two vacuum inputs: parity 1 at every phi, whose second differences are rounding noise (they gave
         # 193,273 at phi = 1 and -23.57 at phi = pi)
         vacuum = ga.tensor([ga.vacuum_state(1), ga.vacuum_state(1)])
-        parity = lambda p: meas.parity(ga.propagate(vacuum, sym.make_mzi(p)), 1)
+        parity = lambda p: ref.parity(ga.propagate(vacuum, sym.SymplecticTransform(sym.mzi_matrix(p))), 1)
         with pytest.raises(SignalStationary, match="second order"):
             ref.phase_variance_error_prop(lambda p: parity(p).mean, lambda p: parity(p).variance, phi)
 
@@ -165,11 +165,12 @@ class TestQfi:
 
     def test_exact_mzi_tangent(self):
         # dR = M' R0, dsigma = M' sigma0 M^T + M sigma0 M'^T: the closed form without any step
-        r0 = ga.tensor([ga.coherent_state(10.0, 0.0), ga.squeezed_vacuum(1.0, 0.0)])
+        r0 = ga.tensor([ga.coherent_state(10.0, 0.0), ga.propagate(ga.vacuum_state(), sym.make_squeezer(1.0, 0.0))])
         for phi in (0.3, math.pi, 4.4):
             m, dm = sym.mzi_matrix(phi), sym.mzi_phase_derivative(phi)
             half = dm @ r0.cov @ m.T
-            got = est.qfi_mixed_gaussian(ga.propagate(r0, sym.make_mzi(phi)), dm @ r0.mean, half + half.T)
+            got = est.qfi_mixed_gaussian(ga.propagate(r0, sym.SymplecticTransform(sym.mzi_matrix(phi))), dm @ r0.mean,
+                                         half + half.T)
             assert got == pytest.approx(1.0 / est.lossless_qcrb(100.0, 1.0), rel=1e-13)
 
     def test_dual_route_agreement(self, mzi_coh_sqz, gaussian_qfi):
@@ -183,18 +184,19 @@ class TestQfi:
         assert abs(gaussian_qfi(fam, 0.5) - 9.0) < 1e-7
 
     def test_vacuum_family_zero(self, gaussian_qfi):
-        fam = lambda p: ga.propagate(ga.vacuum_state(2), sym.make_mzi(p))
+        fam = lambda p: ga.propagate(ga.vacuum_state(2), sym.SymplecticTransform(sym.mzi_matrix(p)))
         assert abs(gaussian_qfi(fam, 0.9)) < 1e-10
 
     def test_thermal_family_zero(self, gaussian_qfi):
-        fam = lambda p: ga.propagate(ga.tensor([ga.thermal_state(1.0), ga.thermal_state(1.0)]), sym.make_mzi(p))
+        fam = lambda p: ga.propagate(ga.tensor([ga.thermal_state(1.0), ga.thermal_state(1.0)]),
+                                     sym.SymplecticTransform(sym.mzi_matrix(p)))
         assert abs(gaussian_qfi(fam, 0.9)) < 1e-10
 
     def test_wigner_route_on_nongaussian_family(self):
         # coherent + single photon through the MZI: pure but non-Gaussian
         def family(phi):
             joint = wg.tensor_exprs(wg.from_gaussian(ga.coherent_state(1.0, 0.0)), wg.fock_wigner(1))
-            return ref.apply_symplectic(joint, sym.make_mzi(phi))
+            return ref.apply_symplectic(joint, sym.SymplecticTransform(sym.mzi_matrix(phi)))
 
         got = ref.qfi_pure_wigner(family, 0.7)
         orc = Oracle([22, 22])
@@ -210,12 +212,13 @@ class TestQfi:
         # lone photon: definite photon number, QFI = 1 (Heisenberg-limited)
         def family(phi):
             joint = wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.vacuum_state(1)))
-            return ref.apply_symplectic(joint, sym.make_mzi(phi))
+            return ref.apply_symplectic(joint, sym.SymplecticTransform(sym.mzi_matrix(phi)))
 
         assert abs(ref.qfi_pure_wigner(family, 0.9) - 1.0) < 1e-8
 
     def test_impure_rejected_by_wigner_route(self):
-        fam = lambda p: wg.from_gaussian(ga.propagate(ga.tensor([ga.thermal_state(1.0), ga.vacuum_state(1)]), sym.make_mzi(p)))
+        fam = lambda p: wg.from_gaussian(ga.propagate(ga.tensor([ga.thermal_state(1.0), ga.vacuum_state(1)]),
+                                                      sym.SymplecticTransform(sym.mzi_matrix(p))))
         with pytest.raises(PurityViolation):
             ref.qfi_pure_wigner(fam, 0.7)
 
@@ -291,7 +294,7 @@ class TestSnr:
         assert abs(est.snr(meas.intensity(ga.coherent_state(2.0, 0.0))) - 2.0) < 1e-9
 
     def test_subtracted_thermal_factorization(self):
-        s = cond.herald(wg.from_gaussian(ga.thermal_state(4.0)), 1, ("BS", 0.9), 0, 1)
+        s = ref.herald(wg.from_gaussian(ga.thermal_state(4.0)), 1, ("BS", 0.9), 0, 1)[0]
         got = est.snr(meas.intensity(s[0]))
         assert abs(got / cond.thermal_snr(4.0) - math.sqrt(1.8)) < 1e-8
 
@@ -309,11 +312,10 @@ def _parity_info_families(nbar, gain, T):
     r = math.acosh(math.sqrt(gain))
 
     def branch_pair(phi):
-        joint = wg.tensor_exprs(
-            wg.from_gaussian(ga.thermal_state(nbar)), wg.from_gaussian(ga.squeezed_vacuum(r, 0.0))
-        )
-        s, f = (cond.herald(joint, 1, ("BS", T), 0, 1, click=c) for c in (False, True))
-        mzi = sym.make_mzi(phi)
+        squeezed = ga.propagate(ga.vacuum_state(), sym.make_squeezer(r, 0.0))
+        joint = wg.tensor_exprs(wg.from_gaussian(ga.thermal_state(nbar)), wg.from_gaussian(squeezed))
+        s, f = (ref.herald(joint, 1, ("BS", T), 0, 1, click=c)[0] for c in (False, True))
+        mzi = sym.SymplecticTransform(sym.mzi_matrix(phi))
         return (
             (s[1], ref.apply_symplectic(s[0], mzi)),
             (f[1], ref.apply_symplectic(f[0], mzi)),
@@ -323,7 +325,7 @@ def _parity_info_families(nbar, gain, T):
         def fn(phi):
             s, f = branch_pair(phi)
             p, state = s if which == "s" else f
-            return p if what == "p" else meas.parity(state, 2).mean
+            return p if what == "p" else ref.parity(state, 2).mean
 
         return fn
 
@@ -334,9 +336,9 @@ class TestTotalParityInformation:
     def test_certain_branch_reduces_to_error_prop(self, mzi_coh_sqz):
         fam = mzi_coh_sqz(4.0, 0.5)
         phi = 2.6
-        pi_fn = lambda p: meas.parity(fam(p), 1).mean
+        pi_fn = lambda p: ref.parity(fam(p), 1).mean
         info = ref.total_parity_information([(lambda p: 1.0, pi_fn)], phi)
-        var = ref.phase_variance_error_prop(pi_fn, lambda p: meas.parity(fam(p), 1).variance, phi)
+        var = ref.phase_variance_error_prop(pi_fn, lambda p: ref.parity(fam(p), 1).variance, phi)
         assert abs(info * var - 1.0) < 1e-8
 
     def test_subtraction_never_beats_plain_mzi(self):
@@ -346,9 +348,10 @@ class TestTotalParityInformation:
 
         def plain(phi):
             state = ga.propagate(
-                ga.tensor([ga.thermal_state(nbar), ga.squeezed_vacuum(r, 0.0)]), sym.make_mzi(phi)
+                ga.tensor([ga.thermal_state(nbar), ga.propagate(ga.vacuum_state(), sym.make_squeezer(r, 0.0))]),
+                sym.SymplecticTransform(sym.mzi_matrix(phi))
             )
-            return meas.parity(state, 2).mean
+            return ref.parity(state, 2).mean
 
         def plain_var(phi):
             return 1.0 - plain(phi) ** 2
@@ -366,9 +369,10 @@ class TestTotalParityInformation:
 
         def plain(p):
             state = ga.propagate(
-                ga.tensor([ga.thermal_state(nbar), ga.squeezed_vacuum(r, 0.0)]), sym.make_mzi(p)
+                ga.tensor([ga.thermal_state(nbar), ga.propagate(ga.vacuum_state(), sym.make_squeezer(r, 0.0))]),
+                sym.SymplecticTransform(sym.mzi_matrix(p))
             )
-            return meas.parity(state, 2).mean
+            return ref.parity(state, 2).mean
 
         i_tot = ref.total_parity_information(branches, phi)
         i_plain = 1.0 / ref.phase_variance_error_prop(plain, lambda p: 1.0 - plain(p) ** 2, phi)
@@ -404,7 +408,7 @@ class TestCramerRaoOrdering:
         while count < 200:
             phi = RNG.uniform(0.3, 2 * math.pi - 0.3)
             scheme = schemes[RNG.integers(0, len(schemes))]
-            mom = lambda p: meas.measure(fam(p), scheme)
+            mom = lambda p: ref.measure(fam(p), scheme)
             try:
                 v = ref.phase_variance_error_prop(lambda p: mom(p).mean, lambda p: mom(p).variance, phi)
             except SignalStationary:
@@ -415,8 +419,8 @@ class TestCramerRaoOrdering:
     def test_cfi_bounded_by_qfi(self, mzi_coh_sqz, gaussian_qfi):
         fam = mzi_coh_sqz(1.0, 0.4)
         qfi = gaussian_qfi(fam, 1.1)
-        click1 = ref.two_outcome(lambda p: meas.click_probability(fam(p), 1))
-        click2 = ref.two_outcome(lambda p: meas.click_probability(fam(p), 2))
+        click1 = ref.two_outcome(lambda p: ref.click_probability(fam(p), 1))
+        click2 = ref.two_outcome(lambda p: ref.click_probability(fam(p), 2))
         total = ref.cfi(click1, 1.1) + ref.cfi(click2, 1.1)
         assert total <= qfi * (1.0 + 1e-7)
 

@@ -1,5 +1,5 @@
 """The single herald primitive: one read of the signal and its ancilla through the mix, against the detector's
-projector.
+projector (`wg.AffineImage.state` with `wg.projector`), the read every stage of a scenario makes.
 
 Both arms of a herald read the same ancilla output, the failure arm through
 the complement of the success arm's projector, so together they reassemble
@@ -17,6 +17,7 @@ import pytest
 import reference as ref
 from wignersim import conditional as cond
 from wignersim import gaussian as ga
+from wignersim import scenario as sc
 from wignersim import symplectic as sym
 from wignersim import wigner as wg
 from wignersim.errors import ImprobableBranch
@@ -34,17 +35,31 @@ def vacuum() -> WignerExpr:
     return wg.from_gaussian(ga.vacuum_state(1))
 
 
-def branches(coupling: tuple, ancilla: int, n: int, click: bool = False):
-    """expr -> (success, failure) of a herald on mode 1, each (state, probability) from `cond.herald`."""
-    return lambda e: tuple(cond.herald(e, 1, coupling, ancilla, n, c) for c in (click, not click))
+def read(expr: WignerExpr, coupling: sym.SymplecticTransform, ancilla: int, n: int, complement: bool) -> tuple:
+    """(state, probability) of one arm of a herald on mode 1: the signal and its ancilla in Fock `ancilla` (input 1
+    of `coupling`) read through the coupling against the projector on Fock n, or its complement."""
+    joint = wg.tensor_exprs(expr, wg.fock_wigner(ancilla))
+    mix = sym.embed(coupling, [joint.modes, 1], joint.modes).matrix
+    herald = wg.projector(joint.nvars - 2, n, complement)
+    state = wg.AffineImage(joint, mix, np.zeros(len(mix)), np.zeros_like(mix), herald).state(range(1, expr.modes + 1))
+    return wg._herald_branch(state, state.norm / joint.norm)
 
 
-# name -> ((success, failure) from `cond.herald`, its coupling, its ancilla); the herald acts on mode 1
+def branches(coupling: sym.SymplecticTransform, ancilla: int, n: int, click: bool = False):
+    """expr -> (success, failure) of a herald on mode 1, each (state, probability), from `read`."""
+    return lambda e: tuple(read(e, coupling, ancilla, n, c) for c in (click, not click))
+
+
+def splitter(T: float) -> sym.SymplecticTransform:
+    return sym.SymplecticTransform(sym.beam_splitter_matrix(T))
+
+
+# name -> ((success, failure) from `read`, its coupling, its ancilla); the herald acts on mode 1
 MECHANISMS = {
-    "bs_add": (branches(("BS", 0.85), 2, 0), sym.make_beam_splitter(0.85), lambda: wg.fock_wigner(2)),
-    "spdc_add": (branches(("SPDC", 0.3, 0.2), 0, 1), sym.make_two_mode_squeezer(0.3, 0.2), vacuum),
-    "fock_subtract": (branches(("BS", 0.8), 0, 2), sym.make_beam_splitter(0.8), vacuum),
-    "click_subtract": (branches(("BS", 0.8), 0, 0, True), sym.make_beam_splitter(0.8), vacuum),
+    "bs_add": (branches(splitter(0.85), 2, 0), splitter(0.85), lambda: wg.fock_wigner(2)),
+    "spdc_add": (branches(sym.make_two_mode_squeezer(0.3, 0.2), 0, 1), sym.make_two_mode_squeezer(0.3, 0.2), vacuum),
+    "fock_subtract": (branches(splitter(0.8), 0, 2), splitter(0.8), vacuum),
+    "click_subtract": (branches(splitter(0.8), 0, 0, True), splitter(0.8), vacuum),
 }
 
 
@@ -76,18 +91,19 @@ def test_one_mixing_and_one_projection(name, counts):
 def two_term_signal() -> WignerExpr:
     """Non-Gaussian two-mode signal of two terms: Fock(1) x coherent, and displaced squeezed x thermal."""
     fock = wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.coherent_state(0.7, 0.3)))
-    squeezed = ga.propagate(ga.squeezed_vacuum(0.4, 0.5), sym.make_displacement(0.8, 1.1))
+    squeezed = ga.propagate(ga.vacuum_state(), sym.make_squeezer(0.4, 0.5))
+    squeezed = ga.propagate(squeezed, sym.make_displacement(0.8, 1.1))
     gauss = wg.tensor_exprs(wg.from_gaussian(squeezed), wg.from_gaussian(ga.thermal_state(0.5)))
     return WignerExpr(2, _scaled(fock, 0.6) + _scaled(gauss, 0.4))
 
 
 # name -> (coupling, ancilla, projector order); the herald acts on mode 1 through ancilla mode 3
 ROUTES = {
-    "bs_add_m1": (sym.make_beam_splitter(0.85), lambda: wg.fock_wigner(1), 0),
-    "bs_add_m3": (sym.make_beam_splitter(0.85), lambda: wg.fock_wigner(3), 0),
-    "fock_subtract_m1": (sym.make_beam_splitter(0.8), vacuum, 1),
-    "fock_subtract_m2": (sym.make_beam_splitter(0.8), vacuum, 2),
-    "click_subtract": (sym.make_beam_splitter(0.8), vacuum, 0),
+    "bs_add_m1": (splitter(0.85), lambda: wg.fock_wigner(1), 0),
+    "bs_add_m3": (splitter(0.85), lambda: wg.fock_wigner(3), 0),
+    "fock_subtract_m1": (splitter(0.8), vacuum, 1),
+    "fock_subtract_m2": (splitter(0.8), vacuum, 2),
+    "click_subtract": (splitter(0.8), vacuum, 0),
     "spdc_add": (sym.make_two_mode_squeezer(0.3, 0.2), vacuum, 1),
 }
 
@@ -104,8 +120,8 @@ def test_conditioning_matches_the_substituted_route(name, project):
     assert fused.modes == substituted.modes == 2
     assert abs(fused.norm - substituted.norm) <= 1e-13 * abs(substituted.norm)
     points = np.random.default_rng(7).normal(scale=0.7, size=(20, 4))
-    got = np.array([fused.evaluate(x) for x in points])
-    want = np.array([substituted.evaluate(x) for x in points])
+    got = np.array([ref.evaluate(fused, x) for x in points])
+    want = np.array([ref.evaluate(substituted, x) for x in points])
     # a projected state changes sign, so each point is compared on the scale of the largest value
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -130,7 +146,7 @@ def test_branches_reassemble_the_traced_state(name):
     expr = signal()
     (success, p_s), (failure, p_f) = branches(expr)
     mixed = ref.apply_symplectic(wg.tensor_exprs(expr, ancilla()), sym.embed(coupling, [3, 1], 3))
-    traced = wg.marginalize(mixed, 3).normalize()
+    traced = wg._integrate_out(mixed, [4, 5]).normalize()
     assert abs(p_s + p_f - 1.0) < 1e-12
     parts = _scaled(success, p_s) + _scaled(failure, p_f)
     diff = _collect(WignerExpr(2, parts + _scaled(traced, -1.0)))
@@ -141,17 +157,16 @@ def test_branches_reassemble_the_traced_state(name):
 @pytest.mark.parametrize(
     "single, pair, index",
     [
-        (lambda e: cond.herald(e, 1, ("BS", 0.85), 2, 0), lambda e: ref.herald(e, 1, ("BS", 0.85), 2, 0), 0),
-        (lambda e: cond.herald(e, 1, ("SPDC", 0.3, 0.2), 0, 1), lambda e: ref.herald(e, 1, ("SPDC", 0.3, 0.2), 0, 1),
-         0),
-        (lambda e: cond.herald(e, 1, ("BS", 0.8), 0, 2), lambda e: ref.herald(e, 1, ("BS", 0.8), 0, 2), 0),
-        (lambda e: cond.herald(e, 1, ("BS", 0.8), 0, 2, True), lambda e: ref.herald(e, 1, ("BS", 0.8), 0, 2), 1),
-        (lambda e: cond.herald(e, 1, ("BS", 0.8), 0, 0, True), lambda e: ref.herald(e, 1, ("BS", 0.8), 0, 0, True),
-         0),
+        (lambda e: read(e, splitter(0.85), 2, 0, False), lambda e: ref.herald(e, 1, ("BS", 0.85), 2, 0), 0),
+        (lambda e: read(e, sym.make_two_mode_squeezer(0.3, 0.2), 0, 1, False),
+         lambda e: ref.herald(e, 1, ("SPDC", 0.3, 0.2), 0, 1), 0),
+        (lambda e: read(e, splitter(0.8), 0, 2, False), lambda e: ref.herald(e, 1, ("BS", 0.8), 0, 2), 0),
+        (lambda e: read(e, splitter(0.8), 0, 2, True), lambda e: ref.herald(e, 1, ("BS", 0.8), 0, 2), 1),
+        (lambda e: read(e, splitter(0.8), 0, 0, True), lambda e: ref.herald(e, 1, ("BS", 0.8), 0, 0, True), 0),
     ],
 )
 def test_single_branch_entries_match_the_pair(single, pair, index):
-    # each arm of `cond.herald`, the complement of a Fock herald included, is that arm of the one-herald referee
+    # each arm of the one read, the complement of a Fock herald included, is that arm of the one-herald referee
     (state, p), (want, p_want) = single(signal()), pair(signal())[index]
     assert p == pytest.approx(p_want, rel=1e-13)
     monomials = [{0: 2}, {1: 2}, {0: 1, 2: 1}, {0: 4}, {1: 2, 3: 2}]
@@ -161,30 +176,35 @@ def test_single_branch_entries_match_the_pair(single, pair, index):
 def test_single_branch_ignores_an_improbable_complement():
     # a one-photon Fock state fully reflected onto the herald: exactly one photon is certain
     one = wg.fock_wigner(1)
-    s = cond.herald(one, 1, ("BS", 0.0), 0, 1)
+    s = read(one, splitter(0.0), 0, 1, False)
     assert s[1] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ImprobableBranch):
-        cond.herald(one, 1, ("BS", 0.0), 0, 1, click=True)
+        read(one, splitter(0.0), 0, 1, True)
     assert ref.herald(one, 1, ("BS", 0.0), 0, 1)[1] is None
     # and a vacuum signal never clicks, while its no-click branch is certain
     with pytest.raises(ImprobableBranch):
-        cond.herald(vacuum(), 1, ("BS", 0.5), 0, 0, click=True)
-    assert cond.herald(vacuum(), 1, ("BS", 0.5), 0, 0)[1] == pytest.approx(1.0, abs=1e-12)
+        read(vacuum(), splitter(0.5), 0, 0, True)
+    assert read(vacuum(), splitter(0.5), 0, 0, False)[1] == pytest.approx(1.0, abs=1e-12)
+
+
+def herald_spec(**fields):
+    return lambda: sc.ModificationSpec.from_dict(fields, "modifications.0")
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: cond.herald(signal(), 3, ("BS", 0.9), 1, 0),
-        lambda: cond.herald(signal(), 1, ("BS", 0.9), cond.M_CUTOFF + 1, 0),
-        lambda: cond.herald(signal(), 1, ("BS", 1.5), 1, 0),
-        lambda: cond.herald(signal(), 1, ("SPDC", -0.1, 0.0), 0, 1),
-        lambda: cond.herald(signal(), 1, ("SPDC", 0.3, 0.0), 0, cond.M_CUTOFF + 1),
-        lambda: cond.herald(signal(), 0, ("BS", 0.9), 0, 1),
-        lambda: cond.herald(signal(), 1, ("BS", -0.1), 0, 0, click=True),
+        herald_spec(op="add", mode=3, m=1, T=0.9),
+        herald_spec(op="add", mode=1, m=cond.M_CUTOFF + 1, T=0.9),
+        herald_spec(op="add", mode=1, m=1, T=1.5),
+        herald_spec(op="add", mode=1, m=1, mechanism="spdc", r=-0.1),
+        herald_spec(op="add", mode=1, m=cond.M_CUTOFF + 1, mechanism="spdc", r=0.3),
+        herald_spec(op="subtract", mode=0, m=1, T=0.9),
+        herald_spec(op="subtract", mode=1, m="click", T=-0.1),
     ],
 )
 def test_every_entry_validates_its_arguments(call):
+    # a herald's mode, photon number, transmissivity and squeezing are validated where a config gives them
     with pytest.raises(ValueError):
         call()
 
@@ -196,7 +216,7 @@ def test_every_entry_validates_its_arguments(call):
         ([0, 1], None, wg.FOCK_CUTOFF + 1),
         ([1, 2], None, 0),  # p of mode 1 and x of mode 2
         ([0], None, 0),  # a projector on a variable that is kept
-        ([0, 1], sym.make_beam_splitter(0.5), None),  # a two-mode map on a three-mode state
+        ([0, 1], sym.SymplecticTransform(sym.beam_splitter_matrix(0.5)), None),  # a two-mode map on a three-mode state
     ],
 )
 def test_integrate_out_validates_its_arguments(var_indices, f, fock):
@@ -213,7 +233,7 @@ def test_a_vector_of_T_heralds_each_point_as_one_T_does(ancilla, n, click):
     grid = (0.2, 0.55, 0.9)
     joint = wg.tensor_exprs(signal(), wg.fock_wigner(ancilla))
     mix = np.broadcast_to(np.eye(6), (3, 6, 6)).copy()
-    mix[(..., *np.ix_([4, 5, 0, 1], [4, 5, 0, 1]))] = sym._beam_splitter_matrix(grid)  # the ancilla is input 1
+    mix[(..., *np.ix_([4, 5, 0, 1], [4, 5, 0, 1]))] = sym.beam_splitter_matrix(grid)  # the ancilla is input 1
     channel = (mix, np.zeros(6), np.zeros((6, 6)))
     projected = wg._integrate_out(joint, [4, 5], channel, ((4, n),))
     complement = WignerExpr(2, wg._integrate_out(joint, [4, 5], channel).terms + _scaled(projected, -1.0))

@@ -26,12 +26,11 @@ class TestConventionPinning:
         mix = Mixture.from_product(orc, [("coherent", alpha), ("coherent", 0.3j)])
         state = ga.tensor([ga.coherent_state(alpha, 0.0), ga.coherent_state(0.3, math.pi / 2)])
         cases = [
-            (sym.make_beam_splitter(0.7), orc.bs(1, 2, 0.7)),
-            (sym.make_symmetric_phase_shifter(0.9), orc.ps2(1, 2, 0.9)),
-            (sym.direct_sum([sym.make_phase_shifter(1.2), sym.identity_transform(1)]), orc.ps(1, 1.2)),
-            (sym.make_mzi(1.1), orc.mzi(1.1)),
-            (sym.direct_sum([sym.make_squeezer(0.4, 0.7), sym.identity_transform(1)]), orc.squeeze(1, 0.4, 0.7)),
-            (sym.direct_sum([sym.make_displacement(0.5, 1.2), sym.identity_transform(1)]), orc.displace(1, 0.5, 1.2)),
+            (sym.SymplecticTransform(sym.beam_splitter_matrix(0.7)), orc.bs(1, 2, 0.7)),
+            (sym.SymplecticTransform(sym._symmetric_phase_matrix(0.9)), orc.ps2(1, 2, 0.9)),
+            (sym.SymplecticTransform(sym.mzi_matrix(1.1)), orc.mzi(1.1)),
+            (sym.embed(sym.make_squeezer(0.4, 0.7), [1], 2), orc.squeeze(1, 0.4, 0.7)),
+            (sym.embed(sym.make_displacement(0.5, 1.2), [1], 2), orc.displace(1, 0.5, 1.2)),
         ]
         for f, steps in cases:
             want = f.matrix @ state.mean + f.shift

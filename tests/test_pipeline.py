@@ -152,7 +152,7 @@ def test_each_prefix_arm_matches_the_stage_by_stage_referee(name):
         # every moment of degree <= 4; one that vanishes by symmetry is rounding on the scale of the largest
         t_got, t_want = ref.moment_tensor(g), ref.moment_tensor(w)
         assert np.all(np.abs(t_got - t_want) <= 1e-12 * np.abs(t_want) + 1e-15 * np.max(np.abs(t_want))), arm
-        values = np.array([[g.evaluate(x), w.evaluate(x)] for x in points])
+        values = np.array([[ref.evaluate(g, x), ref.evaluate(w, x)] for x in points])
         assert np.max(np.abs(values[:, 0] - values[:, 1])) <= 1e-12 * np.max(np.abs(values[:, 1])), arm
 
 
@@ -186,7 +186,7 @@ def test_an_input_click_that_fires_almost_surely_keeps_its_row():
 def noise_after_mzi(cfg: sc.ScenarioConfig, phi: float) -> ref.Built:
     """Reference Wigner pipeline with every noise channel applied per phi: MZI, loss per mode, thermal."""
     res = ref.prefix(cfg.inputs, tuple(m for m in cfg.modifications if m.stage == "input"), False, None)
-    mzi = sym.make_mzi(phi)
+    mzi = sym.SymplecticTransform(sym.mzi_matrix(phi))
 
     def noise(state):
         state = ref.apply_symplectic(state, mzi)
@@ -203,7 +203,7 @@ def observables(res: sc.PipelineResult) -> list:
     s = res.state
     n1 = meas.intensity(s, 1)
     return [res.success_prob, s.norm, n1.mean, n1.second_moment, meas.intensity_difference(s, 1, 2).second_moment,
-            meas.parity(s, 1).mean, meas.click_probability(s, 2), meas.intensity(res.failure_state, 2).mean]
+            ref.parity(s, 1).mean, ref.click_probability(s, 2), meas.intensity(res.failure_state, 2).mean]
 
 
 LOSSY_FOCK = {
@@ -254,7 +254,7 @@ class TestClickCfi:
         assert not warnings
 
         def branch(mode):
-            return ref.two_outcome(lambda p: meas.click_probability(ref.build_pipeline(cfg, p).state, mode))
+            return ref.two_outcome(lambda p: ref.click_probability(ref.build_pipeline(cfg, p).state, mode))
 
         def exact(mode):
             # P0'^2 / P0 + P0'^2 / (1 - P0) from the no-click jet, its first term as P0 (P0'/P0)^2
@@ -316,7 +316,7 @@ class TestClickCfi:
             want = 0.0
             for arm, weight in (("state", res[0].success_prob), ("failure_state", 1.0 - res[0].success_prob)):
                 for mode in (1, 2):
-                    clicks = [meas.click_probability(getattr(r, arm), mode) for r in res]
+                    clicks = [ref.click_probability(getattr(r, arm), mode) for r in res]
                     for q in (clicks, [1.0 - c for c in clicks]):
                         if any(q):  # an outcome impossible at phi and phi +- h adds 0
                             want += weight * ((q[1] - q[2]) / (2 * h)) ** 2 / q[0]
@@ -333,7 +333,7 @@ class TestClickCfi:
         assert not warnings
         want = 0.0
         for mode in (1, 2):
-            p = lambda phi: meas.click_probability(ref.build_pipeline(cfg, phi).state, mode)
+            p = lambda phi: ref.click_probability(ref.build_pipeline(cfg, phi).state, mode)
             dp = richardson(p, cfg.phi, 1e-2)
             want += dp * dp / (p(cfg.phi) * (1.0 - p(cfg.phi)))
         assert report.cfi == pytest.approx(want, rel=1e-7)
@@ -386,7 +386,7 @@ class TestQfiRoute:
     def test_prefix_qfi_is_the_intensity_difference_after_a_50_50_splitter(self, inputs, mods):
         # Var(x1 x2 + p1 p2) of the prefix's own moments is Var(n1 - n2) of its image through the first splitter
         prefix = sc._route(config(inputs, mods)).prefix
-        split = wg.AffineImage(prefix.jet((), 0), sym.make_beam_splitter(0.5).matrix, np.zeros(4), np.zeros((4, 4)))
+        split = wg.AffineImage(prefix.jet((), 0), sym.beam_splitter_matrix(0.5), np.zeros(4), np.zeros((4, 4)))
         assert prefix.qfi == pytest.approx(meas.intensity_difference(split, 1, 2).variance, rel=1e-12, abs=0.0)
 
     def test_mixed_non_gaussian_is_a_warning(self, tmp_path, capsys):
@@ -458,7 +458,7 @@ def richardson(f, phi: float, h: float):
 
 def signal_fns(cfg: sc.ScenarioConfig, scheme: meas.DetectionScheme) -> tuple:
     """mean(phi) and variance(phi) of one detector, measured on the observed state."""
-    at = lambda p: meas.measure(sc._route(cfg).observe(p).state, scheme)  # noqa: E731
+    at = lambda p: ref.measure(sc._route(cfg).observe(p).state, scheme)  # noqa: E731
     return (lambda p: at(p).mean), (lambda p: at(p).variance)
 
 
@@ -660,7 +660,7 @@ class TestKernelJet:
     @staticmethod
     def observed(cfg, scheme, phi):
         # parity, or the no-click probability, on the validated observed state, and the exact slope of its signal
-        mean = meas.measure(sc._route(cfg).observe(phi).state, scheme).mean
+        mean = ref.measure(sc._route(cfg).observe(phi).state, scheme).mean
         return (mean if scheme.kind == "parity" else 1.0 - mean), sc._kernel_jet(cfg, scheme)(np.array([phi]))[1][0]
 
     @pytest.mark.parametrize("name", sorted(KERNEL_JET_CASES))
@@ -672,9 +672,9 @@ class TestKernelJet:
             for phi, got in zip(phis, values):
                 state = sc._route(cfg).observe(phi).state
                 if scheme.kind == "parity":
-                    assert got == pytest.approx(meas.parity(state, scheme.mode).mean, rel=1e-13, abs=1e-300)
+                    assert got == pytest.approx(ref.parity(state, scheme.mode).mean, rel=1e-13, abs=1e-300)
                 else:
-                    assert 1.0 - got == pytest.approx(meas.click_probability(state, scheme.mode), rel=0.0, abs=1e-13)
+                    assert 1.0 - got == pytest.approx(ref.click_probability(state, scheme.mode), rel=0.0, abs=1e-13)
 
     @pytest.mark.parametrize("name", sorted(KERNEL_JET_CASES))
     def test_slope_and_curvature_match_central_differences(self, name):
@@ -703,7 +703,7 @@ class TestWignerKernelJet:
                 jet = sc._kernel_jet(cfg, scheme, arm)
 
                 def value(p):  # parity, or the no-click probability, measured on the observed arm
-                    mean = meas.measure(getattr(observe(p), branch), scheme).mean
+                    mean = ref.measure(getattr(observe(p), branch), scheme).mean
                     return mean if scheme.kind == "parity" else 1.0 - mean
 
                 values, slopes, curves, _ = jet(np.array(phis))
@@ -722,7 +722,7 @@ class TestWignerKernelJet:
         observe = sc._route(cfg).observe
 
         def arm(branch):
-            return [ref.two_outcome(lambda p, m=m: meas.click_probability(getattr(observe(p), branch), m))
+            return [ref.two_outcome(lambda p, m=m: ref.click_probability(getattr(observe(p), branch), m))
                     for m in (1, 2)]
 
         res = observe(cfg.phi)
@@ -761,10 +761,10 @@ class TestPulledBackRoute:
                 if w is None:
                     continue
                 for mode in (1, 2):
-                    assert meas.click_probability(g, mode) == pytest.approx(meas.click_probability(w, mode),
+                    assert ref.click_probability(g, mode) == pytest.approx(ref.click_probability(w, mode),
                                                                            rel=1e-10, abs=0.0)
                 for scheme in EVERY_DETECTOR:
-                    a, b = meas.measure(w, scheme), meas.measure(g, scheme)
+                    a, b = ref.measure(w, scheme), ref.measure(g, scheme)
                     assert b.mean == pytest.approx(a.mean, rel=1e-10, abs=0.0), (phi, arm, scheme.label)
                     assert b.second_moment == pytest.approx(a.second_moment, rel=1e-10, abs=0.0), (phi, arm,
                                                                                                   scheme.label)
@@ -796,7 +796,7 @@ class TestPulledBackRoute:
                 w, g = getattr(want, arm), getattr(got, arm)
                 assert (w is None) == (g is None)
                 for scheme in every if w is not None else ():
-                    a, b = meas.measure(w, scheme), meas.measure(g, scheme)
+                    a, b = ref.measure(w, scheme), ref.measure(g, scheme)
                     assert b.mean == pytest.approx(a.mean, rel=1e-10, abs=1e-14), (phi, arm, scheme.label)
                     assert b.variance == pytest.approx(a.variance, rel=1e-10, abs=1e-14), (phi, arm, scheme.label)
 
@@ -819,8 +819,8 @@ class TestPulledBackRoute:
         signals = {scheme: sc._optimal_phi(cfg, scheme)[2] for scheme in cfg.detection}
         for phi in (cfg.phi, report.optimal_phi["diff[1,2]"]):
             for scheme in cfg.detection:
-                mean = lambda p: meas.measure(forward(p), scheme).mean
-                var = lambda p: meas.measure(forward(p), scheme).variance
+                mean = lambda p: ref.measure(forward(p), scheme).mean
+                var = lambda p: ref.measure(forward(p), scheme).variance
                 want = ref.phase_variance_error_prop(mean, var, phi)
                 got_mean, got_var = signal_fns(cfg, scheme)
                 assert got_mean(phi) == pytest.approx(mean(phi), rel=1e-10), scheme.label

@@ -119,6 +119,17 @@ class TestKeyTree:
         with pytest.raises(ConfigError, match="line 1"):
             sc.load_config(str(path))
 
+    @pytest.mark.parametrize("text", [
+        'inputs.-1.kind = "vacuum"\n',  # no list to index yet
+        'inputs.0.kind = "vacuum"\ninputs.1.kind = "vacuum"\ninputs.-1.kind = "fock"\n',  # would alias input 2
+    ], ids=["alone", "after_two_inputs"])
+    def test_negative_index_is_a_config_error(self, text, tmp_path, capsys):
+        # a list index is a run of digits: "-1" is a key, which no list takes and no input list holds
+        path = tmp_path / "cfg.tree"
+        path.write_text(text + 'interferometer.phi = 1.0\n')
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_gaussian_fast_path_detected(self):

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 import workloads
-from wignersim import conditional as cond
 from wignersim import gaussian as ga
 from wignersim import measurements as meas
 from wignersim import scenario as sc
@@ -20,8 +19,8 @@ PACS_COUNTS = str(CONFIGS / "pacs_counts.json")
 
 
 def two_mode_gaussian() -> ga.GaussianState:
-    state = ga.tensor([ga.coherent_state(1.0, 0.2), ga.squeezed_vacuum(0.4, 0.0)])
-    return ga.propagate(state, sym.make_mzi(0.7))
+    state = ga.tensor([ga.coherent_state(1.0, 0.2), ga.propagate(ga.vacuum_state(), sym.make_squeezer(0.4, 0.0))])
+    return ga.propagate(state, sym.SymplecticTransform(sym.mzi_matrix(0.7)))
 
 
 @pytest.fixture
@@ -64,7 +63,7 @@ def test_norm_is_computed_once_on_first_read(monkeypatch):
 
     monkeypatch.setattr(wg.Term, "integral", counted)
     expr = wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.thermal_state(0.5)))
-    expr = wg._integrate_out(expr, [], sym.make_beam_splitter(0.3))
+    expr = wg._integrate_out(expr, [], sym.SymplecticTransform(sym.beam_splitter_matrix(0.3)))
     assert calls == []
     assert abs(expr.norm - 1.0) < 1e-12
     assert len(calls) == len(expr.terms)
@@ -173,11 +172,11 @@ def test_gaussian_kernel_optimum_observes_nothing(kind, observed):
 
 def test_herald_after_the_phase_builds_each_phase_once(monkeypatch):
     # the herald's ancilla rides in the cached prefix: the point and its cfi read the channel, and the
-    # distributions read each mode off it, one partial integration per distributed mode; nothing is heralded
-    heralds, integrations = counter(monkeypatch, cond, "herald"), counter(monkeypatch, wg, "_integrate_out")
+    # distributions read each mode off it, one partial integration per distributed mode
+    integrations = counter(monkeypatch, wg, "_integrate_out")
     sc._route.cache_clear()
     sc.run(sc.load_config(str(Path(LIGO_LOSSY).parent / "subtracted_thermal.json")))
-    assert (len(heralds), len(integrations)) == (0, 2)
+    assert len(integrations) == 2
 
 
 @pytest.mark.parametrize("metrics, distributed", [(["phase_variance", "cfi", "snr"], 0),
@@ -185,19 +184,19 @@ def test_herald_after_the_phase_builds_each_phase_once(monkeypatch):
 def test_output_herald_run_builds_only_its_distributions(metrics, distributed, monkeypatch):
     # every metric reads the prefix, the herald's ancilla included, through the channel; the distributions take
     # each mode off it, one partial integration per mode of the herald's one projector product
-    heralds, integrations = counter(monkeypatch, cond, "herald"), counter(monkeypatch, wg, "_integrate_out")
+    integrations = counter(monkeypatch, wg, "_integrate_out")
     raw = json.loads((Path(LIGO_LOSSY).parent / "subtracted_thermal.json").read_text())
     sc.run(sc.ScenarioConfig.from_dict(dict(raw, metrics=metrics)))
-    assert (len(heralds), len(integrations)) == (0, 2 * distributed)
+    assert len(integrations) == 2 * distributed
 
 
 def test_output_herald_drift_builds_nothing(monkeypatch):
     # 200 trials of each detector read its signal's jet, one call for all of them
-    calls = [counter(monkeypatch, module, name) for module, name in ((cond, "herald"), (wg, "_integrate_out"))]
+    integrations = counter(monkeypatch, wg, "_integrate_out")
     report = sc.phase_drift_study(sc.load_config(str(Path(LIGO_LOSSY).parent / "subtracted_thermal.json")),
                                   trials=200, seed=1)
     assert len(report.rows) == 2
-    assert calls == [[], []]
+    assert integrations == []
 
 
 def test_ligo_lossy_point_makes_no_per_phi_transform(monkeypatch):
@@ -231,13 +230,12 @@ def test_second_heralded_point_builds_no_wick_schedule(monkeypatch):
 def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
     # ROADMAP heralded reference (b) on the pulled-back route: the loss on both modes sits in the cached
     # prefix, and no phi substitutes the MZI into a term
-    counts = {name: counter(monkeypatch, module, name) for module, name in (
-        (cond, "herald"), (wg, "_integrate_out"))}
+    integrations = counter(monkeypatch, wg, "_integrate_out")
     forget_routes()
     sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
-    # _integrate_out: the herald's projected arm and the unprojected read of the lossy prefix, whose channel
-    # holds the input squeeze and the loss; the photon-number probe reads that prefix too, over 1 - L
-    assert {name: len(calls) for name, calls in counts.items()} == {"herald": 0, "_integrate_out": 2}
+    # the herald's projected arm and the unprojected read of the lossy prefix, whose channel holds the input
+    # squeeze and the loss; the photon-number probe reads that prefix too, over 1 - L
+    assert len(integrations) == 2
 
 
 def test_lossy_heralded_point_builds_no_lossless_moment_tensor(monkeypatch):
@@ -308,21 +306,18 @@ def test_counted_m3_state_is_one_mode(monkeypatch):
     # pipeline gives 110 over four variables
     raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / "pacs_counts.json").read_text())
     raw["modifications"][0]["m"] = 3
-    heralds = counter(monkeypatch, cond, "herald")
     config = sc.ScenarioConfig.from_dict(raw)
     state, prob = sc._counted(config, config.modifications[0], (0.3, 0.6, 0.9))
     assert state.modes == 1 and prob.shape == (3,)
     assert all(t.mean.shape == (3, 2) for t in state.terms)
     assert max(len(t.poly) for t in state.terms) <= 28
-    assert heralds == []
 
 
 def test_counts_builds_no_failure_branch_and_one_inverse_dft(monkeypatch):
     # `counts` reads its whole grid once, through the herald's success projector alone: one partial integration
-    # per signed product of projectors (a click herald, 1 - 2 pi F_0, takes two), no herald, and every point's
-    # distribution from one contour by one cached matrix
+    # per signed product of projectors (a click herald, 1 - 2 pi F_0, takes two), and every point's distribution
+    # from one contour by one cached matrix
     integrations = counter(monkeypatch, wg, "_integrate_out")
-    heralds = counter(monkeypatch, cond, "herald")
     contours = counter(monkeypatch, wg, "photon_number_distribution")
     config = sc.load_config(PACS_COUNTS)
     click = sc.ScenarioConfig.from_dict(dict(config.raw, modifications=[
@@ -333,7 +328,7 @@ def test_counts_builds_no_failure_branch_and_one_inverse_dft(monkeypatch):
         wg._inverse_dft.cache_clear()
         report = sc.simulate_counts(cfg, trials=3600, seed=42)
         assert len(report.rows) == 19
-        assert (len(integrations), len(heralds), len(contours)) == (products, 0, 1)
+        assert (len(integrations), len(contours)) == (products, 1)
         assert wg._inverse_dft.cache_info().misses == 1
 
 
