@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .measurements import DetectionScheme
-from .scenario import emit, load_config, phase_drift_study, run, simulate_counts, sweep
+from .scenario import emit, grid_points, load_config, phase_drift_study, run, simulate_counts, sweep
 
 
 def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
@@ -36,7 +36,7 @@ def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
         raise ConfigError("--grid", f"non-finite grid bound in {rng!r}")
     if step <= 0.0:
         raise ConfigError("--grid", "step must be positive")
-    n = math.floor((stop - start) / step + 1e-9) + 1
+    n = grid_points((stop - start) / step, "--grid")
     if n < 1:
         raise ConfigError("--grid", "empty grid")
     return param.strip(), start + step * np.arange(n)

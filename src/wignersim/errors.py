@@ -27,3 +27,7 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+class ContourTooLong(ValueError):
+    """A photon-number distribution whose proven tail bound needs a contour longer than the engine's cap."""

@@ -39,7 +39,7 @@ import numpy as np
 import numpy.random  # loaded lazily otherwise, on the first draw of a `counts` run
 
 from . import __version__
-from .errors import ConfigError, DegenerateBranch, ImprobableBranch, PurityViolation, SignalStationary
+from .errors import ConfigError, ContourTooLong, DegenerateBranch, ImprobableBranch, PurityViolation, SignalStationary
 from . import conditional as cond
 from . import estimation as est
 from . import gaussian as ga
@@ -66,6 +66,8 @@ PREFIX_CACHE_SIZE = 8
 # a `distributions` mode whose tail at wig.DEFAULT_NMAX is above it adds a warning.
 COUNTS_TAIL = 1e-12
 COUNTS_NMAX = 640
+# Most points of a grid, a phi grid in a config or a --grid option
+MAX_GRID_POINTS = 100_000
 # Largest squeeze parameter r of a squeeze or an SPDC addition, and of the
 # summed r of the squeezes on one mode and stage.  The rounding
 # defect of a squeezer matrix grows like eps cosh^2 r and passes the symplectic
@@ -78,14 +80,26 @@ MAX_SQUEEZE_R = 6.0
 # ---------------------------------------------------------------------------
 
 
+def _object(d, path: str) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigError(path, f"expected an object, got {d!r}")
+    return d
+
+
+def _list(v, path: str) -> list:
+    if not isinstance(v, list):
+        raise ConfigError(path, f"expected a list, got {v!r}")
+    return v
+
+
 def _reject_unknown(d: dict, allowed: set, path: str) -> None:
-    for k in d:
+    for k in _object(d, path):
         if k not in allowed:
             raise ConfigError(f"{path}.{k}" if path else k, f"unknown key (allowed: {sorted(allowed)})")
 
 
 def _need(d: dict, key: str, path: str):
-    if key not in d:
+    if key not in _object(d, path):
         raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
     return d[key]
 
@@ -104,6 +118,14 @@ def _number(v, path: str, lo=None, hi=None) -> float:
     if hi is not None and v > hi:
         raise ConfigError(path, f"value {v} above maximum {hi}")
     return v
+
+
+def grid_points(span: float, path: str) -> int:
+    """The number of points of an inclusive grid whose stop lies `span` steps past its start, checked against
+    MAX_GRID_POINTS before any grid is built."""
+    if not span < MAX_GRID_POINTS:
+        raise ConfigError(path, f"more than {MAX_GRID_POINTS} grid points")
+    return math.floor(span + 1e-9) + 1
 
 
 def _mode(v, path: str) -> int:
@@ -273,7 +295,7 @@ class ScenarioConfig:
 
         mods = []
         squeezing: dict[tuple, float] = {}
-        for i, x in enumerate(d.get("modifications", [])):
+        for i, x in enumerate(_list(d.get("modifications", []), "modifications")):
             spec = ModificationSpec.from_dict(x, f"modifications.{i}")
             if spec.op == "squeeze":
                 # squeezes on one mode compose to at most their summed r, which the cap bounds too
@@ -308,7 +330,7 @@ class ScenarioConfig:
             step = _number(_need(raw_phi, "step", "interferometer.phi"), "interferometer.phi.step")
             if step <= 0.0 or stop < start:
                 raise ConfigError("interferometer.phi", "need stop >= start and step > 0")
-            n = int(math.floor((stop - start) / step + 1e-9)) + 1
+            n = grid_points((stop - start) / step, "interferometer.phi")
             phi_grid = tuple(start + step * k for k in range(n))
             phi = phi_grid[0]
         else:
@@ -317,7 +339,7 @@ class ScenarioConfig:
         noise = NoiseSpec.from_dict(d.get("noise", {}), "noise")
 
         det = []
-        for i, x in enumerate(d.get("detection", [])):
+        for i, x in enumerate(_list(d.get("detection", []), "detection")):
             p = f"detection.{i}"
             _reject_unknown(x, {"scheme", "mode", "mode_b", "angle"}, p)
             kind = _need(x, "scheme", p)
@@ -328,7 +350,7 @@ class ScenarioConfig:
                 det.append(meas.DetectionScheme(kind, mode=mode, mode_b=mode_b, angle=angle))
             except ValueError as exc:
                 raise ConfigError(p, str(exc)) from exc
-        metrics = tuple(d.get("metrics", ["phase_variance"]))
+        metrics = tuple(_list(d.get("metrics", ["phase_variance"]), "metrics"))
         for i, m in enumerate(metrics):
             if m not in METRICS:
                 raise ConfigError(f"metrics.{i}", f"unknown metric {m!r} (menu: {METRICS})")
@@ -1150,7 +1172,10 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
             # a Wigner prefix's mode is read off its channel, a Gaussian state's is its marginal
             expr = (res.state.state((mode,)) if isinstance(res.state, wig.AffineImage)
                     else wig.marginal_mode(wig.from_gaussian(res.state), mode))
-            dist = wig.photon_number_distribution(expr, 1)
+            try:
+                dist = wig.photon_number_distribution(expr, 1)
+            except ContourTooLong as exc:
+                raise ConfigError("metrics", f"distributions mode {mode}: {exc}") from exc
             for n, p in enumerate(dist.probs):
                 distributions.append({"mode": mode, "n": n, "p": float(p)})
             report.extras[f"distribution_tail.mode{mode}"] = dist.tail
@@ -1356,17 +1381,27 @@ def _counted(config: ScenarioConfig, mod: ModificationSpec, grid: tuple) -> tupl
     return wig._herald_branch(state, state.norm * np.ones(len(grid)))
 
 
+def _sample_stats(histogram: np.ndarray, added: int) -> dict:
+    """The sample mean of the kept photon numbers, given as the counts of n = 0, 1, ..., and, where two or more
+    differ, its SNR over the sample standard deviation, (mean - added) / sqrt(sum h_n (n - mean)^2 / (kept - 1))."""
+    kept, ns = int(histogram.sum()), np.arange(len(histogram))
+    mean = float(ns @ histogram) / kept
+    squares = float(histogram @ (ns - mean) ** 2)
+    return {"sample_mean": mean, **({"sample_snr": (mean - added) / math.sqrt(squares / (kept - 1))}
+                                    if kept > 1 and squares > 0.0 else {})}
+
+
 def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None) -> RunReport:
     """Post-selected photon-counting experiment at fixed total trial budget.
 
     For each transmissivity grid point the herald keeps the M of `trials`
     uniform draws below P_success: M ~ Binomial(trials, P_success), monotone
-    in P_success, and the same for P_success and the next float above it.  M
-    photon-number samples are drawn from the heralded state's distribution and
-    reduced to a sample mean and sample SNR, reported against the analytic
-    values.  All schemes spend the same `trials`
-    (equal experiment time); the substream for each grid point derives from
-    (seed, index) so execution order cannot matter.
+    in P_success, and the same for P_success and the next float above it.  The
+    histogram of M photon numbers is one multinomial draw from the heralded
+    state's distribution on the same substream, reduced to a sample mean and
+    sample SNR (`_sample_stats`), reported against the analytic values.  All
+    schemes spend the same `trials` (equal experiment time); the substream for
+    each grid point derives from (seed, index) so execution order cannot matter.
 
     The grid is validated once and read at once, as one grid expression
     (`_counted`) whose intensity moments and distributions are one read
@@ -1395,7 +1430,10 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
     at = np.cumsum(prob >= wig.IMPROBABLE_FLOOR) - 1  # each point's index on the state's grid
     theory, dists, wide, n_max = meas.intensity(state, 1), {}, np.arange(at[-1] + 1), wig.DEFAULT_NMAX
     while wide.size:  # n_max doubles where a tail is above COUNTS_TAIL
-        dist = wig.photon_number_distribution(state.take(wide), 1, n_max)
+        try:
+            dist = wig.photon_number_distribution(state.take(wide), 1, n_max)
+        except ContourTooLong as exc:
+            raise ConfigError("counts", str(exc)) from exc
         dists.update((i, wig.PhotonNumberDistribution(p, n_max, t)) for i, p, t in zip(wide, dist.probs, dist.tail))
         wide, n_max = wide[(dist.tail > COUNTS_TAIL) & (n_max < COUNTS_NMAX)], 2 * n_max
     for idx, (T, p, j) in enumerate(zip(grid, prob, at)):
@@ -1415,11 +1453,7 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
             row["flag"] = "no kept measurements"
             warnings.append(f"T={T:g}: herald kept zero of {trials} trials")
         else:
-            samples = dists[j].sample(rng, kept)
-            mean = float(np.mean(samples))
-            row["sample_mean"] = mean
-            if kept > 1 and float(np.std(samples)) > 0.0:
-                row["sample_snr"] = (mean - added) / float(np.std(samples, ddof=1))
+            row.update(_sample_stats(dists[j].histogram(rng, kept), added))
             if dists[j].tail > COUNTS_TAIL:
                 row["flag"] = "truncated photon-number distribution"
                 warnings.append(f"T={T:g}: photon-number tail {dists[j].tail:.3e} at n_max = {dists[j].n_max}")

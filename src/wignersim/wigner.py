@@ -46,7 +46,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ImprobableBranch
+from .errors import ContourTooLong, ImprobableBranch
 from .gaussian import GaussianState
 from .symplectic import SymplecticTransform
 
@@ -54,6 +54,15 @@ FOCK_CUTOFF = 64
 IMPROBABLE_FLOOR = 1e-14
 DEFAULT_NMAX = 40
 CONTOUR_SLAB = 2048
+# `photon_number_distribution`: the bound on each P(n)'s aliasing error, the longest contour, and the real
+# widths, as fractions of the widest that converges, at which E[r^N] is read for the bound
+CONTOUR_ALIAS = 2.0**-53
+CONTOUR_MAX = 2**14
+CONTOUR_WIDTHS = (1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 7 / 8, 15 / 16, 31 / 32, 63 / 64)
+# The contour's rounding reaches some 1e-13 where a herald's terms cancel.  A multinomial draw spends a uniform
+# on a category of rounding-level probability but none on an exact 0, so two reads of one distribution that agree
+# to rounding draw the same histogram only once such probabilities are drawn as 0.
+HISTOGRAM_FLOOR = 1e-12
 WICK_PLANS = 128  # Wick schedules kept, one per monomial set (and shifts) of an expectation
 
 Poly = dict  # exponent tuple over the 2N variables -> real coefficient
@@ -686,40 +695,64 @@ class PhotonNumberDistribution:
     n_max: int
     tail: float
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        p = np.clip(self.probs, 0.0, None)
-        p = p / p.sum()
-        return rng.choice(self.n_max + 1, size=size, p=p)
+    def histogram(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The counts of n = 0..n_max among `size` draws, in one multinomial draw; a P(n) below HISTOGRAM_FLOOR
+        is drawn as 0."""
+        p = np.where(self.probs < HISTOGRAM_FLOOR, 0.0, self.probs)
+        return rng.multinomial(size, p / p.sum())
 
 
 @lru_cache(maxsize=4)
 def _inverse_dft(m: int, n_max: int) -> np.ndarray:
-    """exp(-i pi (2k + 1) n / m), k < m, n <= n_max: the read-only inversion of `photon_number_distribution`."""
-    ks, ns = np.arange(m), np.arange(n_max + 1)
+    """exp(-i pi (2k + 1) n / m), k < m / 2, n <= n_max: the read-only inversion of `photon_number_distribution`."""
+    ks, ns = np.arange(m // 2), np.arange(n_max + 1)
     matrix = np.exp(-1j * math.pi * np.outer(2 * ks + 1, ns) / m)
     matrix.flags.writeable = False
     return matrix
 
 
+def _contour_length(reduced: WignerExpr, n_max: int) -> int:
+    """The least power of two m >= n_max + 1 whose aliasing bound min_r M(r) r^-m is at most CONTOUR_ALIAS.
+
+    M(r) = E[r^N] = 2 / (1 + r) G((1 - r) / (1 + r)) is one read of G at the real widths s = -f min(1, lam),
+    f in CONTOUR_WIDTHS and lam the least precision eigenvalue of the terms (at any grid point), so r stays below
+    the radius of convergence min (1 + lam) / (1 - lam); a width whose M overflows or is not positive is dropped.
+    On a grid m is the largest a point needs."""
+    lam = min(1.0, min(float(np.min(1.0 / np.linalg.eigvalsh(t.quad)[..., -1])) for t in reduced.terms))
+    s = -lam * np.array(CONTOUR_WIDTHS)
+    r = (1.0 - s) / (1.0 + s)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_m = np.log(2.0 / (1.0 + r) * _single_mode_g(reduced, s))
+        need = np.nan_to_num((log_m - math.log(CONTOUR_ALIAS)) / np.log(r), nan=np.inf, posinf=np.inf)
+    need = float(np.max(np.min(need, -1)))
+    if not need <= CONTOUR_MAX:
+        raise ContourTooLong(f"the photon-number tail bound needs a contour of {need:.3g} points, above the cap "
+                             f"of {CONTOUR_MAX}")
+    return 1 << max(1, math.ceil(math.log2(max(n_max + 1, need))))
+
+
 def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = DEFAULT_NMAX) -> PhotonNumberDistribution:
     """P(n) for n = 0..n_max via exact contour extraction from the generating function.
 
-    Evaluates G on a root-of-unity grid (shifted off l = -1, where G has a
-    removable singularity) and Fourier-inverts; this is the same integral as a
-    Fock projector's read (`_integrate_out`) but stays numerically exact at
-    large n, where the expanded Laguerre route loses precision to cancellation.
+    sum_n P(n) t^n = 2 / (1 + t) G((1 - t) / (1 + t)), G(s) the integral of exp(-s (x^2 + p^2)) against the
+    mode's Wigner function, is read at the m points t_k = exp(i pi (2k + 1) / m) (off t = -1, where G has a
+    removable singularity) and Fourier-inverted.  The m points alias P(n) with P(n + m), P(n + 2m), ..., whose
+    sum is at most P(N >= m) <= E[r^N] r^-m (Markov) for every r > 1 below the radius of convergence:
+    `_contour_length` takes the least m whose bound is at most CONTOUR_ALIAS, and raises ContourTooLong above
+    CONTOUR_MAX points.  W is real, so t_(m-1-k) = conj(t_k) reads conj(G) and P(n) = (2 / m) Re sum_(k < m/2)
+    of G(t_k) exp(-i pi (2k + 1) n / m): half the circle is read.  This is the same integral as a Fock
+    projector's read (`_integrate_out`) but stays numerically exact at large n, where the expanded Laguerre
+    route loses precision to cancellation.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     reduced = marginal_mode(expr.normalize(), mode)
-    m = 512
-    while m < 8 * (n_max + 1):
-        m *= 2
-    tks = np.exp(1j * math.pi * (2 * np.arange(m) + 1) / m)
+    m = _contour_length(reduced, n_max)
+    tks = np.exp(1j * math.pi * (2 * np.arange(m // 2) + 1) / m)
     # a grid's contour runs in slabs of about CONTOUR_SLAB points, which bound each Wick schedule row's array
-    slabs = np.array_split((1.0 - tks) / (1.0 + tks), -(-np.size(expr.norm) * m // CONTOUR_SLAB))
+    slabs = np.array_split((1.0 - tks) / (1.0 + tks), -(-np.size(expr.norm) * (m // 2) // CONTOUR_SLAB))
     gs = 2.0 / (1.0 + tks) * np.concatenate([_single_mode_g(reduced, s) for s in slabs], -1)
-    probs = np.real(gs @ _inverse_dft(m, n_max)) / m
+    probs = np.real(gs @ _inverse_dft(m, n_max)) * (2.0 / m)
     if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
         raise ValueError(f"distribution outside [0,1]: range [{probs.min():.3e}, {probs.max():.3e}]")
     probs = np.clip(probs, 0.0, 1.0)

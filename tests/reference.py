@@ -1,5 +1,5 @@
 """Test-side references: the memoized Gaussian moment recursion, the stage-by-stage prefix and forward build,
-central differences, golden section, independent-detector CFIs, per-T counts.
+central differences, golden section, independent-detector CFIs, per-T counts, a long-contour P(n).
 
 The engine builds no state at a phase, substitutes no map into a term and
 takes no finite difference; the tests check its channel reads, exact phase
@@ -9,7 +9,8 @@ applies the input stage one modification at a time, each map substituted into
 the terms (`apply_symplectic`) and each herald conditioned alone (`herald`),
 and `build_pipeline` builds the state at one phase, stage by stage.  `counts`
 reads its whole T grid at once; `counts_rows` builds and heralds it one T at a
-time.  `gaussian_expectation` walks the Wick recursion's tree on every call,
+time.  `photon_number_distribution` reads the whole contour circle at a fixed
+length.  `gaussian_expectation` walks the Wick recursion's tree on every call,
 memoized per call: the referee of the engine's cached schedule (`wg._wick_plan`).
 `moment_tensor` reads every moment of degree <= 4 of an expression at once.
 `evaluate` gives an expression's value at a point, `parity` and
@@ -579,6 +580,17 @@ def forward_click_cfi(config, phi: float, h: float = 1e-3) -> float:
     return total + (term(p) + term([1.0 - q for q in p]) if p[0] != p[4] else 0.0)
 
 
+def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = wg.DEFAULT_NMAX, m: int = 8192):
+    """P(n) for n <= n_max of a mode (a row per grid point) from the whole circle of m contour points, read in
+    slabs of 512 and clipped to [0, 1] as the engine reports it: the referee of the engine's contour, which reads
+    half the circle and sizes it by its own tail bound."""
+    reduced = wg.marginal_mode(expr.normalize(), mode)
+    ks, ns = np.arange(m), np.arange(n_max + 1)
+    tks = np.exp(1j * math.pi * (2 * ks + 1) / m)
+    gs = np.concatenate([wg._single_mode_g(reduced, (1.0 - t) / (1.0 + t)) for t in np.array_split(tks, -(-m // 512))], -1)
+    return np.clip(np.real(2.0 / (1.0 + tks) * gs @ np.exp(-1j * math.pi * np.outer(2 * ks + 1, ns) / m)) / m, 0, 1)
+
+
 def counted(config, mode: int) -> tuple:
     """(herald probability, one-mode state of `mode`) of one T: the pipeline up to its output stage with the
     other arm traced out, then `mode`'s output-stage modifications on it as mode 1, the herald's success branch
@@ -616,9 +628,6 @@ def counts_rows(config, trials: int, seed: int, t_grid) -> list:
         if kept == 0:
             row["flag"] = "no kept measurements"
         else:
-            samples = wg.photon_number_distribution(state, 1).sample(rng, kept)
-            row["sample_mean"] = float(np.mean(samples))
-            if kept > 1 and float(np.std(samples)) > 0.0:
-                row["sample_snr"] = (row["sample_mean"] - added) / float(np.std(samples, ddof=1))
+            row.update(sc._sample_stats(wg.photon_number_distribution(state, 1).histogram(rng, kept), added))
         rows.append(row)
     return rows

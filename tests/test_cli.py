@@ -284,3 +284,82 @@ def test_detector_with_no_finite_variance_reports_no_optimum(command, tmp_path, 
     assert report["warnings"]
     for row in report["rows"]:
         assert not any(key.startswith(("optimal_", "min_phase_variance.", "phase_variance.")) for key in row)
+
+
+def test_bright_coherent_distributions_run(tmp_path):
+    # the LIGO amplitude, |alpha|^2 = 500, all in mode 1 at phi = 0: a fixed 512-point contour aliased its
+    # distribution to -1.5e-2; the tail bound asks for 1024 points, and n <= 40 carries no mass
+    raw = json.loads((ROOT / "configs" / "ligo_lossy.json").read_text())
+    raw.update(modifications=[], noise={"loss": {"L": 0.0, "D": 1.0}}, interferometer={"phi": 0.0},
+               detection=[{"scheme": "parity", "mode": 1}], metrics=["distributions"])
+    report = _run_report(tmp_path, raw)
+    mode1 = [d["p"] for d in report["distributions"] if d["mode"] == 1]
+    assert len(mode1) == 41 and max(mode1) <= 1e-15
+    assert report["rows"][0]["distribution_tail.mode1"] >= 1.0 - 41e-15
+
+
+def test_distributions_beyond_the_contour_cap_exit_2(tmp_path, capsys):
+    # a thermal input of nbar = 1000 needs some 4e4 contour points; the cap raises before the contour is read
+    raw = {"inputs": [{"kind": "thermal", "nbar": 1000.0}, {"kind": "vacuum"}], "interferometer": {"phi": 0.0},
+           "metrics": ["distributions"]}
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
+    assert "metrics: distributions mode 1: the photon-number tail bound needs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _refuse_allocation(*args, **kwargs):
+    raise AssertionError("a grid was built before its size was checked")
+
+
+@pytest.mark.parametrize("grid", ["L=0:1e9:1e-9", "L=-1e308:1e308:1e-300"])
+def test_grid_above_the_point_cap_exits_2(grid, tmp_path, capsys, monkeypatch):
+    # 1e18 points would need 7 EiB: the size is checked before any array is allocated
+    monkeypatch.setattr(cli.np, "arange", _refuse_allocation)
+    argv = ["sweep", "--config", str(ROOT / "configs" / "ligo_lossy.json"), "--grid", grid,
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert f"--grid: more than {sc.MAX_GRID_POINTS} grid points" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_phi_grid_above_the_point_cap_exits_2(tmp_path, capsys):
+    # 200,001 points: few enough to build quickly were the cap not checked
+    cfg = json.loads((ROOT / "configs" / "ligo_lossy.json").read_text())
+    cfg["interferometer"]["phi"] = {"start": 0.0, "stop": 2.0, "step": 1e-5}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main(["validate", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert f"interferometer.phi: more than {sc.MAX_GRID_POINTS} grid points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("inputs", [None, {"kind": "vacuum"}], "inputs.0"),
+    ("detection", [3], "detection.0"),
+    ("modifications", [None], "modifications.0"),
+    ("noise", {"loss": 0.2}, "noise.loss"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_list_entry_that_is_not_an_object_exits_2(key, value, path, command, tmp_path, capsys):
+    cfg = dict(json.loads((ROOT / "configs" / "ligo_lossy.json").read_text()), **{key: value})
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    argv = [command, "--config", str(tmp_path / "cfg.json")]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert f"{path}: expected an object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_key_tree_with_a_hole_in_a_list_exits_2(tmp_path, capsys):
+    # `inputs.1` alone pads `inputs.0` with nothing
+    (tmp_path / "cfg.tree").write_text('inputs.1.kind = "vacuum"\ninterferometer.phi = 1.0\n')
+    assert cli.main(["validate", "--config", str(tmp_path / "cfg.tree")]) == 2
+    assert "inputs.0: expected an object, got None" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["modifications", "detection", "metrics"])
+def test_list_that_is_not_a_list_exits_2(key, tmp_path, capsys):
+    cfg = dict(json.loads((ROOT / "configs" / "ligo_lossy.json").read_text()), **{key: 3})
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main(["validate", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert f"{key}: expected a list, got 3" in capsys.readouterr().err

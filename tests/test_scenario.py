@@ -829,3 +829,18 @@ class TestCli:
         )
         assert rc == 0
         assert (out / "traces.csv").exists()
+
+
+@pytest.mark.parametrize("histogram, added, snr", [
+    ([0, 3, 5, 2, 0, 1], 1, True),
+    ([0, 0, 7], 0, False),  # one photon number: no spread
+    ([0, 1], 0, False),  # one kept run
+])
+def test_sample_stats_of_a_histogram_are_those_of_its_samples(histogram, added, snr):
+    samples = np.repeat(np.arange(len(histogram)), histogram)
+    stats = sc._sample_stats(np.array(histogram), added)
+    assert stats["sample_mean"] == pytest.approx(float(np.mean(samples)), rel=1e-15)
+    assert ("sample_snr" in stats) == snr
+    if snr:
+        want = (np.mean(samples) - added) / np.std(samples, ddof=1)
+        assert stats["sample_snr"] == pytest.approx(float(want), rel=1e-13)

@@ -13,7 +13,7 @@ from wignersim import measurements as meas
 from wignersim import scenario as sc
 from wignersim import symplectic as sym
 from wignersim import wigner as wg
-from wignersim.errors import ImprobableBranch
+from wignersim.errors import ContourTooLong, ImprobableBranch
 
 RNG = np.random.default_rng(4242)
 
@@ -536,17 +536,19 @@ class TestBatchedContourKernel:
         got = wg.photon_number_distribution(reduced, 1).probs
         np.testing.assert_allclose(got, np.clip(ref, 0.0, 1.0), rtol=0, atol=self.REL_TOL)
 
-    @pytest.mark.parametrize("n_max, m", [(40, 512), (70, 1024)])
+    @pytest.mark.parametrize("n_max, m", [(40, 64), (70, 128)])
     def test_cached_inverse_dft_keeps_the_bits(self, n_max, m):
-        # the cached, read-only matrix is the inline inversion's own expression, so every probability keeps its bits
+        # the cached, read-only matrix of half the circle is the inline inversion's own expression, so every
+        # probability keeps its bits; the state's tail bound asks for 32 points, so m is n_max + 1 rounded up
         reduced = wg.marginal_mode(pacs_m3_state().normalize(), 1)
-        ks, ns = np.arange(m), np.arange(n_max + 1)
+        assert wg._contour_length(reduced, n_max) == m
+        ks, ns = np.arange(m // 2), np.arange(n_max + 1)
         tks = np.exp(1j * math.pi * (2 * ks + 1) / m)
         gs = 2.0 / (1.0 + tks) * wg._single_mode_g(reduced, (1.0 - tks) / (1.0 + tks))
-        inline = np.clip(np.real(gs @ np.exp(-1j * math.pi * np.outer(2 * ks + 1, ns) / m)) / m, 0.0, 1.0)
+        inline = np.clip(np.real(gs @ np.exp(-1j * math.pi * np.outer(2 * ks + 1, ns) / m)) * (2.0 / m), 0.0, 1.0)
         assert np.array_equal(wg.photon_number_distribution(reduced, 1, n_max).probs, inline)
         matrix = wg._inverse_dft(m, n_max)
-        assert matrix.shape == (m, n_max + 1) and matrix is wg._inverse_dft(m, n_max)
+        assert matrix.shape == (m // 2, n_max + 1) and matrix is wg._inverse_dft(m, n_max)
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.0
 
@@ -565,3 +567,55 @@ class TestBatchedContourKernel:
         ref = red.number_distribution(1)
         dist = wg.photon_number_distribution(pacs_m3_state(), 1, 25)
         assert np.max(np.abs(dist.probs - ref[:26])) < 1e-10
+
+
+def subtracted_thermal_mode(mode: int) -> wg.WignerExpr:
+    """Mode `mode` of configs/subtracted_thermal.json after the MZI, read off the route's channel."""
+    config = sc.load_config(str(CONFIGS / "subtracted_thermal.json"))
+    return sc._route(config).observe(config.phi).state.state((mode,))
+
+
+def pacs_m3_grid() -> wg.WignerExpr:
+    """The counted mode of configs/pacs_counts.json with m = 3 on the 19-point T grid of `counts`."""
+    config = sc.load_config(str(CONFIGS / "pacs_counts.json")).with_values(m=3)
+    return sc._counted(config, config.modifications[0], tuple(np.arange(0.05, 1.0, 0.05)))[0]
+
+
+TAIL_BOUND_STATES = {
+    "subtracted_thermal_mode1": (lambda: subtracted_thermal_mode(1), 256),
+    "subtracted_thermal_mode2": (lambda: subtracted_thermal_mode(2), 64),
+    "pacs_m3_grid": (pacs_m3_grid, 64),
+    "coherent7": (lambda: wg.from_gaussian(ga.coherent_state(7.0)), 128),
+    "thermal4": (lambda: thermal_expr(4.0), 256),
+}
+
+
+class TestContourTailBound:
+    """The contour's length from its own aliasing bound, against a whole circle of 8192 points."""
+
+    @pytest.mark.parametrize("name", sorted(TAIL_BOUND_STATES))
+    def test_matches_the_long_contour(self, name):
+        build, m = TAIL_BOUND_STATES[name]
+        state = build()
+        assert wg._contour_length(wg.marginal_mode(state.normalize(), 1), wg.DEFAULT_NMAX) == m
+        got = wg.photon_number_distribution(state, 1).probs
+        assert np.max(np.abs(got - reference.photon_number_distribution(state, 1))) <= 2e-15
+
+    def test_bound_holds_where_the_tail_is_known(self):
+        # thermal P(N >= m) = (nbar / (nbar + 1))^m: the chosen m keeps it below the aliasing bound, and a quarter
+        # of m would not
+        for nbar in (0.5, 4.0, 20.0):
+            log_tail = wg._contour_length(thermal_expr(nbar), 0) * math.log(nbar / (nbar + 1.0))
+            assert log_tail <= math.log(wg.CONTOUR_ALIAS) < log_tail / 4
+
+    def test_bright_coherent_state_takes_a_longer_contour(self):
+        # the paper's LIGO amplitude, |alpha|^2 = 500: its bound asks for 1024 points, and n <= 40 carries no mass
+        state = wg.from_gaussian(ga.coherent_state(math.sqrt(500.0)))
+        assert wg._contour_length(state, wg.DEFAULT_NMAX) == 1024
+        dist = wg.photon_number_distribution(state, 1)
+        assert np.max(dist.probs) <= 1e-15 and dist.tail >= 1.0 - (wg.DEFAULT_NMAX + 1) * 1e-15
+
+    def test_contour_above_the_cap_raises(self):
+        # thermal nbar = 1000 needs some 4e4 points; the widths whose E[r^N] overflows are dropped, not raised
+        with pytest.raises(ContourTooLong, match="above the cap"):
+            wg.photon_number_distribution(thermal_expr(1000.0), 1)

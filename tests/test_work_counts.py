@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import workloads
@@ -288,16 +289,30 @@ def test_ligo_lossy_parity_optimum_gaussian_jet_calls(monkeypatch):
 
 @pytest.mark.parametrize("config, m, terms", [("pacs_counts.json", 3, 1), ("subtracted_thermal.json", "click", 2)])
 def test_photon_number_distribution_runs_one_wick_recursion_per_term(config, m, terms, monkeypatch):
-    # all contour points of a term share one recursion; the state is the detected mode read off the channel
+    # all contour points of a term share one recursion, and the tail bound's real widths one more; the state is
+    # the detected mode read off the channel
     raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / config).read_text())
     raw["modifications"][0]["m"] = m
     config = sc.ScenarioConfig.from_dict(raw)
     state = sc._route(config).observe(config.phi).state.state((1,))
     state.norm  # read first, so that its recursions are not counted below
     assert len(wg.marginal_mode(state.normalize(), 1).terms) == terms
-    calls = counter(monkeypatch, wg, "_gaussian_expectation")
+    means, orig = [], wg._gaussian_expectation
+    monkeypatch.setattr(wg, "_gaussian_expectation", lambda p, mean, *args: means.append(mean) or orig(p, mean, *args))
     wg.photon_number_distribution(state, 1)
-    assert len(calls) == terms
+    assert sorted(np.iscomplexobj(mean) for mean in means) == [False] * terms + [True] * terms
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_counts_reads_32_contour_points_per_t(m, monkeypatch):
+    # n <= 40 takes at least 64 points, and the photon-added coherent states' tail bound asks for no more: the
+    # 19-point grid reads half that circle, 32 complex widths, and the bound's real widths, each once
+    config = sc.load_config(PACS_COUNTS).with_values(m=m)
+    widths, orig = [], wg._single_mode_g
+    monkeypatch.setattr(wg, "_single_mode_g", lambda e, s: widths.append((e.terms[0].mean.shape, s)) or orig(e, s))
+    sc.simulate_counts(config, trials=3600, seed=42)
+    assert [(shape, s.size, np.iscomplexobj(s)) for shape, s in widths] == [
+        ((19, 2), len(wg.CONTOUR_WIDTHS), False), ((19, 2), 32, True)]
 
 
 def test_counted_m3_state_is_one_mode(monkeypatch):
