@@ -5,8 +5,8 @@ class ImprobableBranch(RuntimeError):
     """Raised when a heralded branch has probability below the renormalization floor."""
 
     def __init__(self, probability: float, message: str = ""):
-        self.probability = probability
-        super().__init__(message or f"herald probability {probability:.3e} below renormalization floor")
+        self.probability = probability  # raw: rounding can put it below 0, which the message reads as 0
+        super().__init__(message or f"herald probability {max(probability, 0.0):.3e} below renormalization floor")
 
 
 class SignalStationary(RuntimeError):

@@ -216,23 +216,16 @@ def _trig(c: np.ndarray, theta: float) -> float:
 def _circle_roots(p: np.ndarray) -> list[float]:
     """Angles in [0, 2 pi) of the roots on the unit circle of a polynomial, highest power first.
 
-    Roots from the companion matrix (`np.roots`) lose accuracy next to the
-    roots near 0 and infinity that rounding-level leading or trailing
-    coefficients put there, so each root near the circle takes two Newton steps.
+    Roots from the companion matrix (`np.roots`) lose accuracy next to the roots near 0 and infinity that
+    rounding-level leading or trailing coefficients put there, so the roots near the circle take two Newton
+    steps, all at once; a root where the derivative is exactly 0 stays.
     """
-    dp = np.polyder(p)
-    thetas = []
-    for z in np.roots(p):
-        if abs(abs(z) - 1.0) > 0.5:
-            continue
-        for _ in range(2):
-            dz = np.polyval(dp, z)
-            if dz == 0.0:
-                break
-            z = z - np.polyval(p, z) / dz
-        if abs(abs(z) - 1.0) <= 1e-3:
-            thetas.append(float(np.angle(z)) % (2.0 * math.pi))
-    return thetas
+    z = np.roots(p)
+    z, dp = z[np.abs(np.abs(z) - 1.0) <= 0.5], p[:-1] * np.arange(len(p) - 1, 0, -1)
+    for _ in range(2):
+        dz = np.polyval(dp, z)
+        z = np.where(dz == 0.0, z, z - np.polyval(p, z) / np.where(dz == 0.0, 1.0, dz))
+    return [float(t) for t in np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-3]) % (2.0 * math.pi)]
 
 
 def trig_signal(samples: Sequence, rate: int) -> tuple[Callable, float, list[tuple[float, float]]]:
@@ -269,16 +262,17 @@ def trig_signal(samples: Sequence, rate: int) -> tuple[Callable, float, list[tup
     var_noise = SLOPE_NOISE * max(1.0, max(abs(s.second_moment) for s in samples))
     if np.max(np.abs(slope_c)) <= slope_noise:
         raise SignalStationary("no searched phase gives a finite phase variance: the signal is flat in phi")
-    # P_v and P_m with the highest power of z first, as np.roots and np.poly* take them
+    # P_v and P_m with the highest power of z first, as np.roots and np.polyval take them
     p_v, p_m = var_c[::-1], slope_c[::-1]
     thetas = [0.0]
     for theta in _circle_roots(p_m):
         if abs(_trig(slope_c, theta)) > slope_noise or abs(_trig(var_c, theta)) > var_noise:
             continue
         z0 = np.array([1.0, -np.exp(1j * theta)])
-        p_m, p_v = np.polydiv(p_m, z0)[0], np.polydiv(p_v, np.polymul(z0, z0))[0]
+        p_m, p_v = np.polydiv(p_m, z0)[0], np.polydiv(p_v, np.convolve(z0, z0))[0]
         thetas.append(theta)
-    stationary = np.polysub(np.polymul(np.polyder(p_v), p_m), 2.0 * np.polymul(p_v, np.polyder(p_m)))
+    dp_v, dp_m = p_v[:-1] * np.arange(len(p_v) - 1, 0, -1), p_m[:-1] * np.arange(len(p_m) - 1, 0, -1)
+    stationary = np.convolve(dp_v, p_m) - 2.0 * np.convolve(p_v, dp_m)
     thetas += _circle_roots(stationary)
 
     def variance(phi: np.ndarray) -> np.ndarray:

@@ -1156,14 +1156,14 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
                 warnings.append(f"qfi at phi={phi:.6g}: {qfi:.3e}, no phase information and no QCRB")
 
     if "snr" in config.metrics:
-        added = {m.mode: 0 for m in config.modifications}
-        for m in config.modifications:
-            if m.op == "add":
-                added[m.mode] = added.get(m.mode, 0) + int(m.m)
+        added = {k: sum(int(m.m) for m in config.modifications if m.op == "add" and m.mode == k) for k in (1, 2)}
+        both = None if res.gaussian_path else res.state.moments(  # a Wigner state's two modes from one read
+            meas._intensity_monomials(1) + meas._intensity_monomials(2))
         for mode in (1, 2):
-            mom = meas.intensity(res.state, mode)
+            mom = meas.intensity(res.state, mode) if both is None else meas.polynomial_moments(
+                meas.DetectionScheme("intensity", mode), lambda _: both[5 * mode - 5 : 5 * mode])
             try:
-                report.snr[f"mode{mode}"] = est.snr(mom, subtract_injected=added.get(mode, 0))
+                report.snr[f"mode{mode}"] = est.snr(mom, subtract_injected=added[mode])
             except ValueError as exc:
                 warnings.append(f"snr mode {mode}: {exc}")
 

@@ -6,7 +6,7 @@ addition/subtraction outputs stay inside the class because it is closed under
 Gaussian channels, multiplication by Fock projectors, and partial
 integration.  All moments and overlaps evaluate analytically through the
 Gaussian moment recursion, walked once per monomial set into a cached
-schedule (`_wick_plan`), so there is no numerical quadrature anywhere.
+schedule (`_wick_plan`) read one degree at a time, so no quadrature is used.
 
 Partial integration is one routine, `_integrate_out`: a marginal, a Fock
 projection, every arm of a herald, a loss and a detected mode's photon-number
@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import zip_longest
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -110,57 +111,77 @@ def _const_poly(nvars: int, value=1.0) -> Poly:
     return {(0,) * nvars: value}
 
 
-def _wick_row(e: tuple, index: dict, rows: list, slots: dict) -> int:
-    """The row of E[X^e] in a schedule (`_wick_plan`), appended after the rows it reads; row 0 is E[1]."""
-    if e not in index and any(e):
-        i = e.index(next(filter(None, e)))
-        e1 = list(e)
-        e1[i] -= 1
-        pairs = []
-        for j, ej in enumerate(e1):
-            if ej:  # e - 1_i - 1_j, for a moment
-                e1[j] -= 1
-                pairs.append((slots.setdefault((i, j, ej), len(slots)), _wick_row(tuple(e1), index, rows, slots)))
-                e1[j] += 1
-        rows.append((i, _wick_row(tuple(e1), index, rows, slots), tuple(pairs)))
-        index[e] = len(rows)
-    return index.get(e, 0)
-
-
 @lru_cache(maxsize=WICK_PLANS)
 def _wick_plan(keys: tuple, shifts: tuple | None) -> tuple:
     """The recursion E[X^e] = m_i E[X^(e - 1_i)] + sum_j C_ij (e - 1_i)_j E[X^(e - 1_i - 1_j)], i the first
     variable of e, over the monomials `keys` (times X^e for each e of `shifts`), walked once: the rows after row 0
     (E[1]), each (i, row of e - 1_i, ((slot of C_ij (e - 1_i)_j, row of e - 1_i - 1_j) in increasing j)) after
-    the rows it reads; the slots (i, j, k); and the row of each key, or of each key for each shift."""
-    index, rows, slots = {}, [], {}
-    out = tuple(_wick_row(e, index, rows, slots) for e in keys) if shifts is None else tuple(
-        tuple(_wick_row(tuple(a + b for a, b in zip(ea, e)), index, rows, slots) for ea in keys) for e in shifts)
-    return tuple(rows), tuple(slots), out
+    the rows it reads; the slots (i, j, k), an (S, 3) array; a function that builds, once, the levels by degree
+    (whose rows read the two levels below only) as index arrays: rows, i, rows of e - 1_i, and per pair slot q the
+    slots and rows of e - 1_i - 1_j of the rows with a q-th pair, which lead; and each key's row for each shift."""
+    index, rows, slots, levels = {}, [], {}, {}
+
+    def row(e: tuple) -> int:
+        if e not in index and any(e):
+            i = e.index(next(filter(None, e)))
+            e1 = list(e)
+            e1[i] -= 1
+            pairs = []
+            for j, ej in enumerate(e1):
+                if ej:  # e - 1_i - 1_j, for a moment
+                    e1[j] -= 1
+                    pairs.append((slots.setdefault((i, j, ej), len(slots)), row(tuple(e1))))
+                    e1[j] += 1
+            rows.append((i, row(tuple(e1)), tuple(pairs)))
+            levels.setdefault(sum(e), []).append(index.setdefault(e, len(rows)))  # filed after a row one degree lower
+        return index.get(e, 0)
+
+    out = (tuple(map(row, keys)),) if shifts is None else tuple(
+        tuple(row(tuple(a + b for a, b in zip(ea, e))) for ea in keys) for e in shifts)
+
+    @cache
+    def arrays() -> tuple:  # on the first batched walk: the scalar walks, most of a plan's, read the rows only
+        for d, level in levels.items():
+            level.sort(key=lambda r: -len(rows[r - 1][2]))  # stable: for each q, the rows with a q-th pair lead
+            i, r1, pairs = zip(*(rows[r - 1] for r in level))
+            levels[d] = (np.array(level), np.array(i), np.array(r1),
+                         [tuple(map(np.array, zip(*filter(None, col)))) for col in zip_longest(*pairs)])
+        return tuple(levels.values())
+
+    return tuple(rows), np.array(list(slots), dtype=int).reshape(-1, 3), arrays, out
 
 
 def _gaussian_expectation(poly: Poly, mean: np.ndarray, cov: np.ndarray, shifts: list | None = None):
     """E[poly(X)] for X ~ N(mean, cov), exact via the Gaussian moment recursion.
 
-    mean has shape (n,) and cov (n, n), or both carry the same trailing batch
-    axes, mean (n, B) and cov (n, n, B), to evaluate B Gaussians in one
-    pass; the result then has shape (B,).  With `shifts`, a list of exponent
-    tuples e, it returns the list of E[poly(X) X^e], all from one pass.  A
-    call walks the cached schedule of its monomial set (`_wick_plan`) on
-    Python floats, or row views of a batch, with the recursion's arithmetic.
+    mean has shape (n,) and cov (n, n), or both carry the same trailing batch axes B, mean (n, *B) and cov
+    (n, n, *B), to evaluate B Gaussians in one pass; the result then has shape B.  With `shifts`, a list of exponent
+    tuples e, it returns the list of E[poly(X) X^e], all from one pass.  A call walks the cached schedule of its
+    monomial set (`_wick_plan`) with the recursion's arithmetic: row by row on Python scalars for one Gaussian or
+    a real batch of one, else level by level on one (rows + 1, *B) array, one product and one sum per pair slot.
     """
-    rows, slots, out = _wick_plan(tuple(poly), None if shifts is None else tuple(shifts))
-    mean, cov = (mean.tolist(), cov.tolist()) if mean.ndim == 1 else (list(mean), cov)
-    factors = [cov[i][j] * k for i, j, k in slots]
-    values = [1.0]
-    for i, r1, pairs in rows:
-        v = mean[i] * values[r1]
-        for f, r2 in pairs:
-            v += factors[f] * values[r2]
-        values.append(v)
-    if shifts is None:
-        return sum(c * values[r] for c, r in zip(poly.values(), out))
-    return [sum(c * values[r] for c, r in zip(poly.values(), part)) for part in out]
+    rows, slots, levels, out = _wick_plan(tuple(poly), None if shifts is None else tuple(shifts))
+    column = mean.shape[1:] == (1,) and not np.iscomplexobj(mean)  # Python's complex product can differ in a bit
+    if mean.ndim == 1 or column:
+        mean, cov = (mean[:, 0].tolist(), cov[..., 0].tolist()) if column else (mean.tolist(), cov.tolist())
+        factors = [cov[i][j] * k for i, j, k in slots.tolist()]
+        values = [1.0]
+        for i, r1, pairs in rows:
+            v = mean[i] * values[r1]
+            for f, r2 in pairs:
+                v += factors[f] * values[r2]
+            values.append(v)
+        values = np.array(values)[:, None] if column else values  # a batch's rows have shape (1,)
+    else:
+        factors = (cov[slots[:, 0], slots[:, 1]].T * slots[:, 2]).T
+        values = np.ones((len(rows) + 1,) + mean.shape[1:], np.result_type(mean, cov))
+        for level, i, r1, pairs in levels():
+            v = mean[i] * values[r1]
+            for f, r2 in pairs:
+                v[: len(f)] += factors[f] * values[r2]
+            values[level] = v
+    sums = [sum(c * (values[r] if r else 1.0) for c, r in zip(poly.values(), part)) for part in out]
+    return sums[0] if shifts is None else sums
 
 
 def _affine_expectation(poly: Poly, lin: np.ndarray, const: np.ndarray, cov: np.ndarray) -> Poly:

@@ -1,5 +1,6 @@
 """Test-side references: the memoized Gaussian moment recursion, the stage-by-stage prefix and forward build,
-central differences, golden section, independent-detector CFIs, per-T counts, a long-contour P(n).
+central differences, golden section, per-root Newton steps, independent-detector CFIs, per-T counts, a
+long-contour P(n).
 
 The engine builds no state at a phase, substitutes no map into a term and
 takes no finite difference; the tests check its channel reads, exact phase
@@ -12,6 +13,8 @@ reads its whole T grid at once; `counts_rows` builds and heralds it one T at a
 time.  `photon_number_distribution` reads the whole contour circle at a fixed
 length.  `gaussian_expectation` walks the Wick recursion's tree on every call,
 memoized per call: the referee of the engine's cached schedule (`wg._wick_plan`).
+`circle_roots` polishes the roots of a phase signal's polynomial one at a time:
+the referee of the engine's batched Newton steps (`est._circle_roots`).
 `moment_tensor` reads every moment of degree <= 4 of an expression at once.
 `evaluate` gives an expression's value at a point, `parity` and
 `click_probability` (and through them `measure`) a detector's statistics from
@@ -536,6 +539,24 @@ def total_parity_information(
     if not any_slope:
         raise SignalStationary(f"no branch carries parity slope at phi={phi:.6g}")
     return total
+
+
+def circle_roots(p: np.ndarray) -> list[float]:
+    """Angles in [0, 2 pi) of the roots on the unit circle of a polynomial (highest power first), each root near
+    the circle taking two Newton steps of its own, stopped where the derivative is exactly 0."""
+    dp = np.polyder(p)
+    thetas = []
+    for z in np.roots(p):
+        if abs(abs(z) - 1.0) > 0.5:
+            continue
+        for _ in range(2):
+            dz = np.polyval(dp, z)
+            if dz == 0.0:
+                break
+            z = z - np.polyval(p, z) / dz
+        if abs(abs(z) - 1.0) <= 1e-3:
+            thetas.append(float(np.angle(z)) % (2.0 * math.pi))
+    return thetas
 
 
 def golden_minimize(fn: PhiFunction, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float]:

@@ -20,6 +20,7 @@ import pytest
 
 from wignersim import cli
 from wignersim import scenario as sc
+from wignersim.errors import ImprobableBranch
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -306,6 +307,18 @@ def test_distributions_beyond_the_contour_cap_exit_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
     assert "metrics: distributions mode 1: the photon-number tail bound needs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_improbable_herald_warning_shows_a_probability_in_range(tmp_path):
+    # at nbar = 0 the subtracted thermal input is vacuum: the herald's probability is 0, which rounding puts at
+    # -5.6e-17, and the warning reads it as 0 while the exception keeps the raw value
+    argv = ["sweep", "--config", str(ROOT / "configs" / "subtracted_thermal.json"), "--grid", "nbar=0:1:0.5"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    warnings = json.loads((tmp_path / "report.json").read_text())["warnings"]
+    shown = [float(w.split("herald probability ")[1].split()[0]) for w in warnings if "herald probability" in w]
+    assert shown and all(0.0 <= p <= 1.0 for p in shown)
+    exc = ImprobableBranch(-5.551e-17)
+    assert exc.probability == -5.551e-17 and "probability 0.000e+00 below" in str(exc)
 
 
 def _refuse_allocation(*args, **kwargs):

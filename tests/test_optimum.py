@@ -59,6 +59,29 @@ class TestTrigStationaryPoints:
         with pytest.raises(SignalStationary, match="flat"):
             est.trig_signal(samples(lambda t: 1e-17 * math.cos(t), lambda t: 0.0, 5), rate=1)
 
+    @pytest.mark.parametrize("name", ["ligo_lossy", "point_a", "point_b", "output_displaced"])
+    def test_batched_newton_steps_keep_the_bits(self, name, monkeypatch):
+        # every polynomial whose circle roots the optimum takes, the slope's and the stationary condition's,
+        # against the per-root Newton steps
+        polys, orig = [], est._circle_roots
+        monkeypatch.setattr(est, "_circle_roots", lambda p: polys.append(p) or orig(p))
+        config = sc.ScenarioConfig.from_dict(CONFIGS[name])
+        for scheme in config.detection:
+            if scheme.kind in meas.POLYNOMIAL_KINDS:
+                sc._optimal_phi(config, scheme)
+        assert polys
+        for p in polys:
+            assert np.array(orig(p)).tobytes() == np.array(ref.circle_roots(p)).tobytes()
+
+    def test_newton_steps_stop_where_the_derivative_vanishes(self):
+        # (z - 1)^2, whose double root np.roots gives as exactly 1, where p and p' are both 0: that root takes no
+        # step (a step would be 0 / 0); with (z^2 + 1) the other roots still take theirs
+        for p in (np.array([1.0, -2.0, 1.0]), np.convolve([1.0, -2.0, 1.0], [1.0, 0.0, 1.0])):
+            got = est._circle_roots(p)
+            assert np.array(got).tobytes() == np.array(ref.circle_roots(p)).tobytes()
+        assert est._circle_roots(np.array([1.0, -2.0, 1.0])) == [0.0, 0.0]
+        assert len(got) == 4 and all(math.isfinite(t) for t in got)
+
 
 def ligo_lossy(L: float) -> dict:
     raw = json.loads((ROOT / "configs" / "ligo_lossy.json").read_text())

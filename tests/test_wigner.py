@@ -446,23 +446,44 @@ class TestWickSchedule:
         assert same_bits(got, reference.gaussian_expectation(poly, mean, cov, shifts))
 
     @pytest.mark.parametrize("shifts", [None, SHIFTS], ids=["plain", "shifts"])
-    @pytest.mark.parametrize("batch", [(), (7,), (3, 5)], ids=["single", "batch", "grid_batch"])
+    @pytest.mark.parametrize("batch", [(), (1,), (7,), (3, 5)], ids=["single", "column", "batch", "grid_batch"])
     def test_matches_the_recursion(self, batch, shifts):
+        # a batch of one runs on Python scalars, a larger one level by level
         self.assert_matches(self.POLY, *self.gaussian(batch), shifts)
 
     @pytest.mark.parametrize("shifts", [None, SHIFTS], ids=["plain", "shifts"])
     @pytest.mark.parametrize("poly", [{}, {(0, 0, 0, 0): 1.5}], ids=["empty", "constant"])
     def test_empty_and_constant_polys(self, poly, shifts):
-        for batch in ((), (7,)):
-            self.assert_matches(poly, *self.gaussian(batch), shifts)
+        # an empty poly sums to the int 0 and a constant one to a float, at any batch, as the recursion gives them
+        for batch in ((), (1,), (7,)):
+            mean, cov = self.gaussian(batch)
+            got = wg._gaussian_expectation(poly, mean, cov, shifts)
+            want = reference.gaussian_expectation(poly, mean, cov, shifts)
+            assert same_bits(got, want)
+            assert type(got if shifts is None else got[0]) is (float if poly else int)
 
     def test_key_order_keeps_each_sum_order(self):
         # the same monomials in another order take a schedule of their own, and each sums in its poly's order
         flipped = dict(reversed(self.POLY.items()))
-        assert wg._wick_plan(tuple(flipped), None) != wg._wick_plan(tuple(self.POLY), None)
+        plans = [wg._wick_plan(tuple(poly), None) for poly in (flipped, self.POLY)]
+        assert plans[0] is not plans[1]
+        assert (plans[0][0], plans[0][3]) != (plans[1][0], plans[1][3])  # the rows and each key's row
         for poly in (self.POLY, flipped):
-            for batch in ((), (7,)):
+            for batch in ((), (1,), (7,)):
                 self.assert_matches(poly, *self.gaussian(batch))
+
+    def test_a_level_mixes_rows_with_and_without_a_pair(self):
+        # at degree 3, x1^3 reads one pair (C_11) and x1 x2 x3 two (C_12, C_13): the second pair slot covers one
+        # row of the level, which leads it; x1^2 and x2 x3 fill degree 2, one pair each, and degree 1 has none
+        poly = {(3, 0, 0, 0): 0.4, (1, 1, 1, 0): -1.3, (0, 0, 0, 1): 0.2}
+        rows, _, levels, _ = wg._wick_plan(tuple(poly), None)
+        levels = levels()
+        assert [len(level[0]) for level in levels] == [4, 2, 2]
+        assert [[len(f) for f, _ in level[3]] for level in levels] == [[], [2], [2, 1]]
+        assert len(rows[levels[2][0][0] - 1][2]) == 2
+        for batch in ((), (1,), (7,), (3, 5)):
+            for shifts in (None, self.SHIFTS):
+                self.assert_matches(poly, *self.gaussian(batch), shifts)
 
     @pytest.mark.parametrize("grid", [False, True], ids=["contour", "grid_contour"])
     def test_contour_widths(self, grid, monkeypatch):
@@ -478,6 +499,22 @@ class TestWickSchedule:
         wg._single_mode_g(state, TestBatchedContourKernel.contour_s())
         monkeypatch.undo()
         assert calls and all(np.iscomplexobj(args[1]) and args[1].ndim == 2 + grid for args in calls)
+        for args in calls:
+            self.assert_matches(*args)
+            self.assert_matches(*args, [(0, 0), (1, 0), (0, 2)])
+
+    def test_single_contour_points(self, monkeypatch):
+        # the complex (n, 1) batches `_single_mode_g` passes for one width at a time stay on arrays, as Python's
+        # complex product can differ from numpy's in the last bit
+        states = [wg.marginal_mode(make().normalize(), 1) for make in CONTOUR_STATES.values()]
+        calls, orig = [], wg._gaussian_expectation
+        monkeypatch.setattr(wg, "_gaussian_expectation", lambda *args: calls.append(args) or orig(*args))
+        for reduced in states:
+            for s in TestBatchedContourKernel.contour_s()[::97]:
+                wg._single_mode_g(reduced, np.array([s]))
+        monkeypatch.undo()
+        assert len(calls) >= 6 * len(states)
+        assert all(np.iscomplexobj(args[1]) and args[1].shape[1:] == (1,) for args in calls)
         for args in calls:
             self.assert_matches(*args)
             self.assert_matches(*args, [(0, 0), (1, 0), (0, 2)])

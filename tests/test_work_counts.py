@@ -255,28 +255,58 @@ def test_lossy_heralded_point_builds_no_lossless_moment_tensor(monkeypatch):
     assert losses and None not in losses
 
 
-@pytest.mark.parametrize("raw, calls", [(workloads.point_a(1.0), 12), (workloads.point_b(1.0), 12)],
+@pytest.mark.parametrize("raw, calls", [(workloads.point_a(1.0), 11), (workloads.point_b(1.0), 11)],
                          ids=["point_a", "point_b"])
 def test_heralded_point_kernel_density_calls(raw, calls, monkeypatch):
     # the parity optimum: one grid, one call per refinement round for the slope zeros and N's zeros together
     # (three) and V at phi; the four order-1 click jets of `cfi`; the polynomial detector's five samples in one
-    # read; and `snr`'s intensity moments of each mode at phi; the roots' own jets are those read in the rounds
+    # read; and `snr`'s intensity moments of both modes at phi in one read; the roots' own jets are those read in
+    # the rounds
     densities = counter(monkeypatch, wg, "kernel_densities")
     sc.evaluate_point(sc.ScenarioConfig.from_dict(raw))
     assert len(densities) == calls
 
 
-def test_heralded_reference_points_take_at_most_35_wick_expectations(monkeypatch):
+def test_heralded_reference_points_take_at_most_33_wick_expectations(monkeypatch):
     # traced `heralded_phase` gates the same count, one per term of each read: per point, the herald's two norms
     # (the failure arm's is their difference), one read of the prefix's moments for <n> and the QFI bound, the
     # parity optimum's four jet calls and V at phi, six for `cfi`'s click jets (the one-term success arm and the
     # two-term failure arm on both modes), one batched read of the polynomial detector's samples and `snr`'s
-    # two intensity reads; and point (a)'s purity check
+    # one read of both modes' intensity moments; and point (a)'s purity check
     calls = counter(monkeypatch, wg, "_gaussian_expectation")
     for raw in (workloads.point_a(1.0), workloads.point_b(1.0)):
         forget_routes()
         sc.evaluate_point(sc.ScenarioConfig.from_dict(raw))
-    assert len(calls) <= 35
+    assert len(calls) <= 33
+
+
+@pytest.mark.parametrize("raw, rows, pairs", [(workloads.point_a(1.0), 65, 118), (workloads.point_b(1.0), 85, 168)],
+                         ids=["point_a", "point_b"])
+def test_parity_reads_walk_six_levels_in_20_array_steps(raw, rows, pairs, monkeypatch):
+    # each batched read of the parity optimum (its grid and three refinement rounds) walks its Wick schedule a
+    # degree level at a time, one product per level and one in-place sum per pair slot: 20 array steps per term,
+    # where a step per row and per pair took rows + pairs (183 at point (a), 253 at point (b))
+    reads, orig = [], wg._gaussian_expectation
+    monkeypatch.setattr(wg, "_gaussian_expectation", lambda poly, mean, *args: reads.append(
+        (tuple(poly), mean.ndim)) or orig(poly, mean, *args))
+    sc._optimal_phi(sc.ScenarioConfig.from_dict(raw), meas.DetectionScheme("parity", 1))
+    batched = [keys for keys, ndim in reads if ndim > 1]
+    assert len(batched) == 4
+    for keys in batched:
+        plan_rows, _, levels, _ = wg._wick_plan(keys, None)
+        levels = levels()
+        assert (len(plan_rows), sum(len(row[2]) for row in plan_rows), len(levels)) == (rows, pairs, 6)
+        assert sum(1 + len(level[3]) for level in levels) == 20
+
+
+def test_heralded_phase_pass_builds_at_most_11_wick_schedules():
+    # one schedule per monomial set: the two reference points of a `heralded_phase` pass, in a fresh interpreter,
+    # build 11 and walk every other expectation on them
+    wg._wick_plan.cache_clear()
+    for raw in (workloads.point_a(1.0), workloads.point_b(1.0)):
+        forget_routes()
+        sc.run(sc.ScenarioConfig.from_dict(raw))
+    assert wg._wick_plan.cache_info().misses <= 11
 
 
 def test_ligo_lossy_parity_optimum_gaussian_jet_calls(monkeypatch):
