@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -102,8 +103,8 @@ def require_pure_wigner(expr: WignerExpr) -> None:
         raise PurityViolation(f"purity {mu:.8f} differs from 1 beyond {PURE_WIGNER_TOL:g}")
 
 
-def qfi_mixed_gaussian(state: GaussianState, dmean: np.ndarray, dcov: np.ndarray) -> float:
-    """QFI of a Gaussian family, pure or mixed, at a state with exact tangent (dR, dsigma).
+def qfi_mixed_gaussian(state: GaussianState, dmean: np.ndarray, dcov: np.ndarray) -> tuple[float, bool]:
+    """(QFI, whether every pair of modes is pure) of a Gaussian family at a state with exact tangent (dR, dsigma).
 
     In the Williamson basis sigma = S diag(nu_1, nu_1, ...) S^T the SLD equation
     is diagonal (Monras, arXiv:1303.3682; Safranek, Lee & Fuentes, NJP 17,
@@ -125,7 +126,7 @@ def qfi_mixed_gaussian(state: GaussianState, dmean: np.ndarray, dcov: np.ndarray
     mean_term = 2.0 * float(np.sum(u * u / np.repeat(nu, 2)))
     squeeze_term = float(np.sum(((a - d) ** 2 + (b + c) ** 2) / (4.0 * (nn + 1.0))))
     rotation_term = float(np.sum(((a + d)[mixed] ** 2 + (b - c)[mixed] ** 2) / (4.0 * (nn[mixed] - 1.0))))
-    return mean_term + squeeze_term + rotation_term
+    return mean_term + squeeze_term + rotation_term, bool(nu[-1] ** 2 - 1.0 <= PURE_GAUSSIAN_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +229,16 @@ def _circle_roots(p: np.ndarray) -> list[float]:
     return [float(t) for t in np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-3]) % (2.0 * math.pi)]
 
 
+@cache
+def _dft(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The wavenumbers k = -2d..2d of n = 4d + 1 equispaced samples and the DFT whose row k gives the coefficient of
+    e^{i k theta} from them, read-only: every signal of n samples shares them."""
+    kv = np.arange(n) - (n - 1) // 2
+    dft = np.exp(-2j * math.pi * np.outer(kv, np.arange(n)) / n) / n
+    kv.flags.writeable = dft.flags.writeable = False
+    return kv, dft
+
+
 def trig_signal(samples: Sequence, rate: int) -> tuple[Callable, float, list[tuple[float, float]]]:
     """The phase variance V = Var / (d<O>/dphi)^2 of a trigonometric signal, the rounding level of its slope, and V at its stationary points.
 
@@ -252,8 +263,7 @@ def trig_signal(samples: Sequence, rate: int) -> tuple[Callable, float, list[tup
     n = len(samples)
     d = (n - 1) // 4
     mean = np.array([s.mean for s in samples])
-    kv = np.arange(-2 * d, 2 * d + 1)
-    dft = np.exp(-2j * math.pi * np.outer(kv, np.arange(n)) / n) / n  # row k: the coefficient of e^{i k theta}
+    kv, dft = _dft(n)
     var_c = dft @ np.array([s.variance for s in samples])
     mean_c = (dft @ mean)[d : 3 * d + 1]  # k = -d..d; the higher ones are rounding
     slope_c = 1j * kv[d : 3 * d + 1] * mean_c

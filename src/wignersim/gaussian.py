@@ -19,20 +19,22 @@ BONA_FIDE_TOL = 1e-9
 
 
 def check_covariance(cov: np.ndarray, tol: float = BONA_FIDE_TOL) -> None:
-    """Validate symmetry, positive definiteness, and the sigma + i*Omega >= 0 condition."""
-    n = cov.shape[0]
-    if cov.ndim != 2 or cov.shape != (n, n) or n % 2 != 0:
+    """Validate finiteness, symmetry, positive definiteness, and the sigma + i*Omega >= 0 condition of a
+    covariance, or of every one of a stack (..., 2N, 2N) at once; a failure reports the worst of the stack."""
+    if cov.ndim < 2 or cov.shape[-2] != cov.shape[-1] or cov.shape[-1] % 2 != 0:
         raise ValueError(f"covariance must be square with even dimension, got {cov.shape}")
-    asym = np.max(np.abs(cov - cov.T))
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("covariance contains non-finite entries")
+    asym = np.max(np.abs(cov - np.swapaxes(cov, -1, -2)))
     if asym > SYMMETRY_TOL:
         raise ValueError(f"covariance not symmetric (defect {asym:.3e})")
-    eigs = np.linalg.eigvalsh(cov)
-    if eigs[0] <= 0.0:
-        raise ValueError(f"covariance not positive definite (min eigenvalue {eigs[0]:.3e})")
-    herm = cov.astype(complex) + 1j * omega(n // 2)
-    heigs = np.linalg.eigvalsh((herm + herm.conj().T) / 2.0)
-    if heigs[0] < -tol:
-        raise ValueError(f"state not bona fide: min eig of sigma + i Omega is {heigs[0]:.3e}")
+    low = np.min(np.linalg.eigvalsh(cov)[..., 0])
+    if low <= 0.0:
+        raise ValueError(f"covariance not positive definite (min eigenvalue {low:.3e})")
+    herm = cov.astype(complex) + 1j * omega(cov.shape[-1] // 2)
+    low = np.min(np.linalg.eigvalsh((herm + np.swapaxes(herm, -1, -2).conj()) / 2.0)[..., 0])
+    if low < -tol:
+        raise ValueError(f"state not bona fide: min eig of sigma + i Omega is {low:.3e}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,6 @@ class GaussianState:
             raise ValueError("mean contains non-finite entries")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match mean length")
-        if not np.all(np.isfinite(cov)):
-            raise ValueError("covariance contains non-finite entries")
         check_covariance(cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -145,15 +145,16 @@ class LossSpec:
         return 1.0 - self.D * (1.0 - self.L)
 
 
-def mean_photon(state: GaussianState, mode: int) -> float:
-    """Mean photon number of one mode: (Tr sigma_mode / 2 + <x>^2 + <p>^2 - 1) / 2."""
-    if not 1 <= mode <= state.modes:
-        raise ValueError(f"mode {mode} out of range 1..{state.modes}")
+def mean_photon(mean: np.ndarray, cov: np.ndarray, mode: int) -> float | np.ndarray:
+    """Mean photon number of one mode, (Tr sigma_mode / 2 + <x>^2 + <p>^2 - 1) / 2, of a state's mean and covariance
+    or over the leading axis of a stack of them; a rounding-level negative value is 0."""
+    if not 1 <= mode <= mean.shape[-1] // 2:
+        raise ValueError(f"mode {mode} out of range 1..{mean.shape[-1] // 2}")
     i = 2 * (mode - 1)
-    tr = state.cov[i, i] + state.cov[i + 1, i + 1]
-    val = 0.5 * (tr / 2.0 + state.mean[i] ** 2 + state.mean[i + 1] ** 2 - 1.0)
-    return max(val, 0.0) if val > -1e-12 else val
+    tr = cov[..., i, i] + cov[..., i + 1, i + 1]
+    val = 0.5 * (tr / 2.0 + mean[..., i] ** 2 + mean[..., i + 1] ** 2 - 1.0)
+    return np.where(val > -1e-12, np.maximum(val, 0.0), val)[()]
 
 
 def total_mean_photon(state: GaussianState) -> float:
-    return sum(mean_photon(state, k) for k in range(1, state.modes + 1))
+    return sum(mean_photon(state.mean, state.cov, k) for k in range(1, state.modes + 1))

@@ -16,13 +16,13 @@ difference except for the residual -1/2; pinned against the Fock oracle).
 The polynomial detectors (intensity, homodyne, intensity difference) have one
 moment interface, `polynomial_moments`: a scheme and a callable that maps
 monomials to their moments give <O> and <O^2>.  The moments may be floats, or
-arrays over phases or grid points, which the formulas broadcast over.  Every
-detector function accepts a GaussianState, a WignerExpr or an AffineImage.  On
-a GaussianState every moment is a closed form in the mean R and covariance
-sigma, fourth-order moments by Isserlis' theorem.  A WignerExpr reads its
-monomials through the exact Wick machinery (`wigner.moments`), and an
-AffineImage, a Wigner expression seen through the Gaussian channel after the
-MZI, in one conditioned Wick pass per term (`wigner.herald_read`).  Parity and
+arrays over phases or grid points, which the formulas broadcast over.  A
+WignerExpr reads its monomials through the exact Wick machinery
+(`wigner.moments`), an AffineImage, a Wigner expression seen through the
+Gaussian channel after the MZI, in one conditioned Wick pass per term
+(`wigner.herald_read`).  A stack of Gaussian states has closed forms in its
+means R and covariances sigma, fourth-order moments by Isserlis' theorem
+(`gaussian_moments`); `intensity` takes a GaussianState as a stack of one.  Parity and
 click are Gaussian kernels on one mode, not polynomials: the scenario reads
 them as phase signals, and the kernel of a Gaussian mode with its first two
 phi-derivatives is `kernel_jet`, batched over a stack of mode blocks.
@@ -33,14 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .gaussian import GaussianState, mean_photon
 from .wigner import AffineImage, WignerExpr, moments
 
-StateLike = Union[GaussianState, WignerExpr, AffineImage]
 # Detectors whose operator is a polynomial in the quadratures; parity and click are Gaussian kernels.
 POLYNOMIAL_KINDS = ("intensity", "homodyne", "intensity_difference")
 
@@ -90,21 +89,15 @@ class DetectionScheme:
         return f"{self.kind}[{self.mode}]"
 
 
-def _check_mode(state: StateLike, mode: int) -> None:
-    n = state.modes
-    if not 1 <= mode <= n:
-        raise ValueError(f"mode {mode} out of range 1..{n}")
-
-
-def _square_moments(state: GaussianState, idx: list[int]) -> np.ndarray:
-    """E[X_i^2 X_j^2] over the quadratures idx, by Isserlis with covariance C = sigma / 2:
+def _square_moments(mean: np.ndarray, cov: np.ndarray, idx: list[int]) -> np.ndarray:
+    """E[X_i^2 X_j^2] over the quadratures idx, (n, k, k) over a stack, by Isserlis with covariance C = sigma / 2:
 
     C_ii C_jj + 2 C_ij^2 + mu_i^2 C_jj + mu_j^2 C_ii + 4 mu_i mu_j C_ij + mu_i^2 mu_j^2.
     """
-    mu = state.mean[idx]
-    c = state.cov[np.ix_(idx, idx)] / 2.0
-    square = np.diag(c) + mu * mu  # E[X_i^2]
-    return np.outer(square, square) + 2.0 * c * (c + 2.0 * np.outer(mu, mu))
+    mu = mean[:, idx]
+    c = cov[:, idx][:, :, idx] / 2.0
+    square = np.diagonal(c, axis1=1, axis2=2) + mu * mu  # E[X_i^2]
+    return square[:, :, None] * square[:, None, :] + 2.0 * c * (c + 2.0 * mu[:, :, None] * mu[:, None, :])
 
 
 def kernel_jet(mu, k, dmu, dk, d2mu, d2k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,11 +131,6 @@ def kernel_jet(mu, k, dmu, dk, d2mu, d2k) -> tuple[np.ndarray, np.ndarray, np.nd
     g2 = (2.0 * dot(da, dka) + dot(a, apply(d2k, a)) - 2.0 * dot(d2mu, a) - 2.0 * dot(dmu, da)
           + 0.5 * (np.einsum("...ij,...ji->...", p, p) - np.einsum("...ij,...ji->...", kinv, d2k)))
     return value, value * g1, value * (g2 + g1 * g1)
-
-
-def _reader(state) -> Callable:
-    """The moments callable of a WignerExpr, or of any state with a `moments` method (an AffineImage)."""
-    return partial(moments, state) if isinstance(state, WignerExpr) else state.moments
 
 
 def _intensity_monomials(mode: int) -> list:
@@ -179,50 +167,37 @@ def polynomial_moments(scheme: DetectionScheme, moments: Callable) -> Measuremen
     raise ValueError(f"{scheme.kind} is not a polynomial detector")
 
 
-def intensity(state: StateLike, mode: int = 1) -> MeasurementMoments:
-    """Photon-number (intensity) moments on one mode."""
-    _check_mode(state, mode)
-    if not isinstance(state, GaussianState):
-        return polynomial_moments(DetectionScheme("intensity", mode), _reader(state))
-    i = 2 * (mode - 1)
-    mean, s2 = mean_photon(state, mode), float(_square_moments(state, [i, i + 1]).sum())
-    return MeasurementMoments(mean, 0.25 * s2 - mean - 0.5)
-
-
-def homodyne(state: StateLike, mode: int = 1, angle: float = 0.0) -> MeasurementMoments:
-    """Quadrature x cos(angle) + p sin(angle); already symmetrically ordered."""
-    _check_mode(state, mode)
-    if not isinstance(state, GaussianState):
-        return polynomial_moments(DetectionScheme("homodyne", mode, angle=angle), _reader(state))
-    i = 2 * (mode - 1)
-    c, s = math.cos(angle), math.sin(angle)
-    mean = c * state.mean[i] + s * state.mean[i + 1]
-    u = np.array([c, s])
-    var = float(u @ state.cov[i : i + 2, i : i + 2] @ u) / 2.0
-    return MeasurementMoments(mean, var + mean**2)
-
-
-def intensity_difference(state: StateLike, mode_a: int, mode_b: int) -> MeasurementMoments:
-    """Moments of n_a - n_b."""
-    if mode_a == mode_b:
-        raise ValueError("intensity difference requires two distinct modes")
-    _check_mode(state, mode_a)
-    _check_mode(state, mode_b)
-    if not isinstance(state, GaussianState):
-        return polynomial_moments(DetectionScheme("intensity_difference", mode_a, mode_b), _reader(state))
-    ia, ib = 2 * (mode_a - 1), 2 * (mode_b - 1)
-    # (rho_a - rho_b)^2 summed over the quadrature pairs, signs w_i w_j
-    w = np.array([1.0, 1.0, -1.0, -1.0])
-    s2 = float(w @ _square_moments(state, [ia, ia + 1, ib, ib + 1]) @ w)
-    return MeasurementMoments(mean_photon(state, mode_a) - mean_photon(state, mode_b), 0.25 * s2 - 0.5)
-
-
-def measure(state: StateLike, scheme: DetectionScheme) -> MeasurementMoments:
-    """Dispatch a polynomial DetectionScheme; a parity or click scheme raises ValueError."""
+def gaussian_moments(scheme: DetectionScheme, mean: np.ndarray, cov: np.ndarray) -> MeasurementMoments:
+    """<O> and <O^2> of a polynomial detector at each state of a stack, means (n, 2N) and covariances (n, 2N, 2N),
+    as arrays over its leading axis, in closed form; a parity or click scheme raises ValueError."""
+    i = 2 * (scheme.mode - 1)
     if scheme.kind == "intensity":
-        return intensity(state, scheme.mode)
+        n = mean_photon(mean, cov, scheme.mode)
+        return MeasurementMoments(n, 0.25 * _square_moments(mean, cov, [i, i + 1]).sum(axis=(1, 2)) - n - 0.5)
     if scheme.kind == "homodyne":
-        return homodyne(state, scheme.mode, scheme.angle)
+        u = np.array([math.cos(scheme.angle), math.sin(scheme.angle)])  # x cos(angle) + p sin(angle)
+        x = u[0] * mean[:, i] + u[1] * mean[:, i + 1]
+        return MeasurementMoments(x, _quadratic(u, cov[:, i : i + 2, i : i + 2]) / 2.0 + x**2)
     if scheme.kind == "intensity_difference":
-        return intensity_difference(state, scheme.mode, scheme.mode_b)
+        j = 2 * (scheme.mode_b - 1)
+        # (rho_a - rho_b)^2 summed over the quadrature pairs, signs w_i w_j
+        s2 = _quadratic(np.array([1.0, 1.0, -1.0, -1.0]), _square_moments(mean, cov, [i, i + 1, j, j + 1]))
+        n = mean_photon(mean, cov, scheme.mode) - mean_photon(mean, cov, scheme.mode_b)
+        return MeasurementMoments(n, 0.25 * s2 - 0.5)
     raise ValueError(f"{scheme.kind} is not a polynomial detector")
+
+
+def _quadratic(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """u^T m u for each matrix of a stack, one at a time, since BLAS rounds a single dot product differently."""
+    return np.array([u @ mk @ u for mk in m])
+
+
+def intensity(state: GaussianState | WignerExpr | AffineImage, mode: int = 1) -> MeasurementMoments:
+    """Photon-number (intensity) moments on one mode."""
+    if not 1 <= mode <= state.modes:
+        raise ValueError(f"mode {mode} out of range 1..{state.modes}")
+    scheme = DetectionScheme("intensity", mode)
+    if isinstance(state, GaussianState):
+        o = gaussian_moments(scheme, state.mean[None], state.cov[None])
+        return MeasurementMoments(float(o.mean[0]), float(o.second_moment[0]))
+    return polynomial_moments(scheme, partial(moments, state) if isinstance(state, WignerExpr) else state.moments)

@@ -52,9 +52,6 @@ METRICS = ("phase_variance", "cfi", "qfi", "snr", "distributions")
 DRIFT_SIGMA_DEFAULTS = {"parity": 0.001, "default": 0.15}
 # Searched phase-variance minima within this relative distance of the lowest are equal.
 OPTIMUM_TIE = 1e-9
-# Observations kept, with their routes: a point reads its phase for several metrics, and a Gaussian state 5 or 9
-# per polynomial detector.
-OBSERVED_PHASES = 16
 # A herald read p is resolved for the quotient jets of a phase signal where p >= this times |p''|, 1e-4 rad
 # from a quadratic zero (subtracted_thermal's V keeps about 1e-7 there), and where the terms of its read
 # (1 and -2 pi F_0 of a click herald, say) cancel to no less than 1 / HERALD_CANCELLATION of their magnitude.
@@ -645,7 +642,7 @@ class _Prefix:
         state = self.result.state
         g = sym.mzi_phase_derivative(0.0)
         half = g @ state.cov
-        return est.qfi_mixed_gaussian(state, g @ state.mean, half + half.T)
+        return est.qfi_mixed_gaussian(state, g @ state.mean, half + half.T)[0]
 
     @cached_property
     def mean_photon(self) -> float:
@@ -744,21 +741,38 @@ class _Route:
         if len(heralds) == 1 and not any(m.heralded for m in self.prefix.input_mods):
             n, click = _herald_args(heralds[0])[2:]
             self.arms += ((0, wig.projector(4, n, not click)),)
+        self._samples = {}  # sample set of phases -> the Gaussian image there, validated
 
-    @lru_cache(maxsize=OBSERVED_PHASES)
+    def image(self, phis: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The Gaussian prefix (R0, sigma0) through A = K M(phi) at each of `phis`, unvalidated: means A R0 + b and
+        covariances A sigma0 A^T + 2C."""
+        (k, b, c), state = self.channel, self.prefix.result.state
+        a = k @ np.array([sym.mzi_matrix(phi) for phi in phis])
+        cov = a @ state.cov @ np.swapaxes(a, 1, 2) + 2.0 * c
+        return a @ state.mean + b, (cov + np.swapaxes(cov, 1, 2)) / 2.0
+
+    def samples(self, phis: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The `image` at a sample set of phases, its covariances validated once as a stack, kept per set."""
+        if phis not in self._samples:
+            mean, cov = self.image(phis)
+            ga.check_covariance(cov)
+            self._samples[phis] = mean, cov
+        return self._samples[phis]
+
+    @lru_cache(maxsize=1)  # a point reads its own phase for several metrics
     def observe(self, phi: float) -> PipelineResult:
         """The pipeline result the detectors see at phi: the prefix through X = A Y + b + xi, A = K M(phi), a plain
-        matrix.  A Gaussian prefix (R0, sigma0) becomes the GaussianState (A R0 + b, A sigma0 A^T + 2C); each Wigner
-        arm an `AffineImage`, weighted by the probability of its herald after the phase.  Below the renormalization
-        floor a success arm raises ImprobableBranch and a failure arm is untracked, as at the input stage.
+        matrix.  A Gaussian prefix becomes the GaussianState of its `image`; each Wigner arm an `AffineImage`,
+        weighted by the probability of its herald after the phase.  Below the renormalization floor a success arm
+        raises ImprobableBranch and a failure arm is untracked, as at the input stage.
         """
+        res = self.prefix.result
+        if self.gaussian_path:
+            mean, cov = self.image((phi,))
+            return replace(res, state=ga.GaussianState(mean[0], cov[0]))
         k, b, c = self.channel
         a = k.copy()  # K (M(phi) + I), the identity on the ancillas
         a[:, :4] = k[:, :4] @ sym.mzi_matrix(phi)
-        res = self.prefix.result
-        if self.gaussian_path:
-            cov = a @ res.state.cov @ a.T + 2.0 * c
-            return replace(res, state=ga.GaussianState(a @ res.state.mean + b, (cov + cov.T) / 2.0))
         weights = res.success_prob, res.failure_prob
         arms = [(self.prefix.jet(self.ancillas, i), herald) for i, herald in self.arms]
         ok, *fail = (None if w is None else wig.AffineImage(w, a, b, c, herald) for w, herald in arms)
@@ -821,8 +835,8 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
     phi/2 and <O^2> up to 2q.  An even detector with no output displacement
     has even harmonics only, and is read in phi itself.  Its samples at
     4d + 1 equispaced phases (five, or nine for an even detector behind an
-    output displacement; a Gaussian state observed at each, a Wigner prefix's
-    monomials read at all of them at once) fix both moments, and
+    output displacement; a Gaussian prefix's image, or a Wigner prefix's
+    monomials, read at all of them at once) fix both moments, and
     `est.trig_signal` gives V at every phi and at every stationary point
     exactly.  Parity and click, and
     every detector after an output herald, where <O> = p<O> / p is no
@@ -842,13 +856,13 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
         even = scheme.kind != "homodyne"
         rate = 2 if shifted or not even else 1
         n = 9 if even and shifted else 5
-        phis = [2.0 * math.pi * rate * j / n for j in range(n)]
+        phis = tuple(2.0 * math.pi * rate * j / n for j in range(n))
         if route.gaussian_path:
-            samples = [meas.measure(route.observe(phi).state, scheme) for phi in phis]
+            o = meas.gaussian_moments(scheme, *route.samples(phis))
         else:  # the success arm's monomials at every phase in one read
             read = _wigner_read(config, 0, 0, wig.UNHERALDED)
             o = meas.polynomial_moments(scheme, lambda e: read(np.array(phis), monomials=e)[0][:, 0])
-            samples = [meas.MeasurementMoments(float(m), float(s)) for m, s in zip(o.mean, o.second_moment)]
+        samples = [meas.MeasurementMoments(float(m), float(s)) for m, s in zip(o.mean, o.second_moment)]
         variance, floor, points = est.trig_signal(samples, rate)
         return (*_least(points), _Signal(variance, floor))
     jet = _signal_jet(config, scheme)
@@ -1082,10 +1096,8 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
     if route.ancillas:
         return None, "unavailable (herald after the phase)"
     if route.gaussian_path:
-        res = route.observe(phi)
-        nu = ga.williamson(res.state.cov)[0]
-        route = "pure_gaussian" if nu[-1] ** 2 - 1.0 <= est.PURE_GAUSSIAN_TOL else "mixed_gaussian"
-        return est.qfi_mixed_gaussian(res.state, *_tangent(config, phi)), route
+        qfi, pure = est.qfi_mixed_gaussian(route.observe(phi).state, *_tangent(config, phi))
+        return qfi, "pure_gaussian" if pure else "mixed_gaussian"
     mixed = None, "unavailable (mixed non-Gaussian)"
     if np.any(route.channel[2]):
         return mixed

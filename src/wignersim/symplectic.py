@@ -135,10 +135,13 @@ def embed(part: SymplecticTransform, modes_acted: list[int], total_modes: int) -
     return SymplecticTransform(m, s)
 
 
+_BALANCED = beam_splitter_matrix(0.5)
+_BALANCED.setflags(write=False)
+
+
 def mzi_matrix(phi: float) -> np.ndarray:
     """The balanced Mach-Zehnder: 50/50 splitter, symmetric phase phi, 50/50 splitter."""
-    bs = beam_splitter_matrix(0.5)
-    return bs @ (_symmetric_phase_matrix(phi) @ bs)
+    return _BALANCED @ (_symmetric_phase_matrix(phi) @ _BALANCED)
 
 
 def mzi_phase_derivative(phi: float) -> np.ndarray:
@@ -152,5 +155,4 @@ def mzi_phase_derivative(phi: float) -> np.ndarray:
             [0.0, 0.0, -c, -s],
         ]
     )
-    bs = beam_splitter_matrix(0.5)
-    return bs @ dp @ bs
+    return _BALANCED @ dp @ _BALANCED

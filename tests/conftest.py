@@ -56,6 +56,7 @@ def gaussian_qfi():
 
     def qfi(family, phi: float, h: float = 1e-5) -> float:
         plus, minus = family(phi + h), family(phi - h)
-        return est.qfi_mixed_gaussian(family(phi), (plus.mean - minus.mean) / (2 * h), (plus.cov - minus.cov) / (2 * h))
+        tangent = (plus.mean - minus.mean) / (2 * h), (plus.cov - minus.cov) / (2 * h)
+        return est.qfi_mixed_gaussian(family(phi), *tangent)[0]
 
     return qfi

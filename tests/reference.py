@@ -17,8 +17,12 @@ memoized per call: the referee of the engine's cached schedule (`wg._wick_plan`)
 the referee of the engine's batched Newton steps (`est._circle_roots`).
 `moment_tensor` reads every moment of degree <= 4 of an expression at once.
 `evaluate` gives an expression's value at a point, `parity` and
-`click_probability` (and through them `measure`) a detector's statistics from
-the Gaussian overlap formulas or a mode's marginal, and `inject_thermal` mixes a
+`click_probability` a detector's statistics from the Gaussian overlap formulas
+or a mode's marginal, and `measure` any detector's at one state, a Gaussian
+state's polynomial moments in closed form for it alone (`intensity`,
+`homodyne`, `intensity_difference`): the referee of the stacked closed forms.
+`gaussian_at` forms a Gaussian route's state at one phase alone, the referee of
+its stacked image.  `inject_thermal` mixes a
 Gaussian mode with a thermal ancilla on a beam splitter: the referees of the
 engine's kernel reads and its attenuation channel (`attenuated`, `lossy`).
 Nothing here is imported by `wignersim`.
@@ -29,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -142,15 +146,86 @@ def click_probability(state, mode: int = 1) -> float:
     return min(max(1.0 - p0, 0.0), 1.0)
 
 
+def check_mode(state, mode: int) -> None:
+    if not 1 <= mode <= state.modes:
+        raise ValueError(f"mode {mode} out of range 1..{state.modes}")
+
+
+def reader(state) -> Callable:
+    """The moments callable of a WignerExpr, or of any state with a `moments` method (an AffineImage)."""
+    return partial(wg.moments, state) if isinstance(state, WignerExpr) else state.moments
+
+
+def _square_moments(state: ga.GaussianState, idx: list[int]) -> np.ndarray:
+    """E[X_i^2 X_j^2] over the quadratures idx of one Gaussian state, by Isserlis with covariance C = sigma / 2."""
+    mu = state.mean[idx]
+    c = state.cov[np.ix_(idx, idx)] / 2.0
+    square = np.diag(c) + mu * mu  # E[X_i^2]
+    return np.outer(square, square) + 2.0 * c * (c + 2.0 * np.outer(mu, mu))
+
+
+def intensity(state, mode: int = 1) -> meas.MeasurementMoments:
+    """`meas.intensity`, with a GaussianState's closed form taken for that state alone."""
+    if not isinstance(state, ga.GaussianState):
+        return meas.intensity(state, mode)
+    i = 2 * (mode - 1)
+    mean, s2 = ga.mean_photon(state.mean, state.cov, mode), float(_square_moments(state, [i, i + 1]).sum())
+    return meas.MeasurementMoments(mean, 0.25 * s2 - mean - 0.5)
+
+
+def homodyne(state, mode: int = 1, angle: float = 0.0) -> meas.MeasurementMoments:
+    """Quadrature x cos(angle) + p sin(angle) of one state; already symmetrically ordered."""
+    check_mode(state, mode)
+    if not isinstance(state, ga.GaussianState):
+        return meas.polynomial_moments(meas.DetectionScheme("homodyne", mode, angle=angle), reader(state))
+    i = 2 * (mode - 1)
+    c, s = math.cos(angle), math.sin(angle)
+    mean = c * state.mean[i] + s * state.mean[i + 1]
+    u = np.array([c, s])
+    var = float(u @ state.cov[i : i + 2, i : i + 2] @ u) / 2.0
+    return meas.MeasurementMoments(mean, var + mean**2)
+
+
+def intensity_difference(state, mode_a: int, mode_b: int) -> meas.MeasurementMoments:
+    """Moments of n_a - n_b of one state."""
+    if mode_a == mode_b:
+        raise ValueError("intensity difference requires two distinct modes")
+    check_mode(state, mode_a)
+    check_mode(state, mode_b)
+    if not isinstance(state, ga.GaussianState):
+        return meas.polynomial_moments(meas.DetectionScheme("intensity_difference", mode_a, mode_b),
+                                       reader(state))
+    ia, ib = 2 * (mode_a - 1), 2 * (mode_b - 1)
+    w = np.array([1.0, 1.0, -1.0, -1.0])
+    s2 = float(w @ _square_moments(state, [ia, ia + 1, ib, ib + 1]) @ w)
+    n = ga.mean_photon(state.mean, state.cov, mode_a) - ga.mean_photon(state.mean, state.cov, mode_b)
+    return meas.MeasurementMoments(n, 0.25 * s2 - 0.5)
+
+
 def measure(state, scheme: meas.DetectionScheme) -> meas.MeasurementMoments:
-    """`meas.measure` of a polynomial detector; parity's moments, and the Bernoulli moments of the click indicator,
-    from `parity` and `click_probability`."""
+    """The moments of any detector at one state: the per-phase referee of the engine's stacked Gaussian closed
+    forms (`meas.gaussian_moments`) and batched reads.  Parity's moments, and the Bernoulli moments of the click
+    indicator, come from `parity` and `click_probability`."""
     if scheme.kind == "parity":
         return parity(state, scheme.mode)
     if scheme.kind == "click":
         p = click_probability(state, scheme.mode)
         return meas.MeasurementMoments(p, p)
-    return meas.measure(state, scheme)
+    if scheme.kind == "intensity":
+        return intensity(state, scheme.mode)
+    if scheme.kind == "homodyne":
+        return homodyne(state, scheme.mode, scheme.angle)
+    return intensity_difference(state, scheme.mode, scheme.mode_b)
+
+
+def gaussian_at(route: sc._Route, phi: float) -> ga.GaussianState:
+    """A Gaussian route's state at one phase, A R0 + b and A sigma0 A^T + 2C with A = K M(phi) formed for that
+    phase alone: the per-phase referee of the route's stacked image (`sc._Route.image`)."""
+    k, b, c = route.channel
+    a = k @ sym.mzi_matrix(phi)
+    state = route.prefix.result.state
+    cov = a @ state.cov @ a.T + 2.0 * c
+    return ga.GaussianState(a @ state.mean + b, (cov + cov.T) / 2.0)
 
 
 def attenuated(state: ga.GaussianState, rows: slice, gain: float, noise: float) -> ga.GaussianState:

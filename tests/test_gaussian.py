@@ -23,6 +23,11 @@ def thermal_noise(state: ga.GaussianState, mode: int, nbar_env: float, eta: floa
                           (1.0 - eta) * (2.0 * nbar_env + 1.0) / 2.0)
 
 
+def photons(state: ga.GaussianState) -> float:
+    """Mean photon number of mode 1."""
+    return ga.mean_photon(state.mean, state.cov, 1)
+
+
 class TestStateConstruction:
     def test_vacuum(self):
         v = ga.vacuum_state(1)
@@ -59,6 +64,20 @@ class TestStateConstruction:
     def test_non_finite_covariance_rejected(self, cov):
         with pytest.raises(ValueError, match="non-finite"):
             ga.GaussianState(np.zeros(2), np.array(cov))
+
+    @pytest.mark.parametrize("cov", [
+        [[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]],  # non-finite
+        [[0.5, 0.0], [0.0, 0.5]],  # positive definite, but below the uncertainty bound: not bona fide
+        [[2.0, 0.0], [0.0, -1.0]],  # not positive definite
+        [[1.0, 1e-6], [0.0, 1.0]],  # not symmetric
+    ])
+    def test_a_stack_is_rejected_as_its_bad_state_alone(self, cov):
+        # one check validates a stack of covariances at once, with the error the bad one raises as a state
+        with pytest.raises(ValueError) as alone:
+            ga.GaussianState(np.zeros(2), np.array(cov))
+        with pytest.raises(ValueError) as stacked:
+            ga.check_covariance(np.array([np.eye(2), cov, 3.0 * np.eye(2)]))
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestTensor:
@@ -147,7 +166,7 @@ class TestLossChannels:
     def test_variable_replacement(self):
         # D(1-L) = 0.81 maps |alpha| -> 0.9 |alpha|
         out = lossy(ga.coherent_state(1.0, 0.0), ga.LossSpec(L=0.1, D=0.9))
-        assert abs(ga.mean_photon(out, 1) - 0.81) < 1e-12
+        assert abs(photons(out) - 0.81) < 1e-12
         np.testing.assert_allclose(out.mean, ga.coherent_state(0.9, 0.0).mean, atol=1e-12)
 
     def test_mean_photon_replacement_rule(self):
@@ -160,7 +179,7 @@ class TestLossChannels:
             (ga.propagate(ga.vacuum_state(), sym.make_squeezer(0.9, 0.0)), math.sinh(0.9) ** 2),
         ]
         for state, nbar in cases:
-            assert abs(ga.mean_photon(lossy(state, spec), 1) - factor * nbar) < 1e-12
+            assert abs(photons(lossy(state, spec)) - factor * nbar) < 1e-12
 
     def test_explicit_matches_uniform(self):
         state = ga.tensor([ga.coherent_state(1.2, 0.0), ga.propagate(ga.vacuum_state(), sym.make_squeezer(0.8, 0.0))])
@@ -204,7 +223,7 @@ class TestInjectThermal:
         orc = Oracle([35, 35])
         mix = Mixture.from_product(orc, [("vacuum",), ("thermal", 1.0)]).apply(orc.bs(1, 2, 0.5))
         want = mix.number_mean(1)
-        got = ga.mean_photon(thermal_noise(ga.vacuum_state(1), 1, 1.0, 0.5), 1)
+        got = photons(thermal_noise(ga.vacuum_state(1), 1, 1.0, 0.5))
         assert abs(got - want) < 1e-8
 
 
@@ -225,14 +244,14 @@ class TestWilliamson:
 
 class TestMeanPhoton:
     def test_vacuum_zero(self):
-        assert ga.mean_photon(ga.vacuum_state(1), 1) == 0.0
+        assert photons(ga.vacuum_state(1)) == 0.0
 
     def test_coherent(self):
-        assert abs(ga.mean_photon(ga.coherent_state(2.0, 0.9), 1) - 4.0) < 1e-12
+        assert abs(photons(ga.coherent_state(2.0, 0.9)) - 4.0) < 1e-12
 
     def test_squeezed(self):
         squeezed = ga.propagate(ga.vacuum_state(), sym.make_squeezer(1.0, 0.0))
-        assert abs(ga.mean_photon(squeezed, 1) - math.sinh(1.0) ** 2) < 1e-12
+        assert abs(photons(squeezed) - math.sinh(1.0) ** 2) < 1e-12
 
 
 class TestInvariantProperties:

@@ -50,26 +50,26 @@ class TestIntensity:
 class TestHomodyne:
     def test_vacuum_any_angle(self):
         for theta in (0.0, 0.7, math.pi / 2):
-            m = meas.homodyne(ga.vacuum_state(1), 1, theta)
+            m = ref.homodyne(ga.vacuum_state(1), 1, theta)
             assert abs(m.mean) < 1e-14
             assert abs(m.variance - 0.5) < 1e-13
 
     def test_coherent_mean(self):
-        m = meas.homodyne(ga.coherent_state(1.0, 0.0), 1, 0.0)
+        m = ref.homodyne(ga.coherent_state(1.0, 0.0), 1, 0.0)
         assert abs(m.mean - math.sqrt(2.0)) < 1e-13
 
     def test_squeezed_quadratures(self):
         s = ga.propagate(ga.vacuum_state(), sym.make_squeezer(1.0, 0.0))
-        assert abs(meas.homodyne(s, 1, math.pi / 2).variance - math.exp(-2.0) / 2.0) < 1e-13
-        assert abs(meas.homodyne(s, 1, 0.0).variance - math.exp(2.0) / 2.0) < 1e-12
+        assert abs(ref.homodyne(s, 1, math.pi / 2).variance - math.exp(-2.0) / 2.0) < 1e-13
+        assert abs(ref.homodyne(s, 1, 0.0).variance - math.exp(2.0) / 2.0) < 1e-12
 
     def test_wigner_path_matches(self):
         squeezed = ga.propagate(ga.vacuum_state(), sym.make_squeezer(0.5, 0.0))
         s = ga.propagate(ga.tensor([ga.coherent_state(1.0, 0.4), squeezed]),
                          sym.SymplecticTransform(sym.mzi_matrix(0.9)))
         for theta in (0.0, 1.1):
-            g = meas.homodyne(s, 1, theta)
-            w = meas.homodyne(wg.from_gaussian(s), 1, theta)
+            g = ref.homodyne(s, 1, theta)
+            w = ref.homodyne(wg.from_gaussian(s), 1, theta)
             assert abs(g.mean - w.mean) < 1e-12
             assert abs(g.variance - w.variance) < 1e-12
 
@@ -100,24 +100,24 @@ class TestParity:
 
 class TestIntensityDifference:
     def test_vacuum_pair(self):
-        m = meas.intensity_difference(ga.vacuum_state(2), 1, 2)
+        m = ref.intensity_difference(ga.vacuum_state(2), 1, 2)
         assert m.mean == 0.0
         assert m.variance == 0.0
 
     def test_balanced_split_zero_mean(self):
         s = ga.propagate(ga.tensor([ga.coherent_state(1.5, 0.0), ga.vacuum_state(1)]),
                          sym.SymplecticTransform(sym.mzi_matrix(math.pi / 2)))
-        assert abs(meas.intensity_difference(s, 1, 2).mean) < 1e-12
+        assert abs(ref.intensity_difference(s, 1, 2).mean) < 1e-12
 
     def test_identity_point_sign(self):
         # at phi = 0 the MZI is the identity, so the coherent input stays in mode 1
         s = ga.propagate(ga.tensor([ga.coherent_state(1.5, 0.0), ga.vacuum_state(1)]),
                          sym.SymplecticTransform(sym.mzi_matrix(0.0)))
-        assert abs(meas.intensity_difference(s, 1, 2).mean - 2.25) < 1e-12
+        assert abs(ref.intensity_difference(s, 1, 2).mean - 2.25) < 1e-12
 
     def test_same_mode_rejected(self):
         with pytest.raises(ValueError):
-            meas.intensity_difference(ga.vacuum_state(2), 1, 1)
+            ref.intensity_difference(ga.vacuum_state(2), 1, 1)
 
     def test_variance_against_oracle(self):
         # correlated two-mode state: thermal + fock through a beam splitter;
@@ -131,7 +131,7 @@ class TestIntensityDifference:
             wg.tensor_exprs(wg.from_gaussian(ga.thermal_state(1.2)), wg.fock_wigner(1)),
             sym.SymplecticTransform(sym.beam_splitter_matrix(0.7)),
         )
-        got = meas.intensity_difference(expr, 1, 2)
+        got = ref.intensity_difference(expr, 1, 2)
         assert abs(got.mean - m1) < 1e-6
         assert abs(got.variance - want_var) < 1e-6
 
@@ -141,7 +141,7 @@ class TestIntensityDifference:
         m1, m2 = mix.number_diff_moments(1, 2)
         s = ga.propagate(ga.tensor([ga.coherent_state(0.9, 0.0), ga.thermal_state(0.8)]),
                          sym.SymplecticTransform(sym.mzi_matrix(1.1)))
-        got = meas.intensity_difference(s, 1, 2)
+        got = ref.intensity_difference(s, 1, 2)
         assert abs(got.mean - m1) < 1e-7
         assert abs(got.second_moment - m2) < 1e-6
 
@@ -177,7 +177,7 @@ class TestSchemesAgainstOracle:
                 assert abs(got.mean - nm) < 1e-6
                 assert abs(got.second_moment - n2) < 1e-6
                 xm, x2 = mix.quadrature_moments(mode, 0.3)
-                hod = meas.homodyne(out, mode, 0.3)
+                hod = ref.homodyne(out, mode, 0.3)
                 assert abs(hod.mean - xm) < 1e-7
                 assert abs(hod.second_moment - x2) < 1e-7
                 assert abs(ref.parity(out, mode).mean - mix.parity_mean(mode)) < 1e-7
@@ -205,11 +205,11 @@ class TestSchemesAgainstOracle:
 
 class TestMeasureDispatch:
     def test_click_moments_bernoulli(self):
-        # a click detector's signal takes the no-click indicator's Bernoulli moments, <O^2> = <O>; `measure` serves
-        # the polynomial detectors alone
+        # a click detector's signal takes the no-click indicator's Bernoulli moments, <O^2> = <O>; the Gaussian
+        # closed forms serve the polynomial detectors alone
         scheme = meas.DetectionScheme("click", mode=1)
         with pytest.raises(ValueError):
-            meas.measure(ga.thermal_state(1.0), scheme)
+            meas.gaussian_moments(scheme, *stack([ga.thermal_state(1.0)]))
         config = sc.ScenarioConfig.from_dict({"inputs": [{"kind": "thermal", "nbar": 1.0}, {"kind": "vacuum"}],
                                               "interferometer": {"phi": 0.7}, "detection": [{"scheme": "click"}]})
         m, _, _, var, _, _, _ = (float(v[0]) for v in sc._signal_jet(config, scheme)(np.array([0.7])))
@@ -264,20 +264,29 @@ def kernel(state: ga.GaussianState, scheme: meas.DetectionScheme, dmean=None, dc
     return (float(value), float(slope)) if scheme.kind == "parity" else (1.0 - 2.0 * value, -2.0 * slope)
 
 
+def stack(states: list) -> tuple:
+    """The means and covariances of `states`, stacked."""
+    return np.array([s.mean for s in states]), np.array([s.cov for s in states])
+
+
 class TestGaussianClosedForms:
     def test_match_the_wick_path(self):
+        # the stacked closed forms, and the per-state referee, against the Wick path of each state
         rng = np.random.default_rng(31)
-        for _ in range(25):
-            state = random_two_mode_state(rng)
-            expr = wg.from_gaussian(state)
-            for scheme in SCHEMES:
+        states = [random_two_mode_state(rng) for _ in range(25)]
+        exprs = [wg.from_gaussian(state) for state in states]
+        for scheme in SCHEMES:
+            if scheme.kind in meas.POLYNOMIAL_KINDS:
+                stacked = meas.gaussian_moments(scheme, *stack(states))
+            for j, (state, expr) in enumerate(zip(states, exprs)):
+                want = ref.measure(expr, scheme)
                 if scheme.kind not in meas.POLYNOMIAL_KINDS:  # the kernel against pi W(0), or the vacuum projector
-                    want = ref.measure(expr, scheme).mean
-                    assert kernel(state, scheme)[0] == pytest.approx(want, rel=1e-12, abs=1e-15), scheme.label
+                    assert kernel(state, scheme)[0] == pytest.approx(want.mean, rel=1e-12, abs=1e-15), scheme.label
                     continue
-                got, want = meas.measure(state, scheme), meas.measure(expr, scheme)
-                assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-15), scheme.label
-                assert got.second_moment == pytest.approx(want.second_moment, rel=1e-12, abs=1e-15), scheme.label
+                for got in (ref.measure(state, scheme), meas.MeasurementMoments(stacked.mean[j],
+                                                                                stacked.second_moment[j])):
+                    assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-15), scheme.label
+                    assert got.second_moment == pytest.approx(want.second_moment, rel=1e-12, abs=1e-15), scheme.label
 
     def test_no_gaussian_state_goes_through_the_wick_recursion(self, monkeypatch):
         calls = []
@@ -286,7 +295,7 @@ class TestGaussianClosedForms:
         state = random_two_mode_state(np.random.default_rng(32))
         for scheme in SCHEMES:
             if scheme.kind in meas.POLYNOMIAL_KINDS:
-                meas.measure(state, scheme)
+                meas.gaussian_moments(scheme, *stack([state]))
             else:
                 kernel(state, scheme)
         assert calls == []

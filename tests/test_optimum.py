@@ -18,6 +18,7 @@ import pytest
 
 import workloads
 import reference as ref
+from wignersim import cli
 from wignersim import estimation as est
 from wignersim import measurements as meas
 from wignersim import scenario as sc
@@ -117,6 +118,52 @@ CONFIGS = {
     "displaced_squeezed": DISPLACED_SQUEEZED,
     "output_displaced": OUTPUT_DISPLACED,
 }
+
+
+def gaussian_sweep(seed: int) -> list:
+    """The points of the benchmark's gaussian_sweep workload at one seed: ligo_lossy at each loss of its grid."""
+    plan = workloads.plan(str(ROOT), "gaussian_sweep", seed, "unwritten")
+    (raw,), argv = plan["configs"].values(), plan["commands"][0]["argv"]
+    parameter, grid = cli._parse_grid(argv[argv.index("--grid") + 1])
+    return [sc.ScenarioConfig.from_dict(raw).with_values(**{parameter: float(v)}) for v in grid]
+
+
+STACKED_CONFIGS = {
+    "ligo_lossy": sc.ScenarioConfig.from_dict(ligo_lossy(0.2)),
+    **{f"gaussian_sweep_{seed}_{i}": point for seed in (1, 2) for i, point in enumerate(gaussian_sweep(seed))},
+    "thermal_on_mode_2": sc.ScenarioConfig.from_dict(dict(ligo_lossy(0.2), noise={
+        "loss": {"L": 0.2}, "thermal": {"nbar_env": 0.1, "eta": 0.9, "modes": [2]}})),
+    "output_displaced": sc.ScenarioConfig.from_dict(OUTPUT_DISPLACED),
+}
+# every sample set of a polynomial detector: five phases over [0, 2 pi) or [0, 4 pi), nine over [0, 4 pi)
+SAMPLE_SETS = [tuple(2.0 * math.pi * rate * j / n for j in range(n)) for rate, n in ((1, 5), (2, 5), (2, 9))]
+POLYNOMIAL_SCHEMES = [meas.DetectionScheme("intensity", 1), meas.DetectionScheme("intensity", 2),
+                      meas.DetectionScheme("homodyne", 1), meas.DetectionScheme("homodyne", 1, angle=0.4),
+                      meas.DetectionScheme("homodyne", 2, angle=0.4),
+                      meas.DetectionScheme("intensity_difference", 1, mode_b=2),
+                      meas.DetectionScheme("intensity_difference", 2, mode_b=1)]
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_CONFIGS))
+def test_stacked_samples_keep_every_bit_of_the_per_phase_referee(name):
+    # the route's image at a sample set, and the closed forms over it, against each phase alone: the state formed
+    # for that phase (`ref.gaussian_at`), the one `observe` gives, and its moments from the per-state closed forms
+    route = sc._Route(STACKED_CONFIGS[name])
+    for phis in SAMPLE_SETS:
+        stack, states = route.samples(phis), [ref.gaussian_at(route, phi) for phi in phis]
+        assert bits(stack[0]) == bits([s.mean for s in states])
+        assert bits(stack[1]) == bits([s.cov for s in states])
+        for phi, state in zip(phis, states):
+            observed = route.observe(phi).state
+            assert bits(observed.mean) + bits(observed.cov) == bits(state.mean) + bits(state.cov)
+        for scheme in POLYNOMIAL_SCHEMES:
+            got, want = meas.gaussian_moments(scheme, *stack), [ref.measure(s, scheme) for s in states]
+            assert bits(got.mean) == bits([w.mean for w in want]), (scheme.label, phis)
+            assert bits(got.second_moment) == bits([w.second_moment for w in want]), (scheme.label, phis)
 
 
 def period(config: sc.ScenarioConfig) -> float:

@@ -202,7 +202,7 @@ def noise_after_mzi(cfg: sc.ScenarioConfig, phi: float) -> ref.Built:
 def observables(res: sc.PipelineResult) -> list:
     s = res.state
     n1 = meas.intensity(s, 1)
-    return [res.success_prob, s.norm, n1.mean, n1.second_moment, meas.intensity_difference(s, 1, 2).second_moment,
+    return [res.success_prob, s.norm, n1.mean, n1.second_moment, ref.intensity_difference(s, 1, 2).second_moment,
             ref.parity(s, 1).mean, ref.click_probability(s, 2), meas.intensity(res.failure_state, 2).mean]
 
 
@@ -387,7 +387,7 @@ class TestQfiRoute:
         # Var(x1 x2 + p1 p2) of the prefix's own moments is Var(n1 - n2) of its image through the first splitter
         prefix = sc._route(config(inputs, mods)).prefix
         split = wg.AffineImage(prefix.jet((), 0), sym.beam_splitter_matrix(0.5), np.zeros(4), np.zeros((4, 4)))
-        assert prefix.qfi == pytest.approx(meas.intensity_difference(split, 1, 2).variance, rel=1e-12, abs=0.0)
+        assert prefix.qfi == pytest.approx(ref.intensity_difference(split, 1, 2).variance, rel=1e-12, abs=0.0)
 
     def test_mixed_non_gaussian_is_a_warning(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

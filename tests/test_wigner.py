@@ -152,7 +152,7 @@ class TestAffineImage:
         for scheme in [meas.DetectionScheme("intensity", 1), meas.DetectionScheme("intensity", 2),
                        meas.DetectionScheme("homodyne", 2, angle=0.8),
                        meas.DetectionScheme("intensity_difference", 1, mode_b=2)]:
-            moments = lambda p: meas.measure(image(p), scheme)
+            moments = lambda p: reference.measure(image(p), scheme)
             d = [(moments(1.1 + s).mean - moments(1.1 - s).mean) / (2 * s) for s in (h, h / 2, h / 4)]
             r = [(4 * d[i + 1] - d[i]) / 3 for i in range(2)]
             # the shift breaks the 2 pi period of the even detectors: nine samples over phi / 2

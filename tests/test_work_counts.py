@@ -1,12 +1,16 @@
 """Deterministic work counters of the shared primitives and of one scenario point."""
 
 import json
+import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import workloads
+from wignersim import cli
+from wignersim import estimation as est
 from wignersim import gaussian as ga
 from wignersim import measurements as meas
 from wignersim import scenario as sc
@@ -40,9 +44,11 @@ def moment_calls(monkeypatch):
 
 @pytest.mark.parametrize("as_expr, expected", [(True, 1), (False, 0)])
 def test_intensity_difference_moment_calls(as_expr, expected, moment_calls):
-    state = two_mode_gaussian()
-    state = wg.from_gaussian(state) if as_expr else state
-    meas.intensity_difference(state, 1, 2)
+    state, scheme = two_mode_gaussian(), meas.DetectionScheme("intensity_difference", 1, 2)
+    if as_expr:
+        meas.polynomial_moments(scheme, partial(meas.moments, wg.from_gaussian(state)))
+    else:
+        meas.gaussian_moments(scheme, state.mean[None], state.cov[None])
     assert len(moment_calls) == expected
 
 
@@ -114,6 +120,34 @@ def observed(monkeypatch) -> list:
     return seen
 
 
+@pytest.fixture
+def imaged(monkeypatch) -> list:
+    """The phases at which a Gaussian route forms a stacked image of its prefix (`_Route.image`)."""
+    seen = []
+    orig = sc._Route.image
+
+    def counted(route, phis):
+        seen.append(phis)
+        return orig(route, phis)
+
+    monkeypatch.setattr(sc._Route, "image", counted)
+    return seen
+
+
+def test_gaussian_sweep_pass_validates_8_states_and_8_stacks(tmp_path, monkeypatch):
+    # the gaussian_sweep CI gates, at seed 1: the prefix's four states (the two inputs, their product and the
+    # input squeeze), each of the four points' own state at its phase, and per point one stack for each sample set,
+    # homodyne's and the even detectors'; each state and each stack is one covariance check
+    plan = workloads.plan(str(CONFIGS.parent), "gaussian_sweep", 1, str(tmp_path))
+    workloads.write_configs(plan)
+    forget_routes()
+    states, init = [], ga.GaussianState.__post_init__
+    monkeypatch.setattr(ga.GaussianState, "__post_init__", lambda state: states.append(1) or init(state))
+    checks = counter(monkeypatch, ga, "check_covariance")
+    assert [cli.main(command["argv"]) for command in plan["commands"]] == [0]
+    assert (len(states), len(checks)) == (8, 16)
+
+
 def test_gaussian_qfi_observes_one_state(observed):
     # the exact tangent comes from A' = K M'(phi), so no neighbouring phase is observed
     config = sc.load_config(LIGO_LOSSY)
@@ -121,38 +155,55 @@ def test_gaussian_qfi_observes_one_state(observed):
     assert observed == [config.phi]
 
 
+def test_gaussian_point_makes_one_williamson_decomposition(monkeypatch):
+    # the QFI formula and the pure/mixed label of its route read one decomposition; the prefix's QFI bound, which
+    # the parity grid reads, is kept with the prefix record
+    config = sc.load_config(LIGO_LOSSY)
+    forget_routes()
+    sc._route(config).prefix.qfi
+    calls = [counter(monkeypatch, est, "williamson"), counter(monkeypatch, ga, "williamson")]
+    report = sc.evaluate_point(config)[0]
+    assert (sum(map(len, calls)), report.extras["qfi_route"]) == (1, "mixed_gaussian")
+
+
 @pytest.mark.parametrize("config, label", [
     (LIGO_LOSSY, "intensity[1]"), (LIGO_LOSSY, "homodyne[1,0]"), (LIGO_LOSSY, "diff[1,2]"),
     (workloads.point_a(1.0), "intensity[1]"), (workloads.point_b(1.0), "diff[1,2]"),
 ])
-def test_polynomial_optimum_reads_five_phases(config, label, observed, monkeypatch):
-    # <O> and <O^2> are trigonometric polynomials in phi, fixed by five equispaced samples: a Gaussian state is
-    # observed at each, and a Wigner prefix's monomials are read at all five in one batched read
+def test_polynomial_optimum_reads_five_phases(config, label, observed, imaged, monkeypatch):
+    # <O> and <O^2> are trigonometric polynomials in phi, fixed by five equispaced samples: a Gaussian prefix is
+    # seen at all five as one stacked image, and a Wigner prefix's monomials are read at all five in one batched
+    # read; neither observes a state at a phase
     reads = []
     orig = wg.herald_read
     monkeypatch.setattr(wg, "herald_read", lambda columns, rows, *args: reads.append(len(rows)) or orig(
         columns, rows, *args))
     config = sc.load_config(config) if isinstance(config, str) else sc.ScenarioConfig.from_dict(config)
+    sc._route.cache_clear()
     sc._optimal_phi(config, next(s for s in config.detection if s.label == label))
-    assert (len(observed), reads) == ((5, []) if sc._route(config).gaussian_path else (0, [5]))
+    stacks = [len(phis) for phis in imaged]
+    assert (observed, stacks, reads) == (([], [5], []) if sc._route(config).gaussian_path else ([], [], [5]))
+
+
+def sample_set(rate: int) -> tuple:
+    """The five phases of a polynomial detector's samples, over [0, 2 pi rate)."""
+    return tuple(2.0 * math.pi * rate * j / 5 for j in range(5))
 
 
 @pytest.mark.parametrize("study", ["point", "drift"])
-def test_ligo_lossy_fixed_phases_read_the_optimum_signal(study, observed):
-    # the fixed-phase values of a point, and 50 drift trials, read each detector's signal: they observe no
-    # phase beyond the optimum's samples (and the point's own state at its phase); the parity minimum reads its jet
+def test_ligo_lossy_fixed_phases_read_the_optimum_signal(study, observed, imaged):
+    # the fixed-phase values of a point, and 50 drift trials, read each detector's signal: the route forms one
+    # stacked image per sample set, homodyne's five phases over [0, 4 pi) and the even detectors' shared five
+    # over [0, 2 pi), and observes no phase for them; a point observes its own state at its phase, and the parity
+    # minimum reads its jet
     config = sc.load_config(LIGO_LOSSY)
-    for scheme in config.detection:
-        sc._optimal_phi(config, scheme)
-    optimum = list(observed)
-    observed.clear()
+    sc._route.cache_clear()
     if study == "point":
         sc.evaluate_point(sc.ScenarioConfig.from_dict(dict(config.raw, metrics=["phase_variance"])))
-        assert observed == [config.phi] + optimum
+        assert (observed, imaged) == ([config.phi], [(config.phi,), sample_set(2), sample_set(1)])
     else:
         sc.phase_drift_study(config, trials=50, seed=1)
-        assert observed == optimum
-    assert len(optimum) == 15  # five samples for each polynomial detector
+        assert (observed, imaged) == ([], [sample_set(2), sample_set(1)])
 
 
 @pytest.mark.parametrize("raw", [workloads.point_a(1.0), workloads.point_b(1.0)], ids=["point_a", "point_b"])
