@@ -17,11 +17,14 @@ A = K M(phi): a Gaussian prefix maps through it, and a Wigner prefix stays as
 it is while only the observable moves, so each phi is a `wigner.AffineImage`
 and no state is built at a phase.  A herald at either stage adds its ancilla
 to the prefix as one more mode, its coupling to a channel and its projector to
-every read.  A detector's phase variance comes from one exact phase signal
-(`_optimal_phi`), which gives its optimum and its value at any phi.  The
-photon-number reads take the detected mode off the same channel, and
-`simulate_counts` does so once over a stack of channels, one per T of its grid
-(`_counted`).
+every read: a single herald's two arms read one projector pair
+(`wig.projector` and its complement) at either stage.  The prefix and each
+phase give one record, (p, arms): the success probability, then the success
+arm and, where it is tracked, the failure arm, whose weight is 1 - p.  A
+detector's phase variance comes from one exact phase signal (`_optimal_phi`),
+which gives its optimum and its value at any phi.  The photon-number reads
+take the detected mode off the same channel, and `simulate_counts` does so
+once over a stack of channels, one per T of its grid (`_counted`).
 
 Identical config plus seed gives byte-identical CSV/JSON output.
 """
@@ -33,7 +36,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Any, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import numpy.random  # loaded lazily otherwise, on the first draw of a `counts` run
@@ -480,17 +483,6 @@ def _set_path(node, segments: list[str], value, lineno: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    """Success-branch state with herald bookkeeping; frozen, since cached prefixes are shared."""
-
-    state: Any  # GaussianState or WignerExpr
-    success_prob: float = 1.0
-    failure_state: Any = None
-    failure_prob: float = 0.0
-    gaussian_path: bool = True
-
-
 def _gaussian_possible(config: ScenarioConfig) -> bool:
     if any(s.kind == "fock" for s in config.inputs):
         return False
@@ -545,13 +537,10 @@ class _Prefix:
     on the Wigner path the uniform `loss`.  Each part is built on its first read and kept with the record, which
     the points of a sweep after the MZI share.
 
-    A Gaussian prefix propagates the inputs through each modification.  A Wigner prefix is one read of the
+    A Gaussian prefix propagates the inputs through each modification.  A Wigner prefix is one image of the
     inputs and one Fock ancilla per herald (`_ancillas`) through one channel, the modifications in order
-    (`_then`) and then the uniform `loss`, against the heralds' projectors (`wig.AffineImage.state`); with
-    neither modifications nor loss it is the inputs' product state.  The success arm reads the product of the
-    projectors (`_success`), and raises ImprobableBranch when its probability is below the renormalization
-    floor; a single herald also tracks its failure arm, the unprojected read minus the projected one, which is
-    left untracked below the floor, so a herald that succeeds almost surely is kept.
+    (`_then`) and then the uniform `loss`, read through the heralds' projectors (`wig.AffineImage.state`); with
+    neither modifications nor loss it is the inputs' product state.  Its record is `arms`, (p, arms).
     """
 
     def __init__(self, inputs: tuple, input_mods: tuple, gaussian_path: bool, loss: ga.LossSpec | None):
@@ -559,49 +548,45 @@ class _Prefix:
         self._jets, self._columns = {}, {}  # (ancillas, arm, order) -> W^(order), (W, ..., W^(order)) as columns
 
     @cached_property
-    def result(self) -> PipelineResult:
-        """The arms and their weights."""
+    def arms(self) -> tuple:
+        """(p, arms): the success probability, and the success arm then, where it is tracked, the failure arm, of
+        weight 1 - p.
+
+        The success arm reads the product of the heralds' projectors (`_success`) and raises ImprobableBranch
+        when its probability is below the renormalization floor.  A single herald also tracks its failure arm,
+        the projector pair's other read (`wig.projector`), which is left untracked below the floor, so a herald
+        that succeeds almost surely is kept.  Each arm is normalized by its own norm, and its probability is that
+        norm over the unheralded read's: the products the reads share are integrated once.
+        """
         inputs, input_mods, loss = self.inputs, self.input_mods, self.loss
         if self.gaussian_path:
             state = ga.tensor([s.gaussian() for s in inputs])
             for m in input_mods:
                 state = ga.propagate(state, _gaussian_step(m, 2))
-            return PipelineResult(state)
+            return 1.0, (state,)
         joint = _with_ancillas(wig.tensor_exprs(inputs[0].expr(), inputs[1].expr()), _ancillas(input_mods))
         if not input_mods and loss is None:
-            return PipelineResult(joint, gaussian_path=False)
+            return 1.0, (joint,)
         n = joint.nvars
         channel = _then(input_mods, n, np.eye(n), np.zeros(n), np.zeros((n, n)))
         if loss is not None:
             channel = _attenuated(channel, slice(0, 4), math.sqrt(1.0 - loss.total), loss.total / 2.0)
-
-        def read(herald: tuple | None) -> wig.WignerExpr:
-            return wig.AffineImage(joint, *channel, herald).state((1, 2))
-
+        image = wig.AffineImage(joint, *channel)
+        unheralded = image.state((1, 2), wig.UNHERALDED)
         heralds = [m for m in input_mods if m.heralded]
         if not heralds:
-            return PipelineResult(read(None), gaussian_path=False)
-        if len(heralds) > 1:
-            state = read(_success(heralds))
-            return PipelineResult(*wig._herald_branch(state, state.norm / joint.norm), gaussian_path=False)
-        n, click = _herald_args(heralds[0])[2:]
-        projected = read(wig.projector(4, n))
-        p = projected.norm / joint.norm
-        negated = [wig.Term(-t.weight, t.poly, t.mean, t.quad) for t in projected.terms]
-        complement = wig.WignerExpr(2, read(None).terms + negated)
-        complement._norm = joint.norm - projected.norm  # the channel keeps the unprojected read's norm, joint's
-        arms = [(projected, p), (complement, 1.0 - p)][:: -1 if click else 1]
-        ok = wig._herald_branch(*arms[0])
-        try:
-            fail = wig._herald_branch(*arms[1])
-        except ImprobableBranch:
-            fail = None, 0.0
-        return PipelineResult(*ok, *fail, gaussian_path=False)
+            return 1.0, (unheralded,)
+        reads = [image.state((1, 2), _success(heralds))]
+        if len(heralds) == 1:
+            n, click = _herald_args(heralds[0])[2:]
+            reads.append(image.state((1, 2), wig.projector(4, n, not click)))
+        ok, p = wig._herald_branch(reads[0], reads[0].norm / unheralded.norm)
+        return p, (ok, *(w.normalize() for w in reads[1:] if w.norm / unheralded.norm >= wig.IMPROBABLE_FLOOR))
 
-    def jet(self, ancillas: tuple, arm: int, order: int = 0) -> wig.WignerExpr | None:
-        """W^(order) of one arm of a Wigner prefix (0 the success arm, 1 the failure arm, None where untracked),
-        normalized and followed by the output heralds' `ancillas` (Fock numbers).  M'(phi) = M(phi) M'(0) makes
-        each phi-derivative of an arm seen through the channel a fixed expression (`wig.phase_tangent`)."""
+    def jet(self, ancillas: tuple, arm: int, order: int = 0) -> wig.WignerExpr:
+        """W^(order) of one tracked arm of a Wigner prefix (0 the success arm, 1 the failure arm), normalized and
+        followed by the output heralds' `ancillas` (Fock numbers).  M'(phi) = M(phi) M'(0) makes each
+        phi-derivative of an arm seen through the channel a fixed expression (`wig.phase_tangent`)."""
         key = ancillas, arm, order
         if key not in self._jets:
             if order:
@@ -609,8 +594,7 @@ class _Prefix:
                 h[:4, :4] = sym.mzi_phase_derivative(0.0)
                 self._jets[key] = wig.phase_tangent(self.jet(ancillas, arm, order - 1), h)
             else:
-                w = (self.result.state, self.result.failure_state)[arm]
-                self._jets[key] = None if w is None else _with_ancillas(w.normalize(), ancillas)
+                self._jets[key] = _with_ancillas(self.arms[1][arm].normalize(), ancillas)
         return self._jets[key]
 
     def columns(self, ancillas: tuple, arm: int, order: int) -> list:
@@ -639,7 +623,7 @@ class _Prefix:
         if not self.gaussian_path:
             m = self.moments
             return meas.MeasurementMoments(m[4] + m[5], m[6] + 2.0 * m[7] + m[8] - 0.5).variance
-        state = self.result.state
+        state = self.arms[1][0]
         g = sym.mzi_phase_derivative(0.0)
         half = g @ state.cov
         return est.qfi_mixed_gaussian(state, g @ state.mean, half + half.T)[0]
@@ -654,7 +638,7 @@ class _Prefix:
         """
         loss = self.loss
         if self.gaussian_path:
-            return ga.total_mean_photon(self.result.state)
+            return ga.total_mean_photon(self.arms[1][0])
         if loss is not None and loss.total >= 1.0:
             return _prefix(self.inputs, self.input_mods, False, None).mean_photon
         xx = self.moments  # <x_1^2>, <p_1^2>, <x_2^2>, <p_2^2> first
@@ -726,7 +710,8 @@ class _Route:
     The uniform loss follows the MZI on the Gaussian path and sits in the prefix on the Wigner path, where it
     commutes with the passive MZI.  A herald after the phase adds its ancilla to the prefix (`ancillas`) and its
     coupling to the channel.  An arm is (prefix arm, herald): the prefix arms, unheralded (None), or the output
-    heralds' product (`_success`) and, for a single herald alone, as at the input stage, its complement.
+    heralds' product (`_success`) and, for a single herald alone, its complement: the projector pair the input
+    stage reads too.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -746,7 +731,7 @@ class _Route:
     def image(self, phis: tuple) -> tuple[np.ndarray, np.ndarray]:
         """The Gaussian prefix (R0, sigma0) through A = K M(phi) at each of `phis`, unvalidated: means A R0 + b and
         covariances A sigma0 A^T + 2C."""
-        (k, b, c), state = self.channel, self.prefix.result.state
+        (k, b, c), state = self.channel, self.prefix.arms[1][0]
         a = k @ np.array([sym.mzi_matrix(phi) for phi in phis])
         cov = a @ state.cov @ np.swapaxes(a, 1, 2) + 2.0 * c
         return a @ state.mean + b, (cov + np.swapaxes(cov, 1, 2)) / 2.0
@@ -760,29 +745,25 @@ class _Route:
         return self._samples[phis]
 
     @lru_cache(maxsize=1)  # a point reads its own phase for several metrics
-    def observe(self, phi: float) -> PipelineResult:
-        """The pipeline result the detectors see at phi: the prefix through X = A Y + b + xi, A = K M(phi), a plain
-        matrix.  A Gaussian prefix becomes the GaussianState of its `image`; each Wigner arm an `AffineImage`,
-        weighted by the probability of its herald after the phase.  Below the renormalization floor a success arm
-        raises ImprobableBranch and a failure arm is untracked, as at the input stage.
+    def observe(self, phi: float) -> tuple:
+        """(p, arms) as the detectors see them at phi: the prefix's arms through X = A Y + b + xi, A = K M(phi), a
+        plain matrix, and p the success probability, the failure arm's weight 1 - p.  A Gaussian prefix becomes the
+        GaussianState of its `image`; each Wigner arm (`arms`) an `AffineImage`, and p takes in the probability of
+        the herald after the phase.  Below the renormalization floor a success arm raises ImprobableBranch and a
+        failure arm is untracked, as at the input stage.
         """
-        res = self.prefix.result
+        p, arms = self.prefix.arms
         if self.gaussian_path:
             mean, cov = self.image((phi,))
-            return replace(res, state=ga.GaussianState(mean[0], cov[0]))
+            return p, (ga.GaussianState(mean[0], cov[0]),)
         k, b, c = self.channel
         a = k.copy()  # K (M(phi) + I), the identity on the ancillas
         a[:, :4] = k[:, :4] @ sym.mzi_matrix(phi)
-        weights = res.success_prob, res.failure_prob
-        arms = [(self.prefix.jet(self.ancillas, i), herald) for i, herald in self.arms]
-        ok, *fail = (None if w is None else wig.AffineImage(w, a, b, c, herald) for w, herald in arms)
+        ok, *fail = (wig.AffineImage(self.prefix.jet(self.ancillas, i), a, b, c, herald)
+                     for i, herald in self.arms if i < len(arms))
         if ok.probability < wig.IMPROBABLE_FLOOR:
             raise ImprobableBranch(ok.probability)
-        fail = next((arm for arm in fail if arm is not None and arm.probability >= wig.IMPROBABLE_FLOOR), None)
-        # a failure arm follows the success arm's prefix arm (the complement of an output herald) or the other one
-        p_fail = 0.0 if fail is None else weights[self.arms[1][0]] * min(fail.probability, 1.0)
-        return replace(res, state=ok, success_prob=weights[0] * min(ok.probability, 1.0), failure_state=fail,
-                       failure_prob=p_fail)
+        return p * min(ok.probability, 1.0), (ok, *(w for w in fail if w.probability >= wig.IMPROBABLE_FLOOR))
 
 
 _route = lru_cache(maxsize=1)(_Route)  # the last config's route, with its most recent observations
@@ -792,7 +773,7 @@ def _tangent(config: ScenarioConfig, phi: float) -> tuple[np.ndarray, np.ndarray
     """(dR/dphi, dsigma/dphi) of a Gaussian config on the prefix channel: dR = A' R0 and
     dsigma = A' sigma0 A^T + A sigma0 A'^T, with A = K M(phi) and A' = K M'(phi)."""
     route = _route(config)
-    k, prefix = route.channel[0], route.prefix.result.state
+    k, prefix = route.channel[0], route.prefix.arms[1][0]
     a, da = k @ sym.mzi_matrix(phi), k @ sym.mzi_phase_derivative(phi)
     half = da @ prefix.cov @ a.T
     return da @ prefix.mean, half + half.T
@@ -967,7 +948,7 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
     k, b, c = route.channel
     rows = slice(2 * scheme.mode - 2, 2 * scheme.mode)
     a_c, a_s, b = k[rows], 2.0 * (k @ sym.mzi_phase_derivative(0.0))[rows], b[rows]
-    state = route.prefix.result.state
+    state = route.prefix.arms[1][0]
     r0, s0 = state.mean, state.cov
     m_c, m_s = a_c @ r0, a_s @ r0
     s_cc, s_cs, s_ss = a_c @ s0 @ a_c.T, a_c @ s0 @ a_s.T, a_s @ s0 @ a_s.T
@@ -1055,11 +1036,11 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
     adds nothing.
     """
     route = _route(config)
-    res = route.observe(phi)
+    p, arms = route.observe(phi)
     total = 0.0
-    for arm, (branch, p) in enumerate((("state", res.success_prob), ("failure_state", 1.0 - res.success_prob))):
+    for arm, weight in enumerate((p, 1.0 - p)[: len(arms)]):
         part = 0.0
-        for mode in (1, 2) if getattr(res, branch) is not None else ():
+        for mode in (1, 2):
             scheme = meas.DetectionScheme("click", mode)
             p0, dp0 = (float(v[0]) for v in _kernel_jet(config, scheme, arm, order=1)(np.array([phi]))[:2])
             # an outcome whose probability rounds to the level of its absolute error may be a dark one, whose
@@ -1067,7 +1048,7 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
             dark = 1.0 - p0 <= est.SLOPE_FLOOR or (p0 <= est.SLOPE_FLOOR and not route.gaussian_path)
             d2p0 = float(_kernel_jet(config, scheme, arm)(np.array([phi]))[2][0]) if dark else None
             part += est.binary_cfi(p0, dp0, phi, d2p0)
-        total += p * part
+        total += weight * part
     if route.arms[0][1] is None:
         return total
     # the herald's less probable outcome keeps its relative precision: cfi allows a single herald, so both are read
@@ -1096,13 +1077,13 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
     if route.ancillas:
         return None, "unavailable (herald after the phase)"
     if route.gaussian_path:
-        qfi, pure = est.qfi_mixed_gaussian(route.observe(phi).state, *_tangent(config, phi))
+        qfi, pure = est.qfi_mixed_gaussian(route.observe(phi)[1][0], *_tangent(config, phi))
         return qfi, "pure_gaussian" if pure else "mixed_gaussian"
     mixed = None, "unavailable (mixed non-Gaussian)"
     if np.any(route.channel[2]):
         return mixed
     try:
-        est.require_pure_wigner(route.prefix.result.state)
+        est.require_pure_wigner(route.prefix.arms[1][0])
     except PurityViolation:
         return mixed
     return route.prefix.qfi, "pure_wigner"
@@ -1120,16 +1101,17 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
     report = est.EstimationReport(phi=phi)
     warnings: list[str] = []
     distributions: list[dict] = []
+    route = _route(config)
     try:
-        res = _route(config).observe(phi)
+        p, (state, *_) = route.observe(phi)
     except ImprobableBranch as exc:
         report.extras["flag"] = "improbable herald branch"
         warnings.append(f"phi={phi:.6g}: {exc}")
         return report, warnings, distributions
-    if res.success_prob < 1.0:
-        report.extras["herald_probability"] = res.success_prob
+    if p < 1.0:
+        report.extras["herald_probability"] = p
 
-    ntot = _route(config).prefix.mean_photon
+    ntot = route.prefix.mean_photon
     if ntot > 0.0:
         report.snl = est.snl(ntot)
         report.hl = est.hl(ntot)
@@ -1156,11 +1138,11 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
             warnings.append(f"cfi at phi={phi:.6g}: {exc}")
 
     if "qfi" in config.metrics:
-        qfi, route = _qfi(config, phi)
+        qfi, label = _qfi(config, phi)
         if qfi is None:
-            warnings.append(f"qfi: {route}")
+            warnings.append(f"qfi: {label}")
         else:
-            report.extras["qfi_route"] = route
+            report.extras["qfi_route"] = label
             if qfi > est.SLOPE_FLOOR**2:
                 report.qfi, report.qcrb = qfi, 1.0 / qfi
             else:
@@ -1169,10 +1151,10 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
 
     if "snr" in config.metrics:
         added = {k: sum(int(m.m) for m in config.modifications if m.op == "add" and m.mode == k) for k in (1, 2)}
-        both = None if res.gaussian_path else res.state.moments(  # a Wigner state's two modes from one read
+        both = None if route.gaussian_path else state.moments(  # a Wigner state's two modes from one read
             meas._intensity_monomials(1) + meas._intensity_monomials(2))
         for mode in (1, 2):
-            mom = meas.intensity(res.state, mode) if both is None else meas.polynomial_moments(
+            mom = meas.intensity(state, mode) if both is None else meas.polynomial_moments(
                 meas.DetectionScheme("intensity", mode), lambda _: both[5 * mode - 5 : 5 * mode])
             try:
                 report.snr[f"mode{mode}"] = est.snr(mom, subtract_injected=added[mode])
@@ -1182,8 +1164,8 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
     if "distributions" in config.metrics:
         for mode in (1, 2):
             # a Wigner prefix's mode is read off its channel, a Gaussian state's is its marginal
-            expr = (res.state.state((mode,)) if isinstance(res.state, wig.AffineImage)
-                    else wig.marginal_mode(wig.from_gaussian(res.state), mode))
+            expr = (wig.marginal_mode(wig.from_gaussian(state), mode) if route.gaussian_path
+                    else state.state((mode,)))
             try:
                 dist = wig.photon_number_distribution(expr, 1)
             except ContourTooLong as exc:
@@ -1248,32 +1230,18 @@ def emit(report: RunReport, out_dir: str, formats: str = "both") -> list[str]:
             fh.write("\n")
         written.append(path)
     if formats in ("csv", "both"):
-        path = os.path.join(out_dir, "results.csv")
-        cols: list[str] = []
-        for row in report.rows:
-            for k in row:
-                if k not in cols:
-                    cols.append(k)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in report.rows:
-                fh.write(",".join(_fmt(row.get(c, "")) for c in cols) + "\n")
-        written.append(path)
+        tables = [("results.csv", list(dict.fromkeys(k for row in report.rows for k in row)), report.rows)]
         if report.distributions:
-            dpath = os.path.join(out_dir, "distributions.csv")
-            with open(dpath, "w", encoding="utf-8") as fh:
-                fh.write("grid_index,mode,n,p\n")
-                for d in report.distributions:
-                    fh.write(f"{d['grid_index']},{d['mode']},{d['n']},{_fmt(d['p'])}\n")
-            written.append(dpath)
+            tables.append(("distributions.csv", ["grid_index", "mode", "n", "p"], report.distributions))
         if report.traces:
-            tpath = os.path.join(out_dir, "traces.csv")
-            cols = list(report.traces[0].keys())
-            with open(tpath, "w", encoding="utf-8") as fh:
+            tables.append(("traces.csv", list(report.traces[0]), report.traces))
+        for name, cols, rows in tables:
+            path = os.path.join(out_dir, name)
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(",".join(cols) + "\n")
-                for row in report.traces:
+                for row in rows:
                     fh.write(",".join(_fmt(row.get(c, "")) for c in cols) + "\n")
-            written.append(tpath)
+            written.append(path)
     return written
 
 
@@ -1389,7 +1357,7 @@ def _counted(config: ScenarioConfig, mod: ModificationSpec, grid: tuple) -> tupl
     a = k.copy()
     a[..., :4] = k[..., :4] @ sym.mzi_matrix(config.phi)
     herald = wig.projector(4, *_herald_args(mod)[2:])
-    state = wig.AffineImage(expr, a @ j, wig._mv(a, s) + b, c, herald).state((mod.mode,))
+    state = wig.AffineImage(expr, a @ j, wig._mv(a, s) + b, c).state((mod.mode,), herald)
     return wig._herald_branch(state, state.norm * np.ones(len(grid)))
 
 

@@ -24,8 +24,9 @@ Gaussian and takes one Wick expectation of the term's own polynomial
 modes of X (`projector`), each projector is one more Gaussian kernel with a
 Laguerre factor (`herald_read`); an unheralded read is the one product of no
 projectors (`UNHERALDED`).  `AffineImage.state` gives the state of some
-modes of X, every other variable integrated out: that one read serves the
-input stage's prefix, its heralds included, and a detected mode.
+modes of X through a herald, every other variable integrated out once per
+projector product: that one read serves both arms of an input-stage herald,
+which share their products, and a detected mode.
 
 Term convention: weight * poly(X) * exp(-(X - mean)^T quad^{-1} (X - mean)),
 matching the Gaussian Wigner exponent used throughout, so quad equals the
@@ -403,8 +404,8 @@ class AffineImage:
     moment is then a `herald_read` of the projectors times the monomial, over
     `probability`, the read of the projectors alone, and `modes` counts the
     modes other than the ancillas.  With no herald the read is `UNHERALDED`
-    and the probability 1.  `state` reads the same products, and also a stack
-    of channels.
+    and the probability 1.  `state` reads the same products, or another
+    herald's, and also a stack of channels.
     """
 
     def __init__(self, expr: WignerExpr, a: np.ndarray, shift: np.ndarray, noise: np.ndarray,
@@ -414,6 +415,7 @@ class AffineImage:
         self.herald = herald
         self.modes = expr.modes - len({v for _, projectors in herald or () for v, _ in projectors})
         self._columns = self._probability = None
+        self._parts = {}  # (kept variables, projectors) -> their integrated part
 
     def _read(self, monomials: list | None = None) -> np.ndarray:
         if self._columns is None:
@@ -432,20 +434,26 @@ class AffineImage:
         """E[X^e] for each monomial e (a tuple or a {variable index: power} mapping), from one read."""
         return [float(v[0, 0]) / self.probability for v in self._read(monomials=monomials)]
 
-    def state(self, modes) -> WignerExpr:
-        """The state of the `modes` of X, whose norm is the herald's probability times the expression's norm.
+    def state(self, modes, herald: tuple | None = None) -> WignerExpr:
+        """The state of the `modes` of X read through `herald` (the image's own by default), whose norm is the
+        herald's probability times the expression's norm.
 
-        Each signed product of the herald's projectors integrates every other variable of X, the ancillas'
-        included, out of the expression's image (`_integrate_out`), and the terms add with its sign.  A stack of
-        channels, one per grid point, gives a grid expression.
+        Each signed product of projectors integrates every other variable of X, the ancillas' included, out of the
+        expression's image (`_integrate_out`) once per image, and the parts' terms and norms add with its sign: an
+        arm and its complement share their parts.  A stack of channels, one per grid point, gives a grid expression.
         """
         kept = [2 * m - 2 + i for m in modes for i in (0, 1)]
         others = [i for i in range(self.expr.nvars) if i not in kept]
-        terms = []
-        for sign, projectors in self.herald or UNHERALDED:
-            part = _integrate_out(self.expr, others, (self.a, self.shift, self.noise), projectors)
-            terms += [Term(sign * t.weight, t.poly, t.mean, t.quad) for t in part.terms]
-        return WignerExpr(len(kept) // 2, terms)
+        terms, norm = [], 0.0
+        for sign, projectors in herald or self.herald or UNHERALDED:
+            key = tuple(kept), projectors
+            if key not in self._parts:
+                self._parts[key] = _integrate_out(self.expr, others, (self.a, self.shift, self.noise), projectors)
+            terms += [Term(sign * t.weight, t.poly, t.mean, t.quad) for t in self._parts[key].terms]
+            norm = norm + sign * self._parts[key].norm
+        out = WignerExpr(len(kept) // 2, terms)
+        out._norm = norm
+        return out
 
 
 @dataclass(frozen=True)
@@ -684,8 +692,6 @@ def _herald_branch(reduced: WignerExpr, prob: float) -> tuple[WignerExpr, float]
     elif prob < IMPROBABLE_FLOOR:
         raise ImprobableBranch(prob)
     prob = np.clip(prob, 0.0, 1.0)
-    if reduced.modes == 0:
-        return WignerExpr(0, []), prob
     return reduced.normalize() if reduced.terms else reduced, prob
 
 

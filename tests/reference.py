@@ -8,9 +8,10 @@ signals, jets and Fisher informations against these, the way `fock_oracle.py`
 checks its phase-space integrals against a truncated Fock lattice.  `prefix`
 applies the input stage one modification at a time, each map substituted into
 the terms (`apply_symplectic`) and each herald conditioned alone (`herald`),
-and `build_pipeline` builds the state at one phase, stage by stage.  `counts`
-reads its whole T grid at once; `counts_rows` builds and heralds it one T at a
-time.  `photon_number_distribution` reads the whole contour circle at a fixed
+and `build_pipeline` builds the state at one phase, stage by stage, into the
+referee's own record (`PipelineResult`).  `counts` reads its whole T grid at
+once; `counts_rows` builds and heralds it one T at a time.
+`photon_number_distribution` reads the whole contour circle at a fixed
 length.  `gaussian_expectation` walks the Wick recursion's tree on every call,
 memoized per call: the referee of the engine's cached schedule (`wg._wick_plan`).
 `circle_roots` polishes the roots of a phase signal's polynomial one at a time:
@@ -34,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
-from typing import Callable, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
@@ -223,7 +224,7 @@ def gaussian_at(route: sc._Route, phi: float) -> ga.GaussianState:
     phase alone: the per-phase referee of the route's stacked image (`sc._Route.image`)."""
     k, b, c = route.channel
     a = k @ sym.mzi_matrix(phi)
-    state = route.prefix.result.state
+    state = route.prefix.arms[1][0]
     cov = a @ state.cov @ a.T + 2.0 * c
     return ga.GaussianState(a @ state.mean + b, (cov + cov.T) / 2.0)
 
@@ -312,13 +313,25 @@ def _scaled(expr: WignerExpr, s: float) -> list:
     return [Term(t.weight * s, t.poly, t.mean, t.quad) for t in expr.terms]
 
 
-def each(res: sc.PipelineResult, step: Callable) -> sc.PipelineResult:
+@dataclass(frozen=True)
+class PipelineResult:
+    """The forward build's record: the success-branch state with its herald bookkeeping.  The engine's record is
+    the plain (p, arms) of `sc._Prefix.arms` and `sc._Route.observe`."""
+
+    state: Any  # GaussianState or WignerExpr
+    success_prob: float = 1.0
+    failure_state: Any = None
+    failure_prob: float = 0.0
+    gaussian_path: bool = True
+
+
+def each(res: PipelineResult, step: Callable) -> PipelineResult:
     """Apply one state map to the success branch and, when it is tracked, the failure branch."""
     fail = None if res.failure_state is None else step(res.failure_state)
     return replace(res, state=step(res.state), failure_state=fail)
 
 
-def modify(res: sc.PipelineResult, mods) -> sc.PipelineResult:
+def modify(res: PipelineResult, mods) -> PipelineResult:
     """The modifications in order, one at a time: a map substituted, a herald conditioned (`herald`).  The first
     herald starts the failure branch, untracked below the floor; a later one leaves it untracked."""
     heralded = False
@@ -336,19 +349,19 @@ def modify(res: sc.PipelineResult, mods) -> sc.PipelineResult:
 
 
 @lru_cache(maxsize=8)
-def prefix(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss) -> sc.PipelineResult:
-    """The referee of `sc._Prefix.result`: the inputs, each input-stage modification in turn (`modify`), then the
+def prefix(inputs: tuple, input_mods: tuple, gaussian_path: bool, loss) -> PipelineResult:
+    """The referee of `sc._Prefix.arms`: the inputs, each input-stage modification in turn (`modify`), then the
     uniform loss on each mode (`attenuate`)."""
     exprs = [s.gaussian() if gaussian_path else s.expr() for s in inputs]
     state = ga.tensor(exprs) if gaussian_path else wg.tensor_exprs(*exprs)
-    res = modify(sc.PipelineResult(state, gaussian_path=gaussian_path), input_mods)
+    res = modify(PipelineResult(state, gaussian_path=gaussian_path), input_mods)
     for mode in (1, 2) if loss is not None else ():
         res = each(res, lambda s: attenuate(s, mode, 1.0 - loss.total))
     return res
 
 
 @dataclass(frozen=True)
-class Built(sc.PipelineResult):
+class Built(PipelineResult):
     """A forward-built pipeline result, with the stage of its first herald: None, "input" or "output"."""
 
     herald_stage: str | None = None
@@ -365,7 +378,7 @@ def build_pipeline(config, phi: float | None = None) -> Built:
     return output_stage(before_output(config, phi), config)
 
 
-def before_output(config, phi: float | None = None) -> sc.PipelineResult:
+def before_output(config, phi: float | None = None) -> PipelineResult:
     """The forward build up to its output stage: the prefix (`prefix`), then the MZI and the noise."""
     phi = config.phi if phi is None else phi
     gaussian_path, loss, noise = sc._gaussian_possible(config), sc._uniform_loss(config), config.noise
@@ -381,7 +394,7 @@ def before_output(config, phi: float | None = None) -> sc.PipelineResult:
     return res
 
 
-def output_stage(res: sc.PipelineResult, config) -> Built:
+def output_stage(res: PipelineResult, config) -> Built:
     """The output-stage modifications of `config` in order on `res`, the state after the noise.
 
     The first herald of the pipeline starts the failure branch: an output
@@ -392,7 +405,7 @@ def output_stage(res: sc.PipelineResult, config) -> Built:
     out = modify(res, mods)
     if heralds[:1] == ["input"] and len(heralds) > 1:
         out = replace(out, failure_state=None, failure_prob=0.0)
-    return Built(**{f.name: getattr(out, f.name) for f in fields(sc.PipelineResult)},
+    return Built(**{f.name: getattr(out, f.name) for f in fields(PipelineResult)},
                  herald_stage=heralds[0] if heralds else None)
 
 

@@ -213,7 +213,7 @@ class TestMeasureDispatch:
         config = sc.ScenarioConfig.from_dict({"inputs": [{"kind": "thermal", "nbar": 1.0}, {"kind": "vacuum"}],
                                               "interferometer": {"phi": 0.7}, "detection": [{"scheme": "click"}]})
         m, _, _, var, _, _, _ = (float(v[0]) for v in sc._signal_jet(config, scheme)(np.array([0.7])))
-        assert 1.0 - m == pytest.approx(ref.click_probability(sc._route(config).observe(0.7).state, 1), rel=1e-12)
+        assert 1.0 - m == pytest.approx(ref.click_probability(sc._route(config).observe(0.7)[1][0], 1), rel=1e-12)
         assert var == pytest.approx(m * (1.0 - m), rel=1e-12)
 
     def test_unknown_scheme(self):

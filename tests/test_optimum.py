@@ -158,7 +158,7 @@ def test_stacked_samples_keep_every_bit_of_the_per_phase_referee(name):
         assert bits(stack[0]) == bits([s.mean for s in states])
         assert bits(stack[1]) == bits([s.cov for s in states])
         for phi, state in zip(phis, states):
-            observed = route.observe(phi).state
+            (observed,) = route.observe(phi)[1]
             assert bits(observed.mean) + bits(observed.cov) == bits(state.mean) + bits(state.cov)
         for scheme in POLYNOMIAL_SCHEMES:
             got, want = meas.gaussian_moments(scheme, *stack), [ref.measure(s, scheme) for s in states]
@@ -368,7 +368,7 @@ def test_wigner_dark_fringe_at_zero_phase_is_reported_at_zero():
 def observed_variance(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, phi: float, h: float) -> tuple:
     """(Var, d<O>/dphi) at phi, observed and measured at phi and phi +- s, the slope with two Richardson levels."""
     observe = sc._route(config).observe
-    moments = lambda p: ref.measure(observe(p).state, scheme)
+    moments = lambda p: ref.measure(observe(p)[1][0], scheme)
     d = [(moments(phi + s).mean - moments(phi - s).mean) / (2 * s) for s in (h, h / 2, h / 4)]
     r = [(4 * d[i + 1] - d[i]) / 3 for i in range(2)]
     return moments(phi).variance, (16 * r[1] - r[0]) / 15
@@ -520,7 +520,7 @@ def test_output_herald_optimum_approaches_the_herald_zero():
     phi = report.optimal_phi["click[1]"]
     assert report.extras["min_phase_variance.click[1]"] == pytest.approx(5.0 / 36.0, rel=1e-7, abs=0.0)
     assert abs(phi - math.pi) < 1e-3
-    assert sc._route(config).observe(phi).success_prob >= wg.IMPROBABLE_FLOOR
+    assert sc._route(config).observe(phi)[0] >= wg.IMPROBABLE_FLOOR
     signal = sc._optimal_phi(config, meas.DetectionScheme("click", 1))[2]
     v = signal.variance(math.pi - np.array([0.3, 0.1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4]))
     assert np.all(np.diff(v) < 0.0) and v[-1] > 5.0 / 36.0

@@ -609,7 +609,7 @@ class TestBatchedContourKernel:
 def subtracted_thermal_mode(mode: int) -> wg.WignerExpr:
     """Mode `mode` of configs/subtracted_thermal.json after the MZI, read off the route's channel."""
     config = sc.load_config(str(CONFIGS / "subtracted_thermal.json"))
-    return sc._route(config).observe(config.phi).state.state((mode,))
+    return sc._route(config).observe(config.phi)[1][0].state((mode,))
 
 
 def pacs_m3_grid() -> wg.WignerExpr:

@@ -285,7 +285,7 @@ def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
     integrations = counter(monkeypatch, wg, "_integrate_out")
     forget_routes()
     sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
-    # the herald's projected arm and the unprojected read of the lossy prefix, whose channel holds the input
+    # the herald's projected part and the unheralded part of the lossy prefix, whose channel holds the input
     # squeeze and the loss; the photon-number probe reads that prefix too, over 1 - L
     assert len(integrations) == 2
 
@@ -375,7 +375,7 @@ def test_photon_number_distribution_runs_one_wick_recursion_per_term(config, m, 
     raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / config).read_text())
     raw["modifications"][0]["m"] = m
     config = sc.ScenarioConfig.from_dict(raw)
-    state = sc._route(config).observe(config.phi).state.state((1,))
+    state = sc._route(config).observe(config.phi)[1][0].state((1,))
     state.norm  # read first, so that its recursions are not counted below
     assert len(wg.marginal_mode(state.normalize(), 1).terms) == terms
     means, orig = [], wg._gaussian_expectation
