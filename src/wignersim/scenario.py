@@ -703,6 +703,15 @@ def _then(mods, n: int, k: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
     return k, b, c
 
 
+def _through_mzi(k: np.ndarray, phi, derivative: bool = False) -> np.ndarray:
+    """A(phi) = K (M(phi) + I), K the channel after the MZI and I on the ancillas, or A'(phi) = K (M'(phi) + 0)
+    with `derivative`, at one phase or a stack of phases; K may lead with a grid axis instead, or be cut to rows."""
+    head = k[..., :4] @ (sym.mzi_phase_derivative if derivative else sym.mzi_matrix)(phi)
+    a = np.empty(head.shape[:-1] + k.shape[-1:])
+    a[..., :4], a[..., 4:] = head, 0.0 if derivative else k[..., 4:]
+    return a
+
+
 class _Route:
     """How the detectors of one config see its state, decided once: its path, its prefix record (`_prefix`), the
     channel after the MZI (`_after_mzi`), (K, b, C), and the arms they read.
@@ -729,10 +738,10 @@ class _Route:
         self._samples = {}  # sample set of phases -> the Gaussian image there, validated
 
     def image(self, phis: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """The Gaussian prefix (R0, sigma0) through A = K M(phi) at each of `phis`, unvalidated: means A R0 + b and
-        covariances A sigma0 A^T + 2C."""
+        """The Gaussian prefix (R0, sigma0) through A (`_through_mzi`) at each of `phis`, unvalidated: means
+        A R0 + b and covariances A sigma0 A^T + 2C."""
         (k, b, c), state = self.channel, self.prefix.arms[1][0]
-        a = k @ np.array([sym.mzi_matrix(phi) for phi in phis])
+        a = _through_mzi(k, phis)
         cov = a @ state.cov @ np.swapaxes(a, 1, 2) + 2.0 * c
         return a @ state.mean + b, (cov + np.swapaxes(cov, 1, 2)) / 2.0
 
@@ -746,10 +755,10 @@ class _Route:
 
     @lru_cache(maxsize=1)  # a point reads its own phase for several metrics
     def observe(self, phi: float) -> tuple:
-        """(p, arms) as the detectors see them at phi: the prefix's arms through X = A Y + b + xi, A = K M(phi), a
-        plain matrix, and p the success probability, the failure arm's weight 1 - p.  A Gaussian prefix becomes the
-        GaussianState of its `image`; each Wigner arm (`arms`) an `AffineImage`, and p takes in the probability of
-        the herald after the phase.  Below the renormalization floor a success arm raises ImprobableBranch and a
+        """(p, arms) as the detectors see them at phi: the prefix's arms through X = A Y + b + xi, A = A(phi)
+        (`_through_mzi`), and p the success probability, the failure arm's weight 1 - p.  A Gaussian prefix becomes
+        the GaussianState of its `image`; each Wigner arm (`arms`) an `AffineImage`, and p takes in the probability
+        of the herald after the phase.  Below the renormalization floor a success arm raises ImprobableBranch and a
         failure arm is untracked, as at the input stage.
         """
         p, arms = self.prefix.arms
@@ -757,8 +766,7 @@ class _Route:
             mean, cov = self.image((phi,))
             return p, (ga.GaussianState(mean[0], cov[0]),)
         k, b, c = self.channel
-        a = k.copy()  # K (M(phi) + I), the identity on the ancillas
-        a[:, :4] = k[:, :4] @ sym.mzi_matrix(phi)
+        a = _through_mzi(k, phi)
         ok, *fail = (wig.AffineImage(self.prefix.jet(self.ancillas, i), a, b, c, herald)
                      for i, herald in self.arms if i < len(arms))
         if ok.probability < wig.IMPROBABLE_FLOOR:
@@ -771,10 +779,10 @@ _route = lru_cache(maxsize=1)(_Route)  # the last config's route, with its most 
 
 def _tangent(config: ScenarioConfig, phi: float) -> tuple[np.ndarray, np.ndarray]:
     """(dR/dphi, dsigma/dphi) of a Gaussian config on the prefix channel: dR = A' R0 and
-    dsigma = A' sigma0 A^T + A sigma0 A'^T, with A = K M(phi) and A' = K M'(phi)."""
+    dsigma = A' sigma0 A^T + A sigma0 A'^T (`_through_mzi`)."""
     route = _route(config)
     k, prefix = route.channel[0], route.prefix.arms[1][0]
-    a, da = k @ sym.mzi_matrix(phi), k @ sym.mzi_phase_derivative(phi)
+    a, da = _through_mzi(k, phi), _through_mzi(k, phi, derivative=True)
     half = da @ prefix.cov @ a.T
     return da @ prefix.mean, half + half.T
 
@@ -805,7 +813,7 @@ class _Signal(NamedTuple):
 def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float, _Signal]:
     """The phase-variance minimum over one period of V in phi, as (phi, variance), and the signal it is read from.
 
-    On the prefix channel A(phi) = K M(phi) holds only cos(phi/2) and
+    The prefix channel A(phi) (`_through_mzi`) holds only cos(phi/2) and
     sin(phi/2), and M(phi + 2 pi) = -M(phi).  V has period 2 pi for homodyne
     and for an even detector (every other one) with no output displacement;
     an output displacement b breaks that symmetry for an even detector, and V
@@ -884,22 +892,17 @@ def _ratio(u, p, size) -> tuple:
 def _wigner_read(config: ScenarioConfig, index: int, order: int, herald: tuple, rows: list | None = None) -> Callable:
     """(phis, kernel, blur, monomials) -> `wig.herald_read` of a prefix arm and its phase tangents up to `order`.
 
-    A(phi) = K (M(phi) + I), M(phi) = cos(phi/2) + 2 sin(phi/2) M'(0) on the interferometer's variables and I on
-    the ancillas'; the tangents (`_Prefix.jet`) give every read's phi-derivatives exactly.  With `rows`, the
-    channel is cut to those variables first (an unheralded kernel read needs its mode's alone).
+    The channel is A(phi) (`_through_mzi`), and the tangents (`_Prefix.jet`) give each read's phi-derivatives
+    exactly.  `rows` cuts the channel to those variables first (an unheralded kernel read needs its mode's alone).
     """
     route = _route(config)
     k, b, c = route.channel
-    a_c, a_s, a_0 = k.copy(), np.zeros_like(k), k.copy()
-    a_c[:, 4:], a_s[:, :4], a_0[:, :4] = 0.0, 2.0 * (k[:, :4] @ sym.mzi_phase_derivative(0.0)), 0.0
     if rows is not None:
-        a_c, a_s, a_0, b, c = a_c[rows], a_s[rows], a_0[rows], b[rows], c[rows][:, rows]
+        k, b, c = k[rows], b[rows], c[rows][:, rows]
     columns = route.prefix.columns(route.ancillas, index, order)
-    ancillas = bool(np.any(a_0))
 
     def read(phi: np.ndarray, kernel: list | None = (), blur: np.ndarray | None = None, monomials: list | None = None):
-        a = a_c * np.cos(phi / 2.0)[:, None, None] + a_s * np.sin(phi / 2.0)[:, None, None]
-        return wig.herald_read(columns, a + a_0 if ancillas else a, b, c, herald, kernel, blur, monomials)
+        return wig.herald_read(columns, _through_mzi(k, phi), b, c, herald, kernel, blur, monomials)
 
     return read
 
@@ -914,7 +917,7 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
     port, where the click probability rounds to 1.
 
     On the detected mode's rows, A(phi) = a_c cos(phi/2) + a_s sin(phi/2) with
-    a_c = K M(0) = K and a_s = 2 K M'(0).  On a Gaussian state the mode
+    a_c, a_s = A(0), 2 A'(0) (`_through_mzi`).  On a Gaussian state the mode
     block's mean is mu = b + m_c cos(phi/2) + m_s sin(phi/2) and its
     covariance sigma = S0 + S1 cos phi + S2 sin phi, and A'' = -A/4 gives
     mu'' = -(mu - b)/4 and sigma'' = S0 - sigma.  The kernel is the parity,
@@ -947,7 +950,7 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
         return wigner_jet
     k, b, c = route.channel
     rows = slice(2 * scheme.mode - 2, 2 * scheme.mode)
-    a_c, a_s, b = k[rows], 2.0 * (k @ sym.mzi_phase_derivative(0.0))[rows], b[rows]
+    a_c, a_s, b = _through_mzi(k[rows], 0.0), 2.0 * _through_mzi(k[rows], 0.0, derivative=True), b[rows]
     state = route.prefix.arms[1][0]
     r0, s0 = state.mean, state.cov
     m_c, m_s = a_c @ r0, a_s @ r0
@@ -1354,8 +1357,7 @@ def _counted(config: ScenarioConfig, mod: ModificationSpec, grid: tuple) -> tupl
     expr = _prefix(config.inputs, (), False, None).jet((_herald_args(mod)[1],), 0)
     j, s, _ = _then(_input_mods(config), 6, np.eye(6), np.zeros(6), np.zeros((6, 6)))
     k, b, c = _after_mzi(config, _uniform_loss(config), 6)
-    a = k.copy()
-    a[..., :4] = k[..., :4] @ sym.mzi_matrix(config.phi)
+    a = _through_mzi(k, config.phi)
     herald = wig.projector(4, *_herald_args(mod)[2:])
     state = wig.AffineImage(expr, a @ j, wig._mv(a, s) + b, c).state((mod.mode,), herald)
     return wig._herald_branch(state, state.norm * np.ones(len(grid)))

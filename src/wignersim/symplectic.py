@@ -69,19 +69,6 @@ def beam_splitter_matrix(T) -> np.ndarray:
     return np.moveaxis(np.array([[t, z, rfl, z], [z, t, z, rfl], [rfl, z, -t, z], [z, rfl, z, -t]]), (0, 1), (-2, -1))
 
 
-def _symmetric_phase_matrix(phi: float) -> np.ndarray:
-    """Two-mode balanced phase: +phi/2 rotation on mode 1, -phi/2 on mode 2."""
-    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    return np.array(
-        [
-            [c, -s, 0.0, 0.0],
-            [s, c, 0.0, 0.0],
-            [0.0, 0.0, c, s],
-            [0.0, 0.0, -s, c],
-        ]
-    )
-
-
 def make_squeezer(r: float, theta: float = 0.0) -> SymplecticTransform:
     """Single-mode squeezer; theta = 0 stretches x by e^r and shrinks p by e^-r."""
     if r < 0.0:
@@ -136,23 +123,21 @@ def embed(part: SymplecticTransform, modes_acted: list[int], total_modes: int) -
 
 
 _BALANCED = beam_splitter_matrix(0.5)
+# G = 2 M'(0) = BS J BS, J the quarter turn of the phase matrix (+ on mode 1, - on mode 2)
+_GENERATOR = _BALANCED @ np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                                   [0.0, 0.0, -1.0, 0.0]]) @ _BALANCED
 _BALANCED.setflags(write=False)
+_GENERATOR.setflags(write=False)
 
 
-def mzi_matrix(phi: float) -> np.ndarray:
-    """The balanced Mach-Zehnder: 50/50 splitter, symmetric phase phi, 50/50 splitter."""
-    return _BALANCED @ (_symmetric_phase_matrix(phi) @ _BALANCED)
+def mzi_matrix(phi) -> np.ndarray:
+    """The balanced Mach-Zehnder (50/50 splitter, phase +phi/2 on mode 1 and -phi/2 on mode 2, 50/50 splitter),
+    cos(phi/2) I + sin(phi/2) G, at one phase or at a stack of phases on a leading axis."""
+    half = np.asarray(phi, dtype=float)[..., None, None] / 2.0
+    return np.cos(half) * np.eye(4) + np.sin(half) * _GENERATOR
 
 
-def mzi_phase_derivative(phi: float) -> np.ndarray:
-    """d/dphi of the `mzi_matrix(phi)`: BS @ P'(phi) @ BS."""
-    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    dp = 0.5 * np.array(
-        [
-            [-s, -c, 0.0, 0.0],
-            [c, -s, 0.0, 0.0],
-            [0.0, 0.0, -s, c],
-            [0.0, 0.0, -c, -s],
-        ]
-    )
-    return _BALANCED @ dp @ _BALANCED
+def mzi_phase_derivative(phi) -> np.ndarray:
+    """d/dphi of `mzi_matrix`, (cos(phi/2) G - sin(phi/2) I) / 2, at one phase or at a stack of phases."""
+    half = np.asarray(phi, dtype=float)[..., None, None] / 2.0
+    return (np.cos(half) * _GENERATOR - np.sin(half) * np.eye(4)) / 2.0

@@ -23,7 +23,8 @@ or a mode's marginal, and `measure` any detector's at one state, a Gaussian
 state's polynomial moments in closed form for it alone (`intensity`,
 `homodyne`, `intensity_difference`): the referee of the stacked closed forms.
 `gaussian_at` forms a Gaussian route's state at one phase alone, the referee of
-its stacked image.  `inject_thermal` mixes a
+its stacked image; `mzi_product` the MZI as the product of its elements, the
+referee of `sym.mzi_matrix`.  `inject_thermal` mixes a
 Gaussian mode with a thermal ancilla on a beam splitter: the referees of the
 engine's kernel reads and its attenuation channel (`attenuated`, `lossy`).
 Nothing here is imported by `wignersim`.
@@ -251,6 +252,17 @@ def inject_thermal(state: ga.GaussianState, mode: int, nbar_env: float, eta: flo
     mixed = ga.propagate(joint, sym.embed(_splitter(eta), [mode, n + 1], n + 1))
     keep = np.arange(2 * n)
     return ga.GaussianState(mixed.mean[keep], mixed.cov[np.ix_(keep, keep)])
+
+
+def symmetric_phase_matrix(phi: float) -> np.ndarray:
+    """Two-mode balanced phase: +phi/2 rotation on mode 1, -phi/2 on mode 2."""
+    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
+    return np.array([[c, -s, 0.0, 0.0], [s, c, 0.0, 0.0], [0.0, 0.0, c, s], [0.0, 0.0, -s, c]])
+
+
+def mzi_product(phi: float) -> np.ndarray:
+    """The balanced MZI as the product BS P(phi) BS of its elements: the referee of `sym.mzi_matrix`."""
+    return sym._BALANCED @ symmetric_phase_matrix(phi) @ sym._BALANCED
 
 
 def _splitter(T: float) -> sym.SymplecticTransform:

@@ -405,7 +405,7 @@ def test_criterion_11_determinism_and_invariants(tmp_path):
         t = rng.uniform(0, 1)
         r = rng.uniform(0, 1)
         f = sym.SymplecticTransform(sym.embed(sym.make_squeezer(r, 0.3), [1], 2).matrix
-                                    @ sym._symmetric_phase_matrix(phi) @ sym.beam_splitter_matrix(t))
+                                    @ ref.symmetric_phase_matrix(phi) @ sym.beam_splitter_matrix(t))
         if np.max(np.abs(f.matrix @ om @ f.matrix.T - om)) > 1e-10:
             invariants_ok = False
         state = ga.propagate(ga.tensor([ga.coherent_state(rng.uniform(0, 1.5), 0.0), ga.thermal_state(rng.uniform(0, 2))]), f)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import workloads
 from wignersim import cli
 from wignersim import scenario as sc
 from wignersim.errors import ImprobableBranch
@@ -245,6 +246,21 @@ def test_strongly_squeezed_lossy_qfi_runs(r, tmp_path):
     assert row["qfi_route"] == "mixed_gaussian"
     assert math.isfinite(row["qfi"]) and row["qfi"] > 0.0
     assert row["qcrb"] == 1.0 / row["qfi"]
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.5, 1.0])
+def test_lossy_heralded_point_reads_the_lossless_photon_number(loss, tmp_path):
+    # point (a) with its uniform loss L in the Wigner prefix: snl and hl read the input's photon number at every
+    # L, at L = 1 off the lossless prefix; a lossy heralded prefix is mixed and non-Gaussian and gets no QFI,
+    # and at L = 1 the prefix is the pure vacuum, of QFI 0
+    raw = dict(workloads.point_a(1.0), noise={"loss": {"L": loss}}, metrics=["qfi"])
+    report = _run_report(tmp_path, raw)
+    row = report["rows"][0]
+    assert (row["snl"], row["hl"]) == (0.42128603104212853, 0.17748191995122928)
+    if loss == 0.5:
+        assert "qfi" not in row and "qfi: unavailable (mixed non-Gaussian)" in report["warnings"]
+    else:
+        assert row["qfi_route"] == "pure_wigner" and (row["qfi"] == 0.0 if loss == 1.0 else row["qfi"] > 0.0)
 
 
 def test_vacuum_inputs_report_no_phase_information(tmp_path, capsys):

@@ -263,7 +263,7 @@ class TestInvariantProperties:
             phi = RNG.uniform(0.0, 2 * math.pi)
             t = RNG.uniform(0.0, 1.0)
             state = ga.tensor([ga.coherent_state(math.sqrt(alpha2), RNG.uniform(0, 6.28)), ga.thermal_state(nbar)])
-            passive = sym._symmetric_phase_matrix(phi) @ sym.beam_splitter_matrix(t)
+            passive = ref.symmetric_phase_matrix(phi) @ sym.beam_splitter_matrix(t)
             f = sym.SymplecticTransform(passive @ sym.embed(sym.make_squeezer(r, 0.1), [1], 2).matrix)
             out = ga.propagate(state, f)  # constructor re-checks bona fide
             # passive elements conserve total photon number

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+import reference as ref
 from fock_oracle import Mixture, Oracle, qfi_sld
 from wignersim import gaussian as ga
 from wignersim import symplectic as sym
@@ -27,7 +28,7 @@ class TestConventionPinning:
         state = ga.tensor([ga.coherent_state(alpha, 0.0), ga.coherent_state(0.3, math.pi / 2)])
         cases = [
             (sym.SymplecticTransform(sym.beam_splitter_matrix(0.7)), orc.bs(1, 2, 0.7)),
-            (sym.SymplecticTransform(sym._symmetric_phase_matrix(0.9)), orc.ps2(1, 2, 0.9)),
+            (sym.SymplecticTransform(ref.symmetric_phase_matrix(0.9)), orc.ps2(1, 2, 0.9)),
             (sym.SymplecticTransform(sym.mzi_matrix(1.1)), orc.mzi(1.1)),
             (sym.embed(sym.make_squeezer(0.4, 0.7), [1], 2), orc.squeeze(1, 0.4, 0.7)),
             (sym.embed(sym.make_displacement(0.5, 1.2), [1], 2), orc.displace(1, 0.5, 1.2)),

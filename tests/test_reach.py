@@ -2,13 +2,14 @@
 
 One child interpreter runs `wignersim.cli.main` under `sys.setprofile` on the
 shipped configs, the benchmark's heralded points (a), (b) and (b) at m = 2,
-two configs that take the remaining modifications, noise and detectors, and a
-key-tree file, through every command: run, validate, sweep (over L and phi),
-drift and counts.  The test compiles each source file and fails on any
-function (a method or nested function included) the commands never enter,
-except the closed forms, which the tests and the benchmark check against, and
-the error constructors.  A function no command reaches is dead code, or a
-referee that belongs in `tests/reference.py`.
+the QFI of (a) at uniform loss L = 0.5 and 1, two configs that take the
+remaining modifications, noise and detectors, and a key-tree file, through
+every command: run, validate, sweep (over L and phi), drift and counts.  The
+test compiles each source file and fails on any function (a method or nested
+function included) the commands never enter, except the closed forms, which
+the tests and the benchmark check against, and the error constructors.  A
+function no command reaches is dead code, or a referee that belongs in
+`tests/reference.py`.
 """
 
 import fnmatch
@@ -94,7 +95,9 @@ def _functions(code, module: str):
 
 def _commands(work: Path) -> list:
     configs = {"fock_click": FOCK_CLICK, "spdc_output": SPDC_OUTPUT, "point_a": workloads.point_a(1.0),
-               "point_b": workloads.point_b(1.0), "point_b_m2": workloads.point_b(1.0, m=2)}
+               "point_b": workloads.point_b(1.0), "point_b_m2": workloads.point_b(1.0, m=2),
+               **{f"point_a_L{loss}": dict(workloads.point_a(1.0), noise={"loss": {"L": loss}}, metrics=["qfi"])
+                  for loss in (0.5, 1.0)}}
     for name, cfg in configs.items():
         (work / f"{name}.json").write_text(json.dumps(cfg))
     (work / "key_tree.cfg").write_text(KEY_TREE)

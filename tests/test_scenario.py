@@ -692,6 +692,17 @@ def test_counts_rows_match_the_per_point_route(case):
         assert [g[k] for k in close] == pytest.approx([w[k] for k in close], rel=1e-12, abs=0.0)
 
 
+def test_reported_herald_probability_is_the_cfi_herald_read():
+    # the observation and the CFI's herald read take one channel A(phi) (`sc._through_mzi`), so the herald
+    # probability `run` reports is the herald read of the same point, bit for bit
+    cfg = sc.load_config(str(ROOT / "configs" / "pacs_counts.json"))
+    route = sc._route(cfg)
+    p = route.observe(cfg.phi)[0]
+    read = sc._wigner_read(cfg, 0, 0, route.arms[0][1])(np.array([cfg.phi]))[0]
+    assert p.hex() == float(read[0, 0]).hex()
+    assert sc.evaluate_point(cfg)[0].extras["herald_probability"] == p
+
+
 def test_counts_draw_does_not_depend_on_the_last_bit_of_p(monkeypatch):
     # the click subtraction of thermal nbar = 2 at T = 0.5 heralds with p = 1/2 in theory, where numpy's binomial
     # switches between its two algorithms (p <= 0.5 and p > 0.5): the kept count is the number of uniforms below p,

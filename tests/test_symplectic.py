@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
+import reference as ref
 from wignersim import scenario as sc
 from wignersim import symplectic as sym
 
@@ -44,16 +45,16 @@ class TestPhaseShifters:
     """The balanced phase inside the MZI: +phi/2 on mode 1, -phi/2 on mode 2."""
 
     def test_zero_is_identity(self):
-        np.testing.assert_allclose(sym._symmetric_phase_matrix(0.0), np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(ref.symmetric_phase_matrix(0.0), np.eye(4), atol=1e-15)
 
     def test_quarter_turn(self):
         quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
-        m = sym._symmetric_phase_matrix(math.pi)
+        m = ref.symmetric_phase_matrix(math.pi)
         np.testing.assert_allclose(m[:2, :2], quarter, atol=1e-15)
         np.testing.assert_allclose(m[2:, 2:], quarter.T, atol=1e-15)
 
     def test_symmetric_inverse_pair(self):
-        f = sym._symmetric_phase_matrix(0.7) @ sym._symmetric_phase_matrix(-0.7)
+        f = ref.symmetric_phase_matrix(0.7) @ ref.symmetric_phase_matrix(-0.7)
         np.testing.assert_allclose(f, np.eye(4), atol=1e-14)
 
     def test_nonfinite_rejected(self):
@@ -159,10 +160,22 @@ class TestDirectSumCompose:
         richardson = (4 * diffs[1] - diffs[0]) / 3
         np.testing.assert_allclose(sym.mzi_phase_derivative(phi), richardson, rtol=0, atol=1e-10)
 
+    def test_mzi_stack_matches_the_product_form_and_keeps_the_bits_of_each_phase(self):
+        # cos(phi/2) I + sin(phi/2) G against BS P(phi) BS, and its derivative against BS P'(phi) BS, where
+        # P'(phi) = P(phi + pi) / 2; each matrix of a stack is the one phase's own, bit for bit
+        phis = [-5.9, -1.3, 0.0, 0.4, math.pi / 2, 2.6, math.pi, 5.9]
+        m, dm = sym.mzi_matrix(phis), sym.mzi_phase_derivative(np.array(phis))
+        assert m.shape == dm.shape == (len(phis), 4, 4)
+        for phi, m_phi, dm_phi in zip(phis, m, dm):
+            np.testing.assert_allclose(m_phi, ref.mzi_product(phi), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(dm_phi, ref.mzi_product(phi + math.pi) / 2.0, rtol=0, atol=1e-15)
+            assert m_phi.tobytes() == sym.mzi_matrix(phi).tobytes()
+            assert dm_phi.tobytes() == sym.mzi_phase_derivative(phi).tobytes()
+
     @given(phi=st.floats(-6.3, 6.3), t=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_symplectic_preserved_under_composition(self, phi, t):
-        assert symplectic_defect(sym.beam_splitter_matrix(t) @ sym._symmetric_phase_matrix(phi)) < 1e-10
+        assert symplectic_defect(sym.beam_splitter_matrix(t) @ ref.symmetric_phase_matrix(phi)) < 1e-10
 
 
 def _random_transform(rng) -> sym.SymplecticTransform:
@@ -172,7 +185,7 @@ def _random_transform(rng) -> sym.SymplecticTransform:
     if kind == 1:
         return sym.SymplecticTransform(sym.mzi_matrix(rng.uniform(-math.pi, math.pi)))
     if kind == 2:
-        return sym.SymplecticTransform(sym._symmetric_phase_matrix(rng.uniform(-math.pi, math.pi)))
+        return sym.SymplecticTransform(ref.symmetric_phase_matrix(rng.uniform(-math.pi, math.pi)))
     if kind == 3:
         return sym.embed(sym.make_squeezer(rng.uniform(0.0, 1.2), rng.uniform(0.0, 2 * math.pi)), [1], 2)
     if kind == 4:

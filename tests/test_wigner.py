@@ -581,7 +581,8 @@ class TestBatchedContourKernel:
         assert wg._contour_length(reduced, n_max) == m
         ks, ns = np.arange(m // 2), np.arange(n_max + 1)
         tks = np.exp(1j * math.pi * (2 * ks + 1) / m)
-        gs = 2.0 / (1.0 + tks) * wg._single_mode_g(reduced, (1.0 - tks) / (1.0 + tks))
+        engine_input = wg.marginal_mode(reduced.normalize(), 1)  # normalized once more, as the engine reads it
+        gs = 2.0 / (1.0 + tks) * wg._single_mode_g(engine_input, (1.0 - tks) / (1.0 + tks))
         inline = np.clip(np.real(gs @ np.exp(-1j * math.pi * np.outer(2 * ks + 1, ns) / m)) * (2.0 / m), 0.0, 1.0)
         assert np.array_equal(wg.photon_number_distribution(reduced, 1, n_max).probs, inline)
         matrix = wg._inverse_dft(m, n_max)
