@@ -1,9 +1,10 @@
 """Command-line front end: run, sweep, drift, counts, validate.
 
-Exit codes: 0 success, 2 config validation failure (a non-finite number
-included).  A metric that a point cannot give is left out of its row, with a
-warning.  Grid points are evaluated in order; each draws its random substream
-from (seed, index).
+Exit codes: 0 success, 2 a typed error (`errors.Error`): a config that fails validation (ConfigError, a
+non-finite number included), a photon-number distribution whose contour would pass its cap (ContourTooLong),
+or a variance, norm or probability out of range beyond rounding (NumericalBreakdown).  A metric that a point
+cannot give (ImprobableBranch, SignalStationary, DegenerateBranch, PurityViolation) is left out of its row,
+with a flag or a warning.  Grid points are evaluated in order; each draws its random substream from (seed, index).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, Error
 from .measurements import DetectionScheme
 from .scenario import emit, grid_points, load_config, phase_drift_study, run, simulate_counts, sweep
 
@@ -115,8 +116,8 @@ def main(argv: list[str] | None = None) -> int:
         for path in emit(report, args.out, args.format):
             print(path)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except Error as exc:
+        print(f"{'config error' if isinstance(exc, ConfigError) else 'error'}: {exc}", file=sys.stderr)
         return 2
 
 

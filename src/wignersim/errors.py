@@ -1,7 +1,12 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine: each is an `Error`, which `cli.main` reports with exit 2.  A public
+function's check of its own arguments raises ValueError instead, which no config reaches."""
 
 
-class ImprobableBranch(RuntimeError):
+class Error(Exception):
+    """The base of the engine's typed errors."""
+
+
+class ImprobableBranch(Error, RuntimeError):
     """Raised when a heralded branch has probability below the renormalization floor."""
 
     def __init__(self, probability: float, message: str = ""):
@@ -9,19 +14,25 @@ class ImprobableBranch(RuntimeError):
         super().__init__(message or f"herald probability {max(probability, 0.0):.3e} below renormalization floor")
 
 
-class SignalStationary(RuntimeError):
+class SignalStationary(Error, RuntimeError):
     """Error propagation requested at a point where the signal has no usable slope."""
 
 
-class DegenerateBranch(RuntimeError):
-    """A Fisher-information branch probability is too close to 0 or 1 to differentiate."""
+class DegenerateBranch(Error, RuntimeError):
+    """A degenerate point: a Fisher-information branch probability too close to 0 or 1 to differentiate, or the
+    SNR of a state with no photon-number variance (a Fock state)."""
 
 
-class PurityViolation(RuntimeError):
+class PurityViolation(Error, RuntimeError):
     """A pure-state-only formula was applied to a mixed state."""
 
 
-class ConfigError(ValueError):
+class NumericalBreakdown(Error, ValueError):
+    """A computed quantity left its range beyond rounding: a negative variance, a norm <= 0, a probability
+    outside [0, 1]."""
+
+
+class ConfigError(Error, ValueError):
     """Scenario configuration failed validation; carries the offending field path."""
 
     def __init__(self, path: str, message: str):
@@ -29,5 +40,5 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-class ContourTooLong(ValueError):
+class ContourTooLong(Error, ValueError):
     """A photon-number distribution whose proven tail bound needs a contour longer than the engine's cap."""

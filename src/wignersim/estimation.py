@@ -198,13 +198,13 @@ def snr(moments, subtract_injected: int = 0) -> float:
     """Signal-to-noise ratio (mean - m) / std, with m the number of injected photons.
 
     A variance at most SNR_VARIANCE_FLOOR max(1, <n^2>) is zero, as the ordering constants round absolutely:
-    the SNR of a Fock state, or of a dark port, is undefined rather than a ratio of rounding errors.
+    the SNR of a Fock state, or of a dark port, is undefined (DegenerateBranch), not a ratio of rounding errors.
     """
     if subtract_injected < 0:
         raise ValueError("injected-photon count must be >= 0")
     var = moments.variance
     if var <= SNR_VARIANCE_FLOOR * max(1.0, abs(moments.second_moment)):
-        raise ValueError("SNR undefined for zero variance")
+        raise DegenerateBranch("SNR undefined for zero variance")
     return (moments.mean - subtract_injected) / math.sqrt(var)
 
 

@@ -37,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NumericalBreakdown
 from .gaussian import GaussianState, mean_photon
 from .wigner import AffineImage, WignerExpr, moments
 
@@ -58,7 +59,7 @@ class MeasurementMoments:
         v = self.second_moment - self.mean**2
         if v < 0.0:
             if v < VARIANCE_CLAMP * max(1.0, abs(self.second_moment)):
-                raise ValueError(f"variance {v:.3e} is negative beyond rounding")
+                raise NumericalBreakdown(f"variance {v:.3e} is negative beyond rounding")
             return 0.0
         return v
 

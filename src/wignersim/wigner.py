@@ -48,9 +48,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ContourTooLong, ImprobableBranch
+from .errors import ContourTooLong, ImprobableBranch, NumericalBreakdown
 from .gaussian import GaussianState
-from .symplectic import SymplecticTransform
 
 FOCK_CUTOFF = 64
 IMPROBABLE_FLOOR = 1e-14
@@ -186,12 +185,8 @@ def _gaussian_expectation(poly: Poly, mean: np.ndarray, cov: np.ndarray, shifts:
 
 
 def _affine_expectation(poly: Poly, lin: np.ndarray, const: np.ndarray, cov: np.ndarray) -> Poly:
-    """E[poly(u)] for u = lin y + const + xi, xi ~ N(0, cov), as a poly in y.
-
-    A variable with no noise and a one-monomial mean multiplies as a power of
-    that monomial; the others go through the Gaussian moment recursion, whose
-    means are affine polys in y.
-    """
+    """E[poly(u)] for u = lin y + const + xi, xi ~ N(0, cov), as a poly in y, by the Gaussian moment recursion,
+    whose means are affine polys in y."""
     nk = lin.shape[-1]
     # variables first, any grid axis last
     lin, cov, const = np.moveaxis(lin, (-2, -1), (0, 1)), np.moveaxis(cov, (-2, -1), (0, 1)), np.moveaxis(const, -1, 0)
@@ -200,10 +195,6 @@ def _affine_expectation(poly: Poly, lin: np.ndarray, const: np.ndarray, cov: np.
     for i in range(len(const)):
         row = {(0,) * nk: const[i], **{units[j]: lin[i, j] for j in range(nk) if _nonzero(lin[i, j])}}
         rows.append(_poly_prune(row) or _const_poly(nk, 0.0))
-    fixed = {i for i, row in enumerate(rows) if len(row) == 1 and not np.any(cov[i])}
-    powers = [(i, *next(iter(rows[i].items()))) for i in sorted(fixed)]
-    rand = [i for i in range(len(rows)) if i not in fixed]
-    cov = cov[np.ix_(rand, rand)]
     memo: dict[tuple, Poly] = {}
 
     def mom(e: tuple) -> Poly:
@@ -215,7 +206,7 @@ def _affine_expectation(poly: Poly, lin: np.ndarray, const: np.ndarray, cov: np.
         e1 = list(e)
         e1[i] -= 1
         e1t = tuple(e1)
-        val = _poly_mul(rows[rand[i]], mom(e1t))
+        val = _poly_mul(rows[i], mom(e1t))
         for j, ej in enumerate(e1t):
             if ej and _nonzero(cov[i, j]):
                 e2 = list(e1t)
@@ -226,12 +217,7 @@ def _affine_expectation(poly: Poly, lin: np.ndarray, const: np.ndarray, cov: np.
 
     result: Poly = {}
     for expo, coeff in poly.items():
-        e_keep = (0,) * nk
-        for i, e_row, c_row in powers:
-            if expo[i]:
-                e_keep = tuple(a + expo[i] * b for a, b in zip(e_keep, e_row))
-                coeff *= c_row ** expo[i]
-        for e, c in _poly_mul({e_keep: coeff}, mom(tuple(expo[i] for i in rand))).items():
+        for e, c in _poly_mul({(0,) * nk: coeff}, mom(expo)).items():
             result[e] = result.get(e, 0.0) + c
     return _poly_prune(result)
 
@@ -290,7 +276,7 @@ class WignerExpr:
     def normalize(self) -> "WignerExpr":
         """The expression divided by its norm, whose `norm` then reads 1.0 without a recursion."""
         if np.any(self.norm <= 0.0):
-            raise ValueError(f"cannot normalize expression with integral {np.min(self.norm):.3e}")
+            raise NumericalBreakdown(f"cannot normalize expression with integral {np.min(self.norm):.3e}")
         out = WignerExpr(self.modes, [Term(t.weight / self.norm, t.poly, t.mean, t.quad) for t in self.terms])
         out._norm = self.norm / self.norm  # 1.0 at each grid point
         return out
@@ -306,10 +292,7 @@ class WignerExpr:
 
 
 def from_gaussian(state: GaussianState) -> WignerExpr:
-    det = np.linalg.det(state.cov)
-    if det <= 0.0:
-        raise ValueError("singular covariance")
-    w = 1.0 / (math.pi**state.modes * math.sqrt(det))
+    w = 1.0 / (math.pi**state.modes * math.sqrt(np.linalg.det(state.cov)))
     term = Term(w, _const_poly(2 * state.modes), state.mean.copy(), state.cov.copy())
     return WignerExpr(state.modes, [term])
 
@@ -590,26 +573,22 @@ def phase_tangent(expr: WignerExpr, h: np.ndarray) -> WignerExpr:
 def _integrate_out(expr: WignerExpr, var_indices: list[int], f=None, projectors: tuple = ()) -> WignerExpr:
     """Integrate the variables `var_indices` (0-based) of X = A Y + b + xi out of the image of `expr` (Y).
 
-    The channel f is None (the identity), a `SymplecticTransform` (no noise) or a triple (A, b, C), C the
-    covariance of xi (sigma / 2 in the state convention), any of them stacked along a leading grid axis, which
-    gives a grid expression.  The integrand carries the product of the `projectors` (v, n), each 2 pi F_n on
-    the variables v, v + 1 of X, which are integrated out.  No polynomial is substituted: each term's joint
-    (Y, X) Gaussian is conditioned once.  X ~ N(A m + b, S), S = A Sigma A^T + C, takes each projector as one
-    more Gaussian factor (the Gaussian-product rule); given the kept variables x, X_v = m_v + B (x - m_k) +
-    nu, and given X, Y = G X + g + eta with G = A^-1 (I - C S^-1), which keeps a noiseless variable's map
-    exact (a singular A, a transmissivity of 0, takes G = Sigma A^T S^-1).  So Y and the projectors' X_p are
-    affine in x plus a fixed noise, and the new polynomial is one moment recursion with poly-valued means
-    over P(Y) L(X_p) (`_affine_expectation`).
+    The channel f is None (the identity) or a triple (A, b, C), C the covariance of xi (sigma / 2 in the state
+    convention), stacked along a leading grid axis or not: a stack gives a grid expression.  The integrand carries
+    the product of the `projectors` (v, n), each 2 pi F_n on the variables v, v + 1 of X, which are integrated
+    out.  No polynomial is substituted: each term's joint (Y, X) Gaussian is conditioned once.  X ~ N(A m + b,
+    S), S = A Sigma A^T + C, takes each projector as one more Gaussian factor (the Gaussian-product rule); given
+    the kept variables x, X_v = m_v + B (x - m_k) + nu, and given X, Y = G X + g + eta with G = A^-1 (I - C
+    S^-1), which keeps a noiseless variable's map exact (a singular A, a transmissivity of 0, takes G = Sigma
+    A^T S^-1).  So Y and the projectors' X_p are affine in x plus a fixed noise, and the new polynomial is one
+    moment recursion with poly-valued means over P(Y) L(X_p) (`_affine_expectation`).
     """
     out = sorted(var_indices)
     n = expr.nvars
     keep = [i for i in range(n) if i not in out]
-    if isinstance(f, SymplecticTransform):
-        f = (f.matrix, f.shift, 0.0)
-    a, shift, noise = (np.eye(n), np.zeros(n), 0.0) if f is None else f
+    a, shift, noise = (np.eye(n), np.zeros(n), np.zeros((n, n))) if f is None else f
     if a.shape[-2:] != (n, n):
         raise ValueError(f"dimension mismatch: the channel maps {a.shape[-1]} variables, the expression has {n}")
-    noise = np.broadcast_to(noise, (n, n)) if np.ndim(noise) == 0 else noise
     proj = [v + i for v, _ in projectors for i in (0, 1)]
     lag = {(): 1.0}  # prod (-1)^n L_n(2 (x^2 + p^2)) over the projectors' variables, in order
     for v, m in projectors:
@@ -781,7 +760,7 @@ def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = DEFAULT
     gs = 2.0 / (1.0 + tks) * np.concatenate([_single_mode_g(reduced, s) for s in slabs], -1)
     probs = np.real(gs @ _inverse_dft(m, n_max)) * (2.0 / m)
     if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
-        raise ValueError(f"distribution outside [0,1]: range [{probs.min():.3e}, {probs.max():.3e}]")
+        raise NumericalBreakdown(f"distribution outside [0,1]: range [{probs.min():.3e}, {probs.max():.3e}]")
     probs = np.clip(probs, 0.0, 1.0)
     return PhotonNumberDistribution(probs, n_max, np.clip(1.0 - probs.sum(-1), 0.0, 1.0))
 

@@ -299,6 +299,11 @@ def attenuate(expr: WignerExpr, mode: int, eta: float, nbar_env: float = 0.0) ->
     return wg._integrate_out(apply_symplectic(joint, mix), [joint.nvars - 2, joint.nvars - 1])
 
 
+def channel(f: sym.SymplecticTransform) -> tuple:
+    """A transform as the noiseless channel (A, b, C) that `wg._integrate_out` takes."""
+    return f.matrix, f.shift, np.zeros(f.matrix.shape)
+
+
 def herald(expr: WignerExpr, mode: int, coupling: tuple, ancilla: int, n: int, click: bool = False) -> tuple:
     """(success, failure) of one herald alone, each (state, probability), on `mode` of `expr`: the ancilla in Fock
     `ancilla` mixed in through `coupling`, ("BS", T) or ("SPDC", r, theta), as its input 1, and Fock n detected, or
@@ -310,9 +315,9 @@ def herald(expr: WignerExpr, mode: int, coupling: tuple, ancilla: int, n: int, c
     joint = wg.tensor_exprs(expr, wg.fock_wigner(ancilla))
     mix = _splitter(x) if kind == "BS" else sym.make_two_mode_squeezer(x, *theta)
     mix, anc = sym.embed(mix, [joint.modes, mode], joint.modes), [joint.nvars - 2, joint.nvars - 1]
-    projected = wg._integrate_out(joint, anc, mix, ((anc[0], n),))
+    projected = wg._integrate_out(joint, anc, channel(mix), ((anc[0], n),))
     p = projected.norm / joint.norm
-    complement = WignerExpr(expr.modes, wg._integrate_out(joint, anc, mix).terms + _scaled(projected, -1.0))
+    complement = WignerExpr(expr.modes, wg._integrate_out(joint, anc, channel(mix)).terms + _scaled(projected, -1.0))
     arms = [(projected, p), (complement, 1.0 - p)][:: -1 if click else 1]
     try:
         fail = wg._herald_branch(*arms[1])

@@ -1,4 +1,7 @@
-"""CLI byte-identity against committed golden outputs, and exit code 2 on bad input.
+"""CLI byte-identity against committed golden outputs, exit code 2 on bad input, and the rows of configs that take
+the rarer branches (a sweep of alpha2 or nbar_env, a phi grid, dark clicks, a herald at T = 1, counts of a Fock
+state or past the largest n_max, a drift draw without a slope), checked against closed forms or a direct run.
+`tests/test_reach.py` traces every CLI call of this file.
 
 The golden files under tests/golden/ are the outputs of the shipped configs.
 An intended output change regenerates them, from the repository root with
@@ -20,11 +23,14 @@ import pytest
 
 import workloads
 from wignersim import cli
+from wignersim import conditional as cond
+from wignersim import estimation as est
 from wignersim import scenario as sc
 from wignersim.errors import ImprobableBranch
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+CONFIGS = ROOT / "configs"
 
 # golden directory -> CLI arguments that re-emit it
 GOLDEN_RUNS = {
@@ -89,7 +95,7 @@ def test_non_finite_grid_bound_exits_2(grid, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("sigma", ["default=nan", "parity=inf", "default=-0.1"])
+@pytest.mark.parametrize("sigma", ["default=nan", "parity=inf", "default=-0.1", "parity=abc"])
 def test_bad_drift_sigma_exits_2(sigma, tmp_path, capsys):
     argv = ["drift", "--config", str(ROOT / "configs" / "ligo_lossy.json"), "--trials", "2",
             "--sigma", sigma, "--out", str(tmp_path / "out")]
@@ -230,10 +236,14 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-def _run_report(tmp_path, raw: dict) -> dict:
-    (tmp_path / "cfg.json").write_text(json.dumps(raw))
-    assert cli.main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 0
-    return json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=_reject_constant)
+def _cli_report(work: Path, command: str, config, *args: str) -> dict:
+    """The report.json of `command` on `config` (a raw config, or a path) with `args`, which exits 0."""
+    if isinstance(config, dict):
+        work.mkdir(parents=True, exist_ok=True)
+        (work / "cfg.json").write_text(json.dumps(config))
+        config = work / "cfg.json"
+    assert cli.main([command, "--config", str(config), *args, "--out", str(work / "out")]) == 0
+    return json.loads((work / "out" / "report.json").read_text(), parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("r", [4.5, 5.0, 5.5, 6.0])
@@ -242,7 +252,7 @@ def test_strongly_squeezed_lossy_qfi_runs(r, tmp_path):
     raw = json.loads((ROOT / "configs" / "ligo_lossy.json").read_text())
     raw["modifications"][0]["r"] = r
     raw["metrics"] = ["qfi"]
-    row = _run_report(tmp_path, raw)["rows"][0]
+    row = _cli_report(tmp_path, "run", raw)["rows"][0]
     assert row["qfi_route"] == "mixed_gaussian"
     assert math.isfinite(row["qfi"]) and row["qfi"] > 0.0
     assert row["qcrb"] == 1.0 / row["qfi"]
@@ -254,7 +264,7 @@ def test_lossy_heralded_point_reads_the_lossless_photon_number(loss, tmp_path):
     # L, at L = 1 off the lossless prefix; a lossy heralded prefix is mixed and non-Gaussian and gets no QFI,
     # and at L = 1 the prefix is the pure vacuum, of QFI 0
     raw = dict(workloads.point_a(1.0), noise={"loss": {"L": loss}}, metrics=["qfi"])
-    report = _run_report(tmp_path, raw)
+    report = _cli_report(tmp_path, "run", raw)
     row = report["rows"][0]
     assert (row["snl"], row["hl"]) == (0.42128603104212853, 0.17748191995122928)
     if loss == 0.5:
@@ -266,7 +276,7 @@ def test_lossy_heralded_point_reads_the_lossless_photon_number(loss, tmp_path):
 def test_vacuum_inputs_report_no_phase_information(tmp_path, capsys):
     # no photons and no phase information: no snl/hl, and a zero qfi with no qcrb (no Infinity in the JSON)
     raw = {"inputs": [{"kind": "vacuum"}, {"kind": "vacuum"}], "interferometer": {"phi": 1.0}, "metrics": ["qfi"]}
-    report = _run_report(tmp_path, raw)
+    report = _cli_report(tmp_path, "run", raw)
     row = report["rows"][0]
     assert row["qfi"] == 0.0 and row["qfi_route"] == "pure_gaussian"
     assert not {"qcrb", "snl", "hl"} & set(row)
@@ -280,7 +290,7 @@ def test_vacuum_inputs_give_one_warning_per_detector(tmp_path):
     raw = {"inputs": [{"kind": "vacuum"}, {"kind": "vacuum"}], "interferometer": {"phi": 1.0},
            "detection": [{"scheme": "parity", "mode": 1}, {"scheme": "intensity", "mode": 1}],
            "metrics": ["phase_variance"]}
-    report = _run_report(tmp_path, raw)
+    report = _cli_report(tmp_path, "run", raw)
     assert [w.split(":")[0] for w in report["warnings"]] == ["optimal_phi[parity[1]]", "optimal_phi[intensity[1]]"]
     assert not any(key.startswith(("optimal_", "min_phase_variance.", "phase_variance.")) for key in report["rows"][0])
 
@@ -309,19 +319,20 @@ def test_bright_coherent_distributions_run(tmp_path):
     raw = json.loads((ROOT / "configs" / "ligo_lossy.json").read_text())
     raw.update(modifications=[], noise={"loss": {"L": 0.0, "D": 1.0}}, interferometer={"phi": 0.0},
                detection=[{"scheme": "parity", "mode": 1}], metrics=["distributions"])
-    report = _run_report(tmp_path, raw)
+    report = _cli_report(tmp_path, "run", raw)
     mode1 = [d["p"] for d in report["distributions"] if d["mode"] == 1]
     assert len(mode1) == 41 and max(mode1) <= 1e-15
     assert report["rows"][0]["distribution_tail.mode1"] >= 1.0 - 41e-15
 
 
 def test_distributions_beyond_the_contour_cap_exit_2(tmp_path, capsys):
-    # a thermal input of nbar = 1000 needs some 4e4 contour points; the cap raises before the contour is read
+    # a thermal input of nbar = 1000 needs some 4e4 contour points; the cap raises ContourTooLong, a typed error,
+    # before the contour is read
     raw = {"inputs": [{"kind": "thermal", "nbar": 1000.0}, {"kind": "vacuum"}], "interferometer": {"phi": 0.0},
            "metrics": ["distributions"]}
     (tmp_path / "cfg.json").write_text(json.dumps(raw))
     assert cli.main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
-    assert "metrics: distributions mode 1: the photon-number tail bound needs" in capsys.readouterr().err
+    assert "error: the photon-number tail bound needs a contour of" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -392,3 +403,191 @@ def test_list_that_is_not_a_list_exits_2(key, tmp_path, capsys):
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert cli.main(["validate", "--config", str(tmp_path / "cfg.json")]) == 2
     assert f"{key}: expected a list, got 3" in capsys.readouterr().err
+
+
+def _shipped(name: str, *edits: tuple) -> dict:
+    """A shipped config with each (dotted key, value) of `edits` set."""
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    for key, value in edits:
+        sc._set_path(cfg, key.split("."), value, 0)
+    return cfg
+
+
+# id -> (command, config: a raw config or a file's text, further arguments, the start of the error)
+CONFIG_ERRORS = {
+    "input_kind": ("validate", _shipped("ligo_lossy", ("inputs.0.kind", "squeezed")), [],
+                   "inputs.0.kind: unknown input kind"),
+    "fock_n": ("validate", _shipped("ligo_lossy", ("inputs.1", {"kind": "fock", "n": 2})), [],
+               "inputs.1.n: the input menu offers the single-photon Fock state only"),
+    "one_input": ("validate", _shipped("ligo_lossy", ("inputs", [{"kind": "vacuum"}])), [],
+                  "inputs: exactly two input modes are required"),
+    "op": ("validate", _shipped("ligo_lossy", ("modifications.0.op", "rotate")), [],
+           "modifications.0.op: unknown modification"),
+    "stage": ("validate", _shipped("ligo_lossy", ("modifications.0.stage", "middle")), [],
+              "modifications.0.stage: stage must be"),
+    "mechanism": ("validate", _shipped("pacs_counts", ("modifications.0.mechanism", "pdc")), [],
+                  "modifications.0.mechanism: mechanism must be"),
+    "displaced_vacuum": ("validate", _shipped("ligo_lossy", ("modifications.0", {"op": "displace", "mode": 2,
+                                                                                 "alpha": 1.0})), [],
+                         "modifications.0: displacing a bare vacuum input is redundant"),
+    "thermal_modes": ("validate", _shipped("ligo_lossy", ("noise.thermal", dict(THERMAL, modes=[]))), [],
+                      "noise.thermal.modes: modes must be a non-empty subset"),
+    "phi_grid": ("validate", _shipped("ligo_lossy", ("interferometer.phi", {"start": 1.0, "stop": 0.0,
+                                                                            "step": 0.5})), [],
+                 "interferometer.phi: need stop >= start"),
+    "scheme": ("validate", _shipped("ligo_lossy", ("detection.0.scheme", "heterodyne")), [],
+               "detection.0: unknown detection kind"),
+    "mode_b": ("validate", _shipped("ligo_lossy", ("detection.3", {"scheme": "intensity_difference", "mode": 1})),
+               [], "detection.3: intensity difference needs two distinct modes"),
+    "metric": ("validate", _shipped("ligo_lossy", ("metrics.0", "fidelity")), [], "metrics.0: unknown metric"),
+    "cfi_two_heralds": ("validate", _shipped("pacs_counts", ("modifications.1", {"op": "subtract", "mode": 2,
+                                                                                 "T": 0.9}), ("metrics", ["cfi"])),
+                        [], "metrics: cfi with more than one heralded modification"),
+    "missing_key": ("validate", _shipped("ligo_lossy", ("interferometer", {})), [],
+                    "interferometer.phi: missing required key"),
+    "not_a_number": ("validate", _shipped("ligo_lossy", ("interferometer.phi", "pi")), [],
+                     "interferometer.phi: expected a number"),
+    "below_minimum": ("validate", _shipped("ligo_lossy", ("inputs.0.alpha", -1.0)), [],
+                      "inputs.0.alpha: value -1.0 below minimum"),
+    "unknown_key": ("validate", _shipped("ligo_lossy", ("extra", 1)), [], "extra: unknown key"),
+    "json": ("validate", '{"inputs": [', [], "<file>: invalid JSON"),
+    "key_tree_line": ("validate", "interferometer.phi 1.0\n", [], "line 1: expected `key = value`"),
+    "key_tree_index": ("validate", "interferometer.phi = 1.0\ninterferometer.0 = 1\n", [],
+                       "line 2: cannot index non-list"),
+    "key_tree_key": ("validate", 'inputs.0 = 3\ninputs.0.kind = "vacuum"\n', [], "line 2: cannot key into non-object"),
+    "alpha2_sweep": ("sweep", _shipped("subtracted_thermal"), ["--grid", "alpha2=1:2:1"],
+                     "inputs: sweep parameter alpha2 needs a coherent input"),
+    "nbar_sweep": ("sweep", _shipped("ligo_lossy"), ["--grid", "nbar=1:2:1"],
+                   "inputs: sweep parameter nbar needs a thermal input"),
+    "r_sweep": ("sweep", _shipped("pacs_counts"), ["--grid", "r=0.1:0.2:0.1"],
+                "modifications: sweep parameter r needs a squeeze modification"),
+    "T_sweep": ("sweep", _shipped("ligo_lossy"), ["--grid", "T=0.5:0.6:0.1"],
+                "modifications: sweep parameter T needs a matching add/subtract modification"),
+    # a config with no thermal noise has no nbar_env to sweep; one used to be made up, at eta = 0.5
+    "nbar_env_sweep": ("sweep", _shipped("ligo_lossy"), ["--grid", "nbar_env=0:0.2:0.1"],
+                       "noise: sweep parameter nbar_env needs a thermal noise model"),
+    "unknown_sweep": ("sweep", _shipped("ligo_lossy"), ["--grid", "banana=0:1:1"], "sweep: unknown sweep parameter"),
+    "grid_no_equals": ("sweep", _shipped("ligo_lossy"), ["--grid", "L0:1:0.1"], "--grid: expected param=start"),
+    "grid_two_bounds": ("sweep", _shipped("ligo_lossy"), ["--grid", "L=0:1"], "--grid: expected start:stop:step"),
+    "grid_non_numeric": ("sweep", _shipped("ligo_lossy"), ["--grid", "L=a:1:0.1"], "--grid: non-numeric grid bound"),
+    "grid_step": ("sweep", _shipped("ligo_lossy"), ["--grid", "L=0:1:0"], "--grid: step must be positive"),
+    "grid_empty": ("sweep", _shipped("ligo_lossy"), ["--grid", "L=1:0:0.1"], "--grid: empty grid"),
+    "drift_trials": ("drift", _shipped("ligo_lossy"), ["--trials", "0"], "drift.trials: need at least one trial"),
+    "counts_trials": ("counts", _shipped("pacs_counts"), ["--trials", "0"], "counts.trials: need at least one trial"),
+    "counts_no_herald": ("counts", _shipped("ligo_lossy"), [],
+                         "modifications: simulate_counts needs exactly one add/subtract modification"),
+    "counts_spdc": ("counts", _shipped("pacs_counts", ("modifications.0", {"op": "add", "mode": 1, "mechanism": "spdc",
+                                                                           "r": 0.3})), [],
+                    "modifications: simulate_counts sweeps the BS transmissivity"),
+    "counts_grid": ("counts", _shipped("pacs_counts"), ["--grid", "L=0:0.1:0.1"],
+                    "--grid: counts sweeps transmissivity"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_exits_2(case, tmp_path, capsys):
+    command, config, args, message = CONFIG_ERRORS[case]
+    (tmp_path / "cfg").write_text(config if isinstance(config, str) else json.dumps(config))
+    argv = [command, "--config", str(tmp_path / "cfg"), *args]
+    assert cli.main(argv if command == "validate" else argv + ["--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# coherent + squeezed vacuum, lossless: QFI = |alpha|^2 e^{2r} + sinh^2 r at every phi
+COHERENT_SQUEEZED = {
+    "inputs": [{"kind": "coherent", "alpha": 1.0}, {"kind": "vacuum"}],
+    "modifications": [{"op": "squeeze", "stage": "input", "mode": 2, "r": 1.0}],
+    "interferometer": {"phi": 2.6},
+    "metrics": ["qfi"],
+}
+
+
+def test_alpha2_sweep_reads_the_lossless_qcrb(tmp_path):
+    rows = _cli_report(tmp_path, "sweep", COHERENT_SQUEEZED, "--grid", "alpha2=1:3:1")["rows"]
+    assert [row["alpha2"] for row in rows] == [1.0, 2.0, 3.0]
+    for row in rows:
+        assert row["qfi"] == pytest.approx(1.0 / est.lossless_qcrb(row["alpha2"], 1.0), rel=1e-12, abs=0.0)
+
+
+def test_phi_grid_of_a_config_runs_each_phase(tmp_path):
+    raw = dict(COHERENT_SQUEEZED, interferometer={"phi": {"start": 0.5, "stop": 1.5, "step": 0.5}})
+    report = _cli_report(tmp_path, "run", raw)
+    assert report["parameter"] == "phi" and [row["phi"] for row in report["rows"]] == [0.5, 1.0, 1.5]
+    for row in report["rows"]:
+        assert row["qfi"] == pytest.approx(1.0 / est.lossless_qcrb(1.0, 1.0), rel=1e-12, abs=0.0)
+
+
+def test_nbar_env_sweep_rewrites_the_configured_thermal_noise(tmp_path):
+    # each row is the run of the config at that nbar_env (a config without thermal noise exits 2: CONFIG_ERRORS)
+    raw = _shipped("ligo_lossy", ("noise.thermal", {"nbar_env": 0.3, "eta": 0.9, "modes": [2]}), ("metrics", ["qfi"]))
+    rows = _cli_report(tmp_path / "sweep", "sweep", raw, "--grid", "nbar_env=0:0.2:0.2")["rows"]
+    assert [row["nbar_env"] for row in rows] == [0.0, 0.2]
+    for row in rows:
+        raw["noise"]["thermal"]["nbar_env"] = row.pop("nbar_env")
+        alone = _cli_report(tmp_path / str(row["index"]), "run", raw)["rows"][0]
+        assert {**alone, "index": row["index"]} == row
+
+
+def test_single_photon_clicks_take_both_dark_limits(tmp_path):
+    # a photon in mode 1 at phi = 0: detector 1 never stays dark and detector 2 never clicks, so each binary CFI
+    # is the limit 2 P'' of its impossible outcome, 1 for a single photon; `cfi` sums the two detectors' (the
+    # whole click record's, ROADMAP item 1, would read 1)
+    raw = {"inputs": [{"kind": "fock"}, {"kind": "vacuum"}], "interferometer": {"phi": 0.0},
+           "detection": [{"scheme": "click", "mode": 1}, {"scheme": "click", "mode": 2}], "metrics": ["cfi", "qfi"]}
+    row = _cli_report(tmp_path, "run", raw)["rows"][0]
+    assert row["cfi"] == pytest.approx(2.0, rel=1e-12, abs=0.0)
+    assert row["qfi"] == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+def test_vacuum_clicks_carry_no_phase_information(tmp_path):
+    # every row reads a rounding-level cfi, or none with a warning: the no-click probability is 1 at every phi
+    raw = {"inputs": [{"kind": "vacuum"}, {"kind": "vacuum"}], "interferometer": {"phi": 0.0},
+           "detection": [{"scheme": "click", "mode": 1}], "metrics": ["cfi"]}
+    report = _cli_report(tmp_path, "sweep", raw, "--grid", "phi=0:3:0.25")
+    for row in report["rows"]:
+        warned = f"cfi at phi={row['phi']:.6g}: branch probability 0.000e+00 at phi={row['phi']:.6g}"
+        assert abs(row["cfi"]) <= 1e-15 if "cfi" in row else warned in report["warnings"]
+
+
+def test_input_herald_at_unit_transmissivity_gives_a_flagged_row(tmp_path):
+    # point (a)'s input-stage addition succeeds with its closed-form probability at T = 0.5, and never at T = 1
+    raw = dict(workloads.point_a(1.0), metrics=["snr"])
+    rows = _cli_report(tmp_path, "sweep", raw, "--grid", "T=0.5:1:0.5")["rows"]
+    assert rows[0]["herald_probability"] == pytest.approx(cond.spacs_prob(1.0, 1, 0.5), rel=1e-12, abs=0.0)
+    assert rows[1]["flag"] == "improbable herald branch" and "herald_probability" not in rows[1]
+
+
+def test_counts_of_a_fock_state_and_without_a_kept_trial(tmp_path):
+    # one trial per point: a point that keeps none is flagged; at T = 0 the addition heralds Fock 1, whose SNR is
+    # undefined
+    report = _cli_report(tmp_path, "counts", CONFIGS / "pacs_counts.json", "--trials", "1", "--grid", "T=0:0.1:0.05")
+    for row in report["rows"]:
+        assert row["herald_probability"] == pytest.approx(cond.spacs_prob(1.0, 1, row["T"]), rel=1e-12, abs=0.0)
+        assert row["theory_mean"] == pytest.approx(cond.spacs_mean_n(1.0, 1, row["T"]), rel=1e-12, abs=0.0)
+        assert (row.get("flag") == "no kept measurements") == (row["kept"] == 0)
+    assert "theory_snr" not in report["rows"][0]
+    assert "T=0: theory_snr: SNR undefined for zero variance" in report["warnings"]
+
+
+def test_counts_flag_a_distribution_still_truncated_at_the_largest_n_max(tmp_path):
+    # one photon subtracted from nbar = 40 at T = 0.99 leaves a mean of 56.6, whose tail beyond n = 640 is 4.9e-9
+    raw = _shipped("subtracted_thermal", ("inputs.0.nbar", 40.0), ("interferometer.phi", 0.0))
+    report = _cli_report(tmp_path, "counts", raw, "--trials", "20", "--grid", "T=0.99:0.99:1")
+    row = report["rows"][0]
+    assert row["flag"] == "truncated photon-number distribution"
+    assert row["theory_mean"] == pytest.approx(cond.mzi_sub_mean_n(40.0, 1, 0.99, 0.0), rel=1e-12, abs=0.0)
+    assert f"at n_max = {sc.COUNTS_NMAX}" in report["warnings"][0]
+
+
+def test_drift_scores_a_draw_without_a_slope_at_the_optimum(tmp_path):
+    # click[1] of subtracted_thermal is least at the edge of the herald's zero at pi, inside which its jet is not
+    # read: a draw there has no usable slope and scores the optimum
+    report = _cli_report(tmp_path, "drift", CONFIGS / "subtracted_thermal.json", "--trials", "20",
+                         "--sigma", "click=0.0001")
+    means = [0.0] + [t["running_mean"] for t in report["traces"] if t["scheme"] == "click[1]"]
+    flat = [int(w.split(" trial ")[1].split(":")[0]) for w in report["warnings"] if w.startswith("drift[click[1]]")]
+    assert flat
+    for k in flat:
+        score = k * means[k] - (k - 1) * means[k - 1]
+        assert score == pytest.approx(report["rows"][0]["optimal_variance"], rel=1e-9, abs=0.0)

@@ -299,7 +299,7 @@ class TestSnr:
         assert abs(got / cond.thermal_snr(4.0) - math.sqrt(1.8)) < 1e-8
 
     def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateBranch):
             est.snr(meas.MeasurementMoments(1.0, 1.0))
 
     def test_faint_coherent_state_keeps_its_snr(self):

@@ -115,7 +115,7 @@ def test_conditioning_matches_the_substituted_route(name, project):
     coupling, ancilla, n = ROUTES[name]
     joint = wg.tensor_exprs(two_term_signal(), ancilla())
     mix, anc, projectors = sym.embed(coupling, [3, 1], 3), [4, 5], ((4, n),) if project else ()
-    fused = wg._integrate_out(joint, anc, mix, projectors)
+    fused = wg._integrate_out(joint, anc, ref.channel(mix), projectors)
     substituted = wg._integrate_out(ref.apply_symplectic(joint, mix), anc, projectors=projectors)
     assert fused.modes == substituted.modes == 2
     assert abs(fused.norm - substituted.norm) <= 1e-13 * abs(substituted.norm)
@@ -216,7 +216,7 @@ def test_every_entry_validates_its_arguments(call):
         ([0, 1], None, wg.FOCK_CUTOFF + 1),
         ([1, 2], None, 0),  # p of mode 1 and x of mode 2
         ([0], None, 0),  # a projector on a variable that is kept
-        ([0, 1], sym.SymplecticTransform(sym.beam_splitter_matrix(0.5)), None),  # a two-mode map on a three-mode state
+        ([0, 1], ref.channel(sym.SymplecticTransform(sym.beam_splitter_matrix(0.5))), None),  # a two-mode map on a three-mode state
     ],
 )
 def test_integrate_out_validates_its_arguments(var_indices, f, fock):

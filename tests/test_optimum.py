@@ -483,6 +483,18 @@ def test_each_root_family_takes_at_most_4_jet_calls(jet, brackets, monkeypatch):
     assert families[0][0] == est.REFINE_WINDOW * brackets
 
 
+def test_last_round_ends_every_live_bracket(monkeypatch):
+    # with one round allowed, neither bracket narrows to 4 ulp: the last-round stop returns each at the end of its
+    # final bracket where |f| is least, a finite phase inside it, with the jet read there
+    monkeypatch.setattr(est, "REFINE_ROUNDS", 1)
+    x = np.array([[2.0, 3.0, 3.3, 4.0], [-0.5, -0.2, 0.3, 0.5]])
+    jet = lambda phi: poles_jet(phi + PHI0)  # <O>' = -A sin phi, zero at pi and 0
+    roots, jets, walls = est._refine(jet, lambda g, rows: g[1], x, np.asarray(jet(x)))
+    assert np.all((x[:, 1] <= roots) & (roots <= x[:, 2])) and not walls.any()
+    assert np.all(np.abs(roots - np.array([math.pi, 0.0])) > 1e-6)
+    assert np.array_equal(jets, np.asarray(jet(roots)))
+
+
 def test_bracket_whose_guess_falls_outside_it_still_converges():
     # <O>' = -sin phi changes sign at pi inside [3.0, 3.3]; the inverse cubic through it and two far neighbours,
     # where <O>' is not monotone, guesses a phase outside the bracket, so the first window spreads over it evenly

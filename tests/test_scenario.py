@@ -299,11 +299,6 @@ class TestRunAndSweep:
         with pytest.raises(ConfigError):
             sc.sweep(cfg, "banana", [0.1])
 
-    def test_sweep_empty_grid(self):
-        cfg = sc.ScenarioConfig.from_dict(base_config())
-        with pytest.raises(ConfigError, match="empty"):
-            sc.sweep(cfg, "phi", [])
-
     def test_herald_probability_sweep_shapes(self):
         # SPACS herald probability peaks at interior T; SPSTS peaks at
         # T = 1 - 1/nbar (interior for nbar > 1, boundary for nbar = 1)

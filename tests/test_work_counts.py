@@ -1,13 +1,17 @@
 """Deterministic work counters of the shared primitives and of one scenario point."""
 
+import importlib
+import inspect
 import json
 import math
+import types
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tracer
 import workloads
 from wignersim import cli
 from wignersim import estimation as est
@@ -70,7 +74,7 @@ def test_norm_is_computed_once_on_first_read(monkeypatch):
 
     monkeypatch.setattr(wg.Term, "integral", counted)
     expr = wg.tensor_exprs(wg.fock_wigner(1), wg.from_gaussian(ga.thermal_state(0.5)))
-    expr = wg._integrate_out(expr, [], sym.SymplecticTransform(sym.beam_splitter_matrix(0.3)))
+    expr = wg._integrate_out(expr, [], (sym.beam_splitter_matrix(0.3), np.zeros(4), np.zeros((4, 4))))
     assert calls == []
     assert abs(expr.norm - 1.0) < 1e-12
     assert len(calls) == len(expr.terms)
@@ -495,3 +499,16 @@ def test_counts_builds_one_channel_after_the_mzi(monkeypatch):
     channels = counter(monkeypatch, sc, "_after_mzi")
     sc.simulate_counts(sc.load_config(PACS_COUNTS), trials=100, seed=1)
     assert len(channels) == 1
+
+
+def test_every_name_the_benchmark_tracer_patches_exists():
+    # perfbench/tracer.py reads these from src/ by name (`cls.__dict__[meth]` for a method): one that is gone
+    # raises KeyError in every traced pass and in the CI counter step, while the rest of Tier-1 passes
+    modules = {name: importlib.import_module(f"wignersim.{name}") for name in tracer.MODULES}
+    for module, cls in tracer.CLASS_SPANS:
+        assert "__post_init__" in vars(getattr(modules[module], cls)), f"{module}.{cls}.__post_init__"
+    assert "__post_init__" in vars(wg.Term)
+    assert list(inspect.signature(vars(wg.WignerExpr)["__init__"]).parameters) == ["self", "modes", "terms"]
+    for module, names in tracer.PRIVATE.items():
+        for name in names:
+            assert isinstance(vars(modules[module]).get(name), types.FunctionType), f"{module}.{name}"
