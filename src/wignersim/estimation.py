@@ -71,21 +71,27 @@ def binary_cfi(p: float, dp: float, phi: float, d2p: float | None = None) -> flo
     The first term is taken as p (p'/p)^2: for a p resolved to relative
     precision (the no-click probability at a bright port) it stays finite, and
     tends to 0, as p underflows.  Given the curvature d2p of p, an outcome
-    whose probability is at most SLOPE_FLOOR, with a slope that a quadratic
-    zero that deep could have (P'^2 <= 4 P'' SLOPE_FLOOR), is a dark outcome:
-    it adds the limit 2 P'' of P'^2 / P, which rounding leaves unresolved.
-    Otherwise the other outcome, 1 - p, must lie above SLOPE_FLOOR.
+    whose probability is at most SLOPE_FLOOR is a dark outcome where rounding
+    leaves P'^2 / P unresolved: with its slope and curvature within
+    SLOPE_FLOOR of 0 too it carries no information and adds 0, and with a
+    slope that a quadratic zero that deep could have (P'^2 <= 4 P''
+    SLOPE_FLOOR) it adds the limit 2 P''.  Otherwise the other outcome, 1 - p,
+    must lie above SLOPE_FLOOR.
     """
 
-    def dark(q: float, dq: float, d2q: float | None) -> bool:
-        return d2q is not None and q <= SLOPE_FLOOR and d2q > 0.0 and dq * dq <= 4.0 * d2q * SLOPE_FLOOR
+    def dark(q: float, dq: float, d2q: float | None) -> float | None:
+        if d2q is None or q > SLOPE_FLOOR:
+            return None
+        if max(abs(dq), abs(d2q)) <= SLOPE_FLOOR:
+            return 0.0
+        return 2.0 * d2q if d2q > 0.0 and dq * dq <= 4.0 * d2q * SLOPE_FLOOR else None
 
-    if dark(p, dp, d2p):
-        total = 2.0 * d2p
-    else:
+    total = dark(p, dp, d2p)
+    if total is None:
         total = p * (dp / p) ** 2 if p > 0.0 else 0.0
-    if dark(1.0 - p, -dp, None if d2p is None else -d2p):
-        return total - 2.0 * d2p
+    limit = dark(1.0 - p, -dp, None if d2p is None else -d2p)
+    if limit is not None:
+        return total + limit
     if 1.0 - p <= SLOPE_FLOOR:
         raise DegenerateBranch(f"branch probability {1.0 - p:.3e} at phi={phi:.6g}")
     return total + dp * dp / (1.0 - p)

@@ -62,10 +62,6 @@ HERALD_RESOLUTION = 5e-9
 HERALD_CANCELLATION = 1e4
 # Prefix records kept: every point of a sweep over a parameter after the MZI reads one.
 PREFIX_CACHE_SIZE = 8
-# `counts` doubles n_max from wig.DEFAULT_NMAX while a tail is above COUNTS_TAIL, and flags it at COUNTS_NMAX;
-# a `distributions` mode whose tail at wig.DEFAULT_NMAX is above it adds a warning.
-COUNTS_TAIL = 1e-12
-COUNTS_NMAX = 640
 # Most points of a grid, a phi grid in a config or a --grid option
 MAX_GRID_POINTS = 100_000
 # Largest squeeze parameter r of a squeeze or an SPDC addition, and of the
@@ -204,12 +200,11 @@ class ModificationSpec:
         mode = _mode(_need(d, "mode", path), f"{path}.mode")
         if op == "squeeze":
             _reject_unknown(d, {"op", "stage", "mode", "r", "theta", "gain"}, path)
-            if "gain" in d:
-                g = _number(d["gain"], f"{path}.gain", lo=1.0, hi=math.cosh(MAX_SQUEEZE_R) ** 2)
-                return ModificationSpec("squeeze", stage, mode, r=math.acosh(math.sqrt(g)), theta=0.0)
-            return ModificationSpec("squeeze", stage, mode,
-                                    r=_number(_need(d, "r", path), f"{path}.r", lo=0.0, hi=MAX_SQUEEZE_R),
-                                    theta=_number(d.get("theta", 0.0), f"{path}.theta"))
+            if "gain" in d and "r" in d:
+                raise ConfigError(f"{path}.gain", "a squeeze takes its r or its gain, not both")
+            r = (math.acosh(math.sqrt(_number(d["gain"], f"{path}.gain", lo=1.0, hi=math.cosh(MAX_SQUEEZE_R) ** 2)))
+                 if "gain" in d else _number(_need(d, "r", path), f"{path}.r", lo=0.0, hi=MAX_SQUEEZE_R))
+            return ModificationSpec("squeeze", stage, mode, r=r, theta=_number(d.get("theta", 0.0), f"{path}.theta"))
         if op == "displace":
             _reject_unknown(d, {"op", "stage", "mode", "alpha", "theta"}, path)
             return ModificationSpec("displace", stage, mode,
@@ -385,7 +380,8 @@ def _apply_sweep_value(d: dict, parameter: str, value: float) -> None:
         raise ConfigError("inputs", "sweep parameter nbar needs a thermal input")
     if parameter == "r":
         for x in d.get("modifications", []):
-            if x.get("op") == "squeeze":
+            if x.get("op") == "squeeze":  # the swept r replaces a gain
+                x.pop("gain", None)
                 x["r"] = value
                 return
         raise ConfigError("modifications", "sweep parameter r needs a squeeze modification")
@@ -393,9 +389,9 @@ def _apply_sweep_value(d: dict, parameter: str, value: float) -> None:
         if parameter == "m" and not float(value).is_integer():
             raise ConfigError("sweep", f"sweep parameter m takes integer values, got {value!r}")
         for x in d.get("modifications", []):
-            heralded = x.get("op") in ("add", "subtract")
-            # SPDC additions have no beam-splitter transmissivity to sweep
-            if heralded and not (parameter == "T" and x.get("mechanism") == "spdc"):
+            # SPDC additions have no beam-splitter transmissivity to sweep, nor click subtractions a photon number
+            skip = x.get("mechanism") == "spdc" if parameter == "T" else x.get("m") == "click"
+            if x.get("op") in ("add", "subtract") and not skip:
                 x[parameter] = value if parameter == "T" else int(value)
                 return
         raise ConfigError(
@@ -1095,8 +1091,8 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
 
     A herald whose success probability sits below the renormalization floor
     (transmissivity pinned at 1, say) yields a flagged row rather than a
-    failure.  A photon-number distribution runs to wig.DEFAULT_NMAX; a mode
-    whose tail is above COUNTS_TAIL there adds a warning.
+    failure.  A photon-number distribution runs to the n_max its contour's own
+    tail bound sets (`wig.photon_number_distribution`).
     """
     phi = config.phi if phi is None else phi
     report = est.EstimationReport(phi=phi)
@@ -1165,14 +1161,11 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
     if "distributions" in config.metrics:
         for mode in (1, 2):
             # a Wigner prefix's mode is read off its channel, a Gaussian state's is its marginal
-            expr = (wig.marginal_mode(wig.from_gaussian(state), mode) if route.gaussian_path
-                    else state.state((mode,)))
-            dist = wig.photon_number_distribution(expr, 1)
+            dist = (wig.photon_number_distribution(wig.from_gaussian(state), mode) if route.gaussian_path
+                    else wig.photon_number_distribution(state.state((mode,)), 1))
             for n, p in enumerate(dist.probs):
                 distributions.append({"mode": mode, "n": n, "p": float(p)})
             report.extras[f"distribution_tail.mode{mode}"] = dist.tail
-            if dist.tail > COUNTS_TAIL:
-                warnings.append(f"distributions mode {mode}: photon-number tail {dist.tail:.3e} at n_max = {dist.n_max}")
 
     return report, warnings, distributions
 
@@ -1378,9 +1371,8 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
     (`_counted`) whose intensity moments and distributions are one read
     each.  A success probability below the renormalization floor (T = 1 for a
     beam-splitter addition) gives a row flagged "improbable herald branch"
-    with nothing kept, a state of zero photon-number variance (a Fock state) a
-    row without `theory_snr`, and a photon-number tail above COUNTS_TAIL at
-    COUNTS_NMAX a flagged row; each adds a warning.
+    with nothing kept, and a state of zero photon-number variance (a Fock
+    state) a row without `theory_snr`; each adds a warning.
     """
     if trials < 1:
         raise ConfigError("counts.trials", "need at least one trial")
@@ -1397,11 +1389,8 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
     added = int(mod.m) if (mod.op == "add" and isinstance(mod.m, int)) else 0
     state, prob = _counted(config, mod, grid)
     at = np.cumsum(prob >= wig.IMPROBABLE_FLOOR) - 1  # each point's index on the state's grid
-    theory, dists, wide, n_max = meas.intensity(state, 1), {}, np.arange(at[-1] + 1), wig.DEFAULT_NMAX
-    while wide.size:  # n_max doubles where a tail is above COUNTS_TAIL
-        dist = wig.photon_number_distribution(state.take(wide), 1, n_max)
-        dists.update((i, wig.PhotonNumberDistribution(p, n_max, t)) for i, p, t in zip(wide, dist.probs, dist.tail))
-        wide, n_max = wide[(dist.tail > COUNTS_TAIL) & (n_max < COUNTS_NMAX)], 2 * n_max
+    # a grid of no probable point leaves no state to read
+    theory, dist = meas.intensity(state, 1), wig.photon_number_distribution(state, 1) if state.terms else None
     for idx, (T, p, j) in enumerate(zip(grid, prob, at)):
         if p < wig.IMPROBABLE_FLOOR:
             rows.append({"index": idx, "T": T, "kept": 0, "flag": "improbable herald branch"})
@@ -1419,9 +1408,6 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
             row["flag"] = "no kept measurements"
             warnings.append(f"T={T:g}: herald kept zero of {trials} trials")
         else:
-            row.update(_sample_stats(dists[j].histogram(rng, kept), added))
-            if dists[j].tail > COUNTS_TAIL:
-                row["flag"] = "truncated photon-number distribution"
-                warnings.append(f"T={T:g}: photon-number tail {dists[j].tail:.3e} at n_max = {dists[j].n_max}")
+            row.update(_sample_stats(dist.histogram(rng, kept, j), added))
         rows.append(row)
     return RunReport(config=config.raw, rows=rows, parameter="T", grid=list(grid), seed=seed, warnings=warnings)

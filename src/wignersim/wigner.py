@@ -53,11 +53,12 @@ from .gaussian import GaussianState
 
 FOCK_CUTOFF = 64
 IMPROBABLE_FLOOR = 1e-14
-DEFAULT_NMAX = 40
 CONTOUR_SLAB = 2048
-# `photon_number_distribution`: the bound on each P(n)'s aliasing error, the longest contour, and the real
-# widths, as fractions of the widest that converges, at which E[r^N] is read for the bound
+# `photon_number_distribution`: the bounds on each P(n)'s aliasing error and on the tail P(N > n_max) that the
+# distribution leaves out, the longest contour, and the real widths, as fractions of the widest that converges,
+# at which E[r^N] is read for the bounds
 CONTOUR_ALIAS = 2.0**-53
+CONTOUR_TAIL = 1e-12
 CONTOUR_MAX = 2**14
 CONTOUR_WIDTHS = (1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 7 / 8, 15 / 16, 31 / 32, 63 / 64)
 # The contour's rounding reaches some 1e-13 where a herald's terms cancel.  A multinomial draw spends a uniform
@@ -701,10 +702,10 @@ class PhotonNumberDistribution:
     n_max: int
     tail: float
 
-    def histogram(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The counts of n = 0..n_max among `size` draws, in one multinomial draw; a P(n) below HISTOGRAM_FLOOR
-        is drawn as 0."""
-        p = np.where(self.probs < HISTOGRAM_FLOOR, 0.0, self.probs)
+    def histogram(self, rng: np.random.Generator, size: int, point: int | tuple = ()) -> np.ndarray:
+        """The counts of n = 0..n_max among `size` draws (at grid point `point`, of a grid's), in one multinomial
+        draw; a P(n) below HISTOGRAM_FLOOR is drawn as 0."""
+        p = np.where(self.probs[point] < HISTOGRAM_FLOOR, 0.0, self.probs[point])
         return rng.multinomial(size, p / p.sum())
 
 
@@ -717,27 +718,30 @@ def _inverse_dft(m: int, n_max: int) -> np.ndarray:
     return matrix
 
 
-def _contour_length(reduced: WignerExpr, n_max: int) -> int:
-    """The least power of two m >= n_max + 1 whose aliasing bound min_r M(r) r^-m is at most CONTOUR_ALIAS.
+def _contour_length(reduced: WignerExpr) -> tuple[int, int]:
+    """(m, n_max) from one read of the tail bound P(N >= n) <= min_r M(r) r^-n (Markov): m the least power of two
+    whose bound is at most CONTOUR_ALIAS, and n_max the least n whose bound on P(N > n) is at most CONTOUR_TAIL.
 
     M(r) = E[r^N] = 2 / (1 + r) G((1 - r) / (1 + r)) is one read of G at the real widths s = -f min(1, lam),
     f in CONTOUR_WIDTHS and lam the least precision eigenvalue of the terms (at any grid point), so r stays below
     the radius of convergence min (1 + lam) / (1 - lam); a width whose M overflows or is not positive is dropped.
-    On a grid m is the largest a point needs."""
+    On a grid each number is the largest a point needs.  CONTOUR_ALIAS < CONTOUR_TAIL, so n_max < m."""
     lam = min(1.0, min(float(np.min(1.0 / np.linalg.eigvalsh(t.quad)[..., -1])) for t in reduced.terms))
     s = -lam * np.array(CONTOUR_WIDTHS)
     r = (1.0 - s) / (1.0 + s)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        log_m = np.log(2.0 / (1.0 + r) * _single_mode_g(reduced, s))
-        need = np.nan_to_num((log_m - math.log(CONTOUR_ALIAS)) / np.log(r), nan=np.inf, posinf=np.inf)
-    need = float(np.max(np.min(need, -1)))
+        log_m = np.log(2.0 / (1.0 + r) * _single_mode_g(reduced, s))[..., None]
+        # the n at which each width's bound meets each of the two thresholds, (..., widths, 2)
+        needs = np.nan_to_num((log_m - np.log([CONTOUR_ALIAS, CONTOUR_TAIL])) / np.log(r)[:, None], nan=np.inf,
+                              posinf=np.inf)
+    need, tail = np.max(np.min(needs, -2).reshape(-1, 2), 0)
     if not need <= CONTOUR_MAX:
         raise ContourTooLong(f"the photon-number tail bound needs a contour of {need:.3g} points, above the cap "
                              f"of {CONTOUR_MAX}")
-    return 1 << max(1, math.ceil(math.log2(max(n_max + 1, need))))
+    return 1 << max(1, math.ceil(math.log2(need))), math.ceil(tail) - 1
 
 
-def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = DEFAULT_NMAX) -> PhotonNumberDistribution:
+def photon_number_distribution(expr: WignerExpr, mode: int) -> PhotonNumberDistribution:
     """P(n) for n = 0..n_max via exact contour extraction from the generating function.
 
     sum_n P(n) t^n = 2 / (1 + t) G((1 - t) / (1 + t)), G(s) the integral of exp(-s (x^2 + p^2)) against the
@@ -745,15 +749,14 @@ def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = DEFAULT
     removable singularity) and Fourier-inverted.  The m points alias P(n) with P(n + m), P(n + 2m), ..., whose
     sum is at most P(N >= m) <= E[r^N] r^-m (Markov) for every r > 1 below the radius of convergence:
     `_contour_length` takes the least m whose bound is at most CONTOUR_ALIAS, and raises ContourTooLong above
-    CONTOUR_MAX points.  W is real, so t_(m-1-k) = conj(t_k) reads conj(G) and P(n) = (2 / m) Re sum_(k < m/2)
-    of G(t_k) exp(-i pi (2k + 1) n / m): half the circle is read.  This is the same integral as a Fock
-    projector's read (`_integrate_out`) but stays numerically exact at large n, where the expanded Laguerre
-    route loses precision to cancellation.
+    CONTOUR_MAX points, and from the same bound the n_max whose tail P(N > n_max) is at most CONTOUR_TAIL.  W is
+    real, so t_(m-1-k) = conj(t_k) reads conj(G) and P(n) = (2 / m) Re sum_(k < m/2) of G(t_k)
+    exp(-i pi (2k + 1) n / m): half the circle is read.  This is the same integral as a Fock projector's read
+    (`_integrate_out`) but stays numerically exact at large n, where the expanded Laguerre route loses precision
+    to cancellation.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     reduced = marginal_mode(expr.normalize(), mode)
-    m = _contour_length(reduced, n_max)
+    m, n_max = _contour_length(reduced)
     tks = np.exp(1j * math.pi * (2 * np.arange(m // 2) + 1) / m)
     # a grid's contour runs in slabs of about CONTOUR_SLAB points, which bound each Wick schedule row's array
     slabs = np.array_split((1.0 - tks) / (1.0 + tks), -(-np.size(expr.norm) * (m // 2) // CONTOUR_SLAB))

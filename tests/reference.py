@@ -706,7 +706,7 @@ def forward_click_cfi(config, phi: float, h: float = 1e-3) -> float:
     return total + (term(p) + term([1.0 - q for q in p]) if p[0] != p[4] else 0.0)
 
 
-def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = wg.DEFAULT_NMAX, m: int = 8192):
+def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = 40, m: int = 8192):
     """P(n) for n <= n_max of a mode (a row per grid point) from the whole circle of m contour points, read in
     slabs of 512 and clipped to [0, 1] as the engine reports it: the referee of the engine's contour, which reads
     half the circle and sizes it by its own tail bound."""
@@ -715,6 +715,12 @@ def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = wg.DEFA
     tks = np.exp(1j * math.pi * (2 * ks + 1) / m)
     gs = np.concatenate([wg._single_mode_g(reduced, (1.0 - t) / (1.0 + t)) for t in np.array_split(tks, -(-m // 512))], -1)
     return np.clip(np.real(2.0 / (1.0 + tks) * gs @ np.exp(-1j * math.pi * np.outer(2 * ks + 1, ns) / m)) / m, 0, 1)
+
+
+def distribution_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest |P_a(n) - P_b(n)| over the n that both photon-number distributions report."""
+    n = min(a.shape[-1], b.shape[-1])
+    return float(np.max(np.abs(a[..., :n] - b[..., :n])))
 
 
 def counted(config, mode: int) -> tuple:

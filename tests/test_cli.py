@@ -1,6 +1,7 @@
 """CLI byte-identity against committed golden outputs, exit code 2 on bad input, and the rows of configs that take
-the rarer branches (a sweep of alpha2 or nbar_env, a phi grid, dark clicks, a herald at T = 1, counts of a Fock
-state or past the largest n_max, a drift draw without a slope), checked against closed forms or a direct run.
+the rarer branches (a sweep of alpha2, r or nbar_env, a phi grid, dark clicks, a herald at T = 1, counts of a Fock
+state or of a photon-number tail past n = 1000, a drift draw without a slope), checked against closed forms or a
+direct run.
 `tests/test_reach.py` traces every CLI call of this file.
 
 The golden files under tests/golden/ are the outputs of the shipped configs.
@@ -315,14 +316,16 @@ def test_detector_with_no_finite_variance_reports_no_optimum(command, tmp_path, 
 
 def test_bright_coherent_distributions_run(tmp_path):
     # the LIGO amplitude, |alpha|^2 = 500, all in mode 1 at phi = 0: a fixed 512-point contour aliased its
-    # distribution to -1.5e-2; the tail bound asks for 1024 points, and n <= 40 carries no mass
+    # distribution to -1.5e-2; the tail bound asks for 1024 points and runs the distribution to n = 678, whose
+    # mean is |alpha|^2
     raw = json.loads((ROOT / "configs" / "ligo_lossy.json").read_text())
     raw.update(modifications=[], noise={"loss": {"L": 0.0, "D": 1.0}}, interferometer={"phi": 0.0},
                detection=[{"scheme": "parity", "mode": 1}], metrics=["distributions"])
     report = _cli_report(tmp_path, "run", raw)
     mode1 = [d["p"] for d in report["distributions"] if d["mode"] == 1]
-    assert len(mode1) == 41 and max(mode1) <= 1e-15
-    assert report["rows"][0]["distribution_tail.mode1"] >= 1.0 - 41e-15
+    assert len(mode1) == 679 and report["warnings"] == [] and "flag" not in report["rows"][0]
+    assert report["rows"][0]["distribution_tail.mode1"] <= 1e-12
+    assert math.fsum(n * p for n, p in enumerate(mode1)) == pytest.approx(500.0, rel=1e-9, abs=0.0)
 
 
 def test_distributions_beyond_the_contour_cap_exit_2(tmp_path, capsys):
@@ -463,6 +466,11 @@ CONFIG_ERRORS = {
                 "modifications: sweep parameter r needs a squeeze modification"),
     "T_sweep": ("sweep", _shipped("ligo_lossy"), ["--grid", "T=0.5:0.6:0.1"],
                 "modifications: sweep parameter T needs a matching add/subtract modification"),
+    # a click herald has no photon number to sweep: writing one turned it into a Fock herald
+    "m_sweep_click": ("sweep", _shipped("subtracted_thermal", ("modifications.0.m", "click")), ["--grid", "m=1:2:1"],
+                      "modifications: sweep parameter m needs a matching add/subtract modification"),
+    "squeeze_r_and_gain": ("validate", _shipped("ligo_lossy", ("modifications.0.gain", 1.5)), [],
+                           "modifications.0.gain: a squeeze takes its r or its gain, not both"),
     # a config with no thermal noise has no nbar_env to sweep; one used to be made up, at eta = 0.5
     "nbar_env_sweep": ("sweep", _shipped("ligo_lossy"), ["--grid", "nbar_env=0:0.2:0.1"],
                        "noise: sweep parameter nbar_env needs a thermal noise model"),
@@ -510,6 +518,19 @@ def test_alpha2_sweep_reads_the_lossless_qcrb(tmp_path):
         assert row["qfi"] == pytest.approx(1.0 / est.lossless_qcrb(row["alpha2"], 1.0), rel=1e-12, abs=0.0)
 
 
+def test_r_sweep_of_a_gain_squeeze_reads_each_r(tmp_path):
+    # a squeeze given by its gain, cosh^2 r = 1.5, and an angle: each swept row is the run of the squeeze at that r
+    raw = {"inputs": [{"kind": "coherent", "alpha": 1.0}, {"kind": "vacuum"}],
+           "modifications": [{"op": "squeeze", "mode": 2, "gain": 1.5, "theta": 0.7}],
+           "interferometer": {"phi": 0.4}, "metrics": ["qfi"]}
+    rows = _cli_report(tmp_path / "sweep", "sweep", raw, "--grid", "r=0.1:0.5:0.2")["rows"]
+    assert len({row["qfi"] for row in rows}) == 3
+    for row in rows:
+        point = dict(raw, modifications=[{"op": "squeeze", "mode": 2, "r": row.pop("r"), "theta": 0.7}])
+        alone = _cli_report(tmp_path / str(row["index"]), "run", point)["rows"][0]
+        assert {**alone, "index": row["index"]} == row
+
+
 def test_phi_grid_of_a_config_runs_each_phase(tmp_path):
     raw = dict(COHERENT_SQUEEZED, interferometer={"phi": {"start": 0.5, "stop": 1.5, "step": 0.5}})
     report = _cli_report(tmp_path, "run", raw)
@@ -541,13 +562,27 @@ def test_single_photon_clicks_take_both_dark_limits(tmp_path):
 
 
 def test_vacuum_clicks_carry_no_phase_information(tmp_path):
-    # every row reads a rounding-level cfi, or none with a warning: the no-click probability is 1 at every phi
+    # the no-click probability is 1 at every phi, and the click's probability, slope and curvature are rounding:
+    # every row reads a rounding-level cfi, whatever the sign of that curvature, and no warning
     raw = {"inputs": [{"kind": "vacuum"}, {"kind": "vacuum"}], "interferometer": {"phi": 0.0},
            "detection": [{"scheme": "click", "mode": 1}], "metrics": ["cfi"]}
     report = _cli_report(tmp_path, "sweep", raw, "--grid", "phi=0:3:0.25")
-    for row in report["rows"]:
-        warned = f"cfi at phi={row['phi']:.6g}: branch probability 0.000e+00 at phi={row['phi']:.6g}"
-        assert abs(row["cfi"]) <= 1e-15 if "cfi" in row else warned in report["warnings"]
+    assert len(report["rows"]) == 13 and report["warnings"] == []
+    assert all(abs(row["cfi"]) <= 1e-15 for row in report["rows"])
+
+
+def test_a_rounding_level_branch_of_an_improbable_arm_gives_a_warning(tmp_path):
+    # near pi a click takes the photon of a Fock input with probability below 1e-3 and leaves vacuum, whose
+    # no-click probability the arm's renormalization reads to 1e-12 and its curvature to 1e-10, past SLOPE_FLOOR
+    # (ROADMAP defect H): a row reads the cfi, about 2 for one photon and two detectors, or none with a warning
+    raw = {"inputs": [{"kind": "fock"}, {"kind": "vacuum"}], "interferometer": {"phi": 0.0},
+           "modifications": [{"op": "subtract", "stage": "output", "mode": 1, "m": "click", "T": 0.9}],
+           "detection": [{"scheme": "click", "mode": 1}, {"scheme": "click", "mode": 2}], "metrics": ["cfi"]}
+    report = _cli_report(tmp_path, "sweep", raw, "--grid", "phi=2.5:3.5:0.5")
+    assert 1.9 < report["rows"][0]["cfi"] <= 2.0
+    for row in report["rows"][1:]:
+        warned = f"cfi at phi={row['phi']:.6g}: branch probability -"
+        assert "cfi" in row or any(w.startswith(warned) for w in report["warnings"])
 
 
 def test_input_herald_at_unit_transmissivity_gives_a_flagged_row(tmp_path):
@@ -570,14 +605,14 @@ def test_counts_of_a_fock_state_and_without_a_kept_trial(tmp_path):
     assert "T=0: theory_snr: SNR undefined for zero variance" in report["warnings"]
 
 
-def test_counts_flag_a_distribution_still_truncated_at_the_largest_n_max(tmp_path):
-    # one photon subtracted from nbar = 40 at T = 0.99 leaves a mean of 56.6, whose tail beyond n = 640 is 4.9e-9
+def test_counts_draw_a_bright_subtracted_thermal_state_to_its_tail_bound(tmp_path):
+    # one photon subtracted from nbar = 40 at T = 0.99 leaves a mean of 56.6, whose tail beyond n = 640 is 4.9e-9:
+    # the contour's tail bound runs its distribution to n = 1017, and the draw keeps every row unflagged
     raw = _shipped("subtracted_thermal", ("inputs.0.nbar", 40.0), ("interferometer.phi", 0.0))
     report = _cli_report(tmp_path, "counts", raw, "--trials", "20", "--grid", "T=0.99:0.99:1")
     row = report["rows"][0]
-    assert row["flag"] == "truncated photon-number distribution"
+    assert "flag" not in row and report["warnings"] == [] and row["kept"] > 0
     assert row["theory_mean"] == pytest.approx(cond.mzi_sub_mean_n(40.0, 1, 0.99, 0.0), rel=1e-12, abs=0.0)
-    assert f"at n_max = {sc.COUNTS_NMAX}" in report["warnings"][0]
 
 
 def test_drift_scores_a_draw_without_a_slope_at_the_optimum(tmp_path):

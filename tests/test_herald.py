@@ -247,5 +247,5 @@ def test_a_vector_of_T_heralds_each_point_as_one_T_does(ancilla, n, click):
         for i, (point, p) in enumerate(w[b] for w in want):
             assert probability[i] == pytest.approx(p, rel=1e-12)
             assert [g[i] for g in got] == pytest.approx(wg.moments(point, monomials), rel=1e-12, abs=1e-14)
-            assert np.max(np.abs(dist.probs[i] - wg.photon_number_distribution(point, 1).probs)) <= 1e-14
+            assert ref.distribution_gap(dist.probs[i], wg.photon_number_distribution(point, 1).probs) <= 1e-14
             assert wg.moments(state.take([i]), monomials) == pytest.approx([g[i] for g in got], rel=1e-15)

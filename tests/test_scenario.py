@@ -299,6 +299,20 @@ class TestRunAndSweep:
         with pytest.raises(ConfigError):
             sc.sweep(cfg, "banana", [0.1])
 
+    def test_m_sweep_passes_over_a_click_herald(self):
+        # a click subtraction has no photon number to sweep: the m sweep rewrites the first herald that has one
+        raw = {"inputs": [{"kind": "thermal", "nbar": 4.0}, {"kind": "vacuum"}],
+               "modifications": [{"op": "subtract", "stage": "output", "mode": 1, "m": "click", "T": 0.9},
+                                 {"op": "add", "stage": "output", "mode": 2, "m": 1, "mechanism": "bs", "T": 0.8}],
+               "interferometer": {"phi": 0.4}, "metrics": ["snr"]}
+        click, add = sc.ScenarioConfig.from_dict(raw).with_values(m=2).modifications
+        assert (click.m, add.m) == ("click", 2)
+
+    def test_gain_squeeze_keeps_its_angle(self):
+        # a squeeze given by its gain cosh^2 r reads theta as one given by r does
+        spec = sc.ModificationSpec.from_dict({"op": "squeeze", "mode": 2, "gain": 1.5, "theta": 0.7}, "modifications.0")
+        assert spec.theta == 0.7 and math.cosh(spec.r) ** 2 == pytest.approx(1.5, rel=1e-15)
+
     def test_herald_probability_sweep_shapes(self):
         # SPACS herald probability peaks at interior T; SPSTS peaks at
         # T = 1 - 1/nbar (interior for nbar > 1, boundary for nbar = 1)
@@ -662,14 +676,14 @@ def test_counted_mode_matches_the_two_mode_pipeline(case):
     grid = (0.3, 0.6, 0.9)
     state, prob = sc._counted(cfg, mod, grid)
     n_got, p_got = meas.intensity(state, 1), wg.photon_number_distribution(state, 1).probs
-    assert state.modes == 1 and p_got.shape == (3, wg.DEFAULT_NMAX + 1)
+    assert state.modes == 1 and p_got.shape[0] == 3
     for i, T in enumerate(grid):
         want = ref.build_pipeline(cfg.with_values(T=T))
         assert prob[i] == pytest.approx(want.success_prob, rel=1e-12, abs=0.0)
         n_want = meas.intensity(want.state, mod.mode)
         assert [n_got.mean[i], n_got.second_moment[i]] == pytest.approx([n_want.mean, n_want.second_moment],
                                                                          rel=1e-12, abs=0.0)
-        assert np.max(np.abs(p_got[i] - wg.photon_number_distribution(want.state, mod.mode).probs)) <= 1e-14
+        assert ref.distribution_gap(p_got[i], wg.photon_number_distribution(want.state, mod.mode).probs) <= 1e-14
 
 
 @pytest.mark.parametrize("case", ["pacs_m3", "click_subtracted_thermal", "input_addition", "uniform_loss"])
@@ -733,8 +747,17 @@ def test_bright_counts_are_not_truncated():
     assert row["theory_mean"] == pytest.approx(46.0778, abs=1e-4)
 
 
-def test_counts_flag_a_tail_beyond_the_largest_n_max():
-    # <n> of about 810 lies beyond COUNTS_NMAX photons: the row keeps its draws and is flagged
+def test_counts_of_a_grid_with_no_probable_point():
+    # a beam-splitter addition never heralds at T = 1: the grid keeps no state to read, and its one row is flagged
+    config = sc.load_config(str(ROOT / "configs" / "pacs_counts.json"))
+    report = sc.simulate_counts(config, trials=10, seed=1, t_grid=[1.0])
+    assert report.rows == [{"index": 0, "T": 1.0, "kept": 0, "flag": "improbable herald branch"}]
+
+
+def test_counts_draw_a_click_subtracted_bright_coherent_state_unflagged():
+    # a click leaves coherent alpha = 30 coherent, of <n> = T |alpha|^2 = 810 beyond n = 640, where a fixed largest
+    # n_max flagged the row: the contour's tail bound runs its distribution past 1,000 photons, to a tail of at
+    # most 1e-12 and the closed-form mean
     raw = {
         "inputs": [{"kind": "coherent", "alpha": 30.0}, {"kind": "vacuum"}],
         "modifications": [{"op": "subtract", "stage": "output", "mode": 1, "m": "click", "T": 0.9}],
@@ -742,17 +765,22 @@ def test_counts_flag_a_tail_beyond_the_largest_n_max():
         "detection": [],
         "metrics": ["snr"],
     }
-    report = sc.simulate_counts(sc.ScenarioConfig.from_dict(raw), trials=200, seed=1, t_grid=[0.9])
+    config = sc.ScenarioConfig.from_dict(raw)
+    report = sc.simulate_counts(config, trials=200, seed=1, t_grid=[0.9])
     row = report.rows[0]
-    assert row["flag"] == "truncated photon-number distribution" and "sample_mean" in row
-    assert len(report.warnings) == 1
-    assert report.warnings[0].startswith("T=0.9: photon-number tail")
-    assert report.warnings[0].endswith(f"at n_max = {sc.COUNTS_NMAX}")
+    assert "flag" not in row and report.warnings == [] and "sample_mean" in row
+    assert row["theory_mean"] == pytest.approx(810.0, rel=1e-12, abs=0.0)
+    sd = row["theory_mean"] / row["theory_snr"]
+    assert abs(row["sample_mean"] - row["theory_mean"]) < 4.0 * sd / math.sqrt(row["kept"])
+    dist = wg.photon_number_distribution(sc._counted(config, config.modifications[0], (0.9,))[0], 1)
+    assert dist.n_max > 1000 and dist.tail[0] <= wg.CONTOUR_TAIL
+    assert dist.probs[0] @ np.arange(dist.n_max + 1) == pytest.approx(810.0, rel=1e-9, abs=0.0)
 
 
-def test_distributions_warn_of_a_tail_beyond_n_max():
-    # ROADMAP defect G: alpha = 7 plus one photon added after the phase holds 0.8 of mode 1 beyond n = 40; the
-    # distribution keeps its n_max and the row its bytes, with no flag, and a warning names the mode, tail and n_max
+def test_distributions_run_to_the_tail_bound():
+    # ROADMAP defect G: alpha = 7 plus one photon added after the phase holds 0.8 of mode 1 beyond n = 40, which a
+    # fixed n_max dropped with a warning; the contour's tail bound runs mode 1 to n = 107: both modes leave out at
+    # most 1e-12, with no flag and no warning, and mode 1 keeps the mean of the photon-added coherent state
     raw = {
         "inputs": [{"kind": "coherent", "alpha": 7.0}, {"kind": "vacuum"}],
         "modifications": [{"op": "add", "stage": "output", "mode": 1, "m": 1, "mechanism": "bs", "T": 0.9}],
@@ -762,10 +790,11 @@ def test_distributions_warn_of_a_tail_beyond_n_max():
     }
     report = sc.run(sc.ScenarioConfig.from_dict(raw))
     row = report.rows[0]
-    assert "flag" not in row
-    assert row["distribution_tail.mode1"] == pytest.approx(0.797, abs=1e-3) and row["distribution_tail.mode2"] == 0.0
-    tail = row["distribution_tail.mode1"]
-    assert report.warnings == [f"distributions mode 1: photon-number tail {tail:.3e} at n_max = {wg.DEFAULT_NMAX}"]
+    assert "flag" not in row and report.warnings == []
+    assert row["distribution_tail.mode1"] <= wg.CONTOUR_TAIL and row["distribution_tail.mode2"] <= wg.CONTOUR_TAIL
+    mode1 = [d["p"] for d in report.distributions if d["mode"] == 1]
+    assert len(mode1) == 108
+    assert math.fsum(n * p for n, p in enumerate(mode1)) == pytest.approx(cond.spacs_mean_n(49.0, 1, 0.9), rel=1e-9)
 
 
 class TestCli:

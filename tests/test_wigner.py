@@ -264,7 +264,7 @@ class TestGeneratingFunction:
             sym.SymplecticTransform(sym.beam_splitter_matrix(0.7))
         )
         reduced = wg.marginal_mode(expr, 1)
-        dist = wg.photon_number_distribution(reduced, 1, 60)
+        dist = wg.photon_number_distribution(reduced, 1)
         assert dist.tail < 1e-9
         for l in (0.0, 0.3, 0.7):
             ref = sum(p * l**n for n, p in enumerate(dist.probs))
@@ -274,10 +274,10 @@ class TestGeneratingFunction:
 class TestDistribution:
     def test_thermal_geometric_law(self):
         nbar = 4.0
-        dist = wg.photon_number_distribution(thermal_expr(nbar), 1, 40)
-        ref = np.array([nbar**n / (nbar + 1.0) ** (n + 1) for n in range(41)])
+        dist = wg.photon_number_distribution(thermal_expr(nbar), 1)
+        ref = np.array([nbar**n / (nbar + 1.0) ** (n + 1) for n in range(dist.n_max + 1)])
         assert np.max(np.abs(dist.probs - ref)) < 1e-12
-        assert dist.tail < 1e-3
+        assert dist.tail <= wg.CONTOUR_TAIL
 
     def test_distribution_matches_projection(self):
         expr = reference.apply_symplectic(
@@ -285,7 +285,7 @@ class TestDistribution:
             sym.SymplecticTransform(sym.beam_splitter_matrix(0.8))
         )
         reduced = wg.marginal_mode(expr, 2).normalize()
-        dist = wg.photon_number_distribution(reduced, 1, 12)
+        dist = wg.photon_number_distribution(reduced, 1)
         for n in range(13):
             _, p = project(reduced, 1, n)
             assert abs(dist.probs[n] - p) < 1e-9
@@ -295,7 +295,7 @@ class TestDistribution:
         # remainder bounded by P(n_max + 1), estimated from the geometric ratio
         for nbar in (0.5, 2.0, 4.0):
             expr = thermal_expr(nbar)
-            dist = wg.photon_number_distribution(expr, 1, 60)
+            dist = wg.photon_number_distribution(expr, 1)
             alt = sum((-1.0) ** n * p for n, p in enumerate(dist.probs))
             ratio = dist.probs[-1] / max(dist.probs[-2], 1e-300)
             remainder = dist.probs[-1] * ratio
@@ -336,8 +336,8 @@ def test_noisy_channel_matches_the_fock_oracle(eta):
     for mode, others in ((1, [2, 3]), (2, [0, 1])):
         state = wg._integrate_out(expr, others, (a, np.zeros(4), noise))
         assert state.modes == 1 and state.norm == pytest.approx(1.0, rel=1e-13)
-        dist = wg.photon_number_distribution(state, 1, 12)
-        assert np.max(np.abs(dist.probs - mix.number_distribution(mode)[:13])) < 1e-10
+        dist = wg.photon_number_distribution(state, 1)
+        assert reference.distribution_gap(dist.probs, mix.number_distribution(mode)) < 1e-10
         n = meas.intensity(state, 1)
         assert [n.mean, n.second_moment] == pytest.approx(list(mix.number_moments(mode)), rel=1e-9)
         x = wg.moments(state, [{0: 1}, {0: 2}])
@@ -359,7 +359,7 @@ class TestAttenuate:
         # lossy single-photon state: P(1) = eta, P(0) = 1 - eta
         eta = 0.65
         lossy = reference.attenuate(wg.fock_wigner(1), 1, eta)
-        dist = wg.photon_number_distribution(lossy, 1, 5)
+        dist = wg.photon_number_distribution(lossy, 1)
         assert abs(dist.probs[0] - (1.0 - eta)) < 1e-10
         assert abs(dist.probs[1] - eta) < 1e-10
 
@@ -370,8 +370,8 @@ class TestAttenuate:
         orc = Oracle([25, 25])
         mix = Mixture.from_product(orc, [("fock", 1), ("thermal", nenv)]).apply(orc.bs(1, 2, eta))
         ref = mix.number_distribution(1)
-        dist = wg.photon_number_distribution(noisy, 1, 20)
-        assert np.max(np.abs(dist.probs - ref[:21])) < 1e-8
+        dist = wg.photon_number_distribution(noisy, 1)
+        assert reference.distribution_gap(dist.probs, ref) < 1e-8
 
 
 class TestOracleEquivalence:
@@ -388,8 +388,8 @@ class TestOracleEquivalence:
         expr = reference.apply_symplectic(expr, mix)
         state, p = project(expr, 2, 1)
         assert abs(p - prob) < 1e-9
-        dist = wg.photon_number_distribution(state, 1, 40)
-        assert np.max(np.abs(dist.probs - ref[:41])) < 1e-6
+        dist = wg.photon_number_distribution(state, 1)
+        assert reference.distribution_gap(dist.probs, ref) < 1e-6
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -566,27 +566,30 @@ class TestBatchedContourKernel:
     def test_generating_function_on_the_batched_kernel(self):
         # photon_number_distribution inverts G on the contour; here G comes from the per-point reference
         reduced = wg.marginal_mode(pacs_m3_state().normalize(), 1)
-        m, ns = 512, np.arange(wg.DEFAULT_NMAX + 1)
+        got = wg.photon_number_distribution(reduced, 1).probs
+        m, ns = 512, np.arange(got.size)
         tks = np.exp(1j * math.pi * (2 * np.arange(m) + 1) / m)
         gs = np.array([2.0 / (1.0 + t) * scalar_single_mode_g(reduced, s) for t, s in zip(tks, self.contour_s())])
         ref = np.real(gs @ np.exp(-1j * math.pi * np.outer(2 * np.arange(m) + 1, ns) / m)) / m
-        got = wg.photon_number_distribution(reduced, 1).probs
         np.testing.assert_allclose(got, np.clip(ref, 0.0, 1.0), rtol=0, atol=self.REL_TOL)
 
     @pytest.mark.parametrize("n_max, m", [(40, 64), (70, 128)])
     def test_cached_inverse_dft_keeps_the_bits(self, n_max, m):
         # the cached, read-only matrix of half the circle is the inline inversion's own expression, so every
-        # probability keeps its bits; the state's tail bound asks for 32 points, so m is n_max + 1 rounded up
+        # probability keeps its bits: the state's tail bound asks for 32 points and runs it to n = 19, and the
+        # matrix of any (m, n_max) is cached and read-only
+        def inline(m: int, n_max: int) -> np.ndarray:
+            return np.exp(-1j * math.pi * np.outer(2 * np.arange(m // 2) + 1, np.arange(n_max + 1)) / m)
+
         reduced = wg.marginal_mode(pacs_m3_state().normalize(), 1)
-        assert wg._contour_length(reduced, n_max) == m
-        ks, ns = np.arange(m // 2), np.arange(n_max + 1)
-        tks = np.exp(1j * math.pi * (2 * ks + 1) / m)
+        assert wg._contour_length(reduced) == (32, 19)
+        tks = np.exp(1j * math.pi * (2 * np.arange(16) + 1) / 32)
         engine_input = wg.marginal_mode(reduced.normalize(), 1)  # normalized once more, as the engine reads it
         gs = 2.0 / (1.0 + tks) * wg._single_mode_g(engine_input, (1.0 - tks) / (1.0 + tks))
-        inline = np.clip(np.real(gs @ np.exp(-1j * math.pi * np.outer(2 * ks + 1, ns) / m)) * (2.0 / m), 0.0, 1.0)
-        assert np.array_equal(wg.photon_number_distribution(reduced, 1, n_max).probs, inline)
+        probs = np.clip(np.real(gs @ inline(32, 19)) * (2.0 / 32), 0.0, 1.0)
+        assert np.array_equal(wg.photon_number_distribution(reduced, 1).probs, probs)
         matrix = wg._inverse_dft(m, n_max)
-        assert matrix.shape == (m // 2, n_max + 1) and matrix is wg._inverse_dft(m, n_max)
+        assert np.array_equal(matrix, inline(m, n_max)) and matrix is wg._inverse_dft(m, n_max)
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.0
 
@@ -603,8 +606,8 @@ class TestBatchedContourKernel:
         mix = Mixture.from_product(orc, [("coherent", alpha), ("fock", 3)]).apply(orc.bs(2, 1, add["T"]))
         red, _ = mix.herald_fock(2, 0)
         ref = red.number_distribution(1)
-        dist = wg.photon_number_distribution(pacs_m3_state(), 1, 25)
-        assert np.max(np.abs(dist.probs - ref[:26])) < 1e-10
+        dist = wg.photon_number_distribution(pacs_m3_state(), 1)
+        assert reference.distribution_gap(dist.probs, ref) < 1e-10
 
 
 def subtracted_thermal_mode(mode: int) -> wg.WignerExpr:
@@ -613,47 +616,88 @@ def subtracted_thermal_mode(mode: int) -> wg.WignerExpr:
     return sc._route(config).observe(config.phi)[1][0].state((mode,))
 
 
-def pacs_m3_grid() -> wg.WignerExpr:
-    """The counted mode of configs/pacs_counts.json with m = 3 on the 19-point T grid of `counts`."""
-    config = sc.load_config(str(CONFIGS / "pacs_counts.json")).with_values(m=3)
+def pacs_grid(m: int) -> wg.WignerExpr:
+    """The counted mode of configs/pacs_counts.json with m photons added on the 19-point T grid of `counts`."""
+    config = sc.load_config(str(CONFIGS / "pacs_counts.json")).with_values(m=m)
     return sc._counted(config, config.modifications[0], tuple(np.arange(0.05, 1.0, 0.05)))[0]
 
 
 TAIL_BOUND_STATES = {
-    "subtracted_thermal_mode1": (lambda: subtracted_thermal_mode(1), 256),
-    "subtracted_thermal_mode2": (lambda: subtracted_thermal_mode(2), 64),
-    "pacs_m3_grid": (pacs_m3_grid, 64),
-    "coherent7": (lambda: wg.from_gaussian(ga.coherent_state(7.0)), 128),
-    "thermal4": (lambda: thermal_expr(4.0), 256),
+    "subtracted_thermal_mode1": (lambda: subtracted_thermal_mode(1), (256, 104)),
+    "subtracted_thermal_mode2": (lambda: subtracted_thermal_mode(2), (32, 14)),
+    "pacs_m3_grid": (lambda: pacs_grid(3), (32, 19)),
+    "coherent7": (lambda: wg.from_gaussian(ga.coherent_state(7.0)), (128, 114)),
+    "thermal4": (lambda: thermal_expr(4.0), (256, 143)),
 }
 
 
 class TestContourTailBound:
-    """The contour's length from its own aliasing bound, against a whole circle of 8192 points."""
+    """The contour's length and n_max from its own tail bound, against a whole circle of 8192 points."""
 
     @pytest.mark.parametrize("name", sorted(TAIL_BOUND_STATES))
     def test_matches_the_long_contour(self, name):
-        build, m = TAIL_BOUND_STATES[name]
+        build, lengths = TAIL_BOUND_STATES[name]
         state = build()
-        assert wg._contour_length(wg.marginal_mode(state.normalize(), 1), wg.DEFAULT_NMAX) == m
+        assert wg._contour_length(wg.marginal_mode(state.normalize(), 1)) == lengths
         got = wg.photon_number_distribution(state, 1).probs
-        assert np.max(np.abs(got - reference.photon_number_distribution(state, 1))) <= 2e-15
+        assert np.max(np.abs(got - reference.photon_number_distribution(state, 1, lengths[1]))) <= 2e-15
 
     def test_bound_holds_where_the_tail_is_known(self):
-        # thermal P(N >= m) = (nbar / (nbar + 1))^m: the chosen m keeps it below the aliasing bound, and a quarter
-        # of m would not
+        # thermal P(N >= n) = (nbar / (nbar + 1))^n: the chosen m keeps it below the aliasing bound, and a quarter
+        # of m would not; the chosen n_max keeps P(N > n_max) below the reported tail's bound, and half of it would not
         for nbar in (0.5, 4.0, 20.0):
-            log_tail = wg._contour_length(thermal_expr(nbar), 0) * math.log(nbar / (nbar + 1.0))
-            assert log_tail <= math.log(wg.CONTOUR_ALIAS) < log_tail / 4
+            m, n_max = wg._contour_length(thermal_expr(nbar))
+            log_q = math.log(nbar / (nbar + 1.0))
+            assert m * log_q <= math.log(wg.CONTOUR_ALIAS) < m * log_q / 4
+            assert (n_max + 1) * log_q <= math.log(wg.CONTOUR_TAIL) < (n_max + 1) * log_q / 2
 
     def test_bright_coherent_state_takes_a_longer_contour(self):
-        # the paper's LIGO amplitude, |alpha|^2 = 500: its bound asks for 1024 points, and n <= 40 carries no mass
+        # the paper's LIGO amplitude, |alpha|^2 = 500: its bound asks for 1024 points and runs it to n = 678
         state = wg.from_gaussian(ga.coherent_state(math.sqrt(500.0)))
-        assert wg._contour_length(state, wg.DEFAULT_NMAX) == 1024
+        assert wg._contour_length(state) == (1024, 678)
         dist = wg.photon_number_distribution(state, 1)
-        assert np.max(dist.probs) <= 1e-15 and dist.tail >= 1.0 - (wg.DEFAULT_NMAX + 1) * 1e-15
+        assert dist.tail <= wg.CONTOUR_TAIL and dist.probs @ np.arange(679) == pytest.approx(500.0, rel=1e-9)
 
     def test_contour_above_the_cap_raises(self):
         # thermal nbar = 1000 needs some 4e4 points; the widths whose E[r^N] overflows are dropped, not raised
         with pytest.raises(ContourTooLong, match="above the cap"):
             wg.photon_number_distribution(thermal_expr(1000.0), 1)
+
+
+def bright_subtracted_thermal() -> wg.WignerExpr:
+    """The counted mode of configs/subtracted_thermal.json at nbar = 40, phi = 0 and T = 0.99, of mean 56.6."""
+    config = sc.load_config(str(CONFIGS / "subtracted_thermal.json")).with_values(nbar=40.0, phi=0.0)
+    return sc._counted(config, config.modifications[0], (0.99,))[0]
+
+
+def coherent7_plus_one_mode1() -> wg.WignerExpr:
+    """Mode 1 of coherent alpha = 7 with one photon added after the MZI (T = 0.9, phi = 0.4), 0.72 of whose mass
+    lies beyond n = 40."""
+    config = sc.ScenarioConfig.from_dict({
+        "inputs": [{"kind": "coherent", "alpha": 7.0}, {"kind": "vacuum"}],
+        "modifications": [{"op": "add", "stage": "output", "mode": 1, "m": 1, "mechanism": "bs", "T": 0.9}],
+        "interferometer": {"phi": 0.4}, "metrics": ["distributions"]})
+    return sc._route(config).observe(config.phi)[1][0].state((1,))
+
+
+MEAN_STATES = {
+    "pacs_m1_grid": lambda: pacs_grid(1),
+    "pacs_m3_grid": lambda: pacs_grid(3),
+    "bright_subtracted_thermal": bright_subtracted_thermal,
+    "subtracted_thermal_mode1": lambda: subtracted_thermal_mode(1),
+    "subtracted_thermal_mode2": lambda: subtracted_thermal_mode(2),
+    "coherent7_plus_one": coherent7_plus_one_mode1,
+    "coherent500": lambda: wg.from_gaussian(ga.coherent_state(math.sqrt(500.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEAN_STATES))
+def test_distribution_mean_is_the_intensity_mean(name):
+    # sum n P(n) over the reported n <= n_max is the moment read's <n> of the same state (at each grid point), and
+    # the tail left out is at most CONTOUR_TAIL; a fixed n_max = 40 left 0.72 of coherent7_plus_one's mass out,
+    # and n_max = 640 4.9e-9 of bright_subtracted_thermal's
+    state = MEAN_STATES[name]().normalize()
+    dist = wg.photon_number_distribution(state, 1)
+    assert np.all(dist.tail <= wg.CONTOUR_TAIL)
+    means = dist.probs @ np.arange(dist.n_max + 1)
+    np.testing.assert_allclose(means, meas.intensity(state, 1).mean, rtol=1e-9, atol=0.0)

@@ -389,15 +389,15 @@ def test_photon_number_distribution_runs_one_wick_recursion_per_term(config, m, 
 
 
 @pytest.mark.parametrize("m", [1, 3])
-def test_counts_reads_32_contour_points_per_t(m, monkeypatch):
-    # n <= 40 takes at least 64 points, and the photon-added coherent states' tail bound asks for no more: the
-    # 19-point grid reads half that circle, 32 complex widths, and the bound's real widths, each once
+def test_counts_reads_16_contour_points_per_t(m, monkeypatch):
+    # the photon-added coherent states' tail bound asks for 32 points (and n <= 16 or 19): the 19-point grid reads
+    # half that circle, 16 complex widths, and the bound's real widths, each once
     config = sc.load_config(PACS_COUNTS).with_values(m=m)
     widths, orig = [], wg._single_mode_g
     monkeypatch.setattr(wg, "_single_mode_g", lambda e, s: widths.append((e.terms[0].mean.shape, s)) or orig(e, s))
     sc.simulate_counts(config, trials=3600, seed=42)
     assert [(shape, s.size, np.iscomplexobj(s)) for shape, s in widths] == [
-        ((19, 2), len(wg.CONTOUR_WIDTHS), False), ((19, 2), 32, True)]
+        ((19, 2), len(wg.CONTOUR_WIDTHS), False), ((19, 2), 16, True)]
 
 
 def test_counted_m3_state_is_one_mode(monkeypatch):
