@@ -18,7 +18,7 @@ moment interface, `polynomial_moments`: a scheme and a callable that maps
 monomials to their moments give <O> and <O^2>.  The moments may be floats, or
 arrays over phases or grid points, which the formulas broadcast over.  A
 WignerExpr reads its monomials through the exact Wick machinery
-(`wigner.moments`), an AffineImage, a Wigner expression seen through the
+(`wigner.moments`); the scenario reads a Wigner arm at a phase through the
 Gaussian channel after the MZI, in one conditioned Wick pass per term
 (`wigner.herald_read`).  A stack of Gaussian states has closed forms in its
 means R and covariances sigma, fourth-order moments by Isserlis' theorem
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import NumericalBreakdown
 from .gaussian import GaussianState, mean_photon
-from .wigner import AffineImage, WignerExpr, moments
+from .wigner import WignerExpr, moments
 
 # Detectors whose operator is a polynomial in the quadratures; parity and click are Gaussian kernels.
 POLYNOMIAL_KINDS = ("intensity", "homodyne", "intensity_difference")
@@ -193,7 +193,7 @@ def _quadratic(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.array([u @ mk @ u for mk in m])
 
 
-def intensity(state: GaussianState | WignerExpr | AffineImage, mode: int = 1) -> MeasurementMoments:
+def intensity(state: GaussianState | WignerExpr, mode: int = 1) -> MeasurementMoments:
     """Photon-number (intensity) moments on one mode."""
     if not 1 <= mode <= state.modes:
         raise ValueError(f"mode {mode} out of range 1..{state.modes}")
@@ -201,4 +201,4 @@ def intensity(state: GaussianState | WignerExpr | AffineImage, mode: int = 1) ->
     if isinstance(state, GaussianState):
         o = gaussian_moments(scheme, state.mean[None], state.cov[None])
         return MeasurementMoments(float(o.mean[0]), float(o.second_moment[0]))
-    return polynomial_moments(scheme, partial(moments, state) if isinstance(state, WignerExpr) else state.moments)
+    return polynomial_moments(scheme, partial(moments, state))

@@ -14,17 +14,18 @@ included, with the uniform loss on the Wigner path; each of its pieces is built
 on first read and shared by every config with the same prefix.  Everything
 after it is one Gaussian channel X = A(phi) Y + b + xi on the prefix Y, with
 A = K M(phi): a Gaussian prefix maps through it, and a Wigner prefix stays as
-it is while only the observable moves, so each phi is a `wigner.AffineImage`
-and no state is built at a phase.  A herald at either stage adds its ancilla
-to the prefix as one more mode, its coupling to a channel and its projector to
-every read: a single herald's two arms read one projector pair
-(`wig.projector` and its complement) at either stage.  The prefix and each
-phase give one record, (p, arms): the success probability, then the success
-arm and, where it is tracked, the failure arm, whose weight is 1 - p.  A
-detector's phase variance comes from one exact phase signal (`_optimal_phi`),
-which gives its optimum and its value at any phi.  The photon-number reads
-take the detected mode off the same channel, and `simulate_counts` does so
-once over a stack of channels, one per T of its grid (`_counted`).
+it is while only the observable moves, so an arm at a phase is read through
+the channel (`_Route.read`, the one reader) and no state is built there.  A
+herald at either stage adds its ancilla to the prefix as one more mode, its
+coupling to a channel and its projector to every read: a single herald's two
+arms read one projector pair (`wig.projector` and its complement) at either
+stage.  The prefix and each phase give one record, (p, arms): the success
+probability, then the success arm and, where it is tracked, the failure arm,
+whose weight is 1 - p.  A detector's phase variance comes from one exact
+phase signal (`_optimal_phi`), which gives its optimum and its value at any
+phi.  The photon-number reads build the detected mode off the same channel
+(`wig.AffineImage.state`) on either path, and `simulate_counts` does so once
+over a stack of channels, one per T of its grid (`_counted`).
 
 Identical config plus seed gives byte-identical CSV/JSON output.
 """
@@ -533,7 +534,7 @@ class _Prefix:
 
     A Gaussian prefix propagates the inputs through each modification.  A Wigner prefix is one image of the
     inputs and one Fock ancilla per herald (`_ancillas`) through one channel, the modifications in order
-    (`_then`) and then the uniform `loss`, read through the heralds' projectors (`wig.AffineImage.state`); with
+    (`_then`) and then the uniform `loss`, built through the heralds' projectors (`wig.AffineImage.state`); with
     neither modifications nor loss it is the inputs' product state.  Its record is `arms`, (p, arms).
     """
 
@@ -566,7 +567,7 @@ class _Prefix:
         if loss is not None:
             channel = _attenuated(channel, slice(0, 4), math.sqrt(1.0 - loss.total), loss.total / 2.0)
         image = wig.AffineImage(joint, *channel)
-        unheralded = image.state((1, 2), wig.UNHERALDED)
+        unheralded = image.state((1, 2))
         heralds = [m for m in input_mods if m.heralded]
         if not heralds:
             return 1.0, (unheralded,)
@@ -578,9 +579,10 @@ class _Prefix:
         return p, (ok, *(w.normalize() for w in reads[1:] if w.norm / unheralded.norm >= wig.IMPROBABLE_FLOOR))
 
     def jet(self, ancillas: tuple, arm: int, order: int = 0) -> wig.WignerExpr:
-        """W^(order) of one tracked arm of a Wigner prefix (0 the success arm, 1 the failure arm), normalized and
-        followed by the output heralds' `ancillas` (Fock numbers).  M'(phi) = M(phi) M'(0) makes each
-        phi-derivative of an arm seen through the channel a fixed expression (`wig.phase_tangent`)."""
+        """W^(order) of one tracked arm (0 the success arm, 1 the failure arm), normalized and followed by the
+        output heralds' `ancillas` (Fock numbers); a Gaussian prefix's arm is its one-term expression
+        (`wig.from_gaussian`).  M'(phi) = M(phi) M'(0) makes each phi-derivative of an arm seen through the
+        channel a fixed expression (`wig.phase_tangent`)."""
         key = ancillas, arm, order
         if key not in self._jets:
             if order:
@@ -588,7 +590,9 @@ class _Prefix:
                 h[:4, :4] = sym.mzi_phase_derivative(0.0)
                 self._jets[key] = wig.phase_tangent(self.jet(ancillas, arm, order - 1), h)
             else:
-                self._jets[key] = _with_ancillas(self.arms[1][arm].normalize(), ancillas)
+                state = self.arms[1][arm]
+                expr = wig.from_gaussian(state) if self.gaussian_path else state
+                self._jets[key] = _with_ancillas(expr.normalize(), ancillas)
         return self._jets[key]
 
     def columns(self, ancillas: tuple, arm: int, order: int) -> list:
@@ -751,21 +755,44 @@ class _Route:
     def observe(self, phi: float) -> tuple:
         """(p, arms) as the detectors see them at phi: the prefix's arms through X = A Y + b + xi, A = A(phi)
         (`_through_mzi`), and p the success probability, the failure arm's weight 1 - p.  A Gaussian prefix becomes
-        the GaussianState of its `image`; each Wigner arm (`arms`) an `AffineImage`, and p takes in the probability
-        of the herald after the phase.  Below the renormalization floor a success arm raises ImprobableBranch and a
-        failure arm is untracked, as at the input stage.
+        the GaussianState of its `image`.  A Wigner arm (`arms`) is its herald's probability at phi (`read`), 1.0
+        with no herald, which p takes in.  Below the renormalization floor a success arm raises ImprobableBranch
+        and a failure arm is untracked, as at the input stage.
         """
         p, arms = self.prefix.arms
         if self.gaussian_path:
             mean, cov = self.image((phi,))
             return p, (ga.GaussianState(mean[0], cov[0]),)
-        k, b, c = self.channel
-        a = _through_mzi(k, phi)
-        ok, *fail = (wig.AffineImage(self.prefix.jet(self.ancillas, i), a, b, c, herald)
+        ok, *fail = (float(self.read(i, 0, herald)(np.array([phi]))[0][0, 0]) if herald else 1.0
                      for i, herald in self.arms if i < len(arms))
-        if ok.probability < wig.IMPROBABLE_FLOOR:
-            raise ImprobableBranch(ok.probability)
-        return p * min(ok.probability, 1.0), (ok, *(w for w in fail if w.probability >= wig.IMPROBABLE_FLOOR))
+        if ok < wig.IMPROBABLE_FLOOR:
+            raise ImprobableBranch(ok)
+        return p * min(ok, 1.0), (ok, *(q for q in fail if q >= wig.IMPROBABLE_FLOOR))
+
+    def read(self, index: int, order: int, herald: tuple | None, rows: list | None = None) -> Callable:
+        """(phis, kernel, blur, monomials) -> `wig.herald_read` through `herald` (None: unheralded) of prefix arm
+        `index` and its phase tangents up to `order`: the one read of a Wigner arm at a phase.
+
+        The channel is A(phi) (`_through_mzi`), and the tangents (`_Prefix.jet`) give each read's phi-derivatives
+        exactly.  `rows` cuts the channel to those variables first (an unheralded kernel read needs its mode's alone).
+        """
+        k, b, c = self.channel
+        if rows is not None:
+            k, b, c = k[rows], b[rows], c[rows][:, rows]
+        columns, herald = self.prefix.columns(self.ancillas, index, order), herald or wig.UNHERALDED
+
+        def read(phi: np.ndarray, kernel: list | None = (), blur: np.ndarray | None = None,
+                 monomials: list | None = None):
+            return wig.herald_read(columns, _through_mzi(k, phi), b, c, herald, kernel, blur, monomials)
+
+        return read
+
+    def detected(self, phi: float, mode: int) -> wig.WignerExpr:
+        """The state of one mode of the success arm at phi, on either path, whose norm is the probability of the
+        herald after the phase: the prefix's arm built through the channel (`wig.AffineImage.state`)."""
+        k, b, c = self.channel
+        image = wig.AffineImage(self.prefix.jet(self.ancillas, 0), _through_mzi(k, phi), b, c)
+        return image.state((mode,), self.arms[0][1] or wig.UNHERALDED)
 
 
 _route = lru_cache(maxsize=1)(_Route)  # the last config's route, with its most recent observations
@@ -843,7 +870,7 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
         if route.gaussian_path:
             o = meas.gaussian_moments(scheme, *route.samples(phis))
         else:  # the success arm's monomials at every phase in one read
-            read = _wigner_read(config, 0, 0, wig.UNHERALDED)
+            read = route.read(0, 0, None)
             o = meas.polynomial_moments(scheme, lambda e: read(np.array(phis), monomials=e)[0][:, 0])
         samples = [meas.MeasurementMoments(float(m), float(s)) for m, s in zip(o.mean, o.second_moment)]
         variance, floor, points = est.trig_signal(samples, rate)
@@ -883,24 +910,6 @@ def _ratio(u, p, size) -> tuple:
         return tuple(np.where(resolved, r, math.nan) for r in (m, m1, (u[2] - 2.0 * m1 * p[1] - m * p[2]) / p[0]))
 
 
-def _wigner_read(config: ScenarioConfig, index: int, order: int, herald: tuple, rows: list | None = None) -> Callable:
-    """(phis, kernel, blur, monomials) -> `wig.herald_read` of a prefix arm and its phase tangents up to `order`.
-
-    The channel is A(phi) (`_through_mzi`), and the tangents (`_Prefix.jet`) give each read's phi-derivatives
-    exactly.  `rows` cuts the channel to those variables first (an unheralded kernel read needs its mode's alone).
-    """
-    route = _route(config)
-    k, b, c = route.channel
-    if rows is not None:
-        k, b, c = k[rows], b[rows], c[rows][:, rows]
-    columns = route.prefix.columns(route.ancillas, index, order)
-
-    def read(phi: np.ndarray, kernel: list | None = (), blur: np.ndarray | None = None, monomials: list | None = None):
-        return wig.herald_read(columns, _through_mzi(k, phi), b, c, herald, kernel, blur, monomials)
-
-    return read
-
-
 def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int = 0, order: int = 2) -> Callable:
     """The batched jet of parity or click on one arm (`_Route.arms`) of the prefix channel.
 
@@ -919,7 +928,7 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
     (`meas.kernel_jet`).  On a Wigner state the parity is pi W(0) of the
     mode, the no-click probability 2 pi times its density at 0 blurred by
     I/2, and their derivatives those of the arm's phase tangents
-    (`_wigner_read`); after an output herald, <O> = p<O> / p with p the read of
+    (`_Route.read`); after an output herald, <O> = p<O> / p with p the read of
     the herald's projectors (`_ratio`).
     """
     route = _route(config)
@@ -929,7 +938,7 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
         mode = [2 * scheme.mode - 2, 2 * scheme.mode - 1]
         blur = np.zeros((2, 2)) if scheme.kind == "parity" else 0.5 * np.eye(2)
         # an unheralded read needs the detected mode's rows alone
-        read = _wigner_read(config, index, order, herald or wig.UNHERALDED, None if herald else mode)
+        read = route.read(index, order, herald, None if herald else mode)
         mode = mode if herald else None
 
         def wigner_jet(phi: np.ndarray) -> tuple:
@@ -986,7 +995,8 @@ def _signal_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callabl
             return m, m1, m2, *_variance(m, m1, m2, *square), noise
 
         return kernel_signal
-    read = _wigner_read(config, 0, 2, _route(config).arms[0][1])
+    route = _route(config)
+    read = route.read(0, 2, route.arms[0][1])
     constants = meas.polynomial_moments(scheme, lambda monomials: [0.0] * len(monomials))
 
     def polynomial_signal(phi: np.ndarray) -> tuple:
@@ -1049,7 +1059,7 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
     if route.arms[0][1] is None:
         return total
     # the herald's less probable outcome keeps its relative precision: cfi allows a single herald, so both are read
-    p, dp = min((_wigner_read(config, 0, 1, herald)(np.array([phi]))[0][:, 0] for _, herald in route.arms),
+    p, dp = min((route.read(0, 1, herald)(np.array([phi]))[0][:, 0] for _, herald in route.arms),
                 key=lambda jet: jet[0])
     return total + (est.binary_cfi(float(p), float(dp), phi) if dp else 0.0)
 
@@ -1100,7 +1110,7 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
     distributions: list[dict] = []
     route = _route(config)
     try:
-        p, (state, *_) = route.observe(phi)
+        p, (arm, *_) = route.observe(phi)
     except ImprobableBranch as exc:
         report.extras["flag"] = "improbable herald branch"
         warnings.append(f"phi={phi:.6g}: {exc}")
@@ -1148,10 +1158,12 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
 
     if "snr" in config.metrics:
         added = {k: sum(int(m.m) for m in config.modifications if m.op == "add" and m.mode == k) for k in (1, 2)}
-        both = None if route.gaussian_path else state.moments(  # a Wigner state's two modes from one read
-            meas._intensity_monomials(1) + meas._intensity_monomials(2))
+        if not route.gaussian_path:  # a Wigner arm's two modes from one read, over its herald's probability
+            monomials = meas._intensity_monomials(1) + meas._intensity_monomials(2)
+            reads = route.read(0, 0, route.arms[0][1])(np.array([phi]), monomials=monomials)[0]
+            both = (reads[:, 0, 0] / arm).tolist()
         for mode in (1, 2):
-            mom = meas.intensity(state, mode) if both is None else meas.polynomial_moments(
+            mom = meas.intensity(arm, mode) if route.gaussian_path else meas.polynomial_moments(
                 meas.DetectionScheme("intensity", mode), lambda _: both[5 * mode - 5 : 5 * mode])
             try:
                 report.snr[f"mode{mode}"] = est.snr(mom, subtract_injected=added[mode])
@@ -1160,9 +1172,7 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
 
     if "distributions" in config.metrics:
         for mode in (1, 2):
-            # a Wigner prefix's mode is read off its channel, a Gaussian state's is its marginal
-            dist = (wig.photon_number_distribution(wig.from_gaussian(state), mode) if route.gaussian_path
-                    else wig.photon_number_distribution(state.state((mode,)), 1))
+            dist = wig.photon_number_distribution(route.detected(phi, mode))
             for n, p in enumerate(dist.probs):
                 distributions.append({"mode": mode, "n": n, "p": float(p)})
             report.extras[f"distribution_tail.mode{mode}"] = dist.tail
@@ -1285,7 +1295,9 @@ def phase_drift_study(
     Each trial draws the control phase near the scheme's optimum (Gaussian with
     the per-scheme sigma, or uniformly within 20% of the optimum) and evaluates
     the phase variance there, all trials of a detector with an exact signal in
-    one call; the trace reports the running mean versus trial count.
+    one call; the trace reports the running mean versus trial count.  A draw whose variance is not finite (no
+    slope above its rounding level) is left out of the mean and the trace, with a warning; the row counts such
+    draws (`stationary_draws`), and a detector with no other draw gets a flag in place of its mean.
     """
     if trials < 1:
         raise ConfigError("drift.trials", "need at least one trial")
@@ -1305,23 +1317,16 @@ def phase_drift_study(
             phis = rng.normal(opt_phi, sig, trials)
         else:
             phis = opt_phi * rng.uniform(0.8, 1.2, trials)
-        total = 0.0
+        total, scored = 0.0, 0
         for k, (phi_k, v) in enumerate(zip(phis.tolist(), map(float, signal.variance(phis))), 1):
-            if not math.isfinite(v):
-                v = opt_var  # a flat draw carries no usable slope; score it at the optimum
+            if not math.isfinite(v):  # a flat draw carries no usable slope and no score
                 warnings.append(f"drift[{scheme.label}] trial {k}: stationary draw at phi={phi_k:.6g}")
-            total += v
-            traces.append({"scheme": scheme.label, "trial": k, "running_mean": total / k})
-        rows.append(
-            {
-                "index": si,
-                "scheme": scheme.label,
-                "optimal_phi": opt_phi,
-                "optimal_variance": opt_var,
-                "sigma": sig,
-                "final_running_mean": total / trials,
-            }
-        )
+                continue
+            total, scored = total + v, scored + 1
+            traces.append({"scheme": scheme.label, "trial": k, "running_mean": total / scored})
+        rows.append({"index": si, "scheme": scheme.label, "optimal_phi": opt_phi, "optimal_variance": opt_var,
+                     "sigma": sig, "stationary_draws": trials - scored,
+                     **({"final_running_mean": total / scored} if scored else {"flag": "every draw stationary"})})
     return RunReport(config=config.raw, rows=rows, seed=seed, warnings=warnings, traces=traces)
 
 
@@ -1347,10 +1352,11 @@ def _counted(config: ScenarioConfig, mod: ModificationSpec, grid: tuple) -> tupl
 
 def _sample_stats(histogram: np.ndarray, added: int) -> dict:
     """The sample mean of the kept photon numbers, given as the counts of n = 0, 1, ..., and, where two or more
-    differ, its SNR over the sample standard deviation, (mean - added) / sqrt(sum h_n (n - mean)^2 / (kept - 1))."""
+    differ, its SNR over the sample standard deviation, (mean - added) / sqrt(sum h_n (n - mean)^2 / (kept - 1)).
+    Both sums are exact or correctly rounded, so counts that end in more zeros give the same bits."""
     kept, ns = int(histogram.sum()), np.arange(len(histogram))
     mean = float(ns @ histogram) / kept
-    squares = float(histogram @ (ns - mean) ** 2)
+    squares = math.fsum(histogram * (ns - mean) ** 2)
     return {"sample_mean": mean, **({"sample_snr": (mean - added) / math.sqrt(squares / (kept - 1))}
                                     if kept > 1 and squares > 0.0 else {})}
 
@@ -1390,7 +1396,7 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
     state, prob = _counted(config, mod, grid)
     at = np.cumsum(prob >= wig.IMPROBABLE_FLOOR) - 1  # each point's index on the state's grid
     # a grid of no probable point leaves no state to read
-    theory, dist = meas.intensity(state, 1), wig.photon_number_distribution(state, 1) if state.terms else None
+    theory, dist = meas.intensity(state, 1), wig.photon_number_distribution(state) if state.terms else None
     for idx, (T, p, j) in enumerate(zip(grid, prob, at)):
         if p < wig.IMPROBABLE_FLOOR:
             rows.append({"index": idx, "T": T, "kept": 0, "flag": "improbable herald branch"})

@@ -6,7 +6,8 @@ addition/subtraction outputs stay inside the class because it is closed under
 Gaussian channels, multiplication by Fock projectors, and partial
 integration.  All moments and overlaps evaluate analytically through the
 Gaussian moment recursion, walked once per monomial set into a cached
-schedule (`_wick_plan`) read one degree at a time, so no quadrature is used.
+schedule (`_wick_plan`) read one degree at a time, so no quadrature is used;
+a partial integration walks the same schedules with polynomial values.
 
 Partial integration is one routine, `_integrate_out`: a marginal, a Fock
 projection, every arm of a herald, a loss and a detected mode's photon-number
@@ -16,17 +17,18 @@ not.  It conditions each term's joint (Y, X) Gaussian on the kept variables
 and substitutes no polynomial, so a herald never expands its beam splitter, a
 loss needs no ancilla, and no state map is substituted into a term.
 
-An `AffineImage` is an expression seen through a Gaussian channel
-X = A Y + b + xi without substituting the channel into its terms: a moment of
-X, or a Gaussian kernel on one mode, conditions each term's joint (Y, X)
-Gaussian and takes one Wick expectation of the term's own polynomial
-(`kernel_densities`).  Seen through a herald's Fock projectors on ancilla
-modes of X (`projector`), each projector is one more Gaussian kernel with a
-Laguerre factor (`herald_read`); an unheralded read is the one product of no
-projectors (`UNHERALDED`).  `AffineImage.state` gives the state of some
-modes of X through a herald, every other variable integrated out once per
-projector product: that one read serves both arms of an input-stage herald,
-which share their products, and a detected mode.
+An expression seen through a Gaussian channel X = A Y + b + xi is read and
+built without substituting the channel into its terms.  A read
+(`herald_read`), of moments of X or of a Gaussian kernel on one mode,
+conditions each term's joint (Y, X) Gaussian and takes one Wick expectation
+of the term's own polynomial (`kernel_densities`); through a herald's Fock
+projectors on ancilla modes of X (`projector`), each projector is one more
+Gaussian kernel with a Laguerre factor, and an unheralded read is the one
+product of no projectors (`UNHERALDED`).  A build (`AffineImage.state`) gives
+the state of some modes of X through a herald, every other variable
+integrated out once per projector product: both arms of an input-stage herald
+share their products, and a detected mode's photon-number distribution
+(`photon_number_distribution`) reads the one-mode state it builds.
 
 Term convention: weight * poly(X) * exp(-(X - mean)^T quad^{-1} (X - mean)),
 matching the Gaussian Wigner exponent used throughout, so quad equals the
@@ -61,10 +63,6 @@ CONTOUR_ALIAS = 2.0**-53
 CONTOUR_TAIL = 1e-12
 CONTOUR_MAX = 2**14
 CONTOUR_WIDTHS = (1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 7 / 8, 15 / 16, 31 / 32, 63 / 64)
-# The contour's rounding reaches some 1e-13 where a herald's terms cancel.  A multinomial draw spends a uniform
-# on a category of rounding-level probability but none on an exact 0, so two reads of one distribution that agree
-# to rounding draw the same histogram only once such probabilities are drawn as 0.
-HISTOGRAM_FLOOR = 1e-12
 WICK_PLANS = 128  # Wick schedules kept, one per monomial set (and shifts) of an expectation
 
 Poly = dict  # exponent tuple over the 2N variables -> real coefficient
@@ -186,39 +184,29 @@ def _gaussian_expectation(poly: Poly, mean: np.ndarray, cov: np.ndarray, shifts:
 
 
 def _affine_expectation(poly: Poly, lin: np.ndarray, const: np.ndarray, cov: np.ndarray) -> Poly:
-    """E[poly(u)] for u = lin y + const + xi, xi ~ N(0, cov), as a poly in y, by the Gaussian moment recursion,
-    whose means are affine polys in y."""
+    """E[poly(u)] for u = lin y + const + xi, xi ~ N(0, cov), as a poly in y: the cached schedule of the Gaussian
+    moment recursion (`_wick_plan`) walked with polynomial values, whose means are affine polys in y.  A pair of
+    zero covariance adds nothing."""
     nk = lin.shape[-1]
     # variables first, any grid axis last
     lin, cov, const = np.moveaxis(lin, (-2, -1), (0, 1)), np.moveaxis(cov, (-2, -1), (0, 1)), np.moveaxis(const, -1, 0)
     units = [tuple(int(j == k) for k in range(nk)) for j in range(nk)]
-    rows = []
+    means = []
     for i in range(len(const)):
         row = {(0,) * nk: const[i], **{units[j]: lin[i, j] for j in range(nk) if _nonzero(lin[i, j])}}
-        rows.append(_poly_prune(row) or _const_poly(nk, 0.0))
-    memo: dict[tuple, Poly] = {}
-
-    def mom(e: tuple) -> Poly:
-        if e in memo:
-            return memo[e]
-        i = next((k for k, v in enumerate(e) if v), -1)
-        if i < 0:
-            return _const_poly(nk)
-        e1 = list(e)
-        e1[i] -= 1
-        e1t = tuple(e1)
-        val = _poly_mul(rows[i], mom(e1t))
-        for j, ej in enumerate(e1t):
-            if ej and _nonzero(cov[i, j]):
-                e2 = list(e1t)
-                e2[j] -= 1
-                val = _poly_add(val, _poly_scale(mom(tuple(e2)), cov[i, j] * ej))
-        memo[e] = val
-        return val
-
+        means.append(_poly_prune(row) or _const_poly(nk, 0.0))
+    rows, slots, _, (out,) = _wick_plan(tuple(poly), None)
+    factors = [cov[i][j] * k for i, j, k in slots.tolist()]
+    values = [_const_poly(nk)]
+    for i, r1, pairs in rows:
+        v = _poly_mul(means[i], values[r1])
+        for f, r2 in pairs:
+            if _nonzero(factors[f]):
+                v = _poly_add(v, _poly_scale(values[r2], factors[f]))
+        values.append(v)
     result: Poly = {}
-    for expo, coeff in poly.items():
-        for e, c in _poly_mul({(0,) * nk: coeff}, mom(expo)).items():
+    for coeff, r in zip(poly.values(), out):
+        for e, c in _poly_mul({(0,) * nk: coeff}, values[r]).items():
             result[e] = result.get(e, 0.0) + c
     return _poly_prune(result)
 
@@ -376,51 +364,19 @@ def projector(v: int, n: int, complement: bool = False) -> tuple:
 
 
 class AffineImage:
-    """The state of X = A Y + b + xi: Y distributed as a normalized expression, xi ~ N(0, noise) independent.
-
-    The channel is never substituted into the expression's terms.  A moment of
-    X conditions each term's Gaussian and leaves one Wick expectation of the
-    term's own polynomial (`herald_read`).  `noise` is a covariance of the
+    """The state of X = A Y + b + xi, Y distributed as a normalized expression and xi ~ N(0, noise) independent,
+    built without substituting the channel into the expression's terms.  `noise` is a covariance of the
     variables (sigma / 2 in the state convention).
-
-    A `herald` (signed products of projectors on ancilla modes of X, as
-    `herald_read` takes them) conditions X on the ancillas' outcome: every
-    moment is then a `herald_read` of the projectors times the monomial, over
-    `probability`, the read of the projectors alone, and `modes` counts the
-    modes other than the ancillas.  With no herald the read is `UNHERALDED`
-    and the probability 1.  `state` reads the same products, or another
-    herald's, and also a stack of channels.
     """
 
-    def __init__(self, expr: WignerExpr, a: np.ndarray, shift: np.ndarray, noise: np.ndarray,
-                 herald: tuple | None = None):
+    def __init__(self, expr: WignerExpr, a: np.ndarray, shift: np.ndarray, noise: np.ndarray):
         self.expr = expr
         self.a, self.shift, self.noise = a, shift, noise
-        self.herald = herald
-        self.modes = expr.modes - len({v for _, projectors in herald or () for v, _ in projectors})
-        self._columns = self._probability = None
         self._parts = {}  # (kept variables, projectors) -> their integrated part
 
-    def _read(self, monomials: list | None = None) -> np.ndarray:
-        if self._columns is None:
-            self._columns = kernel_columns((self.expr,))
-        return herald_read(self._columns, self.a[None], self.shift, self.noise, self.herald or UNHERALDED,
-                           monomials=monomials)[0]
-
-    @property
-    def probability(self) -> float:
-        """The probability of the herald's outcome, 1 with no herald."""
-        if self._probability is None:
-            self._probability = float(self._read()[0, 0]) if self.herald else 1.0
-        return self._probability
-
-    def moments(self, monomials: list) -> list[float]:
-        """E[X^e] for each monomial e (a tuple or a {variable index: power} mapping), from one read."""
-        return [float(v[0, 0]) / self.probability for v in self._read(monomials=monomials)]
-
-    def state(self, modes, herald: tuple | None = None) -> WignerExpr:
-        """The state of the `modes` of X read through `herald` (the image's own by default), whose norm is the
-        herald's probability times the expression's norm.
+    def state(self, modes, herald: tuple = UNHERALDED) -> WignerExpr:
+        """The state of the `modes` of X through `herald` (signed products of projectors on ancilla modes of X, as
+        `herald_read` takes them), whose norm is the herald's probability times the expression's norm.
 
         Each signed product of projectors integrates every other variable of X, the ancillas' included, out of the
         expression's image (`_integrate_out`) once per image, and the parts' terms and norms add with its sign: an
@@ -429,7 +385,7 @@ class AffineImage:
         kept = [2 * m - 2 + i for m in modes for i in (0, 1)]
         others = [i for i in range(self.expr.nvars) if i not in kept]
         terms, norm = [], 0.0
-        for sign, projectors in herald or self.herald or UNHERALDED:
+        for sign, projectors in herald:
             key = tuple(kept), projectors
             if key not in self._parts:
                 self._parts[key] = _integrate_out(self.expr, others, (self.a, self.shift, self.noise), projectors)
@@ -639,16 +595,6 @@ def _integrate_out(expr: WignerExpr, var_indices: list[int], f=None, projectors:
     return WignerExpr(expr.modes - len(out) // 2, new_terms)
 
 
-def marginal_mode(expr: WignerExpr, mode: int) -> WignerExpr:
-    """Reduce to a single mode by integrating out all others."""
-    if not 1 <= mode <= expr.modes:
-        raise ValueError(f"mode {mode} out of range 1..{expr.modes}")
-    if expr.modes == 1:
-        return expr
-    drop = [i for i in range(expr.nvars) if i // 2 != mode - 1]
-    return _integrate_out(expr, drop)
-
-
 def _gaussian_product(a1: np.ndarray, m1: np.ndarray, a2: np.ndarray, m2: np.ndarray):
     """Gaussian-product rule in precision form.
 
@@ -703,10 +649,13 @@ class PhotonNumberDistribution:
     tail: float
 
     def histogram(self, rng: np.random.Generator, size: int, point: int | tuple = ()) -> np.ndarray:
-        """The counts of n = 0..n_max among `size` draws (at grid point `point`, of a grid's), in one multinomial
-        draw; a P(n) below HISTOGRAM_FLOOR is drawn as 0."""
-        p = np.where(self.probs[point] < HISTOGRAM_FLOOR, 0.0, self.probs[point])
-        return rng.multinomial(size, p / p.sum())
+        """The counts of n = 0..n_max among `size` draws (at grid point `point`, of a grid's), each draw one uniform
+        against the cumulative P(n): two reads of one distribution that agree to rounding draw the same counts
+        unless a uniform lands within that rounding of a bin's edge."""
+        cumulative = np.cumsum(self.probs[point])
+        # a uniform is below 1 by at least an ulp, so its product with the total stays below it
+        draws = np.searchsorted(cumulative, rng.random(size) * cumulative[-1], side="right")
+        return np.bincount(draws, minlength=self.n_max + 1)
 
 
 @lru_cache(maxsize=4)
@@ -741,11 +690,11 @@ def _contour_length(reduced: WignerExpr) -> tuple[int, int]:
     return 1 << max(1, math.ceil(math.log2(need))), math.ceil(tail) - 1
 
 
-def photon_number_distribution(expr: WignerExpr, mode: int) -> PhotonNumberDistribution:
-    """P(n) for n = 0..n_max via exact contour extraction from the generating function.
+def photon_number_distribution(expr: WignerExpr) -> PhotonNumberDistribution:
+    """P(n) for n = 0..n_max of a one-mode expression via exact contour extraction from the generating function.
 
     sum_n P(n) t^n = 2 / (1 + t) G((1 - t) / (1 + t)), G(s) the integral of exp(-s (x^2 + p^2)) against the
-    mode's Wigner function, is read at the m points t_k = exp(i pi (2k + 1) / m) (off t = -1, where G has a
+    normalized expression, is read at the m points t_k = exp(i pi (2k + 1) / m) (off t = -1, where G has a
     removable singularity) and Fourier-inverted.  The m points alias P(n) with P(n + m), P(n + 2m), ..., whose
     sum is at most P(N >= m) <= E[r^N] r^-m (Markov) for every r > 1 below the radius of convergence:
     `_contour_length` takes the least m whose bound is at most CONTOUR_ALIAS, and raises ContourTooLong above
@@ -753,15 +702,18 @@ def photon_number_distribution(expr: WignerExpr, mode: int) -> PhotonNumberDistr
     real, so t_(m-1-k) = conj(t_k) reads conj(G) and P(n) = (2 / m) Re sum_(k < m/2) of G(t_k)
     exp(-i pi (2k + 1) n / m): half the circle is read.  This is the same integral as a Fock projector's read
     (`_integrate_out`) but stays numerically exact at large n, where the expanded Laguerre route loses precision
-    to cancellation.
+    to cancellation.  The inversion sums its products without BLAS, whose blocking, and so its bits, depend on
+    the thread count.
     """
-    reduced = marginal_mode(expr.normalize(), mode)
+    if expr.modes != 1:
+        raise ValueError(f"a photon-number distribution reads one mode, got an expression of {expr.modes}")
+    reduced = expr.normalize()
     m, n_max = _contour_length(reduced)
     tks = np.exp(1j * math.pi * (2 * np.arange(m // 2) + 1) / m)
     # a grid's contour runs in slabs of about CONTOUR_SLAB points, which bound each Wick schedule row's array
     slabs = np.array_split((1.0 - tks) / (1.0 + tks), -(-np.size(expr.norm) * (m // 2) // CONTOUR_SLAB))
     gs = 2.0 / (1.0 + tks) * np.concatenate([_single_mode_g(reduced, s) for s in slabs], -1)
-    probs = np.real(gs @ _inverse_dft(m, n_max)) * (2.0 / m)
+    probs = np.real(np.einsum("...k,kn->...n", gs, _inverse_dft(m, n_max))) * (2.0 / m)
     if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
         raise NumericalBreakdown(f"distribution outside [0,1]: range [{probs.min():.3e}, {probs.max():.3e}]")
     probs = np.clip(probs, 0.0, 1.0)

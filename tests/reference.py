@@ -23,8 +23,10 @@ or a mode's marginal, and `measure` any detector's at one state, a Gaussian
 state's polynomial moments in closed form for it alone (`intensity`,
 `homodyne`, `intensity_difference`): the referee of the stacked closed forms.
 `gaussian_at` forms a Gaussian route's state at one phase alone, the referee of
-its stacked image; `mzi_product` the MZI as the product of its elements, the
-referee of `sym.mzi_matrix`.  `inject_thermal` mixes a
+its stacked image; `observed` gives a route's arms at one phase in a form the
+referees measure, a Wigner arm read through the route (`ArmRead`);
+`marginal_mode` integrates every other mode out; `mzi_product` the MZI as the
+product of its elements, the referee of `sym.mzi_matrix`.  `inject_thermal` mixes a
 Gaussian mode with a thermal ancilla on a beam splitter: the referees of the
 engine's kernel reads and its attenuation channel (`attenuated`, `lossy`).
 Nothing here is imported by `wignersim`.
@@ -116,22 +118,52 @@ def _block(state: ga.GaussianState, mode: int) -> tuple:
     return state.mean[i : i + 2], state.cov[i : i + 2, i : i + 2]
 
 
-def _image_density(image: wg.AffineImage, mode: int, blur: np.ndarray) -> float:
-    """Density at the origin of X_mode + eta, eta ~ N(0, blur) independent, under an AffineImage: one kernel of its
-    `wg.herald_read`, over the herald's probability."""
-    read = wg.herald_read(wg.kernel_columns((image.expr,)), image.a[None], image.shift, image.noise,
-                          image.herald or wg.UNHERALDED, [2 * mode - 2, 2 * mode - 1], blur)[0]
-    return float(read[0, 0]) / image.probability
+def marginal_mode(expr: WignerExpr, mode: int) -> WignerExpr:
+    """The state of one mode of an expression, every other variable integrated out (`wg._integrate_out`)."""
+    if expr.modes == 1:
+        return expr
+    return wg._integrate_out(expr, [i for i in range(expr.nvars) if i // 2 != mode - 1])
+
+
+@dataclass(frozen=True)
+class ArmRead:
+    """One Wigner arm of a route at a phase, read as the engine reads it (`sc._Route.read`, the arm's `read`):
+    its moments, and the density of a Gaussian kernel on one mode, each over the arm's herald probability, the one
+    `sc._Route.observe` gives."""
+
+    read: Callable
+    phi: float
+    probability: float
+    modes: int = 2
+
+    def moments(self, monomials: list) -> list[float]:
+        return [float(v[0, 0]) / self.probability for v in self.read(np.array([self.phi]), monomials=monomials)[0]]
+
+    def density(self, mode: int, blur: np.ndarray) -> float:
+        """Density at the origin of X_mode + eta, eta ~ N(0, blur) independent."""
+        read = self.read(np.array([self.phi]), [2 * mode - 2, 2 * mode - 1], blur)[0]
+        return float(read[0, 0]) / self.probability
+
+
+def observed(config, phi: float) -> tuple:
+    """`sc._Route.observe`'s (p, arms), each Wigner arm, given there as its herald probability, as its `ArmRead`
+    for the referees to measure."""
+    route = sc._route(config)
+    p, arms = route.observe(phi)
+    if route.gaussian_path:
+        return p, arms
+    tracked = [(i, herald) for i, herald in route.arms if i < len(route.prefix.arms[1])]
+    return p, tuple(ArmRead(route.read(i, 0, herald), phi, q) for (i, herald), q in zip(tracked, arms))
 
 
 def parity(state, mode: int = 1) -> meas.MeasurementMoments:
     """Photon-number parity of one mode, pi W(0, 0) of its marginal: a Gaussian overlap on a GaussianState."""
     if isinstance(state, ga.GaussianState):
         mean = _overlap(*_block(state, mode))
-    elif isinstance(state, wg.AffineImage):
-        mean = math.pi * _image_density(state, mode, np.zeros((2, 2)))
+    elif isinstance(state, ArmRead):
+        mean = math.pi * state.density(mode, np.zeros((2, 2)))
     else:
-        mean = math.pi * evaluate(wg.marginal_mode(state, mode), (0.0, 0.0))
+        mean = math.pi * evaluate(marginal_mode(state, mode), (0.0, 0.0))
     return meas.MeasurementMoments(mean, 1.0)
 
 
@@ -141,10 +173,10 @@ def click_probability(state, mode: int = 1) -> float:
     if isinstance(state, ga.GaussianState):
         mu, sigma = _block(state, mode)
         p0 = 2.0 * _overlap(mu, sigma + np.eye(2))
-    elif isinstance(state, wg.AffineImage):
-        p0 = 2.0 * math.pi * _image_density(state, mode, 0.5 * np.eye(2))
+    elif isinstance(state, ArmRead):
+        p0 = 2.0 * math.pi * state.density(mode, 0.5 * np.eye(2))
     else:
-        p0 = wg._integrate_out(wg.marginal_mode(state.normalize(), mode), [0, 1], projectors=((0, 0),)).norm
+        p0 = wg._integrate_out(marginal_mode(state.normalize(), mode), [0, 1], projectors=((0, 0),)).norm
     return min(max(1.0 - p0, 0.0), 1.0)
 
 
@@ -154,7 +186,7 @@ def check_mode(state, mode: int) -> None:
 
 
 def reader(state) -> Callable:
-    """The moments callable of a WignerExpr, or of any state with a `moments` method (an AffineImage)."""
+    """The moments callable of a WignerExpr, or of any state with a `moments` method (an `ArmRead`)."""
     return partial(wg.moments, state) if isinstance(state, WignerExpr) else state.moments
 
 
@@ -169,7 +201,8 @@ def _square_moments(state: ga.GaussianState, idx: list[int]) -> np.ndarray:
 def intensity(state, mode: int = 1) -> meas.MeasurementMoments:
     """`meas.intensity`, with a GaussianState's closed form taken for that state alone."""
     if not isinstance(state, ga.GaussianState):
-        return meas.intensity(state, mode)
+        check_mode(state, mode)
+        return meas.polynomial_moments(meas.DetectionScheme("intensity", mode), reader(state))
     i = 2 * (mode - 1)
     mean, s2 = ga.mean_photon(state.mean, state.cov, mode), float(_square_moments(state, [i, i + 1]).sum())
     return meas.MeasurementMoments(mean, 0.25 * s2 - mean - 0.5)
@@ -710,7 +743,7 @@ def photon_number_distribution(expr: WignerExpr, mode: int, n_max: int = 40, m: 
     """P(n) for n <= n_max of a mode (a row per grid point) from the whole circle of m contour points, read in
     slabs of 512 and clipped to [0, 1] as the engine reports it: the referee of the engine's contour, which reads
     half the circle and sizes it by its own tail bound."""
-    reduced = wg.marginal_mode(expr.normalize(), mode)
+    reduced = marginal_mode(expr.normalize(), mode)
     ks, ns = np.arange(m), np.arange(n_max + 1)
     tks = np.exp(1j * math.pi * (2 * ks + 1) / m)
     gs = np.concatenate([wg._single_mode_g(reduced, (1.0 - t) / (1.0 + t)) for t in np.array_split(tks, -(-m // 512))], -1)
@@ -728,7 +761,7 @@ def counted(config, mode: int) -> tuple:
     other arm traced out, then `mode`'s output-stage modifications on it as mode 1, the herald's success branch
     alone.  Raises ImprobableBranch below the renormalization floor."""
     res = before_output(config)
-    state, prob = wg.marginal_mode(res.state, mode), res.success_prob
+    state, prob = marginal_mode(res.state, mode), res.success_prob
     for m in (replace(m, mode=1) for m in config.modifications if m.stage == "output" and m.mode == mode):
         if m.heralded:
             (state, p), _ = herald(state, 1, *sc._herald_args(m))
@@ -760,6 +793,6 @@ def counts_rows(config, trials: int, seed: int, t_grid) -> list:
         if kept == 0:
             row["flag"] = "no kept measurements"
         else:
-            row.update(sc._sample_stats(wg.photon_number_distribution(state, 1).histogram(rng, kept), added))
+            row.update(sc._sample_stats(wg.photon_number_distribution(state).histogram(rng, kept), added))
         rows.append(row)
     return rows

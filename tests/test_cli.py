@@ -1,7 +1,7 @@
 """CLI byte-identity against committed golden outputs, exit code 2 on bad input, and the rows of configs that take
 the rarer branches (a sweep of alpha2, r or nbar_env, a phi grid, dark clicks, a herald at T = 1, counts of a Fock
-state or of a photon-number tail past n = 1000, a drift draw without a slope), checked against closed forms or a
-direct run.
+state or of a photon-number tail past n = 1000, a drift draw without a slope, a drift detector with no scored
+draw), checked against closed forms or a direct run.
 `tests/test_reach.py` traces every CLI call of this file.
 
 The golden files under tests/golden/ are the outputs of the shipped configs.
@@ -18,6 +18,9 @@ An intended output change regenerates them, from the repository root with
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,15 +45,31 @@ GOLDEN_RUNS = {
 }
 
 
+def _assert_golden(name: str, out: Path) -> None:
+    want = sorted(p.name for p in (GOLDEN / name).iterdir())
+    assert sorted(p.name for p in out.iterdir()) == want
+    for fname in want:
+        assert (out / fname).read_bytes() == (GOLDEN / name / fname).read_bytes(), fname
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_outputs_match_golden_bytes(name, tmp_path):
     argv = list(GOLDEN_RUNS[name])
     argv[2] = str(ROOT / argv[2])
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
-    want = sorted(p.name for p in (GOLDEN / name).iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == want
-    for fname in want:
-        assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes(), fname
+    _assert_golden(name, tmp_path)
+
+
+def test_golden_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a child interpreter per OpenBLAS thread count: the photon-number inversion of `distributions`, a complex
+    # product of the contour's values and the inverse DFT, rounded differently under 1 and 2 threads through BLAS
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "wignersim.cli", *GOLDEN_RUNS["run_subtracted_thermal"], "--out",
+                        str(out)], check=True, cwd=ROOT, stdout=subprocess.DEVNULL,
+                       env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path))
+        _assert_golden("run_subtracted_thermal", out)
 
 
 def test_thread_count_variable_is_ignored(tmp_path, monkeypatch):
@@ -615,14 +634,37 @@ def test_counts_draw_a_bright_subtracted_thermal_state_to_its_tail_bound(tmp_pat
     assert row["theory_mean"] == pytest.approx(cond.mzi_sub_mean_n(40.0, 1, 0.99, 0.0), rel=1e-12, abs=0.0)
 
 
-def test_drift_scores_a_draw_without_a_slope_at_the_optimum(tmp_path):
+def _stationary_trials(report: dict, label: str) -> list:
+    """The trials of a drift detector that warned of a stationary draw."""
+    prefix = f"drift[{label}] trial "
+    return [int(w[len(prefix):].split(":")[0]) for w in report["warnings"] if w.startswith(prefix)]
+
+
+def test_drift_leaves_a_draw_without_a_slope_out_of_the_mean(tmp_path):
     # click[1] of subtracted_thermal is least at the edge of the herald's zero at pi, inside which its jet is not
-    # read: a draw there has no usable slope and scores the optimum
+    # read: a draw there has no usable slope, so it warns and is counted, and no trace or mean scores it; a draw
+    # outside it scores V on the fringe's floor, within 1e-7 of the optimum
     report = _cli_report(tmp_path, "drift", CONFIGS / "subtracted_thermal.json", "--trials", "20",
                          "--sigma", "click=0.0001")
-    means = [0.0] + [t["running_mean"] for t in report["traces"] if t["scheme"] == "click[1]"]
-    flat = [int(w.split(" trial ")[1].split(":")[0]) for w in report["warnings"] if w.startswith("drift[click[1]]")]
-    assert flat
-    for k in flat:
-        score = k * means[k] - (k - 1) * means[k - 1]
-        assert score == pytest.approx(report["rows"][0]["optimal_variance"], rel=1e-9, abs=0.0)
+    row = next(r for r in report["rows"] if r["scheme"] == "click[1]")
+    flat = _stationary_trials(report, "click[1]")
+    traces = [t for t in report["traces"] if t["scheme"] == "click[1]"]
+    assert flat and row["stationary_draws"] == len(flat)
+    assert sorted(flat + [t["trial"] for t in traces]) == list(range(1, 21))
+    scores = [(k + 1) * t["running_mean"] - k * prev["running_mean"]
+              for k, (prev, t) in enumerate(zip([{"running_mean": 0.0}] + traces, traces))]
+    assert scores == pytest.approx([row["optimal_variance"]] * len(traces), rel=1e-6, abs=0.0)
+    assert row["final_running_mean"] == traces[-1]["running_mean"]
+
+
+def test_drift_flags_a_detector_with_no_scored_draw(tmp_path):
+    # ligo_lossy's parity[1] is flat to rounding over most of +-20% of its optimum: both of these draws are
+    # stationary, so the row has no mean, a flag and a count of 2, and the other detectors keep their means
+    report = _cli_report(tmp_path, "drift", CONFIGS / "ligo_lossy.json", "--trials", "2", "--seed", "0",
+                         "--distribution", "uniform20")
+    rows = {r["scheme"]: r for r in report["rows"]}
+    parity = rows.pop("parity[1]")
+    assert parity["stationary_draws"] == len(_stationary_trials(report, "parity[1]")) == 2
+    assert parity["flag"] == "every draw stationary" and "final_running_mean" not in parity
+    assert not [t for t in report["traces"] if t["scheme"] == "parity[1]"]
+    assert all(r["stationary_draws"] == 0 and "flag" not in r and "final_running_mean" in r for r in rows.values())

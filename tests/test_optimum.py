@@ -367,8 +367,7 @@ def test_wigner_dark_fringe_at_zero_phase_is_reported_at_zero():
 
 def observed_variance(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, phi: float, h: float) -> tuple:
     """(Var, d<O>/dphi) at phi, observed and measured at phi and phi +- s, the slope with two Richardson levels."""
-    observe = sc._route(config).observe
-    moments = lambda p: ref.measure(observe(p)[1][0], scheme)
+    moments = lambda p: ref.measure(ref.observed(config, p)[1][0], scheme)
     d = [(moments(phi + s).mean - moments(phi - s).mean) / (2 * s) for s in (h, h / 2, h / 4)]
     r = [(4 * d[i + 1] - d[i]) / 3 for i in range(2)]
     return moments(phi).variance, (16 * r[1] - r[0]) / 15

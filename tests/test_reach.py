@@ -150,12 +150,12 @@ LIBRARY = (
     lambda: wg.fock_wigner(wg.FOCK_CUTOFF + 1),
     lambda: wg.WignerExpr(1, []).normalize(),
     lambda: wg.moments(wg.fock_wigner(1), [(2,)]),
-    lambda: wg.marginal_mode(wg.fock_wigner(1), 2),
     lambda: wg.AffineImage(wg.fock_wigner(1), np.eye(4), np.zeros(4), np.zeros((4, 4))).state((1,)),
     lambda: wg.AffineImage(wg.fock_wigner(1), np.eye(2), np.zeros(2), np.zeros((2, 2))).state((1,), wg.projector(0, 1)),
     lambda: wg.AffineImage(wg.tensor_exprs(wg.fock_wigner(1), wg.fock_wigner(0)), np.eye(4), np.zeros(4),
                            np.zeros((4, 4))).state((1,), wg.projector(2, wg.FOCK_CUTOFF + 1)),
-    lambda: wg.photon_number_distribution(_signed_fock_mixture(), 1),
+    lambda: wg.photon_number_distribution(_signed_fock_mixture()),
+    lambda: wg.photon_number_distribution(wg.tensor_exprs(wg.fock_wigner(1), wg.fock_wigner(0))),
     lambda: meas.MeasurementMoments(0.0, -1.0).variance,
     lambda: meas.polynomial_moments(meas.DetectionScheme("parity"), lambda monomials: [0.0] * len(monomials)),
     lambda: meas.gaussian_moments(meas.DetectionScheme("parity"), np.zeros((1, 2)), np.eye(2)[None]),
