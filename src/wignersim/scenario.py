@@ -19,7 +19,8 @@ the channel (`_Route.read`, the one reader) and no state is built there.  A
 herald at either stage adds its ancilla to the prefix as one more mode, its
 coupling to a channel and its projector to every read: a single herald's two
 arms read one projector pair (`wig.projector` and its complement) at either
-stage.  The prefix and each phase give one record, (p, arms): the success
+stage, and share the projected part: a route reads each product once per
+phase set.  The prefix and each phase give one record, (p, arms): the success
 probability, then the success arm and, where it is tracked, the failure arm,
 whose weight is 1 - p.  A detector's phase variance comes from one exact
 phase signal (`_optimal_phi`), which gives its optimum and its value at any
@@ -734,6 +735,8 @@ class _Route:
             n, click = _herald_args(heralds[0])[2:]
             self.arms += ((0, wig.projector(4, n, not click)),)
         self._samples = {}  # sample set of phases -> the Gaussian image there, validated
+        self._observation = {}  # the last phase observed -> its (p, arms)
+        self._parts = {}  # a read's key -> {projectors: its read-only part}, as `wig.herald_read` keeps them
 
     def image(self, phis: tuple) -> tuple[np.ndarray, np.ndarray]:
         """The Gaussian prefix (R0, sigma0) through A (`_through_mzi`) at each of `phis`, unvalidated: means
@@ -751,14 +754,19 @@ class _Route:
             self._samples[phis] = mean, cov
         return self._samples[phis]
 
-    @lru_cache(maxsize=1)  # a point reads its own phase for several metrics
     def observe(self, phi: float) -> tuple:
-        """(p, arms) as the detectors see them at phi: the prefix's arms through X = A Y + b + xi, A = A(phi)
-        (`_through_mzi`), and p the success probability, the failure arm's weight 1 - p.  A Gaussian prefix becomes
-        the GaussianState of its `image`.  A Wigner arm (`arms`) is its herald's probability at phi (`read`), 1.0
-        with no herald, which p takes in.  Below the renormalization floor a success arm raises ImprobableBranch
-        and a failure arm is untracked, as at the input stage.
+        """(p, arms) as the detectors see them at phi, kept for the last phi: a point reads its own phase for
+        several metrics.  The prefix's arms go through X = A Y + b + xi, A = A(phi) (`_through_mzi`), and p is the
+        success probability, the failure arm's weight 1 - p.  A Gaussian prefix becomes the GaussianState of its
+        `image`.  A Wigner arm (`arms`) is its herald's probability at phi (`read`), 1.0 with no herald, which p
+        takes in.  Below the renormalization floor a success arm raises ImprobableBranch and a failure arm is
+        untracked, as at the input stage.
         """
+        if phi not in self._observation:
+            self._observation = {phi: self._observe(phi)}
+        return self._observation[phi]
+
+    def _observe(self, phi: float) -> tuple:
         p, arms = self.prefix.arms
         if self.gaussian_path:
             mean, cov = self.image((phi,))
@@ -775,15 +783,22 @@ class _Route:
 
         The channel is A(phi) (`_through_mzi`), and the tangents (`_Prefix.jet`) give each read's phi-derivatives
         exactly.  `rows` cuts the channel to those variables first (an unheralded kernel read needs its mode's alone).
+        Each signed projector product is integrated once per route and set of phases: the route keeps its part, by
+        arm, order, cut, kernel, blur, monomials and the phases' bytes, for every later read, so an arm and its
+        complement share it.
         """
         k, b, c = self.channel
         if rows is not None:
             k, b, c = k[rows], b[rows], c[rows][:, rows]
         columns, herald = self.prefix.columns(self.ancillas, index, order), herald or wig.UNHERALDED
+        cut = None if rows is None else tuple(rows)
 
         def read(phi: np.ndarray, kernel: list | None = (), blur: np.ndarray | None = None,
                  monomials: list | None = None):
-            return wig.herald_read(columns, _through_mzi(k, phi), b, c, herald, kernel, blur, monomials)
+            key = (index, order, cut, None if kernel is None else tuple(kernel), _bytes(blur), _bytes(phi),
+                   None if monomials is None else tuple(wig._exponents(e, len(b)) for e in monomials))
+            return wig.herald_read(columns, _through_mzi(k, phi), b, c, herald, self._parts.setdefault(key, {}),
+                                   kernel, blur, monomials)
 
         return read
 
@@ -795,7 +810,12 @@ class _Route:
         return image.state((mode,), self.arms[0][1] or wig.UNHERALDED)
 
 
-_route = lru_cache(maxsize=1)(_Route)  # the last config's route, with its most recent observations
+_route = lru_cache(maxsize=1)(_Route)  # the last config's route, with its most recent observation and its reads
+
+
+def _bytes(a: np.ndarray | None) -> tuple | None:
+    """An array's exact key, its dtype, shape and bytes (None for None)."""
+    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
 
 
 def _tangent(config: ScenarioConfig, phi: float) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,8 @@ conditions each term's joint (Y, X) Gaussian and takes one Wick expectation
 of the term's own polynomial (`kernel_densities`); through a herald's Fock
 projectors on ancilla modes of X (`projector`), each projector is one more
 Gaussian kernel with a Laguerre factor, and an unheralded read is the one
-product of no projectors (`UNHERALDED`).  A build (`AffineImage.state`) gives
+product of no projectors (`UNHERALDED`); a store of parts gives a product read
+once to every later read of it.  A build (`AffineImage.state`) gives
 the state of some modes of X through a herald, every other variable
 integrated out once per projector product: both arms of an input-stage herald
 share their products, and a detected mode's photon-number distribution
@@ -186,7 +187,7 @@ def _gaussian_expectation(poly: Poly, mean: np.ndarray, cov: np.ndarray, shifts:
 def _affine_expectation(poly: Poly, lin: np.ndarray, const: np.ndarray, cov: np.ndarray) -> Poly:
     """E[poly(u)] for u = lin y + const + xi, xi ~ N(0, cov), as a poly in y: the cached schedule of the Gaussian
     moment recursion (`_wick_plan`) walked with polynomial values, whose means are affine polys in y.  A pair of
-    zero covariance adds nothing."""
+    zero covariance adds nothing, and a row that only such pairs read is not walked."""
     nk = lin.shape[-1]
     # variables first, any grid axis last
     lin, cov, const = np.moveaxis(lin, (-2, -1), (0, 1)), np.moveaxis(cov, (-2, -1), (0, 1)), np.moveaxis(const, -1, 0)
@@ -197,13 +198,25 @@ def _affine_expectation(poly: Poly, lin: np.ndarray, const: np.ndarray, cov: np.
         means.append(_poly_prune(row) or _const_poly(nk, 0.0))
     rows, slots, _, (out,) = _wick_plan(tuple(poly), None)
     factors = [cov[i][j] * k for i, j, k in slots.tolist()]
-    values = [_const_poly(nk)]
-    for i, r1, pairs in rows:
-        v = _poly_mul(means[i], values[r1])
-        for f, r2 in pairs:
-            if _nonzero(factors[f]):
-                v = _poly_add(v, _poly_scale(values[r2], factors[f]))
-        values.append(v)
+    live = [_nonzero(f) for f in factors]
+    needed = [False] * (len(rows) + 1)  # the rows the output reads, through nonzero pairs only
+    for r in out:
+        needed[r] = True
+    for r in range(len(rows), 0, -1):
+        if needed[r]:
+            _, r1, pairs = rows[r - 1]
+            needed[r1] = True
+            for f, r2 in pairs:
+                if live[f]:
+                    needed[r2] = True
+    values = [_const_poly(nk)] + [None] * len(rows)
+    for r, (i, r1, pairs) in enumerate(rows, 1):
+        if needed[r]:
+            v = _poly_mul(means[i], values[r1])
+            for f, r2 in pairs:
+                if live[f]:
+                    v = _poly_add(v, _poly_scale(values[r2], factors[f]))
+            values[r] = v
     result: Poly = {}
     for coeff, r in zip(poly.values(), out):
         for e, c in _poly_mul({(0,) * nk: coeff}, values[r]).items():
@@ -486,7 +499,8 @@ def _projector_factor(nvars: int, projectors: tuple) -> Poly:
 
 
 def herald_read(columns: list[KernelColumn], rows: np.ndarray, shift: np.ndarray, noise: np.ndarray, herald: tuple,
-                kernel: list | None = (), blur: np.ndarray | None = None, monomials: list | None = None) -> tuple:
+                parts: dict, kernel: list | None = (), blur: np.ndarray | None = None,
+                monomials: list | None = None) -> tuple:
     """`kernel_densities` of a detector's kernel on `kernel` (covariance `blur`; None: all of V, with no
     projector) and its `monomials`, times a herald.
 
@@ -494,17 +508,23 @@ def herald_read(columns: list[KernelColumn], rows: np.ndarray, shift: np.ndarray
     variables v, v + 1 of V (an ancilla mode): a Fock-n herald is one product, a click herald 1 - 2 pi F_0 two,
     and a failure arm the unheralded read minus the success read.  Each projector is one more Gaussian kernel,
     N(0, I/2), and its Laguerre polynomial one more factor.  Returns the summed densities and term magnitudes.
+    `parts` keeps each product's read-only (densities, magnitudes), keyed by its projectors, for later reads of
+    the same columns, channel, kernel and monomials: an arm and its complement share their parts.
     """
     total = size = 0.0
     blur = np.zeros((0, 0)) if blur is None else blur
     for sign, projectors in herald:
-        g, cov, factor = None if kernel is None else list(kernel), blur, None
-        if projectors:
-            g += [v + i for v, _ in projectors for i in (0, 1)]
-            cov = 0.5 * np.eye(len(g))
-            cov[: len(blur), : len(blur)] = blur
-            factor = _projector_factor(rows.shape[1], projectors)
-        densities, scale = kernel_densities(columns, rows, shift, noise, cov, g, factor, monomials)
+        if projectors not in parts:
+            g, cov, factor = None if kernel is None else list(kernel), blur, None
+            if projectors:
+                g += [v + i for v, _ in projectors for i in (0, 1)]
+                cov = 0.5 * np.eye(len(g))
+                cov[: len(blur), : len(blur)] = blur
+                factor = _projector_factor(rows.shape[1], projectors)
+            parts[projectors] = kernel_densities(columns, rows, shift, noise, cov, g, factor, monomials)
+            for a in parts[projectors]:
+                a.flags.writeable = False
+        densities, scale = parts[projectors]
         total, size = total + sign * densities, size + scale
     return total, size
 

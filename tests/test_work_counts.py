@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import types
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -25,6 +26,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = ("ligo_lossy.json", "pacs_counts.json", "subtracted_thermal.json")
 LIGO_LOSSY = str(CONFIGS / "ligo_lossy.json")
 PACS_COUNTS = str(CONFIGS / "pacs_counts.json")
+SUBTRACTED_THERMAL = str(CONFIGS / "subtracted_thermal.json")
 
 
 def two_mode_gaussian() -> ga.GaussianState:
@@ -231,7 +233,7 @@ def test_herald_after_the_phase_builds_each_phase_once(monkeypatch):
     # distributions read each mode off it, one partial integration per distributed mode
     integrations = counter(monkeypatch, wg, "_integrate_out")
     sc._route.cache_clear()
-    sc.run(sc.load_config(str(Path(LIGO_LOSSY).parent / "subtracted_thermal.json")))
+    sc.run(sc.load_config(SUBTRACTED_THERMAL))
     assert len(integrations) == 2
 
 
@@ -241,7 +243,7 @@ def test_output_herald_run_builds_only_its_distributions(metrics, distributed, m
     # every metric reads the prefix, the herald's ancilla included, through the channel; the distributions take
     # each mode off it, one partial integration per mode of the herald's one projector product
     integrations = counter(monkeypatch, wg, "_integrate_out")
-    raw = json.loads((Path(LIGO_LOSSY).parent / "subtracted_thermal.json").read_text())
+    raw = json.loads(Path(SUBTRACTED_THERMAL).read_text())
     sc.run(sc.ScenarioConfig.from_dict(dict(raw, metrics=metrics)))
     assert len(integrations) == 2 * distributed
 
@@ -249,8 +251,7 @@ def test_output_herald_run_builds_only_its_distributions(metrics, distributed, m
 def test_output_herald_drift_builds_nothing(monkeypatch):
     # 200 trials of each detector read its signal's jet, one call for all of them
     integrations = counter(monkeypatch, wg, "_integrate_out")
-    report = sc.phase_drift_study(sc.load_config(str(Path(LIGO_LOSSY).parent / "subtracted_thermal.json")),
-                                  trials=200, seed=1)
+    report = sc.phase_drift_study(sc.load_config(SUBTRACTED_THERMAL), trials=200, seed=1)
     assert len(report.rows) == 2
     assert integrations == []
 
@@ -320,6 +321,72 @@ def test_heralded_point_kernel_density_calls(raw, calls, monkeypatch):
     densities = counter(monkeypatch, wg, "kernel_densities")
     sc.evaluate_point(sc.ScenarioConfig.from_dict(raw))
     assert len(densities) == calls
+
+
+def test_subtracted_thermal_run_reads_each_projector_product_once(monkeypatch):
+    # per phase set and order, each arm's herald read integrates its projector products once: the failure arm
+    # takes the success arm's projected part, and `cfi`'s herald term and both modes' click jets share one herald
+    # read per arm (reading each product anew took 19 density reads and 27 Wick passes)
+    densities = counter(monkeypatch, wg, "kernel_densities")
+    wick = counter(monkeypatch, wg, "_gaussian_expectation")
+    forget_routes()
+    sc.run(sc.load_config(SUBTRACTED_THERMAL))
+    assert (len(densities), len(wick)) == (9, 17)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def subtracted_thermal(**updates) -> dict:
+    return dict(json.loads(Path(SUBTRACTED_THERMAL).read_text()), **updates)
+
+
+@pytest.mark.parametrize("raw", [
+    subtracted_thermal(), subtracted_thermal(metrics=["phase_variance", "cfi", "snr"]),
+    subtracted_thermal(metrics=["phase_variance"], detection=[{"scheme": "parity", "mode": 1},
+                                                              {"scheme": "click", "mode": 1}]),
+    workloads.point_a(1.0),
+], ids=["shipped", "phase_search", "two_blurs", "point_a"])
+def test_warm_route_reads_keep_a_fresh_routes_bits(raw, monkeypatch):
+    # each read of a subtracted_thermal run, through the route whose stored parts serve its repeats, and again
+    # through that warm route after the run, equals the same read through a new route, which integrates afresh;
+    # so do those of runs that search the phase (many phase sets), read one mode through two kernels, or read each
+    # mode unheralded on its own rows (point (a))
+    reads, orig = [], sc._Route.read
+
+    def recorded(route, *args):
+        read = orig(route, *args)
+
+        def replayed(*call, **kwargs):
+            reads.append((args, call, kwargs, read(*call, **kwargs)))
+            return reads[-1][3]
+
+        return replayed
+
+    monkeypatch.setattr(sc._Route, "read", recorded)
+    config = sc.ScenarioConfig.from_dict(raw)
+    forget_routes()
+    sc.run(config)
+    monkeypatch.undo()
+    warm = sc._route(config)
+    stored = [a for parts in warm._parts.values() for part in parts.values() for a in part]
+    assert reads and stored and not any(a.flags.writeable for a in stored)
+    for args, call, kwargs, got in reads:
+        fresh = sc._Route(config).read(*args)(*call, **kwargs)
+        for read in (got, warm.read(*args)(*call, **kwargs)):
+            assert all(map(same_bits, read, fresh))
+
+
+def test_a_route_the_cache_has_left_is_freed():
+    # a route keeps its last observation and its reads itself, so once `_route` moves on to another config nothing
+    # holds the old route, nor its stored parts
+    forget_routes()
+    config = sc.ScenarioConfig.from_dict(workloads.point_a(1.0))
+    sc._route(config).observe(config.phi)
+    left = weakref.ref(sc._route(config))
+    sc._route(sc.load_config(SUBTRACTED_THERMAL))
+    assert left() is None
 
 
 def test_heralded_reference_points_take_at_most_33_wick_expectations(monkeypatch):
@@ -436,7 +503,8 @@ def test_counts_builds_no_failure_branch_and_one_inverse_dft(monkeypatch):
 def test_counted_m3_herald_substitutes_nothing(monkeypatch):
     # an m = 3 `counts` run conditions the prefix through its stack of channels, the MZI and the beam
     # splitters included, in one partial integration: no polynomial product grows past the counted state's
-    # 16 monomials
+    # 16 monomials, and its build takes 28 products, walking only the schedule rows its output reads through
+    # nonzero covariances (every row took 32)
     calls = counter(monkeypatch, wg, "_integrate_out")
     sizes = []
     orig = wg._poly_mul
@@ -449,8 +517,8 @@ def test_counted_m3_herald_substitutes_nothing(monkeypatch):
     monkeypatch.setattr(wg, "_poly_mul", sized)
     report = sc.simulate_counts(sc.load_config(PACS_COUNTS).with_values(m=3), trials=3600, seed=42)
     assert len(report.rows) == 19
-    assert len(calls) == 1
-    assert 0 < max(sizes) <= 16
+    assert (len(calls), len(sizes)) == (1, 28)
+    assert max(sizes) <= 16
 
 
 @pytest.mark.parametrize("raw", [workloads.point_a(1.0), workloads.point_b(1.0)], ids=["point_a", "point_b"])
