@@ -10,11 +10,12 @@ switches to the full Wigner representation.
 Each config's route (`_Route`) is decided once: its path, its prefix record
 and the channel after the MZI.  The prefix record (`_Prefix`) is the
 phase-independent part upstream of phi, the inputs and the input stage, heralds
-included, with the uniform loss on the Wigner path; each of its pieces is built
-on first read and shared by every config with the same prefix.  Everything
-after it is one Gaussian channel X = A(phi) Y + b + xi on the prefix Y, with
-A = K M(phi): a Gaussian prefix maps through it, and a Wigner prefix stays as
-it is while only the observable moves, so an arm at a phase is read through
+included; each of its pieces is built on first read and shared by every config
+with the same prefix.  Everything after it is one Gaussian channel
+X = A(phi) Y + b + xi on the prefix Y, with A = K M(phi) and the uniform loss
+the first map of K on either path, since it commutes with the passive MZI: a
+Gaussian prefix maps through it, and a Wigner prefix stays as it is while only
+the observable moves, so an arm at a phase is read through
 the channel (`_Route.read`, the one reader) and no state is built there.  A
 herald at either stage adds its ancilla to the prefix as one more mode, its
 coupling to a channel and its projector to every read: a single herald's two
@@ -62,7 +63,8 @@ OPTIMUM_TIE = 1e-9
 # (1 and -2 pi F_0 of a click herald, say) cancel to no less than 1 / HERALD_CANCELLATION of their magnitude.
 HERALD_RESOLUTION = 5e-9
 HERALD_CANCELLATION = 1e4
-# Prefix records kept: every point of a sweep over a parameter after the MZI reads one.
+# Prefix records kept: every point of a sweep over a parameter after the MZI reads one, L and D included, since
+# the uniform loss is the first map after the MZI.
 PREFIX_CACHE_SIZE = 8
 # Most points of a grid, a phi grid in a config or a --grid option
 MAX_GRID_POINTS = 100_000
@@ -490,22 +492,20 @@ def _ancillas(mods) -> tuple:
     return tuple(_herald_args(m)[1] for m in mods if m.heralded)
 
 
-def _success(mods) -> tuple:
-    """The success read of the heralds among `mods`: herald j reads its ancilla (variables 4 + 2j, 5 + 2j)
-    through its projector, and the success arm the product of them, as signed products for `wig.herald_read`."""
+def _herald_reads(mods) -> tuple:
+    """The arm reads of the heralds among `mods`, as signed products for `wig.herald_read`: the success read, in
+    which herald j reads its ancilla (variables 4 + 2j, 5 + 2j) through its projector and the success arm the
+    product of them, then for a single herald its complement, the projector pair's other read (`wig.projector`)."""
+    heralds = [m for m in mods if m.heralded]
     success = wig.UNHERALDED
-    for j, mod in enumerate(m for m in mods if m.heralded):
+    for j, mod in enumerate(heralds):
         n, click = _herald_args(mod)[2:]
         success = tuple((s1 * s2, p1 + p2) for s1, p1 in success for s2, p2 in wig.projector(4 + 2 * j, n, click))
-    return success
+    return (success, wig.projector(4, n, not click)) if len(heralds) == 1 else (success,)
 
 
 def _input_mods(config: ScenarioConfig) -> tuple:
     return tuple(m for m in config.modifications if m.stage == "input")
-
-
-def _uniform_loss(config: ScenarioConfig) -> ga.LossSpec | None:
-    return config.noise.loss if config.noise.loss is not None and config.noise.loss.total > 0.0 else None
 
 
 def _herald_args(mod: ModificationSpec) -> tuple:
@@ -529,18 +529,18 @@ def _gaussian_step(m: ModificationSpec, modes: int) -> sym.SymplecticTransform:
 
 
 class _Prefix:
-    """The phase-independent record of a pipeline: the inputs and input-stage modifications, heralds included, and
-    on the Wigner path the uniform `loss`.  Each part is built on its first read and kept with the record, which
-    the points of a sweep after the MZI share.
+    """The phase-independent record of a pipeline: the inputs and input-stage modifications, heralds included.
+    Each part is built on its first read and kept with the record, which the points of a sweep over anything
+    after the MZI share, L and D included: the uniform loss is the first map after the MZI (`_after_mzi`).
 
     A Gaussian prefix propagates the inputs through each modification.  A Wigner prefix is one image of the
     inputs and one Fock ancilla per herald (`_ancillas`) through one channel, the modifications in order
-    (`_then`) and then the uniform `loss`, built through the heralds' projectors (`wig.AffineImage.state`); with
-    neither modifications nor loss it is the inputs' product state.  Its record is `arms`, (p, arms).
+    (`_then`), built through the heralds' projectors (`wig.AffineImage.state`); with no modifications it is the
+    inputs' product state.  Its record is `arms`, (p, arms).
     """
 
-    def __init__(self, inputs: tuple, input_mods: tuple, gaussian_path: bool, loss: ga.LossSpec | None):
-        self.inputs, self.input_mods, self.gaussian_path, self.loss = inputs, input_mods, gaussian_path, loss
+    def __init__(self, inputs: tuple, input_mods: tuple, gaussian_path: bool):
+        self.inputs, self.input_mods, self.gaussian_path = inputs, input_mods, gaussian_path
         self._jets, self._columns = {}, {}  # (ancillas, arm, order) -> W^(order), (W, ..., W^(order)) as columns
 
     @cached_property
@@ -548,34 +548,27 @@ class _Prefix:
         """(p, arms): the success probability, and the success arm then, where it is tracked, the failure arm, of
         weight 1 - p.
 
-        The success arm reads the product of the heralds' projectors (`_success`) and raises ImprobableBranch
-        when its probability is below the renormalization floor.  A single herald also tracks its failure arm,
-        the projector pair's other read (`wig.projector`), which is left untracked below the floor, so a herald
+        The success arm reads the product of the heralds' projectors (`_herald_reads`) and raises
+        ImprobableBranch when its probability is below the renormalization floor.  A single herald also tracks its
+        failure arm, the projector pair's other read, which is left untracked below the floor, so a herald
         that succeeds almost surely is kept.  Each arm is normalized by its own norm, and its probability is that
         norm over the unheralded read's: the products the reads share are integrated once.
         """
-        inputs, input_mods, loss = self.inputs, self.input_mods, self.loss
+        inputs, input_mods = self.inputs, self.input_mods
         if self.gaussian_path:
             state = ga.tensor([s.gaussian() for s in inputs])
             for m in input_mods:
                 state = ga.propagate(state, _gaussian_step(m, 2))
             return 1.0, (state,)
         joint = _with_ancillas(wig.tensor_exprs(inputs[0].expr(), inputs[1].expr()), _ancillas(input_mods))
-        if not input_mods and loss is None:
+        if not input_mods:
             return 1.0, (joint,)
         n = joint.nvars
-        channel = _then(input_mods, n, np.eye(n), np.zeros(n), np.zeros((n, n)))
-        if loss is not None:
-            channel = _attenuated(channel, slice(0, 4), math.sqrt(1.0 - loss.total), loss.total / 2.0)
-        image = wig.AffineImage(joint, *channel)
+        image = wig.AffineImage(joint, *_then(input_mods, n, np.eye(n), np.zeros(n), np.zeros((n, n))))
         unheralded = image.state((1, 2))
-        heralds = [m for m in input_mods if m.heralded]
-        if not heralds:
+        if not any(m.heralded for m in input_mods):
             return 1.0, (unheralded,)
-        reads = [image.state((1, 2), _success(heralds))]
-        if len(heralds) == 1:
-            n, click = _herald_args(heralds[0])[2:]
-            reads.append(image.state((1, 2), wig.projector(4, n, not click)))
+        reads = [image.state((1, 2), herald) for herald in _herald_reads(input_mods)]
         ok, p = wig._herald_branch(reads[0], reads[0].norm / unheralded.norm)
         return p, (ok, *(w.normalize() for w in reads[1:] if w.norm / unheralded.norm >= wig.IMPROBABLE_FLOOR))
 
@@ -632,16 +625,13 @@ class _Prefix:
         """Total mean photon number entering the interferometer, which the passive MZI keeps.
 
         It is the state itself on the Gaussian path, and on the Wigner path its four second moments
-        (<n_k> = (<x_k^2> + <p_k^2> - 1) / 2), read with the QFI's (`moments`).  A Wigner prefix holds the uniform
-        loss L, which scales the total by 1 - L exactly; at L = 1 the lossless prefix is read instead.
+        (<n_k> = (<x_k^2> + <p_k^2> - 1) / 2), read with the QFI's (`moments`).  The uniform loss follows the MZI,
+        so the total is the lossless input's at every L.
         """
-        loss = self.loss
         if self.gaussian_path:
             return ga.total_mean_photon(self.arms[1][0])
-        if loss is not None and loss.total >= 1.0:
-            return _prefix(self.inputs, self.input_mods, False, None).mean_photon
         xx = self.moments  # <x_1^2>, <p_1^2>, <x_2^2>, <p_2^2> first
-        return float(sum(0.5 * (xx[i] + xx[i + 1]) - 0.5 for i in (0, 2))) / (1.0 if loss is None else 1.0 - loss.total)
+        return float(sum(0.5 * (xx[i] + xx[i + 1]) - 0.5 for i in (0, 2)))
 
 
 _prefix = lru_cache(maxsize=PREFIX_CACHE_SIZE)(_Prefix)
@@ -654,18 +644,18 @@ def _with_ancillas(expr: wig.WignerExpr, ancillas: tuple) -> wig.WignerExpr:
     return expr
 
 
-def _after_mzi(config: ScenarioConfig, loss: ga.LossSpec | None, n: int) -> tuple:
+def _after_mzi(config: ScenarioConfig, n: int) -> tuple:
     """(K, b, C): the maps after the MZI as one channel X = K Z + b + xi, xi ~ N(0, C), on its output Z.
 
     Z holds n variables: the two interferometer modes and one ancilla mode per herald after the phase, on which
-    the MZI acts as the identity.  A uniform `loss` L comes first: K = sqrt(1 - L) I and C = (L / 2) I.  Thermal
-    injection on a mode scales it by sqrt(eta) and adds noise of variable covariance (1 - eta)(2 nbar + 1)/2
-    there; the output stage follows (`_then`).
+    the MZI acts as the identity.  The uniform loss L of the config comes first on every path, the one place it
+    is applied: it acts alike on both modes, so it commutes with the passive MZI, and K = sqrt(1 - L) I and
+    C = (L / 2) I.  Thermal injection on a mode scales it by sqrt(eta) and adds noise of variable covariance
+    (1 - eta)(2 nbar + 1)/2 there; the output stage follows (`_then`).
     """
-    channel = np.eye(n), np.zeros(n), np.zeros((n, n))
-    if loss is not None:
-        channel = _attenuated(channel, slice(0, 4), math.sqrt(1.0 - loss.total), loss.total / 2.0)
-    noise = config.noise
+    channel, noise = (np.eye(n), np.zeros(n), np.zeros((n, n))), config.noise
+    if noise.loss is not None:
+        channel = _attenuated(channel, slice(0, 4), math.sqrt(1.0 - noise.loss.total), noise.loss.total / 2.0)
     for m in noise.thermal_modes if noise.has_thermal else ():
         channel = _attenuated(channel, slice(2 * m - 2, 2 * m), math.sqrt(noise.thermal_eta),
                               (1.0 - noise.thermal_eta) * (2.0 * noise.thermal_nbar + 1.0) / 2.0)
@@ -713,27 +703,22 @@ def _through_mzi(k: np.ndarray, phi, derivative: bool = False) -> np.ndarray:
 
 class _Route:
     """How the detectors of one config see its state, decided once: its path, its prefix record (`_prefix`), the
-    channel after the MZI (`_after_mzi`), (K, b, C), and the arms they read.
+    channel after the MZI (`_after_mzi`), (K, b, C), the uniform loss first, and the arms they read.
 
-    The uniform loss follows the MZI on the Gaussian path and sits in the prefix on the Wigner path, where it
-    commutes with the passive MZI.  A herald after the phase adds its ancilla to the prefix (`ancillas`) and its
-    coupling to the channel.  An arm is (prefix arm, herald): the prefix arms, unheralded (None), or the output
-    heralds' product (`_success`) and, for a single herald alone, its complement: the projector pair the input
-    stage reads too.
+    A herald after the phase adds its ancilla to the prefix (`ancillas`) and its coupling to the channel.  An arm
+    is (prefix arm, herald): the prefix arms, unheralded (None), or the output heralds' reads (`_herald_reads`),
+    their product and, for a single herald with none ahead of the phase, its complement: the projector pair the
+    input stage reads too.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.gaussian_path = _gaussian_possible(config)
-        loss = _uniform_loss(config)
-        prefix_loss, channel_loss = (None, loss) if self.gaussian_path else (loss, None)
-        self.prefix = _prefix(config.inputs, _input_mods(config), self.gaussian_path, prefix_loss)
+        self.prefix = _prefix(config.inputs, _input_mods(config), self.gaussian_path)
         heralds = tuple(m for m in config.modifications if m.heralded and m.stage == "output")
         self.ancillas = _ancillas(heralds)
-        self.channel = _after_mzi(config, channel_loss, 4 + 2 * len(heralds))
-        self.arms = ((0, _success(heralds)),) if heralds else ((0, None), (1, None))
-        if len(heralds) == 1 and not any(m.heralded for m in self.prefix.input_mods):
-            n, click = _herald_args(heralds[0])[2:]
-            self.arms += ((0, wig.projector(4, n, not click)),)
+        self.channel = _after_mzi(config, 4 + 2 * len(heralds))
+        reads = _herald_reads(heralds)[: 1 if any(m.heralded for m in self.prefix.input_mods) else None]
+        self.arms = tuple((0, herald) for herald in reads) if heralds else ((0, None), (1, None))
         self._samples = {}  # sample set of phases -> the Gaussian image there, validated
         self._observation = {}  # the last phase observed -> its (p, arms)
         self._parts = {}  # a read's key -> {projectors: its read-only part}, as `wig.herald_read` keeps them
@@ -1091,14 +1076,16 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
     that conditional state does not bound the herald-weighted CFI, so none is given.
     A Gaussian family takes one observation: `est.qfi_mixed_gaussian` on the
     state and its exact tangent (`_tangent`), labelled pure or mixed from the
-    symplectic eigenvalues that formula uses.  On the Wigner path with no
-    noise after the MZI (C = 0, which thermal injection at eta = 1 keeps), a
-    pure prefix is a pure input to the MZI, whose phase is generated by
-    J_z = (n1 - n2)/2 after its first 50/50 splitter: F = 4 Var(J_z) =
-    Var(n1 - n2) there (`_Prefix.qfi`), the same at every phi.  The output
-    squeezes and displacements are phi-independent unitaries and keep it.
-    Noise after the MZI leaves a mixed non-Gaussian family, for which no QFI
-    is given.
+    symplectic eigenvalues that formula uses.  On the Wigner path, a channel
+    of K = 0 on the interferometer modes (a total loss, L = 1 or D = 0) leaves
+    a family that does not depend on phi, of QFI 0.  With no noise after the
+    MZI (C = 0, which thermal injection at eta = 1 keeps), a pure prefix is a
+    pure input to the MZI, whose phase is generated by J_z = (n1 - n2)/2 after
+    its first 50/50 splitter: F = 4 Var(J_z) = Var(n1 - n2) there
+    (`_Prefix.qfi`), the same at every phi.  The output squeezes and
+    displacements are phi-independent unitaries and keep it.  Noise after the
+    MZI, the uniform loss included, leaves a mixed non-Gaussian family, for
+    which no QFI is given.
     """
     route = _route(config)
     if route.ancillas:
@@ -1107,6 +1094,8 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
         qfi, pure = est.qfi_mixed_gaussian(route.observe(phi)[1][0], *_tangent(config, phi))
         return qfi, "pure_gaussian" if pure else "mixed_gaussian"
     mixed = None, "unavailable (mixed non-Gaussian)"
+    if not np.any(route.channel[0][:, :4]):
+        return 0.0, "pure_wigner"
     if np.any(route.channel[2]):
         return mixed
     try:
@@ -1354,19 +1343,19 @@ def _counted(config: ScenarioConfig, mod: ModificationSpec, grid: tuple) -> tupl
     """(state, herald probability) of the counted mode at every T of the grid, from one read of a stack of channels.
 
     With `mod` taking the grid as its T, the inputs carry its ancilla as mode 3, and the whole pipeline (the
-    input stage, couplings included, then the uniform loss, the MZI and the maps after it) is one channel per T.
+    input stage, couplings included, then the MZI and the maps after it, the uniform loss first) is one channel
+    per T.
     The counted mode is read off the stack through the herald's success projector (`wig.AffineImage.state`)
     and kept, normalized, at the points of probability at or above the renormalization floor
     (`wig._herald_branch`).
     """
     gridded = replace(mod, T=grid)
     config = replace(config, modifications=tuple(gridded if m is mod else m for m in config.modifications))
-    expr = _prefix(config.inputs, (), False, None).jet((_herald_args(mod)[1],), 0)
+    expr = _prefix(config.inputs, (), False).jet((_herald_args(mod)[1],), 0)
     j, s, _ = _then(_input_mods(config), 6, np.eye(6), np.zeros(6), np.zeros((6, 6)))
-    k, b, c = _after_mzi(config, _uniform_loss(config), 6)
+    k, b, c = _after_mzi(config, 6)
     a = _through_mzi(k, config.phi)
-    herald = wig.projector(4, *_herald_args(mod)[2:])
-    state = wig.AffineImage(expr, a @ j, wig._mv(a, s) + b, c).state((mod.mode,), herald)
+    state = wig.AffineImage(expr, a @ j, wig._mv(a, s) + b, c).state((mod.mode,), _herald_reads((mod,))[0])
     return wig._herald_branch(state, state.norm * np.ones(len(grid)))
 
 

@@ -420,18 +420,26 @@ class Built(PipelineResult):
 def build_pipeline(config, phi: float | None = None) -> Built:
     """The forward build at one phase: the prefix, the MZI, the noise, then the output stage.
 
-    Uniform loss on both modes commutes with the passive MZI, so on the Wigner
-    path, where each loss is an attenuation, it sits in the prefix; on the
-    Gaussian path it follows the MZI.  This is the referee of the engine's
-    prefix channel (`sc._Route.observe`) and of every read taken off it.
+    Uniform loss on both modes commutes with the passive MZI.  The engine
+    applies it first in the channel after the MZI on either path; here, on the
+    Wigner path, where each loss is an attenuation, it sits in the prefix, ahead
+    of the MZI, and on the Gaussian path it follows the MZI.  That placement is
+    the referee's own check of the commutation.  This is the referee of the
+    engine's prefix channel (`sc._Route.observe`) and of every read taken off it.
     """
     return output_stage(before_output(config, phi), config)
+
+
+def uniform_loss(config):
+    """The config's uniform loss, or None where it loses nothing."""
+    loss = config.noise.loss
+    return loss if loss is not None and loss.total > 0.0 else None
 
 
 def before_output(config, phi: float | None = None) -> PipelineResult:
     """The forward build up to its output stage: the prefix (`prefix`), then the MZI and the noise."""
     phi = config.phi if phi is None else phi
-    gaussian_path, loss, noise = sc._gaussian_possible(config), sc._uniform_loss(config), config.noise
+    gaussian_path, loss, noise = sc._gaussian_possible(config), uniform_loss(config), config.noise
     res = prefix(config.inputs, sc._input_mods(config), gaussian_path, None if gaussian_path else loss)
     mzi = sym.SymplecticTransform(sym.mzi_matrix(phi))
     res = each(res, lambda s: ga.propagate(s, mzi) if gaussian_path else apply_symplectic(s, mzi))

@@ -280,9 +280,9 @@ def test_strongly_squeezed_lossy_qfi_runs(r, tmp_path):
 
 @pytest.mark.parametrize("loss", [0.0, 0.5, 1.0])
 def test_lossy_heralded_point_reads_the_lossless_photon_number(loss, tmp_path):
-    # point (a) with its uniform loss L in the Wigner prefix: snl and hl read the input's photon number at every
-    # L, at L = 1 off the lossless prefix; a lossy heralded prefix is mixed and non-Gaussian and gets no QFI,
-    # and at L = 1 the prefix is the pure vacuum, of QFI 0
+    # point (a) with a uniform loss L after the MZI: snl and hl read the input's photon number off the lossless
+    # prefix at every L; a lossy heralded family is mixed and non-Gaussian and gets no QFI, and at L = 1 it does
+    # not depend on phi, of QFI 0
     raw = dict(workloads.point_a(1.0), noise={"loss": {"L": loss}}, metrics=["qfi"])
     report = _cli_report(tmp_path, "run", raw)
     row = report["rows"][0]

@@ -1,7 +1,7 @@
 """One pipeline body for both state types: the cached phi-independent prefix
-(uniform loss included on the Wigner path), the single click-CFI formula, the
-QFI route chosen from the state, and the reported phase variances against the
-QCRB."""
+(the uniform loss follows it, first in the channel after the MZI), the single
+click-CFI formula, the QFI route chosen from the state, and the reported phase
+variances against the QCRB."""
 
 import dataclasses
 import json
@@ -130,25 +130,39 @@ PREFIX_CASES = {
 }
 
 
+def assert_same_expr(got: wg.WignerExpr, want: wg.WignerExpr, points: np.ndarray, label) -> None:
+    """The two expressions agree in norm, in every moment of degree <= 4 and in value at `points`."""
+    assert got.norm == pytest.approx(want.norm, rel=1e-12), label
+    # a moment that vanishes by symmetry is rounding on the scale of the largest
+    t_got, t_want = ref.moment_tensor(got), ref.moment_tensor(want)
+    assert np.all(np.abs(t_got - t_want) <= 1e-12 * np.abs(t_want) + 1e-15 * np.max(np.abs(t_want))), label
+    values = np.array([[ref.evaluate(got, x), ref.evaluate(want, x)] for x in points])
+    assert np.max(np.abs(values[:, 0] - values[:, 1])) <= 1e-12 * np.max(np.abs(values[:, 1])), label
+
+
 @pytest.mark.parametrize("name", sorted(PREFIX_CASES))
 def test_each_prefix_arm_matches_the_stage_by_stage_referee(name):
     # the prefix is one read of the inputs and the heralds' ancillas through one channel; the referee applies one
-    # modification at a time, substituting each map and conditioning each herald alone, then each mode's loss
+    # modification at a time, substituting each map and conditioning each herald alone.  The uniform loss is the
+    # first map of the channel after the MZI, so the prefix is the lossless one, and a lossy arm is checked where
+    # it lives: the route's observation and detected modes, against the forward build, whose loss sits in its
+    # prefix
     inputs, mods, loss = PREFIX_CASES[name]
     raw = {"inputs": inputs, "modifications": mods, "interferometer": {"phi": 0.0}}
     cfg = sc.ScenarioConfig.from_dict(dict(raw, noise={"loss": loss}) if loss else raw)
-    key = (cfg.inputs, sc._input_mods(cfg), False, sc._uniform_loss(cfg))
-    (p, arms), want = sc._prefix(*key).arms, ref.prefix(*key)
+    key = (cfg.inputs, sc._input_mods(cfg), False)
+    (p, arms), want = sc._prefix(*key).arms, ref.prefix(*key, None)
     assert p == pytest.approx(want.success_prob, rel=1e-12, abs=0.0)
     assert (want.failure_state is None) == (name == "two_heralds") == (len(arms) == 1)
     points = np.random.default_rng(3).normal(scale=0.8, size=(12, 4))
     for arm, g, w in zip(("state", "failure_state"), arms, (want.state, want.failure_state)):
-        assert g.norm == pytest.approx(w.norm, rel=1e-12)
-        # every moment of degree <= 4; one that vanishes by symmetry is rounding on the scale of the largest
-        t_got, t_want = ref.moment_tensor(g), ref.moment_tensor(w)
-        assert np.all(np.abs(t_got - t_want) <= 1e-12 * np.abs(t_want) + 1e-15 * np.max(np.abs(t_want))), arm
-        values = np.array([[ref.evaluate(g, x), ref.evaluate(w, x)] for x in points])
-        assert np.max(np.abs(values[:, 0] - values[:, 1])) <= 1e-12 * np.max(np.abs(values[:, 1])), arm
+        assert_same_expr(g, w, points, arm)
+    for phi in (0.4, 2.2) if loss else ():
+        built, route = ref.build_pipeline(cfg, phi), sc._route(cfg)
+        assert route.observe(phi)[0] == pytest.approx(built.success_prob, rel=1e-12, abs=0.0)
+        for mode in (1, 2):
+            assert_same_expr(route.detected(phi, mode), ref.marginal_mode(built.state, mode), points[:, :2],
+                             (phi, mode))
 
 
 def test_two_input_heralds_floor_their_joint_probability():
@@ -171,7 +185,7 @@ def test_an_input_click_that_fires_almost_surely_keeps_its_row():
     click = {"op": "subtract", "stage": "input", "mode": 1, "m": "click", "T": 0.5}
     cfg = config([{"kind": "coherent", "alpha": 10.0}, VACUUM], [click], metrics=["snr", "cfi"],
                  detection=[{"scheme": "intensity", "mode": 1}])
-    assert len(sc._prefix(cfg.inputs, sc._input_mods(cfg), False, None).arms[1]) == 1
+    assert len(sc._prefix(cfg.inputs, sc._input_mods(cfg), False).arms[1]) == 1
     report, warnings, _ = sc.evaluate_point(cfg)
     assert not warnings and "flag" not in report.extras
     assert report.snr["mode1"] > 0.0 and report.cfi > 0.0
@@ -214,6 +228,10 @@ def mean_photon(raw: dict) -> float:
 
 
 class TestUniformLossInPrefix:
+    """The forward build's uniform loss, in its Wigner prefix ahead of the MZI, against the loss after the MZI:
+    the referee's own check of the commutation that lets the engine apply the loss first after the MZI, and the
+    input photon number the prefix gives at every L."""
+
     @pytest.mark.parametrize("raw", [workloads.point_b(1.0), LOSSY_FOCK], ids=["point_b", "fock_thermal_output"])
     @pytest.mark.parametrize("phi", [0.3, 1.0, 2.9, 4.4])
     def test_matches_noise_after_the_mzi(self, raw, phi):
@@ -228,7 +246,7 @@ class TestUniformLossInPrefix:
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_input_mean_photon_at_total_loss_reads_the_lossless_prefix(self):
-        # the lossy prefix holds (1 - L) <n>, which L = 1 leaves no way to divide back out
+        # the uniform loss follows the MZI, so the prefix holds the input's <n> at every L, L = 1 included
         raw = workloads.point_b(1.0)
         lossless = mean_photon({k: v for k, v in raw.items() if k != "noise"})
         got = mean_photon(dict(raw, noise={"loss": {"L": 1.0, "D": 0.9}}))

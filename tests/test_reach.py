@@ -2,9 +2,9 @@
 
 One child interpreter runs, under `sys.settrace`:
 - the reach commands: `wignersim.cli.main` running the benchmark's heralded points (a), (b) and (b) at m = 2, the
-  QFI of (a) at uniform loss L = 0.5 and 1 and two configs that take the remaining modifications, noise and
-  detectors, sweeping (over L and phi), drifting (both distributions) and counting the shipped configs, and
-  validating a key-tree file;
+  QFI and distributions of (a) at uniform loss L = 0.5 and 1, the QFI of a mixed Wigner input behind a noise-free
+  channel and two configs that take the remaining modifications, noise and detectors, sweeping (over L and phi),
+  drifting (both distributions) and counting the shipped configs, and validating a key-tree file;
 - every CLI call of `tests/test_cli.py`, its exit-2 configs and the configs whose rows it checks against a
   referee, as pytest runs that file, traced inside `cli.main` alone;
 - the library cases: README's library example, the functions README presents as API at their own argument
@@ -78,6 +78,11 @@ SPDC_OUTPUT = {  # an SPDC addition after the phase on coherent + thermal inputs
     "detection": [{"scheme": "intensity", "mode": 1}, {"scheme": "parity", "mode": 2}],
     "metrics": ["phase_variance", "cfi", "qfi", "snr"],
 }
+THERMAL_FOCK = {  # a mixed Wigner prefix seen through no noise
+    "inputs": [{"kind": "fock"}, {"kind": "thermal", "nbar": 0.3}],
+    "interferometer": {"phi": 0.7},
+    "metrics": ["qfi"],
+}
 KEY_TREE = """# coherent + vacuum, parity on mode 1, given as a bare string; a list entry set by its index
 interferometer.phi = 1.0
 detection.0.scheme = parity
@@ -90,10 +95,11 @@ alpha = 1.0
 
 
 def _commands(work: Path) -> list:
-    configs = {"fock_click": FOCK_CLICK, "spdc_output": SPDC_OUTPUT, "point_a": workloads.point_a(1.0),
-               "point_b": workloads.point_b(1.0), "point_b_m2": workloads.point_b(1.0, m=2),
-               **{f"point_a_L{loss}": dict(workloads.point_a(1.0), noise={"loss": {"L": loss}}, metrics=["qfi"])
-                  for loss in (0.5, 1.0)}}
+    configs = {"fock_click": FOCK_CLICK, "spdc_output": SPDC_OUTPUT, "thermal_fock": THERMAL_FOCK,
+               "point_a": workloads.point_a(1.0), "point_b": workloads.point_b(1.0),
+               "point_b_m2": workloads.point_b(1.0, m=2),
+               **{f"point_a_L{loss}": dict(workloads.point_a(1.0), noise={"loss": {"L": loss}},
+                                           metrics=["qfi", "distributions"]) for loss in (0.5, 1.0)}}
     for name, cfg in configs.items():
         (work / f"{name}.json").write_text(json.dumps(cfg))
     (work / "key_tree.cfg").write_text(KEY_TREE)

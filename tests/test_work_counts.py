@@ -285,30 +285,26 @@ def test_second_heralded_point_builds_no_wick_schedule(monkeypatch):
 
 
 def test_lossy_heralded_point_applies_uniform_loss_once(monkeypatch):
-    # ROADMAP heralded reference (b) on the pulled-back route: the loss on both modes sits in the cached
-    # prefix, and no phi substitutes the MZI into a term
+    # ROADMAP heralded reference (b) on the pulled-back route: the loss on both modes is the first map of the
+    # channel after the MZI, and no phi substitutes the MZI into a term
     integrations = counter(monkeypatch, wg, "_integrate_out")
     forget_routes()
     sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
-    # the herald's projected part and the unheralded part of the lossy prefix, whose channel holds the input
-    # squeeze and the loss; the photon-number probe reads that prefix too, over 1 - L
+    # the herald's projected part and the unheralded part of the prefix, whose channel holds the input squeeze;
+    # the photon-number probe reads that prefix too
     assert len(integrations) == 2
 
 
-def test_lossy_heralded_point_builds_no_lossless_moment_tensor(monkeypatch):
-    # the input photon number of a lossy Wigner point takes four second moments of the lossy prefix the observer
-    # reads, over 1 - L: no lossless prefix is read, nor its moments
-    losses = []
-    orig = sc._prefix
-
-    def counted(inputs, input_mods, gaussian_path, loss):
-        losses.append(loss)
-        return orig(inputs, input_mods, gaussian_path, loss)
-
-    monkeypatch.setattr(sc, "_prefix", counted)
-    sc._route.cache_clear()  # a new route reads the lossy prefix record
-    sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_b(1.0)))
-    assert losses and None not in losses
+def test_lossy_heralded_point_builds_one_prefix_record_the_lossless_one():
+    # the uniform loss follows the MZI, so point (b) builds one prefix record for every metric and the input
+    # photon number, and its lossless config reads that same record
+    forget_routes()
+    config = sc.ScenarioConfig.from_dict(workloads.point_b(1.0))
+    sc.evaluate_point(config)
+    prefix = sc._route(config).prefix
+    assert sc._prefix.cache_info().misses == 1
+    lossless = sc.ScenarioConfig.from_dict({k: v for k, v in workloads.point_b(1.0).items() if k != "noise"})
+    assert sc._route(lossless).prefix is prefix
 
 
 @pytest.mark.parametrize("raw, calls", [(workloads.point_a(1.0), 11), (workloads.point_b(1.0), 11)],
@@ -545,11 +541,27 @@ def test_phi_sweep_shares_its_prefix(monkeypatch):
 
 
 def test_loss_sweep_of_a_gaussian_config_propagates_once(monkeypatch):
-    # the Gaussian path keeps its loss in the channel after the MZI, so every L reads one prefix
+    # the uniform loss is the first map of the channel after the MZI, so every L reads one prefix
     calls = counter(monkeypatch, ga, "propagate")
     forget_routes()
     report = sc.sweep(sc.load_config(LIGO_LOSSY), "L", [0.0, 0.1, 0.3])
     assert len(report.rows) == 3 and len(calls) == 1
+
+
+def test_loss_sweep_of_a_heralded_point_reads_one_prefix(monkeypatch):
+    # on the Wigner path too: three L of point (b) read one prefix, its two partial integrations and its three
+    # phase tangents, as one point does, and each row is the one its point gives alone
+    config = sc.ScenarioConfig.from_dict(workloads.point_b(1.0))
+    grid = [0.0, 0.1, 0.3]
+    alone = []
+    for value in grid:
+        forget_routes()
+        alone.append(sc.evaluate_point(config.with_values(L=value))[0].as_dict())
+    calls = [counter(monkeypatch, wg, name) for name in ("_integrate_out", "phase_tangent")]
+    forget_routes()
+    report = sc.sweep(config, "L", grid)
+    assert [len(c) for c in calls] == [2, 3]
+    assert [{k: v for k, v in row.items() if k not in ("index", "L")} for row in report.rows] == alone
 
 
 @pytest.mark.parametrize("raw", [*(json.loads((CONFIGS / name).read_text()) for name in SHIPPED),
