@@ -18,7 +18,7 @@ SYMMETRY_TOL = 1e-12
 BONA_FIDE_TOL = 1e-9
 
 
-def check_covariance(cov: np.ndarray, tol: float = BONA_FIDE_TOL) -> None:
+def check_covariance(cov: np.ndarray) -> None:
     """Validate finiteness, symmetry, positive definiteness, and the sigma + i*Omega >= 0 condition of a
     covariance, or of every one of a stack (..., 2N, 2N) at once; a failure reports the worst of the stack."""
     if cov.ndim < 2 or cov.shape[-2] != cov.shape[-1] or cov.shape[-1] % 2 != 0:
@@ -33,7 +33,7 @@ def check_covariance(cov: np.ndarray, tol: float = BONA_FIDE_TOL) -> None:
         raise ValueError(f"covariance not positive definite (min eigenvalue {low:.3e})")
     herm = cov.astype(complex) + 1j * omega(cov.shape[-1] // 2)
     low = np.min(np.linalg.eigvalsh((herm + np.swapaxes(herm, -1, -2).conj()) / 2.0)[..., 0])
-    if low < -tol:
+    if low < -BONA_FIDE_TOL:
         raise ValueError(f"state not bona fide: min eig of sigma + i Omega is {low:.3e}")
 
 

@@ -3,31 +3,29 @@
 A scenario is a single structured config (JSON, or a dotted key-tree) that
 declares the two input states, ordered per-mode modifications at the input or
 output stage, the interferometer phase, the noise model, the detector list,
-and which metrics to compute.  Pipelines that stay Gaussian run on the
-mean/covariance fast path; any Fock input or heralded addition/subtraction
-switches to the full Wigner representation.
+and which metrics to compute.
 
-Each config's route (`_Route`) is decided once: its path, its prefix record
-and the channel after the MZI.  The prefix record (`_Prefix`) is the
-phase-independent part upstream of phi, the inputs and the input stage, heralds
-included; each of its pieces is built on first read and shared by every config
-with the same prefix.  Everything after it is one Gaussian channel
-X = A(phi) Y + b + xi on the prefix Y, with A = K M(phi) and the uniform loss
-the first map of K on either path, since it commutes with the passive MZI: a
-Gaussian prefix maps through it, and a Wigner prefix stays as it is while only
-the observable moves, so an arm at a phase is read through
-the channel (`_Route.read`, the one reader) and no state is built there.  A
-herald at either stage adds its ancilla to the prefix as one more mode, its
-coupling to a channel and its projector to every read: a single herald's two
-arms read one projector pair (`wig.projector` and its complement) at either
-stage, and share the projected part: a route reads each product once per
-phase set.  The prefix and each phase give one record, (p, arms): the success
-probability, then the success arm and, where it is tracked, the failure arm,
-whose weight is 1 - p.  A detector's phase variance comes from one exact
-phase signal (`_optimal_phi`), which gives its optimum and its value at any
-phi.  The photon-number reads build the detected mode off the same channel
-(`wig.AffineImage.state`) on either path, and `simulate_counts` does so once
-over a stack of channels, one per T of its grid (`_counted`).
+Each pipeline's route (`_Route`) is decided once and shared by its phases:
+its prefix record, the channel after the MZI and each detector's optimum.  The
+prefix record (`_Prefix`), built piece by piece on first read and shared by
+every config with the same prefix, is the input stage, heralds included, as
+one image of the inputs' Wigner expressions (a Gaussian input is one term).
+Everything after it is one Gaussian channel X = A(phi) Y + b + xi on the
+prefix Y, A = K M(phi), with the uniform loss the first map of K, since it
+commutes with the passive MZI.  The route reads the path off the record: one
+arm of one Gaussian term, with no herald after the phase, is mapped through
+the channel in closed form; any other prefix stays as it is while only the
+observable moves, so an arm at a phase is read through the channel
+(`_Route.read`, the one reader).  A herald at either stage adds its ancilla
+to the prefix as one more mode, its coupling to a channel and its projector
+to every read; a single herald's two arms, success and failure, read one
+projector pair and share the projected part.  The prefix and each phase give
+one record (p, arms), p the success probability and 1 - p the failure arm's
+weight.  A detector's phase variance comes from one exact phase signal
+(`_optimal_phi`), which gives its optimum and its value at any phi.  The
+photon-number reads build the detected mode off the same channel
+(`_Route.detected`), and `simulate_counts` reads its T grid through the route
+of the config whose herald takes the grid, one channel per T (`_counted`).
 
 Identical config plus seed gives byte-identical CSV/JSON output.
 """
@@ -56,6 +54,7 @@ from . import wigner as wig
 SWEEP_PARAMETERS = ("phi", "alpha2", "r", "T", "L", "D", "nbar", "nbar_env", "m")
 METRICS = ("phase_variance", "cfi", "qfi", "snr", "distributions")
 DRIFT_SIGMA_DEFAULTS = {"parity": 0.001, "default": 0.15}
+DRIFT_UNIFORM_WIDTH = 0.2 * math.pi  # half-width in rad of the uniform20 drift window about the optimum
 # Searched phase-variance minima within this relative distance of the lowest are equal.
 OPTIMUM_TIE = 1e-9
 # A herald read p is resolved for the quotient jets of a phase signal where p >= this times |p''|, 1e-4 rad
@@ -481,12 +480,6 @@ def _set_path(node, segments: list[str], value, lineno: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_possible(config: ScenarioConfig) -> bool:
-    if any(s.kind == "fock" for s in config.inputs):
-        return False
-    return not any(m.heralded for m in config.modifications)
-
-
 def _ancillas(mods) -> tuple:
     """The Fock state of each herald's ancilla among `mods` (0 for vacuum), in order, as the prefix record keys them."""
     return tuple(_herald_args(m)[1] for m in mods if m.heralded)
@@ -502,10 +495,6 @@ def _herald_reads(mods) -> tuple:
         n, click = _herald_args(mod)[2:]
         success = tuple((s1 * s2, p1 + p2) for s1, p1 in success for s2, p2 in wig.projector(4 + 2 * j, n, click))
     return (success, wig.projector(4, n, not click)) if len(heralds) == 1 else (success,)
-
-
-def _input_mods(config: ScenarioConfig) -> tuple:
-    return tuple(m for m in config.modifications if m.stage == "input")
 
 
 def _herald_args(mod: ModificationSpec) -> tuple:
@@ -533,14 +522,13 @@ class _Prefix:
     Each part is built on its first read and kept with the record, which the points of a sweep over anything
     after the MZI share, L and D included: the uniform loss is the first map after the MZI (`_after_mzi`).
 
-    A Gaussian prefix propagates the inputs through each modification.  A Wigner prefix is one image of the
-    inputs and one Fock ancilla per herald (`_ancillas`) through one channel, the modifications in order
-    (`_then`), built through the heralds' projectors (`wig.AffineImage.state`); with no modifications it is the
-    inputs' product state.  Its record is `arms`, (p, arms).
+    Every input stage is one image of the inputs' expressions (a Gaussian input is its one `wig.from_gaussian`
+    term) and one Fock ancilla per herald (`_ancillas`) through one channel, the modifications in order (`_then`),
+    built through the heralds' projectors (`wig.AffineImage.state`).  Its record is `arms`, (p, arms).
     """
 
-    def __init__(self, inputs: tuple, input_mods: tuple, gaussian_path: bool):
-        self.inputs, self.input_mods, self.gaussian_path = inputs, input_mods, gaussian_path
+    def __init__(self, inputs: tuple, input_mods: tuple):
+        self.inputs, self.input_mods = inputs, input_mods
         self._jets, self._columns = {}, {}  # (ancillas, arm, order) -> W^(order), (W, ..., W^(order)) as columns
 
     @cached_property
@@ -552,30 +540,31 @@ class _Prefix:
         ImprobableBranch when its probability is below the renormalization floor.  A single herald also tracks its
         failure arm, the projector pair's other read, which is left untracked below the floor, so a herald
         that succeeds almost surely is kept.  Each arm is normalized by its own norm, and its probability is that
-        norm over the unheralded read's: the products the reads share are integrated once.
+        norm over the unheralded read's: the products the reads share are integrated once.  A grid of T gives p at
+        every point, the success arm at the points above the floor, and the failure arm if it is above at all.
         """
-        inputs, input_mods = self.inputs, self.input_mods
-        if self.gaussian_path:
-            state = ga.tensor([s.gaussian() for s in inputs])
-            for m in input_mods:
-                state = ga.propagate(state, _gaussian_step(m, 2))
-            return 1.0, (state,)
-        joint = _with_ancillas(wig.tensor_exprs(inputs[0].expr(), inputs[1].expr()), _ancillas(input_mods))
-        if not input_mods:
-            return 1.0, (joint,)
+        (first, second), input_mods = self.inputs, self.input_mods
+        joint = _with_ancillas(wig.tensor_exprs(first.expr(), second.expr()), _ancillas(input_mods))
         n = joint.nvars
         image = wig.AffineImage(joint, *_then(input_mods, n, np.eye(n), np.zeros(n), np.zeros((n, n))))
-        unheralded = image.state((1, 2))
+        unheralded = image.state((1, 2)) if input_mods else joint
         if not any(m.heralded for m in input_mods):
-            return 1.0, (unheralded,)
+            return 1.0, (unheralded.normalize(),)
         reads = [image.state((1, 2), herald) for herald in _herald_reads(input_mods)]
         ok, p = wig._herald_branch(reads[0], reads[0].norm / unheralded.norm)
-        return p, (ok, *(w.normalize() for w in reads[1:] if w.norm / unheralded.norm >= wig.IMPROBABLE_FLOOR))
+        fail = [w for w in reads[1:] if np.all(w.norm / unheralded.norm >= wig.IMPROBABLE_FLOOR)]
+        return p, (ok, *(w.normalize() for w in fail))
+
+    @cached_property
+    def gaussian(self) -> wig.Term | None:
+        """The record's term if it is one arm of one term of constant polynomial: a Gaussian, R0 and sigma0 its
+        `mean` and `quad`."""
+        arm, *others = self.arms[1]
+        return None if others or len(arm.terms) != 1 or any(map(any, arm.terms[0].poly)) else arm.terms[0]
 
     def jet(self, ancillas: tuple, arm: int, order: int = 0) -> wig.WignerExpr:
-        """W^(order) of one tracked arm (0 the success arm, 1 the failure arm), normalized and followed by the
-        output heralds' `ancillas` (Fock numbers); a Gaussian prefix's arm is its one-term expression
-        (`wig.from_gaussian`).  M'(phi) = M(phi) M'(0) makes each phi-derivative of an arm seen through the
+        """W^(order) of one tracked arm (0 the success arm, 1 the failure arm) followed by the output heralds'
+        `ancillas` (Fock numbers).  M'(phi) = M(phi) M'(0) makes each phi-derivative of an arm seen through the
         channel a fixed expression (`wig.phase_tangent`)."""
         key = ancillas, arm, order
         if key not in self._jets:
@@ -584,9 +573,7 @@ class _Prefix:
                 h[:4, :4] = sym.mzi_phase_derivative(0.0)
                 self._jets[key] = wig.phase_tangent(self.jet(ancillas, arm, order - 1), h)
             else:
-                state = self.arms[1][arm]
-                expr = wig.from_gaussian(state) if self.gaussian_path else state
-                self._jets[key] = _with_ancillas(expr.normalize(), ancillas)
+                self._jets[key] = _with_ancillas(self.arms[1][arm], ancillas)
         return self._jets[key]
 
     def columns(self, ancillas: tuple, arm: int, order: int) -> list:
@@ -598,8 +585,8 @@ class _Prefix:
 
     @cached_property
     def moments(self) -> list:
-        """Nine moments of a Wigner prefix's success arm from one Wick pass per term: <x_1^2>, <p_1^2>, <x_2^2>,
-        <p_2^2>, then <x_1 x_2>, <p_1 p_2> and <x_1^2 x_2^2>, <x_1 p_1 x_2 p_2>, <p_1^2 p_2^2>."""
+        """Nine moments of the success arm from one Wick pass per term: <x_1^2>, <p_1^2>, <x_2^2>, <p_2^2>, then
+        <x_1 x_2>, <p_1 p_2> and <x_1^2 x_2^2>, <x_1 p_1 x_2 p_2>, <p_1^2 p_2^2>."""
         return wig.moments(self.jet((), 0), [{i: 2} for i in range(4)] + [
             {0: 1, 2: 1}, {1: 1, 3: 1}, {0: 2, 2: 2}, (1, 1, 1, 1), {1: 2, 3: 2}])
 
@@ -608,28 +595,23 @@ class _Prefix:
         """A bound on the QFI of the MZI family of the prefix, the same at every phi.
 
         The channel after the MZI can only lower it, so it bounds the information of every detector of a config
-        at every phi.  A Gaussian prefix takes the QFI of its lossless MZI family; a Wigner prefix's success arm
-        Var(n1 - n2) after the first 50/50 splitter, 4 Var(J_z) >= QFI.  There n1 - n2 = x1 x2 + p1 p2 in the input
-        modes, whose square has the symbol (x1 x2 + p1 p2)^2 - 1/2: one read of the arm's `moments`.
+        at every phi.  A Gaussian record (`gaussian`) takes the QFI of its lossless MZI family, to which 4 Var(J_z)
+        is loose on a mixed input; any other the success arm's Var(n1 - n2) after the first 50/50 splitter,
+        4 Var(J_z) >= QFI.  There n1 - n2 = x1 x2 + p1 p2 in the input modes, whose square has the symbol
+        (x1 x2 + p1 p2)^2 - 1/2: one read of the arm's `moments`.
         """
-        if not self.gaussian_path:
+        term = self.gaussian
+        if term is None:
             m = self.moments
             return meas.MeasurementMoments(m[4] + m[5], m[6] + 2.0 * m[7] + m[8] - 0.5).variance
-        state = self.arms[1][0]
         g = sym.mzi_phase_derivative(0.0)
-        half = g @ state.cov
-        return est.qfi_mixed_gaussian(state, g @ state.mean, half + half.T)[0]
+        half = g @ term.quad
+        return est.qfi_mixed_gaussian(ga.GaussianState(term.mean, term.quad), g @ term.mean, half + half.T)[0]
 
     @cached_property
     def mean_photon(self) -> float:
-        """Total mean photon number entering the interferometer, which the passive MZI keeps.
-
-        It is the state itself on the Gaussian path, and on the Wigner path its four second moments
-        (<n_k> = (<x_k^2> + <p_k^2> - 1) / 2), read with the QFI's (`moments`).  The uniform loss follows the MZI,
-        so the total is the lossless input's at every L.
-        """
-        if self.gaussian_path:
-            return ga.total_mean_photon(self.arms[1][0])
+        """Total mean photon number entering the interferometer, which the passive MZI keeps, from the success arm's
+        `moments` (<n_k> = (<x_k^2> + <p_k^2> - 1) / 2): the lossless input's at every L."""
         xx = self.moments  # <x_1^2>, <p_1^2>, <x_2^2>, <p_2^2> first
         return float(sum(0.5 * (xx[i] + xx[i + 1]) - 0.5 for i in (0, 2)))
 
@@ -644,7 +626,7 @@ def _with_ancillas(expr: wig.WignerExpr, ancillas: tuple) -> wig.WignerExpr:
     return expr
 
 
-def _after_mzi(config: ScenarioConfig, n: int) -> tuple:
+def _after_mzi(modifications: tuple, noise: NoiseSpec, n: int) -> tuple:
     """(K, b, C): the maps after the MZI as one channel X = K Z + b + xi, xi ~ N(0, C), on its output Z.
 
     Z holds n variables: the two interferometer modes and one ancilla mode per herald after the phase, on which
@@ -653,13 +635,13 @@ def _after_mzi(config: ScenarioConfig, n: int) -> tuple:
     C = (L / 2) I.  Thermal injection on a mode scales it by sqrt(eta) and adds noise of variable covariance
     (1 - eta)(2 nbar + 1)/2 there; the output stage follows (`_then`).
     """
-    channel, noise = (np.eye(n), np.zeros(n), np.zeros((n, n))), config.noise
+    channel = np.eye(n), np.zeros(n), np.zeros((n, n))
     if noise.loss is not None:
         channel = _attenuated(channel, slice(0, 4), math.sqrt(1.0 - noise.loss.total), noise.loss.total / 2.0)
     for m in noise.thermal_modes if noise.has_thermal else ():
         channel = _attenuated(channel, slice(2 * m - 2, 2 * m), math.sqrt(noise.thermal_eta),
                               (1.0 - noise.thermal_eta) * (2.0 * noise.thermal_nbar + 1.0) / 2.0)
-    return _then([m for m in config.modifications if m.stage == "output"], n, *channel)
+    return _then([m for m in modifications if m.stage == "output"], n, *channel)
 
 
 def _attenuated(channel: tuple, rows: slice, gain: float, noise: float) -> tuple:
@@ -702,34 +684,38 @@ def _through_mzi(k: np.ndarray, phi, derivative: bool = False) -> np.ndarray:
 
 
 class _Route:
-    """How the detectors of one config see its state, decided once: its path, its prefix record (`_prefix`), the
-    channel after the MZI (`_after_mzi`), (K, b, C), the uniform loss first, and the arms they read.
-
-    A herald after the phase adds its ancilla to the prefix (`ancillas`) and its coupling to the channel.  An arm
-    is (prefix arm, herald): the prefix arms, unheralded (None), or the output heralds' reads (`_herald_reads`),
-    their product and, for a single herald with none ahead of the phase, its complement: the projector pair the
-    input stage reads too.
+    """How the detectors of one pipeline (inputs, modifications, noise) see its state at every phase, decided
+    once: its prefix record (`_prefix`), the channel after the MZI (`_after_mzi`), (K, b, C), the uniform loss
+    first, the arms they read and each detector's optimum (`optima`).  The path is read off the record
+    (`gaussian`).  A herald after the phase adds its ancilla to the prefix (`ancillas`) and its coupling to the
+    channel.  An arm is (prefix arm, herald): the prefix arms, unheralded (None), or the output heralds' reads
+    (`_herald_reads`), their product and, for a single herald with none ahead of the phase, its complement.
     """
 
-    def __init__(self, config: ScenarioConfig):
-        self.gaussian_path = _gaussian_possible(config)
-        self.prefix = _prefix(config.inputs, _input_mods(config), self.gaussian_path)
-        heralds = tuple(m for m in config.modifications if m.heralded and m.stage == "output")
+    def __init__(self, inputs: tuple, modifications: tuple, noise: NoiseSpec):
+        self.prefix = _prefix(inputs, tuple(m for m in modifications if m.stage == "input"))
+        heralds = tuple(m for m in modifications if m.heralded and m.stage == "output")
         self.ancillas = _ancillas(heralds)
-        self.channel = _after_mzi(config, 4 + 2 * len(heralds))
+        self.channel = _after_mzi(modifications, noise, 4 + 2 * len(heralds))
         reads = _herald_reads(heralds)[: 1 if any(m.heralded for m in self.prefix.input_mods) else None]
         self.arms = tuple((0, herald) for herald in reads) if heralds else ((0, None), (1, None))
+        self.optima = {}  # detector -> (phi, variance, signal) of its phase-variance optimum (`_optimal_phi`)
         self._samples = {}  # sample set of phases -> the Gaussian image there, validated
         self._observation = {}  # the last phase observed -> its (p, arms)
-        self._parts = {}  # a read's key -> {projectors: its read-only part}, as `wig.herald_read` keeps them
+        self._phases, self._parts = None, {}  # the last phase set read, and a read's key -> {projectors: its part}
+
+    @cached_property
+    def gaussian(self) -> wig.Term | None:
+        """The prefix's Gaussian term (`_Prefix.gaussian`), which the closed-form reads take, if no herald follows."""
+        return None if self.ancillas else self.prefix.gaussian
 
     def image(self, phis: tuple) -> tuple[np.ndarray, np.ndarray]:
         """The Gaussian prefix (R0, sigma0) through A (`_through_mzi`) at each of `phis`, unvalidated: means
         A R0 + b and covariances A sigma0 A^T + 2C."""
-        (k, b, c), state = self.channel, self.prefix.arms[1][0]
+        (k, b, c), term = self.channel, self.gaussian
         a = _through_mzi(k, phis)
-        cov = a @ state.cov @ np.swapaxes(a, 1, 2) + 2.0 * c
-        return a @ state.mean + b, (cov + np.swapaxes(cov, 1, 2)) / 2.0
+        cov = a @ term.quad @ np.swapaxes(a, 1, 2) + 2.0 * c
+        return a @ term.mean + b, (cov + np.swapaxes(cov, 1, 2)) / 2.0
 
     def samples(self, phis: tuple) -> tuple[np.ndarray, np.ndarray]:
         """The `image` at a sample set of phases, its covariances validated once as a stack, kept per set."""
@@ -740,20 +726,18 @@ class _Route:
         return self._samples[phis]
 
     def observe(self, phi: float) -> tuple:
-        """(p, arms) as the detectors see them at phi, kept for the last phi: a point reads its own phase for
-        several metrics.  The prefix's arms go through X = A Y + b + xi, A = A(phi) (`_through_mzi`), and p is the
-        success probability, the failure arm's weight 1 - p.  A Gaussian prefix becomes the GaussianState of its
-        `image`.  A Wigner arm (`arms`) is its herald's probability at phi (`read`), 1.0 with no herald, which p
-        takes in.  Below the renormalization floor a success arm raises ImprobableBranch and a failure arm is
-        untracked, as at the input stage.
-        """
+        """(p, arms) as the detectors see them at phi, kept for the last phi, which a point's metrics share.  The
+        prefix's arms go through X = A(phi) Y + b + xi (`_through_mzi`): a Gaussian route's arm is the GaussianState
+        of its `image`, and a Wigner arm (`arms`) its herald's probability at phi (`read`), 1.0 with no herald, which
+        p takes in.  Below the renormalization floor a success arm raises ImprobableBranch and a failure arm is
+        untracked, as at the input stage."""
         if phi not in self._observation:
             self._observation = {phi: self._observe(phi)}
         return self._observation[phi]
 
     def _observe(self, phi: float) -> tuple:
         p, arms = self.prefix.arms
-        if self.gaussian_path:
+        if self.gaussian is not None:
             mean, cov = self.image((phi,))
             return p, (ga.GaussianState(mean[0], cov[0]),)
         ok, *fail = (float(self.read(i, 0, herald)(np.array([phi]))[0][0, 0]) if herald else 1.0
@@ -769,8 +753,8 @@ class _Route:
         The channel is A(phi) (`_through_mzi`), and the tangents (`_Prefix.jet`) give each read's phi-derivatives
         exactly.  `rows` cuts the channel to those variables first (an unheralded kernel read needs its mode's alone).
         Each signed projector product is integrated once per route and set of phases: the route keeps its part, by
-        arm, order, cut, kernel, blur, monomials and the phases' bytes, for every later read, so an arm and its
-        complement share it.
+        arm, order, cut, kernel, blur and monomials, for every later read at the last phases read, so an arm and
+        its complement share it, and no more parts are kept over a phase grid.
         """
         k, b, c = self.channel
         if rows is not None:
@@ -780,7 +764,10 @@ class _Route:
 
         def read(phi: np.ndarray, kernel: list | None = (), blur: np.ndarray | None = None,
                  monomials: list | None = None):
-            key = (index, order, cut, None if kernel is None else tuple(kernel), _bytes(blur), _bytes(phi),
+            phases = _bytes(phi)
+            if phases != self._phases:
+                self._phases, self._parts = phases, {}
+            key = (index, order, cut, None if kernel is None else tuple(kernel), _bytes(blur),
                    None if monomials is None else tuple(wig._exponents(e, len(b)) for e in monomials))
             return wig.herald_read(columns, _through_mzi(k, phi), b, c, herald, self._parts.setdefault(key, {}),
                                    kernel, blur, monomials)
@@ -788,14 +775,18 @@ class _Route:
         return read
 
     def detected(self, phi: float, mode: int) -> wig.WignerExpr:
-        """The state of one mode of the success arm at phi, on either path, whose norm is the probability of the
-        herald after the phase: the prefix's arm built through the channel (`wig.AffineImage.state`)."""
+        """The state of one mode of the success arm at phi, of norm the probability of the herald after the phase:
+        the prefix's arm built through the channel (`wig.AffineImage.state`), a grid state for a grid of T."""
         k, b, c = self.channel
         image = wig.AffineImage(self.prefix.jet(self.ancillas, 0), _through_mzi(k, phi), b, c)
         return image.state((mode,), self.arms[0][1] or wig.UNHERALDED)
 
 
-_route = lru_cache(maxsize=1)(_Route)  # the last config's route, with its most recent observation and its reads
+_routes = lru_cache(maxsize=1)(_Route)  # the last pipeline's route, with its most recent observation and its reads
+
+
+def _route(config: ScenarioConfig) -> _Route:
+    return _routes(config.inputs, config.modifications, config.noise)
 
 
 def _bytes(a: np.ndarray | None) -> tuple | None:
@@ -804,13 +795,13 @@ def _bytes(a: np.ndarray | None) -> tuple | None:
 
 
 def _tangent(config: ScenarioConfig, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """(dR/dphi, dsigma/dphi) of a Gaussian config on the prefix channel: dR = A' R0 and
+    """(dR/dphi, dsigma/dphi) of a Gaussian route on the prefix channel: dR = A' R0 and
     dsigma = A' sigma0 A^T + A sigma0 A'^T (`_through_mzi`)."""
     route = _route(config)
-    k, prefix = route.channel[0], route.prefix.arms[1][0]
+    k, term = route.channel[0], route.gaussian
     a, da = _through_mzi(k, phi), _through_mzi(k, phi, derivative=True)
-    half = da @ prefix.cov @ a.T
-    return da @ prefix.mean, half + half.T
+    half = da @ term.quad @ a.T
+    return da @ term.mean, half + half.T
 
 
 # ---------------------------------------------------------------------------
@@ -837,53 +828,51 @@ class _Signal(NamedTuple):
 
 
 def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float, _Signal]:
-    """The phase-variance minimum over one period of V in phi, as (phi, variance), and the signal it is read from.
+    """The phase-variance minimum over one period of V in phi, as (phi, variance), and the signal it is read from,
+    kept on the route (`_Route.optima`): neither depends on the config's phase, so a sweep searches once.
 
-    The prefix channel A(phi) (`_through_mzi`) holds only cos(phi/2) and
-    sin(phi/2), and M(phi + 2 pi) = -M(phi).  V has period 2 pi for homodyne
-    and for an even detector (every other one) with no output displacement;
-    an output displacement b breaks that symmetry for an even detector, and V
-    is searched over [0, 4 pi) instead.
+    The prefix channel A(phi) (`_through_mzi`) holds only cos(phi/2) and sin(phi/2), and M(phi + 2 pi) = -M(phi).
+    V has period 2 pi for homodyne and for an even detector (every other one) with no output displacement; an
+    output displacement b breaks that symmetry for an even detector, and V is searched over [0, 4 pi) instead.
 
-    A polynomial detector with no herald after the phase is a trigonometric
-    polynomial in phi: <O> of a degree-q detector has harmonics up to q in
-    phi/2 and <O^2> up to 2q.  An even detector with no output displacement
-    has even harmonics only, and is read in phi itself.  Its samples at
-    4d + 1 equispaced phases (five, or nine for an even detector behind an
-    output displacement; a Gaussian prefix's image, or a Wigner prefix's
-    monomials, read at all of them at once) fix both moments, and
-    `est.trig_signal` gives V at every phi and at every stationary point
-    exactly.  Parity and click, and
-    every detector after an output herald, where <O> = p<O> / p is no
-    trigonometric polynomial, read the batched jet of <O> and Var
-    (`_signal_jet`), through `est.jet_phase_variance` at any phi and
-    `_kernel_optimum` for the minimum.  The fixed-phase variance, the drift
+    A polynomial detector with no herald after the phase is a trigonometric polynomial in phi: <O> of a degree-q
+    detector has harmonics up to q in phi/2 and <O^2> up to 2q.  An even detector with no output displacement has
+    even harmonics only, and is read in phi itself.  Its samples at 4d + 1 equispaced phases (five, or nine for an
+    even detector behind an output displacement; a Gaussian route's image, or a Wigner arm's monomials, read at
+    all of them at once) fix both moments, and `est.trig_signal` gives V at every phi and at every stationary
+    point exactly.  Parity and click, and every detector after an output herald, where <O> = p<O> / p is no
+    trigonometric polynomial, read the batched jet of <O> and Var (`_signal_jet`), through
+    `est.jet_phase_variance` at any phi and `_kernel_optimum` for the minimum.  The fixed-phase variance, the drift
     trials and the optimum of a detector all read this one signal.
 
-    Minima within a relative OPTIMUM_TIE of the lowest are equal, and the one at
-    the smallest phi is reported, so that rounding cannot move the optimum
-    between mirror minima.  Raises SignalStationary when no phase gives a
+    Minima within a relative OPTIMUM_TIE of the lowest are equal, and the one at the smallest phi is reported, so
+    that rounding cannot move the optimum between mirror minima.  Raises SignalStationary when no phase gives a
     finite variance.
     """
     route = _route(config)
+    if scheme in route.optima:
+        return route.optima[scheme]
     shifted = bool(np.any(route.channel[1]))
     if scheme.kind in meas.POLYNOMIAL_KINDS and not route.ancillas:
         even = scheme.kind != "homodyne"
         rate = 2 if shifted or not even else 1
         n = 9 if even and shifted else 5
         phis = tuple(2.0 * math.pi * rate * j / n for j in range(n))
-        if route.gaussian_path:
+        if route.gaussian is not None:
             o = meas.gaussian_moments(scheme, *route.samples(phis))
         else:  # the success arm's monomials at every phase in one read
             read = route.read(0, 0, None)
             o = meas.polynomial_moments(scheme, lambda e: read(np.array(phis), monomials=e)[0][:, 0])
         samples = [meas.MeasurementMoments(float(m), float(s)) for m, s in zip(o.mean, o.second_moment)]
         variance, floor, points = est.trig_signal(samples, rate)
-        return (*_least(points), _Signal(variance, floor))
-    jet = _signal_jet(config, scheme)
-    # |<O>| <= 1, so the slope floor of jet_phase_variance is SLOPE_FLOOR
-    signal = _Signal(lambda phi: est.jet_phase_variance(*jet(phi)), est.SLOPE_FLOOR)
-    return (*_kernel_optimum(config, jet, 4.0 * math.pi if shifted else 2.0 * math.pi), signal)
+        optimum = *_least(points), _Signal(variance, floor)
+    else:
+        jet = _signal_jet(config, scheme)
+        # |<O>| <= 1, so the slope floor of jet_phase_variance is SLOPE_FLOOR
+        signal = _Signal(lambda phi: est.jet_phase_variance(*jet(phi)), est.SLOPE_FLOOR)
+        optimum = *_kernel_optimum(config, jet, 4.0 * math.pi if shifted else 2.0 * math.pi), signal
+    route.optima[scheme] = optimum
+    return optimum
 
 
 def _least(minima: list) -> tuple[float, float]:
@@ -938,7 +927,7 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
     """
     route = _route(config)
     scale = 1.0 if scheme.kind == "parity" else 2.0
-    if not route.gaussian_path:
+    if route.gaussian is None:
         index, herald = route.arms[arm]
         mode = [2 * scheme.mode - 2, 2 * scheme.mode - 1]
         blur = np.zeros((2, 2)) if scheme.kind == "parity" else 0.5 * np.eye(2)
@@ -959,8 +948,7 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
     k, b, c = route.channel
     rows = slice(2 * scheme.mode - 2, 2 * scheme.mode)
     a_c, a_s, b = _through_mzi(k[rows], 0.0), 2.0 * _through_mzi(k[rows], 0.0, derivative=True), b[rows]
-    state = route.prefix.arms[1][0]
-    r0, s0 = state.mean, state.cov
+    r0, s0 = route.gaussian.mean, route.gaussian.quad
     m_c, m_s = a_c @ r0, a_s @ r0
     s_cc, s_cs, s_ss = a_c @ s0 @ a_c.T, a_c @ s0 @ a_s.T, a_s @ s0 @ a_s.T
     s_0 = (s_cc + s_ss) / 2.0 + 2.0 * c[rows, rows] + (np.eye(2) if scheme.kind == "click" else 0.0)
@@ -1057,7 +1045,7 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
             p0, dp0 = (float(v[0]) for v in _kernel_jet(config, scheme, arm, order=1)(np.array([phi]))[:2])
             # an outcome whose probability rounds to the level of its absolute error may be a dark one, whose
             # limit needs the curvature; a Gaussian no-click probability keeps its relative precision
-            dark = 1.0 - p0 <= est.SLOPE_FLOOR or (p0 <= est.SLOPE_FLOOR and not route.gaussian_path)
+            dark = 1.0 - p0 <= est.SLOPE_FLOOR or (p0 <= est.SLOPE_FLOOR and route.gaussian is None)
             d2p0 = float(_kernel_jet(config, scheme, arm)(np.array([phi]))[2][0]) if dark else None
             part += est.binary_cfi(p0, dp0, phi, d2p0)
         total += weight * part
@@ -1072,25 +1060,20 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
 def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
     """QFI of the phi-family, by the route the state's purity allows.
 
-    A herald after the phase post-selects on a phi-dependent outcome; the QFI of
-    that conditional state does not bound the herald-weighted CFI, so none is given.
-    A Gaussian family takes one observation: `est.qfi_mixed_gaussian` on the
-    state and its exact tangent (`_tangent`), labelled pure or mixed from the
-    symplectic eigenvalues that formula uses.  On the Wigner path, a channel
-    of K = 0 on the interferometer modes (a total loss, L = 1 or D = 0) leaves
-    a family that does not depend on phi, of QFI 0.  With no noise after the
-    MZI (C = 0, which thermal injection at eta = 1 keeps), a pure prefix is a
-    pure input to the MZI, whose phase is generated by J_z = (n1 - n2)/2 after
-    its first 50/50 splitter: F = 4 Var(J_z) = Var(n1 - n2) there
-    (`_Prefix.qfi`), the same at every phi.  The output squeezes and
-    displacements are phi-independent unitaries and keep it.  Noise after the
-    MZI, the uniform loss included, leaves a mixed non-Gaussian family, for
-    which no QFI is given.
+    A herald after the phase post-selects on a phi-dependent outcome; the QFI of that conditional state does not
+    bound the herald-weighted CFI, so none is given.  A Gaussian route takes one observation: `est.qfi_mixed_gaussian`
+    on the state and its exact tangent (`_tangent`), labelled pure or mixed from the symplectic eigenvalues that
+    formula uses.  On the Wigner path, a channel of K = 0 on the interferometer modes (a total loss, L = 1 or D = 0)
+    leaves a family that does not depend on phi, of QFI 0.  With no noise after the MZI (C = 0, which thermal
+    injection at eta = 1 keeps), a pure prefix is a pure input to the MZI, whose phase is generated by
+    J_z = (n1 - n2)/2 after its first 50/50 splitter: F = 4 Var(J_z) = Var(n1 - n2) there (`_Prefix.qfi`), the same
+    at every phi.  The output squeezes and displacements are phi-independent unitaries and keep it.  Noise after
+    the MZI, the uniform loss included, leaves a mixed non-Gaussian family, for which no QFI is given.
     """
     route = _route(config)
     if route.ancillas:
         return None, "unavailable (herald after the phase)"
-    if route.gaussian_path:
+    if route.gaussian is not None:
         qfi, pure = est.qfi_mixed_gaussian(route.observe(phi)[1][0], *_tangent(config, phi))
         return qfi, "pure_gaussian" if pure else "mixed_gaussian"
     mixed = None, "unavailable (mixed non-Gaussian)"
@@ -1167,12 +1150,12 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
 
     if "snr" in config.metrics:
         added = {k: sum(int(m.m) for m in config.modifications if m.op == "add" and m.mode == k) for k in (1, 2)}
-        if not route.gaussian_path:  # a Wigner arm's two modes from one read, over its herald's probability
+        if route.gaussian is None:  # a Wigner arm's two modes from one read, over its herald's probability
             monomials = meas._intensity_monomials(1) + meas._intensity_monomials(2)
             reads = route.read(0, 0, route.arms[0][1])(np.array([phi]), monomials=monomials)[0]
             both = (reads[:, 0, 0] / arm).tolist()
         for mode in (1, 2):
-            mom = meas.intensity(arm, mode) if route.gaussian_path else meas.polynomial_moments(
+            mom = meas.intensity(arm, mode) if route.gaussian is not None else meas.polynomial_moments(
                 meas.DetectionScheme("intensity", mode), lambda _: both[5 * mode - 5 : 5 * mode])
             try:
                 report.snr[f"mode{mode}"] = est.snr(mom, subtract_injected=added[mode])
@@ -1302,7 +1285,7 @@ def phase_drift_study(
     """Running average of the phase variance under a randomly drifting control phase.
 
     Each trial draws the control phase near the scheme's optimum (Gaussian with
-    the per-scheme sigma, or uniformly within 20% of the optimum) and evaluates
+    the per-scheme sigma, or uniformly within DRIFT_UNIFORM_WIDTH = 0.2 pi of it) and evaluates
     the phase variance there, all trials of a detector with an exact signal in
     one call; the trace reports the running mean versus trial count.  A draw whose variance is not finite (no
     slope above its rounding level) is left out of the mean and the trace, with a warning; the row counts such
@@ -1322,10 +1305,8 @@ def phase_drift_study(
             continue
         sig = sigma.get(scheme.kind, sigma["default"])
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(si,)))
-        if distribution == "gaussian":
-            phis = rng.normal(opt_phi, sig, trials)
-        else:
-            phis = opt_phi * rng.uniform(0.8, 1.2, trials)
+        phis = (rng.normal(opt_phi, sig, trials) if distribution == "gaussian"
+                else opt_phi + DRIFT_UNIFORM_WIDTH * rng.uniform(-1.0, 1.0, trials))
         total, scored = 0.0, 0
         for k, (phi_k, v) in enumerate(zip(phis.tolist(), map(float, signal.variance(phis))), 1):
             if not math.isfinite(v):  # a flat draw carries no usable slope and no score
@@ -1340,22 +1321,15 @@ def phase_drift_study(
 
 
 def _counted(config: ScenarioConfig, mod: ModificationSpec, grid: tuple) -> tuple:
-    """(state, herald probability) of the counted mode at every T of the grid, from one read of a stack of channels.
-
-    With `mod` taking the grid as its T, the inputs carry its ancilla as mode 3, and the whole pipeline (the
-    input stage, couplings included, then the MZI and the maps after it, the uniform loss first) is one channel
-    per T.
-    The counted mode is read off the stack through the herald's success projector (`wig.AffineImage.state`)
-    and kept, normalized, at the points of probability at or above the renormalization floor
-    (`wig._herald_branch`).
-    """
+    """(state, herald probability) of the counted mode (`_Route.detected`) at every T of the grid, through the
+    route of the config whose herald `mod` takes the grid as its T, kept, normalized, at the points of probability
+    at or above the renormalization floor.  An input herald's probability is the prefix record's p, whose success
+    arm keeps those points already; an output herald's is the detected state's norm (`wig._herald_branch`)."""
     gridded = replace(mod, T=grid)
-    config = replace(config, modifications=tuple(gridded if m is mod else m for m in config.modifications))
-    expr = _prefix(config.inputs, (), False).jet((_herald_args(mod)[1],), 0)
-    j, s, _ = _then(_input_mods(config), 6, np.eye(6), np.zeros(6), np.zeros((6, 6)))
-    k, b, c = _after_mzi(config, 6)
-    a = _through_mzi(k, config.phi)
-    state = wig.AffineImage(expr, a @ j, wig._mv(a, s) + b, c).state((mod.mode,), _herald_reads((mod,))[0])
+    route = _route(replace(config, modifications=tuple(gridded if m is mod else m for m in config.modifications)))
+    state = route.detected(config.phi, mod.mode)
+    if mod.stage == "input":
+        return (state.normalize() if state.terms else state), route.prefix.arms[0]
     return wig._herald_branch(state, state.norm * np.ones(len(grid)))
 
 
@@ -1382,9 +1356,9 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
     schemes spend the same `trials` (equal experiment time); the substream for
     each grid point derives from (seed, index) so execution order cannot matter.
 
-    The grid is validated once and read at once, as one grid expression
-    (`_counted`) whose intensity moments and distributions are one read
-    each.  A success probability below the renormalization floor (T = 1 for a
+    The grid is validated once and read at once through the route, as one
+    grid expression (`_counted`) whose intensity moments and distributions
+    are one read each.  A success probability below the renormalization floor (T = 1 for a
     beam-splitter addition) gives a row flagged "improbable herald branch"
     with nothing kept, and a state of zero photon-number variance (a Fock
     state) a row without `theory_snr`; each adds a warning.

@@ -150,7 +150,7 @@ def observed(config, phi: float) -> tuple:
     for the referees to measure."""
     route = sc._route(config)
     p, arms = route.observe(phi)
-    if route.gaussian_path:
+    if route.gaussian is not None:
         return p, arms
     tracked = [(i, herald) for i, herald in route.arms if i < len(route.prefix.arms[1])]
     return p, tuple(ArmRead(route.read(i, 0, herald), phi, q) for (i, herald), q in zip(tracked, arms))
@@ -256,11 +256,10 @@ def measure(state, scheme: meas.DetectionScheme) -> meas.MeasurementMoments:
 def gaussian_at(route: sc._Route, phi: float) -> ga.GaussianState:
     """A Gaussian route's state at one phase, A R0 + b and A sigma0 A^T + 2C with A = K M(phi) formed for that
     phase alone: the per-phase referee of the route's stacked image (`sc._Route.image`)."""
-    k, b, c = route.channel
+    (k, b, c), term = route.channel, route.gaussian
     a = k @ sym.mzi_matrix(phi)
-    state = route.prefix.arms[1][0]
-    cov = a @ state.cov @ a.T + 2.0 * c
-    return ga.GaussianState(a @ state.mean + b, (cov + cov.T) / 2.0)
+    cov = a @ term.quad @ a.T + 2.0 * c
+    return ga.GaussianState(a @ term.mean + b, (cov + cov.T) / 2.0)
 
 
 def attenuated(state: ga.GaussianState, rows: slice, gain: float, noise: float) -> ga.GaussianState:
@@ -430,6 +429,16 @@ def build_pipeline(config, phi: float | None = None) -> Built:
     return output_stage(before_output(config, phi), config)
 
 
+def input_mods(config) -> tuple:
+    """The input-stage modifications of a config, in order: the key of its prefix record (`sc._prefix`)."""
+    return tuple(m for m in config.modifications if m.stage == "input")
+
+
+def gaussian_possible(config) -> bool:
+    """Whether the forward build stays on Gaussian states: no Fock input and no herald."""
+    return not any(s.kind == "fock" for s in config.inputs) and not any(m.heralded for m in config.modifications)
+
+
 def uniform_loss(config):
     """The config's uniform loss, or None where it loses nothing."""
     loss = config.noise.loss
@@ -439,8 +448,8 @@ def uniform_loss(config):
 def before_output(config, phi: float | None = None) -> PipelineResult:
     """The forward build up to its output stage: the prefix (`prefix`), then the MZI and the noise."""
     phi = config.phi if phi is None else phi
-    gaussian_path, loss, noise = sc._gaussian_possible(config), uniform_loss(config), config.noise
-    res = prefix(config.inputs, sc._input_mods(config), gaussian_path, None if gaussian_path else loss)
+    gaussian_path, loss, noise = gaussian_possible(config), uniform_loss(config), config.noise
+    res = prefix(config.inputs, input_mods(config), gaussian_path, None if gaussian_path else loss)
     mzi = sym.SymplecticTransform(sym.mzi_matrix(phi))
     res = each(res, lambda s: ga.propagate(s, mzi) if gaussian_path else apply_symplectic(s, mzi))
     if gaussian_path and loss is not None:
@@ -459,7 +468,7 @@ def output_stage(res: PipelineResult, config) -> Built:
     herald behind an input-stage one leaves the failure branch untracked.
     """
     mods = [m for m in config.modifications if m.stage == "output"]
-    heralds = [m.stage for m in (*sc._input_mods(config), *mods) if m.heralded]
+    heralds = [m.stage for m in (*input_mods(config), *mods) if m.heralded]
     out = modify(res, mods)
     if heralds[:1] == ["input"] and len(heralds) > 1:
         out = replace(out, failure_state=None, failure_prob=0.0)

@@ -146,9 +146,8 @@ def test_defect_h_a_dark_no_click_read_is_within_its_rounding_level():
     assert abs(float(value[0])) <= float(level[0])
 
 
-@pytest.mark.xfail(strict=True, reason="defect J")
 def test_defect_j_uniform_drift_draws_spread_about_an_optimum_at_zero():
-    # uniform20 draws opt_phi * U(0.8, 1.2): at an optimum of 0 every draw lands on it, so nothing drifts
+    # uniform20 draws phi* + 0.2 pi U(-1, 1); its old opt_phi * U(0.8, 1.2) put every draw on an optimum of 0
     cfg = config([FOCK, COHERENT], (), [{"scheme": "parity", "mode": 1}])
     (got,) = sc.phase_drift_study(cfg, trials=20, seed=1, distribution="uniform20").rows
     assert got["final_running_mean"] > (1.0 + 1e-9) * got["optimal_variance"]

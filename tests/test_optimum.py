@@ -152,7 +152,8 @@ def bits(values) -> bytes:
 def test_stacked_samples_keep_every_bit_of_the_per_phase_referee(name):
     # the route's image at a sample set, and the closed forms over it, against each phase alone: the state formed
     # for that phase (`ref.gaussian_at`), the one `observe` gives, and its moments from the per-state closed forms
-    route = sc._Route(STACKED_CONFIGS[name])
+    config = STACKED_CONFIGS[name]
+    route = sc._Route(config.inputs, config.modifications, config.noise)
     for phis in SAMPLE_SETS:
         stack, states = route.samples(phis), [ref.gaussian_at(route, phi) for phi in phis]
         assert bits(stack[0]) == bits([s.mean for s in states])

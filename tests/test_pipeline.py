@@ -68,7 +68,7 @@ class TestPrefix:
 
         monkeypatch.setattr(wg, "_integrate_out", counted)
         sc._prefix.cache_clear()
-        sc._route.cache_clear()
+        sc._routes.cache_clear()
         cfg = config([COHERENT, VACUUM], [INPUT_ADDITION], metrics=["phase_variance", "snr"],
                      detection=[{"scheme": "intensity", "mode": 1}], phi=1.0)
         report, _, _ = sc.evaluate_point(cfg)
@@ -78,7 +78,7 @@ class TestPrefix:
     def test_cache_keys_on_the_state_type(self, monkeypatch):
         cfg = config([COHERENT, {"kind": "thermal", "nbar": 0.5}])
         assert ref.build_pipeline(cfg).gaussian_path
-        monkeypatch.setattr(sc, "_gaussian_possible", lambda c: False)
+        monkeypatch.setattr(ref, "gaussian_possible", lambda c: False)
         res = ref.build_pipeline(cfg)
         assert not res.gaussian_path
         assert isinstance(res.state, wg.WignerExpr)
@@ -150,8 +150,8 @@ def test_each_prefix_arm_matches_the_stage_by_stage_referee(name):
     inputs, mods, loss = PREFIX_CASES[name]
     raw = {"inputs": inputs, "modifications": mods, "interferometer": {"phi": 0.0}}
     cfg = sc.ScenarioConfig.from_dict(dict(raw, noise={"loss": loss}) if loss else raw)
-    key = (cfg.inputs, sc._input_mods(cfg), False)
-    (p, arms), want = sc._prefix(*key).arms, ref.prefix(*key, None)
+    key = (cfg.inputs, ref.input_mods(cfg))
+    (p, arms), want = sc._prefix(*key).arms, ref.prefix(*key, False, None)
     assert p == pytest.approx(want.success_prob, rel=1e-12, abs=0.0)
     assert (want.failure_state is None) == (name == "two_heralds") == (len(arms) == 1)
     points = np.random.default_rng(3).normal(scale=0.8, size=(12, 4))
@@ -176,7 +176,7 @@ def test_two_input_heralds_floor_their_joint_probability():
     assert report.extras["flag"] == "improbable herald branch"
     assert len(warnings) == 1 and "below renormalization floor" in warnings[0]
     # the referee, which floors each herald's conditional probability, keeps the branch
-    assert ref.prefix(cfg.inputs, sc._input_mods(cfg), False, None).success_prob < wg.IMPROBABLE_FLOOR
+    assert ref.prefix(cfg.inputs, ref.input_mods(cfg), False, None).success_prob < wg.IMPROBABLE_FLOOR
 
 
 def test_an_input_click_that_fires_almost_surely_keeps_its_row():
@@ -185,7 +185,7 @@ def test_an_input_click_that_fires_almost_surely_keeps_its_row():
     click = {"op": "subtract", "stage": "input", "mode": 1, "m": "click", "T": 0.5}
     cfg = config([{"kind": "coherent", "alpha": 10.0}, VACUUM], [click], metrics=["snr", "cfi"],
                  detection=[{"scheme": "intensity", "mode": 1}])
-    assert len(sc._prefix(cfg.inputs, sc._input_mods(cfg), False).arms[1]) == 1
+    assert len(sc._prefix(cfg.inputs, ref.input_mods(cfg)).arms[1]) == 1
     report, warnings, _ = sc.evaluate_point(cfg)
     assert not warnings and "flag" not in report.extras
     assert report.snr["mode1"] > 0.0 and report.cfi > 0.0

@@ -4,7 +4,8 @@ One child interpreter runs, under `sys.settrace`:
 - the reach commands: `wignersim.cli.main` running the benchmark's heralded points (a), (b) and (b) at m = 2, the
   QFI and distributions of (a) at uniform loss L = 0.5 and 1, the QFI of a mixed Wigner input behind a noise-free
   channel and two configs that take the remaining modifications, noise and detectors, sweeping (over L and phi),
-  drifting (both distributions) and counting the shipped configs, and validating a key-tree file;
+  drifting (both distributions) and counting the shipped configs and an input-stage herald, and validating a
+  key-tree file;
 - every CLI call of `tests/test_cli.py`, its exit-2 configs and the configs whose rows it checks against a
   referee, as pytest runs that file, traced inside `cli.main` alone;
 - the library cases: README's library example, the functions README presents as API at their own argument
@@ -78,6 +79,13 @@ SPDC_OUTPUT = {  # an SPDC addition after the phase on coherent + thermal inputs
     "detection": [{"scheme": "intensity", "mode": 1}, {"scheme": "parity", "mode": 2}],
     "metrics": ["phase_variance", "cfi", "qfi", "snr"],
 }
+PACS_INPUT = {  # a photon addition ahead of the phase, whose counts read the prefix record's p
+    "inputs": [{"kind": "coherent", "alpha": 1.0}, {"kind": "vacuum"}],
+    "modifications": [{"op": "add", "stage": "input", "mode": 1, "m": 1, "mechanism": "bs", "T": 0.9}],
+    "interferometer": {"phi": 0.7},
+    "noise": {"loss": {"L": 0.1}},
+    "metrics": ["snr"],
+}
 THERMAL_FOCK = {  # a mixed Wigner prefix seen through no noise
     "inputs": [{"kind": "fock"}, {"kind": "thermal", "nbar": 0.3}],
     "interferometer": {"phi": 0.7},
@@ -96,7 +104,7 @@ alpha = 1.0
 
 def _commands(work: Path) -> list:
     configs = {"fock_click": FOCK_CLICK, "spdc_output": SPDC_OUTPUT, "thermal_fock": THERMAL_FOCK,
-               "point_a": workloads.point_a(1.0), "point_b": workloads.point_b(1.0),
+               "pacs_input": PACS_INPUT, "point_a": workloads.point_a(1.0), "point_b": workloads.point_b(1.0),
                "point_b_m2": workloads.point_b(1.0, m=2),
                **{f"point_a_L{loss}": dict(workloads.point_a(1.0), noise={"loss": {"L": loss}},
                                            metrics=["qfi", "distributions"]) for loss in (0.5, 1.0)}}
@@ -113,6 +121,7 @@ def _commands(work: Path) -> list:
         ["drift", "--config", shipped["ligo_lossy"], "--trials", "20", "--sigma", "parity=0.001"],
         ["drift", "--config", shipped["ligo_lossy"], "--trials", "20", "--distribution", "uniform20"],
         ["counts", "--config", shipped["pacs_counts"], "--trials", "50", "--grid", "T=0.5:1:0.5"],
+        ["counts", "--config", paths["pacs_input"], "--trials", "50", "--grid", "T=0.5:1:0.5"],
     ])] + [["validate", "--config", str(work / "key_tree.cfg")]]
 
 

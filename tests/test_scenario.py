@@ -145,9 +145,11 @@ class TestPipeline:
             )
         )
         fast, _, _ = sc.evaluate_point(cfg)
-        monkeypatch.setattr(sc, "_gaussian_possible", lambda c: False)
-        monkeypatch.setattr(sc, "_route", sc._route.__wrapped__)  # not the kept Gaussian-path route
+        # the same Gaussian prefix record read as a Wigner arm, through a route of its own
+        sc._routes.cache_clear()
+        monkeypatch.setattr(sc._Route, "gaussian", None)
         slow, _, _ = sc.evaluate_point(cfg)
+        sc._routes.cache_clear()
         for key in fast.phase_variance:
             assert abs(fast.phase_variance[key] - slow.phase_variance[key]) < 1e-8 * max(
                 1.0, abs(fast.phase_variance[key])
@@ -455,8 +457,17 @@ class TestDrift:
         assert a.traces == b.traces
 
     def test_uniform_mode_runs(self):
-        report = sc.phase_drift_study(self._cfg(), trials=6, seed=2, distribution="uniform20")
+        # uniform20 draws phi* + 0.2 pi U(-1, 1) on the detector's substream: a window of the same width wherever
+        # phi* sits, 0 and 2 pi included
+        cfg = self._cfg()
+        report = sc.phase_drift_study(cfg, trials=6, seed=2, distribution="uniform20")
         assert len(report.traces) == 6
+        opt_phi, _, signal = sc._optimal_phi(cfg, cfg.detection[0])
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=2, spawn_key=(0,)))
+        phis = opt_phi + 0.2 * math.pi * rng.uniform(-1.0, 1.0, 6)
+        assert np.ptp(phis) > 0.1 * math.pi
+        running = np.cumsum(signal.variance(phis)) / np.arange(1, 7)
+        assert [t["running_mean"] for t in report.traces] == pytest.approx(running.tolist(), rel=1e-12, abs=0.0)
 
     def test_running_mean_converges(self):
         # law of large numbers on the simulated trace: the running mean moves

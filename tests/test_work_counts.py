@@ -100,16 +100,17 @@ def counter(monkeypatch, module, name: str) -> list:
 def forget_routes() -> None:
     """Drop the kept prefix records and route, so that the next point builds its own."""
     sc._prefix.cache_clear()
-    sc._route.cache_clear()
+    sc._routes.cache_clear()
 
 
 def test_pipeline_builds_per_ligo_lossy_point(monkeypatch):
-    # pinned so that a change in build count shows up as a diff of this number: the cached prefix propagates its
-    # input squeeze once, and every phase reads the prefix through the channel
-    calls = counter(monkeypatch, ga, "propagate")
+    # pinned so that a change in build count shows up as a diff of this number: the cached prefix is one channel
+    # image of the inputs' one-term expressions through the input squeeze, and every phase reads it through the
+    # channel after the MZI; no Gaussian state is propagated
+    calls = [counter(monkeypatch, wg, "_integrate_out"), counter(monkeypatch, ga, "propagate")]
     forget_routes()
     sc.evaluate_point(sc.load_config(LIGO_LOSSY))
-    assert len(calls) == 1
+    assert [len(c) for c in calls] == [1, 0]
 
 
 @pytest.fixture
@@ -140,10 +141,10 @@ def imaged(monkeypatch) -> list:
     return seen
 
 
-def test_gaussian_sweep_pass_validates_8_states_and_8_stacks(tmp_path, monkeypatch):
-    # the gaussian_sweep CI gates, at seed 1: the prefix's four states (the two inputs, their product and the
-    # input squeeze), each of the four points' own state at its phase, and per point one stack for each sample set,
-    # homodyne's and the even detectors'; each state and each stack is one covariance check
+def test_gaussian_sweep_pass_validates_7_states_and_8_stacks(tmp_path, monkeypatch):
+    # the gaussian_sweep CI gates, at seed 1: the two inputs, the prefix's Gaussian record once for its QFI, each
+    # of the four points' own state at its phase, and per point one stack for each sample set, homodyne's and the
+    # even detectors'; each state and each stack is one covariance check
     plan = workloads.plan(str(CONFIGS.parent), "gaussian_sweep", 1, str(tmp_path))
     workloads.write_configs(plan)
     forget_routes()
@@ -151,7 +152,7 @@ def test_gaussian_sweep_pass_validates_8_states_and_8_stacks(tmp_path, monkeypat
     monkeypatch.setattr(ga.GaussianState, "__post_init__", lambda state: states.append(1) or init(state))
     checks = counter(monkeypatch, ga, "check_covariance")
     assert [cli.main(command["argv"]) for command in plan["commands"]] == [0]
-    assert (len(states), len(checks)) == (8, 16)
+    assert (len(states), len(checks)) == (7, 15)
 
 
 def test_gaussian_qfi_observes_one_state(observed):
@@ -185,10 +186,10 @@ def test_polynomial_optimum_reads_five_phases(config, label, observed, imaged, m
     monkeypatch.setattr(wg, "herald_read", lambda columns, rows, *args: reads.append(len(rows)) or orig(
         columns, rows, *args))
     config = sc.load_config(config) if isinstance(config, str) else sc.ScenarioConfig.from_dict(config)
-    sc._route.cache_clear()
+    sc._routes.cache_clear()
     sc._optimal_phi(config, next(s for s in config.detection if s.label == label))
     stacks = [len(phis) for phis in imaged]
-    assert (observed, stacks, reads) == (([], [5], []) if sc._route(config).gaussian_path else ([], [], [5]))
+    assert (observed, stacks, reads) == (([], [5], []) if sc._route(config).gaussian is not None else ([], [], [5]))
 
 
 def sample_set(rate: int) -> tuple:
@@ -203,7 +204,7 @@ def test_ligo_lossy_fixed_phases_read_the_optimum_signal(study, observed, imaged
     # over [0, 2 pi), and observes no phase for them; a point observes its own state at its phase, and the parity
     # minimum reads its jet
     config = sc.load_config(LIGO_LOSSY)
-    sc._route.cache_clear()
+    sc._routes.cache_clear()
     if study == "point":
         sc.evaluate_point(sc.ScenarioConfig.from_dict(dict(config.raw, metrics=["phase_variance"])))
         assert (observed, imaged) == ([config.phi], [(config.phi,), sample_set(2), sample_set(1)])
@@ -232,7 +233,7 @@ def test_herald_after_the_phase_builds_each_phase_once(monkeypatch):
     # the herald's ancilla rides in the cached prefix: the point and its cfi read the channel, and the
     # distributions read each mode off it, one partial integration per distributed mode
     integrations = counter(monkeypatch, wg, "_integrate_out")
-    sc._route.cache_clear()
+    sc._routes.cache_clear()
     sc.run(sc.load_config(SUBTRACTED_THERMAL))
     assert len(integrations) == 2
 
@@ -369,7 +370,7 @@ def test_warm_route_reads_keep_a_fresh_routes_bits(raw, monkeypatch):
     stored = [a for parts in warm._parts.values() for part in parts.values() for a in part]
     assert reads and stored and not any(a.flags.writeable for a in stored)
     for args, call, kwargs, got in reads:
-        fresh = sc._Route(config).read(*args)(*call, **kwargs)
+        fresh = sc._Route(config.inputs, config.modifications, config.noise).read(*args)(*call, **kwargs)
         for read in (got, warm.read(*args)(*call, **kwargs)):
             assert all(map(same_bits, read, fresh))
 
@@ -540,12 +541,31 @@ def test_phi_sweep_shares_its_prefix(monkeypatch):
         assert [len(c) for c in calls] == [2, 3]
 
 
-def test_loss_sweep_of_a_gaussian_config_propagates_once(monkeypatch):
-    # the uniform loss is the first map of the channel after the MZI, so every L reads one prefix
-    calls = counter(monkeypatch, ga, "propagate")
+def test_loss_sweep_of_a_gaussian_config_builds_one_prefix(monkeypatch):
+    # the uniform loss is the first map of the channel after the MZI, so every L reads one prefix, one channel image
+    calls = counter(monkeypatch, wg, "_integrate_out")
     forget_routes()
     report = sc.sweep(sc.load_config(LIGO_LOSSY), "L", [0.0, 0.1, 0.3])
     assert len(report.rows) == 3 and len(calls) == 1
+
+
+@pytest.mark.parametrize("raw", [json.loads(Path(LIGO_LOSSY).read_text()), workloads.point_a(1.0),
+                                 workloads.point_b(1.0)], ids=["ligo_lossy", "point_a", "point_b"])
+def test_phi_sweep_builds_one_route_and_searches_each_optimum_once(raw, monkeypatch):
+    # a route and each detector's optimum do not depend on the phase: a 20-point phi sweep builds one route and
+    # searches each detector's optimum once (four for ligo_lossy, where each point built its own route and ran
+    # four searches), and each row is the one its point gives through a route of its own
+    config = sc.ScenarioConfig.from_dict(raw)
+    grid = [0.3 * k for k in range(20)]
+    alone = []
+    for phi in grid:
+        forget_routes()
+        alone.append(sc.evaluate_point(config.with_values(phi=phi))[0].as_dict())
+    searches = counter(monkeypatch, sc, "_least")  # one per search, the least of its minima
+    forget_routes()
+    report = sc.sweep(config, "phi", grid)
+    assert (sc._routes.cache_info().misses, len(searches)) == (1, len(config.detection))
+    assert [{k: v for k, v in row.items() if k != "index"} for row in report.rows] == alone
 
 
 def test_loss_sweep_of_a_heralded_point_reads_one_prefix(monkeypatch):
@@ -570,7 +590,7 @@ def test_loss_sweep_of_a_heralded_point_reads_one_prefix(monkeypatch):
 def test_run_builds_one_channel_after_the_mzi(raw, monkeypatch):
     # every reader of a config takes the channel from its route
     channels = counter(monkeypatch, sc, "_after_mzi")
-    sc._route.cache_clear()
+    sc._routes.cache_clear()
     sc.run(sc.ScenarioConfig.from_dict(raw))
     assert len(channels) == 1
 
