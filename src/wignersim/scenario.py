@@ -13,9 +13,10 @@ one image of the inputs' Wigner expressions (a Gaussian input is one term).
 Everything after it is one Gaussian channel X = A(phi) Y + b + xi on the
 prefix Y, A = K M(phi), with the uniform loss the first map of K, since it
 commutes with the passive MZI.  The route reads the path off the record: one
-arm of one Gaussian term, with no herald after the phase, is mapped through
-the channel in closed form; any other prefix stays as it is while only the
-observable moves, so an arm at a phase is read through the channel
+arm of one Gaussian term, with no herald after the phase, is seen through
+the channel in one trigonometric form (`_Route.trig`), the image every
+Gaussian read takes (`_Route.image`); any other prefix stays as it is while
+only the observable moves, so an arm at a phase is read through the channel
 (`_Route.read`, the one reader).  A herald at either stage adds its ancilla
 to the prefix as one more mode, its coupling to a channel and its projector
 to every read; a single herald's two arms, success and failure, read one
@@ -687,9 +688,10 @@ class _Route:
     """How the detectors of one pipeline (inputs, modifications, noise) see its state at every phase, decided
     once: its prefix record (`_prefix`), the channel after the MZI (`_after_mzi`), (K, b, C), the uniform loss
     first, the arms they read and each detector's optimum (`optima`).  The path is read off the record
-    (`gaussian`).  A herald after the phase adds its ancilla to the prefix (`ancillas`) and its coupling to the
-    channel.  An arm is (prefix arm, herald): the prefix arms, unheralded (None), or the output heralds' reads
-    (`_herald_reads`), their product and, for a single herald with none ahead of the phase, its complement.
+    (`gaussian`), and a Gaussian term has one image, its trigonometric form (`trig`, `image`).  A herald after the
+    phase adds its ancilla to the prefix (`ancillas`) and its coupling to the channel.  An arm is (prefix arm,
+    herald): the prefix arms, unheralded (None), or the output heralds' reads (`_herald_reads`), their product and,
+    for a single herald with none ahead of the phase, its complement.
     """
 
     def __init__(self, inputs: tuple, modifications: tuple, noise: NoiseSpec):
@@ -709,18 +711,31 @@ class _Route:
         """The prefix's Gaussian term (`_Prefix.gaussian`), which the closed-form reads take, if no herald follows."""
         return None if self.ancillas else self.prefix.gaussian
 
-    def image(self, phis: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """The Gaussian prefix (R0, sigma0) through A (`_through_mzi`) at each of `phis`, unvalidated: means
-        A R0 + b and covariances A sigma0 A^T + 2C."""
+    @cached_property
+    def trig(self) -> tuple:
+        """(b, m_c, m_s) and symmetric (S0, S1, S2): through A(0) and 2 A'(0) (`_through_mzi`), the Gaussian term has
+        mean b + m_c cos(phi/2) + m_s sin(phi/2) and covariance S0 + S1 cos phi + S2 sin phi, 2C in S0."""
         (k, b, c), term = self.channel, self.gaussian
-        a = _through_mzi(k, phis)
-        cov = a @ term.quad @ np.swapaxes(a, 1, 2) + 2.0 * c
-        return a @ term.mean + b, (cov + np.swapaxes(cov, 1, 2)) / 2.0
+        a_c, a_s = _through_mzi(k, 0.0), 2.0 * _through_mzi(k, 0.0, derivative=True)
+        s_cc, s_cs, s_ss = a_c @ term.quad @ a_c.T, a_c @ term.quad @ a_s.T, a_s @ term.quad @ a_s.T
+        parts = np.array([(s_cc + s_ss) / 2.0 + 2.0 * c, (s_cc - s_ss) / 2.0, s_cs])
+        return np.array([b, a_c @ term.mean, a_s @ term.mean]), (parts + np.swapaxes(parts, 1, 2)) / 2.0
+
+    def image(self, phis, order: int = 0, rows: slice = slice(None)) -> tuple:
+        """((mean, cov), ...) of the Gaussian term (`trig`) at each of `phis` on the variables `rows`, unvalidated, and
+        their exact phi-derivatives up to `order` <= 2: A'' = -A/4 gives mu'' = -(mu - b)/4 and sigma'' = S0 - sigma."""
+        # a mode's rows are a strided block of each S, which slows every broadcast below: they are copied first
+        (b, m_c, m_s), (s_0, s_1, s_2) = self.trig[0][:, rows], self.trig[1][:, rows, rows].copy()
+        phis = np.asarray(phis)[:, None]
+        ch, sh, cf, sf = np.cos(phis / 2.0), np.sin(phis / 2.0), np.cos(phis)[..., None], np.sin(phis)[..., None]
+        mu, sigma = b + m_c * ch + m_s * sh, s_0 + s_1 * cf + s_2 * sf
+        tangent = ((m_s * ch - m_c * sh) / 2.0, s_2 * cf - s_1 * sf) if order else None
+        return ((mu, sigma), tangent, ((b - mu) / 4.0, s_0 - sigma) if order > 1 else None)[: order + 1]
 
     def samples(self, phis: tuple) -> tuple[np.ndarray, np.ndarray]:
         """The `image` at a sample set of phases, its covariances validated once as a stack, kept per set."""
         if phis not in self._samples:
-            mean, cov = self.image(phis)
+            ((mean, cov),) = self.image(phis)
             ga.check_covariance(cov)
             self._samples[phis] = mean, cov
         return self._samples[phis]
@@ -738,7 +753,7 @@ class _Route:
     def _observe(self, phi: float) -> tuple:
         p, arms = self.prefix.arms
         if self.gaussian is not None:
-            mean, cov = self.image((phi,))
+            ((mean, cov),) = self.image((phi,))
             return p, (ga.GaussianState(mean[0], cov[0]),)
         ok, *fail = (float(self.read(i, 0, herald)(np.array([phi]))[0][0, 0]) if herald else 1.0
                      for i, herald in self.arms if i < len(arms))
@@ -792,16 +807,6 @@ def _route(config: ScenarioConfig) -> _Route:
 def _bytes(a: np.ndarray | None) -> tuple | None:
     """An array's exact key, its dtype, shape and bytes (None for None)."""
     return None if a is None else (a.dtype.str, a.shape, a.tobytes())
-
-
-def _tangent(config: ScenarioConfig, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """(dR/dphi, dsigma/dphi) of a Gaussian route on the prefix channel: dR = A' R0 and
-    dsigma = A' sigma0 A^T + A sigma0 A'^T (`_through_mzi`)."""
-    route = _route(config)
-    k, term = route.channel[0], route.gaussian
-    a, da = _through_mzi(k, phi), _through_mzi(k, phi, derivative=True)
-    half = da @ term.quad @ a.T
-    return da @ term.mean, half + half.T
 
 
 # ---------------------------------------------------------------------------
@@ -913,17 +918,11 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
     signal, and the no-click probability keeps its precision at the bright
     port, where the click probability rounds to 1.
 
-    On the detected mode's rows, A(phi) = a_c cos(phi/2) + a_s sin(phi/2) with
-    a_c, a_s = A(0), 2 A'(0) (`_through_mzi`).  On a Gaussian state the mode
-    block's mean is mu = b + m_c cos(phi/2) + m_s sin(phi/2) and its
-    covariance sigma = S0 + S1 cos phi + S2 sin phi, and A'' = -A/4 gives
-    mu'' = -(mu - b)/4 and sigma'' = S0 - sigma.  The kernel is the parity,
-    or half the no-click probability with S0 + I in place of S0
-    (`meas.kernel_jet`).  On a Wigner state the parity is pi W(0) of the
-    mode, the no-click probability 2 pi times its density at 0 blurred by
-    I/2, and their derivatives those of the arm's phase tangents
-    (`_Route.read`); after an output herald, <O> = p<O> / p with p the read of
-    the herald's projectors (`_ratio`).
+    On a Gaussian state the detected mode's mean and covariance and their exact derivatives are the route's one
+    image (`_Route.image`) on its rows, and the kernel is the parity, or half the no-click probability with
+    sigma + I in place of sigma (`meas.kernel_jet`).  On a Wigner state the parity is pi W(0) of the mode, the no-click
+    probability 2 pi times its density at 0 blurred by I/2, and their derivatives those of the arm's phase tangents
+    (`_Route.read`); after an output herald, <O> = p<O> / p with p the read of the herald's projectors (`_ratio`).
     """
     route = _route(config)
     scale = 1.0 if scheme.kind == "parity" else 2.0
@@ -945,23 +944,14 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
             return *_ratio(math.pi * scale * densities, p, p_size), noise
 
         return wigner_jet
-    k, b, c = route.channel
-    rows = slice(2 * scheme.mode - 2, 2 * scheme.mode)
-    a_c, a_s, b = _through_mzi(k[rows], 0.0), 2.0 * _through_mzi(k[rows], 0.0, derivative=True), b[rows]
-    r0, s0 = route.gaussian.mean, route.gaussian.quad
-    m_c, m_s = a_c @ r0, a_s @ r0
-    s_cc, s_cs, s_ss = a_c @ s0 @ a_c.T, a_c @ s0 @ a_s.T, a_s @ s0 @ a_s.T
-    s_0 = (s_cc + s_ss) / 2.0 + 2.0 * c[rows, rows] + (np.eye(2) if scheme.kind == "click" else 0.0)
-    s_1, s_2 = (s_cc - s_ss) / 2.0, (s_cs + s_cs.T) / 2.0
-    terms = float(np.sum(np.abs(s_0) + np.abs(s_1) + np.abs(s_2)))
+    rows, kernel = slice(2 * scheme.mode - 2, 2 * scheme.mode), np.eye(2) if scheme.kind == "click" else 0.0
+    s_0, s_1, s_2 = route.trig[1][:, rows, rows]
+    terms = float(np.sum(np.abs(s_0 + kernel) + np.abs(s_1) + np.abs(s_2)))
 
     def jet(phi: np.ndarray) -> tuple:
-        ch, sh = np.cos(phi / 2.0)[:, None], np.sin(phi / 2.0)[:, None]
-        cf, sf = np.cos(phi)[:, None, None], np.sin(phi)[:, None, None]
-        mu = b + m_c * ch + m_s * sh
-        sigma = s_0 + s_1 * cf + s_2 * sf
-        value, slope, curve = meas.kernel_jet(mu, sigma, (m_s * ch - m_c * sh) / 2.0, s_2 * cf - s_1 * sf,
-                                              (b - mu) / 4.0, s_0 - sigma)
+        (mu, sigma), (dmu, dsigma), (d2mu, d2sigma) = route.image(phi, 2, rows)
+        sigma = sigma + kernel
+        value, slope, curve = meas.kernel_jet(mu, sigma, dmu, dsigma, d2mu, d2sigma)
         # sigma carries the rounding of its terms, which log det sigma amplifies by |sigma^-1|, relative to
         # <O>: a no-click probability that is small but resolved is no dark fringe
         det = sigma[:, 0, 0] * sigma[:, 1, 1] - sigma[:, 0, 1] * sigma[:, 1, 0]
@@ -1062,19 +1052,20 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
 
     A herald after the phase post-selects on a phi-dependent outcome; the QFI of that conditional state does not
     bound the herald-weighted CFI, so none is given.  A Gaussian route takes one observation: `est.qfi_mixed_gaussian`
-    on the state and its exact tangent (`_tangent`), labelled pure or mixed from the symplectic eigenvalues that
-    formula uses.  On the Wigner path, a channel of K = 0 on the interferometer modes (a total loss, L = 1 or D = 0)
-    leaves a family that does not depend on phi, of QFI 0.  With no noise after the MZI (C = 0, which thermal
-    injection at eta = 1 keeps), a pure prefix is a pure input to the MZI, whose phase is generated by
-    J_z = (n1 - n2)/2 after its first 50/50 splitter: F = 4 Var(J_z) = Var(n1 - n2) there (`_Prefix.qfi`), the same
-    at every phi.  The output squeezes and displacements are phi-independent unitaries and keep it.  Noise after
-    the MZI, the uniform loss included, leaves a mixed non-Gaussian family, for which no QFI is given.
+    on the state and its exact tangent, the route's image to first order (`_Route.image`), labelled pure or mixed
+    from the symplectic eigenvalues that formula uses.  On the Wigner path, a channel of K = 0 on the interferometer
+    modes (a total loss, L = 1 or D = 0) leaves a family that does not depend on phi, of QFI 0.  With no noise
+    after the MZI (C = 0, which thermal injection at eta = 1 keeps), a pure prefix is a pure input to the MZI, whose
+    phase is generated by J_z = (n1 - n2)/2 after its first 50/50 splitter: F = 4 Var(J_z) = Var(n1 - n2) there
+    (`_Prefix.qfi`), the same at every phi.  The output squeezes and displacements are phi-independent unitaries
+    and keep it.  Noise after the MZI, the uniform loss included, leaves a mixed non-Gaussian family, for which no
+    QFI is given.
     """
     route = _route(config)
     if route.ancillas:
         return None, "unavailable (herald after the phase)"
     if route.gaussian is not None:
-        qfi, pure = est.qfi_mixed_gaussian(route.observe(phi)[1][0], *_tangent(config, phi))
+        qfi, pure = est.qfi_mixed_gaussian(route.observe(phi)[1][0], *(d[0] for d in route.image((phi,), 1)[1]))
         return qfi, "pure_gaussian" if pure else "mixed_gaussian"
     mixed = None, "unavailable (mixed non-Gaussian)"
     if not np.any(route.channel[0][:, :4]):
@@ -1256,7 +1247,9 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunReport:
 
 
 def sweep(config: ScenarioConfig, parameter: str, grid, seed: int | None = None) -> RunReport:
-    """Evaluate the metrics at each grid point, in grid order."""
+    """Evaluate the metrics at each grid point, in grid order; a config's phi grid takes a sweep over phi alone."""
+    if config.phi_grid is not None and parameter != "phi":
+        raise ConfigError("interferometer.phi", f"a phi grid cannot be swept over {parameter}; give one phi")
     grid = [float(g) for g in grid]
     # every grid point is validated before any is evaluated
     points = [config.with_values(**{parameter: value}) for value in grid]
@@ -1365,6 +1358,8 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
     """
     if trials < 1:
         raise ConfigError("counts.trials", "need at least one trial")
+    if config.phi_grid is not None:
+        raise ConfigError("interferometer.phi", "counts reads one phase; give one phi, not a grid")
     herald = [m for m in config.modifications if m.heralded]
     if len(herald) != 1:
         raise ConfigError("modifications", "simulate_counts needs exactly one add/subtract modification")

@@ -254,12 +254,22 @@ def measure(state, scheme: meas.DetectionScheme) -> meas.MeasurementMoments:
 
 
 def gaussian_at(route: sc._Route, phi: float) -> ga.GaussianState:
-    """A Gaussian route's state at one phase, A R0 + b and A sigma0 A^T + 2C with A = K M(phi) formed for that
-    phase alone: the per-phase referee of the route's stacked image (`sc._Route.image`)."""
+    """A Gaussian route's state at one phase, formed for that phase alone from the route's channel (K, b, C) and
+    Gaussian term (R0, sigma0): the per-phase referee of the route's stacked image (`sc._Route.image`).
+
+    A = K M(phi) = a_c cos(phi/2) + a_s sin(phi/2) with a_c = K M(0) and a_s = 2 K M'(0), so A R0 + b is
+    b + a_c R0 cos(phi/2) + a_s R0 sin(phi/2), and A sigma0 A^T + 2C, from cos^2 = (1 + cos phi)/2,
+    sin^2 = (1 - cos phi)/2 and cos sin = sin(phi)/2 of phi/2, is S0 + S1 cos phi + S2 sin phi with
+    S0 = (s_cc + s_ss)/2 + 2C, S1 = (s_cc - s_ss)/2 and S2 = (s_cs + s_cs^T)/2, s_uv = a_u sigma0 a_v^T; S0 and S1
+    are symmetrized.
+    """
     (k, b, c), term = route.channel, route.gaussian
-    a = k @ sym.mzi_matrix(phi)
-    cov = a @ term.quad @ a.T + 2.0 * c
-    return ga.GaussianState(a @ term.mean + b, (cov + cov.T) / 2.0)
+    a_c, a_s = k @ sym.mzi_matrix(0.0), 2.0 * (k @ sym.mzi_phase_derivative(0.0))
+    s_cc, s_cs, s_ss = a_c @ term.quad @ a_c.T, a_c @ term.quad @ a_s.T, a_s @ term.quad @ a_s.T
+    s_0, s_1 = (s_cc + s_ss) / 2.0 + 2.0 * c, (s_cc - s_ss) / 2.0
+    mean = b + (a_c @ term.mean) * np.cos(phi / 2.0) + (a_s @ term.mean) * np.sin(phi / 2.0)
+    cov = (s_0 + s_0.T) / 2.0 + (s_1 + s_1.T) / 2.0 * np.cos(phi) + (s_cs + s_cs.T) / 2.0 * np.sin(phi)
+    return ga.GaussianState(mean, cov)
 
 
 def attenuated(state: ga.GaussianState, rows: slice, gain: float, noise: float) -> ga.GaussianState:

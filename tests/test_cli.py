@@ -435,6 +435,7 @@ def _shipped(name: str, *edits: tuple) -> dict:
     return cfg
 
 
+PHI_GRID = {"start": 0.5, "stop": 1.5, "step": 0.5}
 # id -> (command, config: a raw config or a file's text, further arguments, the start of the error)
 CONFIG_ERRORS = {
     "input_kind": ("validate", _shipped("ligo_lossy", ("inputs.0.kind", "squeezed")), [],
@@ -508,6 +509,11 @@ CONFIG_ERRORS = {
                     "modifications: simulate_counts sweeps the BS transmissivity"),
     "counts_grid": ("counts", _shipped("pacs_counts"), ["--grid", "L=0:0.1:0.1"],
                     "--grid: counts sweeps transmissivity"),
+    # a config's phi grid under a sweep of another parameter, or under counts, was read at its first phase alone
+    "phi_grid_sweep": ("sweep", _shipped("ligo_lossy", ("interferometer.phi", PHI_GRID)), ["--grid", "L=0:0.2:0.1"],
+                       "interferometer.phi: a phi grid cannot be swept over L"),
+    "phi_grid_counts": ("counts", _shipped("pacs_counts", ("interferometer.phi", PHI_GRID)), [],
+                        "interferometer.phi: counts reads one phase"),
 }
 
 

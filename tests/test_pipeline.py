@@ -14,6 +14,7 @@ import pytest
 import workloads
 from fock_oracle import Mixture, Oracle, qfi_sld
 import reference as ref
+from test_optimum import OUTPUT_DISPLACED
 from wignersim import cli
 from wignersim import conditional as cond
 from wignersim import estimation as est
@@ -469,6 +470,13 @@ def richardson(f, phi: float, h: float):
     return (16 * r[1] - r[0]) / 15
 
 
+def richardson_curvature(f, phi: float, h: float):
+    """Second differences at h, h/2, h/4 with two Richardson levels (error O(h^6))."""
+    d = [(f(phi + s) - 2.0 * f(phi) + f(phi - s)) / (s * s) for s in (h, h / 2, h / 4)]
+    r = [(4 * d[i + 1] - d[i]) / 3 for i in range(2)]
+    return (16 * r[1] - r[0]) / 15
+
+
 def signal_fns(cfg: sc.ScenarioConfig, scheme: meas.DetectionScheme) -> tuple:
     """mean(phi) and variance(phi) of one detector, measured on the observed state."""
     at = lambda p: ref.measure(ref.observed(cfg, p)[1][0], scheme)  # noqa: E731
@@ -546,13 +554,27 @@ class TestExactSlopes:
     @pytest.mark.parametrize("raw", [LIGO_LOSSY, NOISY_GAUSSIAN], ids=["ligo_lossy", "noisy_gaussian"])
     @pytest.mark.parametrize("phi", [0.4, 1.2, 2.6, 3.14])
     def test_tangent_matches_central_differences(self, raw, phi):
-        # the (dR, dsigma) that the Gaussian QFI and the kernel optimum read, from A' = K M'(phi)
+        # the (dR, dsigma) that the Gaussian QFI and the kernel optimum read, the route's image to first order
         cfg = sc.ScenarioConfig.from_dict(raw)
-        tangent = sc._tangent(cfg, phi)
+        tangent = [x[0] for x in sc._route(cfg).image((phi,), 1)[1]]
         dmean = richardson(lambda p: ref.build_pipeline(cfg, p).state.mean, phi, 1e-2)
         dcov = richardson(lambda p: ref.build_pipeline(cfg, p).state.cov, phi, 1e-2)
         np.testing.assert_allclose(tangent[0], dmean, rtol=0, atol=1e-10 * max(1.0, np.abs(dmean).max()))
         np.testing.assert_allclose(tangent[1], dcov, rtol=0, atol=1e-10 * max(1.0, np.abs(dcov).max()))
+
+    @pytest.mark.parametrize("raw", [LIGO_LOSSY, NOISY_GAUSSIAN, OUTPUT_DISPLACED],
+                             ids=["ligo_lossy", "noisy_gaussian", "output_displaced"])
+    @pytest.mark.parametrize("phi", [0.4, 2.6])
+    def test_image_curvature_matches_second_differences(self, raw, phi):
+        # mu'' and sigma'' of the whole 4x4 image, which the kernel jets read on one mode's rows.  The referee's
+        # smallest step, h/4 = 2.5e-3, leaves each second difference a rounding of about 4 eps |f| / (h/4)^2 =
+        # 1.4e-10 |f|, which the Richardson weights raise to a few 1e-10 |f|; its truncation is O(h^6).  So the
+        # tolerance is 1e-9 of the largest entry of the image itself
+        cfg = sc.ScenarioConfig.from_dict(raw)
+        (mean, cov), _, (d2mean, d2cov) = sc._route(cfg).image((phi,), 2)
+        for got, value, part in ((d2mean, mean, "mean"), (d2cov, cov, "cov")):
+            want = richardson_curvature(lambda p: getattr(ref.build_pipeline(cfg, p).state, part), phi, 1e-2)
+            np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-9 * max(1.0, np.abs(value).max()))
 
     # the bright ligo_lossy fringes are narrow, so its differences take a shorter step
     @pytest.mark.parametrize("raw, phis, h", [

@@ -129,15 +129,24 @@ def observed(monkeypatch) -> list:
 
 @pytest.fixture
 def imaged(monkeypatch) -> list:
-    """The phases at which a Gaussian route forms a stacked image of its prefix (`_Route.image`)."""
+    """The phase sets at which a Gaussian route forms a validated image of its prefix: each observation's phase
+    (`_Route._observe`), and each sample set (`_Route.samples`) that the route has not kept yet.  The kernel jet
+    reads the same image (`_Route.image`) unvalidated, and is not recorded."""
     seen = []
-    orig = sc._Route.image
+    observe, samples = sc._Route._observe, sc._Route.samples
 
-    def counted(route, phis):
-        seen.append(phis)
-        return orig(route, phis)
+    def observed(route, phi):
+        if route.gaussian is not None:
+            seen.append((phi,))
+        return observe(route, phi)
 
-    monkeypatch.setattr(sc._Route, "image", counted)
+    def sampled(route, phis):
+        if phis not in route._samples:
+            seen.append(phis)
+        return samples(route, phis)
+
+    monkeypatch.setattr(sc._Route, "_observe", observed)
+    monkeypatch.setattr(sc._Route, "samples", sampled)
     return seen
 
 
