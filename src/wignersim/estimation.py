@@ -10,8 +10,8 @@ signal whose first two moments are trigonometric polynomials in phi
 companion matrix of their condition), and otherwise read from the jets of <O>
 and Var (`jet_phase_variance`, with `kernel_minima` refining a batched grid to
 its stationary points by a bracketed refinement, `_refine`, that reads a
-window of phases in every bracket per batched call).  No metric takes a
-finite difference.
+window of phases in every bracket per batched call).  Both read a stack of
+signals, a sweep block's, at once.  No metric takes a finite difference.
 """
 
 from __future__ import annotations
@@ -220,19 +220,37 @@ def _trig(c: np.ndarray, theta: float) -> float:
     return float(np.real(np.sum(c * np.exp(1j * k * theta))))
 
 
-def _circle_roots(p: np.ndarray) -> list[float]:
-    """Angles in [0, 2 pi) of the roots on the unit circle of a polynomial, highest power first.
+def _circle_roots(polys: list) -> list[list[float]]:
+    """Angles in [0, 2 pi) of the roots on the unit circle of each of a list of polynomials, highest power first.
 
-    Roots from the companion matrix (`np.roots`) lose accuracy next to the roots near 0 and infinity that
-    rounding-level leading or trailing coefficients put there, so the roots near the circle take two Newton
-    steps, all at once; a root where the derivative is exactly 0 stays.
+    The roots are the companion matrix's eigenvalues, as `np.roots` finds them, in one stacked call for the
+    polynomials of one length and one span of nonzero coefficients.  They lose accuracy next to the roots near 0
+    and infinity that rounding-level leading or trailing coefficients put there, so the roots near the circle take
+    two Newton steps, all at once and each as it would alone; a root where the derivative is exactly 0 stays.
     """
-    z = np.roots(p)
-    z, dp = z[np.abs(np.abs(z) - 1.0) <= 0.5], p[:-1] * np.arange(len(p) - 1, 0, -1)
-    for _ in range(2):
-        dz = np.polyval(dp, z)
-        z = np.where(dz == 0.0, z, z - np.polyval(p, z) / np.where(dz == 0.0, 1.0, dz))
-    return [float(t) for t in np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-3]) % (2.0 * math.pi)]
+    found, spans = [[] for _ in polys], {}
+    for i, p in enumerate(polys):
+        nonzero = np.flatnonzero(p)
+        if len(nonzero) > 1:
+            spans.setdefault((p.dtype, len(p), nonzero[0], nonzero[-1]), []).append(i)
+    for (_, size, lo, hi), rows in spans.items():
+        p = np.array([polys[i] for i in rows])
+        companion = np.zeros((len(rows), hi - lo, hi - lo), p.dtype)
+        companion[:, 1:, :-1] = np.eye(hi - lo - 1)
+        companion[:, 0] = -p[:, lo + 1 : hi + 1] / p[:, lo : lo + 1]
+        z = np.linalg.eigvals(companion)
+        near = np.abs(np.abs(z) - 1.0) <= 0.5
+        owner, z = np.nonzero(near)[0], z[near]
+        # each root's polynomial and derivative as columns, which `np.polyval` evaluates root by root
+        p = p[owner].T
+        dp = p[:-1] * np.arange(size - 1, 0, -1)[:, None]
+        for _ in range(2):
+            dz = np.polyval(dp, z)
+            z = np.where(dz == 0.0, z, z - np.polyval(p, z) / np.where(dz == 0.0, 1.0, dz))
+        on = np.abs(np.abs(z) - 1.0) <= 1e-3
+        for i, theta in zip(owner[on], np.angle(z[on]) % (2.0 * math.pi)):
+            found[rows[i]].append(float(theta))
+    return found
 
 
 @cache
@@ -245,27 +263,48 @@ def _dft(n: int) -> tuple[np.ndarray, np.ndarray]:
     return kv, dft
 
 
-def trig_signal(samples: Sequence, rate: int) -> tuple[Callable, float, list[tuple[float, float]]]:
-    """The phase variance V = Var / (d<O>/dphi)^2 of a trigonometric signal, the rounding level of its slope, and V at its stationary points.
+def trig_signal(stack: Sequence, rate: int) -> list:
+    """The phase variance V = Var / (d<O>/dphi)^2 of each of a stack of trigonometric signals, the rounding level of
+    its slope, and V at its stationary points.
 
-    `samples` are a detector's moments (`mean`, `variance`, `second_moment`)
-    at theta_j = 2 pi j / n, n = 4d + 1, with phi = rate * theta, where <O> is
-    a trigonometric polynomial of degree <= d in theta and <O^2> one of
-    degree <= 2d; the samples then fix both exactly.  With P_v(z) =
-    z^{2d} Var and P_m(z) = z^d d<O>/dtheta on z = e^{i theta}, the phase
-    variance is V = rate^2 P_v / P_m^2.  A dark fringe, a real zero of the
-    slope where the variance vanishes too, is cancelled from both, (z - z0)
-    from P_m and (z - z0)^2 from P_v, so that V keeps its limit
+    Each entry of `stack` is a detector's moments (`mean`, `variance`,
+    `second_moment`) at theta_j = 2 pi j / n, n = 4d + 1, with phi = rate *
+    theta, where <O> is a trigonometric polynomial of degree <= d in theta
+    and <O^2> one of degree <= 2d; the samples then fix both exactly.  With
+    P_v(z) = z^{2d} Var and P_m(z) = z^d d<O>/dtheta on z = e^{i theta}, the
+    phase variance is V = rate^2 P_v / P_m^2.  A dark fringe, a real zero of
+    the slope where the variance vanishes too, is cancelled from both,
+    (z - z0) from P_m and (z - z0)^2 from P_v, so that V keeps its limit
     Var''/(2 <O>''^2) there and is smooth nearby.
 
-    Returns V over an array of phases, inf where it is not positive or where
-    the reduced P_m (the slope, and at a dark fringe the curvature) is not
-    above the rounding level of the slope; that level in phi; and (phi, V) in
-    [0, 2 pi rate) at phi = 0, at the dark fringes and at the roots of
-    P_v' P_m - 2 P_v P_m' on the unit circle (`_circle_roots`), where V is
-    finite.  Raises SignalStationary when every slope coefficient is at
-    rounding level.
+    Returns, per signal, V over an array of phases, inf where it is not
+    positive or where the reduced P_m (the slope, and at a dark fringe the
+    curvature) is not above the rounding level of the slope; that level in
+    phi; and (phi, V) in [0, 2 pi rate) at phi = 0, at the dark fringes and
+    at the roots of P_v' P_m - 2 P_v P_m' on the unit circle, where V is
+    finite; or a SignalStationary when every slope coefficient is at rounding
+    level.  The circle roots of every signal come from one call per stage
+    (`_circle_roots`), and each signal's result is the one it gives alone.
     """
+    runs = [_trig_stages(samples, rate) for samples in stack]
+    found, polys = {}, {}  # by signal: its result, and the polynomial whose roots it waits on
+    for i, run in enumerate(runs):
+        try:
+            polys[i] = next(run)
+        except SignalStationary as exc:
+            found[i] = exc
+    while polys:
+        for i, thetas in zip(list(polys), _circle_roots(list(polys.values()))):
+            try:
+                polys[i] = runs[i].send(thetas)
+            except StopIteration as stop:
+                found[i] = stop.value
+                del polys[i]
+    return [found[i] for i in range(len(runs))]
+
+
+def _trig_stages(samples: Sequence, rate: int):
+    """`trig_signal` of one signal, which yields each polynomial whose circle roots it needs and takes them back."""
     n = len(samples)
     d = (n - 1) // 4
     mean = np.array([s.mean for s in samples])
@@ -281,7 +320,7 @@ def trig_signal(samples: Sequence, rate: int) -> tuple[Callable, float, list[tup
     # P_v and P_m with the highest power of z first, as np.roots and np.polyval take them
     p_v, p_m = var_c[::-1], slope_c[::-1]
     thetas = [0.0]
-    for theta in _circle_roots(p_m):
+    for theta in (yield p_m):
         if abs(_trig(slope_c, theta)) > slope_noise or abs(_trig(var_c, theta)) > var_noise:
             continue
         z0 = np.array([1.0, -np.exp(1j * theta)])
@@ -289,7 +328,7 @@ def trig_signal(samples: Sequence, rate: int) -> tuple[Callable, float, list[tup
         thetas.append(theta)
     dp_v, dp_m = p_v[:-1] * np.arange(len(p_v) - 1, 0, -1), p_m[:-1] * np.arange(len(p_m) - 1, 0, -1)
     stationary = np.convolve(dp_v, p_m) - 2.0 * np.convolve(p_v, dp_m)
-    thetas += _circle_roots(stationary)
+    thetas += yield stationary
 
     def variance(phi: np.ndarray) -> np.ndarray:
         z = np.exp(1j * np.asarray(phi) / rate)
@@ -327,13 +366,15 @@ def jet_phase_variance(m, m1, m2, var, var1, var2, var_noise) -> np.ndarray:
     return v
 
 
-def _refine(jet: Callable, f: Callable, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _refine(jet: Callable, f: Callable, x: np.ndarray, g: np.ndarray,
+            which: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Roots of f, one in each bracket [x1, x2] of four sorted phases x0 <= x1 < x2 <= x3, as read phases.
 
     `jet(phis)` returns a (q, n) stack; x is (k, 4), g (q, k, 4) the jet at x, and f(g, rows) maps the jets
-    (q, m, ...) of the rows `rows` of x to (m, ...), with a sign change from x1 to x2.  Each round makes one jet
-    call, at REFINE_WINDOW phases inside every live bracket, and keeps the sub-interval where f changes sign,
-    with its two neighbours: an enclosure method after Alefeld, Potra & Shi, ACM TOMS 21, 327 (1995).  The
+    (q, m, ...) of the rows `rows` of x to (m, ...), with a sign change from x1 to x2; given the signal of each
+    bracket (`which`), the jet reads a stack of signals, `jet(phis, which)`.  Each round makes one jet call, at
+    REFINE_WINDOW phases inside every live bracket, and keeps the sub-interval where f changes sign, with its two
+    neighbours: an enclosure method after Alefeld, Potra & Shi, ACM TOMS 21, 327 (1995).  The
     phases sit around the inverse cubic interpolant phi(f) = 0 through the four points, at distances growing
     from one ulp to the bracket width, so that a guess off by e leaves a bracket a few e wide.  A bracket with
     no guess strictly inside it (four points with a repeated f have none), or that the last round did not
@@ -358,7 +399,8 @@ def _refine(jet: Callable, f: Callable, x: np.ndarray, g: np.ndarray) -> tuple[n
             window = r + u * _SIGN * ((width / u) ** _GROWTH + _K)
         guess = (r > a) & (r < b) & halved[:, None]
         window = np.where(guess, np.minimum(np.maximum(window, a), b), a + width * _EVEN)
-        read = np.asarray(jet(window.ravel())).reshape(len(g), len(slot), REFINE_WINDOW)
+        by_signal = () if which is None else (np.repeat(which[slot], REFINE_WINDOW),)
+        read = np.asarray(jet(window.ravel(), *by_signal)).reshape(len(g), len(slot), REFINE_WINDOW)
         xs = np.concatenate([x[:, :2], window, x[:, 2:]], 1)
         ys = np.concatenate([y[:, :2], f(read, slot), y[:, 2:]], 1)
         gs = np.concatenate([g[:, :, :2], read, g[:, :, 2:]], 2)
@@ -379,13 +421,15 @@ def _refine(jet: Callable, f: Callable, x: np.ndarray, g: np.ndarray) -> tuple[n
     return roots, jets, walls
 
 
-def kernel_minima(jet: Callable, period: float, cells: int) -> list[tuple[float, float]]:
-    """(phi, V) at the stationary points of V = Var / <O>'^2 over one period of a signal.
+def kernel_minima(jet: Callable, period: float, cells: int, signals: int | None = None) -> list:
+    """(phi, V) at the stationary points of V = Var / <O>'^2 over one period of a signal, or of each of a stack.
 
     `jet(phis)` returns <O>, <O>', <O>'', Var, Var', Var'' and the rounding
     level of Var at an array of phases, as a (7, n) stack, NaN where the
-    signal is unresolved.  It is read at the centres of `cells` equal cells
-    over [0, period], KERNEL_CHUNK cells per call; with `cells` a
+    signal is unresolved; with `signals` = G, of G signals, `jet(phis, which)`
+    with the signal of each phase, and the result is a list per signal.  It
+    is read at the centres of `cells` equal cells over [0, period],
+    KERNEL_CHUNK cells of every signal per call; with `cells` a
     multiple of 4 no centre falls on a multiple of pi, where symmetric signals
     have <O>' = 0.  With theta' = <O>' / sqrt(Var), V = 1 / theta'^2, so the
     stationary points of V other than its poles are the zeros of
@@ -396,56 +440,67 @@ def kernel_minima(jet: Callable, period: float, cells: int) -> list[tuple[float,
     pole of V, where N keeps its sign and which splits its cell in two, since
     the mirror minima next to a nearly dark fringe may share one.  Every
     (half) cell with a resolvable slope where N changes sign is refined to the
-    zero of N, except within one cell of a dark fringe, where N vanishes to
-    third order and Var / <O>'^2 is rounding over rounding.  The whole cells
-    of N are refined with the zeros of <O>', in the same jet calls, and the
-    halves after them.  A zero of <O>' that an unresolved stretch hides is
-    read at that stretch's edge and kept as a fringe: V there is the least it
-    reaches from that side.  Each root is a phase the jet was read at, and V
-    there comes from that jet; the grid's jets at the cell ends and the poles'
-    jets are carried into the refinement, not read again.
+    zero of N, except within one cell of a dark fringe of its signal, where N
+    vanishes to third order and Var / <O>'^2 is rounding over rounding.  The
+    whole cells of N are refined with the zeros of <O>', in the same jet calls,
+    and the halves after them; the brackets of every signal share each call.
+    A zero of <O>' that an unresolved stretch hides is read at that stretch's
+    edge and kept as a fringe: V there is the least it reaches from that side.
+    Each root is a phase the jet was read at, and V there comes from that jet;
+    the grid's jets at the cell ends and the poles' jets are carried into the
+    refinement, not read again.  No bracket meets another, so a signal's
+    minima are those it gives alone, bit for bit.
     """
-    step = period / cells
+    step, count = period / cells, signals or 1
 
     def n_of(g: np.ndarray) -> np.ndarray:
         return g[4] * g[1] - 2.0 * g[3] * g[2]
 
-    zeros, cells_n = [], []  # (phases, jets) (k, 4) around each cell where <O>', and N, change sign
+    zeros, cells_n = [], []  # (phases, jets, signals) (k, 4) around each cell where <O>', and N, change sign
     for start in range(0, cells, KERNEL_CHUNK):
         phi = step * (np.arange(start, min(start + KERNEL_CHUNK, cells) + 1) + 0.5)
-        g = np.asarray(jet(phi))
+        by_signal = () if signals is None else (np.repeat(np.arange(count), len(phi)),)
+        g = np.asarray(jet(np.tile(phi, count), *by_signal)).reshape(-1, count, len(phi))
         nn = n_of(g)
         m1 = np.where(np.abs(g[1]) > np.maximum(SLOPE_FLOOR, SLOPE_NOISE * np.abs(g[0])), g[1], 0.0)
-        turns = m1[:-1] * m1[1:]
-        for rows, cells_at in ((zeros, turns < 0.0), (cells_n, (nn[:-1] * nn[1:] < 0.0) & (turns > 0.0))):
+        turns = m1[:, :-1] * m1[:, 1:]
+        for rows, cells_at in ((zeros, turns < 0.0), (cells_n, (nn[:, :-1] * nn[:, 1:] < 0.0) & (turns > 0.0))):
             # each cell and its neighbours, the cell's own ends standing in for those past the chunk's
-            i = np.minimum(np.maximum(np.flatnonzero(cells_at)[:, None] - 1 + _FOUR, 0), len(phi) - 1)
-            rows.append((phi[i], g[:, i]))
-    (x, g), (x_n, g_n) = ((np.concatenate(c, axis=-2) for c in zip(*found)) for found in (zeros, cells_n))
+            s, c = np.nonzero(cells_at)
+            i = np.minimum(np.maximum(c[:, None] - 1 + _FOUR, 0), len(phi) - 1)
+            rows.append((phi[i], g[:, s[:, None], i], s))
+    (x, g, w), (x_n, g_n, w_n) = ((np.concatenate(p), np.concatenate(j, 1), np.concatenate(s))
+                                  for p, j, s in (zip(*zeros), zip(*cells_n)))
 
-    def apart(x: np.ndarray, phis: np.ndarray) -> np.ndarray:
-        """The distance of each cell's centre from each phase, over the period."""
-        return np.abs(((x[:, 1] + x[:, 2])[:, None] / 2.0 - phis + period / 2.0) % period - period / 2.0)
+    def near(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Whether each cell's centre lies within 1.5 cells of a fringe of its own signal, over the period."""
+        apart = np.abs(((x[:, 1] + x[:, 2])[:, None] / 2.0 - fringes + period / 2.0) % period - period / 2.0)
+        return np.any((apart < 1.5 * step) & (w[:, None] == w_fringes), axis=1)
 
     k = len(x)
     roots, g_root, walls = _refine(jet, lambda g, rows: np.where((rows >= k)[:, None], n_of(g), g[1]),
-                                   np.concatenate([x, x_n]), np.concatenate([g, g_n], 1))
+                                   np.concatenate([x, x_n]), np.concatenate([g, g_n], 1),
+                                   None if signals is None else np.concatenate([w, w_n]))
     # a zero of <O>' behind a wall (a herald zero, say) is read at the wall's edge, like a dark fringe
     dark = (np.abs(g_root[3, :k]) <= g_root[6, :k]) | walls[:k]
-    fringes = roots[:k][dark]
+    fringes, w_fringes = roots[:k][dark], w[dark]
     # a pole splits its cell: (x0, x1, pole, x2) and (x1, pole, x2, x3)
-    x, g, pole, g_pole = x[~dark], g[:, ~dark], roots[:k][~dark, None], g_root[:, :k][:, ~dark, None]
+    x, g, w, pole, g_pole = x[~dark], g[:, ~dark], w[~dark], roots[:k][~dark, None], g_root[:, :k][:, ~dark, None]
     x = np.concatenate([np.concatenate([x[:, :2], pole, x[:, 2:3]], 1), np.concatenate([x[:, 1:2], pole, x[:, 2:]], 1)])
     g = np.concatenate([np.concatenate([g[:, :, :2], g_pole, g[:, :, 2:3]], 2),
                         np.concatenate([g[:, :, 1:2], g_pole, g[:, :, 2:]], 2)], 1)
-    nn = n_of(g)
+    w, nn = np.concatenate([w, w]), n_of(g)
     # within a cell of a dark fringe N vanishes to third order, and Var / <O>'^2 is rounding over rounding
-    keep = (nn[:, 1] * nn[:, 2] < 0.0) & ~np.any(apart(x, fringes) < 1.5 * step, axis=1)
-    halves, g_halves, _ = _refine(jet, lambda g, rows: n_of(g), x[keep], g[:, keep])
-    far = ~np.any(apart(x_n, fringes) < 1.5 * step, axis=1)
+    keep = (nn[:, 1] * nn[:, 2] < 0.0) & ~near(x, w)
+    halves, g_halves, _ = _refine(jet, lambda g, rows: n_of(g), x[keep], g[:, keep],
+                                  None if signals is None else w[keep])
+    far = ~near(x_n, w_n)
     phis = np.concatenate([fringes, roots[k:][far], halves])
     variance = jet_phase_variance(*np.concatenate([g_root[:, :k][:, dark], g_root[:, k:][:, far], g_halves], 1))
-    return [(_wrap(r, period), float(v)) for r, v in zip(phis, variance) if math.isfinite(v)]
+    w = np.concatenate([w_fringes, w_n[far], w[keep]])
+    found = [[(_wrap(r, period), float(v)) for r, v in zip(phis[w == s], variance[w == s]) if math.isfinite(v)]
+             for s in range(count)]
+    return found if signals else found[0]
 
 
 @dataclass

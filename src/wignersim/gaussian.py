@@ -158,3 +158,16 @@ def mean_photon(mean: np.ndarray, cov: np.ndarray, mode: int) -> float | np.ndar
 
 def total_mean_photon(state: GaussianState) -> float:
     return sum(mean_photon(state.mean, state.cov, k) for k in range(1, state.modes + 1))
+
+
+def trig_image(trig: tuple, phis, order: int = 0, which=0) -> tuple:
+    """((mean, cov), ...) at each of `phis` of Gaussian families of mean b + m_c cos(phi/2) + m_s sin(phi/2) and
+    covariance S0 + S1 cos phi + S2 sin phi, given as ((b, m_c, m_s), (S0, S1, S2)) stacked on axis 1, each phase of
+    family `which` (one, or one per phase), and their exact phi-derivatives up to `order` <= 2: mu'' = -(mu - b)/4
+    and sigma'' = S0 - sigma.  Each entry is formed alone, so its bits do not depend on the stack."""
+    (b, m_c, m_s), (s_0, s_1, s_2) = trig[0][:, which], trig[1][:, which]
+    phis = np.asarray(phis)[:, None]
+    ch, sh, cf, sf = np.cos(phis / 2.0), np.sin(phis / 2.0), np.cos(phis)[..., None], np.sin(phis)[..., None]
+    mu, sigma = b + m_c * ch + m_s * sh, s_0 + s_1 * cf + s_2 * sf
+    tangent = ((m_s * ch - m_c * sh) / 2.0, s_2 * cf - s_1 * sf) if order else None
+    return ((mu, sigma), tangent, ((b - mu) / 4.0, s_0 - sigma) if order > 1 else None)[: order + 1]

@@ -23,7 +23,8 @@ to every read; a single herald's two arms, success and failure, read one
 projector pair and share the projected part.  The prefix and each phase give
 one record (p, arms), p the success probability and 1 - p the failure arm's
 weight.  A detector's phase variance comes from one exact phase signal
-(`_optimal_phi`), which gives its optimum and its value at any phi.  The
+(`_optimal_phi`), which gives its optimum and its value at any phi; a sweep
+searches the optima of a block of Gaussian routes at once (`_blocks`).  The
 photon-number reads build the detected mode off the same channel
 (`_Route.detected`), and `simulate_counts` reads its T grid through the route
 of the config whose herald takes the grid, one channel per T (`_counted`).
@@ -33,6 +34,7 @@ Identical config plus seed gives byte-identical CSV/JSON output.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -675,12 +677,12 @@ def _then(mods, n: int, k: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
     return k, b, c
 
 
-def _through_mzi(k: np.ndarray, phi, derivative: bool = False) -> np.ndarray:
-    """A(phi) = K (M(phi) + I), K the channel after the MZI and I on the ancillas, or A'(phi) = K (M'(phi) + 0)
-    with `derivative`, at one phase or a stack of phases; K may lead with a grid axis instead, or be cut to rows."""
-    head = k[..., :4] @ (sym.mzi_phase_derivative if derivative else sym.mzi_matrix)(phi)
+def _through_mzi(k: np.ndarray, phi) -> np.ndarray:
+    """A(phi) = K (M(phi) + I), K the channel after the MZI and I on the ancillas, at one phase or a stack of
+    phases; K may lead with a grid axis instead, or be cut to rows."""
+    head = k[..., :4] @ sym.mzi_matrix(phi)
     a = np.empty(head.shape[:-1] + k.shape[-1:])
-    a[..., :4], a[..., 4:] = head, 0.0 if derivative else k[..., 4:]
+    a[..., :4], a[..., 4:] = head, k[..., 4:]
     return a
 
 
@@ -713,32 +715,29 @@ class _Route:
 
     @cached_property
     def trig(self) -> tuple:
-        """(b, m_c, m_s) and symmetric (S0, S1, S2): through A(0) and 2 A'(0) (`_through_mzi`), the Gaussian term has
-        mean b + m_c cos(phi/2) + m_s sin(phi/2) and covariance S0 + S1 cos phi + S2 sin phi, 2C in S0."""
+        """The Gaussian term through A(0) = K and 2 A'(0) = K G (M(0) = I, 2 M'(0) = G): (b, m_c, m_s) and symmetric
+        (S0, S1, S2) of its trigonometric form in phi (`ga.trig_image`), 2C in S0."""
         (k, b, c), term = self.channel, self.gaussian
-        a_c, a_s = _through_mzi(k, 0.0), 2.0 * _through_mzi(k, 0.0, derivative=True)
+        a_c, a_s = k, k @ sym._GENERATOR  # a Gaussian route has no ancilla: K is 4 x 4
         s_cc, s_cs, s_ss = a_c @ term.quad @ a_c.T, a_c @ term.quad @ a_s.T, a_s @ term.quad @ a_s.T
         parts = np.array([(s_cc + s_ss) / 2.0 + 2.0 * c, (s_cc - s_ss) / 2.0, s_cs])
         return np.array([b, a_c @ term.mean, a_s @ term.mean]), (parts + np.swapaxes(parts, 1, 2)) / 2.0
 
-    def image(self, phis, order: int = 0, rows: slice = slice(None)) -> tuple:
-        """((mean, cov), ...) of the Gaussian term (`trig`) at each of `phis` on the variables `rows`, unvalidated, and
-        their exact phi-derivatives up to `order` <= 2: A'' = -A/4 gives mu'' = -(mu - b)/4 and sigma'' = S0 - sigma."""
-        # a mode's rows are a strided block of each S, which slows every broadcast below: they are copied first
-        (b, m_c, m_s), (s_0, s_1, s_2) = self.trig[0][:, rows], self.trig[1][:, rows, rows].copy()
-        phis = np.asarray(phis)[:, None]
-        ch, sh, cf, sf = np.cos(phis / 2.0), np.sin(phis / 2.0), np.cos(phis)[..., None], np.sin(phis)[..., None]
-        mu, sigma = b + m_c * ch + m_s * sh, s_0 + s_1 * cf + s_2 * sf
-        tangent = ((m_s * ch - m_c * sh) / 2.0, s_2 * cf - s_1 * sf) if order else None
-        return ((mu, sigma), tangent, ((b - mu) / 4.0, s_0 - sigma) if order > 1 else None)[: order + 1]
+    def image(self, phis, order: int = 0) -> tuple:
+        """The `trig` form at each of `phis`, unvalidated, to the phi-derivatives of `order` (`ga.trig_image`)."""
+        return ga.trig_image(_stacked((self,)), phis, order)
 
-    def samples(self, phis: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """The `image` at a sample set of phases, its covariances validated once as a stack, kept per set."""
-        if phis not in self._samples:
-            ((mean, cov),) = self.image(phis)
+    def samples(self, phis: tuple, *others: _Route) -> tuple[np.ndarray, np.ndarray]:
+        """The `image` at a sample set of phases of this route and its sweep block's `others`, stacked and validated
+        once; each route keeps its part per set."""
+        routes, n = (self, *others), len(phis)
+        if any(phis not in route._samples for route in routes):
+            which = np.repeat(range(len(routes)), n)
+            ((mean, cov),) = ga.trig_image(_stacked(routes), np.tile(phis, len(routes)), 0, which)
             ga.check_covariance(cov)
-            self._samples[phis] = mean, cov
-        return self._samples[phis]
+            for j, route in enumerate(routes):
+                route._samples[phis] = mean[j * n : (j + 1) * n], cov[j * n : (j + 1) * n]
+        return tuple(np.concatenate(part) for part in zip(*(route._samples[phis] for route in routes)))
 
     def observe(self, phi: float) -> tuple:
         """(p, arms) as the detectors see them at phi, kept for the last phi, which a point's metrics share.  The
@@ -797,11 +796,19 @@ class _Route:
         return image.state((mode,), self.arms[0][1] or wig.UNHERALDED)
 
 
+def _stacked(routes, rows: slice = slice(None)) -> tuple:
+    """The routes' `trig` on the variables `rows`, stacked on axis 1, contiguous: `ga.trig_image` reads it fastest."""
+    return (np.stack([route.trig[0][:, rows] for route in routes], 1),
+            np.stack([route.trig[1][:, rows, rows] for route in routes], 1))
+
+
 _routes = lru_cache(maxsize=1)(_Route)  # the last pipeline's route, with its most recent observation and its reads
+_block: dict = {}  # the routes of the sweep block being evaluated, by pipeline, which `_route` hands out
 
 
 def _route(config: ScenarioConfig) -> _Route:
-    return _routes(config.inputs, config.modifications, config.noise)
+    key = config.inputs, config.modifications, config.noise
+    return _block.get(key) or _routes(*key)
 
 
 def _bytes(a: np.ndarray | None) -> tuple | None:
@@ -834,7 +841,9 @@ class _Signal(NamedTuple):
 
 def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float, _Signal]:
     """The phase-variance minimum over one period of V in phi, as (phi, variance), and the signal it is read from,
-    kept on the route (`_Route.optima`): neither depends on the config's phase, so a sweep searches once.
+    kept on the route (`_Route.optima`) with the SignalStationary of a signal with no finite variance: neither
+    depends on the phase.  The first read searches every route of its sweep block (`_blocks`) at once, whose
+    signals never meet: each optimum is the one its route gives alone, bit for bit.
 
     The prefix channel A(phi) (`_through_mzi`) holds only cos(phi/2) and sin(phi/2), and M(phi + 2 pi) = -M(phi).
     V has period 2 pi for homodyne and for an even detector (every other one) with no output displacement; an
@@ -843,49 +852,53 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
     A polynomial detector with no herald after the phase is a trigonometric polynomial in phi: <O> of a degree-q
     detector has harmonics up to q in phi/2 and <O^2> up to 2q.  An even detector with no output displacement has
     even harmonics only, and is read in phi itself.  Its samples at 4d + 1 equispaced phases (five, or nine for an
-    even detector behind an output displacement; a Gaussian route's image, or a Wigner arm's monomials, read at
-    all of them at once) fix both moments, and `est.trig_signal` gives V at every phi and at every stationary
-    point exactly.  Parity and click, and every detector after an output herald, where <O> = p<O> / p is no
-    trigonometric polynomial, read the batched jet of <O> and Var (`_signal_jet`), through
-    `est.jet_phase_variance` at any phi and `_kernel_optimum` for the minimum.  The fixed-phase variance, the drift
-    trials and the optimum of a detector all read this one signal.
+    even detector behind an output displacement; every route's Gaussian image as one stack, or a Wigner arm's
+    monomials, read at all of them at once) fix both moments, and `est.trig_signal` gives V at every phi and at
+    every stationary point exactly.  Parity and click, and every detector after an output herald, where
+    <O> = p<O> / p is no trigonometric polynomial, read the batched jet of <O> and Var of every route at once
+    (`_signal_jet`), through `est.jet_phase_variance` at any phi and `est.kernel_minima` for the minima.  The
+    fixed-phase variance, the drift trials and the optimum of a detector all read this one signal.
 
     Minima within a relative OPTIMUM_TIE of the lowest are equal, and the one at the smallest phi is reported, so
-    that rounding cannot move the optimum between mirror minima.  Raises SignalStationary when no phase gives a
-    finite variance.
+    that rounding cannot move the optimum between mirror minima.
     """
     route = _route(config)
-    if scheme in route.optima:
-        return route.optima[scheme]
-    shifted = bool(np.any(route.channel[1]))
-    if scheme.kind in meas.POLYNOMIAL_KINDS and not route.ancillas:
-        even = scheme.kind != "homodyne"
-        rate = 2 if shifted or not even else 1
-        n = 9 if even and shifted else 5
-        phis = tuple(2.0 * math.pi * rate * j / n for j in range(n))
-        if route.gaussian is not None:
-            o = meas.gaussian_moments(scheme, *route.samples(phis))
-        else:  # the success arm's monomials at every phase in one read
-            read = route.read(0, 0, None)
-            o = meas.polynomial_moments(scheme, lambda e: read(np.array(phis), monomials=e)[0][:, 0])
-        samples = [meas.MeasurementMoments(float(m), float(s)) for m, s in zip(o.mean, o.second_moment)]
-        variance, floor, points = est.trig_signal(samples, rate)
-        optimum = *_least(points), _Signal(variance, floor)
-    else:
-        jet = _signal_jet(config, scheme)
-        # |<O>| <= 1, so the slope floor of jet_phase_variance is SLOPE_FLOOR
-        signal = _Signal(lambda phi: est.jet_phase_variance(*jet(phi)), est.SLOPE_FLOOR)
-        optimum = *_kernel_optimum(config, jet, 4.0 * math.pi if shifted else 2.0 * math.pi), signal
-    route.optima[scheme] = optimum
-    return optimum
+    if scheme not in route.optima:
+        routes = tuple(_block.values()) if route in _block.values() else (route,)
+        shifted = bool(np.any(route.channel[1]))
+        if scheme.kind in meas.POLYNOMIAL_KINDS and not route.ancillas:
+            even = scheme.kind != "homodyne"
+            rate = 2 if shifted or not even else 1
+            n = 9 if even and shifted else 5
+            phis = tuple(2.0 * math.pi * rate * j / n for j in range(n))
+            if route.gaussian is not None:
+                o = meas.gaussian_moments(scheme, *routes[0].samples(phis, *routes[1:]))
+            else:  # the success arm's monomials at every phase in one read
+                read = route.read(0, 0, None)
+                o = meas.polynomial_moments(scheme, lambda e: read(np.array(phis), monomials=e)[0][:, 0])
+            stack = [[meas.MeasurementMoments(float(m), float(s)) for m, s in zip(mean, second)]
+                     for mean, second in zip(np.reshape(o.mean, (-1, n)), np.reshape(o.second_moment, (-1, n)))]
+            for each, found in zip(routes, est.trig_signal(stack, rate)):  # a flat signal is a SignalStationary
+                each.optima[scheme] = found if isinstance(found, SignalStationary) else _least(
+                    found[2], _Signal(*found[:2]))
+        else:
+            jet, period = _signal_jet(config, scheme, routes), 4.0 * math.pi if shifted else 2.0 * math.pi
+            minima = est.kernel_minima(jet, period, _kernel_cells(route, period), len(routes))
+            for j, each in enumerate(routes):  # |<O>| <= 1, so the slope floor of jet_phase_variance is SLOPE_FLOOR
+                signal = _Signal(lambda phi, j=j: est.jet_phase_variance(*jet(phi, j)), est.SLOPE_FLOOR)
+                each.optima[scheme] = _least(minima[j], signal)
+    if isinstance(route.optima[scheme], SignalStationary):
+        raise SignalStationary(*route.optima[scheme].args)
+    return route.optima[scheme]
 
 
-def _least(minima: list) -> tuple[float, float]:
-    """The lowest of (phi, variance) pairs, the smallest phi of those within OPTIMUM_TIE of it."""
+def _least(minima: list, signal: _Signal) -> tuple | SignalStationary:
+    """(phi, variance, signal) at the lowest of (phi, variance) pairs, the smallest phi of those within OPTIMUM_TIE
+    of it, or the SignalStationary of a signal with none finite."""
     low = min((v for _, v in minima), default=math.inf)
     if not math.isfinite(low):
-        raise SignalStationary("no searched phase gives a finite phase variance")
-    return min((x, v) for x, v in minima if v - low <= OPTIMUM_TIE * abs(low))
+        return SignalStationary("no searched phase gives a finite phase variance")
+    return *min((x, v) for x, v in minima if v - low <= OPTIMUM_TIE * abs(low)), signal
 
 
 def _variance(m, m1, m2, s, s1, s2) -> tuple:
@@ -909,7 +922,8 @@ def _ratio(u, p, size) -> tuple:
         return tuple(np.where(resolved, r, math.nan) for r in (m, m1, (u[2] - 2.0 * m1 * p[1] - m * p[2]) / p[0]))
 
 
-def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int = 0, order: int = 2) -> Callable:
+def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int = 0, order: int = 2,
+                routes: tuple | None = None) -> Callable:
     """The batched jet of parity or click on one arm (`_Route.arms`) of the prefix channel.
 
     The jet maps an array of phases to <O> and its phi-derivatives up to
@@ -918,14 +932,15 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
     signal, and the no-click probability keeps its precision at the bright
     port, where the click probability rounds to 1.
 
-    On a Gaussian state the detected mode's mean and covariance and their exact derivatives are the route's one
-    image (`_Route.image`) on its rows, and the kernel is the parity, or half the no-click probability with
-    sigma + I in place of sigma (`meas.kernel_jet`).  On a Wigner state the parity is pi W(0) of the mode, the no-click
-    probability 2 pi times its density at 0 blurred by I/2, and their derivatives those of the arm's phase tangents
-    (`_Route.read`); after an output herald, <O> = p<O> / p with p the read of the herald's projectors (`_ratio`).
+    On a Gaussian state the detected mode's mean, covariance and their exact derivatives are the route's image on
+    its rows, and the kernel is the parity, or half the no-click probability with sigma + I in place of sigma
+    (`meas.kernel_jet`); the jet of a sweep block's `routes` takes the route of each phase as `which`.  On a
+    Wigner state the parity is pi W(0) of the mode, the no-click probability 2 pi times its density at 0 blurred
+    by I/2, and their derivatives those of the arm's phase tangents (`_Route.read`); after an output herald,
+    <O> = p<O> / p with p the read of the herald's projectors (`_ratio`).
     """
-    route = _route(config)
-    scale = 1.0 if scheme.kind == "parity" else 2.0
+    routes = routes or (_route(config),)
+    route, scale = routes[0], 1.0 if scheme.kind == "parity" else 2.0
     if route.gaussian is None:
         index, herald = route.arms[arm]
         mode = [2 * scheme.mode - 2, 2 * scheme.mode - 1]
@@ -934,7 +949,7 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
         read = route.read(index, order, herald, None if herald else mode)
         mode = mode if herald else None
 
-        def wigner_jet(phi: np.ndarray) -> tuple:
+        def wigner_jet(phi: np.ndarray, which=0) -> tuple:
             densities, size = read(phi, mode, blur)
             if herald is None:
                 return (*(math.pi * scale * densities), est.SLOPE_NOISE * math.pi * scale * size)
@@ -945,35 +960,37 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
 
         return wigner_jet
     rows, kernel = slice(2 * scheme.mode - 2, 2 * scheme.mode), np.eye(2) if scheme.kind == "click" else 0.0
-    s_0, s_1, s_2 = route.trig[1][:, rows, rows]
-    terms = float(np.sum(np.abs(s_0 + kernel) + np.abs(s_1) + np.abs(s_2)))
+    trig = _stacked(routes, rows)
+    terms = np.array([float(np.sum(np.abs(s_0 + kernel) + np.abs(s_1) + np.abs(s_2))) for s_0, s_1, s_2 in
+                      zip(*trig[1])])
 
-    def jet(phi: np.ndarray) -> tuple:
-        (mu, sigma), (dmu, dsigma), (d2mu, d2sigma) = route.image(phi, 2, rows)
+    def jet(phi: np.ndarray, which=0) -> tuple:
+        (mu, sigma), (dmu, dsigma), (d2mu, d2sigma) = ga.trig_image(trig, phi, 2, which)
         sigma = sigma + kernel
         value, slope, curve = meas.kernel_jet(mu, sigma, dmu, dsigma, d2mu, d2sigma)
         # sigma carries the rounding of its terms, which log det sigma amplifies by |sigma^-1|, relative to
         # <O>: a no-click probability that is small but resolved is no dark fringe
         det = sigma[:, 0, 0] * sigma[:, 1, 1] - sigma[:, 0, 1] * sigma[:, 1, 0]
-        noise = est.SLOPE_NOISE * terms * np.abs(sigma).sum(axis=(1, 2)) / np.abs(det)
+        noise = est.SLOPE_NOISE * terms[which] * np.abs(sigma).sum(axis=(1, 2)) / np.abs(det)
         return scale * value, scale * slope, scale * curve, noise * np.abs(scale * value)
 
     return jet
 
 
-def _signal_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callable:
+def _signal_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, routes: tuple | None = None) -> Callable:
     """phis -> (<O>, <O>', <O>'', Var, Var', Var'', the rounding level of Var) on the success arm, a (7, n) stack.
 
-    Parity and click read `_kernel_jet`, with <O^2> = 1 for parity and <O> for the no-click indicator.  A
+    Parity and click read `_kernel_jet` (on `routes`, by `which`), with <O^2> = 1 for parity and <O> for the
+    no-click indicator.  A
     polynomial detector after an output herald reads its monomials through the herald over the herald's read
     (`_ratio`); its moment formulas (`meas.polynomial_moments`) are affine in them, so they map the value row to
     <O> and <O^2>, and a derivative row to its derivative once their constants are taken off.
     """
     if scheme.kind not in meas.POLYNOMIAL_KINDS:
-        jet = _kernel_jet(config, scheme)
+        jet = _kernel_jet(config, scheme, routes=routes)
 
-        def kernel_signal(phi: np.ndarray) -> tuple:
-            m, m1, m2, noise = jet(phi)
+        def kernel_signal(phi: np.ndarray, which=0) -> tuple:
+            m, m1, m2, noise = jet(phi, which)
             square = (m, m1, m2) if scheme.kind == "click" else (1.0, 0.0, 0.0)  # <O^2> of no-click, or parity
             return m, m1, m2, *_variance(m, m1, m2, *square), noise
 
@@ -982,7 +999,7 @@ def _signal_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callabl
     read = route.read(0, 2, route.arms[0][1])
     constants = meas.polynomial_moments(scheme, lambda monomials: [0.0] * len(monomials))
 
-    def polynomial_signal(phi: np.ndarray) -> tuple:
+    def polynomial_signal(phi: np.ndarray, which=0) -> tuple:
         size = []
 
         def moments(monomials: list) -> list:
@@ -999,19 +1016,12 @@ def _signal_jet(config: ScenarioConfig, scheme: meas.DetectionScheme) -> Callabl
     return polynomial_signal
 
 
-def _kernel_optimum(config: ScenarioConfig, jet: Callable, period: float) -> tuple[float, float]:
-    """The phase-variance minimum of a jet signal (`_signal_jet`), from one batched grid of its jet.
-
-    The grid has cells of width 1 / sqrt(F), with F = `_Prefix.qfi`: it bounds
-    the Fisher information Var^-1 <O>'^2 of every detector at every phi, so a
-    cell is the width of the narrowest fringe.  The fringe angle
-    theta = arccos <O> (parity), or arccos(1 - 2P) (click), turns by at most
-    one radian across it, since theta'^2 = <O>'^2 / Var <= F.  `est.kernel_minima` refines the stationary
-    points on that grid, a window of phases per bracket in each batched jet call, and reads V from the jet at
-    the phase it reports; the least of them (by the OPTIMUM_TIE rule) is reported.
-    """
-    cells = 4 * max(math.ceil(period * math.sqrt(_route(config).prefix.qfi) / 4.0), 1)
-    return _least(est.kernel_minima(jet, period, cells))
+def _kernel_cells(route: _Route, period: float) -> int:
+    """The cells of the batched grid of a jet signal over `period` (`est.kernel_minima`), a multiple of 4, of
+    width 1 / sqrt(F), F = `_Prefix.qfi`: F bounds the Fisher information Var^-1 <O>'^2 of every detector at every
+    phi, so the fringe angle theta = arccos <O> (parity), or arccos(1 - 2P) (click), turns by at most one radian
+    across a cell, since theta'^2 = <O>'^2 / Var <= F.  A sweep block's routes share F, and the grid."""
+    return 4 * max(math.ceil(period * math.sqrt(route.prefix.qfi) / 4.0), 1)
 
 
 def _click_cfi(config: ScenarioConfig, phi: float) -> float:
@@ -1247,25 +1257,55 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunReport:
 
 
 def sweep(config: ScenarioConfig, parameter: str, grid, seed: int | None = None) -> RunReport:
-    """Evaluate the metrics at each grid point, in grid order; a config's phi grid takes a sweep over phi alone."""
+    """Evaluate the metrics at each grid point, in grid order; a config's phi grid takes a sweep over phi alone.
+    Each block of points (`_blocks`) searches each detector's optimum once for all its routes (`_optimal_phi`)."""
     if config.phi_grid is not None and parameter != "phi":
         raise ConfigError("interferometer.phi", f"a phi grid cannot be swept over {parameter}; give one phi")
     grid = [float(g) for g in grid]
     # every grid point is validated before any is evaluated
     points = [config.with_values(**{parameter: value}) for value in grid]
     rows, warnings, dists = [], [], []
-    for idx, (value, point) in enumerate(zip(grid, points)):
-        report, w, d = evaluate_point(point)
-        row = report.as_dict()
-        row["index"] = idx
-        row[parameter] = value
-        rows.append(row)
-        warnings.extend(w)
-        for item in d:
-            item["grid_index"] = idx
-        dists.extend(d)
+    for start, stop, routes in _blocks(points):
+        _block.update(routes)
+        try:
+            for idx in range(start, stop):
+                report, w, d = evaluate_point(points[idx])
+                row = report.as_dict()
+                row["index"] = idx
+                row[parameter] = grid[idx]
+                rows.append(row)
+                warnings.extend(w)
+                for item in d:
+                    item["grid_index"] = idx
+                dists.extend(d)
+        finally:
+            _block.clear()
     return RunReport(config=config.raw, rows=rows, parameter=parameter, grid=grid, seed=seed, warnings=warnings,
                      distributions=dists)
+
+
+def _blocks(points: list):
+    """Runs of sweep points as (start, stop, routes by pipeline); a point shares the route of its pipeline, as a phi
+    sweep's points do.  Several routes are Gaussian routes of one prefix record, so of one QFI bound and grid, and
+    at most KERNEL_CHUNK grid cells over them.  A sweep moves no herald or output displacement: its routes of one
+    prefix share the search shape too."""
+    start, routes = 0, {}
+    for i, point in enumerate(points):
+        key = point.inputs, point.modifications, point.noise
+        if key not in routes:
+            route = _routes(*key)
+            if routes and not (route.prefix is first.prefix and len(routes) < size):
+                yield start, i, routes
+                start, routes = i, {}
+            if not routes:
+                first, size = route, 1
+                # a herald below the renormalization floor leaves each point to flag its row (`evaluate_point`)
+                with contextlib.suppress(ImprobableBranch):
+                    if route.gaussian is not None:
+                        period = 4.0 * math.pi if np.any(route.channel[1]) else 2.0 * math.pi
+                        size = est.KERNEL_CHUNK // _kernel_cells(route, period)
+            routes[key] = route
+    yield start, len(points), routes
 
 
 def phase_drift_study(

@@ -44,7 +44,7 @@ def trig_slope():
     """
 
     def slope(moments, phi: float, rate: int, n: int) -> float:
-        variance = est.trig_signal([moments(2.0 * math.pi * rate * j / n) for j in range(n)], rate)[0]
+        variance = est.trig_signal([[moments(2.0 * math.pi * rate * j / n) for j in range(n)]], rate)[0][0]
         return math.sqrt(moments(phi).variance / variance(np.array([phi]))[0])
 
     return slope

@@ -40,7 +40,7 @@ class TestTrigStationaryPoints:
         # V = 2 / (N (1 + cos phi)) is least at the dark fringe phi = 0, where Var and the slope vanish
         n_photons = 7.0
         mean = lambda t: n_photons * (1.0 - math.cos(t)) / 2.0
-        points = est.trig_signal(samples(mean, mean, 5), rate=1)[2]
+        points = est.trig_signal([samples(mean, mean, 5)], rate=1)[0][2]
         phi, v = min(points, key=lambda p: p[1])
         assert phi == pytest.approx(0.0, rel=0.0, abs=1e-15)
         assert v == pytest.approx(1.0 / n_photons, rel=1e-14, abs=0.0)
@@ -49,7 +49,7 @@ class TestTrigStationaryPoints:
     def test_half_angle_signal_maps_back_to_phi(self):
         # homodyne-like: <O> = a cos(phi/2) with constant variance s, so V = 4 s / (a^2 sin^2(phi/2)), least at pi
         a, s = 3.0, 0.7
-        points = est.trig_signal(samples(lambda t: a * math.cos(t), lambda t: s, 5), rate=2)[2]
+        points = est.trig_signal([samples(lambda t: a * math.cos(t), lambda t: s, 5)], rate=2)[0][2]
         # one period in theta = phi/2: phi spans [0, 4 pi), with the mirror minimum at 3 pi
         assert all(0.0 <= phi < 4.0 * math.pi for phi, _ in points)
         phi, v = min(points, key=lambda p: p[1])
@@ -57,31 +57,47 @@ class TestTrigStationaryPoints:
         assert v == pytest.approx(4.0 * s / a**2, rel=1e-13, abs=0.0)
 
     def test_flat_signal_raises(self):
-        with pytest.raises(SignalStationary, match="flat"):
-            est.trig_signal(samples(lambda t: 1e-17 * math.cos(t), lambda t: 0.0, 5), rate=1)
+        # the search of a flat signal raises SignalStationary, which the stack returns in the signal's place
+        (found,) = est.trig_signal([samples(lambda t: 1e-17 * math.cos(t), lambda t: 0.0, 5)], rate=1)
+        assert isinstance(found, SignalStationary) and "flat" in str(found)
 
     @pytest.mark.parametrize("name", ["ligo_lossy", "point_a", "point_b", "output_displaced"])
     def test_batched_newton_steps_keep_the_bits(self, name, monkeypatch):
-        # every polynomial whose circle roots the optimum takes, the slope's and the stationary condition's,
-        # against the per-root Newton steps
-        polys, orig = [], est._circle_roots
-        monkeypatch.setattr(est, "_circle_roots", lambda p: polys.append(p) or orig(p))
+        # every polynomial whose circle roots the optimum takes, the slope's and the stationary condition's, as its
+        # call gave them, against the per-root Newton steps
+        calls, orig = [], est._circle_roots
+        monkeypatch.setattr(est, "_circle_roots", lambda polys: calls.append((polys, orig(polys))) or calls[-1][1])
         config = sc.ScenarioConfig.from_dict(CONFIGS[name])
         for scheme in config.detection:
             if scheme.kind in meas.POLYNOMIAL_KINDS:
                 sc._optimal_phi(config, scheme)
-        assert polys
-        for p in polys:
-            assert np.array(orig(p)).tobytes() == np.array(ref.circle_roots(p)).tobytes()
+        assert calls
+        for polys, found in calls:
+            for p, thetas in zip(polys, found, strict=True):
+                assert np.array(thetas).tobytes() == np.array(ref.circle_roots(p)).tobytes()
 
     def test_newton_steps_stop_where_the_derivative_vanishes(self):
         # (z - 1)^2, whose double root np.roots gives as exactly 1, where p and p' are both 0: that root takes no
         # step (a step would be 0 / 0); with (z^2 + 1) the other roots still take theirs
-        for p in (np.array([1.0, -2.0, 1.0]), np.convolve([1.0, -2.0, 1.0], [1.0, 0.0, 1.0])):
-            got = est._circle_roots(p)
+        polys = [np.array([1.0, -2.0, 1.0]), np.convolve([1.0, -2.0, 1.0], [1.0, 0.0, 1.0])]
+        found = est._circle_roots(polys)
+        for p, got in zip(polys, found, strict=True):
             assert np.array(got).tobytes() == np.array(ref.circle_roots(p)).tobytes()
-        assert est._circle_roots(np.array([1.0, -2.0, 1.0])) == [0.0, 0.0]
-        assert len(got) == 4 and all(math.isfinite(t) for t in got)
+        assert found[0] == [0.0, 0.0]
+        assert len(found[1]) == 4 and all(math.isfinite(t) for t in found[1])
+
+    def test_stack_gives_each_signal_its_own_result(self):
+        # a stack of sample sets reads every signal's circle roots in one call per stage: a flat signal is its own
+        # SignalStationary, and every other signal's points are those it gives alone, bit for bit
+        n_photons = 7.0
+        mean = lambda t: n_photons * (1.0 - math.cos(t)) / 2.0
+        dark = samples(mean, mean, 5)
+        shifted = samples(lambda t: 3.0 * math.cos(t) + math.sin(t), lambda t: 0.7 + 0.1 * math.cos(2.0 * t), 5)
+        flat = samples(lambda t: 1e-17 * math.cos(t), lambda t: 0.0, 5)
+        found = est.trig_signal([dark, flat, shifted], rate=1)
+        assert isinstance(found[1], SignalStationary)
+        for got, alone in ((found[0], dark), (found[2], shifted)):
+            assert got[1:] == est.trig_signal([alone], rate=1)[0][1:]
 
 
 def ligo_lossy(L: float) -> dict:
@@ -472,9 +488,9 @@ def test_each_root_family_takes_at_most_4_jet_calls(jet, brackets, monkeypatch):
     families = []
     refine = est._refine
 
-    def per_family(read, f, x, g):
+    def per_family(read, f, x, g, which=None):
         families.append([])
-        return refine(counted(read, families[-1]), f, x, g)
+        return refine(counted(read, families[-1]), f, x, g, which)
 
     monkeypatch.setattr(est, "_refine", per_family)
     est.kernel_minima(pm_signal(jet), 2.0 * math.pi, 12)

@@ -3,7 +3,8 @@
 One child interpreter runs, under `sys.settrace`:
 - the reach commands: `wignersim.cli.main` running the benchmark's heralded points (a), (b) and (b) at m = 2, the
   QFI and distributions of (a) at uniform loss L = 0.5 and 1, the QFI of a mixed Wigner input behind a noise-free
-  channel and two configs that take the remaining modifications, noise and detectors, sweeping (over L and phi),
+  channel and two configs that take the remaining modifications, noise and detectors, sweeping (over phi, and
+  over eleven L up to 1: ten points are one search block, and the stationary last one is searched alone),
   drifting (both distributions) and counting the shipped configs and an input-stage herald, and validating a
   key-tree file;
 - every CLI call of `tests/test_cli.py`, its exit-2 configs and the configs whose rows it checks against a
@@ -116,7 +117,7 @@ def _commands(work: Path) -> list:
     paths = {**shipped, **{name: str(work / f"{name}.json") for name in configs}}
     runs = [["run", "--config", paths[name]] for name in configs]  # tests/test_cli.py runs the shipped ones
     return [argv + ["--out", str(work / f"out{i}")] for i, argv in enumerate(runs + [
-        ["sweep", "--config", shipped["ligo_lossy"], "--grid", "L=0:0.1:0.1"],
+        ["sweep", "--config", shipped["ligo_lossy"], "--grid", "L=0:1:0.1"],
         ["sweep", "--config", paths["point_a"], "--grid", "phi=0.5:1:0.5"],
         ["drift", "--config", shipped["ligo_lossy"], "--trials", "20", "--sigma", "parity=0.001"],
         ["drift", "--config", shipped["ligo_lossy"], "--trials", "20", "--distribution", "uniform20"],

@@ -150,10 +150,10 @@ def imaged(monkeypatch) -> list:
     return seen
 
 
-def test_gaussian_sweep_pass_validates_7_states_and_8_stacks(tmp_path, monkeypatch):
+def test_gaussian_sweep_pass_validates_7_states_and_2_stacks(tmp_path, monkeypatch):
     # the gaussian_sweep CI gates, at seed 1: the two inputs, the prefix's Gaussian record once for its QFI, each
-    # of the four points' own state at its phase, and per point one stack for each sample set, homodyne's and the
-    # even detectors'; each state and each stack is one covariance check
+    # of the four points' own state at its phase, and one stack of all four points' images for each sample set,
+    # homodyne's and the even detectors'; each state and each stack is one covariance check
     plan = workloads.plan(str(CONFIGS.parent), "gaussian_sweep", 1, str(tmp_path))
     workloads.write_configs(plan)
     forget_routes()
@@ -161,7 +161,7 @@ def test_gaussian_sweep_pass_validates_7_states_and_8_stacks(tmp_path, monkeypat
     monkeypatch.setattr(ga.GaussianState, "__post_init__", lambda state: states.append(1) or init(state))
     checks = counter(monkeypatch, ga, "check_covariance")
     assert [cli.main(command["argv"]) for command in plan["commands"]] == [0]
-    assert (len(states), len(checks)) == (7, 15)
+    assert (len(states), len(checks)) == (7, 9)
 
 
 def test_gaussian_qfi_observes_one_state(observed):
@@ -575,6 +575,87 @@ def test_phi_sweep_builds_one_route_and_searches_each_optimum_once(raw, monkeypa
     report = sc.sweep(config, "phi", grid)
     assert (sc._routes.cache_info().misses, len(searches)) == (1, len(config.detection))
     assert [{k: v for k, v in row.items() if k != "index"} for row in report.rows] == alone
+
+
+def ligo_lossy(**updates) -> dict:
+    return dict(json.loads(Path(LIGO_LOSSY).read_text()), **updates)
+
+
+THERMAL_NOISE = ligo_lossy(noise={"loss": {"L": 0.1}, "thermal": {"nbar_env": 0.2, "eta": 0.8, "modes": [2]}},
+                           metrics=["phase_variance", "cfi", "qfi", "snr"],
+                           detection=[{"scheme": "click", "mode": 1}, {"scheme": "parity", "mode": 2},
+                                      {"scheme": "intensity_difference", "mode": 1, "mode_b": 2}])
+# a displaced squeezed input behind an output displacement: V has period 4 pi, and the even detectors take nine
+# samples over phi/2
+OUTPUT_DISPLACED = {
+    "inputs": [{"kind": "coherent", "alpha": 1.5, "theta": 0.2}, {"kind": "vacuum"}],
+    "modifications": [{"op": "squeeze", "stage": "input", "mode": 2, "r": 0.6, "theta": 0.4},
+                      {"op": "displace", "stage": "output", "mode": 1, "alpha": 0.8, "theta": 0.5}],
+    "interferometer": {"phi": 1.0},
+    "noise": {"loss": {"L": 0.1}},
+    "detection": [{"scheme": "homodyne", "mode": 2, "angle": 0.3}, {"scheme": "intensity", "mode": 1},
+                  {"scheme": "parity", "mode": 1}, {"scheme": "click", "mode": 2}],
+    "metrics": ["phase_variance", "qfi", "snr"],
+}
+
+
+@pytest.mark.parametrize("raw, parameter, grid", [
+    (ligo_lossy(), "L", [0.0, 0.1, 0.2, 0.3]),
+    (ligo_lossy(), "D", [1.0, 0.9, 0.8, 0.6]),
+    (THERMAL_NOISE, "nbar_env", [0.0, 0.5, 1.0, 2.0]),
+    (ligo_lossy(), "L", [0.08 * k for k in range(12)]),
+    (ligo_lossy(), "L", [0.1 * k for k in range(11)]),
+    (ligo_lossy(), "L", [0.0, 0.5, 1.0]),
+    (OUTPUT_DISPLACED, "L", [0.0, 0.5, 1.0]),
+    (ligo_lossy(), "alpha2", [300.0, 500.0]),
+], ids=["L", "D", "nbar_env", "two_blocks", "last_point_alone", "reaches_L_1", "output_displaced", "alpha2"])
+def test_channel_sweep_rows_equal_each_point_alone(raw, parameter, grid):
+    # a sweep searches each detector's optimum once per block of Gaussian points that share a prefix record; every
+    # row and warning is the one its point gives alone on fresh caches, byte for byte: ten ligo_lossy points fill
+    # a block (two blocks for twelve points, and an eleventh point searched alone), a stationary signal at L = 1
+    # raises for that point alone, and an alpha2 sweep, which changes the prefix, searches each point alone
+    config = sc.ScenarioConfig.from_dict(raw)
+    alone, warned = [], []
+    for value in grid:
+        forget_routes()
+        report, warnings, _ = sc.evaluate_point(config.with_values(**{parameter: value}))
+        alone.append(json.dumps(report.as_dict(), sort_keys=True))
+        warned.extend(warnings)
+    forget_routes()
+    report = sc.sweep(config, parameter, grid)
+    rows = [json.dumps({k: v for k, v in row.items() if k not in ("index", parameter)}, sort_keys=True)
+            for row in report.rows]
+    assert (rows, report.warnings) == (alone, warned)
+
+
+@pytest.mark.parametrize("kind, mode", [("parity", 1), ("click", 2)])
+def test_block_jet_reads_each_phase_through_its_own_route(kind, mode):
+    # a sweep block's kernel jet takes the route of each phase: every row, the rounding level of Var included, is
+    # the one that route's own jet gives, bit for bit, at any phase
+    config, scheme = sc.load_config(LIGO_LOSSY), meas.DetectionScheme(kind, mode)
+    points = [config.with_values(L=value) for value in (0.0, 0.1, 0.3)]
+    routes = tuple(sc._Route(point.inputs, point.modifications, point.noise) for point in points)
+    phis = np.linspace(0.1, 6.0, 7)
+    block = sc._kernel_jet(config, scheme, routes=routes)(np.tile(phis, 3), np.repeat(np.arange(3), 7))
+    for j, route in enumerate(routes):
+        alone = sc._kernel_jet(config, scheme, routes=(route,))(phis)
+        assert all(same_bits(rows[7 * j : 7 * j + 7], own) for rows, own in zip(block, alone))
+
+
+def test_loss_sweep_searches_each_optimum_once(monkeypatch):
+    # four L of ligo_lossy are one block: one parity search, whose grid and refinement rounds each read the four
+    # points' jets in one call (the four points searched alone take 20), one stack of trigonometric
+    # signals per polynomial detector, whose circle roots are two calls (the slope's, then the stationary
+    # condition's), and one covariance check per sample set for the block
+    minima, jets, signals, roots = (counter(monkeypatch, m, name) for m, name in (
+        (est, "kernel_minima"), (meas, "kernel_jet"), (est, "trig_signal"), (est, "_circle_roots")))
+    checks = []
+    check = ga.check_covariance
+    monkeypatch.setattr(ga, "check_covariance", lambda cov: checks.append(cov.shape) or check(cov))
+    forget_routes()
+    sc.sweep(sc.load_config(LIGO_LOSSY), "L", [0.0, 0.1, 0.2, 0.3])
+    assert (len(minima), len(jets), len(signals), len(roots)) == (1, 9, 3, 6)
+    assert [shape for shape in checks if len(shape) == 3] == [(20, 4, 4), (20, 4, 4)]
 
 
 def test_loss_sweep_of_a_heralded_point_reads_one_prefix(monkeypatch):
