@@ -326,9 +326,9 @@ def _trig_stages(samples: Sequence, rate: int):
         z0 = np.array([1.0, -np.exp(1j * theta)])
         p_m, p_v = np.polydiv(p_m, z0)[0], np.polydiv(p_v, np.convolve(z0, z0))[0]
         thetas.append(theta)
-    dp_v, dp_m = p_v[:-1] * np.arange(len(p_v) - 1, 0, -1), p_m[:-1] * np.arange(len(p_m) - 1, 0, -1)
-    stationary = np.convolve(dp_v, p_m) - 2.0 * np.convolve(p_v, dp_m)
-    thetas += yield stationary
+    if len(p_m) > 1:  # else every slope zero was a dark fringe, and V is constant (a single photon's intensity)
+        dp_v, dp_m = p_v[:-1] * np.arange(len(p_v) - 1, 0, -1), p_m[:-1] * np.arange(len(p_m) - 1, 0, -1)
+        thetas += yield np.convolve(dp_v, p_m) - 2.0 * np.convolve(p_v, dp_m)
 
     def variance(phi: np.ndarray) -> np.ndarray:
         z = np.exp(1j * np.asarray(phi) / rate)
@@ -366,13 +366,12 @@ def jet_phase_variance(m, m1, m2, var, var1, var2, var_noise) -> np.ndarray:
     return v
 
 
-def _refine(jet: Callable, f: Callable, x: np.ndarray, g: np.ndarray,
-            which: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _refine(jet: Callable, f: Callable, x: np.ndarray, g: np.ndarray, which: np.ndarray) -> tuple:
     """Roots of f, one in each bracket [x1, x2] of four sorted phases x0 <= x1 < x2 <= x3, as read phases.
 
-    `jet(phis)` returns a (q, n) stack; x is (k, 4), g (q, k, 4) the jet at x, and f(g, rows) maps the jets
-    (q, m, ...) of the rows `rows` of x to (m, ...), with a sign change from x1 to x2; given the signal of each
-    bracket (`which`), the jet reads a stack of signals, `jet(phis, which)`.  Each round makes one jet call, at
+    `jet(phis, which)` returns a (q, n) stack of a stack of signals, `which` the signal of each phase; x is (k, 4),
+    g (q, k, 4) the jet at x, `which` the signal of each bracket, and f(g, rows) maps the jets (q, m, ...) of the
+    rows `rows` of x to (m, ...), with a sign change from x1 to x2.  Each round makes one jet call, at
     REFINE_WINDOW phases inside every live bracket, and keeps the sub-interval where f changes sign, with its two
     neighbours: an enclosure method after Alefeld, Potra & Shi, ACM TOMS 21, 327 (1995).  The
     phases sit around the inverse cubic interpolant phi(f) = 0 through the four points, at distances growing
@@ -399,8 +398,7 @@ def _refine(jet: Callable, f: Callable, x: np.ndarray, g: np.ndarray,
             window = r + u * _SIGN * ((width / u) ** _GROWTH + _K)
         guess = (r > a) & (r < b) & halved[:, None]
         window = np.where(guess, np.minimum(np.maximum(window, a), b), a + width * _EVEN)
-        by_signal = () if which is None else (np.repeat(which[slot], REFINE_WINDOW),)
-        read = np.asarray(jet(window.ravel(), *by_signal)).reshape(len(g), len(slot), REFINE_WINDOW)
+        read = np.asarray(jet(window.ravel(), np.repeat(which[slot], REFINE_WINDOW))).reshape(len(g), len(slot), -1)
         xs = np.concatenate([x[:, :2], window, x[:, 2:]], 1)
         ys = np.concatenate([y[:, :2], f(read, slot), y[:, 2:]], 1)
         gs = np.concatenate([g[:, :, :2], read, g[:, :, 2:]], 2)
@@ -421,13 +419,13 @@ def _refine(jet: Callable, f: Callable, x: np.ndarray, g: np.ndarray,
     return roots, jets, walls
 
 
-def kernel_minima(jet: Callable, period: float, cells: int, signals: int | None = None) -> list:
-    """(phi, V) at the stationary points of V = Var / <O>'^2 over one period of a signal, or of each of a stack.
+def kernel_minima(jet: Callable, period: float, cells: int, signals: int) -> list:
+    """(phi, V) at the stationary points of V = Var / <O>'^2 over one period of each of a stack of signals.
 
-    `jet(phis)` returns <O>, <O>', <O>'', Var, Var', Var'' and the rounding
-    level of Var at an array of phases, as a (7, n) stack, NaN where the
-    signal is unresolved; with `signals` = G, of G signals, `jet(phis, which)`
-    with the signal of each phase, and the result is a list per signal.  It
+    `jet(phis, which)` returns <O>, <O>', <O>'', Var, Var', Var'' and the
+    rounding level of Var at an array of phases, `which` the signal of each,
+    as a (7, n) stack, NaN where the signal is unresolved; the result is a
+    list per signal, a single signal a stack of one.  It
     is read at the centres of `cells` equal cells over [0, period],
     KERNEL_CHUNK cells of every signal per call; with `cells` a
     multiple of 4 no centre falls on a multiple of pi, where symmetric signals
@@ -451,7 +449,7 @@ def kernel_minima(jet: Callable, period: float, cells: int, signals: int | None 
     refinement, not read again.  No bracket meets another, so a signal's
     minima are those it gives alone, bit for bit.
     """
-    step, count = period / cells, signals or 1
+    step = period / cells
 
     def n_of(g: np.ndarray) -> np.ndarray:
         return g[4] * g[1] - 2.0 * g[3] * g[2]
@@ -459,8 +457,8 @@ def kernel_minima(jet: Callable, period: float, cells: int, signals: int | None 
     zeros, cells_n = [], []  # (phases, jets, signals) (k, 4) around each cell where <O>', and N, change sign
     for start in range(0, cells, KERNEL_CHUNK):
         phi = step * (np.arange(start, min(start + KERNEL_CHUNK, cells) + 1) + 0.5)
-        by_signal = () if signals is None else (np.repeat(np.arange(count), len(phi)),)
-        g = np.asarray(jet(np.tile(phi, count), *by_signal)).reshape(-1, count, len(phi))
+        g = np.asarray(jet(np.tile(phi, signals), np.repeat(np.arange(signals), len(phi))))
+        g = g.reshape(-1, signals, len(phi))
         nn = n_of(g)
         m1 = np.where(np.abs(g[1]) > np.maximum(SLOPE_FLOOR, SLOPE_NOISE * np.abs(g[0])), g[1], 0.0)
         turns = m1[:, :-1] * m1[:, 1:]
@@ -479,8 +477,7 @@ def kernel_minima(jet: Callable, period: float, cells: int, signals: int | None 
 
     k = len(x)
     roots, g_root, walls = _refine(jet, lambda g, rows: np.where((rows >= k)[:, None], n_of(g), g[1]),
-                                   np.concatenate([x, x_n]), np.concatenate([g, g_n], 1),
-                                   None if signals is None else np.concatenate([w, w_n]))
+                                   np.concatenate([x, x_n]), np.concatenate([g, g_n], 1), np.concatenate([w, w_n]))
     # a zero of <O>' behind a wall (a herald zero, say) is read at the wall's edge, like a dark fringe
     dark = (np.abs(g_root[3, :k]) <= g_root[6, :k]) | walls[:k]
     fringes, w_fringes = roots[:k][dark], w[dark]
@@ -492,15 +489,13 @@ def kernel_minima(jet: Callable, period: float, cells: int, signals: int | None 
     w, nn = np.concatenate([w, w]), n_of(g)
     # within a cell of a dark fringe N vanishes to third order, and Var / <O>'^2 is rounding over rounding
     keep = (nn[:, 1] * nn[:, 2] < 0.0) & ~near(x, w)
-    halves, g_halves, _ = _refine(jet, lambda g, rows: n_of(g), x[keep], g[:, keep],
-                                  None if signals is None else w[keep])
+    halves, g_halves, _ = _refine(jet, lambda g, rows: n_of(g), x[keep], g[:, keep], w[keep])
     far = ~near(x_n, w_n)
     phis = np.concatenate([fringes, roots[k:][far], halves])
     variance = jet_phase_variance(*np.concatenate([g_root[:, :k][:, dark], g_root[:, k:][:, far], g_halves], 1))
     w = np.concatenate([w_fringes, w_n[far], w[keep]])
-    found = [[(_wrap(r, period), float(v)) for r, v in zip(phis[w == s], variance[w == s]) if math.isfinite(v)]
-             for s in range(count)]
-    return found if signals else found[0]
+    return [[(_wrap(r, period), float(v)) for r, v in zip(phis[w == s], variance[w == s]) if math.isfinite(v)]
+            for s in range(signals)]
 
 
 @dataclass

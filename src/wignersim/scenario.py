@@ -23,9 +23,11 @@ to every read; a single herald's two arms, success and failure, read one
 projector pair and share the projected part.  The prefix and each phase give
 one record (p, arms), p the success probability and 1 - p the failure arm's
 weight.  A detector's phase variance comes from one exact phase signal
-(`_optimal_phi`), which gives its optimum and its value at any phi; a sweep
-searches the optima of a block of Gaussian routes at once (`_blocks`).  The
-photon-number reads build the detected mode off the same channel
+(`_optimal_phi`), which gives its optimum and its value at any phi.  Every
+metric reads the route it is handed, which `evaluate_point`, the drift study
+and the counts look up once (`_route`); a sweep hands each point its route and
+its block, the Gaussian routes whose optima are searched at once (`_blocks`).
+The photon-number reads build the detected mode off the same channel
 (`_Route.detected`), and `simulate_counts` reads its T grid through the route
 of the config whose herald takes the grid, one channel per T (`_counted`).
 
@@ -713,6 +715,11 @@ class _Route:
         """The prefix's Gaussian term (`_Prefix.gaussian`), which the closed-form reads take, if no herald follows."""
         return None if self.ancillas else self.prefix.gaussian
 
+    @property
+    def period(self) -> float:
+        """The search period of V in phi (`_optimal_phi`): 4 pi behind an output displacement, else 2 pi."""
+        return 4.0 * math.pi if np.any(self.channel[1]) else 2.0 * math.pi
+
     @cached_property
     def trig(self) -> tuple:
         """The Gaussian term through A(0) = K and 2 A'(0) = K G (M(0) = I, 2 M'(0) = G): (b, m_c, m_s) and symmetric
@@ -803,12 +810,10 @@ def _stacked(routes, rows: slice = slice(None)) -> tuple:
 
 
 _routes = lru_cache(maxsize=1)(_Route)  # the last pipeline's route, with its most recent observation and its reads
-_block: dict = {}  # the routes of the sweep block being evaluated, by pipeline, which `_route` hands out
 
 
 def _route(config: ScenarioConfig) -> _Route:
-    key = config.inputs, config.modifications, config.noise
-    return _block.get(key) or _routes(*key)
+    return _routes(config.inputs, config.modifications, config.noise)
 
 
 def _bytes(a: np.ndarray | None) -> tuple | None:
@@ -839,11 +844,11 @@ class _Signal(NamedTuple):
         return v
 
 
-def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[float, float, _Signal]:
-    """The phase-variance minimum over one period of V in phi, as (phi, variance), and the signal it is read from,
-    kept on the route (`_Route.optima`) with the SignalStationary of a signal with no finite variance: neither
-    depends on the phase.  The first read searches every route of its sweep block (`_blocks`) at once, whose
-    signals never meet: each optimum is the one its route gives alone, bit for bit.
+def _optimal_phi(route: _Route, scheme: meas.DetectionScheme, block: tuple = ()) -> tuple[float, float, _Signal]:
+    """The phase-variance minimum of a route over one period of V in phi, as (phi, variance), and the signal it is
+    read from, kept on the route (`_Route.optima`) with the SignalStationary of a signal with no finite variance:
+    neither depends on the phase.  The first read searches every route of its `block` (a sweep's, `_blocks`; by
+    default the route alone) at once, whose signals never meet: each optimum is the one its route gives alone.
 
     The prefix channel A(phi) (`_through_mzi`) holds only cos(phi/2) and sin(phi/2), and M(phi + 2 pi) = -M(phi).
     V has period 2 pi for homodyne and for an even detector (every other one) with no output displacement; an
@@ -862,10 +867,8 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
     Minima within a relative OPTIMUM_TIE of the lowest are equal, and the one at the smallest phi is reported, so
     that rounding cannot move the optimum between mirror minima.
     """
-    route = _route(config)
     if scheme not in route.optima:
-        routes = tuple(_block.values()) if route in _block.values() else (route,)
-        shifted = bool(np.any(route.channel[1]))
+        routes, shifted = block or (route,), route.period > 2.0 * math.pi
         if scheme.kind in meas.POLYNOMIAL_KINDS and not route.ancillas:
             even = scheme.kind != "homodyne"
             rate = 2 if shifted or not even else 1
@@ -882,8 +885,8 @@ def _optimal_phi(config: ScenarioConfig, scheme: meas.DetectionScheme) -> tuple[
                 each.optima[scheme] = found if isinstance(found, SignalStationary) else _least(
                     found[2], _Signal(*found[:2]))
         else:
-            jet, period = _signal_jet(config, scheme, routes), 4.0 * math.pi if shifted else 2.0 * math.pi
-            minima = est.kernel_minima(jet, period, _kernel_cells(route, period), len(routes))
+            jet = _signal_jet(routes, scheme)
+            minima = est.kernel_minima(jet, route.period, _kernel_cells(route), len(routes))
             for j, each in enumerate(routes):  # |<O>| <= 1, so the slope floor of jet_phase_variance is SLOPE_FLOOR
                 signal = _Signal(lambda phi, j=j: est.jet_phase_variance(*jet(phi, j)), est.SLOPE_FLOOR)
                 each.optima[scheme] = _least(minima[j], signal)
@@ -922,11 +925,12 @@ def _ratio(u, p, size) -> tuple:
         return tuple(np.where(resolved, r, math.nan) for r in (m, m1, (u[2] - 2.0 * m1 * p[1] - m * p[2]) / p[0]))
 
 
-def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int = 0, order: int = 2,
-                routes: tuple | None = None) -> Callable:
-    """The batched jet of parity or click on one arm (`_Route.arms`) of the prefix channel.
+def _kernel_jet(routes: tuple, scheme: meas.DetectionScheme, arm: int = 0, order: int = 2) -> Callable:
+    """The batched jet of parity or click on one arm (`_Route.arms`) of the prefix channel of `routes`, a sweep
+    block's or a single route.
 
-    The jet maps an array of phases to <O> and its phi-derivatives up to
+    The jet maps an array of phases, each read through the route `which`
+    indexes, to <O> and its phi-derivatives up to
     `order` and the rounding level of Var there, with O the no-click
     indicator for click: V is the same for both outcomes of a Bernoulli
     signal, and the no-click probability keeps its precision at the bright
@@ -934,12 +938,11 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
 
     On a Gaussian state the detected mode's mean, covariance and their exact derivatives are the route's image on
     its rows, and the kernel is the parity, or half the no-click probability with sigma + I in place of sigma
-    (`meas.kernel_jet`); the jet of a sweep block's `routes` takes the route of each phase as `which`.  On a
-    Wigner state the parity is pi W(0) of the mode, the no-click probability 2 pi times its density at 0 blurred
-    by I/2, and their derivatives those of the arm's phase tangents (`_Route.read`); after an output herald,
-    <O> = p<O> / p with p the read of the herald's projectors (`_ratio`).
+    (`meas.kernel_jet`).  A Wigner route is its own block: the parity is pi W(0) of the mode, the no-click
+    probability 2 pi times its density at 0 blurred by I/2, and their derivatives those of the arm's phase
+    tangents (`_Route.read`); after an output herald, <O> = p<O> / p with p the read of the herald's projectors
+    (`_ratio`).
     """
-    routes = routes or (_route(config),)
     route, scale = routes[0], 1.0 if scheme.kind == "parity" else 2.0
     if route.gaussian is None:
         index, herald = route.arms[arm]
@@ -949,7 +952,7 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
         read = route.read(index, order, herald, None if herald else mode)
         mode = mode if herald else None
 
-        def wigner_jet(phi: np.ndarray, which=0) -> tuple:
+        def wigner_jet(phi: np.ndarray, which) -> tuple:
             densities, size = read(phi, mode, blur)
             if herald is None:
                 return (*(math.pi * scale * densities), est.SLOPE_NOISE * math.pi * scale * size)
@@ -964,7 +967,7 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
     terms = np.array([float(np.sum(np.abs(s_0 + kernel) + np.abs(s_1) + np.abs(s_2))) for s_0, s_1, s_2 in
                       zip(*trig[1])])
 
-    def jet(phi: np.ndarray, which=0) -> tuple:
+    def jet(phi: np.ndarray, which) -> tuple:
         (mu, sigma), (dmu, dsigma), (d2mu, d2sigma) = ga.trig_image(trig, phi, 2, which)
         sigma = sigma + kernel
         value, slope, curve = meas.kernel_jet(mu, sigma, dmu, dsigma, d2mu, d2sigma)
@@ -977,34 +980,36 @@ def _kernel_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, arm: int =
     return jet
 
 
-def _signal_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, routes: tuple | None = None) -> Callable:
-    """phis -> (<O>, <O>', <O>'', Var, Var', Var'', the rounding level of Var) on the success arm, a (7, n) stack.
+def _signal_jet(routes: tuple, scheme: meas.DetectionScheme) -> Callable:
+    """(phis, which) -> (<O>, <O>', <O>'', Var, Var', Var'', the rounding level of Var) on the success arm of the
+    route `which` of `routes` at each phase, a (7, n) stack.
 
-    Parity and click read `_kernel_jet` (on `routes`, by `which`), with <O^2> = 1 for parity and <O> for the
-    no-click indicator.  A
-    polynomial detector after an output herald reads its monomials through the herald over the herald's read
-    (`_ratio`); its moment formulas (`meas.polynomial_moments`) are affine in them, so they map the value row to
-    <O> and <O^2>, and a derivative row to its derivative once their constants are taken off.
+    Parity and click read `_kernel_jet`, with <O^2> = 1 for parity and <O> for the no-click indicator.  A
+    polynomial detector after an output herald, whose route is its own block, reads its monomials through the
+    herald over the herald's read (`_ratio`); its moment formulas (`meas.polynomial_moments`) are affine in them,
+    so they map the value row to <O> and <O^2>, and a derivative row to its derivative once their constants are
+    taken off.
     """
     if scheme.kind not in meas.POLYNOMIAL_KINDS:
-        jet = _kernel_jet(config, scheme, routes=routes)
+        jet = _kernel_jet(routes, scheme)
 
-        def kernel_signal(phi: np.ndarray, which=0) -> tuple:
+        def kernel_signal(phi: np.ndarray, which) -> tuple:
             m, m1, m2, noise = jet(phi, which)
             square = (m, m1, m2) if scheme.kind == "click" else (1.0, 0.0, 0.0)  # <O^2> of no-click, or parity
             return m, m1, m2, *_variance(m, m1, m2, *square), noise
 
         return kernel_signal
-    route = _route(config)
+    (route,) = routes
     read = route.read(0, 2, route.arms[0][1])
     constants = meas.polynomial_moments(scheme, lambda monomials: [0.0] * len(monomials))
 
-    def polynomial_signal(phi: np.ndarray, which=0) -> tuple:
+    def polynomial_signal(phi: np.ndarray, which) -> tuple:
         size = []
 
         def moments(monomials: list) -> list:
             reads, magnitudes = read(phi, monomials=[{}] + monomials)  # (monomial, W^(k), phase): p first
-            size.append(magnitudes[0] / np.abs(reads[0, 0]))
+            with np.errstate(divide="ignore"):  # p = 0 at a herald zero
+                size.append(magnitudes[0] / np.abs(reads[0, 0]))
             return [np.array(_ratio(r, reads[0], magnitudes[0])) for r in reads[1:]]
 
         o = meas.polynomial_moments(scheme, moments)
@@ -1016,16 +1021,16 @@ def _signal_jet(config: ScenarioConfig, scheme: meas.DetectionScheme, routes: tu
     return polynomial_signal
 
 
-def _kernel_cells(route: _Route, period: float) -> int:
-    """The cells of the batched grid of a jet signal over `period` (`est.kernel_minima`), a multiple of 4, of
+def _kernel_cells(route: _Route) -> int:
+    """The cells of the batched grid of a jet signal over its period (`est.kernel_minima`), a multiple of 4, of
     width 1 / sqrt(F), F = `_Prefix.qfi`: F bounds the Fisher information Var^-1 <O>'^2 of every detector at every
     phi, so the fringe angle theta = arccos <O> (parity), or arccos(1 - 2P) (click), turns by at most one radian
     across a cell, since theta'^2 = <O>'^2 / Var <= F.  A sweep block's routes share F, and the grid."""
-    return 4 * max(math.ceil(period * math.sqrt(route.prefix.qfi) / 4.0), 1)
+    return 4 * max(math.ceil(route.period * math.sqrt(route.prefix.qfi) / 4.0), 1)
 
 
-def _click_cfi(config: ScenarioConfig, phi: float) -> float:
-    """Total click-detection CFI over both output modes and both herald arms.
+def _click_cfi(route: _Route, phi: float) -> float:
+    """Total click-detection CFI of a route over both output modes and both herald arms.
 
     Each arm (`_Route.arms`) adds, weighted by its probability, both detectors' CFIs (`est.binary_cfi`, where an
     outcome of probability 0 adds 0).  Each reads the arm's no-click probability and its exact slope, resolved
@@ -1035,18 +1040,17 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
     from the exact jet of its less probable outcome; an arm untracked at phi (below the renormalization floor)
     adds nothing.
     """
-    route = _route(config)
     p, arms = route.observe(phi)
     total = 0.0
     for arm, weight in enumerate((p, 1.0 - p)[: len(arms)]):
         part = 0.0
         for mode in (1, 2):
             scheme = meas.DetectionScheme("click", mode)
-            p0, dp0 = (float(v[0]) for v in _kernel_jet(config, scheme, arm, order=1)(np.array([phi]))[:2])
+            p0, dp0 = (float(v[0]) for v in _kernel_jet((route,), scheme, arm, order=1)(np.array([phi]), 0)[:2])
             # an outcome whose probability rounds to the level of its absolute error may be a dark one, whose
             # limit needs the curvature; a Gaussian no-click probability keeps its relative precision
             dark = 1.0 - p0 <= est.SLOPE_FLOOR or (p0 <= est.SLOPE_FLOOR and route.gaussian is None)
-            d2p0 = float(_kernel_jet(config, scheme, arm)(np.array([phi]))[2][0]) if dark else None
+            d2p0 = float(_kernel_jet((route,), scheme, arm)(np.array([phi]), 0)[2][0]) if dark else None
             part += est.binary_cfi(p0, dp0, phi, d2p0)
         total += weight * part
     if route.arms[0][1] is None:
@@ -1057,8 +1061,8 @@ def _click_cfi(config: ScenarioConfig, phi: float) -> float:
     return total + (est.binary_cfi(float(p), float(dp), phi) if dp else 0.0)
 
 
-def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
-    """QFI of the phi-family, by the route the state's purity allows.
+def _qfi(route: _Route, phi: float) -> tuple[float | None, str]:
+    """QFI of a route's phi-family, by the form the state's purity allows.
 
     A herald after the phase post-selects on a phi-dependent outcome; the QFI of that conditional state does not
     bound the herald-weighted CFI, so none is given.  A Gaussian route takes one observation: `est.qfi_mixed_gaussian`
@@ -1071,7 +1075,6 @@ def _qfi(config: ScenarioConfig, phi: float) -> tuple[float | None, str]:
     and keep it.  Noise after the MZI, the uniform loss included, leaves a mixed non-Gaussian family, for which no
     QFI is given.
     """
-    route = _route(config)
     if route.ancillas:
         return None, "unavailable (herald after the phase)"
     if route.gaussian is not None:
@@ -1097,11 +1100,14 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
     failure.  A photon-number distribution runs to the n_max its contour's own
     tail bound sets (`wig.photon_number_distribution`).
     """
-    phi = config.phi if phi is None else phi
+    return _evaluate(config, config.phi if phi is None else phi, _route(config))
+
+
+def _evaluate(config: ScenarioConfig, phi: float, route: _Route, block: tuple = ()):
+    """`evaluate_point` at phi through the config's route, whose optima are searched with its sweep `block`."""
     report = est.EstimationReport(phi=phi)
     warnings: list[str] = []
     distributions: list[dict] = []
-    route = _route(config)
     try:
         p, (arm, *_) = route.observe(phi)
     except ImprobableBranch as exc:
@@ -1119,7 +1125,7 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
     if "phase_variance" in config.metrics:
         for scheme in config.detection:
             try:
-                opt_phi, opt_var, signal = _optimal_phi(config, scheme)
+                opt_phi, opt_var, signal = _optimal_phi(route, scheme, block)
             except SignalStationary as exc:
                 # no phase gives a finite variance, the configured one included: one warning for both
                 warnings.append(f"optimal_phi[{scheme.label}]: {exc}")
@@ -1133,12 +1139,12 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
 
     if "cfi" in config.metrics:
         try:
-            report.cfi = _click_cfi(config, phi)
+            report.cfi = _click_cfi(route, phi)
         except (DegenerateBranch, ImprobableBranch) as exc:
             warnings.append(f"cfi at phi={phi:.6g}: {exc}")
 
     if "qfi" in config.metrics:
-        qfi, label = _qfi(config, phi)
+        qfi, label = _qfi(route, phi)
         if qfi is None:
             warnings.append(f"qfi: {label}")
         else:
@@ -1265,47 +1271,43 @@ def sweep(config: ScenarioConfig, parameter: str, grid, seed: int | None = None)
     # every grid point is validated before any is evaluated
     points = [config.with_values(**{parameter: value}) for value in grid]
     rows, warnings, dists = [], [], []
-    for start, stop, routes in _blocks(points):
-        _block.update(routes)
-        try:
-            for idx in range(start, stop):
-                report, w, d = evaluate_point(points[idx])
-                row = report.as_dict()
-                row["index"] = idx
-                row[parameter] = grid[idx]
-                rows.append(row)
-                warnings.extend(w)
-                for item in d:
-                    item["grid_index"] = idx
-                dists.extend(d)
-        finally:
-            _block.clear()
+    for idx, (point, (route, block)) in enumerate(zip(points, _blocks(points))):
+        report, w, d = _evaluate(point, point.phi, route, block)
+        row = report.as_dict()
+        row["index"] = idx
+        row[parameter] = grid[idx]
+        rows.append(row)
+        warnings.extend(w)
+        for item in d:
+            item["grid_index"] = idx
+        dists.extend(d)
     return RunReport(config=config.raw, rows=rows, parameter=parameter, grid=grid, seed=seed, warnings=warnings,
                      distributions=dists)
 
 
 def _blocks(points: list):
-    """Runs of sweep points as (start, stop, routes by pipeline); a point shares the route of its pipeline, as a phi
-    sweep's points do.  Several routes are Gaussian routes of one prefix record, so of one QFI bound and grid, and
-    at most KERNEL_CHUNK grid cells over them.  A sweep moves no herald or output displacement: its routes of one
-    prefix share the search shape too."""
-    start, routes = 0, {}
-    for i, point in enumerate(points):
+    """Each sweep point's (route, block), in order: the route of its pipeline, which a phi sweep's points share, and
+    the block, the routes of a run of points whose optima are searched at once (`_optimal_phi`).  Several routes
+    are one block where they are Gaussian routes of one prefix record, so of one QFI bound and grid, with at most
+    KERNEL_CHUNK grid cells over them.  A sweep moves no herald or output displacement: its routes of one prefix
+    share the search period (`_Route.period`) too.  One block of routes is held at a time."""
+    pending, routes = [], {}  # the route of each point of the block, and the block's routes by pipeline
+    for point in points:
         key = point.inputs, point.modifications, point.noise
         if key not in routes:
             route = _routes(*key)
             if routes and not (route.prefix is first.prefix and len(routes) < size):
-                yield start, i, routes
-                start, routes = i, {}
+                yield from zip(pending, [tuple(routes.values())] * len(pending))
+                pending, routes = [], {}
             if not routes:
                 first, size = route, 1
                 # a herald below the renormalization floor leaves each point to flag its row (`evaluate_point`)
                 with contextlib.suppress(ImprobableBranch):
                     if route.gaussian is not None:
-                        period = 4.0 * math.pi if np.any(route.channel[1]) else 2.0 * math.pi
-                        size = est.KERNEL_CHUNK // _kernel_cells(route, period)
+                        size = est.KERNEL_CHUNK // _kernel_cells(route)
             routes[key] = route
-    yield start, len(points), routes
+        pending.append(routes[key])
+    yield from zip(pending, [tuple(routes.values())] * len(pending))
 
 
 def phase_drift_study(
@@ -1329,10 +1331,10 @@ def phase_drift_study(
     sigma = dict(DRIFT_SIGMA_DEFAULTS, **(sigma or {}))
     traces = []
     warnings: list[str] = []
-    rows = []
+    rows, route = [], _route(config)
     for si, scheme in enumerate(config.detection):
         try:
-            opt_phi, opt_var, signal = _optimal_phi(config, scheme)
+            opt_phi, opt_var, signal = _optimal_phi(route, scheme)
         except SignalStationary as exc:
             warnings.append(f"drift[{scheme.label}]: {exc}")
             continue

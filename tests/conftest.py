@@ -12,7 +12,14 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import reference
 from wignersim import estimation as est
 from wignersim import gaussian as ga
+from wignersim import scenario as sc
 from wignersim import symplectic as sym
+
+
+def forget_routes() -> None:
+    """Drop the kept prefix records and route, so that the next point builds its own."""
+    sc._prefix.cache_clear()
+    sc._routes.cache_clear()
 
 
 @pytest.fixture(scope="session")

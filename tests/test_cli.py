@@ -586,6 +586,37 @@ def test_single_photon_clicks_take_both_dark_limits(tmp_path):
     assert row["qfi"] == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
+def test_single_photon_intensity_reads_the_qcrb_at_every_phase(tmp_path):
+    # a photon in mode 1: <n_1> = (1 - cos phi) / 2 with Bernoulli variance, so V = 1, the single-photon QCRB, at
+    # every phi, and so for n_1 - n_2.  Both slope zeros, 0 and pi, are dark fringes: cancelling them leaves a
+    # constant slope polynomial, whose empty derivative made the search raise a numpy ValueError
+    raw = {"inputs": [{"kind": "fock"}, {"kind": "vacuum"}], "interferometer": {"phi": 1.0},
+           "detection": [{"scheme": "intensity", "mode": 1},
+                         {"scheme": "intensity_difference", "mode": 1, "mode_b": 2}],
+           "metrics": ["phase_variance", "qfi"]}
+    report = _cli_report(tmp_path, "sweep", raw, "--grid", f"phi=0:{math.pi!r}:{math.pi / 4.0!r}")
+    assert [row["phi"] for row in report["rows"]][::4] == [0.0, math.pi] and report["warnings"] == []
+    for row in report["rows"]:
+        assert row["qfi"] == pytest.approx(1.0, rel=1e-12, abs=0.0) and row["qfi_route"] == "pure_wigner"
+        for label in ("intensity[1]", "diff[1,2]"):
+            assert row[f"phase_variance.{label}"] == pytest.approx(1.0, rel=0.0, abs=1e-12), (row["phi"], label)
+            assert row[f"min_phase_variance.{label}"] == pytest.approx(1.0, rel=0.0, abs=1e-12), label
+            assert row[f"optimal_phi.{label}"] == 0.0, label
+
+
+def test_output_herald_zero_reads_no_numpy_warning(tmp_path, capsys):
+    # mode 2 is dark at phi = pi, where the click subtraction on it never succeeds: the intensity signal's search
+    # reads the herald's probability there as exactly 0, whose rounding level of Var is inf, with no numpy
+    # division warning (under this repository's error::RuntimeWarning filter the run raised it)
+    raw = {"inputs": [{"kind": "vacuum"}, {"kind": "thermal", "nbar": 1.233}],
+           "modifications": [{"op": "displace", "stage": "input", "mode": 2, "alpha": 0.88},
+                             {"op": "subtract", "stage": "output", "mode": 2, "m": "click", "T": 0.62}],
+           "interferometer": {"phi": 1.0}, "detection": [{"scheme": "intensity", "mode": 1}]}
+    report = _cli_report(tmp_path, "run", raw)
+    assert capsys.readouterr().err == "" and report["warnings"] == []
+    assert report["rows"][0]["optimal_phi.intensity[1]"] == 0.0
+
+
 def test_vacuum_clicks_carry_no_phase_information(tmp_path):
     # the no-click probability is 1 at every phi, and the click's probability, slope and curvature are rounding:
     # every row reads a rounding-level cfi, whatever the sign of that curvature, and no warning

@@ -142,7 +142,7 @@ def test_defect_h_a_dark_no_click_read_is_within_its_rounding_level():
     # point (a) at pi: mode 2 holds the photon-added state, so its no-click probability is 0; the read's rounding
     # (about 1e-16) is far above the level the kernel jet reports for it
     cfg = sc.ScenarioConfig.from_dict(workloads.point_a(math.pi))
-    value, _, _, level = sc._kernel_jet(cfg, meas.DetectionScheme("click", 2))(np.array([math.pi]))
+    value, _, _, level = sc._kernel_jet((sc._route(cfg),), meas.DetectionScheme("click", 2))(np.array([math.pi]), 0)
     assert abs(float(value[0])) <= float(level[0])
 
 

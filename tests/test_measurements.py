@@ -212,7 +212,8 @@ class TestMeasureDispatch:
             meas.gaussian_moments(scheme, *stack([ga.thermal_state(1.0)]))
         config = sc.ScenarioConfig.from_dict({"inputs": [{"kind": "thermal", "nbar": 1.0}, {"kind": "vacuum"}],
                                               "interferometer": {"phi": 0.7}, "detection": [{"scheme": "click"}]})
-        m, _, _, var, _, _, _ = (float(v[0]) for v in sc._signal_jet(config, scheme)(np.array([0.7])))
+        jet = sc._signal_jet((sc._route(config),), scheme)
+        m, _, _, var, _, _, _ = (float(v[0]) for v in jet(np.array([0.7]), 0))
         assert 1.0 - m == pytest.approx(ref.click_probability(sc._route(config).observe(0.7)[1][0], 1), rel=1e-12)
         assert var == pytest.approx(m * (1.0 - m), rel=1e-12)
 

@@ -18,6 +18,7 @@ import pytest
 
 import workloads
 import reference as ref
+from conftest import forget_routes
 from wignersim import cli
 from wignersim import estimation as est
 from wignersim import measurements as meas
@@ -64,13 +65,14 @@ class TestTrigStationaryPoints:
     @pytest.mark.parametrize("name", ["ligo_lossy", "point_a", "point_b", "output_displaced"])
     def test_batched_newton_steps_keep_the_bits(self, name, monkeypatch):
         # every polynomial whose circle roots the optimum takes, the slope's and the stationary condition's, as its
-        # call gave them, against the per-root Newton steps
+        # call gave them, against the per-root Newton steps; on a fresh route, which has searched no optimum yet
         calls, orig = [], est._circle_roots
         monkeypatch.setattr(est, "_circle_roots", lambda polys: calls.append((polys, orig(polys))) or calls[-1][1])
         config = sc.ScenarioConfig.from_dict(CONFIGS[name])
+        forget_routes()
         for scheme in config.detection:
             if scheme.kind in meas.POLYNOMIAL_KINDS:
-                sc._optimal_phi(config, scheme)
+                sc._optimal_phi(sc._route(config), scheme)
         assert calls
         for polys, found in calls:
             for p, thetas in zip(polys, found, strict=True):
@@ -185,13 +187,13 @@ def test_stacked_samples_keep_every_bit_of_the_per_phase_referee(name):
 
 def period(config: sc.ScenarioConfig) -> float:
     """The period of V in phi searched by `_optimal_phi`: 4 pi behind an output displacement, else 2 pi."""
-    return 4.0 * math.pi if np.any(sc._route(config).channel[1]) else 2.0 * math.pi
+    return sc._route(config).period
 
 
 def variance_fn(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, floor: float):
     """phi -> V of the detector's phase signal, the one its fixed-phase values read; values below `floor`
     (the QCRB, or 0) are rounding noise by the Cramer-Rao bound and read as the floor."""
-    signal = sc._optimal_phi(config, scheme)[2]
+    signal = sc._optimal_phi(sc._route(config), scheme)[2]
     return lambda phi: max(floor, float(signal.variance(np.array([phi]))[0]))
 
 
@@ -297,11 +299,11 @@ def kernel_reference(config: sc.ScenarioConfig, scheme: meas.DetectionScheme, fl
 
     Values below `floor` (the QCRB) are rounding noise next to a dark fringe and read as the floor.
     """
-    jet = sc._kernel_jet(config, scheme)
+    jet = sc._kernel_jet((sc._route(config),), scheme)
     cells = round(points * period(config) / (2.0 * math.pi))
     grid = period(config) * np.arange(cells) / cells
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m, m1, _, _ = jet(grid)
+        m, m1, _, _ = jet(grid, 0)
         var = m - m * m if scheme.kind == "click" else 1.0 - m * m
         values = np.maximum(floor, np.nan_to_num(var / (m1 * m1), nan=math.inf))
     variance_at = variance_fn(config, scheme, floor)
@@ -328,10 +330,10 @@ def test_kernel_minimum_is_no_worse_than_the_dense_grid_and_respects_the_qcrb(na
 def test_bright_fringe_needs_the_grid_that_resolves_it():
     # cells of 1 / sqrt(F) rad: a 64-cell grid lands no point on the 0.009 rad fringe and sees no signal
     config = sc.ScenarioConfig.from_dict(KERNEL_CONFIGS["bright"][0])
-    jet = sc._signal_jet(config, config.detection[0])
-    assert est.kernel_minima(jet, 2.0 * math.pi, 64) == []
+    jet = sc._signal_jet((sc._route(config),), config.detection[0])
+    assert est.kernel_minima(jet, 2.0 * math.pi, 64, 1) == [[]]
     assert math.ceil(2.0 * math.pi * math.sqrt(sc._route(config).prefix.qfi)) > 10_000
-    assert sc._optimal_phi(config, config.detection[0])[1] < 1.2e-5
+    assert sc._optimal_phi(sc._route(config), config.detection[0])[1] < 1.2e-5
 
 
 @pytest.mark.parametrize("L", [0.0, 0.1, 0.2, 0.3])
@@ -376,8 +378,8 @@ def test_wigner_dark_fringe_at_zero_phase_is_reported_at_zero():
     # slope zero the refinement of a 12-cell grid finds a rounding step above 0 (it was reported at 8.9e-16)
     config = sc.ScenarioConfig.from_dict({"inputs": [{"kind": "fock", "n": 1}, {"kind": "coherent", "alpha": 1.0}],
                                           "interferometer": {"phi": 1.0}})
-    jet = sc._signal_jet(config, meas.DetectionScheme("parity", 1))
-    phi, v = min(est.kernel_minima(jet, 2.0 * math.pi, 12), key=lambda p: p[1])
+    jet = sc._signal_jet((sc._route(config),), meas.DetectionScheme("parity", 1))
+    phi, v = min(est.kernel_minima(jet, 2.0 * math.pi, 12, 1)[0], key=lambda p: p[1])
     assert phi == 0.0
     assert v == pytest.approx(0.25, rel=1e-14, abs=0.0)
 
@@ -446,9 +448,10 @@ def fringes_jet(phi: np.ndarray) -> tuple:
 
 
 def pm_signal(jet):
-    """The jet of <O> and Var of a +-1 signal from that of <O> (value, slope, curvature, rounding of Var)."""
+    """The jet of <O> and Var of a +-1 signal from that of <O> (value, slope, curvature, rounding of Var), as a
+    stack of one signal."""
 
-    def signal(phi):
+    def signal(phi, which):
         m, m1, m2, noise = jet(phi)
         return m, m1, m2, 1.0 - m * m, -2.0 * m * m1, -2.0 * (m1 * m1 + m * m2), noise
 
@@ -456,9 +459,9 @@ def pm_signal(jet):
 
 
 def counted(jet, calls: list):
-    def read(phi):
+    def read(phi, which):
         calls.append(len(phi))
-        return jet(phi)
+        return jet(phi, which)
 
     return read
 
@@ -468,17 +471,18 @@ def counted(jet, calls: list):
     (fringes_jet, [(PHI0, 1.0 / (1.0 + B) ** 2), (PHI0 + math.pi, 1.0 / (1.0 - B) ** 2)]),
 ], ids=["poles", "fringes"])
 def test_refined_roots_are_read_phases_within_4_ulp(jet, want):
-    points = sorted(est.kernel_minima(pm_signal(jet), 2.0 * math.pi, 12))
+    (points,) = est.kernel_minima(pm_signal(jet), 2.0 * math.pi, 12, 1)
+    points.sort()
     assert len(points) == len(want)
     for (phi, v), (phi_want, v_want) in zip(points, want):
         assert abs(phi - phi_want) <= 4.0 * np.spacing(phi_want)
         # V is the one read from the jet at the reported phase, bit for bit
-        assert v == float(est.jet_phase_variance(*pm_signal(jet)(np.array([phi])))[0])
+        assert v == float(est.jet_phase_variance(*pm_signal(jet)(np.array([phi]), 0))[0])
         assert v == pytest.approx(v_want, rel=1e-14, abs=0.0)
 
 
 def test_mirror_minima_tie():
-    (_, v1), (_, v2) = est.kernel_minima(pm_signal(poles_jet), 2.0 * math.pi, 12)
+    [[(_, v1), (_, v2)]] = est.kernel_minima(pm_signal(poles_jet), 2.0 * math.pi, 12, 1)
     assert abs(v1 - v2) <= sc.OPTIMUM_TIE * abs(v1)
 
 
@@ -488,12 +492,12 @@ def test_each_root_family_takes_at_most_4_jet_calls(jet, brackets, monkeypatch):
     families = []
     refine = est._refine
 
-    def per_family(read, f, x, g, which=None):
+    def per_family(read, f, x, g, which):
         families.append([])
         return refine(counted(read, families[-1]), f, x, g, which)
 
     monkeypatch.setattr(est, "_refine", per_family)
-    est.kernel_minima(pm_signal(jet), 2.0 * math.pi, 12)
+    est.kernel_minima(pm_signal(jet), 2.0 * math.pi, 12, 1)
     assert families[0] and all(len(calls) <= 4 for calls in families)
     # the first call reads all the brackets at once: two slope zeros, and for POLES two cells of N
     assert families[0][0] == est.REFINE_WINDOW * brackets
@@ -504,11 +508,11 @@ def test_last_round_ends_every_live_bracket(monkeypatch):
     # final bracket where |f| is least, a finite phase inside it, with the jet read there
     monkeypatch.setattr(est, "REFINE_ROUNDS", 1)
     x = np.array([[2.0, 3.0, 3.3, 4.0], [-0.5, -0.2, 0.3, 0.5]])
-    jet = lambda phi: poles_jet(phi + PHI0)  # <O>' = -A sin phi, zero at pi and 0
-    roots, jets, walls = est._refine(jet, lambda g, rows: g[1], x, np.asarray(jet(x)))
+    jet = lambda phi, which: poles_jet(phi + PHI0)  # <O>' = -A sin phi, zero at pi and 0
+    roots, jets, walls = est._refine(jet, lambda g, rows: g[1], x, np.asarray(jet(x, 0)), np.zeros(2, int))
     assert np.all((x[:, 1] <= roots) & (roots <= x[:, 2])) and not walls.any()
     assert np.all(np.abs(roots - np.array([math.pi, 0.0])) > 1e-6)
-    assert np.array_equal(jets, np.asarray(jet(roots)))
+    assert np.array_equal(jets, np.asarray(jet(roots, 0)))
 
 
 def test_bracket_whose_guess_falls_outside_it_still_converges():
@@ -520,7 +524,8 @@ def test_bracket_whose_guess_falls_outside_it_still_converges():
     guess = sum(x[0, i] * math.prod(y[m] / (y[m] - y[i]) for m in range(4) if m != i) for i in range(4))
     assert not 3.0 < guess < 3.3
     calls = []
-    roots, jets, _ = est._refine(counted(lambda phi: poles_jet(phi + PHI0), calls), lambda g, rows: g[1], x, g)
+    roots, jets, _ = est._refine(counted(lambda phi, which: poles_jet(phi + PHI0), calls), lambda g, rows: g[1], x, g,
+                                 np.zeros(1, int))
     assert abs(roots[0] - math.pi) <= 4.0 * np.spacing(math.pi)
     assert np.array_equal(jets[:, 0], np.asarray(poles_jet(roots + PHI0))[:, 0])
     assert len(calls) <= 4
@@ -549,6 +554,6 @@ def test_output_herald_optimum_approaches_the_herald_zero():
     assert report.extras["min_phase_variance.click[1]"] == pytest.approx(5.0 / 36.0, rel=1e-7, abs=0.0)
     assert abs(phi - math.pi) < 1e-3
     assert sc._route(config).observe(phi)[0] >= wg.IMPROBABLE_FLOOR
-    signal = sc._optimal_phi(config, meas.DetectionScheme("click", 1))[2]
+    signal = sc._optimal_phi(sc._route(config), meas.DetectionScheme("click", 1))[2]
     v = signal.variance(math.pi - np.array([0.3, 0.1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4]))
     assert np.all(np.diff(v) < 0.0) and v[-1] > 5.0 / 36.0

@@ -271,8 +271,8 @@ class TestClickCfi:
 
         def exact(mode):
             # P0'^2 / P0 + P0'^2 / (1 - P0) from the no-click jet, its first term as P0 (P0'/P0)^2
-            jet = sc._kernel_jet(cfg, meas.DetectionScheme("click", mode))
-            p0, dp0 = (float(v[0]) for v in jet(np.array([cfg.phi]))[:2])
+            jet = sc._kernel_jet((sc._route(cfg),), meas.DetectionScheme("click", mode))
+            p0, dp0 = (float(v[0]) for v in jet(np.array([cfg.phi]), 0)[:2])
             return p0 * (dp0 / p0) ** 2 + dp0 * dp0 / (1.0 - p0)
 
         assert report.cfi == sum(exact(m) for m in (1, 2))
@@ -386,10 +386,11 @@ class TestQfiRoute:
         monkeypatch.setattr(wg, "_integrate_out", lambda *args: builds.append(1) or orig(*args))
         raw = {"inputs": [{"kind": "fock"}, COHERENT], "interferometer": {"phi": 0.7}, "metrics": ["qfi"]}
         thermal = lambda eta: dict(raw, noise={"thermal": {"nbar_env": 0.3, "eta": eta}})
-        plain = sc._qfi(sc.ScenarioConfig.from_dict(raw), 0.7)
+        plain = sc._qfi(sc._route(sc.ScenarioConfig.from_dict(raw)), 0.7)
         assert plain[1] == "pure_wigner" and plain[0] == pytest.approx(4.0, rel=1e-14)
-        assert sc._qfi(sc.ScenarioConfig.from_dict(thermal(1.0)), 0.7) == plain
-        assert sc._qfi(sc.ScenarioConfig.from_dict(thermal(0.9)), 0.7) == (None, "unavailable (mixed non-Gaussian)")
+        assert sc._qfi(sc._route(sc.ScenarioConfig.from_dict(thermal(1.0))), 0.7) == plain
+        mixed = sc._qfi(sc._route(sc.ScenarioConfig.from_dict(thermal(0.9))), 0.7)
+        assert mixed == (None, "unavailable (mixed non-Gaussian)")
         assert builds == []
 
     @pytest.mark.parametrize("inputs, mods", [([COHERENT, VACUUM], [INPUT_ADDITION]),
@@ -510,8 +511,8 @@ class TestGaussianQfi:
         # an output squeeze and displacement are phi-independent unitaries after the phase
         dressed = [{"op": "squeeze", "stage": "output", "mode": 1, "r": 2.0, "theta": 0.7},
                    {"op": "displace", "stage": "output", "mode": 2, "alpha": 3.0, "theta": 0.4}]
-        plain, route = sc._qfi(ligo_lossy(r), 2.6)
-        got, dressed_route = sc._qfi(ligo_lossy(r, output_mods=dressed), 2.6)
+        plain, route = sc._qfi(sc._route(ligo_lossy(r)), 2.6)
+        got, dressed_route = sc._qfi(sc._route(ligo_lossy(r, output_mods=dressed)), 2.6)
         assert route == dressed_route == "mixed_gaussian"
         assert got == pytest.approx(plain, rel=1e-9, abs=0.0)
 
@@ -520,7 +521,7 @@ class TestGaussianQfi:
         cfg = ligo_lossy(r, L=0.0)
         want = 1.0 / est.lossless_qcrb(cfg.inputs[0].alpha ** 2, r)
         for phi in (0.3, 1.7, 2.6, 4.4):
-            got, route = sc._qfi(cfg, phi)
+            got, route = sc._qfi(sc._route(cfg), phi)
             assert route == "pure_gaussian"
             assert got == pytest.approx(want, rel=1e-10, abs=0.0), phi
 
@@ -536,7 +537,7 @@ class TestGaussianQfi:
         observe = sc._route(cfg).observe
         nu = [ga.williamson(observe(p)[1][0].cov)[0] for p in (0.5, 0.9)]
         assert abs(nu[1][-1] - nu[0][-1]) > 1e-3
-        got, route = sc._qfi(cfg, 0.9)
+        got, route = sc._qfi(sc._route(cfg), 0.9)
         assert route == "mixed_gaussian"
 
         orc = Oracle([18, 18])
@@ -586,7 +587,7 @@ class TestExactSlopes:
         cfg = sc.ScenarioConfig.from_dict(raw)
         for scheme in cfg.detection:
             mean, var = signal_fns(cfg, scheme)
-            signal = sc._optimal_phi(cfg, scheme)[2]
+            signal = sc._optimal_phi(sc._route(cfg), scheme)[2]
             for phi in phis:
                 got = math.sqrt(var(phi) / signal.variance(np.array([phi]))[0])
                 want = abs(richardson(mean, phi, h))
@@ -596,7 +597,7 @@ class TestExactSlopes:
         # the h = 1e-5 difference used before is off by 6.5e-8 relative; the error falls as h^2
         cfg = sc.ScenarioConfig.from_dict(LIGO_LOSSY)
         mean = signal_fns(cfg, meas.DetectionScheme("parity", 1))[0]
-        exact = sc._kernel_jet(cfg, meas.DetectionScheme("parity", 1))(np.array([3.14]))[1][0]
+        exact = sc._kernel_jet((sc._route(cfg),), meas.DetectionScheme("parity", 1))(np.array([3.14]), 0)[1][0]
         errs = [abs((mean(3.14 + h) - mean(3.14 - h)) / (2 * h) / exact - 1.0) for h in (1e-3, 1e-4, 1e-5)]
         assert 6e-8 < errs[2] < 7e-8
         assert all(95 < a / b < 105 for a, b in zip(errs, errs[1:]))
@@ -696,14 +697,15 @@ class TestKernelJet:
     def observed(cfg, scheme, phi):
         # parity, or the no-click probability, on the validated observed state, and the exact slope of its signal
         mean = ref.measure(sc._route(cfg).observe(phi)[1][0], scheme).mean
-        return (mean if scheme.kind == "parity" else 1.0 - mean), sc._kernel_jet(cfg, scheme)(np.array([phi]))[1][0]
+        return (mean if scheme.kind == "parity" else 1.0 - mean), sc._kernel_jet((sc._route(cfg),), scheme)(
+            np.array([phi]), 0)[1][0]
 
     @pytest.mark.parametrize("name", sorted(KERNEL_JET_CASES))
     def test_value_matches_the_measured_kernel(self, name):
         raw, phis, _ = KERNEL_JET_CASES[name]
         cfg = sc.ScenarioConfig.from_dict(raw)
         for scheme in KERNEL_SCHEMES:
-            values = sc._kernel_jet(cfg, scheme)(np.array(phis))[0]
+            values = sc._kernel_jet((sc._route(cfg),), scheme)(np.array(phis), 0)[0]
             for phi, got in zip(phis, values):
                 state = sc._route(cfg).observe(phi)[1][0]
                 if scheme.kind == "parity":
@@ -716,7 +718,7 @@ class TestKernelJet:
         raw, phis, h = KERNEL_JET_CASES[name]
         cfg = sc.ScenarioConfig.from_dict(raw)
         for scheme in KERNEL_SCHEMES:
-            _, slopes, curves, _ = sc._kernel_jet(cfg, scheme)(np.array(phis))
+            _, slopes, curves, _ = sc._kernel_jet((sc._route(cfg),), scheme)(np.array(phis), 0)
             for phi, slope, curve in zip(phis, slopes, curves):
                 want_slope = richardson(lambda p: self.observed(cfg, scheme, p)[0], phi, h)
                 want_curve = richardson(lambda p: self.observed(cfg, scheme, p)[1], phi, h)
@@ -734,17 +736,17 @@ class TestWignerKernelJet:
         phis = (0.4, 1.2, 2.9, 5.0)
         for arm, branch in enumerate(("state", "failure_state")[: len(observe(1.0)[1])]):
             for scheme in KERNEL_SCHEMES:
-                jet = sc._kernel_jet(cfg, scheme, arm)
+                jet = sc._kernel_jet((sc._route(cfg),), scheme, arm)
 
                 def value(p):  # parity, or the no-click probability, measured on the observed arm
                     mean = ref.measure(observe(p)[1][arm], scheme).mean
                     return mean if scheme.kind == "parity" else 1.0 - mean
 
-                values, slopes, curves, _ = jet(np.array(phis))
+                values, slopes, curves, _ = jet(np.array(phis), 0)
                 for phi, got, slope, curve in zip(phis, values, slopes, curves):
                     assert got == pytest.approx(value(phi), rel=1e-12, abs=1e-15), (branch, scheme.label, phi)
                     want_slope = richardson(value, phi, 1e-2)
-                    want_curve = richardson(lambda p: jet(np.array([p]))[1][0], phi, 1e-2)
+                    want_curve = richardson(lambda p: jet(np.array([p]), 0)[1][0], phi, 1e-2)
                     assert slope == pytest.approx(want_slope, rel=1e-7, abs=1e-10), (branch, scheme.label, phi)
                     assert curve == pytest.approx(want_curve, rel=1e-7, abs=1e-10), (branch, scheme.label, phi)
 
@@ -759,7 +761,7 @@ class TestWignerKernelJet:
             return [ref.two_outcome(lambda p, m=m: ref.click_probability(observe(p)[1][index], m)) for m in (1, 2)]
 
         want = ref.probabilistic_cfi(observe(cfg.phi)[0], arm(0), arm(1), cfg.phi)
-        assert sc._click_cfi(cfg, cfg.phi) == pytest.approx(want, rel=0.0, abs=1e-8)
+        assert sc._click_cfi(sc._route(cfg), cfg.phi) == pytest.approx(want, rel=0.0, abs=1e-8)
 
     def test_click_cfi_takes_the_dark_outcome_limit(self):
         # point (a) at phi = pi: mode 1 never clicks and mode 2 always does, each to rounding; those outcomes add
@@ -770,8 +772,9 @@ class TestWignerKernelJet:
                    detection=[{"scheme": "click", "mode": 1}, {"scheme": "click", "mode": 2}])
         report, warnings, _ = sc.evaluate_point(sc.ScenarioConfig.from_dict(raw), math.pi)
         assert not warnings
-        cfg = sc.ScenarioConfig.from_dict(raw)
-        mean = [(sc._click_cfi(cfg, math.pi + h) + sc._click_cfi(cfg, math.pi - h)) / 2.0 for h in (4e-3, 2e-3, 1e-3)]
+        route = sc._route(sc.ScenarioConfig.from_dict(raw))
+        mean = [(sc._click_cfi(route, math.pi + h) + sc._click_cfi(route, math.pi - h)) / 2.0
+                for h in (4e-3, 2e-3, 1e-3)]
         r1, r2 = (4.0 * mean[1] - mean[0]) / 3.0, (4.0 * mean[2] - mean[1]) / 3.0
         assert report.cfi == pytest.approx((16.0 * r2 - r1) / 15.0, rel=0.0, abs=1e-8)
 
@@ -784,7 +787,8 @@ class TestWignerKernelJet:
         assert 0.0 < p < 1.0
         assert sum(t.integral() for t in fail.terms) == pytest.approx(1.0, rel=0.0, abs=2e-16)
         for h, least in ((1e-4, 1.0367877540), (1e-5, 1.0367645123)):
-            assert min(sc._click_cfi(cfg, math.pi - h), sc._click_cfi(cfg, math.pi + h)) >= least, h
+            route = sc._route(cfg)
+            assert min(sc._click_cfi(route, math.pi - h), sc._click_cfi(route, math.pi + h)) >= least, h
 
 
 class TestPulledBackRoute:
@@ -811,7 +815,7 @@ class TestPulledBackRoute:
     def test_polynomial_detectors_take_exact_slopes(self, name):
         cfg = sc.ScenarioConfig.from_dict(ROUTE_CONFIGS[name])
         for scheme in (s for s in EVERY_DETECTOR if s.kind in meas.POLYNOMIAL_KINDS):
-            signal = sc._optimal_phi(cfg, scheme)[2]
+            signal = sc._optimal_phi(sc._route(cfg), scheme)[2]
             mean, var = signal_fns(cfg, scheme)
             for phi in (0.4, 1.2, 2.9):
                 got = math.sqrt(var(phi) / signal.variance(np.array([phi]))[0])
@@ -841,7 +845,8 @@ class TestPulledBackRoute:
         # state built at phi +- h, phi +- 2 h
         cfg = sc.ScenarioConfig.from_dict(dict(OUTPUT_HERALDS[name], metrics=["cfi"]))
         for phi in (0.4, 1.7, 4.1):
-            assert sc._click_cfi(cfg, phi) == pytest.approx(ref.forward_click_cfi(cfg, phi), rel=1e-8, abs=0.0)
+            got = sc._click_cfi(sc._route(cfg), phi)
+            assert got == pytest.approx(ref.forward_click_cfi(cfg, phi), rel=1e-8, abs=0.0)
 
     def test_m2_point_b_matches_the_forward_path(self):
         # ROADMAP heralded reference (b) at m = 2, the `stress` workload: it took about 14 s on the forward path
@@ -851,7 +856,7 @@ class TestPulledBackRoute:
         assert report.extras["herald_probability"] == pytest.approx(cond.spacs_prob(1.0, 2, 0.9), rel=1e-10)
         assert 1.0 / report.snl == pytest.approx(cond.spacs_mean_n(1.0, 2, 0.9) + math.sinh(0.5) ** 2, rel=1e-10)
         forward = lambda p: ref.build_pipeline(cfg, p).state
-        signals = {scheme: sc._optimal_phi(cfg, scheme)[2] for scheme in cfg.detection}
+        signals = {scheme: sc._optimal_phi(sc._route(cfg), scheme)[2] for scheme in cfg.detection}
         for phi in (cfg.phi, report.optimal_phi["diff[1,2]"]):
             for scheme in cfg.detection:
                 mean = lambda p: ref.measure(forward(p), scheme).mean
@@ -871,7 +876,7 @@ class TestPulledBackRoute:
         raw["modifications"] += [{"op": "squeeze", "stage": "output", "mode": 1, "r": 0.2},
                                  {"op": "displace", "stage": "output", "mode": 2, "alpha": 0.3}]
         cfg = sc.ScenarioConfig.from_dict(raw)
-        got, route = sc._qfi(cfg, phi)
+        got, route = sc._qfi(sc._route(cfg), phi)
         assert route == "pure_wigner"
         integral = ref.qfi_pure_wigner(lambda p: ref.build_pipeline(cfg, p).state, phi)
         assert got == pytest.approx(integral, rel=1e-9, abs=0.0)
@@ -882,7 +887,7 @@ class TestPulledBackRoute:
 
     @pytest.mark.parametrize("raw", [workloads.point_b(1.0), THERMAL_CLICK], ids=["lossy_prefix", "thermal_noise"])
     def test_mixed_state_has_no_pure_qfi(self, raw):
-        assert sc._qfi(sc.ScenarioConfig.from_dict(raw), 1.0) == (None, "unavailable (mixed non-Gaussian)")
+        assert sc._qfi(sc._route(sc.ScenarioConfig.from_dict(raw)), 1.0) == (None, "unavailable (mixed non-Gaussian)")
 
 
 # the six heralds after the phase above, thermal injection after the MZI on a herald's mode ahead of it, two

@@ -191,9 +191,9 @@ def _library_runs() -> None:
     assert meas.MeasurementMoments(1.0, 1.0 - 1e-16).variance == 0.0
     rounds, est.REFINE_ROUNDS = est.REFINE_ROUNDS, 1
     try:  # the last-round stop ends every live bracket
-        est.kernel_minima(lambda phi: (np.cos(phi), -np.sin(phi), -np.cos(phi), np.sin(phi) ** 2,
-                                       np.sin(2.0 * phi), 2.0 * np.cos(2.0 * phi), np.full(np.shape(phi), 1e-16)),
-                          2.0 * np.pi, 12)
+        est.kernel_minima(lambda phi, which: (np.cos(phi), -np.sin(phi), -np.cos(phi), np.sin(phi) ** 2,
+                                              np.sin(2.0 * phi), 2.0 * np.cos(2.0 * phi),
+                                              np.full(np.shape(phi), 1e-16)), 2.0 * np.pi, 12, 1)
     finally:
         est.REFINE_ROUNDS = rounds
 

@@ -462,7 +462,7 @@ class TestDrift:
         cfg = self._cfg()
         report = sc.phase_drift_study(cfg, trials=6, seed=2, distribution="uniform20")
         assert len(report.traces) == 6
-        opt_phi, _, signal = sc._optimal_phi(cfg, cfg.detection[0])
+        opt_phi, _, signal = sc._optimal_phi(sc._route(cfg), cfg.detection[0])
         rng = np.random.default_rng(np.random.SeedSequence(entropy=2, spawn_key=(0,)))
         phis = opt_phi + 0.2 * math.pi * rng.uniform(-1.0, 1.0, 6)
         assert np.ptp(phis) > 0.1 * math.pi
@@ -643,6 +643,10 @@ COUNTED = {
         "inputs": [{"kind": "thermal", "nbar": 2.0}, {"kind": "vacuum"}],
         "modifications": [{"op": "subtract", "stage": "output", "mode": 1, "m": "click", "T": 0.8}],
     },
+    "fock_subtracted_thermal": {
+        "inputs": [{"kind": "thermal", "nbar": 1.0}, {"kind": "vacuum"}],
+        "modifications": [{"op": "subtract", "stage": "output", "mode": 1, "m": 1, "T": 0.8}],
+    },
     "input_addition": {
         "modifications": [{"op": "add", "stage": "input", "mode": 1, "m": 2, "mechanism": "bs", "T": 0.6}],
         "interferometer": {"phi": 0.7},
@@ -698,7 +702,8 @@ def test_counted_mode_matches_the_two_mode_pipeline(case):
         assert ref.distribution_gap(p_got[i], p_want) <= 1e-14
 
 
-@pytest.mark.parametrize("case", ["pacs_m3", "click_subtracted_thermal", "input_addition", "uniform_loss"])
+@pytest.mark.parametrize("case", ["pacs_m3", "click_subtracted_thermal", "fock_subtracted_thermal", "input_addition",
+                                  "uniform_loss"])
 def test_counts_rows_match_the_per_point_route(case):
     # the grid's draws are those of one herald per T: kept counts and samples to the bit
     raw = dict(json.loads((ROOT / "configs" / "pacs_counts.json").read_text()), **COUNTED[case])

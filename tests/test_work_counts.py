@@ -14,6 +14,7 @@ import pytest
 
 import tracer
 import workloads
+from conftest import forget_routes
 from wignersim import cli
 from wignersim import estimation as est
 from wignersim import gaussian as ga
@@ -97,12 +98,6 @@ def counter(monkeypatch, module, name: str) -> list:
     return calls
 
 
-def forget_routes() -> None:
-    """Drop the kept prefix records and route, so that the next point builds its own."""
-    sc._prefix.cache_clear()
-    sc._routes.cache_clear()
-
-
 def test_pipeline_builds_per_ligo_lossy_point(monkeypatch):
     # pinned so that a change in build count shows up as a diff of this number: the cached prefix is one channel
     # image of the inputs' one-term expressions through the input squeeze, and every phase reads it through the
@@ -167,7 +162,7 @@ def test_gaussian_sweep_pass_validates_7_states_and_2_stacks(tmp_path, monkeypat
 def test_gaussian_qfi_observes_one_state(observed):
     # the exact tangent comes from A' = K M'(phi), so no neighbouring phase is observed
     config = sc.load_config(LIGO_LOSSY)
-    sc._qfi(config, config.phi)
+    sc._qfi(sc._route(config), config.phi)
     assert observed == [config.phi]
 
 
@@ -196,7 +191,7 @@ def test_polynomial_optimum_reads_five_phases(config, label, observed, imaged, m
         columns, rows, *args))
     config = sc.load_config(config) if isinstance(config, str) else sc.ScenarioConfig.from_dict(config)
     sc._routes.cache_clear()
-    sc._optimal_phi(config, next(s for s in config.detection if s.label == label))
+    sc._optimal_phi(sc._route(config), next(s for s in config.detection if s.label == label))
     stacks = [len(phis) for phis in imaged]
     assert (observed, stacks, reads) == (([], [5], []) if sc._route(config).gaussian is not None else ([], [], [5]))
 
@@ -226,7 +221,7 @@ def test_ligo_lossy_fixed_phases_read_the_optimum_signal(study, observed, imaged
 @pytest.mark.parametrize("kind", ["parity", "click"])
 def test_wigner_kernel_optimum_makes_no_golden_section_search(raw, kind, observed):
     # on a Wigner state the kernel jet reads the prefix's phase tangents: no observation
-    sc._optimal_phi(sc.ScenarioConfig.from_dict(raw), meas.DetectionScheme(kind, 1))
+    sc._optimal_phi(sc._route(sc.ScenarioConfig.from_dict(raw)), meas.DetectionScheme(kind, 1))
     assert observed == []
 
 
@@ -234,7 +229,7 @@ def test_wigner_kernel_optimum_makes_no_golden_section_search(raw, kind, observe
 def test_gaussian_kernel_optimum_observes_nothing(kind, observed):
     # one batched grid of the kernel jet and its refinements find the minimum, and the jet gives its variance
     config = sc.load_config(LIGO_LOSSY)
-    sc._optimal_phi(config, meas.DetectionScheme(kind, 1))
+    sc._optimal_phi(sc._route(config), meas.DetectionScheme(kind, 1))
     assert observed == []
 
 
@@ -417,7 +412,7 @@ def test_parity_reads_walk_six_levels_in_20_array_steps(raw, rows, pairs, monkey
     reads, orig = [], wg._gaussian_expectation
     monkeypatch.setattr(wg, "_gaussian_expectation", lambda poly, mean, *args: reads.append(
         (tuple(poly), mean.ndim)) or orig(poly, mean, *args))
-    sc._optimal_phi(sc.ScenarioConfig.from_dict(raw), meas.DetectionScheme("parity", 1))
+    sc._optimal_phi(sc._route(sc.ScenarioConfig.from_dict(raw)), meas.DetectionScheme("parity", 1))
     batched = [keys for keys, ndim in reads if ndim > 1]
     assert len(batched) == 4
     for keys in batched:
@@ -442,7 +437,7 @@ def test_ligo_lossy_parity_optimum_gaussian_jet_calls(monkeypatch):
     # one grid of 385 phases and three refinement rounds of every bracket at once
     jets = counter(monkeypatch, meas, "kernel_jet")
     config = sc.load_config(LIGO_LOSSY)
-    sc._optimal_phi(config, config.detection[0])
+    sc._optimal_phi(sc._route(config), config.detection[0])
     assert len(jets) == 4
 
 
@@ -636,9 +631,9 @@ def test_block_jet_reads_each_phase_through_its_own_route(kind, mode):
     points = [config.with_values(L=value) for value in (0.0, 0.1, 0.3)]
     routes = tuple(sc._Route(point.inputs, point.modifications, point.noise) for point in points)
     phis = np.linspace(0.1, 6.0, 7)
-    block = sc._kernel_jet(config, scheme, routes=routes)(np.tile(phis, 3), np.repeat(np.arange(3), 7))
+    block = sc._kernel_jet(routes, scheme)(np.tile(phis, 3), np.repeat(np.arange(3), 7))
     for j, route in enumerate(routes):
-        alone = sc._kernel_jet(config, scheme, routes=(route,))(phis)
+        alone = sc._kernel_jet((route,), scheme)(phis, 0)
         assert all(same_bits(rows[7 * j : 7 * j + 7], own) for rows, own in zip(block, alone))
 
 
