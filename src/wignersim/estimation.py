@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateBranch, PurityViolation, SignalStationary
-from .gaussian import GaussianState, williamson
+from .gaussian import williamson
 from .wigner import WignerExpr, purity
 
 SLOPE_FLOOR = 1e-12
@@ -109,8 +109,8 @@ def require_pure_wigner(expr: WignerExpr) -> None:
         raise PurityViolation(f"purity {mu:.8f} differs from 1 beyond {PURE_WIGNER_TOL:g}")
 
 
-def qfi_mixed_gaussian(state: GaussianState, dmean: np.ndarray, dcov: np.ndarray) -> tuple[float, bool]:
-    """(QFI, whether every pair of modes is pure) of a Gaussian family at a state with exact tangent (dR, dsigma).
+def qfi_mixed_gaussian(cov: np.ndarray, dmean: np.ndarray, dcov: np.ndarray) -> tuple[float, bool]:
+    """(QFI, whether every pair of modes is pure) of a Gaussian family of covariance sigma and tangent (dR, dsigma).
 
     In the Williamson basis sigma = S diag(nu_1, nu_1, ...) S^T the SLD equation
     is diagonal (Monras, arXiv:1303.3682; Safranek, Lee & Fuentes, NJP 17,
@@ -122,8 +122,8 @@ def qfi_mixed_gaussian(state: GaussianState, dmean: np.ndarray, dcov: np.ndarray
     term: no nu can fall below 1, so on a phase family its numerator vanishes.
     The prefactors fit this covariance convention (vacuum = I).
     """
-    nu, s_inv = williamson(state.cov)
-    n = state.modes
+    nu, s_inv = williamson(cov)
+    n = len(nu)
     u = s_inv @ dmean
     p = (s_inv @ dcov @ s_inv.T).reshape(n, 2, n, 2)
     a, b, c, d = p[:, 0, :, 0], p[:, 0, :, 1], p[:, 1, :, 0], p[:, 1, :, 1]

@@ -18,9 +18,12 @@ SYMMETRY_TOL = 1e-12
 BONA_FIDE_TOL = 1e-9
 
 
-def check_covariance(cov: np.ndarray) -> None:
+def check_covariance(cov: np.ndarray, mean: np.ndarray | None = None) -> None:
     """Validate finiteness, symmetry, positive definiteness, and the sigma + i*Omega >= 0 condition of a
-    covariance, or of every one of a stack (..., 2N, 2N) at once; a failure reports the worst of the stack."""
+    covariance, or of every one of a stack (..., 2N, 2N) at once, and that the states' `mean`s, if given, are
+    finite; a failure reports the worst of the stack."""
+    if mean is not None and not np.all(np.isfinite(mean)):
+        raise ValueError("mean contains non-finite entries")
     if cov.ndim < 2 or cov.shape[-2] != cov.shape[-1] or cov.shape[-1] % 2 != 0:
         raise ValueError(f"covariance must be square with even dimension, got {cov.shape}")
     if not np.all(np.isfinite(cov)):
@@ -49,11 +52,9 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
             raise ValueError(f"mean must have positive even length, got shape {mean.shape}")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("mean contains non-finite entries")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match mean length")
-        check_covariance(cov)
+        check_covariance(cov, mean)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         self.mean.setflags(write=False)

@@ -15,7 +15,7 @@ prefix Y, A = K M(phi), with the uniform loss the first map of K, since it
 commutes with the passive MZI.  The route reads the path off the record: one
 arm of one Gaussian term, with no herald after the phase, is seen through
 the channel in one trigonometric form (`_Route.trig`), the image every
-Gaussian read takes (`_Route.image`); any other prefix stays as it is while
+Gaussian read takes, a block's routes stacked; any other prefix stays as it is while
 only the observable moves, so an arm at a phase is read through the channel
 (`_Route.read`, the one reader).  A herald at either stage adds its ancilla
 to the prefix as one more mode, its coupling to a channel and its projector
@@ -26,7 +26,7 @@ weight.  A detector's phase variance comes from one exact phase signal
 (`_optimal_phi`), which gives its optimum and its value at any phi.  Every
 metric reads the route it is handed, which `evaluate_point`, the drift study
 and the counts look up once (`_route`); a sweep hands each point its route and
-its block, the Gaussian routes whose optima are searched at once (`_blocks`).
+its block, the points whose optima and Gaussian rows are read at once (`_blocks`).
 The photon-number reads build the detected mode off the same channel
 (`_Route.detected`), and `simulate_counts` reads its T grid through the route
 of the config whose herald takes the grid, one channel per T (`_counted`).
@@ -40,6 +40,7 @@ import contextlib
 import json
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -72,6 +73,9 @@ HERALD_CANCELLATION = 1e4
 PREFIX_CACHE_SIZE = 8
 # Most points of a grid, a phi grid in a config or a --grid option
 MAX_GRID_POINTS = 100_000
+# Most trials of drift or counts: counts draws this many uniforms per grid point, and drift reads all its draws'
+# phases in one signal call, some 6 kB per phase on a heralded route (0.6 GB at this bound for subtracted_thermal)
+MAX_TRIALS = 100_000
 # Largest squeeze parameter r of a squeeze or an SPDC addition, and of the
 # summed r of the squeezes on one mode and stage.  The rounding
 # defect of a squeezer matrix grows like eps cosh^2 r and passes the symplectic
@@ -611,7 +615,7 @@ class _Prefix:
             return meas.MeasurementMoments(m[4] + m[5], m[6] + 2.0 * m[7] + m[8] - 0.5).variance
         g = sym.mzi_phase_derivative(0.0)
         half = g @ term.quad
-        return est.qfi_mixed_gaussian(ga.GaussianState(term.mean, term.quad), g @ term.mean, half + half.T)[0]
+        return est.qfi_mixed_gaussian(term.quad, g @ term.mean, half + half.T)[0]
 
     @cached_property
     def mean_photon(self) -> float:
@@ -692,10 +696,10 @@ class _Route:
     """How the detectors of one pipeline (inputs, modifications, noise) see its state at every phase, decided
     once: its prefix record (`_prefix`), the channel after the MZI (`_after_mzi`), (K, b, C), the uniform loss
     first, the arms they read and each detector's optimum (`optima`).  The path is read off the record
-    (`gaussian`), and a Gaussian term has one image, its trigonometric form (`trig`, `image`).  A herald after the
-    phase adds its ancilla to the prefix (`ancillas`) and its coupling to the channel.  An arm is (prefix arm,
-    herald): the prefix arms, unheralded (None), or the output heralds' reads (`_herald_reads`), their product and,
-    for a single herald with none ahead of the phase, its complement.
+    (`gaussian`), and a Gaussian term has one image, its trigonometric form (`trig`), read at a block's points
+    (`_read_rows`).  A herald after the phase adds its ancilla to the prefix (`ancillas`) and its coupling to the
+    channel.  An arm is (prefix arm, herald): the prefix arms, unheralded (None), or the output heralds' reads
+    (`_herald_reads`), their product and, for a single herald with none ahead of the phase, its complement.
     """
 
     def __init__(self, inputs: tuple, modifications: tuple, noise: NoiseSpec):
@@ -707,7 +711,7 @@ class _Route:
         self.arms = tuple((0, herald) for herald in reads) if heralds else ((0, None), (1, None))
         self.optima = {}  # detector -> (phi, variance, signal) of its phase-variance optimum (`_optimal_phi`)
         self._samples = {}  # sample set of phases -> the Gaussian image there, validated
-        self._observation = {}  # the last phase observed -> its (p, arms)
+        self._observation = {}  # each phase of the last observation or block read -> its (p, arms)
         self._phases, self._parts = None, {}  # the last phase set read, and a read's key -> {projectors: its part}
 
     @cached_property
@@ -730,13 +734,9 @@ class _Route:
         parts = np.array([(s_cc + s_ss) / 2.0 + 2.0 * c, (s_cc - s_ss) / 2.0, s_cs])
         return np.array([b, a_c @ term.mean, a_s @ term.mean]), (parts + np.swapaxes(parts, 1, 2)) / 2.0
 
-    def image(self, phis, order: int = 0) -> tuple:
-        """The `trig` form at each of `phis`, unvalidated, to the phi-derivatives of `order` (`ga.trig_image`)."""
-        return ga.trig_image(_stacked((self,)), phis, order)
-
     def samples(self, phis: tuple, *others: _Route) -> tuple[np.ndarray, np.ndarray]:
-        """The `image` at a sample set of phases of this route and its sweep block's `others`, stacked and validated
-        once; each route keeps its part per set."""
+        """The `trig` form at a sample set of phases of this route and its sweep block's `others`, stacked and
+        validated once; each route keeps its part per set."""
         routes, n = (self, *others), len(phis)
         if any(phis not in route._samples for route in routes):
             which = np.repeat(range(len(routes)), n)
@@ -746,26 +746,22 @@ class _Route:
                 route._samples[phis] = mean[j * n : (j + 1) * n], cov[j * n : (j + 1) * n]
         return tuple(np.concatenate(part) for part in zip(*(route._samples[phis] for route in routes)))
 
-    def observe(self, phi: float) -> tuple:
-        """(p, arms) as the detectors see them at phi, kept for the last phi, which a point's metrics share.  The
-        prefix's arms go through X = A(phi) Y + b + xi (`_through_mzi`): a Gaussian route's arm is the GaussianState
-        of its `image`, and a Wigner arm (`arms`) its herald's probability at phi (`read`), 1.0 with no herald, which
-        p takes in.  Below the renormalization floor a success arm raises ImprobableBranch and a failure arm is
-        untracked, as at the input stage."""
-        if phi not in self._observation:
-            self._observation = {phi: self._observe(phi)}
+    def observe(self, phi: float, block: tuple = (), detection: tuple = ()) -> tuple:
+        """(p, arms) as the detectors see them at phi, kept for the phases of the last read, which a point's metrics
+        share.  The prefix's arms go through X = A(phi) Y + b + xi (`_through_mzi`): a Gaussian route's arm is its
+        row, read with its `block`'s points and `detection`'s parity and click V (`_read_rows`), and a Wigner arm
+        (`arms`) its herald's probability at phi (`read`), 1.0 with no herald, which p takes in.  Below the
+        renormalization floor a success arm raises ImprobableBranch and a failure arm is untracked."""
+        if phi not in self._observation and self.gaussian is not None:
+            _read_rows(block or ((self, phi),), detection)
+        elif phi not in self._observation:
+            p, arms = self.prefix.arms
+            ok, *fail = (float(self.read(i, 0, herald)(np.array([phi]))[0][0, 0]) if herald else 1.0
+                         for i, herald in self.arms if i < len(arms))
+            if ok < wig.IMPROBABLE_FLOOR:
+                raise ImprobableBranch(ok)
+            self._observation = {phi: (p * min(ok, 1.0), (ok, *(q for q in fail if q >= wig.IMPROBABLE_FLOOR)))}
         return self._observation[phi]
-
-    def _observe(self, phi: float) -> tuple:
-        p, arms = self.prefix.arms
-        if self.gaussian is not None:
-            ((mean, cov),) = self.image((phi,))
-            return p, (ga.GaussianState(mean[0], cov[0]),)
-        ok, *fail = (float(self.read(i, 0, herald)(np.array([phi]))[0][0, 0]) if herald else 1.0
-                     for i, herald in self.arms if i < len(arms))
-        if ok < wig.IMPROBABLE_FLOOR:
-            raise ImprobableBranch(ok)
-        return p * min(ok, 1.0), (ok, *(q for q in fail if q >= wig.IMPROBABLE_FLOOR))
 
     def read(self, index: int, order: int, herald: tuple | None, rows: list | None = None) -> Callable:
         """(phis, kernel, blur, monomials) -> `wig.herald_read` through `herald` (None: unheralded) of prefix arm
@@ -809,6 +805,29 @@ def _stacked(routes, rows: slice = slice(None)) -> tuple:
             np.stack([route.trig[1][:, rows, rows] for route in routes], 1))
 
 
+# A Gaussian route's row at one point (`_read_rows`): its state, exact tangent, intensity moments and kernel Vs
+_Row = namedtuple("_Row", "mean cov tangent intensity variance")
+
+
+def _read_rows(block: tuple, detection: tuple) -> None:
+    """Read a block's Gaussian points (route, phi) as one image of its routes stacked, validated once, with each
+    mode's intensity moments and each parity and click V of `detection` in one call, and keep each route's rows."""
+    routes = tuple(dict.fromkeys(route for route, _ in block))
+    which, phis = np.array([routes.index(route) for route, _ in block]), np.array([phi for _, phi in block])
+    image = ga.trig_image(_stacked(routes), phis, 2, which)
+    (mean, cov), (dmean, dcov) = image[:2]
+    ga.check_covariance(cov, mean)
+    moments = [meas.gaussian_moments(meas.DetectionScheme("intensity", mode), mean, cov) for mode in (1, 2)]
+    variances = {scheme: est.jet_phase_variance(*_signal_jet(routes, scheme)(phis, which, image))
+                 for scheme in detection if scheme.kind not in meas.POLYNOMIAL_KINDS}
+    for route in routes:
+        route._observation = {}
+    for j, (route, phi) in enumerate(block):
+        intensity = tuple(meas.MeasurementMoments(float(o.mean[j]), float(o.second_moment[j])) for o in moments)
+        row = _Row(mean[j], cov[j], (dmean[j], dcov[j]), intensity, {s: float(v[j]) for s, v in variances.items()})
+        route._observation[phi] = route.prefix.arms[0], (row,)
+
+
 _routes = lru_cache(maxsize=1)(_Route)  # the last pipeline's route, with its most recent observation and its reads
 
 
@@ -836,9 +855,9 @@ class _Signal(NamedTuple):
     variance: Callable[[np.ndarray], np.ndarray]
     floor: float
 
-    def at(self, phi: float) -> float:
-        """V at one phase; raises SignalStationary where it is not finite."""
-        v = float(self.variance(np.array([phi]))[0])
+    def at(self, phi: float, v: float | None = None) -> float:
+        """V at one phase, or `v`, read with its block's rows; raises SignalStationary where it is not finite."""
+        v = float(self.variance(np.array([phi]))[0]) if v is None else v
         if not math.isfinite(v):
             raise SignalStationary(f"signal slope below {self.floor:.0e} at phi={phi:.6g}")
         return v
@@ -847,8 +866,8 @@ class _Signal(NamedTuple):
 def _optimal_phi(route: _Route, scheme: meas.DetectionScheme, block: tuple = ()) -> tuple[float, float, _Signal]:
     """The phase-variance minimum of a route over one period of V in phi, as (phi, variance), and the signal it is
     read from, kept on the route (`_Route.optima`) with the SignalStationary of a signal with no finite variance:
-    neither depends on the phase.  The first read searches every route of its `block` (a sweep's, `_blocks`; by
-    default the route alone) at once, whose signals never meet: each optimum is the one its route gives alone.
+    neither depends on the phase.  The first read searches every route of its `block`'s points (a sweep's,
+    `_blocks`; by default the route alone) at once, whose signals never meet: each optimum is its route's alone.
 
     The prefix channel A(phi) (`_through_mzi`) holds only cos(phi/2) and sin(phi/2), and M(phi + 2 pi) = -M(phi).
     V has period 2 pi for homodyne and for an even detector (every other one) with no output displacement; an
@@ -868,7 +887,7 @@ def _optimal_phi(route: _Route, scheme: meas.DetectionScheme, block: tuple = ())
     that rounding cannot move the optimum between mirror minima.
     """
     if scheme not in route.optima:
-        routes, shifted = block or (route,), route.period > 2.0 * math.pi
+        routes, shifted = tuple(dict.fromkeys(each for each, _ in block)) or (route,), route.period > 2.0 * math.pi
         if scheme.kind in meas.POLYNOMIAL_KINDS and not route.ancillas:
             even = scheme.kind != "homodyne"
             rate = 2 if shifted or not even else 1
@@ -937,11 +956,11 @@ def _kernel_jet(routes: tuple, scheme: meas.DetectionScheme, arm: int = 0, order
     port, where the click probability rounds to 1.
 
     On a Gaussian state the detected mode's mean, covariance and their exact derivatives are the route's image on
-    its rows, and the kernel is the parity, or half the no-click probability with sigma + I in place of sigma
-    (`meas.kernel_jet`).  A Wigner route is its own block: the parity is pi W(0) of the mode, the no-click
-    probability 2 pi times its density at 0 blurred by I/2, and their derivatives those of the arm's phase
-    tangents (`_Route.read`); after an output herald, <O> = p<O> / p with p the read of the herald's projectors
-    (`_ratio`).
+    its rows, or those rows of an `image` it is handed at the phases (`_read_rows`), and the kernel is the parity,
+    or half the no-click probability with sigma + I in place of sigma (`meas.kernel_jet`).  A Wigner route is its
+    own block: the parity is pi W(0) of the mode, the no-click probability 2 pi times its density at 0 blurred by
+    I/2, and their derivatives those of the arm's phase tangents (`_Route.read`); after an output herald,
+    <O> = p<O> / p with p the read of the herald's projectors (`_ratio`).
     """
     route, scale = routes[0], 1.0 if scheme.kind == "parity" else 2.0
     if route.gaussian is None:
@@ -952,7 +971,7 @@ def _kernel_jet(routes: tuple, scheme: meas.DetectionScheme, arm: int = 0, order
         read = route.read(index, order, herald, None if herald else mode)
         mode = mode if herald else None
 
-        def wigner_jet(phi: np.ndarray, which) -> tuple:
+        def wigner_jet(phi: np.ndarray, which, image: tuple = ()) -> tuple:
             densities, size = read(phi, mode, blur)
             if herald is None:
                 return (*(math.pi * scale * densities), est.SLOPE_NOISE * math.pi * scale * size)
@@ -967,8 +986,9 @@ def _kernel_jet(routes: tuple, scheme: meas.DetectionScheme, arm: int = 0, order
     terms = np.array([float(np.sum(np.abs(s_0 + kernel) + np.abs(s_1) + np.abs(s_2))) for s_0, s_1, s_2 in
                       zip(*trig[1])])
 
-    def jet(phi: np.ndarray, which) -> tuple:
-        (mu, sigma), (dmu, dsigma), (d2mu, d2sigma) = ga.trig_image(trig, phi, 2, which)
+    def jet(phi: np.ndarray, which, image: tuple = ()) -> tuple:
+        image = [(m[:, rows].copy(), s[:, rows, rows].copy()) for m, s in image] or ga.trig_image(trig, phi, 2, which)
+        (mu, sigma), (dmu, dsigma), (d2mu, d2sigma) = image
         sigma = sigma + kernel
         value, slope, curve = meas.kernel_jet(mu, sigma, dmu, dsigma, d2mu, d2sigma)
         # sigma carries the rounding of its terms, which log det sigma amplifies by |sigma^-1|, relative to
@@ -993,8 +1013,8 @@ def _signal_jet(routes: tuple, scheme: meas.DetectionScheme) -> Callable:
     if scheme.kind not in meas.POLYNOMIAL_KINDS:
         jet = _kernel_jet(routes, scheme)
 
-        def kernel_signal(phi: np.ndarray, which) -> tuple:
-            m, m1, m2, noise = jet(phi, which)
+        def kernel_signal(phi: np.ndarray, which, image: tuple = ()) -> tuple:
+            m, m1, m2, noise = jet(phi, which, image)
             square = (m, m1, m2) if scheme.kind == "click" else (1.0, 0.0, 0.0)  # <O^2> of no-click, or parity
             return m, m1, m2, *_variance(m, m1, m2, *square), noise
 
@@ -1066,8 +1086,8 @@ def _qfi(route: _Route, phi: float) -> tuple[float | None, str]:
 
     A herald after the phase post-selects on a phi-dependent outcome; the QFI of that conditional state does not
     bound the herald-weighted CFI, so none is given.  A Gaussian route takes one observation: `est.qfi_mixed_gaussian`
-    on the state and its exact tangent, the route's image to first order (`_Route.image`), labelled pure or mixed
-    from the symplectic eigenvalues that formula uses.  On the Wigner path, a channel of K = 0 on the interferometer
+    on the covariance and the exact tangent of its row (`_Row`), labelled pure or mixed from the symplectic
+    eigenvalues that formula uses.  On the Wigner path, a channel of K = 0 on the interferometer
     modes (a total loss, L = 1 or D = 0) leaves a family that does not depend on phi, of QFI 0.  With no noise
     after the MZI (C = 0, which thermal injection at eta = 1 keeps), a pure prefix is a pure input to the MZI, whose
     phase is generated by J_z = (n1 - n2)/2 after its first 50/50 splitter: F = 4 Var(J_z) = Var(n1 - n2) there
@@ -1078,7 +1098,8 @@ def _qfi(route: _Route, phi: float) -> tuple[float | None, str]:
     if route.ancillas:
         return None, "unavailable (herald after the phase)"
     if route.gaussian is not None:
-        qfi, pure = est.qfi_mixed_gaussian(route.observe(phi)[1][0], *(d[0] for d in route.image((phi,), 1)[1]))
+        row = route.observe(phi)[1][0]
+        qfi, pure = est.qfi_mixed_gaussian(row.cov, *row.tangent)
         return qfi, "pure_gaussian" if pure else "mixed_gaussian"
     mixed = None, "unavailable (mixed non-Gaussian)"
     if not np.any(route.channel[0][:, :4]):
@@ -1104,12 +1125,12 @@ def evaluate_point(config: ScenarioConfig, phi: float | None = None):
 
 
 def _evaluate(config: ScenarioConfig, phi: float, route: _Route, block: tuple = ()):
-    """`evaluate_point` at phi through the config's route, whose optima are searched with its sweep `block`."""
+    """`evaluate_point` at phi through the config's route, with its sweep `block` (`_blocks`)."""
     report = est.EstimationReport(phi=phi)
     warnings: list[str] = []
     distributions: list[dict] = []
     try:
-        p, (arm, *_) = route.observe(phi)
+        p, (arm, *_) = route.observe(phi, block, config.detection if "phase_variance" in config.metrics else ())
     except ImprobableBranch as exc:
         report.extras["flag"] = "improbable herald branch"
         warnings.append(f"phi={phi:.6g}: {exc}")
@@ -1131,7 +1152,7 @@ def _evaluate(config: ScenarioConfig, phi: float, route: _Route, block: tuple = 
                 warnings.append(f"optimal_phi[{scheme.label}]: {exc}")
                 continue
             try:
-                report.phase_variance[scheme.label] = signal.at(phi)
+                report.phase_variance[scheme.label] = signal.at(phi, getattr(arm, "variance", {}).get(scheme))
             except (SignalStationary, DegenerateBranch, ImprobableBranch) as exc:
                 warnings.append(f"phase_variance[{scheme.label}] at phi={phi:.6g}: {exc}")
             report.optimal_phi[scheme.label] = opt_phi
@@ -1162,7 +1183,7 @@ def _evaluate(config: ScenarioConfig, phi: float, route: _Route, block: tuple = 
             reads = route.read(0, 0, route.arms[0][1])(np.array([phi]), monomials=monomials)[0]
             both = (reads[:, 0, 0] / arm).tolist()
         for mode in (1, 2):
-            mom = meas.intensity(arm, mode) if route.gaussian is not None else meas.polynomial_moments(
+            mom = arm.intensity[mode - 1] if route.gaussian is not None else meas.polynomial_moments(
                 meas.DetectionScheme("intensity", mode), lambda _: both[5 * mode - 5 : 5 * mode])
             try:
                 report.snr[f"mode{mode}"] = est.snr(mom, subtract_injected=added[mode])
@@ -1264,7 +1285,7 @@ def run(config: ScenarioConfig, seed: int | None = None) -> RunReport:
 
 def sweep(config: ScenarioConfig, parameter: str, grid, seed: int | None = None) -> RunReport:
     """Evaluate the metrics at each grid point, in grid order; a config's phi grid takes a sweep over phi alone.
-    Each block of points (`_blocks`) searches each detector's optimum once for all its routes (`_optimal_phi`)."""
+    Each block of points (`_blocks`) searches each detector's optimum and reads its Gaussian rows once."""
     if config.phi_grid is not None and parameter != "phi":
         raise ConfigError("interferometer.phi", f"a phi grid cannot be swept over {parameter}; give one phi")
     grid = [float(g) for g in grid]
@@ -1287,27 +1308,27 @@ def sweep(config: ScenarioConfig, parameter: str, grid, seed: int | None = None)
 
 def _blocks(points: list):
     """Each sweep point's (route, block), in order: the route of its pipeline, which a phi sweep's points share, and
-    the block, the routes of a run of points whose optima are searched at once (`_optimal_phi`).  Several routes
-    are one block where they are Gaussian routes of one prefix record, so of one QFI bound and grid, with at most
-    KERNEL_CHUNK grid cells over them.  A sweep moves no herald or output displacement: its routes of one prefix
-    share the search period (`_Route.period`) too.  One block of routes is held at a time."""
-    pending, routes = [], {}  # the route of each point of the block, and the block's routes by pipeline
+    the block, up to KERNEL_CHUNK points (route, phi) whose optima and Gaussian rows are read at once (`_optimal_phi`,
+    `_read_rows`).  Several routes are one block where they are Gaussian routes of one prefix record, so of one QFI
+    bound and grid, with at most KERNEL_CHUNK grid cells over them.  A sweep moves no herald or output displacement:
+    its routes of one prefix share the search period (`_Route.period`) too.  One block is held at a time."""
+    pending, routes = [], {}  # the block's points, and its routes by pipeline
     for point in points:
         key = point.inputs, point.modifications, point.noise
-        if key not in routes:
-            route = _routes(*key)
-            if routes and not (route.prefix is first.prefix and len(routes) < size):
-                yield from zip(pending, [tuple(routes.values())] * len(pending))
-                pending, routes = [], {}
-            if not routes:
-                first, size = route, 1
-                # a herald below the renormalization floor leaves each point to flag its row (`evaluate_point`)
-                with contextlib.suppress(ImprobableBranch):
-                    if route.gaussian is not None:
-                        size = est.KERNEL_CHUNK // _kernel_cells(route)
-            routes[key] = route
-        pending.append(routes[key])
-    yield from zip(pending, [tuple(routes.values())] * len(pending))
+        route = routes[key] if key in routes else _routes(*key)
+        if pending and (len(pending) == est.KERNEL_CHUNK or key not in routes and not (
+                route.prefix is first.prefix and len(routes) < size)):
+            yield from zip((each for each, _ in pending), [tuple(pending)] * len(pending))
+            pending, routes = [], {}
+        if not routes:
+            first, size = route, 1
+            # a herald below the renormalization floor leaves each point to flag its row (`evaluate_point`)
+            with contextlib.suppress(ImprobableBranch):
+                if route.gaussian is not None:
+                    size = est.KERNEL_CHUNK // _kernel_cells(route)
+        routes[key] = route
+        pending.append((route, point.phi))
+    yield from zip((each for each, _ in pending), [tuple(pending)] * len(pending))
 
 
 def phase_drift_study(
@@ -1326,8 +1347,8 @@ def phase_drift_study(
     slope above its rounding level) is left out of the mean and the trace, with a warning; the row counts such
     draws (`stationary_draws`), and a detector with no other draw gets a flag in place of its mean.
     """
-    if trials < 1:
-        raise ConfigError("drift.trials", "need at least one trial")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ConfigError("drift.trials", "need at least one trial" if trials < 1 else f"more than {MAX_TRIALS} trials")
     sigma = dict(DRIFT_SIGMA_DEFAULTS, **(sigma or {}))
     traces = []
     warnings: list[str] = []
@@ -1398,8 +1419,9 @@ def simulate_counts(config: ScenarioConfig, trials: int, seed: int, t_grid=None)
     with nothing kept, and a state of zero photon-number variance (a Fock
     state) a row without `theory_snr`; each adds a warning.
     """
-    if trials < 1:
-        raise ConfigError("counts.trials", "need at least one trial")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ConfigError("counts.trials",
+                          "need at least one trial" if trials < 1 else f"more than {MAX_TRIALS} trials")
     if config.phi_grid is not None:
         raise ConfigError("interferometer.phi", "counts reads one phase; give one phi, not a grid")
     herald = [m for m in config.modifications if m.heralded]

@@ -64,6 +64,6 @@ def gaussian_qfi():
     def qfi(family, phi: float, h: float = 1e-5) -> float:
         plus, minus = family(phi + h), family(phi - h)
         tangent = (plus.mean - minus.mean) / (2 * h), (plus.cov - minus.cov) / (2 * h)
-        return est.qfi_mixed_gaussian(family(phi), *tangent)[0]
+        return est.qfi_mixed_gaussian(family(phi).cov, *tangent)[0]
 
     return qfi

@@ -146,12 +146,13 @@ class ArmRead:
 
 
 def observed(config, phi: float) -> tuple:
-    """`sc._Route.observe`'s (p, arms), each Wigner arm, given there as its herald probability, as its `ArmRead`
-    for the referees to measure."""
+    """`sc._Route.observe`'s (p, arms) for the referees to measure: a Gaussian arm, given there as its row
+    (`sc._Row`), as the GaussianState of its mean and covariance, and each Wigner arm, given there as its herald
+    probability, as its `ArmRead`."""
     route = sc._route(config)
     p, arms = route.observe(phi)
     if route.gaussian is not None:
-        return p, arms
+        return p, tuple(ga.GaussianState(arm.mean, arm.cov) for arm in arms)
     tracked = [(i, herald) for i, herald in route.arms if i < len(route.prefix.arms[1])]
     return p, tuple(ArmRead(route.read(i, 0, herald), phi, q) for (i, herald), q in zip(tracked, arms))
 
@@ -255,7 +256,8 @@ def measure(state, scheme: meas.DetectionScheme) -> meas.MeasurementMoments:
 
 def gaussian_at(route: sc._Route, phi: float) -> ga.GaussianState:
     """A Gaussian route's state at one phase, formed for that phase alone from the route's channel (K, b, C) and
-    Gaussian term (R0, sigma0): the per-phase referee of the route's stacked image (`sc._Route.image`).
+    Gaussian term (R0, sigma0): the per-phase referee of the route's stacked image (`sc._Route.trig` through
+    `ga.trig_image`).
 
     A = K M(phi) = a_c cos(phi/2) + a_s sin(phi/2) with a_c = K M(0) and a_s = 2 K M'(0), so A R0 + b is
     b + a_c R0 cos(phi/2) + a_s R0 sin(phi/2), and A sigma0 A^T + 2C, from cos^2 = (1 + cos phi)/2,

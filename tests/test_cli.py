@@ -385,6 +385,22 @@ def test_grid_above_the_point_cap_exits_2(grid, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def _refuse_draws(*args, **kwargs):
+    raise AssertionError("trials were drawn before their count was checked")
+
+
+@pytest.mark.parametrize("command, config", [("counts", "pacs_counts"), ("drift", "ligo_lossy")])
+@pytest.mark.parametrize("trials", [sc.MAX_TRIALS + 1, 10**15])
+def test_trials_above_the_cap_exit_2(command, config, trials, tmp_path, capsys, monkeypatch):
+    # 1e15 trials would need 7 PiB of draws, which numpy failed to allocate with an exit-1 traceback: the count
+    # is checked before any generator is made
+    monkeypatch.setattr(sc.np.random, "default_rng", _refuse_draws)
+    argv = [command, "--config", str(CONFIGS / f"{config}.json"), "--trials", str(trials)]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {command}.trials: more than {sc.MAX_TRIALS} trials\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_phi_grid_above_the_point_cap_exits_2(tmp_path, capsys):
     # 200,001 points: few enough to build quickly were the cap not checked
     cfg = json.loads((ROOT / "configs" / "ligo_lossy.json").read_text())

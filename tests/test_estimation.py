@@ -169,7 +169,7 @@ class TestQfi:
         for phi in (0.3, math.pi, 4.4):
             m, dm = sym.mzi_matrix(phi), sym.mzi_phase_derivative(phi)
             half = dm @ r0.cov @ m.T
-            got = est.qfi_mixed_gaussian(ga.propagate(r0, sym.SymplecticTransform(sym.mzi_matrix(phi))), dm @ r0.mean,
+            got = est.qfi_mixed_gaussian(ga.propagate(r0, sym.SymplecticTransform(m)).cov, dm @ r0.mean,
                                          half + half.T)[0]
             assert got == pytest.approx(1.0 / est.lossless_qcrb(100.0, 1.0), rel=1e-13)
 

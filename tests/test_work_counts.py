@@ -6,12 +6,14 @@ import json
 import math
 import types
 import weakref
+from dataclasses import astuple
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference as ref
 import tracer
 import workloads
 from conftest import forget_routes
@@ -114,9 +116,9 @@ def observed(monkeypatch) -> list:
     seen = []
     orig = sc._Route.observe
 
-    def counted(route, phi):
+    def counted(route, phi, *block):
         seen.append(phi)
-        return orig(route, phi)
+        return orig(route, phi, *block)
 
     monkeypatch.setattr(sc._Route, "observe", counted)
     return seen
@@ -124,31 +126,30 @@ def observed(monkeypatch) -> list:
 
 @pytest.fixture
 def imaged(monkeypatch) -> list:
-    """The phase sets at which a Gaussian route forms a validated image of its prefix: each observation's phase
-    (`_Route._observe`), and each sample set (`_Route.samples`) that the route has not kept yet.  The kernel jet
-    reads the same image (`_Route.image`) unvalidated, and is not recorded."""
+    """The phase sets at which Gaussian routes form a validated image of their prefix: the phases of each block of
+    rows (`_read_rows`), and each sample set (`_Route.samples`) that the route has not kept yet.  The kernel jet
+    reads the same image unvalidated, and is not recorded."""
     seen = []
-    observe, samples = sc._Route._observe, sc._Route.samples
+    rows, samples = sc._read_rows, sc._Route.samples
 
-    def observed(route, phi):
-        if route.gaussian is not None:
-            seen.append((phi,))
-        return observe(route, phi)
+    def observed(block, detection):
+        seen.append(tuple(phi for _, phi in block))
+        return rows(block, detection)
 
     def sampled(route, phis):
         if phis not in route._samples:
             seen.append(phis)
         return samples(route, phis)
 
-    monkeypatch.setattr(sc._Route, "_observe", observed)
+    monkeypatch.setattr(sc, "_read_rows", observed)
     monkeypatch.setattr(sc._Route, "samples", sampled)
     return seen
 
 
-def test_gaussian_sweep_pass_validates_7_states_and_2_stacks(tmp_path, monkeypatch):
-    # the gaussian_sweep CI gates, at seed 1: the two inputs, the prefix's Gaussian record once for its QFI, each
-    # of the four points' own state at its phase, and one stack of all four points' images for each sample set,
-    # homodyne's and the even detectors'; each state and each stack is one covariance check
+def test_gaussian_sweep_pass_validates_2_states_and_3_stacks(tmp_path, monkeypatch):
+    # the gaussian_sweep CI gates, at seed 1: the two inputs are the only states, and one stack of all four
+    # points' images for each sample set, homodyne's and the even detectors', and for the four points' rows at
+    # their phase; each state and each stack is one covariance check
     plan = workloads.plan(str(CONFIGS.parent), "gaussian_sweep", 1, str(tmp_path))
     workloads.write_configs(plan)
     forget_routes()
@@ -156,7 +157,7 @@ def test_gaussian_sweep_pass_validates_7_states_and_2_stacks(tmp_path, monkeypat
     monkeypatch.setattr(ga.GaussianState, "__post_init__", lambda state: states.append(1) or init(state))
     checks = counter(monkeypatch, ga, "check_covariance")
     assert [cli.main(command["argv"]) for command in plan["commands"]] == [0]
-    assert (len(states), len(checks)) == (7, 9)
+    assert (len(states), len(checks)) == (2, 5)
 
 
 def test_gaussian_qfi_observes_one_state(observed):
@@ -603,18 +604,20 @@ OUTPUT_DISPLACED = {
     (ligo_lossy(), "L", [0.0, 0.5, 1.0]),
     (OUTPUT_DISPLACED, "L", [0.0, 0.5, 1.0]),
     (ligo_lossy(), "alpha2", [300.0, 500.0]),
-], ids=["L", "D", "nbar_env", "two_blocks", "last_point_alone", "reaches_L_1", "output_displaced", "alpha2"])
+    (ligo_lossy(), "phi", [0.3 * k for k in range(20)]),
+], ids=["L", "D", "nbar_env", "two_blocks", "last_point_alone", "reaches_L_1", "output_displaced", "alpha2", "phi"])
 def test_channel_sweep_rows_equal_each_point_alone(raw, parameter, grid):
     # a sweep searches each detector's optimum once per block of Gaussian points that share a prefix record; every
     # row and warning is the one its point gives alone on fresh caches, byte for byte: ten ligo_lossy points fill
     # a block (two blocks for twelve points, and an eleventh point searched alone), a stationary signal at L = 1
-    # raises for that point alone, and an alpha2 sweep, which changes the prefix, searches each point alone
+    # raises for that point alone, an alpha2 sweep, which changes the prefix, searches each point alone, and a
+    # phi sweep reads its twenty points' rows as one block of one route
     config = sc.ScenarioConfig.from_dict(raw)
     alone, warned = [], []
     for value in grid:
         forget_routes()
         report, warnings, _ = sc.evaluate_point(config.with_values(**{parameter: value}))
-        alone.append(json.dumps(report.as_dict(), sort_keys=True))
+        alone.append(json.dumps({k: v for k, v in report.as_dict().items() if k != parameter}, sort_keys=True))
         warned.extend(warnings)
     forget_routes()
     report = sc.sweep(config, parameter, grid)
@@ -637,20 +640,58 @@ def test_block_jet_reads_each_phase_through_its_own_route(kind, mode):
         assert all(same_bits(rows[7 * j : 7 * j + 7], own) for rows, own in zip(block, alone))
 
 
+@pytest.mark.parametrize("kind, mode", [("parity", 1), ("click", 2)])
+def test_block_rows_keep_every_bit_of_each_point_read_alone(kind, mode):
+    # a block's rows, read as one stack, are what each point gives read alone through its own route, bit for bit:
+    # its state (the referee's, formed for that phase alone) and exact tangent, the QFI and its label, both
+    # modes' intensity moments (the per-state closed forms) and V (the route's own one-phase jet), the inf of the
+    # stationary signal at L = 1 included
+    config, scheme = sc.load_config(LIGO_LOSSY), meas.DetectionScheme(kind, mode)
+    points, phi = [config.with_values(L=value) for value in (0.0, 0.5, 1.0)], config.phi
+    routes = [sc._Route(point.inputs, point.modifications, point.noise) for point in points]
+    sc._read_rows(tuple((route, phi) for route in routes), (scheme,))
+    for point, route in zip(points, routes):
+        alone = sc._Route(point.inputs, point.modifications, point.noise)
+        (row,), state = route.observe(phi)[1], ref.gaussian_at(alone, phi)
+        _, tangent = (tuple(part[0] for part in pair) for pair in ga.trig_image(sc._stacked((alone,)), (phi,), 1))
+        assert same_bits(row.mean, state.mean) and same_bits(row.cov, state.cov)
+        assert all(map(same_bits, row.tangent, tangent))
+        qfi, pure = est.qfi_mixed_gaussian(state.cov, *tangent)
+        assert sc._qfi(route, phi) == (qfi, "pure_gaussian" if pure else "mixed_gaussian")
+        moments = [(m.mean, m.second_moment) for m in row.intensity]
+        assert same_bits(np.array(moments), np.array([astuple(meas.intensity(state, m)) for m in (1, 2)]))
+        v = est.jet_phase_variance(*sc._signal_jet((alone,), scheme)(np.array([phi]), 0))
+        assert same_bits(np.array([row.variance[scheme]]), v)
+    assert math.isinf(routes[-1].observe(phi)[1][0].variance[scheme])
+
+
+def test_phi_sweep_reads_its_rows_in_one_stack(monkeypatch):
+    # twenty phases of ligo_lossy are one block of one route: one stacked image of the twenty points, validated
+    # once, gives every observation and QFI tangent, and parity's V at every phase is one jet call on it (one
+    # image, check and jet per point took 66 images, 25 checks and 24 jet calls); beside it, the two inputs'
+    # checks, an image and a check per polynomial sample set, and the parity search's four jet calls, one image each
+    jets, checks, images = (counter(monkeypatch, m, name) for m, name in (
+        (meas, "kernel_jet"), (ga, "check_covariance"), (ga, "trig_image")))
+    forget_routes()
+    sc.sweep(sc.load_config(LIGO_LOSSY), "phi", [0.3 * k for k in range(20)])
+    assert (len(jets), len(checks), len(images)) == (5, 5, 7)
+
+
 def test_loss_sweep_searches_each_optimum_once(monkeypatch):
     # four L of ligo_lossy are one block: one parity search, whose grid and refinement rounds each read the four
-    # points' jets in one call (the four points searched alone take 20), one stack of trigonometric
-    # signals per polynomial detector, whose circle roots are two calls (the slope's, then the stationary
-    # condition's), and one covariance check per sample set for the block
+    # points' jets in one call (the four points searched alone take 20), and one call for V at the four points'
+    # phase; one stack of trigonometric signals per polynomial detector, whose circle roots are two calls (the
+    # slope's, then the stationary condition's); and one covariance check per sample set and one of the four
+    # points' rows for the block, beside the two inputs
     minima, jets, signals, roots = (counter(monkeypatch, m, name) for m, name in (
         (est, "kernel_minima"), (meas, "kernel_jet"), (est, "trig_signal"), (est, "_circle_roots")))
     checks = []
     check = ga.check_covariance
-    monkeypatch.setattr(ga, "check_covariance", lambda cov: checks.append(cov.shape) or check(cov))
+    monkeypatch.setattr(ga, "check_covariance", lambda cov, *mean: checks.append(cov.shape) or check(cov, *mean))
     forget_routes()
     sc.sweep(sc.load_config(LIGO_LOSSY), "L", [0.0, 0.1, 0.2, 0.3])
-    assert (len(minima), len(jets), len(signals), len(roots)) == (1, 9, 3, 6)
-    assert [shape for shape in checks if len(shape) == 3] == [(20, 4, 4), (20, 4, 4)]
+    assert (len(minima), len(jets), len(signals), len(roots)) == (1, 6, 3, 6)
+    assert [shape for shape in checks if len(shape) == 3] == [(4, 4, 4), (20, 4, 4), (20, 4, 4)]
 
 
 def test_loss_sweep_of_a_heralded_point_reads_one_prefix(monkeypatch):
