@@ -6,7 +6,6 @@ from .errors import (
     ConfigError,
     DegenerateBranch,
     ImprobableBranch,
-    PurityViolation,
     SignalStationary,
 )
 from . import conditional, estimation, gaussian, measurements, scenario, symplectic, wigner
@@ -23,6 +22,5 @@ __all__ = [
     "ConfigError",
     "DegenerateBranch",
     "ImprobableBranch",
-    "PurityViolation",
     "SignalStationary",
 ]

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 a typed error (`errors.Error`): a config that fails validation (ConfigError, a
 non-finite number included), a photon-number distribution whose contour would pass its cap (ContourTooLong),
-or a variance, norm or probability out of range beyond rounding (NumericalBreakdown).  A metric that a point
-cannot give (ImprobableBranch, SignalStationary, DegenerateBranch, PurityViolation) is left out of its row,
-with a flag or a warning.  Grid points are evaluated in order; each draws its random substream from (seed, index).
+or a variance, norm or probability out of range beyond rounding or a channel's noise that is not completely
+positive (NumericalBreakdown).  A metric that a point cannot give (ImprobableBranch, SignalStationary,
+DegenerateBranch) is left out of its row, with a flag or a warning.  Grid points are evaluated in order; each
+draws its random substream from (seed, index).
 """
 
 from __future__ import annotations

@@ -23,13 +23,9 @@ class DegenerateBranch(Error, RuntimeError):
     SNR of a state with no photon-number variance (a Fock state)."""
 
 
-class PurityViolation(Error, RuntimeError):
-    """A pure-state-only formula was applied to a mixed state."""
-
-
 class NumericalBreakdown(Error, ValueError):
     """A computed quantity left its range beyond rounding: a negative variance, a norm <= 0, a probability
-    outside [0, 1]."""
+    outside [0, 1], a noise stage after the MZI that is not completely positive."""
 
 
 class ConfigError(Error, ValueError):

@@ -3,8 +3,8 @@
 Benchmarks (SNL/HL), the CFI of a two-outcome detector from one outcome's
 probability and its exact slope (`binary_cfi`), the Gaussian QFI (one formula
 for pure and mixed states, fed the family's exact tangent (dR, dsigma)), the
-purity test of the Wigner route, the closed-form coherent+squeezed-vacuum
-bounds, SNR, and the phase signal of a detector.  That signal is exact for a
+purity tolerance of the Wigner route's QFI, the closed-form
+coherent+squeezed-vacuum bounds, SNR, and the phase signal of a detector.  That signal is exact for a
 signal whose first two moments are trigonometric polynomials in phi
 (`trig_signal`, from equispaced samples, with its stationary points from the
 companion matrix of their condition), and otherwise read from the jets of <O>
@@ -23,9 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateBranch, PurityViolation, SignalStationary
+from .errors import DegenerateBranch, SignalStationary
 from .gaussian import williamson
-from .wigner import WignerExpr, purity
 
 SLOPE_FLOOR = 1e-12
 # A slope below this many units of rounding of the signal's scale is noise.
@@ -100,13 +99,6 @@ def binary_cfi(p: float, dp: float, phi: float, d2p: float | None = None) -> flo
 # ---------------------------------------------------------------------------
 # Quantum Fisher information.
 # ---------------------------------------------------------------------------
-
-
-def require_pure_wigner(expr: WignerExpr) -> None:
-    """Raise PurityViolation unless the expression's purity is 1 within PURE_WIGNER_TOL."""
-    mu = purity(expr)
-    if abs(mu - 1.0) > PURE_WIGNER_TOL:
-        raise PurityViolation(f"purity {mu:.8f} differs from 1 beyond {PURE_WIGNER_TOL:g}")
 
 
 def qfi_mixed_gaussian(cov: np.ndarray, dmean: np.ndarray, dcov: np.ndarray) -> tuple[float, bool]:

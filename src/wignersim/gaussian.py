@@ -1,4 +1,5 @@
-"""Gaussian states: mean vector plus covariance matrix, their constructors, and propagation through a transform.
+"""Gaussian states: mean vector plus covariance matrix, their check and constructors, propagation through a
+transform, and the complete-positivity check of a Gaussian channel.
 
 Covariance convention: sigma_ij = <R_i R_j + R_j R_i> - 2 <R_i><R_j>, so the vacuum
 covariance is the identity and Var(x) = sigma_xx / 2.  The thermal state of true mean
@@ -12,32 +13,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalBreakdown
 from .symplectic import SymplecticTransform, omega
 
 SYMMETRY_TOL = 1e-12
 BONA_FIDE_TOL = 1e-9
 
 
-def check_covariance(cov: np.ndarray, mean: np.ndarray | None = None) -> None:
-    """Validate finiteness, symmetry, positive definiteness, and the sigma + i*Omega >= 0 condition of a
-    covariance, or of every one of a stack (..., 2N, 2N) at once, and that the states' `mean`s, if given, are
-    finite; a failure reports the worst of the stack."""
-    if mean is not None and not np.all(np.isfinite(mean)):
-        raise ValueError("mean contains non-finite entries")
-    if cov.ndim < 2 or cov.shape[-2] != cov.shape[-1] or cov.shape[-1] % 2 != 0:
+def check_covariance(cov: np.ndarray) -> None:
+    """Validate finiteness, symmetry, positive definiteness, and sigma + i Omega >= 0 of one covariance."""
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0:
         raise ValueError(f"covariance must be square with even dimension, got {cov.shape}")
     if not np.all(np.isfinite(cov)):
         raise ValueError("covariance contains non-finite entries")
-    asym = np.max(np.abs(cov - np.swapaxes(cov, -1, -2)))
+    asym = np.max(np.abs(cov - cov.T))
     if asym > SYMMETRY_TOL:
         raise ValueError(f"covariance not symmetric (defect {asym:.3e})")
-    low = np.min(np.linalg.eigvalsh(cov)[..., 0])
+    low = np.linalg.eigvalsh(cov)[0]
     if low <= 0.0:
         raise ValueError(f"covariance not positive definite (min eigenvalue {low:.3e})")
-    herm = cov.astype(complex) + 1j * omega(cov.shape[-1] // 2)
-    low = np.min(np.linalg.eigvalsh((herm + np.swapaxes(herm, -1, -2).conj()) / 2.0)[..., 0])
+    low = _least_eigenvalue(cov, omega(cov.shape[0] // 2))
     if low < -BONA_FIDE_TOL:
         raise ValueError(f"state not bona fide: min eig of sigma + i Omega is {low:.3e}")
+
+
+def check_channel(k: np.ndarray, c: np.ndarray) -> None:
+    """Raise NumericalBreakdown unless the channel sigma -> K sigma K^T + 2C is completely positive within
+    BONA_FIDE_TOL: 2C + i(Omega - K Omega K^T) >= 0 (Caruso, Eisert, Giovannetti & Holevo, NJP 10, 083030 (2008))."""
+    w = omega(len(k) // 2)
+    low = _least_eigenvalue(2.0 * c, w - k @ w @ k.T)
+    if low < -BONA_FIDE_TOL:
+        raise NumericalBreakdown(f"noise not completely positive: min eig of 2C + i(Omega - K Omega K^T) is {low:.3e}")
+
+
+def _least_eigenvalue(real: np.ndarray, imag: np.ndarray) -> float:
+    """The least eigenvalue of the Hermitian part of real + i imag."""
+    herm = real + 1j * imag
+    return np.linalg.eigvalsh((herm + herm.conj().T) / 2.0)[0]
 
 
 @dataclass(frozen=True)
@@ -52,9 +64,11 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
             raise ValueError(f"mean must have positive even length, got shape {mean.shape}")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean contains non-finite entries")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match mean length")
-        check_covariance(cov, mean)
+        check_covariance(cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         self.mean.setflags(write=False)

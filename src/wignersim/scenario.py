@@ -49,7 +49,7 @@ import numpy as np
 import numpy.random  # loaded lazily otherwise, on the first draw of a `counts` run
 
 from . import __version__
-from .errors import ConfigError, DegenerateBranch, ImprobableBranch, PurityViolation, SignalStationary
+from .errors import ConfigError, DegenerateBranch, ImprobableBranch, SignalStationary
 from . import conditional as cond
 from . import estimation as est
 from . import gaussian as ga
@@ -73,8 +73,8 @@ HERALD_CANCELLATION = 1e4
 PREFIX_CACHE_SIZE = 8
 # Most points of a grid, a phi grid in a config or a --grid option
 MAX_GRID_POINTS = 100_000
-# Most trials of drift or counts: counts draws this many uniforms per grid point, and drift reads all its draws'
-# phases in one signal call, some 6 kB per phase on a heralded route (0.6 GB at this bound for subtracted_thermal)
+# Most trials of drift or counts: counts draws this many uniforms per grid point, and drift reads its draws'
+# phases in signal calls of at most est.KERNEL_CHUNK phases each, so only its per-draw results grow with it
 MAX_TRIALS = 100_000
 # Largest squeeze parameter r of a squeeze or an SPDC addition, and of the
 # summed r of the squeezes on one mode and stage.  The rounding
@@ -642,7 +642,8 @@ def _after_mzi(modifications: tuple, noise: NoiseSpec, n: int) -> tuple:
     the MZI acts as the identity.  The uniform loss L of the config comes first on every path, the one place it
     is applied: it acts alike on both modes, so it commutes with the passive MZI, and K = sqrt(1 - L) I and
     C = (L / 2) I.  Thermal injection on a mode scales it by sqrt(eta) and adds noise of variable covariance
-    (1 - eta)(2 nbar + 1)/2 there; the output stage follows (`_then`).
+    (1 - eta)(2 nbar + 1)/2 there; this noise stage, the route's one map that is not symplectic, is checked once
+    for complete positivity (`ga.check_channel`), which the MZI and the output stage (`_then`) keep at every phase.
     """
     channel = np.eye(n), np.zeros(n), np.zeros((n, n))
     if noise.loss is not None:
@@ -650,6 +651,7 @@ def _after_mzi(modifications: tuple, noise: NoiseSpec, n: int) -> tuple:
     for m in noise.thermal_modes if noise.has_thermal else ():
         channel = _attenuated(channel, slice(2 * m - 2, 2 * m), math.sqrt(noise.thermal_eta),
                               (1.0 - noise.thermal_eta) * (2.0 * noise.thermal_nbar + 1.0) / 2.0)
+    ga.check_channel(channel[0], channel[2])
     return _then([m for m in modifications if m.stage == "output"], n, *channel)
 
 
@@ -710,7 +712,7 @@ class _Route:
         reads = _herald_reads(heralds)[: 1 if any(m.heralded for m in self.prefix.input_mods) else None]
         self.arms = tuple((0, herald) for herald in reads) if heralds else ((0, None), (1, None))
         self.optima = {}  # detector -> (phi, variance, signal) of its phase-variance optimum (`_optimal_phi`)
-        self._samples = {}  # sample set of phases -> the Gaussian image there, validated
+        self._samples = {}  # sample set of phases -> the Gaussian image there
         self._observation = {}  # each phase of the last observation or block read -> its (p, arms)
         self._phases, self._parts = None, {}  # the last phase set read, and a read's key -> {projectors: its part}
 
@@ -736,12 +738,11 @@ class _Route:
 
     def samples(self, phis: tuple, *others: _Route) -> tuple[np.ndarray, np.ndarray]:
         """The `trig` form at a sample set of phases of this route and its sweep block's `others`, stacked and
-        validated once; each route keeps its part per set."""
+        formed once; each route keeps its part per set."""
         routes, n = (self, *others), len(phis)
         if any(phis not in route._samples for route in routes):
             which = np.repeat(range(len(routes)), n)
             ((mean, cov),) = ga.trig_image(_stacked(routes), np.tile(phis, len(routes)), 0, which)
-            ga.check_covariance(cov)
             for j, route in enumerate(routes):
                 route._samples[phis] = mean[j * n : (j + 1) * n], cov[j * n : (j + 1) * n]
         return tuple(np.concatenate(part) for part in zip(*(route._samples[phis] for route in routes)))
@@ -810,13 +811,12 @@ _Row = namedtuple("_Row", "mean cov tangent intensity variance")
 
 
 def _read_rows(block: tuple, detection: tuple) -> None:
-    """Read a block's Gaussian points (route, phi) as one image of its routes stacked, validated once, with each
-    mode's intensity moments and each parity and click V of `detection` in one call, and keep each route's rows."""
+    """Read a block's Gaussian points (route, phi) as one image of its routes stacked, with each mode's intensity
+    moments and each parity and click V of `detection` in one call, and keep each route's rows."""
     routes = tuple(dict.fromkeys(route for route, _ in block))
     which, phis = np.array([routes.index(route) for route, _ in block]), np.array([phi for _, phi in block])
     image = ga.trig_image(_stacked(routes), phis, 2, which)
     (mean, cov), (dmean, dcov) = image[:2]
-    ga.check_covariance(cov, mean)
     moments = [meas.gaussian_moments(meas.DetectionScheme("intensity", mode), mean, cov) for mode in (1, 2)]
     variances = {scheme: est.jet_phase_variance(*_signal_jet(routes, scheme)(phis, which, image))
                  for scheme in detection if scheme.kind not in meas.POLYNOMIAL_KINDS}
@@ -1101,15 +1101,10 @@ def _qfi(route: _Route, phi: float) -> tuple[float | None, str]:
         row = route.observe(phi)[1][0]
         qfi, pure = est.qfi_mixed_gaussian(row.cov, *row.tangent)
         return qfi, "pure_gaussian" if pure else "mixed_gaussian"
-    mixed = None, "unavailable (mixed non-Gaussian)"
     if not np.any(route.channel[0][:, :4]):
         return 0.0, "pure_wigner"
-    if np.any(route.channel[2]):
-        return mixed
-    try:
-        est.require_pure_wigner(route.prefix.arms[1][0])
-    except PurityViolation:
-        return mixed
+    if np.any(route.channel[2]) or abs(wig.purity(route.prefix.arms[1][0]) - 1.0) > est.PURE_WIGNER_TOL:
+        return None, "unavailable (mixed non-Gaussian)"
     return route.prefix.qfi, "pure_wigner"
 
 
@@ -1342,10 +1337,10 @@ def phase_drift_study(
 
     Each trial draws the control phase near the scheme's optimum (Gaussian with
     the per-scheme sigma, or uniformly within DRIFT_UNIFORM_WIDTH = 0.2 pi of it) and evaluates
-    the phase variance there, all trials of a detector with an exact signal in
-    one call; the trace reports the running mean versus trial count.  A draw whose variance is not finite (no
-    slope above its rounding level) is left out of the mean and the trace, with a warning; the row counts such
-    draws (`stationary_draws`), and a detector with no other draw gets a flag in place of its mean.
+    the phase variance there, a detector's trials read from its exact signal
+    KERNEL_CHUNK phases per call; the trace reports the running mean versus trial count.  A draw whose variance
+    is not finite (no slope above its rounding level) is left out of the mean and the trace, with a warning; the
+    row counts such draws (`stationary_draws`), and a detector with no other draw gets a flag in place of its mean.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ConfigError("drift.trials", "need at least one trial" if trials < 1 else f"more than {MAX_TRIALS} trials")
@@ -1363,8 +1358,10 @@ def phase_drift_study(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(si,)))
         phis = (rng.normal(opt_phi, sig, trials) if distribution == "gaussian"
                 else opt_phi + DRIFT_UNIFORM_WIDTH * rng.uniform(-1.0, 1.0, trials))
+        variances = np.concatenate([signal.variance(phis[start : start + est.KERNEL_CHUNK])
+                                    for start in range(0, trials, est.KERNEL_CHUNK)])
         total, scored = 0.0, 0
-        for k, (phi_k, v) in enumerate(zip(phis.tolist(), map(float, signal.variance(phis))), 1):
+        for k, (phi_k, v) in enumerate(zip(phis.tolist(), map(float, variances)), 1):
             if not math.isfinite(v):  # a flat draw carries no usable slope and no score
                 warnings.append(f"drift[{scheme.label}] trial {k}: stationary draw at phi={phi_k:.6g}")
                 continue

@@ -674,7 +674,9 @@ def _expr_phi_derivative(family: Callable[[float], WignerExpr], phi: float, h: f
 def qfi_pure_wigner(family: Callable[[float], WignerExpr], phi: float) -> float:
     """QFI of a pure-state family: 2 (2 pi)^M Int (dW/dphi)^2."""
     w0 = family(phi)
-    est.require_pure_wigner(w0)
+    mu = wg.purity(w0)
+    if abs(mu - 1.0) > est.PURE_WIGNER_TOL:
+        raise ValueError(f"purity {mu:.8f} differs from 1 beyond {est.PURE_WIGNER_TOL:g}")
     dw = _expr_phi_derivative(lambda p: family(p).normalize(), phi, DEFAULT_STEP)
     return 2.0 * (2.0 * math.pi) ** w0.modes * overlap(dw, dw)
 

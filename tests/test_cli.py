@@ -30,7 +30,7 @@ from wignersim import cli
 from wignersim import conditional as cond
 from wignersim import estimation as est
 from wignersim import scenario as sc
-from wignersim.errors import ImprobableBranch
+from wignersim.errors import ImprobableBranch, NumericalBreakdown
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -242,6 +242,21 @@ def test_summed_squeeze_at_the_cap_runs(tmp_path):
             dict(SQUEEZE, stage="output", r=1.0)]
     assert cli.main(["run", "--config", _ligo_lossy_with(tmp_path, *mods), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_noise_stage_that_is_not_completely_positive_exits_2(tmp_path, capsys, monkeypatch):
+    # half the noise of ligo_lossy's loss L = 0.2 leaves 2C + i(Omega - K Omega K^T) a least eigenvalue of
+    # 0.1 - 0.2 = -0.1: the route refuses the channel as it builds it, with a typed error, and run writes nothing
+    attenuated = sc._attenuated
+    monkeypatch.setattr(sc, "_attenuated", lambda chan, rows, gain, noise: attenuated(chan, rows, gain, noise / 2))
+    config = str(CONFIGS / "ligo_lossy.json")
+    sc._routes.cache_clear()
+    with pytest.raises(NumericalBreakdown, match="min eig of 2C"):
+        sc._route(sc.load_config(config))
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: noise not completely positive: min eig of 2C + i(Omega - K Omega K^T) "
+                                       "is -1.000e-01\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_r_grid_above_the_cap_exits_2(tmp_path, capsys):

@@ -11,7 +11,7 @@ from wignersim import gaussian as ga
 from wignersim import measurements as meas
 from wignersim import symplectic as sym
 from wignersim import wigner as wg
-from wignersim.errors import DegenerateBranch, PurityViolation, SignalStationary
+from wignersim.errors import DegenerateBranch, SignalStationary
 
 RNG = np.random.default_rng(2026)
 
@@ -219,7 +219,7 @@ class TestQfi:
     def test_impure_rejected_by_wigner_route(self):
         fam = lambda p: wg.from_gaussian(ga.propagate(ga.tensor([ga.thermal_state(1.0), ga.vacuum_state(1)]),
                                                       sym.SymplecticTransform(sym.mzi_matrix(p))))
-        with pytest.raises(PurityViolation):
+        with pytest.raises(ValueError, match="purity"):
             ref.qfi_pure_wigner(fam, 0.7)
 
     def test_mixed_pinned_by_fock_sld_oracle(self, mzi_coh_sqz, gaussian_qfi):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from wignersim import gaussian as ga
 from wignersim import scenario as sc
 from wignersim import symplectic as sym
 from wignersim import wigner as wg
+from wignersim.errors import NumericalBreakdown
 
 RNG = np.random.default_rng(77)
 
@@ -64,20 +66,6 @@ class TestStateConstruction:
     def test_non_finite_covariance_rejected(self, cov):
         with pytest.raises(ValueError, match="non-finite"):
             ga.GaussianState(np.zeros(2), np.array(cov))
-
-    @pytest.mark.parametrize("cov", [
-        [[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]],  # non-finite
-        [[0.5, 0.0], [0.0, 0.5]],  # positive definite, but below the uncertainty bound: not bona fide
-        [[2.0, 0.0], [0.0, -1.0]],  # not positive definite
-        [[1.0, 1e-6], [0.0, 1.0]],  # not symmetric
-    ])
-    def test_a_stack_is_rejected_as_its_bad_state_alone(self, cov):
-        # one check validates a stack of covariances at once, with the error the bad one raises as a state
-        with pytest.raises(ValueError) as alone:
-            ga.GaussianState(np.zeros(2), np.array(cov))
-        with pytest.raises(ValueError) as stacked:
-            ga.check_covariance(np.array([np.eye(2), cov, 3.0 * np.eye(2)]))
-        assert str(stacked.value) == str(alone.value)
 
 
 class TestTensor:
@@ -225,6 +213,27 @@ class TestInjectThermal:
         want = mix.number_mean(1)
         got = photons(thermal_noise(ga.vacuum_state(1), 1, 1.0, 0.5))
         assert abs(got - want) < 1e-8
+
+
+class TestChannelCheck:
+    @pytest.mark.parametrize("eta", [1.0, 0.8, 0.5, 0.0])
+    def test_attenuator_is_completely_positive_with_its_vacuum_noise_alone(self, eta):
+        # X -> sqrt(eta) X + xi with xi of variance (1 - eta)/2 per variable, the route's attenuation, is a beam
+        # splitter against vacuum: 2C + i(Omega - K Omega K^T) = (1 - eta)(I + i Omega), of least eigenvalue 0;
+        # half that noise leaves -(1 - eta)/2
+        k, _, c = sc._attenuated((np.eye(2), np.zeros(2), np.zeros((2, 2))), slice(0, 2), math.sqrt(eta),
+                                 (1.0 - eta) / 2.0)
+        ga.check_channel(k, c)
+        if eta < 1.0:
+            with pytest.raises(NumericalBreakdown, match=re.escape(f"is {-(1.0 - eta) / 2.0:.3e}")):
+                ga.check_channel(k, c / 2.0)
+
+    def test_amplifier_needs_its_added_noise(self):
+        # X -> g X + xi with g > 1 is completely positive only with 2C >= (g^2 - 1) I
+        g = 1.5
+        ga.check_channel(g * np.eye(2), (g * g - 1.0) / 2.0 * np.eye(2))
+        with pytest.raises(NumericalBreakdown):
+            ga.check_channel(g * np.eye(2), 0.9 * (g * g - 1.0) / 2.0 * np.eye(2))
 
 
 class TestWilliamson:

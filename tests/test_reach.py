@@ -151,6 +151,7 @@ LIBRARY = (
     lambda: ga.check_covariance(np.array([[1.0, 0.5], [0.0, 1.0]])),
     lambda: ga.check_covariance(-np.eye(2)),
     lambda: ga.check_covariance(0.5 * np.eye(2)),
+    lambda: ga.check_channel(np.sqrt(0.5) * np.eye(2), np.zeros((2, 2))),  # a loss with no noise
     lambda: ga.GaussianState(np.zeros(3), np.eye(3)),
     lambda: ga.GaussianState(np.array([np.nan, 0.0]), np.eye(2)),
     lambda: ga.GaussianState(np.zeros(2), np.eye(4)),

@@ -267,6 +267,54 @@ def test_dark_port_has_no_snr():
     assert warnings.count("snr mode 1: SNR undefined for zero variance") == 1
 
 
+@pytest.mark.parametrize("stage", ["input", "output"])
+def test_every_row_read_through_a_checked_channel_is_bona_fide(stage, monkeypatch):
+    # a route checks its noise stage once (`ga.check_channel`), and no row or sample stack read through its channel
+    # is checked again: here each is, at the boundary's extremes, ligo_lossy at no, half and total loss over a phi
+    # grid with its squeeze at MAX_SQUEEZE_R before or after the MZI
+    read_rows, rows = sc._read_rows, []
+
+    def checked(block, detection):
+        read_rows(block, detection)
+        for route, phi in block:
+            (row,) = route.observe(phi)[1]
+            assert np.all(np.isfinite(row.mean))
+            ga.check_covariance(row.cov)
+            rows.append(phi)
+
+    monkeypatch.setattr(sc, "_read_rows", checked)
+    raw = json.loads((ROOT / "configs" / "ligo_lossy.json").read_text())
+    raw["modifications"] = [{"op": "squeeze", "stage": stage, "mode": 2, "r": sc.MAX_SQUEEZE_R, "theta": 0.7}]
+    grid = [2.0 * math.pi * k / 12 for k in range(12)]
+    for loss in (0.0, 0.5, 1.0):
+        config = sc.ScenarioConfig.from_dict(dict(raw, noise={"loss": {"L": loss}}))
+        sc._routes.cache_clear()
+        sc.sweep(config, "phi", grid)
+        samples = sc._route(config)._samples.values()
+        assert len(samples) == 2
+        for mean, cov in samples:
+            assert np.all(np.isfinite(mean))
+            for each in cov:
+                ga.check_covariance(each)
+    assert rows == 3 * grid
+
+
+def test_noise_stage_is_checked_alone(monkeypatch):
+    # an output squeeze and an output SPDC addition at r = 6 behind L = 0.5 are completely positive, but the whole
+    # channel's 2C + i(Omega - K Omega K^T) rounds to about -1e-6 at entries near 1e9: the route checks the noise
+    # stage alone, once, before the symplectic output stage, which keeps complete positivity
+    checks = []
+    check = ga.check_channel
+    monkeypatch.setattr(ga, "check_channel", lambda k, c: checks.append(k.shape) or check(k, c))
+    raw = base_config(modifications=[
+        {"op": "squeeze", "stage": "output", "mode": 1, "r": 6.0, "theta": 0.7},
+        {"op": "add", "stage": "output", "mode": 1, "m": 1, "mechanism": "spdc", "r": 6.0}],
+        noise={"loss": {"L": 0.5}})
+    config = sc.ScenarioConfig.from_dict(raw)
+    sc._Route(config.inputs, config.modifications, config.noise)
+    assert checks == [(6, 6)]
+
+
 class TestRunAndSweep:
     def test_run_report_shape(self):
         cfg = sc.ScenarioConfig.from_dict(base_config(metrics=["qfi"]))
@@ -468,6 +516,31 @@ class TestDrift:
         assert np.ptp(phis) > 0.1 * math.pi
         running = np.cumsum(signal.variance(phis)) / np.arange(1, 7)
         assert [t["running_mean"] for t in report.traces] == pytest.approx(running.tolist(), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["ligo_lossy", "subtracted_thermal"])
+    def test_chunked_reads_keep_the_running_means_of_one_read(self, name, monkeypatch):
+        # a detector's draws are read est.KERNEL_CHUNK phases per signal call, which bounds a call's arrays: across
+        # both chunk boundaries the running means are those of one call over all the draws, bit for bit
+        trials, lengths, optimal = 2 * est.KERNEL_CHUNK + 1, [], sc._optimal_phi
+
+        def recorded(route, scheme, block=()):
+            phi, v, signal = optimal(route, scheme, block)
+            return phi, v, signal._replace(variance=lambda phis: lengths.append(len(phis)) or signal.variance(phis))
+
+        monkeypatch.setattr(sc, "_optimal_phi", recorded)
+        config = sc.load_config(str(ROOT / "configs" / f"{name}.json"))
+        report = sc.phase_drift_study(config, trials, seed=4)
+        assert lengths == [est.KERNEL_CHUNK, est.KERNEL_CHUNK, 1] * len(config.detection)
+        for si, scheme in enumerate(config.detection):
+            opt_phi, _, signal = optimal(sc._route(config), scheme)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(si,)))
+            sigma = sc.DRIFT_SIGMA_DEFAULTS.get(scheme.kind, sc.DRIFT_SIGMA_DEFAULTS["default"])
+            total, means = 0.0, []
+            for v in map(float, signal.variance(rng.normal(opt_phi, sigma, trials))):
+                if math.isfinite(v):
+                    total += v
+                    means.append(total / (len(means) + 1))
+            assert [t["running_mean"] for t in report.traces if t["scheme"] == scheme.label] == means
 
     def test_running_mean_converges(self):
         # law of large numbers on the simulated trace: the running mean moves

@@ -126,9 +126,9 @@ def observed(monkeypatch) -> list:
 
 @pytest.fixture
 def imaged(monkeypatch) -> list:
-    """The phase sets at which Gaussian routes form a validated image of their prefix: the phases of each block of
-    rows (`_read_rows`), and each sample set (`_Route.samples`) that the route has not kept yet.  The kernel jet
-    reads the same image unvalidated, and is not recorded."""
+    """The phase sets at which Gaussian routes form a kept image of their prefix: the phases of each block of rows
+    (`_read_rows`), and each sample set (`_Route.samples`) that the route has not kept yet.  The kernel jet forms
+    its own image of the same form, and is not recorded."""
     seen = []
     rows, samples = sc._read_rows, sc._Route.samples
 
@@ -146,10 +146,10 @@ def imaged(monkeypatch) -> list:
     return seen
 
 
-def test_gaussian_sweep_pass_validates_2_states_and_3_stacks(tmp_path, monkeypatch):
-    # the gaussian_sweep CI gates, at seed 1: the two inputs are the only states, and one stack of all four
-    # points' images for each sample set, homodyne's and the even detectors', and for the four points' rows at
-    # their phase; each state and each stack is one covariance check
+def test_gaussian_sweep_pass_validates_2_states_and_no_stack(tmp_path, monkeypatch):
+    # the gaussian_sweep CI gates, at seed 1: the two inputs are the only states, each one covariance check; the
+    # stacks of the four points' images, a sample set's or the rows at their phase, are read through a channel
+    # checked once at route build (`ga.check_channel`), and none is checked again
     plan = workloads.plan(str(CONFIGS.parent), "gaussian_sweep", 1, str(tmp_path))
     workloads.write_configs(plan)
     forget_routes()
@@ -157,7 +157,7 @@ def test_gaussian_sweep_pass_validates_2_states_and_3_stacks(tmp_path, monkeypat
     monkeypatch.setattr(ga.GaussianState, "__post_init__", lambda state: states.append(1) or init(state))
     checks = counter(monkeypatch, ga, "check_covariance")
     assert [cli.main(command["argv"]) for command in plan["commands"]] == [0]
-    assert (len(states), len(checks)) == (2, 5)
+    assert (len(states), len(checks)) == (2, 2)
 
 
 def test_gaussian_qfi_observes_one_state(observed):
@@ -666,32 +666,32 @@ def test_block_rows_keep_every_bit_of_each_point_read_alone(kind, mode):
 
 
 def test_phi_sweep_reads_its_rows_in_one_stack(monkeypatch):
-    # twenty phases of ligo_lossy are one block of one route: one stacked image of the twenty points, validated
-    # once, gives every observation and QFI tangent, and parity's V at every phase is one jet call on it (one
-    # image, check and jet per point took 66 images, 25 checks and 24 jet calls); beside it, the two inputs'
-    # checks, an image and a check per polynomial sample set, and the parity search's four jet calls, one image each
+    # twenty phases of ligo_lossy are one block of one route: one stacked image of the twenty points gives every
+    # observation and QFI tangent, and parity's V at every phase is one jet call on it (one image, check and jet
+    # per point took 66 images, 25 checks and 24 jet calls); beside it, the two inputs' checks, the only ones, an
+    # image per polynomial sample set, and the parity search's four jet calls, one image each
     jets, checks, images = (counter(monkeypatch, m, name) for m, name in (
         (meas, "kernel_jet"), (ga, "check_covariance"), (ga, "trig_image")))
     forget_routes()
     sc.sweep(sc.load_config(LIGO_LOSSY), "phi", [0.3 * k for k in range(20)])
-    assert (len(jets), len(checks), len(images)) == (5, 5, 7)
+    assert (len(jets), len(checks), len(images)) == (5, 2, 7)
 
 
 def test_loss_sweep_searches_each_optimum_once(monkeypatch):
     # four L of ligo_lossy are one block: one parity search, whose grid and refinement rounds each read the four
     # points' jets in one call (the four points searched alone take 20), and one call for V at the four points'
     # phase; one stack of trigonometric signals per polynomial detector, whose circle roots are two calls (the
-    # slope's, then the stationary condition's); and one covariance check per sample set and one of the four
-    # points' rows for the block, beside the two inputs
+    # slope's, then the stationary condition's); the covariance checks are the two inputs' alone, and no stack of
+    # the block's images is checked
     minima, jets, signals, roots = (counter(monkeypatch, m, name) for m, name in (
         (est, "kernel_minima"), (meas, "kernel_jet"), (est, "trig_signal"), (est, "_circle_roots")))
     checks = []
     check = ga.check_covariance
-    monkeypatch.setattr(ga, "check_covariance", lambda cov, *mean: checks.append(cov.shape) or check(cov, *mean))
+    monkeypatch.setattr(ga, "check_covariance", lambda cov: checks.append(cov.shape) or check(cov))
     forget_routes()
     sc.sweep(sc.load_config(LIGO_LOSSY), "L", [0.0, 0.1, 0.2, 0.3])
     assert (len(minima), len(jets), len(signals), len(roots)) == (1, 6, 3, 6)
-    assert [shape for shape in checks if len(shape) == 3] == [(4, 4, 4), (20, 4, 4), (20, 4, 4)]
+    assert [shape for shape in checks if len(shape) == 3] == []
 
 
 def test_loss_sweep_of_a_heralded_point_reads_one_prefix(monkeypatch):
