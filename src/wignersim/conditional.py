@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-M_CUTOFF = 8  # the largest photon number a herald adds or subtracts
-
 
 def _laguerre(n: int, x: float) -> float:
     """Laguerre polynomial L_n(x), by the recurrence of scipy.special.eval_laguerre (same bits)."""

@@ -5,11 +5,12 @@ declares the two input states, ordered per-mode modifications at the input or
 output stage, the interferometer phase, the noise model, the detector list,
 and which metrics to compute.
 
-Each pipeline's route (`_Route`) is decided once and shared by its phases:
-its prefix record, the channel after the MZI and each detector's optimum.  The
-prefix record (`_Prefix`), built piece by piece on first read and shared by
-every config with the same prefix, is the input stage, heralds included, as
-one image of the inputs' Wigner expressions (a Gaussian input is one term).
+Each pipeline's route (`_Route`) is decided once per call and shared by its
+phases: its prefix record, the channel after the MZI and each detector's
+optimum.  The prefix record (`_Prefix`), built piece by piece on first read,
+the last one kept for the next config of the same prefix, is the input stage,
+heralds included, as one image of the inputs' Wigner expressions (a Gaussian
+input is one term).
 Everything after it is one Gaussian channel X = A(phi) Y + b + xi on the
 prefix Y, A = K M(phi), with the uniform loss the first map of K, since it
 commutes with the passive MZI.  The route reads the path off the record: one
@@ -25,8 +26,9 @@ one record (p, arms), p the success probability and 1 - p the failure arm's
 weight.  A detector's phase variance comes from one exact phase signal
 (`_optimal_phi`), which gives its optimum and its value at any phi.  Every
 metric reads the route it is handed, which `evaluate_point`, the drift study
-and the counts look up once (`_route`); a sweep hands each point its route and
-its block, the points whose optima and Gaussian rows are read at once (`_blocks`).
+and the counts build once (`_route`) and drop when they return; a sweep hands
+`evaluate_point` each point's route and its block, the points whose optima and
+Gaussian rows are read at once (`_blocks`).
 The photon-number reads build the detected mode off the same channel
 (`_Route.detected`), and `simulate_counts` reads its T grid through the route
 of the config whose herald takes the grid, one channel per T (`_counted`).
@@ -50,7 +52,6 @@ import numpy.random  # loaded lazily otherwise, on the first draw of a `counts` 
 
 from . import __version__
 from .errors import ConfigError, DegenerateBranch, ImprobableBranch, SignalStationary
-from . import conditional as cond
 from . import estimation as est
 from . import gaussian as ga
 from . import measurements as meas
@@ -68,9 +69,6 @@ OPTIMUM_TIE = 1e-9
 # (1 and -2 pi F_0 of a click herald, say) cancel to no less than 1 / HERALD_CANCELLATION of their magnitude.
 HERALD_RESOLUTION = 5e-9
 HERALD_CANCELLATION = 1e4
-# Prefix records kept: every point of a sweep over a parameter after the MZI reads one, L and D included, since
-# the uniform loss is the first map after the MZI.
-PREFIX_CACHE_SIZE = 8
 # Most points of a grid, a phi grid in a config or a --grid option
 MAX_GRID_POINTS = 100_000
 # Most trials of drift or counts: counts draws this many uniforms per grid point, and drift reads its draws'
@@ -81,6 +79,7 @@ MAX_TRIALS = 100_000
 # defect of a squeezer matrix grows like eps cosh^2 r and passes the symplectic
 # tolerance at some angle near r = 6.8 (at r = 6 its worst is 1.9e-11).
 MAX_SQUEEZE_R = 6.0
+M_CUTOFF = 8  # the largest photon number a herald adds or subtracts
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +139,14 @@ def _mode(v, path: str) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or v not in (1, 2):
         raise ConfigError(path, f"mode must be the integer 1 or 2, got {v!r}")
     return v
+
+
+def _photon_number(d: dict, path: str, click: bool) -> int | str:
+    """The `m` of a herald, an integer in 1..M_CUTOFF (default 1), or "click" where `click` allows it."""
+    m, either = d.get("m", 1), "'click' or " if click else ""
+    if not (click and m == "click") and (not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= M_CUTOFF):
+        raise ConfigError(f"{path}.m", f"m must be {either}an integer in 1..{M_CUTOFF}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -227,9 +234,7 @@ class ModificationSpec:
             mech = d.get("mechanism", "bs")
             if mech not in ("bs", "spdc"):
                 raise ConfigError(f"{path}.mechanism", f"mechanism must be 'bs' or 'spdc', got {mech!r}")
-            m = d.get("m", 1)
-            if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= cond.M_CUTOFF:
-                raise ConfigError(f"{path}.m", f"m must be an integer in 1..{cond.M_CUTOFF}")
+            m = _photon_number(d, path, click=False)
             if mech == "bs":
                 return ModificationSpec("add", stage, mode, m=m, mechanism="bs",
                                         T=_number(_need(d, "T", path), f"{path}.T", lo=0.0, hi=1.0))
@@ -237,9 +242,7 @@ class ModificationSpec:
                                     r=_number(_need(d, "r", path), f"{path}.r", lo=0.0, hi=MAX_SQUEEZE_R),
                                     theta=_number(d.get("theta", 0.0), f"{path}.theta"))
         _reject_unknown(d, {"op", "stage", "mode", "m", "T"}, path)
-        m = d.get("m", 1)
-        if m != "click" and (not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= cond.M_CUTOFF):
-            raise ConfigError(f"{path}.m", f"m must be 'click' or an integer in 1..{cond.M_CUTOFF}")
+        m = _photon_number(d, path, click=True)
         return ModificationSpec("subtract", stage, mode, m=m,
                                 T=_number(_need(d, "T", path), f"{path}.T", lo=0.0, hi=1.0))
 
@@ -625,7 +628,9 @@ class _Prefix:
         return float(sum(0.5 * (xx[i] + xx[i + 1]) - 0.5 for i in (0, 2)))
 
 
-_prefix = lru_cache(maxsize=PREFIX_CACHE_SIZE)(_Prefix)
+# The last prefix record: the points of a sweep over anything after the MZI read it in turn, and so may the next
+# command of one process.
+_prefix = lru_cache(maxsize=1)(_Prefix)
 
 
 def _with_ancillas(expr: wig.WignerExpr, ancillas: tuple) -> wig.WignerExpr:
@@ -696,12 +701,13 @@ def _through_mzi(k: np.ndarray, phi) -> np.ndarray:
 
 class _Route:
     """How the detectors of one pipeline (inputs, modifications, noise) see its state at every phase, decided
-    once: its prefix record (`_prefix`), the channel after the MZI (`_after_mzi`), (K, b, C), the uniform loss
-    first, the arms they read and each detector's optimum (`optima`).  The path is read off the record
-    (`gaussian`), and a Gaussian term has one image, its trigonometric form (`trig`), read at a block's points
-    (`_read_rows`).  A herald after the phase adds its ancilla to the prefix (`ancillas`) and its coupling to the
-    channel.  An arm is (prefix arm, herald): the prefix arms, unheralded (None), or the output heralds' reads
-    (`_herald_reads`), their product and, for a single herald with none ahead of the phase, its complement.
+    once for the call that builds it, which alone holds it: its prefix record (`_prefix`), the channel after the
+    MZI (`_after_mzi`), (K, b, C), the uniform loss first, the arms they read and each detector's optimum
+    (`optima`).  The path is read off the record (`gaussian`), and a Gaussian term has one image, its
+    trigonometric form (`trig`), read at a block's points (`_read_rows`).  A herald after the phase adds its
+    ancilla to the prefix (`ancillas`) and its coupling to the channel.  An arm is (prefix arm, herald): the prefix
+    arms, unheralded (None), or the output heralds' reads (`_herald_reads`), their product and, for a single herald
+    with none ahead of the phase, its complement.
     """
 
     def __init__(self, inputs: tuple, modifications: tuple, noise: NoiseSpec):
@@ -828,11 +834,8 @@ def _read_rows(block: tuple, detection: tuple) -> None:
         route._observation[phi] = route.prefix.arms[0], (row,)
 
 
-_routes = lru_cache(maxsize=1)(_Route)  # the last pipeline's route, with its most recent observation and its reads
-
-
 def _route(config: ScenarioConfig) -> _Route:
-    return _routes(config.inputs, config.modifications, config.noise)
+    return _Route(config.inputs, config.modifications, config.noise)
 
 
 def _bytes(a: np.ndarray | None) -> tuple | None:
@@ -1108,19 +1111,16 @@ def _qfi(route: _Route, phi: float) -> tuple[float | None, str]:
     return route.prefix.qfi, "pure_wigner"
 
 
-def evaluate_point(config: ScenarioConfig, phi: float | None = None):
-    """Compute the requested metrics at one parameter point.
+def evaluate_point(config: ScenarioConfig, phi: float | None = None, route: _Route | None = None, block: tuple = ()):
+    """Compute the requested metrics at one parameter point, at phi (the config's by default), through the
+    config's `route`, built for this call unless a sweep hands it with its `block` (`_blocks`).
 
     A herald whose success probability sits below the renormalization floor
     (transmissivity pinned at 1, say) yields a flagged row rather than a
     failure.  A photon-number distribution runs to the n_max its contour's own
     tail bound sets (`wig.photon_number_distribution`).
     """
-    return _evaluate(config, config.phi if phi is None else phi, _route(config))
-
-
-def _evaluate(config: ScenarioConfig, phi: float, route: _Route, block: tuple = ()):
-    """`evaluate_point` at phi through the config's route, with its sweep `block` (`_blocks`)."""
+    phi, route = config.phi if phi is None else phi, route or _route(config)
     report = est.EstimationReport(phi=phi)
     warnings: list[str] = []
     distributions: list[dict] = []
@@ -1288,7 +1288,7 @@ def sweep(config: ScenarioConfig, parameter: str, grid, seed: int | None = None)
     points = [config.with_values(**{parameter: value}) for value in grid]
     rows, warnings, dists = [], [], []
     for idx, (point, (route, block)) in enumerate(zip(points, _blocks(points))):
-        report, w, d = _evaluate(point, point.phi, route, block)
+        report, w, d = evaluate_point(point, route=route, block=block)
         row = report.as_dict()
         row["index"] = idx
         row[parameter] = grid[idx]
@@ -1310,7 +1310,7 @@ def _blocks(points: list):
     pending, routes = [], {}  # the block's points, and its routes by pipeline
     for point in points:
         key = point.inputs, point.modifications, point.noise
-        route = routes[key] if key in routes else _routes(*key)
+        route = routes[key] if key in routes else _Route(*key)
         if pending and (len(pending) == est.KERNEL_CHUNK or key not in routes and not (
                 route.prefix is first.prefix and len(routes) < size)):
             yield from zip((each for each, _ in pending), [tuple(pending)] * len(pending))

@@ -17,9 +17,8 @@ from wignersim import symplectic as sym
 
 
 def forget_routes() -> None:
-    """Drop the kept prefix records and route, so that the next point builds its own."""
+    """Drop the kept prefix record, so that the next point builds its own, as it builds its route."""
     sc._prefix.cache_clear()
-    sc._routes.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -250,7 +250,6 @@ def test_noise_stage_that_is_not_completely_positive_exits_2(tmp_path, capsys, m
     attenuated = sc._attenuated
     monkeypatch.setattr(sc, "_attenuated", lambda chan, rows, gain, noise: attenuated(chan, rows, gain, noise / 2))
     config = str(CONFIGS / "ligo_lossy.json")
-    sc._routes.cache_clear()
     with pytest.raises(NumericalBreakdown, match="min eig of 2C"):
         sc._route(sc.load_config(config))
     assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2

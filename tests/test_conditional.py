@@ -131,7 +131,7 @@ class TestSubtraction:
 
     def test_spec_domain(self):
         # a subtraction's photon number and transmissivity are validated where a config gives them
-        for m, t in ((-1, 0.9), (cond.M_CUTOFF + 1, 0.9), (1, 1.2)):
+        for m, t in ((-1, 0.9), (sc.M_CUTOFF + 1, 0.9), (1, 1.2)):
             with pytest.raises(ValueError):
                 sc.ModificationSpec.from_dict({"op": "subtract", "mode": 1, "m": m, "T": t}, "modifications.0")
 

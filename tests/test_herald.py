@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import reference as ref
-from wignersim import conditional as cond
 from wignersim import gaussian as ga
 from wignersim import scenario as sc
 from wignersim import symplectic as sym
@@ -195,10 +194,10 @@ def herald_spec(**fields):
     "call",
     [
         herald_spec(op="add", mode=3, m=1, T=0.9),
-        herald_spec(op="add", mode=1, m=cond.M_CUTOFF + 1, T=0.9),
+        herald_spec(op="add", mode=1, m=sc.M_CUTOFF + 1, T=0.9),
         herald_spec(op="add", mode=1, m=1, T=1.5),
         herald_spec(op="add", mode=1, m=1, mechanism="spdc", r=-0.1),
-        herald_spec(op="add", mode=1, m=cond.M_CUTOFF + 1, mechanism="spdc", r=0.3),
+        herald_spec(op="add", mode=1, m=sc.M_CUTOFF + 1, mechanism="spdc", r=0.3),
         herald_spec(op="subtract", mode=0, m=1, T=0.9),
         herald_spec(op="subtract", mode=1, m="click", T=-0.1),
     ],

@@ -69,7 +69,6 @@ class TestPrefix:
 
         monkeypatch.setattr(wg, "_integrate_out", counted)
         sc._prefix.cache_clear()
-        sc._routes.cache_clear()
         cfg = config([COHERENT, VACUUM], [INPUT_ADDITION], metrics=["phase_variance", "snr"],
                      detection=[{"scheme": "intensity", "mode": 1}], phi=1.0)
         report, _, _ = sc.evaluate_point(cfg)

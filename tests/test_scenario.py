@@ -146,10 +146,8 @@ class TestPipeline:
         )
         fast, _, _ = sc.evaluate_point(cfg)
         # the same Gaussian prefix record read as a Wigner arm, through a route of its own
-        sc._routes.cache_clear()
         monkeypatch.setattr(sc._Route, "gaussian", None)
         slow, _, _ = sc.evaluate_point(cfg)
-        sc._routes.cache_clear()
         for key in fast.phase_variance:
             assert abs(fast.phase_variance[key] - slow.phase_variance[key]) < 1e-8 * max(
                 1.0, abs(fast.phase_variance[key])
@@ -272,11 +270,12 @@ def test_every_row_read_through_a_checked_channel_is_bona_fide(stage, monkeypatc
     # a route checks its noise stage once (`ga.check_channel`), and no row or sample stack read through its channel
     # is checked again: here each is, at the boundary's extremes, ligo_lossy at no, half and total loss over a phi
     # grid with its squeeze at MAX_SQUEEZE_R before or after the MZI
-    read_rows, rows = sc._read_rows, []
+    read_rows, rows, routes = sc._read_rows, [], []
 
     def checked(block, detection):
         read_rows(block, detection)
         for route, phi in block:
+            routes.append(route)
             (row,) = route.observe(phi)[1]
             assert np.all(np.isfinite(row.mean))
             ga.check_covariance(row.cov)
@@ -288,9 +287,10 @@ def test_every_row_read_through_a_checked_channel_is_bona_fide(stage, monkeypatc
     grid = [2.0 * math.pi * k / 12 for k in range(12)]
     for loss in (0.0, 0.5, 1.0):
         config = sc.ScenarioConfig.from_dict(dict(raw, noise={"loss": {"L": loss}}))
-        sc._routes.cache_clear()
+        routes.clear()
         sc.sweep(config, "phi", grid)
-        samples = sc._route(config)._samples.values()
+        (route,) = dict.fromkeys(routes)  # the sweep's one route, held from its block
+        samples = route._samples.values()
         assert len(samples) == 2
         for mean, cov in samples:
             assert np.all(np.isfinite(mean))

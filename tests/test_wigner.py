@@ -539,7 +539,6 @@ class TestWickSchedule:
         # every expectation of heralded reference (a): the norms and moment tensors of its prefix, and its kernel
         # reads, (n, k) batches with shifts
         sc._prefix.cache_clear()
-        sc._routes.cache_clear()
         calls, orig = [], wg._gaussian_expectation
         monkeypatch.setattr(wg, "_gaussian_expectation", lambda *args: calls.append(args) or orig(*args))
         sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_a(1.0)))

@@ -1,5 +1,6 @@
 """Deterministic work counters of the shared primitives and of one scenario point."""
 
+import gc
 import importlib
 import inspect
 import json
@@ -191,10 +192,10 @@ def test_polynomial_optimum_reads_five_phases(config, label, observed, imaged, m
     monkeypatch.setattr(wg, "herald_read", lambda columns, rows, *args: reads.append(len(rows)) or orig(
         columns, rows, *args))
     config = sc.load_config(config) if isinstance(config, str) else sc.ScenarioConfig.from_dict(config)
-    sc._routes.cache_clear()
-    sc._optimal_phi(sc._route(config), next(s for s in config.detection if s.label == label))
+    route = sc._route(config)
+    sc._optimal_phi(route, next(s for s in config.detection if s.label == label))
     stacks = [len(phis) for phis in imaged]
-    assert (observed, stacks, reads) == (([], [5], []) if sc._route(config).gaussian is not None else ([], [], [5]))
+    assert (observed, stacks, reads) == (([], [5], []) if route.gaussian is not None else ([], [], [5]))
 
 
 def sample_set(rate: int) -> tuple:
@@ -209,7 +210,6 @@ def test_ligo_lossy_fixed_phases_read_the_optimum_signal(study, observed, imaged
     # over [0, 2 pi), and observes no phase for them; a point observes its own state at its phase, and the parity
     # minimum reads its jet
     config = sc.load_config(LIGO_LOSSY)
-    sc._routes.cache_clear()
     if study == "point":
         sc.evaluate_point(sc.ScenarioConfig.from_dict(dict(config.raw, metrics=["phase_variance"])))
         assert (observed, imaged) == ([config.phi], [(config.phi,), sample_set(2), sample_set(1)])
@@ -238,7 +238,6 @@ def test_herald_after_the_phase_builds_each_phase_once(monkeypatch):
     # the herald's ancilla rides in the cached prefix: the point and its cfi read the channel, and the
     # distributions read each mode off it, one partial integration per distributed mode
     integrations = counter(monkeypatch, wg, "_integrate_out")
-    sc._routes.cache_clear()
     sc.run(sc.load_config(SUBTRACTED_THERMAL))
     assert len(integrations) == 2
 
@@ -352,12 +351,13 @@ def subtracted_thermal(**updates) -> dict:
 ], ids=["shipped", "phase_search", "two_blurs", "point_a"])
 def test_warm_route_reads_keep_a_fresh_routes_bits(raw, monkeypatch):
     # each read of a subtracted_thermal run, through the route whose stored parts serve its repeats, and again
-    # through that warm route after the run, equals the same read through a new route, which integrates afresh;
-    # so do those of runs that search the phase (many phase sets), read one mode through two kernels, or read each
-    # mode unheralded on its own rows (point (a))
-    reads, orig = [], sc._Route.read
+    # through that warm route, held from the run's reads, after the run, equals the same read through a new route,
+    # which integrates afresh; so do those of runs that search the phase (many phase sets), read one mode through
+    # two kernels, or read each mode unheralded on its own rows (point (a))
+    reads, routes, orig = [], [], sc._Route.read
 
     def recorded(route, *args):
+        routes.append(route)
         read = orig(route, *args)
 
         def replayed(*call, **kwargs):
@@ -371,7 +371,7 @@ def test_warm_route_reads_keep_a_fresh_routes_bits(raw, monkeypatch):
     forget_routes()
     sc.run(config)
     monkeypatch.undo()
-    warm = sc._route(config)
+    (warm,) = dict.fromkeys(routes)
     stored = [a for parts in warm._parts.values() for part in parts.values() for a in part]
     assert reads and stored and not any(a.flags.writeable for a in stored)
     for args, call, kwargs, got in reads:
@@ -380,15 +380,39 @@ def test_warm_route_reads_keep_a_fresh_routes_bits(raw, monkeypatch):
             assert all(map(same_bits, read, fresh))
 
 
-def test_a_route_the_cache_has_left_is_freed():
-    # a route keeps its last observation and its reads itself, so once `_route` moves on to another config nothing
-    # holds the old route, nor its stored parts
-    forget_routes()
-    config = sc.ScenarioConfig.from_dict(workloads.point_a(1.0))
-    sc._route(config).observe(config.phi)
-    left = weakref.ref(sc._route(config))
-    sc._route(sc.load_config(SUBTRACTED_THERMAL))
-    assert left() is None
+@pytest.mark.parametrize("study", [
+    lambda: sc.evaluate_point(sc.ScenarioConfig.from_dict(workloads.point_a(1.0))),
+    lambda: sc.run(sc.load_config(SUBTRACTED_THERMAL)),
+    lambda: sc.sweep(sc.load_config(LIGO_LOSSY), "L", [0.0, 0.1, 0.3]),
+], ids=["point_a", "subtracted_thermal", "ligo_lossy_L"])
+def test_a_route_is_freed_once_its_call_returns(study, monkeypatch):
+    # a route keeps its optima, its last observation and its reads itself, and only the call that built it holds
+    # it: once that call returns, the collector frees every route it built (a Wigner route's searched signals read
+    # the route, a cycle), and their stored parts with them
+    built, init = [], sc._Route.__init__
+    monkeypatch.setattr(sc._Route, "__init__", lambda route, *key: built.append(weakref.ref(route)) or init(
+        route, *key))
+    study()
+    gc.collect()
+    assert built and [route() for route in built] == [None] * len(built)
+
+
+@pytest.mark.parametrize("raw", [workloads.point_b(1.0), json.loads(Path(LIGO_LOSSY).read_text())],
+                         ids=["point_b", "ligo_lossy"])
+def test_a_second_run_searches_every_optimum_again(raw, tmp_path, monkeypatch):
+    # no route outlives its command: a second `run` of one config in one process builds its route anew and
+    # searches each detector's optimum again, and writes the first run's bytes (a route kept from the first run
+    # gave point (b)'s second run its optima, no search and one Wick expectation against 16)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    searches = counter(monkeypatch, sc, "_least")  # one per search, the least of its minima
+    outputs = []
+    for run in range(2):
+        searches.clear()
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / str(run))]) == 0
+        assert len(searches) == len(raw["detection"])
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / str(run)).iterdir()})
+    assert outputs[0] == outputs[1]
 
 
 def test_heralded_reference_points_take_at_most_33_wick_expectations(monkeypatch):
@@ -567,9 +591,10 @@ def test_phi_sweep_builds_one_route_and_searches_each_optimum_once(raw, monkeypa
         forget_routes()
         alone.append(sc.evaluate_point(config.with_values(phi=phi))[0].as_dict())
     searches = counter(monkeypatch, sc, "_least")  # one per search, the least of its minima
+    routes = counter(monkeypatch, sc, "_after_mzi")  # one per route built
     forget_routes()
     report = sc.sweep(config, "phi", grid)
-    assert (sc._routes.cache_info().misses, len(searches)) == (1, len(config.detection))
+    assert (len(routes), len(searches)) == (1, len(config.detection))
     assert [{k: v for k, v in row.items() if k != "index"} for row in report.rows] == alone
 
 
@@ -716,7 +741,6 @@ def test_loss_sweep_of_a_heralded_point_reads_one_prefix(monkeypatch):
 def test_run_builds_one_channel_after_the_mzi(raw, monkeypatch):
     # every reader of a config takes the channel from its route
     channels = counter(monkeypatch, sc, "_after_mzi")
-    sc._routes.cache_clear()
     sc.run(sc.ScenarioConfig.from_dict(raw))
     assert len(channels) == 1
 
@@ -726,6 +750,14 @@ def test_counts_builds_one_channel_after_the_mzi(monkeypatch):
     channels = counter(monkeypatch, sc, "_after_mzi")
     sc.simulate_counts(sc.load_config(PACS_COUNTS), trials=100, seed=1)
     assert len(channels) == 1
+
+
+def test_sweep_evaluates_each_point_through_evaluate_point(monkeypatch):
+    # the tracer times `scenario.evaluate_point` by its module attribute: every point of a sweep goes through it,
+    # so a traced gaussian_sweep pass reports its points' time (a sweep that skipped it read 0.0 s there)
+    points = counter(monkeypatch, sc, "evaluate_point")
+    report = sc.sweep(sc.load_config(LIGO_LOSSY), "L", [0.0, 0.1, 0.2, 0.3])
+    assert len(report.rows) == len(points) == 4
 
 
 def test_every_name_the_benchmark_tracer_patches_exists():
